@@ -22,7 +22,7 @@ from ..core.errors import ProtocolError
 from ..core.operations import OpKind, new_op_id
 from ..protocols.base import Broadcast, ClientLogic, OperationOutcome
 from ..messages import Message
-from .codec import read_frame, write_frame
+from .codec import FrameError, read_frame, write_frame
 
 __all__ = ["TimedOutcome", "AsyncRegisterClient"]
 
@@ -100,7 +100,8 @@ class AsyncRegisterClient:
                 self._replies.append(message)
                 if len(self._replies) >= self._wait_for:
                     self._enough_replies.set()
-        except (asyncio.IncompleteReadError, ConnectionResetError, asyncio.CancelledError):
+        except (asyncio.IncompleteReadError, ConnectionResetError, FrameError,
+                asyncio.CancelledError):
             return
 
     # -- operations ----------------------------------------------------------------

@@ -104,18 +104,27 @@ def encode_message(message: Message) -> bytes:
 
 
 def decode_message(body: bytes) -> Message:
-    """Deserialize the JSON body of a frame back into a Message."""
-    data: Dict[str, Any] = json.loads(body.decode("utf-8"))
-    return Message(
-        sender=data["sender"],
-        receiver=data["receiver"],
-        kind=data["kind"],
-        payload=data.get("payload", {}),
-        op_id=data.get("op_id"),
-        round_trip=data.get("round_trip", 0),
-        msg_id=data.get("msg_id", 0),
-        trace=data.get("trace"),
-    )
+    """Deserialize the JSON body of a frame back into a Message.
+
+    Every undecodable body -- bad UTF-8, bad JSON (or JSON nested past the
+    recursion limit), not an object, no ``sender``/``receiver``/``kind`` --
+    raises :class:`FrameError`, so a receiver has one exception to treat as
+    "this connection is garbage".
+    """
+    try:
+        data: Dict[str, Any] = json.loads(body.decode("utf-8"))
+        return Message(
+            sender=data["sender"],
+            receiver=data["receiver"],
+            kind=data["kind"],
+            payload=data.get("payload", {}),
+            op_id=data.get("op_id"),
+            round_trip=data.get("round_trip", 0),
+            msg_id=data.get("msg_id", 0),
+            trace=data.get("trace"),
+        )
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise FrameError(f"undecodable frame body: {exc!r}") from exc
 
 
 def encode_batch_frame(

@@ -8,7 +8,7 @@ executing effects is the adapter's job:
 
 * the simulator backend maps :class:`SendFrame` onto the simulated network
   and :class:`StartTimer` onto the virtual-clock event queue;
-* the asyncio backend maps :class:`SendFrame` onto stream writers and
+* the asyncio backend maps :class:`SendFrame` onto transport writes and
   :class:`StartTimer` onto ``loop.call_later``.
 
 Because both backends execute the *same* effect stream emitted by the *same*

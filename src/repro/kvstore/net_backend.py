@@ -3,7 +3,11 @@
 All protocol behaviour -- round lifecycle, batching, stale-epoch replay,
 proxy merging, failover, view-push adoption -- lives in the shared sans-I/O
 engines of :mod:`repro.kvstore.engine`; this module only *adapts* them to
-asyncio streams:
+asyncio.  Every persistent connection is one
+:class:`~repro.asyncio_net.framed.FramedConnection`: frames are decoded
+inside ``data_received`` and fed to the owning engine in the same event-loop
+turn, and its effects -- sends included -- execute synchronously, so no task
+exists per frame or per send:
 
 * :class:`AsyncKVCluster` starts one
   :class:`~repro.asyncio_net.server.ReplicaServer` per replica-group server
@@ -17,7 +21,8 @@ asyncio streams:
   emitted timers ride ``loop.call_later``.  Connection losses are reported
   back into the engine, which owns replay and proxy failover.
 * :class:`AsyncGroupClient` / :class:`AsyncProxyClient` are pure transport:
-  connection pools with reconnect-and-redial, no round bookkeeping.
+  connection pools with reconnect-and-redial, no round bookkeeping.  Only
+  the control plane's one-shot deliveries still use streams.
 * :class:`SyncKVStore` wraps a :class:`KVStore` for synchronous callers via
   a background event-loop thread.
 """
@@ -31,6 +36,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..asyncio_net.codec import FrameError, encode_message, read_frame, write_frame
+from ..asyncio_net.framed import FramedConnection
 from ..asyncio_net.server import ReplicaServer
 from ..core.operations import OpKind
 from ..messages import DEFAULT_LEASE_TTL, Message
@@ -82,15 +88,6 @@ __all__ = ["AsyncKVCluster", "AsyncGroupClient", "AsyncShardClient",
 
 logger = logging.getLogger(__name__)
 
-#: Connection-death errors the transport maps onto engine notifications.
-_CONNECTION_ERRORS = (
-    asyncio.IncompleteReadError,
-    ConnectionResetError,
-    BrokenPipeError,
-    EOFError,
-    OSError,
-)
-
 
 class ProxyConnectionLost(ConnectionError):
     """The client's connection to its ingress proxy died mid-round.
@@ -107,7 +104,7 @@ class ProxyConnectionLost(ConnectionError):
 class _EffectRunner:
     """Executes engine effects on the asyncio event loop.
 
-    Subclasses supply the engine, writer resolution, and operation
+    Subclasses supply the engine, connection resolution, and operation
     completion handling.  Effects returned by re-entrant engine calls (an
     undeliverable frame reported while another effect is executing) join
     the same FIFO, so execution order matches emission order.
@@ -126,7 +123,7 @@ class _EffectRunner:
     def engine(self):
         raise NotImplementedError
 
-    def _writer_for(self, destination: str) -> Optional[asyncio.StreamWriter]:
+    def _connection_for(self, destination: str) -> Optional[FramedConnection]:
         raise NotImplementedError
 
     def _on_operation(self, effect) -> None:  # pragma: no cover - client only
@@ -182,8 +179,8 @@ class _EffectRunner:
         self.run_effects(self.engine.on_timer(timer_id))
 
     def _send(self, effect: SendFrame) -> None:
-        writer = self._writer_for(effect.destination)
-        if writer is None or writer.is_closing():
+        connection = self._connection_for(effect.destination)
+        if connection is None or connection.closing:
             # The peer is down and its redial has not landed yet; report the
             # loss instead of writing into a dead socket -- the engine's
             # replay (or failover) logic takes over.
@@ -206,18 +203,10 @@ class _EffectRunner:
                 self.engine.on_frame_undeliverable(effect.frame, exc, retryable=False)
             )
             return
-        # write() appends the whole frame synchronously (no interleaving with
-        # concurrent sends on this writer); only backpressure is awaited.
-        writer.write(data)
-        self._track(self._drain(writer, effect.frame))
-
-    async def _drain(self, writer: asyncio.StreamWriter, frame: Message) -> None:
-        try:
-            await writer.drain()
-        except _CONNECTION_ERRORS as exc:
-            self.run_effects(
-                self.engine.on_frame_undeliverable(frame, exc, retryable=True)
-            )
+        # Nothing waits for the write to reach the peer: a connection that
+        # dies after it reports through its lost path, and round timeouts
+        # cover what that misses.
+        connection.send(data)
 
     def _track(self, coroutine) -> asyncio.Task:
         task = asyncio.create_task(coroutine)
@@ -243,12 +232,14 @@ class AsyncGroupClient:
     """Connections to one replica group: pure transport, no round logic.
 
     Decoded frames are handed to ``on_frame`` (the owner routes them into
-    its engine).  A lost connection goes into reconnect: the receive loop's
-    death schedules periodic redial of the replica's (stable) endpoint.  A
-    redial that dies on an *unexpected* exception (anything outside the
-    ``OSError`` family the loop retries on) is reported via ``on_peer_lost``
-    so rounds counting on that replica are failed over to the engines'
-    replay logic instead of hanging with no trace.
+    its engine) from inside ``data_received``.  A lost connection -- the
+    replica died, or sent a frame that does not decode -- goes into
+    reconnect: periodic redial of the replica's (stable) endpoint, while
+    sends to it report undeliverable.  A redial that dies on an *unexpected*
+    exception (anything outside the ``OSError`` family the loop retries on)
+    is reported via ``on_peer_lost`` so rounds counting on that replica are
+    failed over to the engines' replay logic instead of hanging with no
+    trace.
     """
 
     def __init__(
@@ -266,8 +257,7 @@ class AsyncGroupClient:
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self._on_frame = on_frame or (lambda message: None)
         self._on_peer_lost = on_peer_lost or (lambda server_id, exc: None)
-        self._writers: Dict[str, asyncio.StreamWriter] = {}
-        self._receive_tasks: "set[asyncio.Task]" = set()
+        self._connections: Dict[str, FramedConnection] = {}
         self._reconnect_tasks: "set[asyncio.Task]" = set()
         self._closing = False
 
@@ -282,31 +272,21 @@ class AsyncGroupClient:
                 # so the replica is folded back in when it returns.
                 self._schedule_reconnect(server_id)
 
-    def writer_for(self, server_id: str) -> Optional[asyncio.StreamWriter]:
-        return self._writers.get(server_id)
+    def connection_for(self, server_id: str) -> Optional[FramedConnection]:
+        return self._connections.get(server_id)
 
     async def _open(self, server_id: str) -> None:
         host, port = self.endpoints[server_id]
-        reader, writer = await asyncio.open_connection(host, port)
-        stale = self._writers.get(server_id)
-        if stale is not None and stale is not writer:
+        connection = FramedConnection(
+            self._on_frame, lambda exc: self._schedule_reconnect(server_id)
+        )
+        await asyncio.get_running_loop().create_connection(
+            lambda: connection, host, port
+        )
+        stale = self._connections.get(server_id)
+        if stale is not None:
             stale.close()  # release the dead transport a redial replaces
-        self._writers[server_id] = writer
-        task = asyncio.create_task(self._receive_loop(server_id, reader))
-        self._receive_tasks.add(task)
-        task.add_done_callback(self._receive_tasks.discard)
-
-    async def _receive_loop(self, server_id: str, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                message = await read_frame(reader)
-                self._on_frame(message)
-        except _CONNECTION_ERRORS:
-            # The replica died (or was killed): keep redialing its endpoint
-            # so a restarted replica is picked back up transparently.
-            self._schedule_reconnect(server_id)
-        except asyncio.CancelledError:
-            return
+        self._connections[server_id] = connection
 
     def _schedule_reconnect(self, server_id: str) -> None:
         if self._closing:
@@ -344,19 +324,14 @@ class AsyncGroupClient:
 
     async def close(self) -> None:
         self._closing = True
-        tasks = list(self._receive_tasks) + list(self._reconnect_tasks)
+        tasks = list(self._reconnect_tasks)
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
-        self._receive_tasks.clear()
         self._reconnect_tasks.clear()
-        for writer in self._writers.values():
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except _CONNECTION_ERRORS:  # pragma: no cover - teardown race
-                pass
-        self._writers.clear()
+        for connection in self._connections.values():
+            connection.close()
+        self._connections.clear()
 
 
 #: Backwards-compatible alias from before placement was its own layer.
@@ -386,42 +361,24 @@ class AsyncProxyClient:
         self.port = port
         self._on_frame = on_frame or (lambda message: None)
         self._on_lost = on_lost or (lambda link, exc: None)
-        self.lost: Optional[BaseException] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
-        self._receive_task: Optional[asyncio.Task] = None
+        self.connection: Optional[FramedConnection] = None
 
     async def connect(self) -> None:
-        reader, self.writer = await asyncio.open_connection(self.host, self.port)
-        self._receive_task = asyncio.create_task(self._receive_loop(reader))
-
-    async def _receive_loop(self, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                message = await read_frame(reader)
-                self._on_frame(message)
-        except _CONNECTION_ERRORS as exc:
-            self._mark_lost(exc)
-        except asyncio.CancelledError:
-            return
+        connection = FramedConnection(self._on_frame, self._mark_lost)
+        await asyncio.get_running_loop().create_connection(
+            lambda: connection, self.host, self.port
+        )
+        self.connection = connection
 
     def _mark_lost(self, exc: BaseException) -> None:
-        if self.lost is not None:
-            return
-        self.lost = ProxyConnectionLost(f"proxy {self.proxy_id} lost: {exc!r}")
-        self._on_lost(self, self.lost)
+        self._on_lost(
+            self, ProxyConnectionLost(f"proxy {self.proxy_id} lost: {exc!r}")
+        )
 
     async def close(self) -> None:
-        if self._receive_task is not None:
-            self._receive_task.cancel()
-            await asyncio.gather(self._receive_task, return_exceptions=True)
-            self._receive_task = None
-        if self.writer is not None:
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except _CONNECTION_ERRORS:  # pragma: no cover - teardown race
-                pass
-            self.writer = None
+        if self.connection is not None:
+            self.connection.close()
+            self.connection = None
 
 
 #: Default autoscale window on the asyncio backend (wall-clock seconds;
@@ -714,7 +671,7 @@ class AsyncKVCluster:
 
         Clients and proxies ride it out: sends to the dead replica fail (a
         quorum of ``S - t`` among the survivors still completes every
-        round), their receive loops go into reconnect, and rounds that lost
+        round), their connections go into reconnect, and rounds that lost
         too many sends are replayed once a quorum is reachable again.
         """
         await self.replicas[server_id].stop()
@@ -812,8 +769,8 @@ class ProxyServer(_EffectRunner):
     :class:`~repro.kvstore.engine.proxy.ProxyEngine`, which owns shard
     resolution, read routing, cross-client merging, stale-epoch replay and
     round timeouts.  This class only manages connections: one
-    :class:`AsyncGroupClient` per replica group, and a sender->writer map
-    for routing ack frames back to the connection they belong to.
+    :class:`AsyncGroupClient` per replica group, and a sender->connection
+    map for routing ack frames back to the connection they belong to.
     """
 
     def __init__(
@@ -856,8 +813,8 @@ class ProxyServer(_EffectRunner):
         self._server: Optional[asyncio.AbstractServer] = None
         self._group_clients: Dict[str, AsyncGroupClient] = {}
         self._server_home: Dict[str, AsyncGroupClient] = {}
-        self._client_writers: Dict[str, asyncio.StreamWriter] = {}
-        self._connections: "set[asyncio.StreamWriter]" = set()
+        self._client_connections: Dict[str, FramedConnection] = {}
+        self._connections: "set[FramedConnection]" = set()
 
     @property
     def engine(self) -> ProxyEngine:
@@ -902,8 +859,8 @@ class ProxyServer(_EffectRunner):
             self._group_clients[group.group_id] = group_client
             for server_id in group_client.endpoints:
                 self._server_home[server_id] = group_client
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self.host, self.port
         )
         sockets = self._server.sockets or []
         if sockets:
@@ -912,54 +869,49 @@ class ProxyServer(_EffectRunner):
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+        await self._shutdown_runner()
+        for connection in list(self._connections):
+            connection.close()
+        self._connections.clear()
+        self._client_connections.clear()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        await self._shutdown_runner()
-        for writer in list(self._connections):
-            writer.close()
         for group_client in self._group_clients.values():
             await group_client.close()
         self._group_clients.clear()
         self._server_home.clear()
-        self._client_writers.clear()
         # Clients behind a killed proxy fail over and replay under fresh
         # attempt scopes; drop the stranded rounds so a restart acks no
         # ghosts (frame accounting lives in the engine and survives).
         self._engine.sever()
 
-    def _writer_for(self, destination: str) -> Optional[asyncio.StreamWriter]:
+    def _connection_for(self, destination: str) -> Optional[FramedConnection]:
         group_client = self._server_home.get(destination)
         if group_client is not None:
-            return group_client.writer_for(destination)
-        return self._client_writers.get(destination)
+            return group_client.connection_for(destination)
+        return self._client_connections.get(destination)
 
-    async def _handle_client(self, reader, writer) -> None:
-        senders: "set[str]" = set()
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except _CONNECTION_ERRORS:
-                    break
-                except asyncio.CancelledError:
-                    break  # loop teardown raced this connection's EOF
-                # Ack frames route back over the connection the request (or
-                # view push) arrived on: remember who speaks through it.
-                if frame.sender not in senders:
-                    senders.add(frame.sender)
-                    self._client_writers[frame.sender] = writer
-                self.run_effects(self._engine.on_frame(frame))
-        finally:
-            self._connections.discard(writer)
-            for sender in senders:
-                if self._client_writers.get(sender) is writer:
-                    del self._client_writers[sender]
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (*_CONNECTION_ERRORS, asyncio.CancelledError):
-                pass
+    def _accept(self) -> FramedConnection:
+        connection = FramedConnection(
+            lambda frame: self._on_client_frame(connection, frame),
+            lambda exc: self._forget(connection),
+        )
+        self._connections.add(connection)
+        return connection
+
+    def _on_client_frame(self, connection: FramedConnection, frame: Message) -> None:
+        # Ack frames route back over the connection the request (or view
+        # push) arrived on: remember who speaks through it.
+        self._client_connections[frame.sender] = connection
+        self.run_effects(self._engine.on_frame(frame))
+
+    def _forget(self, connection: FramedConnection) -> None:
+        self._connections.discard(connection)
+        for sender in [
+            s for s, c in self._client_connections.items() if c is connection
+        ]:
+            del self._client_connections[sender]
 
 
 class KVStore(_EffectRunner):
@@ -1164,13 +1116,13 @@ class KVStore(_EffectRunner):
 
     # -- effect execution hooks --------------------------------------------------
 
-    def _writer_for(self, destination: str) -> Optional[asyncio.StreamWriter]:
+    def _connection_for(self, destination: str) -> Optional[FramedConnection]:
         link = self._proxy_client
         if link is not None and destination == link.proxy_id:
-            return link.writer
+            return link.connection
         group_client = self._server_home.get(destination)
         if group_client is not None:
-            return group_client.writer_for(destination)
+            return group_client.connection_for(destination)
         return None
 
     def _on_operation(self, effect) -> None:
@@ -1321,15 +1273,6 @@ class SyncKVStore:
     async def _teardown(self) -> None:
         await self._store.close()
         await self._cluster.stop()
-        # Let the replicas' per-connection handler tasks observe EOF and
-        # finish before the loop thread is stopped, else they die mid-await.
-        pending = [
-            task
-            for task in asyncio.all_tasks()
-            if task is not asyncio.current_task()
-        ]
-        if pending:
-            await asyncio.wait(pending, timeout=1.0)
 
     def __enter__(self) -> "SyncKVStore":
         return self
@@ -1560,15 +1503,6 @@ def run_asyncio_kv_workload(
             for store in stores.values():
                 await store.close()
             await cluster.stop()
-            # Let the replicas' per-connection handler tasks observe EOF and
-            # finish before asyncio.run tears the loop down around them.
-            draining = [
-                task
-                for task in asyncio.all_tasks()
-                if task is not asyncio.current_task()
-            ]
-            if draining:
-                await asyncio.wait(draining, timeout=1.0)
 
         histories = recorder.histories()
         result = KVRunResult(
