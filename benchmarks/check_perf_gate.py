@@ -12,11 +12,19 @@ are judged by:
   exceed baseline by more than the tolerance;
 * higher-is-better: ``read_subs_ratio``, ``cache_hit_rate`` -- a fresh value
   may not fall short of baseline by more than the tolerance;
-* ``atomic`` -- may never go from ``true`` to ``false``, tolerance or not.
+* ``atomic`` -- may never go from ``true`` to ``false``, tolerance or not;
+* exact: ``trace_events_built`` (``bench_observe_emit.py``) -- a
+  deterministic count that must equal the baseline's (zero: the default
+  sinks never make the observer hub build a ``TraceEvent``);
+* ceiling: ``observer_on_off_ratio`` -- emit cost with the default sinks
+  over emit cost on ``NULL_OBSERVER``, both measured back to back in one
+  process, may not exceed a fixed ceiling whatever the baseline recorded.
 
 Wall-clock numbers (throughput, latencies) are deliberately *not* gated:
 quick runs on shared CI runners are too noisy for them, while the gated
 metrics are counters fixed by protocol behaviour and the seeded workloads.
+The one timing that is gated is a within-run ratio, which a slow runner
+scales on both sides.
 The relative tolerance (default 25%) plus a small absolute slack absorbs
 merge-window jitter in the asyncio rows; sim rows are deterministic.
 
@@ -49,6 +57,11 @@ HIGHER_IS_BETTER = (
     "read_subs_ratio",
     "cache_hit_rate",
 )
+#: Deterministic counts: any difference from the baseline is a violation.
+EXACT = ("trace_events_built",)
+#: Within-run ratios held under a fixed ceiling.  1.8-1.9 measured with the
+#: routed emit, 8.1-8.7 with a TraceEvent built per emit (docs/pr13-measurements.md).
+CEILINGS = {"observer_on_off_ratio": 4.0}
 #: Absolute slack added on top of the relative tolerance, so near-zero
 #: baselines (e.g. 1.1 sub-ops/op) don't turn float jitter into failures.
 ABS_SLACK = 0.25
@@ -74,6 +87,16 @@ def compare(base: Any, fresh: Any, path: str, tolerance: float,
             if key == "atomic":
                 if bool(base_value) and not bool(fresh_value):
                     violations.append(f"{here}: atomic regressed to false")
+            elif key in EXACT:
+                if fresh_value != base_value:
+                    violations.append(
+                        f"{here}: {fresh_value} differs from baseline {base_value}"
+                    )
+            elif key in CEILINGS:
+                if fresh_value > CEILINGS[key]:
+                    violations.append(
+                        f"{here}: {fresh_value} exceeds the ceiling {CEILINGS[key]}"
+                    )
             elif key in LOWER_IS_BETTER and isinstance(base_value, (int, float)):
                 limit = base_value * (1 + tolerance) + ABS_SLACK
                 if fresh_value > limit:

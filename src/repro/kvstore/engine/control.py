@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...messages import (
     DRAIN_ACK_KIND,
@@ -85,8 +85,8 @@ from ...observe.events import (
     FRAME_SENT,
     NULL_OBSERVER,
     SUB_SERVED,
+    BoundHandler,
     EngineObserver,
-    TraceEvent,
 )
 from ..migration import MigrationReport
 from ..placement import pick_coldest_group
@@ -128,7 +128,7 @@ AUTOSCALE_MIN_OPS = 50
 class AutoscaleFeed:
     """An observer sink piping served-op counts into the autoscaler.
 
-    Every ``sub.served`` trace event carries the shard that served it; the
+    Every ``sub.served`` event carries the shard that served it; the
     control engine folds them per group at each autoscale tick.  Both
     backends subscribe one of these to their observer hub -- the PR-6
     metrics stream feeding the control plane, with no new plumbing.
@@ -137,11 +137,20 @@ class AutoscaleFeed:
     def __init__(self, engine: "ControlPlaneEngine") -> None:
         self.engine = engine
 
-    def handle(self, event: TraceEvent) -> None:
-        if event.kind == SUB_SERVED:
-            shard = event.attrs.get("shard")
+    def bind(
+        self, tier: str, component: str, kind: str, now: Callable[[], float],
+    ) -> Optional[BoundHandler]:
+        """Hub sink hook: a handler for ``sub.served``, no other kind."""
+        if kind != SUB_SERVED:
+            return None
+        record_op = self.engine.record_op
+
+        def served(op_id, key, trace, attrs):
+            shard = attrs.get("shard")
             if shard is not None:
-                self.engine.record_op(shard)
+                record_op(shard)
+
+        return served
 
 
 @dataclass

@@ -10,10 +10,13 @@ supplies the timestamp source (the virtual clock on the simulator,
 Layers:
 
 * :mod:`repro.observe.events` -- the event taxonomy, the observer protocol,
-  and the :class:`ObserverHub` fan-out that stamps tier/component/timestamp.
+  and the :class:`ObserverHub` that routes each scoped observer's events to
+  the sinks: a bound handler per event kind for sinks that offer one, a
+  stamped :class:`TraceEvent` only for sinks that take whole events.
 * :mod:`repro.observe.metrics` -- counters, gauges, and fixed-bucket latency
   histograms keyed by ``(tier, component, name)``, with snapshot/merge and a
-  JSON exporter shared by the benchmarks and the CLI.
+  JSON exporter shared by the benchmarks and the CLI; ``KIND_METRICS`` is the
+  one event kind -> metric table.
 * :mod:`repro.observe.trace` -- cross-tier op tracing: a collector that
   groups trace-tagged events into per-op client -> proxy -> replica span
   trees and dumps them as JSON or human-readable text.
@@ -36,6 +39,7 @@ from .events import (
     TIMER_ARMED,
     TIMER_CANCELLED,
     TIMER_FIRED,
+    BoundHandler,
     EngineObserver,
     ObserverHub,
     TraceEvent,
@@ -65,6 +69,7 @@ __all__ = [
     "TIMER_ARMED",
     "TIMER_CANCELLED",
     "TIMER_FIRED",
+    "BoundHandler",
     "EngineObserver",
     "ObserverHub",
     "TraceEvent",

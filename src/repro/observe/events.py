@@ -17,6 +17,7 @@ enforce this.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -50,6 +51,7 @@ __all__ = [
     "TraceEvent",
     "EngineObserver",
     "NULL_OBSERVER",
+    "BoundHandler",
     "ObserverHub",
 ]
 
@@ -177,15 +179,28 @@ class EngineObserver:
 NULL_OBSERVER = EngineObserver()
 
 
-class _ScopedObserver(EngineObserver):
-    """An observer bound to one (tier, component); stamps and publishes."""
+#: What a sink's ``bind`` hook returns: called with ``(op_id, key, trace,
+#: attrs)`` for every event of the kind it was bound to.
+BoundHandler = Callable[[Optional[str], Optional[str], Optional[str], Dict[str, Any]], None]
 
-    __slots__ = ("_hub", "_tier", "_component")
+
+class _ScopedObserver(EngineObserver):
+    """An observer bound to one (tier, component); routes each event kind.
+
+    ``_routes`` maps an event kind to the one callable that serves it
+    (:meth:`ObserverHub._route`).  It is filled on the first emit of each
+    kind and emptied by the hub when the sink set changes, so the steady
+    state of ``emit`` is one dict lookup and one call -- no event object and
+    no clock read unless a sink needs them.
+    """
+
+    __slots__ = ("_hub", "_tier", "_component", "_routes")
 
     def __init__(self, hub: "ObserverHub", tier: str, component: str) -> None:
         self._hub = hub
         self._tier = tier
         self._component = component
+        self._routes: Dict[str, BoundHandler] = {}
 
     def emit(
         self,
@@ -196,43 +211,83 @@ class _ScopedObserver(EngineObserver):
         trace: Optional[str] = None,
         **attrs: Any,
     ) -> None:
-        self._hub.publish(TraceEvent(
-            ts=self._hub.clock(),
-            tier=self._tier,
-            component=self._component,
-            kind=event,
-            op_id=op_id,
-            key=key,
-            trace=trace,
-            attrs=attrs,
-        ))
+        try:
+            route = self._routes[event]
+        except KeyError:
+            route = self._routes[event] = self._hub._route(
+                self._tier, self._component, event)
+        route(op_id, key, trace, attrs)
 
 
 class ObserverHub:
-    """Fan-out point owned by a backend run.
+    """Routing point owned by a backend run.
 
     The backend constructs one hub with its clock (``events.clock.now`` on
-    the simulator, ``time.monotonic`` on asyncio), registers sinks
-    (:class:`~repro.observe.metrics.MetricsObserver`,
-    :class:`~repro.observe.trace.TraceCollector`), and hands each engine a
-    :meth:`scoped` observer that stamps tier, component, and timestamp before
-    publishing.
+    the simulator, ``time.monotonic`` on asyncio), registers sinks, and hands
+    each engine a :meth:`scoped` observer that knows its tier and component.
+
+    A sink is any object with ``handle(event)``; it receives a stamped
+    :class:`TraceEvent` for every emit (:class:`~repro.observe.trace.
+    TraceCollector` and user sinks work this way).  A sink that does not need
+    whole events may instead define ``bind(tier, component, kind, now)``,
+    asked once per scoped observer and event kind: it returns a
+    :data:`BoundHandler` to call for those events, or ``None`` to decline the
+    kind.  ``now()`` reads :attr:`clock` at the time of the call, so a
+    handler that needs a timestamp pays for one and the others do not.  Only
+    sinks without ``bind`` cause a ``TraceEvent`` to be built.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+        #: Reassignable: it is read per event, never captured.
         self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
         self._sinks: List[Any] = []
+        # Weak: a long-lived hub must not keep every departed client's
+        # observer alive just to be able to reset its routes.
+        self._scoped: "weakref.WeakSet[_ScopedObserver]" = weakref.WeakSet()
+
+    def now(self) -> float:
+        """The current timestamp, from whatever :attr:`clock` is right now."""
+        return self.clock()
 
     def add_sink(self, sink: Any) -> Any:
-        """Register a sink (an object with ``handle(event)``); returns it."""
+        """Register a sink; returns it.  Resolved routes are dropped."""
         if sink is not None and sink not in self._sinks:
             self._sinks.append(sink)
+            for observer in self._scoped:
+                observer._routes.clear()
         return sink
 
     def scoped(self, tier: str, component: str) -> EngineObserver:
-        """An observer that stamps every event with ``(tier, component)``."""
-        return _ScopedObserver(self, tier, component)
+        """An observer whose events belong to ``(tier, component)``."""
+        observer = _ScopedObserver(self, tier, component)
+        self._scoped.add(observer)
+        return observer
 
-    def publish(self, event: TraceEvent) -> None:
+    def _route(self, tier: str, component: str, kind: str) -> BoundHandler:
+        """What one scoped observer calls for its events of ``kind``."""
+        handlers: List[BoundHandler] = []
+        whole: List[Any] = []
         for sink in self._sinks:
-            sink.handle(event)
+            bind = getattr(sink, "bind", None)
+            if bind is None:
+                whole.append(sink)
+            else:
+                handler = bind(tier, component, kind, self.now)
+                if handler is not None:
+                    handlers.append(handler)
+        if whole:
+            def stamped(op_id, key, trace, attrs):
+                event = TraceEvent(
+                    ts=self.clock(), tier=tier, component=component, kind=kind,
+                    op_id=op_id, key=key, trace=trace, attrs=attrs,
+                )
+                for sink in whole:
+                    sink.handle(event)
+            handlers.append(stamped)
+        if len(handlers) == 1:
+            return handlers[0]
+
+        def fan_out(op_id, key, trace, attrs):
+            for handler in handlers:
+                handler(op_id, key, trace, attrs)
+        return fan_out

@@ -11,7 +11,8 @@ and asyncio seconds.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .events import (
     AUTOSCALE_ACTION,
@@ -39,6 +40,7 @@ from .events import (
     TIMER_ARMED,
     TIMER_CANCELLED,
     TIMER_FIRED,
+    BoundHandler,
     TraceEvent,
 )
 
@@ -47,6 +49,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsObserver",
+    "KIND_METRICS",
     "validate_metrics_snapshot",
     "REQUIRED_TIER_KEYS",
 ]
@@ -78,14 +81,8 @@ class Histogram:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        # First bound >= value; past the last bound is the overflow slot.
+        self.counts[bisect_left(self.bounds, value)] += 1
 
     def merge(self, other: "Histogram") -> None:
         if other.bounds != self.bounds:
@@ -258,40 +255,140 @@ _BASELINE_HISTOGRAMS: Dict[str, Tuple[str, ...]] = {
     "control": ("cutover_pause",),
 }
 
-_COUNTER_FOR_KIND = {
-    OP_INVOKED: "ops_invoked",
-    OP_COMPLETED: "ops_completed",
-    OP_FAILED: "ops_failed",
-    ROUND_OPENED: "rounds_opened",
-    ROUND_CLOSED: "rounds_closed",
-    ROUND_REPLAYED: "stale_replays",
-    FRAME_SENT: "frames_sent",
-    FRAME_RECEIVED: "frames_received",
-    TIMER_ARMED: "timers_armed",
-    TIMER_FIRED: "timers_fired",
-    TIMER_CANCELLED: "timers_cancelled",
-    STALE_BOUNCE: "stale_bounces",
-    FAILOVER_HOP: "proxy_failovers",
-    SUB_SERVED: "subs_served",
-    CACHE_HIT: "cache_hits",
-    CACHE_MISS: "cache_misses",
-    CACHE_INVALIDATE: "cache_invalidations",
-    LEASE_GRANTED: "leases_granted",
-    LEASE_EXPIRED: "leases_expired",
-    DRAIN_STARTED: "drains_started",
-    DRAIN_COMPLETED: "drains_completed",
-    DRAIN_RANGE_CLOSED: "ranges_drained",
-    AUTOSCALE_ACTION: "autoscale_actions",
+#: What :func:`validate_metrics_snapshot` asks of each tier: exactly the
+#: series seeding guarantees, so the two cannot drift.
+REQUIRED_TIER_KEYS: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    tier: {"counters": counters, "histograms": _BASELINE_HISTOGRAMS.get(tier, ())}
+    for tier, counters in _BASELINE_COUNTERS.items()
+}
+
+# An action is what an event kind does beyond bumping its counter: a
+# :data:`BoundHandler` made once per (observer, tier, component) by one of the
+# factories below, or None where the kind has nothing more to do on that
+# tier.  ``now()`` is the event's timestamp and is called only on the paths
+# that use one.
+_ActionFactory = Callable[
+    ["MetricsObserver", str, str, Callable[[], float]], Optional[BoundHandler]]
+
+
+def _starts_op(observer: "MetricsObserver", tier: str, component: str,
+               now: Callable[[], float]) -> BoundHandler:
+    starts = observer._op_starts
+
+    def start(op_id, key, trace, attrs):
+        # Only the first start counts: a replayed round re-opens, and the
+        # op's latency still spans from its first open.
+        if op_id is not None:
+            started = (tier, component, op_id)
+            if started not in starts:
+                starts[started] = now()
+
+    return start
+
+
+def _starts_proxy_op(observer: "MetricsObserver", tier: str, component: str,
+                     now: Callable[[], float]) -> Optional[BoundHandler]:
+    # A proxy's op runs from its first round.opened to round.closed; on the
+    # client the op.invoked/op.completed pair already covers it.
+    return _starts_op(observer, tier, component, now) if tier == "proxy" else None
+
+
+def _finishes_op(observer: "MetricsObserver", tier: str, component: str,
+                 now: Callable[[], float]) -> BoundHandler:
+    starts = observer._op_starts
+    registry = observer.registry
+
+    def finish(op_id, key, trace, attrs):
+        if op_id is not None:
+            start = starts.pop((tier, component, op_id), None)
+            if start is not None:
+                registry.observe(tier, component, "op_latency", now() - start)
+
+    return finish
+
+
+def _sizes_batch(observer: "MetricsObserver", tier: str, component: str,
+                 now: Callable[[], float]) -> BoundHandler:
+    registry = observer.registry
+
+    def size_batch(op_id, key, trace, attrs):
+        size = attrs.get("size")
+        if size is not None:
+            registry.observe(tier, component, "batch_size", size)
+
+    return size_batch
+
+
+def _opens_range(observer: "MetricsObserver", tier: str, component: str,
+                 now: Callable[[], float]) -> BoundHandler:
+    starts = observer._range_starts
+
+    def open_range(op_id, key, trace, attrs):
+        starts[(tier, component, attrs.get("mig"), attrs.get("range"))] = now()
+
+    return open_range
+
+
+def _closes_range(observer: "MetricsObserver", tier: str, component: str,
+                  now: Callable[[], float]) -> BoundHandler:
+    # The open->close gap of one drained range is the cutover pause that
+    # range imposed on its keys: the drain holds them fenced from transfer
+    # start until install completes.
+    starts = observer._range_starts
+    registry = observer.registry
+
+    def close_range(op_id, key, trace, attrs):
+        start = starts.pop(
+            (tier, component, attrs.get("mig"), attrs.get("range")), None)
+        if start is not None:
+            registry.observe(tier, component, "cutover_pause", now() - start)
+
+    return close_range
+
+
+#: The one event -> metric table: kind -> (counter it bumps, action it runs).
+#: To add a metric, add or edit a row here (and, if every component of a tier
+#: should report it even at zero, name it in the baseline tables above).
+KIND_METRICS: Dict[str, Tuple[Optional[str], Optional[_ActionFactory]]] = {
+    OP_INVOKED: ("ops_invoked", _starts_op),
+    OP_COMPLETED: ("ops_completed", _finishes_op),
+    OP_FAILED: ("ops_failed", _finishes_op),
+    ROUND_OPENED: ("rounds_opened", _starts_proxy_op),
+    ROUND_CLOSED: ("rounds_closed", _finishes_op),
+    ROUND_REPLAYED: ("stale_replays", None),
+    FRAME_SENT: ("frames_sent", None),
+    FRAME_RECEIVED: ("frames_received", None),
+    TIMER_ARMED: ("timers_armed", None),
+    TIMER_FIRED: ("timers_fired", None),
+    TIMER_CANCELLED: ("timers_cancelled", None),
+    STALE_BOUNCE: ("stale_bounces", None),
+    FAILOVER_HOP: ("proxy_failovers", None),
+    BATCH_CUT: (None, _sizes_batch),
+    SUB_SERVED: ("subs_served", None),
+    CACHE_HIT: ("cache_hits", None),
+    CACHE_MISS: ("cache_misses", None),
+    CACHE_INVALIDATE: ("cache_invalidations", None),
+    LEASE_GRANTED: ("leases_granted", None),
+    LEASE_EXPIRED: ("leases_expired", None),
+    DRAIN_STARTED: ("drains_started", None),
+    DRAIN_COMPLETED: ("drains_completed", None),
+    DRAIN_RANGE_OPENED: (None, _opens_range),
+    DRAIN_RANGE_CLOSED: ("ranges_drained", _closes_range),
+    AUTOSCALE_ACTION: ("autoscale_actions", None),
 }
 
 
 class MetricsObserver:
-    """A hub sink that folds :class:`TraceEvent` streams into a registry.
+    """A hub sink that folds engine events into a registry.
 
     Op latency is measured here, not in the engines: the first ``op.invoked``
     (client) or ``round.opened`` (proxy) for an op records its start
     timestamp, and the matching completion event turns the difference into an
     ``op_latency`` histogram sample.  Engines therefore stay clockless.
+
+    The hub reaches it through :meth:`bind`, so no :class:`TraceEvent` is
+    built for it; :meth:`handle` takes one for callers that have an event in
+    hand and runs the very same handler.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -300,84 +397,53 @@ class MetricsObserver:
         self._range_starts: Dict[Tuple[str, str, Any, Any], float] = {}
         self._seeded: set = set()
 
-    def handle(self, event: TraceEvent) -> None:
+    def bind(
+        self, tier: str, component: str, kind: str, now: Callable[[], float],
+    ) -> Optional[BoundHandler]:
+        """The handler for one scope's events of one kind (hub sink hook).
+
+        Called on the first such event, so this is also where a scope's
+        baseline series are seeded.  ``None`` for a kind that maps to no
+        metric.
+        """
         registry = self.registry
-        scope = (event.tier, event.component)
+        scope = (tier, component)
         if scope not in self._seeded:
             self._seeded.add(scope)
-            for name in _BASELINE_COUNTERS.get(event.tier, ()):
-                registry.declare_counter(event.tier, event.component, name)
-            for name in _BASELINE_HISTOGRAMS.get(event.tier, ()):
-                registry.histogram(event.tier, event.component, name)
+            for name in _BASELINE_COUNTERS.get(tier, ()):
+                registry.declare_counter(tier, component, name)
+            for name in _BASELINE_HISTOGRAMS.get(tier, ()):
+                registry.histogram(tier, component, name)
 
-        counter = _COUNTER_FOR_KIND.get(event.kind)
-        if counter is not None:
-            registry.counter(event.tier, event.component, counter)
+        counter, make_action = KIND_METRICS.get(kind, (None, None))
+        action = None if make_action is None else make_action(
+            self, tier, component, now)
+        if counter is None:
+            return action
 
-        if event.kind == BATCH_CUT:
-            size = event.attrs.get("size")
-            if size is not None:
-                registry.observe(event.tier, event.component, "batch_size", size)
-        elif event.kind == OP_INVOKED and event.op_id is not None:
-            self._op_starts.setdefault(
-                (event.tier, event.component, event.op_id), event.ts)
-        elif event.kind == ROUND_OPENED and event.tier == "proxy" \
-                and event.op_id is not None:
-            self._op_starts.setdefault(
-                (event.tier, event.component, event.op_id), event.ts)
-        elif event.kind in (OP_COMPLETED, OP_FAILED, ROUND_CLOSED) \
-                and event.op_id is not None:
-            start = self._op_starts.pop(
-                (event.tier, event.component, event.op_id), None)
-            if start is not None:
-                registry.observe(
-                    event.tier, event.component, "op_latency", event.ts - start)
-        elif event.kind == DRAIN_RANGE_OPENED:
-            # The open->close gap of one drained range is the cutover pause
-            # that range imposed on its keys: the drain holds them fenced
-            # from transfer start until install completes.
-            self._range_starts[(event.tier, event.component,
-                               event.attrs.get("mig"),
-                               event.attrs.get("range"))] = event.ts
-        elif event.kind == DRAIN_RANGE_CLOSED:
-            start = self._range_starts.pop(
-                (event.tier, event.component,
-                 event.attrs.get("mig"), event.attrs.get("range")), None)
-            if start is not None:
-                registry.observe(
-                    event.tier, event.component, "cutover_pause",
-                    event.ts - start)
+        # Pre-keyed: the handler adds to the registry's own cell.
+        registry.declare_counter(tier, component, counter)
+        counters = registry._counters
+        cell = (tier, component, counter)
+        if action is None:
+            def count(op_id, key, trace, attrs):
+                counters[cell] += 1
+            return count
+
+        def count_and_act(op_id, key, trace, attrs):
+            counters[cell] += 1
+            action(op_id, key, trace, attrs)
+        return count_and_act
+
+    def handle(self, event: TraceEvent) -> None:
+        """Fold one whole event: :meth:`bind`'s handler, at the event's ``ts``."""
+        handler = self.bind(
+            event.tier, event.component, event.kind, lambda: event.ts)
+        if handler is not None:
+            handler(event.op_id, event.key, event.trace, event.attrs)
 
 
 # -- snapshot schema check ----------------------------------------------------
-
-REQUIRED_TIER_KEYS: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    "client": {
-        "counters": ("ops_invoked", "ops_completed", "stale_replays",
-                     "proxy_failovers", "frames_sent", "frames_received",
-                     "timers_armed", "timers_fired", "timers_cancelled"),
-        "histograms": ("op_latency", "batch_size"),
-    },
-    "proxy": {
-        "counters": ("rounds_opened", "rounds_closed", "stale_replays",
-                     "cache_hits", "cache_misses", "cache_invalidations",
-                     "leases_expired",
-                     "frames_sent", "frames_received",
-                     "timers_armed", "timers_fired", "timers_cancelled"),
-        "histograms": ("op_latency", "batch_size"),
-    },
-    "replica": {
-        "counters": ("subs_served", "stale_bounces",
-                     "leases_granted", "leases_expired",
-                     "frames_sent", "frames_received"),
-        "histograms": (),
-    },
-    "control": {
-        "counters": ("drains_started", "drains_completed", "ranges_drained",
-                     "autoscale_actions"),
-        "histograms": ("cutover_pause",),
-    },
-}
 
 _HISTOGRAM_KEYS = ("count", "sum", "mean", "min", "max", "p50", "p95", "p99")
 

@@ -11,27 +11,27 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 
 __all__ = ["ScheduledEvent", "EventQueue", "SimClock"]
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class ScheduledEvent:
-    """An event scheduled on the virtual clock.
+    """An event scheduled on the virtual clock, and the handle to cancel it.
 
-    Ordering is by ``(time, sequence)`` so that simultaneous events fire in
-    the order they were scheduled -- this keeps executions deterministic.
+    Events fire in ``(time, sequence)`` order, so simultaneous events fire
+    in the order they were scheduled -- this keeps executions deterministic.
     """
 
     time: float
     sequence: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    action: Callable[[], None]
+    label: str = ""
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Prevent the event from firing when its time comes."""
@@ -61,7 +61,10 @@ class EventQueue:
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self._heap: List[ScheduledEvent] = []
+        # (time, sequence, event): sequence is unique, so the heap orders
+        # entries by comparing floats and ints in C and never reaches the
+        # event itself.
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._running = False
 
@@ -76,7 +79,7 @@ class EventQueue:
         return self._running
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     @property
     def empty(self) -> bool:
@@ -88,13 +91,10 @@ class EventQueue:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = ScheduledEvent(
-            time=self.clock.now + delay,
-            sequence=next(self._sequence),
-            action=action,
-            label=label,
-        )
-        heapq.heappush(self._heap, event)
+        time = self.clock.now + delay
+        sequence = next(self._sequence)
+        event = ScheduledEvent(time, sequence, action, label)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def schedule_at(
@@ -106,10 +106,10 @@ class EventQueue:
     def pop(self) -> Optional[ScheduledEvent]:
         """Remove and return the next non-cancelled event, advancing the clock."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self.clock._advance(event.time)
+            self.clock._advance(time)
             return event
         return None
 
@@ -140,6 +140,6 @@ class EventQueue:
         return executed
 
     def _peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None

@@ -10,8 +10,11 @@ reconstruction from synthetic event streams.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.observe import (
     BATCH_CUT,
@@ -32,9 +35,48 @@ from repro.observe import (
     TraceEvent,
     validate_metrics_snapshot,
 )
+from repro.observe.metrics import (
+    _BASELINE_COUNTERS,
+    _BASELINE_HISTOGRAMS,
+    DEFAULT_BUCKETS,
+    KIND_METRICS,
+    REQUIRED_TIER_KEYS,
+)
+
+
+def _reference_bucket(bounds, value):
+    """The search ``Histogram.observe`` used before ``bisect_left``."""
+    lo, hi = 0, len(bounds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value <= bounds[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _bucket(bounds, value):
+    hist = Histogram(bounds)
+    hist.observe(value)
+    return hist.counts.index(1)
 
 
 class TestHistogram:
+    @pytest.mark.parametrize("bounds", [DEFAULT_BUCKETS, (1.0, 2.0), (0.5,), ()])
+    def test_bucket_matches_reference_search_around_every_bound(self, bounds):
+        values = [0.0, -0.0, -1.0, -1e300, math.inf, -math.inf, 5e-324, 1e300]
+        for bound in bounds:
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+        for value in values:
+            assert _bucket(bounds, value) == _reference_bucket(bounds, value), value
+
+    @given(st.floats(allow_nan=False))
+    def test_bucket_matches_reference_search_anywhere(self, value):
+        assert _bucket(DEFAULT_BUCKETS, value) == _reference_bucket(
+            DEFAULT_BUCKETS, value)
+
     def test_empty_histogram_reports_zeroes(self):
         hist = Histogram()
         assert hist.count == 0
@@ -170,6 +212,25 @@ class TestMetricsObserver:
         assert counters["timers_armed"] == 1
         assert counters["timers_fired"] == 1
         assert counters["timers_cancelled"] == 0
+
+
+class TestOneSchema:
+    def test_validator_requires_exactly_what_seeding_guarantees(self):
+        assert set(REQUIRED_TIER_KEYS) == set(_BASELINE_COUNTERS)
+        for tier, spec in REQUIRED_TIER_KEYS.items():
+            assert spec["counters"] == _BASELINE_COUNTERS[tier]
+            assert spec["histograms"] == _BASELINE_HISTOGRAMS[tier]
+
+    @pytest.mark.parametrize("tier", sorted(_BASELINE_COUNTERS))
+    def test_one_event_from_a_tier_yields_a_valid_snapshot(self, tier):
+        observer = MetricsObserver()
+        observer.handle(_event(FRAME_SENT, tier=tier, component="x"))
+        validate_metrics_snapshot(observer.registry.snapshot(), require_tiers=(tier,))
+
+    def test_every_baseline_counter_is_some_kinds_counter(self):
+        counted = {counter for counter, _ in KIND_METRICS.values()}
+        for tier, names in _BASELINE_COUNTERS.items():
+            assert set(names) <= counted, tier
 
 
 class TestSnapshotValidation:

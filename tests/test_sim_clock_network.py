@@ -51,6 +51,26 @@ class TestEventQueue:
         assert fired == []
         assert len(queue) == 0
 
+    def test_len_counts_live_events_only(self):
+        queue = EventQueue()
+        first = queue.schedule(1.0, lambda: None)
+        queue.schedule(1.0, lambda: None)
+        queue.schedule(2.0, lambda: None)
+        assert len(queue) == 3 and not queue.empty
+        first.cancel()
+        assert len(queue) == 2
+        queue.run()
+        assert len(queue) == 0 and queue.empty
+
+    def test_run_until_looks_past_a_cancelled_head(self):
+        queue = EventQueue()
+        fired = []
+        queue.schedule(1.0, lambda: fired.append(1)).cancel()
+        queue.schedule(2.0, lambda: fired.append(2))
+        queue.schedule(9.0, lambda: fired.append(9))
+        assert queue.run(until=5.0) == 1
+        assert fired == [2] and queue.clock.now == 2.0
+
     def test_negative_delay_rejected(self):
         queue = EventQueue()
         with pytest.raises(SimulationError):
