@@ -6,7 +6,7 @@ full store stack: a :class:`~repro.kvstore.sharding.ShardMap` spreads the
 key space over six shards multiplexed onto three replica groups (one per
 site -- the placement layer decouples shard count from cluster size), and
 every site's clients enter through a **site-local ingress proxy**
-(:mod:`repro.kvstore.proxy`).  Each proxy merges the quorum rounds of its
+(:mod:`repro.kvstore.engine.proxy`).  Each proxy merges the quorum rounds of its
 site's clients into shared replica frames -- the cluster pays the fan-out
 once per merged round instead of once per client -- and routes reads through
 a :class:`~repro.kvstore.NearestQuorum` policy built from the same site map

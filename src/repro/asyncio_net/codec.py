@@ -1,7 +1,7 @@
 """Length-prefixed JSON framing for the asyncio transport.
 
 One frame is a 4-byte big-endian length header followed by a JSON body.  The
-body is a single :class:`~repro.sim.messages.Message`; batch frames (used by
+body is a single :class:`~repro.messages.Message`; batch frames (used by
 :mod:`repro.kvstore` to coalesce several sub-requests into one round) are
 ordinary messages of kind ``"batch"``/``"batch-ack"`` whose payload packs the
 sub-messages -- including each sub-request's (shard, epoch) routing tag, the

@@ -9,13 +9,15 @@ returns ``None``).
 
 Logic objects that expose the effect-driven interface (``on_frame`` /
 ``on_timer``, i.e. :class:`~repro.kvstore.engine.server.GroupServerEngine`)
-are driven through it instead: one inbound frame may produce several sends
--- a batch-ack plus a lease grant, or lease invalidations chasing a *third*
-party -- and timer effects (server-side lease expiry) land on the event
-loop via ``call_later``.  Outbound frames route over the inbound connection
-of their destination peer (peers dial replicas, never the reverse), tracked
-by the sender id of the frames each connection delivers.  Effects execute
-synchronously: nothing here creates a task.
+are driven through it instead, by an
+:class:`~repro.kvstore.engine.runtime.EffectRuntime`: one inbound frame may
+produce several sends -- a batch-ack plus a lease grant, or lease
+invalidations chasing a *third* party -- and timer effects (server-side
+lease expiry) land on the event loop via ``call_later``.  Outbound frames
+route over the inbound connection of their destination peer (peers dial
+replicas, never the reverse), tracked by the sender id of the frames each
+connection delivers.  Effects execute synchronously: nothing here creates a
+task.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional, Sequence
 
-from ..kvstore.engine.effects import CancelTimer, SendFrame, StartTimer
+from ..kvstore.engine.effects import SendFrame
+from ..kvstore.engine.runtime import EffectRuntime
 from ..messages import Message
 from ..protocols.base import ServerLogic
 from .codec import encode_message
@@ -67,9 +70,15 @@ class ReplicaServer:
         self._connections: Dict[FramedConnection, float] = {}
         self.requests_served = 0
         # Inbound connection per peer id (keyed by the sender of the frames
-        # it delivers); engine timers and deferred sends, by timer id.
+        # it delivers).
         self._peers: Dict[str, FramedConnection] = {}
-        self._timers: Dict[tuple, asyncio.TimerHandle] = {}
+        self._runtime = EffectRuntime(
+            logic, lambda delay, fire: self._loop.call_later(delay, fire), self._send
+        )
+        # While a request with a modelled service time is being applied, the
+        # frames it produces collect here; released as a group, by number.
+        self._held: Optional[List[SendFrame]] = None
+        self._deferred: Dict[int, asyncio.TimerHandle] = {}
         self._deferrals = 0
 
     @property
@@ -79,6 +88,11 @@ class ReplicaServer:
     @property
     def running(self) -> bool:
         return self._server is not None
+
+    @property
+    def _timers(self) -> Dict[object, asyncio.TimerHandle]:
+        """Every loop callback still pending: engine timers, deferred sends."""
+        return {**self._runtime.timers, **self._deferred}
 
     async def start(self) -> None:
         """(Re)start listening; ``self.port`` is updated with the bound port.
@@ -103,9 +117,10 @@ class ReplicaServer:
         if self._server is None:
             return
         self._server.close()
-        for handle in self._timers.values():
+        self._runtime.shutdown()
+        for handle in self._deferred.values():
             handle.cancel()
-        self._timers.clear()
+        self._deferred.clear()
         self._peers.clear()
         for connection in list(self._connections):
             connection.close()
@@ -136,68 +151,54 @@ class ReplicaServer:
         # invalidations, deferred batch-acks) -- back over this peer's own
         # inbound connection.
         self._peers[request.sender] = connection
+        if self.service_overhead <= 0 and self.service_per_op <= 0:
+            self._apply(request)
+            return
+        self._held = sends = []
+        try:
+            self._apply(request)
+        finally:
+            self._held = None
+        # Batch frames charge per sub-op, drain frames per key: the pause a
+        # migration imposes on a replica grows with the range size, matching
+        # the simulator's cost model.
+        payload = request.payload
+        sub_ops = len(payload.get("ops", ()) or payload.get("keys", ())) or 1
+        ready = (
+            max(self._loop.time(), self._connections[connection])
+            + self.service_overhead + self.service_per_op * sub_ops
+        )
+        self._connections[connection] = ready
+        if sends:
+            self._deferrals += 1
+            self._deferred[self._deferrals] = self._loop.call_at(
+                ready, self._release, self._deferrals, sends
+            )
+
+    def _apply(self, request: Message) -> None:
+        """One read path: the request takes effect on arrival, always."""
         if hasattr(self.logic, "on_frame"):
-            sends = self._run_effects(self.logic.on_frame(request))
+            self._runtime.run(self.logic.on_frame(request))
         else:
             reply = self.logic.handle(request)
-            sends = [] if reply is None else [SendFrame(reply.receiver, reply)]
-        if self.service_overhead > 0 or self.service_per_op > 0:
-            # Batch frames charge per sub-op, drain frames per key: the
-            # pause a migration imposes on a replica grows with the range
-            # size, matching the simulator's cost model.
-            payload = request.payload
-            sub_ops = len(payload.get("ops", ()) or payload.get("keys", ())) or 1
-            ready = (
-                max(self._loop.time(), self._connections[connection])
-                + self.service_overhead + self.service_per_op * sub_ops
-            )
-            self._connections[connection] = ready
-            if sends:
-                self._deferrals += 1
-                key = ("deferred-sends", self._deferrals)
-                self._timers[key] = self._loop.call_at(
-                    ready, self._release, key, sends
-                )
-        else:
-            self._send(sends)
+            if reply is not None:
+                self._send(SendFrame(reply.receiver, reply))
 
-    def _release(self, key: tuple, sends: Sequence[SendFrame]) -> None:
-        del self._timers[key]
-        self._send(sends)
-
-    def _send(self, sends: Sequence[SendFrame]) -> None:
-        """Frames go out over the destination peer's inbound connection, in
-        order (a lease grant emitted before the batch-ack stays before it on
-        the wire).  A frame for a peer with no live connection is dropped,
-        the same fate the simulator gives sends to a severed process."""
+    def _release(self, number: int, sends: Sequence[SendFrame]) -> None:
+        # Not an engine timer: nothing observes it and on_timer never hears.
+        del self._deferred[number]
         for send in sends:
-            peer = self._peers.get(send.destination)
-            if peer is not None and not peer.closing:
-                peer.send(encode_message(send.frame))
+            self._send(send)
 
-    def _run_effects(self, effects) -> List[SendFrame]:
-        """Arm and cancel the timers of an effect batch; return its sends."""
-        sends: List[SendFrame] = []
-        for effect in effects:
-            if isinstance(effect, SendFrame):
-                sends.append(effect)
-            elif isinstance(effect, StartTimer):
-                stale = self._timers.pop(effect.timer_id, None)
-                if stale is not None:
-                    stale.cancel()
-                self._timers[effect.timer_id] = self._loop.call_later(
-                    effect.delay, self._on_timer_fired, effect.timer_id
-                )
-            elif isinstance(effect, CancelTimer):
-                handle = self._timers.pop(effect.timer_id, None)
-                if handle is not None:
-                    handle.cancel()
-            else:
-                raise TypeError(
-                    f"replica server cannot execute effect {effect!r}"
-                )
-        return sends
-
-    def _on_timer_fired(self, timer_id) -> None:
-        self._timers.pop(timer_id, None)
-        self._send(self._run_effects(self.logic.on_timer(timer_id)))
+    def _send(self, send: SendFrame) -> None:
+        """A frame goes out over the destination peer's inbound connection,
+        in emission order (a lease grant emitted before the batch-ack stays
+        before it on the wire).  A frame for a peer with no live connection
+        is dropped, the same fate the simulator gives sends to a severed
+        process."""
+        if self._held is not None:
+            self._held.append(send)
+            return
+        peer = self._peers.get(send.destination)
+        if peer is not None and not peer.closing:
+            peer.send(encode_message(send.frame))

@@ -28,7 +28,7 @@ to a multi-key store:
   install one key range at a time over ``drain-*`` frames -- so the cutover
   pause is bounded by the range size, not the shard size
   (:mod:`~repro.kvstore.migration` keeps the shared
-  :class:`MigrationReport` and workload triggers).
+  :class:`MigrationReport`).
 * **Ingress proxies**: an optional site-local tier between clients and
   replica groups.  A proxy merges quorum rounds *across client connections*
   into shared replica frames (replica-side frames drop toward 1/K under
@@ -55,25 +55,27 @@ from typing import TYPE_CHECKING
 
 #: Public name -> defining submodule; attribute access imports on demand.
 _EXPORTS = {
-    # batching (compat shims over the engine)
-    "BatchGroupServer": ".batching",
-    "BatchShardServer": ".batching",
-    "BatchStats": ".batching",
-    "StaleShardError": ".batching",
-    # the sans-I/O engine
+    # the sans-I/O engine: state machines, routing, accounting
+    "BatchStats": ".engine",
+    "BroadcastReads": ".engine",
+    "CachedShardView": ".engine",
     "ClientSessionEngine": ".engine",
     "ControlPlaneEngine": ".engine",
     "GroupServerEngine": ".engine",
+    "NearestQuorum": ".engine",
     "ProxyEngine": ".engine",
+    "ProxyRoute": ".engine",
+    "ReadRoutingPolicy": ".engine",
+    "StaleShardError": ".engine",
+    "attempt_scoped_id": ".engine",
+    "parse_attempt_scoped_id": ".engine",
     "view_push_frames": ".engine",
     # migration
     "MigrationReport": ".migration",
-    "make_resize_trigger": ".migration",
     # asyncio backend
     "AsyncGroupClient": ".net_backend",
     "AsyncKVCluster": ".net_backend",
     "AsyncProxyClient": ".net_backend",
-    "AsyncShardClient": ".net_backend",
     "KVStore": ".net_backend",
     "ProxyConnectionLost": ".net_backend",
     "ProxyServer": ".net_backend",
@@ -88,14 +90,6 @@ _EXPORTS = {
     "PlacementPolicy": ".placement",
     "ReplicaGroup": ".placement",
     "RoundRobinPlacement": ".placement",
-    # proxy routing (compat shims over the engine)
-    "BroadcastReads": ".proxy",
-    "CachedShardView": ".proxy",
-    "NearestQuorum": ".proxy",
-    "ProxyRoute": ".proxy",
-    "ReadRoutingPolicy": ".proxy",
-    "attempt_scoped_id": ".proxy",
-    "parse_attempt_scoped_id": ".proxy",
     # sharding
     "HashRing": ".sharding",
     "MovePlan": ".sharding",
@@ -143,28 +137,27 @@ def __dir__():
 
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from .batching import (  # noqa: F401
-        BatchGroupServer,
-        BatchShardServer,
-        BatchStats,
-        StaleShardError,
-    )
     from .engine import (  # noqa: F401
+        BatchStats,
+        BroadcastReads,
+        CachedShardView,
         ClientSessionEngine,
         ControlPlaneEngine,
         GroupServerEngine,
+        NearestQuorum,
         ProxyEngine,
+        ProxyRoute,
+        ReadRoutingPolicy,
+        StaleShardError,
+        attempt_scoped_id,
+        parse_attempt_scoped_id,
         view_push_frames,
     )
-    from .migration import (  # noqa: F401
-        MigrationReport,
-        make_resize_trigger,
-    )
+    from .migration import MigrationReport  # noqa: F401
     from .net_backend import (  # noqa: F401
         AsyncGroupClient,
         AsyncKVCluster,
         AsyncProxyClient,
-        AsyncShardClient,
         KVStore,
         ProxyConnectionLost,
         ProxyServer,
@@ -181,15 +174,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         PlacementPolicy,
         ReplicaGroup,
         RoundRobinPlacement,
-    )
-    from .proxy import (  # noqa: F401
-        BroadcastReads,
-        CachedShardView,
-        NearestQuorum,
-        ProxyRoute,
-        ReadRoutingPolicy,
-        attempt_scoped_id,
-        parse_attempt_scoped_id,
     )
     from .sharding import (  # noqa: F401
         HashRing,

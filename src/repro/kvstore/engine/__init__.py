@@ -62,6 +62,7 @@ from .effects import (
     TimerId,
 )
 from .proxy import ProxyEngine
+from .runtime import EffectRuntime
 from .routing import (
     CONTROL_PLANE,
     BroadcastReads,
@@ -71,7 +72,6 @@ from .routing import (
     ReadRoutingPolicy,
     RoundPlan,
     attempt_scoped_id,
-    make_proxy_kill_trigger,
     parse_attempt_scoped_id,
     pick_one_proxy_per_site,
     plan_round,
@@ -93,6 +93,7 @@ __all__ = [
     "GroupServerEngine",
     "ControlPlaneEngine",
     "AutoscaleFeed",
+    "EffectRuntime",
     "DRAIN_RANGE_SIZE",
     "DRAIN_RETRY_DELAY",
     "DRAIN_MAX_RETRIES",
@@ -128,7 +129,6 @@ __all__ = [
     "parse_attempt_scoped_id",
     "plan_round",
     "pick_one_proxy_per_site",
-    "make_proxy_kill_trigger",
     "view_push_frames",
     "STALE_SHARD_KIND",
     "MAX_STALE_RETRIES",

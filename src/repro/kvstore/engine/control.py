@@ -225,7 +225,6 @@ class ControlPlaneEngine:
         *,
         control_id: str = CONTROL_PLANE,
         proxy_ids: Sequence[str] = (),
-        delta_views: bool = True,
         drain_range_size: int = DRAIN_RANGE_SIZE,
         retry_delay: float = DRAIN_RETRY_DELAY,
         max_retries: int = DRAIN_MAX_RETRIES,
@@ -239,7 +238,6 @@ class ControlPlaneEngine:
         self.shard_map = shard_map
         self.control_id = control_id
         self.proxy_ids: List[str] = list(proxy_ids)
-        self.delta_views = delta_views
         self.drain_range_size = drain_range_size
         self.retry_delay = retry_delay
         self.max_retries = max_retries
@@ -321,8 +319,7 @@ class ControlPlaneEngine:
 
     def _push_views(self, plan) -> List[Effect]:
         frames = view_push_frames(
-            self.shard_map, self.proxy_ids, plan=plan,
-            delta=self.delta_views, sender=self.control_id,
+            self.shard_map, self.proxy_ids, plan=plan, sender=self.control_id,
         )
         self.view_pushes_sent += len(frames)
         return [SendFrame(frame.receiver, frame) for frame in frames]

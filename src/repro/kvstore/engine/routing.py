@@ -57,7 +57,6 @@ __all__ = [
     "attempt_scoped_id",
     "parse_attempt_scoped_id",
     "pick_one_proxy_per_site",
-    "make_proxy_kill_trigger",
     "view_push_frames",
     "CONTROL_PLANE",
 ]
@@ -421,41 +420,10 @@ def pick_one_proxy_per_site(
     return victims
 
 
-def make_proxy_kill_trigger(
-    completed_ops: Callable[[], int],
-    threshold: int,
-    victims: Callable[[], List[str]],
-    kill: Callable[[str], None],
-) -> Tuple[Callable[[], None], Dict[str, object]]:
-    """A fire-once completion hook that kills proxies mid-workload.
-
-    The shared shape of both backends' ``kill_proxy_after_ops`` option
-    (mirroring :func:`~repro.kvstore.migration.make_resize_trigger`): once
-    ``completed_ops()`` reaches ``threshold`` it calls ``kill`` for each id
-    ``victims()`` returns -- typically :func:`pick_one_proxy_per_site` over
-    the cluster's live proxies -- exactly once, and fills the returned
-    record with ``{"killed": [...], "at_ops": N}``.
-    """
-    record: Dict[str, object] = {}
-    state = {"fired": False}
-
-    def hook() -> None:
-        if state["fired"] or completed_ops() < threshold:
-            return
-        state["fired"] = True
-        chosen = victims()
-        record.update({"killed": chosen, "at_ops": completed_ops()})
-        for victim in chosen:
-            kill(victim)
-
-    return hook, record
-
-
 def view_push_frames(
     shard_map: ShardMap,
     proxy_ids: Sequence[str],
     plan: Optional[Union[ResizePlan, MovePlan]] = None,
-    delta: bool = True,
     sender: str = CONTROL_PLANE,
 ) -> List[Message]:
     """The control-plane push frames for one live rebalance, one per proxy.
@@ -463,15 +431,15 @@ def view_push_frames(
     This is the *sending* half of the view-push feature, shared by both
     cluster backends (the adopting half is :meth:`CachedShardView.apply_push`
     -- together they make delta pushes a single engine feature with no
-    backend-specific code).  With ``delta`` and a rebalance ``plan``, each
-    frame carries only the entries the rebalance touched
+    backend-specific code).  With a rebalance ``plan``, each frame carries
+    only the entries the rebalance touched
     (:meth:`~repro.kvstore.sharding.ShardMap.view_delta` -- O(moved) per
-    push); otherwise the full snapshot.  A rebalance that changed nothing
+    push); without one, the full snapshot.  A rebalance that changed nothing
     produces no frames at all.
     """
     if not proxy_ids:
         return []
-    if delta and plan is not None:
+    if plan is not None:
         view = shard_map.view_delta(plan)
         if view is None:
             return []

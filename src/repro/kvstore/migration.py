@@ -1,4 +1,4 @@
-"""Control-plane migration reporting and workload triggers.
+"""Control-plane migration reporting.
 
 The data-plane side of a rebalance -- fencing donors, transferring per-key
 register state, installing it on the new owners -- is the frame-based
@@ -10,25 +10,18 @@ single-process assumption is gone, and with it the shard-sized cutover
 pause: the engine drains one key *range* at a time, so client ops on keys
 outside the range in flight keep completing throughout.
 
-This module keeps the two pieces both backends still share:
-
-* :class:`MigrationReport` -- what one rebalance moved.  Because the drain
-  is now asynchronous, a report is returned *before* the data has moved;
-  ``done`` flips (and ``on_done`` callbacks fire) when the drain completes
-  and the counters are final.
-* :func:`make_resize_trigger` -- the fire-once completion hook the workload
-  runners install to live-resize mid-run.
+What both backends still share is :class:`MigrationReport` -- what one
+rebalance moved.  Because the drain is asynchronous, a report is returned
+*before* the data has moved; ``done`` flips (and ``on_done`` callbacks
+fire) when the drain completes and the counters are final.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List
 
-__all__ = [
-    "MigrationReport",
-    "make_resize_trigger",
-]
+__all__ = ["MigrationReport"]
 
 
 @dataclass
@@ -80,49 +73,3 @@ class MigrationReport:
         callbacks, self._done_callbacks = self._done_callbacks, []
         for callback in callbacks:
             callback(self)
-
-
-def make_resize_trigger(
-    resize: Callable[[int], MigrationReport],
-    completed_ops: Callable[[], int],
-    resize_to: int,
-    threshold: int,
-    now: Optional[Callable[[], float]] = None,
-) -> Tuple[Callable[[], None], Dict[str, object]]:
-    """A fire-once completion hook that live-resizes mid-workload.
-
-    Both backend workload runners install the returned hook after every
-    completed operation; once ``completed_ops()`` reaches ``threshold`` it
-    calls ``resize(resize_to)`` exactly once and fills the returned record
-    with what happened (``to``, ``at_ops``, ``keys_moved``, ``report``, and
-    ``at_time`` when a clock is supplied).  The data counters are refreshed
-    when the report's drain completes, so a record read after the run ended
-    always shows the final numbers even on a backend that drains in the
-    background.
-    """
-    record: Dict[str, object] = {}
-    state = {"fired": False}
-
-    def hook() -> None:
-        if state["fired"] or completed_ops() < threshold:
-            return
-        state["fired"] = True
-        report = resize(resize_to)
-        record.update(
-            {
-                "to": resize_to,
-                "at_ops": completed_ops(),
-                "keys_moved": report.keys_moved,
-                "report": report.summary(),
-            }
-        )
-        if now is not None:
-            record["at_time"] = now()
-
-        def refresh(final: MigrationReport) -> None:
-            record["keys_moved"] = final.keys_moved
-            record["report"] = final.summary()
-
-        report.on_done(refresh)
-
-    return hook, record

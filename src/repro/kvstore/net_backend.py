@@ -2,8 +2,9 @@
 
 All protocol behaviour -- round lifecycle, batching, stale-epoch replay,
 proxy merging, failover, view-push adoption -- lives in the shared sans-I/O
-engines of :mod:`repro.kvstore.engine`; this module only *adapts* them to
-asyncio.  Every persistent connection is one
+engines of :mod:`repro.kvstore.engine`, and their effects are interpreted by
+its :class:`~repro.kvstore.engine.runtime.EffectRuntime`; this module only
+gives each runtime asyncio's transport.  Every persistent connection is one
 :class:`~repro.asyncio_net.framed.FramedConnection`: frames are decoded
 inside ``data_received`` and fed to the owning engine in the same event-loop
 turn, and its effects -- sends included -- execute synchronously, so no task
@@ -32,22 +33,14 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..asyncio_net.codec import FrameError, encode_message, read_frame, write_frame
 from ..asyncio_net.framed import FramedConnection
 from ..asyncio_net.server import ReplicaServer
 from ..core.operations import OpKind
 from ..messages import DEFAULT_LEASE_TTL, Message
-from ..observe.events import (
-    NULL_OBSERVER,
-    TIMER_ARMED,
-    TIMER_CANCELLED,
-    TIMER_FIRED,
-    EngineObserver,
-    ObserverHub,
-)
+from ..observe.events import ObserverHub
 from ..observe.metrics import MetricsObserver, MetricsRegistry
 from ..observe.trace import TraceCollector
 from ..protocols.base import OperationOutcome
@@ -58,32 +51,32 @@ from .engine import (
     AutoscaleFeed,
     BatchStats,
     CachedShardView,
-    CancelTimer,
     ClientSessionEngine,
-    Connect,
     ControlPlaneEngine,
     Effect,
+    EffectRuntime,
     GroupServerEngine,
-    OpCompleted,
     OpFailed,
     ProxyEngine,
     ReadRoutingPolicy,
     RetryPolicy,
     SendFrame,
-    StartTimer,
-    TimerId,
-    make_proxy_kill_trigger,
-    pick_one_proxy_per_site,
 )
-from .migration import MigrationReport, make_resize_trigger
+from .migration import MigrationReport
 from .perkey import KVHistoryRecorder, PerKeyAtomicity, check_per_key_atomicity
 from .placement import ReplicaGroup
 from .sharding import ShardMap
-from .workload import KVRunResult, KVWorkload
+from .workload import (
+    KVRunResult,
+    KVWorkload,
+    arm_triggers,
+    default_shard_map,
+    fold_run_result,
+)
 from ._sync import LoopThread, run_sync
 
-__all__ = ["AsyncKVCluster", "AsyncGroupClient", "AsyncShardClient",
-           "AsyncProxyClient", "ProxyServer", "KVStore", "SyncKVStore",
+__all__ = ["AsyncKVCluster", "AsyncGroupClient", "AsyncProxyClient",
+           "ProxyServer", "KVStore", "SyncKVStore",
            "RetryPolicy", "ProxyConnectionLost", "run_asyncio_kv_workload"]
 
 logger = logging.getLogger(__name__)
@@ -101,112 +94,104 @@ class ProxyConnectionLost(ConnectionError):
     """
 
 
-class _EffectRunner:
-    """Executes engine effects on the asyncio event loop.
+def _call_later(delay: float, callback: Callable[[], None]) -> asyncio.TimerHandle:
+    """An :class:`EffectRuntime`'s ``schedule`` on the running event loop."""
+    return asyncio.get_running_loop().call_later(delay, callback)
 
-    Subclasses supply the engine, connection resolution, and operation
-    completion handling.  Effects returned by re-entrant engine calls (an
-    undeliverable frame reported while another effect is executing) join
-    the same FIFO, so execution order matches emission order.
+
+class _EffectRunner:
+    """The transport half of an engine owner on the asyncio event loop.
+
+    An :class:`~repro.kvstore.engine.runtime.EffectRuntime` interprets the
+    engine's effects; this class gives it ``send`` -- connection lookup,
+    encode, write -- and holds what every owner has: its I/O tasks and its
+    connections to the replica groups.  Subclasses add their other peers
+    to the lookup and bind their engine once it exists.
     """
 
-    def __init__(self, observer: Optional[EngineObserver] = None) -> None:
-        self.observer = observer if observer is not None else NULL_OBSERVER
-        self._timers: Dict[TimerId, asyncio.TimerHandle] = {}
-        self._effect_queue: Deque[Effect] = deque()
-        self._running_effects = False
+    def __init__(self, cluster: "AsyncKVCluster") -> None:
+        self.cluster = cluster
+        self.retry_policy = cluster.retry_policy
+        self._runtime: Optional[EffectRuntime] = None
         self._io_tasks: "set[asyncio.Task]" = set()
+        self._group_clients: Dict[str, AsyncGroupClient] = {}
+        self._server_home: Dict[str, AsyncGroupClient] = {}
 
-    # -- subclass surface --------------------------------------------------------
+    def _peer_connection(self, destination: str) -> Optional[FramedConnection]:
+        """The live connection to a peer that is not a replica (the proxy
+        link, an accepted client); owners that have such peers override."""
+        return None
 
-    @property
-    def engine(self):
-        raise NotImplementedError
-
-    def _connection_for(self, destination: str) -> Optional[FramedConnection]:
-        raise NotImplementedError
-
-    def _on_operation(self, effect) -> None:  # pragma: no cover - client only
-        raise NotImplementedError
-
-    def _connect_ingress(self, target: str) -> None:  # pragma: no cover - client only
-        raise NotImplementedError
-
-    # -- the effect pump ---------------------------------------------------------
+    def _bind(self, engine, **client_hooks) -> None:
+        self._runtime = EffectRuntime(engine, _call_later, self._send, **client_hooks)
+        run = self._runtime.run
+        # Every connection of this owner delivers here.  ``on_frame`` is
+        # looked up per frame: tests and the benchmark's tracer wrap it on
+        # the engine instance after the stack is built.
+        self._on_frame = lambda message: run(engine.on_frame(message))
 
     def run_effects(self, effects: Sequence[Effect]) -> None:
-        self._effect_queue.extend(effects)
-        if self._running_effects:
-            return
-        self._running_effects = True
-        try:
-            while self._effect_queue:
-                self._execute(self._effect_queue.popleft())
-        finally:
-            self._running_effects = False
+        self._runtime.run(effects)
 
-    def _execute(self, effect: Effect) -> None:
-        if isinstance(effect, SendFrame):
-            self._send(effect)
-        elif isinstance(effect, StartTimer):
-            stale = self._timers.pop(effect.timer_id, None)
-            if stale is not None:
-                stale.cancel()
-                self.observer.emit(
-                    TIMER_CANCELLED, timer=effect.timer_id[0], reason="rearm"
-                )
-            self._timers[effect.timer_id] = asyncio.get_running_loop().call_later(
-                effect.delay, self._fire_timer, effect.timer_id
+    async def _connect_groups(self, owner_id: str) -> None:
+        """Open ``owner_id``'s connections to every replica group.
+
+        Idempotent per group (not all-or-nothing): the failover path may
+        land here while a replica is also down, and a partial first pass
+        must not wedge the owner -- missing groups are retried on the next
+        call, connected ones are kept.
+        """
+        engine = self._runtime.engine
+        for group in self.cluster.shard_map.groups.values():
+            if group.group_id in self._group_clients:
+                continue
+            client = AsyncGroupClient(
+                owner_id,
+                group,
+                self.cluster.endpoints_for(group.group_id),
+                retry_policy=self.retry_policy,
+                on_frame=self._on_frame,
+                on_peer_lost=lambda server_id, exc: self.run_effects(
+                    engine.on_peer_lost(server_id)
+                ),
             )
-            self.observer.emit(TIMER_ARMED, timer=effect.timer_id[0])
-        elif isinstance(effect, CancelTimer):
-            timer = self._timers.pop(effect.timer_id, None)
-            if timer is not None:
-                timer.cancel()
-                self.observer.emit(
-                    TIMER_CANCELLED, timer=effect.timer_id[0], reason="cancel"
-                )
-        elif isinstance(effect, Connect):
-            self._connect_ingress(effect.target)
-        elif isinstance(effect, (OpCompleted, OpFailed)):
-            self._on_operation(effect)
-        else:  # pragma: no cover - future effect kinds
-            raise TypeError(f"unknown effect {effect!r}")
+            await client.connect()
+            self._group_clients[group.group_id] = client
+            for server_id in client.endpoints:
+                self._server_home[server_id] = client
 
-    def _fire_timer(self, timer_id: TimerId) -> None:
-        self._timers.pop(timer_id, None)
-        self.observer.emit(TIMER_FIRED, timer=timer_id[0])
-        self.run_effects(self.engine.on_timer(timer_id))
-
-    def _send(self, effect: SendFrame) -> None:
-        connection = self._connection_for(effect.destination)
+    def _send(self, effect: SendFrame) -> Optional[List[Effect]]:
+        """Write one frame; what the engine makes of a frame that cannot go
+        out is handed back to join the batch being run."""
+        destination = effect.destination
+        home = self._server_home.get(destination)
+        connection = (
+            home.connection_for(destination)
+            if home is not None
+            else self._peer_connection(destination)
+        )
         if connection is None or connection.closing:
             # The peer is down and its redial has not landed yet; report the
             # loss instead of writing into a dead socket -- the engine's
             # replay (or failover) logic takes over.
-            self._effect_queue.extend(
-                self.engine.on_frame_undeliverable(
-                    effect.frame,
-                    ConnectionResetError(
-                        f"connection to {effect.destination} is down"
-                    ),
-                    retryable=True,
-                )
+            return self._runtime.engine.on_frame_undeliverable(
+                effect.frame,
+                ConnectionResetError(f"connection to {destination} is down"),
+                retryable=True,
             )
-            return
         try:
             data = encode_message(effect.frame)
         except FrameError as exc:
             # Not a connection death (an oversized frame): fail the affected
             # rounds with the real error, but keep the connection usable.
-            self._effect_queue.extend(
-                self.engine.on_frame_undeliverable(effect.frame, exc, retryable=False)
+            return self._runtime.engine.on_frame_undeliverable(
+                effect.frame, exc, retryable=False
             )
-            return
         # Nothing waits for the write to reach the peer: a connection that
         # dies after it reports through its lost path, and round timeouts
         # cover what that misses.
         connection.send(data)
+        return None
 
     def _track(self, coroutine) -> asyncio.Task:
         task = asyncio.create_task(coroutine)
@@ -215,17 +200,19 @@ class _EffectRunner:
         return task
 
     async def _shutdown_runner(self) -> None:
-        for timer_id, timer in self._timers.items():
-            timer.cancel()
-            self.observer.emit(
-                TIMER_CANCELLED, timer=timer_id[0], reason="shutdown"
-            )
-        self._timers.clear()
+        if self._runtime is not None:
+            self._runtime.shutdown()
         tasks = list(self._io_tasks)
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
         self._io_tasks.clear()
+
+    async def _close_groups(self) -> None:
+        for client in self._group_clients.values():
+            await client.close()
+        self._group_clients.clear()
+        self._server_home.clear()
 
 
 class AsyncGroupClient:
@@ -334,10 +321,6 @@ class AsyncGroupClient:
         self._connections.clear()
 
 
-#: Backwards-compatible alias from before placement was its own layer.
-AsyncShardClient = AsyncGroupClient
-
-
 class AsyncProxyClient:
     """A client's single connection to its site-local ingress proxy.
 
@@ -395,7 +378,7 @@ NET_AUTOSCALE_INTERVAL = 0.25
 NET_LEASE_TTL = 1.0
 
 
-class _ControlPlaneDriver:
+class _ControlPlaneDriver(_EffectRunner):
     """Executes the control engine's effects on the asyncio event loop.
 
     Unlike clients and proxies the control plane keeps no persistent
@@ -409,42 +392,21 @@ class _ControlPlaneDriver:
     """
 
     def __init__(self, cluster: "AsyncKVCluster", engine: ControlPlaneEngine) -> None:
-        self.cluster = cluster
+        super().__init__(cluster)
         self.engine = engine
-        self._timers: Dict[TimerId, asyncio.TimerHandle] = {}
-        self._tasks: "set[asyncio.Task]" = set()
+        self._bind(engine)
 
     def run_effects(self, effects: Sequence[Effect]) -> None:
         try:
-            loop = asyncio.get_running_loop()
+            asyncio.get_running_loop()
         except RuntimeError:
             # No loop: nothing is listening, so there is nothing to drain
             # to.  The metadata flip already happened; drop the effects.
             return
-        for effect in effects:
-            if isinstance(effect, SendFrame):
-                task = loop.create_task(
-                    self._deliver(effect.destination, effect.frame)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-            elif isinstance(effect, StartTimer):
-                stale = self._timers.pop(effect.timer_id, None)
-                if stale is not None:
-                    stale.cancel()
-                self._timers[effect.timer_id] = loop.call_later(
-                    effect.delay, self._fire_timer, effect.timer_id
-                )
-            elif isinstance(effect, CancelTimer):
-                timer = self._timers.pop(effect.timer_id, None)
-                if timer is not None:
-                    timer.cancel()
-            else:  # pragma: no cover - future effect kinds
-                raise TypeError(f"unknown control-plane effect {effect!r}")
+        super().run_effects(effects)
 
-    def _fire_timer(self, timer_id: TimerId) -> None:
-        self._timers.pop(timer_id, None)
-        self.run_effects(self.engine.on_timer(timer_id))
+    def _send(self, effect: SendFrame) -> None:
+        self._track(self._deliver(effect.destination, effect.frame))
 
     async def _deliver(self, destination: str, frame: Message) -> None:
         endpoint = self.cluster.endpoint_of(destination)
@@ -475,19 +437,7 @@ class _ControlPlaneDriver:
 
     async def flush(self) -> None:
         """Wait for every in-flight delivery task (not for retries)."""
-        tasks = list(self._tasks)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def shutdown(self) -> None:
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        tasks = list(self._tasks)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        self._tasks.clear()
+        await asyncio.gather(*self._io_tasks, return_exceptions=True)
 
 
 class AsyncKVCluster:
@@ -501,7 +451,6 @@ class AsyncKVCluster:
         service_per_op: float = 0.0,
         retry_policy: Optional[RetryPolicy] = None,
         push_views: bool = True,
-        delta_views: bool = True,
         trace_collector: Optional[TraceCollector] = None,
         drain_range_size: int = DRAIN_RANGE_SIZE,
         autoscale_interval: float = NET_AUTOSCALE_INTERVAL,
@@ -514,7 +463,6 @@ class AsyncKVCluster:
         self.lease_ttl = lease_ttl
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.push_views = push_views
-        self.delta_views = delta_views
         # One observer hub per cluster: wall-clock timestamps, a metrics
         # registry fed by every tier, and (optionally) a trace collector.
         self.hub = ObserverHub(clock=time.monotonic)
@@ -530,7 +478,6 @@ class AsyncKVCluster:
         self._proxy_rr = 0
         self.control = ControlPlaneEngine(
             shard_map,
-            delta_views=delta_views,
             drain_range_size=drain_range_size,
             autoscale_interval=autoscale_interval,
             observer=self.hub.scoped("control", "control-plane"),
@@ -564,7 +511,7 @@ class AsyncKVCluster:
             self._endpoints[group.group_id] = endpoints
 
     async def stop(self) -> None:
-        await self._driver.shutdown()
+        await self._driver._shutdown_runner()
         for proxy in self.proxies.values():
             await proxy.stop()
         self.proxies.clear()
@@ -785,13 +732,11 @@ class ProxyServer(_EffectRunner):
         read_cache: int = 0,
         bounded_staleness: bool = False,
     ) -> None:
-        super().__init__(observer=cluster.hub.scoped("proxy", proxy_id))
+        super().__init__(cluster)
         self.proxy_id = proxy_id
-        self.cluster = cluster
         self.site = site
         self.host = host
         self.port = port
-        self.retry_policy = cluster.retry_policy
         self.view = CachedShardView(cluster.shard_map)
         read_round_trips = max(
             (group.protocol.read_round_trips
@@ -804,25 +749,20 @@ class ProxyServer(_EffectRunner):
             read_policy=read_policy,
             policy=cluster.retry_policy,
             max_batch=max_batch,
-            observer=self.observer,
+            observer=cluster.hub.scoped("proxy", proxy_id),
             read_cache=read_cache,
             lease_ttl=cluster.lease_ttl,
             bounded_staleness=bounded_staleness,
             read_round_trips=read_round_trips,
         )
+        self._bind(self._engine)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._group_clients: Dict[str, AsyncGroupClient] = {}
-        self._server_home: Dict[str, AsyncGroupClient] = {}
         self._client_connections: Dict[str, FramedConnection] = {}
         self._connections: "set[FramedConnection]" = set()
 
     @property
     def engine(self) -> ProxyEngine:
         return self._engine
-
-    @property
-    def read_policy(self) -> ReadRoutingPolicy:
-        return self._engine.read_policy
 
     @property
     def stale_replays(self) -> int:
@@ -842,23 +782,7 @@ class ProxyServer(_EffectRunner):
         the cluster's advertised proxy endpoint stays stable."""
         if self.running:
             return
-        for group in self.cluster.shard_map.groups.values():
-            group_client = AsyncGroupClient(
-                self.proxy_id,
-                group,
-                self.cluster.endpoints_for(group.group_id),
-                retry_policy=self.retry_policy,
-                on_frame=lambda message: self.run_effects(
-                    self._engine.on_frame(message)
-                ),
-                on_peer_lost=lambda server_id, exc: self.run_effects(
-                    self._engine.on_peer_lost(server_id)
-                ),
-            )
-            await group_client.connect()
-            self._group_clients[group.group_id] = group_client
-            for server_id in group_client.endpoints:
-                self._server_home[server_id] = group_client
+        await self._connect_groups(self.proxy_id)
         self._server = await asyncio.get_running_loop().create_server(
             self._accept, self.host, self.port
         )
@@ -877,19 +801,13 @@ class ProxyServer(_EffectRunner):
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for group_client in self._group_clients.values():
-            await group_client.close()
-        self._group_clients.clear()
-        self._server_home.clear()
+        await self._close_groups()
         # Clients behind a killed proxy fail over and replay under fresh
         # attempt scopes; drop the stranded rounds so a restart acks no
         # ghosts (frame accounting lives in the engine and survives).
         self._engine.sever()
 
-    def _connection_for(self, destination: str) -> Optional[FramedConnection]:
-        group_client = self._server_home.get(destination)
-        if group_client is not None:
-            return group_client.connection_for(destination)
+    def _peer_connection(self, destination: str) -> Optional[FramedConnection]:
         return self._client_connections.get(destination)
 
     def _accept(self) -> FramedConnection:
@@ -904,7 +822,7 @@ class ProxyServer(_EffectRunner):
         # Ack frames route back over the connection the request (or view
         # push) arrived on: remember who speaks through it.
         self._client_connections[frame.sender] = connection
-        self.run_effects(self._engine.on_frame(frame))
+        self._on_frame(frame)
 
     def _forget(self, connection: FramedConnection) -> None:
         self._connections.discard(connection)
@@ -933,7 +851,7 @@ class KVStore(_EffectRunner):
     a proxy id to pick one (e.g. the client's own site).  At connect time
     the store learns the full proxy list of its proxy's site
     (:meth:`AsyncKVCluster.proxy_candidates`); when the connection dies the
-    engine re-dials the next candidate (through :class:`Connect` effects)
+    engine re-dials the next candidate (through ``Connect`` effects)
     and replays its in-flight rounds under a fresh failover generation,
     falling back to direct replica connections when the site is exhausted.
 
@@ -953,19 +871,15 @@ class KVStore(_EffectRunner):
         recorder: Optional[KVHistoryRecorder] = None,
         use_proxy: Union[bool, str, None] = None,
     ) -> None:
-        super().__init__(observer=cluster.hub.scoped("client", client_id))
-        self.cluster = cluster
+        super().__init__(cluster)
         self.client_id = client_id
         self.max_batch = max_batch
         base = time.monotonic()
         self.recorder = recorder or KVHistoryRecorder(lambda: time.monotonic() - base)
         self.use_proxy = use_proxy
-        self.retry_policy = cluster.retry_policy
         self.completion_hook: Optional[Any] = None
         self._engine: Optional[ClientSessionEngine] = None
         self._proxy_client: Optional[AsyncProxyClient] = None
-        self._group_clients: Dict[str, AsyncGroupClient] = {}
-        self._server_home: Dict[str, AsyncGroupClient] = {}
         self._op_futures: Dict[str, asyncio.Future] = {}
 
     @property
@@ -991,30 +905,32 @@ class KVStore(_EffectRunner):
                 if self.use_proxy is True
                 else str(self.use_proxy)
             )
-            candidates = self.cluster.proxy_candidates(proxy_id)
-            self._engine = self._make_engine(candidates)
+            self._start_engine(self.cluster.proxy_candidates(proxy_id))
             await self._dial_proxy(proxy_id)
             self.run_effects(self._engine.on_connected(proxy_id))
             return
-        self._engine = self._make_engine([])
-        await self._connect_direct()
+        self._start_engine([])
+        await self._connect_groups(self.client_id)
 
-    def _make_engine(self, candidates: List[str]) -> ClientSessionEngine:
-        return ClientSessionEngine(
+    def _start_engine(self, candidates: List[str]) -> None:
+        self._engine = ClientSessionEngine(
             self.client_id,
             self.cluster.shard_map,
             self.recorder,
             policy=self.retry_policy,
             max_batch=self.max_batch,
             proxy_candidates=candidates,
-            observer=self.observer,
+            observer=self.cluster.hub.scoped("client", self.client_id),
+        )
+        self._bind(
+            self._engine, connect=self._connect_ingress, complete=self._on_operation
         )
 
     async def _dial_proxy(self, proxy_id: str) -> None:
         host, port = self.cluster.proxy_endpoint(proxy_id)
         link = AsyncProxyClient(
             self.client_id, proxy_id, host, port,
-            on_frame=lambda message: self.run_effects(self.engine.on_frame(message)),
+            on_frame=self._on_frame,
             on_lost=self._proxy_lost,
         )
         await link.connect()
@@ -1026,33 +942,8 @@ class KVStore(_EffectRunner):
             # single-flight: the first moves the store, the rest are no-ops.
             self.run_effects(self.engine.on_peer_lost(link.proxy_id))
 
-    async def _connect_direct(self) -> None:
-        # Idempotent per group (not all-or-nothing): the failover path may
-        # land here while a replica is also down, and a partial first pass
-        # must not wedge the store -- missing groups are retried on the
-        # next call, connected ones are kept.
-        for group in self.cluster.shard_map.groups.values():
-            if group.group_id in self._group_clients:
-                continue
-            client = AsyncGroupClient(
-                self.client_id,
-                group,
-                self.cluster.endpoints_for(group.group_id),
-                retry_policy=self.retry_policy,
-                on_frame=lambda message: self.run_effects(
-                    self.engine.on_frame(message)
-                ),
-                on_peer_lost=lambda server_id, exc: self.run_effects(
-                    self.engine.on_peer_lost(server_id)
-                ),
-            )
-            await client.connect()
-            self._group_clients[group.group_id] = client
-            for server_id in client.endpoints:
-                self._server_home[server_id] = client
-
     def _connect_ingress(self, target: str) -> None:
-        """Execute a :class:`Connect` effect: dial off the effect pump."""
+        """Execute a ``Connect`` effect: dial off the effect pump."""
         self._track(self._do_connect(target))
 
     async def _do_connect(self, target: str) -> None:
@@ -1061,7 +952,7 @@ class KVStore(_EffectRunner):
         if stale is not None:
             await stale.close()
         if target == DIRECT_INGRESS:
-            await self._connect_direct()
+            await self._connect_groups(self.client_id)
             self.run_effects(self.engine.on_connected(DIRECT_INGRESS))
             return
         try:
@@ -1077,10 +968,7 @@ class KVStore(_EffectRunner):
         if self._proxy_client is not None:
             await self._proxy_client.close()
             self._proxy_client = None
-        for client in self._group_clients.values():
-            await client.close()
-        self._group_clients.clear()
-        self._server_home.clear()
+        await self._close_groups()
 
     # -- operations --------------------------------------------------------------
 
@@ -1108,7 +996,7 @@ class KVStore(_EffectRunner):
         future = asyncio.get_running_loop().create_future()
         op_id, effects = engine.invoke(kind, key, value)
         self._op_futures[op_id] = future
-        self.run_effects(effects)
+        self._runtime.run(effects)
         try:
             return await future
         finally:
@@ -1116,13 +1004,10 @@ class KVStore(_EffectRunner):
 
     # -- effect execution hooks --------------------------------------------------
 
-    def _connection_for(self, destination: str) -> Optional[FramedConnection]:
+    def _peer_connection(self, destination: str) -> Optional[FramedConnection]:
         link = self._proxy_client
         if link is not None and destination == link.proxy_id:
             return link.connection
-        group_client = self._server_home.get(destination)
-        if group_client is not None:
-            return group_client.connection_for(destination)
         return None
 
     def _on_operation(self, effect) -> None:
@@ -1189,12 +1074,8 @@ class SyncKVStore:
     ) -> None:
         self._loop_thread = LoopThread()
         if shard_map is None:
-            shard_map = ShardMap(
-                num_shards,
-                protocol_key=protocol_key,
-                servers_per_shard=servers_per_shard,
-                max_faults=max_faults,
-                num_groups=num_groups,
+            shard_map = default_shard_map(
+                num_shards, protocol_key, servers_per_shard, max_faults, num_groups
             )
         self._cluster = AsyncKVCluster(shard_map)
         self._store = KVStore(self._cluster, client_id=client_id, max_batch=max_batch)
@@ -1288,7 +1169,6 @@ def run_asyncio_kv_workload(
     servers_per_shard: int = 3,
     max_faults: int = 1,
     max_batch: int = 8,
-    shard_map: Optional[ShardMap] = None,
     service_overhead: float = 0.0,
     service_per_op: float = 0.0,
     num_groups: Optional[int] = None,
@@ -1296,10 +1176,7 @@ def run_asyncio_kv_workload(
     resize_after_ops: Optional[int] = None,
     use_proxy: bool = False,
     num_proxies: int = 1,
-    read_policy: Optional[ReadRoutingPolicy] = None,
-    proxy_max_batch: int = 64,
     push_views: bool = True,
-    delta_views: bool = True,
     kill_proxy_after_ops: Optional[int] = None,
     retry_policy: Optional[RetryPolicy] = None,
     trace_collector: Optional[TraceCollector] = None,
@@ -1317,11 +1194,10 @@ def run_asyncio_kv_workload(
     ``resize_to`` triggers a *live* resize once ``resize_after_ops``
     operations completed (default: half the workload), with the remaining
     operations still in flight.  ``use_proxy`` starts ``num_proxies``
-    ingress proxies and routes every store through one (round-robin), with
-    reads routed per ``read_policy``.  ``push_views`` has the control plane
-    push the shard-map view to every proxy at each rebalance (off: the
-    proxies rely purely on stale-epoch bounces), as O(moved) deltas unless
-    ``delta_views`` is off.  ``kill_proxy_after_ops`` kills one proxy per
+    ingress proxies and routes every store through one (round-robin).
+    ``push_views`` has the control plane push the shard-map view delta to
+    every proxy at each rebalance (off: the proxies rely purely on
+    stale-epoch bounces).  ``kill_proxy_after_ops`` kills one proxy per
     site once that many operations completed -- the stores behind it fail
     over (next proxy of the site, else direct replica connections) with no
     client-visible errors.  ``retry_policy`` tunes the reconnect/failover
@@ -1336,16 +1212,10 @@ def run_asyncio_kv_workload(
     instead of guaranteeing atomicity.
     """
     clients = workload.clients
-    if shard_map is None:
-        shard_map = ShardMap(
-            num_shards,
-            protocol_key=protocol_key,
-            servers_per_shard=servers_per_shard,
-            max_faults=max_faults,
-            readers=len(clients),
-            writers=len(clients),
-            num_groups=num_groups,
-        )
+    shard_map = default_shard_map(
+        num_shards, protocol_key, servers_per_shard, max_faults, num_groups,
+        clients=len(clients),
+    )
 
     async def _run() -> KVRunResult:
         cluster = AsyncKVCluster(
@@ -1354,7 +1224,6 @@ def run_asyncio_kv_workload(
             service_per_op=service_per_op,
             retry_policy=retry_policy,
             push_views=push_views,
-            delta_views=delta_views,
             trace_collector=trace_collector,
             drain_range_size=drain_range_size,
             autoscale_interval=autoscale_interval,
@@ -1363,51 +1232,35 @@ def run_asyncio_kv_workload(
         await cluster.start()
         if use_proxy:
             await cluster.start_proxies(
-                num_proxies, read_policy=read_policy, max_batch=proxy_max_batch,
-                read_cache=read_cache, bounded_staleness=bounded_staleness,
+                num_proxies, read_cache=read_cache, bounded_staleness=bounded_staleness
             )
         if autoscale:
             cluster.start_autoscaler()
         base = time.monotonic()
         recorder = KVHistoryRecorder(lambda: time.monotonic() - base)
         stores: Dict[str, KVStore] = {}
-
-        hooks: List[Any] = []
-        resize_info: Optional[Dict[str, object]] = None
-        if resize_to is not None:
-            resize_hook, resize_info = make_resize_trigger(
-                cluster.resize,
-                lambda: recorder.completed_operations,
-                resize_to,
-                resize_after_ops
-                if resize_after_ops is not None
-                else max(1, workload.total_operations() // 2),
-            )
-            hooks.append(resize_hook)
-
-        kill_record: Dict[str, object] = {}
         kill_tasks: "set[asyncio.Task]" = set()
-        if kill_proxy_after_ops is not None and use_proxy:
 
-            def kill(victim: str) -> None:
-                # Keep a strong reference: the loop holds tasks weakly, and
-                # a collected kill task would silently never sever the proxy.
-                task = asyncio.get_running_loop().create_task(
-                    cluster.kill_proxy(victim)
-                )
-                kill_tasks.add(task)
-                task.add_done_callback(kill_tasks.discard)
+        def kill(victim: str) -> None:
+            # Keep a strong reference: the loop holds tasks weakly, and
+            # a collected kill task would silently never sever the proxy.
+            task = asyncio.get_running_loop().create_task(cluster.kill_proxy(victim))
+            kill_tasks.add(task)
+            task.add_done_callback(kill_tasks.discard)
 
-            kill_hook, kill_record = make_proxy_kill_trigger(
-                lambda: recorder.completed_operations,
-                kill_proxy_after_ops,
-                lambda: pick_one_proxy_per_site(
-                    [(pid, proxy.site, proxy.running)
-                     for pid, proxy in cluster.proxies.items()]
-                ),
-                kill,
-            )
-            hooks.append(kill_hook)
+        hooks, resize_info, kill_record = arm_triggers(
+            workload,
+            lambda: recorder.completed_operations,
+            None,
+            cluster.resize,
+            resize_to,
+            resize_after_ops,
+            proxies=lambda: [
+                (pid, proxy.site, proxy.running) for pid, proxy in cluster.proxies.items()
+            ],
+            kill=kill,
+            kill_proxy_after_ops=kill_proxy_after_ops if use_proxy else None,
+        )
 
         def run_hooks() -> None:
             for hook in hooks:
@@ -1450,105 +1303,30 @@ def run_asyncio_kv_workload(
             # draining in the background; finish it before teardown so the
             # reports' counters are final and no drain frame races stop().
             await cluster.flush_migrations()
-            batch_stats = BatchStats()
-            stale = 0
-            failovers = 0
-            for store in stores.values():
-                batch_stats.merge(store.batch_stats())
-                stale += store.stale_replays
-                failovers += store.proxy_failovers
-            proxy_stats: Optional[BatchStats] = None
-            pushes_applied = 0
-            proxies_used = len(cluster.proxies)
-            read_subs = 0
-            backoffs = 0
-            cache_counters: Optional[Dict[str, int]] = None
-            if cluster.proxies:
-                proxy_stats = BatchStats()
-                for proxy in cluster.proxies.values():
-                    proxy_stats.merge(proxy.batch_stats())
-                    stale += proxy.stale_replays
-                    pushes_applied += proxy.view.pushes_applied
-                    read_subs += proxy.engine.read_subs_sent
-                    backoffs += proxy.engine.drain_backoffs
-                if read_cache:
-                    logics = cluster.server_logics.values()
-                    proxy_engines = [p.engine for p in cluster.proxies.values()]
-                    cache_counters = {
-                        "hits": sum(e.cache_hits for e in proxy_engines),
-                        "misses": sum(e.cache_misses for e in proxy_engines),
-                        "invalidations": sum(
-                            e.cache_invalidations for e in proxy_engines
-                        ),
-                        "proxy_lease_expiries": sum(
-                            e.leases_expired for e in proxy_engines
-                        ),
-                        "leases_granted": sum(l.leases_granted for l in logics),
-                        "lease_expiries": sum(l.leases_expired for l in logics),
-                        "write_deferrals": sum(l.write_deferrals for l in logics),
-                    }
-            replica_frames = sum(
-                logic.batches_served for logic in cluster.server_logics.values()
-            )
-            replica_sub_ops = sum(
-                logic.sub_ops_served for logic in cluster.server_logics.values()
-            )
-            bounces = sum(
-                logic.stale_bounces for logic in cluster.server_logics.values()
-            )
-            frames = batch_stats.frames_total + (
-                proxy_stats.frames_total if proxy_stats is not None else 0
-            )
+            # The engines outlive their transports: name them now, fold them
+            # once teardown has cancelled (and counted) the last timers.
+            proxy_engines = [proxy.engine for proxy in cluster.proxies.values()]
+            server_logics = list(cluster.server_logics.values())
         finally:
             for store in stores.values():
                 await store.close()
             await cluster.stop()
 
-        histories = recorder.histories()
-        result = KVRunResult(
-            backend="asyncio",
-            num_shards=len(shard_map),
-            max_batch=max_batch,
-            histories=histories,
+        return fold_run_result(
+            "asyncio",
+            shard_map,
+            max_batch,
             duration=duration,
-            completed_ops=recorder.completed_operations,
-            messages_sent=frames,
-            batch_stats=batch_stats,
-            num_groups=len(shard_map.groups),
-            stale_replays=stale,
+            client_engines=(store.engine for store in stores.values()),
+            proxy_engines=proxy_engines,
+            server_logics=server_logics,
+            control=cluster.control,
+            registry=cluster.metrics,
+            recorder=recorder,
             resize=resize_info,
-            num_proxies=proxies_used,
-            proxy_stats=proxy_stats,
-            replica_frames=replica_frames,
-            replica_sub_ops=replica_sub_ops,
-            proxy_failovers=failovers,
-            view_pushes=pushes_applied,
-            proxy_kill=kill_record or None,
-            stale_bounces=bounces,
-            drain_backoffs=backoffs,
-            replica_read_subs=read_subs,
-            cache=cache_counters,
-            metrics=cluster.metrics.snapshot(),
-            autoscale=(
-                {
-                    "actions": [
-                        {k: v for k, v in action.items() if k != "report"}
-                        for action in cluster.control.autoscale_actions
-                    ],
-                    "drains_completed": cluster.control.drains_completed,
-                    "ranges_drained": cluster.control.ranges_drained,
-                }
-                if autoscale
-                else None
-            ),
+            proxy_kill=kill_record,
+            read_cache=read_cache,
+            autoscale=autoscale,
         )
-        for history in histories.values():
-            result.read_latencies.extend(
-                op.latency for op in history.reads if op.latency is not None
-            )
-            result.write_latencies.extend(
-                op.latency for op in history.writes if op.latency is not None
-            )
-        return result
 
     return run_sync(_run())

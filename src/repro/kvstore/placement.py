@@ -7,7 +7,7 @@ construction.  This module makes *placement* its own layer:
 * a :class:`ReplicaGroup` is the unit of replication -- a named set of
   servers running one register protocol instance.  One group hosts the
   per-key registers of **many** shards (a multiplexed
-  :class:`~repro.kvstore.batching.BatchGroupServer` runs on each of its
+  :class:`~repro.kvstore.engine.server.GroupServerEngine` runs on each of its
   servers), so a small cluster can carry a large shard count (N shards on
   M groups, N >> M) and groups can be placed per site.
 

@@ -334,12 +334,12 @@ class ShardMap:
         """The routing state a remote view cache needs, as a JSON-safe dict.
 
         This is the payload of a control-plane *view push*
-        (:func:`repro.sim.messages.make_view_push`): the ring's shard ids and
+        (:func:`repro.messages.make_view_push`): the ring's shard ids and
         epoch (enough to rebuild an identical :class:`HashRing` -- ring
         construction is deterministic) plus each shard's fencing epoch,
         hosting group and quorum size.  A
-        :class:`~repro.kvstore.proxy.CachedShardView` applies it with
-        :meth:`~repro.kvstore.proxy.CachedShardView.apply_push`.
+        :class:`~repro.kvstore.engine.routing.CachedShardView` applies it with
+        :meth:`~repro.kvstore.engine.routing.CachedShardView.apply_push`.
         """
         return {
             "ring_epoch": self.ring.epoch,

@@ -2,15 +2,16 @@
 
 All protocol behaviour -- round lifecycle, batching, stale-epoch replay,
 proxy merging, failover, view-push adoption -- lives in the shared sans-I/O
-engines of :mod:`repro.kvstore.engine`.  This module only *adapts* them to
-the simulator runtime:
+engines of :mod:`repro.kvstore.engine`, and their effects are interpreted by
+its :class:`~repro.kvstore.engine.runtime.EffectRuntime`.  This module only
+gives each runtime the simulator's transport:
 
 * :class:`KVClientProcess` / :class:`ProxyProcess` wrap a
   :class:`~repro.kvstore.engine.client.ClientSessionEngine` /
   :class:`~repro.kvstore.engine.proxy.ProxyEngine` in a network
-  :class:`~repro.sim.process.Process`, executing emitted effects by sending
-  frames through the simulated network and mapping timer effects onto the
-  virtual-clock event queue.  ``Connect`` effects succeed immediately (the
+  :class:`~repro.sim.process.Process`: ``send`` goes through the simulated
+  network and ``schedule`` is the virtual-clock event queue's.
+  ``Connect`` effects succeed immediately (the
   simulated network needs no dialing), and the network reports no delivery
   failures -- a crashed process's traffic is dropped *silently*, which is
   exactly why the client engine's watchdog timer
@@ -34,22 +35,16 @@ the simulator runtime:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..core.operations import OpKind
 from ..messages import DEFAULT_LEASE_TTL, Message
-from ..observe.events import (
-    NULL_OBSERVER,
-    TIMER_ARMED,
-    TIMER_CANCELLED,
-    TIMER_FIRED,
-    EngineObserver,
-    ObserverHub,
-)
+from ..observe.events import EngineObserver, ObserverHub
 from ..observe.metrics import MetricsObserver, MetricsRegistry
 from ..observe.trace import TraceCollector
 from ..protocols.base import OperationOutcome
-from ..sim.clock import EventQueue, ScheduledEvent
+from ..sim.clock import EventQueue
 from ..sim.delays import ConstantDelay, DelayModel
 from ..sim.failures import CrashPlan, FailureInjector
 from ..sim.network import Network
@@ -62,26 +57,26 @@ from .engine import (
     SIM_RETRY_POLICY,
     BatchStats,
     CachedShardView,
-    CancelTimer,
     ClientSessionEngine,
-    Connect,
     ControlPlaneEngine,
     Effect,
+    EffectRuntime,
     GroupServerEngine,
-    OpCompleted,
     OpFailed,
     ProxyEngine,
     ReadRoutingPolicy,
     SendFrame,
-    StartTimer,
-    TimerId,
-    make_proxy_kill_trigger,
-    pick_one_proxy_per_site,
 )
-from .migration import MigrationReport, make_resize_trigger
+from .migration import MigrationReport
 from .perkey import KVHistoryRecorder
 from .sharding import ShardMap
-from .workload import KVRunResult, KVWorkload
+from .workload import (
+    KVRunResult,
+    KVWorkload,
+    arm_triggers,
+    default_shard_map,
+    fold_run_result,
+)
 
 __all__ = [
     "BatchReplicaProcess",
@@ -105,11 +100,13 @@ SIM_AUTOSCALE_INTERVAL = 150.0
 class BatchReplicaProcess(Process):
     """A group replica with service-time queueing on the virtual clock.
 
-    Effect-driven: the engine's sends (batch-acks, lease grants and
-    invalidations, drain acks) are what the modeled service time delays,
-    while its lease timers go straight onto the virtual-clock event queue
-    -- a lease's deadline is wall time from the grant, not from whenever
-    the replica's queue drains.
+    The engine's sends (batch-acks, lease grants and invalidations, drain
+    acks) are what the modeled service time delays: a request's frames are
+    released ``service`` after the replica is free, and are not engine
+    timers -- nothing observes them and they never reach ``on_timer``.  Its
+    lease timers go straight onto the virtual-clock event queue -- a
+    lease's deadline is wall time from the grant, not from whenever the
+    replica's queue drains -- and what a fired timer sends leaves at once.
     """
 
     def __init__(
@@ -126,7 +123,8 @@ class BatchReplicaProcess(Process):
         self.overhead = overhead
         self.per_op = per_op
         self.busy_until = 0.0
-        self._timers: Dict[TimerId, ScheduledEvent] = {}
+        self._send_delay = 0.0
+        self.runtime = EffectRuntime(logic, events.schedule, self._send_after_service)
 
     def on_message(self, message: Message) -> None:
         # State transitions apply at delivery (preserving arrival order);
@@ -141,116 +139,43 @@ class BatchReplicaProcess(Process):
         now = self.events.clock.now
         finish = max(now, self.busy_until) + service
         self.busy_until = finish
-        self.run_effects(effects, send_delay=finish - now)
+        self._send_delay = finish - now
+        try:
+            self.runtime.run(effects)
+        finally:
+            self._send_delay = 0.0
 
-    def run_effects(self, effects: List[Effect], send_delay: float = 0.0) -> None:
-        observer = self.logic.observer
-        for effect in effects:
-            if isinstance(effect, SendFrame):
-                if send_delay <= 0:
-                    self.send(effect.frame)
-                else:
-                    self.events.schedule(
-                        send_delay,
-                        lambda frame=effect.frame: self.send(frame),
-                        label=f"service:{self.process_id}",
-                    )
-            elif isinstance(effect, StartTimer):
-                stale = self._timers.pop(effect.timer_id, None)
-                if stale is not None:
-                    stale.cancel()
-                    observer.emit(
-                        TIMER_CANCELLED, timer=effect.timer_id[0], reason="rearm"
-                    )
-                self._timers[effect.timer_id] = self.events.schedule(
-                    effect.delay,
-                    lambda tid=effect.timer_id: self._fire(tid),
-                    label=f"{self.process_id}:{effect.timer_id[0]}",
-                )
-                observer.emit(TIMER_ARMED, timer=effect.timer_id[0])
-            elif isinstance(effect, CancelTimer):
-                timer = self._timers.pop(effect.timer_id, None)
-                if timer is not None:
-                    timer.cancel()
-                    observer.emit(
-                        TIMER_CANCELLED, timer=effect.timer_id[0], reason="cancel"
-                    )
-            else:  # pragma: no cover - future effect kinds
-                raise TypeError(f"unknown effect {effect!r}")
-
-    def _fire(self, timer_id: TimerId) -> None:
-        self._timers.pop(timer_id, None)
-        self.logic.observer.emit(TIMER_FIRED, timer=timer_id[0])
-        self.run_effects(self.logic.on_timer(timer_id))
+    def _send_after_service(self, effect: SendFrame) -> None:
+        if self._send_delay <= 0:
+            self.send(effect.frame)
+        else:
+            self.events.schedule(self._send_delay, partial(self.send, effect.frame))
 
 
 class _EngineProcess(Process):
     """A process that feeds a sans-I/O engine and executes its effects.
 
-    Effects map onto the simulator runtime: ``SendFrame`` goes through the
-    simulated network, ``StartTimer``/``CancelTimer`` onto the virtual-clock
-    event queue, and ``Connect`` succeeds immediately (there is nothing to
-    dial -- the network routes by process id).
+    ``SendFrame`` goes through the simulated network and timers onto the
+    virtual-clock event queue; ``client_hooks`` are the runtime's
+    ``connect``/``complete``, which only :class:`KVClientProcess` passes.
     """
 
     def __init__(
-        self,
-        process_id: str,
-        events: EventQueue,
-        observer: Optional[EngineObserver] = None,
+        self, process_id: str, events: EventQueue, engine, **client_hooks
     ) -> None:
         super().__init__(process_id)
         self.events = events
-        self.observer = observer if observer is not None else NULL_OBSERVER
-        self._timers: Dict[TimerId, ScheduledEvent] = {}
-
-    @property
-    def engine(self):
-        raise NotImplementedError
+        self.engine = engine
+        self.runtime = EffectRuntime(
+            engine, events.schedule, lambda effect: self.send(effect.frame),
+            **client_hooks,
+        )
 
     def on_message(self, message: Message) -> None:
-        self.run_effects(self.engine.on_frame(message))
+        self.runtime.run(self.engine.on_frame(message))
 
     def run_effects(self, effects: List[Effect]) -> None:
-        queue: Deque[Effect] = deque(effects)
-        while queue:
-            effect = queue.popleft()
-            if isinstance(effect, SendFrame):
-                self.send(effect.frame)
-            elif isinstance(effect, StartTimer):
-                stale = self._timers.pop(effect.timer_id, None)
-                if stale is not None:
-                    stale.cancel()
-                    self.observer.emit(
-                        TIMER_CANCELLED, timer=effect.timer_id[0], reason="rearm"
-                    )
-                self._timers[effect.timer_id] = self.events.schedule(
-                    effect.delay,
-                    lambda tid=effect.timer_id: self._fire(tid),
-                    label=f"{self.process_id}:{effect.timer_id[0]}",
-                )
-                self.observer.emit(TIMER_ARMED, timer=effect.timer_id[0])
-            elif isinstance(effect, CancelTimer):
-                timer = self._timers.pop(effect.timer_id, None)
-                if timer is not None:
-                    timer.cancel()
-                    self.observer.emit(
-                        TIMER_CANCELLED, timer=effect.timer_id[0], reason="cancel"
-                    )
-            elif isinstance(effect, Connect):
-                queue.extend(self.engine.on_connected(effect.target))
-            elif isinstance(effect, (OpCompleted, OpFailed)):
-                self._on_operation(effect)
-            else:  # pragma: no cover - future effect kinds
-                raise TypeError(f"unknown effect {effect!r}")
-
-    def _fire(self, timer_id: TimerId) -> None:
-        self._timers.pop(timer_id, None)
-        self.observer.emit(TIMER_FIRED, timer=timer_id[0])
-        self.run_effects(self.engine.on_timer(timer_id))
-
-    def _on_operation(self, effect) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
+        self.runtime.run(effects)
 
 
 class KVClientProcess(_EngineProcess):
@@ -261,7 +186,9 @@ class KVClientProcess(_EngineProcess):
     proxy failover: ``proxy_candidates`` is the full proxy list of the
     client's site, and the engine's watchdog timer detects a proxy that
     stops answering -- a crashed sim process drops traffic silently, so
-    there is no connection reset to observe.
+    there is no connection reset to observe.  ``Connect`` effects succeed
+    immediately: the simulated network routes by process id, there is
+    nothing to dial.
     """
 
     def __init__(
@@ -278,7 +205,6 @@ class KVClientProcess(_EngineProcess):
         proxy_timeout: float = PROXY_FAILOVER_TIMEOUT,
         observer: Optional[EngineObserver] = None,
     ) -> None:
-        super().__init__(client_id, events, observer=observer)
         if proxy_timeout <= 0:
             raise ValueError("proxy_timeout must be positive")
         if proxy_candidates:
@@ -287,8 +213,7 @@ class KVClientProcess(_EngineProcess):
                 raise ValueError("proxy_id must head proxy_candidates")
         else:
             candidates = [proxy_id] if proxy_id is not None else []
-        self.completion_hook = completion_hook
-        self._engine = ClientSessionEngine(
+        engine = ClientSessionEngine(
             client_id,
             shard_map,
             recorder,
@@ -296,16 +221,18 @@ class KVClientProcess(_EngineProcess):
             max_batch=max_batch,
             flush_delay=flush_delay,
             proxy_candidates=candidates,
-            observer=self.observer,
+            observer=observer,
         )
+        super().__init__(
+            client_id, events, engine,
+            connect=lambda target: self.engine.on_connected(target),
+            complete=self._on_operation,
+        )
+        self.completion_hook = completion_hook
         self._callbacks: Dict[str, Callable[[OperationOutcome], None]] = {}
-        if self._engine.proxy_id is not None:
+        if engine.proxy_id is not None:
             # The simulated network needs no dialing: confirm the ingress.
-            self.run_effects(self._engine.on_connected(self._engine.proxy_id))
-
-    @property
-    def engine(self) -> ClientSessionEngine:
-        return self._engine
+            self.run_effects(engine.on_connected(engine.proxy_id))
 
     # -- invoking operations ----------------------------------------------------
 
@@ -325,10 +252,10 @@ class KVClientProcess(_EngineProcess):
         return self._invoke(OpKind.READ, key, None, on_complete)
 
     def _invoke(self, kind: OpKind, key: str, value, on_complete) -> str:
-        op_id, effects = self._engine.invoke(kind, key, value)
+        op_id, effects = self.engine.invoke(kind, key, value)
         if on_complete is not None:
             self._callbacks[op_id] = on_complete
-        self.run_effects(effects)
+        self.runtime.run(effects)
         return op_id
 
     def _on_operation(self, effect) -> None:
@@ -345,23 +272,23 @@ class KVClientProcess(_EngineProcess):
 
     @property
     def proxy_id(self) -> Optional[str]:
-        return self._engine.proxy_id
+        return self.engine.proxy_id
 
     @property
     def proxy_failovers(self) -> int:
-        return self._engine.proxy_failovers
+        return self.engine.proxy_failovers
 
     @property
     def stale_replays(self) -> int:
-        return self._engine.stale_replays
+        return self.engine.stale_replays
 
     @property
     def batch_stats(self) -> BatchStats:
-        return self._engine.stats
+        return self.engine.stats
 
     @property
     def completed_operations(self) -> int:
-        return self._engine.completed_operations
+        return self.engine.completed_operations
 
 
 class ProxyProcess(_EngineProcess):
@@ -381,37 +308,28 @@ class ProxyProcess(_EngineProcess):
         bounded_staleness: bool = False,
         read_round_trips: int = 2,
     ) -> None:
-        super().__init__(proxy_id, events, observer=observer)
         self.view = CachedShardView(shard_map)
-        self._engine = ProxyEngine(
+        super().__init__(proxy_id, events, ProxyEngine(
             proxy_id,
             self.view,
             read_policy=read_policy,
             policy=SIM_RETRY_POLICY,
             max_batch=max_batch,
             flush_delay=flush_delay,
-            observer=self.observer,
+            observer=observer,
             read_cache=read_cache,
             lease_ttl=lease_ttl,
             bounded_staleness=bounded_staleness,
             read_round_trips=read_round_trips,
-        )
-
-    @property
-    def engine(self) -> ProxyEngine:
-        return self._engine
-
-    @property
-    def read_policy(self) -> ReadRoutingPolicy:
-        return self._engine.read_policy
+        ))
 
     @property
     def stats(self) -> BatchStats:
-        return self._engine.stats
+        return self.engine.stats
 
     @property
     def stale_replays(self) -> int:
-        return self._engine.stale_replays
+        return self.engine.stale_replays
 
 
 class ControlPlaneProcess(_EngineProcess):
@@ -423,18 +341,8 @@ class ControlPlaneProcess(_EngineProcess):
     and autoscale timers on the virtual-clock event queue.
     """
 
-    def __init__(
-        self,
-        engine: ControlPlaneEngine,
-        events: EventQueue,
-        observer: Optional[EngineObserver] = None,
-    ) -> None:
-        super().__init__(engine.control_id, events, observer=observer)
-        self._engine = engine
-
-    @property
-    def engine(self) -> ControlPlaneEngine:
-        return self._engine
+    def __init__(self, engine: ControlPlaneEngine, events: EventQueue) -> None:
+        super().__init__(engine.control_id, events, engine)
 
 
 class KVFailureInjector:
@@ -515,9 +423,9 @@ class SimKVCluster:
     ``view-push`` frame per proxy through the simulated network), so in the
     steady state a rebalance costs the proxies zero stale-epoch replays;
     the epoch-fence bounce remains as the safety net for rounds already in
-    flight and for pushes racing them.  ``delta_views`` (the default) sends
-    each push as a per-rebalance *delta* -- only the fenced/added/removed
-    entries, O(moved) instead of O(shards) -- rather than a full snapshot.
+    flight and for pushes racing them.  Each push is a per-rebalance
+    *delta* -- only the fenced/added/removed entries, O(moved) instead of
+    O(shards).
     """
 
     def __init__(
@@ -535,7 +443,6 @@ class SimKVCluster:
         proxy_flush_delay: float = 0.0,
         sites: Optional[Mapping[str, str]] = None,
         push_views: bool = True,
-        delta_views: bool = True,
         proxy_timeout: float = PROXY_FAILOVER_TIMEOUT,
         trace_collector: Optional[TraceCollector] = None,
         drain_range_size: int = DRAIN_RANGE_SIZE,
@@ -562,7 +469,6 @@ class SimKVCluster:
         self.migrations: List[MigrationReport] = []
         self.sites = dict(sites) if sites else {}
         self._push_views = push_views
-        self.delta_views = delta_views
         self.crashed_proxies: Set[str] = set()
         self._completion_watchers: List[Callable[[], None]] = []
         self.replicas: Dict[str, BatchReplicaProcess] = {}
@@ -610,17 +516,12 @@ class SimKVCluster:
         control_engine = ControlPlaneEngine(
             shard_map,
             proxy_ids=list(self.proxies) if push_views else [],
-            delta_views=delta_views,
             drain_range_size=drain_range_size,
             retry_delay=SIM_DRAIN_RETRY_DELAY,
             autoscale_interval=autoscale_interval,
             observer=self.hub.scoped("control", "control-plane"),
         )
-        self.control = ControlPlaneProcess(
-            control_engine,
-            self.events,
-            observer=self.hub.scoped("control", "control-plane"),
-        )
+        self.control = ControlPlaneProcess(control_engine, self.events)
         self.control.attach(self.network)
         # The autoscaler's signal is the existing metrics stream: every
         # sub.served event feeds a per-shard counter the control engine
@@ -792,57 +693,10 @@ class SimKVCluster:
             merged.merge(client.batch_stats)
         return merged
 
-    def proxy_stats(self) -> BatchStats:
-        """The proxies' merging/frame statistics (empty when direct)."""
-        merged = BatchStats()
-        for proxy in self.proxies.values():
-            merged.merge(proxy.stats)
-        return merged
-
-    def replica_request_frames(self) -> int:
-        """Request frames the replica servers served (the cost proxies cut)."""
-        return sum(replica.logic.batches_served for replica in self.replicas.values())
-
-    def replica_sub_ops(self) -> int:
-        """Sub-operations the replica servers processed (the replica work
-        read routing cuts)."""
-        return sum(replica.logic.sub_ops_served for replica in self.replicas.values())
-
     def stale_replays(self) -> int:
         return sum(client.stale_replays for client in self.clients.values()) + sum(
             proxy.stale_replays for proxy in self.proxies.values()
         )
-
-    def stale_bounces(self) -> int:
-        """Sub-ops the replica tier fenced on a stale (shard, epoch) tag."""
-        return sum(replica.logic.stale_bounces for replica in self.replicas.values())
-
-    def proxy_failovers(self) -> int:
-        return sum(client.proxy_failovers for client in self.clients.values())
-
-    def proxy_drain_backoffs(self) -> int:
-        """Rounds the proxies parked behind a draining key range."""
-        return sum(p.engine.drain_backoffs for p in self.proxies.values())
-
-    def replica_read_subs(self) -> int:
-        """Replica-bound read sub-requests the proxies sent (the traffic the
-        read cache removes; counted with the cache off too, for the
-        baseline side of the comparison)."""
-        return sum(p.engine.read_subs_sent for p in self.proxies.values())
-
-    def cache_counters(self) -> Dict[str, int]:
-        """Aggregated read-cache/lease counters across both tiers."""
-        proxies = list(self.proxies.values())
-        replicas = list(self.replicas.values())
-        return {
-            "hits": sum(p.engine.cache_hits for p in proxies),
-            "misses": sum(p.engine.cache_misses for p in proxies),
-            "invalidations": sum(p.engine.cache_invalidations for p in proxies),
-            "proxy_lease_expiries": sum(p.engine.leases_expired for p in proxies),
-            "leases_granted": sum(r.logic.leases_granted for r in replicas),
-            "lease_expiries": sum(r.logic.leases_expired for r in replicas),
-            "write_deferrals": sum(r.logic.write_deferrals for r in replicas),
-        }
 
     def view_pushes_applied(self) -> int:
         return sum(proxy.view.pushes_applied for proxy in self.proxies.values())
@@ -864,7 +718,6 @@ def run_sim_kv_workload(
     max_faults: int = 1,
     max_batch: int = 8,
     delay_model: Optional[DelayModel] = None,
-    flush_delay: float = 0.0,
     server_overhead: float = 0.2,
     server_per_op: float = 0.1,
     shard_map: Optional[ShardMap] = None,
@@ -872,20 +725,15 @@ def run_sim_kv_workload(
     resize_to: Optional[int] = None,
     resize_after_ops: Optional[int] = None,
     move_to: Optional[Tuple[str, str]] = None,
-    move_after_ops: Optional[int] = None,
     crashes_per_group: int = 0,
     crash_horizon: float = 20.0,
     crash_seed: int = 0,
     use_proxy: bool = False,
     num_proxies: int = 1,
     read_policy: Optional[ReadRoutingPolicy] = None,
-    proxy_max_batch: int = 64,
     proxy_flush_delay: float = 0.0,
-    sites: Optional[Mapping[str, str]] = None,
     push_views: bool = True,
-    delta_views: bool = True,
     kill_proxy_after_ops: Optional[int] = None,
-    proxy_timeout: float = PROXY_FAILOVER_TIMEOUT,
     trace_collector: Optional[TraceCollector] = None,
     autoscale: bool = False,
     drain_range_size: int = DRAIN_RANGE_SIZE,
@@ -900,8 +748,7 @@ def run_sim_kv_workload(
     ``resize_after_ops`` operations have completed (default: half the
     workload), while the remaining operations are still in flight.
     ``move_to=(shard_id, group_id)`` instead triggers a live
-    :meth:`SimKVCluster.move_shard` of one shard under the same
-    half-the-workload (or ``move_after_ops``) trigger.
+    :meth:`SimKVCluster.move_shard` of one shard under the same trigger.
     ``crashes_per_group`` crashes that many random replicas of every group
     (capped at each group's fault budget) within ``crash_horizon``.
     ``use_proxy`` routes every client through one of ``num_proxies``
@@ -909,11 +756,11 @@ def run_sim_kv_workload(
     across clients and route reads per ``read_policy``; with crash
     injection, keep the default broadcast policy (or a ``spare`` >= the
     fault budget) so read rounds stay live.  ``push_views`` pushes the
-    shard-map view to every proxy at each live rebalance (off: bounce-only
-    refresh) -- as O(moved) deltas unless ``delta_views`` is off;
-    ``kill_proxy_after_ops`` crashes one proxy per site once that many
-    operations completed, exercising the clients' failover path --
-    operations keep completing with no client-visible errors.
+    shard-map view delta to every proxy at each live rebalance (off:
+    bounce-only refresh); ``kill_proxy_after_ops`` crashes one proxy per
+    site once that many operations completed, exercising the clients'
+    failover path -- operations keep completing with no client-visible
+    errors.
     ``autoscale`` arms the control plane's metrics-driven autoscaler for
     the duration of the run: every ``autoscale_interval`` virtual time
     units it folds the served-op counts per group and moves the hottest
@@ -928,31 +775,21 @@ def run_sim_kv_workload(
     """
     clients = workload.clients
     if shard_map is None:
-        shard_map = ShardMap(
-            num_shards,
-            protocol_key=protocol_key,
-            servers_per_shard=servers_per_shard,
-            max_faults=max_faults,
-            readers=len(clients),
-            writers=len(clients),
-            num_groups=num_groups,
+        shard_map = default_shard_map(
+            num_shards, protocol_key, servers_per_shard, max_faults, num_groups,
+            clients=len(clients),
         )
     cluster = SimKVCluster(
         shard_map,
         clients,
         delay_model=delay_model,
         max_batch=max_batch,
-        flush_delay=flush_delay,
         server_overhead=server_overhead,
         server_per_op=server_per_op,
         num_proxies=num_proxies if use_proxy else 0,
         read_policy=read_policy,
-        proxy_max_batch=proxy_max_batch,
         proxy_flush_delay=proxy_flush_delay,
-        sites=sites,
         push_views=push_views,
-        delta_views=delta_views,
-        proxy_timeout=proxy_timeout,
         trace_collector=trace_collector,
         drain_range_size=drain_range_size,
         autoscale_interval=autoscale_interval,
@@ -960,6 +797,12 @@ def run_sim_kv_workload(
         lease_ttl=lease_ttl,
         bounded_staleness=bounded_staleness,
     )
+
+    def completed_ops() -> int:
+        return cluster.recorder.completed_operations
+
+    def now() -> float:
+        return cluster.events.clock.now
 
     if autoscale:
         cluster.start_autoscaler()
@@ -970,57 +813,32 @@ def run_sim_kv_workload(
         total_ops = workload.total_operations()
 
         def stop_when_done() -> None:
-            if (
-                cluster.control.engine.autoscaling
-                and cluster.recorder.completed_operations >= total_ops
-            ):
+            if cluster.control.engine.autoscaling and completed_ops() >= total_ops:
                 cluster.stop_autoscaler()
 
         cluster.add_completion_watcher(stop_when_done)
 
-    kill_record: Dict[str, object] = {}
-    if kill_proxy_after_ops is not None and use_proxy:
-        kill_hook, kill_record = make_proxy_kill_trigger(
-            lambda: cluster.recorder.completed_operations,
-            kill_proxy_after_ops,
-            lambda: pick_one_proxy_per_site(
-                [(pid, cluster.sites.get(pid), pid not in cluster.crashed_proxies)
-                 for pid in cluster.proxies]
-            ),
-            cluster.crash_proxy,
-        )
-        cluster.add_completion_watcher(kill_hook)
-
-    resize_info: Optional[Dict[str, object]] = None
-    if resize_to is not None:
-        hook, resize_info = make_resize_trigger(
-            cluster.resize,
-            lambda: cluster.recorder.completed_operations,
-            resize_to,
-            resize_after_ops
-            if resize_after_ops is not None
-            else max(1, workload.total_operations() // 2),
-            now=lambda: cluster.events.clock.now,
-        )
-        cluster.add_completion_watcher(hook)
-
+    rebalance, rebalance_to = cluster.resize, resize_to
     if move_to is not None:
-        move_shard_id, move_group_id = move_to
-        # The resize trigger is just "call this once past the threshold";
-        # reuse it for a single-shard move.  The record's ``to`` field
-        # carries the moved shard instead of a shard count.
-        hook, move_info = make_resize_trigger(
-            lambda _target: cluster.move_shard(move_shard_id, move_group_id),
-            lambda: cluster.recorder.completed_operations,
-            move_shard_id,
-            move_after_ops
-            if move_after_ops is not None
-            else max(1, workload.total_operations() // 2),
-            now=lambda: cluster.events.clock.now,
-        )
+        # A single-shard move rides the same trigger; the record's ``to``
+        # field carries the moved shard instead of a shard count.
+        rebalance, rebalance_to = (lambda _shard: cluster.move_shard(*move_to)), move_to[0]
+    hooks, resize_info, kill_record = arm_triggers(
+        workload,
+        completed_ops,
+        now,
+        rebalance,
+        rebalance_to,
+        resize_after_ops,
+        proxies=lambda: [
+            (pid, cluster.sites.get(pid), pid not in cluster.crashed_proxies)
+            for pid in cluster.proxies
+        ],
+        kill=cluster.crash_proxy,
+        kill_proxy_after_ops=kill_proxy_after_ops if use_proxy else None,
+    )
+    for hook in hooks:
         cluster.add_completion_watcher(hook)
-        if resize_info is None:
-            resize_info = move_info
 
     if crashes_per_group > 0:
         injector = cluster.failure_injector()
@@ -1051,49 +869,20 @@ def run_sim_kv_workload(
             cluster.events.schedule(0.0, issue_next, label=f"kv-start:{client_id}")
 
     cluster.run()
-    histories = cluster.recorder.histories()
-    result = KVRunResult(
-        backend="sim",
-        num_shards=len(shard_map),
-        max_batch=max_batch,
-        histories=histories,
-        duration=cluster.events.clock.now,
-        completed_ops=cluster.recorder.completed_operations,
-        messages_sent=cluster.network.sent_count,
-        batch_stats=cluster.batch_stats(),
-        num_groups=len(shard_map.groups),
-        stale_replays=cluster.stale_replays(),
-        stale_bounces=cluster.stale_bounces(),
+    return fold_run_result(
+        "sim",
+        shard_map,
+        max_batch,
+        duration=now(),
+        client_engines=(client.engine for client in cluster.clients.values()),
+        proxy_engines=(proxy.engine for proxy in cluster.proxies.values()),
+        server_logics=cluster.server_logics.values(),
+        control=cluster.control.engine,
+        registry=cluster.metrics,
+        recorder=cluster.recorder,
         resize=resize_info,
-        num_proxies=len(cluster.proxies),
-        proxy_stats=cluster.proxy_stats() if cluster.proxies else None,
-        replica_frames=cluster.replica_request_frames(),
-        replica_sub_ops=cluster.replica_sub_ops(),
-        replica_read_subs=cluster.replica_read_subs(),
-        proxy_failovers=cluster.proxy_failovers(),
-        drain_backoffs=cluster.proxy_drain_backoffs(),
-        view_pushes=cluster.view_pushes_applied(),
-        cache=cluster.cache_counters() if read_cache else None,
-        proxy_kill=kill_record or None,
-        metrics=cluster.metrics.snapshot(),
-        autoscale=(
-            {
-                "actions": [
-                    {k: v for k, v in action.items() if k != "report"}
-                    for action in cluster.control.engine.autoscale_actions
-                ],
-                "drains_completed": cluster.control.engine.drains_completed,
-                "ranges_drained": cluster.control.engine.ranges_drained,
-            }
-            if autoscale
-            else None
-        ),
+        proxy_kill=kill_record,
+        read_cache=read_cache,
+        autoscale=autoscale,
+        messages_sent=cluster.network.sent_count,
     )
-    for history in histories.values():
-        result.read_latencies.extend(
-            op.latency for op in history.reads if op.latency is not None
-        )
-        result.write_latencies.extend(
-            op.latency for op in history.writes if op.latency is not None
-        )
-    return result

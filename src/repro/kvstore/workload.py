@@ -1,4 +1,4 @@
-"""Key-value workloads and the result type shared by both backends.
+"""Key-value workloads, and the run skeleton both backends share.
 
 A :class:`KVWorkload` is backend-agnostic: per-client sequences of get/put
 operations over a key space, issued closed-loop with a configurable number of
@@ -9,18 +9,35 @@ together and hash to the same shard share a batch round.
 Key popularity follows a Zipf-like distribution (via
 :meth:`~repro.util.rng.SeededRng.zipf_index`), the shape seen by real
 key-value front ends; ``key_skew=0`` gives uniform keys.
+
+:func:`~repro.kvstore.sim_backend.run_sim_kv_workload` and
+:func:`~repro.kvstore.net_backend.run_asyncio_kv_workload` differ in how a
+cluster is built and how operations are issued; what a run *is* lives here
+once: the shard map a run defaults to (:func:`default_shard_map`), the
+mid-run resize/kill triggers (:func:`arm_triggers`) and the fold of every
+engine's counters into a :class:`KVRunResult` (:func:`fold_run_result`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..consistency.history import History
+from ..observe.metrics import MetricsRegistry
 from ..util.rng import SeededRng
 from ..util.stats import LatencyStats, summarize
-from .batching import BatchStats
-from .perkey import PerKeyAtomicity, check_per_key_atomicity
+from .engine import (
+    BatchStats,
+    ClientSessionEngine,
+    ControlPlaneEngine,
+    GroupServerEngine,
+    ProxyEngine,
+    pick_one_proxy_per_site,
+)
+from .migration import MigrationReport
+from .perkey import KVHistoryRecorder, PerKeyAtomicity, check_per_key_atomicity
+from .sharding import ShardMap
 
 __all__ = ["KVOp", "KVWorkload", "generate_workload", "KVRunResult"]
 
@@ -227,3 +244,190 @@ class KVRunResult:
             "rep_frames": self.replica_frames,
             "rep_frames/op": round(self.replica_frames_per_op(), 2),
         }
+
+
+# -- the run skeleton shared by both backends ------------------------------------
+
+
+def default_shard_map(
+    num_shards: int,
+    protocol_key: str,
+    servers_per_shard: int,
+    max_faults: int,
+    num_groups: Optional[int],
+    clients: int = 2,
+) -> ShardMap:
+    """The map a run builds when not handed one: every group's protocol is
+    sized for ``clients`` readers and as many writers."""
+    return ShardMap(
+        num_shards,
+        protocol_key=protocol_key,
+        servers_per_shard=servers_per_shard,
+        max_faults=max_faults,
+        readers=clients,
+        writers=clients,
+        num_groups=num_groups,
+    )
+
+
+def arm_triggers(
+    workload: KVWorkload,
+    completed_ops: Callable[[], int],
+    now: Optional[Callable[[], float]],
+    rebalance: Callable[[Any], MigrationReport],
+    rebalance_to: Any,
+    rebalance_after_ops: Optional[int],
+    proxies: Callable[[], Sequence[Tuple[str, Optional[str], bool]]],
+    kill: Callable[[str], None],
+    kill_proxy_after_ops: Optional[int],
+) -> Tuple[List[Callable[[], None]], Optional[Dict[str, object]], Dict[str, object]]:
+    """The fire-once hooks of a run's mid-workload events.
+
+    Returns ``(hooks, rebalance record, kill record)``; the backend calls
+    every hook after each completed operation, and each acts at the first
+    completion past its threshold.  With ``rebalance_to`` set,
+    ``rebalance(rebalance_to)`` runs at ``rebalance_after_ops`` (default:
+    half the workload) and its record -- ``to``, ``at_ops``, ``at_time``
+    where the backend has a clock to read, ``keys_moved``, ``report`` -- is
+    refreshed when the drain completes, so it is final once the run is.
+    With ``kill_proxy_after_ops`` set, one live proxy per site of
+    ``proxies()`` (``(proxy_id, site, alive)`` triples) is killed and the
+    record says which.  A completion that trips both kills first.
+    """
+
+    def once_past(threshold: int, action: Callable[[], None]) -> Callable[[], None]:
+        fired = False
+
+        def hook() -> None:
+            nonlocal fired
+            if not fired and completed_ops() >= threshold:
+                fired = True
+                action()
+
+        return hook
+
+    hooks: List[Callable[[], None]] = []
+    kill_record: Dict[str, object] = {}
+    if kill_proxy_after_ops is not None:
+
+        def kill_one_per_site() -> None:
+            victims = pick_one_proxy_per_site(proxies())
+            kill_record.update({"killed": victims, "at_ops": completed_ops()})
+            for victim in victims:
+                kill(victim)
+
+        hooks.append(once_past(kill_proxy_after_ops, kill_one_per_site))
+    if rebalance_to is None:
+        return hooks, None, kill_record
+    record: Dict[str, object] = {}
+
+    def refresh(report: MigrationReport) -> None:
+        record["keys_moved"] = report.keys_moved
+        record["report"] = report.summary()
+
+    def rebalance_now() -> None:
+        report = rebalance(rebalance_to)
+        record.update({"to": rebalance_to, "at_ops": completed_ops()})
+        refresh(report)
+        if now is not None:
+            record["at_time"] = now()
+        report.on_done(refresh)
+
+    if rebalance_after_ops is None:
+        rebalance_after_ops = max(1, workload.total_operations() // 2)
+    hooks.append(once_past(rebalance_after_ops, rebalance_now))
+    return hooks, record, kill_record
+
+
+def fold_run_result(
+    backend: str,
+    shard_map: ShardMap,
+    max_batch: int,
+    duration: float,
+    client_engines: Iterable[ClientSessionEngine],
+    proxy_engines: Iterable[ProxyEngine],
+    server_logics: Iterable[GroupServerEngine],
+    control: ControlPlaneEngine,
+    registry: MetricsRegistry,
+    recorder: KVHistoryRecorder,
+    resize: Optional[Dict[str, object]],
+    proxy_kill: Dict[str, object],
+    read_cache: int,
+    autoscale: bool,
+    messages_sent: Optional[int] = None,
+) -> KVRunResult:
+    """Fold a finished run's engines, registry and recorder into its result.
+
+    Every counter is read off the sans-I/O engines, so both backends count
+    the same things the same way.  ``messages_sent`` is the transport's own
+    frame count where it keeps one (the simulated network); ``None`` uses
+    the client and proxy tiers' ``frames_total``.
+    """
+    clients, proxies, logics = list(client_engines), list(proxy_engines), list(server_logics)
+
+    def merged(engines: List[Any]) -> BatchStats:
+        stats = BatchStats()
+        for engine in engines:
+            stats.merge(engine.stats)
+        return stats
+
+    histories = recorder.histories()
+    result = KVRunResult(
+        backend=backend,
+        num_shards=len(shard_map),
+        max_batch=max_batch,
+        histories=histories,
+        duration=duration,
+        completed_ops=recorder.completed_operations,
+        batch_stats=merged(clients),
+        num_groups=len(shard_map.groups),
+        stale_replays=sum(e.stale_replays for e in clients + proxies),
+        resize=resize,
+        num_proxies=len(proxies),
+        proxy_stats=merged(proxies) if proxies else None,
+        replica_frames=sum(l.batches_served for l in logics),
+        replica_sub_ops=sum(l.sub_ops_served for l in logics),
+        proxy_failovers=sum(e.proxy_failovers for e in clients),
+        view_pushes=sum(e.view.pushes_applied for e in proxies),
+        proxy_kill=proxy_kill or None,
+        stale_bounces=sum(l.stale_bounces for l in logics),
+        drain_backoffs=sum(e.drain_backoffs for e in proxies),
+        replica_read_subs=sum(e.read_subs_sent for e in proxies),
+        cache=(
+            {
+                "hits": sum(e.cache_hits for e in proxies),
+                "misses": sum(e.cache_misses for e in proxies),
+                "invalidations": sum(e.cache_invalidations for e in proxies),
+                "proxy_lease_expiries": sum(e.leases_expired for e in proxies),
+                "leases_granted": sum(l.leases_granted for l in logics),
+                "lease_expiries": sum(l.leases_expired for l in logics),
+                "write_deferrals": sum(l.write_deferrals for l in logics),
+            }
+            if read_cache
+            else None
+        ),
+        metrics=registry.snapshot(),
+        autoscale=(
+            {
+                "actions": [
+                    {k: v for k, v in action.items() if k != "report"}
+                    for action in control.autoscale_actions
+                ],
+                "drains_completed": control.drains_completed,
+                "ranges_drained": control.ranges_drained,
+            }
+            if autoscale
+            else None
+        ),
+    )
+    result.messages_sent = (
+        messages_sent if messages_sent is not None else result.frames_total
+    )
+    for history in histories.values():
+        result.read_latencies.extend(
+            op.latency for op in history.reads if op.latency is not None
+        )
+        result.write_latencies.extend(
+            op.latency for op in history.writes if op.latency is not None
+        )
+    return result

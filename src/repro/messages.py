@@ -4,8 +4,7 @@ This module is deliberately transport-neutral: the simulator delivers these
 objects directly, the asyncio codec (:mod:`repro.asyncio_net.codec`) puts
 them on the wire as length-prefixed JSON, and the sans-I/O kvstore engines
 (:mod:`repro.kvstore.engine`) consume and emit them without knowing which
-transport is underneath.  (It lived at ``repro.sim.messages`` before the
-engine extraction; that path remains as a re-export shim.)
+transport is underneath.
 
 Besides the plain :class:`Message` envelope this module defines the **batch
 frame** used by the sharded key-value store (:mod:`repro.kvstore`): several
@@ -23,7 +22,7 @@ rebalancing (``ShardMap.resize`` / ``move_shard``) safe under concurrent
 client load.
 
 The **proxy frames** serve the site-local ingress tier
-(:mod:`repro.kvstore.proxy`): a client packs the quorum rounds it has in
+(:mod:`repro.kvstore.engine.proxy`): a client packs the quorum rounds it has in
 flight into one ``"proxy"`` frame for its proxy (:class:`ProxySubRequest` --
 no shard tag: routing is the proxy's job), and the proxy answers each round
 with a ``"proxy-ack"`` frame carrying the whole quorum of replica replies at
@@ -304,7 +303,7 @@ def unpack_batch_ack(message: Message) -> List[Tuple[str, Optional[Message]]]:
     return pairs
 
 
-# -- proxy frames (repro.kvstore.proxy) ----------------------------------------
+# -- proxy frames (repro.kvstore.engine.proxy) ---------------------------------
 
 #: Kind of a client -> proxy frame packing several forwarded quorum rounds.
 PROXY_KIND = "proxy"
@@ -319,7 +318,7 @@ class ProxySubRequest(NamedTuple):
     key against the ring is the *proxy's* job (its cached shard-map view),
     which is what lets the proxy absorb stale-epoch bounces without the
     client ever noticing a live resize.  ``op_kind`` ("read" / "write") is
-    what the proxy's :class:`~repro.kvstore.proxy.ReadRoutingPolicy` keys on;
+    what the proxy's :class:`~repro.kvstore.engine.routing.ReadRoutingPolicy` keys on;
     ``kind``/``payload``/``per_server`` are the protocol round exactly as the
     per-key client generator yielded it, and ``wait_for`` is its explicit ack
     threshold (``None`` means the owner group's quorum size, resolved by the
@@ -351,7 +350,7 @@ class ProxySubReply(NamedTuple):
     the *replica* as its sender (protocols count distinct servers and read
     crucial info off ``reply.sender``).  ``error`` is set instead of replies
     when the proxy gave up (e.g. the shard map never converged within
-    :data:`~repro.kvstore.batching.MAX_STALE_RETRIES` replays).
+    :data:`~repro.kvstore.engine.server.MAX_STALE_RETRIES` replays).
     """
 
     op_id: str

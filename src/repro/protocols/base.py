@@ -7,7 +7,7 @@ the client contacts all servers (query or update) and waits for replies from
 
 * every protocol's client logic is an ordinary Python **generator** that
   yields :class:`Broadcast` requests and receives lists of reply
-  :class:`~repro.sim.messages.Message` objects -- no knowledge of the
+  :class:`~repro.messages.Message` objects -- no knowledge of the
   transport, the clock, or asyncio;
 * every protocol's server logic is a plain object with a
   ``handle(message) -> Message | None`` method;

@@ -16,7 +16,7 @@ Two server designs cover every protocol in this library:
   (DGLV-style) protocols use, because the ``updated`` sets are exactly what
   the ``admissible`` predicate inspects.
 
-Both are plain objects operating on :class:`~repro.sim.messages.Message`
+Both are plain objects operating on :class:`~repro.messages.Message`
 values -- no clock, no network -- so they run unchanged under the simulator,
 the asyncio transport and the direct in-process driver.
 """

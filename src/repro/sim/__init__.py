@@ -21,7 +21,7 @@ from .delays import (
     UniformDelay,
 )
 from .failures import CrashPlan, FailureInjector
-from .messages import Message
+from ..messages import Message
 from .network import DeliveryRecord, Network, SkipRule
 from .process import Process, ServerProcess
 from .runtime import Simulation, SimulationResult

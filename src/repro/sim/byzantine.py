@@ -30,7 +30,7 @@ from ..core.errors import ConfigurationError
 from ..core.timestamps import Tag
 from ..protocols.base import ServerLogic
 from ..protocols.codec import encode_tag
-from .messages import Message
+from ..messages import Message
 
 __all__ = [
     "ByzantineBehavior",

@@ -17,7 +17,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from ..core.errors import ProtocolError
 from ..core.operations import OpKind, new_op_id
 from ..protocols.base import Broadcast, ClientLogic, OperationOutcome
-from .messages import Message
+from ..messages import Message
 from .process import Process
 from .tracing import HistoryRecorder
 

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Set
 from ..core.errors import SimulationError
 from .clock import EventQueue
 from .delays import ConstantDelay, DelayModel
-from .messages import Message
+from ..messages import Message
 
 __all__ = ["SkipRule", "Network", "DeliveryRecord"]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from .messages import Message
+from ..messages import Message
 from .network import Network
 
 __all__ = ["Process", "ServerProcess"]

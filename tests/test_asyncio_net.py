@@ -14,7 +14,7 @@ from repro.core.timestamps import Tag
 from repro.protocols.codec import encode_tag
 from repro.protocols.registry import build_protocol
 from repro.protocols.server_state import TagValueServer
-from repro.sim.messages import Message
+from repro.messages import Message
 from repro.util.ids import server_ids
 
 

@@ -22,7 +22,7 @@ from repro.sim.byzantine import (
     make_byzantine,
 )
 from repro.sim.delays import UniformDelay
-from repro.sim.messages import Message
+from repro.messages import Message
 from repro.sim.runtime import Simulation
 from repro.util.ids import client_ids, server_ids
 from repro.workloads.generators import apply_open_loop, uniform_open_loop

@@ -32,7 +32,7 @@ from repro.asyncio_net.codec import (
     encode_proxy_frame,
     encode_view_push_frame,
 )
-from repro.sim.messages import (
+from repro.messages import (
     BATCH_ACK_KIND,
     BATCH_KIND,
     PROXY_ACK_KIND,

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from repro.asyncio_net.codec import MAX_FRAME_BYTES, FrameError, decode_message, encode_message
 from repro.asyncio_net.framed import RECV_BYTES, FramedConnection
-from repro.sim.messages import Message
+from repro.messages import Message
 
 from test_codec_properties import _assert_same_message, _codec, _messages
 

@@ -1,6 +1,6 @@
 """Tests for the sans-I/O kvstore engine: equivalence, deltas, import ban.
 
-Three concerns, each guarding the engine extraction a different way:
+Four concerns, each guarding the engine extraction a different way:
 
 * **Cross-backend equivalence** -- the same scripted operation sequence is
   driven through a pure in-memory harness, the simulator adapter, and the
@@ -14,6 +14,8 @@ Three concerns, each guarding the engine extraction a different way:
 * **Import ban** -- ``repro.kvstore.engine`` must import neither
   ``asyncio`` nor ``repro.sim``: the engines are transport-free, and this
   test keeps them that way.
+* **One interpreter** -- only ``engine/runtime.py`` dispatches on the timer
+  effects; an adapter that grows its own loop fails an AST scan.
 """
 
 from __future__ import annotations
@@ -532,15 +534,32 @@ def _timer_counters(snapshot, tier):
             counters["timers_cancelled"])
 
 
-def _assert_timer_lifecycle(snapshot, tiers=("client", "proxy")):
+def _assert_timer_lifecycle(snapshot, tiers=("client", "proxy", "replica", "control")):
     """Every armed timer is accounted exactly once: fired or cancelled."""
     for tier in tiers:
         if tier not in snapshot:
             continue
-        armed, fired, cancelled = _timer_counters(snapshot, tier)
+        # A tier that never armed a timer has no timer counters at all (the
+        # replica tier's are not seeded).
+        counters = snapshot[tier]["counters"]
+        armed, fired, cancelled = (
+            counters.get(name, 0)
+            for name in ("timers_armed", "timers_fired", "timers_cancelled")
+        )
         assert armed == fired + cancelled, (
             f"{tier}: {armed} armed != {fired} fired + {cancelled} cancelled"
         )
+
+
+def _assert_every_tier_arms_and_balances(result):
+    """A proxied, cached, resized run exercises timers on all four tiers --
+    client flushes, proxy merge windows, replica leases, control-plane drain
+    retries -- and each tier's adapter must account for every one of them."""
+    assert result.check().all_atomic
+    assert set(result.metrics) >= {"client", "proxy", "replica", "control"}
+    _assert_timer_lifecycle(result.metrics)
+    for tier in ("replica", "control"):
+        assert result.metrics[tier]["counters"].get("timers_armed", 0) > 0, tier
 
 
 class TestObserverSeam:
@@ -606,6 +625,26 @@ class TestObserverSeam:
         # Round timeouts armed by the asyncio policy resolve through the
         # cancel path; watchdogs stranded at close resolve through shutdown.
         _assert_timer_lifecycle(result.metrics)
+
+    def test_sim_timer_lifecycle_on_all_four_tiers(self):
+        workload = generate_workload(num_clients=2, ops_per_client=12,
+                                     num_keys=12, seed=3)
+        _assert_every_tier_arms_and_balances(run_sim_kv_workload(
+            workload, num_shards=4, num_groups=2, use_proxy=True,
+            read_cache=8, resize_to=6,
+        ))
+
+    def test_asyncio_timer_lifecycle_on_all_four_tiers(self):
+        from repro.kvstore import run_asyncio_kv_workload
+
+        # Lease timers and drain retries still armed at teardown resolve
+        # through ReplicaServer.stop() / the control driver's shutdown().
+        workload = generate_workload(num_clients=2, ops_per_client=12,
+                                     num_keys=12, seed=3)
+        _assert_every_tier_arms_and_balances(run_asyncio_kv_workload(
+            workload, num_shards=4, num_groups=2, use_proxy=True,
+            read_cache=8, resize_to=6,
+        ))
 
 
 # -- delta view pushes ----------------------------------------------------------
@@ -773,4 +812,55 @@ class TestEngineImportBan:
         env = dict(os.environ, PYTHONPATH=str(src))
         subprocess.run(
             [sys.executable, "-c", code], check=True, env=env, timeout=60
+        )
+
+
+# -- one interpreter ------------------------------------------------------------
+
+
+class TestOneEffectInterpreter:
+    """Only ``engine/runtime.py`` may dispatch on the timer effects: a second
+    interpreter is a second timer table, and the copies drift (two of five
+    once emitted no ``timer.*`` events)."""
+
+    PACKAGE_DIR = Path(engine_package.__file__).resolve().parents[2]
+    TIMER_EFFECTS = {"StartTimer", "CancelTimer"}
+
+    def _names(self, node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    def _dispatches_on_timer_effects(self, tree) -> bool:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and self._names(node.args[1]) & self.TIMER_EFFECTS):
+                return True
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Is, ast.Eq)) for op in node.ops)
+                    and any(self._names(side) & self.TIMER_EFFECTS
+                            for side in node.comparators)):
+                return True  # type(effect) is StartTimer
+        return False
+
+    def test_only_the_runtime_interprets_timer_effects(self):
+        interpreters = sorted(
+            str(path.relative_to(self.PACKAGE_DIR))
+            for path in self.PACKAGE_DIR.rglob("*.py")
+            if self._dispatches_on_timer_effects(
+                ast.parse(path.read_text(encoding="utf-8"))
+            )
+        )
+        assert interpreters == [os.path.join("kvstore", "engine", "runtime.py")]
+
+    def test_the_scan_sees_both_dispatch_spellings(self):
+        for source in ("isinstance(e, StartTimer)",
+                       "isinstance(e, (SendFrame, effects.CancelTimer))",
+                       "type(e) is StartTimer"):
+            assert self._dispatches_on_timer_effects(ast.parse(source)), source
+        assert not self._dispatches_on_timer_effects(
+            ast.parse("x = [StartTimer(tid, 1.0)]; isinstance(e, SendFrame)")
         )

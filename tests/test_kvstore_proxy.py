@@ -1,4 +1,4 @@
-"""Tests for the site-local ingress proxy tier (repro.kvstore.proxy)."""
+"""Tests for the site-local ingress proxy tier (repro.kvstore.engine.proxy)."""
 
 from __future__ import annotations
 

@@ -6,16 +6,11 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.timestamps import Tag
-from repro.kvstore.batching import (
-    STALE_SHARD_KIND,
-    BatchGroupServer,
-    BatchShardServer,
-    BatchStats,
-)
+from repro.kvstore.engine import STALE_SHARD_KIND, BatchStats, GroupServerEngine
 from repro.kvstore.sharding import HashRing, ShardMap, stable_hash
 from repro.protocols.codec import encode_tag
 from repro.protocols.registry import build_protocol
-from repro.sim.messages import (
+from repro.messages import (
     BATCH_ACK_KIND,
     Message,
     SubRequest,
@@ -147,19 +142,16 @@ class TestShardMap:
         assert all(count == 4 for count in counts.values())  # round robin
 
 
-def _tagged(server: BatchGroupServer, shard: str, key: str, message: Message,
+def _tagged(server: GroupServerEngine, shard: str, key: str, message: Message,
             epoch=None) -> SubRequest:
     resolved = epoch if epoch is not None else server.hosted_epoch(shard)
     return SubRequest(key=key, message=message, shard=shard, epoch=resolved)
 
 
-class TestBatchGroupServer:
+class TestGroupServerEngine:
     def _server(self, shards=("sha", "shb")):
         protocol = build_protocol("abd-mwmr", ["s1", "s2", "s3"], 1)
-        return BatchGroupServer("s1", protocol, {shard: 1 for shard in shards})
-
-    def test_alias_preserved(self):
-        assert BatchShardServer is BatchGroupServer
+        return GroupServerEngine("s1", protocol, {shard: 1 for shard in shards})
 
     def test_routes_sub_requests_per_key_across_shards(self):
         server = self._server()

@@ -7,7 +7,7 @@ import pytest
 from repro.core.timestamps import BOTTOM_TAG, Tag
 from repro.protocols.codec import decode_tag, encode_tag
 from repro.protocols.server_state import TagValueServer, ValueVectorServer
-from repro.sim.messages import Message
+from repro.messages import Message
 
 
 def query(sender="r1"):

@@ -13,7 +13,7 @@ from repro.sim.delays import (
     PerLinkDelay,
     UniformDelay,
 )
-from repro.sim.messages import Message
+from repro.messages import Message
 from repro.sim.network import Network, SkipRule
 
 

@@ -21,7 +21,7 @@ from repro.kvstore import AsyncKVCluster, KVStore, ShardMap
 from repro.kvstore.engine.effects import SendFrame, StartTimer
 from repro.protocols.codec import encode_tag
 from repro.protocols.server_state import TagValueServer
-from repro.sim.messages import Message
+from repro.messages import Message
 
 from test_kvstore_failover import FAST_RETRY
 
