@@ -1,7 +1,7 @@
 """Schema check for the ``--quick`` benchmark summary and its metrics sidecar.
 
 CI regenerates ``BENCH_kv.json`` (one section per ``bench_kv_*.py`` /
-``bench_observe_emit.py`` run) and ``BENCH_kv_metrics.json`` (one per-tier
+``bench_observe_emit.py`` / ``bench_codec.py`` run) and ``BENCH_kv_metrics.json`` (one per-tier
 metrics snapshot per run and backend); this script checks that every
 expected section is present and shaped the way its readers expect, and that
 every snapshot passes :func:`repro.observe.validate_metrics_snapshot` for
@@ -25,7 +25,7 @@ from repro.observe import validate_metrics_snapshot
 
 SUMMARY_SECTIONS = {
     "kv_sharding", "kv_resize", "kv_proxy", "kv_failover",
-    "kv_autoscale", "kv_cache", "observe_emit",
+    "kv_autoscale", "kv_cache", "observe_emit", "codec",
 }
 ZIPF_ROW_KEYS = {"skew", "cold", "warm", "read_subs_ratio"}
 STALL_ROW_KEYS = {"drain_range_size", "ranges_drained", "max_stall", "cutover_p99"}

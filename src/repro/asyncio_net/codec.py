@@ -1,69 +1,51 @@
-"""Length-prefixed JSON framing for the asyncio transport.
+"""Length-prefixed JSON framing for the asyncio transport: one array per frame.
 
-One frame is a 4-byte big-endian length header followed by a JSON body.  The
-body is a single :class:`~repro.messages.Message`; batch frames (used by
-:mod:`repro.kvstore` to coalesce several sub-requests into one round) are
-ordinary messages of kind ``"batch"``/``"batch-ack"`` whose payload packs the
-sub-messages -- including each sub-request's (shard, epoch) routing tag, the
-fence that makes live rebalancing safe -- so the wire format needs no second
-framing layer: :func:`encode_batch_frame`/:func:`decode_batch_frame` are the
-convenience composition of both layers.
+One frame is a 4-byte big-endian length header followed by a JSON body, and
+every body is **one array**::
+
+    [kind, sender, receiver, op_id, round_trip, msg_id, trace, payload]
+
+For the four frame kinds whose payload holds typed records
+(:mod:`repro.messages`), ``payload`` is a list of positional rows written
+straight from those objects and read straight back into them:
+
+=============  ==============================================================
+``batch``      ``[key, sender, kind, payload, op_id, round_trip, trace,
+               shard, epoch, lease]`` per :class:`~repro.messages.SubRequest`
+``batch-ack``  ``[key, sender, kind, payload, op_id, round_trip, trace]`` per
+               served sub, ``null`` for a sub that got no reply
+``proxy``      a :class:`~repro.messages.ProxySubRequest`, field for field
+``proxy-ack``  ``[op_id, round_trip, [[sender, kind, payload], ...], error]``
+               per :class:`~repro.messages.ProxySubReply`
+=============  ==============================================================
+
+For every other kind ``payload`` is the message's payload dict unchanged.
+There is no intermediate dict-of-dicts form and no second format: every
+process of the store runs the same checkout.
+
+Decoding validates what the engines route by, so a frame that decodes is a
+frame ``unpack_*`` accepts: row arity, ``str``/``int`` routing fields,
+``dict`` payloads, and the field checks of the lease, drain and view-push
+frames.  Anything else -- bad UTF-8, bad JSON, an object body, a short row --
+is a :class:`FrameError`, the one exception a receiver treats as "this
+connection is garbage".  ``tests/test_codec_properties.py`` pins the exact
+bytes of one frame per kind; a format change edits those.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Tuple
 
-from ..messages import (
-    Message,
-    ProxySubReply,
-    ProxySubRequest,
-    SubRequest,
-    make_batch,
-    make_drain_install,
-    make_drain_transfer,
-    make_lease_grant,
-    make_lease_invalidate,
-    make_lease_release,
-    make_proxy_ack,
-    make_proxy_request,
-    make_view_push,
-    unpack_batch,
-    unpack_drain_install,
-    unpack_drain_transfer,
-    unpack_lease_grant,
-    unpack_lease_invalidate,
-    unpack_lease_release,
-    unpack_proxy_ack,
-    unpack_proxy_request,
-    unpack_view_push,
-)
+from .. import messages
+from ..messages import Message, ProxySubReply, ProxySubRequest, SubRequest
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "FrameError",
     "encode_message",
     "decode_message",
-    "encode_batch_frame",
-    "decode_batch_frame",
-    "encode_proxy_frame",
-    "decode_proxy_frame",
-    "encode_proxy_ack_frame",
-    "decode_proxy_ack_frame",
-    "encode_view_push_frame",
-    "decode_view_push_frame",
-    "encode_drain_transfer_frame",
-    "decode_drain_transfer_frame",
-    "encode_drain_install_frame",
-    "decode_drain_install_frame",
-    "encode_lease_grant_frame",
-    "decode_lease_grant_frame",
-    "encode_lease_invalidate_frame",
-    "decode_lease_invalidate_frame",
-    "encode_lease_release_frame",
-    "decode_lease_release_frame",
     "read_frame",
     "write_frame",
 ]
@@ -75,27 +57,189 @@ _HEADER = struct.Struct("!I")
 #: peer sends garbage that parses as an absurd length header.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+# One encoder and one decoder for every frame.  ``json.dumps`` with compact
+# separators builds a fresh ``JSONEncoder`` per call (payloads are JSON trees,
+# so the cycle bookkeeping is off: a cycle is a RecursionError), and
+# ``json.loads`` spends as long again on argument checks and whitespace scans
+# as a small frame's parse takes; ``raw_decode`` is the parse alone (and
+# reports where it ended, so trailing bytes are caught below).
+_dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_loads = json.JSONDecoder().raw_decode
+
 
 class FrameError(ValueError):
     """A frame that cannot be encoded or decoded safely."""
 
 
+#: ``type(x) in _OPT_STR``: an optional field that, when set, must hash and
+#: compare as the engines expect (ids, traces, shard and lease tags).
+_OPT_STR = (str, type(None))
+_OPT_INT = (int, type(None))
+
+
+def _rows(rows: Any) -> List[Any]:
+    if type(rows) is not list:
+        raise ValueError(f"expected a list of rows, got {type(rows).__name__}")
+    return rows
+
+
+# -- per-kind rows: (to_rows, from_rows) ------------------------------------------
+#
+# ``to_rows(payload)`` reads the typed records of an outbound frame;
+# ``from_rows(receiver, rows)`` checks and rebuilds them, addressed to the
+# frame's receiver.  Unpacking a row into names checks its arity (a number
+# or ``null`` does not unpack at all; a string or an object of the right
+# length unpacks into strings, which the ``int``/``dict`` checks then
+# refuse), and every failure surfaces as ValueError/TypeError for
+# ``decode_message`` to wrap.
+
+
+def _batch_rows(payload: Dict[str, Any]) -> List[Any]:
+    return [
+        [key, sub.sender, sub.kind, sub.payload, sub.op_id, sub.round_trip,
+         sub.trace, shard, epoch, lease]
+        for key, sub, shard, epoch, lease in payload["ops"]
+    ]
+
+
+def _batch_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
+    ops = []
+    for row in _rows(rows):
+        (key, sender, kind, payload, op_id, round_trip, trace,
+         shard, epoch, lease) = row
+        if not (
+            type(key) is str and type(sender) is str and type(kind) is str
+            and type(payload) is dict and type(round_trip) is int
+            and type(epoch) is int and type(op_id) in _OPT_STR
+            and type(trace) in _OPT_STR and type(shard) in _OPT_STR
+            and type(lease) in _OPT_STR
+        ):
+            raise ValueError(f"mistyped batch row {row!r}")
+        ops.append(SubRequest(
+            key,
+            Message(sender, receiver, kind, payload, op_id, round_trip, trace=trace),
+            shard, epoch, lease,
+        ))
+    return {"ops": ops}
+
+
+def _batch_ack_rows(payload: Dict[str, Any]) -> List[Any]:
+    rows: List[Any] = []
+    for ack in payload["acks"]:
+        if ack is None:
+            rows.append(None)
+        else:
+            key, reply = ack
+            rows.append([key, reply.sender, reply.kind, reply.payload,
+                         reply.op_id, reply.round_trip, reply.trace])
+    return rows
+
+
+def _batch_ack_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
+    acks: List[Any] = []
+    for row in _rows(rows):
+        if row is None:
+            acks.append(None)
+            continue
+        key, sender, kind, payload, op_id, round_trip, trace = row
+        if not (
+            type(key) is str and type(sender) is str and type(kind) is str
+            and type(payload) is dict and type(round_trip) is int
+            and type(op_id) in _OPT_STR and type(trace) in _OPT_STR
+        ):
+            raise ValueError(f"mistyped batch-ack row {row!r}")
+        acks.append((
+            key,
+            Message(sender, receiver, kind, payload, op_id, round_trip, trace=trace),
+        ))
+    return {"acks": acks}
+
+
+def _proxy_rows(payload: Dict[str, Any]) -> List[Any]:
+    return payload["ops"]  # NamedTuples of JSON values: arrays as they stand
+
+
+def _proxy_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
+    ops = []
+    for row in _rows(rows):
+        (key, op_kind, kind, payload, op_id, round_trip, wait_for, per_server,
+         trace) = row
+        if not (
+            type(key) is str and type(op_kind) is str and type(kind) is str
+            and type(payload) is dict and type(op_id) is str
+            and type(round_trip) is int and type(wait_for) in _OPT_INT
+            and type(trace) in _OPT_STR
+            and (per_server is None or (
+                type(per_server) is dict
+                and all(type(p) is dict for p in per_server.values())
+            ))
+        ):
+            raise ValueError(f"mistyped proxy row {row!r}")
+        ops.append(ProxySubRequest(key, op_kind, kind, payload, op_id,
+                                   round_trip, wait_for, per_server, trace))
+    return {"ops": ops}
+
+
+def _proxy_ack_rows(payload: Dict[str, Any]) -> List[Any]:
+    return [
+        [op_id, round_trip,
+         [[r.sender, r.kind, r.payload] for r in replies], error]
+        for op_id, round_trip, replies, error in payload["acks"]
+    ]
+
+
+def _proxy_ack_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
+    acks = []
+    for row in _rows(rows):
+        op_id, round_trip, reply_rows, error = row
+        if not (type(op_id) is str and type(round_trip) is int
+                and type(error) in _OPT_STR):
+            raise ValueError(f"mistyped proxy-ack row {row!r}")
+        replies = []
+        for reply_row in _rows(reply_rows):
+            sender, kind, payload = reply_row
+            if not (type(sender) is str and type(kind) is str
+                    and type(payload) is dict):
+                raise ValueError(f"mistyped proxy-ack reply {reply_row!r}")
+            replies.append(
+                Message(sender, receiver, kind, payload, op_id, round_trip)
+            )
+        acks.append(ProxySubReply(op_id, round_trip, tuple(replies), error))
+    return {"acks": acks}
+
+
+_ROWS: Dict[str, Tuple[Callable[[Dict[str, Any]], List[Any]],
+                       Callable[[str, Any], Dict[str, Any]]]] = {
+    messages.BATCH_KIND: (_batch_rows, _batch_from_rows),
+    messages.BATCH_ACK_KIND: (_batch_ack_rows, _batch_ack_from_rows),
+    messages.PROXY_KIND: (_proxy_rows, _proxy_from_rows),
+    messages.PROXY_ACK_KIND: (_proxy_ack_rows, _proxy_ack_from_rows),
+}
+
+#: Dict-payload kinds whose fields an engine indexes by: their ``unpack_*``
+#: runs once at decode.
+_CHECKS: Dict[str, Callable[[Message], Any]] = {
+    messages.VIEW_PUSH_KIND: messages.unpack_view_push,
+    messages.DRAIN_FENCE_KIND: messages.unpack_drain_fence,
+    messages.DRAIN_HOST_KIND: messages.unpack_drain_host,
+    messages.DRAIN_TRANSFER_KIND: messages.unpack_drain_transfer,
+    messages.DRAIN_INSTALL_KIND: messages.unpack_drain_install,
+    messages.DRAIN_COMPLETE_KIND: messages.unpack_drain_complete,
+    messages.LEASE_GRANT_KIND: messages.unpack_lease_grant,
+    messages.LEASE_INVALIDATE_KIND: messages.unpack_lease_invalidate,
+    messages.LEASE_RELEASE_KIND: messages.unpack_lease_release,
+}
+
+
 def encode_message(message: Message) -> bytes:
     """Serialize a message to a length-prefixed JSON frame."""
-    fields = {
-        "sender": message.sender,
-        "receiver": message.receiver,
-        "kind": message.kind,
-        "payload": message.payload,
-        "op_id": message.op_id,
-        "round_trip": message.round_trip,
-        "msg_id": message.msg_id,
-    }
-    # The trace-context id is optional on the wire: frames from peers that
-    # predate it stay byte-identical, and decoders default it to None.
-    if message.trace is not None:
-        fields["trace"] = message.trace
-    body = json.dumps(fields, separators=(",", ":")).encode("utf-8")
+    kind, payload = message.kind, message.payload
+    rows = _ROWS.get(kind)
+    body = _dumps([
+        kind, message.sender, message.receiver, message.op_id,
+        message.round_trip, message.msg_id, message.trace,
+        payload if rows is None else rows[0](payload),
+    ]).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame body of {len(body)} bytes exceeds MAX_FRAME_BYTES"
@@ -107,141 +251,39 @@ def decode_message(body: bytes) -> Message:
     """Deserialize the JSON body of a frame back into a Message.
 
     Every undecodable body -- bad UTF-8, bad JSON (or JSON nested past the
-    recursion limit), not an object, no ``sender``/``receiver``/``kind`` --
-    raises :class:`FrameError`, so a receiver has one exception to treat as
-    "this connection is garbage".
+    recursion limit), not the eight-element array, a mistyped routing field,
+    a malformed row -- raises :class:`FrameError`, so a receiver has one
+    exception to treat as "this connection is garbage".
     """
     try:
-        data: Dict[str, Any] = json.loads(body.decode("utf-8"))
-        return Message(
-            sender=data["sender"],
-            receiver=data["receiver"],
-            kind=data["kind"],
-            payload=data.get("payload", {}),
-            op_id=data.get("op_id"),
-            round_trip=data.get("round_trip", 0),
-            msg_id=data.get("msg_id", 0),
-            trace=data.get("trace"),
+        text = body.decode("utf-8")
+        envelope, end = _loads(text)
+        if end != len(text):
+            raise ValueError("trailing bytes after the frame's array")
+        (kind, sender, receiver, op_id, round_trip, msg_id, trace,
+         payload) = envelope
+        if not (
+            type(kind) is str and type(sender) is str and type(receiver) is str
+            and type(round_trip) is int and type(msg_id) is int
+            and type(op_id) in _OPT_STR and type(trace) in _OPT_STR
+        ):
+            raise ValueError("mistyped frame header")
+        rows = _ROWS.get(kind)
+        if rows is not None:
+            payload = rows[1](receiver, payload)
+        elif type(payload) is not dict:
+            raise ValueError(
+                f"expected a payload object, got {type(payload).__name__}"
+            )
+        message = Message(
+            sender, receiver, kind, payload, op_id, round_trip, msg_id, trace
         )
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        check = _CHECKS.get(kind)
+        if check is not None:
+            check(message)
+        return message
+    except (ValueError, TypeError, RecursionError) as exc:
         raise FrameError(f"undecodable frame body: {exc!r}") from exc
-
-
-def encode_batch_frame(
-    sender: str, receiver: str, sub_messages: Sequence
-) -> bytes:
-    """Pack sub-requests (:class:`SubRequest` or ``(key, message)`` pairs)
-    into one encoded batch frame."""
-    return encode_message(make_batch(sender, receiver, sub_messages))
-
-
-def decode_batch_frame(body: bytes) -> List[SubRequest]:
-    """Inverse of :func:`encode_batch_frame` (body excludes the length header)."""
-    return unpack_batch(decode_message(body))
-
-
-def encode_proxy_frame(
-    sender: str, receiver: str, subs: Sequence[ProxySubRequest]
-) -> bytes:
-    """Pack forwarded rounds into one encoded proxy frame (client -> proxy)."""
-    return encode_message(make_proxy_request(sender, receiver, subs))
-
-
-def decode_proxy_frame(body: bytes) -> List[ProxySubRequest]:
-    """Inverse of :func:`encode_proxy_frame` (body excludes the length header)."""
-    return unpack_proxy_request(decode_message(body))
-
-
-def encode_proxy_ack_frame(
-    sender: str, receiver: str, sub_replies: Sequence[ProxySubReply]
-) -> bytes:
-    """Pack completed rounds into one encoded proxy ack frame (proxy -> client)."""
-    return encode_message(make_proxy_ack(sender, receiver, sub_replies))
-
-
-def decode_proxy_ack_frame(body: bytes) -> List[ProxySubReply]:
-    """Inverse of :func:`encode_proxy_ack_frame` (body excludes the header)."""
-    return unpack_proxy_ack(decode_message(body))
-
-
-def encode_view_push_frame(
-    sender: str, receiver: str, view: Dict[str, Any]
-) -> bytes:
-    """Pack one shard-map view into an encoded control-plane push frame."""
-    return encode_message(make_view_push(sender, receiver, view))
-
-
-def decode_view_push_frame(body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_view_push_frame` (body excludes the header)."""
-    return unpack_view_push(decode_message(body))
-
-
-def encode_drain_transfer_frame(
-    sender: str, receiver: str, mig: str, token: str, shard: str,
-    keys: Sequence[str],
-) -> bytes:
-    """One incremental-drain transfer request as a wire frame."""
-    return encode_message(
-        make_drain_transfer(sender, receiver, mig, token, shard, keys)
-    )
-
-
-def decode_drain_transfer_frame(body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_drain_transfer_frame` (no length header)."""
-    return unpack_drain_transfer(decode_message(body))
-
-
-def encode_drain_install_frame(
-    sender: str, receiver: str, mig: str, token: str, shard: str, epoch: int,
-    keys: Sequence[str], states: Dict[str, List[Dict[str, Any]]],
-) -> bytes:
-    """One incremental-drain install request as a wire frame."""
-    return encode_message(
-        make_drain_install(sender, receiver, mig, token, shard, epoch, keys,
-                           states)
-    )
-
-
-def decode_drain_install_frame(body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_drain_install_frame` (no length header)."""
-    return unpack_drain_install(decode_message(body))
-
-
-def encode_lease_grant_frame(
-    sender: str, receiver: str, keys: Sequence[str], ttl: float,
-    nonces: Sequence[str],
-) -> bytes:
-    """One read-lease grant (replica -> proxy) as a wire frame."""
-    return encode_message(make_lease_grant(sender, receiver, keys, ttl, nonces))
-
-
-def decode_lease_grant_frame(body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_lease_grant_frame` (no length header)."""
-    return unpack_lease_grant(decode_message(body))
-
-
-def encode_lease_invalidate_frame(
-    sender: str, receiver: str, keys: Sequence[str]
-) -> bytes:
-    """One lease invalidation (replica -> holder) as a wire frame."""
-    return encode_message(make_lease_invalidate(sender, receiver, keys))
-
-
-def decode_lease_invalidate_frame(body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_lease_invalidate_frame` (no length header)."""
-    return unpack_lease_invalidate(decode_message(body))
-
-
-def encode_lease_release_frame(
-    sender: str, receiver: str, keys: Sequence[str]
-) -> bytes:
-    """One lease release (holder -> replica) as a wire frame."""
-    return encode_message(make_lease_release(sender, receiver, keys))
-
-
-def decode_lease_release_frame(body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_lease_release_frame` (no length header)."""
-    return unpack_lease_release(decode_message(body))
 
 
 async def read_frame(reader) -> Message:

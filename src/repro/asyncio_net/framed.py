@@ -1,15 +1,17 @@
 """One connection class for every hot endpoint: frames in, frames out.
 
 :class:`FramedConnection` is an asyncio protocol speaking the wire format of
-:mod:`repro.asyncio_net.codec` (4-byte big-endian length, JSON body), with no
-stream objects and no reader task between the socket and the owner:
+:mod:`repro.asyncio_net.codec` (4-byte big-endian length, then one JSON
+array whose typed payloads are positional rows), with no stream objects and
+no reader task between the socket and the owner:
 
 * **Receiving.**  ``data_received`` cuts whatever chunk the socket produced
   into frames -- several frames in one chunk, a frame (or its header) split
   over many chunks -- and hands each decoded
-  :class:`~repro.messages.Message` to the owner's ``on_frame`` *in the same
-  event-loop turn*.  No task wakes up and nothing is awaited per frame.  The
-  socket is read into one small buffer the connection owns
+  :class:`~repro.messages.Message` -- its sub-requests and replies already
+  the typed records the engines unpack -- to the owner's ``on_frame`` *in the
+  same event-loop turn*.  No task wakes up and nothing is awaited per frame.
+  The socket is read into one small buffer the connection owns
   (:class:`asyncio.BufferedProtocol`), because a plain protocol makes the
   transport allocate -- and glibc trim -- a fresh 256 KiB ``bytes`` for
   every ``recv``, which costs a page fault per frame whenever the heap
@@ -19,7 +21,8 @@ stream objects and no reader task between the socket and the owner:
   once; nobody waits for it to drain.
 * **Dying.**  However the connection ends without the owner having asked --
   the peer closed or reset it, a write failed, the stream ended mid-frame,
-  a length header exceeded ``MAX_FRAME_BYTES``, a body would not decode --
+  a length header exceeded ``MAX_FRAME_BYTES``, a body would not decode or
+  decoded to the wrong shape (one ``FrameError`` either way) --
   ``on_lost`` is called exactly once, from ``connection_lost``, with the
   reason.  A connection ended by the owner's own :meth:`close` is not "lost"
   and reports nothing.

@@ -436,18 +436,18 @@ class ClientSessionEngine:
         for server_id in group.servers:
             subs = [
                 SubRequest(
-                    key=op.key,
-                    message=Message(
-                        sender=self.client_id,
-                        receiver=server_id,
-                        kind=op.request.kind,
-                        payload=op.request.payload_for(server_id),
-                        op_id=op.op_id,
-                        round_trip=op.round_trip,
+                    op.key,
+                    Message(
+                        self.client_id,
+                        server_id,
+                        op.request.kind,
+                        op.request.payload_for(server_id),
+                        op.op_id,
+                        op.round_trip,
                         trace=op.trace,
                     ),
-                    shard=op.spec.shard_id,
-                    epoch=op.epoch,
+                    op.spec.shard_id,
+                    op.epoch,
                 )
                 for op in batch
             ]

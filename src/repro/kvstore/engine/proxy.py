@@ -569,22 +569,21 @@ class ProxyEngine:
         for server_id in servers:
             subs = [
                 SubRequest(
-                    key=p.sub.key,
-                    message=Message(
-                        sender=p.client,
-                        receiver=server_id,
-                        kind=p.sub.kind,
-                        payload=p.sub.payload_for(server_id),
-                        op_id=p.scoped_id,
-                        round_trip=p.sub.round_trip,
+                    p.sub.key,
+                    Message(
+                        p.client,
+                        server_id,
+                        p.sub.kind,
+                        p.sub.payload_for(server_id),
+                        p.scoped_id,
+                        p.sub.round_trip,
                         trace=p.sub.trace,
                     ),
-                    shard=p.route.shard_id,
-                    epoch=p.route.epoch,
+                    p.route.shard_id,
+                    p.route.epoch,
                     # Evictions detach fills before this point, so the mark
                     # reflects the entry's liveness at flush time.
-                    lease=(p.fill_entry.nonce if p.fill_entry is not None
-                           else None),
+                    p.fill_entry.nonce if p.fill_entry is not None else None,
                 )
                 for p in batch
                 if server_id in p.targets

@@ -2,9 +2,19 @@
 
 This module is deliberately transport-neutral: the simulator delivers these
 objects directly, the asyncio codec (:mod:`repro.asyncio_net.codec`) puts
-them on the wire as length-prefixed JSON, and the sans-I/O kvstore engines
-(:mod:`repro.kvstore.engine`) consume and emit them without knowing which
-transport is underneath.
+them on the wire as length-prefixed JSON arrays, and the sans-I/O kvstore
+engines (:mod:`repro.kvstore.engine`) consume and emit them without knowing
+which transport is underneath.
+
+A frame's payload holds its **typed records themselves** -- ``{"ops":
+[SubRequest, ...]}``, ``{"acks": [(key, reply) | None, ...]}``, ``{"ops":
+[ProxySubRequest, ...]}``, ``{"acks": [ProxySubReply, ...]}`` -- already
+addressed to the frame's receiver.  ``make_*`` puts them in that final form
+once, ``unpack_*`` is a kind check plus a field access, and in between an
+in-process transport moves the frame with no packing at all; only the wire
+codec turns records into positional rows, straight from (and back into)
+these objects.  Receivers must therefore treat an inbound record and its
+payload dict as read-only: in-process it *is* the sender's object.
 
 Besides the plain :class:`Message` envelope this module defines the **batch
 frame** used by the sharded key-value store (:mod:`repro.kvstore`): several
@@ -108,9 +118,7 @@ class Message:
             the client and the proxy rewrite to attempt-scoped ids on retry
             and failover -- the trace id is stamped once when the application
             op enters the system and carried verbatim through every tier, so
-            observability tooling can stitch one op's full journey.  Peers
-            that predate the field simply omit it (decoders default to
-            ``None``).
+            observability tooling can stitch one op's full journey.
     """
 
     sender: str
@@ -119,19 +127,19 @@ class Message:
     payload: Dict[str, Any] = field(default_factory=dict)
     op_id: Optional[str] = None
     round_trip: int = 0
-    msg_id: int = field(default_factory=lambda: next(_message_counter))
+    msg_id: int = field(default_factory=_message_counter.__next__)
     trace: Optional[str] = None
 
     def reply(self, kind: str, payload: Optional[Dict[str, Any]] = None) -> "Message":
         """Construct a reply addressed back to the sender, tagged with the
         same operation id, round-trip index, and trace context."""
         return Message(
-            sender=self.receiver,
-            receiver=self.sender,
-            kind=kind,
-            payload=payload if payload is not None else {},
-            op_id=self.op_id,
-            round_trip=self.round_trip,
+            self.receiver,
+            self.sender,
+            kind,
+            payload if payload is not None else {},
+            self.op_id,
+            self.round_trip,
             trace=self.trace,
         )
 
@@ -170,8 +178,7 @@ class SubRequest(NamedTuple):
     against the *sender's own* lease only -- a fill writeback can only
     re-write a tag the sender's lease already covers, so deferring it
     against that lease would deadlock the fill, but leases held by *other*
-    proxies still defer it like any write.  The field is omitted from the
-    wire when unset, keeping legacy frames byte-identical.
+    proxies still defer it like any write.
     """
 
     key: str
@@ -186,56 +193,11 @@ class SubRequest(NamedTuple):
 SubRequestLike = Union[SubRequest, Tuple[str, Message]]
 
 
-def _coerce_sub(entry: SubRequestLike) -> SubRequest:
-    if isinstance(entry, SubRequest):
-        return entry
-    key, message = entry
-    return SubRequest(key, message)
-
-
-def _encode_sub(key: str, message: Message) -> Dict[str, Any]:
-    entry = {
-        "key": key,
-        "sender": message.sender,
-        "kind": message.kind,
-        "payload": message.payload,
-        "op_id": message.op_id,
-        "round_trip": message.round_trip,
-    }
-    if message.trace is not None:
-        entry["trace"] = message.trace
-    return entry
-
-
-def _encode_sub_request(sub: SubRequest) -> Dict[str, Any]:
-    entry = _encode_sub(sub.key, sub.message)
-    if sub.shard is not None:
-        entry["shard"] = sub.shard
-        entry["epoch"] = sub.epoch
-    if sub.lease is not None:
-        entry["lease"] = sub.lease
-    return entry
-
-
-def _decode_message(receiver: str, entry: Dict[str, Any]) -> Message:
+def _readdressed(message: Message, receiver: str) -> Message:
+    """A copy of ``message`` addressed to ``receiver`` (same routing tags)."""
     return Message(
-        sender=entry["sender"],
-        receiver=receiver,
-        kind=entry["kind"],
-        payload=entry.get("payload", {}),
-        op_id=entry.get("op_id"),
-        round_trip=entry.get("round_trip", 0),
-        trace=entry.get("trace"),
-    )
-
-
-def _decode_sub(receiver: str, entry: Dict[str, Any]) -> SubRequest:
-    return SubRequest(
-        key=entry["key"],
-        message=_decode_message(receiver, entry),
-        shard=entry.get("shard"),
-        epoch=entry.get("epoch", 0),
-        lease=entry.get("lease"),
+        message.sender, receiver, message.kind, message.payload,
+        message.op_id, message.round_trip, trace=message.trace,
     )
 
 
@@ -248,24 +210,26 @@ def make_batch(
     routed back to the operation that issued it; the ``key`` names the
     register the sub-message addresses and the optional ``shard``/``epoch``
     tag names the owning shard the client resolved (see :class:`SubRequest`).
+    The frame carries the :class:`SubRequest` objects themselves; only a bare
+    pair, or a sub addressed to someone other than ``receiver``, is rebuilt.
     """
     if not sub_messages:
         raise ValueError("a batch frame must contain at least one sub-message")
-    return Message(
-        sender=sender,
-        receiver=receiver,
-        kind=BATCH_KIND,
-        payload={
-            "ops": [_encode_sub_request(_coerce_sub(sub)) for sub in sub_messages]
-        },
-    )
+    ops: List[SubRequest] = []
+    for sub in sub_messages:
+        if type(sub) is not SubRequest:
+            sub = SubRequest(*sub)
+        if sub.message.receiver != receiver:
+            sub = sub._replace(message=_readdressed(sub.message, receiver))
+        ops.append(sub)
+    return Message(sender, receiver, BATCH_KIND, {"ops": ops})
 
 
 def unpack_batch(message: Message) -> List[SubRequest]:
     """Inverse of :func:`make_batch`: the route-tagged sub-requests."""
     if message.kind != BATCH_KIND:
         raise ValueError(f"not a batch frame: kind={message.kind!r}")
-    return [_decode_sub(message.receiver, entry) for entry in message.payload["ops"]]
+    return message.payload["ops"]
 
 
 def make_batch_ack(
@@ -274,19 +238,23 @@ def make_batch_ack(
     """Pack the per-sub-request replies of one batch into one ack frame.
 
     ``sub_replies`` pairs each key with the reply the per-key server logic
-    produced (``None`` entries -- a logic that chose not to reply -- are
-    preserved positionally as ``null`` so the client can account for them).
+    produced; a ``None`` reply -- a logic that chose not to reply -- becomes
+    a ``None`` entry, preserved positionally so the client can account for
+    it.  Replies travel addressed to the ack's receiver (behind a proxy the
+    per-key logic answers the *client* whose identity the sub carried).
     """
-    entries: List[Optional[Dict[str, Any]]] = []
+    receiver = request.sender
+    acks: List[Optional[Tuple[str, Message]]] = []
     for key, reply in sub_replies:
-        entries.append(None if reply is None else _encode_sub(key, reply))
+        if reply is None:
+            acks.append(None)
+        elif reply.receiver == receiver:
+            acks.append((key, reply))
+        else:
+            acks.append((key, _readdressed(reply, receiver)))
     return Message(
-        sender=request.receiver,
-        receiver=request.sender,
-        kind=BATCH_ACK_KIND,
-        payload={"acks": entries},
-        op_id=request.op_id,
-        round_trip=request.round_trip,
+        request.receiver, receiver, BATCH_ACK_KIND, {"acks": acks},
+        request.op_id, request.round_trip,
     )
 
 
@@ -294,13 +262,7 @@ def unpack_batch_ack(message: Message) -> List[Tuple[str, Optional[Message]]]:
     """Inverse of :func:`make_batch_ack`: ``(key, sub-reply | None)`` pairs."""
     if message.kind != BATCH_ACK_KIND:
         raise ValueError(f"not a batch ack frame: kind={message.kind!r}")
-    pairs: List[Tuple[str, Optional[Message]]] = []
-    for entry in message.payload["acks"]:
-        if entry is None:
-            pairs.append(("", None))
-        else:
-            pairs.append((entry["key"], _decode_message(message.receiver, entry)))
-    return pairs
+    return [("", None) if ack is None else ack for ack in message.payload["acks"]]
 
 
 # -- proxy frames (repro.kvstore.engine.proxy) ---------------------------------
@@ -359,38 +321,6 @@ class ProxySubReply(NamedTuple):
     error: Optional[str] = None
 
 
-def _encode_proxy_sub(sub: ProxySubRequest) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {
-        "key": sub.key,
-        "op_kind": sub.op_kind,
-        "kind": sub.kind,
-        "payload": sub.payload,
-        "op_id": sub.op_id,
-        "round_trip": sub.round_trip,
-    }
-    if sub.wait_for is not None:
-        entry["wait_for"] = sub.wait_for
-    if sub.per_server:
-        entry["per_server"] = sub.per_server
-    if sub.trace is not None:
-        entry["trace"] = sub.trace
-    return entry
-
-
-def _decode_proxy_sub(entry: Dict[str, Any]) -> ProxySubRequest:
-    return ProxySubRequest(
-        key=entry["key"],
-        op_kind=entry["op_kind"],
-        kind=entry["kind"],
-        payload=entry.get("payload", {}),
-        op_id=entry["op_id"],
-        round_trip=entry.get("round_trip", 0),
-        wait_for=entry.get("wait_for"),
-        per_server=entry.get("per_server"),
-        trace=entry.get("trace"),
-    )
-
-
 def make_proxy_request(
     sender: str, receiver: str, subs: Sequence[ProxySubRequest]
 ) -> Message:
@@ -403,19 +333,14 @@ def make_proxy_request(
     """
     if not subs:
         raise ValueError("a proxy frame must contain at least one sub-request")
-    return Message(
-        sender=sender,
-        receiver=receiver,
-        kind=PROXY_KIND,
-        payload={"ops": [_encode_proxy_sub(sub) for sub in subs]},
-    )
+    return Message(sender, receiver, PROXY_KIND, {"ops": list(subs)})
 
 
 def unpack_proxy_request(message: Message) -> List[ProxySubRequest]:
     """Inverse of :func:`make_proxy_request`."""
     if message.kind != PROXY_KIND:
         raise ValueError(f"not a proxy frame: kind={message.kind!r}")
-    return [_decode_proxy_sub(entry) for entry in message.payload["ops"]]
+    return message.payload["ops"]
 
 
 def make_proxy_ack(
@@ -423,58 +348,35 @@ def make_proxy_ack(
 ) -> Message:
     """Pack completed rounds into one proxy ack frame (proxy -> client).
 
-    Only (sender, kind, payload) of each replica reply go on the wire; the
-    round's identity travels once as (op_id, round_trip) on the
-    :class:`ProxySubReply`, so proxy-internal attempt-scoped ids never leak
-    back to the client.
+    Only (sender, kind, payload) of each replica reply survive: every reply
+    is rebuilt addressed to ``receiver`` and tagged with the round's identity
+    as it stands on the :class:`ProxySubReply`, so proxy-internal
+    attempt-scoped ids never enter the frame, let alone reach the client.
     """
     if not sub_replies:
         raise ValueError("a proxy ack frame must contain at least one reply")
-    entries: List[Dict[str, Any]] = []
-    for sub in sub_replies:
-        entry: Dict[str, Any] = {
-            "op_id": sub.op_id,
-            "round_trip": sub.round_trip,
-            "replies": [
-                {"sender": r.sender, "kind": r.kind, "payload": r.payload}
+    acks = [
+        ProxySubReply(
+            sub.op_id,
+            sub.round_trip,
+            tuple(
+                Message(r.sender, receiver, r.kind, r.payload,
+                        sub.op_id, sub.round_trip)
                 for r in sub.replies
-            ],
-        }
-        if sub.error is not None:
-            entry["error"] = sub.error
-        entries.append(entry)
-    return Message(
-        sender=sender, receiver=receiver, kind=PROXY_ACK_KIND, payload={"acks": entries}
-    )
+            ),
+            sub.error,
+        )
+        for sub in sub_replies
+    ]
+    return Message(sender, receiver, PROXY_ACK_KIND, {"acks": acks})
 
 
 def unpack_proxy_ack(message: Message) -> List[ProxySubReply]:
-    """Inverse of :func:`make_proxy_ack`: replies re-tagged with the round's
+    """Inverse of :func:`make_proxy_ack`: replies tagged with the round's
     (op_id, round_trip) and addressed to the receiving client."""
     if message.kind != PROXY_ACK_KIND:
         raise ValueError(f"not a proxy ack frame: kind={message.kind!r}")
-    subs: List[ProxySubReply] = []
-    for entry in message.payload["acks"]:
-        replies = tuple(
-            Message(
-                sender=r["sender"],
-                receiver=message.receiver,
-                kind=r["kind"],
-                payload=r.get("payload", {}),
-                op_id=entry["op_id"],
-                round_trip=entry.get("round_trip", 0),
-            )
-            for r in entry.get("replies", ())
-        )
-        subs.append(
-            ProxySubReply(
-                op_id=entry["op_id"],
-                round_trip=entry.get("round_trip", 0),
-                replies=replies,
-                error=entry.get("error"),
-            )
-        )
-    return subs
+    return message.payload["acks"]
 
 
 # -- view push frames (control plane -> proxies) --------------------------------
@@ -498,6 +400,16 @@ _DELTA_FIELDS = (
 )
 
 
+def _checked_view(view: Any) -> Dict[str, Any]:
+    if not isinstance(view, dict):
+        raise ValueError("a view push must carry a view mapping")
+    fields = _DELTA_FIELDS if view.get("delta") else _VIEW_FIELDS
+    missing = [field_name for field_name in fields if field_name not in view]
+    if missing:
+        raise ValueError(f"view push is missing fields: {missing}")
+    return view
+
+
 def make_view_push(sender: str, receiver: str, view: Dict[str, Any]) -> Message:
     """Pack one shard-map view (snapshot or delta) into a push frame.
 
@@ -509,15 +421,11 @@ def make_view_push(sender: str, receiver: str, view: Dict[str, Any]) -> Message:
     carries only the entries the rebalance touched (O(moved), not
     O(shards)) plus the ring epoch it was computed against.
     """
-    fields = _DELTA_FIELDS if view.get("delta") else _VIEW_FIELDS
-    missing = [field_name for field_name in fields if field_name not in view]
-    if missing:
-        raise ValueError(f"view push is missing fields: {missing}")
     return Message(
         sender=sender,
         receiver=receiver,
         kind=VIEW_PUSH_KIND,
-        payload={"view": view},
+        payload={"view": _checked_view(view)},
     )
 
 
@@ -525,7 +433,7 @@ def unpack_view_push(message: Message) -> Dict[str, Any]:
     """Inverse of :func:`make_view_push`: the pushed view snapshot."""
     if message.kind != VIEW_PUSH_KIND:
         raise ValueError(f"not a view push frame: kind={message.kind!r}")
-    return message.payload["view"]
+    return _checked_view(message.payload.get("view"))
 
 
 # -- drain frames (control plane <-> replicas, incremental migration) ------------
@@ -575,13 +483,37 @@ def _make_drain(sender: str, receiver: str, kind: str, mig: str, token: str,
     return Message(sender=sender, receiver=receiver, kind=kind, payload=payload)
 
 
-def _unpack_drain(message: Message, kind: str) -> Dict[str, Any]:
+#: What each named field of a drain or lease frame must be for the engines
+#: to index by it safely (a ``list`` is a list of strings: keys and nonces).
+_FIELD_TYPES: Dict[str, Any] = {
+    "mig": str, "token": str, "shard": str, "epoch": int, "evict": bool,
+    "keys": list, "drop_keys": list, "nonces": list, "states": dict,
+    "ttl": (int, float),
+}
+
+
+def _unpack(message: Message, kind: str, fields: Tuple[str, ...]) -> Dict[str, Any]:
+    """The payload of a drain or lease frame, its ``fields`` checked.
+
+    Runs wherever the frame is consumed and, for frames off the wire, once
+    in the codec, so a peer's malformed frame is a decode error there
+    instead of a ``KeyError`` inside an engine.
+    """
     if message.kind != kind:
         raise ValueError(f"not a {kind} frame: kind={message.kind!r}")
-    for field_name in ("mig", "token", "shard"):
-        if field_name not in message.payload:
-            raise ValueError(f"{kind} frame is missing field {field_name!r}")
-    return message.payload
+    payload = message.payload
+    for name in fields:
+        value, expected = payload.get(name), _FIELD_TYPES[name]
+        if not isinstance(value, expected) or (
+            expected is list and not all(type(item) is str for item in value)
+        ):
+            raise ValueError(
+                f"{kind} frame is missing field {name!r} (or it is mistyped)"
+            )
+    return payload
+
+
+_DRAIN_FIELDS = ("mig", "token", "shard")
 
 
 def make_drain_fence(sender: str, receiver: str, mig: str, token: str,
@@ -592,7 +524,7 @@ def make_drain_fence(sender: str, receiver: str, mig: str, token: str,
 
 
 def unpack_drain_fence(message: Message) -> Dict[str, Any]:
-    return _unpack_drain(message, DRAIN_FENCE_KIND)
+    return _unpack(message, DRAIN_FENCE_KIND, _DRAIN_FIELDS + ("epoch",))
 
 
 def make_drain_host(sender: str, receiver: str, mig: str, token: str,
@@ -603,7 +535,7 @@ def make_drain_host(sender: str, receiver: str, mig: str, token: str,
 
 
 def unpack_drain_host(message: Message) -> Dict[str, Any]:
-    return _unpack_drain(message, DRAIN_HOST_KIND)
+    return _unpack(message, DRAIN_HOST_KIND, _DRAIN_FIELDS + ("epoch", "keys"))
 
 
 def make_drain_transfer(sender: str, receiver: str, mig: str, token: str,
@@ -614,7 +546,7 @@ def make_drain_transfer(sender: str, receiver: str, mig: str, token: str,
 
 
 def unpack_drain_transfer(message: Message) -> Dict[str, Any]:
-    return _unpack_drain(message, DRAIN_TRANSFER_KIND)
+    return _unpack(message, DRAIN_TRANSFER_KIND, _DRAIN_FIELDS + ("keys",))
 
 
 def make_drain_install(sender: str, receiver: str, mig: str, token: str,
@@ -629,7 +561,9 @@ def make_drain_install(sender: str, receiver: str, mig: str, token: str,
 
 
 def unpack_drain_install(message: Message) -> Dict[str, Any]:
-    return _unpack_drain(message, DRAIN_INSTALL_KIND)
+    return _unpack(
+        message, DRAIN_INSTALL_KIND, _DRAIN_FIELDS + ("epoch", "keys", "states")
+    )
 
 
 def make_drain_complete(sender: str, receiver: str, mig: str, token: str,
@@ -643,7 +577,9 @@ def make_drain_complete(sender: str, receiver: str, mig: str, token: str,
 
 
 def unpack_drain_complete(message: Message) -> Dict[str, Any]:
-    return _unpack_drain(message, DRAIN_COMPLETE_KIND)
+    return _unpack(
+        message, DRAIN_COMPLETE_KIND, _DRAIN_FIELDS + ("drop_keys", "evict")
+    )
 
 
 # -- lease frames (replica <-> proxy, server-assisted read caching) -------------
@@ -693,16 +629,6 @@ def _make_lease(sender: str, receiver: str, kind: str, keys: Sequence[str],
     return Message(sender=sender, receiver=receiver, kind=kind, payload=payload)
 
 
-def _unpack_lease(message: Message, kind: str,
-                  fields: Tuple[str, ...] = ()) -> Dict[str, Any]:
-    if message.kind != kind:
-        raise ValueError(f"not a {kind} frame: kind={message.kind!r}")
-    for field_name in ("keys",) + fields:
-        if field_name not in message.payload:
-            raise ValueError(f"{kind} frame is missing field {field_name!r}")
-    return message.payload
-
-
 def make_lease_grant(sender: str, receiver: str, keys: Sequence[str],
                      ttl: float, nonces: Sequence[str]) -> Message:
     """Confirm read leases on ``keys`` for holder ``receiver``, good for
@@ -718,7 +644,7 @@ def make_lease_grant(sender: str, receiver: str, keys: Sequence[str],
 
 
 def unpack_lease_grant(message: Message) -> Dict[str, Any]:
-    return _unpack_lease(message, LEASE_GRANT_KIND, ("ttl", "nonces"))
+    return _unpack(message, LEASE_GRANT_KIND, ("keys", "ttl", "nonces"))
 
 
 def make_lease_invalidate(sender: str, receiver: str,
@@ -728,7 +654,7 @@ def make_lease_invalidate(sender: str, receiver: str,
 
 
 def unpack_lease_invalidate(message: Message) -> Dict[str, Any]:
-    return _unpack_lease(message, LEASE_INVALIDATE_KIND)
+    return _unpack(message, LEASE_INVALIDATE_KIND, ("keys",))
 
 
 def make_lease_release(sender: str, receiver: str,
@@ -738,4 +664,4 @@ def make_lease_release(sender: str, receiver: str,
 
 
 def unpack_lease_release(message: Message) -> Dict[str, Any]:
-    return _unpack_lease(message, LEASE_RELEASE_KIND)
+    return _unpack(message, LEASE_RELEASE_KIND, ("keys",))

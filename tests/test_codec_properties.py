@@ -1,36 +1,28 @@
 """Property-based round-trip tests for the asyncio wire codec.
 
 Every message the transport can carry -- including the kv store's batch
-frames -- must survive ``encode -> frame -> decode`` bit-exactly, because the
-asyncio backend and the simulator share protocol logic that assumes payloads
-are preserved.  Hypothesis generates adversarial senders, kinds and payload
-trees (anything JSON can carry).
+frames -- must survive ``encode -> frame -> decode`` as the *same objects*,
+because the asyncio backend and the simulator share protocol logic that
+assumes a frame off the wire is indistinguishable from one handed over in
+process.  Hypothesis generates adversarial senders, kinds and payload trees
+(anything JSON can carry); the golden bytes pin the format itself, and the
+fuzz at the bottom feeds the decoder bytes no encoder produced.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import messages
 from repro.asyncio_net.codec import (
     MAX_FRAME_BYTES,
     FrameError,
-    decode_batch_frame,
-    decode_drain_install_frame,
-    decode_drain_transfer_frame,
     decode_message,
-    decode_proxy_ack_frame,
-    decode_proxy_frame,
-    decode_view_push_frame,
-    encode_batch_frame,
-    encode_drain_install_frame,
-    encode_drain_transfer_frame,
     encode_message,
-    encode_proxy_ack_frame,
-    encode_proxy_frame,
-    encode_view_push_frame,
 )
 from repro.messages import (
     BATCH_ACK_KIND,
@@ -44,11 +36,21 @@ from repro.messages import (
     SubRequest,
     make_batch,
     make_batch_ack,
+    make_drain_install,
+    make_drain_transfer,
+    make_lease_grant,
+    make_lease_invalidate,
+    make_lease_release,
     make_proxy_ack,
     make_proxy_request,
     make_view_push,
     unpack_batch,
     unpack_batch_ack,
+    unpack_drain_install,
+    unpack_drain_transfer,
+    unpack_lease_grant,
+    unpack_lease_invalidate,
+    unpack_lease_release,
     unpack_proxy_ack,
     unpack_proxy_request,
     unpack_view_push,
@@ -109,18 +111,39 @@ def _assert_same_message(left: Message, right: Message) -> None:
     assert left.trace == right.trace
 
 
-def _scrub_trace(value):
-    """Drop every ``"trace"`` key, emulating a frame from a peer that
-    predates the trace-context field (cross-version tolerance)."""
-    if isinstance(value, dict):
-        return {
-            key: _scrub_trace(item)
-            for key, item in value.items()
-            if key != "trace"
-        }
+def _wire(message: Message) -> Message:
+    """``message`` as the peer sees it: through the codec and back."""
+    return decode_message(encode_message(message)[4:])
+
+
+def _plain(value):
+    """``value`` with every Message reduced to its fields minus ``msg_id``.
+
+    ``msg_id`` is a process-local debugging tag: only the envelope's travels,
+    sub-messages get a fresh one wherever they are (re)built.  Everything
+    else -- NamedTuple records, tuples, lists, dicts -- compares as it is, so
+    two results are equal here exactly when they are the same objects.
+    """
+    if isinstance(value, Message):
+        return ("Message", value.sender, value.receiver, value.kind,
+                _plain(value.payload), value.op_id, value.round_trip, value.trace)
+    if isinstance(value, tuple):
+        return (type(value).__name__,) + tuple(_plain(item) for item in value)
     if isinstance(value, list):
-        return [_scrub_trace(item) for item in value]
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
     return value
+
+
+def _assert_same_across_the_wire(frame: Message, unpack) -> None:
+    """Envelope and unpacked records are the same objects on both sides."""
+    peer = _wire(frame)
+    _assert_same_message(
+        dataclasses.replace(frame, payload={}), dataclasses.replace(peer, payload={})
+    )
+    assert peer.msg_id == frame.msg_id
+    assert _plain(unpack(peer)) == _plain(unpack(frame))
 
 
 class TestMessageFrames:
@@ -144,39 +167,41 @@ class TestMessageFrames:
 
     @_codec
     @given(message=_messages())
-    def test_traceless_frames_stay_byte_identical(self, message):
-        # A message without a trace id must encode exactly as it did before
-        # the field existed: no "trace" key on the wire at all.
-        bare = Message(
-            message.sender, message.receiver, message.kind, message.payload,
-            op_id=message.op_id, round_trip=message.round_trip,
-        )
-        # Parse rather than substring-match: "trace" is a legal kind/payload
-        # *value*; only the top-level field must stay off the wire.
-        assert "trace" not in json.loads(encode_message(bare)[4:])
+    def test_envelope_is_one_positional_array(self, message):
+        # The whole frame is one JSON array, the header fields first and in
+        # this order; an unset trace travels as null, not as a missing key.
+        body = json.loads(encode_message(message)[4:])
+        assert body == [
+            message.kind, message.sender, message.receiver, message.op_id,
+            message.round_trip, message.msg_id, message.trace, message.payload,
+        ]
 
     @_codec
     @given(message=_messages())
-    def test_legacy_frame_without_trace_decodes(self, message):
-        # Frames from peers that predate the trace field decode cleanly:
-        # the trace comes back None, everything else bit-exact.
-        raw = encode_message(message)[4:]
-        legacy = json.dumps(_scrub_trace(json.loads(raw))).encode("utf-8")
-        decoded = decode_message(legacy)
-        assert decoded.trace is None
-        assert decoded.sender == message.sender
-        assert decoded.kind == message.kind
-        assert decoded.payload == message.payload
-        assert decoded.op_id == message.op_id
+    def test_v1_object_body_is_a_frame_error(self, message):
+        # The object-form body of earlier checkouts is not a second format:
+        # every process of a store is built from one checkout.
+        v1 = {
+            "sender": message.sender, "receiver": message.receiver,
+            "kind": message.kind, "payload": message.payload,
+            "op_id": message.op_id, "round_trip": message.round_trip,
+            "msg_id": message.msg_id,
+        }
+        if message.trace is not None:
+            v1["trace"] = message.trace
+        with pytest.raises(FrameError):
+            decode_message(json.dumps(v1).encode("utf-8"))
 
 
-#: Shard/epoch routing tags as the placement layer produces them.
+#: Shard/epoch routing tags as the placement layer produces them, with and
+#: without a cache fill's lease mark.
 _sub_requests = st.builds(
     SubRequest,
     key=_ids,
     message=_messages(),
     shard=st.one_of(st.none(), _ids),
     epoch=st.integers(min_value=0, max_value=2**31),
+    lease=st.one_of(st.none(), _ids),
 )
 
 
@@ -201,13 +226,28 @@ class TestBatchFrames:
             assert restored.round_trip == original.round_trip
 
     @_codec
+    @given(subs=st.lists(_sub_requests, min_size=1, max_size=5))
+    def test_batch_carries_the_senders_own_objects(self, subs):
+        # In process nothing is packed: a sub already addressed to the
+        # frame's receiver *is* the record the receiver unpacks.
+        addressed = [
+            sub._replace(message=dataclasses.replace(sub.message, receiver="server"))
+            for sub in subs
+        ]
+        recovered = unpack_batch(make_batch("client", "server", addressed))
+        assert all(got is sent for got, sent in zip(recovered, addressed))
+
+    @_codec
     @given(subs=st.lists(st.tuples(_ids, _messages()), min_size=1, max_size=5))
     def test_batch_survives_the_wire(self, subs):
-        encoded = encode_batch_frame("client", "server", subs)
-        recovered = decode_batch_frame(encoded[4:])
+        batch = make_batch("client", "server", subs)
+        recovered = unpack_batch(_wire(batch))
         assert [sub.key for sub in recovered] == [key for key, _ in subs]
         for (_, original), sub in zip(subs, recovered):
             assert sub.message.payload == original.payload
+            # Bare pairs are re-addressed to the frame's receiver.
+            assert sub.message.receiver == "server"
+        _assert_same_across_the_wire(batch, unpack_batch)
 
     @_codec
     @given(subs=st.lists(_sub_requests, min_size=1, max_size=5))
@@ -229,14 +269,16 @@ class TestBatchFrames:
     @_codec
     @given(subs=st.lists(_sub_requests, min_size=1, max_size=5))
     def test_epoch_tags_round_trip_wire_codec(self, subs):
-        encoded = encode_batch_frame("client", "server", subs)
-        recovered = decode_batch_frame(encoded[4:])
+        batch = make_batch("client", "server", subs)
+        recovered = unpack_batch(_wire(batch))
         for original, restored in zip(subs, recovered):
             assert restored.shard == original.shard
             if original.shard is not None:
                 assert restored.epoch == original.epoch
+            assert restored.lease == original.lease
             assert restored.message.payload == original.message.payload
             assert restored.message.trace == original.message.trace
+        _assert_same_across_the_wire(batch, unpack_batch)
 
     @_codec
     @given(
@@ -252,7 +294,7 @@ class TestBatchFrames:
         ack = make_batch_ack(request, replies)
         assert ack.kind == BATCH_ACK_KIND
         # The ack also survives the wire codec.
-        recovered = unpack_batch_ack(decode_message(encode_message(ack)[4:]))
+        recovered = unpack_batch_ack(_wire(ack))
         assert len(recovered) == len(subs)
         for index, (_, restored) in enumerate(recovered):
             if index in missing and index < len(subs):
@@ -260,6 +302,11 @@ class TestBatchFrames:
             else:
                 assert restored is not None
                 assert restored.payload == {"i": index}
+                # Whoever the per-key logic answered, the reply travels
+                # addressed to the ack's receiver.
+                assert restored.receiver == "client"
+        # Gaps are None on both sides, keys and replies the same objects.
+        _assert_same_across_the_wire(ack, unpack_batch_ack)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -311,8 +358,10 @@ class TestProxyFrames:
     @_codec
     @given(subs=st.lists(_proxy_subs, min_size=1, max_size=5))
     def test_proxy_request_survives_the_wire(self, subs):
-        encoded = encode_proxy_frame("client", "proxy", subs)
-        recovered = decode_proxy_frame(encoded[4:])
+        frame = make_proxy_request("client", "proxy", subs)
+        recovered = unpack_proxy_request(_wire(frame))
+        assert recovered == subs  # NamedTuples: field-exact equality
+        _assert_same_across_the_wire(frame, unpack_proxy_request)
         for original, restored in zip(subs, recovered):
             assert restored.key == original.key
             assert restored.op_kind == original.op_kind
@@ -325,18 +374,6 @@ class TestProxyFrames:
             assert restored.wait_for == original.wait_for
             assert restored.per_server == original.per_server
             assert restored.trace == original.trace
-
-    @_codec
-    @given(subs=st.lists(_proxy_subs, min_size=1, max_size=5))
-    def test_legacy_proxy_frame_without_trace_decodes(self, subs):
-        raw = encode_proxy_frame("client", "proxy", subs)[4:]
-        legacy = json.dumps(_scrub_trace(json.loads(raw))).encode("utf-8")
-        recovered = decode_proxy_frame(legacy)
-        for original, restored in zip(subs, recovered):
-            assert restored.trace is None
-            assert restored.key == original.key
-            assert restored.payload == original.payload
-            assert restored.op_id == original.op_id
 
     @_codec
     @given(sub_replies=st.lists(_proxy_replies, min_size=1, max_size=4))
@@ -363,13 +400,18 @@ class TestProxyFrames:
     @_codec
     @given(sub_replies=st.lists(_proxy_replies, min_size=1, max_size=4))
     def test_proxy_ack_survives_the_wire(self, sub_replies):
-        encoded = encode_proxy_ack_frame("proxy", "client", sub_replies)
-        recovered = decode_proxy_ack_frame(encoded[4:])
+        ack = make_proxy_ack("proxy", "client", sub_replies)
+        recovered = unpack_proxy_ack(_wire(ack))
         for original, restored in zip(sub_replies, recovered):
             assert restored.op_id == original.op_id
             assert restored.error == original.error
             assert [r.payload for r in restored.replies] == \
                 [r.payload for r in original.replies]
+            # Attempt-scoped ids and traces of the proxy's own rounds never
+            # cross: each reply carries the round's client-scoped identity.
+            assert all(r.op_id == original.op_id for r in restored.replies)
+            assert all(r.trace is None for r in restored.replies)
+        _assert_same_across_the_wire(ack, unpack_proxy_ack)
 
     def test_empty_proxy_frames_rejected(self):
         with pytest.raises(ValueError):
@@ -419,8 +461,9 @@ class TestViewPushFrames:
     @_codec
     @given(view=_view_snapshots())
     def test_view_push_survives_the_wire(self, view):
-        encoded = encode_view_push_frame("control-plane", "p1", view)
-        assert decode_view_push_frame(encoded[4:]) == view
+        frame = make_view_push("control-plane", "p1", view)
+        assert unpack_view_push(_wire(frame)) == view
+        _assert_same_across_the_wire(frame, unpack_view_push)
 
     def test_incomplete_view_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -446,10 +489,10 @@ class TestDrainFrames:
     @given(mig=_ids, token=_ids, shard=_ids,
            keys=st.lists(_ids, max_size=8))
     def test_drain_transfer_survives_the_wire(self, mig, token, shard, keys):
-        encoded = encode_drain_transfer_frame(
+        frame = make_drain_transfer(
             "control-plane", "g1-s1", mig, token, shard, keys
         )
-        decoded = decode_drain_transfer_frame(encoded[4:])
+        decoded = unpack_drain_transfer(_wire(frame))
         assert decoded["mig"] == mig
         assert decoded["token"] == token
         assert decoded["shard"] == shard
@@ -465,10 +508,10 @@ class TestDrainFrames:
         # The exported register blobs must survive bit-exactly: a mangled
         # timestamp or value inside a blob would corrupt the receiver's
         # absorbed state and break per-key atomicity after the cutover.
-        encoded = encode_drain_install_frame(
+        frame = make_drain_install(
             "control-plane", "g2-s1", mig, token, shard, epoch, keys, states
         )
-        decoded = decode_drain_install_frame(encoded[4:])
+        decoded = unpack_drain_install(_wire(frame))
         assert decoded["epoch"] == epoch
         assert decoded["keys"] == list(keys)
         assert decoded["states"] == states
@@ -514,18 +557,14 @@ class TestLeaseFrames:
     @_codec
     @given(keys=_lease_keys, ttl=_lease_ttls)
     def test_grant_survives_the_wire(self, keys, ttl):
-        from repro.asyncio_net.codec import (
-            decode_lease_grant_frame, encode_lease_grant_frame,
-        )
-
         # The ttl must survive bit-exactly: a proxy computing its
         # self-expiry point from a mangled ttl could serve a cached value
         # past the deadline the replicas unblock writers at.  The nonces
         # must survive too: a mangled nonce would make the proxy discount
         # (or worse, miscredit) the grant.
         nonces = [f"op-{i}/2" for i in range(len(keys))]
-        encoded = encode_lease_grant_frame("g1-s1", "p1", keys, ttl, nonces)
-        decoded = decode_lease_grant_frame(encoded[4:])
+        frame = make_lease_grant("g1-s1", "p1", keys, ttl, nonces)
+        decoded = unpack_lease_grant(_wire(frame))
         assert decoded["keys"] == list(keys)
         assert decoded["ttl"] == ttl
         assert decoded["nonces"] == nonces
@@ -533,28 +572,16 @@ class TestLeaseFrames:
     @_codec
     @given(keys=_lease_keys)
     def test_invalidate_survives_the_wire(self, keys):
-        from repro.asyncio_net.codec import (
-            decode_lease_invalidate_frame, encode_lease_invalidate_frame,
-        )
-        from repro.messages import make_lease_invalidate, unpack_lease_invalidate
-
         frame = make_lease_invalidate("g1-s1", "p1", keys)
         assert unpack_lease_invalidate(frame)["keys"] == list(keys)
-        encoded = encode_lease_invalidate_frame("g1-s1", "p1", keys)
-        assert decode_lease_invalidate_frame(encoded[4:])["keys"] == list(keys)
+        assert unpack_lease_invalidate(_wire(frame))["keys"] == list(keys)
 
     @_codec
     @given(keys=_lease_keys)
     def test_release_survives_the_wire(self, keys):
-        from repro.asyncio_net.codec import (
-            decode_lease_release_frame, encode_lease_release_frame,
-        )
-        from repro.messages import make_lease_release, unpack_lease_release
-
         frame = make_lease_release("p1", "g1-s1", keys)
         assert unpack_lease_release(frame)["keys"] == list(keys)
-        encoded = encode_lease_release_frame("p1", "g1-s1", keys)
-        assert decode_lease_release_frame(encoded[4:])["keys"] == list(keys)
+        assert unpack_lease_release(_wire(frame))["keys"] == list(keys)
 
     def test_empty_keys_rejected(self):
         from repro.messages import (
@@ -602,18 +629,6 @@ class TestLeaseFrames:
 
     @_codec
     @given(subs=st.lists(_sub_requests, min_size=1, max_size=5))
-    def test_leaseless_batches_stay_byte_identical(self, subs):
-        # A batch whose subs never ask for a lease must encode exactly as
-        # it did before the field existed: no "lease" key anywhere in the
-        # frame (same cross-version property the trace field keeps).
-        batch = make_batch(
-            "client", "server", [sub._replace(lease=None) for sub in subs]
-        )
-        for op in json.loads(encode_message(batch)[4:])["payload"]["ops"]:
-            assert "lease" not in op
-
-    @_codec
-    @given(subs=st.lists(_sub_requests, min_size=1, max_size=5))
     def test_lease_marked_subs_round_trip(self, subs):
         # The mark is the fill's nonce string; unmarked subs stay None.
         marked = [
@@ -621,6 +636,306 @@ class TestLeaseFrames:
             for index, sub in enumerate(subs)
         ]
         batch = make_batch("client", "server", marked)
-        recovered = unpack_batch(decode_message(encode_message(batch)[4:]))
+        recovered = unpack_batch(_wire(batch))
         assert [sub.lease for sub in recovered] == \
             [sub.lease for sub in marked]
+
+
+# -- the format itself: golden bytes, wrong shapes, fuzz --------------------------
+
+
+def _golden_frames():
+    """One frame of every kind, built by ``make_*`` with the msg_id pinned."""
+    query = Message("c1", "s1", "query", {"n": 1}, "c1-op1", 1, trace="t-1")
+    batch = make_batch("c1", "s1", [
+        SubRequest("kéy", query, "shard-0", 3, None),
+        SubRequest("k2", Message("c1", "s1", "update",
+                                 {"tag": [2, "c1"], "value": {"a": [1, None]}},
+                                 "c1-op2", 2), "shard-1", 1, "p1#7"),
+    ])
+    frames = {
+        "plain": Message("c1", "s1", "query", {"n": 1}, "c1-op1", 1, trace="t-1"),
+        "plain-untraced": Message("s1", "c1", "query-ack", {}),
+        BATCH_KIND: batch,
+        BATCH_ACK_KIND: make_batch_ack(batch, [
+            ("kéy", query.reply("query-ack", {"tag": [0, ""], "value": None})),
+            ("k2", None),
+        ]),
+        PROXY_KIND: make_proxy_request("c1", "p1", [
+            ProxySubRequest("k", "read", "query", {}, "c1-op1@0", 1, trace="t-1"),
+            ProxySubRequest("k2", "write", "update", {"value": "v"}, "c1-op2@0", 2,
+                            wait_for=2, per_server={"s1": {"value": "w"}}),
+        ]),
+        PROXY_ACK_KIND: make_proxy_ack("p1", "c1", [
+            ProxySubReply("c1-op1@0", 1, (
+                Message("s1", "p1", "query-ack", {"value": 1}, "c1-op1@0#2", 1),
+                Message("s2", "p1", "query-ack", {"value": 1}, "c1-op1@0#2", 1),
+            )),
+            ProxySubReply("c1-op2@0", 2, (), "shard map never converged"),
+        ]),
+        VIEW_PUSH_KIND: make_view_push("control-plane", "p1", {
+            "ring_epoch": 2, "virtual_nodes": 8, "shard_ids": ["shard-0"],
+            "routes": {"shard-0": {"epoch": 2, "group": "g1",
+                                   "servers": ["s1"], "quorum": 1}},
+        }),
+        messages.DRAIN_FENCE_KIND: messages.make_drain_fence(
+            "control-plane", "s1", "mig-1", "tok-1", "shard-0", 4),
+        messages.DRAIN_HOST_KIND: messages.make_drain_host(
+            "control-plane", "s4", "mig-1", "tok-2", "shard-0", 4, ["k"]),
+        messages.DRAIN_TRANSFER_KIND: make_drain_transfer(
+            "control-plane", "s1", "mig-1", "tok-3", "shard-0", ["k"]),
+        messages.DRAIN_INSTALL_KIND: make_drain_install(
+            "control-plane", "s4", "mig-1", "tok-4", "shard-0", 4, ["k"],
+            {"k": [{"tag": [1, "c1"], "value": "v"}]}),
+        messages.DRAIN_COMPLETE_KIND: messages.make_drain_complete(
+            "control-plane", "s1", "mig-1", "tok-5", "shard-0", ["k"], evict=True),
+        messages.LEASE_GRANT_KIND: make_lease_grant("s1", "p1", ["k"], 0.5, ["p1#7"]),
+        messages.LEASE_INVALIDATE_KIND: make_lease_invalidate("s1", "p1", ["k"]),
+        messages.LEASE_RELEASE_KIND: make_lease_release("p1", "s1", ["k", "k2"]),
+    }
+    for frame in frames.values():
+        frame.msg_id = 7
+    return frames
+
+
+#: The exact body of each golden frame.  A change to the wire format edits
+#: these bytes on purpose; nothing else may.
+GOLDEN_BODIES = {
+    "plain": (
+        b'["query","c1","s1","c1-op1",1,7,"t-1",{"n":1}]'
+    ),
+    "plain-untraced": (
+        b'["query-ack","s1","c1",null,0,7,null,{}]'
+    ),
+    "batch": (
+        b'["batch","c1","s1",null,0,7,null,[["k\\u00e9y","c1","query",{"n":1},"'
+        b'c1-op1",1,"t-1","shard-0",3,null],["k2","c1","update",{"tag":[2,"c1"'
+        b'],"value":{"a":[1,null]}},"c1-op2",2,null,"shard-1",1,"p1#7"]]]'
+    ),
+    "batch-ack": (
+        b'["batch-ack","s1","c1",null,0,7,null,[["k\\u00e9y","s1","query-ack",{'
+        b'"tag":[0,""],"value":null},"c1-op1",1,"t-1"],null]]'
+    ),
+    "proxy": (
+        b'["proxy","c1","p1",null,0,7,null,[["k","read","query",{},"c1-op1@0",'
+        b'1,null,null,"t-1"],["k2","write","update",{"value":"v"},"c1-op2@0",2'
+        b',2,{"s1":{"value":"w"}},null]]]'
+    ),
+    "proxy-ack": (
+        b'["proxy-ack","p1","c1",null,0,7,null,[["c1-op1@0",1,[["s1","query-ac'
+        b'k",{"value":1}],["s2","query-ack",{"value":1}]],null],["c1-op2@0",2,'
+        b'[],"shard map never converged"]]]'
+    ),
+    "view-push": (
+        b'["view-push","control-plane","p1",null,0,7,null,{"view":{"ring_epoch'
+        b'":2,"virtual_nodes":8,"shard_ids":["shard-0"],"routes":{"shard-0":{"'
+        b'epoch":2,"group":"g1","servers":["s1"],"quorum":1}}}}]'
+    ),
+    "drain-fence": (
+        b'["drain-fence","control-plane","s1",null,0,7,null,{"mig":"mig-1","to'
+        b'ken":"tok-1","shard":"shard-0","epoch":4}]'
+    ),
+    "drain-host": (
+        b'["drain-host","control-plane","s4",null,0,7,null,{"mig":"mig-1","tok'
+        b'en":"tok-2","shard":"shard-0","epoch":4,"keys":["k"]}]'
+    ),
+    "drain-transfer": (
+        b'["drain-transfer","control-plane","s1",null,0,7,null,{"mig":"mig-1",'
+        b'"token":"tok-3","shard":"shard-0","keys":["k"]}]'
+    ),
+    "drain-install": (
+        b'["drain-install","control-plane","s4",null,0,7,null,{"mig":"mig-1","'
+        b'token":"tok-4","shard":"shard-0","epoch":4,"keys":["k"],"states":{"k'
+        b'":[{"tag":[1,"c1"],"value":"v"}]}}]'
+    ),
+    "drain-complete": (
+        b'["drain-complete","control-plane","s1",null,0,7,null,{"mig":"mig-1",'
+        b'"token":"tok-5","shard":"shard-0","drop_keys":["k"],"evict":true}]'
+    ),
+    "lease-grant": (
+        b'["lease-grant","s1","p1",null,0,7,null,{"keys":["k"],"ttl":0.5,"nonc'
+        b'es":["p1#7"]}]'
+    ),
+    "lease-invalidate": (
+        b'["lease-invalidate","s1","p1",null,0,7,null,{"keys":["k"]}]'
+    ),
+    "lease-release": (
+        b'["lease-release","p1","s1",null,0,7,null,{"keys":["k","k2"]}]'
+    ),
+}
+
+
+#: What must unpack cleanly for each kind the engines index into.
+UNPACKERS = {
+    BATCH_KIND: unpack_batch,
+    BATCH_ACK_KIND: unpack_batch_ack,
+    PROXY_KIND: unpack_proxy_request,
+    PROXY_ACK_KIND: unpack_proxy_ack,
+    VIEW_PUSH_KIND: unpack_view_push,
+    messages.DRAIN_FENCE_KIND: messages.unpack_drain_fence,
+    messages.DRAIN_HOST_KIND: messages.unpack_drain_host,
+    messages.DRAIN_TRANSFER_KIND: unpack_drain_transfer,
+    messages.DRAIN_INSTALL_KIND: unpack_drain_install,
+    messages.DRAIN_COMPLETE_KIND: messages.unpack_drain_complete,
+    messages.LEASE_GRANT_KIND: unpack_lease_grant,
+    messages.LEASE_INVALIDATE_KIND: unpack_lease_invalidate,
+    messages.LEASE_RELEASE_KIND: unpack_lease_release,
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(_golden_frames()))
+    def test_frame_encodes_to_its_golden_bytes(self, name):
+        frame = _golden_frames()[name]
+        encoded = encode_message(frame)
+        assert encoded[4:] == GOLDEN_BODIES[name]
+        assert int.from_bytes(encoded[:4], "big") == len(GOLDEN_BODIES[name])
+
+    @pytest.mark.parametrize("name", sorted(_golden_frames()))
+    def test_golden_bytes_decode_to_the_frame(self, name):
+        frame = _golden_frames()[name]
+        decoded = decode_message(GOLDEN_BODIES[name])
+        assert decoded.msg_id == 7
+        unpack = UNPACKERS.get(frame.kind, lambda message: message.payload)
+        assert _plain(unpack(decoded)) == _plain(unpack(frame))
+        _assert_same_message(
+            dataclasses.replace(frame, payload={}),
+            dataclasses.replace(decoded, payload={}),
+        )
+
+    def test_every_kind_has_a_golden(self):
+        assert set(UNPACKERS) <= set(_golden_frames())
+        assert set(GOLDEN_BODIES) == set(_golden_frames())
+
+
+def _envelope(kind, payload, sender="c9", receiver="s1"):
+    return json.dumps([kind, sender, receiver, None, 0, 1, None, payload]).encode()
+
+
+_SUB_ROW = ["k", "c9", "query", {}, "op", 1, None, "shard-0", 1, None]
+
+#: Bodies that are valid JSON of the wrong shape.  The first four are the
+#: object-form probes that used to decode and then raise inside an engine;
+#: the rest are the same mistakes (and their neighbours) in the array form.
+WRONG_SHAPES = {
+    "v1-ops-not-a-list": b'{"sender":"c9","receiver":"s1","kind":"batch",'
+                         b'"payload":{"ops":5}}',
+    "v1-sub-without-sender": b'{"sender":"c9","receiver":"s1","kind":"batch",'
+                             b'"payload":{"ops":[{"key":"k"}]}}',
+    "v1-payload-a-list": b'{"sender":"c9","receiver":"s1","kind":"query",'
+                         b'"payload":[]}',
+    "v1-release-without-keys": b'{"sender":"p9","receiver":"s1",'
+                               b'"kind":"lease-release","payload":{}}',
+    "ops-not-a-list": _envelope("batch", 5),
+    "ops-an-object": _envelope("batch", {"ops": [_SUB_ROW]}),
+    "short-sub-row": _envelope("batch", [["k"]]),
+    "long-sub-row": _envelope("batch", [_SUB_ROW + [None]]),
+    "sub-row-a-string": _envelope("batch", ["0123456789"]),
+    "sub-row-an-object": _envelope("batch", [dict.fromkeys("0123456789")]),
+    "ops-a-string": _envelope("batch", "0123456789"),
+    "envelope-a-string": b'"01234567"',
+    "envelope-an-object": json.dumps(dict.fromkeys("01234567")).encode(),
+    "trailing-bytes": _envelope("query", {}) + b" ",
+    "null-sub-row": _envelope("batch", [None]),
+    "sub-key-not-a-string": _envelope("batch", [[["k"]] + _SUB_ROW[1:]]),
+    "sub-op-id-a-list": _envelope("batch", [_SUB_ROW[:4] + [["op"]] + _SUB_ROW[5:]]),
+    "sub-epoch-a-string": _envelope("batch", [_SUB_ROW[:8] + ["1", None]]),
+    "sub-round-trip-a-bool": _envelope("batch", [_SUB_ROW[:5] + [True] + _SUB_ROW[6:]]),
+    "sub-payload-a-list": _envelope("batch", [_SUB_ROW[:3] + [[]] + _SUB_ROW[4:]]),
+    "ack-row-short": _envelope("batch-ack", [["k", "s1", "ack"]]),
+    "acks-an-object": _envelope("batch-ack", {"acks": []}),
+    "proxy-row-short": _envelope("proxy", [["k", "read", "query", {}, "op", 1]]),
+    "proxy-op-id-null": _envelope(
+        "proxy", [["k", "read", "query", {}, None, 1, None, None, None]]),
+    "proxy-per-server-of-lists": _envelope(
+        "proxy", [["k", "read", "query", {}, "op", 1, None, {"s1": []}, None]]),
+    "proxy-ack-replies-null": _envelope("proxy-ack", [["op", 1, None, None]]),
+    "proxy-ack-reply-short": _envelope("proxy-ack", [["op", 1, [["s1", "ack"]], None]]),
+    "payload-a-list": _envelope("query", []),
+    "payload-null": _envelope("query", None),
+    "release-without-keys": _envelope("lease-release", {}, sender="p9"),
+    "release-keys-a-number": _envelope("lease-release", {"keys": 5}, sender="p9"),
+    "release-key-a-list": _envelope("lease-release", {"keys": [["k"]]}, sender="p9"),
+    "grant-without-ttl": _envelope("lease-grant", {"keys": ["k"], "nonces": ["n"]}),
+    "fence-without-epoch": _envelope(
+        "drain-fence", {"mig": "m", "token": "t", "shard": "s"}),
+    "transfer-without-token": _envelope(
+        "drain-transfer", {"mig": "m", "shard": "s", "keys": []}),
+    "push-without-view": _envelope("view-push", {}),
+    "push-view-incomplete": _envelope("view-push", {"view": {"ring_epoch": 2}}),
+    "seven-fields": json.dumps(["query", "c9", "s1", None, 0, 1, None]).encode(),
+    "nine-fields": json.dumps(["query", "c9", "s1", None, 0, 1, None, {}, 0]).encode(),
+    "sender-a-number": json.dumps(["query", 9, "s1", None, 0, 1, None, {}]).encode(),
+    "round-trip-a-string": json.dumps(
+        ["query", "c9", "s1", None, "0", 1, None, {}]).encode(),
+    "trace-an-object": json.dumps(["query", "c9", "s1", None, 0, 1, {}, {}]).encode(),
+}
+
+
+class TestWrongShapes:
+    @pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+    def test_wrong_shape_is_a_frame_error(self, name):
+        with pytest.raises(FrameError):
+            decode_message(WRONG_SHAPES[name])
+
+
+#: Envelopes a confused or hostile peer could send: the right arity and a
+#: kind the engines know, everything else arbitrary JSON.
+_near_envelopes = st.tuples(
+    st.sampled_from(sorted(UNPACKERS) + ["query", "stale-shard"]),
+    _json_values, _json_values, _json_values, _json_values, _json_values,
+    _json_values, _json_values,
+).map(list)
+
+#: Typed-row envelopes with one cell of one valid row replaced by arbitrary
+#: JSON: the mutations closest to frames that do decode.
+@st.composite
+def _mutated_goldens(draw):
+    name = draw(st.sampled_from(sorted(GOLDEN_BODIES)))
+    body = json.loads(GOLDEN_BODIES[name])
+    target = body
+    # Walk a random path into the body, then overwrite what is there.
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if isinstance(target, list) and target:
+            index = draw(st.integers(min_value=0, max_value=len(target) - 1))
+        elif isinstance(target, dict) and target:
+            index = draw(st.sampled_from(sorted(target)))
+        else:
+            break
+        if isinstance(target[index], (list, dict)) and draw(st.booleans()):
+            target = target[index]
+        else:
+            target[index] = draw(_json_values)
+            break
+    return body
+
+
+class TestDecoderFuzz:
+    """Whatever arrives, ``decode_message`` raises ``FrameError`` or returns
+    a frame its ``unpack_*`` accepts -- nothing else reaches an engine."""
+
+    @staticmethod
+    def _decodes_or_frame_error(body: bytes) -> None:
+        try:
+            message = decode_message(body)
+        except FrameError:
+            return
+        assert isinstance(message, Message)
+        assert isinstance(message.payload, dict)
+        unpack = UNPACKERS.get(message.kind)
+        if unpack is not None:
+            records = unpack(message)
+            assert isinstance(records, (list, dict))
+        # What decoded is what this codec would have sent.
+        assert _plain(_wire(message)) == _plain(message)
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, body):
+        self._decodes_or_frame_error(body)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(value=st.one_of(_json_values, _near_envelopes, _mutated_goldens()))
+    def test_arbitrary_json(self, value):
+        self._decodes_or_frame_error(json.dumps(value).encode("utf-8"))

@@ -14,23 +14,78 @@ from typing import List
 
 import pytest
 
-from repro.asyncio_net.codec import MAX_FRAME_BYTES, encode_message, read_frame, write_frame
+from repro.asyncio_net.codec import (
+    MAX_FRAME_BYTES,
+    FrameError,
+    encode_message,
+    read_frame,
+    write_frame,
+)
 from repro.asyncio_net.server import ReplicaServer
 from repro.core.timestamps import Tag
 from repro.kvstore import AsyncKVCluster, KVStore, ShardMap
+from repro.kvstore.engine import GroupServerEngine
 from repro.kvstore.engine.effects import SendFrame, StartTimer
 from repro.protocols.codec import encode_tag
 from repro.protocols.server_state import TagValueServer
-from repro.messages import Message
+from repro.messages import Message, SubRequest, make_batch
 
+from test_codec_properties import WRONG_SHAPES
 from test_kvstore_failover import FAST_RETRY
 
 GARBAGE = b"\x00\x00\x00\x05{{{{{"
 OVERSIZE = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x" * 16
 TRUNCATED = encode_message(Message("c9", "s1", "query"))[:-4]
+
+#: Well-framed, valid JSON, wrong shape: the four object-form bodies that
+#: used to decode and then raise inside the engine (under asyncio's "Fatal
+#: error: protocol.buffer_updated() call failed"), and the same mistakes in
+#: the array form.
+WRONG_SHAPE_IDS = [
+    "v1-ops-not-a-list", "v1-sub-without-sender", "v1-payload-a-list",
+    "v1-release-without-keys", "ops-not-a-list", "short-sub-row",
+    "proxy-row-short", "payload-a-list", "release-without-keys",
+]
+WRONG_SHAPE_FRAMES = [
+    len(WRONG_SHAPES[name]).to_bytes(4, "big") + WRONG_SHAPES[name]
+    for name in WRONG_SHAPE_IDS
+]
 BAD_FRAMES = pytest.mark.parametrize(
-    "bad", [GARBAGE, OVERSIZE, TRUNCATED], ids=["garbage", "oversize", "truncated"]
+    "bad", [GARBAGE, OVERSIZE, TRUNCATED] + WRONG_SHAPE_FRAMES,
+    ids=["garbage", "oversize", "truncated"] + WRONG_SHAPE_IDS,
 )
+WRONG_SHAPED = pytest.mark.parametrize(
+    "bad", WRONG_SHAPE_FRAMES, ids=WRONG_SHAPE_IDS
+)
+
+
+def _spy_on_lost(endpoint) -> List[BaseException]:
+    """Record what each connection ``endpoint`` accepts reports as its loss."""
+    lost: List[BaseException] = []
+    accept = endpoint._accept
+
+    def spying_accept():
+        connection = accept()
+        report = connection._on_lost
+
+        def on_lost(exc: BaseException) -> None:
+            lost.append(exc)
+            report(exc)
+
+        connection._on_lost = on_lost
+        return connection
+
+    endpoint._accept = spying_accept
+    return lost
+
+
+def _spy_on_loop_errors() -> List[dict]:
+    """Record every call of the running loop's exception handler."""
+    contexts: List[dict] = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: contexts.append(context)
+    )
+    return contexts
 
 
 async def _closed_by_peer(reader: asyncio.StreamReader) -> bool:
@@ -86,6 +141,55 @@ class TestReplicaServerEndpoint:
             finally:
                 await replica.stop()
             assert not _other_tasks()  # no handler task, hence no unhandled exception
+
+        asyncio.run(scenario())
+
+    @WRONG_SHAPED
+    def test_wrong_shape_never_reaches_the_engine(self, bad):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1)
+            group = shard_map.groups["g1"]
+            server_id = group.servers[0]
+            shard = shard_map.shards_on("g1")[0]
+            replica = ReplicaServer(GroupServerEngine(
+                server_id, group.protocol,
+                {s.shard_id: s.epoch for s in shard_map.shards_on("g1")},
+            ))
+            lost = _spy_on_lost(replica)
+            loop_errors = _spy_on_loop_errors()
+            await replica.start()
+
+            def query(op_id: str) -> Message:
+                return make_batch("c1", server_id, [SubRequest(
+                    "k", Message("c1", server_id, "query", {}, op_id, 1),
+                    shard.shard_id, shard.epoch,
+                )])
+
+            try:
+                good_reader, good_writer = await asyncio.open_connection(
+                    replica.host, replica.port
+                )
+                await write_frame(good_writer, query("op1"))
+                assert (await read_frame(good_reader)).kind == "batch-ack"
+
+                bad_reader, bad_writer = await _send_raw(
+                    replica.host, replica.port, bad, then_eof=False
+                )
+                assert await _closed_by_peer(bad_reader)
+                bad_writer.close()
+                # Refused at decode, as a typed error, on that connection only.
+                assert len(lost) == 1 and isinstance(lost[0], FrameError)
+                assert loop_errors == []
+                assert replica.requests_served == 1
+
+                await write_frame(good_writer, query("op2"))
+                assert (await read_frame(good_reader)).kind == "batch-ack"
+                assert len(replica._connections) == 1
+                good_writer.close()
+                await good_writer.wait_closed()
+            finally:
+                await replica.stop()
+            assert loop_errors == []
 
         asyncio.run(scenario())
 
@@ -221,6 +325,40 @@ class TestProxyEndpoints:
             finally:
                 await store.close()
                 await cluster.stop()
+            assert not _other_tasks()
+
+        asyncio.run(scenario())
+
+    @WRONG_SHAPED
+    def test_wrong_shape_into_a_proxy_never_reaches_the_engine(self, bad):
+        async def scenario():
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            await cluster.start()
+            await cluster.start_proxies(1)
+            proxy = cluster.proxies["p1"]
+            await proxy.stop()  # the listener binds ``_accept`` at start()
+            lost = _spy_on_lost(proxy)
+            await proxy.start()
+            loop_errors = _spy_on_loop_errors()
+            store = KVStore(cluster, client_id="c1", use_proxy="p1")
+            await store.connect()
+            try:
+                await store.put("k", "v1")
+                host, port = cluster.proxy_endpoint("p1")
+                reader, writer = await _send_raw(host, port, bad, then_eof=False)
+                assert await _closed_by_peer(reader)
+                writer.close()
+                # Refused at decode, as a typed error, on that connection only.
+                assert len(lost) == 1 and isinstance(lost[0], FrameError)
+                assert loop_errors == []
+                await store.put("k", "v2")
+                assert await store.get("k") == "v2"
+                assert store.proxy_failovers == 0
+                assert len(proxy._connections) == 1
+            finally:
+                await store.close()
+                await cluster.stop()
+            assert loop_errors == []
             assert not _other_tasks()
 
         asyncio.run(scenario())
