@@ -232,13 +232,27 @@ _CHECKS: Dict[str, Callable[[Message], Any]] = {
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialize a message to a length-prefixed JSON frame."""
+    """Serialize a message to a length-prefixed JSON frame.
+
+    Raises :class:`FrameError` for a frame that must not go out: a body over
+    ``MAX_FRAME_BYTES``, or one of the four typed kinds carrying a payload of
+    the wrong shape.
+    """
     kind, payload = message.kind, message.payload
     rows = _ROWS.get(kind)
+    if rows is not None:
+        try:
+            payload = rows[0](payload)
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            # The decode side's contract: a typed kind whose payload is not
+            # its typed records is a FrameError naming the kind, never a
+            # bare KeyError from inside a row builder.
+            raise FrameError(
+                f"malformed {kind!r} frame payload: {exc!r}"
+            ) from exc
     body = _dumps([
         kind, message.sender, message.receiver, message.op_id,
-        message.round_trip, message.msg_id, message.trace,
-        payload if rows is None else rows[0](payload),
+        message.round_trip, message.msg_id, message.trace, payload,
     ]).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(

@@ -384,6 +384,10 @@ def _command_kv(args: argparse.Namespace) -> int:
         latency = result.metrics["client"]["histograms"]["op_latency"]
         print(f"op latency         : p50 {latency['p50']:.3f} / "
               f"p95 {latency['p95']:.3f} / p99 {latency['p99']:.3f}")
+        counters = result.metrics["client"]["counters"]
+        fast, slow = counters["reads_fast"], counters["reads_slow"]
+        print(f"read round trips   : {fast} reads in one round (quorum "
+              f"agreed) / {slow} in more (write-back or replay)")
     if result.cache is not None:
         print(f"read cache         : {result.cache_hit_rate():.1%} hit rate "
               f"({result.cache['hits']} hits / {result.cache['misses']} "

@@ -12,13 +12,15 @@ here only remember what the protocol has established:
 * a :class:`ReadCache` is the bounded LRU map of entries.
 
 An entry is **servable** once a write-blocking set of replicas holds the
-lease (``granted``: grants from at least ``wait_for`` route replicas) and
-the fill recorded every round-trip of the read protocol.  Any write that
-could supersede the cached value must gather ``wait_for`` acks of its own,
-and every replica deferring on our lease withholds its ack -- two quorums
-out of the same replica group intersect, so no such write completes while
-the entry serves.  That is the whole atomicity argument, and ``granted``
-is its load-bearing check.
+lease (``granted``: grants from at least ``wait_for`` route replicas); it
+serves whichever rounds the fill recorded.  How many that is depends on the
+fill's first quorum: unanimous, and every reader served it finishes after
+round 1 like the fill did; split, and they ask for round 2 and are served
+the fill's recorded write-back.  Any write that could supersede the cached
+value must gather ``wait_for`` acks of its own, and every replica deferring
+on our lease withholds its ack -- two quorums out of the same replica group
+intersect, so no such write completes while the entry serves.  That is the
+whole atomicity argument, and ``granted`` is its load-bearing check.
 """
 
 from __future__ import annotations
@@ -85,9 +87,15 @@ class CacheEntry:
         """Whether a write-blocking set of replicas holds our lease."""
         return self.wait_for > 0 and len(self.grants) >= self.wait_for
 
-    def complete(self, read_round_trips: int) -> bool:
-        """Whether every round-trip of the read protocol is recorded."""
-        return all(rt in self.rounds for rt in range(1, read_round_trips + 1))
+    def complete(self) -> bool:
+        """Whether the fill read has run its course as far as recorded.
+
+        A read takes *at most* the protocol's ``read_round_trips``: a fill
+        whose first quorum was unanimous ends after round 1, and the proxy
+        never sees that decision -- only that a round was recorded and no
+        further fill round is in the air.
+        """
+        return bool(self.rounds) and not self.inflight
 
     def matches(self, round_trip: int, sub: ProxySubRequest) -> bool:
         """Whether ``sub`` is the same protocol round the fill recorded."""

@@ -196,7 +196,9 @@ class ClientSessionEngine:
             if kind is OpKind.WRITE:
                 logic = spec.protocol.make_writer(self.client_id)
             else:
-                logic = spec.protocol.make_reader(self.client_id)
+                # Two round-trips only when the quorum disagrees (protocols
+                # without such a reader hand back their ordinary one).
+                logic = spec.protocol.make_opportunistic_reader(self.client_id)
             cache[key] = logic
         return logic
 
@@ -362,6 +364,7 @@ class ClientSessionEngine:
         self.observer.emit(
             OP_COMPLETED, op_id=pending.op_id, key=pending.key,
             trace=pending.trace, round_trips=pending.round_trip,
+            kind=pending.kind.value,
         )
         out.append(
             OpCompleted(pending.op_id, pending.key, outcome, pending.round_trip)

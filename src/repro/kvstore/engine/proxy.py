@@ -25,10 +25,13 @@ misses becomes the entry's *fill*: its sub-requests carry the lease mark,
 each serving replica registers this proxy as a lease holder (confirmed by
 a ``"lease-grant"`` frame ordered before the batch-ack), and the recorded
 quorum replies of every round-trip are replayed verbatim to later reads of
-the same key -- zero replica sub-ops per hit.  Atomicity rides the quorum
-intersection: replicas defer (and withhold acks for) any write against a
-leased key, so while grants from a write-blocking set of replicas stand,
-no superseding write can complete, and a cached read linearizes before it.
+the same key -- zero replica sub-ops per hit.  ``read_round_trips`` is the
+most rounds a read may take, not how many every read takes: a fill whose
+first quorum is unanimous ends there, and so does every read served from it.
+Atomicity rides the quorum intersection: replicas defer (and withhold acks
+for) any write against a leased key, so while grants from a write-blocking
+set of replicas stand, no superseding write can complete, and a cached read
+linearizes before it.
 ``"lease-invalidate"`` frames evict the entry and trigger a
 ``"lease-release"``, unblocking the writer; the proxy self-expires entries
 at half the lease TTL (clock-skew margin against the server-side expiry),
@@ -78,6 +81,7 @@ from ...messages import (
     unpack_proxy_request,
     unpack_view_push,
 )
+from ...protocols.base import RegisterProtocol
 from .cache import CacheEntry, ReadCache, payload_fingerprint
 from .effects import (
     DEFAULT_RETRY_POLICY,
@@ -248,13 +252,15 @@ class ProxyEngine:
             self._dispatch_safe(pending, out)
             return
         if sub.op_kind == "write":
-            # Write-through: our own cached copy is about to be superseded,
-            # and releasing *before* the write's rounds hit the replicas
-            # (per-destination ordering again) keeps the write from
-            # deferring against our own lease.
-            entry = cache.pop(sub.key)
-            if entry is not None:
-                self._evict(entry, out, reason="local-write")
+            # Write-through, on the round that mutates: our own cached copy
+            # is about to be superseded, and releasing *before* that round
+            # hits the replicas (per-destination ordering again) keeps the
+            # write from deferring against our own lease.  The write's query
+            # round changes nothing, so the entry keeps serving through it.
+            if sub.kind in RegisterProtocol.mutating_kinds:
+                entry = cache.pop(sub.key)
+                if entry is not None:
+                    self._evict(entry, out, reason="local-write")
             self._dispatch_safe(pending, out)
             return
         if sub.op_kind != "read" or sub.per_server:
@@ -302,7 +308,9 @@ class ProxyEngine:
                 return
             if not entry.stale and rt <= self.read_round_trips:
                 # Single-flight: ride the fill already in the air instead of
-                # opening a second identical quorum round.
+                # opening a second identical quorum round.  A follower only
+                # asks for a round past the first when the recorded first
+                # quorum was split, and then the fill asks for it too.
                 entry.followers.setdefault(rt, []).append((client, sub))
                 if rt == 1:
                     self.cache_misses += 1
@@ -810,8 +818,7 @@ class ProxyEngine:
                 return out
             self.leases_expired += 1
             self.observer.emit(LEASE_EXPIRED, key=key)
-            if (self.bounded_staleness and entry.granted
-                    and entry.complete(self.read_round_trips)):
+            if self.bounded_staleness and entry.granted and entry.complete():
                 # Bounded-staleness mode: hand the lease back (writers stop
                 # blocking on us) but keep serving the expired entry for
                 # one more half-TTL -- its age then stays under lease_ttl,

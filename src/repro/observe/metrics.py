@@ -224,6 +224,7 @@ class MetricsRegistry:
 _BASELINE_COUNTERS: Dict[str, Tuple[str, ...]] = {
     "client": (
         "ops_invoked", "ops_completed", "ops_failed",
+        "reads_fast", "reads_slow",
         "rounds_opened", "stale_replays", "proxy_failovers",
         "frames_sent", "frames_received",
         "timers_armed", "timers_fired", "timers_cancelled",
@@ -307,6 +308,25 @@ def _finishes_op(observer: "MetricsObserver", tier: str, component: str,
     return finish
 
 
+def _finishes_client_op(observer: "MetricsObserver", tier: str, component: str,
+                        now: Callable[[], float]) -> BoundHandler:
+    # A completed read also lands in ``reads_fast`` (its quorum agreed: one
+    # round-trip) or ``reads_slow`` (a write-back, or a replayed round).
+    finish = _finishes_op(observer, tier, component, now)
+    registry = observer.registry
+    registry.declare_counter(tier, component, "reads_fast")
+    registry.declare_counter(tier, component, "reads_slow")
+    counters = registry._counters
+    fast, slow = (tier, component, "reads_fast"), (tier, component, "reads_slow")
+
+    def finish_and_split(op_id, key, trace, attrs):
+        finish(op_id, key, trace, attrs)
+        if attrs.get("kind") == "read":
+            counters[fast if attrs.get("round_trips") == 1 else slow] += 1
+
+    return finish_and_split
+
+
 def _sizes_batch(observer: "MetricsObserver", tier: str, component: str,
                  now: Callable[[], float]) -> BoundHandler:
     registry = observer.registry
@@ -351,7 +371,7 @@ def _closes_range(observer: "MetricsObserver", tier: str, component: str,
 #: should report it even at zero, name it in the baseline tables above).
 KIND_METRICS: Dict[str, Tuple[Optional[str], Optional[_ActionFactory]]] = {
     OP_INVOKED: ("ops_invoked", _starts_op),
-    OP_COMPLETED: ("ops_completed", _finishes_op),
+    OP_COMPLETED: ("ops_completed", _finishes_client_op),
     OP_FAILED: ("ops_failed", _finishes_op),
     ROUND_OPENED: ("rounds_opened", _starts_proxy_op),
     ROUND_CLOSED: ("rounds_closed", _finishes_op),

@@ -1,6 +1,11 @@
 """Register protocol implementations across the design space of Table 1."""
 
-from .abd_mwmr import AbdMwmrProtocol, AbdMwmrReader, AbdMwmrWriter
+from .abd_mwmr import (
+    AbdMwmrProtocol,
+    AbdMwmrReader,
+    AbdMwmrWriter,
+    OpportunisticReader,
+)
 from .abd_swmr import AbdSwmrProtocol, AbdSwmrWriter
 from .base import (
     Broadcast,
@@ -35,6 +40,7 @@ __all__ = [
     "AbdMwmrProtocol",
     "AbdMwmrReader",
     "AbdMwmrWriter",
+    "OpportunisticReader",
     "AbdSwmrProtocol",
     "AbdSwmrWriter",
     "ByzantineSafeMwmrProtocol",

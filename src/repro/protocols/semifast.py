@@ -21,51 +21,18 @@ by the test suite against the atomicity checker):
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..core.errors import ConfigurationError
-from ..core.operations import OpKind
-from ..core.timestamps import BOTTOM_TAG
+from .abd_mwmr import OpportunisticReader
 from .abd_swmr import AbdSwmrWriter
-from .base import Broadcast, ClientLogic, OperationOutcome, RegisterProtocol, ServerLogic
-from .codec import decode_tag, encode_tag
+from .base import ClientLogic, RegisterProtocol, ServerLogic
 from .server_state import TagValueServer
 
 __all__ = ["SemifastReader", "SemifastSwmrProtocol"]
 
 
-class SemifastReader(ClientLogic):
-    """Reader with a fast path when the newest value is already stable."""
-
-    def __init__(self, client_id: str, servers, max_faults: int) -> None:
-        super().__init__(client_id, servers, max_faults)
-        self.fast_reads = 0
-        self.slow_reads = 0
-
-    def write_protocol(self, value: Any):
-        raise NotImplementedError("readers do not write")
-        yield  # pragma: no cover
-
-    def read_protocol(self):
-        acks = yield Broadcast("query")
-        best_tag = BOTTOM_TAG
-        best_value = None
-        for ack in acks:
-            tag = decode_tag(ack.payload["tag"])
-            if tag > best_tag:
-                best_tag = tag
-                best_value = ack.payload.get("value")
-        stable = all(decode_tag(a.payload["tag"]) == best_tag for a in acks)
-        if stable:
-            self.fast_reads += 1
-            return OperationOutcome(
-                OpKind.READ, value=best_value, tag=best_tag, metadata={"fast_path": True}
-            )
-        self.slow_reads += 1
-        yield Broadcast("update", {"tag": encode_tag(best_tag), "value": best_value})
-        return OperationOutcome(
-            OpKind.READ, value=best_value, tag=best_tag, metadata={"fast_path": False}
-        )
+#: The semifast rule is one implementation, shared with the multi-writer
+#: store (where it is opportunistic rather than semifast: see the class).
+SemifastReader = OpportunisticReader
 
 
 class SemifastSwmrProtocol(RegisterProtocol):

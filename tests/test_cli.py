@@ -219,6 +219,17 @@ class TestCommands:
             assert "proxy failovers" in output
             assert "replica bounces" in output
             assert "op latency         : p50" in output
+            assert "read round trips   : " in output
+
+    def test_kv_prints_the_one_round_two_round_read_split(self, capsys):
+        # One client, one op at a time: no write is ever in flight during a
+        # read, so every read's quorum agrees and none needs the write-back.
+        assert main(["kv", "--shards", "1", "--clients", "1", "--ops", "12",
+                     "--keys", "4", "--pipeline", "1"]) == 0
+        output = capsys.readouterr().out
+        line = next(l for l in output.splitlines() if l.startswith("read round"))
+        fast, slow = [int(word) for word in line.split() if word.isdigit()]
+        assert fast > 0 and slow == 0
 
     def test_kv_trace_dump_reconstructs_cross_tier_spans(self, tmp_path, capsys):
         import json

@@ -23,7 +23,7 @@ import asyncio
 import heapq
 import time
 
-from test_kvstore_engine import MemoryFabric, build_memory_stack, run_script
+from test_kvstore_engine import MemoryFabric, build_memory_stack, run_script, tap
 
 from repro.consistency import measure_staleness
 from repro.core.operations import OpKind
@@ -35,6 +35,7 @@ from repro.kvstore import (
     generate_workload,
     run_sim_kv_workload,
 )
+from repro.kvstore.engine.cache import CacheEntry
 from repro.kvstore.engine import (
     SIM_RETRY_POLICY,
     CachedShardView,
@@ -54,6 +55,7 @@ from repro.messages import (
     make_batch,
     make_lease_grant,
     make_lease_release,
+    unpack_batch,
     unpack_batch_ack,
     unpack_lease_grant,
 )
@@ -71,6 +73,51 @@ def run_until(fabric: MemoryFabric, deadline: float) -> None:
     while fabric._heap and fabric._heap[0][0] < deadline:
         fabric.now, _, action = heapq.heappop(fabric._heap)
         action()
+
+
+def hold_frames(fabric, match):
+    """Park every frame ``match(effect)`` accepts; returns ``release()``.
+
+    The fabric's constant delay makes every quorum the same two replicas;
+    holding chosen frames back is how a test stages a write that sits on a
+    minority, or a proxy whose quorum is the *other* two replicas.
+    """
+    held = []
+    deliver = fabric._deliver
+
+    def gate(effect):
+        if match(effect):
+            held.append(effect)
+        else:
+            deliver(effect)
+
+    def release():
+        fabric._deliver = deliver
+        for effect in held:
+            deliver(effect)
+
+    fabric._deliver = gate
+    return release
+
+
+def add_proxy_stack(fabric, shard_map, recorder, proxy_id, client_id):
+    """A second proxy with its own client on an existing memory stack."""
+    proxy = ProxyEngine(
+        proxy_id, CachedShardView(shard_map), policy=SIM_RETRY_POLICY,
+        read_cache=8, lease_ttl=1000.0,
+    )
+    fabric.register(proxy_id, proxy)
+    client = ClientSessionEngine(
+        client_id, shard_map, recorder, policy=SIM_RETRY_POLICY,
+        proxy_candidates=[proxy_id],
+    )
+    fabric.register(client_id, client)
+    fabric.execute(client_id, client.on_connected(proxy_id))
+    return proxy, client
+
+
+def group_servers(fabric, shard_map, group_id="g1"):
+    return [fabric._engines[sid] for sid in shard_map.groups[group_id].servers]
 
 
 def issue(fabric, client, kind, key, value, sink):
@@ -95,10 +142,12 @@ class TestCacheUnit:
         assert [o.value for o in outcomes] == ["v1", "v1", "v1"]
         assert proxy.cache_misses == 1
         assert proxy.cache_hits == 1
-        # The miss paid one full read round (2 round trips x 3 replicas in
-        # the default map); the hit paid nothing.
-        assert proxy.read_subs_sent == 6
+        # The miss paid one query round (3 replicas in the default map; the
+        # quorum agreed, so the fill never wrote back); the hit paid nothing.
+        assert proxy.read_subs_sent == 3
         assert check_per_key_atomicity(recorder.histories()).all_atomic
+        _, reads = recorder.histories()["k"].round_trip_counts()
+        assert reads == [1, 1]  # one client<->proxy round for fill and hit
 
     def test_concurrent_readers_share_one_fill(self):
         _, fabric, client, proxy, recorder = build_memory_stack(
@@ -113,9 +162,9 @@ class TestCacheUnit:
         fabric.run()
         assert seen == {"c1": "v0", "c2": "v0"}
         # Single-flight: the second read joined the first's fill instead of
-        # starting its own -- at most one read round's worth of sub-ops.
-        one_round = 2 * 3  # read_round_trips x replicas in the default map
-        assert proxy.read_subs_sent - subs_before <= one_round
+        # starting its own -- exactly one query round's worth of sub-ops.
+        one_round = 1 * 3  # a unanimous fill x replicas in the default map
+        assert proxy.read_subs_sent - subs_before == one_round
         assert check_per_key_atomicity(recorder.histories()).all_atomic
 
     def test_write_invalidates_cached_entry(self):
@@ -221,6 +270,88 @@ class TestCacheUnit:
         report = measure_staleness(recorder.histories()["k"])
         assert report.max_version_lag >= 1
         assert report.max_time_lag is not None
+
+    def test_one_round_fill_goes_stale_and_keeps_serving_in_one_round(self):
+        # The fill's quorum agreed, so round 1 is all it ever recorded.  That
+        # is a complete read: at ttl/2 the entry must go stale (and keep
+        # serving) rather than be evicted for want of a second round.
+        _, fabric, client, proxy, recorder = build_memory_stack(
+            use_proxy=True, read_cache=8, lease_ttl=100.0,
+            bounded_staleness=True,
+        )
+        seen = {}
+        issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
+        run_until(fabric, 10.0)
+        issue(fabric, client, OpKind.READ, "k", None, seen)
+        run_until(fabric, 20.0)
+        entry = proxy._cache.peek("k")
+        assert entry.rounds.keys() == {1} and entry.complete()
+        run_until(fabric, 80.0)  # past the proxy-side expiry
+        assert proxy._cache.peek("k") is entry and entry.stale
+        assert proxy.leases_expired == 1 and proxy.cache_invalidations == 0
+        subs_before = proxy.read_subs_sent
+        stale_seen = {}
+        issue(fabric, client, OpKind.READ, "k", None, stale_seen)
+        run_until(fabric, 90.0)
+        assert stale_seen == {"c1": "v1"}
+        assert proxy.read_subs_sent == subs_before  # served, not re-fetched
+        _, reads = recorder.histories()["k"].round_trip_counts()
+        assert reads == [1, 1]
+        fabric.run()
+        assert proxy._cache.peek("k") is None  # dropped at the full ttl
+
+    def test_a_fill_still_in_the_air_is_not_complete(self):
+        entry = CacheEntry(key="k", wait_for=2)
+        assert not entry.complete()  # nothing recorded yet
+        entry.inflight.add(1)
+        assert not entry.complete()
+        entry.inflight.discard(1)
+        entry.rounds[1] = []
+        assert entry.complete()  # a unanimous fill ends here
+        entry.inflight.add(2)  # a split one has its write-back out
+        assert not entry.complete()
+        entry.inflight.discard(2)
+        entry.rounds[2] = []
+        assert entry.complete()
+
+    def test_entry_serves_through_a_local_writes_query_round(self):
+        # A write's query round changes nothing, so the proxy's own entry
+        # keeps serving hits through it; the entry goes -- lease releases
+        # first, per-destination ordering -- when the *update* round arrives,
+        # so the write never defers against this proxy's own lease.
+        shard_map, fabric, client, proxy, recorder = build_memory_stack(
+            use_proxy=True, read_cache=8, num_clients=2
+        )
+        writer = fabric._engines["c2"]
+        servers = group_servers(fabric, shard_map)
+        issue(fabric, client, OpKind.WRITE, "k", "v1", {})
+        run_until(fabric, 10.0)
+        issue(fabric, client, OpKind.READ, "k", None, {})
+        run_until(fabric, 20.0)
+        entry = proxy._cache.peek("k")
+        assert entry is not None and entry.granted
+        proxy_trace = []
+        tap(proxy, proxy_trace)
+        wrote, hit = {}, {}
+        start = fabric.now
+        issue(fabric, writer, OpKind.WRITE, "k", "v2", wrote)
+        # +1: the query round reaches the proxy; +3: its quorum is back;
+        # +5: the update round reaches the proxy.
+        run_until(fabric, start + 1.5)
+        assert proxy._cache.peek("k") is entry  # the query did not evict
+        issue(fabric, client, OpKind.READ, "k", None, hit)
+        run_until(fabric, start + 4.5)
+        assert hit == {"c1": "v1"} and proxy.cache_hits == 1
+        assert proxy._cache.peek("k") is entry and proxy.cache_invalidations == 0
+        mark = len(proxy_trace)
+        run_until(fabric, start + 5.5)
+        assert proxy._cache.peek("k") is None and proxy.cache_invalidations == 1
+        sends = [kind for what, _dest, kind in proxy_trace[mark:] if what == "send"]
+        assert sends == [LEASE_RELEASE_KIND] * 3 + ["batch"] * 3
+        fabric.run()
+        assert wrote == {"c2": "v2"}
+        assert sum(s.write_deferrals for s in servers) == 0
+        assert check_per_key_atomicity(recorder.histories()).all_atomic
 
     def test_lru_bound_holds_under_more_keys_than_slots(self):
         _, fabric, client, proxy, _ = build_memory_stack(
@@ -383,35 +514,98 @@ class TestGrantAttribution:
         shard_map, fabric, client, proxy, recorder = build_memory_stack(
             use_proxy=True, read_cache=8
         )
-        # A second proxy with its own client: its fill's writeback races
-        # p1's granted entry and must defer behind p1's lease.
-        proxy2 = ProxyEngine(
-            "p2", CachedShardView(shard_map), policy=SIM_RETRY_POLICY,
-            read_cache=8, lease_ttl=1000.0, read_round_trips=2,
+        proxy2, client2 = add_proxy_stack(fabric, shard_map, recorder, "p2", "c2")
+        direct = ClientSessionEngine(
+            "d1", shard_map, recorder, policy=SIM_RETRY_POLICY
         )
-        fabric.register("p2", proxy2)
-        client2 = ClientSessionEngine(
-            "c2", shard_map, recorder, policy=SIM_RETRY_POLICY,
-            proxy_candidates=["p2"],
-        )
-        fabric.register("c2", client2)
-        fabric.execute("c2", client2.on_connected("p2"))
+        fabric.register("d1", direct)
+        s1, s2, s3 = shard_map.groups["g1"].servers
+        servers = group_servers(fabric, shard_map)
         seen = {}
         issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
         run_until(fabric, 50.0)
+        # A direct write caught mid-flight: its update reaches s3 alone.
+        # And p2 cannot hear from s1, so p2's quorum will be {s2, s3}.
+        def carries_update(frame):
+            return any(sub.message.kind == "update" for sub in unpack_batch(frame))
+
+        release = hold_frames(
+            fabric,
+            lambda eff: (
+                (eff.frame.sender == "d1" and eff.destination in (s1, s2)
+                 and carries_update(eff.frame))
+                or (eff.frame.sender == "p2" and eff.destination == s1)
+            ),
+        )
+        issue(fabric, direct, OpKind.WRITE, "k", "v2", seen)
+        run_until(fabric, 60.0)
+        assert "d1" not in seen  # one update-ack short of a quorum
+        # p1's quorum is {s1, s2}: unanimous on v1, so its fill ends after
+        # round 1 holding leases on all three replicas.
         issue(fabric, client, OpKind.READ, "k", None, seen)
         run_until(fabric, 100.0)
-        assert proxy._cache.peek("k") is not None
+        assert seen["c1"] == "v1"
+        assert proxy._cache.peek("k").granted
+        assert all(s.lease_holders("k") == {"p1"} for s in servers)
+        assert sum(s.write_deferrals for s in servers) == 0
+        # p2's fill sees {v1 @ s2, v2 @ s3}: a split quorum.  Its write-back
+        # of v2 is lease-marked, but p1's standing lease defers it like any
+        # write -- completing it now would let p1 keep serving v1 *after*
+        # c2's read returned v2.
         issue(fabric, client2, OpKind.READ, "k", None, seen)
+        run_until(fabric, 200.0)
+        assert seen["c2"] == "v2"
+        assert sum(s.write_deferrals for s in servers) >= 1
+        # The invalidation chase tore both cached entries down.
+        assert proxy._cache.peek("k") is None
+        assert proxy2._cache.peek("k") is None
+        release()
         fabric.run()
-        assert seen["c1"] == "v1" and seen["c2"] == "v1"
-        # p2's fill writeback was deferred against p1's standing lease and
-        # the invalidation chase tore both cached entries down.
-        servers = [
-            fabric._engines[sid] for sid in shard_map.groups["g1"].servers
-        ]
+        assert seen["d1"] == "v2"
+        assert not any(s.lease_holders("k") for s in servers)
+        _, reads = recorder.histories()["k"].round_trip_counts()
+        assert sorted(reads) == [1, 2]  # p1's unanimous fill, p2's split one
+        assert check_per_key_atomicity(recorder.histories()).all_atomic
+
+    def test_two_proxies_lease_one_key_at_once_and_one_write_clears_both(self):
+        shard_map, fabric, client, proxy, recorder = build_memory_stack(
+            use_proxy=True, read_cache=8
+        )
+        proxy2, client2 = add_proxy_stack(fabric, shard_map, recorder, "p2", "c2")
+        servers = group_servers(fabric, shard_map)
+        for sink_client, kind, value in [
+            (client, OpKind.WRITE, "v1"),
+            # Two unanimous fills: neither writes back, so neither defers
+            # behind the other's lease and both entries stand side by side.
+            (client, OpKind.READ, None),
+            (client2, OpKind.READ, None),
+        ]:
+            issue(fabric, sink_client, kind, "k", value, {})
+            run_until(fabric, fabric.now + 50.0)
+        assert all(s.lease_holders("k") == {"p1", "p2"} for s in servers)
+        assert proxy._cache.peek("k").granted and proxy2._cache.peek("k").granted
+        assert sum(s.write_deferrals for s in servers) == 0
+        hits = {}
+        for sink_client in (client, client2):
+            issue(fabric, sink_client, OpKind.READ, "k", None, hits)
+            run_until(fabric, fabric.now + 50.0)
+        assert hits == {"c1": "v1", "c2": "v1"}
+        assert (proxy.cache_hits, proxy2.cache_hits) == (1, 1)
+        # One write through p2: p2 drops its own entry ahead of the update
+        # round; the replicas defer that round behind p1's lease and chase
+        # p1, whose eviction releases it.
+        wrote = {}
+        issue(fabric, client2, OpKind.WRITE, "k", "v2", wrote)
+        run_until(fabric, fabric.now + 100.0)
+        assert wrote == {"c2": "v2"}
+        assert (proxy.cache_invalidations, proxy2.cache_invalidations) == (1, 1)
         assert sum(s.write_deferrals for s in servers) >= 1
         assert not any(s.lease_holders("k") for s in servers)
+        after = {}
+        for sink_client in (client, client2):
+            issue(fabric, sink_client, OpKind.READ, "k", None, after)
+        fabric.run()
+        assert after == {"c1": "v2", "c2": "v2"}
         assert check_per_key_atomicity(recorder.histories()).all_atomic
 
 

@@ -30,10 +30,13 @@ from pathlib import Path
 
 
 from repro.kvstore import (
+    KVOp,
+    KVWorkload,
     ShardMap,
     SimKVCluster,
     check_per_key_atomicity,
     generate_workload,
+    run_asyncio_kv_workload,
     run_sim_kv_workload,
 )
 from repro.kvstore.engine import (
@@ -417,6 +420,47 @@ def asyncio_trace(use_proxy=False, script=SCRIPT, read_cache=0):
     return asyncio.run(scenario())
 
 
+def round_trips_by_kind(histories):
+    """``{kind: [round_trips, ...]}`` over every key's recorded history."""
+    recorded = {OpKind.WRITE: [], OpKind.READ: []}
+    for history in histories.values():
+        writes, reads = history.round_trip_counts()
+        recorded[OpKind.WRITE] += writes
+        recorded[OpKind.READ] += reads
+    return recorded
+
+
+def script_workload(script):
+    """``script`` as a one-client, strictly sequential runner workload."""
+    ops = [
+        KVOp("put", key, value) if kind is OpKind.WRITE else KVOp("get", key)
+        for kind, key, value in script
+    ]
+    return KVWorkload({"c1": ops}, pipeline_depth=1)
+
+
+def memory_round_trips(script=SCRIPT):
+    _, fabric, client, _, recorder = build_memory_stack()
+    run_script(fabric, client, script)
+    return round_trips_by_kind(recorder.histories())
+
+
+def sim_round_trips(script=SCRIPT):
+    result = run_sim_kv_workload(
+        script_workload(script), num_shards=1, num_groups=1
+    )
+    assert result.check().all_atomic
+    return round_trips_by_kind(result.histories)
+
+
+def asyncio_round_trips(script=SCRIPT):
+    result = run_asyncio_kv_workload(
+        script_workload(script), num_shards=1, num_groups=1
+    )
+    assert result.check().all_atomic
+    return round_trips_by_kind(result.histories)
+
+
 class TestCrossBackendEquivalence:
     """Both adapters must produce the engine effect stream the pure harness
     does -- the no-drift-by-construction property of the extraction."""
@@ -432,9 +476,26 @@ class TestCrossBackendEquivalence:
         sim, _ = sim_trace(use_proxy=False)
         net, _ = asyncio_trace(use_proxy=False)
         assert memory == sim == net
-        # Sanity: the script really produced replica sends and completions.
-        assert sum(1 for kind, *_ in memory if kind == "send") >= 3 * 2 * len(SCRIPT)
+        # Sanity: the script really produced replica sends and completions --
+        # one frame per replica per round; a write is two rounds, and a read
+        # of this sequential script finds its quorum unanimous, so one.
+        writes = sum(1 for kind, *_ in SCRIPT if kind is OpKind.WRITE)
+        reads = len(SCRIPT) - writes
+        assert sum(1 for kind, *_ in memory if kind == "send") == 3 * (
+            2 * writes + 1 * reads
+        )
         assert sum(1 for kind, *_ in memory if kind == "done") == len(SCRIPT)
+
+    def test_sequential_reads_take_one_round_trip_on_every_backend(self):
+        # The recorded histories agree with the frame count above: with no
+        # write in flight every read ends after its query round, every write
+        # takes both of its rounds, on all three adapters.
+        for recorded in (
+            memory_round_trips(), sim_round_trips(), asyncio_round_trips()
+        ):
+            assert recorded == {
+                OpKind.WRITE: [2] * 3, OpKind.READ: [1] * 3,
+            }, recorded
 
     def test_proxied_effect_sequences_are_identical(self):
         memory_client, memory_proxy = memory_trace(use_proxy=True)

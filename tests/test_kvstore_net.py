@@ -144,6 +144,41 @@ class TestKVStoreFacade:
 
         asyncio.run(scenario())
 
+    def test_misshapen_typed_frame_takes_the_undeliverable_exit(self):
+        # A typed kind whose payload is not its typed records cannot be
+        # encoded; like an oversized frame it is reported to the engine as
+        # permanently undeliverable and the connection stays usable.
+        from repro.asyncio_net.codec import FrameError
+        from repro.kvstore.engine import SendFrame
+        from repro.messages import Message
+
+        async def scenario():
+            cluster = AsyncKVCluster(ShardMap(1))
+            await cluster.start()
+            store = KVStore(cluster, client_id="c1")
+            await store.connect()
+            try:
+                server_id = next(iter(cluster.shard_map.groups.values())).servers[0]
+                frame = Message("c1", server_id, kind="batch-ack", payload={})
+                reported = []
+                engine = store._runtime.engine
+                engine.on_frame_undeliverable = (
+                    lambda frame, error, retryable=True:
+                    reported.append((frame, error, retryable)) or []
+                )
+                assert store._send(SendFrame(server_id, frame)) == []
+                (seen, error, retryable), = reported
+                assert seen is frame and retryable is False
+                assert isinstance(error, FrameError) and "batch-ack" in str(error)
+                del engine.on_frame_undeliverable
+                await store.put("k", "v")
+                assert await store.get("k") == "v"
+            finally:
+                await store.close()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
     def test_requires_connect(self):
         async def scenario():
             cluster = AsyncKVCluster(ShardMap(1))

@@ -176,6 +176,21 @@ class TestMetricsObserver:
         assert hist["count"] == 1
         assert hist["mean"] == pytest.approx(2.5)
 
+    def test_completed_reads_split_by_round_trips(self):
+        observer = MetricsObserver()
+        for op_id, kind, round_trips in [
+            ("r1", "read", 1), ("r2", "read", 2), ("r3", "read", 1),
+            ("r4", "read", 3),  # a replayed round: not fast either
+            ("w1", "write", 2),
+        ]:
+            observer.handle(_event(
+                OP_COMPLETED, op_id=op_id,
+                attrs={"kind": kind, "round_trips": round_trips},
+            ))
+        counters = observer.registry.snapshot()["client"]["counters"]
+        assert (counters["reads_fast"], counters["reads_slow"]) == (2, 2)
+        assert counters["ops_completed"] == 5
+
     def test_proxy_round_latency_uses_first_open(self):
         observer = MetricsObserver()
         observer.handle(_event(ROUND_OPENED, tier="proxy", component="p1",
@@ -229,6 +244,8 @@ class TestOneSchema:
 
     def test_every_baseline_counter_is_some_kinds_counter(self):
         counted = {counter for counter, _ in KIND_METRICS.values()}
+        # ... or one of the two cells op.completed's action splits reads into.
+        counted |= {"reads_fast", "reads_slow"}
         for tier, names in _BASELINE_COUNTERS.items():
             assert set(names) <= counted, tier
 

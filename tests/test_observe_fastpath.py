@@ -8,8 +8,11 @@ sees, the ``handle(TraceEvent)`` route staying equivalent to the routed one,
 and the hub surface (``clock`` reassignable, sinks added late, plain sinks).
 
 ``python tests/test_observe_fastpath.py`` prints the golden for the checkout
-on ``PYTHONPATH``; ``tests/golden/observe_fastpath.json`` is that output at
-commit 98388d9 (PR 12), the parent of the routed emit.
+on ``PYTHONPATH``.  ``tests/golden/observe_fastpath.json`` was first captured
+at commit 98388d9 (PR 12), the parent of the routed emit, and recaptured in
+PR 16, which changed the run itself: reads whose quorum agrees end after one
+round (2132 -> 1452 events), ``op.completed`` carries the op's ``kind``, and
+the client tier reports ``reads_fast`` / ``reads_slow``.
 """
 
 from __future__ import annotations

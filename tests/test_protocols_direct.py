@@ -7,7 +7,10 @@ import pytest
 from repro.core.errors import ConfigurationError, QuorumUnavailableError
 from repro.core.operations import OpKind
 from repro.core.timestamps import BOTTOM_TAG, Tag
+from repro.messages import Message
+from repro.protocols.abd_mwmr import AbdMwmrReader, OpportunisticReader, quorum_agrees
 from repro.protocols.base import DirectDriver
+from repro.protocols.codec import encode_tag
 from repro.protocols.registry import PROTOCOLS, build_protocol, protocol_for_point
 from repro.core.fastness import DesignPoint
 from repro.util.ids import server_ids
@@ -78,6 +81,92 @@ class TestAbdMwmr:
             sid for sid, logic in self.driver.servers.items() if logic.value == "a"
         ]
         assert len(holding) == len(SERVERS)
+
+
+class TestOpportunisticReader:
+    """The store's reader: the write-back runs only when the quorum is split."""
+
+    SERVERS3 = server_ids(3)
+
+    def setup_method(self):
+        self.protocol = build_protocol("abd-mwmr", self.SERVERS3, 1)
+        self.driver = make_driver(self.protocol)
+
+    def updates_served(self):
+        return sum(logic.updates_served for logic in self.driver.servers.values())
+
+    def land(self, server_id, tag, value):
+        """Apply one update at one server only: a write caught mid-flight."""
+        self.driver.servers[server_id].handle(
+            Message("w2", server_id, "update", {"tag": encode_tag(tag), "value": value})
+        )
+
+    def read(self, op_id, respond_from=None):
+        reader = self.protocol.make_opportunistic_reader("r1")
+        return self.driver.run_operation(
+            reader, reader.read_protocol(), op_id, respond_from=respond_from
+        )
+
+    def test_unanimous_quorum_reads_in_one_round_without_an_update(self):
+        writer = self.protocol.make_writer("w1")
+        self.driver.run_operation(writer, writer.write_protocol("a"), "op1")
+        before = self.updates_served()
+        outcome = self.read("op2")
+        assert (outcome.value, outcome.tag) == ("a", Tag(1, "w1"))
+        assert outcome.metadata["round_trips"] == 1
+        assert outcome.metadata["fast_path"] is True
+        assert self.updates_served() == before  # no update broadcast at all
+
+    def test_initial_value_is_unanimous_too(self):
+        outcome = self.read("op1")
+        assert outcome.tag == BOTTOM_TAG and outcome.value is None
+        assert outcome.metadata["round_trips"] == 1
+
+    def test_split_quorum_writes_back_the_max_and_later_reads_never_go_back(self):
+        writer = self.protocol.make_writer("w1")
+        self.driver.run_operation(writer, writer.write_protocol("a"), "op1")
+        self.land("s1", Tag(2, "w2"), "b")  # the new value is on one server
+        outcome = self.read("op2", respond_from=["s1", "s2"])  # {new, old}
+        assert (outcome.value, outcome.tag) == ("b", Tag(2, "w2"))
+        assert outcome.metadata["round_trips"] == 2
+        assert outcome.metadata["fast_path"] is False
+        assert all(
+            logic.tag == Tag(2, "w2") for logic in self.driver.servers.values()
+        )
+        # Whichever quorum answers next holds the written-back value, so the
+        # following read is fast *and* cannot return the older one.
+        for op_id, quorum in [("op3", ["s2", "s3"]), ("op4", ["s1", "s3"])]:
+            later = self.read(op_id, respond_from=quorum)
+            assert later.value == "b"
+            assert later.metadata["round_trips"] == 1
+
+    def test_a_quorum_that_misses_the_new_value_still_agrees(self):
+        # The in-flight write has completed nowhere the reader looks: the old
+        # value is unanimous on a quorum, so returning it in one round is the
+        # linearization "read before write".
+        writer = self.protocol.make_writer("w1")
+        self.driver.run_operation(writer, writer.write_protocol("a"), "op1")
+        self.land("s1", Tag(2, "w2"), "b")
+        outcome = self.read("op2", respond_from=["s2", "s3"])
+        assert outcome.value == "a" and outcome.metadata["round_trips"] == 1
+
+    def test_fewer_replies_than_a_quorum_never_count_as_agreement(self):
+        acks = [
+            Message("s1", "r1", "query-ack", {"tag": encode_tag(Tag(1, "w1"))}),
+        ]
+        assert quorum_agrees(acks + acks, quorum_size=2)
+        assert not quorum_agrees(acks, quorum_size=2)
+
+    def test_registry_reader_is_still_the_textbook_one(self):
+        assert type(self.protocol.make_reader("r1")) is AbdMwmrReader
+        assert type(self.protocol.make_opportunistic_reader("r1")) is OpportunisticReader
+        for key, spec in PROTOCOLS.items():
+            if key == "abd-mwmr":
+                continue
+            other = build_protocol(key, server_ids(9), 1)
+            assert type(other.make_opportunistic_reader("r1")) is type(
+                other.make_reader("r1")
+            ), key
 
 
 class TestFastReadMwmr:
