@@ -92,6 +92,9 @@ class MemoryFabric:
         self.callbacks = {}
         self.failures = []
         self.observers = {}
+        #: Processes whose inbound frames vanish (a crash the sender is not
+        #: told about, as on the simulated network).
+        self.down = set()
 
     def register(self, process_id, engine, observer=None) -> None:
         self._engines[process_id] = engine
@@ -145,14 +148,21 @@ class MemoryFabric:
 
     def _deliver(self, effect: SendFrame) -> None:
         engine = self._engines.get(effect.destination)
-        if engine is None:
-            return  # e.g. acks to the control plane
+        if engine is None or effect.destination in self.down:
+            return  # e.g. acks to the control plane, or a crashed process
         self.execute(effect.destination, engine.on_frame(effect.frame))
 
+    def step(self) -> bool:
+        """Run the next scheduled event; ``False`` once nothing is scheduled."""
+        if not self._heap:
+            return False
+        self.now, _, action = heapq.heappop(self._heap)
+        action()
+        return True
+
     def run(self) -> None:
-        while self._heap:
-            self.now, _, action = heapq.heappop(self._heap)
-            action()
+        while self.step():
+            pass
 
 
 def build_memory_stack(num_shards=1, num_groups=1, use_proxy=False, hub=None,

@@ -1,0 +1,696 @@
+"""Characterisation of the replica-round machinery, through its owners.
+
+A quorum round against a replica group -- queue, batch, collect ``wait_for``
+replies, replay on a stale bounce, retry or fail when replicas are lost -- is
+run by two engines: :class:`ClientSessionEngine` (direct ingress) and
+:class:`ProxyEngine` (every forwarded round).  This file pins what that
+machinery does from the outside, with one scenario table run against *both*
+owners through nothing but their public inputs (``invoke`` / ``on_frame`` /
+``on_timer`` / ``on_peer_lost`` / ``on_frame_undeliverable``) on the
+``MemoryFabric`` of ``test_kvstore_engine``: the emitted effects, the
+counters and the ``BatchStats`` frame totals.  The loss and give-up paths in
+particular had never run under test.
+
+What legitimately differs between the owners is spelled out by :class:`Rig`:
+how a round enters (an invocation vs a forwarded ``proxy`` frame), the retry
+timer's id (``("retry", op_id)`` vs ``("pretry", scoped_id, round_trip)``),
+and the outcome (``OpCompleted`` / ``OpFailed`` vs a ``proxy-ack`` with
+replies or an error string).  The proxy-only rows cover what only a proxy has:
+round timeouts, restrictive read policies, cache fills and ``sever()``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from repro.core.operations import OpKind
+from repro.kvstore import RetryPolicy, ShardMap
+from repro.kvstore.engine import (
+    MAX_STALE_RETRIES,
+    CachedShardView,
+    CancelTimer,
+    ClientSessionEngine,
+    GroupServerEngine,
+    NearestQuorum,
+    OpCompleted,
+    OpFailed,
+    ProxyEngine,
+    SendFrame,
+    StartTimer,
+    make_stale_reply,
+)
+from repro.kvstore.perkey import KVHistoryRecorder
+from repro.messages import (
+    BATCH_KIND,
+    LEASE_RELEASE_KIND,
+    PROXY_ACK_KIND,
+    ProxySubRequest,
+    make_batch_ack,
+    make_lease_release,
+    make_proxy_request,
+    unpack_batch,
+    unpack_proxy_ack,
+)
+
+from test_kvstore_engine import SCRIPT, MemoryFabric, build_memory_stack, run_script
+
+#: Distinct windows, so a test can tell a reconnect retry from a drain backoff.
+POLICY = RetryPolicy(
+    reconnect_interval=5.0,
+    max_transient_retries=2,
+    round_timeout=None,
+    drain_backoff=7.0,
+)
+
+_INPUTS = ("invoke", "on_frame", "on_timer", "on_peer_lost", "on_frame_undeliverable")
+
+
+class _ProxyAckSink:
+    """Stands in for the client behind the proxy under test."""
+
+    def on_frame(self, message):
+        return []
+
+
+class Rig:
+    """One owner of replica rounds over real replicas on a ``MemoryFabric``.
+
+    ``mode`` is ``"direct"`` (a :class:`ClientSessionEngine` with no proxy)
+    or ``"proxy"`` (a :class:`ProxyEngine` fed forwarded rounds by hand).
+    Every effect list the owner returns is logged as ``(input, effects)``
+    before the fabric executes it.
+    """
+
+    def __init__(self, mode, policy=POLICY, num_groups=1, max_batch=8, **proxy_kwargs):
+        self.mode = mode
+        self.shard_map = ShardMap(1, num_groups=num_groups, readers=1, writers=1)
+        self.shard_id = next(iter(self.shard_map.shards))
+        self.fabric = MemoryFabric()
+        self.replicas = {}
+        for group in self.shard_map.groups.values():
+            hosted = {
+                spec.shard_id: spec.epoch
+                for spec in self.shard_map.shards_on(group.group_id)
+            }
+            for server_id in group.servers:
+                self.replicas[server_id] = GroupServerEngine(
+                    server_id, group.protocol, dict(hosted), lease_ttl=1000.0
+                )
+                self.fabric.register(server_id, self.replicas[server_id])
+        if mode == "direct":
+            assert not proxy_kwargs
+            ticks = itertools.count()
+            self.owner_id = "c1"
+            self.owner = ClientSessionEngine(
+                "c1", self.shard_map, KVHistoryRecorder(lambda: float(next(ticks))),
+                policy=policy, max_batch=max_batch,
+            )
+        else:
+            self.owner_id = "p1"
+            self.view = CachedShardView(self.shard_map)
+            self.owner = ProxyEngine(
+                "p1", self.view, policy=policy, max_batch=max_batch,
+                lease_ttl=1000.0, **proxy_kwargs,
+            )
+            self.fabric.register("c1", _ProxyAckSink())
+        self.fabric.register(self.owner_id, self.owner)
+        self.log = []
+        for name in _INPUTS:
+            original = getattr(self.owner, name, None)
+            if original is not None:
+                setattr(self.owner, name, self._logged(name, original))
+        self._ops = itertools.count(1)
+
+    def _logged(self, name, original):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            effects = result[1] if isinstance(result, tuple) else result
+            self.log.append((name, list(effects)))
+            return result
+
+        return wrapper
+
+    # -- topology ---------------------------------------------------------------
+
+    @property
+    def spec(self):
+        return self.shard_map.shards[self.shard_id]
+
+    @property
+    def servers(self):
+        return list(self.spec.group.servers)
+
+    def kill(self, *server_ids):
+        self.fabric.down.update(server_ids or self.replicas)
+
+    def revive(self):
+        self.fabric.down.clear()
+
+    def fence(self, ahead=1):
+        """Fence the shard on its replicas without touching the map: what a
+        key looks like mid-drain (``ahead=0`` lifts the fence)."""
+        for server_id in self.spec.group.servers:
+            self.replicas[server_id].set_epoch(self.shard_id, self.spec.epoch + ahead)
+
+    def move_shard(self):
+        """Re-home the shard on the other group: map, hosting and epoch."""
+        old = self.spec.group
+        new = next(g for g in self.shard_map.groups.values() if g is not old)
+        self.shard_map.move_shard(self.shard_id, new.group_id)
+        for server_id in old.servers:
+            self.replicas[server_id].evict_shard(self.shard_id)
+        for server_id in new.servers:
+            self.replicas[server_id].host_shard(self.shard_id, self.spec.epoch)
+
+    # -- driving the owner ------------------------------------------------------
+
+    def feed(self, name, *args, **kwargs):
+        """One public input: returns its effects, after the fabric ran them."""
+        result = getattr(self.owner, name)(*args, **kwargs)
+        effects = result[1] if isinstance(result, tuple) else result
+        self.fabric.execute(self.owner_id, effects)
+        return effects
+
+    def start(self, key="k"):
+        """Open one read round for ``key``; returns the effects."""
+        if self.mode == "direct":
+            return self.feed("invoke", OpKind.READ, key)
+        query = next(
+            self.spec.protocol.make_opportunistic_reader("c1").read_protocol()
+        )
+        op_id = f"c1-read-{next(self._ops)}"
+        sub = ProxySubRequest(
+            key=key, op_kind="read", kind=query.kind, payload=query.payload,
+            op_id=op_id, round_trip=1, wait_for=query.wait_for, trace=op_id,
+        )
+        return self.feed("on_frame", make_proxy_request("c1", "p1", [sub]))
+
+    def run_until(self, done):
+        while not done():
+            assert self.fabric.step(), "the fabric went quiet first"
+
+    def run(self):
+        self.fabric.run()
+
+    def await_timer(self):
+        """Run the fabric until the next timer fires into the owner (frames
+        sent to killed replicas before then are gone for good)."""
+        mark = len(self.log)
+        self.run_until(lambda: any(name == "on_timer" for name, _ in self.log[mark:]))
+        return self.log[-1][1]
+
+    def batches(self):
+        """Every ``batch`` frame the owner has emitted so far, in order."""
+        return [
+            effect
+            for _name, effects in self.log
+            for effect in effects
+            if isinstance(effect, SendFrame) and effect.frame.kind == BATCH_KIND
+        ]
+
+    def flush(self):
+        """Run the fabric until the owner's next batch goes out; returns it."""
+        before = len(self.batches())
+        self.run_until(lambda: len(self.batches()) > before)
+        return self.batches()[before:]
+
+    def last(self, name):
+        """The effects of the most recent ``name`` input."""
+        return next(effects for logged, effects in reversed(self.log) if logged == name)
+
+    # -- what differs between the owners ----------------------------------------
+
+    @staticmethod
+    def ident(sent):
+        """The wire identity of the (single-round) attempt a frame carries."""
+        message = unpack_batch(sent.frame)[0].message
+        return message.op_id, message.round_trip
+
+    def retry_timer(self, sent):
+        """The retry timer id of the attempt ``sent`` belongs to."""
+        op_id, round_trip = self.ident(sent)
+        if self.mode == "direct":
+            return ("retry", op_id)
+        return ("pretry", op_id, round_trip)
+
+    def outcomes(self):
+        """``("ok", n_replies | None)`` or ``("failed", text)`` per finished round."""
+        found = []
+        for _name, effects in self.log:
+            for effect in effects:
+                if isinstance(effect, OpCompleted):
+                    found.append(("ok", None))
+                elif isinstance(effect, OpFailed):
+                    found.append(("failed", f"{type(effect.error).__name__}: {effect.error}"))
+                elif isinstance(effect, SendFrame) and effect.frame.kind == PROXY_ACK_KIND:
+                    assert effect.destination == "c1"
+                    for reply in unpack_proxy_ack(effect.frame):
+                        if reply.error is not None:
+                            assert reply.replies == ()
+                            found.append(("failed", reply.error))
+                        else:
+                            found.append(("ok", len(reply.replies)))
+        return found
+
+    def outcome(self):
+        found = self.outcomes()
+        assert len(found) <= 1
+        return found[0][0] if found else None
+
+    def failure_effects(self, effects, error=None):
+        """Assert ``effects`` is exactly the owner's one failure report."""
+        assert len(effects) == 1, effects
+        (effect,) = effects
+        if self.mode == "direct":
+            assert isinstance(effect, OpFailed)
+            if error is not None:
+                assert effect.error is error
+        else:
+            assert isinstance(effect, SendFrame) and effect.destination == "c1"
+            (reply,) = unpack_proxy_ack(effect.frame)
+            assert reply.error is not None and reply.replies == ()
+            if error is not None:
+                assert str(error) in reply.error
+
+    def replica_ack(self, sent, stale=False, empty=False):
+        """The ``batch-ack`` a replica would send for ``sent`` (or a crafted
+        stale / reply-less one), without going through the fabric."""
+        if stale or empty:
+            return make_batch_ack(sent.frame, [
+                (sub.key, None if empty else make_stale_reply(sub, None))
+                for sub in unpack_batch(sent.frame)
+            ])
+        effects = self.replicas[sent.destination].on_frame(sent.frame)
+        (ack,) = [e.frame for e in effects if e.frame.kind == "batch-ack"]
+        return ack
+
+
+def timer_kinds(effects):
+    return [e.timer_id[0] for e in effects if isinstance(e, StartTimer)]
+
+
+# -- the scenario table: rows every owner must pass -------------------------------
+
+
+def one_lost_replica_leaves_the_quorum_reachable(make_rig):
+    rig = make_rig()
+    assert timer_kinds(rig.start()) == ["flush"]
+    frames = rig.flush()
+    assert [f.destination for f in frames] == rig.servers
+    assert all(len(unpack_batch(f.frame)) == 1 for f in frames)
+    lost = rig.servers[0]
+    rig.kill(lost)
+    assert rig.feed("on_peer_lost", lost) == []
+    # The same loss reported by the send path: still nothing to do, but the
+    # frame that never reached the wire is uncounted.
+    assert rig.owner.stats.frames_sent == 3
+    assert rig.feed(
+        "on_frame_undeliverable", frames[0].frame, ConnectionResetError("down"), True
+    ) == []
+    assert rig.owner.stats.frames_sent == 2
+    # A frame that carries no round is nobody's loss, and was never counted.
+    release = make_lease_release(rig.owner_id, lost, ["k"])
+    assert rig.feed("on_frame_undeliverable", release, ConnectionResetError("down")) == []
+    assert rig.owner.stats.frames_sent == 2
+    rig.run()
+    assert rig.outcome() == "ok"
+    assert rig.owner.stats.frames_received == 2
+    assert (rig.owner.stale_replays, rig.owner.drain_backoffs) == (0, 0)
+
+
+def lost_quorum_retries_once_then_replays_under_a_fresh_identity(make_rig):
+    rig = make_rig()
+    rig.start()
+    frames = rig.flush()
+    rig.kill()
+    s1, s2, s3 = rig.servers
+    assert rig.feed("on_peer_lost", s1) == []
+    assert rig.feed("on_peer_lost", s2) == [
+        StartTimer(rig.retry_timer(frames[0]), POLICY.reconnect_interval)
+    ]
+    assert rig.feed("on_peer_lost", s3) == []  # already awaiting the retry
+    assert timer_kinds(rig.await_timer()) == ["flush"]
+    rig.revive()
+    replay = rig.flush()
+    assert [f.destination for f in replay] == rig.servers
+    assert rig.ident(replay[0]) != rig.ident(frames[0])
+    assert rig.last("on_timer") == replay  # the flush: frames, nothing else
+    # Stragglers of the abandoned attempt are not counted into the new one --
+    # two of them would otherwise make a quorum -- and neither is an entry a
+    # replica chose not to answer.
+    assert rig.feed("on_frame", rig.replica_ack(frames[0])) == []
+    assert rig.feed("on_frame", rig.replica_ack(frames[1])) == []
+    assert rig.feed("on_frame", rig.replica_ack(replay[2], empty=True)) == []
+    assert rig.outcome() is None
+    rig.run()
+    assert rig.outcome() == "ok"
+    assert rig.owner.stats.frames_sent == 6
+    assert rig.owner.stats.frames_received == 6
+    assert rig.owner.stats.rounds == 2 and rig.owner.stats.sub_operations == 2
+
+
+def undelivered_frames_are_uncounted_across_the_replay(make_rig):
+    rig = make_rig()
+    rig.start()
+    frames = rig.flush()
+    rig.kill(*rig.servers[:2])
+    down = ConnectionResetError("connection is down")
+    assert rig.feed("on_frame_undeliverable", frames[0].frame, down, True) == []
+    assert rig.feed("on_frame_undeliverable", frames[1].frame, down, True) == [
+        StartTimer(rig.retry_timer(frames[0]), POLICY.reconnect_interval)
+    ]
+    assert rig.owner.stats.frames_sent == 1
+    rig.await_timer()
+    rig.revive()
+    replay = rig.flush()
+    # Each frame counted once: the one that went out, plus the replay's three.
+    assert rig.owner.stats.frames_sent == 4
+    # A late report about the abandoned attempt changes no round (the frame
+    # itself is still uncounted).
+    assert rig.feed("on_frame_undeliverable", frames[2].frame, down, True) == []
+    assert rig.owner.stats.frames_sent == 3
+    rig.run()
+    assert rig.outcome() == "ok"
+    assert rig.ident(replay[0]) != rig.ident(frames[0])
+
+
+def non_retryable_loss_fails_the_round_at_once(make_rig):
+    rig = make_rig()
+    rig.start()
+    frames = rig.flush()
+    rig.kill()
+    oversized = ValueError("frame exceeds the 16 MiB limit")
+    assert rig.feed("on_frame_undeliverable", frames[0].frame, oversized, False) == []
+    rig.failure_effects(
+        rig.feed("on_frame_undeliverable", frames[1].frame, oversized, False),
+        error=oversized,
+    )
+    assert rig.outcome() == "failed"
+    assert rig.owner.stats.frames_sent == 1
+    rig.run()  # nothing left armed
+    assert timer_kinds(rig.last("on_frame_undeliverable")) == []
+
+
+def transient_retries_run_out(make_rig):
+    policy = RetryPolicy(reconnect_interval=5.0, max_transient_retries=1,
+                         round_timeout=None)
+    rig = make_rig(policy=policy)
+    rig.start()
+    frames = rig.flush()
+    rig.kill()
+    s1, s2, _ = rig.servers
+    rig.feed("on_peer_lost", s1)
+    assert timer_kinds(rig.feed("on_peer_lost", s2)) == [rig.retry_timer(frames[0])[0]]
+    rig.flush()  # the one allowed replay
+    assert rig.feed("on_peer_lost", s1) == []
+    rig.failure_effects(rig.feed("on_peer_lost", s2))
+    assert rig.outcome() == "failed"
+    assert "unreachable" in rig.outcomes()[0][1]
+
+
+def same_route_bounce_backs_off_on_the_drain_window(make_rig):
+    rig = make_rig()
+    rig.start()
+    frames = rig.flush()
+    rig.fence()
+    rig.run_until(lambda: rig.owner.drain_backoffs)
+    assert rig.last("on_frame") == [
+        StartTimer(rig.retry_timer(frames[0]), POLICY.drain_backoff_interval)
+    ]
+    assert (rig.owner.drain_backoffs, rig.owner.stale_replays) == (1, 0)
+    rig.fence(ahead=0)
+    log_mark = len(rig.log)
+    replay = rig.flush()
+    # The group's other, equally stale replies fell on a round in backoff.
+    assert [e for name, e in rig.log[log_mark:] if name == "on_frame"] == [[], []]
+    assert rig.ident(replay[0]) != rig.ident(frames[0])
+    assert [f.destination for f in replay] == rig.servers
+    rig.run()
+    assert rig.outcome() == "ok"
+    assert (rig.owner.drain_backoffs, rig.owner.stale_replays) == (1, 0)
+
+
+def drain_backoffs_run_out(make_rig):
+    policy = RetryPolicy(reconnect_interval=5.0, max_transient_retries=1,
+                         round_timeout=None, drain_backoff=7.0)
+    rig = make_rig(policy=policy)
+    rig.start()
+    rig.flush()
+    rig.fence()
+    rig.run_until(rig.outcome)
+    rig.failure_effects(rig.last("on_frame"))
+    assert rig.outcome() == "failed"
+    assert "draining range" in rig.outcomes()[0][1]
+    assert (rig.owner.drain_backoffs, rig.owner.stale_replays) == (2, 0)
+    rig.run()
+
+
+def changed_route_bounce_replays_to_the_new_group(make_rig):
+    rig = make_rig(num_groups=2)
+    rig.start()
+    frames = rig.flush()
+    old_servers = rig.servers
+    assert [f.destination for f in frames] == old_servers
+    rig.move_shard()
+    rig.run_until(lambda: rig.owner.stale_replays)
+    new_group = rig.spec.group.group_id
+    assert rig.last("on_frame") == [StartTimer(("flush", new_group), 0.0)]
+    assert (rig.owner.stale_replays, rig.owner.drain_backoffs) == (1, 0)
+    replay = rig.flush()
+    assert [f.destination for f in replay] == rig.servers != old_servers
+    sub = unpack_batch(replay[0].frame)[0]
+    assert (sub.shard, sub.epoch) == (rig.shard_id, rig.spec.epoch)
+    assert rig.ident(replay[0]) != rig.ident(frames[0])
+    rig.run()
+    assert rig.outcome() == "ok"
+    assert rig.owner.stale_replays == 1
+
+
+def stale_replays_run_out(make_rig):
+    rig = make_rig(num_groups=2)
+    rig.start()
+    for bounce in range(1, MAX_STALE_RETRIES + 2):
+        rig.move_shard()  # the map never stops moving under the round
+        rig.run_until(lambda: rig.owner.stale_replays == bounce)
+    rig.failure_effects(rig.last("on_frame"))
+    assert rig.outcome() == "failed"
+    assert "never converged" in rig.outcomes()[0][1]
+    assert rig.owner.stale_replays == MAX_STALE_RETRIES + 1
+    rig.run()
+    assert rig.outcome() == "failed"  # and nothing replays after the give-up
+
+
+def a_full_queue_is_cut_at_once(make_rig):
+    rig = make_rig(max_batch=2)
+    assert timer_kinds(rig.start("k1")) == ["flush"]
+    effects = rig.start("k2")
+    assert [e.destination for e in effects] == rig.servers
+    assert all(
+        [sub.key for sub in unpack_batch(e.frame)] == ["k1", "k2"] for e in effects
+    )
+    stats = rig.owner.stats
+    assert (stats.rounds, stats.sub_operations, stats.largest) == (1, 2, 2)
+    rig.run()
+    assert rig.last("on_timer") == []  # the flush armed for k1 found nothing
+    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
+    assert (stats.frames_sent, stats.frames_received) == (3, 3)
+
+
+def round_timers_exist_only_behind_the_proxy(make_rig):
+    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0)
+    rig = make_rig(policy=policy)
+    kinds = timer_kinds(rig.start())
+    assert kinds == (["flush"] if rig.mode == "direct" else ["round", "flush"])
+    rig.run()
+    assert rig.outcome() == "ok"
+
+
+COMMON = [
+    one_lost_replica_leaves_the_quorum_reachable,
+    lost_quorum_retries_once_then_replays_under_a_fresh_identity,
+    undelivered_frames_are_uncounted_across_the_replay,
+    non_retryable_loss_fails_the_round_at_once,
+    transient_retries_run_out,
+    same_route_bounce_backs_off_on_the_drain_window,
+    drain_backoffs_run_out,
+    changed_route_bounce_replays_to_the_new_group,
+    stale_replays_run_out,
+    a_full_queue_is_cut_at_once,
+    round_timers_exist_only_behind_the_proxy,
+]
+
+
+# -- rows only a proxy has --------------------------------------------------------
+
+
+def silent_round_times_out_replays_then_errors(make_rig):
+    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0,
+                         max_round_timeouts=1)
+    rig = make_rig(policy=policy)
+    rig.kill()
+    rig.start()
+    (first,) = {rig.ident(f) for f in rig.flush()}
+    (second,) = {rig.ident(f) for f in rig.flush()}
+    assert second != first
+    timeouts = [
+        effects for name, effects in rig.log
+        if name == "on_timer" and any(isinstance(e, CancelTimer) for e in effects)
+    ]
+    assert timeouts[0] == [
+        CancelTimer(("round", *first)),
+        StartTimer(("round", *second), 50.0),
+        StartTimer(("flush", rig.spec.group.group_id), 0.0),
+    ]
+    rig.run()
+    assert rig.last("on_timer")[0] == CancelTimer(("round", *second))
+    rig.failure_effects(rig.last("on_timer")[1:])
+    assert "no quorum within 100s" in rig.outcomes()[0][1]
+    assert rig.owner.stats.frames_sent == 6
+
+
+def round_timer_is_ignored_while_a_drain_retry_is_pending(make_rig):
+    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=3.5,
+                         drain_backoff=7.0)
+    rig = make_rig(policy=policy)
+    rig.start()
+    rig.flush()
+    rig.fence()
+    rig.run_until(lambda: rig.owner.drain_backoffs)
+    rig.fence(ahead=0)
+    log_mark = len(rig.log)
+    rig.flush()
+    timers = [e for name, e in rig.log[log_mark:] if name == "on_timer"]
+    # The attempt's round timer fired into the backoff and did nothing; the
+    # retry then dropped that attempt and opened a fresh, freshly-bounded one.
+    assert timers[0] == []
+    assert [type(e).__name__ for e in timers[1]] == [
+        "CancelTimer", "StartTimer", "StartTimer"
+    ]
+    assert timer_kinds(timers[1]) == ["round", "flush"]
+    rig.run()
+    assert rig.outcome() == "ok"
+
+
+def restrictive_read_policy_targets_only_a_quorum(make_rig):
+    rig = make_rig(read_policy=NearestQuorum(lambda origin, server: 0.0))
+    rig.start()
+    frames = rig.flush()
+    assert len(frames) == 2 and {f.destination for f in frames} < set(rig.servers)
+    rig.kill()
+    # No spare target: losing one of the two already loses the quorum.
+    assert rig.feed("on_peer_lost", frames[0].destination) == [
+        StartTimer(rig.retry_timer(frames[0]), POLICY.reconnect_interval)
+    ]
+    # A replica the round never targeted is not its loss.
+    (other,) = set(rig.servers) - {f.destination for f in frames}
+    assert rig.feed("on_peer_lost", other) == []
+    rig.await_timer()
+    rig.revive()
+    rig.run()
+    assert rig.outcome() == "ok"
+    assert rig.owner.read_subs_sent == 4
+
+
+def bounced_cache_fill_evicts_its_entry_and_completes_leaseless(make_rig):
+    rig = make_rig(read_cache=8)
+    assert ("lease", "k") in [
+        e.timer_id for e in rig.start() if isinstance(e, StartTimer)
+    ]
+    frames = rig.flush()
+    nonces = {unpack_batch(f.frame)[0].lease for f in frames}
+    assert len(nonces) == 1 and None not in nonces
+    rig.fence()
+    rig.run_until(lambda: rig.owner.drain_backoffs)
+    bounce = rig.last("on_frame")
+    assert bounce[0] == CancelTimer(("lease", "k"))
+    assert [(e.destination, e.frame.kind) for e in bounce[1:4]] == [
+        (server_id, LEASE_RELEASE_KIND) for server_id in rig.servers
+    ]
+    assert bounce[4:] == [
+        StartTimer(rig.retry_timer(frames[0]), POLICY.drain_backoff_interval)
+    ]
+    assert rig.owner.cache_invalidations == 1
+    rig.fence(ahead=0)
+    replay = rig.flush()
+    assert {unpack_batch(f.frame)[0].lease for f in replay} == {None}
+    rig.run()
+    assert rig.outcome() == "ok"
+    # Nothing was cached: the next read of the key is a miss again.
+    rig.start()
+    assert (rig.owner.cache_hits, rig.owner.cache_misses) == (0, 2)
+    rig.run()
+
+
+def sever_drops_every_round(make_rig):
+    rig = make_rig(max_batch=2)
+    rig.start("k1")
+    rig.start("k2")          # cut and sent
+    rig.start("k3")          # still queued
+    rig.owner.sever()
+    log_mark = len(rig.log)
+    rig.run()
+    # The acks of the sent batch and the flush armed for k3 all find nothing.
+    assert [name for name, _ in rig.log[log_mark:]].count("on_frame") == 3
+    assert all(effects == [] for _name, effects in rig.log[log_mark:])
+    assert rig.outcomes() == []
+    assert rig.owner.stats.frames_received == 3
+
+
+PROXY_ONLY = [
+    silent_round_times_out_replays_then_errors,
+    round_timer_is_ignored_while_a_drain_retry_is_pending,
+    restrictive_read_policy_targets_only_a_quorum,
+    bounced_cache_fill_evicts_its_entry_and_completes_leaseless,
+    sever_drops_every_round,
+]
+
+TABLE = [(mode, row) for row in COMMON for mode in ("direct", "proxy")] + [
+    ("proxy", row) for row in PROXY_ONLY
+]
+
+
+def run_row(mode, row):
+    row(lambda **kwargs: Rig(mode, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "mode,row", TABLE, ids=[f"{row.__name__}[{mode}]" for mode, row in TABLE]
+)
+def test_replica_round_scenario(mode, row):
+    run_row(mode, row)
+
+
+# -- direct vs proxied: one machinery, seen from the replicas --------------------
+
+
+def _sub_requests_by_replica(use_proxy):
+    """What each replica is asked, in order, over the shared script."""
+    _, fabric, client, _, _ = build_memory_stack(use_proxy=use_proxy)
+    seen = {}
+    for server_id, engine in fabric._engines.items():
+        if not isinstance(engine, GroupServerEngine):
+            continue
+        original = engine.on_frame
+
+        def on_frame(frame, _original=original, _seen=seen.setdefault(server_id, [])):
+            if frame.kind == BATCH_KIND:
+                _seen.extend(
+                    (sub.key, sub.message.kind, sub.message.payload, sub.shard, sub.epoch)
+                    for sub in unpack_batch(frame)
+                )
+            return _original(frame)
+
+        engine.on_frame = on_frame
+    run_script(fabric, client, SCRIPT)
+    return seen
+
+
+def test_replicas_see_the_same_sub_requests_direct_and_proxied():
+    # One sequential client, cache off, broadcast reads: modulo who sent the
+    # frame and how the op id is scoped, a replica cannot tell the ingress.
+    direct = _sub_requests_by_replica(use_proxy=False)
+    proxied = _sub_requests_by_replica(use_proxy=True)
+    assert direct == proxied
+    assert len(direct) == 3 and all(direct.values())
