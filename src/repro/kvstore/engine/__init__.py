@@ -8,7 +8,8 @@ event-driven state machines:
 * :class:`~repro.kvstore.engine.client.ClientSessionEngine` -- one logical
   store client;
 * :class:`~repro.kvstore.engine.proxy.ProxyEngine` -- one site-local
-  ingress proxy;
+  ingress proxy (both extend :class:`~repro.kvstore.engine.rounds.ReplicaRounds`,
+  the one copy of the quorum round against a replica group);
 * :class:`~repro.kvstore.engine.server.GroupServerEngine` -- one replica of
   a replica group;
 * :class:`~repro.kvstore.engine.control.ControlPlaneEngine` -- the cluster

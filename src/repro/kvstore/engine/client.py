@@ -1,15 +1,12 @@
-"""The client-session engine: round lifecycle, replay, and proxy failover.
+"""The client-session engine: operations, per-key order, and the proxy leg.
 
 One :class:`ClientSessionEngine` is one logical store client.  It may have
-many operations (on distinct keys) in flight at once; each operation drives
-the ordinary single-register client generator for its key, but instead of
-sending one frame per sub-request the engine coalesces every sub-request
-bound for the same *replica group* into one batch frame per replica --
-operations on different shards hosted by the same group share rounds.  Every
-sub-request carries the (shard, epoch) tag the client resolved; when a live
-resize or shard move fences that epoch, the bounced round is replayed
-against the new owner (round-trips are idempotent, so the per-key generator
-never notices).
+many operations (on distinct keys) in flight at once; each drives the
+ordinary single-register client generator for its key, and every round the
+generator yields goes out through the client's current *ingress*.  Direct
+ingress is the :class:`~.rounds.ReplicaRounds` this engine extends: the
+round is resolved against the live shard map and multiplexed to its owner
+group there.
 
 With a proxy candidate list the engine routes *every* round through its
 current ingress proxy instead: in-flight rounds (for any shard, any group)
@@ -20,21 +17,19 @@ fault-tolerant: on proxy death -- reported by the transport
 (:meth:`ClientSessionEngine.on_peer_lost`) or detected by the engine's own
 watchdog timer where the transport drops traffic silently -- the engine
 walks the candidate list (emitting :class:`~.effects.Connect` effects), or
-falls back to **direct replica connections** when the list is exhausted,
-and replays every in-flight round under a fresh failover *generation* scope
+falls back to direct ingress when the list is exhausted, and replays every
+in-flight round under a fresh failover *generation* scope
 (:func:`~.routing.attempt_scoped_id`) so an ack relayed by the previous
 proxy can never complete a round re-issued through the next one.
 
-Everything here is sans-I/O: inputs are invocations, decoded frames, timer
-fires and transport notifications; outputs are
-:mod:`~repro.kvstore.engine.effects`.  The simulator and asyncio backends
-are thin adapters around this one class.
+Sans-I/O: inputs are invocations, decoded frames, timer fires and transport
+notifications; outputs are :mod:`~repro.kvstore.engine.effects`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...core.errors import ProtocolError
@@ -49,21 +44,15 @@ from ...observe.events import (
     OP_FAILED,
     OP_INVOKED,
     ROUND_OPENED,
-    ROUND_REPLAYED,
     EngineObserver,
 )
 from ...messages import (
     BATCH_ACK_KIND,
-    BATCH_KIND,
     PROXY_ACK_KIND,
     PROXY_KIND,
     Message,
     ProxySubRequest,
-    SubRequest,
-    make_batch,
     make_proxy_request,
-    unpack_batch,
-    unpack_batch_ack,
     unpack_proxy_ack,
     unpack_proxy_request,
 )
@@ -83,8 +72,8 @@ from .effects import (
     CancelTimer,
     TimerId,
 )
+from .rounds import ReplicaRound, ReplicaRounds
 from .routing import attempt_scoped_id
-from .server import MAX_STALE_RETRIES, is_stale_reply
 from .stats import BatchStats
 
 __all__ = ["ClientSessionEngine", "PROXY_QUEUE"]
@@ -94,38 +83,23 @@ __all__ = ["ClientSessionEngine", "PROXY_QUEUE"]
 PROXY_QUEUE = "@proxy"
 
 _WATCHDOG: TimerId = ("watchdog",)
+_PROXY_FLUSH: TimerId = ("flush", PROXY_QUEUE)
 
 
 @dataclass
-class _PendingKVOp:
+class _PendingKVOp(ReplicaRound):
     """One in-flight kv operation driving a per-key register generator."""
 
-    op_id: str
-    key: str
     kind: OpKind
-    spec: ShardSpec
-    epoch: int
     generator: Any
     round_trip: int = 0
-    wait_for: int = 0
-    stale_retries: int = 0
-    transient_retries: int = 0
-    drain_backoffs: int = 0
-    awaiting_retry: bool = False
-    queued: bool = False
     request: Optional[Broadcast] = None
-    replies: List[Message] = field(default_factory=list)
-    lost_targets: Set[str] = field(default_factory=set)
     #: The failover-generation-scoped op id this round was last forwarded
     #: under (proxy mode only); the key into the proxy-rounds table.
     proxy_op_id: Optional[str] = None
-    #: Cross-tier trace-context id: stamped once at invocation, carried in
-    #: frame metadata through every tier (attempt-scoped ids are rewritten on
-    #: retries, the trace id never is).
-    trace: Optional[str] = None
 
 
-class ClientSessionEngine:
+class ClientSessionEngine(ReplicaRounds):
     """One store client's protocol state machine (transport-agnostic)."""
 
     def __init__(
@@ -153,6 +127,8 @@ class ClientSessionEngine:
         self.stale_replays = 0
         self.drain_backoffs = 0
         self.proxy_failovers = 0
+        # The direct ingress broadcasts every round, so it needs no round timer.
+        super().__init__(client_id, round_timeout=None)
         self._proxy_candidates = list(proxy_candidates or [])
         self.proxy_id: Optional[str] = (
             self._proxy_candidates[0] if self._proxy_candidates else None
@@ -175,8 +151,8 @@ class ClientSessionEngine:
         self._active: Dict[str, _PendingKVOp] = {}
         self._key_inflight: Set[str] = set()
         self._key_backlog: Dict[str, Deque[tuple]] = {}
-        self._queues: Dict[str, List[_PendingKVOp]] = {}
-        self._flush_scheduled: Set[str] = set()
+        self._proxy_queue: List[_PendingKVOp] = []
+        self._proxy_flush_scheduled = False
 
     # -- per-key client logic ---------------------------------------------------
 
@@ -236,8 +212,8 @@ class ClientSessionEngine:
         self._key_inflight.add(key)
         self.recorder.record_invocation(key, op_id, self.client_id, kind, value=value)
         pending = _PendingKVOp(
-            op_id=op_id, key=key, kind=kind, spec=spec, epoch=spec.epoch,
-            generator=generator, trace=op_id,
+            op_id=op_id, key=key, trace=op_id, sender=self.client_id,
+            kind=kind, generator=generator,
         )
         self._active[op_id] = pending
         self._advance(pending, out, first=True)
@@ -263,14 +239,28 @@ class ClientSessionEngine:
         self._dispatch_round(pending, out)
 
     def _dispatch_round(self, pending: _PendingKVOp, out: List[Effect]) -> None:
-        """Send the current round (fresh or replayed) to the owner group."""
+        """Send the current round (fresh or replayed) through the ingress."""
+        self._plan(pending)
+        if self.proxy_id is None:
+            self._enqueue(pending, out)
+        else:
+            self._enqueue_proxy(pending, out)
+
+    def _plan(self, pending: _PendingKVOp) -> None:
+        """One attempt of the current round: its identity and its owner group.
+
+        Bumping ``round_trip`` is what makes straggler replies to an earlier
+        attempt ignorable.  Planned on the proxy leg too, so a round still
+        queued when the proxy list runs out can join the owner group's queue
+        as it is.
+        """
         pending.round_trip += 1
-        pending.replies = []
-        pending.lost_targets = set()
-        pending.awaiting_retry = False
         spec = self.shard_map.shard_for(pending.key)
-        pending.spec = spec
+        pending.ident = (pending.op_id, pending.round_trip)
+        pending.group_id = spec.group.group_id
+        pending.shard_id = spec.shard_id
         pending.epoch = spec.epoch
+        pending.targets = spec.group.servers
         request = pending.request
         pending.wait_for = (
             request.wait_for if request.wait_for is not None else spec.quorum_size
@@ -279,74 +269,12 @@ class ClientSessionEngine:
             ROUND_OPENED, op_id=pending.op_id, key=pending.key,
             trace=pending.trace, round_trip=pending.round_trip,
         )
-        self._enqueue(pending, out)
 
-    def _replay_round(self, pending: _PendingKVOp, out: List[Effect]) -> None:
-        """Re-send the in-flight round after a stale-shard bounce.
-
-        Round-trips are idempotent (queries trivially; updates because
-        servers only adopt larger tags), so replaying the same broadcast
-        against the re-resolved owner group is always safe -- the per-key
-        generator never observes the bounce.  Bumping ``round_trip`` makes
-        any straggler replies from the stale attempt ignorable.
-
-        A bounce that re-resolves to the *same* route (group and epoch
-        unchanged) is not staleness at all: the view already matches the
-        authoritative map, so the key is mid-drain -- fenced on its donor
-        or still pending on its receiver.  Replaying immediately would spin
-        against the fence until the key's range installs; back off on the
-        retry timer instead (without charging ``stale_retries`` -- the map
-        has converged, the data just has not landed yet).
-        """
+    def _reroute(self, pending: _PendingKVOp, out: List[Effect]) -> Tuple[str, int]:
+        """Where the live shard map routes a bounced round's key now."""
         spec = self.shard_map.shard_for(pending.key)
-        if (
-            spec.group.group_id == pending.spec.group.group_id
-            and spec.epoch == pending.epoch
-        ):
-            pending.drain_backoffs += 1
-            self.drain_backoffs += 1
-            self.observer.emit(
-                ROUND_REPLAYED, op_id=pending.op_id, key=pending.key,
-                trace=pending.trace, retries=pending.drain_backoffs,
-                reason="drain-backoff",
-            )
-            if pending.drain_backoffs > self.policy.max_transient_retries:
-                self._fail(
-                    pending,
-                    ProtocolError(
-                        f"operation {pending.op_id} bounced off a draining "
-                        f"range {pending.drain_backoffs} times; the drain "
-                        "never completed"
-                    ),
-                    out,
-                )
-                return
-            pending.awaiting_retry = True
-            out.append(
-                StartTimer(
-                    ("retry", pending.op_id),
-                    self.policy.drain_backoff_interval,
-                )
-            )
-            return
-        pending.stale_retries += 1
-        self.stale_replays += 1
-        self.observer.emit(
-            ROUND_REPLAYED, op_id=pending.op_id, key=pending.key,
-            trace=pending.trace, retries=pending.stale_retries,
-        )
-        if pending.stale_retries > MAX_STALE_RETRIES:
-            self._fail(
-                pending,
-                ProtocolError(
-                    f"operation {pending.op_id} bounced {pending.stale_retries} "
-                    "times; shard map never converged"
-                ),
-                out,
-            )
-            return
         self._refresh_home(pending.key, spec)
-        self._dispatch_round(pending, out)
+        return spec.group.group_id, spec.epoch
 
     def _complete(
         self, pending: _PendingKVOp, outcome: OperationOutcome, out: List[Effect]
@@ -391,76 +319,44 @@ class ClientSessionEngine:
             op_id, kind, value = backlog.popleft()
             self._start(op_id, kind, pending.key, value, out)
 
-    # -- group batching ---------------------------------------------------------
+    # What the direct ingress reports back (the other ReplicaRounds hooks are
+    # _plan and _reroute above).
+    _on_quorum = _advance
+    _on_failed = _fail
 
-    def _enqueue(self, pending: _PendingKVOp, out: List[Effect]) -> None:
-        queue_key = (
-            PROXY_QUEUE if self.proxy_id is not None else pending.spec.group.group_id
-        )
-        queue = self._queues.setdefault(queue_key, [])
-        pending.queued = True
-        queue.append(pending)
-        if queue_key == PROXY_QUEUE and not self._ingress_ready:
+    def _retry_timer(self, pending: _PendingKVOp) -> TimerId:
+        return ("retry", pending.op_id)
+
+    # -- the proxy leg ----------------------------------------------------------
+
+    def _enqueue_proxy(self, pending: _PendingKVOp, out: List[Effect]) -> None:
+        self._proxy_queue.append(pending)
+        if not self._ingress_ready:
             return  # flushed once the adapter confirms the ingress path
-        if len(queue) >= self.max_batch:
-            self._flush(queue_key, out)
-        elif queue_key not in self._flush_scheduled:
-            self._flush_scheduled.add(queue_key)
-            out.append(StartTimer(("flush", queue_key), self.flush_delay))
+        if len(self._proxy_queue) >= self.max_batch:
+            self._flush_proxy(out)
+        else:
+            self._schedule_proxy_flush(self.flush_delay, out)
 
-    def _flush(self, queue_key: str, out: List[Effect]) -> None:
-        self._flush_scheduled.discard(queue_key)
-        if queue_key == PROXY_QUEUE and not self._ingress_ready:
+    def _schedule_proxy_flush(self, delay: float, out: List[Effect]) -> None:
+        if not self._proxy_flush_scheduled:
+            self._proxy_flush_scheduled = True
+            out.append(StartTimer(_PROXY_FLUSH, delay))
+
+    def _flush_proxy(self, out: List[Effect]) -> None:
+        self._proxy_flush_scheduled = False
+        if not self._ingress_ready:
             return  # a stale flush racing a failover; replay owns these rounds
-        # Ops that failed while waiting (e.g. a non-retryable send error on an
-        # earlier frame of the same operation) are skipped, not sent.
-        queue = [
-            op
-            for op in self._queues.get(queue_key, [])
-            if self._active.get(op.op_id) is op
-        ]
-        if not queue:
-            self._queues.pop(queue_key, None)
+        # Ops that failed while waiting are skipped, not sent.
+        queue = [op for op in self._proxy_queue if self._active.get(op.op_id) is op]
+        batch, self._proxy_queue = queue[: self.max_batch], queue[self.max_batch :]
+        if not batch:
             return
-        batch, rest = queue[: self.max_batch], queue[self.max_batch :]
-        self._queues[queue_key] = rest
-        for op in batch:
-            op.queued = False
-        if rest and queue_key not in self._flush_scheduled:
+        if self._proxy_queue:
             # More coalesced work than one frame carries: flush again at once.
-            self._flush_scheduled.add(queue_key)
-            out.append(StartTimer(("flush", queue_key), 0.0))
+            self._schedule_proxy_flush(0.0, out)
         self.stats.record(len(batch))
-        self.observer.emit(BATCH_CUT, size=len(batch), queue=queue_key)
-        if queue_key == PROXY_QUEUE:
-            self._flush_proxy(batch, out)
-            return
-        group = batch[0].spec.group
-        for server_id in group.servers:
-            subs = [
-                SubRequest(
-                    op.key,
-                    Message(
-                        self.client_id,
-                        server_id,
-                        op.request.kind,
-                        op.request.payload_for(server_id),
-                        op.op_id,
-                        op.round_trip,
-                        trace=op.trace,
-                    ),
-                    op.spec.shard_id,
-                    op.epoch,
-                )
-                for op in batch
-            ]
-            self.stats.record_frames(sent=1)
-            self.observer.emit(FRAME_SENT, kind=BATCH_KIND, dest=server_id)
-            out.append(
-                SendFrame(server_id, make_batch(self.client_id, server_id, subs))
-            )
-
-    def _flush_proxy(self, batch: List[_PendingKVOp], out: List[Effect]) -> None:
+        self.observer.emit(BATCH_CUT, size=len(batch), queue=PROXY_QUEUE)
         subs = []
         for op in batch:
             # Scope the forwarded id by the failover generation: should this
@@ -545,10 +441,10 @@ class ClientSessionEngine:
         self._disarm_watchdog(out)
         inflight = list(self._proxy_rounds.values())
         self._proxy_rounds.clear()
-        queued = self._queues.pop(PROXY_QUEUE, [])
-        if PROXY_QUEUE in self._flush_scheduled:
-            self._flush_scheduled.discard(PROXY_QUEUE)
-            out.append(CancelTimer(("flush", PROXY_QUEUE)))
+        queued, self._proxy_queue = self._proxy_queue, []
+        if self._proxy_flush_scheduled:
+            self._proxy_flush_scheduled = False
+            out.append(CancelTimer(_PROXY_FLUSH))
         for pending in inflight:
             pending.proxy_op_id = None
         self._replay_inflight.extend(inflight)
@@ -580,12 +476,11 @@ class ClientSessionEngine:
         requeue, self._requeue = self._requeue, []
         for pending in inflight:
             self._dispatch_round(pending, out)
+        enqueue = self._enqueue if self.proxy_id is None else self._enqueue_proxy
         for pending in requeue:
-            self._enqueue(pending, out)
-        queue = self._queues.get(PROXY_QUEUE)
-        if queue and PROXY_QUEUE not in self._flush_scheduled:
-            self._flush_scheduled.add(PROXY_QUEUE)
-            out.append(StartTimer(("flush", PROXY_QUEUE), 0.0))
+            enqueue(pending, out)
+        if self._proxy_queue:
+            self._schedule_proxy_flush(0.0, out)
         return out
 
     def on_connect_failed(self, target: str) -> List[Effect]:
@@ -601,27 +496,13 @@ class ClientSessionEngine:
         """The transport observed ``peer_id``'s connection die terminally.
 
         For the current ingress proxy this triggers failover (the
-        connection-reset edge the watchdog exists to approximate); for a
-        replica it fails the rounds that can no longer reach a quorum, so
-        their transient-retry replay takes over instead of hanging.
+        connection-reset edge the watchdog exists to approximate); a replica
+        is the direct ingress's loss.
         """
+        if peer_id != self.proxy_id or not self._ingress_ready:
+            return super().on_peer_lost(peer_id)
         out: List[Effect] = []
-        if peer_id == self.proxy_id and self._ingress_ready:
-            self._failover(out)
-            return out
-        for pending in list(self._active.values()):
-            if (
-                pending.proxy_op_id is None
-                and pending.request is not None
-                and not pending.queued
-                and peer_id in pending.spec.group.servers
-                and len(pending.replies) < pending.wait_for
-            ):
-                self._lose_target(
-                    pending, peer_id,
-                    ConnectionError(f"replica {peer_id} is unreachable"),
-                    retryable=True, out=out,
-                )
+        self._failover(out)
         return out
 
     # -- transport send failures ------------------------------------------------
@@ -629,80 +510,29 @@ class ClientSessionEngine:
     def on_frame_undeliverable(
         self, frame: Message, error: BaseException, retryable: bool = True
     ) -> List[Effect]:
-        """A frame this engine emitted could not be delivered.
-
-        ``retryable`` distinguishes transient transport loss (a dead
-        connection being redialed -- replay after the reconnect window)
-        from permanent failures (e.g. an oversized frame), which fail the
-        affected operations immediately.
-        """
+        """A frame this engine emitted could not be delivered."""
+        if frame.kind != PROXY_KIND:
+            return super().on_frame_undeliverable(frame, error, retryable)
         out: List[Effect] = []
-        if frame.kind in (PROXY_KIND, BATCH_KIND):
-            # The frame never reached the wire: uncount it, so frame totals
-            # keep the "every frame counted exactly once" invariant even
-            # across replays (the replayed attempt counts its own frames).
-            self.stats.record_frames(sent=-1)
-        if frame.kind == PROXY_KIND:
-            if not retryable:
-                for sub in unpack_proxy_request(frame):
-                    pending = self._proxy_rounds.pop((sub.op_id, sub.round_trip), None)
-                    if pending is not None:
-                        self._fail(pending, error, out)
-                return out
-            if frame.receiver == self.proxy_id and self._ingress_ready:
-                self._failover(out)
-            return out
-        if frame.kind != BATCH_KIND:
-            return out
-        for sub in unpack_batch(frame):
-            op_id = sub.message.op_id
-            pending = self._active.get(op_id) if op_id is not None else None
-            if pending is None or sub.message.round_trip != pending.round_trip:
-                continue
-            self._lose_target(pending, frame.receiver, error, retryable, out)
-        return out
-
-    def _lose_target(
-        self,
-        pending: _PendingKVOp,
-        server_id: str,
-        error: BaseException,
-        retryable: bool,
-        out: List[Effect],
-    ) -> None:
-        if pending.awaiting_retry:
-            return
-        pending.lost_targets.add(server_id)
-        reachable = len(pending.spec.group.servers) - len(pending.lost_targets)
-        if reachable >= pending.wait_for:
-            return  # a quorum is still possible on the surviving replicas
+        self.stats.record_frames(sent=-1)  # it never reached the wire either
         if not retryable:
-            self._fail(pending, error, out)
-            return
-        # Too many replicas were unreachable for this round (a kill
-        # mid-flight).  Rounds are idempotent, so wait out the reconnect
-        # window and replay.
-        pending.transient_retries += 1
-        if pending.transient_retries > self.policy.max_transient_retries:
-            self._fail(pending, error, out)
-            return
-        pending.awaiting_retry = True
-        out.append(
-            StartTimer(("retry", pending.op_id), self.policy.reconnect_interval)
-        )
+            for sub in unpack_proxy_request(frame):
+                pending = self._proxy_rounds.pop((sub.op_id, sub.round_trip), None)
+                if pending is not None:
+                    self._fail(pending, error, out)
+        elif frame.receiver == self.proxy_id and self._ingress_ready:
+            self._failover(out)
+        return out
 
     # -- timer fires ------------------------------------------------------------
 
     def on_timer(self, timer_id: TimerId) -> List[Effect]:
+        if timer_id != _PROXY_FLUSH and timer_id != _WATCHDOG:
+            return super().on_timer(timer_id)
         out: List[Effect] = []
-        kind = timer_id[0]
-        if kind == "flush":
-            self._flush(timer_id[1], out)
-        elif kind == "retry":
-            pending = self._active.get(timer_id[1])
-            if pending is not None and pending.awaiting_retry:
-                self._dispatch_round(pending, out)
-        elif kind == "watchdog":
+        if timer_id == _PROXY_FLUSH:
+            self._flush_proxy(out)
+        else:
             self._watchdog_armed = False
             if self.proxy_id is None or not self._proxy_rounds:
                 return out
@@ -747,30 +577,6 @@ class ClientSessionEngine:
             if not self._proxy_rounds:
                 self._disarm_watchdog(out)
             return out
-        if message.kind != BATCH_ACK_KIND:
-            return out
-        self.stats.record_frames(received=1)
-        self.observer.emit(
-            FRAME_RECEIVED, kind=BATCH_ACK_KIND, source=message.sender
-        )
-        for _key, sub in unpack_batch_ack(message):
-            if sub is None or sub.op_id is None:
-                continue
-            pending = self._active.get(sub.op_id)
-            if (
-                pending is None
-                or sub.round_trip != pending.round_trip
-                or pending.awaiting_retry
-            ):
-                continue  # straggler from an earlier round-trip or operation
-            if is_stale_reply(sub):
-                # The shard was resized or moved while this round was in
-                # flight; re-resolve and replay the round.  Bouncing bumps
-                # round_trip, so the group's other (equally stale) replies
-                # to this attempt are ignored.
-                self._replay_round(pending, out)
-                continue
-            pending.replies.append(sub)
-            if len(pending.replies) == pending.wait_for:
-                self._advance(pending, out)
+        if message.kind == BATCH_ACK_KIND:
+            self._on_batch_ack(message, out)
         return out

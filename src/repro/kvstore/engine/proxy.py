@@ -2,22 +2,17 @@
 
 One :class:`ProxyEngine` is one site-local ingress proxy.  It holds no
 register state: every pending entry is one in-flight quorum round, so a
-proxy can be added or removed per site without any data migration.  Rounds
-forwarded by *different clients* that resolve to the same replica group
-coalesce into one shared batch frame per targeted replica -- the
-cross-client merge the per-client batching layer cannot do.  Replica-bound
-sub-messages keep the **originating client** as their sender (the
-protocols' crucial-info bookkeeping is per client), while their op ids are
-attempt-scoped so a replayed round can never mix replies from the pre- and
-post-rebalance owner groups.
+proxy can be added or removed per site without any data migration.  It is a
+:class:`~.rounds.ReplicaRounds` fed by *many clients*: forwarded rounds that
+resolve to the same replica group coalesce into one shared batch frame per
+targeted replica -- the cross-client merge the per-client batching layer
+cannot do.  Replica-bound sub-messages keep the **originating client** as
+their sender (the protocols' crucial-info bookkeeping is per client).
 
-The engine consumes decoded frames -- ``"proxy"`` requests from clients,
-``"batch-ack"`` replies from replicas, ``"view-push"`` frames from the
-control plane -- plus timer fires and transport notifications, and emits
-:mod:`~repro.kvstore.engine.effects`.  Stale-epoch bounces refresh the
-:class:`~repro.kvstore.engine.routing.CachedShardView` and replay
-transparently; view pushes (full or delta) are adopted through the same
-view, so live rebalancing is handled *once* here for both backends.
+Routing is through a :class:`~.routing.CachedShardView`: a stale-epoch
+bounce refreshes it and the round replays without the client noticing, and
+control-plane ``"view-push"`` frames (full or delta) are adopted through the
+same view, so live rebalancing is handled *once* here for both backends.
 
 With ``read_cache`` enabled the proxy also keeps a bounded (key -> quorum
 replies) **read cache** backed by server-granted leases.  A read that
@@ -41,11 +36,10 @@ is on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ...observe.events import (
-    BATCH_CUT,
     CACHE_HIT,
     CACHE_INVALIDATE,
     CACHE_MISS,
@@ -55,12 +49,10 @@ from ...observe.events import (
     NULL_OBSERVER,
     ROUND_CLOSED,
     ROUND_OPENED,
-    ROUND_REPLAYED,
     EngineObserver,
 )
 from ...messages import (
     BATCH_ACK_KIND,
-    BATCH_KIND,
     DEFAULT_LEASE_TTL,
     LEASE_GRANT_KIND,
     LEASE_INVALIDATE_KIND,
@@ -70,12 +62,8 @@ from ...messages import (
     Message,
     ProxySubReply,
     ProxySubRequest,
-    SubRequest,
-    make_batch,
     make_lease_release,
     make_proxy_ack,
-    unpack_batch,
-    unpack_batch_ack,
     unpack_lease_grant,
     unpack_lease_invalidate,
     unpack_proxy_request,
@@ -92,6 +80,7 @@ from .effects import (
     StartTimer,
     TimerId,
 )
+from .rounds import ReplicaRound, ReplicaRounds
 from .routing import (
     BroadcastReads,
     CachedShardView,
@@ -100,37 +89,34 @@ from .routing import (
     attempt_scoped_id,
     plan_round,
 )
-from .server import MAX_STALE_RETRIES, is_stale_reply
 from .stats import BatchStats
 
 __all__ = ["ProxyEngine"]
 
 
 @dataclass
-class _ProxyPending:
-    """One forwarded round the proxy is driving against a replica group."""
+class _ProxyPending(ReplicaRound):
+    """One forwarded round the proxy is driving against a replica group.
 
-    client: str
-    sub: ProxySubRequest
+    ``sender`` is the originating client: whom the replicas see, and whom
+    the ``proxy-ack`` goes back to.
+    """
+
+    request: ProxySubRequest
     route: Optional[ProxyRoute] = None
-    scoped_id: str = ""
-    targets: Tuple[str, ...] = ()
-    wait_for: int = 0
-    replies: List[Message] = field(default_factory=list)
-    lost_targets: Set[str] = field(default_factory=set)
-    stale_retries: int = 0
-    drain_backoffs: int = 0
-    timeouts: int = 0
-    transient_retries: int = 0
-    queued: bool = False
-    awaiting_retry: bool = False
     #: The cache entry this round is filling, if any.  Detached (set back to
     #: None) when the entry is evicted mid-flight; the round then completes
     #: as an ordinary leaseless read.
     fill_entry: Optional[CacheEntry] = None
 
 
-class ProxyEngine:
+def _forwarded(client: str, sub: ProxySubRequest) -> _ProxyPending:
+    return _ProxyPending(
+        op_id=sub.op_id, key=sub.key, trace=sub.trace, sender=client, request=sub
+    )
+
+
+class ProxyEngine(ReplicaRounds):
     """One ingress proxy's protocol state machine (transport-agnostic)."""
 
     def __init__(
@@ -166,9 +152,7 @@ class ProxyEngine:
         self.stale_replays = 0
         self.drain_backoffs = 0
         self._attempts = 0
-        self._pending: Dict[Tuple[str, int], _ProxyPending] = {}
-        self._queues: Dict[str, List[_ProxyPending]] = {}
-        self._flush_scheduled: Set[str] = set()
+        super().__init__(proxy_id, round_timeout=self.policy.round_timeout)
         #: Monotonic fill counter: combined with the fill op id it makes
         #: each cache entry's lease nonce unique across this proxy's life.
         self._fill_seq = 0
@@ -198,7 +182,7 @@ class ProxyEngine:
             for sub in unpack_proxy_request(message):
                 self._admit(message.sender, sub, out)
         elif message.kind == BATCH_ACK_KIND:
-            self._on_replica_ack(message, out)
+            self._on_batch_ack(message, out)
         elif message.kind == LEASE_GRANT_KIND:
             self._on_lease_grant(message, out)
         elif message.kind == LEASE_INVALIDATE_KIND:
@@ -238,15 +222,15 @@ class ProxyEngine:
         leave the downstream client awaiting a reply that never comes.
         """
         try:
-            self._dispatch(pending, out)
+            self._open(pending, out)
         except Exception as exc:  # noqa: BLE001 - never strand a client
-            self._finish(pending, out, error=f"{type(exc).__name__}: {exc}")
+            self._on_failed(pending, exc, out)
 
     # -- the read cache ---------------------------------------------------------
 
     def _admit(self, client: str, sub: ProxySubRequest, out: List[Effect]) -> None:
         """Route one forwarded round through the cache (when enabled)."""
-        pending = _ProxyPending(client=client, sub=sub)
+        pending = _forwarded(client, sub)
         cache = self._cache
         if cache is None:
             self._dispatch_safe(pending, out)
@@ -339,11 +323,11 @@ class ProxyEngine:
         pending.fill_entry = entry
         entry.fill_pending = pending
         try:
-            self._dispatch(pending, out)
+            self._open(pending, out)
         except Exception as exc:  # noqa: BLE001 - never strand a client
             pending.fill_entry = None
             entry.fill_pending = None
-            self._finish(pending, out, error=f"{type(exc).__name__}: {exc}")
+            self._on_failed(pending, exc, out)
             return
         entry.route = pending.route
         entry.wait_for = pending.wait_for
@@ -397,7 +381,7 @@ class ProxyEngine:
         self, entry: CacheEntry, pending: _ProxyPending, out: List[Effect]
     ) -> None:
         """A fill round completed: record its quorum and flush followers."""
-        rt = pending.sub.round_trip
+        rt = pending.request.round_trip
         entry.inflight.discard(rt)
         entry.rounds[rt] = list(pending.replies)
         for client, fsub in entry.followers.pop(rt, []):
@@ -413,9 +397,7 @@ class ProxyEngine:
                 # The lease never reached a write-blocking quorum (or the
                 # follower asked a different round): fall back to a plain
                 # quorum round for this follower.
-                self._dispatch_safe(
-                    _ProxyPending(client=client, sub=fsub), out
-                )
+                self._dispatch_safe(_forwarded(client, fsub), out)
 
     def _evict(
         self, entry: CacheEntry, out: List[Effect], *, reason: str
@@ -446,7 +428,7 @@ class ProxyEngine:
         entry.followers = {}
         for subs in followers.values():
             for client, fsub in subs:
-                self._dispatch_safe(_ProxyPending(client=client, sub=fsub), out)
+                self._dispatch_safe(_forwarded(client, fsub), out)
 
     def _release_lease(
         self, servers: Tuple[str, ...], keys: List[str], out: List[Effect]
@@ -506,128 +488,31 @@ class ProxyEngine:
         if unheld:
             self._release_lease((message.sender,), unheld, out)
 
-    def _dispatch(self, pending: _ProxyPending, out: List[Effect]) -> None:
-        """Route one round (fresh or replayed) through the current view."""
-        sub = pending.sub
+    # -- the replica rounds -----------------------------------------------------
+
+    def _plan(self, pending: _ProxyPending) -> None:
+        """Route one attempt (fresh or replayed) through the current view.
+
+        The attempt-scoped op id is what keeps a replayed round from mixing
+        replies of the pre- and post-rebalance owner groups.
+        """
+        sub = pending.request
         plan = plan_round(self.view, self.read_policy, self.proxy_id, sub)
         self._attempts += 1
-        pending.route = plan.route
+        route = pending.route = plan.route
+        pending.ident = (attempt_scoped_id(sub.op_id, self._attempts), sub.round_trip)
+        pending.group_id = route.group_id
+        pending.shard_id = route.shard_id
+        pending.epoch = route.epoch
         pending.targets = plan.targets
         pending.wait_for = plan.wait_for
-        pending.scoped_id = attempt_scoped_id(sub.op_id, self._attempts)
-        pending.replies = []
-        pending.lost_targets = set()
-        pending.awaiting_retry = False
-        self._pending[(pending.scoped_id, sub.round_trip)] = pending
         self.observer.emit(
             ROUND_OPENED, op_id=sub.op_id, key=sub.key, trace=sub.trace,
             round_trip=sub.round_trip, targets=len(plan.targets),
         )
-        if self.policy.round_timeout is not None:
-            # Bound the attempt: a targeted replica can die after the frame
-            # left the socket (restrictive read policies only -- broadcast
-            # rounds always have a live quorum), and on transports with
-            # silent loss the timer turns that into a replay.
-            out.append(
-                StartTimer(self._round_timer(pending), self.policy.round_timeout)
-            )
-        group_id = plan.route.group_id
-        queue = self._queues.setdefault(group_id, [])
-        pending.queued = True
-        queue.append(pending)
-        if len(queue) >= self.max_batch:
-            self._flush(group_id, out)
-        elif group_id not in self._flush_scheduled:
-            self._flush_scheduled.add(group_id)
-            out.append(StartTimer(("flush", group_id), self.flush_delay))
 
-    def _round_timer(self, pending: _ProxyPending) -> TimerId:
-        return ("round", pending.scoped_id, pending.sub.round_trip)
-
-    # -- the shared replica rounds ----------------------------------------------
-
-    def _flush(self, group_id: str, out: List[Effect]) -> None:
-        self._flush_scheduled.discard(group_id)
-        queue = [
-            p
-            for p in self._queues.get(group_id, [])
-            if self._pending.get((p.scoped_id, p.sub.round_trip)) is p
-        ]
-        if not queue:
-            self._queues.pop(group_id, None)
-            return
-        batch, rest = queue[: self.max_batch], queue[self.max_batch :]
-        self._queues[group_id] = rest
-        if rest and group_id not in self._flush_scheduled:
-            self._flush_scheduled.add(group_id)
-            out.append(StartTimer(("flush", group_id), 0.0))
-        for pending in batch:
-            pending.queued = False
-        self.stats.record(len(batch))
-        self.observer.emit(BATCH_CUT, size=len(batch), queue=group_id)
-        # One frame per replica targeted by at least one round of the batch;
-        # reads restricted by the routing policy simply skip the far replicas.
-        servers: List[str] = []
-        seen: Set[str] = set()
-        for pending in batch:
-            for server in pending.targets:
-                if server not in seen:
-                    seen.add(server)
-                    servers.append(server)
-        for server_id in servers:
-            subs = [
-                SubRequest(
-                    p.sub.key,
-                    Message(
-                        p.client,
-                        server_id,
-                        p.sub.kind,
-                        p.sub.payload_for(server_id),
-                        p.scoped_id,
-                        p.sub.round_trip,
-                        trace=p.sub.trace,
-                    ),
-                    p.route.shard_id,
-                    p.route.epoch,
-                    # Evictions detach fills before this point, so the mark
-                    # reflects the entry's liveness at flush time.
-                    p.fill_entry.nonce if p.fill_entry is not None else None,
-                )
-                for p in batch
-                if server_id in p.targets
-            ]
-            self.read_subs_sent += sum(
-                1 for p in batch
-                if server_id in p.targets and p.sub.op_kind == "read"
-            )
-            self.stats.record_frames(sent=1)
-            self.observer.emit(FRAME_SENT, kind=BATCH_KIND, dest=server_id)
-            out.append(
-                SendFrame(server_id, make_batch(self.proxy_id, server_id, subs))
-            )
-
-    # -- replica replies --------------------------------------------------------
-
-    def _on_replica_ack(self, message: Message, out: List[Effect]) -> None:
-        self.stats.record_frames(received=1)
-        self.observer.emit(
-            FRAME_RECEIVED, kind=BATCH_ACK_KIND, source=message.sender
-        )
-        for _key, reply in unpack_batch_ack(message):
-            if reply is None or reply.op_id is None:
-                continue
-            pending = self._pending.get((reply.op_id, reply.round_trip))
-            if pending is None or pending.awaiting_retry:
-                continue  # straggler from a completed or replayed attempt
-            if is_stale_reply(reply):
-                self._replay(pending, out)
-                continue
-            pending.replies.append(reply)
-            if len(pending.replies) == pending.wait_for:
-                self._finish(pending, out)
-
-    def _replay(self, pending: _ProxyPending, out: List[Effect]) -> None:
-        """A replica fenced this round: refresh the view and re-route it."""
+    def _reroute(self, pending: _ProxyPending, out: List[Effect]) -> Tuple[str, int]:
+        """A replica fenced this round: refresh the view and re-resolve."""
         if pending.fill_entry is not None:
             # A bounced fill means the key's range is moving: caching it
             # now would race the migration.  Drop the entry (releasing
@@ -635,73 +520,30 @@ class ProxyEngine:
             # round -- and any parked followers -- replay leaseless.
             self._evict(pending.fill_entry, out, reason="stale-bounce")
         self.view.refresh()
-        route = pending.route
-        fresh = self.view.resolve(pending.sub.key)
-        if (
-            route is not None
-            and fresh.group_id == route.group_id
-            and fresh.epoch == route.epoch
-        ):
-            # The refreshed view still routes the key exactly where the
-            # bounce came from, so the fence belongs to a *draining* key
-            # range (donor fenced, receiver not yet installed) -- not to a
-            # stale view.  Replaying immediately would spin against the
-            # fence until the range installs; back off instead.
-            pending.drain_backoffs += 1
-            self.drain_backoffs += 1
-            self.observer.emit(
-                ROUND_REPLAYED, op_id=pending.sub.op_id, key=pending.sub.key,
-                trace=pending.sub.trace, retries=pending.drain_backoffs,
-                reason="drain-backoff",
-            )
-            if pending.drain_backoffs > self.policy.max_transient_retries:
-                self._finish(
-                    pending,
-                    out,
-                    error=(
-                        "round bounced off a draining range "
-                        f"{pending.drain_backoffs} times; the drain never "
-                        "completed"
-                    ),
-                )
-                return
-            pending.awaiting_retry = True
-            out.append(
-                StartTimer(
-                    ("pretry", pending.scoped_id, pending.sub.round_trip),
-                    self.policy.drain_backoff_interval,
-                )
-            )
-            return
-        self._drop(pending, out)
-        pending.stale_retries += 1
-        self.stale_replays += 1
-        self.observer.emit(
-            ROUND_REPLAYED, op_id=pending.sub.op_id, key=pending.sub.key,
-            trace=pending.sub.trace, retries=pending.stale_retries,
-        )
-        if pending.stale_retries > MAX_STALE_RETRIES:
-            self._finish(
-                pending,
-                out,
-                error=(
-                    f"shard map never converged after {pending.stale_retries} "
-                    "stale replays"
-                ),
-            )
-            return
-        self._dispatch(pending, out)
+        fresh = self.view.resolve(pending.key)
+        return fresh.group_id, fresh.epoch
 
-    def _drop(self, pending: _ProxyPending, out: List[Effect]) -> None:
-        """Forget the current attempt (cancelling its round timer)."""
-        if self._pending.pop((pending.scoped_id, pending.sub.round_trip), None):
-            if self.policy.round_timeout is not None:
-                out.append(CancelTimer(self._round_timer(pending)))
+    def _framed(self, pending: _ProxyPending) -> Optional[str]:
+        """One attempt goes on the wire: count it, and mark a fill's subs."""
+        if pending.request.op_kind == "read":
+            self.read_subs_sent += len(pending.targets)
+        # Evictions detach fills before this point, so the mark reflects the
+        # entry's liveness at flush time.
+        entry = pending.fill_entry
+        return entry.nonce if entry is not None else None
+
+    def _retry_timer(self, pending: _ProxyPending) -> TimerId:
+        return ("pretry", *pending.ident)
+
+    def _on_failed(
+        self, pending: _ProxyPending, error: BaseException, out: List[Effect]
+    ) -> None:
+        self._finish(pending, out, error=f"{type(error).__name__}: {error}")
 
     def _finish(
         self, pending: _ProxyPending, out: List[Effect], error: Optional[str] = None
     ) -> None:
-        self._drop(pending, out)
+        self._forget(pending, out)
         entry = pending.fill_entry
         if entry is not None:
             pending.fill_entry = None
@@ -709,7 +551,7 @@ class ProxyEngine:
                 entry.fill_pending = None
             live = (
                 self._cache is not None
-                and self._cache.peek(pending.sub.key) is entry
+                and self._cache.peek(pending.key) is entry
             )
             if live:
                 if error is None:
@@ -717,101 +559,34 @@ class ProxyEngine:
                 else:
                     self._evict(entry, out, reason="fill-error")
         self.observer.emit(
-            ROUND_CLOSED, op_id=pending.sub.op_id, key=pending.sub.key,
-            trace=pending.sub.trace, error=error,
+            ROUND_CLOSED, op_id=pending.op_id, key=pending.key,
+            trace=pending.trace, error=error,
         )
         sub_reply = ProxySubReply(
-            op_id=pending.sub.op_id,
-            round_trip=pending.sub.round_trip,
+            op_id=pending.op_id,
+            round_trip=pending.request.round_trip,
             replies=tuple(pending.replies),
             error=error,
         )
         # Not counted in stats: proxy acks are tallied once, at the client
         # receiver (the counted-exactly-once invariant); the observer event
         # still records the frame leaving this component.
-        self.observer.emit(FRAME_SENT, kind="proxy-ack", dest=pending.client)
+        self.observer.emit(FRAME_SENT, kind="proxy-ack", dest=pending.sender)
         out.append(
             SendFrame(
-                pending.client,
-                make_proxy_ack(self.proxy_id, pending.client, [sub_reply]),
+                pending.sender,
+                make_proxy_ack(self.proxy_id, pending.sender, [sub_reply]),
             )
         )
 
-    # -- transport notifications ------------------------------------------------
-
-    def on_frame_undeliverable(
-        self, frame: Message, error: BaseException, retryable: bool = True
-    ) -> List[Effect]:
-        """A replica-bound batch frame could not be delivered."""
-        out: List[Effect] = []
-        if frame.kind != BATCH_KIND:
-            return out
-        # The frame never reached the wire: uncount it (replays count their
-        # own frames), preserving the counted-exactly-once invariant.
-        self.stats.record_frames(sent=-1)
-        for sub in unpack_batch(frame):
-            op_id, round_trip = sub.message.op_id, sub.message.round_trip
-            pending = self._pending.get((op_id, round_trip)) if op_id else None
-            if pending is None:
-                continue
-            self._lose_target(pending, frame.receiver, error, retryable, out)
-        return out
-
-    def on_peer_lost(self, server_id: str) -> List[Effect]:
-        """A replica connection died terminally (reconnect gave up)."""
-        out: List[Effect] = []
-        for pending in list(self._pending.values()):
-            if (
-                not pending.queued
-                and server_id in pending.targets
-                and len(pending.replies) < pending.wait_for
-            ):
-                self._lose_target(
-                    pending, server_id,
-                    ConnectionError(f"replica {server_id} is unreachable"),
-                    retryable=True, out=out,
-                )
-        return out
-
-    def _lose_target(
-        self,
-        pending: _ProxyPending,
-        server_id: str,
-        error: BaseException,
-        retryable: bool,
-        out: List[Effect],
-    ) -> None:
-        if pending.awaiting_retry:
-            return
-        pending.lost_targets.add(server_id)
-        reachable = len(pending.targets) - len(pending.lost_targets)
-        if reachable >= pending.wait_for:
-            return  # a quorum is still possible on the surviving targets
-        if not retryable:
-            self._finish(pending, out, error=f"{type(error).__name__}: {error}")
-            return
-        pending.transient_retries += 1
-        if pending.transient_retries > self.policy.max_transient_retries:
-            self._finish(pending, out, error=f"replica quorum unreachable: {error}")
-            return
-        # Wait out the reconnect window, then re-plan the idempotent round
-        # (the redial may have landed by then, or the view moved on).
-        pending.awaiting_retry = True
-        out.append(
-            StartTimer(
-                ("pretry", pending.scoped_id, pending.sub.round_trip),
-                self.policy.reconnect_interval,
-            )
-        )
+    _on_quorum = _finish
 
     # -- timer fires ------------------------------------------------------------
 
     def on_timer(self, timer_id: TimerId) -> List[Effect]:
         out: List[Effect] = []
         kind = timer_id[0]
-        if kind == "flush":
-            self._flush(timer_id[1], out)
-        elif kind == "lease":
+        if kind == "lease":
             key = timer_id[1]
             entry = self._cache.peek(key) if self._cache is not None else None
             if entry is None or entry.stale:
@@ -834,34 +609,8 @@ class ProxyEngine:
             entry = self._cache.pop(timer_id[1]) if self._cache is not None else None
             if entry is not None:
                 self._evict(entry, out, reason="staleness-budget")
-        elif kind == "pretry":
-            pending = self._pending.get((timer_id[1], timer_id[2]))
-            if pending is not None and pending.awaiting_retry:
-                self._drop(pending, out)
-                self._dispatch(pending, out)
-        elif kind == "round":
-            pending = self._pending.get((timer_id[1], timer_id[2]))
-            if pending is None or pending.queued or pending.awaiting_retry:
-                return out
-            # The attempt went silent: a targeted replica died after the
-            # frame left the socket.  Replay the idempotent round -- the
-            # redial may have landed by now -- or error the ack after
-            # max_round_timeouts so the client is never left hanging.
-            pending.timeouts += 1
-            self._drop(pending, out)
-            if pending.timeouts > self.policy.max_round_timeouts:
-                self._finish(
-                    pending,
-                    out,
-                    error=(
-                        "round got no quorum within "
-                        f"{pending.timeouts * self.policy.round_timeout:.0f}s; "
-                        "with a restrictive read policy, give it spare >= the "
-                        "fault budget to ride out crashed replicas"
-                    ),
-                )
-            else:
-                self._dispatch(pending, out)
+        else:
+            return super().on_timer(timer_id)
         return out
 
     # -- lifecycle --------------------------------------------------------------
@@ -874,9 +623,7 @@ class ProxyEngine:
         clearing them keeps a restarted proxy from acking ghosts.  The
         adapter cancels its own outstanding timers alongside.
         """
-        self._pending.clear()
-        self._queues.clear()
-        self._flush_scheduled.clear()
+        self._clear_rounds()
         if self._cache is not None:
             # No releases are possible from a dead proxy: the server-side
             # lease timers expire the orphaned grants within lease_ttl,

@@ -15,7 +15,8 @@ Four concerns, each guarding the engine extraction a different way:
   ``asyncio`` nor ``repro.sim``: the engines are transport-free, and this
   test keeps them that way.
 * **One interpreter** -- only ``engine/runtime.py`` dispatches on the timer
-  effects; an adapter that grows its own loop fails an AST scan.
+  effects; an adapter that grows its own loop fails an AST scan.  Likewise
+  only ``engine/rounds.py`` runs replica rounds.
 """
 
 from __future__ import annotations
@@ -935,3 +936,40 @@ class TestOneEffectInterpreter:
         assert not self._dispatches_on_timer_effects(
             ast.parse("x = [StartTimer(tid, 1.0)]; isinstance(e, SendFrame)")
         )
+
+
+class TestOneReplicaRoundMultiplexer:
+    """Only ``engine/rounds.py`` may build ``batch`` frames, take ``batch-ack``
+    frames apart or apply the stale-bounce rule: the client and the proxy once
+    carried a copy each, kept in step by eye, and a second copy must not grow
+    back unnoticed.  ``server.py`` defines the names and is the serving side;
+    ``__init__.py`` re-exports them."""
+
+    ENGINE_DIR = TestEngineImportBan.ENGINE_DIR
+    ROUND_MACHINERY = {
+        "make_batch", "unpack_batch", "unpack_batch_ack", "is_stale_reply",
+        "MAX_STALE_RETRIES",
+    }
+    EXEMPT = {"server.py", "__init__.py"}
+
+    def _uses(self, tree):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        } & self.ROUND_MACHINERY
+
+    def test_only_the_multiplexer_touches_the_round_machinery(self):
+        users = {}
+        for path in sorted(self.ENGINE_DIR.glob("*.py")):
+            used = self._uses(ast.parse(path.read_text(encoding="utf-8")))
+            if used and path.name not in self.EXEMPT:
+                users[path.name] = sorted(used)
+        assert users == {"rounds.py": sorted(self.ROUND_MACHINERY)}
+
+    def test_the_scan_sees_calls_and_reads(self):
+        for source in ("make_batch(a, b, subs)", "messages.unpack_batch(frame)",
+                       "if n > MAX_STALE_RETRIES: pass",
+                       "if server.is_stale_reply(r): pass"):
+            assert self._uses(ast.parse(source)), source
+        assert not self._uses(ast.parse("from .server import is_stale_reply"))

@@ -10,6 +10,9 @@ Covers the two halves of the fault-tolerant proxy tier on both backends:
 * **View push** -- the control plane pushes ring/epoch deltas to the
   proxies at each rebalance, so a steady-state resize costs zero
   stale-epoch replays (the bounce fence stays on as the safety net).
+* **Replica loss** -- a group that loses its quorum for a while (more
+  replicas down than the fault budget) costs the rounds caught in it a
+  retry-and-replay, not an error, whether the client is direct or proxied.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.kvstore import (
     run_asyncio_kv_workload,
     run_sim_kv_workload,
 )
+from repro.observe import TIMER_ARMED
 
 #: Shrinks every reconnect/failover window so kill/restart scenarios settle
 #: in well under a second instead of sleeping out the ~5 s default.
@@ -363,6 +367,65 @@ class TestAsyncioProxyFailover:
         assert result.proxy_failovers >= 1
         verdict = check_per_key_atomicity(result.histories)
         assert verdict.all_atomic, verdict.summary()
+
+
+class _ArmedTimers:
+    """A hub sink collecting ``(tier, timer kind)`` of every armed timer."""
+
+    def __init__(self) -> None:
+        self.armed = set()
+
+    def handle(self, event) -> None:
+        if event.kind == TIMER_ARMED:
+            self.armed.add((event.tier, event.attrs["timer"]))
+
+
+class TestAsyncioReplicaLoss:
+    @pytest.mark.parametrize("use_proxy", [False, True], ids=["direct", "proxied"])
+    def test_a_lost_quorum_is_ridden_out_inside_the_transient_window(self, use_proxy):
+        # The retry path of the replica-round multiplexer on real sockets:
+        # two of a group's three replicas die mid-workload and come back
+        # inside the window, and no client ever sees an error.
+        async def scenario():
+            shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
+            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            timers = cluster.hub.add_sink(_ArmedTimers())
+            await cluster.start()
+            if use_proxy:
+                await cluster.start_proxies(1)
+            store = KVStore(cluster, client_id="c1",
+                            use_proxy="p1" if use_proxy else None)
+            await store.connect()
+            try:
+                keys = [f"k{i}" for i in range(4)]
+                for key in keys:
+                    await store.put(key, "before")
+                victims = shard_map.groups["g1"].servers[:2]
+                for victim in victims:
+                    await cluster.kill_server(victim)
+                await asyncio.sleep(0.1)  # the connections notice the deaths
+                during = [
+                    asyncio.create_task(store.put(key, "during")) for key in keys
+                ]
+                await asyncio.sleep(5 * FAST_RETRY.reconnect_interval)
+                # One live replica is no quorum: the rounds are in retry.
+                assert not any(task.done() for task in during)
+                for victim in victims:
+                    await cluster.restart_server(victim)
+                await asyncio.wait_for(
+                    asyncio.gather(*during), FAST_RETRY.transient_window
+                )
+                for key in keys:
+                    assert await store.get(key) == "during"
+                verdict = store.check()
+                assert verdict.all_atomic, verdict.summary()
+                return timers.armed
+            finally:
+                await store.close()
+                await cluster.stop()
+
+        armed = asyncio.run(scenario())
+        assert (("proxy", "pretry") if use_proxy else ("client", "retry")) in armed
 
 
 class TestAsyncioViewPush:
