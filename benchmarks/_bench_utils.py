@@ -42,7 +42,7 @@ def result_row(result, scenario: Optional[str] = None) -> Dict[str, Any]:
         "proxies": result.num_proxies,
         "batch": result.max_batch,
         "ops": result.completed_ops,
-        "duration": round(result.duration, 6),
+        "duration": round(result.elapsed, 6),
         "ops_per_s": round(result.throughput(), 3),
         "frames_total": result.frames_total,
         "frames_per_op": round(result.frames_total / ops, 3),

@@ -369,7 +369,7 @@ def _command_kv(args: argparse.Namespace) -> int:
           f"{args.clients} clients, {args.keys} keys, pipeline {args.pipeline}")
     print(f"operations         : {result.completed_ops} completed "
           f"({workload.total_operations()} scheduled)")
-    print(f"duration           : {result.duration:.3f} {time_unit}")
+    print(f"duration           : {result.elapsed:.3f} {time_unit}")
     print(f"throughput         : {result.throughput():.2f} ops per time unit")
     print(f"batching           : {result.batch_stats.summary()}")
     print(f"messages sent      : {result.messages_sent} frames")
@@ -388,6 +388,14 @@ def _command_kv(args: argparse.Namespace) -> int:
         fast, slow = counters["reads_fast"], counters["reads_slow"]
         print(f"read round trips   : {fast} reads in one round (quorum "
               f"agreed) / {slow} in more (write-back or replay)")
+    # Counted by whichever tier talks to the replicas (both, after a failover).
+    to_replicas = [result.batch_stats] + (
+        [result.proxy_stats] if result.proxy_stats is not None else []
+    )
+    print(f"replica rounds     : "
+          f"{sum(stats.rounds_narrow for stats in to_replicas)} asked a quorum "
+          f"first / {sum(stats.rounds_widened for stats in to_replicas)} of "
+          f"them widened to the group")
     if result.cache is not None:
         print(f"read cache         : {result.cache_hit_rate():.1%} hit rate "
               f"({result.cache['hits']} hits / {result.cache['misses']} "

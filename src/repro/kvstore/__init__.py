@@ -32,9 +32,11 @@ to a multi-key store:
 * **Ingress proxies**: an optional site-local tier between clients and
   replica groups.  A proxy merges quorum rounds *across client connections*
   into shared replica frames (replica-side frames drop toward 1/K under
-  K-client fan-in), routes reads through a pluggable
+  K-client fan-in), asks a quorum first and the rest of the group only when
+  a replica stays silent -- or routes reads through an explicit
   :class:`ReadRoutingPolicy` (:class:`NearestQuorum` picks the closest
-  quorum from site metadata), and hides live rebalancing behind a
+  quorum from site metadata, :class:`BroadcastReads` asks everyone) -- and
+  hides live rebalancing behind a
   :class:`CachedShardView` fed by view pushes and stale-epoch bounces.
 * **Two backends**: the discrete-event simulator
   (:func:`run_sim_kv_workload`) and real asyncio TCP

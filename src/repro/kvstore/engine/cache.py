@@ -12,7 +12,8 @@ here only remember what the protocol has established:
 * a :class:`ReadCache` is the bounded LRU map of entries.
 
 An entry is **servable** once a write-blocking set of replicas holds the
-lease (``granted``: grants from at least ``wait_for`` route replicas); it
+lease (``granted``: grants from at least ``wait_for`` of the replicas the fill
+asked -- a quorum-first fill asks exactly that many); it
 serves whichever rounds the fill recorded.  How many that is depends on the
 fill's first quorum: unanimous, and every reader served it finishes after
 round 1 like the fill did; split, and they ask for round 2 and are served
@@ -73,6 +74,9 @@ class CacheEntry:
     fill_op_id: str = ""
     nonce: str = ""
     fill_pending: Optional[Any] = None
+    #: The replicas sent a lease-marked sub of the fill: the only ones that
+    #: can hold our lease, so the ones grants are taken from and releases go to.
+    asked: Set[str] = field(default_factory=set)
     grants: Set[str] = field(default_factory=set)
     rounds: Dict[int, List[Message]] = field(default_factory=dict)
     round_payloads: Dict[int, Tuple[str, str]] = field(default_factory=dict)

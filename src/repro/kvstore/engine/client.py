@@ -6,7 +6,7 @@ ordinary single-register client generator for its key, and every round the
 generator yields goes out through the client's current *ingress*.  Direct
 ingress is the :class:`~.rounds.ReplicaRounds` this engine extends: the
 round is resolved against the live shard map and multiplexed to its owner
-group there.
+group there, quorum-first when it mutates nothing.
 
 With a proxy candidate list the engine routes *every* round through its
 current ingress proxy instead: in-flight rounds (for any shard, any group)
@@ -127,7 +127,9 @@ class ClientSessionEngine(ReplicaRounds):
         self.stale_replays = 0
         self.drain_backoffs = 0
         self.proxy_failovers = 0
-        # The direct ingress broadcasts every round, so it needs no round timer.
+        # No per-round timers on the direct ingress: the multiplexer's silence
+        # timer widens a quorum-first round a replica leaves short, and fails
+        # one the whole group leaves short.
         super().__init__(client_id, round_timeout=None)
         self._proxy_candidates = list(proxy_candidates or [])
         self.proxy_id: Optional[str] = (
@@ -424,7 +426,7 @@ class ClientSessionEngine(ReplicaRounds):
         """The current proxy is dead: advance the ingress path and replay.
 
         The next candidate of the site takes over; with the list exhausted,
-        ``proxy_id`` drops to ``None`` and the client broadcasts to replica
+        ``proxy_id`` drops to ``None`` and the client talks to the replica
         groups directly (the pre-proxy data path, always available because
         proxies hold no register state).  Every in-flight round is stashed
         and -- once the adapter confirms the new ingress -- re-dispatched:

@@ -24,7 +24,7 @@ that make sense for its transport while the state machines stay shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple, Union
 
 from ...messages import Message
@@ -48,6 +48,8 @@ __all__ = [
     "PROXY_ROUND_TIMEOUT",
     "MAX_ROUND_TIMEOUTS",
     "PROXY_FAILOVER_TIMEOUT",
+    "SILENCE_WINDOW",
+    "SIM_SILENCE_WINDOW",
 ]
 
 #: The :class:`Connect` target meaning "no proxy: direct replica
@@ -131,12 +133,20 @@ RECONNECT_INTERVAL = 0.05
 MAX_TRANSIENT_RETRIES = 100
 PROXY_ROUND_TIMEOUT = 2.0
 MAX_ROUND_TIMEOUTS = 5
+#: How long a quorum-first round may sit short of its quorum before the rest
+#: of the group is asked too: three orders of magnitude above a loopback round
+#: trip, so only a replica that really is slow or gone trips it.
+SILENCE_WINDOW = 0.25
 
 #: Simulator default (virtual time units) for the client's proxy-failover
 #: watchdog.  Generous by design: a merely *slow* proxy resets the watchdog
 #: with every ack it does deliver, so only a silent proxy -- crashed, its
 #: traffic dropped -- trips it.
 PROXY_FAILOVER_TIMEOUT = 200.0
+#: The simulator's silence window (virtual time units): some ten round trips
+#: of the default delay model, and two widenings still fit well inside the
+#: failover watchdog's window.
+SIM_SILENCE_WINDOW = 50.0
 
 
 @dataclass(frozen=True)
@@ -152,8 +162,13 @@ class RetryPolicy:
     * ``round_timeout * max_round_timeouts`` bounds how long a proxy waits
       on a silently-lost replica round before erroring the ack
       (``round_timeout=None`` disables round timers -- the simulator's
-      choice, where a lost round can only mean a crashed replica that the
-      quorum already tolerates);
+      choice, and every direct client's);
+    * ``silence_window`` is how long a quorum-first round -- one that was
+      sent to only ``S - t`` replicas -- may stay short of its quorum before
+      the remaining replicas are asked too (one timer per engine, armed only
+      while such rounds are out); an owner without round timers fails a
+      round that the whole group leaves unanswered for another
+      ``max_round_timeouts`` windows;
     * ``failover_timeout`` arms the client's proxy-death watchdog
       (``None`` disables it -- the asyncio backend's choice, where a dead
       proxy is observed as a severed TCP connection instead).
@@ -167,6 +182,7 @@ class RetryPolicy:
     round_timeout: Optional[float] = PROXY_ROUND_TIMEOUT
     max_round_timeouts: int = MAX_ROUND_TIMEOUTS
     failover_timeout: Optional[float] = None
+    silence_window: float = SILENCE_WINDOW
     #: How long a caller backs off before replaying a round that bounced
     #: off a *draining* key range (its shard view was already fresh, so
     #: replaying immediately would spin against the fence until the range
@@ -189,25 +205,20 @@ class RetryPolicy:
 
     def with_failover_timeout(self, timeout: Optional[float]) -> "RetryPolicy":
         """This policy with the watchdog window replaced."""
-        return RetryPolicy(
-            reconnect_interval=self.reconnect_interval,
-            max_transient_retries=self.max_transient_retries,
-            round_timeout=self.round_timeout,
-            max_round_timeouts=self.max_round_timeouts,
-            failover_timeout=timeout,
-            drain_backoff=self.drain_backoff,
-        )
+        return replace(self, failover_timeout=timeout)
 
 
 #: What the asyncio backend runs with unless told otherwise.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
-#: What the simulator runs with: no round timers (the virtual network never
-#: loses frames silently except at a crash the quorum covers), and the
-#: watchdog armed in virtual time.
+#: What the simulator runs with: no round timers (the virtual network loses
+#: frames silently only at a crash, and the silence timer widens the
+#: quorum-first rounds a crashed replica leaves short), and the watchdog and
+#: the silence window in virtual time.
 SIM_RETRY_POLICY = RetryPolicy(
     round_timeout=None,
     failover_timeout=PROXY_FAILOVER_TIMEOUT,
+    silence_window=SIM_SILENCE_WINDOW,
     # At the default 0.05 a long drain would be polled hundreds of times
     # per range; ~10 virtual units is a couple of network round trips.
     drain_backoff=10.0,

@@ -37,7 +37,7 @@ is on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...observe.events import (
     CACHE_HIT,
@@ -82,7 +82,6 @@ from .effects import (
 )
 from .rounds import ReplicaRound, ReplicaRounds
 from .routing import (
-    BroadcastReads,
     CachedShardView,
     ProxyRoute,
     ReadRoutingPolicy,
@@ -143,7 +142,8 @@ class ProxyEngine(ReplicaRounds):
             raise ValueError("read_round_trips must be positive")
         self.proxy_id = proxy_id
         self.view = view
-        self.read_policy = read_policy or BroadcastReads()
+        #: ``None``: rounds go quorum-first (see :mod:`~.rounds`).
+        self.read_policy = read_policy
         self.policy = policy or DEFAULT_RETRY_POLICY
         self.max_batch = max_batch
         self.flush_delay = flush_delay
@@ -405,8 +405,8 @@ class ProxyEngine(ReplicaRounds):
         """Run the protocol side of dropping one cache entry.
 
         The caller has already removed (or never inserted) the map slot;
-        this releases the lease at every route replica, detaches an
-        in-flight fill, cancels the entry's timers, and re-dispatches any
+        this releases the lease at every replica the fill asked, detaches
+        an in-flight fill, cancels the entry's timers, and re-dispatches any
         parked followers as ordinary rounds.
         """
         current = self._cache.peek(entry.key) if self._cache is not None else None
@@ -419,9 +419,9 @@ class ProxyEngine(ReplicaRounds):
         if pending is not None:
             entry.fill_pending = None
             pending.fill_entry = None
-        if not entry.stale and entry.route is not None:
+        if not entry.stale:
             # A stale entry already handed its lease back when it expired.
-            self._release_lease(entry.route.servers, [entry.key], out)
+            self._release_lease(sorted(entry.asked), [entry.key], out)
         self.cache_invalidations += 1
         self.observer.emit(CACHE_INVALIDATE, key=entry.key, reason=reason)
         followers = entry.followers
@@ -431,7 +431,7 @@ class ProxyEngine(ReplicaRounds):
                 self._dispatch_safe(_forwarded(client, fsub), out)
 
     def _release_lease(
-        self, servers: Tuple[str, ...], keys: List[str], out: List[Effect]
+        self, servers: Sequence[str], keys: List[str], out: List[Effect]
     ) -> None:
         for server_id in servers:
             self.observer.emit(
@@ -454,8 +454,7 @@ class ProxyEngine(ReplicaRounds):
             entry = self._cache.peek(key) if self._cache is not None else None
             if (entry is not None and not entry.stale
                     and entry.nonce == nonce
-                    and entry.route is not None
-                    and message.sender in entry.route.servers):
+                    and message.sender in entry.asked):
                 entry.grants.add(message.sender)
             elif entry is None or entry.stale:
                 # The entry died before the grant landed (eviction raced the
@@ -523,14 +522,19 @@ class ProxyEngine(ReplicaRounds):
         fresh = self.view.resolve(pending.key)
         return fresh.group_id, fresh.epoch
 
-    def _framed(self, pending: _ProxyPending) -> Optional[str]:
-        """One attempt goes on the wire: count it, and mark a fill's subs."""
+    def _framed(
+        self, pending: _ProxyPending, servers: Sequence[str]
+    ) -> Optional[str]:
+        """Subs of one attempt go on the wire: count them, and mark a fill's."""
         if pending.request.op_kind == "read":
-            self.read_subs_sent += len(pending.targets)
+            self.read_subs_sent += len(servers)
         # Evictions detach fills before this point, so the mark reflects the
-        # entry's liveness at flush time.
+        # entry's liveness as the subs leave.
         entry = pending.fill_entry
-        return entry.nonce if entry is not None else None
+        if entry is None:
+            return None
+        entry.asked.update(servers)  # where a lease may now stand
+        return entry.nonce
 
     def _retry_timer(self, pending: _ProxyPending) -> TimerId:
         return ("pretry", *pending.ident)
@@ -565,7 +569,8 @@ class ProxyEngine(ReplicaRounds):
         sub_reply = ProxySubReply(
             op_id=pending.op_id,
             round_trip=pending.request.round_trip,
-            replies=tuple(pending.replies),
+            # A round that failed short of its quorum has nothing to deliver.
+            replies=tuple(pending.replies) if error is None else (),
             error=error,
         )
         # Not counted in stats: proxy acks are tallied once, at the client
@@ -600,8 +605,7 @@ class ProxyEngine(ReplicaRounds):
                 # the bound the staleness checker verifies.
                 entry.stale = True
                 entry.grants.clear()
-                if entry.route is not None:
-                    self._release_lease(entry.route.servers, [key], out)
+                self._release_lease(sorted(entry.asked), [key], out)
                 out.append(StartTimer(("stale", key), self.lease_ttl * 0.5))
             else:
                 self._evict(entry, out, reason="expired")

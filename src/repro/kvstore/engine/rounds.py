@@ -6,10 +6,26 @@ everything between "here is a round for key *k*" and "here are ``wait_for``
 replies / here is why not": the pending table, the per-group queues that
 coalesce concurrent rounds into one batch frame per replica, the
 ``batch-ack`` demultiplexer, the stale-bounce rule, lost-replica accounting
-and the flush / retry / round-timeout timers.  The two engines that talk to
-replicas are its subclasses -- :class:`~.client.ClientSessionEngine` (its
-direct ingress) and :class:`~.proxy.ProxyEngine` (every forwarded round) --
-and supply what really differs between them as hooks:
+and the flush / retry / round-timeout / silence timers.
+
+**Quorum first.**  The model lets any ``t`` of a round's ``S`` messages be
+delayed forever, so a round sent to only ``S - t`` replicas is an execution
+every protocol here already survives.  A first attempt that mutates nothing
+(its kind is not in ``mutating_kinds``) and carries no per-server payload
+therefore goes out *narrow*: at the flush, every narrow round of the batch is
+asked of the same ``wait_for`` replicas, the pick rotating per group per
+flush.  A narrow round is *widened* -- the same sub-request, same identity,
+sent to the replicas not asked yet -- as soon as one of the asked is reported
+lost, and otherwise by one per-engine silence timer
+(``policy.silence_window``) once it has been out for a whole window.
+Mutating rounds still ask the whole group (a write has to land wherever it can
+for the next narrow read to find a unanimous quorum), and so do replays and
+every round of an owner with an explicit ``read_policy``.
+
+The two engines that talk to replicas are its subclasses --
+:class:`~.client.ClientSessionEngine` (its direct ingress) and
+:class:`~.proxy.ProxyEngine` (every forwarded round) -- and supply what really
+differs between them as hooks:
 
 * ``_plan(round)`` -- one attempt's routing and wire identity: resolve the
   key (live shard map vs cached view), pick the targets (whole group vs
@@ -19,14 +35,16 @@ and supply what really differs between them as hooks:
   ``round.opened`` event;
 * ``_reroute(round, out)`` -- a replica fenced the attempt: repair what the
   owner routes by and say where the key lives *now*, as ``(group_id, epoch)``;
-* ``_framed(round)`` -- asked once per attempt as it goes on the wire, for the
-  lease-nonce column of its sub-requests (``None``: no such column);
+* ``_framed(round, servers)`` -- asked as sub-requests of an attempt go on the
+  wire to ``servers`` (at the flush, and again if it is widened), for their
+  lease-nonce column (``None``: no such column);
 * ``_retry_timer(round)`` -- the round's retry-timer id, in the owner's timer
   namespace; ``round_timeout`` -- bound every attempt by a timer, or not;
 * ``_on_quorum(round, out)`` / ``_on_failed(round, error, out)`` -- the outcome.
 
 The subclass also carries ``policy``, ``stats``, ``observer``, ``max_batch``,
-``flush_delay`` and the ``stale_replays`` / ``drain_backoffs`` counters.
+``flush_delay``, the ``stale_replays`` / ``drain_backoffs`` counters and, if
+it routes reads by an explicit policy, ``read_policy``.
 Sans-I/O throughout: inputs are decoded frames, timer fires and transport
 notifications; outputs are effects.
 """
@@ -46,11 +64,23 @@ from ...messages import (
     unpack_batch,
     unpack_batch_ack,
 )
-from ...observe.events import BATCH_CUT, FRAME_RECEIVED, FRAME_SENT, ROUND_REPLAYED
+from ...observe.events import (
+    BATCH_CUT,
+    FRAME_RECEIVED,
+    FRAME_SENT,
+    ROUND_REPLAYED,
+    ROUND_WIDENED,
+)
+from ...protocols.base import RegisterProtocol
 from .effects import CancelTimer, Effect, SendFrame, StartTimer, TimerId
 from .server import MAX_STALE_RETRIES, is_stale_reply
 
 __all__ = ["ReplicaRound", "ReplicaRounds"]
+
+_SILENCE: TimerId = ("silence",)
+
+#: Replica id -> the sub-requests of the frame being built for it.
+_Frames = Dict[str, List[SubRequest]]
 
 
 @dataclass
@@ -58,8 +88,8 @@ class ReplicaRound:
     """One quorum round as the multiplexer sees it; owners subclass it.
 
     The subclass adds ``request`` -- the broadcast being made, anything with
-    ``.kind`` and ``.payload_for(server_id)`` -- and whatever else the owner
-    hangs on an in-flight round.
+    ``.kind``, ``.per_server_payload`` and ``.payload_for(server_id)`` -- and
+    whatever else the owner hangs on an in-flight round.
     """
 
     #: The owner's name for the operation (events and error texts; the wire
@@ -77,9 +107,17 @@ class ReplicaRound:
     group_id: str = field(default="", init=False)
     shard_id: str = field(default="", init=False)
     epoch: int = field(default=0, init=False)
+    #: Every replica the attempt may ask (the group, or a read policy's pick).
     targets: Sequence[str] = field(default=(), init=False)
     wait_for: int = field(default=0, init=False)
     # -- the multiplexer's own bookkeeping ------------------------------------
+    #: The replicas the attempt has been sent to: ``wait_for`` of ``targets``
+    #: while it is ``narrow``, all of them otherwise.
+    asked: Sequence[str] = field(default=(), init=False)
+    narrow: bool = field(default=False, init=False)
+    #: The silence-timer tick at which the attempt is widened (narrow) or
+    #: given up on (widened, owner without round timers); 0: not watched.
+    due: int = field(default=0, init=False)
     replies: List[Message] = field(default_factory=list, init=False)
     lost_targets: Set[str] = field(default_factory=set, init=False)
     stale_retries: int = field(default=0, init=False)
@@ -94,7 +132,12 @@ class ReplicaRounds:
     """Queue -> batch -> quorum -> bounce/replay -> lost-replica handling."""
 
     #: The one optional hook: an owner with no lease column leaves it unset.
-    _framed: Optional[Callable[[ReplicaRound], Optional[str]]] = None
+    _framed: Optional[
+        Callable[[ReplicaRound, Sequence[str]], Optional[str]]
+    ] = None
+    #: An explicit read-routing policy owns the targets of every round; with
+    #: none (the client, and the proxy's default) rounds go quorum-first.
+    read_policy = None
 
     def __init__(self, node_id: str, round_timeout: Optional[float]) -> None:
         self._node_id = node_id
@@ -103,10 +146,20 @@ class ReplicaRounds:
         self._queues: Dict[str, List[ReplicaRound]] = {}
         self._flush_scheduled: Set[str] = set()
         self._retrying: Dict[TimerId, ReplicaRound] = {}
+        #: Flushes so far, per group: where the next narrow quorum starts.
+        self._turns: Dict[str, int] = {}
+        #: Replicas that sat silent through a narrow round's window and have
+        #: sent nothing since.  (A loss the transport reports needs no memory:
+        #: it widens the round at once, and stops when the redial lands.)
+        self._suspects: Set[str] = set()
+        self._silence_armed = False
+        self._silence_ticks = 0
 
     # -- opening an attempt -----------------------------------------------------
 
-    def _open(self, round: ReplicaRound, out: List[Effect]) -> None:
+    def _open(
+        self, round: ReplicaRound, out: List[Effect], replay: bool = False
+    ) -> None:
         """Plan one attempt of ``round`` (fresh or replayed) and queue it.
 
         Replaying is always safe: round-trips are idempotent (queries
@@ -114,19 +167,31 @@ class ReplicaRounds:
         per-key generator behind the round never observes a replay.
         """
         self._plan(round)
-        self._enqueue(round, out)
+        self._enqueue(round, out, replay)
 
-    def _enqueue(self, round: ReplicaRound, out: List[Effect]) -> None:
+    def _enqueue(
+        self, round: ReplicaRound, out: List[Effect], replay: bool = False
+    ) -> None:
         """Queue an attempt the owner has already planned for its group."""
         round.replies = []
         round.lost_targets = set()
         round.awaiting_retry = False
+        round.asked = ()
+        round.due = 0
+        request = round.request
+        # A replay follows a loss, a bounce or a timeout: it asks everyone.
+        round.narrow = (
+            not replay
+            and self.read_policy is None
+            and request.kind not in RegisterProtocol.mutating_kinds
+            and not request.per_server_payload
+            and round.wait_for < len(round.targets)
+        )
         self._pending[round.ident] = round
         if self._round_timeout is not None:
-            # Bound the attempt: a targeted replica can die after the frame
-            # left the socket (restrictive read policies only -- a broadcast
-            # round always has a live quorum), and on transports with silent
-            # loss the timer turns that into a replay.
+            # Bound the attempt: a replica can die after the frame left the
+            # socket, and on transports with silent loss the timer turns that
+            # into a replay (a quorum-first round is widened before that).
             out.append(StartTimer(("round", *round.ident), self._round_timeout))
         group_id = round.group_id
         queue = self._queues.setdefault(group_id, [])
@@ -150,6 +215,7 @@ class ReplicaRounds:
         self._queues.clear()
         self._flush_scheduled.clear()
         self._retrying.clear()
+        self._silence_armed = False  # the adapter drops the timer with us
 
     def _flush(self, group_id: str, out: List[Effect]) -> None:
         self._flush_scheduled.discard(group_id)
@@ -163,30 +229,144 @@ class ReplicaRounds:
             return
         self.stats.record(len(batch))
         self.observer.emit(BATCH_CUT, size=len(batch), queue=group_id)
-        # One frame per replica targeted by at least one round of the batch;
-        # rounds restricted by a read-routing policy skip the far replicas.
-        frames: Dict[str, List[SubRequest]] = {}
-        framed = self._framed
+        # One frame per replica asked by at least one round of the batch.  The
+        # narrow rounds all ask the head of one order of the group (they have
+        # no read policy, so their targets are the group), and a batch of them
+        # costs S - t frames.
+        order: Sequence[str] = ()
+        due = 0
+        frames: _Frames = {}
         for round in batch:
             round.queued = False
-            lease = framed(round) if framed is not None else None
-            request = round.request
-            op_id, round_trip = round.ident
-            for server_id in round.targets:
-                message = Message(
-                    round.sender, server_id, request.kind,
-                    request.payload_for(server_id), op_id, round_trip,
-                    trace=round.trace,
-                )
-                frames.setdefault(server_id, []).append(
-                    SubRequest(round.key, message, round.shard_id, round.epoch, lease)
-                )
+            servers = round.targets
+            if round.narrow:
+                if not order:
+                    order = self._quorum_order(group_id, servers)
+                    # Widened at the next tick of the silence timer if this
+                    # flush arms it, at the one after if it joins a window in
+                    # progress: after a whole window of silence either way.
+                    due = self._silence_ticks + (2 if self._silence_armed else 1)
+                round.due = due
+                self.stats.rounds_narrow += 1
+                servers = order[: round.wait_for]
+            round.asked = servers
+            self._frame(round, servers, frames)
+        self._send_frames(frames, out)
+        if order:
+            self._watch(out)
+
+    def _frame(
+        self, round: ReplicaRound, servers: Sequence[str], frames: _Frames
+    ) -> None:
+        """Add the attempt's sub-request for each of ``servers`` to ``frames``."""
+        framed = self._framed
+        lease = framed(round, servers) if framed is not None else None
+        request = round.request
+        op_id, round_trip = round.ident
+        for server_id in servers:
+            message = Message(
+                round.sender, server_id, request.kind,
+                request.payload_for(server_id), op_id, round_trip,
+                trace=round.trace,
+            )
+            frames.setdefault(server_id, []).append(
+                SubRequest(round.key, message, round.shard_id, round.epoch, lease)
+            )
+
+    def _send_frames(self, frames: _Frames, out: List[Effect]) -> None:
         for server_id, subs in frames.items():
             self.stats.record_frames(sent=1)
             self.observer.emit(FRAME_SENT, kind=BATCH_KIND, dest=server_id)
             out.append(
                 SendFrame(server_id, make_batch(self._node_id, server_id, subs))
             )
+
+    # -- narrow attempts, and widening them ---------------------------------------
+
+    def _quorum_order(self, group_id: str, servers: Sequence[str]) -> Sequence[str]:
+        """The order this flush's narrow rounds ask ``servers`` in.
+
+        The start rotates per group per flush, so the load spreads and every
+        replica is asked within ``S`` flushes.  Replicas that left a round
+        silent for a window and have not been heard from since go last: with
+        one down, two rotations in three would otherwise pay a window each.
+        """
+        turn = self._turns[group_id] = self._turns.get(group_id, -1) + 1
+        start = turn % len(servers)
+        order = (*servers[start:], *servers[:start])
+        if self._suspects:
+            return sorted(order, key=self._suspects.__contains__)
+        return order
+
+    def _watch(self, out: List[Effect]) -> None:
+        """Keep the silence timer running while watched rounds are out.
+
+        One timer per engine, not one per round: armed by the first narrow
+        round out and re-armed at a tick only while some are still out, so a
+        busy engine arms it once a window and an idle one not at all.
+        """
+        if not self._silence_armed:
+            self._silence_armed = True
+            out.append(StartTimer(_SILENCE, self.policy.silence_window))
+
+    def _widen(
+        self, round: ReplicaRound, reason: str, due: int, frames: _Frames
+    ) -> None:
+        """Ask the rest of the group too: same sub-request, same identity.
+
+        Every replica is asked once per attempt, so a late reply from the
+        first quorum and one from the rest never count a replica twice.
+        Owners that bound attempts by round timers leave a widened attempt
+        to those; the others give it until tick ``due``.
+        """
+        asked = round.asked
+        rest = [server_id for server_id in round.targets if server_id not in asked]
+        round.narrow = False
+        round.asked = round.targets
+        round.due = due if self._round_timeout is None else 0
+        self.stats.rounds_widened += 1
+        self.observer.emit(
+            ROUND_WIDENED, op_id=round.op_id, key=round.key, trace=round.trace,
+            reason=reason,
+        )
+        self._frame(round, rest, frames)
+
+    def _on_silence(self, out: List[Effect]) -> None:
+        """A silence window ended: widen what sat through it, re-arm or lapse."""
+        self._silence_ticks = tick = self._silence_ticks + 1
+        # Down while the tick is handled: a round flushed from in here (a
+        # failed op's successor) starts the next window itself.
+        self._silence_armed = False
+        patience = tick + self.policy.max_round_timeouts
+        watching = False
+        frames: _Frames = {}
+        for round in list(self._pending.values()):
+            if not round.due or round.awaiting_retry:
+                continue
+            if round.due > tick:
+                watching = True
+            elif round.narrow:
+                # Nothing that mutates is ever narrow, and replicas answer
+                # everything else at once: a round still short of its quorum
+                # has a slow or dead replica among the asked.
+                answered = {reply.sender for reply in round.replies}
+                self._suspects.update(
+                    server_id for server_id in round.asked
+                    if server_id not in answered
+                )
+                self._widen(round, "silent", patience, frames)
+                if round.due:
+                    watching = True
+            else:
+                self._fail_round(round, ProtocolError(
+                    f"operation {round.op_id} got no quorum from the whole "
+                    f"group within {self.policy.max_round_timeouts} silence "
+                    "windows of being widened; more replicas are down than "
+                    "the fault budget covers"
+                ), out)
+        self._send_frames(frames, out)
+        if watching:
+            self._watch(out)
 
     # -- replica replies --------------------------------------------------------
 
@@ -196,6 +376,8 @@ class ReplicaRounds:
         self.observer.emit(
             FRAME_RECEIVED, kind=BATCH_ACK_KIND, source=message.sender
         )
+        if self._suspects:
+            self._suspects.discard(message.sender)
         pending = self._pending
         for _key, reply in unpack_batch_ack(message):
             if reply is None or reply.op_id is None:
@@ -255,7 +437,7 @@ class ReplicaRounds:
 
     def _replay(self, round: ReplicaRound, out: List[Effect]) -> None:
         self._forget(round, out)
-        self._open(round, out)
+        self._open(round, out, replay=True)
 
     def _fail_round(
         self, round: ReplicaRound, error: BaseException, out: List[Effect]
@@ -269,14 +451,12 @@ class ReplicaRounds:
         """A replica connection died terminally (reconnect gave up): rounds
         that can no longer reach a quorum go to replay instead of hanging."""
         out: List[Effect] = []
+        frames: _Frames = {}
         for round in list(self._pending.values()):
-            if (
-                not round.queued
-                and server_id in round.targets
-                and len(round.replies) < round.wait_for
-            ):
+            if server_id in round.asked and len(round.replies) < round.wait_for:
                 error = ConnectionError(f"replica {server_id} is unreachable")
-                self._lose_target(round, server_id, error, True, out)
+                self._lose_target(round, server_id, error, True, frames, out)
+        self._send_frames(frames, out)
         return out
 
     def on_frame_undeliverable(
@@ -296,19 +476,30 @@ class ReplicaRounds:
         # the "every frame counted exactly once" invariant even across
         # replays (the replayed attempt counts its own frames).
         self.stats.record_frames(sent=-1)
+        frames: _Frames = {}
         for sub in unpack_batch(frame):
             round = self._pending.get((sub.message.op_id, sub.message.round_trip))
             if round is not None:
-                self._lose_target(round, frame.receiver, error, retryable, out)
+                self._lose_target(
+                    round, frame.receiver, error, retryable, frames, out
+                )
+        self._send_frames(frames, out)
         return out
 
     def _lose_target(
         self, round: ReplicaRound, server_id: str, error: BaseException,
-        retryable: bool, out: List[Effect],
+        retryable: bool, frames: _Frames, out: List[Effect],
     ) -> None:
         if round.awaiting_retry:
             return
         round.lost_targets.add(server_id)
+        if round.narrow:
+            # The timer is armed while a narrow round is out, so the next tick
+            # is under a window away: one more keeps the patience whole.
+            self._widen(
+                round, "replica-lost",
+                self._silence_ticks + 1 + self.policy.max_round_timeouts, frames,
+            )
         if len(round.targets) - len(round.lost_targets) >= round.wait_for:
             return  # a quorum is still possible on the surviving targets
         if retryable:
@@ -320,6 +511,10 @@ class ReplicaRounds:
         # Too many targets were unreachable for this attempt (a kill
         # mid-flight): wait out the reconnect window, then re-plan the round
         # (the redial may have landed by then, or the routing moved on).
+        self.observer.emit(
+            ROUND_REPLAYED, op_id=round.op_id, key=round.key, trace=round.trace,
+            retries=round.transient_retries, reason="replica-lost",
+        )
         self._await_retry(round, self.policy.reconnect_interval, out)
 
     def _await_retry(
@@ -337,6 +532,8 @@ class ReplicaRounds:
         kind = timer_id[0]
         if kind == "flush":
             self._flush(timer_id[1], out)
+        elif kind == "silence":
+            self._on_silence(out)
         elif kind == "round":
             round = self._pending.get(timer_id[1:])
             if round is None or round.queued or round.awaiting_retry:
@@ -354,6 +551,11 @@ class ReplicaRounds:
                     "fault budget to ride out crashed replicas"
                 ), out)
             else:
+                self.observer.emit(
+                    ROUND_REPLAYED, op_id=round.op_id, key=round.key,
+                    trace=round.trace, retries=round.timeouts,
+                    reason="round-timeout",
+                )
                 self._replay(round, out)
         else:
             round = self._retrying.pop(timer_id, None)

@@ -17,8 +17,15 @@ brain its engines (and the client engine's failover machinery) share:
   pushes can never roll routing back, and a delta whose base the view has
   not reached is skipped (the epoch-fence bounce remains the safety net).
 * :class:`ReadRoutingPolicy` -- which replicas of the owner group a read
-  round targets: :class:`BroadcastReads` (every replica) or
-  :class:`NearestQuorum` (the closest quorum per site/link metadata).
+  round targets, when the deployment wants to say.  Three choices: **no
+  policy** (the default) leaves it to the round multiplexer, which goes
+  quorum-first -- every round that mutates nothing asks ``S - t`` replicas,
+  rotating over the group, and widens to the rest when one stays silent
+  (:mod:`~repro.kvstore.engine.rounds`); :class:`NearestQuorum` pins reads to
+  the closest quorum per site/link metadata (a rotating quorum would cross
+  the WAN every other read); :class:`BroadcastReads` opts out -- every round
+  asks every replica, the classic emulation.  Under an explicit policy
+  nothing is narrowed or widened: the policy's targets are the targets.
 * :func:`plan_round` -- the single routing decision both backends' proxies
   make per forwarded round.
 * :func:`attempt_scoped_id` -- the replay-isolation scheme: replayed rounds
@@ -31,9 +38,10 @@ senders in per-tag ``updated`` sets (the paper's crucial info) -- collapsing
 clients into the proxy's identity would starve the fast-read admissibility
 predicate.  Restricting a read round to any ``S - t`` replicas is always
 safe for atomicity (every quorum of that size intersects every write
-quorum); it trades the broadcast's redundancy for frame cost, so
-:class:`NearestQuorum` takes a ``spare`` margin for deployments that want
-crash headroom on reads.
+quorum); it trades the broadcast's redundancy for frame cost.  The default
+buys the redundancy back only when it is needed (a silent replica widens the
+round); :class:`NearestQuorum` never widens, so it takes a ``spare`` margin
+for deployments that want crash headroom on reads.
 """
 
 from __future__ import annotations
@@ -343,7 +351,7 @@ class RoundPlan:
 
 def plan_round(
     view: CachedShardView,
-    policy: ReadRoutingPolicy,
+    policy: Optional[ReadRoutingPolicy],
     origin: str,
     sub: ProxySubRequest,
 ) -> RoundPlan:
@@ -351,13 +359,14 @@ def plan_round(
 
     The single decision sequence both backends' proxies share: resolve the
     key, settle the ack threshold (``None`` means the owner group's quorum),
-    and pick the targets -- writes broadcast, reads go through the policy
-    but fall back to the whole group if a policy ever under-targets (a
+    and pick the targets -- the whole group for writes and when there is no
+    policy (the multiplexer then asks a quorum of it first); reads go through
+    a policy but fall back to the whole group if it ever under-targets (a
     round with fewer targets than ``wait_for`` could never complete).
     """
     route = view.resolve(sub.key)
     wait_for = sub.wait_for if sub.wait_for is not None else route.quorum_size
-    if sub.op_kind == OpKind.READ.value:
+    if policy is not None and sub.op_kind == OpKind.READ.value:
         targets = tuple(
             policy.read_targets(origin, route.servers, wait_for, key=sub.key)
         )

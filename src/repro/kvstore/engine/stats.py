@@ -33,6 +33,10 @@ class BatchStats:
     largest: int = 0
     frames_sent: int = 0
     frames_received: int = 0
+    #: Replica rounds sent quorum-first (to ``S - t`` replicas only), and how
+    #: many of those had to ask the rest of the group after all.
+    rounds_narrow: int = 0
+    rounds_widened: int = 0
 
     def record(self, batch_size: int) -> None:
         self.rounds += 1
@@ -58,6 +62,8 @@ class BatchStats:
         self.largest = max(self.largest, other.largest)
         self.frames_sent += other.frames_sent
         self.frames_received += other.frames_received
+        self.rounds_narrow += other.rounds_narrow
+        self.rounds_widened += other.rounds_widened
 
     def copy(self) -> "BatchStats":
         """A detached snapshot (for merge-without-mutation reporting)."""
@@ -76,6 +82,8 @@ class BatchStats:
             "frames_sent": self.frames_sent,
             "frames_received": self.frames_received,
             "frames_total": self.frames_total,
+            "rounds_narrow": self.rounds_narrow,
+            "rounds_widened": self.rounds_widened,
         }
 
     def summary(self) -> str:

@@ -753,9 +753,10 @@ def run_sim_kv_workload(
     (capped at each group's fault budget) within ``crash_horizon``.
     ``use_proxy`` routes every client through one of ``num_proxies``
     site-local ingress proxies (assigned round-robin) which merge rounds
-    across clients and route reads per ``read_policy``; with crash
-    injection, keep the default broadcast policy (or a ``spare`` >= the
-    fault budget) so read rounds stay live.  ``push_views`` pushes the
+    across clients and route reads per ``read_policy`` (default: none --
+    rounds go quorum-first and widen when a replica stays silent); with
+    crash injection, keep the default or ``BroadcastReads()``, or give the
+    policy a ``spare`` >= the fault budget, so read rounds stay live.  ``push_views`` pushes the
     shard-map view delta to every proxy at each live rebalance (off:
     bounce-only refresh); ``kill_proxy_after_ops`` crashes one proxy per
     site once that many operations completed, exercising the clients'
@@ -803,6 +804,17 @@ def run_sim_kv_workload(
 
     def now() -> float:
         return cluster.events.clock.now
+
+    # Throughput is over the time the operations took: after the last one
+    # the queue still drains timers nobody cancels (a lapsing silence window,
+    # lease expiries) and the stragglers of the last quorum.
+    finished = 0.0
+
+    def note_completion() -> None:
+        nonlocal finished
+        finished = now()
+
+    cluster.add_completion_watcher(note_completion)
 
     if autoscale:
         cluster.start_autoscaler()
@@ -874,6 +886,7 @@ def run_sim_kv_workload(
         shard_map,
         max_batch,
         duration=now(),
+        elapsed=finished,
         client_engines=(client.engine for client in cluster.clients.values()),
         proxy_engines=(proxy.engine for proxy in cluster.proxies.values()),
         server_logics=cluster.server_logics.values(),

@@ -113,7 +113,11 @@ class KVRunResult:
 
     ``duration`` is virtual time on the simulator and wall-clock seconds on
     the asyncio backend; throughput is therefore comparable only within one
-    backend, which is all the scaling benchmark needs.  ``messages_sent``
+    backend, which is all the scaling benchmark needs.  On the simulator
+    ``duration`` runs to quiescence -- past the last operation, while timers
+    nobody cancels lapse (lease expiries, the engines' silence window) --
+    and ``elapsed`` stops at the last completed operation, which is what
+    :meth:`throughput` divides by.  ``messages_sent``
     counts frames in both directions (requests and acks) on both backends.
     """
 
@@ -122,6 +126,8 @@ class KVRunResult:
     max_batch: int
     histories: Dict[str, History] = field(default_factory=dict)
     duration: float = 0.0
+    #: When the last operation completed.
+    elapsed: float = 0.0
     completed_ops: int = 0
     messages_sent: int = 0
     batch_stats: BatchStats = field(default_factory=BatchStats)
@@ -177,8 +183,8 @@ class KVRunResult:
     autoscale: Optional[Dict[str, object]] = None
 
     def throughput(self) -> float:
-        """Completed operations per time unit."""
-        return self.completed_ops / self.duration if self.duration > 0 else 0.0
+        """Completed operations per time unit, over the time they took."""
+        return self.completed_ops / self.elapsed if self.elapsed > 0 else 0.0
 
     @property
     def frames_sent(self) -> int:
@@ -355,13 +361,15 @@ def fold_run_result(
     read_cache: int,
     autoscale: bool,
     messages_sent: Optional[int] = None,
+    elapsed: Optional[float] = None,
 ) -> KVRunResult:
     """Fold a finished run's engines, registry and recorder into its result.
 
     Every counter is read off the sans-I/O engines, so both backends count
     the same things the same way.  ``messages_sent`` is the transport's own
     frame count where it keeps one (the simulated network); ``None`` uses
-    the client and proxy tiers' ``frames_total``.
+    the client and proxy tiers' ``frames_total``; ``elapsed`` is when the
+    last operation completed, where that is earlier than ``duration``.
     """
     clients, proxies, logics = list(client_engines), list(proxy_engines), list(server_logics)
 
@@ -378,6 +386,7 @@ def fold_run_result(
         max_batch=max_batch,
         histories=histories,
         duration=duration,
+        elapsed=duration if elapsed is None else elapsed,
         completed_ops=recorder.completed_operations,
         batch_stats=merged(clients),
         num_groups=len(shard_map.groups),

@@ -304,6 +304,11 @@ class ProxySubRequest(NamedTuple):
             return self.per_server[server_id]
         return self.payload
 
+    @property
+    def per_server_payload(self) -> Optional[Dict[str, Dict[str, Any]]]:
+        """``per_server`` under the name the client's ``Broadcast`` gives it."""
+        return self.per_server
+
 
 class ProxySubReply(NamedTuple):
     """The completed round for one forwarded sub-request.

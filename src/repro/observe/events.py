@@ -28,6 +28,7 @@ __all__ = [
     "ROUND_OPENED",
     "ROUND_CLOSED",
     "ROUND_REPLAYED",
+    "ROUND_WIDENED",
     "FRAME_SENT",
     "FRAME_RECEIVED",
     "TIMER_ARMED",
@@ -68,7 +69,8 @@ OP_COMPLETED = "op.completed"      # op resolved with a value
 OP_FAILED = "op.failed"            # op resolved with an error
 ROUND_OPENED = "round.opened"      # a quorum round was dispatched
 ROUND_CLOSED = "round.closed"      # a proxy finished serving a sub-op
-ROUND_REPLAYED = "round.replayed"  # stale-shard bounce forced a replay
+ROUND_REPLAYED = "round.replayed"  # a bounce, loss or timeout forced a replay
+ROUND_WIDENED = "round.widened"    # a quorum-first round asked the whole group
 FRAME_SENT = "frame.sent"          # a wire frame left this component
 FRAME_RECEIVED = "frame.received"  # a wire frame arrived at this component
 TIMER_ARMED = "timer.armed"        # adapter scheduled a StartTimer effect
@@ -101,7 +103,7 @@ AUTOSCALE_ACTION = "autoscale.action"      # the autoscaler triggered a move
 
 EVENT_KINDS = (
     OP_INVOKED, OP_COMPLETED, OP_FAILED,
-    ROUND_OPENED, ROUND_CLOSED, ROUND_REPLAYED,
+    ROUND_OPENED, ROUND_CLOSED, ROUND_REPLAYED, ROUND_WIDENED,
     FRAME_SENT, FRAME_RECEIVED,
     TIMER_ARMED, TIMER_FIRED, TIMER_CANCELLED,
     STALE_BOUNCE, FAILOVER_HOP, BATCH_CUT, SUB_SERVED,

@@ -35,6 +35,7 @@ from .events import (
     ROUND_CLOSED,
     ROUND_OPENED,
     ROUND_REPLAYED,
+    ROUND_WIDENED,
     STALE_BOUNCE,
     SUB_SERVED,
     TIMER_ARMED,
@@ -225,12 +226,12 @@ _BASELINE_COUNTERS: Dict[str, Tuple[str, ...]] = {
     "client": (
         "ops_invoked", "ops_completed", "ops_failed",
         "reads_fast", "reads_slow",
-        "rounds_opened", "stale_replays", "proxy_failovers",
+        "rounds_opened", "rounds_widened", "stale_replays", "proxy_failovers",
         "frames_sent", "frames_received",
         "timers_armed", "timers_fired", "timers_cancelled",
     ),
     "proxy": (
-        "rounds_opened", "rounds_closed", "stale_replays",
+        "rounds_opened", "rounds_closed", "rounds_widened", "stale_replays",
         "cache_hits", "cache_misses", "cache_invalidations",
         "leases_expired",
         "frames_sent", "frames_received",
@@ -376,6 +377,7 @@ KIND_METRICS: Dict[str, Tuple[Optional[str], Optional[_ActionFactory]]] = {
     ROUND_OPENED: ("rounds_opened", _starts_proxy_op),
     ROUND_CLOSED: ("rounds_closed", _finishes_op),
     ROUND_REPLAYED: ("stale_replays", None),
+    ROUND_WIDENED: ("rounds_widened", None),
     FRAME_SENT: ("frames_sent", None),
     FRAME_RECEIVED: ("frames_received", None),
     TIMER_ARMED: ("timers_armed", None),

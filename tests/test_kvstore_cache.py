@@ -78,9 +78,9 @@ def run_until(fabric: MemoryFabric, deadline: float) -> None:
 def hold_frames(fabric, match):
     """Park every frame ``match(effect)`` accepts; returns ``release()``.
 
-    The fabric's constant delay makes every quorum the same two replicas;
-    holding chosen frames back is how a test stages a write that sits on a
-    minority, or a proxy whose quorum is the *other* two replicas.
+    The fabric's constant delay and the engines' rotation fix which two
+    replicas every quorum is; holding chosen frames back is how a test
+    stages a write that sits on a minority.
     """
     held = []
     deliver = fabric._deliver
@@ -142,9 +142,10 @@ class TestCacheUnit:
         assert [o.value for o in outcomes] == ["v1", "v1", "v1"]
         assert proxy.cache_misses == 1
         assert proxy.cache_hits == 1
-        # The miss paid one query round (3 replicas in the default map; the
-        # quorum agreed, so the fill never wrote back); the hit paid nothing.
-        assert proxy.read_subs_sent == 3
+        # The miss paid one quorum-first query round (2 of the 3 replicas in
+        # the default map; they agreed, so the fill never wrote back); the hit
+        # paid nothing.
+        assert proxy.read_subs_sent == 2
         assert check_per_key_atomicity(recorder.histories()).all_atomic
         _, reads = recorder.histories()["k"].round_trip_counts()
         assert reads == [1, 1]  # one client<->proxy round for fill and hit
@@ -163,7 +164,7 @@ class TestCacheUnit:
         assert seen == {"c1": "v0", "c2": "v0"}
         # Single-flight: the second read joined the first's fill instead of
         # starting its own -- exactly one query round's worth of sub-ops.
-        one_round = 1 * 3  # a unanimous fill x replicas in the default map
+        one_round = 1 * 2  # a unanimous fill x a quorum of the default map
         assert proxy.read_subs_sent - subs_before == one_round
         assert check_per_key_atomicity(recorder.histories()).all_atomic
 
@@ -347,7 +348,8 @@ class TestCacheUnit:
         run_until(fabric, start + 5.5)
         assert proxy._cache.peek("k") is None and proxy.cache_invalidations == 1
         sends = [kind for what, _dest, kind in proxy_trace[mark:] if what == "send"]
-        assert sends == [LEASE_RELEASE_KIND] * 3 + ["batch"] * 3
+        # Released where the fill asked (a quorum), then the update to everyone.
+        assert sends == [LEASE_RELEASE_KIND] * 2 + ["batch"] * 3
         fabric.run()
         assert wrote == {"c2": "v2"}
         assert sum(s.write_deferrals for s in servers) == 0
@@ -487,7 +489,8 @@ class TestGrantAttribution:
         run_until(fabric, 100.0)
         entry = proxy._cache.peek("k")
         assert entry is not None and entry.nonce
-        server = entry.route.servers[0]
+        server, _ = sorted(entry.asked)
+        (unasked,) = set(entry.route.servers) - entry.asked
         entry.grants.discard(server)
         # A grant for a *previous* fill of the key (wrong nonce) is neither
         # credited nor answered with a release -- the predecessor entry's
@@ -503,6 +506,11 @@ class TestGrantAttribution:
             make_lease_grant(server, "p1", ["k"], 100.0, [entry.nonce])
         )
         assert server in entry.grants
+        # Not so from a replica the fill never asked: no lease can stand there.
+        proxy.on_frame(
+            make_lease_grant(unasked, "p1", ["k"], 100.0, [entry.nonce])
+        )
+        assert unasked not in entry.grants
         # A grant for a key with no entry at all hands the lease back.
         effects = proxy.on_frame(
             make_lease_grant(server, "p1", ["zzz"], 100.0, ["ghost/1"])
@@ -524,32 +532,31 @@ class TestGrantAttribution:
         seen = {}
         issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
         run_until(fabric, 50.0)
-        # A direct write caught mid-flight: its update reaches s3 alone.
-        # And p2 cannot hear from s1, so p2's quorum will be {s2, s3}.
+        # A direct write caught mid-flight: its update reaches s1 alone.
         def carries_update(frame):
             return any(sub.message.kind == "update" for sub in unpack_batch(frame))
 
         release = hold_frames(
             fabric,
             lambda eff: (
-                (eff.frame.sender == "d1" and eff.destination in (s1, s2)
-                 and carries_update(eff.frame))
-                or (eff.frame.sender == "p2" and eff.destination == s1)
+                eff.frame.sender == "d1" and eff.destination in (s2, s3)
+                and carries_update(eff.frame)
             ),
         )
         issue(fabric, direct, OpKind.WRITE, "k", "v2", seen)
         run_until(fabric, 60.0)
         assert "d1" not in seen  # one update-ack short of a quorum
-        # p1's quorum is {s1, s2}: unanimous on v1, so its fill ends after
-        # round 1 holding leases on all three replicas.
+        # p1's second quorum-first flush asks {s2, s3}: unanimous on v1, so its
+        # fill ends after round 1 holding leases on the two replicas it asked.
         issue(fabric, client, OpKind.READ, "k", None, seen)
         run_until(fabric, 100.0)
         assert seen["c1"] == "v1"
         assert proxy._cache.peek("k").granted
-        assert all(s.lease_holders("k") == {"p1"} for s in servers)
+        assert proxy._cache.peek("k").asked == {s2, s3}
+        assert [s.lease_holders("k") for s in servers] == [set(), {"p1"}, {"p1"}]
         assert sum(s.write_deferrals for s in servers) == 0
-        # p2's fill sees {v1 @ s2, v2 @ s3}: a split quorum.  Its write-back
-        # of v2 is lease-marked, but p1's standing lease defers it like any
+        # p2's first flush asks {s1, s2} and sees {v2, v1}: a split quorum.
+        # Its write-back of v2 is lease-marked, but p1's standing lease defers it like any
         # write -- completing it now would let p1 keep serving v1 *after*
         # c2's read returned v2.
         issue(fabric, client2, OpKind.READ, "k", None, seen)
@@ -582,7 +589,11 @@ class TestGrantAttribution:
         ]:
             issue(fabric, sink_client, kind, "k", value, {})
             run_until(fabric, fabric.now + 50.0)
-        assert all(s.lease_holders("k") == {"p1", "p2"} for s in servers)
+        # Each lease stands on the quorum its fill asked (p1's second
+        # quorum-first flush, p2's first), and any two quorums share a replica.
+        assert [s.lease_holders("k") for s in servers] == [
+            {"p2"}, {"p1", "p2"}, {"p1"}
+        ]
         assert proxy._cache.peek("k").granted and proxy2._cache.peek("k").granted
         assert sum(s.write_deferrals for s in servers) == 0
         hits = {}

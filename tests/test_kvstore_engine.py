@@ -488,12 +488,13 @@ class TestCrossBackendEquivalence:
         net, _ = asyncio_trace(use_proxy=False)
         assert memory == sim == net
         # Sanity: the script really produced replica sends and completions --
-        # one frame per replica per round; a write is two rounds, and a read
-        # of this sequential script finds its quorum unanimous, so one.
+        # a query round asks a quorum (2 of 3), an update round everyone; a
+        # write is one of each, and a read of this sequential script finds
+        # its quorum unanimous, so one query.
         writes = sum(1 for kind, *_ in SCRIPT if kind is OpKind.WRITE)
         reads = len(SCRIPT) - writes
-        assert sum(1 for kind, *_ in memory if kind == "send") == 3 * (
-            2 * writes + 1 * reads
+        assert sum(1 for kind, *_ in memory if kind == "send") == (
+            (2 + 3) * writes + 2 * reads
         )
         assert sum(1 for kind, *_ in memory if kind == "done") == len(SCRIPT)
 
@@ -587,13 +588,19 @@ class TestFrameAccounting:
         _, effects = client.invoke(OpKind.WRITE, "k", "v")
         effects += client.on_timer(("flush", "g1"))
         sends = [e for e in effects if isinstance(e, SendFrame)]
-        assert len(sends) == 3  # one batch frame per replica of the group
-        assert client.stats.frames_sent == 3
+        assert len(sends) == 2  # the query round: one batch frame per replica asked
+        assert client.stats.frames_sent == 2
         before_rounds = client.stats.rounds
-        client.on_frame_undeliverable(
+        widening = client.on_frame_undeliverable(
             sends[0].frame, ConnectionResetError("down"), retryable=True
         )
+        # One frame uncounted, and the one that asks the third replica counted.
+        assert [e.destination for e in widening] == ["g1-s3"]
         assert client.stats.frames_sent == 2
+        client.on_frame_undeliverable(
+            widening[0].frame, ConnectionResetError("down"), retryable=True
+        )
+        assert client.stats.frames_sent == 1
         assert client.stats.rounds == before_rounds  # coalescing stats intact
 
 

@@ -12,7 +12,10 @@ Covers the two halves of the fault-tolerant proxy tier on both backends:
   stale-epoch replays (the bounce fence stays on as the safety net).
 * **Replica loss** -- a group that loses its quorum for a while (more
   replicas down than the fault budget) costs the rounds caught in it a
-  retry-and-replay, not an error, whether the client is direct or proxied.
+  retry-and-replay, not an error, whether the client is direct or proxied;
+  a replica that dies with quorum-first reads on the wire costs them a
+  silence window and a widening, and more dead replicas than the fault
+  budget fail them within a bounded number of windows instead of hanging.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.kvstore import (
     run_asyncio_kv_workload,
     run_sim_kv_workload,
 )
+from repro.core.errors import ProtocolError
 from repro.observe import TIMER_ARMED
 
 #: Shrinks every reconnect/failover window so kill/restart scenarios settle
@@ -44,6 +48,7 @@ FAST_RETRY = RetryPolicy(
     max_transient_retries=50,
     round_timeout=1.0,
     max_round_timeouts=3,
+    silence_window=0.1,
 )
 
 
@@ -426,6 +431,95 @@ class TestAsyncioReplicaLoss:
 
         armed = asyncio.run(scenario())
         assert (("proxy", "pretry") if use_proxy else ("client", "retry")) in armed
+
+    @staticmethod
+    async def _reads_in_flight(cluster, store, keys):
+        """One read per key, each in its own flush (so the quorums they ask
+        rotate over the group), all of them held inside the replicas."""
+        reads = []
+        for key in keys:
+            reads.append(asyncio.create_task(store.get(key)))
+            await asyncio.sleep(0.002)
+        await asyncio.sleep(0.01)
+        assert not any(task.done() for task in reads)
+        return reads
+
+    @pytest.mark.parametrize("use_proxy", [False, True], ids=["direct", "proxied"])
+    def test_a_replica_killed_under_reads_in_flight_widens_them(self, use_proxy):
+        # The frames were on the wire before the replica died, so no send
+        # fails and nothing reports the loss: the rounds that asked it sit
+        # one reply short until the silence window ends, and then ask the
+        # third replica.
+        async def scenario():
+            shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
+            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY,
+                                     service_overhead=0.05)
+            await cluster.start()
+            if use_proxy:
+                await cluster.start_proxies(1)
+            store = KVStore(cluster, client_id="c1",
+                            use_proxy="p1" if use_proxy else None)
+            await store.connect()
+            try:
+                keys = [f"k{i}" for i in range(6)]
+                for key in keys:
+                    await store.put(key, "before")
+                reads = await self._reads_in_flight(cluster, store, keys)
+                await cluster.kill_server(shard_map.groups["g1"].servers[0])
+                values = await asyncio.wait_for(
+                    asyncio.gather(*reads), 20 * FAST_RETRY.silence_window
+                )
+                assert values == ["before"] * len(keys)
+                verdict = store.check()
+                assert verdict.all_atomic, verdict.summary()
+                owner = cluster.proxies["p1"].engine if use_proxy else store.engine
+                return owner.stats, cluster.metrics.snapshot()
+            finally:
+                await store.close()
+                await cluster.stop()
+
+        stats, metrics = asyncio.run(scenario())
+        assert stats.rounds_narrow >= 6 and stats.rounds_widened >= 1
+        tier = "proxy" if use_proxy else "client"
+        assert metrics[tier]["counters"]["rounds_widened"] == stats.rounds_widened
+
+    def test_more_dead_replicas_than_the_fault_budget_fail_reads_not_hang_them(self):
+        async def scenario():
+            shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
+            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY,
+                                     service_overhead=0.05)
+            await cluster.start()
+            store = KVStore(cluster, client_id="c1")
+            await store.connect()
+            try:
+                keys = [f"k{i}" for i in range(6)]
+                for key in keys:
+                    await store.put(key, "before")
+                reads = await self._reads_in_flight(cluster, store, keys)
+                for victim in shard_map.groups["g1"].servers[:2]:
+                    await cluster.kill_server(victim)
+                # Widened after at most two windows, given up on
+                # max_round_timeouts windows later (one more of slack).
+                windows = 2 + FAST_RETRY.max_round_timeouts + 1
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*reads, return_exceptions=True),
+                    windows * FAST_RETRY.silence_window,
+                )
+                # A read issued now finds the dead connections at once and
+                # gives up when the reconnect window is spent.
+                with pytest.raises((ConnectionError, ProtocolError)):
+                    await asyncio.wait_for(
+                        store.get("k0"), 2 * FAST_RETRY.transient_window
+                    )
+                return outcomes, store.engine.stats
+            finally:
+                await store.close()
+                await cluster.stop()
+
+        outcomes, stats = asyncio.run(scenario())
+        assert all(isinstance(outcome, ProtocolError) for outcome in outcomes)
+        assert all("no quorum" in str(outcome) for outcome in outcomes)
+        assert stats.rounds_widened >= len(outcomes)
 
 
 class TestAsyncioViewPush:

@@ -11,6 +11,7 @@ from repro.kvstore import (
     BroadcastReads,
     CachedShardView,
     KVStore,
+    BroadcastReads,
     NearestQuorum,
     ShardMap,
     check_per_key_atomicity,
@@ -206,9 +207,49 @@ class TestSimProxiedWorkloads:
             workload, shard_map=ShardMap(4, num_groups=1, servers_per_shard=6,
                                          max_faults=2, readers=3, writers=3),
             delay_model=GeoDelay(sites, local_delay=0.5, wan_delay=40.0, seed=1),
-            use_proxy=True, num_proxies=3,
+            use_proxy=True, num_proxies=3, read_policy=BroadcastReads(),
         )
         assert result.replica_frames < broadcast.replica_frames
+
+
+    def test_broadcast_reads_opts_out_of_quorum_first_entirely(self):
+        # With an explicit BroadcastReads() nothing is narrowed: the proxies
+        # put on the wire what they did before rounds went quorum-first.  The
+        # totals below were measured at that commit (a898a8b, where broadcast
+        # was the default), and the proxy -> replica batch frames were compared
+        # sub-request by sub-request when this test was written.
+        def run(seed, **extra):
+            workload = generate_workload(
+                num_clients=8, ops_per_client=25, num_keys=64, read_fraction=0.9,
+                key_skew=1.2, pipeline_depth=4, seed=seed,
+            )
+            return run_sim_kv_workload(
+                workload, num_shards=4, num_groups=2, use_proxy=True,
+                read_policy=BroadcastReads(), **extra,
+            )
+
+        plain = run(7, num_proxies=1)
+        rough = run(5, num_proxies=2, resize_to=8, crashes_per_group=1,
+                    push_views=False)
+        for result, frames, sub_ops, messages in [
+            (plain, 297, 699, 979), (rough, 842, 1318, 2651),
+        ]:
+            assert result.check().all_atomic
+            assert result.proxy_stats.rounds_narrow == 0
+            assert (result.replica_frames, result.replica_sub_ops,
+                    result.messages_sent) == (frames, sub_ops, messages)
+        # The default asks for less of the replicas on the same workload.
+        workload = generate_workload(
+            num_clients=8, ops_per_client=25, num_keys=64, read_fraction=0.9,
+            key_skew=1.2, pipeline_depth=4, seed=7,
+        )
+        default = run_sim_kv_workload(
+            workload, num_shards=4, num_groups=2, use_proxy=True, num_proxies=1,
+        )
+        assert default.check().all_atomic
+        assert default.proxy_stats.rounds_narrow > 0
+        assert default.proxy_stats.rounds_widened == 0
+        assert default.replica_sub_ops < 0.75 * plain.replica_sub_ops
 
 
 class TestAsyncioProxiedWorkloads:

@@ -11,12 +11,18 @@ owners through nothing but their public inputs (``invoke`` / ``on_frame`` /
 counters and the ``BatchStats`` frame totals.  The loss and give-up paths in
 particular had never run under test.
 
+Rounds go *quorum-first*: a first attempt that mutates nothing asks
+``S - t`` replicas, the pick rotating per group per flush, and is widened to
+the rest of the group when one of the asked is lost or stays silent for a
+window.  The first rows pin that; the loss, bounce and give-up rows after
+them start from a narrow read too, and their replays ask everyone.
+
 What legitimately differs between the owners is spelled out by :class:`Rig`:
 how a round enters (an invocation vs a forwarded ``proxy`` frame), the retry
 timer's id (``("retry", op_id)`` vs ``("pretry", scoped_id, round_trip)``),
 and the outcome (``OpCompleted`` / ``OpFailed`` vs a ``proxy-ack`` with
 replies or an error string).  The proxy-only rows cover what only a proxy has:
-round timeouts, restrictive read policies, cache fills and ``sever()``.
+round timeouts, explicit read policies, cache fills and ``sever()``.
 """
 
 from __future__ import annotations
@@ -24,11 +30,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.operations import OpKind
+from repro.core.timestamps import Tag
 from repro.kvstore import RetryPolicy, ShardMap
 from repro.kvstore.engine import (
     MAX_STALE_RETRIES,
+    BroadcastReads,
     CachedShardView,
     CancelTimer,
     ClientSessionEngine,
@@ -42,6 +51,10 @@ from repro.kvstore.engine import (
     make_stale_reply,
 )
 from repro.kvstore.perkey import KVHistoryRecorder
+from repro.observe import MetricsObserver, MetricsRegistry, ObserverHub
+from repro.observe.events import ROUND_REPLAYED, ROUND_WIDENED, TIMER_ARMED
+from repro.protocols.base import Broadcast
+from repro.protocols.codec import encode_tag
 from repro.messages import (
     BATCH_KIND,
     LEASE_RELEASE_KIND,
@@ -56,13 +69,16 @@ from repro.messages import (
 
 from test_kvstore_engine import SCRIPT, MemoryFabric, build_memory_stack, run_script
 
-#: Distinct windows, so a test can tell a reconnect retry from a drain backoff.
+#: Distinct windows, so a test can tell a reconnect retry from a drain backoff
+#: from a silence window (the longest: a round trip on the fabric takes 2).
 POLICY = RetryPolicy(
     reconnect_interval=5.0,
     max_transient_retries=2,
     round_timeout=None,
     drain_backoff=7.0,
+    silence_window=40.0,
 )
+SILENCE = ("silence",)
 
 _INPUTS = ("invoke", "on_frame", "on_timer", "on_peer_lost", "on_frame_undeliverable")
 
@@ -83,9 +99,12 @@ class Rig:
     before the fabric executes it.
     """
 
-    def __init__(self, mode, policy=POLICY, num_groups=1, max_batch=8, **proxy_kwargs):
+    def __init__(self, mode, policy=POLICY, num_groups=1, max_batch=8,
+                 shard_map=None, hub=None, **proxy_kwargs):
         self.mode = mode
-        self.shard_map = ShardMap(1, num_groups=num_groups, readers=1, writers=1)
+        self.shard_map = shard_map or ShardMap(
+            1, num_groups=num_groups, readers=1, writers=1
+        )
         self.shard_id = next(iter(self.shard_map.shards))
         self.fabric = MemoryFabric()
         self.replicas = {}
@@ -99,23 +118,28 @@ class Rig:
                     server_id, group.protocol, dict(hosted), lease_ttl=1000.0
                 )
                 self.fabric.register(server_id, self.replicas[server_id])
+        self.owner_id = "c1" if mode == "direct" else "p1"
+        observer = None
+        if hub is not None:
+            hub.clock = lambda: self.fabric.now
+            observer = hub.scoped(
+                "client" if mode == "direct" else "proxy", self.owner_id
+            )
         if mode == "direct":
             assert not proxy_kwargs
             ticks = itertools.count()
-            self.owner_id = "c1"
             self.owner = ClientSessionEngine(
                 "c1", self.shard_map, KVHistoryRecorder(lambda: float(next(ticks))),
-                policy=policy, max_batch=max_batch,
+                policy=policy, max_batch=max_batch, observer=observer,
             )
         else:
-            self.owner_id = "p1"
             self.view = CachedShardView(self.shard_map)
             self.owner = ProxyEngine(
                 "p1", self.view, policy=policy, max_batch=max_batch,
-                lease_ttl=1000.0, **proxy_kwargs,
+                lease_ttl=1000.0, observer=observer, **proxy_kwargs,
             )
             self.fabric.register("c1", _ProxyAckSink())
-        self.fabric.register(self.owner_id, self.owner)
+        self.fabric.register(self.owner_id, self.owner, observer=observer)
         self.log = []
         for name in _INPUTS:
             original = getattr(self.owner, name, None)
@@ -173,17 +197,28 @@ class Rig:
         self.fabric.execute(self.owner_id, effects)
         return effects
 
-    def start(self, key="k"):
-        """Open one read round for ``key``; returns the effects."""
+    def start(self, key="k", write=False):
+        """Open one read round for ``key``; returns the effects.
+
+        ``write=True`` opens a write instead.  The direct owner runs it from
+        its query round; the proxy is handed the round that mutates (the
+        query round of a write is a read's, but for ``op_kind``).
+        """
         if self.mode == "direct":
-            return self.feed("invoke", OpKind.READ, key)
-        query = next(
-            self.spec.protocol.make_opportunistic_reader("c1").read_protocol()
-        )
-        op_id = f"c1-read-{next(self._ops)}"
+            kind = OpKind.WRITE if write else OpKind.READ
+            return self.feed("invoke", kind, key, "v" if write else None)
+        protocol = self.shard_map.shard_for(key).protocol
+        request = next(protocol.make_opportunistic_reader("c1").read_protocol())
+        if write:
+            request = Broadcast(
+                "update", {"tag": encode_tag(Tag(1, "c1")), "value": "v"}
+            )
+        op_id = f"c1-{'write' if write else 'read'}-{next(self._ops)}"
         sub = ProxySubRequest(
-            key=key, op_kind="read", kind=query.kind, payload=query.payload,
-            op_id=op_id, round_trip=1, wait_for=query.wait_for, trace=op_id,
+            key=key, op_kind="write" if write else "read", kind=request.kind,
+            payload=request.payload, op_id=op_id, round_trip=2 if write else 1,
+            wait_for=request.wait_for,
+            per_server=request.per_server_payload or None, trace=op_id,
         )
         return self.feed("on_frame", make_proxy_request("c1", "p1", [sub]))
 
@@ -193,6 +228,12 @@ class Rig:
 
     def run(self):
         self.fabric.run()
+
+    def idle(self, delay):
+        """Let ``delay`` pass on the fabric, running whatever is due before."""
+        passed = []
+        self.fabric._push(delay, lambda: passed.append(True))
+        self.run_until(lambda: passed)
 
     def await_timer(self):
         """Run the fabric until the next timer fires into the owner (frames
@@ -259,6 +300,15 @@ class Rig:
         assert len(found) <= 1
         return found[0][0] if found else None
 
+    def widened(self, effects, to):
+        """Assert ``effects`` starts with one batch frame per replica of ``to``
+        and returns what follows them."""
+        frames, rest = effects[: len(to)], effects[len(to):]
+        assert [(f.destination, f.frame.kind) for f in frames] == [
+            (server_id, BATCH_KIND) for server_id in to
+        ]
+        return rest
+
     def failure_effects(self, effects, error=None):
         """Assert ``effects`` is exactly the owner's one failure report."""
         assert len(effects) == 1, effects
@@ -291,25 +341,63 @@ def timer_kinds(effects):
     return [e.timer_id[0] for e in effects if isinstance(e, StartTimer)]
 
 
+def sent_to(effects):
+    return [e.destination for e in effects if isinstance(e, SendFrame)]
+
+
 # -- the scenario table: rows every owner must pass -------------------------------
 
 
-def one_lost_replica_leaves_the_quorum_reachable(make_rig):
+def first_attempts_ask_one_quorum_and_the_pick_rotates(make_rig):
     rig = make_rig()
+    s1, s2, s3 = rig.servers
     assert timer_kinds(rig.start()) == ["flush"]
-    frames = rig.flush()
-    assert [f.destination for f in frames] == rig.servers
+    # The first narrow round out arms the engine's one silence timer ...
+    assert rig.await_timer()[-1] == StartTimer(SILENCE, POLICY.silence_window)
+    frames = rig.batches()
+    assert [f.destination for f in frames] == [s1, s2]
     assert all(len(unpack_batch(f.frame)) == 1 for f in frames)
-    lost = rig.servers[0]
+    rig.run_until(rig.outcome)
+    # ... and later ones inside the window ride it.  Every replica is asked
+    # within S flushes.
+    asked = [[s1, s2]]
+    for _ in range(2):
+        rig.start()
+        assert timer_kinds(rig.await_timer()) == []
+        asked.append([f.destination for f in rig.batches()[-2:]])
+        rig.run_until(lambda: len(rig.outcomes()) == len(asked))
+    assert asked == [[s1, s2], [s2, s3], [s3, s1]]
+    stats = rig.owner.stats
+    assert (stats.rounds_narrow, stats.rounds_widened) == (3, 0)
+    assert (stats.frames_sent, stats.frames_received) == (6, 6)
+    # Nothing is out when the window ends: the timer lapses.
+    rig.run()
+    assert rig.last("on_timer") == []
+    assert [kind for kind, _ in rig.outcomes()] == ["ok"] * 3
+
+
+def a_lost_target_widens_the_round_at_once_under_the_same_identity(make_rig):
+    rig = make_rig()
+    rig.start()
+    frames = rig.flush()
+    assert [f.destination for f in frames] == rig.servers[:2]
+    lost, _, spare = rig.servers
     rig.kill(lost)
-    assert rig.feed("on_peer_lost", lost) == []
-    # The same loss reported by the send path: still nothing to do, but the
+    (widening,) = rig.feed("on_peer_lost", lost)
+    assert widening.destination == spare
+    assert rig.ident(widening) == rig.ident(frames[0])
+    asked, again = unpack_batch(frames[1].frame)[0], unpack_batch(widening.frame)[0]
+    assert again.message.payload == asked.message.payload
+    assert again[0:1] + again[2:] == asked[0:1] + asked[2:]
+    # The same loss reported by the send path: nothing more to do, but the
     # frame that never reached the wire is uncounted.
     assert rig.owner.stats.frames_sent == 3
     assert rig.feed(
         "on_frame_undeliverable", frames[0].frame, ConnectionResetError("down"), True
     ) == []
     assert rig.owner.stats.frames_sent == 2
+    # A replica the round no longer waits on is not its loss a second time.
+    assert rig.feed("on_peer_lost", lost) == []
     # A frame that carries no round is nobody's loss, and was never counted.
     release = make_lease_release(rig.owner_id, lost, ["k"])
     assert rig.feed("on_frame_undeliverable", release, ConnectionResetError("down")) == []
@@ -317,7 +405,159 @@ def one_lost_replica_leaves_the_quorum_reachable(make_rig):
     rig.run()
     assert rig.outcome() == "ok"
     assert rig.owner.stats.frames_received == 2
+    assert (rig.owner.stats.rounds_narrow, rig.owner.stats.rounds_widened) == (1, 1)
     assert (rig.owner.stale_replays, rig.owner.drain_backoffs) == (0, 0)
+
+
+def a_silent_target_widens_after_a_window_and_is_asked_last_from_then_on(make_rig):
+    rig = make_rig()
+    s1, s2, s3 = rig.servers
+    rig.kill(s2)  # silently: nobody tells the owner
+    rig.start("k1")
+    first = rig.flush()
+    assert [f.destination for f in first] == [s1, s2]
+    rig.idle(10.0)
+    # A round that joins the window in progress is given the next one whole.
+    rig.start("k2")
+    second = rig.flush()
+    assert [f.destination for f in second] == [s2, s3]
+    assert rig.outcomes() == []
+    # The window ends: k1 sat through all of it and asks the rest of the
+    # group, k2 did not and is watched for another.
+    tick = rig.await_timer()
+    assert rig.fabric.now == POLICY.silence_window
+    (widening,) = tick[:-1]
+    assert widening.destination == s3 and rig.ident(widening) == rig.ident(first[0])
+    assert tick[-1] == StartTimer(SILENCE, POLICY.silence_window)
+    rig.run_until(rig.outcomes)
+    tick = rig.await_timer()
+    (widening,) = tick[:-1]
+    assert widening.destination == s1 and rig.ident(widening) == rig.ident(second[0])
+    rig.run_until(lambda: len(rig.outcomes()) == 2)
+    assert rig.owner.stats.rounds_widened == 2
+    # The replica that left both short goes to the back of every pick ...
+    for done in (3, 4, 5):
+        rig.start("k3")
+        assert {f.destination for f in rig.flush()} == {s1, s3}
+        rig.run_until(lambda: len(rig.outcomes()) == done)
+    rig.run()
+    assert rig.owner.stats.rounds_widened == 2
+    # ... until it is heard from again (here: its answer to k1, very late).
+    rig.revive()
+    assert rig.feed("on_frame", rig.replica_ack(first[1])) == []
+    picks = set()
+    for _ in range(3):
+        rig.start("k4")
+        picks.update(f.destination for f in rig.flush())
+        rig.run()
+    assert picks == {s1, s2, s3}
+    assert [kind for kind, _ in rig.outcomes()] == ["ok"] * 8
+
+
+def replies_after_a_widening_count_each_replica_once(make_rig):
+    rig = make_rig()
+    s1, s2, s3 = rig.servers
+    rig.kill(s2)
+    rig.start()
+    first = rig.flush()
+    (widening,) = rig.await_timer()[:-1]
+    # Each replica holds the attempt's sub-request exactly once, so whichever
+    # two answers arrive first are from two replicas: here the late one from
+    # the first quorum beats the widened replica's.
+    assert sent_to(first + [widening]) == [s1, s2, s3]
+    rig.revive()
+    done = rig.feed("on_frame", rig.replica_ack(first[1]))
+    assert rig.outcome() == "ok"
+    log_mark = len(rig.log)
+    rig.run()
+    # The widened replica's answer is a straggler now, and the timer lapses.
+    assert [effects for _name, effects in rig.log[log_mark:]] == [[], []]
+    assert rig.owner.stats.frames_received == 3
+    if rig.mode == "proxy":
+        (reply,) = unpack_proxy_ack(done[-1].frame)
+        assert sorted(r.sender for r in reply.replies) == [s1, s2]
+
+
+class _PerServerReader:
+    """A reader that spells its query's payload out per server."""
+
+    def __init__(self, reader, servers):
+        self._reader, self._servers = reader, servers
+
+    def read_protocol(self):
+        rounds = self._reader.read_protocol()
+        request = next(rounds)
+        try:
+            while True:
+                replies = yield Broadcast(
+                    request.kind, request.payload, request.wait_for,
+                    {server_id: request.payload for server_id in self._servers},
+                )
+                request = rounds.send(replies)
+        except StopIteration as stop:
+            return stop.value
+
+
+def mutating_and_per_server_rounds_ask_the_whole_group(make_rig):
+    rig = make_rig()
+    rig.start(write=True)
+    rig.run()
+    by_kind = {}
+    for sent in rig.batches():
+        by_kind.setdefault(unpack_batch(sent.frame)[0].message.kind, []).append(
+            sent.destination
+        )
+    assert by_kind["update"] == rig.servers
+    if rig.mode == "direct":
+        assert by_kind["query"] == rig.servers[:2]  # a write's query narrows too
+    protocol = rig.spec.protocol
+    plain = protocol.make_opportunistic_reader
+    protocol.make_opportunistic_reader = lambda client_id: _PerServerReader(
+        plain(client_id), rig.servers
+    )
+    before = len(rig.batches())
+    rig.start("per-server")
+    rig.run()
+    assert [f.destination for f in rig.batches()[before:]] == rig.servers
+    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
+    assert rig.owner.stats.rounds_narrow == (1 if rig.mode == "direct" else 0)
+
+
+def a_widened_round_the_whole_group_leaves_short_fails(make_rig):
+    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=None,
+                         max_round_timeouts=2, silence_window=40.0)
+    rig = make_rig(policy=policy)
+    rig.kill(*rig.servers[1:])  # silently, and one more than the fault budget
+    rig.start()
+    rig.flush()
+    rig.widened(rig.await_timer(), to=rig.servers[2:])
+    assert rig.await_timer() == [StartTimer(SILENCE, 40.0)]
+    rig.failure_effects(rig.await_timer())  # and the timer lapses
+    assert rig.fabric.now == 3 * 40.0
+    assert "no quorum" in rig.outcomes()[0][1]
+    assert rig.owner.stats.frames_received == 1
+    rig.run()
+    assert rig.outcome() == "failed"
+
+
+def silence_timer_ignores_a_round_in_drain_backoff(make_rig):
+    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=None,
+                         drain_backoff=7.0, silence_window=3.0)
+    rig = make_rig(policy=policy)
+    rig.start()
+    rig.flush()
+    rig.fence()
+    rig.run_until(lambda: rig.owner.drain_backoffs)
+    rig.fence(ahead=0)
+    log_mark = len(rig.log)
+    replay = rig.flush()
+    timers = [e for name, e in rig.log[log_mark:] if name == "on_timer"]
+    # The window ended inside the backoff: nothing to widen, nothing to watch.
+    assert timers[0] == []
+    assert [f.destination for f in replay] == rig.servers
+    rig.run()
+    assert rig.outcome() == "ok"
+    assert rig.owner.stats.rounds_widened == 0
 
 
 def lost_quorum_retries_once_then_replays_under_a_fresh_identity(make_rig):
@@ -326,7 +566,9 @@ def lost_quorum_retries_once_then_replays_under_a_fresh_identity(make_rig):
     frames = rig.flush()
     rig.kill()
     s1, s2, s3 = rig.servers
-    assert rig.feed("on_peer_lost", s1) == []
+    (widening,) = rig.feed("on_peer_lost", s1)
+    assert widening.destination == s3
+    frames.append(widening)
     assert rig.feed("on_peer_lost", s2) == [
         StartTimer(rig.retry_timer(frames[0]), POLICY.reconnect_interval)
     ]
@@ -334,6 +576,7 @@ def lost_quorum_retries_once_then_replays_under_a_fresh_identity(make_rig):
     assert timer_kinds(rig.await_timer()) == ["flush"]
     rig.revive()
     replay = rig.flush()
+    # A replay asks everyone: something was already lost.
     assert [f.destination for f in replay] == rig.servers
     assert rig.ident(replay[0]) != rig.ident(frames[0])
     assert rig.last("on_timer") == replay  # the flush: frames, nothing else
@@ -341,7 +584,7 @@ def lost_quorum_retries_once_then_replays_under_a_fresh_identity(make_rig):
     # two of them would otherwise make a quorum -- and neither is an entry a
     # replica chose not to answer.
     assert rig.feed("on_frame", rig.replica_ack(frames[0])) == []
-    assert rig.feed("on_frame", rig.replica_ack(frames[1])) == []
+    assert rig.feed("on_frame", rig.replica_ack(frames[2])) == []
     assert rig.feed("on_frame", rig.replica_ack(replay[2], empty=True)) == []
     assert rig.outcome() is None
     rig.run()
@@ -349,15 +592,18 @@ def lost_quorum_retries_once_then_replays_under_a_fresh_identity(make_rig):
     assert rig.owner.stats.frames_sent == 6
     assert rig.owner.stats.frames_received == 6
     assert rig.owner.stats.rounds == 2 and rig.owner.stats.sub_operations == 2
+    assert (rig.owner.stats.rounds_narrow, rig.owner.stats.rounds_widened) == (1, 1)
 
 
 def undelivered_frames_are_uncounted_across_the_replay(make_rig):
     rig = make_rig()
     rig.start()
     frames = rig.flush()
-    rig.kill(*rig.servers[:2])
+    s1, s2, s3 = rig.servers
+    rig.kill(s1, s2)
     down = ConnectionResetError("connection is down")
-    assert rig.feed("on_frame_undeliverable", frames[0].frame, down, True) == []
+    (widening,) = rig.feed("on_frame_undeliverable", frames[0].frame, down, True)
+    assert widening.destination == s3
     assert rig.feed("on_frame_undeliverable", frames[1].frame, down, True) == [
         StartTimer(rig.retry_timer(frames[0]), POLICY.reconnect_interval)
     ]
@@ -369,7 +615,7 @@ def undelivered_frames_are_uncounted_across_the_replay(make_rig):
     assert rig.owner.stats.frames_sent == 4
     # A late report about the abandoned attempt changes no round (the frame
     # itself is still uncounted).
-    assert rig.feed("on_frame_undeliverable", frames[2].frame, down, True) == []
+    assert rig.feed("on_frame_undeliverable", widening.frame, down, True) == []
     assert rig.owner.stats.frames_sent == 3
     rig.run()
     assert rig.outcome() == "ok"
@@ -382,20 +628,24 @@ def non_retryable_loss_fails_the_round_at_once(make_rig):
     frames = rig.flush()
     rig.kill()
     oversized = ValueError("frame exceeds the 16 MiB limit")
-    assert rig.feed("on_frame_undeliverable", frames[0].frame, oversized, False) == []
+    rig.widened(
+        rig.feed("on_frame_undeliverable", frames[0].frame, oversized, False),
+        to=rig.servers[2:],
+    )
     rig.failure_effects(
         rig.feed("on_frame_undeliverable", frames[1].frame, oversized, False),
         error=oversized,
     )
     assert rig.outcome() == "failed"
     assert rig.owner.stats.frames_sent == 1
-    rig.run()  # nothing left armed
+    rig.run()  # only the silence window is left, and it lapses
+    assert rig.last("on_timer") == []
     assert timer_kinds(rig.last("on_frame_undeliverable")) == []
 
 
 def transient_retries_run_out(make_rig):
     policy = RetryPolicy(reconnect_interval=5.0, max_transient_retries=1,
-                         round_timeout=None)
+                         round_timeout=None, silence_window=40.0)
     rig = make_rig(policy=policy)
     rig.start()
     frames = rig.flush()
@@ -423,8 +673,8 @@ def same_route_bounce_backs_off_on_the_drain_window(make_rig):
     rig.fence(ahead=0)
     log_mark = len(rig.log)
     replay = rig.flush()
-    # The group's other, equally stale replies fell on a round in backoff.
-    assert [e for name, e in rig.log[log_mark:] if name == "on_frame"] == [[], []]
+    # The quorum's other, equally stale reply fell on a round in backoff.
+    assert [e for name, e in rig.log[log_mark:] if name == "on_frame"] == [[]]
     assert rig.ident(replay[0]) != rig.ident(frames[0])
     assert [f.destination for f in replay] == rig.servers
     rig.run()
@@ -434,7 +684,8 @@ def same_route_bounce_backs_off_on_the_drain_window(make_rig):
 
 def drain_backoffs_run_out(make_rig):
     policy = RetryPolicy(reconnect_interval=5.0, max_transient_retries=1,
-                         round_timeout=None, drain_backoff=7.0)
+                         round_timeout=None, drain_backoff=7.0,
+                         silence_window=40.0)
     rig = make_rig(policy=policy)
     rig.start()
     rig.flush()
@@ -452,7 +703,7 @@ def changed_route_bounce_replays_to_the_new_group(make_rig):
     rig.start()
     frames = rig.flush()
     old_servers = rig.servers
-    assert [f.destination for f in frames] == old_servers
+    assert [f.destination for f in frames] == old_servers[:2]
     rig.move_shard()
     rig.run_until(lambda: rig.owner.stale_replays)
     new_group = rig.spec.group.group_id
@@ -486,20 +737,24 @@ def a_full_queue_is_cut_at_once(make_rig):
     rig = make_rig(max_batch=2)
     assert timer_kinds(rig.start("k1")) == ["flush"]
     effects = rig.start("k2")
-    assert [e.destination for e in effects] == rig.servers
+    rest = rig.widened(effects, to=rig.servers[:2])
+    assert rest == [StartTimer(SILENCE, POLICY.silence_window)]
     assert all(
-        [sub.key for sub in unpack_batch(e.frame)] == ["k1", "k2"] for e in effects
+        [sub.key for sub in unpack_batch(e.frame)] == ["k1", "k2"] for e in effects[:2]
     )
     stats = rig.owner.stats
     assert (stats.rounds, stats.sub_operations, stats.largest) == (1, 2, 2)
-    rig.run()
+    rig.run_until(lambda: len(rig.outcomes()) == 2)
     assert rig.last("on_timer") == []  # the flush armed for k1 found nothing
     assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
-    assert (stats.frames_sent, stats.frames_received) == (3, 3)
+    assert (stats.frames_sent, stats.frames_received) == (2, 2)
+    assert stats.rounds_narrow == 2
+    rig.run()
 
 
 def round_timers_exist_only_behind_the_proxy(make_rig):
-    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0)
+    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0,
+                         silence_window=40.0)
     rig = make_rig(policy=policy)
     kinds = timer_kinds(rig.start())
     assert kinds == (["flush"] if rig.mode == "direct" else ["round", "flush"])
@@ -508,7 +763,13 @@ def round_timers_exist_only_behind_the_proxy(make_rig):
 
 
 COMMON = [
-    one_lost_replica_leaves_the_quorum_reachable,
+    first_attempts_ask_one_quorum_and_the_pick_rotates,
+    a_lost_target_widens_the_round_at_once_under_the_same_identity,
+    a_silent_target_widens_after_a_window_and_is_asked_last_from_then_on,
+    replies_after_a_widening_count_each_replica_once,
+    mutating_and_per_server_rounds_ask_the_whole_group,
+    a_widened_round_the_whole_group_leaves_short_fails,
+    silence_timer_ignores_a_round_in_drain_backoff,
     lost_quorum_retries_once_then_replays_under_a_fresh_identity,
     undelivered_frames_are_uncounted_across_the_replay,
     non_retryable_loss_fails_the_round_at_once,
@@ -527,11 +788,14 @@ COMMON = [
 
 def silent_round_times_out_replays_then_errors(make_rig):
     policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0,
-                         max_round_timeouts=1)
+                         max_round_timeouts=1, silence_window=20.0)
     rig = make_rig(policy=policy)
     rig.kill()
     rig.start()
     (first,) = {rig.ident(f) for f in rig.flush()}
+    # The silence window widens the attempt and then leaves it to its round
+    # timer: nothing is re-armed.
+    assert rig.widened(rig.await_timer(), to=rig.servers[2:]) == []
     (second,) = {rig.ident(f) for f in rig.flush()}
     assert second != first
     timeouts = [
@@ -552,7 +816,7 @@ def silent_round_times_out_replays_then_errors(make_rig):
 
 def round_timer_is_ignored_while_a_drain_retry_is_pending(make_rig):
     policy = RetryPolicy(reconnect_interval=5.0, round_timeout=3.5,
-                         drain_backoff=7.0)
+                         drain_backoff=7.0, silence_window=40.0)
     rig = make_rig(policy=policy)
     rig.start()
     rig.flush()
@@ -579,7 +843,8 @@ def restrictive_read_policy_targets_only_a_quorum(make_rig):
     frames = rig.flush()
     assert len(frames) == 2 and {f.destination for f in frames} < set(rig.servers)
     rig.kill()
-    # No spare target: losing one of the two already loses the quorum.
+    # No spare target, and a policy's pick is never widened: losing one of the
+    # two already loses the quorum.
     assert rig.feed("on_peer_lost", frames[0].destination) == [
         StartTimer(rig.retry_timer(frames[0]), POLICY.reconnect_interval)
     ]
@@ -591,6 +856,24 @@ def restrictive_read_policy_targets_only_a_quorum(make_rig):
     rig.run()
     assert rig.outcome() == "ok"
     assert rig.owner.read_subs_sent == 4
+    assert rig.owner.stats.rounds_narrow == 0
+
+
+def broadcast_read_policy_opts_out_of_quorum_first(make_rig):
+    rig = make_rig(read_policy=BroadcastReads())
+    for key in ("k1", "k2"):
+        assert timer_kinds(rig.start(key)) == ["flush"]
+        frames = rig.flush()
+        assert [f.destination for f in frames] == rig.servers
+    rig.start("k3", write=True)
+    rig.run()
+    # Every frame went to every replica and no silence timer was ever armed.
+    assert sent_to(rig.batches()) == rig.servers * 3
+    assert not any(
+        SILENCE in [e.timer_id for e in effects if isinstance(e, StartTimer)]
+        for _name, effects in rig.log
+    )
+    assert (rig.owner.stats.rounds_narrow, rig.owner.read_subs_sent) == (0, 6)
 
 
 def bounced_cache_fill_evicts_its_entry_and_completes_leaseless(make_rig):
@@ -605,10 +888,11 @@ def bounced_cache_fill_evicts_its_entry_and_completes_leaseless(make_rig):
     rig.run_until(lambda: rig.owner.drain_backoffs)
     bounce = rig.last("on_frame")
     assert bounce[0] == CancelTimer(("lease", "k"))
-    assert [(e.destination, e.frame.kind) for e in bounce[1:4]] == [
-        (server_id, LEASE_RELEASE_KIND) for server_id in rig.servers
+    # The lease is handed back where the fill asked for it, and only there.
+    assert [(e.destination, e.frame.kind) for e in bounce[1:3]] == [
+        (server_id, LEASE_RELEASE_KIND) for server_id in rig.servers[:2]
     ]
-    assert bounce[4:] == [
+    assert bounce[3:] == [
         StartTimer(rig.retry_timer(frames[0]), POLICY.drain_backoff_interval)
     ]
     assert rig.owner.cache_invalidations == 1
@@ -631,17 +915,24 @@ def sever_drops_every_round(make_rig):
     rig.owner.sever()
     log_mark = len(rig.log)
     rig.run()
-    # The acks of the sent batch and the flush armed for k3 all find nothing.
-    assert [name for name, _ in rig.log[log_mark:]].count("on_frame") == 3
+    # The acks of the sent batch, the flush armed for k3 and the silence
+    # window all find nothing.
+    assert [name for name, _ in rig.log[log_mark:]].count("on_frame") == 2
+    assert [name for name, _ in rig.log[log_mark:]].count("on_timer") == 2
     assert all(effects == [] for _name, effects in rig.log[log_mark:])
     assert rig.outcomes() == []
-    assert rig.owner.stats.frames_received == 3
+    assert rig.owner.stats.frames_received == 2
+    # A proxy that comes back arms its silence timer afresh.
+    rig.start("k4")
+    assert rig.await_timer()[-1] == StartTimer(SILENCE, POLICY.silence_window)
+    rig.run()
 
 
 PROXY_ONLY = [
     silent_round_times_out_replays_then_errors,
     round_timer_is_ignored_while_a_drain_retry_is_pending,
     restrictive_read_policy_targets_only_a_quorum,
+    broadcast_read_policy_opts_out_of_quorum_first,
     bounced_cache_fill_evicts_its_entry_and_completes_leaseless,
     sever_drops_every_round,
 ]
@@ -660,6 +951,135 @@ def run_row(mode, row):
 )
 def test_replica_round_scenario(mode, row):
     run_row(mode, row)
+
+
+# -- what an operator sees of it ---------------------------------------------------
+
+
+class _Recorded:
+    """A plain hub sink: ``(timestamp, kind, attrs)`` of every event."""
+
+    def __init__(self):
+        self.events = []
+
+    def handle(self, event):
+        self.events.append((event.ts, event.kind, event.attrs))
+
+    def attrs(self, kind):
+        return [attrs for _ts, seen, attrs in self.events if seen == kind]
+
+
+@pytest.mark.parametrize("mode", ["direct", "proxy"])
+def test_widenings_and_loss_replays_show_in_the_event_stream(mode):
+    hub = ObserverHub()
+    registry = MetricsRegistry()
+    hub.add_sink(MetricsObserver(registry))
+    recorded = hub.add_sink(_Recorded())
+    rig = Rig(mode, hub=hub)
+    s1, s2, s3 = rig.servers
+    rig.kill(s2)
+    # Six windows with a round out in each: one widened by silence ...
+    rig.start("silent")
+    rig.run()
+    # ... one by a reported loss (the next pick puts the silent replica last) ...
+    rig.start("lost")
+    (asked, _) = rig.flush()
+    rig.feed("on_peer_lost", asked.destination)
+    rig.run()
+    # ... and one that loses its quorum outright and is replayed.
+    rig.kill()
+    rig.start("replayed")
+    for sent in rig.flush():
+        rig.feed("on_peer_lost", sent.destination)
+    rig.await_timer()
+    rig.revive()
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["ok"] * 3
+    assert [a["reason"] for a in recorded.attrs(ROUND_WIDENED)] == [
+        "silent", "replica-lost", "replica-lost"
+    ]
+    assert [a["reason"] for a in recorded.attrs(ROUND_REPLAYED)] == ["replica-lost"]
+    tier = "client" if mode == "direct" else "proxy"
+    counters = registry.snapshot()[tier]["counters"]
+    assert counters["rounds_widened"] == rig.owner.stats.rounds_widened == 3
+    # One silence timer per engine: armed at most once per window, however
+    # many rounds went out in it.
+    arms = [
+        ts for ts, kind, attrs in recorded.events
+        if kind == TIMER_ARMED and attrs["timer"] == "silence"
+    ]
+    assert arms and all(
+        later - earlier >= POLICY.silence_window
+        for earlier, later in zip(arms, arms[1:])
+    )
+    assert len(arms) <= rig.fabric.now / POLICY.silence_window
+
+
+def test_a_round_timeout_replay_shows_in_the_event_stream():
+    hub = ObserverHub()
+    recorded = hub.add_sink(_Recorded())
+    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0,
+                         max_round_timeouts=1, silence_window=20.0)
+    rig = Rig("proxy", policy=policy, hub=hub)
+    rig.kill()
+    rig.start()
+    rig.run()
+    assert rig.outcome() == "failed"
+    assert [(a["reason"], a["retries"]) for a in recorded.attrs(ROUND_REPLAYED)] == [
+        ("round-timeout", 1)
+    ]
+    assert [a["reason"] for a in recorded.attrs(ROUND_WIDENED)] == ["silent"]
+
+
+# -- any group shape, any batch mix: a narrow pick is a quorum of its own group ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["direct", "proxy"]),
+    shape=st.integers(3, 7).flatmap(
+        lambda servers: st.tuples(
+            st.just(servers), st.integers(1, (servers - 1) // 2)
+        )
+    ),
+    flushes=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.booleans()), min_size=1, max_size=6,
+            unique_by=lambda op: op[0],
+        ),
+        min_size=1, max_size=5,
+    ),
+)
+def test_every_narrow_pick_is_a_quorum_of_the_rounds_own_group(mode, shape, flushes):
+    servers, faults = shape
+    shard_map = ShardMap(
+        4, servers_per_shard=servers, max_faults=faults, num_groups=2,
+        readers=1, writers=1,
+    )
+    rig = Rig(mode, shard_map=shard_map, max_batch=64)
+    seen = set()
+    for batch in flushes:
+        before = len(rig.batches())
+        for key_index, write in batch:
+            rig.start(f"key-{key_index}", write=write)
+        rig.run()
+        asked = {}
+        for sent in rig.batches()[before:]:
+            for sub in unpack_batch(sent.frame):
+                ident = (sub.message.op_id, sub.message.round_trip)
+                asked.setdefault((ident, sub.key, sub.message.kind), []).append(
+                    sent.destination
+                )
+        for (_ident, key, kind), destinations in asked.items():
+            group = shard_map.shard_for(key).group.servers
+            assert len(set(destinations)) == len(destinations)
+            assert set(destinations) <= set(group)
+            narrow = kind == "query"
+            assert len(destinations) == (servers - faults if narrow else servers)
+            seen.add(narrow)
+    assert rig.owner.stats.rounds_widened == 0
+    assert all(kind == "ok" for kind, _ in rig.outcomes())
+    assert True in seen or all(write for batch in flushes for _, write in batch)
 
 
 # -- direct vs proxied: one machinery, seen from the replicas --------------------

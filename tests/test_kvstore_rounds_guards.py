@@ -27,7 +27,7 @@ import pytest
 
 import repro.kvstore.engine.rounds as rounds_module
 from repro.core.operations import OpKind
-from repro.kvstore import ShardMap
+from repro.kvstore import RetryPolicy, ShardMap
 from repro.kvstore.engine import PROXY_QUEUE, ClientSessionEngine, Connect
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.messages import unpack_batch
@@ -101,11 +101,27 @@ def test_a_queued_round_goes_to_the_group_it_was_resolved_for(mode):
     rig.start()
     rig.move_shard()
     frames = rig.flush()
-    assert [f.destination for f in frames] == planned_servers != rig.servers
+    assert [f.destination for f in frames] == planned_servers[:2]  # a quorum of it
+    assert not set(planned_servers) & set(rig.servers)
     assert unpack_batch(frames[0].frame)[0].epoch == planned_epoch
     rig.run()
     assert rig.outcome() == "ok"
     assert rig.owner.stale_replays == 1
+
+
+def test_a_round_flushed_from_inside_a_silence_tick_starts_its_own_window():
+    # The tick that fails an op starts its key's backlogged successor, whose
+    # round goes out (max_batch=1: at once) while the tick is being handled.
+    # It must not be left watched by a timer nobody armed.
+    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=None,
+                         max_round_timeouts=1, silence_window=40.0)
+    rig = Rig("direct", policy=policy, max_batch=1)
+    rig.kill(*rig.servers[1:])
+    rig.start("k")
+    rig.start("k")  # queued behind the first on its key
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["failed", "failed"]
+    assert rig.fabric.now == 4 * policy.silence_window
 
 
 def test_replica_loss_does_not_touch_rounds_stashed_for_a_proxy_failover():

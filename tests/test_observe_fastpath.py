@@ -12,7 +12,10 @@ on ``PYTHONPATH``.  ``tests/golden/observe_fastpath.json`` was first captured
 at commit 98388d9 (PR 12), the parent of the routed emit, and recaptured in
 PR 16, which changed the run itself: reads whose quorum agrees end after one
 round (2132 -> 1452 events), ``op.completed`` carries the op's ``kind``, and
-the client tier reports ``reads_fast`` / ``reads_slow``.
+the client tier reports ``reads_fast`` / ``reads_slow``; and again in PR 18,
+which changed it once more: rounds that mutate nothing ask a quorum of their
+group instead of all of it (1452 -> 1357 events -- the replicas serve 321 ->
+230 sub-requests), and the client and proxy tiers report ``rounds_widened``.
 """
 
 from __future__ import annotations
