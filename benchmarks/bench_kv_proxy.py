@@ -1,7 +1,10 @@
 """Benchmark — the ingress proxy tier: cross-client batching + read routing.
 
 Two claims, both on the discrete-event simulator (deterministic), plus an
-end-to-end atomicity check of proxied workloads on both backends:
+end-to-end atomicity check of proxied workloads on both backends (over
+loopback TCP the proxied / direct pair of replica frame counts is reported,
+not compared: direct stores of one process merge across clients on their
+shared replica link):
 
 * **Fan-in** (cross-client batching): at a fixed total load, replica-side
   request frames per operation *strictly decrease* as more clients share one
@@ -231,8 +234,14 @@ def check_asyncio(proxied, direct):
     assert proxied.check().all_atomic
     assert direct.check().all_atomic
     assert proxied.completed_ops == direct.completed_ops
-    # Cross-client merging shows up on the real transport too.
-    assert proxied.replica_frames < direct.replica_frames
+    # No fan-in claim here: in one process the direct stores share a replica
+    # link that merges across clients as a proxy does, without the hop, so
+    # neither side owes the other fewer replica frames.  The claim lives on
+    # the simulator rows (``check_fanin``), whose clients are separate
+    # processes; this pair is reported.
+    print(f"replica frames over loopback TCP: proxied {proxied.replica_frames} "
+          f"({proxied.replica_frames_per_op():.2f}/op), direct "
+          f"{direct.replica_frames} ({direct.replica_frames_per_op():.2f}/op)")
 
 
 # -- pytest entry points --------------------------------------------------------

@@ -155,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     kv.add_argument("--pipeline", type=int, default=4,
                     help="operations in flight per client")
     kv.add_argument("--crashes", type=int, default=0, metavar="N",
-                    help="crash N random replicas per group mid-run (sim "
-                         "backend only; capped at each group's fault budget, "
-                         "victims drawn from the run's --seed)")
+                    help="crash N random replicas per group mid-run (capped "
+                         "at each group's fault budget, victims drawn from "
+                         "the run's --seed)")
     kv.add_argument("--seed", type=int, default=0,
                     help="seed for workload generation and crash-victim "
                          "selection; the same seed reproduces the same run "
@@ -305,15 +305,13 @@ def _command_kv(args: argparse.Namespace) -> int:
         raise SystemExit("--resize-after requires --resize-to")
     if args.kill_proxy_after is not None and args.proxies <= 0:
         raise SystemExit("--kill-proxy-after requires --proxies")
-    if args.crashes > 0 and args.backend != "sim":
-        raise SystemExit("--crashes requires the sim backend")
     if args.read_cache > 0 and args.proxies <= 0:
         raise SystemExit("--read-cache requires --proxies")
     if (args.lease_ttl is not None or args.bounded_staleness) and args.read_cache <= 0:
         raise SystemExit("--lease-ttl/--bounded-staleness require --read-cache")
     # One seed drives every RNG of the run -- the workload shape here and
-    # (on the simulator) the crash-victim draw below -- so a CLI run is
-    # reproduced exactly by repeating its --seed.
+    # the crash-victim draw below -- so a CLI run is reproduced exactly by
+    # repeating its --seed.
     workload = generate_workload(
         num_clients=args.clients,
         ops_per_client=args.ops,
@@ -339,6 +337,8 @@ def _command_kv(args: argparse.Namespace) -> int:
         autoscale=args.autoscale,
         read_cache=args.read_cache,
         bounded_staleness=args.bounded_staleness,
+        crashes_per_group=args.crashes,
+        crash_seed=args.seed,
     )
     if args.lease_ttl is not None:
         # Only forwarded when given: the backends' defaults differ (the
@@ -350,12 +350,7 @@ def _command_kv(args: argparse.Namespace) -> int:
     if trace_collector is not None:
         common["trace_collector"] = trace_collector
     if args.backend == "sim":
-        result = run_sim_kv_workload(
-            workload,
-            crashes_per_group=args.crashes,
-            crash_seed=args.seed,
-            **common,
-        )
+        result = run_sim_kv_workload(workload, **common)
         time_unit = "virtual time units"
     else:
         result = run_asyncio_kv_workload(workload, **common)
@@ -376,6 +371,9 @@ def _command_kv(args: argparse.Namespace) -> int:
     print(f"frames             : {result.frames_sent} sent / {result.frames_total} "
           f"total across tiers; {result.replica_frames} served by replicas "
           f"({result.replica_frames_per_op():.2f} per op)")
+    if result.direct_link is not None:
+        print(f"direct link        : {result.direct_link['stores']} stores, "
+              f"mean batch {result.direct_link['mean_batch']:.2f}")
     if result.num_proxies:
         print(f"proxy tier         : {result.num_proxies} proxies, "
               f"{result.proxy_stats.summary()}")

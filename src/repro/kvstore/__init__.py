@@ -6,8 +6,9 @@ to a multi-key store:
 * **The sans-I/O engine** (:mod:`~repro.kvstore.engine`): every piece of
   protocol behaviour -- round lifecycle, batching, stale-epoch replay,
   cross-client merging, read routing, proxy failover, view-push adoption,
-  epoch fencing -- lives in three pure state machines
-  (:class:`ClientSessionEngine`, :class:`ProxyEngine`,
+  epoch fencing -- lives in pure state machines
+  (:class:`ClientSessionEngine`, the :class:`DirectLink` that carries the
+  direct rounds of every session of a process, :class:`ProxyEngine`,
   :class:`GroupServerEngine`) that consume decoded frames and emit
   ``(destination, frame)`` effects plus timer requests.  Both backends are
   thin adapters around them, so they cannot drift apart by construction.
@@ -63,6 +64,7 @@ _EXPORTS = {
     "CachedShardView": ".engine",
     "ClientSessionEngine": ".engine",
     "ControlPlaneEngine": ".engine",
+    "DirectLink": ".engine",
     "GroupServerEngine": ".engine",
     "NearestQuorum": ".engine",
     "ProxyEngine": ".engine",
@@ -145,6 +147,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         CachedShardView,
         ClientSessionEngine,
         ControlPlaneEngine,
+        DirectLink,
         GroupServerEngine,
         NearestQuorum,
         ProxyEngine,

@@ -7,9 +7,12 @@ event-driven state machines:
 
 * :class:`~repro.kvstore.engine.client.ClientSessionEngine` -- one logical
   store client;
+* :class:`~repro.kvstore.engine.link.DirectLink` -- the direct ingress the
+  client sessions of one process share (a lone session holds a private one);
 * :class:`~repro.kvstore.engine.proxy.ProxyEngine` -- one site-local
-  ingress proxy (both extend :class:`~repro.kvstore.engine.rounds.ReplicaRounds`,
-  the one copy of the quorum round against a replica group);
+  ingress proxy (it and the link extend
+  :class:`~repro.kvstore.engine.rounds.ReplicaRounds`, the one copy of the
+  quorum round against a replica group);
 * :class:`~repro.kvstore.engine.server.GroupServerEngine` -- one replica of
   a replica group;
 * :class:`~repro.kvstore.engine.control.ControlPlaneEngine` -- the cluster
@@ -62,6 +65,7 @@ from .effects import (
     StartTimer,
     TimerId,
 )
+from .link import DirectLink
 from .proxy import ProxyEngine
 from .runtime import EffectRuntime
 from .routing import (
@@ -90,6 +94,7 @@ from .stats import BatchStats
 
 __all__ = [
     "ClientSessionEngine",
+    "DirectLink",
     "ProxyEngine",
     "GroupServerEngine",
     "ControlPlaneEngine",

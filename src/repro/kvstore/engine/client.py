@@ -4,9 +4,24 @@ One :class:`ClientSessionEngine` is one logical store client.  It may have
 many operations (on distinct keys) in flight at once; each drives the
 ordinary single-register client generator for its key, and every round the
 generator yields goes out through the client's current *ingress*.  Direct
-ingress is the :class:`~.rounds.ReplicaRounds` this engine extends: the
-round is resolved against the live shard map and multiplexed to its owner
-group there, quorum-first when it mutates nothing.
+ingress is the :class:`~.link.DirectLink` this engine *holds*: the round is
+resolved against the live shard map here and multiplexed to its owner group
+there, quorum-first when it mutates nothing.  Built on its own -- a simulator
+process, a test fabric -- a session gets a private link, is fed the link's
+inputs (``batch-ack`` frames, flush / silence / retry timers, replica losses)
+through its own entry points and hands back the link's effects with its own,
+so one adapter drives it as one engine.  Handed a link that other sessions
+hold too, it stays one client -- op ids, per-key order, generators, recorder,
+counters, the proxy leg and failover are its own -- while its rounds share the
+link's frames with theirs.
+
+**Whose effects.**  A session is on one leg at a time and changes at most
+once, from the proxy leg to the direct one.  What it returns while
+``proxy_id is None`` -- invocations, ``on_connected(DIRECT_INGRESS)``,
+``close()`` -- are the link's effects (replica frames, the link's timers)
+plus operation outcomes, and an adapter that runs the link apart from the
+session executes them where the link's timers live; everything returned on
+the proxy leg, failover included, is the session's own.
 
 With a proxy candidate list the engine routes *every* round through its
 current ingress proxy instead: in-flight rounds (for any shard, any group)
@@ -47,7 +62,6 @@ from ...observe.events import (
     EngineObserver,
 )
 from ...messages import (
-    BATCH_ACK_KIND,
     PROXY_ACK_KIND,
     PROXY_KIND,
     Message,
@@ -72,7 +86,8 @@ from .effects import (
     CancelTimer,
     TimerId,
 )
-from .rounds import ReplicaRound, ReplicaRounds
+from .link import DirectLink
+from .rounds import ReplicaRound
 from .routing import attempt_scoped_id
 from .stats import BatchStats
 
@@ -90,6 +105,8 @@ _PROXY_FLUSH: TimerId = ("flush", PROXY_QUEUE)
 class _PendingKVOp(ReplicaRound):
     """One in-flight kv operation driving a per-key register generator."""
 
+    #: The session the operation belongs to (whom the link reports back to).
+    session: "ClientSessionEngine"
     kind: OpKind
     generator: Any
     round_trip: int = 0
@@ -99,8 +116,13 @@ class _PendingKVOp(ReplicaRound):
     proxy_op_id: Optional[str] = None
 
 
-class ClientSessionEngine(ReplicaRounds):
-    """One store client's protocol state machine (transport-agnostic)."""
+class ClientSessionEngine:
+    """One store client's protocol state machine (transport-agnostic).
+
+    ``link`` is the direct ingress to share with other sessions of the
+    process; without one the session builds its own, with its own
+    ``max_batch``, ``flush_delay``, observer and ``stats``.
+    """
 
     def __init__(
         self,
@@ -112,6 +134,7 @@ class ClientSessionEngine(ReplicaRounds):
         flush_delay: float = 0.0,
         proxy_candidates: Optional[Sequence[str]] = None,
         observer: Optional[EngineObserver] = None,
+        link: Optional[DirectLink] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
@@ -122,15 +145,20 @@ class ClientSessionEngine(ReplicaRounds):
         self.max_batch = max_batch
         self.flush_delay = flush_delay
         self.observer = observer if observer is not None else NULL_OBSERVER
+        #: This session's own frames and batches: everything on a private
+        #: link, the proxy leg only on a shared one (which counts its own).
         self.stats = BatchStats()
         self.completed_operations = 0
         self.stale_replays = 0
         self.drain_backoffs = 0
         self.proxy_failovers = 0
-        # No per-round timers on the direct ingress: the multiplexer's silence
-        # timer widens a quorum-first round a replica leaves short, and fails
-        # one the whole group leaves short.
-        super().__init__(client_id, round_timeout=None)
+        if link is None:
+            link = DirectLink(
+                client_id, self.policy, max_batch, flush_delay,
+                self.observer, self.stats,
+            )
+        self.link = link
+        link.attach(self)
         self._proxy_candidates = list(proxy_candidates or [])
         self.proxy_id: Optional[str] = (
             self._proxy_candidates[0] if self._proxy_candidates else None
@@ -215,7 +243,7 @@ class ClientSessionEngine(ReplicaRounds):
         self.recorder.record_invocation(key, op_id, self.client_id, kind, value=value)
         pending = _PendingKVOp(
             op_id=op_id, key=key, trace=op_id, sender=self.client_id,
-            kind=kind, generator=generator,
+            session=self, kind=kind, generator=generator,
         )
         self._active[op_id] = pending
         self._advance(pending, out, first=True)
@@ -244,7 +272,7 @@ class ClientSessionEngine(ReplicaRounds):
         """Send the current round (fresh or replayed) through the ingress."""
         self._plan(pending)
         if self.proxy_id is None:
-            self._enqueue(pending, out)
+            self.link.enqueue(pending, out)
         else:
             self._enqueue_proxy(pending, out)
 
@@ -304,11 +332,16 @@ class ClientSessionEngine(ReplicaRounds):
         self, pending: _PendingKVOp, error: BaseException, out: List[Effect]
     ) -> None:
         self._retire(pending, out)
+        self._report_failed(pending.op_id, pending.key, error, out)
+
+    def _report_failed(
+        self, op_id: str, key: str, error: BaseException, out: List[Effect]
+    ) -> None:
         self.observer.emit(
-            OP_FAILED, op_id=pending.op_id, key=pending.key,
-            trace=pending.trace, error=type(error).__name__,
+            OP_FAILED, op_id=op_id, key=key, trace=op_id,
+            error=type(error).__name__,
         )
-        out.append(OpFailed(pending.op_id, pending.key, error))
+        out.append(OpFailed(op_id, key, error))
 
     def _retire(self, pending: _PendingKVOp, out: List[Effect]) -> None:
         """Drop a finished op and start its key's next backlogged one."""
@@ -321,13 +354,33 @@ class ClientSessionEngine(ReplicaRounds):
             op_id, kind, value = backlog.popleft()
             self._start(op_id, kind, pending.key, value, out)
 
-    # What the direct ingress reports back (the other ReplicaRounds hooks are
-    # _plan and _reroute above).
-    _on_quorum = _advance
-    _on_failed = _fail
+    def close(self) -> List[Effect]:
+        """The client is going away: fail what it has in flight.
 
-    def _retry_timer(self, pending: _PendingKVOp) -> TimerId:
-        return ("retry", pending.op_id)
+        Every operation it still owes an outcome -- active or backlogged
+        behind one -- fails with ``ConnectionError``; its rounds leave the
+        link (alone: other sessions' rounds and the shared timers stay), and
+        its own proxy-leg timers are disarmed.
+        """
+        out: List[Effect] = []
+        error = ConnectionError(
+            f"client {self.client_id} closed with the operation in flight"
+        )
+        self.link.release(self, out)
+        backlog, self._key_backlog = self._key_backlog, {}
+        for pending in list(self._active.values()):
+            self._fail(pending, error, out)
+        for key, queued in backlog.items():
+            for op_id, _kind, _value in queued:
+                self._report_failed(op_id, key, error, out)
+        self._proxy_queue.clear()
+        self._replay_inflight.clear()
+        self._requeue.clear()
+        self._disarm_watchdog(out)
+        if self._proxy_flush_scheduled:
+            self._proxy_flush_scheduled = False
+            out.append(CancelTimer(_PROXY_FLUSH))
+        return out
 
     # -- the proxy leg ----------------------------------------------------------
 
@@ -478,7 +531,7 @@ class ClientSessionEngine(ReplicaRounds):
         requeue, self._requeue = self._requeue, []
         for pending in inflight:
             self._dispatch_round(pending, out)
-        enqueue = self._enqueue if self.proxy_id is None else self._enqueue_proxy
+        enqueue = self.link.enqueue if self.proxy_id is None else self._enqueue_proxy
         for pending in requeue:
             enqueue(pending, out)
         if self._proxy_queue:
@@ -502,7 +555,7 @@ class ClientSessionEngine(ReplicaRounds):
         is the direct ingress's loss.
         """
         if peer_id != self.proxy_id or not self._ingress_ready:
-            return super().on_peer_lost(peer_id)
+            return self.link.on_peer_lost(peer_id)
         out: List[Effect] = []
         self._failover(out)
         return out
@@ -514,7 +567,7 @@ class ClientSessionEngine(ReplicaRounds):
     ) -> List[Effect]:
         """A frame this engine emitted could not be delivered."""
         if frame.kind != PROXY_KIND:
-            return super().on_frame_undeliverable(frame, error, retryable)
+            return self.link.on_frame_undeliverable(frame, error, retryable)
         out: List[Effect] = []
         self.stats.record_frames(sent=-1)  # it never reached the wire either
         if not retryable:
@@ -530,7 +583,7 @@ class ClientSessionEngine(ReplicaRounds):
 
     def on_timer(self, timer_id: TimerId) -> List[Effect]:
         if timer_id != _PROXY_FLUSH and timer_id != _WATCHDOG:
-            return super().on_timer(timer_id)
+            return self.link.on_timer(timer_id)
         out: List[Effect] = []
         if timer_id == _PROXY_FLUSH:
             self._flush_proxy(out)
@@ -579,6 +632,4 @@ class ClientSessionEngine(ReplicaRounds):
             if not self._proxy_rounds:
                 self._disarm_watchdog(out)
             return out
-        if message.kind == BATCH_ACK_KIND:
-            self._on_batch_ack(message, out)
-        return out
+        return self.link.on_frame(message)

@@ -23,7 +23,8 @@ for the next narrow read to find a unanimous quorum), and so do replays and
 every round of an owner with an explicit ``read_policy``.
 
 The two engines that talk to replicas are its subclasses --
-:class:`~.client.ClientSessionEngine` (its direct ingress) and
+:class:`~.link.DirectLink` (the direct ingress of every
+:class:`~.client.ClientSessionEngine` that holds it) and
 :class:`~.proxy.ProxyEngine` (every forwarded round) -- and supply what really
 differs between them as hooks:
 
@@ -40,11 +41,15 @@ differs between them as hooks:
   lease-nonce column (``None``: no such column);
 * ``_retry_timer(round)`` -- the round's retry-timer id, in the owner's timer
   namespace; ``round_timeout`` -- bound every attempt by a timer, or not;
-* ``_on_quorum(round, out)`` / ``_on_failed(round, error, out)`` -- the outcome.
+* ``_on_quorum(round, out)`` / ``_on_failed(round, error, out)`` -- the outcome;
+* ``_counted(round)`` -- whose ``stale_replays`` / ``drain_backoffs`` counters
+  a bounce of the round bumps (the owner's own, unless it says otherwise).
 
 The subclass also carries ``policy``, ``stats``, ``observer``, ``max_batch``,
-``flush_delay``, the ``stale_replays`` / ``drain_backoffs`` counters and, if
-it routes reads by an explicit policy, ``read_policy``.
+``flush_delay`` and, if it routes reads by an explicit policy, ``read_policy``.
+Rounds of different senders share a batch frame whenever they share a flush:
+each sub-message keeps its own ``sender``, which is all the replicas' per-client
+bookkeeping reads.
 Sans-I/O throughout: inputs are decoded frames, timer fires and transport
 notifications; outputs are effects.
 """
@@ -167,12 +172,13 @@ class ReplicaRounds:
         per-key generator behind the round never observes a replay.
         """
         self._plan(round)
-        self._enqueue(round, out, replay)
+        self.enqueue(round, out, replay)
 
-    def _enqueue(
+    def enqueue(
         self, round: ReplicaRound, out: List[Effect], replay: bool = False
     ) -> None:
-        """Queue an attempt the owner has already planned for its group."""
+        """Queue an attempt that is already planned for its group (how a
+        session that holds the multiplexer hands it a round)."""
         round.replies = []
         round.lost_targets = set()
         round.awaiting_retry = False
@@ -208,6 +214,9 @@ class ReplicaRounds:
         forgotten = self._pending.pop(round.ident, None)
         if forgotten is not None and self._round_timeout is not None:
             out.append(CancelTimer(("round", *round.ident)))
+
+    def _counted(self, round: ReplicaRound):
+        return self
 
     def _clear_rounds(self) -> None:
         """Forget every round and queue (the owner was killed)."""
@@ -407,7 +416,7 @@ class ReplicaRounds:
             # on the retry timer instead (without charging ``stale_retries``
             # -- the map has converged, the data just has not landed yet).
             round.drain_backoffs += 1
-            self.drain_backoffs += 1
+            self._counted(round).drain_backoffs += 1
             self.observer.emit(
                 ROUND_REPLAYED, op_id=round.op_id, key=round.key,
                 trace=round.trace, retries=round.drain_backoffs,
@@ -422,7 +431,7 @@ class ReplicaRounds:
                 self._await_retry(round, self.policy.drain_backoff_interval, out)
             return
         round.stale_retries += 1
-        self.stale_replays += 1
+        self._counted(round).stale_replays += 1
         self.observer.emit(
             ROUND_REPLAYED, op_id=round.op_id, key=round.key,
             trace=round.trace, retries=round.stale_retries,

@@ -17,10 +17,15 @@ exists per frame or per send:
   control plane (:meth:`AsyncKVCluster.resize` / ``move_shard`` with delta
   view pushes over TCP).
 * :class:`KVStore` is the client facade: ``await get/put/multi_get/multi_put``
-  drive a :class:`~repro.kvstore.engine.client.ClientSessionEngine`; emitted
-  frames ride per-replica connections (or the single proxy connection), and
-  emitted timers ride ``loop.call_later``.  Connection losses are reported
-  back into the engine, which owns replay and proxy failover.
+  drive a :class:`~repro.kvstore.engine.client.ClientSessionEngine`.  Behind a
+  proxy its frames ride its one proxy connection and its timers its own
+  runtime; talking to the replicas directly it rides the *replica link* of
+  its cluster and event loop (:class:`_ReplicaLink`): one
+  :class:`~repro.kvstore.engine.link.DirectLink`, one effect runtime and one
+  connection per replica for every direct store of the process, so rounds of
+  different stores opened in the same turn of the loop leave in one frame per
+  replica.  Connection losses are reported back into the engines, which own
+  replay and proxy failover.
 * :class:`AsyncGroupClient` / :class:`AsyncProxyClient` are pure transport:
   connection pools with reconnect-and-redial, no round bookkeeping.  Only
   the control plane's one-shot deliveries still use streams.
@@ -31,7 +36,9 @@ exists per frame or per send:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import logging
+import os
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -44,6 +51,7 @@ from ..observe.events import ObserverHub
 from ..observe.metrics import MetricsObserver, MetricsRegistry
 from ..observe.trace import TraceCollector
 from ..protocols.base import OperationOutcome
+from ..util.rng import SeededRng
 from .engine import (
     DEFAULT_RETRY_POLICY,
     DIRECT_INGRESS,
@@ -53,9 +61,11 @@ from .engine import (
     CachedShardView,
     ClientSessionEngine,
     ControlPlaneEngine,
+    DirectLink,
     Effect,
     EffectRuntime,
     GroupServerEngine,
+    OpCompleted,
     OpFailed,
     ProxyEngine,
     ReadRoutingPolicy,
@@ -104,9 +114,9 @@ class _EffectRunner:
 
     An :class:`~repro.kvstore.engine.runtime.EffectRuntime` interprets the
     engine's effects; this class gives it ``send`` -- connection lookup,
-    encode, write -- and holds what every owner has: its I/O tasks and its
-    connections to the replica groups.  Subclasses add their other peers
-    to the lookup and bind their engine once it exists.
+    encode, write -- and holds what every owner has: its I/O tasks.
+    Subclasses say where their peers' connections are and bind their engine
+    once it exists.
     """
 
     def __init__(self, cluster: "AsyncKVCluster") -> None:
@@ -114,12 +124,9 @@ class _EffectRunner:
         self.retry_policy = cluster.retry_policy
         self._runtime: Optional[EffectRuntime] = None
         self._io_tasks: "set[asyncio.Task]" = set()
-        self._group_clients: Dict[str, AsyncGroupClient] = {}
-        self._server_home: Dict[str, AsyncGroupClient] = {}
 
-    def _peer_connection(self, destination: str) -> Optional[FramedConnection]:
-        """The live connection to a peer that is not a replica (the proxy
-        link, an accepted client); owners that have such peers override."""
+    def _connection_to(self, destination: str) -> Optional[FramedConnection]:
+        """The live connection to ``destination``, if this owner has one."""
         return None
 
     def _bind(self, engine, **client_hooks) -> None:
@@ -133,43 +140,11 @@ class _EffectRunner:
     def run_effects(self, effects: Sequence[Effect]) -> None:
         self._runtime.run(effects)
 
-    async def _connect_groups(self, owner_id: str) -> None:
-        """Open ``owner_id``'s connections to every replica group.
-
-        Idempotent per group (not all-or-nothing): the failover path may
-        land here while a replica is also down, and a partial first pass
-        must not wedge the owner -- missing groups are retried on the next
-        call, connected ones are kept.
-        """
-        engine = self._runtime.engine
-        for group in self.cluster.shard_map.groups.values():
-            if group.group_id in self._group_clients:
-                continue
-            client = AsyncGroupClient(
-                owner_id,
-                group,
-                self.cluster.endpoints_for(group.group_id),
-                retry_policy=self.retry_policy,
-                on_frame=self._on_frame,
-                on_peer_lost=lambda server_id, exc: self.run_effects(
-                    engine.on_peer_lost(server_id)
-                ),
-            )
-            await client.connect()
-            self._group_clients[group.group_id] = client
-            for server_id in client.endpoints:
-                self._server_home[server_id] = client
-
     def _send(self, effect: SendFrame) -> Optional[List[Effect]]:
         """Write one frame; what the engine makes of a frame that cannot go
         out is handed back to join the batch being run."""
         destination = effect.destination
-        home = self._server_home.get(destination)
-        connection = (
-            home.connection_for(destination)
-            if home is not None
-            else self._peer_connection(destination)
-        )
+        connection = self._connection_to(destination)
         if connection is None or connection.closing:
             # The peer is down and its redial has not landed yet; report the
             # loss instead of writing into a dead socket -- the engine's
@@ -207,6 +182,57 @@ class _EffectRunner:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
         self._io_tasks.clear()
+
+
+class _ReplicaConnected(_EffectRunner):
+    """An owner that talks to the replicas: a proxy, or a process's link.
+
+    Holds one connection per replica of every group, under the owner's wire
+    id (replicas route acks back by the sender of the frames a connection
+    delivers).
+    """
+
+    def __init__(self, cluster: "AsyncKVCluster") -> None:
+        super().__init__(cluster)
+        self._group_clients: Dict[str, AsyncGroupClient] = {}
+        self._server_home: Dict[str, AsyncGroupClient] = {}
+
+    def _connection_to(self, destination: str) -> Optional[FramedConnection]:
+        home = self._server_home.get(destination)
+        return home.connection_for(destination) if home is not None else None
+
+    async def _connect_groups(self, owner_id: str) -> None:
+        """Open ``owner_id``'s connections to every replica group.
+
+        Idempotent per group (not all-or-nothing): the failover path may
+        land here while a replica is also down, and a partial first pass
+        must not wedge the owner -- missing groups are retried on the next
+        call, connected ones are kept.
+        """
+        engine = self._runtime.engine
+        for group in self.cluster.shard_map.groups.values():
+            if group.group_id in self._group_clients:
+                continue
+            client = AsyncGroupClient(
+                owner_id,
+                group,
+                self.cluster.endpoints_for(group.group_id),
+                retry_policy=self.retry_policy,
+                on_frame=self._on_frame,
+                on_peer_lost=lambda server_id, exc: self.run_effects(
+                    engine.on_peer_lost(server_id)
+                ),
+            )
+            try:
+                await client.connect()
+            except BaseException:
+                # Cancelled (the caller closed mid-dial) or failed outright:
+                # what did connect must not outlive the attempt unowned.
+                await client.close()
+                raise
+            self._group_clients[group.group_id] = client
+            for server_id in client.endpoints:
+                self._server_home[server_id] = client
 
     async def _close_groups(self) -> None:
         for client in self._group_clients.values():
@@ -476,6 +502,8 @@ class AsyncKVCluster:
         self._logics: Dict[str, GroupServerEngine] = {}
         self._endpoints: Dict[str, Dict[str, Tuple[str, int]]] = {}
         self._proxy_rr = 0
+        #: The replica link of every event loop that has a connected store.
+        self._links: Dict[asyncio.AbstractEventLoop, _ReplicaLink] = {}
         self.control = ControlPlaneEngine(
             shard_map,
             drain_range_size=drain_range_size,
@@ -523,6 +551,22 @@ class AsyncKVCluster:
 
     def endpoints_for(self, group_id: str) -> Dict[str, Tuple[str, int]]:
         return dict(self._endpoints[group_id])
+
+    def _join_link(self, store: "KVStore") -> "_ReplicaLink":
+        """The running loop's replica link, with ``store`` among its stores."""
+        link = self._links.get(asyncio.get_running_loop())
+        if link is None:
+            link = _ReplicaLink(self)
+            self._links[link.loop] = link
+        link.stores.add(store)
+        return link
+
+    async def _leave_link(self, link: "_ReplicaLink", store: "KVStore") -> None:
+        """``store`` closed; the last one out shuts the link down."""
+        link.stores.discard(store)
+        if not link.stores:
+            del self._links[link.loop]
+            await link.close()
 
     # -- ingress proxies ---------------------------------------------------------
 
@@ -707,7 +751,7 @@ class AsyncKVCluster:
         await self._driver.flush()
 
 
-class ProxyServer(_EffectRunner):
+class ProxyServer(_ReplicaConnected):
     """One site-local ingress proxy over TCP: one proxy engine.
 
     Accepts client connections speaking ``"proxy"``/``"proxy-ack"`` frames
@@ -807,8 +851,10 @@ class ProxyServer(_EffectRunner):
         # ghosts (frame accounting lives in the engine and survives).
         self._engine.sever()
 
-    def _peer_connection(self, destination: str) -> Optional[FramedConnection]:
-        return self._client_connections.get(destination)
+    def _connection_to(self, destination: str) -> Optional[FramedConnection]:
+        return super()._connection_to(destination) or self._client_connections.get(
+            destination
+        )
 
     def _accept(self) -> FramedConnection:
         connection = FramedConnection(
@@ -832,6 +878,64 @@ class ProxyServer(_EffectRunner):
             del self._client_connections[sender]
 
 
+_LINK_IDS = itertools.count(1)
+
+
+class _ReplicaLink(_ReplicaConnected):
+    """One process's link to a cluster's replicas, on one event loop.
+
+    Every :class:`KVStore` that talks to the replicas directly -- connected
+    without a proxy, or fallen back once its site's proxies were exhausted --
+    rides the link of its cluster and loop: one
+    :class:`~repro.kvstore.engine.link.DirectLink` multiplexing all their
+    rounds, one effect runtime holding its timers, one connection per
+    replica.  Stores keep their own session engines (identity, per-key order,
+    recorder, proxy leg); what they return on the direct leg is executed
+    here.  The cluster creates the link for the first store that connects on
+    a loop and closes it when the last one closes; another loop -- the
+    thread of a :class:`SyncKVStore` -- gets another link.
+    """
+
+    def __init__(self, cluster: "AsyncKVCluster") -> None:
+        super().__init__(cluster)
+        self.loop = asyncio.get_running_loop()
+        # Replicas answer over the connection whose frames named the sender,
+        # so the wire id is unique among everything that may dial them.
+        link_id = f"link-{os.getpid()}-{next(_LINK_IDS)}"
+        self.engine = DirectLink(
+            link_id,
+            policy=cluster.retry_policy,
+            observer=cluster.hub.scoped("client", link_id),
+        )
+        self._bind(self.engine, complete=self.complete)
+        #: Every connected store of the loop, behind a proxy or not.
+        self.stores: "set[KVStore]" = set()
+        #: op id -> (the future its caller awaits, the store it belongs to):
+        #: outcomes surface on whichever runtime ran the op's last round.
+        self.waiting: Dict[str, Tuple[asyncio.Future, KVStore]] = {}
+        self._dialing = asyncio.Lock()
+
+    async def dial(self) -> None:
+        """Connect to every replica group; a no-op once that is done."""
+        async with self._dialing:
+            await self._connect_groups(self.engine.link_id)
+
+    def complete(self, effect: Union[OpCompleted, OpFailed]) -> None:
+        future, store = self.waiting.pop(effect.op_id, (None, None))
+        if future is None or future.done():
+            return
+        if isinstance(effect, OpFailed):
+            future.set_exception(effect.error)
+            return
+        future.set_result(effect.outcome)
+        if store.completion_hook is not None:
+            store.completion_hook()
+
+    async def close(self) -> None:
+        await self._shutdown_runner()
+        await self._close_groups()
+
+
 class KVStore(_EffectRunner):
     """The async client facade of the sharded store.
 
@@ -841,19 +945,24 @@ class KVStore(_EffectRunner):
     rounds whenever their shards live on the same replica group.  All of
     that -- and stale-epoch replay, and proxy failover -- is the shared
     :class:`~repro.kvstore.engine.client.ClientSessionEngine`; this class
-    adapts it to asyncio: frames ride per-replica connections (or the
-    single proxy connection), timers ride the event loop, and each
-    operation awaits a future resolved by the engine's completion effect.
+    adapts it to asyncio, and each operation awaits a future resolved by the
+    engine's completion effect.
+
+    A store that talks to the replicas directly opens no connections of its
+    own: it rides the replica link of its cluster and event loop
+    (:class:`_ReplicaLink`) with every other direct store of the process, so
+    its rounds share batch frames with *theirs* too -- under its own client
+    id, which is all the replicas' per-client bookkeeping sees.
 
     With ``use_proxy`` the store opens *one* connection -- to a site-local
-    ingress proxy started via :meth:`AsyncKVCluster.start_proxies` -- instead
-    of one per replica; pass ``True`` to be assigned a proxy round-robin or
+    ingress proxy started via :meth:`AsyncKVCluster.start_proxies`; pass
+    ``True`` to be assigned a proxy round-robin or
     a proxy id to pick one (e.g. the client's own site).  At connect time
     the store learns the full proxy list of its proxy's site
     (:meth:`AsyncKVCluster.proxy_candidates`); when the connection dies the
     engine re-dials the next candidate (through ``Connect`` effects)
     and replays its in-flight rounds under a fresh failover generation,
-    falling back to direct replica connections when the site is exhausted.
+    falling back to the replica link when the site is exhausted.
 
     A store behind a proxy started with ``read_cache`` (see
     :meth:`AsyncKVCluster.start_proxies`) gets lease-backed cached reads
@@ -861,6 +970,9 @@ class KVStore(_EffectRunner):
     with no replica round, and its puts invalidate the proxy's own entry
     before they dispatch, so the store observes the same atomic register it
     would without the cache.
+
+    :meth:`close` fails whatever the store still has in flight with
+    ``ConnectionError`` and leaves the link to the other stores.
     """
 
     def __init__(
@@ -879,8 +991,8 @@ class KVStore(_EffectRunner):
         self.use_proxy = use_proxy
         self.completion_hook: Optional[Any] = None
         self._engine: Optional[ClientSessionEngine] = None
+        self._link: Optional[_ReplicaLink] = None  # held while connected
         self._proxy_client: Optional[AsyncProxyClient] = None
-        self._op_futures: Dict[str, asyncio.Future] = {}
 
     @property
     def engine(self) -> ClientSessionEngine:
@@ -899,6 +1011,7 @@ class KVStore(_EffectRunner):
     # -- connecting --------------------------------------------------------------
 
     async def connect(self) -> None:
+        self._link = self.cluster._join_link(self)
         if self.use_proxy:
             proxy_id = (
                 self.cluster.assign_proxy()
@@ -910,7 +1023,7 @@ class KVStore(_EffectRunner):
             self.run_effects(self._engine.on_connected(proxy_id))
             return
         self._start_engine([])
-        await self._connect_groups(self.client_id)
+        await self._link.dial()
 
     def _start_engine(self, candidates: List[str]) -> None:
         self._engine = ClientSessionEngine(
@@ -921,10 +1034,24 @@ class KVStore(_EffectRunner):
             max_batch=self.max_batch,
             proxy_candidates=candidates,
             observer=self.cluster.hub.scoped("client", self.client_id),
+            link=self._link.engine,
         )
-        self._bind(
-            self._engine, connect=self._connect_ingress, complete=self._on_operation
-        )
+        if candidates:
+            # Only a proxy leg has frames and timers of the store's own.
+            self._bind(
+                self._engine,
+                connect=self._connect_ingress,
+                complete=self._link.complete,
+            )
+
+    def _run(self, effects: Sequence[Effect]) -> None:
+        """Execute what the session returned on the leg it is on: the link's
+        runtime holds the direct leg's timers, this store's the proxy leg's
+        (``engine/client.py``, "Whose effects")."""
+        if self._engine.proxy_id is None:
+            self._link.run_effects(effects)
+        else:
+            self.run_effects(effects)
 
     async def _dial_proxy(self, proxy_id: str) -> None:
         host, port = self.cluster.proxy_endpoint(proxy_id)
@@ -952,8 +1079,8 @@ class KVStore(_EffectRunner):
         if stale is not None:
             await stale.close()
         if target == DIRECT_INGRESS:
-            await self._connect_groups(self.client_id)
-            self.run_effects(self.engine.on_connected(DIRECT_INGRESS))
+            await self._link.dial()
+            self._link.run_effects(self.engine.on_connected(DIRECT_INGRESS))
             return
         try:
             await self._dial_proxy(target)
@@ -964,11 +1091,17 @@ class KVStore(_EffectRunner):
         self.run_effects(self.engine.on_connected(target))
 
     async def close(self) -> None:
+        link = self._link
+        if link is None:
+            return  # never connected, or closed already
+        if self._engine is not None:
+            self._run(self._engine.close())
+        self._link = None
         await self._shutdown_runner()
         if self._proxy_client is not None:
             await self._proxy_client.close()
             self._proxy_client = None
-        await self._close_groups()
+        await self.cluster._leave_link(link, self)
 
     # -- operations --------------------------------------------------------------
 
@@ -993,43 +1126,43 @@ class KVStore(_EffectRunner):
 
     async def _run_op(self, kind: OpKind, key: str, value: Any = None) -> OperationOutcome:
         engine = self.engine  # raises if not connected
+        link = self._link
+        if link is None:
+            raise ConnectionError(f"store {self.client_id} is closed")
         future = asyncio.get_running_loop().create_future()
         op_id, effects = engine.invoke(kind, key, value)
-        self._op_futures[op_id] = future
-        self._runtime.run(effects)
+        link.waiting[op_id] = (future, self)
+        self._run(effects)
         try:
             return await future
         finally:
-            self._op_futures.pop(op_id, None)
+            link.waiting.pop(op_id, None)
 
-    # -- effect execution hooks --------------------------------------------------
-
-    def _peer_connection(self, destination: str) -> Optional[FramedConnection]:
+    def _connection_to(self, destination: str) -> Optional[FramedConnection]:
         link = self._proxy_client
         if link is not None and destination == link.proxy_id:
             return link.connection
         return None
 
-    def _on_operation(self, effect) -> None:
-        future = self._op_futures.pop(effect.op_id, None)
-        if future is None or future.done():
-            return
-        if isinstance(effect, OpFailed):
-            future.set_exception(effect.error)
-            return
-        future.set_result(effect.outcome)
-        if self.completion_hook is not None:
-            self.completion_hook()
-
     # -- introspection -----------------------------------------------------------
 
     def batch_stats(self) -> BatchStats:
-        """This store's own coalescing/frame statistics (direct connections
-        or the proxy connection, whichever is in use -- each frame counted
-        once, so stores and proxies merge without double-counting)."""
+        """Coalescing/frame statistics of the path this store's rounds take.
+
+        Behind a proxy: its own proxy connection's.  Talking to the replicas
+        directly: the *link's* -- the frames of every direct store of the
+        process and loop, which no single store owns once rounds of several
+        ride one frame (a snapshot; the link is gone once the store closed).
+        Each frame is counted once, at the link or at the store, so a run's
+        total is every store's proxy leg plus its links, each taken once --
+        not the sum of this over the direct stores.
+        """
         if self._engine is None:
             return BatchStats()
-        return self._engine.stats.copy()
+        stats = self._engine.stats.copy()
+        if self._engine.proxy_id is None and self._link is not None:
+            stats.merge(self._link.engine.stats)
+        return stats
 
     def frames_sent(self) -> int:
         return self.batch_stats().frames_sent
@@ -1186,11 +1319,15 @@ def run_asyncio_kv_workload(
     read_cache: int = 0,
     lease_ttl: float = NET_LEASE_TTL,
     bounded_staleness: bool = False,
+    crashes_per_group: int = 0,
+    crash_seed: int = 0,
 ) -> KVRunResult:
     """Run a closed-loop kv workload over loopback TCP and collect results.
 
-    Every workload client becomes one :class:`KVStore` (its own connections
-    and batching), all sharing one replica cluster and one history recorder.
+    Every workload client becomes one :class:`KVStore` (its own identity,
+    per-key order and, behind a proxy, connection), all sharing one replica
+    cluster, one history recorder and -- talking to the replicas directly --
+    one replica link, so their rounds ride the same batch frames.
     ``resize_to`` triggers a *live* resize once ``resize_after_ops``
     operations completed (default: half the workload), with the remaining
     operations still in flight.  ``use_proxy`` starts ``num_proxies``
@@ -1210,6 +1347,12 @@ def run_asyncio_kv_workload(
     ``lease_ttl`` wall-clock seconds; ``bounded_staleness`` lets expired
     (but not invalidated) entries serve reads for another half-``lease_ttl``
     instead of guaranteeing atomicity.
+
+    ``crashes_per_group`` kills that many replicas of every group (capped at
+    the group's fault budget, victims drawn from ``crash_seed``) once a
+    quarter of the workload's operations completed: rounds that were asking
+    a victim widen to the rest of their group and every operation still
+    completes.
     """
     clients = workload.clients
     shard_map = default_shard_map(
@@ -1241,12 +1384,15 @@ def run_asyncio_kv_workload(
         stores: Dict[str, KVStore] = {}
         kill_tasks: "set[asyncio.Task]" = set()
 
-        def kill(victim: str) -> None:
+        def start_kill(killing) -> None:
             # Keep a strong reference: the loop holds tasks weakly, and
-            # a collected kill task would silently never sever the proxy.
-            task = asyncio.get_running_loop().create_task(cluster.kill_proxy(victim))
+            # a collected kill task would silently never sever its victim.
+            task = asyncio.get_running_loop().create_task(killing)
             kill_tasks.add(task)
             task.add_done_callback(kill_tasks.discard)
+
+        def kill(victim: str) -> None:
+            start_kill(cluster.kill_proxy(victim))
 
         hooks, resize_info, kill_record = arm_triggers(
             workload,
@@ -1261,6 +1407,24 @@ def run_asyncio_kv_workload(
             kill=kill,
             kill_proxy_after_ops=kill_proxy_after_ops if use_proxy else None,
         )
+
+        if crashes_per_group > 0:
+            rng = SeededRng(crash_seed)
+            victims = [
+                victim
+                for group in shard_map.groups.values()
+                for victim in rng.sample(
+                    list(group.servers), min(crashes_per_group, group.max_faults)
+                )
+            ]
+            threshold = max(1, workload.total_operations() // 4)
+
+            def crash_replicas() -> None:
+                if victims and recorder.completed_operations >= threshold:
+                    while victims:
+                        start_kill(cluster.kill_server(victims.pop()))
+
+            hooks.append(crash_replicas)
 
         def run_hooks() -> None:
             for hook in hooks:
@@ -1307,6 +1471,7 @@ def run_asyncio_kv_workload(
             # once teardown has cancelled (and counted) the last timers.
             proxy_engines = [proxy.engine for proxy in cluster.proxies.values()]
             server_logics = list(cluster.server_logics.values())
+            links = [link.engine for link in cluster._links.values()]
         finally:
             for store in stores.values():
                 await store.close()
@@ -1318,6 +1483,7 @@ def run_asyncio_kv_workload(
             max_batch,
             duration=duration,
             client_engines=(store.engine for store in stores.values()),
+            links=links,
             proxy_engines=proxy_engines,
             server_logics=server_logics,
             control=cluster.control,

@@ -31,6 +31,7 @@ from .engine import (
     BatchStats,
     ClientSessionEngine,
     ControlPlaneEngine,
+    DirectLink,
     GroupServerEngine,
     ProxyEngine,
     pick_one_proxy_per_site,
@@ -181,6 +182,10 @@ class KVRunResult:
     #: Autoscaler record ({"actions": [...], "drains_completed": N,
     #: "ranges_drained": N}) when the run armed the autoscaler.
     autoscale: Optional[Dict[str, object]] = None
+    #: The direct link the run's clients shared, where the backend has one and
+    #: any client rode it ({"stores": how many did, by the end of the run,
+    #: **BatchStats.as_dict()}).
+    direct_link: Optional[Dict[str, object]] = None
 
     def throughput(self) -> float:
         """Completed operations per time unit, over the time they took."""
@@ -362,16 +367,22 @@ def fold_run_result(
     autoscale: bool,
     messages_sent: Optional[int] = None,
     elapsed: Optional[float] = None,
+    links: Iterable[DirectLink] = (),
 ) -> KVRunResult:
     """Fold a finished run's engines, registry and recorder into its result.
 
     Every counter is read off the sans-I/O engines, so both backends count
-    the same things the same way.  ``messages_sent`` is the transport's own
+    the same things the same way.  ``links`` are the direct links the
+    clients *shared* (a client's private link counts into the client's own
+    ``stats``): each is folded into the client tier once, whatever the number
+    of sessions on it.  ``messages_sent`` is the transport's own
     frame count where it keeps one (the simulated network); ``None`` uses
     the client and proxy tiers' ``frames_total``; ``elapsed`` is when the
     last operation completed, where that is earlier than ``duration``.
     """
     clients, proxies, logics = list(client_engines), list(proxy_engines), list(server_logics)
+    links = list(links)
+    riders = [e for e in clients if e.link in links and e.proxy_id is None]
 
     def merged(engines: List[Any]) -> BatchStats:
         stats = BatchStats()
@@ -388,7 +399,7 @@ def fold_run_result(
         duration=duration,
         elapsed=duration if elapsed is None else elapsed,
         completed_ops=recorder.completed_operations,
-        batch_stats=merged(clients),
+        batch_stats=merged(clients + links),
         num_groups=len(shard_map.groups),
         stale_replays=sum(e.stale_replays for e in clients + proxies),
         resize=resize,
@@ -416,6 +427,9 @@ def fold_run_result(
             else None
         ),
         metrics=registry.snapshot(),
+        direct_link=(
+            {"stores": len(riders), **merged(links).as_dict()} if riders else None
+        ),
         autoscale=(
             {
                 "actions": [

@@ -200,9 +200,16 @@ class TestCommands:
         assert first == second
         assert "ATOMIC" in first
 
-    def test_kv_crashes_require_sim_backend(self):
-        with pytest.raises(SystemExit, match="sim backend"):
-            main(["kv", "--backend", "asyncio", "--crashes", "1"])
+    def test_kv_crashes_on_asyncio_widen_through_the_shared_link(self, capsys):
+        assert main(["kv", "--backend", "asyncio", "--clients", "4", "--ops", "12",
+                     "--keys", "8", "--crashes", "1"]) == 0
+        output = capsys.readouterr().out
+        assert "48 completed (48 scheduled)" in output
+        assert "direct link        : 4 stores, mean batch" in output
+        (rounds,) = [line for line in output.splitlines()
+                     if line.startswith("replica rounds")]
+        assert int(rounds.split("/")[1].split()[0]) >= 1  # widened to the group
+        assert "ATOMIC" in output
 
     def test_kv_resilience_line_on_both_backends(self, capsys):
         # The replay/failover/bounce counters print on every run (zeroes

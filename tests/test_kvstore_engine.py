@@ -413,6 +413,10 @@ def asyncio_trace(use_proxy=False, script=SCRIPT, read_cache=0):
         await store.connect()
         client_trace, proxy_trace = [], []
         tap(store.engine, client_trace)
+        # A standalone session is fed its link's frames and timers itself;
+        # here the adapter feeds the process's shared link, so the client's
+        # effect stream is the two taken together.
+        tap(store.engine.link, client_trace)
         if use_proxy:
             tap(cluster.proxies["p1"].engine, proxy_trace)
         try:

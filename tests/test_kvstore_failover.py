@@ -282,7 +282,7 @@ class TestAsyncioProxyFailover:
                 assert await store.get("k") == "v2"
                 assert store.proxy_failovers == 1
                 assert store._proxy_client is None
-                assert store._group_clients  # direct replica connections
+                assert store._link._group_clients  # the link's replica connections
                 verdict = store.check()
                 assert verdict.all_atomic, verdict.summary()
             finally:
@@ -314,7 +314,7 @@ class TestAsyncioProxyFailover:
                 assert store.proxy_failovers == 1
                 assert store._proxy_client is None
                 # Fully connected direct: one group client per group.
-                assert set(store._group_clients) == set(shard_map.groups)
+                assert set(store._link._group_clients) == set(shard_map.groups)
                 verdict = store.check()
                 assert verdict.all_atomic, verdict.summary()
             finally:
@@ -472,7 +472,7 @@ class TestAsyncioReplicaLoss:
                 assert values == ["before"] * len(keys)
                 verdict = store.check()
                 assert verdict.all_atomic, verdict.summary()
-                owner = cluster.proxies["p1"].engine if use_proxy else store.engine
+                owner = cluster.proxies["p1"].engine if use_proxy else store.engine.link
                 return owner.stats, cluster.metrics.snapshot()
             finally:
                 await store.close()
@@ -511,7 +511,7 @@ class TestAsyncioReplicaLoss:
                     await asyncio.wait_for(
                         store.get("k0"), 2 * FAST_RETRY.transient_window
                     )
-                return outcomes, store.engine.stats
+                return outcomes, store.engine.link.stats
             finally:
                 await store.close()
                 await cluster.stop()

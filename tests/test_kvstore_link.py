@@ -1,0 +1,412 @@
+"""One replica link per process: direct stores over real loopback TCP.
+
+Every :class:`KVStore` that talks to the replicas directly rides the replica
+link of its cluster and event loop -- one :class:`DirectLink`, one effect
+runtime, one connection per replica -- so rounds of different stores leave in
+one batch frame.  The sans-I/O half is pinned by the link rows of
+``test_kvstore_rounds``; this file pins what only sockets show: who dials
+whom, what survives a kill, whose futures a close fails, what an operator
+sees, and that sharing a socket never merges two *clients*.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import threading
+
+import pytest
+
+from repro.core import ProtocolError
+from repro.kvstore import AsyncKVCluster, KVStore, ShardMap, check_per_key_atomicity
+from repro.kvstore.perkey import KVHistoryRecorder
+from repro.messages import BATCH_KIND, unpack_batch
+from repro.observe import TraceCollector, validate_metrics_snapshot
+
+from test_kvstore_failover import FAST_RETRY
+
+
+async def _started(shard_map, stores=4, proxied=(), **cluster_kwargs):
+    """A started cluster with ``stores`` connected stores ``c1..cN`` sharing a
+    recorder; the ids in ``proxied`` connect through proxy ``p1``."""
+    cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY, **cluster_kwargs)
+    await cluster.start()
+    if proxied:
+        await cluster.start_proxies(1)
+    ticks = asyncio.get_running_loop().time
+    recorder = KVHistoryRecorder(ticks)
+    connected = []
+    for index in range(1, stores + 1):
+        client_id = f"c{index}"
+        store = KVStore(
+            cluster, client_id=client_id, recorder=recorder,
+            use_proxy="p1" if client_id in proxied else None,
+        )
+        await store.connect()
+        connected.append(store)
+    return cluster, connected, recorder
+
+
+async def _stopped(cluster, stores):
+    for store in stores:
+        await store.close()
+    await cluster.stop()
+
+
+def _link_of(store):
+    return store.engine.link
+
+
+class TestOneLinkPerProcess:
+    def test_four_stores_dial_each_replica_once_and_share_frames(self):
+        async def scenario():
+            shard_map = ShardMap(4, num_groups=2, readers=4, writers=4)
+            cluster, stores, recorder = await _started(shard_map)
+            try:
+                assert len({id(_link_of(store)) for store in stores}) == 1
+                assert len({id(store.engine) for store in stores}) == 4
+                for replica in cluster.replicas.values():
+                    assert len(replica._connections) == 1
+                # One operation per store, all in the same turn of the loop.
+                seen = []
+                for logic in cluster.server_logics.values():
+                    original = logic.on_frame
+
+                    def on_frame(frame, _original=original):
+                        if frame.kind == BATCH_KIND:
+                            seen.append((frame.sender, unpack_batch(frame)))
+                        return _original(frame)
+
+                    logic.on_frame = on_frame
+                await asyncio.gather(*(
+                    store.put(f"k{index}", index) for index, store in enumerate(stores)
+                ))
+                link_id = _link_of(stores[0]).link_id
+                assert {sender for sender, _ in seen} == {link_id}
+                merged = max(seen, key=lambda frame: len(frame[1]))[1]
+                # Subs of several clients in one frame, each under its own name.
+                assert len({sub.message.sender for sub in merged}) >= 2
+                assert {sub.message.sender for _, subs in seen for sub in subs} == {
+                    "c1", "c2", "c3", "c4"
+                }
+                values = await asyncio.gather(*(
+                    store.get(f"k{index}") for index, store in enumerate(stores)
+                ))
+                assert values == [0, 1, 2, 3]
+                # Every frame is counted once, at the link; sessions count
+                # only a proxy leg, and these have none.
+                link_stats = _link_of(stores[0]).stats
+                assert link_stats.frames_sent == sum(
+                    logic.batches_served for logic in cluster.server_logics.values()
+                )
+                assert all(store.engine.stats.frames_total == 0 for store in stores)
+                assert stores[0].batch_stats().frames_sent == link_stats.frames_sent
+                assert check_per_key_atomicity(recorder.histories()).all_atomic
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_a_replica_killed_under_load_from_every_store_widens_and_completes(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=4, writers=4)
+            cluster, stores, recorder = await _started(
+                shard_map, service_overhead=0.01
+            )
+            try:
+                async def load(store, index):
+                    for i in range(8):
+                        key = f"k{(index + i) % 5}"
+                        await store.put(key, f"{store.client_id}-{i}")
+                        await store.get(key)
+
+                work = [
+                    asyncio.create_task(load(store, index))
+                    for index, store in enumerate(stores)
+                ]
+                await asyncio.sleep(0.03)
+                await cluster.kill_server(shard_map.groups["g1"].servers[0])
+                await asyncio.wait_for(asyncio.gather(*work), 30.0)
+                assert recorder.completed_operations == 4 * 16
+                assert _link_of(stores[0]).stats.rounds_widened >= 1
+                assert check_per_key_atomicity(recorder.histories()).all_atomic
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_more_kills_than_the_fault_budget_fail_every_stores_ops_in_time(self):
+        async def scenario():
+            shard_map = ShardMap(1, num_groups=1, readers=4, writers=4)
+            cluster, stores, _ = await _started(shard_map, service_overhead=0.05)
+            try:
+                for index, store in enumerate(stores):
+                    await store.put(f"k{index}", "before")
+                reads = [
+                    asyncio.create_task(store.get(f"k{index}"))
+                    for index, store in enumerate(stores)
+                ]
+                await asyncio.sleep(0.01)
+                for victim in shard_map.groups["g1"].servers[:2]:
+                    await cluster.kill_server(victim)
+                windows = 2 + FAST_RETRY.max_round_timeouts + 1
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*reads, return_exceptions=True),
+                    windows * FAST_RETRY.silence_window,
+                )
+                assert all(isinstance(o, ProtocolError) for o in outcomes), outcomes
+                assert all("no quorum" in str(o) for o in outcomes)
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_live_resize_through_the_link_stays_atomic(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=2, readers=4, writers=4)
+            cluster, stores, recorder = await _started(shard_map)
+            try:
+                async def load(store, index):
+                    for i in range(10):
+                        key = f"k{(3 * index + i) % 7}"
+                        await store.put(key, f"{store.client_id}-{i}")
+                        assert await store.get(key) is not None
+
+                work = [
+                    asyncio.create_task(load(store, index))
+                    for index, store in enumerate(stores)
+                ]
+                await asyncio.sleep(0.005)
+                cluster.resize(6)
+                await asyncio.wait_for(asyncio.gather(*work), 30.0)
+                await cluster.flush_migrations()
+                assert recorder.completed_operations == 4 * 20
+                verdict = check_per_key_atomicity(recorder.histories())
+                assert verdict.all_atomic, verdict.summary()
+                # What the replicas fenced was replayed, and counted on the
+                # sessions whose rounds it hit (the link keeps no such count).
+                bounced = sum(l.stale_bounces for l in cluster.server_logics.values())
+                replayed = sum(
+                    store.engine.stale_replays + store.engine.drain_backoffs
+                    for store in stores
+                )
+                assert (replayed > 0) == (bounced > 0)
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+
+class TestIdentitySurvivesTheMerge:
+    def test_two_stores_on_one_link_remain_two_readers_at_the_replicas(self):
+        # The asyncio twin of test_fast_read_protocol_on_shards: the paper's
+        # W2R1 on S = 5, t = 1 admits R = 2 readers, and its servers keep a
+        # per-client ``updated`` set.  Sharing a socket must not merge them.
+        async def scenario():
+            shard_map = ShardMap(
+                1, protocol_key="fast-read-mwmr", servers_per_shard=5,
+                num_groups=1, readers=2, writers=2,
+            )
+            cluster, stores, recorder = await _started(shard_map, stores=2)
+            first, second = stores
+            try:
+                await first.put("k", "v1")
+                assert await asyncio.gather(first.get("k"), second.get("k")) == ["v1", "v1"]
+                await second.put("k", "v2")
+                assert await asyncio.gather(first.get("k"), second.get("k")) == ["v2", "v2"]
+                link_id = _link_of(first).link_id
+                (shard_id,) = shard_map.shards
+                recorded = set()
+                for logic in cluster.server_logics.values():
+                    register = logic.register_for(shard_id, "k")
+                    for entry in register.vector.values():
+                        recorded |= entry.updated
+                assert recorded == {"c1", "c2"} and link_id not in recorded
+                for history in recorder.histories().values():
+                    assert all(op.round_trips == 1 for op in history.reads)
+                assert check_per_key_atomicity(recorder.histories()).all_atomic
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+
+class TestLifecycleAndIsolation:
+    def test_closing_a_store_fails_its_own_operations_and_only_those(self):
+        async def scenario():
+            shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
+            cluster, stores, _ = await _started(
+                shard_map, stores=2, service_overhead=0.05
+            )
+            leaving, staying = stores
+            try:
+                await staying.put("mine", "v")
+                doomed = [
+                    asyncio.create_task(leaving.put("k", "a")),
+                    asyncio.create_task(leaving.put("k", "b")),  # backlogged
+                    asyncio.create_task(leaving.get("other")),
+                ]
+                kept = asyncio.create_task(staying.get("mine"))
+                await asyncio.sleep(0.01)
+                assert not any(task.done() for task in doomed + [kept])
+                link = _link_of(leaving)
+                await leaving.close()
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*doomed, return_exceptions=True), 1.0
+                )
+                assert all(isinstance(o, ConnectionError) for o in outcomes), outcomes
+                assert all(round.session is staying.engine
+                           for round in link._pending.values())
+                assert await asyncio.wait_for(kept, 2.0) == "v"
+                await staying.put("mine", "w")
+                with pytest.raises(ConnectionError):
+                    await leaving.get("k")
+                await leaving.close()  # idempotent
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_the_last_store_out_closes_the_connections_and_every_timer(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=2, writers=2)
+            cluster, stores, _ = await _started(shard_map, stores=2)
+            try:
+                for store in stores:
+                    await store.put("k", store.client_id)
+                link = stores[0]._link
+                runtime = link._runtime
+                connections = [
+                    group_client.connection_for(server_id)
+                    for group_client in link._group_clients.values()
+                    for server_id in group_client.endpoints
+                ]
+                await stores[0].close()
+                assert cluster._links and not any(c.closing for c in connections)
+                assert runtime.timers  # the silence window is still armed
+                await stores[1].close()
+                assert not cluster._links and all(c.closing for c in connections)
+                assert not runtime.timers and not link._io_tasks
+                scope = cluster.metrics._counters
+                link_id = link.engine.link_id
+                armed, fired, cancelled = (
+                    scope[("client", link_id, name)]
+                    for name in ("timers_armed", "timers_fired", "timers_cancelled")
+                )
+                assert armed > 0 and armed == fired + cancelled
+                # A store that connects afterwards starts a fresh link.
+                late = KVStore(cluster, client_id="c3")
+                await late.connect()
+                stores.append(late)
+                assert late.engine.link.link_id != link_id
+                assert await late.get("k") in ("c1", "c2")
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_stores_on_different_loops_never_share_a_link(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=2, writers=2)
+            cluster, stores, _ = await _started(shard_map, stores=1)
+            (here,) = stores
+            found = {}
+
+            def elsewhere():
+                async def visit():
+                    there = KVStore(cluster, client_id="c2")
+                    await there.connect()
+                    try:
+                        await there.put("theirs", "x")
+                        found["link_id"] = there.engine.link.link_id
+                        found["links"] = len(cluster._links)
+                    finally:
+                        await there.close()
+
+                asyncio.run(visit())
+
+            try:
+                await here.put("ours", "y")
+                thread = threading.Thread(target=elsewhere)
+                thread.start()
+                await asyncio.get_running_loop().run_in_executor(None, thread.join, 10.0)
+                assert not thread.is_alive()
+                assert found["links"] == 2
+                assert found["link_id"] != here.engine.link.link_id
+                assert len(cluster._links) == 1
+                assert await here.get("theirs") == "x"
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_a_store_out_of_proxies_lands_on_the_link_the_direct_stores_ride(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=2, readers=2, writers=2)
+            cluster, stores, recorder = await _started(
+                shard_map, stores=2, proxied=("c2",)
+            )
+            direct, proxied = stores
+            try:
+                await direct.put("a", "1")
+                await proxied.put("b", "2")
+                assert proxied.engine.link is direct.engine.link
+                await cluster.kill_proxy("p1")
+                await proxied.put("b", "3")
+                assert await proxied.get("a") == "1"
+                assert proxied.proxy_failovers == 1 and proxied.engine.proxy_id is None
+                # One connection per replica, still: the link's.
+                for replica in cluster.replicas.values():
+                    assert len(replica._connections) == 1
+                # Its proxy leg stays on its own books; the rest is the link's.
+                assert proxied.engine.stats.frames_sent > 0
+                assert direct.engine.stats.frames_total == 0
+                assert check_per_key_atomicity(recorder.histories()).all_atomic
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+
+class TestWhatAnOperatorSees:
+    def test_span_trees_and_metrics_of_two_stores_that_shared_a_frame(self):
+        async def scenario():
+            collector = TraceCollector()
+            shard_map = ShardMap(2, num_groups=1, readers=2, writers=2)
+            cluster, stores, _ = await _started(
+                shard_map, stores=2, trace_collector=collector
+            )
+            try:
+                await asyncio.gather(stores[0].put("k1", "a"), stores[1].put("k2", "b"))
+                await asyncio.gather(stores[0].get("k2"), stores[1].get("k1"))
+                link = _link_of(stores[0])
+                assert link.stats.largest >= 2  # rounds of both rode one frame
+                trees = [collector.span_tree(tid) for tid in collector.trace_ids()]
+                assert len(trees) == 4
+                for tree in trees:
+                    root = tree["root"]
+                    assert root["tier"] == "client"
+                    assert root["component"] in ("c1", "c2")
+                    kinds = [event["kind"] for event in root["events"]]
+                    assert kinds[0] == "op.invoked" and kinds[-1] == "op.completed"
+                    assert "round.opened" in kinds
+                    replicas = root["children"]
+                    assert replicas and all(c["tier"] == "replica" for c in replicas)
+                    assert all(
+                        event["kind"] == "sub.served"
+                        for child in replicas for event in child["events"]
+                    )
+                return cluster.metrics, link.link_id
+            finally:
+                await _stopped(cluster, stores)
+
+        registry, link_id = asyncio.run(scenario())
+        validate_metrics_snapshot(registry.snapshot())
+        counters = registry._counters
+        # Frames and batches are the link's; ops and rounds each session's.
+        assert counters[("client", link_id, "frames_sent")] > 0
+        assert counters[("client", link_id, "ops_invoked")] == 0
+        for client_id in ("c1", "c2"):
+            assert counters[("client", client_id, "ops_completed")] == 2
+            assert counters[("client", client_id, "rounds_opened")] >= 2
+            assert counters[("client", client_id, "frames_sent")] == 0
+        assert registry.histogram("client", link_id, "batch_size").count > 0

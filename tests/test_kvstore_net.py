@@ -161,12 +161,13 @@ class TestKVStoreFacade:
                 server_id = next(iter(cluster.shard_map.groups.values())).servers[0]
                 frame = Message("c1", server_id, kind="batch-ack", payload={})
                 reported = []
-                engine = store._runtime.engine
+                link = store._link  # whose connections a direct store sends on
+                engine = link.engine
                 engine.on_frame_undeliverable = (
                     lambda frame, error, retryable=True:
                     reported.append((frame, error, retryable)) or []
                 )
-                assert store._send(SendFrame(server_id, frame)) == []
+                assert link._send(SendFrame(server_id, frame)) == []
                 (seen, error, retryable), = reported
                 assert seen is frame and retryable is False
                 assert isinstance(error, FrameError) and "batch-ack" in str(error)

@@ -2,8 +2,9 @@
 
 A quorum round against a replica group -- queue, batch, collect ``wait_for``
 replies, replay on a stale bounce, retry or fail when replicas are lost -- is
-run by two engines: :class:`ClientSessionEngine` (direct ingress) and
-:class:`ProxyEngine` (every forwarded round).  This file pins what that
+run by two engines: :class:`ClientSessionEngine` (direct ingress, through the
+:class:`DirectLink` it holds) and :class:`ProxyEngine` (every forwarded
+round).  This file pins what that
 machinery does from the outside, with one scenario table run against *both*
 owners through nothing but their public inputs (``invoke`` / ``on_frame`` /
 ``on_timer`` / ``on_peer_lost`` / ``on_frame_undeliverable``) on the
@@ -22,7 +23,10 @@ how a round enters (an invocation vs a forwarded ``proxy`` frame), the retry
 timer's id (``("retry", op_id)`` vs ``("pretry", scoped_id, round_trip)``),
 and the outcome (``OpCompleted`` / ``OpFailed`` vs a ``proxy-ack`` with
 replies or an error string).  The proxy-only rows cover what only a proxy has:
-round timeouts, explicit read policies, cache fills and ``sever()``.
+round timeouts, explicit read policies, cache fills and ``sever()``; the
+link-only rows (mode ``"link"``: one :class:`DirectLink` fed by the sessions
+``c1`` and ``c2``) cover what only a shared link has: frames merged across
+sessions, and one of them going away.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.kvstore.engine import (
     CachedShardView,
     CancelTimer,
     ClientSessionEngine,
+    DirectLink,
     GroupServerEngine,
     NearestQuorum,
     OpCompleted,
@@ -64,6 +69,7 @@ from repro.messages import (
     make_lease_release,
     make_proxy_request,
     unpack_batch,
+    unpack_batch_ack,
     unpack_proxy_ack,
 )
 
@@ -80,7 +86,9 @@ POLICY = RetryPolicy(
 )
 SILENCE = ("silence",)
 
-_INPUTS = ("invoke", "on_frame", "on_timer", "on_peer_lost", "on_frame_undeliverable")
+_INPUTS = (
+    "invoke", "on_frame", "on_timer", "on_peer_lost", "on_frame_undeliverable", "close",
+)
 
 
 class _ProxyAckSink:
@@ -93,8 +101,11 @@ class _ProxyAckSink:
 class Rig:
     """One owner of replica rounds over real replicas on a ``MemoryFabric``.
 
-    ``mode`` is ``"direct"`` (a :class:`ClientSessionEngine` with no proxy)
-    or ``"proxy"`` (a :class:`ProxyEngine` fed forwarded rounds by hand).
+    ``mode`` is ``"direct"`` (a :class:`ClientSessionEngine` with no proxy),
+    ``"proxy"`` (a :class:`ProxyEngine` fed forwarded rounds by hand) or
+    ``"link"`` (a :class:`DirectLink` shared by the sessions ``c1`` and
+    ``c2``, whose invocations are logged with the link's own inputs and
+    executed as the link's effects).
     Every effect list the owner returns is logged as ``(input, effects)``
     before the fabric executes it.
     """
@@ -102,8 +113,9 @@ class Rig:
     def __init__(self, mode, policy=POLICY, num_groups=1, max_batch=8,
                  shard_map=None, hub=None, **proxy_kwargs):
         self.mode = mode
+        clients = 2 if mode == "link" else 1
         self.shard_map = shard_map or ShardMap(
-            1, num_groups=num_groups, readers=1, writers=1
+            1, num_groups=num_groups, readers=clients, writers=clients
         )
         self.shard_id = next(iter(self.shard_map.shards))
         self.fabric = MemoryFabric()
@@ -118,20 +130,31 @@ class Rig:
                     server_id, group.protocol, dict(hosted), lease_ttl=1000.0
                 )
                 self.fabric.register(server_id, self.replicas[server_id])
-        self.owner_id = "c1" if mode == "direct" else "p1"
+        self.owner_id = {"direct": "c1", "proxy": "p1", "link": "L"}[mode]
         observer = None
         if hub is not None:
             hub.clock = lambda: self.fabric.now
             observer = hub.scoped(
-                "client" if mode == "direct" else "proxy", self.owner_id
+                "proxy" if mode == "proxy" else "client", self.owner_id
             )
+        ticks = itertools.count()
+        recorder = KVHistoryRecorder(lambda: float(next(ticks)))
+        self.sessions = {}
         if mode == "direct":
             assert not proxy_kwargs
-            ticks = itertools.count()
             self.owner = ClientSessionEngine(
-                "c1", self.shard_map, KVHistoryRecorder(lambda: float(next(ticks))),
+                "c1", self.shard_map, recorder,
                 policy=policy, max_batch=max_batch, observer=observer,
             )
+        elif mode == "link":
+            assert not proxy_kwargs
+            self.owner = DirectLink("L", policy=policy, observer=observer)
+            for client_id in ("c1", "c2"):
+                self.sessions[client_id] = ClientSessionEngine(
+                    client_id, self.shard_map, recorder, policy=policy,
+                    max_batch=max_batch, link=self.owner,
+                    observer=hub.scoped("client", client_id) if hub else None,
+                )
         else:
             self.view = CachedShardView(self.shard_map)
             self.owner = ProxyEngine(
@@ -141,10 +164,11 @@ class Rig:
             self.fabric.register("c1", _ProxyAckSink())
         self.fabric.register(self.owner_id, self.owner, observer=observer)
         self.log = []
-        for name in _INPUTS:
-            original = getattr(self.owner, name, None)
-            if original is not None:
-                setattr(self.owner, name, self._logged(name, original))
+        for engine in (self.owner, *self.sessions.values()):
+            for name in _INPUTS:
+                original = getattr(engine, name, None)
+                if original is not None:
+                    setattr(engine, name, self._logged(name, original))
         self._ops = itertools.count(1)
 
     def _logged(self, name, original):
@@ -190,23 +214,28 @@ class Rig:
 
     # -- driving the owner ------------------------------------------------------
 
-    def feed(self, name, *args, **kwargs):
-        """One public input: returns its effects, after the fabric ran them."""
-        result = getattr(self.owner, name)(*args, **kwargs)
+    def feed(self, name, *args, to=None, **kwargs):
+        """One public input (of the owner, or of the session ``to``): returns
+        its effects, after the fabric ran them -- as the owner's, always."""
+        result = getattr(to or self.owner, name)(*args, **kwargs)
         effects = result[1] if isinstance(result, tuple) else result
         self.fabric.execute(self.owner_id, effects)
         return effects
 
-    def start(self, key="k", write=False):
+    def start(self, key="k", write=False, client="c1"):
         """Open one read round for ``key``; returns the effects.
 
         ``write=True`` opens a write instead.  The direct owner runs it from
         its query round; the proxy is handed the round that mutates (the
-        query round of a write is a read's, but for ``op_kind``).
+        query round of a write is a read's, but for ``op_kind``).  On a shared
+        link ``client`` says which session invokes.
         """
-        if self.mode == "direct":
+        if self.mode != "proxy":
             kind = OpKind.WRITE if write else OpKind.READ
-            return self.feed("invoke", kind, key, "v" if write else None)
+            return self.feed(
+                "invoke", kind, key, "v" if write else None,
+                to=self.sessions.get(client),
+            )
         protocol = self.shard_map.shard_for(key).protocol
         request = next(protocol.make_opportunistic_reader("c1").read_protocol())
         if write:
@@ -937,9 +966,150 @@ PROXY_ONLY = [
     sever_drops_every_round,
 ]
 
+
+# -- rows only a shared link has ----------------------------------------------------
+
+
+def _subs(sent):
+    """``(key, sender, ident)`` of every sub-request a batch frame carries."""
+    return [
+        (sub.key, sub.message.sender, (sub.message.op_id, sub.message.round_trip))
+        for sub in unpack_batch(sent.frame)
+    ]
+
+
+def a_merged_frame_keeps_each_subs_own_sender_and_identity(make_rig):
+    rig = make_rig()
+    s1, s2, _ = rig.servers
+    assert timer_kinds(rig.start("k1", client="c1")) == ["flush"]
+    assert rig.start("k2", client="c2") == []  # rides the flush c1 armed
+    frames = rig.flush()
+    # One frame per replica asked, not one per session: the link is whom the
+    # replicas answer, and each sub still names its own client and attempt.
+    assert [(f.destination, f.frame.sender) for f in frames] == [(s1, "L"), (s2, "L")]
+    assert _subs(frames[0]) == _subs(frames[1])
+    (key1, sender1, ident1), (key2, sender2, ident2) = _subs(frames[0])
+    assert (key1, sender1, key2, sender2) == ("k1", "c1", "k2", "c2")
+    assert ident1[0].startswith("c1-read-") and ident2[0].startswith("c2-read-")
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
+    # Both came back in one ack per replica; every frame is the link's.
+    stats = rig.owner.stats
+    assert (stats.rounds, stats.sub_operations, stats.largest) == (1, 2, 2)
+    assert (stats.frames_sent, stats.frames_received, stats.rounds_narrow) == (2, 2, 2)
+    for session in rig.sessions.values():
+        assert session.stats == type(stats)()
+        assert session.completed_operations == 1
+
+
+def a_straggler_for_one_session_is_never_counted_into_anothers_quorum(make_rig):
+    rig = make_rig()
+    s1, s2, s3 = rig.servers
+    rig.kill(s2)  # silently: both rounds sit one reply short
+    rig.start("k", client="c1")
+    rig.start("k", client="c2")  # the same key: nothing but the identity differs
+    frames = rig.flush()
+    rig.run_until(lambda: rig.owner.stats.frames_received == 1)
+    assert rig.outcomes() == []
+    rig.revive()
+    ack = rig.replica_ack(frames[1])
+    (for_c1, _for_c2) = unpack_batch_ack(ack)
+    only_c1 = make_batch_ack(frames[1].frame, [for_c1])
+    assert [type(e).__name__ for e in rig.feed("on_frame", only_c1)] == ["OpCompleted"]
+    # Delivered again, c1's answer is a straggler of a finished attempt, and
+    # c2's round -- same key, same replicas asked -- still waits for its own.
+    assert rig.feed("on_frame", only_c1) == []
+    assert [kind for kind, _ in rig.outcomes()] == ["ok"]
+    assert rig.sessions["c2"].completed_operations == 0
+    rig.feed("on_frame", ack)
+    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
+    rig.run()
+
+
+def one_lost_replica_widens_every_sessions_round_in_one_frame(make_rig):
+    rig = make_rig()
+    s1, _, s3 = rig.servers
+    rig.start("k1", client="c1")
+    rig.start("k2", client="c2")
+    frames = rig.flush()
+    rig.kill(s1)
+    (widening,) = rig.feed("on_peer_lost", s1)
+    assert widening.destination == s3 and _subs(widening) == _subs(frames[0])
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
+    stats = rig.owner.stats
+    assert (stats.rounds_narrow, stats.rounds_widened, stats.frames_sent) == (2, 2, 3)
+
+
+def dropping_a_session_leaves_the_others_rounds_and_timers_alone(make_rig):
+    rig = make_rig()
+    s1, s2, s3 = rig.servers
+    rig.kill(s2)
+    rig.start("k1", client="c1")
+    rig.start("k2", client="c2")
+    rig.start("k2", client="c2")  # backlogged behind the first on its key
+    rig.flush()
+    closing = rig.feed("close", to=rig.sessions["c2"])
+    # Its two operations fail; nothing of the link's is cancelled or re-armed.
+    assert [type(e).__name__ for e in closing] == ["OpFailed", "OpFailed"]
+    assert all(isinstance(e.error, ConnectionError) for e in closing)
+    assert closing[0].key == closing[1].key == "k2"
+    # The silence window still ends for c1's round, and widens it alone.
+    (widening, rearm) = rig.await_timer()
+    assert widening.destination == s3
+    assert [(key, sender) for key, sender, _ in _subs(widening)] == [("k1", "c1")]
+    assert rearm == StartTimer(SILENCE, POLICY.silence_window)
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["failed", "failed", "ok"]
+    assert rig.sessions["c1"].completed_operations == 1
+    # The answers to c2's sub arrived with c1's and found no round.
+    assert rig.sessions["c2"].completed_operations == 0
+    # A session in retry backoff when it goes takes its retry timer with it.
+    rig.kill()
+    rig.start("k3", client="c1")
+    rig.start("k4", client="c2")
+    sent = rig.flush()
+    rig.feed("on_peer_lost", s1)
+    timers = [e.timer_id for e in rig.feed("on_peer_lost", s3)]
+    retry_c2 = next(t for t in timers if t[1].startswith("c2-"))
+    assert len(timers) == 2 and rig.ident(sent[0])[0] in {t[1] for t in timers}
+    closing = rig.feed("close", to=rig.sessions["c2"])
+    assert closing[0] == CancelTimer(retry_c2)
+    assert [type(e).__name__ for e in closing[1:]] == ["OpFailed"]
+    rig.revive()
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()][3:] == ["failed", "ok"]
+    assert rig.owner._pending == {} and rig.owner._retrying == {}
+
+
+def max_batch_cuts_across_sessions(make_rig):
+    rig = make_rig(max_batch=2)
+    assert rig.owner.max_batch == 2  # the largest an attached session asked for
+    assert timer_kinds(rig.start("k1", client="c1")) == ["flush"]
+    effects = rig.start("k2", client="c2")  # the queue is full: cut at once
+    rest = rig.widened(effects, to=rig.servers[:2])
+    assert rest == [StartTimer(SILENCE, POLICY.silence_window)]
+    assert [sender for _, sender, _ in _subs(effects[0])] == ["c1", "c2"]
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
+    # A session that asks for more raises the cap for everybody.
+    ClientSessionEngine(
+        "c3", rig.shard_map, rig.sessions["c1"].recorder, max_batch=5, link=rig.owner
+    )
+    assert rig.owner.max_batch == 5
+
+
+LINK_ONLY = [
+    a_merged_frame_keeps_each_subs_own_sender_and_identity,
+    a_straggler_for_one_session_is_never_counted_into_anothers_quorum,
+    one_lost_replica_widens_every_sessions_round_in_one_frame,
+    dropping_a_session_leaves_the_others_rounds_and_timers_alone,
+    max_batch_cuts_across_sessions,
+]
+
 TABLE = [(mode, row) for row in COMMON for mode in ("direct", "proxy")] + [
     ("proxy", row) for row in PROXY_ONLY
-]
+] + [("link", row) for row in LINK_ONLY]
 
 
 def run_row(mode, row):

@@ -276,11 +276,11 @@ class TestGroupClientLink:
             await store.connect()
             try:
                 await store.put("k", "v0")
-                group_client = store._group_clients["g1"]
+                group_client = store._link._group_clients["g1"]
                 victim = shard_map.groups["g1"].servers[0]
                 link = group_client.connection_for(victim)
                 # The replica's side of the link misbehaves.
-                server_side = cluster.replicas[victim]._peers["c1"]
+                server_side = cluster.replicas[victim]._peers[store.engine.link.link_id]
                 server_side.send(bad)
                 if bad is TRUNCATED:
                     server_side.close()
