@@ -1,10 +1,12 @@
-"""The four hot endpoints over loopback TCP: bad frames, ownership, no tasks.
+"""The hot endpoints over loopback TCP: bad frames, lost connections, no tasks.
 
 Every endpoint is a ``FramedConnection`` owner.  A frame that does not parse
 must cost exactly one connection and take that endpoint's normal lost path
--- the replica keeps serving its other connections, a group-client link
+-- an accepting side (replica, proxy) forgets the connection and unmaps the
+peers still routed over it, a dialler of replicas (a store's link, a proxy)
 redials, a proxied store fails over -- and nothing on the per-frame path may
-create an ``asyncio.Task``.
+create an ``asyncio.Task``.  Each of those behaviours is pinned through both
+of its owners.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.asyncio_net.codec import (
 )
 from repro.asyncio_net.server import ReplicaServer
 from repro.core.timestamps import Tag
-from repro.kvstore import AsyncKVCluster, KVStore, ShardMap
+from repro.kvstore import AsyncKVCluster, KVStore, RetryPolicy, ShardMap
 from repro.kvstore.engine import GroupServerEngine
 from repro.kvstore.engine.effects import SendFrame, StartTimer
 from repro.protocols.codec import encode_tag
@@ -107,6 +109,54 @@ async def _send_raw(host: str, port: int, data: bytes, then_eof: bool):
 
 def _other_tasks() -> "set[asyncio.Task]":
     return asyncio.all_tasks() - {asyncio.current_task()}
+
+
+def _intercept_dials(port: int, behaviour) -> None:
+    """Every dial of ``port`` on the running loop awaits ``behaviour()``
+    instead of connecting; other dials go through.  The loop dies with the
+    scenario, so nothing is restored."""
+    loop = asyncio.get_running_loop()
+    real = loop.create_connection
+
+    async def create_connection(factory, host=None, to_port=None, **kwargs):
+        if to_port == port:
+            return await behaviour()
+        return await real(factory, host, to_port, **kwargs)
+
+    loop.create_connection = create_connection
+
+
+def _spy_on_peer_lost(engine) -> List[str]:
+    """Record the peers ``engine`` is told it lost for good."""
+    lost: List[str] = []
+    original = engine.on_peer_lost
+
+    def on_peer_lost(peer_id: str):
+        lost.append(peer_id)
+        return original(peer_id)
+
+    engine.on_peer_lost = on_peer_lost
+    return lost
+
+
+#: The two owners that dial the replicas and redial them when they die.
+DIAL_OWNERS = pytest.mark.parametrize("owner", ["link", "proxy"])
+
+
+async def _replica_dialler(owner: str, retry=None):
+    """A one-group cluster whose replicas ``owner`` has dialled: the replica
+    link of a direct store, or proxy ``p1`` with a store behind it."""
+    shard_map = ShardMap(2, num_groups=1)
+    cluster = AsyncKVCluster(shard_map, retry_policy=retry or FAST_RETRY)
+    await cluster.start()
+    if owner == "proxy":
+        await cluster.start_proxies(1)
+    store = KVStore(
+        cluster, client_id="c1", use_proxy="p1" if owner == "proxy" else None
+    )
+    await store.connect()
+    engine = cluster.proxies["p1"].engine if owner == "proxy" else store.engine.link
+    return cluster, store, engine, list(shard_map.groups["g1"].servers)
 
 
 class TestReplicaServerEndpoint:
@@ -265,22 +315,23 @@ class TestReplicaServerEndpoint:
         asyncio.run(scenario())
 
 
-class TestGroupClientLink:
+class TestReplicaDiallers:
+    """The dial side towards the replicas: a store's link, and a proxy."""
+
+    @DIAL_OWNERS
     @BAD_FRAMES
-    def test_bad_frame_from_a_replica_redials_and_ops_complete(self, bad):
+    def test_bad_frame_from_a_replica_redials_and_ops_complete(self, bad, owner):
         async def scenario():
-            shard_map = ShardMap(2, num_groups=1)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
-            await cluster.start()
-            store = KVStore(cluster, client_id="c1")
-            await store.connect()
+            cluster, store, engine, servers = await _replica_dialler(owner)
             try:
                 await store.put("k", "v0")
-                group_client = store._link._group_clients["g1"]
-                victim = shard_map.groups["g1"].servers[0]
+                victim = servers[0]
+                dialler = cluster.proxies["p1"] if owner == "proxy" else store._link
+                group_client = dialler._group_clients["g1"]
                 link = group_client.connection_for(victim)
                 # The replica's side of the link misbehaves.
-                server_side = cluster.replicas[victim]._peers[store.engine.link.link_id]
+                peer_id = "p1" if owner == "proxy" else engine.link_id
+                server_side = cluster.replicas[victim]._peers[peer_id]
                 server_side.send(bad)
                 if bad is TRUNCATED:
                     server_side.close()
@@ -299,6 +350,98 @@ class TestGroupClientLink:
                 await store.close()
                 await cluster.stop()
             assert not _other_tasks()
+
+        asyncio.run(scenario())
+
+    @DIAL_OWNERS
+    def test_a_redial_dying_on_a_non_oserror_reports_the_replica_lost(self, owner):
+        async def scenario():
+            cluster, store, engine, servers = await _replica_dialler(owner)
+            lost = _spy_on_peer_lost(engine)
+            try:
+                await store.put("k", "v0")
+                victim = servers[0]
+
+                async def explode():
+                    raise RuntimeError("the resolver exploded")
+
+                _intercept_dials(cluster.replicas[victim].port, explode)
+                writes = [
+                    asyncio.create_task(store.put(f"k{i}", f"v{i}")) for i in range(4)
+                ]
+                await cluster.kill_server(victim)
+                # Rounds that counted on the victim are replayed on the
+                # surviving quorum, before and after the engine hears.
+                await asyncio.wait_for(asyncio.gather(*writes), 5.0)
+                await asyncio.sleep(5 * FAST_RETRY.reconnect_interval)
+                assert lost == [victim]
+                assert not _other_tasks()  # the redial is over, not retrying
+                for i in range(4):
+                    assert await store.get(f"k{i}") == f"v{i}"
+                assert store.check().all_atomic
+            finally:
+                await store.close()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    @DIAL_OWNERS
+    def test_a_dial_cancelled_midway_leaves_no_connection_behind(self, owner):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1)
+            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            await cluster.start()
+            loop = asyncio.get_running_loop()
+            real_dial = loop.create_connection
+            second = shard_map.groups["g1"].servers[1]
+            _intercept_dials(cluster.replicas[second].port, asyncio.Event().wait)
+            store = KVStore(cluster, client_id="c1")
+            try:
+                dialling = asyncio.create_task(
+                    cluster.start_proxies(1) if owner == "proxy" else store.connect()
+                )
+                await asyncio.sleep(0.05)  # the first replica is dialled by now
+                dialling.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await dialling
+                await store.close()
+                await asyncio.sleep(0.02)
+                assert not cluster.proxies
+                for replica in cluster.replicas.values():
+                    assert not replica._connections
+                assert not _other_tasks()
+                # Nothing is wedged: the same dials go through afterwards.
+                loop.create_connection = real_dial
+                if owner == "proxy":
+                    await cluster.start_proxies(1)
+                store = KVStore(cluster, client_id="c2", use_proxy=owner == "proxy")
+                await store.connect()
+                await store.put("k", "v")
+                assert await store.get("k") == "v"
+            finally:
+                await store.close()
+                await cluster.stop()
+            assert not _other_tasks()
+
+        asyncio.run(scenario())
+
+    @DIAL_OWNERS
+    def test_closing_during_a_redial_sleep_leaves_no_task(self, owner):
+        async def scenario():
+            slow_redial = RetryPolicy(reconnect_interval=5.0, silence_window=0.1)
+            cluster, store, _, servers = await _replica_dialler(owner, slow_redial)
+            try:
+                await store.put("k", "v")
+                await cluster.kill_server(servers[0])
+                await asyncio.sleep(0.05)
+                assert _other_tasks()  # asleep between redials
+                await store.close()
+                for proxy in cluster.proxies.values():
+                    await proxy.stop()
+                assert not _other_tasks()
+            finally:
+                await store.close()
+                await cluster.stop()
 
         asyncio.run(scenario())
 
@@ -359,6 +502,59 @@ class TestProxyEndpoints:
                 await store.close()
                 await cluster.stop()
             assert loop_errors == []
+            assert not _other_tasks()
+
+        asyncio.run(scenario())
+
+    def test_a_client_that_redialled_keeps_its_new_mapping(self):
+        # The proxy's twin of test_reconnect_keeps_peer_routing_to_new_connection:
+        # the old connection's loss lands after the new one delivered a frame.
+        async def scenario():
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            await cluster.start()
+            await cluster.start_proxies(1)
+            proxy = cluster.proxies["p1"]
+            undeliverable: List[str] = []
+
+            def scripted(frame):
+                if frame.kind == "push":
+                    dest = frame.payload["to"]
+                    return [SendFrame(dest, Message("p1", dest, "oob"))]
+                return [SendFrame(frame.sender, frame.reply("pong", {}))]
+
+            proxy.engine.on_frame = scripted
+            proxy.engine.on_frame_undeliverable = (
+                lambda frame, exc, retryable: undeliverable.append(frame.receiver) or []
+            )
+            host, port = cluster.proxy_endpoint("p1")
+            try:
+                r1, w1 = await asyncio.open_connection(host, port)
+                await write_frame(w1, Message("c9", "p1", "hello"))
+                assert (await read_frame(r1)).kind == "pong"
+                r2, w2 = await asyncio.open_connection(host, port)
+                await write_frame(w2, Message("c9", "p1", "hello"))
+                assert (await read_frame(r2)).kind == "pong"
+                w1.close()
+                await w1.wait_closed()
+                await asyncio.sleep(0.05)
+                r3, w3 = await asyncio.open_connection(host, port)
+                await write_frame(w3, Message("q1", "p1", "push", {"to": "c9"}))
+                oob = await asyncio.wait_for(read_frame(r2), timeout=2.0)
+                assert oob.kind == "oob" and oob.receiver == "c9"
+                assert undeliverable == []
+                # Once its last connection is gone the client is unmapped,
+                # and the engine hears that a frame for it cannot go out.
+                w2.close()
+                await w2.wait_closed()
+                await asyncio.sleep(0.05)
+                await write_frame(w3, Message("q1", "p1", "push", {"to": "c9"}))
+                await write_frame(w3, Message("q1", "p1", "hello"))
+                assert (await read_frame(r3)).kind == "pong"
+                assert undeliverable == ["c9"]
+                w3.close()
+                await w3.wait_closed()
+            finally:
+                await cluster.stop()
             assert not _other_tasks()
 
         asyncio.run(scenario())
