@@ -5,10 +5,13 @@ the simulator uses, but over real TCP connections: each yielded
 :class:`~repro.protocols.base.Broadcast` sends one frame to every replica and
 resumes the generator as soon as ``S - t`` replies have arrived.
 
-Stragglers are handled the way quorum systems handle them: every connection
-has a background receive loop that tags incoming frames with the operation id
-and round-trip they answer; frames for already-completed round-trips are
-discarded instead of being mistaken for answers to the current one.
+The connections are held by an :class:`~repro.asyncio_net.endpoint.Endpoint`
+(dialled once, never redialled: a replica that dies is simply no longer sent
+to), so replies arrive as decoded frames in the event-loop turn the socket
+produced them.  Stragglers are handled the way quorum systems handle them:
+every frame carries the operation id and round-trip it answers, and frames for
+already-completed round-trips are discarded instead of being mistaken for
+answers to the current one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from ..core.errors import ProtocolError
 from ..core.operations import OpKind, new_op_id
 from ..protocols.base import Broadcast, ClientLogic, OperationOutcome
 from ..messages import Message
-from .codec import FrameError, read_frame, write_frame
+from .codec import encode_message
+from .endpoint import Endpoint
 
 __all__ = ["TimedOutcome", "AsyncRegisterClient"]
 
@@ -50,8 +54,7 @@ class AsyncRegisterClient:
         self.logic = logic
         self.endpoints = dict(endpoints)
         self.max_faults = max_faults
-        self._writers: Dict[str, asyncio.StreamWriter] = {}
-        self._receive_tasks: List[asyncio.Task] = []
+        self._endpoint = Endpoint(self._on_frame)
         self.history: List[TimedOutcome] = []
         # Reply collection state for the in-flight round-trip.
         self._expected_key: Optional[Tuple[str, int]] = None
@@ -71,38 +74,18 @@ class AsyncRegisterClient:
 
     async def connect(self) -> None:
         for server_id, (host, port) in self.endpoints.items():
-            reader, writer = await asyncio.open_connection(host, port)
-            self._writers[server_id] = writer
-            self._receive_tasks.append(
-                asyncio.create_task(self._receive_loop(server_id, reader))
-            )
+            await self._endpoint.dial(server_id, host, port)
 
     async def close(self) -> None:
-        for task in self._receive_tasks:
-            task.cancel()
-        await asyncio.gather(*self._receive_tasks, return_exceptions=True)
-        self._receive_tasks.clear()
-        for writer in self._writers.values():
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-        self._writers.clear()
+        await self._endpoint.close()
 
-    async def _receive_loop(self, server_id: str, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                message = await read_frame(reader)
-                key = (message.op_id, message.round_trip)
-                if key != self._expected_key or self._enough_replies is None:
-                    continue  # straggler from an earlier round-trip
-                self._replies.append(message)
-                if len(self._replies) >= self._wait_for:
-                    self._enough_replies.set()
-        except (asyncio.IncompleteReadError, ConnectionResetError, FrameError,
-                asyncio.CancelledError):
-            return
+    def _on_frame(self, message: Message) -> None:
+        key = (message.op_id, message.round_trip)
+        if key != self._expected_key or self._enough_replies is None:
+            return  # straggler from an earlier round-trip
+        self._replies.append(message)
+        if len(self._replies) >= self._wait_for:
+            self._enough_replies.set()
 
     # -- operations ----------------------------------------------------------------
 
@@ -147,7 +130,7 @@ class AsyncRegisterClient:
         self._replies = []
         self._wait_for = wait_for
         self._enough_replies = asyncio.Event()
-        for server_id, writer in self._writers.items():
+        for server_id, connection in self._endpoint.peers.items():
             message = Message(
                 sender=self.client_id,
                 receiver=server_id,
@@ -156,7 +139,7 @@ class AsyncRegisterClient:
                 op_id=op_id,
                 round_trip=round_trip,
             )
-            await write_frame(writer, message)
+            connection.send(encode_message(message))
         await self._enough_replies.wait()
         replies = list(self._replies[:wait_for])
         self._expected_key = None

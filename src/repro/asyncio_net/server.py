@@ -15,21 +15,24 @@ produce several sends -- a batch-ack plus a lease grant, or lease
 invalidations chasing a *third* party -- and timer effects (server-side
 lease expiry) land on the event loop via ``call_later``.  Outbound frames
 route over the inbound connection of their destination peer (peers dial
-replicas, never the reverse), tracked by the sender id of the frames each
-connection delivers.  Effects execute synchronously: nothing here creates a
-task.
+replicas, never the reverse), which the server's
+:class:`~repro.asyncio_net.endpoint.Endpoint` learns from the sender id of
+the frames each connection delivers.  Effects execute synchronously: nothing
+here creates a task.
 """
 
 from __future__ import annotations
 
 import asyncio
 from typing import Dict, List, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from ..kvstore.engine.effects import SendFrame
 from ..kvstore.engine.runtime import EffectRuntime
 from ..messages import Message
 from ..protocols.base import ServerLogic
 from .codec import encode_message
+from .endpoint import Endpoint
 from .framed import FramedConnection
 
 __all__ = ["ReplicaServer"]
@@ -63,15 +66,12 @@ class ReplicaServer:
         self.port = port
         self.service_overhead = service_overhead
         self.service_per_op = service_per_op
-        self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # Live connections, each with the loop time until which the modelled
-        # service of its earlier requests keeps it busy.
-        self._connections: Dict[FramedConnection, float] = {}
+        self.endpoint = Endpoint(self._serve)
+        # The loop time until which the modelled service of a connection's
+        # earlier requests keeps it busy.
+        self._busy_until: "WeakKeyDictionary[FramedConnection, float]" = WeakKeyDictionary()
         self.requests_served = 0
-        # Inbound connection per peer id (keyed by the sender of the frames
-        # it delivers).
-        self._peers: Dict[str, FramedConnection] = {}
         self._runtime = EffectRuntime(
             logic, lambda delay, fire: self._loop.call_later(delay, fire), self._send
         )
@@ -87,7 +87,7 @@ class ReplicaServer:
 
     @property
     def running(self) -> bool:
-        return self._server is not None
+        return self.endpoint.listening
 
     @property
     def _timers(self) -> Dict[object, asyncio.TimerHandle]:
@@ -103,54 +103,25 @@ class ReplicaServer:
         clients reconnect to a known endpoint after a kill.
         """
         self._loop = asyncio.get_running_loop()
-        self._server = await self._loop.create_server(
-            self._accept, self.host, self.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        self.port = await self.endpoint.listen(self.host, self.port)
 
     async def stop(self) -> None:
         """Stop listening and sever every live connection (a process kill:
         in-flight requests on those connections are simply lost).  Nothing
         this server started outlives the call: no timer, no connection."""
-        if self._server is None:
+        if not self.running:
             return
-        self._server.close()
         self._runtime.shutdown()
         for handle in self._deferred.values():
             handle.cancel()
         self._deferred.clear()
-        self._peers.clear()
-        for connection in list(self._connections):
-            connection.close()
-        self._connections.clear()
-        await self._server.wait_closed()
-        self._server = None
+        await self.endpoint.close()
 
-    def _accept(self) -> FramedConnection:
-        connection = FramedConnection(
-            lambda request: self._serve(connection, request),
-            lambda exc: self._forget(connection),
-        )
-        self._connections[connection] = 0.0
-        return connection
-
-    def _forget(self, connection: FramedConnection) -> None:
-        del self._connections[connection]
-        # Only unmap peers still pointing at *this* connection: a peer that
-        # redialled already maps to its new connection, which must survive,
-        # or out-of-band frames (lease invalidations, deferred acks) would
-        # silently drop until the peer's next inbound frame.
-        for peer in [p for p, c in self._peers.items() if c is connection]:
-            del self._peers[peer]
-
-    def _serve(self, connection: FramedConnection, request: Message) -> None:
+    def _serve(self, request: Message) -> None:
+        # The endpoint has just routed the sender over the connection this
+        # request arrived on: replies -- and later out-of-band frames (lease
+        # grants and invalidations, deferred batch-acks) -- go back over it.
         self.requests_served += 1
-        # Route replies -- and later out-of-band frames (lease grants and
-        # invalidations, deferred batch-acks) -- back over this peer's own
-        # inbound connection.
-        self._peers[request.sender] = connection
         if self.service_overhead <= 0 and self.service_per_op <= 0:
             self._apply(request)
             return
@@ -164,11 +135,12 @@ class ReplicaServer:
         # the simulator's cost model.
         payload = request.payload
         sub_ops = len(payload.get("ops", ()) or payload.get("keys", ())) or 1
+        connection = self.endpoint.peers[request.sender]
         ready = (
-            max(self._loop.time(), self._connections[connection])
+            max(self._loop.time(), self._busy_until.get(connection, 0.0))
             + self.service_overhead + self.service_per_op * sub_ops
         )
-        self._connections[connection] = ready
+        self._busy_until[connection] = ready
         if sends:
             self._deferrals += 1
             self._deferred[self._deferrals] = self._loop.call_at(
@@ -199,6 +171,6 @@ class ReplicaServer:
         if self._held is not None:
             self._held.append(send)
             return
-        peer = self._peers.get(send.destination)
+        peer = self.endpoint.peers.get(send.destination)
         if peer is not None and not peer.closing:
             peer.send(encode_message(send.frame))

@@ -77,9 +77,7 @@ _EXPORTS = {
     # migration
     "MigrationReport": ".migration",
     # asyncio backend
-    "AsyncGroupClient": ".net_backend",
     "AsyncKVCluster": ".net_backend",
-    "AsyncProxyClient": ".net_backend",
     "KVStore": ".net_backend",
     "ProxyConnectionLost": ".net_backend",
     "ProxyServer": ".net_backend",
@@ -160,9 +158,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     )
     from .migration import MigrationReport  # noqa: F401
     from .net_backend import (  # noqa: F401
-        AsyncGroupClient,
         AsyncKVCluster,
-        AsyncProxyClient,
         KVStore,
         ProxyConnectionLost,
         ProxyServer,

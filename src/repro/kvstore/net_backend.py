@@ -4,18 +4,20 @@ All protocol behaviour -- round lifecycle, batching, stale-epoch replay,
 proxy merging, failover, view-push adoption -- lives in the shared sans-I/O
 engines of :mod:`repro.kvstore.engine`, and their effects are interpreted by
 its :class:`~repro.kvstore.engine.runtime.EffectRuntime`; this module only
-gives each runtime asyncio's transport.  Every persistent connection is one
-:class:`~repro.asyncio_net.framed.FramedConnection`: frames are decoded
-inside ``data_received`` and fed to the owning engine in the same event-loop
-turn, and its effects -- sends included -- execute synchronously, so no task
-exists per frame or per send:
+gives each runtime asyncio's transport.  Every process of the store that
+keeps connections is one *owner* (:class:`_Owner`): an engine, its runtime,
+and the :class:`~repro.asyncio_net.endpoint.Endpoint` that holds them --
+accepted or dialled, redialled or reported when lost -- and nothing else
+here keeps a connection.  Frames are decoded inside ``data_received`` and fed
+to the owning engine in the same event-loop turn, and its effects -- sends
+included -- execute synchronously, so no task exists per frame or per send:
 
 * :class:`AsyncKVCluster` starts one
   :class:`~repro.asyncio_net.server.ReplicaServer` per replica-group server
   (each hosting a :class:`~repro.kvstore.engine.server.GroupServerEngine`),
   plus optional :class:`ProxyServer` ingress proxies, and runs the live
   control plane (:meth:`AsyncKVCluster.resize` / ``move_shard`` with delta
-  view pushes over TCP).
+  view pushes over TCP; its one-shot deliveries are the only streams left).
 * :class:`KVStore` is the client facade: ``await get/put/multi_get/multi_put``
   drive a :class:`~repro.kvstore.engine.client.ClientSessionEngine`.  Behind a
   proxy its frames ride its one proxy connection and its timers its own
@@ -26,9 +28,6 @@ exists per frame or per send:
   different stores opened in the same turn of the loop leave in one frame per
   replica.  Connection losses are reported back into the engines, which own
   replay and proxy failover.
-* :class:`AsyncGroupClient` / :class:`AsyncProxyClient` are pure transport:
-  connection pools with reconnect-and-redial, no round bookkeeping.  Only
-  the control plane's one-shot deliveries still use streams.
 * :class:`SyncKVStore` wraps a :class:`KVStore` for synchronous callers via
   a background event-loop thread.
 """
@@ -43,7 +42,7 @@ import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..asyncio_net.codec import FrameError, encode_message, read_frame, write_frame
-from ..asyncio_net.framed import FramedConnection
+from ..asyncio_net.endpoint import Endpoint
 from ..asyncio_net.server import ReplicaServer
 from ..core.operations import OpKind
 from ..messages import DEFAULT_LEASE_TTL, Message
@@ -74,7 +73,6 @@ from .engine import (
 )
 from .migration import MigrationReport
 from .perkey import KVHistoryRecorder, PerKeyAtomicity, check_per_key_atomicity
-from .placement import ReplicaGroup
 from .sharding import ShardMap
 from .workload import (
     KVRunResult,
@@ -85,8 +83,7 @@ from .workload import (
 )
 from ._sync import LoopThread, run_sync
 
-__all__ = ["AsyncKVCluster", "AsyncGroupClient", "AsyncProxyClient",
-           "ProxyServer", "KVStore", "SyncKVStore",
+__all__ = ["AsyncKVCluster", "ProxyServer", "KVStore", "SyncKVStore",
            "RetryPolicy", "ProxyConnectionLost", "run_asyncio_kv_workload"]
 
 logger = logging.getLogger(__name__)
@@ -100,7 +97,9 @@ class ProxyConnectionLost(ConnectionError):
     across kill/restart), while a dead proxy triggers *failover* -- the
     client engine re-dials the next proxy of its site, or falls back to
     direct replica connections, and replays the round under a fresh attempt
-    scope.
+    scope.  Only the public name of the condition: nothing raises it -- the
+    loss reaches the engine as ``on_peer_lost(proxy_id)``, from the proxy
+    leg's endpoint, and the engine never surfaces it (ROADMAP item 5b).
     """
 
 
@@ -109,47 +108,47 @@ def _call_later(delay: float, callback: Callable[[], None]) -> asyncio.TimerHand
     return asyncio.get_running_loop().call_later(delay, callback)
 
 
-class _EffectRunner:
-    """The transport half of an engine owner on the asyncio event loop.
+class _Owner:
+    """An engine on the asyncio event loop: engine + runtime + endpoint.
 
-    An :class:`~repro.kvstore.engine.runtime.EffectRuntime` interprets the
-    engine's effects; this class gives it ``send`` -- connection lookup,
-    encode, write -- and holds what every owner has: its I/O tasks.
-    Subclasses say where their peers' connections are and bind their engine
-    once it exists.
+    The :class:`~repro.kvstore.engine.runtime.EffectRuntime` interprets the
+    engine's effects; the :class:`~repro.asyncio_net.endpoint.Endpoint` holds
+    its connections, feeds it every frame they deliver and tells it of the
+    peers it lost for good; this class joins the two with ``send`` -- one
+    lookup, encode, write.  Its I/O tasks are the endpoint's, so
+    :meth:`close` leaves nothing behind.  ``reconnect_interval`` is the
+    endpoint's policy for a lost connection it dialled (redial, or ``None``:
+    report and forget).
     """
 
-    def __init__(self, cluster: "AsyncKVCluster") -> None:
-        self.cluster = cluster
-        self.retry_policy = cluster.retry_policy
-        self._runtime: Optional[EffectRuntime] = None
-        self._io_tasks: "set[asyncio.Task]" = set()
-
-    def _connection_to(self, destination: str) -> Optional[FramedConnection]:
-        """The live connection to ``destination``, if this owner has one."""
-        return None
-
-    def _bind(self, engine, **client_hooks) -> None:
-        self._runtime = EffectRuntime(engine, _call_later, self._send, **client_hooks)
-        run = self._runtime.run
-        # Every connection of this owner delivers here.  ``on_frame`` is
-        # looked up per frame: tests and the benchmark's tracer wrap it on
-        # the engine instance after the stack is built.
-        self._on_frame = lambda message: run(engine.on_frame(message))
+    def __init__(
+        self, engine, reconnect_interval: Optional[float] = None, **client_hooks
+    ) -> None:
+        self.engine = engine
+        self.runtime = EffectRuntime(engine, _call_later, self._send, **client_hooks)
+        run = self.runtime.run
+        # ``on_frame`` / ``on_peer_lost`` are looked up per call: tests and the
+        # benchmark's tracer wrap them on the engine instance after the stack
+        # is built.
+        self.endpoint = Endpoint(
+            lambda frame: run(engine.on_frame(frame)),
+            lambda peer_id, exc: run(engine.on_peer_lost(peer_id)),
+            reconnect_interval,
+        )
 
     def run_effects(self, effects: Sequence[Effect]) -> None:
-        self._runtime.run(effects)
+        self.runtime.run(effects)
 
     def _send(self, effect: SendFrame) -> Optional[List[Effect]]:
         """Write one frame; what the engine makes of a frame that cannot go
         out is handed back to join the batch being run."""
         destination = effect.destination
-        connection = self._connection_to(destination)
+        connection = self.endpoint.peers.get(destination)
         if connection is None or connection.closing:
             # The peer is down and its redial has not landed yet; report the
             # loss instead of writing into a dead socket -- the engine's
             # replay (or failover) logic takes over.
-            return self._runtime.engine.on_frame_undeliverable(
+            return self.engine.on_frame_undeliverable(
                 effect.frame,
                 ConnectionResetError(f"connection to {destination} is down"),
                 retryable=True,
@@ -159,7 +158,7 @@ class _EffectRunner:
         except FrameError as exc:
             # Not a connection death (an oversized frame): fail the affected
             # rounds with the real error, but keep the connection usable.
-            return self._runtime.engine.on_frame_undeliverable(
+            return self.engine.on_frame_undeliverable(
                 effect.frame, exc, retryable=False
             )
         # Nothing waits for the write to reach the peer: a connection that
@@ -168,232 +167,20 @@ class _EffectRunner:
         connection.send(data)
         return None
 
-    def _track(self, coroutine) -> asyncio.Task:
-        task = asyncio.create_task(coroutine)
-        self._io_tasks.add(task)
-        task.add_done_callback(self._io_tasks.discard)
-        return task
-
-    async def _shutdown_runner(self) -> None:
-        if self._runtime is not None:
-            self._runtime.shutdown()
-        tasks = list(self._io_tasks)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        self._io_tasks.clear()
-
-
-class _ReplicaConnected(_EffectRunner):
-    """An owner that talks to the replicas: a proxy, or a process's link.
-
-    Holds one connection per replica of every group, under the owner's wire
-    id (replicas route acks back by the sender of the frames a connection
-    delivers).
-    """
-
-    def __init__(self, cluster: "AsyncKVCluster") -> None:
-        super().__init__(cluster)
-        self._group_clients: Dict[str, AsyncGroupClient] = {}
-        self._server_home: Dict[str, AsyncGroupClient] = {}
-
-    def _connection_to(self, destination: str) -> Optional[FramedConnection]:
-        home = self._server_home.get(destination)
-        return home.connection_for(destination) if home is not None else None
-
-    async def _connect_groups(self, owner_id: str) -> None:
-        """Open ``owner_id``'s connections to every replica group.
-
-        Idempotent per group (not all-or-nothing): the failover path may
-        land here while a replica is also down, and a partial first pass
-        must not wedge the owner -- missing groups are retried on the next
-        call, connected ones are kept.
-        """
-        engine = self._runtime.engine
-        for group in self.cluster.shard_map.groups.values():
-            if group.group_id in self._group_clients:
-                continue
-            client = AsyncGroupClient(
-                owner_id,
-                group,
-                self.cluster.endpoints_for(group.group_id),
-                retry_policy=self.retry_policy,
-                on_frame=self._on_frame,
-                on_peer_lost=lambda server_id, exc: self.run_effects(
-                    engine.on_peer_lost(server_id)
-                ),
-            )
-            try:
-                await client.connect()
-            except BaseException:
-                # Cancelled (the caller closed mid-dial) or failed outright:
-                # what did connect must not outlive the attempt unowned.
-                await client.close()
-                raise
-            self._group_clients[group.group_id] = client
-            for server_id in client.endpoints:
-                self._server_home[server_id] = client
-
-    async def _close_groups(self) -> None:
-        for client in self._group_clients.values():
-            await client.close()
-        self._group_clients.clear()
-        self._server_home.clear()
-
-
-class AsyncGroupClient:
-    """Connections to one replica group: pure transport, no round logic.
-
-    Decoded frames are handed to ``on_frame`` (the owner routes them into
-    its engine) from inside ``data_received``.  A lost connection -- the
-    replica died, or sent a frame that does not decode -- goes into
-    reconnect: periodic redial of the replica's (stable) endpoint, while
-    sends to it report undeliverable.  A redial that dies on an *unexpected*
-    exception (anything outside the ``OSError`` family the loop retries on)
-    is reported via ``on_peer_lost`` so rounds counting on that replica are
-    failed over to the engines' replay logic instead of hanging with no
-    trace.
-    """
-
-    def __init__(
-        self,
-        client_id: str,
-        group: ReplicaGroup,
-        endpoints: Dict[str, Tuple[str, int]],
-        retry_policy: Optional[RetryPolicy] = None,
-        on_frame: Optional[Callable[[Message], None]] = None,
-        on_peer_lost: Optional[Callable[[str, BaseException], None]] = None,
-    ) -> None:
-        self.client_id = client_id
-        self.group = group
-        self.endpoints = dict(endpoints)
-        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
-        self._on_frame = on_frame or (lambda message: None)
-        self._on_peer_lost = on_peer_lost or (lambda server_id, exc: None)
-        self._connections: Dict[str, FramedConnection] = {}
-        self._reconnect_tasks: "set[asyncio.Task]" = set()
-        self._closing = False
-
-    async def connect(self) -> None:
-        for server_id in self.endpoints:
-            try:
-                await self._open(server_id)
-            except OSError:
-                # The replica is down right now (connecting mid-kill is the
-                # norm on the failover-to-direct path).  Rounds complete on
-                # the surviving quorum; keep redialing the stable endpoint
-                # so the replica is folded back in when it returns.
-                self._schedule_reconnect(server_id)
-
-    def connection_for(self, server_id: str) -> Optional[FramedConnection]:
-        return self._connections.get(server_id)
-
-    async def _open(self, server_id: str) -> None:
-        host, port = self.endpoints[server_id]
-        connection = FramedConnection(
-            self._on_frame, lambda exc: self._schedule_reconnect(server_id)
-        )
-        await asyncio.get_running_loop().create_connection(
-            lambda: connection, host, port
-        )
-        stale = self._connections.get(server_id)
-        if stale is not None:
-            stale.close()  # release the dead transport a redial replaces
-        self._connections[server_id] = connection
-
-    def _schedule_reconnect(self, server_id: str) -> None:
-        if self._closing:
-            return
-        task = asyncio.create_task(self._reconnect(server_id))
-        self._reconnect_tasks.add(task)
-        task.add_done_callback(
-            lambda done, sid=server_id: self._reconnect_finished(sid, done)
-        )
-
-    async def _reconnect(self, server_id: str) -> None:
-        """Redial a dead replica until it is back (or this client closes)."""
-        while not self._closing:
-            await asyncio.sleep(self.retry_policy.reconnect_interval)
-            if self._closing:
-                return
-            try:
-                await self._open(server_id)
-                return
-            except OSError:
-                continue
-
-    def _reconnect_finished(self, server_id: str, task: asyncio.Task) -> None:
-        self._reconnect_tasks.discard(task)
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is None:
-            return
-        logger.warning(
-            "%s: reconnect to %s failed terminally: %r",
-            self.client_id, server_id, exc,
-        )
-        self._on_peer_lost(server_id, exc)
-
     async def close(self) -> None:
-        self._closing = True
-        tasks = list(self._reconnect_tasks)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        self._reconnect_tasks.clear()
-        for connection in self._connections.values():
-            connection.close()
-        self._connections.clear()
-
-
-class AsyncProxyClient:
-    """A client's single connection to its site-local ingress proxy.
-
-    Pure transport: decoded frames go to ``on_frame``; a dead connection is
-    reported once via ``on_lost`` (the owning store's engine then fails over
-    to the next proxy of the site, or to direct replica connections).
-    """
-
-    def __init__(
-        self,
-        client_id: str,
-        proxy_id: str,
-        host: str,
-        port: int,
-        on_frame: Optional[Callable[[Message], None]] = None,
-        on_lost: Optional[Callable[["AsyncProxyClient", BaseException], None]] = None,
-    ) -> None:
-        self.client_id = client_id
-        self.proxy_id = proxy_id
-        self.host = host
-        self.port = port
-        self._on_frame = on_frame or (lambda message: None)
-        self._on_lost = on_lost or (lambda link, exc: None)
-        self.connection: Optional[FramedConnection] = None
-
-    async def connect(self) -> None:
-        connection = FramedConnection(self._on_frame, self._mark_lost)
-        await asyncio.get_running_loop().create_connection(
-            lambda: connection, self.host, self.port
-        )
-        self.connection = connection
-
-    def _mark_lost(self, exc: BaseException) -> None:
-        self._on_lost(
-            self, ProxyConnectionLost(f"proxy {self.proxy_id} lost: {exc!r}")
-        )
-
-    async def close(self) -> None:
-        if self.connection is not None:
-            self.connection.close()
-            self.connection = None
+        """Cancel every timer and task, close every connection."""
+        self.runtime.shutdown()
+        await self.endpoint.close()
 
 
 #: Default autoscale window on the asyncio backend (wall-clock seconds;
 #: loopback rounds are sub-millisecond, so a quarter second is many
 #: thousands of ops of signal).
 NET_AUTOSCALE_INTERVAL = 0.25
+
+#: How long :meth:`AsyncKVCluster.stop` waits for another thread's event loop
+#: to close the stores connected on it (seconds).
+STOP_WAIT = 5.0
 
 #: Default read-lease duration on the asyncio backend (wall-clock seconds).
 #: The engine default (:data:`~repro.messages.DEFAULT_LEASE_TTL`) is sized
@@ -404,23 +191,25 @@ NET_AUTOSCALE_INTERVAL = 0.25
 NET_LEASE_TTL = 1.0
 
 
-class _ControlPlaneDriver(_EffectRunner):
+class _ControlPlaneDriver:
     """Executes the control engine's effects on the asyncio event loop.
 
     Unlike clients and proxies the control plane keeps no persistent
-    connections: each drain or view-push frame rides its own short-lived
-    connection -- write the frame, await the peer's ack on the same stream,
-    feed it back into the engine.  A failed dial or read produces no ack,
-    which is indistinguishable from a lost frame: the engine's retry timer
-    resends, and after ``max_retries`` the replica is treated as dead for
-    the rest of the migration (the same ``t``-fault budget the quorums
+    connections, so it is no :class:`_Owner` and has no endpoint: each drain
+    or view-push frame rides its own short-lived connection, in a delivery
+    task of its own -- write the frame, await the peer's ack on the same
+    stream, feed it back into the engine.  A failed dial or read produces no
+    ack, which is indistinguishable from a lost frame: the engine's retry
+    timer resends, and after ``max_retries`` the replica is treated as dead
+    for the rest of the migration (the same ``t``-fault budget the quorums
     tolerate).  Timers ride ``loop.call_later``.
     """
 
     def __init__(self, cluster: "AsyncKVCluster", engine: ControlPlaneEngine) -> None:
-        super().__init__(cluster)
+        self.cluster = cluster
         self.engine = engine
-        self._bind(engine)
+        self.runtime = EffectRuntime(engine, _call_later, self._send)
+        self._deliveries: "set[asyncio.Task]" = set()
 
     def run_effects(self, effects: Sequence[Effect]) -> None:
         try:
@@ -429,10 +218,12 @@ class _ControlPlaneDriver(_EffectRunner):
             # No loop: nothing is listening, so there is nothing to drain
             # to.  The metadata flip already happened; drop the effects.
             return
-        super().run_effects(effects)
+        self.runtime.run(effects)
 
     def _send(self, effect: SendFrame) -> None:
-        self._track(self._deliver(effect.destination, effect.frame))
+        task = asyncio.create_task(self._deliver(effect.destination, effect.frame))
+        self._deliveries.add(task)
+        task.add_done_callback(self._deliveries.discard)
 
     async def _deliver(self, destination: str, frame: Message) -> None:
         endpoint = self.cluster.endpoint_of(destination)
@@ -463,7 +254,14 @@ class _ControlPlaneDriver(_EffectRunner):
 
     async def flush(self) -> None:
         """Wait for every in-flight delivery task (not for retries)."""
-        await asyncio.gather(*self._io_tasks, return_exceptions=True)
+        await asyncio.gather(*self._deliveries, return_exceptions=True)
+
+    async def close(self) -> None:
+        """Cancel every timer and delivery."""
+        self.runtime.shutdown()
+        for task in list(self._deliveries):
+            task.cancel()
+        await self.flush()
 
 
 class AsyncKVCluster:
@@ -539,7 +337,26 @@ class AsyncKVCluster:
             self._endpoints[group.group_id] = endpoints
 
     async def stop(self) -> None:
-        await self._driver._shutdown_runner()
+        """Stop everything the cluster started -- and close every store still
+        connected: its operations, in flight or later, fail with
+        ``ConnectionError`` at once instead of waiting on replicas that are
+        gone, and its link stops redialling them."""
+        for link in list(self._links.values()):
+            if link.loop is asyncio.get_running_loop():
+                await link.close_stores()
+            elif link.loop.is_running():  # a store on another thread's loop
+                closing = asyncio.run_coroutine_threadsafe(link.close_stores(), link.loop)
+                try:
+                    await asyncio.wait_for(asyncio.wrap_future(closing), STOP_WAIT)
+                except asyncio.TimeoutError:
+                    logger.warning(
+                        "the loop of %s did not close its stores within %.1f s; "
+                        "stopping the cluster without it", link.engine.link_id, STOP_WAIT,
+                    )
+        # A link whose loop is blocked, or no longer runs, is let go of: its
+        # replicas are about to be gone, and nothing here may wait for it.
+        self._links.clear()
+        await self._driver.close()
         for proxy in self.proxies.values():
             await proxy.stop()
         self.proxies.clear()
@@ -549,8 +366,16 @@ class AsyncKVCluster:
         self._logics.clear()
         self._endpoints.clear()
 
-    def endpoints_for(self, group_id: str) -> Dict[str, Tuple[str, int]]:
-        return dict(self._endpoints[group_id])
+    async def dial_replicas(self, endpoint: Endpoint) -> None:
+        """Connect ``endpoint`` to every replica of every group.
+
+        Idempotent per replica, and a replica that is down is redialled in
+        the background: the failover path may land here while a replica is
+        also down, or twice at once, and must neither wedge nor dial twice.
+        """
+        for endpoints in self._endpoints.values():
+            for server_id, (host, port) in endpoints.items():
+                await endpoint.dial(server_id, host, port)
 
     def _join_link(self, store: "KVStore") -> "_ReplicaLink":
         """The running loop's replica link, with ``store`` among its stores."""
@@ -565,7 +390,7 @@ class AsyncKVCluster:
         """``store`` closed; the last one out shuts the link down."""
         link.stores.discard(store)
         if not link.stores:
-            del self._links[link.loop]
+            self._links.pop(link.loop, None)  # stop() may have let go of it
             await link.close()
 
     # -- ingress proxies ---------------------------------------------------------
@@ -751,7 +576,7 @@ class AsyncKVCluster:
         await self._driver.flush()
 
 
-class ProxyServer(_ReplicaConnected):
+class ProxyServer(_Owner):
     """One site-local ingress proxy over TCP: one proxy engine.
 
     Accepts client connections speaking ``"proxy"``/``"proxy-ack"`` frames
@@ -759,9 +584,9 @@ class ProxyServer(_ReplicaConnected):
     replicas' ``"batch-ack"`` replies) into a shared
     :class:`~repro.kvstore.engine.proxy.ProxyEngine`, which owns shard
     resolution, read routing, cross-client merging, stale-epoch replay and
-    round timeouts.  This class only manages connections: one
-    :class:`AsyncGroupClient` per replica group, and a sender->connection
-    map for routing ack frames back to the connection they belong to.
+    round timeouts.  Its endpoint holds both sides: the connection it dialled
+    to every replica (redialled when lost) and the ones its clients opened,
+    over which their acks go back.
     """
 
     def __init__(
@@ -776,7 +601,7 @@ class ProxyServer(_ReplicaConnected):
         read_cache: int = 0,
         bounded_staleness: bool = False,
     ) -> None:
-        super().__init__(cluster)
+        self.cluster = cluster
         self.proxy_id = proxy_id
         self.site = site
         self.host = host
@@ -787,101 +612,61 @@ class ProxyServer(_ReplicaConnected):
              for group in cluster.shard_map.groups.values()),
             default=2,
         )
-        self._engine = ProxyEngine(
-            proxy_id,
-            self.view,
-            read_policy=read_policy,
-            policy=cluster.retry_policy,
-            max_batch=max_batch,
-            observer=cluster.hub.scoped("proxy", proxy_id),
-            read_cache=read_cache,
-            lease_ttl=cluster.lease_ttl,
-            bounded_staleness=bounded_staleness,
-            read_round_trips=read_round_trips,
+        super().__init__(
+            ProxyEngine(
+                proxy_id,
+                self.view,
+                read_policy=read_policy,
+                policy=cluster.retry_policy,
+                max_batch=max_batch,
+                observer=cluster.hub.scoped("proxy", proxy_id),
+                read_cache=read_cache,
+                lease_ttl=cluster.lease_ttl,
+                bounded_staleness=bounded_staleness,
+                read_round_trips=read_round_trips,
+            ),
+            cluster.retry_policy.reconnect_interval,
         )
-        self._bind(self._engine)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._client_connections: Dict[str, FramedConnection] = {}
-        self._connections: "set[FramedConnection]" = set()
-
-    @property
-    def engine(self) -> ProxyEngine:
-        return self._engine
 
     @property
     def stale_replays(self) -> int:
-        return self._engine.stale_replays
+        return self.engine.stale_replays
 
     @property
     def running(self) -> bool:
-        return self._server is not None
+        return self.endpoint.listening
 
     def batch_stats(self) -> BatchStats:
         """Replica-side merging/frame statistics (cumulative across any
         kill/restart -- the engine outlives the connections)."""
-        return self._engine.stats.copy()
+        return self.engine.stats.copy()
 
     async def start(self) -> None:
         """(Re)start the proxy; after a kill, the same port is rebound so
         the cluster's advertised proxy endpoint stays stable."""
         if self.running:
             return
-        await self._connect_groups(self.proxy_id)
-        self._server = await asyncio.get_running_loop().create_server(
-            self._accept, self.host, self.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        try:
+            await self.cluster.dial_replicas(self.endpoint)
+            self.port = await self.endpoint.listen(self.host, self.port)
+        except BaseException:
+            # Cancelled mid-dial, or the port is taken: what did connect
+            # must not outlive a proxy that never came up.
+            await self.close()
+            raise
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-        await self._shutdown_runner()
-        for connection in list(self._connections):
-            connection.close()
-        self._connections.clear()
-        self._client_connections.clear()
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
-        await self._close_groups()
+        await self.close()
         # Clients behind a killed proxy fail over and replay under fresh
         # attempt scopes; drop the stranded rounds so a restart acks no
         # ghosts (frame accounting lives in the engine and survives).
-        self._engine.sever()
-
-    def _connection_to(self, destination: str) -> Optional[FramedConnection]:
-        return super()._connection_to(destination) or self._client_connections.get(
-            destination
-        )
-
-    def _accept(self) -> FramedConnection:
-        connection = FramedConnection(
-            lambda frame: self._on_client_frame(connection, frame),
-            lambda exc: self._forget(connection),
-        )
-        self._connections.add(connection)
-        return connection
-
-    def _on_client_frame(self, connection: FramedConnection, frame: Message) -> None:
-        # Ack frames route back over the connection the request (or view
-        # push) arrived on: remember who speaks through it.
-        self._client_connections[frame.sender] = connection
-        self._on_frame(frame)
-
-    def _forget(self, connection: FramedConnection) -> None:
-        self._connections.discard(connection)
-        for sender in [
-            s for s, c in self._client_connections.items() if c is connection
-        ]:
-            del self._client_connections[sender]
+        self.engine.sever()
 
 
 _LINK_IDS = itertools.count(1)
 
 
-class _ReplicaLink(_ReplicaConnected):
+class _ReplicaLink(_Owner):
     """One process's link to a cluster's replicas, on one event loop.
 
     Every :class:`KVStore` that talks to the replicas directly -- connected
@@ -897,28 +682,38 @@ class _ReplicaLink(_ReplicaConnected):
     """
 
     def __init__(self, cluster: "AsyncKVCluster") -> None:
-        super().__init__(cluster)
+        self.cluster = cluster
         self.loop = asyncio.get_running_loop()
         # Replicas answer over the connection whose frames named the sender,
         # so the wire id is unique among everything that may dial them.
         link_id = f"link-{os.getpid()}-{next(_LINK_IDS)}"
-        self.engine = DirectLink(
-            link_id,
-            policy=cluster.retry_policy,
-            observer=cluster.hub.scoped("client", link_id),
+        super().__init__(
+            DirectLink(
+                link_id,
+                policy=cluster.retry_policy,
+                observer=cluster.hub.scoped("client", link_id),
+            ),
+            cluster.retry_policy.reconnect_interval,
+            complete=self.complete,
         )
-        self._bind(self.engine, complete=self.complete)
         #: Every connected store of the loop, behind a proxy or not.
         self.stores: "set[KVStore]" = set()
         #: op id -> (the future its caller awaits, the store it belongs to):
         #: outcomes surface on whichever runtime ran the op's last round.
         self.waiting: Dict[str, Tuple[asyncio.Future, KVStore]] = {}
-        self._dialing = asyncio.Lock()
+        self._dialled = False
 
     async def dial(self) -> None:
-        """Connect to every replica group; a no-op once that is done."""
-        async with self._dialing:
-            await self._connect_groups(self.engine.link_id)
+        """Connect to every replica, once: from then on the endpoint keeps
+        the connections up itself, and the other stores find them there."""
+        if not self._dialled:
+            await self.cluster.dial_replicas(self.endpoint)
+            self._dialled = True
+
+    async def close_stores(self) -> None:
+        """Close every store on the link; the last one out closes the link."""
+        for store in list(self.stores):
+            await store.close()
 
     def complete(self, effect: Union[OpCompleted, OpFailed]) -> None:
         future, store = self.waiting.pop(effect.op_id, (None, None))
@@ -931,12 +726,8 @@ class _ReplicaLink(_ReplicaConnected):
         if store.completion_hook is not None:
             store.completion_hook()
 
-    async def close(self) -> None:
-        await self._shutdown_runner()
-        await self._close_groups()
 
-
-class KVStore(_EffectRunner):
+class KVStore:
     """The async client facade of the sharded store.
 
     One store instance represents one logical client: operations on the same
@@ -962,7 +753,10 @@ class KVStore(_EffectRunner):
     (:meth:`AsyncKVCluster.proxy_candidates`); when the connection dies the
     engine re-dials the next candidate (through ``Connect`` effects)
     and replays its in-flight rounds under a fresh failover generation,
-    falling back to the replica link when the site is exhausted.
+    falling back to the replica link when the site is exhausted.  The proxy
+    leg is an owner of its own -- the session engine, a runtime for the leg's
+    timers, an endpoint holding the one connection -- which a store that
+    never had a proxy does not carry.
 
     A store behind a proxy started with ``read_cache`` (see
     :meth:`AsyncKVCluster.start_proxies`) gets lease-backed cached reads
@@ -983,7 +777,7 @@ class KVStore(_EffectRunner):
         recorder: Optional[KVHistoryRecorder] = None,
         use_proxy: Union[bool, str, None] = None,
     ) -> None:
-        super().__init__(cluster)
+        self.cluster = cluster
         self.client_id = client_id
         self.max_batch = max_batch
         base = time.monotonic()
@@ -992,7 +786,7 @@ class KVStore(_EffectRunner):
         self.completion_hook: Optional[Any] = None
         self._engine: Optional[ClientSessionEngine] = None
         self._link: Optional[_ReplicaLink] = None  # held while connected
-        self._proxy_client: Optional[AsyncProxyClient] = None
+        self._leg: Optional[_Owner] = None  # the proxy leg, if it ever had one
 
     @property
     def engine(self) -> ClientSessionEngine:
@@ -1020,7 +814,7 @@ class KVStore(_EffectRunner):
             )
             self._start_engine(self.cluster.proxy_candidates(proxy_id))
             await self._dial_proxy(proxy_id)
-            self.run_effects(self._engine.on_connected(proxy_id))
+            self._leg.run_effects(self._engine.on_connected(proxy_id))
             return
         self._start_engine([])
         await self._link.dial()
@@ -1030,15 +824,16 @@ class KVStore(_EffectRunner):
             self.client_id,
             self.cluster.shard_map,
             self.recorder,
-            policy=self.retry_policy,
+            policy=self.cluster.retry_policy,
             max_batch=self.max_batch,
             proxy_candidates=candidates,
             observer=self.cluster.hub.scoped("client", self.client_id),
             link=self._link.engine,
         )
         if candidates:
-            # Only a proxy leg has frames and timers of the store's own.
-            self._bind(
+            # Only a proxy leg has frames and timers of the store's own; a
+            # proxy that dies is not redialled, the engine fails over.
+            self._leg = _Owner(
                 self._engine,
                 connect=self._connect_ingress,
                 complete=self._link.complete,
@@ -1048,36 +843,20 @@ class KVStore(_EffectRunner):
         """Execute what the session returned on the leg it is on: the link's
         runtime holds the direct leg's timers, this store's the proxy leg's
         (``engine/client.py``, "Whose effects")."""
-        if self._engine.proxy_id is None:
-            self._link.run_effects(effects)
-        else:
-            self.run_effects(effects)
+        owner = self._link if self._engine.proxy_id is None else self._leg
+        owner.run_effects(effects)
 
     async def _dial_proxy(self, proxy_id: str) -> None:
-        host, port = self.cluster.proxy_endpoint(proxy_id)
-        link = AsyncProxyClient(
-            self.client_id, proxy_id, host, port,
-            on_frame=self._on_frame,
-            on_lost=self._proxy_lost,
-        )
-        await link.connect()
-        self._proxy_client = link
-
-    def _proxy_lost(self, link: AsyncProxyClient, exc: BaseException) -> None:
-        if self._proxy_client is link:
-            # The engine's ingress state makes concurrent reports
-            # single-flight: the first moves the store, the rest are no-ops.
-            self.run_effects(self.engine.on_peer_lost(link.proxy_id))
+        await self._leg.endpoint.dial(proxy_id, *self.cluster.proxy_endpoint(proxy_id))
 
     def _connect_ingress(self, target: str) -> None:
         """Execute a ``Connect`` effect: dial off the effect pump."""
-        self._track(self._do_connect(target))
+        self._leg.endpoint.spawn(self._do_connect(target))
 
     async def _do_connect(self, target: str) -> None:
-        stale = self._proxy_client
-        self._proxy_client = None
-        if stale is not None:
-            await stale.close()
+        # The store has one ingress at a time: a proxy that went silent with
+        # its connection still up is hung up on here.
+        self._leg.endpoint.sever()
         if target == DIRECT_INGRESS:
             await self._link.dial()
             self._link.run_effects(self.engine.on_connected(DIRECT_INGRESS))
@@ -1086,9 +865,9 @@ class KVStore(_EffectRunner):
             await self._dial_proxy(target)
         except OSError:
             # The candidate is dead too; the engine keeps walking the site.
-            self.run_effects(self.engine.on_connect_failed(target))
+            self._leg.run_effects(self.engine.on_connect_failed(target))
             return
-        self.run_effects(self.engine.on_connected(target))
+        self._leg.run_effects(self.engine.on_connected(target))
 
     async def close(self) -> None:
         link = self._link
@@ -1097,10 +876,8 @@ class KVStore(_EffectRunner):
         if self._engine is not None:
             self._run(self._engine.close())
         self._link = None
-        await self._shutdown_runner()
-        if self._proxy_client is not None:
-            await self._proxy_client.close()
-            self._proxy_client = None
+        if self._leg is not None:
+            await self._leg.close()
         await self.cluster._leave_link(link, self)
 
     # -- operations --------------------------------------------------------------
@@ -1137,12 +914,6 @@ class KVStore(_EffectRunner):
             return await future
         finally:
             link.waiting.pop(op_id, None)
-
-    def _connection_to(self, destination: str) -> Optional[FramedConnection]:
-        link = self._proxy_client
-        if link is not None and destination == link.proxy_id:
-            return link.connection
-        return None
 
     # -- introspection -----------------------------------------------------------
 

@@ -439,7 +439,6 @@ class SimKVCluster:
         server_per_op: float = 0.1,
         num_proxies: int = 0,
         read_policy: Optional[ReadRoutingPolicy] = None,
-        proxy_max_batch: int = 64,
         proxy_flush_delay: float = 0.0,
         sites: Optional[Mapping[str, str]] = None,
         push_views: bool = True,
@@ -503,7 +502,6 @@ class SimKVCluster:
                 shard_map,
                 self.events,
                 read_policy=read_policy,
-                max_batch=proxy_max_batch,
                 flush_delay=proxy_flush_delay,
                 observer=self.hub.scoped("proxy", f"p{index}"),
                 read_cache=read_cache,

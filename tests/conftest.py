@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import logging
+import sys
+
 import pytest
 
 from repro.core.conditions import SystemParameters
@@ -9,6 +13,28 @@ from repro.protocols.registry import build_protocol
 from repro.sim.delays import UniformDelay
 from repro.sim.runtime import Simulation
 from repro.util.ids import client_ids, server_ids
+
+
+@pytest.fixture(autouse=True)
+def asyncio_errors_fail_in_dev_mode():
+    """Under ``python -X dev`` a test fails on anything asyncio logs as an
+    error while it runs -- a task exception nobody retrieved above all, which
+    otherwise only shows up as a log line.  (Leaked transports and sockets
+    are ``ResourceWarning``s; CI turns those into errors with ``-W``.)"""
+    if not sys.flags.dev_mode:
+        yield
+        return
+    errors = []
+    handler = logging.Handler(level=logging.ERROR)
+    handler.emit = errors.append
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+        gc.collect()  # a dropped task reports from its finaliser
+    finally:
+        logger.removeHandler(handler)
+    assert not errors, [record.getMessage() for record in errors]
 
 
 @pytest.fixture

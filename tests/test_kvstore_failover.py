@@ -257,8 +257,7 @@ class TestAsyncioProxyFailover:
                 await killer
                 await hammer("after")
                 assert store.proxy_failovers == 1
-                assert store._proxy_client is not None
-                assert store._proxy_client.proxy_id == "p2"
+                assert list(store._leg.endpoint.peers) == ["p2"]
                 verdict = store.check()
                 assert verdict.all_atomic, verdict.summary()
             finally:
@@ -281,8 +280,9 @@ class TestAsyncioProxyFailover:
                 await store.put("k", "v2")
                 assert await store.get("k") == "v2"
                 assert store.proxy_failovers == 1
-                assert store._proxy_client is None
-                assert store._link._group_clients  # the link's replica connections
+                assert not store._leg.endpoint.peers
+                # The link's replica connections.
+                assert set(store._link.endpoint.peers) == set(cluster.replicas)
                 verdict = store.check()
                 assert verdict.all_atomic, verdict.summary()
             finally:
@@ -312,9 +312,9 @@ class TestAsyncioProxyFailover:
                     await store.put(f"k{i}", f"v{i}")
                     assert await store.get(f"k{i}") == f"v{i}"
                 assert store.proxy_failovers == 1
-                assert store._proxy_client is None
-                # Fully connected direct: one group client per group.
-                assert set(store._link._group_clients) == set(shard_map.groups)
+                assert not store._leg.endpoint.peers
+                # Fully connected direct: every replica but the dead one.
+                assert set(store._link.endpoint.peers) == set(cluster.replicas) - {victim}
                 verdict = store.check()
                 assert verdict.all_atomic, verdict.summary()
             finally:

@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import ProtocolError
 from repro.kvstore import AsyncKVCluster, KVStore, ShardMap, check_per_key_atomicity
+from repro.kvstore import net_backend
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.messages import BATCH_KIND, unpack_batch
 from repro.observe import TraceCollector, validate_metrics_snapshot
 
 from test_kvstore_failover import FAST_RETRY
+from test_transport_endpoints import _other_tasks, _spy_on_loop_errors
 
 
 async def _started(shard_map, stores=4, proxied=(), **cluster_kwargs):
@@ -65,7 +68,7 @@ class TestOneLinkPerProcess:
                 assert len({id(_link_of(store)) for store in stores}) == 1
                 assert len({id(store.engine) for store in stores}) == 4
                 for replica in cluster.replicas.values():
-                    assert len(replica._connections) == 1
+                    assert len(replica.endpoint.accepted) == 1
                 # One operation per store, all in the same turn of the loop.
                 seen = []
                 for logic in cluster.server_logics.values():
@@ -274,18 +277,15 @@ class TestLifecycleAndIsolation:
                 for store in stores:
                     await store.put("k", store.client_id)
                 link = stores[0]._link
-                runtime = link._runtime
-                connections = [
-                    group_client.connection_for(server_id)
-                    for group_client in link._group_clients.values()
-                    for server_id in group_client.endpoints
-                ]
+                runtime = link.runtime
+                connections = list(link.endpoint.peers.values())
+                assert len(connections) == len(cluster.replicas)
                 await stores[0].close()
                 assert cluster._links and not any(c.closing for c in connections)
                 assert runtime.timers  # the silence window is still armed
                 await stores[1].close()
                 assert not cluster._links and all(c.closing for c in connections)
-                assert not runtime.timers and not link._io_tasks
+                assert not runtime.timers and not link.endpoint.tasks
                 scope = cluster.metrics._counters
                 link_id = link.engine.link_id
                 armed, fired, cancelled = (
@@ -301,6 +301,117 @@ class TestLifecycleAndIsolation:
                 assert await late.get("k") in ("c1", "c2")
             finally:
                 await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_stopping_the_cluster_closes_the_stores_still_connected(self):
+        async def scenario():
+            loop_errors = _spy_on_loop_errors()
+            shard_map = ShardMap(2, num_groups=1, readers=2, writers=2)
+            cluster, stores, _ = await _started(
+                shard_map, stores=2, proxied=("c2",), service_overhead=0.05
+            )
+            direct, proxied = stores
+            await direct.put("k", "v")
+            await proxied.put("j", "w")
+            inflight = [
+                asyncio.create_task(direct.get("k")),
+                asyncio.create_task(proxied.get("j")),
+            ]
+            await asyncio.sleep(0.01)
+            assert not any(task.done() for task in inflight)
+            await cluster.stop()  # nobody closed the stores
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*inflight, return_exceptions=True), 1.0
+            )
+            assert all(isinstance(o, ConnectionError) for o in outcomes), outcomes
+            for store in stores:
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(store.get("k"), 1.0)
+            assert not cluster._links
+            # No redial of the stopped replicas, no failover off the stopped
+            # proxy: nothing is left to run, and nothing died unobserved.
+            await asyncio.sleep(3 * FAST_RETRY.reconnect_interval)
+            assert not _other_tasks()
+            assert loop_errors == []
+            await _stopped(cluster, stores)  # closing afterwards is harmless
+
+        asyncio.run(scenario())
+
+    def test_stopping_the_cluster_reaches_a_store_on_another_loop(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=2, writers=2)
+            cluster, stores, _ = await _started(shard_map, stores=1)
+            connected = threading.Event()
+            found = {}
+
+            def elsewhere():
+                async def visit():
+                    there = KVStore(cluster, client_id="c2")
+                    await there.connect()
+                    await there.put("theirs", "x")
+                    found["loop"] = asyncio.get_running_loop()
+                    found["stopped"] = asyncio.Event()
+                    connected.set()
+                    await asyncio.wait_for(found["stopped"].wait(), 10.0)
+                    try:
+                        await asyncio.wait_for(there.get("theirs"), 1.0)
+                    except ConnectionError:
+                        found["closed"] = True
+                    await asyncio.sleep(3 * FAST_RETRY.reconnect_interval)
+                    found["tasks"] = _other_tasks()
+
+                asyncio.run(visit())
+
+            thread = threading.Thread(target=elsewhere)
+            thread.start()
+            here = asyncio.get_running_loop()
+            assert await here.run_in_executor(None, connected.wait, 10.0)
+            assert len(cluster._links) == 2
+            await cluster.stop()
+            assert not cluster._links
+            found["loop"].call_soon_threadsafe(found["stopped"].set)
+            await here.run_in_executor(None, thread.join, 10.0)
+            assert not thread.is_alive()
+            assert found.get("closed") and not found["tasks"]
+            await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_stopping_the_cluster_does_not_wait_on_a_blocked_or_dead_loop(self, monkeypatch):
+        monkeypatch.setattr(net_backend, "STOP_WAIT", 0.1)
+
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=2, writers=2)
+            cluster, stores, _ = await _started(shard_map, stores=1)
+            connected, release = threading.Event(), threading.Event()
+            found = {}
+
+            def elsewhere():
+                async def visit():
+                    there = KVStore(cluster, client_id="c2")
+                    await there.connect()
+                    connected.set()
+                    release.wait(10.0)  # the loop is stuck in its own work
+                    await there.close()  # the cluster let go of its link long ago
+                    found["tasks"] = _other_tasks()
+
+                asyncio.run(visit())
+
+            thread = threading.Thread(target=elsewhere)
+            thread.start()
+            here = asyncio.get_running_loop()
+            assert await here.run_in_executor(None, connected.wait, 10.0)
+            dead = asyncio.new_event_loop()
+            dead.close()
+            cluster._links[dead] = SimpleNamespace(loop=dead)  # left by a loop that ended
+            assert len(cluster._links) == 3
+            await asyncio.wait_for(cluster.stop(), 2.0)
+            assert not cluster._links
+            release.set()
+            await here.run_in_executor(None, thread.join, 10.0)
+            assert not thread.is_alive() and not found["tasks"]
+            await _stopped(cluster, stores)
 
         asyncio.run(scenario())
 
@@ -356,7 +467,7 @@ class TestLifecycleAndIsolation:
                 assert proxied.proxy_failovers == 1 and proxied.engine.proxy_id is None
                 # One connection per replica, still: the link's.
                 for replica in cluster.replicas.values():
-                    assert len(replica._connections) == 1
+                    assert len(replica.endpoint.accepted) == 1
                 # Its proxy leg stays on its own books; the rest is the link's.
                 assert proxied.engine.stats.frames_sent > 0
                 assert direct.engine.stats.frames_total == 0

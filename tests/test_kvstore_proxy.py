@@ -354,7 +354,7 @@ class TestAsyncioProxiedWorkloads:
             try:
                 await store.put("k", "v")
                 assert await store.get("k") == "v"
-                assert store._proxy_client.proxy_id == "p2"
+                assert list(store._leg.endpoint.peers) == ["p2"]
             finally:
                 await store.close()
                 await cluster.stop()

@@ -23,6 +23,7 @@ from repro.asyncio_net.codec import (
     read_frame,
     write_frame,
 )
+from repro.asyncio_net.codec import decode_message
 from repro.asyncio_net.server import ReplicaServer
 from repro.core.timestamps import Tag
 from repro.kvstore import AsyncKVCluster, KVStore, RetryPolicy, ShardMap
@@ -33,6 +34,7 @@ from repro.protocols.server_state import TagValueServer
 from repro.messages import Message, SubRequest, make_batch
 
 from test_codec_properties import WRONG_SHAPES
+from test_framed_connection import FakeTransport
 from test_kvstore_failover import FAST_RETRY
 
 GARBAGE = b"\x00\x00\x00\x05{{{{{"
@@ -111,6 +113,13 @@ def _other_tasks() -> "set[asyncio.Task]":
     return asyncio.all_tasks() - {asyncio.current_task()}
 
 
+async def _wait_until(condition, timeout: float = 2.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.005)
+
+
 def _intercept_dials(port: int, behaviour) -> None:
     """Every dial of ``port`` on the running loop awaits ``behaviour()``
     instead of connecting; other dials go through.  The loop dies with the
@@ -185,7 +194,7 @@ class TestReplicaServerEndpoint:
                             {"tag": encode_tag(Tag(1, "w1")), "value": "v"}),
                 )
                 assert (await read_frame(good_reader)).kind == "update-ack"
-                assert len(replica._connections) == 1
+                assert len(replica.endpoint.accepted) == 1
                 good_writer.close()
                 await good_writer.wait_closed()
             finally:
@@ -205,7 +214,7 @@ class TestReplicaServerEndpoint:
                 server_id, group.protocol,
                 {s.shard_id: s.epoch for s in shard_map.shards_on("g1")},
             ))
-            lost = _spy_on_lost(replica)
+            lost = _spy_on_lost(replica.endpoint)
             loop_errors = _spy_on_loop_errors()
             await replica.start()
 
@@ -234,7 +243,7 @@ class TestReplicaServerEndpoint:
 
                 await write_frame(good_writer, query("op2"))
                 assert (await read_frame(good_reader)).kind == "batch-ack"
-                assert len(replica._connections) == 1
+                assert len(replica.endpoint.accepted) == 1
                 good_writer.close()
                 await good_writer.wait_closed()
             finally:
@@ -271,10 +280,10 @@ class TestReplicaServerEndpoint:
             await write_frame(writer, Message("p1", "s1", "ping"))
             await write_frame(writer, Message("p1", "s1", "ping"))
             assert (await read_frame(reader)).kind == "pong"
-            assert replica._timers and replica._connections and replica._peers
+            assert replica._timers and replica.endpoint.accepted and replica.endpoint.peers
             await replica.stop()
             assert not replica._timers
-            assert not replica._connections and not replica._peers
+            assert not replica.endpoint.accepted and not replica.endpoint.peers
             assert not replica.running
             assert not _other_tasks()
             assert await _closed_by_peer(reader)  # severed, second pong never sent
@@ -327,18 +336,17 @@ class TestReplicaDiallers:
                 await store.put("k", "v0")
                 victim = servers[0]
                 dialler = cluster.proxies["p1"] if owner == "proxy" else store._link
-                group_client = dialler._group_clients["g1"]
-                link = group_client.connection_for(victim)
+                link = dialler.endpoint.peers[victim]
                 # The replica's side of the link misbehaves.
                 peer_id = "p1" if owner == "proxy" else engine.link_id
-                server_side = cluster.replicas[victim]._peers[peer_id]
+                server_side = cluster.replicas[victim].endpoint.peers[peer_id]
                 server_side.send(bad)
                 if bad is TRUNCATED:
                     server_side.close()
                 for i in range(4):  # quorums of S - t carry these
                     await store.put(f"k{i}", f"v{i}")
                 await asyncio.sleep(0.2)  # let the redial land
-                fresh = group_client.connection_for(victim)
+                fresh = dialler.endpoint.peers[victim]
                 assert fresh is not link and not fresh.closing
                 assert link.closing
                 served = cluster.replicas[victim].requests_served
@@ -408,7 +416,7 @@ class TestReplicaDiallers:
                 await asyncio.sleep(0.02)
                 assert not cluster.proxies
                 for replica in cluster.replicas.values():
-                    assert not replica._connections
+                    assert not replica.endpoint.accepted
                 assert not _other_tasks()
                 # Nothing is wedged: the same dials go through afterwards.
                 loop.create_connection = real_dial
@@ -464,7 +472,7 @@ class TestProxyEndpoints:
                 await store.put("k", "v2")
                 assert await store.get("k") == "v2"
                 assert store.proxy_failovers == 0
-                assert len(cluster.proxies["p1"]._connections) == 1
+                assert len(cluster.proxies["p1"].endpoint.accepted) == 1
             finally:
                 await store.close()
                 await cluster.stop()
@@ -480,7 +488,7 @@ class TestProxyEndpoints:
             await cluster.start_proxies(1)
             proxy = cluster.proxies["p1"]
             await proxy.stop()  # the listener binds ``_accept`` at start()
-            lost = _spy_on_lost(proxy)
+            lost = _spy_on_lost(proxy.endpoint)
             await proxy.start()
             loop_errors = _spy_on_loop_errors()
             store = KVStore(cluster, client_id="c1", use_proxy="p1")
@@ -497,7 +505,7 @@ class TestProxyEndpoints:
                 await store.put("k", "v2")
                 assert await store.get("k") == "v2"
                 assert store.proxy_failovers == 0
-                assert len(proxy._connections) == 1
+                assert len(proxy.endpoint.accepted) == 1
             finally:
                 await store.close()
                 await cluster.stop()
@@ -559,6 +567,48 @@ class TestProxyEndpoints:
 
         asyncio.run(scenario())
 
+    def test_a_client_naming_a_replica_does_not_take_its_route(self):
+        # An inbound frame whose sender is a peer the proxy dials -- an id
+        # collision or hostile input -- is dropped: the proxy's batches keep
+        # going to the replica, connected or being redialled.
+        async def scenario():
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            await cluster.start()
+            await cluster.start_proxies(1)
+            proxy = cluster.proxies["p1"]
+            victim = next(iter(cluster.replicas))
+            seen: List[str] = []
+            on_frame = proxy.engine.on_frame
+            proxy.engine.on_frame = lambda frame: seen.append(frame.kind) or on_frame(frame)
+            store = KVStore(cluster, client_id="c1", use_proxy="p1")
+            await store.connect()
+            try:
+                dialled = proxy.endpoint.peers[victim]
+                reader, writer = await asyncio.open_connection(*cluster.proxy_endpoint("p1"))
+                await write_frame(writer, Message(victim, "p1", "hello"))
+                await store.put("k", "v1")  # the impostor's frame has been read
+                assert proxy.endpoint.peers[victim] is dialled
+                assert "hello" not in seen
+                # The same while the replica is down and being redialled ...
+                await cluster.kill_server(victim)
+                await _wait_until(lambda: victim not in proxy.endpoint.peers)
+                await write_frame(writer, Message(victim, "p1", "hello"))
+                await store.put("k", "v2")
+                assert victim not in proxy.endpoint.peers and "hello" not in seen
+                # ... so the redial brings back a route to the real one.
+                await cluster.restart_server(victim)
+                await _wait_until(lambda: victim in proxy.endpoint.peers)
+                assert proxy.endpoint.peers[victim] not in proxy.endpoint.accepted
+                assert await store.get("k") == "v2"
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await store.close()
+                await cluster.stop()
+            assert not _other_tasks()
+
+        asyncio.run(scenario())
+
     @BAD_FRAMES
     def test_bad_frame_from_a_proxy_fails_the_store_over(self, bad):
         async def scenario():
@@ -569,20 +619,85 @@ class TestProxyEndpoints:
             await store.connect()
             try:
                 await store.put("k", "v1")
-                proxy_side = cluster.proxies["p1"]._client_connections["c1"]
+                proxy_side = cluster.proxies["p1"].endpoint.peers["c1"]
                 proxy_side.send(bad)
                 if bad is TRUNCATED:
                     proxy_side.close()
                 await store.put("k", "v2")
                 assert await store.get("k") == "v2"
                 assert store.proxy_failovers == 1
-                assert store._proxy_client.proxy_id == "p2"
+                assert list(store._leg.endpoint.peers) == ["p2"]
                 assert store.check().all_atomic
             finally:
                 await store.close()
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+
+class TestScriptedEndpoint:
+    """The send path with no socket: connections the endpoint built, on a
+    scripted transport -- frames fed in, writes recorded."""
+
+    class Forwarder:
+        """Forwards each frame's body, ``times`` over, to the peer it names."""
+
+        def __init__(self) -> None:
+            self.undeliverable: List[tuple] = []
+
+        def on_frame(self, frame):
+            to = frame.payload["to"]
+            body = frame.payload["body"] * frame.payload.get("times", 1)
+            return [SendFrame(to, Message("o1", to, "out", {"body": body}))]
+
+        def on_frame_undeliverable(self, frame, error, retryable=True):
+            self.undeliverable.append((frame.receiver, type(error), retryable))
+            return []
+
+    def test_unmapped_closing_and_oversized_sends_report_to_the_engine(self):
+        from repro.kvstore.net_backend import _Owner
+
+        engine = self.Forwarder()
+        owner = _Owner(engine)
+
+        def dial_in(sender: str) -> FakeTransport:
+            connection = owner.endpoint._accept()
+            transport = FakeTransport(connection)
+            connection.data_received(encode_message(
+                Message(sender, "o1", "in", {"to": sender, "body": "hello"})
+            ))
+            return transport
+
+        def forward(to: str, body: str, times: int = 1) -> None:
+            first.protocol.data_received(encode_message(
+                Message("c1", "o1", "in", {"to": to, "body": body, "times": times})
+            ))
+
+        def written(transport: FakeTransport) -> List[str]:
+            return [decode_message(data[4:]).payload["body"] for data in transport.written]
+
+        first, second = dial_in("c1"), dial_in("c2")
+        assert set(owner.endpoint.peers) == {"c1", "c2"}
+        assert written(first) == ["hello"] and written(second) == ["hello"]
+        forward("c2", "across")
+        assert written(second) == ["hello", "across"]
+
+        forward("nobody", "lost")
+        assert engine.undeliverable == [("nobody", ConnectionResetError, True)]
+        # Closing, its loss not yet delivered: still mapped, no longer written to.
+        second.closed = "close"
+        forward("c2", "late")
+        assert engine.undeliverable[1:] == [("c2", ConnectionResetError, True)]
+        assert written(second) == ["hello", "across"]
+        # Too large to encode: that round's problem, not the connection's.
+        forward("c1", "x", times=MAX_FRAME_BYTES + 1)
+        assert engine.undeliverable[2:] == [("c1", FrameError, False)]
+        forward("c1", "still here")
+        assert written(first) == ["hello", "still here"]
+        assert first.closed is None and "c1" in owner.endpoint.peers
+        # A peer that hangs up is unmapped with its connection.
+        first.peer_closes()
+        assert set(owner.endpoint.peers) == {"c2"} and len(owner.endpoint.accepted) == 1
 
 
 class TestNoTaskPerFrame:
@@ -610,7 +725,7 @@ class TestNoTaskPerFrame:
                 frames = store.frames_total()
                 assert frames >= 200 * 2 * 2  # >= 2 round trips x (send + ack) per op
                 assert len(created) <= connections
-                assert not store._io_tasks
+                assert store._leg is None  # no runtime, endpoint or task of its own
             finally:
                 loop.set_task_factory(None)
                 await store.close()
