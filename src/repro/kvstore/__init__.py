@@ -79,7 +79,6 @@ _EXPORTS = {
     # asyncio backend
     "AsyncKVCluster": ".net_backend",
     "KVStore": ".net_backend",
-    "ProxyConnectionLost": ".net_backend",
     "ProxyServer": ".net_backend",
     "RetryPolicy": ".net_backend",
     "SyncKVStore": ".net_backend",
@@ -160,7 +159,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .net_backend import (  # noqa: F401
         AsyncKVCluster,
         KVStore,
-        ProxyConnectionLost,
         ProxyServer,
         RetryPolicy,
         SyncKVStore,

@@ -2,22 +2,25 @@
 
 All protocol behaviour -- round lifecycle, batching, stale-epoch replay,
 proxy merging, failover, view-push adoption -- lives in the shared sans-I/O
-engines of :mod:`repro.kvstore.engine`, and their effects are interpreted by
-its :class:`~repro.kvstore.engine.runtime.EffectRuntime`; this module only
-gives each runtime asyncio's transport.  Every process of the store that
-keeps connections is one *owner* (:class:`_Owner`): an engine, its runtime,
-and the :class:`~repro.asyncio_net.endpoint.Endpoint` that holds them --
-accepted or dialled, redialled or reported when lost -- and nothing else
-here keeps a connection.  Frames are decoded inside ``data_received`` and fed
-to the owning engine in the same event-loop turn, and its effects -- sends
-included -- execute synchronously, so no task exists per frame or per send:
+engines of :mod:`repro.kvstore.engine`, which engine each node runs is the
+:class:`~repro.kvstore.engine.assembly.ClusterAssembly`'s recipe, and the
+engines' effects are interpreted by the
+:class:`~repro.kvstore.engine.runtime.EffectRuntime`; this module only gives
+each runtime asyncio's transport.  Every process of the store that keeps
+connections is one *owner* (:class:`_Owner`): an engine, its runtime, and the
+:class:`~repro.asyncio_net.endpoint.Endpoint` that holds them -- accepted or
+dialled, redialled or reported when lost -- and nothing else here keeps a
+connection.  Frames are decoded inside ``data_received`` and fed to the
+owning engine in the same event-loop turn, and its effects -- sends included
+-- execute synchronously, so no task exists per frame or per send:
 
-* :class:`AsyncKVCluster` starts one
+* :class:`AsyncKVCluster` is the assembly on loopback TCP: it starts one
   :class:`~repro.asyncio_net.server.ReplicaServer` per replica-group server
   (each hosting a :class:`~repro.kvstore.engine.server.GroupServerEngine`),
-  plus optional :class:`ProxyServer` ingress proxies, and runs the live
-  control plane (:meth:`AsyncKVCluster.resize` / ``move_shard`` with delta
-  view pushes over TCP; its one-shot deliveries are the only streams left).
+  plus optional :class:`ProxyServer` ingress proxies, and binds the control
+  plane to an owner of its own (:class:`_ControlPlane`), which dials the
+  replicas and proxies at the first :meth:`AsyncKVCluster.resize` /
+  ``move_shard`` / ``start_autoscaler`` -- not before.
 * :class:`KVStore` is the client facade: ``await get/put/multi_get/multi_put``
   drive a :class:`~repro.kvstore.engine.client.ClientSessionEngine`.  Behind a
   proxy its frames ride its one proxy connection and its timers its own
@@ -41,13 +44,11 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..asyncio_net.codec import FrameError, encode_message, read_frame, write_frame
+from ..asyncio_net.codec import FrameError, encode_message
 from ..asyncio_net.endpoint import Endpoint
 from ..asyncio_net.server import ReplicaServer
 from ..core.operations import OpKind
-from ..messages import DEFAULT_LEASE_TTL, Message
-from ..observe.events import ObserverHub
-from ..observe.metrics import MetricsObserver, MetricsRegistry
+from ..messages import VIEW_PUSH_ACK_KIND, VIEW_PUSH_KIND, Message
 from ..observe.trace import TraceCollector
 from ..protocols.base import OperationOutcome
 from ..util.rng import SeededRng
@@ -55,15 +56,12 @@ from .engine import (
     DEFAULT_RETRY_POLICY,
     DIRECT_INGRESS,
     DRAIN_RANGE_SIZE,
-    AutoscaleFeed,
     BatchStats,
-    CachedShardView,
     ClientSessionEngine,
     ControlPlaneEngine,
     DirectLink,
     Effect,
     EffectRuntime,
-    GroupServerEngine,
     OpCompleted,
     OpFailed,
     ProxyEngine,
@@ -71,6 +69,7 @@ from .engine import (
     RetryPolicy,
     SendFrame,
 )
+from .engine.assembly import ClusterAssembly
 from .migration import MigrationReport
 from .perkey import KVHistoryRecorder, PerKeyAtomicity, check_per_key_atomicity
 from .sharding import ShardMap
@@ -84,23 +83,9 @@ from .workload import (
 from ._sync import LoopThread, run_sync
 
 __all__ = ["AsyncKVCluster", "ProxyServer", "KVStore", "SyncKVStore",
-           "RetryPolicy", "ProxyConnectionLost", "run_asyncio_kv_workload"]
+           "RetryPolicy", "run_asyncio_kv_workload"]
 
 logger = logging.getLogger(__name__)
-
-
-class ProxyConnectionLost(ConnectionError):
-    """The client's connection to its ingress proxy died mid-round.
-
-    Distinct from the plain ``OSError`` of a replica-leg hiccup because the
-    remedies differ: a replica outage is waited out (the endpoint is stable
-    across kill/restart), while a dead proxy triggers *failover* -- the
-    client engine re-dials the next proxy of its site, or falls back to
-    direct replica connections, and replays the round under a fresh attempt
-    scope.  Only the public name of the condition: nothing raises it -- the
-    loss reaches the engine as ``on_peer_lost(proxy_id)``, from the proxy
-    leg's endpoint, and the engine never surfaces it (ROADMAP item 5b).
-    """
 
 
 def _call_later(delay: float, callback: Callable[[], None]) -> asyncio.TimerHandle:
@@ -126,41 +111,45 @@ class _Owner:
     ) -> None:
         self.engine = engine
         self.runtime = EffectRuntime(engine, _call_later, self._send, **client_hooks)
-        run = self.runtime.run
-        # ``on_frame`` / ``on_peer_lost`` are looked up per call: tests and the
-        # benchmark's tracer wrap them on the engine instance after the stack
-        # is built.
-        self.endpoint = Endpoint(
-            lambda frame: run(engine.on_frame(frame)),
-            lambda peer_id, exc: run(engine.on_peer_lost(peer_id)),
-            reconnect_interval,
-        )
+        self.endpoint = Endpoint(self._on_frame, self._on_peer_lost, reconnect_interval)
 
-    def run_effects(self, effects: Sequence[Effect]) -> None:
-        self.runtime.run(effects)
+    # ``on_frame`` / ``on_peer_lost`` are looked up on the engine per call:
+    # tests and the benchmark's tracer wrap them on the engine instance after
+    # the stack is built.
+
+    def _on_frame(self, frame: Message) -> None:
+        self.runtime.run(self.engine.on_frame(frame))
+
+    def _on_peer_lost(self, peer_id: str, exc: BaseException) -> None:
+        self.runtime.run(self.engine.on_peer_lost(peer_id))
 
     def _send(self, effect: SendFrame) -> Optional[List[Effect]]:
         """Write one frame; what the engine makes of a frame that cannot go
         out is handed back to join the batch being run."""
-        destination = effect.destination
-        connection = self.endpoint.peers.get(destination)
+        failed = self._write(effect)
+        if failed is None:
+            return None
+        return self.engine.on_frame_undeliverable(
+            effect.frame, failed[0], retryable=failed[1]
+        )
+
+    def _write(self, effect: SendFrame) -> Optional[Tuple[BaseException, bool]]:
+        """One lookup, encode, write -- or why not, and whether trying again
+        later could help."""
+        connection = self.endpoint.peers.get(effect.destination)
         if connection is None or connection.closing:
             # The peer is down and its redial has not landed yet; report the
             # loss instead of writing into a dead socket -- the engine's
             # replay (or failover) logic takes over.
-            return self.engine.on_frame_undeliverable(
-                effect.frame,
-                ConnectionResetError(f"connection to {destination} is down"),
-                retryable=True,
-            )
+            return ConnectionResetError(
+                f"connection to {effect.destination} is down"
+            ), True
         try:
             data = encode_message(effect.frame)
         except FrameError as exc:
             # Not a connection death (an oversized frame): fail the affected
             # rounds with the real error, but keep the connection usable.
-            return self.engine.on_frame_undeliverable(
-                effect.frame, exc, retryable=False
-            )
+            return exc, False
         # Nothing waits for the write to reach the peer: a connection that
         # dies after it reports through its lost path, and round timeouts
         # cover what that misses.
@@ -191,81 +180,92 @@ STOP_WAIT = 5.0
 NET_LEASE_TTL = 1.0
 
 
-class _ControlPlaneDriver:
-    """Executes the control engine's effects on the asyncio event loop.
+class _ControlPlane(_Owner):
+    """The control plane on the asyncio event loop: the control engine's owner.
 
-    Unlike clients and proxies the control plane keeps no persistent
-    connections, so it is no :class:`_Owner` and has no endpoint: each drain
-    or view-push frame rides its own short-lived connection, in a delivery
-    task of its own -- write the frame, await the peer's ack on the same
-    stream, feed it back into the engine.  A failed dial or read produces no
-    ack, which is indistinguishable from a lost frame: the engine's retry
-    timer resends, and after ``max_retries`` the replica is treated as dead
-    for the rest of the migration (the same ``t``-fault budget the quorums
-    tolerate).  Timers ride ``loop.call_later``.
+    It reaches its peers like every other owner: it dials each replica and
+    proxy by address (``addresses``, the cluster's live table of what is
+    listening where), keeps the connections in its endpoint -- redialled when
+    lost -- and the ``drain-*-ack`` and ``view-push-ack`` frames come back
+    over them into the engine.  It dials *lazily*: setting a cluster up opens
+    no control-plane connection, the first :meth:`submit` does, and whatever
+    is submitted while dials are landing waits its turn behind them, so no
+    frame of a first use is lost to a connection that is not there yet.
+
+    A frame whose peer is down when its turn comes is dropped, which is
+    indistinguishable from a lost frame: the engine's retry timer resends a
+    drain frame, and after ``max_retries`` the replica is treated as dead for
+    the rest of the migration (the same ``t``-fault budget the quorums
+    tolerate); a view push has no retry -- ``restart_proxy`` refreshes the
+    view of a proxy that missed one.
     """
 
-    def __init__(self, cluster: "AsyncKVCluster", engine: ControlPlaneEngine) -> None:
-        self.cluster = cluster
-        self.engine = engine
-        self.runtime = EffectRuntime(engine, _call_later, self._send)
-        self._deliveries: "set[asyncio.Task]" = set()
+    def __init__(
+        self,
+        engine: ControlPlaneEngine,
+        reconnect_interval: float,
+        addresses: Mapping[str, Tuple[str, int]],
+    ) -> None:
+        super().__init__(engine, reconnect_interval)
+        self.addresses = addresses
+        #: Whether the peers have been dialled (since then, a peer that
+        #: starts listening later is dialled as it comes up).
+        self.dialled = False
+        #: Effect batches waiting for dials to land, in submission order; a
+        #: task is working through them exactly while there are any.
+        self._backlog: List[Sequence[Effect]] = []
+        #: The connection of every view push written and not acked yet.
+        self._pushes: List[Any] = []
 
-    def run_effects(self, effects: Sequence[Effect]) -> None:
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            # No loop: nothing is listening, so there is nothing to drain
-            # to.  The metadata flip already happened; drop the effects.
-            return
-        self.runtime.run(effects)
+    def submit(self, effects: Sequence[Effect]) -> None:
+        """Run ``effects`` once every known peer has been dialled."""
+        self._backlog.append(effects)
+        if len(self._backlog) == 1:
+            self.endpoint.spawn(self._dial_then_run())
+
+    async def _dial_then_run(self) -> None:
+        for peer_id, address in list(self.addresses.items()):
+            await self.endpoint.dial(peer_id, *address)
+        self.dialled = True
+        backlog, self._backlog = self._backlog, []
+        for effects in backlog:
+            self.runtime.run(effects)
 
     def _send(self, effect: SendFrame) -> None:
-        task = asyncio.create_task(self._deliver(effect.destination, effect.frame))
-        self._deliveries.add(task)
-        task.add_done_callback(self._deliveries.discard)
+        if self._write(effect) is None and effect.frame.kind == VIEW_PUSH_KIND:
+            self._pushes.append(self.endpoint.peers[effect.destination])
 
-    async def _deliver(self, destination: str, frame: Message) -> None:
-        endpoint = self.cluster.endpoint_of(destination)
-        if endpoint is None:
-            return  # killed proxy or unknown peer; retries/fences cover it
-        try:
-            reader, writer = await asyncio.open_connection(*endpoint)
-            try:
-                await write_frame(writer, frame)
-                # A replica deferring a drain transfer behind live read
-                # leases withholds the ack entirely (the engine's retry
-                # timer re-asks); bound the wait so this delivery task
-                # does not outlive the retry that supersedes it.
-                reply = await asyncio.wait_for(
-                    read_frame(reader), timeout=self.cluster.lease_ttl + 1.0
-                )
-                self.run_effects(self.engine.on_frame(reply))
-            except asyncio.TimeoutError:
-                pass  # no ack: deferred behind leases; the retry covers it
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except OSError:  # pragma: no cover - teardown race
-                    pass
-        except (OSError, asyncio.IncompleteReadError, FrameError):
-            pass  # no ack: the engine's retry timer covers it
+    def _on_frame(self, frame: Message) -> None:
+        if frame.kind == VIEW_PUSH_ACK_KIND:
+            # Acks come back in order over the connection the pushes went out on.
+            connection = self.endpoint.peers.get(frame.sender)
+            if connection in self._pushes:
+                self._pushes.remove(connection)
+        super()._on_frame(frame)
+
+    def _on_peer_lost(self, peer_id: str, exc: BaseException) -> None:
+        """Nobody redials ``peer_id`` any more: its frames are dropped like
+        any dead peer's, and the engine's retries give up on it."""
 
     async def flush(self) -> None:
-        """Wait for every in-flight delivery task (not for retries)."""
-        await asyncio.gather(*self._deliveries, return_exceptions=True)
+        """Wait until everything submitted has gone out and every view push
+        in it was acked -- or lost the connection it was written to."""
+        while self._backlog or not all(c.closing for c in self._pushes):
+            await asyncio.sleep(0.005)
+        self._pushes.clear()
 
     async def close(self) -> None:
-        """Cancel every timer and delivery."""
-        self.runtime.shutdown()
-        for task in list(self._deliveries):
-            task.cancel()
-        await self.flush()
+        await super().close()
+        self._backlog.clear()
 
 
-class AsyncKVCluster:
-    """All group replicas of a :class:`ShardMap` listening on loopback TCP."""
+class AsyncKVCluster(ClusterAssembly):
+    """All group replicas of a :class:`ShardMap` listening on loopback TCP.
+
+    The engines, their observers and the control plane are the
+    :class:`~repro.kvstore.engine.assembly.ClusterAssembly`'s; this class
+    puts each behind a listening owner.
+    """
 
     def __init__(
         self,
@@ -280,61 +280,43 @@ class AsyncKVCluster:
         autoscale_interval: float = NET_AUTOSCALE_INTERVAL,
         lease_ttl: float = NET_LEASE_TTL,
     ) -> None:
-        self.shard_map = shard_map
+        super().__init__(
+            shard_map,
+            time.monotonic,
+            retry_policy or DEFAULT_RETRY_POLICY,
+            lease_ttl=lease_ttl,
+            drain_range_size=drain_range_size,
+            autoscale_interval=autoscale_interval,
+            push_views=push_views,
+            trace_collector=trace_collector,
+        )
         self.host = host
         self.service_overhead = service_overhead
         self.service_per_op = service_per_op
-        self.lease_ttl = lease_ttl
-        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
-        self.push_views = push_views
-        # One observer hub per cluster: wall-clock timestamps, a metrics
-        # registry fed by every tier, and (optionally) a trace collector.
-        self.hub = ObserverHub(clock=time.monotonic)
-        self.metrics = MetricsRegistry()
-        self.hub.add_sink(MetricsObserver(self.metrics))
-        if trace_collector is not None:
-            self.hub.add_sink(trace_collector)
         self.replicas: Dict[str, ReplicaServer] = {}
         self.proxies: Dict[str, "ProxyServer"] = {}
-        self.migrations: List[MigrationReport] = []
-        self._logics: Dict[str, GroupServerEngine] = {}
-        self._endpoints: Dict[str, Dict[str, Tuple[str, int]]] = {}
-        self._proxy_rr = 0
+        #: Where every replica and proxy listens (stable across kill/restart).
+        self._addresses: Dict[str, Tuple[str, int]] = {}
         #: The replica link of every event loop that has a connected store.
         self._links: Dict[asyncio.AbstractEventLoop, _ReplicaLink] = {}
-        self.control = ControlPlaneEngine(
-            shard_map,
-            drain_range_size=drain_range_size,
-            autoscale_interval=autoscale_interval,
-            observer=self.hub.scoped("control", "control-plane"),
+        self._control_plane = _ControlPlane(
+            self.control_engine, self.retry_policy.reconnect_interval, self._addresses
         )
-        self._driver = _ControlPlaneDriver(self, self.control)
-        self.hub.add_sink(AutoscaleFeed(self.control))
+
+    #: The control-plane engine (its owner is internal).
+    control = ClusterAssembly.control_engine
 
     async def start(self) -> None:
-        for group in self.shard_map.groups.values():
-            hosted = {
-                spec.shard_id: spec.epoch
-                for spec in self.shard_map.shards_on(group.group_id)
-            }
-            endpoints: Dict[str, Tuple[str, int]] = {}
-            for server_id in group.servers:
-                logic = GroupServerEngine(
-                    server_id, group.protocol, dict(hosted),
-                    observer=self.hub.scoped("replica", server_id),
-                    lease_ttl=self.lease_ttl,
-                )
-                replica = ReplicaServer(
-                    logic,
-                    host=self.host,
-                    service_overhead=self.service_overhead,
-                    service_per_op=self.service_per_op,
-                )
-                await replica.start()
-                self.replicas[server_id] = replica
-                self._logics[server_id] = logic
-                endpoints[server_id] = (replica.host, replica.port)
-            self._endpoints[group.group_id] = endpoints
+        for server_id in self.shard_map.all_servers:
+            replica = ReplicaServer(
+                self.server_engine(server_id),
+                host=self.host,
+                service_overhead=self.service_overhead,
+                service_per_op=self.service_per_op,
+            )
+            await replica.start()
+            self.replicas[server_id] = replica
+            self._addresses[server_id] = (replica.host, replica.port)
 
     async def stop(self) -> None:
         """Stop everything the cluster started -- and close every store still
@@ -356,15 +338,14 @@ class AsyncKVCluster:
         # A link whose loop is blocked, or no longer runs, is let go of: its
         # replicas are about to be gone, and nothing here may wait for it.
         self._links.clear()
-        await self._driver.close()
+        await self._control_plane.close()
         for proxy in self.proxies.values():
             await proxy.stop()
         self.proxies.clear()
         for replica in self.replicas.values():
             await replica.stop()
         self.replicas.clear()
-        self._logics.clear()
-        self._endpoints.clear()
+        self._addresses.clear()
 
     async def dial_replicas(self, endpoint: Endpoint) -> None:
         """Connect ``endpoint`` to every replica of every group.
@@ -373,9 +354,8 @@ class AsyncKVCluster:
         the background: the failover path may land here while a replica is
         also down, or twice at once, and must neither wedge nor dial twice.
         """
-        for endpoints in self._endpoints.values():
-            for server_id, (host, port) in endpoints.items():
-                await endpoint.dial(server_id, host, port)
+        for server_id in self.replicas:
+            await endpoint.dial(server_id, *self._addresses[server_id])
 
     def _join_link(self, store: "KVStore") -> "_ReplicaLink":
         """The running loop's replica link, with ``store`` among its stores."""
@@ -417,47 +397,21 @@ class AsyncKVCluster:
         started: List[str] = []
         for _ in range(num_proxies):
             proxy_id = f"p{len(self.proxies) + 1}"
-            proxy = ProxyServer(
-                proxy_id, self, read_policy=read_policy,
-                max_batch=max_batch, host=self.host, site=site,
-                read_cache=read_cache, bounded_staleness=bounded_staleness,
+            engine = self.proxy_engine(
+                proxy_id, read_policy=read_policy, max_batch=max_batch,
+                read_cache=read_cache, bounded_staleness=bounded_staleness, site=site,
             )
+            proxy = ProxyServer(engine, self, host=self.host)
             await proxy.start()
             self.proxies[proxy_id] = proxy
-            if self.push_views:
-                self.control.proxy_ids.append(proxy_id)
+            self._addresses[proxy_id] = (proxy.host, proxy.port)
             started.append(proxy_id)
+        if self._control_plane.dialled:
+            self._control_plane.submit(())  # dials the newcomers
         return started
 
-    def assign_proxy(self) -> str:
-        """The next proxy id, round-robin (how ``use_proxy=True`` clients
-        spread over the proxy tier)."""
-        if not self.proxies:
-            raise RuntimeError("no proxies started; call start_proxies() first")
-        ids = list(self.proxies)
-        proxy_id = ids[self._proxy_rr % len(ids)]
-        self._proxy_rr += 1
-        return proxy_id
-
     def proxy_endpoint(self, proxy_id: str) -> Tuple[str, int]:
-        proxy = self.proxies[proxy_id]
-        return (proxy.host, proxy.port)
-
-    def proxy_candidates(self, proxy_id: str) -> List[str]:
-        """Every proxy of ``proxy_id``'s site, starting with ``proxy_id``.
-
-        This is the failover list a connecting store learns: when its
-        current proxy dies it re-dials the next candidate, and when the list
-        is exhausted it falls back to direct replica connections.
-        """
-        site = self.proxies[proxy_id].site
-        same_site = [
-            candidate_id
-            for candidate_id, proxy in self.proxies.items()
-            if proxy.site == site
-        ]
-        start = same_site.index(proxy_id)
-        return same_site[start:] + same_site[:start]
+        return self._addresses[proxy_id]
 
     async def kill_proxy(self, proxy_id: str) -> None:
         """Kill one ingress proxy: stop listening and sever its connections.
@@ -502,9 +456,17 @@ class AsyncKVCluster:
 
     # -- live control plane ------------------------------------------------------
 
-    @property
-    def server_logics(self) -> Dict[str, GroupServerEngine]:
-        return dict(self._logics)
+    def _on_the_loop(self, method: str) -> _ControlPlane:
+        """The control plane, for a caller that is on a running event loop:
+        it can send nothing without one, so a rebalance must not begin."""
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            raise RuntimeError(
+                f"AsyncKVCluster.{method}() needs a running event loop: "
+                "call it from a coroutine or a callback of the cluster's loop"
+            ) from None
+        return self._control_plane
 
     def resize(self, new_num_shards: int) -> MigrationReport:
         """Live-resize the ring: metadata flips now, the drain runs as frames.
@@ -516,17 +478,19 @@ class AsyncKVCluster:
         background over ``drain-*`` frames, one key range at a time;
         ``report.on_done`` fires (and the data counters fill) when the last
         range installs.  Await :meth:`flush_migrations` to block on it.
+        Raises ``RuntimeError``, with the map untouched, when no event loop
+        is running.
         """
-        report, effects = self.control.start_resize(new_num_shards)
-        self.migrations.append(report)
-        self._driver.run_effects(effects)
+        control_plane = self._on_the_loop("resize")
+        report, effects = self.start_resize(new_num_shards)
+        control_plane.submit(effects)
         return report
 
     def move_shard(self, shard_id: str, group_id: str) -> MigrationReport:
         """Live-move one shard onto another group (same contract)."""
-        report, effects = self.control.start_move(shard_id, group_id)
-        self.migrations.append(report)
-        self._driver.run_effects(effects)
+        control_plane = self._on_the_loop("move_shard")
+        report, effects = self.start_move(shard_id, group_id)
+        control_plane.submit(effects)
         return report
 
     async def flush_migrations(self, timeout: float = 30.0) -> None:
@@ -537,43 +501,18 @@ class AsyncKVCluster:
                 raise TimeoutError("migration drain did not complete in time")
             await asyncio.sleep(0.005)
 
+    async def flush_view_pushes(self) -> None:
+        """Wait for every outstanding view push to be applied (or fail)."""
+        await self._control_plane.flush()
+
     # -- the autoscaler ----------------------------------------------------------
 
     def start_autoscaler(self) -> None:
         """Arm the control plane's recurring autoscale tick."""
-        self._driver.run_effects(self.control.start_autoscaler())
+        self._on_the_loop("start_autoscaler").submit(self.control.start_autoscaler())
 
     def stop_autoscaler(self) -> None:
-        self._driver.run_effects(self.control.stop_autoscaler())
-
-    # -- control-plane transport hooks -------------------------------------------
-
-    def endpoint_of(self, destination: str) -> Optional[Tuple[str, int]]:
-        """Where the control plane dials ``destination`` (replica or proxy).
-
-        ``None`` for a killed proxy or an unknown id -- the caller treats it
-        like a failed dial (view pushes: ``restart_proxy`` refreshes the
-        view anyway; drains: the retry/give-up path handles it).
-        """
-        proxy = self.proxies.get(destination)
-        if proxy is not None:
-            return (proxy.host, proxy.port) if proxy.running else None
-        for endpoints in self._endpoints.values():
-            if destination in endpoints:
-                return endpoints[destination]
-        return None
-
-    @property
-    def view_pushes_sent(self) -> int:
-        return self.control.view_pushes_sent
-
-    @property
-    def view_push_acks(self) -> int:
-        return self.control.view_push_acks
-
-    async def flush_view_pushes(self) -> None:
-        """Wait for every outstanding view push to be applied (or fail)."""
-        await self._driver.flush()
+        self._on_the_loop("stop_autoscaler").submit(self.control.stop_autoscaler())
 
 
 class ProxyServer(_Owner):
@@ -591,42 +530,19 @@ class ProxyServer(_Owner):
 
     def __init__(
         self,
-        proxy_id: str,
+        engine: ProxyEngine,
         cluster: AsyncKVCluster,
-        read_policy: Optional[ReadRoutingPolicy] = None,
-        max_batch: int = 64,
         host: str = "127.0.0.1",
         port: int = 0,
-        site: Optional[str] = None,
-        read_cache: int = 0,
-        bounded_staleness: bool = False,
     ) -> None:
+        super().__init__(engine, cluster.retry_policy.reconnect_interval)
         self.cluster = cluster
-        self.proxy_id = proxy_id
-        self.site = site
         self.host = host
         self.port = port
-        self.view = CachedShardView(cluster.shard_map)
-        read_round_trips = max(
-            (group.protocol.read_round_trips
-             for group in cluster.shard_map.groups.values()),
-            default=2,
-        )
-        super().__init__(
-            ProxyEngine(
-                proxy_id,
-                self.view,
-                read_policy=read_policy,
-                policy=cluster.retry_policy,
-                max_batch=max_batch,
-                observer=cluster.hub.scoped("proxy", proxy_id),
-                read_cache=read_cache,
-                lease_ttl=cluster.lease_ttl,
-                bounded_staleness=bounded_staleness,
-                read_round_trips=read_round_trips,
-            ),
-            cluster.retry_policy.reconnect_interval,
-        )
+
+    @property
+    def view(self):
+        return self.engine.view
 
     @property
     def stale_replays(self) -> int:
@@ -805,46 +721,38 @@ class KVStore:
     # -- connecting --------------------------------------------------------------
 
     async def connect(self) -> None:
-        self._link = self.cluster._join_link(self)
-        if self.use_proxy:
-            proxy_id = (
-                self.cluster.assign_proxy()
-                if self.use_proxy is True
-                else str(self.use_proxy)
-            )
-            self._start_engine(self.cluster.proxy_candidates(proxy_id))
-            await self._dial_proxy(proxy_id)
-            self._leg.run_effects(self._engine.on_connected(proxy_id))
-            return
-        self._start_engine([])
-        await self._link.dial()
-
-    def _start_engine(self, candidates: List[str]) -> None:
-        self._engine = ClientSessionEngine(
-            self.client_id,
-            self.cluster.shard_map,
-            self.recorder,
-            policy=self.cluster.retry_policy,
-            max_batch=self.max_batch,
-            proxy_candidates=candidates,
-            observer=self.cluster.hub.scoped("client", self.client_id),
-            link=self._link.engine,
+        cluster = self.cluster
+        self._link = cluster._join_link(self)
+        candidates: List[str] = []
+        if self.use_proxy is True:  # round-robin over the proxy tier
+            candidates = cluster.proxy_candidates()
+            if not candidates:
+                raise RuntimeError("no proxies started; call start_proxies() first")
+        elif self.use_proxy:
+            if self.use_proxy not in cluster.proxies:
+                raise KeyError(self.use_proxy)
+            candidates = cluster.proxy_candidates(self.use_proxy)
+        self._engine = cluster.client_engine(
+            self.client_id, self.recorder, max_batch=self.max_batch,
+            proxy_candidates=candidates, link=self._link.engine,
         )
-        if candidates:
-            # Only a proxy leg has frames and timers of the store's own; a
-            # proxy that dies is not redialled, the engine fails over.
-            self._leg = _Owner(
-                self._engine,
-                connect=self._connect_ingress,
-                complete=self._link.complete,
-            )
+        if not candidates:
+            await self._link.dial()
+            return
+        # Only a proxy leg has frames and timers of the store's own; a proxy
+        # that dies is not redialled, the engine fails over.
+        self._leg = _Owner(
+            self._engine, connect=self._connect_ingress, complete=self._link.complete
+        )
+        await self._dial_proxy(candidates[0])
+        self._leg.runtime.run(self._engine.on_connected(candidates[0]))
 
     def _run(self, effects: Sequence[Effect]) -> None:
         """Execute what the session returned on the leg it is on: the link's
         runtime holds the direct leg's timers, this store's the proxy leg's
         (``engine/client.py``, "Whose effects")."""
         owner = self._link if self._engine.proxy_id is None else self._leg
-        owner.run_effects(effects)
+        owner.runtime.run(effects)
 
     async def _dial_proxy(self, proxy_id: str) -> None:
         await self._leg.endpoint.dial(proxy_id, *self.cluster.proxy_endpoint(proxy_id))
@@ -859,15 +767,15 @@ class KVStore:
         self._leg.endpoint.sever()
         if target == DIRECT_INGRESS:
             await self._link.dial()
-            self._link.run_effects(self.engine.on_connected(DIRECT_INGRESS))
+            self._link.runtime.run(self.engine.on_connected(DIRECT_INGRESS))
             return
         try:
             await self._dial_proxy(target)
         except OSError:
             # The candidate is dead too; the engine keeps walking the site.
-            self._leg.run_effects(self.engine.on_connect_failed(target))
+            self._leg.runtime.run(self.engine.on_connect_failed(target))
             return
-        self._leg.run_effects(self.engine.on_connected(target))
+        self._leg.runtime.run(self.engine.on_connected(target))
 
     async def close(self) -> None:
         link = self._link
@@ -1173,7 +1081,7 @@ def run_asyncio_kv_workload(
             resize_to,
             resize_after_ops,
             proxies=lambda: [
-                (pid, proxy.site, proxy.running) for pid, proxy in cluster.proxies.items()
+                (pid, cluster.sites.get(pid), proxy.running) for pid, proxy in cluster.proxies.items()
             ],
             kill=kill,
             kill_proxy_after_ops=kill_proxy_after_ops if use_proxy else None,
@@ -1238,10 +1146,8 @@ def run_asyncio_kv_workload(
             # draining in the background; finish it before teardown so the
             # reports' counters are final and no drain frame races stop().
             await cluster.flush_migrations()
-            # The engines outlive their transports: name them now, fold them
-            # once teardown has cancelled (and counted) the last timers.
-            proxy_engines = [proxy.engine for proxy in cluster.proxies.values()]
-            server_logics = list(cluster.server_logics.values())
+            # The links' engines outlive their transports: name them now, fold
+            # them once teardown has cancelled (and counted) the last timers.
             links = [link.engine for link in cluster._links.values()]
         finally:
             for store in stores.values():
@@ -1255,8 +1161,8 @@ def run_asyncio_kv_workload(
             duration=duration,
             client_engines=(store.engine for store in stores.values()),
             links=links,
-            proxy_engines=proxy_engines,
-            server_logics=server_logics,
+            proxy_engines=cluster.proxy_engines.values(),
+            server_logics=cluster.server_logics.values(),
             control=cluster.control,
             registry=cluster.metrics,
             recorder=recorder,

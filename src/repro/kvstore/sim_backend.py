@@ -6,9 +6,11 @@ engines of :mod:`repro.kvstore.engine`, and their effects are interpreted by
 its :class:`~repro.kvstore.engine.runtime.EffectRuntime`.  This module only
 gives each runtime the simulator's transport:
 
-* :class:`KVClientProcess` / :class:`ProxyProcess` wrap a
+* :class:`KVClientProcess` / :class:`ProxyProcess` /
+  :class:`ControlPlaneProcess` wrap a *built*
   :class:`~repro.kvstore.engine.client.ClientSessionEngine` /
-  :class:`~repro.kvstore.engine.proxy.ProxyEngine` in a network
+  :class:`~repro.kvstore.engine.proxy.ProxyEngine` /
+  :class:`~repro.kvstore.engine.control.ControlPlaneEngine` in a network
   :class:`~repro.sim.process.Process`: ``send`` goes through the simulated
   network and ``schedule`` is the virtual-clock event queue's.
   ``Connect`` effects succeed immediately (the
@@ -24,12 +26,14 @@ gives each runtime the simulator's transport:
   plus ``per_op`` per sub-operation of *service time*, and a busy server
   queues work.  This is what makes group count matter in virtual time.
 
-* :class:`SimKVCluster` assembles the replica groups of a
-  :class:`~repro.kvstore.sharding.ShardMap` plus clients on one virtual
-  clock, with a live control plane: :meth:`SimKVCluster.resize` /
-  :meth:`SimKVCluster.move_shard` rebalance the ring mid-run (pushing view
-  deltas to the proxies), and :class:`KVFailureInjector` crashes replicas
-  within each group's fault budget.
+* :class:`SimKVCluster` is a
+  :class:`~repro.kvstore.engine.assembly.ClusterAssembly` -- the recipe both
+  backends get their engines, observers and control plane from -- on one
+  virtual clock: it puts a process around every engine the assembly builds,
+  and :meth:`SimKVCluster.resize` / :meth:`SimKVCluster.move_shard` run the
+  effects of a live rebalance (pumping the queue when called from
+  quiescence); :class:`KVFailureInjector` crashes replicas within each
+  group's fault budget.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..core.operations import OpKind
 from ..messages import DEFAULT_LEASE_TTL, Message
-from ..observe.events import EngineObserver, ObserverHub
-from ..observe.metrics import MetricsObserver, MetricsRegistry
 from ..observe.trace import TraceCollector
 from ..protocols.base import OperationOutcome
 from ..sim.clock import EventQueue
@@ -52,21 +54,19 @@ from ..sim.process import Process
 from ..util.rng import SeededRng
 from .engine import (
     DRAIN_RANGE_SIZE,
-    AutoscaleFeed,
     PROXY_FAILOVER_TIMEOUT,
     SIM_RETRY_POLICY,
     BatchStats,
-    CachedShardView,
     ClientSessionEngine,
     ControlPlaneEngine,
     Effect,
     EffectRuntime,
     GroupServerEngine,
     OpFailed,
-    ProxyEngine,
     ReadRoutingPolicy,
     SendFrame,
 )
+from .engine.assembly import ClusterAssembly
 from .migration import MigrationReport
 from .perkey import KVHistoryRecorder
 from .sharding import ShardMap
@@ -153,29 +153,25 @@ class BatchReplicaProcess(Process):
 
 
 class _EngineProcess(Process):
-    """A process that feeds a sans-I/O engine and executes its effects.
+    """A process that feeds a built sans-I/O engine and executes its effects.
 
     ``SendFrame`` goes through the simulated network and timers onto the
-    virtual-clock event queue; ``client_hooks`` are the runtime's
-    ``connect``/``complete``, which only :class:`KVClientProcess` passes.
+    virtual-clock event queue.
     """
 
-    def __init__(
-        self, process_id: str, events: EventQueue, engine, **client_hooks
-    ) -> None:
+    #: The runtime's ``connect`` / ``complete`` hooks: only a client has them.
+    _connect = _complete = None
+
+    def __init__(self, process_id: str, events: EventQueue, engine) -> None:
         super().__init__(process_id)
-        self.events = events
         self.engine = engine
         self.runtime = EffectRuntime(
             engine, events.schedule, lambda effect: self.send(effect.frame),
-            **client_hooks,
+            connect=self._connect, complete=self._complete,
         )
 
     def on_message(self, message: Message) -> None:
         self.runtime.run(self.engine.on_frame(message))
-
-    def run_effects(self, effects: List[Effect]) -> None:
-        self.runtime.run(effects)
 
 
 class KVClientProcess(_EngineProcess):
@@ -183,56 +179,26 @@ class KVClientProcess(_EngineProcess):
 
     The engine multiplexes per-key operations into group batches (or one
     ``"proxy"`` frame per flush through the client's ingress proxy) and owns
-    proxy failover: ``proxy_candidates`` is the full proxy list of the
-    client's site, and the engine's watchdog timer detects a proxy that
-    stops answering -- a crashed sim process drops traffic silently, so
-    there is no connection reset to observe.  ``Connect`` effects succeed
-    immediately: the simulated network routes by process id, there is
-    nothing to dial.
+    proxy failover over the candidate list it was built with: its watchdog
+    timer detects a proxy that stops answering -- a crashed sim process drops
+    traffic silently, so there is no connection reset to observe.
+    ``Connect`` effects succeed immediately: the simulated network routes by
+    process id, there is nothing to dial.
     """
 
     def __init__(
         self,
         client_id: str,
-        shard_map: ShardMap,
-        recorder: KVHistoryRecorder,
         events: EventQueue,
-        max_batch: int = 8,
-        flush_delay: float = 0.0,
+        engine: ClientSessionEngine,
         completion_hook: Optional[Callable[[], None]] = None,
-        proxy_id: Optional[str] = None,
-        proxy_candidates: Optional[List[str]] = None,
-        proxy_timeout: float = PROXY_FAILOVER_TIMEOUT,
-        observer: Optional[EngineObserver] = None,
     ) -> None:
-        if proxy_timeout <= 0:
-            raise ValueError("proxy_timeout must be positive")
-        if proxy_candidates:
-            candidates = list(proxy_candidates)
-            if proxy_id is not None and proxy_id != candidates[0]:
-                raise ValueError("proxy_id must head proxy_candidates")
-        else:
-            candidates = [proxy_id] if proxy_id is not None else []
-        engine = ClientSessionEngine(
-            client_id,
-            shard_map,
-            recorder,
-            policy=SIM_RETRY_POLICY.with_failover_timeout(proxy_timeout),
-            max_batch=max_batch,
-            flush_delay=flush_delay,
-            proxy_candidates=candidates,
-            observer=observer,
-        )
-        super().__init__(
-            client_id, events, engine,
-            connect=lambda target: self.engine.on_connected(target),
-            complete=self._on_operation,
-        )
+        super().__init__(client_id, events, engine)
         self.completion_hook = completion_hook
         self._callbacks: Dict[str, Callable[[OperationOutcome], None]] = {}
         if engine.proxy_id is not None:
             # The simulated network needs no dialing: confirm the ingress.
-            self.run_effects(engine.on_connected(engine.proxy_id))
+            self.runtime.run(engine.on_connected(engine.proxy_id))
 
     # -- invoking operations ----------------------------------------------------
 
@@ -258,7 +224,10 @@ class KVClientProcess(_EngineProcess):
         self.runtime.run(effects)
         return op_id
 
-    def _on_operation(self, effect) -> None:
+    def _connect(self, target: str) -> List[Effect]:
+        return self.engine.on_connected(target)  # nothing to dial
+
+    def _complete(self, effect) -> None:
         if isinstance(effect, OpFailed):
             self._callbacks.pop(effect.op_id, None)
             raise effect.error
@@ -286,46 +255,13 @@ class KVClientProcess(_EngineProcess):
     def batch_stats(self) -> BatchStats:
         return self.engine.stats
 
-    @property
-    def completed_operations(self) -> int:
-        return self.engine.completed_operations
-
 
 class ProxyProcess(_EngineProcess):
     """A site-local ingress proxy on the virtual clock: one proxy engine."""
 
-    def __init__(
-        self,
-        proxy_id: str,
-        shard_map: ShardMap,
-        events: EventQueue,
-        read_policy: Optional[ReadRoutingPolicy] = None,
-        max_batch: int = 64,
-        flush_delay: float = 0.0,
-        observer: Optional[EngineObserver] = None,
-        read_cache: int = 0,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-        bounded_staleness: bool = False,
-        read_round_trips: int = 2,
-    ) -> None:
-        self.view = CachedShardView(shard_map)
-        super().__init__(proxy_id, events, ProxyEngine(
-            proxy_id,
-            self.view,
-            read_policy=read_policy,
-            policy=SIM_RETRY_POLICY,
-            max_batch=max_batch,
-            flush_delay=flush_delay,
-            observer=observer,
-            read_cache=read_cache,
-            lease_ttl=lease_ttl,
-            bounded_staleness=bounded_staleness,
-            read_round_trips=read_round_trips,
-        ))
-
     @property
-    def stats(self) -> BatchStats:
-        return self.engine.stats
+    def view(self):
+        return self.engine.view
 
     @property
     def stale_replays(self) -> int:
@@ -409,8 +345,12 @@ class KVFailureInjector:
         return crashed
 
 
-class SimKVCluster:
+class SimKVCluster(ClusterAssembly):
     """All replica groups of a :class:`ShardMap` plus clients on one clock.
+
+    The engines, their observers and the control plane are the
+    :class:`~repro.kvstore.engine.assembly.ClusterAssembly`'s; this class
+    puts each in a process of the simulated network.
 
     ``sites`` (optional, the process->site shape ``GeoDelay`` takes) makes
     the ingress tier site-aware: each client is assigned a proxy of its own
@@ -434,7 +374,6 @@ class SimKVCluster:
         client_ids: List[str],
         delay_model: Optional[DelayModel] = None,
         max_batch: int = 8,
-        flush_delay: float = 0.0,
         server_overhead: float = 0.2,
         server_per_op: float = 0.1,
         num_proxies: int = 0,
@@ -450,138 +389,57 @@ class SimKVCluster:
         lease_ttl: float = DEFAULT_LEASE_TTL,
         bounded_staleness: bool = False,
     ) -> None:
-        self.shard_map = shard_map
-        self.read_cache = read_cache
-        self.lease_ttl = lease_ttl
-        self.bounded_staleness = bounded_staleness
+        if proxy_timeout <= 0:
+            raise ValueError("proxy_timeout must be positive")
         self.events = EventQueue()
+        super().__init__(
+            shard_map,
+            lambda: self.events.clock.now,
+            SIM_RETRY_POLICY.with_failover_timeout(proxy_timeout),
+            lease_ttl=lease_ttl,
+            drain_range_size=drain_range_size,
+            autoscale_interval=autoscale_interval,
+            push_views=push_views,
+            sites=sites,
+            trace_collector=trace_collector,
+        )
         self.network = Network(self.events, delay_model or ConstantDelay())
         self.recorder = KVHistoryRecorder(lambda: self.events.clock.now)
-        # The observability hub runs on the virtual clock; the metrics sink
-        # is always on (it is cheap and gives every run a snapshot), the
-        # trace collector only when a caller wants span trees.
-        self.hub = ObserverHub(clock=lambda: self.events.clock.now)
-        self.metrics = MetricsRegistry()
-        self.hub.add_sink(MetricsObserver(self.metrics))
-        if trace_collector is not None:
-            self.hub.add_sink(trace_collector)
-        self.migrations: List[MigrationReport] = []
-        self.sites = dict(sites) if sites else {}
-        self._push_views = push_views
         self.crashed_proxies: Set[str] = set()
         self._completion_watchers: List[Callable[[], None]] = []
         self.replicas: Dict[str, BatchReplicaProcess] = {}
-        for group in shard_map.groups.values():
-            hosted = {
-                spec.shard_id: spec.epoch
-                for spec in shard_map.shards_on(group.group_id)
-            }
-            for server_id in group.servers:
-                replica = BatchReplicaProcess(
-                    server_id,
-                    GroupServerEngine(
-                        server_id, group.protocol, dict(hosted),
-                        observer=self.hub.scoped("replica", server_id),
-                        lease_ttl=lease_ttl,
-                    ),
-                    self.events,
-                    overhead=server_overhead,
-                    per_op=server_per_op,
-                )
-                replica.attach(self.network)
-                self.replicas[server_id] = replica
-        read_round_trips = max(
-            (group.protocol.read_round_trips
-             for group in shard_map.groups.values()),
-            default=2,
-        )
+        for server_id in shard_map.all_servers:
+            self.replicas[server_id] = self._attached(BatchReplicaProcess(
+                server_id, self.server_engine(server_id), self.events,
+                overhead=server_overhead, per_op=server_per_op,
+            ))
         self.proxies: Dict[str, ProxyProcess] = {}
-        for index in range(1, num_proxies + 1):
-            proxy = ProxyProcess(
-                f"p{index}",
-                shard_map,
-                self.events,
-                read_policy=read_policy,
-                flush_delay=proxy_flush_delay,
-                observer=self.hub.scoped("proxy", f"p{index}"),
-                read_cache=read_cache,
-                lease_ttl=lease_ttl,
-                bounded_staleness=bounded_staleness,
-                read_round_trips=read_round_trips,
-            )
-            proxy.attach(self.network)
-            self.proxies[proxy.process_id] = proxy
-        control_engine = ControlPlaneEngine(
-            shard_map,
-            proxy_ids=list(self.proxies) if push_views else [],
-            drain_range_size=drain_range_size,
-            retry_delay=SIM_DRAIN_RETRY_DELAY,
-            autoscale_interval=autoscale_interval,
-            observer=self.hub.scoped("control", "control-plane"),
-        )
-        self.control = ControlPlaneProcess(control_engine, self.events)
-        self.control.attach(self.network)
-        # The autoscaler's signal is the existing metrics stream: every
-        # sub.served event feeds a per-shard counter the control engine
-        # folds at each tick.
-        self.hub.add_sink(AutoscaleFeed(control_engine))
+        for proxy_id in (f"p{index}" for index in range(1, num_proxies + 1)):
+            self.proxies[proxy_id] = self._attached(ProxyProcess(
+                proxy_id, self.events, self.proxy_engine(
+                    proxy_id, read_policy=read_policy, flush_delay=proxy_flush_delay,
+                    read_cache=read_cache, bounded_staleness=bounded_staleness,
+                ),
+            ))
+        # Control-plane timing on the virtual clock (the engine's default
+        # resend delay is in seconds).
+        self.control_engine.retry_delay = SIM_DRAIN_RETRY_DELAY
+        self.control = self._attached(ControlPlaneProcess(self.control_engine, self.events))
         self.clients: Dict[str, KVClientProcess] = {}
-        for index, client_id in enumerate(client_ids):
-            client = KVClientProcess(
-                client_id,
-                shard_map,
-                self.recorder,
-                self.events,
-                max_batch=max_batch,
-                flush_delay=flush_delay,
-                completion_hook=self._notify_completion,
-                proxy_candidates=self._candidates_for(client_id, index),
-                proxy_timeout=proxy_timeout,
-                observer=self.hub.scoped("client", client_id),
+        for client_id in client_ids:
+            engine = self.client_engine(
+                client_id, self.recorder, max_batch=max_batch,
+                proxy_candidates=self.proxy_candidates(client_id),
             )
-            client.attach(self.network)
-            self.clients[client_id] = client
+            self.clients[client_id] = self._attached(KVClientProcess(
+                client_id, self.events, engine, self._notify_completion
+            ))
 
-    @property
-    def push_views(self) -> bool:
-        """Whether rebalances push fresh views to the proxies.
-
-        Togglable mid-run (tests drop a delta this way): the setter swaps
-        the control engine's live proxy set, which is what pushes route to.
-        """
-        return self._push_views
-
-    @push_views.setter
-    def push_views(self, value: bool) -> None:
-        self._push_views = bool(value)
-        ids = self.control.engine.proxy_ids
-        ids.clear()
-        if self._push_views:
-            ids.extend(self.proxies)
-
-    def _candidates_for(self, client_id: str, index: int) -> List[str]:
-        """The client's proxy failover list: its site's proxies, rotated.
-
-        Rotation by client index both spreads the initial assignment
-        (round-robin, as before) and staggers failover targets so one proxy
-        death does not stampede every orphaned client onto the same sibling.
-        """
-        proxy_ids = list(self.proxies)
-        if not proxy_ids:
-            return []
-        site = self.sites.get(client_id)
-        if site is not None:
-            same_site = [p for p in proxy_ids if self.sites.get(p) == site]
-            if same_site:
-                proxy_ids = same_site
-        start = index % len(proxy_ids)
-        return proxy_ids[start:] + proxy_ids[:start]
+    def _attached(self, process):
+        process.attach(self.network)
+        return process
 
     # -- live control plane -----------------------------------------------------
-
-    @property
-    def server_logics(self) -> Dict[str, GroupServerEngine]:
-        return {sid: replica.logic for sid, replica in self.replicas.items()}
 
     def resize(self, new_num_shards: int) -> MigrationReport:
         """Resize the ring *now*: metadata flips, the drain runs as frames.
@@ -595,49 +453,37 @@ class SimKVCluster:
         interleaves with client traffic; ``report.on_done`` fires when the
         last range installs.
         """
-        report, effects = self.control.engine.start_resize(new_num_shards)
-        self.migrations.append(report)
-        self.control.run_effects(effects)
-        self._settle(report)
-        return report
-
-    def schedule_resize(self, new_num_shards: int, at: float) -> None:
-        """Resize the ring at virtual time ``at`` (mid-run, under load)."""
-        self.events.schedule_at(
-            at, lambda: self.resize(new_num_shards), label=f"kv-resize:{new_num_shards}"
-        )
+        return self._settle(*self.start_resize(new_num_shards))
 
     def move_shard(self, shard_id: str, group_id: str) -> MigrationReport:
         """Re-home one shard onto another group *now*."""
-        report, effects = self.control.engine.start_move(shard_id, group_id)
-        self.migrations.append(report)
-        self.control.run_effects(effects)
-        self._settle(report)
-        return report
+        return self._settle(*self.start_move(shard_id, group_id))
 
-    def _settle(self, report: MigrationReport) -> None:
-        """Pump the queue to drain completion -- only from quiescence.
+    def _settle(self, report: MigrationReport, effects: List[Effect]) -> MigrationReport:
+        """Run a rebalance's effects, and pump the queue to drain completion
+        -- only from quiescence.
 
         Inside :meth:`run` the already-running loop delivers the drain
         frames; pumping here too would double-execute events.
         """
-        if self.events.running:
-            return
-        while not report.done:
-            event = self.events.pop()
-            if event is None:
-                break
-            event.action()
+        self.control.runtime.run(effects)
+        if not self.events.running:
+            while not report.done:
+                event = self.events.pop()
+                if event is None:
+                    break
+                event.action()
+        return report
 
     # -- the autoscaler ---------------------------------------------------------
 
     def start_autoscaler(self) -> None:
         """Arm the control plane's recurring autoscale tick."""
-        self.control.run_effects(self.control.engine.start_autoscaler())
+        self.control.runtime.run(self.control_engine.start_autoscaler())
 
     def stop_autoscaler(self) -> None:
         """Disarm the tick so the event queue can drain to quiescence."""
-        self.control.run_effects(self.control.engine.stop_autoscaler())
+        self.control.runtime.run(self.control_engine.stop_autoscaler())
 
     def crash_proxy(self, proxy_id: str) -> None:
         """Crash an ingress proxy *now*: the network drops its traffic.
@@ -657,13 +503,6 @@ class SimKVCluster:
             raise KeyError(f"unknown proxy {proxy_id!r}")
         self.events.schedule_at(
             at, lambda: self.crash_proxy(proxy_id), label=f"crash:{proxy_id}"
-        )
-
-    def schedule_move(self, shard_id: str, group_id: str, at: float) -> None:
-        self.events.schedule_at(
-            at,
-            lambda: self.move_shard(shard_id, group_id),
-            label=f"kv-move:{shard_id}->{group_id}",
         )
 
     def failure_injector(self) -> KVFailureInjector:
@@ -698,14 +537,6 @@ class SimKVCluster:
 
     def view_pushes_applied(self) -> int:
         return sum(proxy.view.pushes_applied for proxy in self.proxies.values())
-
-    @property
-    def view_pushes_sent(self) -> int:
-        return self.control.engine.view_pushes_sent
-
-    @property
-    def view_push_acks(self) -> int:
-        return self.control.engine.view_push_acks
 
 
 def run_sim_kv_workload(
@@ -886,7 +717,7 @@ def run_sim_kv_workload(
         duration=now(),
         elapsed=finished,
         client_engines=(client.engine for client in cluster.clients.values()),
-        proxy_engines=(proxy.engine for proxy in cluster.proxies.values()),
+        proxy_engines=cluster.proxy_engines.values(),
         server_logics=cluster.server_logics.values(),
         control=cluster.control.engine,
         registry=cluster.metrics,

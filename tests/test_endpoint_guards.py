@@ -6,6 +6,10 @@ maps, two client pools, a table in front of one of them).  With
 ``ast`` walks over ``src/`` -- keep a second one from growing back: there is
 one place a ``FramedConnection`` is built, one module that listens or dials,
 and no class of the kv adapter keeps a peer -> connection table of its own.
+The same for turning a configuration into engines: every engine class, the
+cached shard view and the observer hub are constructed in
+``repro.kvstore.engine.assembly`` and nowhere else under ``src/``, and the
+stream transport the control plane used to have is gone from the kv store.
 """
 
 from __future__ import annotations
@@ -19,6 +23,13 @@ import repro
 SRC = Path(repro.__file__).parent
 ENDPOINT = SRC / "asyncio_net" / "endpoint.py"
 NET_BACKEND = SRC / "kvstore" / "net_backend.py"
+ASSEMBLY = "kvstore/engine/assembly.py"
+
+#: What only the assembly may construct: the engines and what they are wired to.
+ASSEMBLED = {
+    "GroupServerEngine", "ProxyEngine", "ClientSessionEngine", "ControlPlaneEngine",
+    "CachedShardView", "ObserverHub", "MetricsObserver",
+}
 
 #: The asyncio calls that open a socket, listening or connected.
 SOCKET_OPENERS = {"create_server", "create_connection", "open_connection", "start_server"}
@@ -67,8 +78,7 @@ def test_only_the_endpoint_listens_or_dials():
         if path != ENDPOINT
         for scope, _ in _calls(tree, SOCKET_OPENERS)
     ]
-    # The control plane's one-shot request/ack deliveries hold no connection.
-    assert offenders == [("kvstore/net_backend.py", "_ControlPlaneDriver._deliver")]
+    assert offenders == []
     inside = {scope for scope, _ in _calls(ast.parse(ENDPOINT.read_text()), SOCKET_OPENERS)}
     assert inside == {"Endpoint.listen", "Endpoint._open"}
 
@@ -88,3 +98,32 @@ def test_no_class_of_the_kv_adapter_keeps_its_own_connection_table():
     assert mentions == []
     gone = {"AsyncGroupClient", "AsyncProxyClient", "_ReplicaConnected", "_EffectRunner"}
     assert not gone & {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+
+
+def test_engines_views_and_hubs_are_constructed_by_the_assembly_only():
+    sites = {
+        (name, path.relative_to(SRC).as_posix())
+        for path, tree in _trees(SRC)
+        for name in ASSEMBLED
+        for _ in _calls(tree, {name})
+    }
+    assert sites == {(name, ASSEMBLY) for name in ASSEMBLED}
+
+
+def test_the_kv_store_has_no_stream_transport_and_no_second_control_plane():
+    gone = {
+        "read_frame", "write_frame", "open_connection",
+        "_ControlPlaneDriver", "_deliver", "endpoint_of", "ProxyConnectionLost",
+    }
+    found = set()
+    for path, tree in _trees(SRC / "kvstore"):
+        for node in ast.walk(tree):
+            names = {
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None),
+            }
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and "\n" not in node.value:
+                names.add(node.value)  # __all__ rows, lazy-export keys
+            found |= {(path.name, name) for name in names & gone}
+    assert found == set()

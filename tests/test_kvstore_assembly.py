@@ -5,7 +5,8 @@ which engine each node runs, hosting what, scoped how -- must not depend on
 the backend that built it.  The first half builds the same configuration as a
 ``SimKVCluster`` and as a started ``AsyncKVCluster`` and compares every fact
 an engine's constructor fixed.  The second half drives the asyncio control
-plane over real loopback TCP through the failures a migration meets: a dead
+plane over real loopback TCP: it is an owner like the others -- it dials its
+peers, lazily, and keeps the connections -- and a migration meets a dead
 donor replica, a dead proxy, a cluster stopped mid-drain.
 """
 
@@ -17,6 +18,8 @@ from typing import Any, Dict, List, Tuple
 import pytest
 
 from repro.kvstore import AsyncKVCluster, KVStore, ShardMap, SimKVCluster
+from repro.kvstore.engine import CONTROL_PLANE
+from repro.messages import VIEW_PUSH_KIND
 
 from test_kvstore_failover import FAST_RETRY
 from test_transport_endpoints import _other_tasks, _wait_until
@@ -69,12 +72,9 @@ class _Scopes:
 
 def _scope_of(hub, engine) -> Tuple[str, str]:
     """Where ``engine``'s events land: emit one and look."""
-    sink = _Scopes()
-    hub.add_sink(sink)
+    sink = hub.add_sink(_Scopes())
     engine.observer.emit("assembly.probe")
-    hub._sinks.remove(sink)
-    assert len(sink.seen) == 1
-    return sink.seen[0]
+    return sink.seen[0]  # the sink's first event: later probes reach it too
 
 
 def _facts(hub, servers, proxies, control, clients) -> Dict[str, Any]:
@@ -265,8 +265,101 @@ class TestControlPlaneOverSockets:
                 assert views["p2"].ring_epoch < shard_map.ring_epoch
                 await cluster.restart_proxy("p2")
                 assert views["p2"].ring_epoch == shard_map.ring_epoch
+                # The control plane redials the proxy where it was, and the
+                # next push reaches it over the new connection.
+                await _wait_until(lambda: "p2" in cluster._control_plane.endpoint.peers)
+                cluster.resize(8)
+                await cluster.flush_view_pushes()
+                assert views["p2"].pushes_applied == 1
+                assert cluster.view_push_acks == 3
+                await cluster.flush_migrations()
                 for index in range(12):
                     assert await store.get(f"k{index}") == f"v{index}"
+            finally:
+                await store.close()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_the_control_plane_dials_at_its_first_use_and_keeps_the_connections(self):
+        async def scenario():
+            shard_map = ShardMap(4, num_groups=2, readers=8, writers=8)
+            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            await cluster.start()
+            await cluster.start_proxies(1)
+            stores = [
+                KVStore(cluster, client_id=f"c{index}", use_proxy=index % 2 == 0 or None)
+                for index in range(8)
+            ]
+            try:
+                for store in stores:
+                    await store.connect()
+                await asyncio.gather(*(
+                    store.put(f"k{index}", index) for index, store in enumerate(stores)
+                ))
+                listeners = {**cluster.replicas, **cluster.proxies}
+                accepted = {
+                    peer: len(owner.endpoint.accepted) for peer, owner in listeners.items()
+                }
+                # Set-up is over: replicas hold the link's and the proxy's
+                # connection, the proxy its four stores' -- nothing of the
+                # control plane's, which has dialled nobody.
+                assert set(accepted.values()) == {2, 4}
+                assert not any(
+                    CONTROL_PLANE in owner.endpoint.peers for owner in listeners.values()
+                )
+                control_plane = cluster._control_plane.endpoint
+                assert not control_plane.peers and not control_plane.tasks
+
+                report = cluster.resize(8)
+                await cluster.flush_view_pushes()
+                await cluster.flush_migrations()
+                # No frame of the first use was lost to a dial still landing.
+                assert report.done and cluster.view_push_acks == 1
+                assert cluster.control.drains_completed == 1
+                for peer, owner in listeners.items():
+                    assert len(owner.endpoint.accepted) == accepted[peer] + 1
+                    assert CONTROL_PLANE in owner.endpoint.peers
+                assert set(control_plane.peers) == set(listeners)
+
+                cluster.move_shard("sh1", "g2")
+                await cluster.flush_migrations()
+                for peer, owner in listeners.items():  # kept, not one per frame
+                    assert len(owner.endpoint.accepted) == accepted[peer] + 1
+
+                # A proxy that comes up later is dialled as it does.
+                await cluster.start_proxies(1)
+                await _wait_until(lambda: "p2" in control_plane.peers)
+                values = await asyncio.gather(*(
+                    store.get(f"k{index}") for index, store in enumerate(stores)
+                ))
+                assert values == list(range(8))
+            finally:
+                for store in stores:
+                    await store.close()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_flushing_pushes_gives_up_on_a_proxy_that_dies_before_its_ack(self):
+        async def scenario():
+            shard_map = ShardMap(4, num_groups=2, readers=1, writers=1)
+            cluster, store = await _loaded(shard_map, proxies=2)
+            try:
+                engine = cluster.proxies["p2"].engine
+                deliver = engine.on_frame
+                # p2 goes deaf to pushes: it takes them off the wire, acks nothing.
+                engine.on_frame = lambda frame: (
+                    [] if frame.kind == VIEW_PUSH_KIND else deliver(frame)
+                )
+                cluster.resize(6)
+                flushing = asyncio.ensure_future(cluster.flush_view_pushes())
+                await _wait_until(lambda: cluster.view_push_acks == 1)
+                await asyncio.sleep(0.02)
+                assert not flushing.done()
+                await cluster.kill_proxy("p2")
+                await asyncio.wait_for(flushing, timeout=2.0)
+                await cluster.flush_migrations()
             finally:
                 await store.close()
                 await cluster.stop()

@@ -213,6 +213,36 @@ class TestAsyncioLiveResize:
 
         asyncio.run(scenario())
 
+    def test_a_rebalance_without_a_running_loop_refuses_before_the_map_changes(self):
+        # The control plane needs the loop to send anything: flipping the ring
+        # and then dropping the drain would strand every key of the shard.
+        loop = asyncio.new_event_loop()
+        shard_map = ShardMap(2, num_groups=1)
+        cluster = AsyncKVCluster(shard_map)
+        store = KVStore(cluster, client_id="c1")
+        try:
+            loop.run_until_complete(cluster.start())
+            loop.run_until_complete(store.connect())
+            for i in range(8):
+                loop.run_until_complete(store.put(f"k{i}", f"v{i}"))
+            ring_epoch = shard_map.ring_epoch
+            with pytest.raises(RuntimeError, match=r"resize\(\) needs a running"):
+                cluster.resize(4)
+            with pytest.raises(RuntimeError, match=r"move_shard\(\) needs a running"):
+                cluster.move_shard("sh1", "g1")
+            assert (len(shard_map), shard_map.ring_epoch) == (2, ring_epoch)
+            assert cluster.migrations == []
+            loop.run_until_complete(cluster.flush_migrations(timeout=1.0))
+            for i in range(8):
+                value = loop.run_until_complete(
+                    asyncio.wait_for(store.get(f"k{i}"), timeout=2.0)
+                )
+                assert value == f"v{i}"
+        finally:
+            loop.run_until_complete(store.close())
+            loop.run_until_complete(cluster.stop())
+            loop.close()
+
     def test_concurrent_hammer_during_resize_stays_atomic(self):
         async def scenario():
             shard_map = ShardMap(4, num_groups=2, readers=3, writers=3)
