@@ -163,12 +163,12 @@ def _proxy_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
     ops = []
     for row in _rows(rows):
         (key, op_kind, kind, payload, op_id, round_trip, wait_for, per_server,
-         trace) = row
+         trace, client) = row
         if not (
             type(key) is str and type(op_kind) is str and type(kind) is str
             and type(payload) is dict and type(op_id) is str
             and type(round_trip) is int and type(wait_for) in _OPT_INT
-            and type(trace) in _OPT_STR
+            and type(trace) in _OPT_STR and type(client) in _OPT_STR
             and (per_server is None or (
                 type(per_server) is dict
                 and all(type(p) is dict for p in per_server.values())
@@ -176,7 +176,7 @@ def _proxy_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
         ):
             raise ValueError(f"mistyped proxy row {row!r}")
         ops.append(ProxySubRequest(key, op_kind, kind, payload, op_id,
-                                   round_trip, wait_for, per_server, trace))
+                                   round_trip, wait_for, per_server, trace, client))
     return {"ops": ops}
 
 

@@ -12,9 +12,10 @@ to each peer it can currently reach, *however that connection came to be*.
   connection of their destination.  A frame naming a peer the endpoint dials
   teaches nothing and is dropped: an inbound connection cannot take over a
   dialled peer's route.
-* **Dialled.**  :meth:`Endpoint.dial` connects to a peer under a known id.
-  It is idempotent -- a live connection is kept, a dial in flight is waited
-  for -- so an owner may simply dial everything it needs whenever it needs it.
+* **Dialled.**  :meth:`Endpoint.dial` connects to a peer under a known id,
+  and says what to do should the connection be lost.  It is idempotent -- a
+  live connection is kept, a dial in flight is waited for -- so an owner may
+  simply dial everything it needs whenever it needs it.
 
 Every decoded frame goes to the owner's ``on_frame`` in the event-loop turn
 it arrived in.  A connection that ends without the owner having asked is
@@ -22,15 +23,15 @@ it arrived in.  A connection that ends without the owner having asked is
 those: a peer that redialled already maps to its new connection, which must
 survive the old one's late teardown.  An accepted connection is then
 forgotten (its peer dials again if it wants to).  A dialled one is handled by
-the one policy the owner chose:
+the policy its dial chose, so one endpoint may hold peers of both kinds:
 
-* ``reconnect_interval`` given -- redial the peer's address every that many
-  seconds until it is back or the endpoint closes; a first dial that meets a
-  dead peer starts the same loop.  The address is stable across the peer's
-  kill and restart.  A redial that dies on anything but an ``OSError`` is
+* ``redial`` given -- redial the peer's address every that many seconds
+  until it is back or the endpoint closes; a first dial that meets a dead
+  peer starts the same loop.  The address is stable across the peer's kill
+  and restart.  A redial that dies on anything but an ``OSError`` is
   reported through ``on_peer_lost``: nobody is trying any more.
-* ``reconnect_interval=None`` -- report the loss through ``on_peer_lost``,
-  once, and forget the peer; a failed first dial raises its ``OSError``.
+* ``redial=None`` -- report the loss through ``on_peer_lost``, once, and
+  forget the peer; a failed first dial raises its ``OSError``.
 
 :meth:`Endpoint.close` stops listening, closes every connection quietly (a
 closed connection reports nothing) and cancels every task the endpoint holds:
@@ -52,6 +53,9 @@ __all__ = ["Endpoint"]
 
 logger = logging.getLogger(__name__)
 
+#: A dialled peer: ``(peer id, host, port, redial interval or None)``.
+_Dialled = Tuple[str, str, int, Optional[float]]
+
 
 class Endpoint:
     """Peer id -> live :class:`FramedConnection`, accepted or dialled.
@@ -66,11 +70,9 @@ class Endpoint:
         self,
         on_frame: Callable[[Message], None],
         on_peer_lost: Callable[[str, BaseException], None] = lambda peer_id, exc: None,
-        reconnect_interval: Optional[float] = None,
     ) -> None:
         self._on_frame = on_frame
         self._on_peer_lost = on_peer_lost
-        self._reconnect_interval = reconnect_interval
         self.peers: Dict[str, FramedConnection] = {}
         self.accepted: Set[FramedConnection] = set()
         self.tasks: Set[asyncio.Task] = set()
@@ -99,45 +101,53 @@ class Endpoint:
 
     # -- the dial side -----------------------------------------------------------
 
-    async def dial(self, peer_id: str, host: str, port: int) -> None:
-        """Make sure a connection to ``peer_id`` exists or is being redialled."""
+    async def dial(
+        self, peer_id: str, host: str, port: int, redial: Optional[float] = None
+    ) -> None:
+        """Make sure a connection to ``peer_id`` exists or is being redialled;
+        ``redial`` is the seconds between redials once it is lost, or
+        ``None`` to report the loss instead."""
         if self._dialling is None:
             self._dialling = asyncio.Lock()
         async with self._dialling:
             live = self.peers.get(peer_id)
             if peer_id in self._redialling or (live is not None and not live.closing):
                 return
+            dialled = (peer_id, host, port, redial)
             try:
-                await self._open(peer_id, host, port)
+                await self._open(dialled)
             except OSError:
-                if self._reconnect_interval is None:
+                if redial is None:
                     raise
                 # The peer is down right now (dialling mid-kill is the norm
                 # on the failover-to-direct path): quorums of the survivors
                 # carry the rounds, and the peer is folded back in when it
                 # returns.
-                self._start_redial(peer_id, host, port)
+                self._start_redial(dialled)
 
-    async def _open(self, peer_id: str, host: str, port: int) -> None:
-        connection = self._connection((peer_id, host, port))
+    async def _open(self, dialled: _Dialled) -> None:
+        peer_id, host, port, _redial = dialled
+        connection = self._connection(dialled)
         await asyncio.get_running_loop().create_connection(
             lambda: connection, host, port
         )
         self.peers[peer_id] = connection
 
-    def _start_redial(self, peer_id: str, host: str, port: int) -> None:
+    def _start_redial(self, dialled: _Dialled) -> None:
+        peer_id = dialled[0]
         self._redialling.add(peer_id)
-        self.spawn(self._redial(peer_id, host, port)).add_done_callback(
+        self.spawn(self._redial(dialled)).add_done_callback(
             lambda task: self._redialling.discard(peer_id)
         )
 
-    async def _redial(self, peer_id: str, host: str, port: int) -> None:
+    async def _redial(self, dialled: _Dialled) -> None:
         """Redial a dead peer until it is back (or this endpoint closes)."""
+        peer_id, _host, _port, interval = dialled
         try:
             while True:
-                await asyncio.sleep(self._reconnect_interval)
+                await asyncio.sleep(interval)
                 try:
-                    return await self._open(peer_id, host, port)
+                    return await self._open(dialled)
                 except OSError:
                     continue
         except Exception as exc:
@@ -146,9 +156,9 @@ class Endpoint:
 
     # -- connections -------------------------------------------------------------
 
-    def _connection(self, dialled: Optional[Tuple[str, str, int]]) -> FramedConnection:
+    def _connection(self, dialled: Optional[_Dialled]) -> FramedConnection:
         """The one place a connection is built: ``dialled`` is ``(peer id,
-        host, port)``, or ``None`` for a connection a peer opened."""
+        host, port, redial)``, or ``None`` for a connection a peer opened."""
         if dialled is not None:
             on_frame = self._on_frame
         else:
@@ -184,7 +194,7 @@ class Endpoint:
     def _lost(
         self,
         connection: FramedConnection,
-        dialled: Optional[Tuple[str, str, int]],
+        dialled: Optional[_Dialled],
         exc: BaseException,
     ) -> None:
         self.accepted.discard(connection)
@@ -193,17 +203,10 @@ class Endpoint:
             del self.peers[peer]
         if dialled is None or dialled[0] not in routed:
             return  # accepted; or a dial abandoned before its peer was mapped
-        if self._reconnect_interval is None:
+        if dialled[3] is None:
             self._on_peer_lost(dialled[0], exc)
         else:
-            self._start_redial(*dialled)
-
-    def sever(self) -> None:
-        """Close every connection, quietly: nothing is reported or redialled."""
-        for connection in [*self.peers.values(), *self.accepted]:
-            connection.close()
-        self.peers.clear()
-        self.accepted.clear()
+            self._start_redial(dialled)
 
     # -- lifetime ----------------------------------------------------------------
 
@@ -219,7 +222,11 @@ class Endpoint:
         server, self._server = self._server, None
         if server is not None:
             server.close()
-        self.sever()
+        # Quietly: a connection the owner closes reports nothing.
+        for connection in [*self.peers.values(), *self.accepted]:
+            connection.close()
+        self.peers.clear()
+        self.accepted.clear()
         tasks = list(self.tasks)
         for task in tasks:
             task.cancel()

@@ -374,6 +374,9 @@ def _command_kv(args: argparse.Namespace) -> int:
     if result.direct_link is not None:
         print(f"direct link        : {result.direct_link['stores']} stores, "
               f"mean batch {result.direct_link['mean_batch']:.2f}")
+    if result.proxy_leg is not None:
+        print(f"proxy leg          : {result.proxy_leg['stores']} stores, "
+              f"mean batch {result.proxy_leg['mean_batch']:.2f}")
     if result.num_proxies:
         print(f"proxy tier         : {result.num_proxies} proxies, "
               f"{result.proxy_stats.summary()}")

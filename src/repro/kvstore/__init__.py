@@ -7,8 +7,8 @@ to a multi-key store:
   protocol behaviour -- round lifecycle, batching, stale-epoch replay,
   cross-client merging, read routing, proxy failover, view-push adoption,
   epoch fencing -- lives in pure state machines
-  (:class:`ClientSessionEngine`, the :class:`DirectLink` that carries the
-  direct rounds of every session of a process, :class:`ProxyEngine`,
+  (:class:`ClientSessionEngine`, the :class:`ClientLink` that carries the
+  rounds of every session of a process, :class:`ProxyEngine`,
   :class:`GroupServerEngine`) that consume decoded frames and emit
   ``(destination, frame)`` effects plus timer requests.  Both backends are
   thin adapters around them, so they cannot drift apart by construction.
@@ -62,9 +62,9 @@ _EXPORTS = {
     "BatchStats": ".engine",
     "BroadcastReads": ".engine",
     "CachedShardView": ".engine",
+    "ClientLink": ".engine",
     "ClientSessionEngine": ".engine",
     "ControlPlaneEngine": ".engine",
-    "DirectLink": ".engine",
     "GroupServerEngine": ".engine",
     "NearestQuorum": ".engine",
     "ProxyEngine": ".engine",
@@ -142,9 +142,9 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         BatchStats,
         BroadcastReads,
         CachedShardView,
+        ClientLink,
         ClientSessionEngine,
         ControlPlaneEngine,
-        DirectLink,
         GroupServerEngine,
         NearestQuorum,
         ProxyEngine,

@@ -7,8 +7,9 @@ event-driven state machines:
 
 * :class:`~repro.kvstore.engine.client.ClientSessionEngine` -- one logical
   store client;
-* :class:`~repro.kvstore.engine.link.DirectLink` -- the direct ingress the
-  client sessions of one process share (a lone session holds a private one);
+* :class:`~repro.kvstore.engine.link.ClientLink` -- what the client sessions
+  of one process share on both ingresses: the rounds to the replicas and,
+  per proxy, the rounds forwarded to it (a lone session holds a private one);
 * :class:`~repro.kvstore.engine.proxy.ProxyEngine` -- one site-local
   ingress proxy (it and the link extend
   :class:`~repro.kvstore.engine.rounds.ReplicaRounds`, the one copy of the
@@ -35,7 +36,7 @@ behaviour by construction.
 from __future__ import annotations
 
 from .cache import CacheEntry, ReadCache, payload_fingerprint
-from .client import PROXY_QUEUE, ClientSessionEngine
+from .client import ClientSessionEngine
 from .control import (
     AUTOSCALE_INTERVAL,
     AUTOSCALE_MIN_OPS,
@@ -65,7 +66,7 @@ from .effects import (
     StartTimer,
     TimerId,
 )
-from .link import DirectLink
+from .link import PROXY_QUEUE, ClientLink
 from .proxy import ProxyEngine
 from .runtime import EffectRuntime
 from .routing import (
@@ -94,7 +95,7 @@ from .stats import BatchStats
 
 __all__ = [
     "ClientSessionEngine",
-    "DirectLink",
+    "ClientLink",
     "ProxyEngine",
     "GroupServerEngine",
     "ControlPlaneEngine",

@@ -7,7 +7,18 @@ proxy can be added or removed per site without any data migration.  It is a
 resolve to the same replica group coalesce into one shared batch frame per
 targeted replica -- the cross-client merge the per-client batching layer
 cannot do.  Replica-bound sub-messages keep the **originating client** as
-their sender (the protocols' crucial-info bookkeeping is per client).
+their sender -- the sub's ``client``, or the frame's sender where that is
+unset (the protocols' crucial-info bookkeeping is per client) -- while the
+round's ack goes back over the connection the round arrived on: to the
+frame's sender, never to a name read from a sub.
+
+**One ack frame per destination per input.**  Every input -- ``on_frame``,
+``on_timer``, ``on_peer_lost``, ``on_frame_undeliverable`` -- answers all the
+rounds it completes for one destination in one ``proxy-ack``, its sub-replies
+in completion order, whether a round was served from the cache, rode a fill
+or collected its quorum from the replicas.  Behind a process's shared link
+every round of the process answers to one destination, so one batch-ack from
+a replica that completes ten rounds is one ack frame, not ten.
 
 Routing is through a :class:`~.routing.CachedShardView`: a stale-epoch
 bounce refreshes it and the round replays without the client noticing, and
@@ -37,7 +48,7 @@ is on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...observe.events import (
     CACHE_HIT,
@@ -56,14 +67,15 @@ from ...messages import (
     DEFAULT_LEASE_TTL,
     LEASE_GRANT_KIND,
     LEASE_INVALIDATE_KIND,
+    PROXY_ACK_KIND,
     PROXY_KIND,
     VIEW_PUSH_ACK_KIND,
     VIEW_PUSH_KIND,
     Message,
     ProxySubReply,
     ProxySubRequest,
+    addressed_proxy_reply,
     make_lease_release,
-    make_proxy_ack,
     unpack_lease_grant,
     unpack_lease_invalidate,
     unpack_proxy_request,
@@ -97,11 +109,13 @@ __all__ = ["ProxyEngine"]
 class _ProxyPending(ReplicaRound):
     """One forwarded round the proxy is driving against a replica group.
 
-    ``sender`` is the originating client: whom the replicas see, and whom
-    the ``proxy-ack`` goes back to.
+    ``sender`` is the originating client, whom the replicas see;
+    ``reply_to`` the sender of the frame it came in, whom its sub-reply goes
+    back to.
     """
 
     request: ProxySubRequest
+    reply_to: str
     route: Optional[ProxyRoute] = None
     #: The cache entry this round is filling, if any.  Detached (set back to
     #: None) when the entry is evicted mid-flight; the round then completes
@@ -109,9 +123,10 @@ class _ProxyPending(ReplicaRound):
     fill_entry: Optional[CacheEntry] = None
 
 
-def _forwarded(client: str, sub: ProxySubRequest) -> _ProxyPending:
+def _forwarded(reply_to: str, sub: ProxySubRequest) -> _ProxyPending:
     return _ProxyPending(
-        op_id=sub.op_id, key=sub.key, trace=sub.trace, sender=client, request=sub
+        op_id=sub.op_id, key=sub.key, trace=sub.trace,
+        sender=sub.client or reply_to, request=sub, reply_to=reply_to,
     )
 
 
@@ -170,6 +185,10 @@ class ProxyEngine(ReplicaRounds):
         #: Replica-bound sub-requests belonging to *read* ops -- the traffic
         #: the cache exists to remove (the benchmark's sub-ops/op metric).
         self.read_subs_sent = 0
+        #: The sub-replies of the input being handled, per destination, and
+        #: the effect list they are being sent in (see :meth:`_ack`).
+        self._acks: Dict[str, List[ProxySubReply]] = {}
+        self._acks_out: Optional[List[Effect]] = None
 
     # -- admission and routing --------------------------------------------------
 
@@ -228,9 +247,9 @@ class ProxyEngine(ReplicaRounds):
 
     # -- the read cache ---------------------------------------------------------
 
-    def _admit(self, client: str, sub: ProxySubRequest, out: List[Effect]) -> None:
+    def _admit(self, reply_to: str, sub: ProxySubRequest, out: List[Effect]) -> None:
         """Route one forwarded round through the cache (when enabled)."""
-        pending = _forwarded(client, sub)
+        pending = _forwarded(reply_to, sub)
         cache = self._cache
         if cache is None:
             self._dispatch_safe(pending, out)
@@ -273,11 +292,11 @@ class ProxyEngine(ReplicaRounds):
                             CACHE_HIT, op_id=sub.op_id, key=sub.key,
                             trace=sub.trace, stale=entry.stale,
                         )
-                    self._serve_cached(client, sub, replies, out)
+                    self._serve_cached(reply_to, sub, replies, out)
                     return
                 self._dispatch_safe(pending, out)
                 return
-            if (entry.fill_client == client and entry.fill_op_id == sub.op_id
+            if (entry.fill_client == pending.sender and entry.fill_op_id == sub.op_id
                     and not entry.stale):
                 # The fill read's next round-trip: drive it with the lease
                 # mark (replicas exempt it from deferral -- it can only
@@ -295,7 +314,7 @@ class ProxyEngine(ReplicaRounds):
                 # opening a second identical quorum round.  A follower only
                 # asks for a round past the first when the recorded first
                 # quorum was split, and then the fill asks for it too.
-                entry.followers.setdefault(rt, []).append((client, sub))
+                entry.followers.setdefault(rt, []).append((reply_to, sub))
                 if rt == 1:
                     self.cache_misses += 1
                     self.observer.emit(
@@ -317,7 +336,7 @@ class ProxyEngine(ReplicaRounds):
         )
         self._fill_seq += 1
         entry = CacheEntry(
-            key=sub.key, fill_client=client, fill_op_id=sub.op_id,
+            key=sub.key, fill_client=pending.sender, fill_op_id=sub.op_id,
             nonce=f"{sub.op_id}/{self._fill_seq}",
         )
         pending.fill_entry = entry
@@ -355,7 +374,7 @@ class ProxyEngine(ReplicaRounds):
 
     def _serve_cached(
         self,
-        client: str,
+        reply_to: str,
         sub: ProxySubRequest,
         replies: List[Message],
         out: List[Effect],
@@ -365,17 +384,33 @@ class ProxyEngine(ReplicaRounds):
             ROUND_CLOSED, op_id=sub.op_id, key=sub.key, trace=sub.trace,
             cached=True,
         )
-        sub_reply = ProxySubReply(
-            op_id=sub.op_id,
-            round_trip=sub.round_trip,
-            replies=tuple(replies),
+        self._ack(
+            reply_to,
+            ProxySubReply(op_id=sub.op_id, round_trip=sub.round_trip,
+                          replies=tuple(replies)),
+            out,
         )
-        self.observer.emit(FRAME_SENT, kind="proxy-ack", dest=client)
-        out.append(
-            SendFrame(
-                client, make_proxy_ack(self.proxy_id, client, [sub_reply])
-            )
-        )
+
+    def _ack(self, reply_to: str, sub_reply: ProxySubReply, out: List[Effect]) -> None:
+        """Answer one round in this input's one ``proxy-ack`` for ``reply_to``.
+
+        An input's effects are one list, executed after the input returns:
+        the first round answered to a destination appends the frame to it,
+        and the input's later ones join that frame's payload.
+        """
+        if self._acks_out is not out:
+            self._acks_out, self._acks = out, {}
+        acks = self._acks.get(reply_to)
+        if acks is None:
+            acks = self._acks[reply_to] = []
+            # Not counted in stats: proxy acks are tallied once, at the client
+            # receiver (the counted-exactly-once invariant); the observer
+            # event still records the frame leaving this component.
+            self.observer.emit(FRAME_SENT, kind=PROXY_ACK_KIND, dest=reply_to)
+            out.append(SendFrame(reply_to, Message(
+                self.proxy_id, reply_to, PROXY_ACK_KIND, {"acks": acks}
+            )))
+        acks.append(addressed_proxy_reply(reply_to, sub_reply))
 
     def _record_fill(
         self, entry: CacheEntry, pending: _ProxyPending, out: List[Effect]
@@ -384,7 +419,7 @@ class ProxyEngine(ReplicaRounds):
         rt = pending.request.round_trip
         entry.inflight.discard(rt)
         entry.rounds[rt] = list(pending.replies)
-        for client, fsub in entry.followers.pop(rt, []):
+        for reply_to, fsub in entry.followers.pop(rt, []):
             serves = self.bounded_staleness if entry.stale else entry.granted
             replies = (
                 entry.replies_for(rt, fsub.wait_for)
@@ -392,12 +427,12 @@ class ProxyEngine(ReplicaRounds):
                 else None
             )
             if replies is not None:
-                self._serve_cached(client, fsub, replies, out)
+                self._serve_cached(reply_to, fsub, replies, out)
             else:
                 # The lease never reached a write-blocking quorum (or the
                 # follower asked a different round): fall back to a plain
                 # quorum round for this follower.
-                self._dispatch_safe(_forwarded(client, fsub), out)
+                self._dispatch_safe(_forwarded(reply_to, fsub), out)
 
     def _evict(
         self, entry: CacheEntry, out: List[Effect], *, reason: str
@@ -427,8 +462,8 @@ class ProxyEngine(ReplicaRounds):
         followers = entry.followers
         entry.followers = {}
         for subs in followers.values():
-            for client, fsub in subs:
-                self._dispatch_safe(_forwarded(client, fsub), out)
+            for reply_to, fsub in subs:
+                self._dispatch_safe(_forwarded(reply_to, fsub), out)
 
     def _release_lease(
         self, servers: Sequence[str], keys: List[str], out: List[Effect]
@@ -566,22 +601,16 @@ class ProxyEngine(ReplicaRounds):
             ROUND_CLOSED, op_id=pending.op_id, key=pending.key,
             trace=pending.trace, error=error,
         )
-        sub_reply = ProxySubReply(
-            op_id=pending.op_id,
-            round_trip=pending.request.round_trip,
-            # A round that failed short of its quorum has nothing to deliver.
-            replies=tuple(pending.replies) if error is None else (),
-            error=error,
-        )
-        # Not counted in stats: proxy acks are tallied once, at the client
-        # receiver (the counted-exactly-once invariant); the observer event
-        # still records the frame leaving this component.
-        self.observer.emit(FRAME_SENT, kind="proxy-ack", dest=pending.sender)
-        out.append(
-            SendFrame(
-                pending.sender,
-                make_proxy_ack(self.proxy_id, pending.sender, [sub_reply]),
-            )
+        self._ack(
+            pending.reply_to,
+            ProxySubReply(
+                op_id=pending.op_id,
+                round_trip=pending.request.round_trip,
+                # A round that failed short of its quorum has nothing to deliver.
+                replies=tuple(pending.replies) if error is None else (),
+                error=error,
+            ),
+            out,
         )
 
     _on_quorum = _finish

@@ -23,7 +23,7 @@ for the next narrow read to find a unanimous quorum), and so do replays and
 every round of an owner with an explicit ``read_policy``.
 
 The two engines that talk to replicas are its subclasses --
-:class:`~.link.DirectLink` (the direct ingress of every
+:class:`~.link.ClientLink` (the direct ingress of every
 :class:`~.client.ClientSessionEngine` that holds it) and
 :class:`~.proxy.ProxyEngine` (every forwarded round) -- and supply what really
 differs between them as hooks:

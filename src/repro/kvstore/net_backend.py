@@ -22,14 +22,14 @@ owning engine in the same event-loop turn, and its effects -- sends included
   replicas and proxies at the first :meth:`AsyncKVCluster.resize` /
   ``move_shard`` / ``start_autoscaler`` -- not before.
 * :class:`KVStore` is the client facade: ``await get/put/multi_get/multi_put``
-  drive a :class:`~repro.kvstore.engine.client.ClientSessionEngine`.  Behind a
-  proxy its frames ride its one proxy connection and its timers its own
-  runtime; talking to the replicas directly it rides the *replica link* of
-  its cluster and event loop (:class:`_ReplicaLink`): one
-  :class:`~repro.kvstore.engine.link.DirectLink`, one effect runtime and one
-  connection per replica for every direct store of the process, so rounds of
-  different stores opened in the same turn of the loop leave in one frame per
-  replica.  Connection losses are reported back into the engines, which own
+  drive a :class:`~repro.kvstore.engine.client.ClientSessionEngine`, which
+  rides the *link* of its cluster and event loop (:class:`_ClientLink`)
+  whether it talks to the replicas directly or through a proxy: one
+  :class:`~repro.kvstore.engine.link.ClientLink`, one effect runtime and one
+  connection per peer for every store of the process, so rounds of different
+  stores opened in the same turn of the loop leave in one frame per replica,
+  or one per proxy.  A store keeps no connection, runtime or timer of its
+  own.  Connection losses are reported back into the engines, which own
   replay and proxy failover.
 * :class:`SyncKVStore` wraps a :class:`KVStore` for synchronous callers via
   a background event-loop thread.
@@ -57,9 +57,9 @@ from .engine import (
     DIRECT_INGRESS,
     DRAIN_RANGE_SIZE,
     BatchStats,
+    ClientLink,
     ClientSessionEngine,
     ControlPlaneEngine,
-    DirectLink,
     Effect,
     EffectRuntime,
     OpCompleted,
@@ -101,17 +101,15 @@ class _Owner:
     its connections, feeds it every frame they deliver and tells it of the
     peers it lost for good; this class joins the two with ``send`` -- one
     lookup, encode, write.  Its I/O tasks are the endpoint's, so
-    :meth:`close` leaves nothing behind.  ``reconnect_interval`` is the
-    endpoint's policy for a lost connection it dialled (redial, or ``None``:
-    report and forget).
+    :meth:`close` leaves nothing behind.  What happens to a lost connection
+    the owner dialled -- redialled, or reported and forgotten -- each dial
+    says for its peer (:meth:`~repro.asyncio_net.endpoint.Endpoint.dial`).
     """
 
-    def __init__(
-        self, engine, reconnect_interval: Optional[float] = None, **client_hooks
-    ) -> None:
+    def __init__(self, engine, **client_hooks) -> None:
         self.engine = engine
         self.runtime = EffectRuntime(engine, _call_later, self._send, **client_hooks)
-        self.endpoint = Endpoint(self._on_frame, self._on_peer_lost, reconnect_interval)
+        self.endpoint = Endpoint(self._on_frame, self._on_peer_lost)
 
     # ``on_frame`` / ``on_peer_lost`` are looked up on the engine per call:
     # tests and the benchmark's tracer wrap them on the engine instance after
@@ -206,7 +204,8 @@ class _ControlPlane(_Owner):
         reconnect_interval: float,
         addresses: Mapping[str, Tuple[str, int]],
     ) -> None:
-        super().__init__(engine, reconnect_interval)
+        super().__init__(engine)
+        self.reconnect_interval = reconnect_interval
         self.addresses = addresses
         #: Whether the peers have been dialled (since then, a peer that
         #: starts listening later is dialled as it comes up).
@@ -225,7 +224,7 @@ class _ControlPlane(_Owner):
 
     async def _dial_then_run(self) -> None:
         for peer_id, address in list(self.addresses.items()):
-            await self.endpoint.dial(peer_id, *address)
+            await self.endpoint.dial(peer_id, *address, redial=self.reconnect_interval)
         self.dialled = True
         backlog, self._backlog = self._backlog, []
         for effects in backlog:
@@ -297,8 +296,8 @@ class AsyncKVCluster(ClusterAssembly):
         self.proxies: Dict[str, "ProxyServer"] = {}
         #: Where every replica and proxy listens (stable across kill/restart).
         self._addresses: Dict[str, Tuple[str, int]] = {}
-        #: The replica link of every event loop that has a connected store.
-        self._links: Dict[asyncio.AbstractEventLoop, _ReplicaLink] = {}
+        #: The link of every event loop that has a connected store.
+        self._links: Dict[asyncio.AbstractEventLoop, _ClientLink] = {}
         self._control_plane = _ControlPlane(
             self.control_engine, self.retry_policy.reconnect_interval, self._addresses
         )
@@ -355,18 +354,21 @@ class AsyncKVCluster(ClusterAssembly):
         also down, or twice at once, and must neither wedge nor dial twice.
         """
         for server_id in self.replicas:
-            await endpoint.dial(server_id, *self._addresses[server_id])
+            await endpoint.dial(
+                server_id, *self._addresses[server_id],
+                redial=self.retry_policy.reconnect_interval,
+            )
 
-    def _join_link(self, store: "KVStore") -> "_ReplicaLink":
-        """The running loop's replica link, with ``store`` among its stores."""
+    def _join_link(self, store: "KVStore") -> "_ClientLink":
+        """The running loop's link, with ``store`` among its stores."""
         link = self._links.get(asyncio.get_running_loop())
         if link is None:
-            link = _ReplicaLink(self)
+            link = _ClientLink(self)
             self._links[link.loop] = link
         link.stores.add(store)
         return link
 
-    async def _leave_link(self, link: "_ReplicaLink", store: "KVStore") -> None:
+    async def _leave_link(self, link: "_ClientLink", store: "KVStore") -> None:
         """``store`` closed; the last one out shuts the link down."""
         link.stores.discard(store)
         if not link.stores:
@@ -524,8 +526,9 @@ class ProxyServer(_Owner):
     :class:`~repro.kvstore.engine.proxy.ProxyEngine`, which owns shard
     resolution, read routing, cross-client merging, stale-epoch replay and
     round timeouts.  Its endpoint holds both sides: the connection it dialled
-    to every replica (redialled when lost) and the ones its clients opened,
-    over which their acks go back.
+    to every replica (redialled when lost) and the ones its clients opened --
+    one per client process and loop -- over which their acks go back, one
+    frame per connection for every round an input completes.
     """
 
     def __init__(
@@ -535,7 +538,7 @@ class ProxyServer(_Owner):
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        super().__init__(engine, cluster.retry_policy.reconnect_interval)
+        super().__init__(engine)
         self.cluster = cluster
         self.host = host
         self.port = port
@@ -582,49 +585,68 @@ class ProxyServer(_Owner):
 _LINK_IDS = itertools.count(1)
 
 
-class _ReplicaLink(_Owner):
-    """One process's link to a cluster's replicas, on one event loop.
+class _ClientLink(_Owner):
+    """One process's link for a cluster's stores, on one event loop.
 
-    Every :class:`KVStore` that talks to the replicas directly -- connected
-    without a proxy, or fallen back once its site's proxies were exhausted --
-    rides the link of its cluster and loop: one
-    :class:`~repro.kvstore.engine.link.DirectLink` multiplexing all their
-    rounds, one effect runtime holding its timers, one connection per
-    replica.  Stores keep their own session engines (identity, per-key order,
-    recorder, proxy leg); what they return on the direct leg is executed
-    here.  The cluster creates the link for the first store that connects on
-    a loop and closes it when the last one closes; another loop -- the
-    thread of a :class:`SyncKVStore` -- gets another link.
+    Every :class:`KVStore` of the cluster and loop rides it, direct or behind
+    a proxy: one :class:`~repro.kvstore.engine.link.ClientLink` multiplexing
+    all their rounds, one effect runtime holding its timers, and one endpoint
+    holding one connection per peer -- to every replica, dialled when the
+    first store needs them and redialled when lost, and to every proxy a
+    store is on, dialled at the first ``Connect`` to it and reported once
+    when lost (every session on it fails over).  Stores keep their own
+    session engines (identity, per-key order, recorder, candidate list);
+    everything they return is executed here.  The cluster creates the link
+    for the first store that connects on a loop and closes it when the last
+    one closes; another loop -- the thread of a :class:`SyncKVStore` -- gets
+    another link.
     """
 
     def __init__(self, cluster: "AsyncKVCluster") -> None:
         self.cluster = cluster
         self.loop = asyncio.get_running_loop()
-        # Replicas answer over the connection whose frames named the sender,
-        # so the wire id is unique among everything that may dial them.
+        # Replicas and proxies answer over the connection whose frames named
+        # the sender, so the wire id is unique among everything that may dial
+        # them.
         link_id = f"link-{os.getpid()}-{next(_LINK_IDS)}"
         super().__init__(
-            DirectLink(
+            ClientLink(
                 link_id,
                 policy=cluster.retry_policy,
                 observer=cluster.hub.scoped("client", link_id),
             ),
-            cluster.retry_policy.reconnect_interval,
+            connect=self._connect,
             complete=self.complete,
         )
-        #: Every connected store of the loop, behind a proxy or not.
+        #: Every connected store of the loop.
         self.stores: "set[KVStore]" = set()
-        #: op id -> (the future its caller awaits, the store it belongs to):
-        #: outcomes surface on whichever runtime ran the op's last round.
+        #: op id -> (the future its caller awaits, the store it belongs to).
         self.waiting: Dict[str, Tuple[asyncio.Future, KVStore]] = {}
         self._dialled = False
 
-    async def dial(self) -> None:
-        """Connect to every replica, once: from then on the endpoint keeps
-        the connections up itself, and the other stores find them there."""
-        if not self._dialled:
+    async def connect(self, target: str) -> None:
+        """Establish ``target`` -- a proxy, or the replicas -- and hand it to
+        every session waiting on it.  A proxy that cannot be reached raises
+        its ``OSError``; the endpoint keeps the connections up from then on
+        (the replicas' redialled, a proxy's loss reported), and the other
+        stores find them there."""
+        if target != DIRECT_INGRESS:
+            await self.endpoint.dial(target, *self.cluster.proxy_endpoint(target))
+        elif not self._dialled:
             await self.cluster.dial_replicas(self.endpoint)
             self._dialled = True
+        self.runtime.run(self.engine.on_connected(target))
+
+    def _connect(self, target: str) -> None:
+        """Execute a ``Connect`` effect: dial off the effect pump."""
+        self.endpoint.spawn(self._failing_over(target))
+
+    async def _failing_over(self, target: str) -> None:
+        try:
+            await self.connect(target)
+        except OSError:
+            # The candidate is dead too; its sessions keep walking their lists.
+            self.runtime.run(self.engine.on_connect_failed(target))
 
     async def close_stores(self) -> None:
         """Close every store on the link; the last one out closes the link."""
@@ -655,24 +677,19 @@ class KVStore:
     adapts it to asyncio, and each operation awaits a future resolved by the
     engine's completion effect.
 
-    A store that talks to the replicas directly opens no connections of its
-    own: it rides the replica link of its cluster and event loop
-    (:class:`_ReplicaLink`) with every other direct store of the process, so
-    its rounds share batch frames with *theirs* too -- under its own client
-    id, which is all the replicas' per-client bookkeeping sees.
-
-    With ``use_proxy`` the store opens *one* connection -- to a site-local
-    ingress proxy started via :meth:`AsyncKVCluster.start_proxies`; pass
-    ``True`` to be assigned a proxy round-robin or
-    a proxy id to pick one (e.g. the client's own site).  At connect time
-    the store learns the full proxy list of its proxy's site
-    (:meth:`AsyncKVCluster.proxy_candidates`); when the connection dies the
-    engine re-dials the next candidate (through ``Connect`` effects)
-    and replays its in-flight rounds under a fresh failover generation,
-    falling back to the replica link when the site is exhausted.  The proxy
-    leg is an owner of its own -- the session engine, a runtime for the leg's
-    timers, an endpoint holding the one connection -- which a store that
-    never had a proxy does not carry.
+    A store opens no connections of its own: it rides the link of its
+    cluster and event loop (:class:`_ClientLink`) with every other store of
+    the process, so its rounds share frames with *theirs* too -- under its
+    own client id, which is all the replicas' per-client bookkeeping sees --
+    to the replicas directly or, with ``use_proxy``, through a site-local
+    ingress proxy started via :meth:`AsyncKVCluster.start_proxies` (pass
+    ``True`` to be assigned a proxy round-robin or a proxy id to pick one,
+    e.g. the client's own site).  At connect time the store learns the full
+    proxy list of its proxy's site (:meth:`AsyncKVCluster.proxy_candidates`);
+    when the link loses that proxy the engine re-dials the next candidate
+    (through ``Connect`` effects) and replays its in-flight rounds under a
+    fresh failover generation, falling back to the replicas when the site is
+    exhausted.
 
     A store behind a proxy started with ``read_cache`` (see
     :meth:`AsyncKVCluster.start_proxies`) gets lease-backed cached reads
@@ -701,8 +718,7 @@ class KVStore:
         self.use_proxy = use_proxy
         self.completion_hook: Optional[Any] = None
         self._engine: Optional[ClientSessionEngine] = None
-        self._link: Optional[_ReplicaLink] = None  # held while connected
-        self._leg: Optional[_Owner] = None  # the proxy leg, if it ever had one
+        self._link: Optional[_ClientLink] = None  # held while connected
 
     @property
     def engine(self) -> ClientSessionEngine:
@@ -721,8 +737,11 @@ class KVStore:
     # -- connecting --------------------------------------------------------------
 
     async def connect(self) -> None:
+        """Join the link of the running loop and reach the store's ingress;
+        a connected store returns at once."""
+        if self._link is not None:
+            return
         cluster = self.cluster
-        self._link = cluster._join_link(self)
         candidates: List[str] = []
         if self.use_proxy is True:  # round-robin over the proxy tier
             candidates = cluster.proxy_candidates()
@@ -732,60 +751,23 @@ class KVStore:
             if self.use_proxy not in cluster.proxies:
                 raise KeyError(self.use_proxy)
             candidates = cluster.proxy_candidates(self.use_proxy)
+        link = self._link = cluster._join_link(self)
         self._engine = cluster.client_engine(
             self.client_id, self.recorder, max_batch=self.max_batch,
-            proxy_candidates=candidates, link=self._link.engine,
+            proxy_candidates=candidates, link=link.engine,
         )
-        if not candidates:
-            await self._link.dial()
-            return
-        # Only a proxy leg has frames and timers of the store's own; a proxy
-        # that dies is not redialled, the engine fails over.
-        self._leg = _Owner(
-            self._engine, connect=self._connect_ingress, complete=self._link.complete
-        )
-        await self._dial_proxy(candidates[0])
-        self._leg.runtime.run(self._engine.on_connected(candidates[0]))
-
-    def _run(self, effects: Sequence[Effect]) -> None:
-        """Execute what the session returned on the leg it is on: the link's
-        runtime holds the direct leg's timers, this store's the proxy leg's
-        (``engine/client.py``, "Whose effects")."""
-        owner = self._link if self._engine.proxy_id is None else self._leg
-        owner.runtime.run(effects)
-
-    async def _dial_proxy(self, proxy_id: str) -> None:
-        await self._leg.endpoint.dial(proxy_id, *self.cluster.proxy_endpoint(proxy_id))
-
-    def _connect_ingress(self, target: str) -> None:
-        """Execute a ``Connect`` effect: dial off the effect pump."""
-        self._leg.endpoint.spawn(self._do_connect(target))
-
-    async def _do_connect(self, target: str) -> None:
-        # The store has one ingress at a time: a proxy that went silent with
-        # its connection still up is hung up on here.
-        self._leg.endpoint.sever()
-        if target == DIRECT_INGRESS:
-            await self._link.dial()
-            self._link.runtime.run(self.engine.on_connected(DIRECT_INGRESS))
-            return
         try:
-            await self._dial_proxy(target)
-        except OSError:
-            # The candidate is dead too; the engine keeps walking the site.
-            self._leg.runtime.run(self.engine.on_connect_failed(target))
-            return
-        self._leg.runtime.run(self.engine.on_connected(target))
+            await link.connect(candidates[0] if candidates else DIRECT_INGRESS)
+        except BaseException:
+            await self.close()
+            raise
 
     async def close(self) -> None:
         link = self._link
         if link is None:
             return  # never connected, or closed already
-        if self._engine is not None:
-            self._run(self._engine.close())
         self._link = None
-        if self._leg is not None:
-            await self._leg.close()
+        link.runtime.run(self._engine.close())
         await self.cluster._leave_link(link, self)
 
     # -- operations --------------------------------------------------------------
@@ -817,7 +799,7 @@ class KVStore:
         future = asyncio.get_running_loop().create_future()
         op_id, effects = engine.invoke(kind, key, value)
         link.waiting[op_id] = (future, self)
-        self._run(effects)
+        link.runtime.run(effects)
         try:
             return await future
         finally:
@@ -826,22 +808,20 @@ class KVStore:
     # -- introspection -----------------------------------------------------------
 
     def batch_stats(self) -> BatchStats:
-        """Coalescing/frame statistics of the path this store's rounds take.
+        """Coalescing/frame statistics of the ingress this store's rounds take.
 
-        Behind a proxy: its own proxy connection's.  Talking to the replicas
-        directly: the *link's* -- the frames of every direct store of the
-        process and loop, which no single store owns once rounds of several
-        ride one frame (a snapshot; the link is gone once the store closed).
-        Each frame is counted once, at the link or at the store, so a run's
-        total is every store's proxy leg plus its links, each taken once --
-        not the sum of this over the direct stores.
+        They are the *link's*: the frames of every store of the process and
+        loop on that ingress -- its replica side for a direct store, its
+        proxy legs behind a proxy -- which no single store owns once rounds
+        of several ride one frame (a snapshot).  Each frame is counted once,
+        at the link, so a run's total is each link's two sides, each taken
+        once (as ``KVRunResult.batch_stats`` does) -- not the sum of this
+        over the stores.
         """
         if self._engine is None:
             return BatchStats()
-        stats = self._engine.stats.copy()
-        if self._engine.proxy_id is None and self._link is not None:
-            stats.merge(self._link.engine.stats)
-        return stats
+        link = self._engine.link
+        return (link.stats if self._engine.proxy_id is None else link.proxy_stats).copy()
 
     def frames_sent(self) -> int:
         return self.batch_stats().frames_sent
@@ -1003,10 +983,10 @@ def run_asyncio_kv_workload(
 ) -> KVRunResult:
     """Run a closed-loop kv workload over loopback TCP and collect results.
 
-    Every workload client becomes one :class:`KVStore` (its own identity,
-    per-key order and, behind a proxy, connection), all sharing one replica
-    cluster, one history recorder and -- talking to the replicas directly --
-    one replica link, so their rounds ride the same batch frames.
+    Every workload client becomes one :class:`KVStore` (its own identity and
+    per-key order), all sharing one replica cluster, one history recorder and
+    one link, so their rounds ride the same batch frames -- or, behind a
+    proxy, the same proxy frames.
     ``resize_to`` triggers a *live* resize once ``resize_after_ops``
     operations completed (default: half the workload), with the remaining
     operations still in flight.  ``use_proxy`` starts ``num_proxies``

@@ -29,9 +29,9 @@ from ..util.rng import SeededRng
 from ..util.stats import LatencyStats, summarize
 from .engine import (
     BatchStats,
+    ClientLink,
     ClientSessionEngine,
     ControlPlaneEngine,
-    DirectLink,
     GroupServerEngine,
     ProxyEngine,
     pick_one_proxy_per_site,
@@ -182,10 +182,12 @@ class KVRunResult:
     #: Autoscaler record ({"actions": [...], "drains_completed": N,
     #: "ranges_drained": N}) when the run armed the autoscaler.
     autoscale: Optional[Dict[str, object]] = None
-    #: The direct link the run's clients shared, where the backend has one and
-    #: any client rode it ({"stores": how many did, by the end of the run,
-    #: **BatchStats.as_dict()}).
+    #: The links the run's clients shared, where the backend has them: their
+    #: replica side where any client rode it, and their proxy legs where any
+    #: client did ({"stores": how many did, by the end of the run,
+    #: **BatchStats.as_dict()} each).
     direct_link: Optional[Dict[str, object]] = None
+    proxy_leg: Optional[Dict[str, object]] = None
 
     def throughput(self) -> float:
         """Completed operations per time unit, over the time they took."""
@@ -350,6 +352,14 @@ def arm_triggers(
     return hooks, record, kill_record
 
 
+def _merged(stats: Iterable[BatchStats]) -> BatchStats:
+    """One :class:`BatchStats` holding the sum of ``stats``."""
+    total = BatchStats()
+    for part in stats:
+        total.merge(part)
+    return total
+
+
 def fold_run_result(
     backend: str,
     shard_map: ShardMap,
@@ -367,28 +377,26 @@ def fold_run_result(
     autoscale: bool,
     messages_sent: Optional[int] = None,
     elapsed: Optional[float] = None,
-    links: Iterable[DirectLink] = (),
+    links: Iterable[ClientLink] = (),
 ) -> KVRunResult:
     """Fold a finished run's engines, registry and recorder into its result.
 
     Every counter is read off the sans-I/O engines, so both backends count
-    the same things the same way.  ``links`` are the direct links the
-    clients *shared* (a client's private link counts into the client's own
-    ``stats``): each is folded into the client tier once, whatever the number
-    of sessions on it.  ``messages_sent`` is the transport's own
+    the same things the same way.  ``links`` are the links the clients
+    *shared* (a client's private link counts into the client's own
+    ``stats``): each one's replica side and proxy legs are folded into the
+    client tier once, whatever the number of sessions on it.
+    ``messages_sent`` is the transport's own
     frame count where it keeps one (the simulated network); ``None`` uses
     the client and proxy tiers' ``frames_total``; ``elapsed`` is when the
     last operation completed, where that is earlier than ``duration``.
     """
     clients, proxies, logics = list(client_engines), list(proxy_engines), list(server_logics)
     links = list(links)
-    riders = [e for e in clients if e.link in links and e.proxy_id is None]
-
-    def merged(engines: List[Any]) -> BatchStats:
-        stats = BatchStats()
-        for engine in engines:
-            stats.merge(engine.stats)
-        return stats
+    shared = [e for e in clients if e.link in links]
+    direct = sum(1 for e in shared if e.proxy_id is None)
+    direct_side = _merged(link.stats for link in links)
+    proxy_legs = _merged(link.proxy_stats for link in links)
 
     histories = recorder.histories()
     result = KVRunResult(
@@ -399,12 +407,12 @@ def fold_run_result(
         duration=duration,
         elapsed=duration if elapsed is None else elapsed,
         completed_ops=recorder.completed_operations,
-        batch_stats=merged(clients + links),
+        batch_stats=_merged([e.stats for e in clients] + [direct_side, proxy_legs]),
         num_groups=len(shard_map.groups),
         stale_replays=sum(e.stale_replays for e in clients + proxies),
         resize=resize,
         num_proxies=len(proxies),
-        proxy_stats=merged(proxies) if proxies else None,
+        proxy_stats=_merged(e.stats for e in proxies) if proxies else None,
         replica_frames=sum(l.batches_served for l in logics),
         replica_sub_ops=sum(l.sub_ops_served for l in logics),
         proxy_failovers=sum(e.proxy_failovers for e in clients),
@@ -428,7 +436,11 @@ def fold_run_result(
         ),
         metrics=registry.snapshot(),
         direct_link=(
-            {"stores": len(riders), **merged(links).as_dict()} if riders else None
+            {"stores": direct, **direct_side.as_dict()} if direct else None
+        ),
+        proxy_leg=(
+            {"stores": len(shared) - direct, **proxy_legs.as_dict()}
+            if len(shared) > direct else None
         ),
         autoscale=(
             {

@@ -34,11 +34,13 @@ client load.
 The **proxy frames** serve the site-local ingress tier
 (:mod:`repro.kvstore.engine.proxy`): a client packs the quorum rounds it has in
 flight into one ``"proxy"`` frame for its proxy (:class:`ProxySubRequest` --
-no shard tag: routing is the proxy's job), and the proxy answers each round
-with a ``"proxy-ack"`` frame carrying the whole quorum of replica replies at
-once (:class:`ProxySubReply`).  Between the two, the proxy merges rounds
-*across client connections* into shared shard-tagged batch frames, which is
-where the replica-side message-cost drop comes from.
+no shard tag: routing is the proxy's job), and the proxy answers with
+``"proxy-ack"`` frames, each round's sub-reply carrying its whole quorum of
+replica replies at once (:class:`ProxySubReply`) -- one frame per client
+connection for all the rounds one proxy input completed.  Between the two,
+the proxy merges rounds *across client connections* into shared
+shard-tagged batch frames, which is where the replica-side message-cost drop
+comes from.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "make_proxy_request",
     "unpack_proxy_request",
     "make_proxy_ack",
+    "addressed_proxy_reply",
     "unpack_proxy_ack",
     "VIEW_PUSH_KIND",
     "VIEW_PUSH_ACK_KIND",
@@ -286,7 +289,11 @@ class ProxySubRequest(NamedTuple):
     threshold (``None`` means the owner group's quorum size, resolved by the
     proxy so a client with a stale view cannot under-wait).  ``trace`` is the
     op's cross-tier trace-context id (see :class:`Message`); the proxy stamps
-    it on the replica-bound sub-messages it fans out.
+    it on the replica-bound sub-messages it fans out.  ``client`` is the
+    store client whose round this is -- whom the replicas see as its sender
+    -- when one frame carries the rounds of several (a process's shared
+    link); ``None`` means the frame's sender.  The ack still goes to the
+    frame's sender, never to ``client``.
     """
 
     key: str
@@ -298,6 +305,7 @@ class ProxySubRequest(NamedTuple):
     wait_for: Optional[int] = None
     per_server: Optional[Dict[str, Dict[str, Any]]] = None
     trace: Optional[str] = None
+    client: Optional[str] = None
 
     def payload_for(self, server_id: str) -> Dict[str, Any]:
         if self.per_server and server_id in self.per_server:
@@ -331,10 +339,12 @@ def make_proxy_request(
 ) -> Message:
     """Pack forwarded rounds into one proxy frame (client -> proxy).
 
-    The frame's ``sender`` is the client's identity; the proxy propagates it
-    as the sender of every replica-bound sub-message so the per-reader /
-    per-writer bookkeeping the register protocols keep (``updated`` sets --
-    the paper's crucial info) is indistinguishable from a direct connection.
+    The frame's ``sender`` is whom the proxy answers.  Each sub's ``client``
+    -- or, where it is ``None``, the frame's sender -- is the identity the
+    proxy propagates as the sender of the round's replica-bound
+    sub-messages, so the per-reader / per-writer bookkeeping the register
+    protocols keep (``updated`` sets -- the paper's crucial info) is
+    indistinguishable from a direct connection.
     """
     if not subs:
         raise ValueError("a proxy frame must contain at least one sub-request")
@@ -360,20 +370,22 @@ def make_proxy_ack(
     """
     if not sub_replies:
         raise ValueError("a proxy ack frame must contain at least one reply")
-    acks = [
-        ProxySubReply(
-            sub.op_id,
-            sub.round_trip,
-            tuple(
-                Message(r.sender, receiver, r.kind, r.payload,
-                        sub.op_id, sub.round_trip)
-                for r in sub.replies
-            ),
-            sub.error,
-        )
-        for sub in sub_replies
-    ]
+    acks = [addressed_proxy_reply(receiver, sub) for sub in sub_replies]
     return Message(sender, receiver, PROXY_ACK_KIND, {"acks": acks})
+
+
+def addressed_proxy_reply(receiver: str, sub: ProxySubReply) -> ProxySubReply:
+    """``sub`` as a proxy ack frame to ``receiver`` carries it (see
+    :func:`make_proxy_ack`)."""
+    return ProxySubReply(
+        sub.op_id,
+        sub.round_trip,
+        tuple(
+            Message(r.sender, receiver, r.kind, r.payload, sub.op_id, sub.round_trip)
+            for r in sub.replies
+        ),
+        sub.error,
+    )
 
 
 def unpack_proxy_ack(message: Message) -> List[ProxySubReply]:

@@ -211,6 +211,25 @@ class TestCommands:
         assert int(rounds.split("/")[1].split()[0]) >= 1  # widened to the group
         assert "ATOMIC" in output
 
+    def test_kv_proxied_on_asyncio_rides_the_links_proxy_leg(self, tmp_path, capsys):
+        import json
+
+        from repro.observe import validate_metrics_snapshot
+
+        metrics_path = tmp_path / "metrics.json"
+        assert main(["kv", "--backend", "asyncio", "--clients", "4", "--ops", "12",
+                     "--keys", "8", "--proxies", "1",
+                     "--metrics-dump", str(metrics_path)]) == 0
+        output = capsys.readouterr().out
+        assert "48 completed (48 scheduled)" in output
+        assert "proxy leg          : 4 stores, mean batch" in output
+        assert "direct link" not in output
+        assert "ATOMIC" in output
+        validate_metrics_snapshot(
+            json.loads(metrics_path.read_text(encoding="utf-8")),
+            require_tiers=("client", "proxy", "replica"),
+        )
+
     def test_kv_resilience_line_on_both_backends(self, capsys):
         # The replay/failover/bounce counters print on every run (zeroes
         # included) -- on asyncio too, where they used to be invisible.

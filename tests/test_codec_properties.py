@@ -357,6 +357,8 @@ _proxy_subs = st.builds(
         st.none(), st.dictionaries(_ids, _payloads, min_size=1, max_size=3)
     ),
     trace=st.one_of(st.none(), _ids),
+    # A shared link names each sub's session; a private one leaves it unset.
+    client=st.one_of(st.none(), st.text(max_size=12)),
 )
 
 #: Completed rounds as the proxy packs them: the quorum's replica replies.
@@ -398,6 +400,8 @@ class TestProxyFrames:
             assert restored.wait_for == original.wait_for
             assert restored.per_server == original.per_server
             assert restored.trace == original.trace
+            # Whom the replicas see as the round's sender.
+            assert restored.client == original.client
 
     @_codec
     @given(sub_replies=st.lists(_proxy_replies, min_size=1, max_size=4))
@@ -688,7 +692,8 @@ def _golden_frames():
         PROXY_KIND: make_proxy_request("c1", "p1", [
             ProxySubRequest("k", "read", "query", {}, "c1-op1@0", 1, trace="t-1"),
             ProxySubRequest("k2", "write", "update", {"value": "v"}, "c1-op2@0", 2,
-                            wait_for=2, per_server={"s1": {"value": "w"}}),
+                            wait_for=2, per_server={"s1": {"value": "w"}},
+                            client="c2"),
         ]),
         PROXY_ACK_KIND: make_proxy_ack("p1", "c1", [
             ProxySubReply("c1-op1@0", 1, (
@@ -742,8 +747,8 @@ GOLDEN_BODIES = {
     ),
     "proxy": (
         b'["proxy","c1","p1",null,0,7,null,[["k","read","query",{},"c1-op1@0",'
-        b'1,null,null,"t-1"],["k2","write","update",{"value":"v"},"c1-op2@0",2'
-        b',2,{"s1":{"value":"w"}},null]]]'
+        b'1,null,null,"t-1",null],["k2","write","update",{"value":"v"},"c1-op2'
+        b'@0",2,2,{"s1":{"value":"w"}},null,"c2"]]]'
     ),
     "proxy-ack": (
         b'["proxy-ack","p1","c1",null,0,7,null,[["c1-op1@0",1,[["s1","query-ac'
@@ -869,10 +874,16 @@ WRONG_SHAPES = {
     "ack-row-short": _envelope("batch-ack", [["k", "s1", "ack"]]),
     "acks-an-object": _envelope("batch-ack", {"acks": []}),
     "proxy-row-short": _envelope("proxy", [["k", "read", "query", {}, "op", 1]]),
+    "proxy-row-without-client": _envelope(
+        "proxy", [["k", "read", "query", {}, "op", 1, None, None, None]]),
     "proxy-op-id-null": _envelope(
-        "proxy", [["k", "read", "query", {}, None, 1, None, None, None]]),
+        "proxy", [["k", "read", "query", {}, None, 1, None, None, None, None]]),
     "proxy-per-server-of-lists": _envelope(
-        "proxy", [["k", "read", "query", {}, "op", 1, None, {"s1": []}, None]]),
+        "proxy", [["k", "read", "query", {}, "op", 1, None, {"s1": []}, None, None]]),
+    "proxy-client-a-number": _envelope(
+        "proxy", [["k", "read", "query", {}, "op", 1, None, None, None, 5]]),
+    "proxy-client-a-list": _envelope(
+        "proxy", [["k", "read", "query", {}, "op", 1, None, None, None, ["c2"]]]),
     "proxy-ack-replies-null": _envelope("proxy-ack", [["op", 1, None, None]]),
     "proxy-ack-reply-short": _envelope("proxy-ack", [["op", 1, [["s1", "ack"]], None]]),
     "payload-a-list": _envelope("query", []),

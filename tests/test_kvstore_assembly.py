@@ -302,9 +302,9 @@ class TestControlPlaneOverSockets:
                     peer: len(owner.endpoint.accepted) for peer, owner in listeners.items()
                 }
                 # Set-up is over: replicas hold the link's and the proxy's
-                # connection, the proxy its four stores' -- nothing of the
-                # control plane's, which has dialled nobody.
-                assert set(accepted.values()) == {2, 4}
+                # connection, the proxy the link's one for its four stores --
+                # nothing of the control plane's, which has dialled nobody.
+                assert set(accepted.values()) == {2, 1}
                 assert not any(
                     CONTROL_PLANE in owner.endpoint.peers for owner in listeners.values()
                 )

@@ -430,6 +430,14 @@ def asyncio_trace(use_proxy=False, script=SCRIPT, read_cache=0):
         finally:
             await store.close()
             await cluster.stop()
+        # The proxy answers the connection a round came in on: the link that
+        # carries c1's rounds, where a standalone session is its own sender.
+        link_id = store.engine.link.link_id
+        proxy_trace = [
+            (kind, "c1", frame) if kind == "send" and dest == link_id
+            else (kind, dest, frame)
+            for kind, dest, frame in proxy_trace
+        ]
         return client_trace, proxy_trace
 
     return asyncio.run(scenario())

@@ -202,14 +202,16 @@ class TestSimProxiedWorkloads:
         )
         assert result.completed_ops == workload.total_operations()
         assert result.check().all_atomic
-        # Reads were restricted: replica-side frames stay below a broadcast's.
+        # Reads were restricted: the replicas served fewer sub-requests than
+        # a broadcast's.  (Frame counts are no measure here: the geo delays
+        # are drawn per frame, so the two runs batch on different schedules.)
         broadcast = run_sim_kv_workload(
             workload, shard_map=ShardMap(4, num_groups=1, servers_per_shard=6,
                                          max_faults=2, readers=3, writers=3),
             delay_model=GeoDelay(sites, local_delay=0.5, wan_delay=40.0, seed=1),
             use_proxy=True, num_proxies=3, read_policy=BroadcastReads(),
         )
-        assert result.replica_frames < broadcast.replica_frames
+        assert result.replica_sub_ops < broadcast.replica_sub_ops
 
 
     def test_broadcast_reads_opts_out_of_quorum_first_entirely(self):
@@ -217,7 +219,9 @@ class TestSimProxiedWorkloads:
         # put on the wire what they did before rounds went quorum-first.  The
         # totals below were measured at that commit (a898a8b, where broadcast
         # was the default), and the proxy -> replica batch frames were compared
-        # sub-request by sub-request when this test was written.
+        # sub-request by sub-request when this test was written.  The message
+        # totals have since lost 47 and 51 frames: the proxy answers all the
+        # rounds an input completes for one client in one proxy-ack.
         def run(seed, **extra):
             workload = generate_workload(
                 num_clients=8, ops_per_client=25, num_keys=64, read_fraction=0.9,
@@ -232,7 +236,7 @@ class TestSimProxiedWorkloads:
         rough = run(5, num_proxies=2, resize_to=8, crashes_per_group=1,
                     push_views=False)
         for result, frames, sub_ops, messages in [
-            (plain, 297, 699, 979), (rough, 842, 1318, 2651),
+            (plain, 297, 699, 932), (rough, 842, 1318, 2600),
         ]:
             assert result.check().all_atomic
             assert result.proxy_stats.rounds_narrow == 0
@@ -354,7 +358,7 @@ class TestAsyncioProxiedWorkloads:
             try:
                 await store.put("k", "v")
                 assert await store.get("k") == "v"
-                assert list(store._leg.endpoint.peers) == ["p2"]
+                assert list(store._link.endpoint.peers) == ["p2"]
             finally:
                 await store.close()
                 await cluster.stop()

@@ -3,7 +3,7 @@
 A quorum round against a replica group -- queue, batch, collect ``wait_for``
 replies, replay on a stale bounce, retry or fail when replicas are lost -- is
 run by two engines: :class:`ClientSessionEngine` (direct ingress, through the
-:class:`DirectLink` it holds) and :class:`ProxyEngine` (every forwarded
+:class:`ClientLink` it holds) and :class:`ProxyEngine` (every forwarded
 round).  This file pins what that
 machinery does from the outside, with one scenario table run against *both*
 owners through nothing but their public inputs (``invoke`` / ``on_frame`` /
@@ -24,7 +24,7 @@ timer's id (``("retry", op_id)`` vs ``("pretry", scoped_id, round_trip)``),
 and the outcome (``OpCompleted`` / ``OpFailed`` vs a ``proxy-ack`` with
 replies or an error string).  The proxy-only rows cover what only a proxy has:
 round timeouts, explicit read policies, cache fills and ``sever()``; the
-link-only rows (mode ``"link"``: one :class:`DirectLink` fed by the sessions
+link-only rows (mode ``"link"``: one :class:`ClientLink` fed by the sessions
 ``c1`` and ``c2``) cover what only a shared link has: frames merged across
 sessions, and one of them going away.
 """
@@ -44,8 +44,8 @@ from repro.kvstore.engine import (
     BroadcastReads,
     CachedShardView,
     CancelTimer,
+    ClientLink,
     ClientSessionEngine,
-    DirectLink,
     GroupServerEngine,
     NearestQuorum,
     OpCompleted,
@@ -103,7 +103,7 @@ class Rig:
 
     ``mode`` is ``"direct"`` (a :class:`ClientSessionEngine` with no proxy),
     ``"proxy"`` (a :class:`ProxyEngine` fed forwarded rounds by hand) or
-    ``"link"`` (a :class:`DirectLink` shared by the sessions ``c1`` and
+    ``"link"`` (a :class:`ClientLink` shared by the sessions ``c1`` and
     ``c2``, whose invocations are logged with the link's own inputs and
     executed as the link's effects).
     Every effect list the owner returns is logged as ``(input, effects)``
@@ -148,7 +148,7 @@ class Rig:
             )
         elif mode == "link":
             assert not proxy_kwargs
-            self.owner = DirectLink("L", policy=policy, observer=observer)
+            self.owner = ClientLink("L", policy=policy, observer=observer)
             for client_id in ("c1", "c2"):
                 self.sessions[client_id] = ClientSessionEngine(
                     client_id, self.shard_map, recorder, policy=policy,

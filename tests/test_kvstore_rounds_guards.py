@@ -136,7 +136,7 @@ def test_replica_loss_does_not_touch_rounds_stashed_for_a_proxy_failover():
     )
     client.on_connected("p1")
     client.invoke(OpKind.READ, "k")
-    (sent,) = client.on_timer(("flush", PROXY_QUEUE))
+    (sent,) = client.on_timer(("flush", PROXY_QUEUE, "p1"))
     assert sent.destination == "p1"
     assert client.on_peer_lost("p1") == [Connect("p2")]
     for server_id in shard_map.groups["g1"].servers:

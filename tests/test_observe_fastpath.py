@@ -16,6 +16,12 @@ the client tier reports ``reads_fast`` / ``reads_slow``; and again in PR 18,
 which changed it once more: rounds that mutate nothing ask a quorum of their
 group instead of all of it (1452 -> 1357 events -- the replicas serve 321 ->
 230 sub-requests), and the client and proxy tiers report ``rounds_widened``.
+It was recaptured once more when the proxy began answering all the rounds
+one input completes for a client in one ``proxy-ack``: the client tier
+receives 224 -> 192 frames and the proxy sends 456 -> 424, and nothing else
+in the registry moves; the 1357 events happen at the same virtual times, but
+clients invoking at the same instant draw their op ids from the process-wide
+counter in another order.
 """
 
 from __future__ import annotations

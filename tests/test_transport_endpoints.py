@@ -31,7 +31,15 @@ from repro.kvstore.engine import GroupServerEngine
 from repro.kvstore.engine.effects import SendFrame, StartTimer
 from repro.protocols.codec import encode_tag
 from repro.protocols.server_state import TagValueServer
-from repro.messages import Message, SubRequest, make_batch
+from repro.messages import (
+    PROXY_ACK_KIND,
+    Message,
+    ProxySubRequest,
+    SubRequest,
+    make_batch,
+    make_proxy_request,
+    unpack_proxy_ack,
+)
 
 from test_codec_properties import WRONG_SHAPES
 from test_framed_connection import FakeTransport
@@ -48,7 +56,8 @@ TRUNCATED = encode_message(Message("c9", "s1", "query"))[:-4]
 WRONG_SHAPE_IDS = [
     "v1-ops-not-a-list", "v1-sub-without-sender", "v1-payload-a-list",
     "v1-release-without-keys", "ops-not-a-list", "short-sub-row",
-    "proxy-row-short", "payload-a-list", "release-without-keys",
+    "proxy-row-short", "proxy-client-a-number", "payload-a-list",
+    "release-without-keys",
 ]
 WRONG_SHAPE_FRAMES = [
     len(WRONG_SHAPES[name]).to_bytes(4, "big") + WRONG_SHAPES[name]
@@ -514,6 +523,49 @@ class TestProxyEndpoints:
 
         asyncio.run(scenario())
 
+    def test_a_sub_naming_another_connection_is_answered_on_its_own(self):
+        # A round's ``client`` is whom the replicas see; its ack goes back
+        # over the connection the round came in on, never to that name.
+        async def scenario():
+            shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
+            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            await cluster.start()
+            await cluster.start_proxies(1)
+            store = KVStore(cluster, client_id="c1", use_proxy="p1")
+            await store.connect()
+            try:
+                await store.put("k", "v1")
+                link = store.engine.link
+                acks_before = link.proxy_stats.frames_received
+                protocol = shard_map.shard_for("k").protocol
+                query = next(protocol.make_opportunistic_reader("x9").read_protocol())
+                sub = ProxySubRequest(
+                    "k", "read", query.kind, query.payload, "x9-read-1", 1,
+                    wait_for=query.wait_for, client=link.link_id,
+                )
+                reader, writer = await asyncio.open_connection(
+                    *cluster.proxy_endpoint("p1")
+                )
+                await write_frame(writer, make_proxy_request("x9", "p1", [sub]))
+                ack = await asyncio.wait_for(read_frame(reader), timeout=2.0)
+                assert ack.kind == PROXY_ACK_KIND and ack.receiver == "x9"
+                (reply,) = unpack_proxy_ack(ack)
+                assert reply.op_id == "x9-read-1" and reply.error is None
+                assert len(reply.replies) == shard_map.shard_for("k").quorum_size
+                await asyncio.sleep(0.05)
+                # The link the sub named heard nothing of it.
+                assert link.proxy_stats.frames_received == acks_before
+                writer.close()
+                await writer.wait_closed()
+                await store.put("k", "v2")
+                assert await store.get("k") == "v2"
+            finally:
+                await store.close()
+                await cluster.stop()
+            assert not _other_tasks()
+
+        asyncio.run(scenario())
+
     def test_a_client_that_redialled_keeps_its_new_mapping(self):
         # The proxy's twin of test_reconnect_keeps_peer_routing_to_new_connection:
         # the old connection's loss lands after the new one delivered a frame.
@@ -619,14 +671,14 @@ class TestProxyEndpoints:
             await store.connect()
             try:
                 await store.put("k", "v1")
-                proxy_side = cluster.proxies["p1"].endpoint.peers["c1"]
+                proxy_side = cluster.proxies["p1"].endpoint.peers[store.engine.link.link_id]
                 proxy_side.send(bad)
                 if bad is TRUNCATED:
                     proxy_side.close()
                 await store.put("k", "v2")
                 assert await store.get("k") == "v2"
                 assert store.proxy_failovers == 1
-                assert list(store._leg.endpoint.peers) == ["p2"]
+                assert list(store._link.endpoint.peers) == ["p2"]
                 assert store.check().all_atomic
             finally:
                 await store.close()
@@ -725,7 +777,6 @@ class TestNoTaskPerFrame:
                 frames = store.frames_total()
                 assert frames >= 200 * 2 * 2  # >= 2 round trips x (send + ack) per op
                 assert len(created) <= connections
-                assert store._leg is None  # no runtime, endpoint or task of its own
             finally:
                 loop.set_task_factory(None)
                 await store.close()
