@@ -66,7 +66,7 @@ from .effects import (
     StartTimer,
     TimerId,
 )
-from .link import PROXY_QUEUE, ClientLink
+from .link import ClientLink
 from .proxy import ProxyEngine
 from .runtime import EffectRuntime
 from .routing import (
@@ -107,7 +107,6 @@ __all__ = [
     "AUTOSCALE_INTERVAL",
     "AUTOSCALE_RATIO",
     "AUTOSCALE_MIN_OPS",
-    "PROXY_QUEUE",
     "Effect",
     "SendFrame",
     "StartTimer",

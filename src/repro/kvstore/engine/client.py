@@ -7,7 +7,7 @@ generator yields goes out through the client's current *ingress*, over the
 :class:`~.link.ClientLink` the engine *holds*: direct, the round is resolved
 against the live shard map here and multiplexed to its owner group there,
 quorum-first when it mutates nothing; behind a proxy, it joins the link's
-leg for that proxy, where in-flight rounds (for any shard, any group)
+queue for that proxy, where in-flight rounds (for any shard, any group)
 coalesce into one ``"proxy"`` frame per flush, the proxy owns shard
 resolution and stale-epoch replay, and each round comes back as one
 sub-reply of a ``"proxy-ack"`` carrying the whole quorum.
@@ -90,7 +90,7 @@ class ClientSessionEngine:
 
     ``link`` is the link to share with other sessions of the process;
     without one the session builds its own, with its own ``max_batch``,
-    ``flush_delay``, observer and ``stats``.
+    observer and ``stats``.
     """
 
     def __init__(
@@ -100,7 +100,6 @@ class ClientSessionEngine:
         recorder: KVHistoryRecorder,
         policy: Optional[RetryPolicy] = None,
         max_batch: int = 8,
-        flush_delay: float = 0.0,
         proxy_candidates: Optional[Sequence[str]] = None,
         observer: Optional[EngineObserver] = None,
         link: Optional[ClientLink] = None,
@@ -122,8 +121,8 @@ class ClientSessionEngine:
         self.proxy_failovers = 0
         if link is None:
             link = ClientLink(
-                client_id, self.policy, max_batch, flush_delay,
-                self.observer, stats=self.stats, proxy_stats=self.stats,
+                client_id, self.policy, max_batch, self.observer,
+                stats=self.stats, proxy_stats=self.stats,
             )
         self.link = link
         link.attach(self)
@@ -239,8 +238,8 @@ class ClientSessionEngine:
         self._send(pending, out)
 
     def _send(self, pending: _PendingKVOp, out: List[Effect]) -> None:
-        """Hand a planned round to the ingress: the link's group queue, its
-        leg for the session's proxy, or -- while a new ingress is being
+        """Hand a planned round to the ingress: the link's queue for its
+        group or for the session's proxy, or -- while a new ingress is being
         connected -- the wait list."""
         if not self._ingress_ready:
             self._requeue.append(pending)

@@ -9,13 +9,14 @@ session is on:
   different sessions in the same flush window leave in **one** ``batch``
   frame per asked replica and come back in one ``batch-ack`` -- the merge a
   proxy does across a network hop, without the hop;
-* **proxied** -- per proxy id it holds one *leg*: a queue and its flush
-  timer, the table of the rounds out on that proxy, and the failover
-  watchdog.  Rounds of every session on the proxy leave together at each
-  flush -- one ``proxy`` frame, or several cut at the link's frame cap --
-  the proxy answers each of its inputs with one ``proxy-ack`` for the link,
-  and the table hands every sub-reply back to the session that owns the
-  round.
+* **proxied** -- rounds of every session on a proxy wait in the
+  multiplexer's queue for that proxy, under the same rule as a group's: at
+  its flush timer they all leave, one ``proxy`` frame per chunk of at most
+  the link's frame cap (:meth:`ClientLink._cut` is the only proxy-specific
+  part).  Per proxy id the link also holds one *leg*: the table of the
+  rounds out on that proxy, and the failover watchdog.  The proxy answers
+  each of its inputs with one ``proxy-ack`` for the link, and the table
+  hands every sub-reply back to the session that owns the round.
 
 A session built on its own gets a private link and is, effect for effect, the
 one-client engine it always was; an adapter that runs several sessions in one
@@ -67,7 +68,6 @@ from ...messages import (
     unpack_proxy_request,
 )
 from ...observe.events import (
-    BATCH_CUT,
     FRAME_RECEIVED,
     FRAME_SENT,
     NULL_OBSERVER,
@@ -89,24 +89,14 @@ from .stats import BatchStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .client import ClientSessionEngine
 
-__all__ = ["ClientLink", "PROXY_QUEUE"]
-
-#: The queue name of proxy-bound rounds in ``batch.cut`` events and flush
-#: timers (the proxy does the per-group split, so rounds for different groups
-#: coalesce too).
-PROXY_QUEUE = "@proxy"
+__all__ = ["ClientLink"]
 
 
 @dataclass(eq=False)
 class _ProxyLeg:
-    """What the link holds for one proxy."""
+    """What the link holds for one proxy besides its queue."""
 
     proxy_id: str
-    #: ``("flush", PROXY_QUEUE, proxy_id)`` and ``("watchdog", proxy_id)``.
-    flush_timer: TimerId
-    watchdog: TimerId
-    queue: List[ReplicaRound] = field(default_factory=list)
-    flush_scheduled: bool = False
     #: (forwarded op id, round trip) -> the round out on this proxy.
     rounds: Dict[Tuple[str, int], ReplicaRound] = field(default_factory=dict)
     acks_seen: int = 0
@@ -131,7 +121,6 @@ class ClientLink(ReplicaRounds):
         link_id: str,
         policy: Optional[RetryPolicy] = None,
         max_batch: int = 1,
-        flush_delay: float = 0.0,
         observer: Optional[EngineObserver] = None,
         stats: Optional[BatchStats] = None,
         proxy_stats: Optional[BatchStats] = None,
@@ -139,7 +128,6 @@ class ClientLink(ReplicaRounds):
         self.link_id = link_id
         self.policy = policy or DEFAULT_RETRY_POLICY
         self.max_batch = max_batch
-        self.flush_delay = flush_delay
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.stats = stats if stats is not None else BatchStats()
         self.proxy_stats = proxy_stats if proxy_stats is not None else BatchStats()
@@ -161,9 +149,9 @@ class ClientLink(ReplicaRounds):
         """Forget ``session`` and every round of it (it is closing), and only
         those.
 
-        Its queued rounds are dropped or skipped at the flush, stragglers
-        answering its sent ones find nothing, and the shared timers keep
-        running for everybody else's.
+        Its queued rounds leave the queues, stragglers answering its sent
+        ones find nothing, and the shared timers keep running for everybody
+        else's.
         """
         if session in self.sessions:  # closing twice is harmless
             self.sessions.remove(session)
@@ -174,68 +162,65 @@ class ClientLink(ReplicaRounds):
             if round.session is session:
                 del self._retrying[timer_id]
                 out.append(CancelTimer(timer_id))
+        for destination in self._queues:
+            self._unqueue(destination, session)
         for leg in self._legs.values():
-            self._take(leg, session, out)
+            self._take_sent(leg, session, out)
 
     def forward(self, round: ReplicaRound, out: List[Effect]) -> None:
-        """Queue a round for its session's proxy."""
-        leg = self._legs.get(round.session.proxy_id)
-        if leg is None:
-            proxy_id = round.session.proxy_id
-            leg = self._legs[proxy_id] = _ProxyLeg(
-                proxy_id, ("flush", PROXY_QUEUE, proxy_id), ("watchdog", proxy_id)
-            )
-        leg.queue.append(round)
-        if not leg.flush_scheduled:
-            leg.flush_scheduled = True
-            out.append(StartTimer(leg.flush_timer, self.flush_delay))
+        """Queue a round for its session's proxy (the proxy does the
+        per-group split, so rounds for different groups share its queue)."""
+        proxy_id = round.session.proxy_id
+        if proxy_id not in self._legs:
+            self._legs[proxy_id] = _ProxyLeg(proxy_id)
+        self._queue(proxy_id, round, out)
 
     def withdraw(
         self, session: "ClientSessionEngine", out: List[Effect]
     ) -> Tuple[List[ReplicaRound], List[ReplicaRound]]:
-        """Take ``session``'s rounds off its proxy's leg (it is failing over):
+        """Take ``session``'s rounds off its proxy (it is failing over):
         ``(out on the proxy, still queued)``."""
-        return self._take(self._legs[session.proxy_id], session, out)
+        leg = self._legs.get(session.proxy_id)
+        if leg is None:
+            return [], []  # nothing was ever forwarded there
+        return (
+            self._take_sent(leg, session, out),
+            self._unqueue(session.proxy_id, session),
+        )
 
-    def _take(
+    def _unqueue(
+        self, destination: str, session: "ClientSessionEngine"
+    ) -> List[ReplicaRound]:
+        """Take ``session``'s rounds out of ``destination``'s queue (one left
+        empty still flushes, sending nothing)."""
+        queue = self._queues.get(destination, [])
+        taken = [round for round in queue if round.session is session]
+        queue[:] = [round for round in queue if round.session is not session]
+        return taken
+
+    def _take_sent(
         self, leg: _ProxyLeg, session: "ClientSessionEngine", out: List[Effect]
-    ) -> Tuple[List[ReplicaRound], List[ReplicaRound]]:
+    ) -> List[ReplicaRound]:
         sent = [round for round in leg.rounds.values() if round.session is session]
         if sent:
             leg.rounds = {
                 key: round for key, round in leg.rounds.items()
                 if round.session is not session
             }
-        queued = [round for round in leg.queue if round.session is session]
-        if queued:
-            leg.queue = [round for round in leg.queue if round.session is not session]
         if not leg.rounds:
             self._disarm_watchdog(leg, out)
-        if not leg.queue and leg.flush_scheduled:
-            leg.flush_scheduled = False
-            out.append(CancelTimer(leg.flush_timer))
-        return sent, queued
+        return sent
 
-    def _flush_proxy(self, leg: _ProxyLeg, out: List[Effect]) -> None:
-        """Send everything queued for the proxy, in frames of at most the
-        link's frame cap: they leave together, so the proxy takes them in
-        one read and merges them into one batch per group."""
-        leg.flush_scheduled = False
-        # Ops that failed while waiting are skipped, not sent.
-        queue = [
-            round for round in leg.queue
-            if round.session._active.get(round.op_id) is round
-        ]
-        leg.queue = []
-        for start in range(0, len(queue), self.max_batch):
-            self._send_proxy_frame(leg, queue[start : start + self.max_batch], out)
-        self._arm_watchdog(leg, out)
-
-    def _send_proxy_frame(
-        self, leg: _ProxyLeg, batch: List[ReplicaRound], out: List[Effect]
-    ) -> None:
+    def _cut(self, destination: str, batch: List[ReplicaRound], out: List[Effect]) -> None:
+        """Frame one chunk of a queue.  A destination the link holds a leg
+        for is a proxy (``p<n>``, never a group's ``g<n>``): its chunk is one
+        ``proxy`` frame, whose rounds go into the leg's table under its
+        watchdog."""
+        leg = self._legs.get(destination)
+        if leg is None:
+            super()._cut(destination, batch, out)
+            return
         self.proxy_stats.record(len(batch))
-        self.observer.emit(BATCH_CUT, size=len(batch), queue=PROXY_QUEUE)
         subs = []
         for round in batch:
             session = round.session
@@ -262,6 +247,7 @@ class ClientLink(ReplicaRounds):
         out.append(
             SendFrame(leg.proxy_id, make_proxy_request(self.link_id, leg.proxy_id, subs))
         )
+        self._arm_watchdog(leg, out)
 
     # -- proxy failover -------------------------------------------------------------
 
@@ -285,12 +271,12 @@ class ClientLink(ReplicaRounds):
             return
         leg.watching = True
         leg.acks_at_arm = leg.acks_seen
-        out.append(StartTimer(leg.watchdog, self.policy.failover_timeout))
+        out.append(StartTimer(("watchdog", leg.proxy_id), self.policy.failover_timeout))
 
     def _disarm_watchdog(self, leg: _ProxyLeg, out: List[Effect]) -> None:
         if leg.watching:
             leg.watching = False
-            out.append(CancelTimer(leg.watchdog))
+            out.append(CancelTimer(("watchdog", leg.proxy_id)))
 
     def _lose_proxy(self, proxy_id: str, out: List[Effect]) -> None:
         """``proxy_id`` is dead: every session on it walks its own list."""
@@ -399,10 +385,6 @@ class ClientLink(ReplicaRounds):
                 self._arm_watchdog(leg, out)  # alive, just slow: watch another window
             else:
                 self._lose_proxy(leg.proxy_id, out)
-            return out
-        if kind == "flush" and timer_id[1] == PROXY_QUEUE:
-            out = []
-            self._flush_proxy(self._legs[timer_id[2]], out)
             return out
         return super().on_timer(timer_id)
 

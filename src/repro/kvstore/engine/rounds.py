@@ -3,18 +3,24 @@
 The paper's unit of cost is the round trip -- broadcast to the ``S`` replicas
 of a group, continue on ``S - t`` replies.  :class:`ReplicaRounds` owns
 everything between "here is a round for key *k*" and "here are ``wait_for``
-replies / here is why not": the pending table, the per-group queues that
-coalesce concurrent rounds into one batch frame per replica, the
-``batch-ack`` demultiplexer, the stale-bounce rule, lost-replica accounting
-and the flush / retry / round-timeout / silence timers.
+replies / here is why not": the pending table, the queues that coalesce
+concurrent rounds into one frame per destination, the ``batch-ack``
+demultiplexer, the stale-bounce rule, lost-replica accounting and the flush /
+retry / round-timeout / silence timers.
+
+**One queue rule.**  A queue is named after its destination -- a group, or a
+proxy of a :class:`~.link.ClientLink` -- and is created with one ``("flush",
+destination)`` timer.  Only that timer sends it, full or not: every round in
+it leaves, in chunks of at most ``max_batch``, and only the framing of a
+chunk (``_cut``) depends on the destination.
 
 **Quorum first.**  The model lets any ``t`` of a round's ``S`` messages be
 delayed forever, so a round sent to only ``S - t`` replicas is an execution
 every protocol here already survives.  A first attempt that mutates nothing
 (its kind is not in ``mutating_kinds``) and carries no per-server payload
-therefore goes out *narrow*: at the flush, every narrow round of the batch is
+therefore goes out *narrow*: at the flush, every narrow round of a chunk is
 asked of the same ``wait_for`` replicas, the pick rotating per group per
-flush.  A narrow round is *widened* -- the same sub-request, same identity,
+chunk.  A narrow round is *widened* -- the same sub-request, same identity,
 sent to the replicas not asked yet -- as soon as one of the asked is reported
 lost, and otherwise by one per-engine silence timer
 (``policy.silence_window``) once it has been out for a whole window.
@@ -45,8 +51,8 @@ differs between them as hooks:
 * ``_counted(round)`` -- whose ``stale_replays`` / ``drain_backoffs`` counters
   a bounce of the round bumps (the owner's own, unless it says otherwise).
 
-The subclass also carries ``policy``, ``stats``, ``observer``, ``max_batch``,
-``flush_delay`` and, if it routes reads by an explicit policy, ``read_policy``.
+The subclass also carries ``policy``, ``stats``, ``observer``, ``max_batch``
+and, if it sets them, ``flush_delay`` and ``read_policy``.
 Rounds of different senders share a batch frame whenever they share a flush:
 each sub-message keeps its own ``sender``, which is all the replicas' per-client
 bookkeeping reads.
@@ -143,15 +149,18 @@ class ReplicaRounds:
     #: An explicit read-routing policy owns the targets of every round; with
     #: none (the client, and the proxy's default) rounds go quorum-first.
     read_policy = None
+    #: How long a queue waits for company before its flush (0 on the link).
+    flush_delay = 0.0
 
     def __init__(self, node_id: str, round_timeout: Optional[float]) -> None:
         self._node_id = node_id
         self._round_timeout = round_timeout
         self._pending: Dict[Tuple[str, int], ReplicaRound] = {}
+        #: Destination (a group, or a proxy of the link's) -> the rounds
+        #: waiting for its ``("flush", destination)`` timer.
         self._queues: Dict[str, List[ReplicaRound]] = {}
-        self._flush_scheduled: Set[str] = set()
         self._retrying: Dict[TimerId, ReplicaRound] = {}
-        #: Flushes so far, per group: where the next narrow quorum starts.
+        #: Chunks so far, per group: where the next narrow quorum starts.
         self._turns: Dict[str, int] = {}
         #: Replicas that sat silent through a narrow round's window and have
         #: sent nothing since.  (A loss the transport reports needs no memory:
@@ -199,15 +208,17 @@ class ReplicaRounds:
             # socket, and on transports with silent loss the timer turns that
             # into a replay (a quorum-first round is widened before that).
             out.append(StartTimer(("round", *round.ident), self._round_timeout))
-        group_id = round.group_id
-        queue = self._queues.setdefault(group_id, [])
         round.queued = True
+        self._queue(round.group_id, round, out)
+
+    def _queue(self, destination: str, round: ReplicaRound, out: List[Effect]) -> None:
+        """Add ``round`` to ``destination``'s queue: a queue is created with
+        its one flush timer, and nothing but that timer sends it."""
+        queue = self._queues.get(destination)
+        if queue is None:
+            queue = self._queues[destination] = []
+            out.append(StartTimer(("flush", destination), self.flush_delay))
         queue.append(round)
-        if len(queue) >= self.max_batch:
-            self._flush(group_id, out)
-        elif group_id not in self._flush_scheduled:
-            self._flush_scheduled.add(group_id)
-            out.append(StartTimer(("flush", group_id), self.flush_delay))
 
     def _forget(self, round: ReplicaRound, out: List[Effect]) -> None:
         """Drop the current attempt from the table (and its round timer)."""
@@ -222,26 +233,25 @@ class ReplicaRounds:
         """Forget every round and queue (the owner was killed)."""
         self._pending.clear()
         self._queues.clear()
-        self._flush_scheduled.clear()
         self._retrying.clear()
         self._silence_armed = False  # the adapter drops the timer with us
 
-    def _flush(self, group_id: str, out: List[Effect]) -> None:
-        self._flush_scheduled.discard(group_id)
-        # Rounds that ended while they waited are skipped, not sent.
-        batch = [
-            round
-            for round in self._queues.pop(group_id, ())
-            if self._pending.get(round.ident) is round
-        ]
-        if not batch:
-            return
+    def _flush(self, destination: str, out: List[Effect]) -> None:
+        """The queue's timer fired: all of it leaves, ``max_batch`` rounds a
+        chunk.  (Owners that drop a queued round take it out of the queue.)"""
+        queue = self._queues.pop(destination, ())
+        cap = self.max_batch
+        for start in range(0, len(queue), cap):
+            batch = queue[start : start + cap]
+            self.observer.emit(BATCH_CUT, size=len(batch), queue=destination)
+            self._cut(destination, batch, out)
+
+    def _cut(self, group_id: str, batch: List[ReplicaRound], out: List[Effect]) -> None:
+        """Frame one chunk of a group's queue: one ``batch`` frame per replica
+        asked by at least one of its rounds.  The narrow rounds all ask the
+        head of one order of the group (they have no read policy, so their
+        targets are the group), and a chunk of them costs S - t frames."""
         self.stats.record(len(batch))
-        self.observer.emit(BATCH_CUT, size=len(batch), queue=group_id)
-        # One frame per replica asked by at least one round of the batch.  The
-        # narrow rounds all ask the head of one order of the group (they have
-        # no read policy, so their targets are the group), and a batch of them
-        # costs S - t frames.
         order: Sequence[str] = ()
         due = 0
         frames: _Frames = {}
@@ -252,7 +262,7 @@ class ReplicaRounds:
                 if not order:
                     order = self._quorum_order(group_id, servers)
                     # Widened at the next tick of the silence timer if this
-                    # flush arms it, at the one after if it joins a window in
+                    # chunk arms it, at the one after if it joins a window in
                     # progress: after a whole window of silence either way.
                     due = self._silence_ticks + (2 if self._silence_armed else 1)
                 round.due = due
@@ -293,10 +303,10 @@ class ReplicaRounds:
     # -- narrow attempts, and widening them ---------------------------------------
 
     def _quorum_order(self, group_id: str, servers: Sequence[str]) -> Sequence[str]:
-        """The order this flush's narrow rounds ask ``servers`` in.
+        """The order this chunk's narrow rounds ask ``servers`` in.
 
-        The start rotates per group per flush, so the load spreads and every
-        replica is asked within ``S`` flushes.  Replicas that left a round
+        The start rotates per group per chunk, so the load spreads and every
+        replica is asked within ``S`` chunks.  Replicas that left a round
         silent for a window and have not been heard from since go last: with
         one down, two rotations in three would otherwise pay a window each.
         """
@@ -343,8 +353,8 @@ class ReplicaRounds:
     def _on_silence(self, out: List[Effect]) -> None:
         """A silence window ended: widen what sat through it, re-arm or lapse."""
         self._silence_ticks = tick = self._silence_ticks + 1
-        # Down while the tick is handled: a round flushed from in here (a
-        # failed op's successor) starts the next window itself.
+        # Down from here: a round queued from in here (a failed op's
+        # successor) starts the next window itself at its flush.
         self._silence_armed = False
         patience = tick + self.policy.max_round_timeouts
         watching = False

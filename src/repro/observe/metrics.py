@@ -226,12 +226,12 @@ _BASELINE_COUNTERS: Dict[str, Tuple[str, ...]] = {
     "client": (
         "ops_invoked", "ops_completed", "ops_failed",
         "reads_fast", "reads_slow",
-        "rounds_opened", "rounds_widened", "stale_replays", "proxy_failovers",
+        "rounds_opened", "rounds_widened", "rounds_replayed", "proxy_failovers",
         "frames_sent", "frames_received",
         "timers_armed", "timers_fired", "timers_cancelled",
     ),
     "proxy": (
-        "rounds_opened", "rounds_closed", "rounds_widened", "stale_replays",
+        "rounds_opened", "rounds_closed", "rounds_widened", "rounds_replayed",
         "cache_hits", "cache_misses", "cache_invalidations",
         "leases_expired",
         "frames_sent", "frames_received",
@@ -376,7 +376,7 @@ KIND_METRICS: Dict[str, Tuple[Optional[str], Optional[_ActionFactory]]] = {
     OP_FAILED: ("ops_failed", _finishes_op),
     ROUND_OPENED: ("rounds_opened", _starts_proxy_op),
     ROUND_CLOSED: ("rounds_closed", _finishes_op),
-    ROUND_REPLAYED: ("stale_replays", None),
+    ROUND_REPLAYED: ("rounds_replayed", None),
     ROUND_WIDENED: ("rounds_widened", None),
     FRAME_SENT: ("frames_sent", None),
     FRAME_RECEIVED: ("frames_received", None),

@@ -704,6 +704,31 @@ class TestOneProxyLegPerProcess:
 
         asyncio.run(scenario())
 
+    def test_a_proxy_lost_before_anything_was_forwarded_fails_over_once(self):
+        # The link has no leg for a proxy nothing was forwarded to, and the
+        # session on it has nothing to withdraw: it moves on at the loss.  (It
+        # used to raise inside the connection's loss callback -- which the
+        # conftest fixture fails under ``python -X dev`` -- stay on the dead
+        # proxy, and fail over a second time at its first operation.)
+        async def scenario():
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            await cluster.start()
+            await cluster.start_proxies(2)
+            store = KVStore(cluster, client_id="c1", use_proxy="p1")
+            await store.connect()
+            try:
+                await cluster.kill_proxy("p1")
+                await _wait_until(lambda: "p1" not in store._link.endpoint.peers)
+                await store.put("k", "v")
+                assert store.proxy_failovers == 1
+                assert store.engine.proxy_id == "p2"
+                assert await store.get("k") == "v"
+                assert list(store._link.endpoint.peers) == ["p2"]
+            finally:
+                await _stopped(cluster, [store])
+
+        asyncio.run(scenario())
+
     def test_closing_a_proxied_store_fails_its_own_operations_and_only_those(self):
         async def scenario():
             shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)

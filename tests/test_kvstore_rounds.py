@@ -32,9 +32,11 @@ sessions, and one of them going away.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.operations import OpKind
 from repro.core.timestamps import Tag
@@ -51,10 +53,13 @@ from repro.kvstore.engine import (
     OpCompleted,
     OpFailed,
     ProxyEngine,
+    SIM_RETRY_POLICY,
     SendFrame,
     StartTimer,
     make_stale_reply,
+    parse_attempt_scoped_id,
 )
+from repro.kvstore import check_per_key_atomicity
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.observe import MetricsObserver, MetricsRegistry, ObserverHub
 from repro.observe.events import ROUND_REPLAYED, ROUND_WIDENED, TIMER_ARMED
@@ -64,6 +69,7 @@ from repro.messages import (
     BATCH_KIND,
     LEASE_RELEASE_KIND,
     PROXY_ACK_KIND,
+    PROXY_KIND,
     ProxySubRequest,
     make_batch_ack,
     make_lease_release,
@@ -71,6 +77,7 @@ from repro.messages import (
     unpack_batch,
     unpack_batch_ack,
     unpack_proxy_ack,
+    unpack_proxy_request,
 )
 
 from test_kvstore_engine import SCRIPT, MemoryFabric, build_memory_stack, run_script
@@ -762,23 +769,29 @@ def stale_replays_run_out(make_rig):
     assert rig.outcome() == "failed"  # and nothing replays after the give-up
 
 
-def a_full_queue_is_cut_at_once(make_rig):
+def a_full_queue_waits_for_its_flush_and_is_cut_at_the_cap(make_rig):
     rig = make_rig(max_batch=2)
+    s1, s2, s3 = rig.servers
     assert timer_kinds(rig.start("k1")) == ["flush"]
-    effects = rig.start("k2")
-    rest = rig.widened(effects, to=rig.servers[:2])
-    assert rest == [StartTimer(SILENCE, POLICY.silence_window)]
-    assert all(
-        [sub.key for sub in unpack_batch(e.frame)] == ["k1", "k2"] for e in effects[:2]
+    # Full at two, and still only the flush timer sends it: a third round of
+    # the window joins the queue instead of finding it gone.
+    assert rig.start("k2") == [] and rig.start("k3") == []
+    assert rig.batches() == []
+    frames = rig.flush()
+    assert rig.last("on_timer") == (
+        frames[:2] + [StartTimer(SILENCE, POLICY.silence_window)] + frames[2:]
     )
+    # Cut at the cap, and each chunk asks a quorum of its own: the pick
+    # rotates per chunk.
+    assert [(f.destination, [sub.key for sub in unpack_batch(f.frame)]) for f in frames] == [
+        (s1, ["k1", "k2"]), (s2, ["k1", "k2"]), (s2, ["k3"]), (s3, ["k3"]),
+    ]
     stats = rig.owner.stats
-    assert (stats.rounds, stats.sub_operations, stats.largest) == (1, 2, 2)
-    rig.run_until(lambda: len(rig.outcomes()) == 2)
-    assert rig.last("on_timer") == []  # the flush armed for k1 found nothing
-    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
-    assert (stats.frames_sent, stats.frames_received) == (2, 2)
-    assert stats.rounds_narrow == 2
+    assert (stats.rounds, stats.sub_operations, stats.largest) == (2, 3, 2)
+    assert stats.rounds_narrow == 3
     rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok", "ok"]
+    assert (stats.frames_sent, stats.frames_received) == (4, 4)
 
 
 def round_timers_exist_only_behind_the_proxy(make_rig):
@@ -807,7 +820,7 @@ COMMON = [
     drain_backoffs_run_out,
     changed_route_bounce_replays_to_the_new_group,
     stale_replays_run_out,
-    a_full_queue_is_cut_at_once,
+    a_full_queue_waits_for_its_flush_and_is_cut_at_the_cap,
     round_timers_exist_only_behind_the_proxy,
 ]
 
@@ -937,9 +950,10 @@ def bounced_cache_fill_evicts_its_entry_and_completes_leaseless(make_rig):
 
 
 def sever_drops_every_round(make_rig):
-    rig = make_rig(max_batch=2)
+    rig = make_rig()
     rig.start("k1")
-    rig.start("k2")          # cut and sent
+    rig.start("k2")
+    rig.flush()              # sent
     rig.start("k3")          # still queued
     rig.owner.sever()
     log_mark = len(rig.log)
@@ -1086,12 +1100,14 @@ def max_batch_cuts_across_sessions(make_rig):
     rig = make_rig(max_batch=2)
     assert rig.owner.max_batch == 2  # the largest an attached session asked for
     assert timer_kinds(rig.start("k1", client="c1")) == ["flush"]
-    effects = rig.start("k2", client="c2")  # the queue is full: cut at once
-    rest = rig.widened(effects, to=rig.servers[:2])
-    assert rest == [StartTimer(SILENCE, POLICY.silence_window)]
-    assert [sender for _, sender, _ in _subs(effects[0])] == ["c1", "c2"]
+    # One queue for both sessions: full, it still waits for its flush.
+    assert rig.start("k2", client="c2") == [] and rig.start("k3", client="c1") == []
+    frames = rig.flush()
+    assert [[sender for _, sender, _ in _subs(f)] for f in frames] == [
+        ["c1", "c2"], ["c1", "c2"], ["c1"], ["c1"],
+    ]
     rig.run()
-    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
+    assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok", "ok"]
     # A session that asks for more raises the cap for everybody.
     ClientSessionEngine(
         "c3", rig.shard_map, rig.sessions["c1"].recorder, max_batch=5, link=rig.owner
@@ -1250,6 +1266,138 @@ def test_every_narrow_pick_is_a_quorum_of_the_rounds_own_group(mode, shape, flus
     assert rig.owner.stats.rounds_widened == 0
     assert all(kind == "ok" for kind, _ in rig.outcomes())
     assert True in seen or all(write for batch in flushes for _, write in batch)
+
+
+# -- one queue rule: any sessions, groups and proxies, any cap ---------------------
+
+
+_WINDOW = st.lists(
+    st.one_of(
+        st.tuples(st.just("invoke"), st.integers(0, 3), st.integers(0, 5), st.booleans()),
+        st.tuples(st.just("close"), st.integers(0, 3)),
+        st.just(("lose", "p1")),
+    ),
+    max_size=30,
+)
+
+
+def _chunks(sent, group_of):
+    """Destination -> the op ids of each chunk its flush sent.  A proxy's
+    chunk is one frame; a group's is one frame per replica it asks, the same
+    subs in each."""
+    chunks, asked = {}, {}
+    for effect in sent:
+        frame = effect.frame
+        if frame.kind == PROXY_KIND:
+            chunks.setdefault(effect.destination, []).append(tuple(
+                parse_attempt_scoped_id(sub.op_id)[0] for sub in unpack_proxy_request(frame)
+            ))
+            continue
+        ops = tuple(sub.message.op_id for sub in unpack_batch(frame))
+        asked.setdefault((group_of[effect.destination], ops), []).append(effect.destination)
+    for (group_id, ops), replicas in asked.items():
+        # Every first round is a query, so each chunk asks one narrow quorum.
+        assert len(set(replicas)) == len(replicas) == 2
+        chunks.setdefault(group_id, []).append(ops)
+    return chunks
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cap=st.integers(1, 8),
+    ingresses=st.lists(st.sampled_from([None, "p1", "p2"]), min_size=1, max_size=4),
+    window=_WINDOW,
+)
+@example(  # withdrawn from the lost proxy before its flush
+    cap=2, ingresses=["p1", None],
+    window=[("invoke", 0, 0, False), ("invoke", 1, 1, False), ("lose", "p1")],
+)
+@example(  # released before its flush
+    cap=1, ingresses=[None, "p2"],
+    window=[("invoke", 0, 0, False), ("invoke", 1, 0, True), ("close", 1)],
+)
+def test_every_queue_leaves_once_at_its_flush_cut_at_the_cap(cap, ingresses, window):
+    shard_map = ShardMap(4, num_groups=2, readers=4, writers=4)
+    fabric = MemoryFabric()
+    group_of = {}
+    for group in shard_map.groups.values():
+        hosted = {spec.shard_id: spec.epoch for spec in shard_map.shards_on(group.group_id)}
+        for server_id in group.servers:
+            group_of[server_id] = group.group_id
+            fabric.register(server_id, GroupServerEngine(server_id, group.protocol, dict(hosted)))
+    for proxy_id in ("p1", "p2"):
+        fabric.register(
+            proxy_id, ProxyEngine(proxy_id, CachedShardView(shard_map), policy=SIM_RETRY_POLICY)
+        )
+    link = ClientLink("L", policy=SIM_RETRY_POLICY)
+    fabric.register("L", link)
+    flushed = []
+    on_timer = link.on_timer
+
+    def recording(timer_id):
+        effects = on_timer(timer_id)
+        if timer_id[0] == "flush" and fabric.now == 0:  # the window's flushes
+            flushed.extend(e for e in effects if isinstance(e, SendFrame))
+        return effects
+
+    link.on_timer = recording
+    recorder = KVHistoryRecorder(lambda: fabric.now)
+    candidates = {None: [], "p1": ["p1", "p2"], "p2": ["p2"]}
+    sessions = [
+        ClientSessionEngine(
+            f"c{index + 1}", shard_map, recorder, policy=SIM_RETRY_POLICY,
+            max_batch=cap, proxy_candidates=candidates[ingress], link=link,
+        )
+        for index, ingress in enumerate(ingresses)
+    ]
+    for proxy_id in ("p1", "p2"):
+        fabric.execute("L", link.on_connected(proxy_id))
+    # One window: nothing runs on the fabric until every input is in.
+    owner, active, queued, closed, lost = {}, set(), set(), set(), False
+    invoked = Counter()
+    for action in window:
+        if action[0] == "lose":
+            if not lost:
+                lost = True
+                fabric.down.add("p1")
+                fabric.execute("L", link.on_peer_lost("p1"))
+            continue
+        index = action[1]
+        if index >= len(sessions) or index in closed:
+            continue
+        if action[0] == "close":
+            closed.add(index)
+            queued = {op_id for op_id in queued if owner[op_id] != index}
+            fabric.execute("L", sessions[index].close())
+            continue
+        _, _, key_index, write = action
+        key = f"k{key_index}"
+        op_id, effects = sessions[index].invoke(
+            OpKind.WRITE if write else OpKind.READ, key, "v" if write else None
+        )
+        fabric.execute("L", effects)
+        invoked[index] += 1
+        if (index, key) not in active:  # else backlogged behind the first
+            active.add((index, key))
+            owner[op_id] = index
+            queued.add(op_id)
+    fabric.run()
+    chunks = _chunks(flushed, group_of)
+    for destination, cut in chunks.items():
+        rounds = sum(len(ops) for ops in cut)
+        assert len(cut) == math.ceil(rounds / cap)
+        assert max(len(ops) for ops in cut) <= cap
+    # Every round queued in the window left exactly once; one released
+    # before the flush never did, nor one withdrawn from the lost proxy there.
+    left = Counter(op_id for cut in chunks.values() for ops in cut for op_id in ops)
+    assert set(left.values()) <= {1} and set(left) == queued
+    if lost:
+        assert "p1" not in chunks
+    assert recorder.completed_operations == sum(
+        count for index, count in invoked.items() if index not in closed
+    )
+    assert all(isinstance(failed.error, ConnectionError) for failed in fabric.failures)
+    assert check_per_key_atomicity(recorder.histories()).all_atomic
 
 
 # -- direct vs proxied: one machinery, seen from the replicas --------------------

@@ -28,7 +28,7 @@ import pytest
 import repro.kvstore.engine.rounds as rounds_module
 from repro.core.operations import OpKind
 from repro.kvstore import RetryPolicy, ShardMap
-from repro.kvstore.engine import PROXY_QUEUE, ClientSessionEngine, Connect
+from repro.kvstore.engine import ClientSessionEngine, Connect
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.messages import unpack_batch
 
@@ -109,13 +109,13 @@ def test_a_queued_round_goes_to_the_group_it_was_resolved_for(mode):
     assert rig.owner.stale_replays == 1
 
 
-def test_a_round_flushed_from_inside_a_silence_tick_starts_its_own_window():
+def test_a_round_queued_from_inside_a_silence_tick_starts_its_own_window():
     # The tick that fails an op starts its key's backlogged successor, whose
-    # round goes out (max_batch=1: at once) while the tick is being handled.
-    # It must not be left watched by a timer nobody armed.
+    # round is queued while the tick is being handled and goes out at its
+    # flush.  It must not be left watched by a timer nobody armed.
     policy = RetryPolicy(reconnect_interval=5.0, round_timeout=None,
                          max_round_timeouts=1, silence_window=40.0)
-    rig = Rig("direct", policy=policy, max_batch=1)
+    rig = Rig("direct", policy=policy)
     rig.kill(*rig.servers[1:])
     rig.start("k")
     rig.start("k")  # queued behind the first on its key
@@ -136,7 +136,7 @@ def test_replica_loss_does_not_touch_rounds_stashed_for_a_proxy_failover():
     )
     client.on_connected("p1")
     client.invoke(OpKind.READ, "k")
-    (sent,) = client.on_timer(("flush", PROXY_QUEUE, "p1"))
+    (sent,) = client.on_timer(("flush", "p1"))
     assert sent.destination == "p1"
     assert client.on_peer_lost("p1") == [Connect("p2")]
     for server_id in shard_map.groups["g1"].servers:

@@ -260,8 +260,8 @@ class TestSnapshotValidation:
         observer.handle(_event(FRAME_SENT))
         observer.handle(_event(SUB_SERVED, tier="replica", component="s1"))
         snapshot = observer.registry.snapshot()
-        del snapshot["client"]["counters"]["stale_replays"]
-        with pytest.raises(ValueError, match="stale_replays"):
+        del snapshot["client"]["counters"]["rounds_replayed"]
+        with pytest.raises(ValueError, match="rounds_replayed"):
             validate_metrics_snapshot(snapshot)
 
     def test_missing_percentile_key_reported(self):

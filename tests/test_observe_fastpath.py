@@ -21,7 +21,9 @@ one input completes for a client in one ``proxy-ack``: the client tier
 receives 224 -> 192 frames and the proxy sends 456 -> 424, and nothing else
 in the registry moves; the 1357 events happen at the same virtual times, but
 clients invoking at the same instant draw their op ids from the process-wide
-counter in another order.
+counter in another order.  The counter ``round.replayed`` bumps was then
+renamed ``stale_replays`` -> ``rounds_replayed`` (it counts every replay, not
+only stale ones): that key, and nothing else, moved.
 """
 
 from __future__ import annotations
