@@ -5,8 +5,10 @@ into positional rows and hands one array to the C JSON encoder,
 ``decode_message`` parses it once, checks the routing fields and builds the
 records back, and the receiver's ``unpack_*`` hands them over.  This bench
 runs that whole trip over a fixed seeded corpus -- one frame of each typed
-kind, and of the two lease kinds the data path carries, at batch sizes 1, 2
-and 8 -- and reports:
+kind, the two batch kinds again with the lease traffic they carry (releases
+on a ``batch``, grants on a ``batch-ack``), and the ``lease-release`` a
+replica gets when no batch frame goes to it, at batch sizes 1, 2 and 8 --
+and reports:
 
 * ``wire_bytes_per_frame`` -- the encoded size of every corpus frame, header
   included.  Deterministic; ``check_perf_gate.py`` requires it to equal the
@@ -46,13 +48,11 @@ from repro.messages import (
     SubRequest,
     make_batch,
     make_batch_ack,
-    make_lease_grant,
     make_lease_release,
     make_proxy_ack,
     make_proxy_request,
     unpack_batch,
     unpack_batch_ack,
-    unpack_lease_grant,
     unpack_lease_release,
     unpack_proxy_ack,
     unpack_proxy_request,
@@ -113,7 +113,7 @@ def corpus() -> List[Entry]:
             for sub in rounds
         ]
         keys = [sub.key for sub in subs]
-        nonces = [f"p1#{i}" for i in range(size)]
+        grants = [(sub.key, f"p1#{i}") for i, sub in enumerate(subs)]
         entries += [
             (f"batch@{size}",
              lambda subs=subs: make_batch("c1", "g1-s1", subs), unpack_batch),
@@ -126,10 +126,13 @@ def corpus() -> List[Entry]:
             (f"proxy-ack@{size}",
              lambda closed=closed: make_proxy_ack("p1", "c1", closed),
              unpack_proxy_ack),
-            (f"lease-grant@{size}",
-             lambda keys=keys, nonces=nonces: make_lease_grant(
-                 "g1-s1", "p1", keys, 1.0, nonces),
-             unpack_lease_grant),
+            (f"batch+releases@{size}",
+             lambda subs=subs, keys=keys: make_batch("c1", "g1-s1", subs, keys),
+             unpack_batch),
+            (f"batch-ack+grants@{size}",
+             lambda batch=batch, replies=replies, grants=grants: make_batch_ack(
+                 batch, replies, grants),
+             unpack_batch_ack),
             (f"lease-release@{size}",
              lambda keys=keys: make_lease_release("p1", "g1-s1", keys),
              unpack_lease_release),

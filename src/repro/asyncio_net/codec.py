@@ -5,6 +5,11 @@ every body is **one array**::
 
     [kind, sender, receiver, op_id, round_trip, msg_id, trace, payload]
 
+A ``batch`` or ``batch-ack`` that carries lease traffic has one element
+more: the keys whose leases the sender releases (``["k", ...]``) on a
+``batch``, the leases the replica granted (``[["k", nonce], ...]``) on a
+``batch-ack``.  Without lease traffic the body is the plain eight elements.
+
 For the four frame kinds whose payload holds typed records
 (:mod:`repro.messages`), ``payload`` is a list of positional rows written
 straight from those objects and read straight back into them:
@@ -25,18 +30,19 @@ process of the store runs the same checkout.
 
 Decoding validates what the engines route by, so a frame that decodes is a
 frame ``unpack_*`` accepts: row arity, ``str``/``int`` routing fields,
-``dict`` payloads, and the field checks of the lease, drain and view-push
-frames.  Anything else -- bad UTF-8, bad JSON, an object body, a short row --
-is a :class:`FrameError`, the one exception a receiver treats as "this
-connection is garbage".  ``tests/test_codec_properties.py`` pins the exact
-bytes of one frame per kind; a format change edits those.
+``dict`` payloads, the lease fields of the batch frames, and the field checks
+of the lease, drain and view-push frames.  Anything else -- bad UTF-8, bad
+JSON, an object body, a short row -- is a :class:`FrameError`, the one
+exception a receiver treats as "this connection is garbage".
+``tests/test_codec_properties.py`` pins the exact bytes of one frame per
+kind; a format change edits those.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import messages
 from ..messages import Message, ProxySubReply, ProxySubRequest, SubRequest
@@ -83,14 +89,30 @@ def _rows(rows: Any) -> List[Any]:
     return rows
 
 
-# -- per-kind rows: (to_rows, from_rows) ------------------------------------------
+def _grants(value: Any) -> List[Tuple[str, str]]:
+    grants = []
+    for pair in _rows(value):
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str):
+            raise ValueError(f"mistyped batch-ack grant {pair!r}")
+        grants.append((pair[0], pair[1]))
+    return grants
+
+
+def _no_field(kind: str, field: Any) -> None:
+    if field is not None:
+        raise ValueError(f"a {kind!r} body carries no lease traffic")
+
+
+# -- per-kind rows: (to_rows, from_rows, lease field) ---------------------------
 #
 # ``to_rows(payload)`` reads the typed records of an outbound frame;
-# ``from_rows(receiver, rows)`` checks and rebuilds them, addressed to the
-# frame's receiver.  Unpacking a row into names checks its arity (a number
-# or ``null`` does not unpack at all; a string or an object of the right
-# length unpacks into strings, which the ``int``/``dict`` checks then
-# refuse), and every failure surfaces as ValueError/TypeError for
+# ``from_rows(receiver, rows, field)`` checks and rebuilds them, addressed to
+# the frame's receiver, with the body's ninth element, its lease traffic
+# (``None`` for an eight-element body).  Unpacking a row into names checks
+# its arity (a number or ``null`` does not unpack at all; a string or an
+# object of the right length unpacks into strings, which the ``int``/``dict``
+# checks then refuse), and every failure surfaces as ValueError/TypeError for
 # ``decode_message`` to wrap.
 
 
@@ -102,7 +124,7 @@ def _batch_rows(payload: Dict[str, Any]) -> List[Any]:
     ]
 
 
-def _batch_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
+def _batch_from_rows(receiver: str, rows: Any, releases: Any) -> Dict[str, Any]:
     ops = []
     for row in _rows(rows):
         (key, sender, kind, payload, op_id, round_trip, trace,
@@ -120,7 +142,11 @@ def _batch_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
             Message(sender, receiver, kind, payload, op_id, round_trip, trace=trace),
             shard, epoch, lease,
         ))
-    return {"ops": ops}
+    if releases is None:
+        return {"ops": ops}
+    if not (type(releases) is list and all(type(key) is str for key in releases)):
+        raise ValueError(f"mistyped batch releases {releases!r}")
+    return {"ops": ops, "releases": releases}
 
 
 def _batch_ack_rows(payload: Dict[str, Any]) -> List[Any]:
@@ -135,7 +161,7 @@ def _batch_ack_rows(payload: Dict[str, Any]) -> List[Any]:
     return rows
 
 
-def _batch_ack_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
+def _batch_ack_from_rows(receiver: str, rows: Any, grants: Any) -> Dict[str, Any]:
     acks: List[Any] = []
     for row in _rows(rows):
         if row is None:
@@ -152,14 +178,17 @@ def _batch_ack_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
             key,
             Message(sender, receiver, kind, payload, op_id, round_trip, trace=trace),
         ))
-    return {"acks": acks}
+    if grants is None:
+        return {"acks": acks}
+    return {"acks": acks, "grants": _grants(grants)}
 
 
 def _proxy_rows(payload: Dict[str, Any]) -> List[Any]:
     return payload["ops"]  # NamedTuples of JSON values: arrays as they stand
 
 
-def _proxy_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
+def _proxy_from_rows(receiver: str, rows: Any, field: Any) -> Dict[str, Any]:
+    _no_field(messages.PROXY_KIND, field)
     ops = []
     for row in _rows(rows):
         (key, op_kind, kind, payload, op_id, round_trip, wait_for, per_server,
@@ -188,7 +217,8 @@ def _proxy_ack_rows(payload: Dict[str, Any]) -> List[Any]:
     ]
 
 
-def _proxy_ack_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
+def _proxy_ack_from_rows(receiver: str, rows: Any, field: Any) -> Dict[str, Any]:
+    _no_field(messages.PROXY_ACK_KIND, field)
     acks = []
     for row in _rows(rows):
         op_id, round_trip, reply_rows, error = row
@@ -209,11 +239,12 @@ def _proxy_ack_from_rows(receiver: str, rows: Any) -> Dict[str, Any]:
 
 
 _ROWS: Dict[str, Tuple[Callable[[Dict[str, Any]], List[Any]],
-                       Callable[[str, Any], Dict[str, Any]]]] = {
-    messages.BATCH_KIND: (_batch_rows, _batch_from_rows),
-    messages.BATCH_ACK_KIND: (_batch_ack_rows, _batch_ack_from_rows),
-    messages.PROXY_KIND: (_proxy_rows, _proxy_from_rows),
-    messages.PROXY_ACK_KIND: (_proxy_ack_rows, _proxy_ack_from_rows),
+                       Callable[[str, Any, Any], Dict[str, Any]],
+                       Optional[str]]] = {
+    messages.BATCH_KIND: (_batch_rows, _batch_from_rows, "releases"),
+    messages.BATCH_ACK_KIND: (_batch_ack_rows, _batch_ack_from_rows, "grants"),
+    messages.PROXY_KIND: (_proxy_rows, _proxy_from_rows, None),
+    messages.PROXY_ACK_KIND: (_proxy_ack_rows, _proxy_ack_from_rows, None),
 }
 
 #: Dict-payload kinds whose fields an engine indexes by: their ``unpack_*``
@@ -225,7 +256,6 @@ _CHECKS: Dict[str, Callable[[Message], Any]] = {
     messages.DRAIN_TRANSFER_KIND: messages.unpack_drain_transfer,
     messages.DRAIN_INSTALL_KIND: messages.unpack_drain_install,
     messages.DRAIN_COMPLETE_KIND: messages.unpack_drain_complete,
-    messages.LEASE_GRANT_KIND: messages.unpack_lease_grant,
     messages.LEASE_INVALIDATE_KIND: messages.unpack_lease_invalidate,
     messages.LEASE_RELEASE_KIND: messages.unpack_lease_release,
 }
@@ -239,10 +269,15 @@ def encode_message(message: Message) -> bytes:
     the wrong shape.
     """
     kind, payload = message.kind, message.payload
+    envelope = [
+        kind, message.sender, message.receiver, message.op_id,
+        message.round_trip, message.msg_id, message.trace, payload,
+    ]
     rows = _ROWS.get(kind)
     if rows is not None:
+        to_rows, _, field = rows
         try:
-            payload = rows[0](payload)
+            envelope[7] = to_rows(payload)
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             # The decode side's contract: a typed kind whose payload is not
             # its typed records is a FrameError naming the kind, never a
@@ -250,10 +285,11 @@ def encode_message(message: Message) -> bytes:
             raise FrameError(
                 f"malformed {kind!r} frame payload: {exc!r}"
             ) from exc
-    body = _dumps([
-        kind, message.sender, message.receiver, message.op_id,
-        message.round_trip, message.msg_id, message.trace, payload,
-    ]).encode("utf-8")
+        if field is not None:
+            lease = payload.get(field)
+            if lease is not None:
+                envelope.append(lease)
+    body = _dumps(envelope).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame body of {len(body)} bytes exceeds MAX_FRAME_BYTES"
@@ -265,8 +301,9 @@ def decode_message(body: bytes) -> Message:
     """Deserialize the JSON body of a frame back into a Message.
 
     Every undecodable body -- bad UTF-8, bad JSON (or JSON nested past the
-    recursion limit), not the eight-element array, a mistyped routing field,
-    a malformed row -- raises :class:`FrameError`, so a receiver has one
+    recursion limit), not the eight-element array (or nine, for a batch
+    frame's lease traffic), a mistyped routing field, a malformed row or
+    lease field -- raises :class:`FrameError`, so a receiver has one
     exception to treat as "this connection is garbage".
     """
     try:
@@ -274,8 +311,15 @@ def decode_message(body: bytes) -> Message:
         envelope, end = _loads(text)
         if end != len(text):
             raise ValueError("trailing bytes after the frame's array")
-        (kind, sender, receiver, op_id, round_trip, msg_id, trace,
-         payload) = envelope
+        if len(envelope) == 8:
+            (kind, sender, receiver, op_id, round_trip, msg_id, trace,
+             payload) = envelope
+            field = None
+        else:
+            (kind, sender, receiver, op_id, round_trip, msg_id, trace,
+             payload, field) = envelope
+            if field is None:
+                raise ValueError("a ninth element is lease traffic, never null")
         if not (
             type(kind) is str and type(sender) is str and type(receiver) is str
             and type(round_trip) is int and type(msg_id) is int
@@ -284,11 +328,13 @@ def decode_message(body: bytes) -> Message:
             raise ValueError("mistyped frame header")
         rows = _ROWS.get(kind)
         if rows is not None:
-            payload = rows[1](receiver, payload)
-        elif type(payload) is not dict:
-            raise ValueError(
-                f"expected a payload object, got {type(payload).__name__}"
-            )
+            payload = rows[1](receiver, payload, field)
+        else:
+            _no_field(kind, field)
+            if type(payload) is not dict:
+                raise ValueError(
+                    f"expected a payload object, got {type(payload).__name__}"
+                )
         message = Message(
             sender, receiver, kind, payload, op_id, round_trip, msg_id, trace
         )

@@ -11,9 +11,10 @@ Logic objects that expose the effect-driven interface (``on_frame`` /
 ``on_timer``, i.e. :class:`~repro.kvstore.engine.server.GroupServerEngine`)
 are driven through it instead, by an
 :class:`~repro.kvstore.engine.runtime.EffectRuntime`: one inbound frame may
-produce several sends -- a batch-ack plus a lease grant, or lease
-invalidations chasing a *third* party -- and timer effects (server-side
-lease expiry) land on the event loop via ``call_later``.  Outbound frames
+produce several sends -- a batch-ack (with the lease grants it carries)
+plus the deferred writes' batch-acks its lease releases let through, or
+lease invalidations chasing a *third* party -- and timer effects
+(server-side lease expiry) land on the event loop via ``call_later``.  Outbound frames
 route over the inbound connection of their destination peer (peers dial
 replicas, never the reverse), which the server's
 :class:`~repro.asyncio_net.endpoint.Endpoint` learns from the sender id of
@@ -120,7 +121,7 @@ class ReplicaServer:
     def _serve(self, request: Message) -> None:
         # The endpoint has just routed the sender over the connection this
         # request arrived on: replies -- and later out-of-band frames (lease
-        # grants and invalidations, deferred batch-acks) -- go back over it.
+        # invalidations, deferred batch-acks) -- go back over it.
         self.requests_served += 1
         if self.service_overhead <= 0 and self.service_per_op <= 0:
             self._apply(request)
@@ -164,8 +165,8 @@ class ReplicaServer:
 
     def _send(self, send: SendFrame) -> None:
         """A frame goes out over the destination peer's inbound connection,
-        in emission order (a lease grant emitted before the batch-ack stays
-        before it on the wire).  A frame for a peer with no live connection
+        in emission order (the batch-acks of writes a frame's releases let
+        through stay before that frame's own ack on the wire).  A frame for a peer with no live connection
         is dropped, the same fate the simulator gives sends to a severed
         process."""
         if self._held is not None:

@@ -401,7 +401,9 @@ def _command_kv(args: argparse.Namespace) -> int:
         print(f"read cache         : {result.cache_hit_rate():.1%} hit rate "
               f"({result.cache['hits']} hits / {result.cache['misses']} "
               f"misses), {result.cache['invalidations']} invalidations, "
-              f"{result.cache['lease_expiries']} lease expiries")
+              f"{result.cache['lease_expiries']} lease expiries, "
+              f"{result.cache['releases_carried']} releases carried in batch "
+              f"frames / {result.cache['releases_alone']} sent alone")
     # Resilience counters print unconditionally (zeroes included) on both
     # backends -- a quiet run should say so, not hide the line.  Drain
     # bounces (rounds parked behind a draining range) and cache

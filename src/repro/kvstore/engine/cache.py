@@ -59,9 +59,9 @@ class CacheEntry:
     fill's in-flight round so an eviction can detach it (the round then
     completes as an ordinary leaseless read).  ``nonce`` is the entry's
     unique fill identity: it rides in the lease mark of every fill
-    sub-request and is echoed by ``"lease-grant"`` frames, so a delayed
-    grant meant for an evicted predecessor entry of the same key is never
-    credited to this one.  ``stale`` flips when the
+    sub-request and is echoed by the grants of the replicas' batch-acks, so
+    a delayed grant meant for an evicted predecessor entry of the same key
+    is never credited to this one.  ``stale`` flips when the
     proxy-side lease deadline passes in bounded-staleness mode: the lease
     is handed back (writers stop blocking on us) but the entry keeps
     serving until the staleness budget runs out.

@@ -28,8 +28,9 @@ same view, so live rebalancing is handled *once* here for both backends.
 With ``read_cache`` enabled the proxy also keeps a bounded (key -> quorum
 replies) **read cache** backed by server-granted leases.  A read that
 misses becomes the entry's *fill*: its sub-requests carry the lease mark,
-each serving replica registers this proxy as a lease holder (confirmed by
-a ``"lease-grant"`` frame ordered before the batch-ack), and the recorded
+each serving replica registers this proxy as a lease holder (confirmed in
+the ``grants`` of its batch-ack, credited before the ack's replies count
+toward any quorum), and the recorded
 quorum replies of every round-trip are replayed verbatim to later reads of
 the same key -- zero replica sub-ops per hit.  ``read_round_trips`` is the
 most rounds a read may take, not how many every read takes: a fill whose
@@ -38,11 +39,14 @@ Atomicity rides the quorum intersection: replicas defer (and withhold acks
 for) any write against a leased key, so while grants from a write-blocking
 set of replicas stand, no superseding write can complete, and a cached read
 linearizes before it.
-``"lease-invalidate"`` frames evict the entry and trigger a
-``"lease-release"``, unblocking the writer; the proxy self-expires entries
-at half the lease TTL (clock-skew margin against the server-side expiry),
-optionally serving expired-but-recent entries when ``bounded_staleness``
-is on.
+``"lease-invalidate"`` frames evict the entry and release its lease,
+unblocking the writer; the proxy self-expires entries at half the lease TTL
+(clock-skew margin against the server-side expiry), optionally serving
+expired-but-recent entries when ``bounded_staleness`` is on.  Every release
+-- eviction, expiry, answer to an invalidation, orphaned grant -- joins the
+queue of the replica's group and rides the next ``batch`` frame to it (see
+:mod:`~.rounds`): ``releases_carried`` counts those, ``releases_alone`` the
+``lease-release`` frames a flush sends to replicas it had no frame for.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from ...observe.events import (
 from ...messages import (
     BATCH_ACK_KIND,
     DEFAULT_LEASE_TTL,
-    LEASE_GRANT_KIND,
     LEASE_INVALIDATE_KIND,
     PROXY_ACK_KIND,
     PROXY_KIND,
@@ -75,8 +78,6 @@ from ...messages import (
     ProxySubReply,
     ProxySubRequest,
     addressed_proxy_reply,
-    make_lease_release,
-    unpack_lease_grant,
     unpack_lease_invalidate,
     unpack_proxy_request,
     unpack_view_push,
@@ -201,9 +202,12 @@ class ProxyEngine(ReplicaRounds):
             for sub in unpack_proxy_request(message):
                 self._admit(message.sender, sub, out)
         elif message.kind == BATCH_ACK_KIND:
+            grants = message.payload.get("grants")
+            if grants:
+                # Before the replies: by the time this replica's ack counts
+                # toward a fill's quorum, its grant is credited.
+                self._credit(message.sender, grants, out)
             self._on_batch_ack(message, out)
-        elif message.kind == LEASE_GRANT_KIND:
-            self._on_lease_grant(message, out)
         elif message.kind == LEASE_INVALIDATE_KIND:
             self._on_lease_invalidate(message, out)
         elif message.kind == VIEW_PUSH_KIND:
@@ -309,11 +313,12 @@ class ProxyEngine(ReplicaRounds):
                 entry.fill_pending = pending
                 self._dispatch_safe(pending, out)
                 return
-            if not entry.stale and rt <= self.read_round_trips:
-                # Single-flight: ride the fill already in the air instead of
-                # opening a second identical quorum round.  A follower only
-                # asks for a round past the first when the recorded first
-                # quorum was split, and then the fill asks for it too.
+            if not entry.stale and rt in entry.inflight:
+                # Single-flight: ride the fill's round while it is in the air
+                # instead of opening a second identical quorum round.  Only
+                # then: a read whose first round was not served from this
+                # entry (it was not granted yet) may ask for a second round
+                # the fill, unanimous, will never send.
                 entry.followers.setdefault(rt, []).append((reply_to, sub))
                 if rt == 1:
                     self.cache_misses += 1
@@ -456,7 +461,7 @@ class ProxyEngine(ReplicaRounds):
             pending.fill_entry = None
         if not entry.stale:
             # A stale entry already handed its lease back when it expired.
-            self._release_lease(sorted(entry.asked), [entry.key], out)
+            self._release_lease(entry, out)
         self.cache_invalidations += 1
         self.observer.emit(CACHE_INVALIDATE, key=entry.key, reason=reason)
         followers = entry.followers
@@ -465,45 +470,42 @@ class ProxyEngine(ReplicaRounds):
             for reply_to, fsub in subs:
                 self._dispatch_safe(_forwarded(reply_to, fsub), out)
 
-    def _release_lease(
-        self, servers: Sequence[str], keys: List[str], out: List[Effect]
-    ) -> None:
-        for server_id in servers:
-            self.observer.emit(
-                FRAME_SENT, kind="lease-release", dest=server_id
-            )
-            out.append(
-                SendFrame(
-                    server_id,
-                    make_lease_release(self.proxy_id, server_id, keys),
-                )
-            )
+    def _release_lease(self, entry: CacheEntry, out: List[Effect]) -> None:
+        """Hand ``entry``'s lease back wherever its fill asked for it."""
+        for server_id in sorted(entry.asked):
+            self._release(entry.route.group_id, server_id, [entry.key], out)
 
-    def _on_lease_grant(self, message: Message, out: List[Effect]) -> None:
-        self.observer.emit(
-            FRAME_RECEIVED, kind=message.kind, source=message.sender
-        )
-        payload = unpack_lease_grant(message)
+    def _release_unheld(
+        self, server_id: str, keys: List[str], out: List[Effect]
+    ) -> None:
+        """Hand back leases ``server_id`` holds for no entry of ours."""
+        group_id = self.view.group_of(server_id) or server_id
+        self._release(group_id, server_id, keys, out)
+
+    def _credit(
+        self, server_id: str, grants: List[Tuple[str, str]], out: List[Effect]
+    ) -> None:
+        """Credit the leases a replica's batch-ack says it registered."""
         orphaned: List[str] = []
-        for key, nonce in zip(payload["keys"], payload["nonces"]):
+        for key, nonce in grants:
             entry = self._cache.peek(key) if self._cache is not None else None
             if (entry is not None and not entry.stale
                     and entry.nonce == nonce
-                    and message.sender in entry.asked):
-                entry.grants.add(message.sender)
+                    and server_id in entry.asked):
+                entry.grants.add(server_id)
             elif entry is None or entry.stale:
                 # The entry died before the grant landed (eviction raced the
-                # fill): hand the lease straight back so the replica does
-                # not defer writers against a ghost holder for a full TTL.
+                # fill): hand the lease back so the replica does not defer
+                # writers against a ghost holder for a full TTL.
                 orphaned.append(key)
             # else: a delayed grant for an evicted *predecessor* entry of
-            # the key crossed that entry's release on the wire.  Drop it --
-            # crediting it would count a lease the replica is about to
-            # clear, and releasing again could race ahead and clear the
-            # live fill's fresh lease instead.  The predecessor's eviction
-            # already sent the release that retires this grant's lease.
+            # the key, whose release left after the sub that asked for it.
+            # Drop it -- crediting it would count a lease the replica is
+            # about to clear, and releasing again could clear the live
+            # fill's fresh lease instead: that release would follow the
+            # live fill's sub.
         if orphaned:
-            self._release_lease((message.sender,), orphaned, out)
+            self._release_unheld(server_id, orphaned, out)
 
     def _on_lease_invalidate(self, message: Message, out: List[Effect]) -> None:
         self.observer.emit(
@@ -520,7 +522,7 @@ class ProxyEngine(ReplicaRounds):
                 # replica's deferral clears (releases are idempotent).
                 unheld.append(key)
         if unheld:
-            self._release_lease((message.sender,), unheld, out)
+            self._release_unheld(message.sender, unheld, out)
 
     # -- the replica rounds -----------------------------------------------------
 
@@ -634,7 +636,7 @@ class ProxyEngine(ReplicaRounds):
                 # the bound the staleness checker verifies.
                 entry.stale = True
                 entry.grants.clear()
-                self._release_lease(sorted(entry.asked), [key], out)
+                self._release_lease(entry, out)
                 out.append(StartTimer(("stale", key), self.lease_ttl * 0.5))
             else:
                 self._evict(entry, out, reason="expired")
@@ -658,7 +660,8 @@ class ProxyEngine(ReplicaRounds):
         """
         self._clear_rounds()
         if self._cache is not None:
-            # No releases are possible from a dead proxy: the server-side
-            # lease timers expire the orphaned grants within lease_ttl,
-            # which is what unblocks any writers they were deferring.
+            # No releases are possible from a dead proxy (the queued ones
+            # went with the rounds): the server-side lease timers expire the
+            # orphaned grants within lease_ttl, which is what unblocks any
+            # writers they were deferring.
             self._cache.clear()

@@ -14,6 +14,14 @@ destination)`` timer.  Only that timer sends it, full or not: every round in
 it leaves, in chunks of at most ``max_batch``, and only the framing of a
 chunk (``_cut``) depends on the destination.
 
+**Lease releases ride the rounds.**  A proxy hands a read lease back to a
+replica with :meth:`ReplicaRounds._release`, which puts it in the queue of
+the replica's group.  It leaves in the next ``batch`` frame to that replica
+-- at that flush, or a widening before it -- whose receiver applies it before
+the frame's subs; one that no frame carried by the end of the flush leaves
+in one ``lease-release`` frame per replica, in the same input.  So a release
+reaches its replica no later than any sub framed after it.
+
 **Quorum first.**  The model lets any ``t`` of a round's ``S`` messages be
 delayed forever, so a round sent to only ``S - t`` replicas is an execution
 every protocol here already survives.  A first attempt that mutates nothing
@@ -69,9 +77,11 @@ from ...core.errors import ProtocolError
 from ...messages import (
     BATCH_ACK_KIND,
     BATCH_KIND,
+    LEASE_RELEASE_KIND,
     Message,
     SubRequest,
     make_batch,
+    make_lease_release,
     unpack_batch,
     unpack_batch_ack,
 )
@@ -168,6 +178,13 @@ class ReplicaRounds:
         self._suspects: Set[str] = set()
         self._silence_armed = False
         self._silence_ticks = 0
+        #: Replica -> the keys whose leases the next frame to it hands back,
+        #: and queue -> the replicas whose releases its flush sends at last.
+        self._releases: Dict[str, List[str]] = {}
+        self._releasing: Dict[str, List[str]] = {}
+        #: Releases handed back in a batch frame / in a frame of their own.
+        self.releases_carried = 0
+        self.releases_alone = 0
 
     # -- opening an attempt -----------------------------------------------------
 
@@ -211,14 +228,31 @@ class ReplicaRounds:
         round.queued = True
         self._queue(round.group_id, round, out)
 
-    def _queue(self, destination: str, round: ReplicaRound, out: List[Effect]) -> None:
-        """Add ``round`` to ``destination``'s queue: a queue is created with
-        its one flush timer, and nothing but that timer sends it."""
+    def _queue(
+        self, destination: str, round: Optional[ReplicaRound], out: List[Effect]
+    ) -> None:
+        """Add ``round`` (``None``: nothing, a release is waiting) to
+        ``destination``'s queue: a queue is created with its one flush timer,
+        and nothing but that timer sends it."""
         queue = self._queues.get(destination)
         if queue is None:
             queue = self._queues[destination] = []
             out.append(StartTimer(("flush", destination), self.flush_delay))
-        queue.append(round)
+        if round is not None:
+            queue.append(round)
+
+    def _release(
+        self, group_id: str, server_id: str, keys: List[str], out: List[Effect]
+    ) -> None:
+        """Hand the leases on ``keys`` back to ``server_id`` by the flush of
+        ``group_id``'s queue (see the module notes)."""
+        self._queue(group_id, None, out)
+        pending = self._releases.get(server_id)
+        if pending is None:
+            self._releases[server_id] = list(keys)
+            self._releasing.setdefault(group_id, []).append(server_id)
+        else:
+            pending.extend(keys)
 
     def _forget(self, round: ReplicaRound, out: List[Effect]) -> None:
         """Drop the current attempt from the table (and its round timer)."""
@@ -234,17 +268,28 @@ class ReplicaRounds:
         self._pending.clear()
         self._queues.clear()
         self._retrying.clear()
+        self._releases.clear()
+        self._releasing.clear()
         self._silence_armed = False  # the adapter drops the timer with us
 
     def _flush(self, destination: str, out: List[Effect]) -> None:
         """The queue's timer fired: all of it leaves, ``max_batch`` rounds a
-        chunk.  (Owners that drop a queued round take it out of the queue.)"""
+        chunk, and then the releases no frame of it carried.  (Owners that
+        drop a queued round take it out of the queue.)"""
         queue = self._queues.pop(destination, ())
         cap = self.max_batch
         for start in range(0, len(queue), cap):
             batch = queue[start : start + cap]
             self.observer.emit(BATCH_CUT, size=len(batch), queue=destination)
             self._cut(destination, batch, out)
+        for server_id in self._releasing.pop(destination, ()):
+            keys = self._releases.pop(server_id, None)
+            if keys is not None:
+                self.releases_alone += 1
+                self.observer.emit(FRAME_SENT, kind=LEASE_RELEASE_KIND, dest=server_id)
+                out.append(SendFrame(
+                    server_id, make_lease_release(self._node_id, server_id, keys)
+                ))
 
     def _cut(self, group_id: str, batch: List[ReplicaRound], out: List[Effect]) -> None:
         """Frame one chunk of a group's queue: one ``batch`` frame per replica
@@ -293,12 +338,16 @@ class ReplicaRounds:
             )
 
     def _send_frames(self, frames: _Frames, out: List[Effect]) -> None:
+        releases = self._releases
         for server_id, subs in frames.items():
+            carried = releases.pop(server_id, None) if releases else None
+            if carried is not None:
+                self.releases_carried += 1
             self.stats.record_frames(sent=1)
             self.observer.emit(FRAME_SENT, kind=BATCH_KIND, dest=server_id)
-            out.append(
-                SendFrame(server_id, make_batch(self._node_id, server_id, subs))
-            )
+            out.append(SendFrame(
+                server_id, make_batch(self._node_id, server_id, subs, carried)
+            ))
 
     # -- narrow attempts, and widening them ---------------------------------------
 

@@ -146,6 +146,14 @@ class CachedShardView:
         """Route ``key`` through the snapshot (possibly stale -- by design)."""
         return self._routes[self._ring.owner_of(key)]
 
+    def group_of(self, server_id: str) -> Optional[str]:
+        """The group of replica ``server_id``, if a route of the snapshot
+        names it (a group keeps its replicas; only shards move)."""
+        for route in self._routes.values():
+            if server_id in route.servers:
+                return route.group_id
+        return None
+
     def refresh(self) -> None:
         """Re-snapshot the authoritative map after a stale-epoch bounce."""
         self.refreshes += 1

@@ -17,14 +17,16 @@ hosting table is a control-plane surface (``host_shard`` / ``evict_shard``
 
 The engine is also the server half of the **read-lease protocol** behind
 the proxies' hot-key read cache: a lease-marked read sub-request registers
-its proxy as a lease holder for the key (confirmed by a ``"lease-grant"``
-frame riding alongside the batch-ack), and any *mutating* sub-request for a
-leased key is **deferred** -- its application and its reply are withheld --
-while ``"lease-invalidate"`` frames chase the holders.  Served subs of the
-same batch frame ack immediately in a *partial* batch-ack (one deferred
-write must not stall unrelated keys' replies for up to the lease TTL); each
-deferred sub's reply follows in its own batch-ack once every holder of its
-key answers with ``"lease-release"`` or expires on the server-side timer.
+its proxy as a lease holder for the key (confirmed in the ``grants`` of the
+frame's batch-ack), and any *mutating* sub-request for a leased key is
+**deferred** -- its application and its reply are withheld -- while
+``"lease-invalidate"`` frames chase the holders.  Served subs of the same
+batch frame ack immediately in a *partial* batch-ack (one deferred write must
+not stall unrelated keys' replies for up to the lease TTL); each deferred
+sub's reply follows in its own batch-ack once every holder of its key
+releases it or expires on the server-side timer.  A holder's releases ride
+its next batch frame (``releases``, applied before the frame's subs) or,
+when it has none for this replica, a ``"lease-release"`` frame.
 A lease-marked *mutating* sub (a fill's writeback) is exempt only from the
 sender's own lease: leases held by other proxies defer it like any write,
 else a fill could complete a read of a half-applied write that another
@@ -63,7 +65,6 @@ from ...messages import (
     Message,
     SubRequest,
     make_batch_ack,
-    make_lease_grant,
     make_lease_invalidate,
     unpack_batch,
     unpack_drain_complete,
@@ -306,7 +307,7 @@ class GroupServerEngine(ServerLogic):
             self.observer.emit(
                 FRAME_RECEIVED, kind=frame.kind, source=frame.sender
             )
-            self._on_lease_release(frame, out)
+            self._release(frame.sender, unpack_lease_release(frame)["keys"], out)
             return out
         if frame.kind != BATCH_KIND:
             raise ValueError(
@@ -346,10 +347,14 @@ class GroupServerEngine(ServerLogic):
             FRAME_RECEIVED, kind=BATCH_KIND, source=message.sender, size=len(subs)
         )
         holder = message.sender
+        releases = message.payload.get("releases")
+        if releases:
+            # Before any sub: a release queued ahead of a fill's sub must not
+            # clear the lease that sub registers.
+            self._release(holder, releases, out)
         mutating_kinds = self.protocol.mutating_kinds
         entries: List[Tuple[str, Optional[Message]]] = []
-        granted: List[str] = []
-        nonces: List[str] = []
+        grants: Optional[List[Tuple[str, str]]] = None
         invalidations: Dict[str, List[str]] = {}
         for index, sub in enumerate(subs):
             stale = self._stale_reply_for(sub)
@@ -401,8 +406,9 @@ class GroupServerEngine(ServerLogic):
                     LEASE_GRANTED, key=sub.key, holder=holder,
                     ttl=self.lease_ttl,
                 )
-                granted.append(sub.key)
-                nonces.append(sub.lease)
+                if grants is None:
+                    grants = []
+                grants.append((sub.key, sub.lease))
         for target, keys in invalidations.items():
             self.observer.emit(FRAME_SENT, kind="lease-invalidate", dest=target)
             out.append(
@@ -410,34 +416,24 @@ class GroupServerEngine(ServerLogic):
                     target, make_lease_invalidate(self.server_id, target, keys)
                 )
             )
-        if granted:
-            # The grant goes out *before* the batch-ack: adapters preserve
-            # per-destination ordering, so by the time the proxy counts this
-            # replica's ack toward its quorum it already knows whether the
-            # replica registered the lease.  Echoing each key's fill nonce
-            # lets the proxy drop grants that belong to an evicted entry.
-            self.observer.emit(FRAME_SENT, kind="lease-grant", dest=holder)
-            out.append(
-                SendFrame(
-                    holder,
-                    make_lease_grant(self.server_id, holder, granted,
-                                     self.lease_ttl, nonces),
-                )
-            )
         if entries:
             # A *partial* ack when some subs deferred: the served replies
             # must not wait out another key's lease TTL, and the proxy
             # matches sub-replies positionally by op id, not per frame.
-            self._ack_batch(message, entries, out)
+            # The grants ride in it (a granted sub is a served one), echoing
+            # each fill's nonce so the proxy drops grants meant for an
+            # evicted entry, and are credited before its replies count.
+            self._ack_batch(message, entries, out, grants)
 
     def _ack_batch(
         self,
         request: Message,
         entries: List[Tuple[str, Optional[Message]]],
         out: List[Effect],
+        grants: Optional[List[Tuple[str, str]]] = None,
     ) -> None:
         self.observer.emit(FRAME_SENT, kind="batch-ack", dest=request.sender)
-        ack = make_batch_ack(request, entries)
+        ack = make_batch_ack(request, entries, grants)
         out.append(SendFrame(ack.receiver, ack))
 
     # -- the lease protocol (proxy read cache <-> this replica) ------------------
@@ -451,10 +447,8 @@ class GroupServerEngine(ServerLogic):
         """Sub-requests currently withheld behind lease deferrals."""
         return sum(len(queue) for queue in self._deferred.values())
 
-    def _on_lease_release(self, message: Message, out: List[Effect]) -> None:
-        payload = unpack_lease_release(message)
-        holder = message.sender
-        for key in payload["keys"]:
+    def _release(self, holder: str, keys: List[str], out: List[Effect]) -> None:
+        for key in keys:
             self._drop_holder(key, holder, out, cancel_timer=True)
 
     def _drop_holder(

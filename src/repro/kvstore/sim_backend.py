@@ -100,8 +100,8 @@ SIM_AUTOSCALE_INTERVAL = 150.0
 class BatchReplicaProcess(Process):
     """A group replica with service-time queueing on the virtual clock.
 
-    The engine's sends (batch-acks, lease grants and invalidations, drain
-    acks) are what the modeled service time delays: a request's frames are
+    The engine's sends (batch-acks with the lease grants they carry, lease
+    invalidations, drain acks) are what the modeled service time delays: a request's frames are
     released ``service`` after the replica is free, and are not engine
     timers -- nothing observes them and they never reach ``on_timer``.  Its
     lease timers go straight onto the virtual-clock event queue -- a

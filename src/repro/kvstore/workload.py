@@ -174,7 +174,9 @@ class KVRunResult:
     replica_read_subs: int = 0
     #: Read-cache / lease counters ({"hits", "misses", "invalidations",
     #: "proxy_lease_expiries", "leases_granted", "lease_expiries",
-    #: "write_deferrals"}) when the run enabled the proxy read cache.
+    #: "write_deferrals", "releases_carried", "releases_alone"}) when the run
+    #: enabled the proxy read cache.  The last two count the proxies' lease
+    #: releases that rode a batch frame and the ``lease-release`` frames sent.
     cache: Optional[Dict[str, int]] = None
     #: Per-tier metrics snapshot (``MetricsRegistry.snapshot()``): counters,
     #: gauges, and latency/batch-size histograms keyed by tier.
@@ -430,6 +432,8 @@ def fold_run_result(
                 "leases_granted": sum(l.leases_granted for l in logics),
                 "lease_expiries": sum(l.leases_expired for l in logics),
                 "write_deferrals": sum(l.write_deferrals for l in logics),
+                "releases_carried": sum(e.releases_carried for e in proxies),
+                "releases_alone": sum(e.releases_alone for e in proxies),
             }
             if read_cache
             else None

@@ -8,9 +8,11 @@ which transport is underneath.
 
 A frame's payload holds its **typed records themselves** -- ``{"ops":
 [SubRequest, ...]}``, ``{"acks": [(key, reply) | None, ...]}``, ``{"ops":
-[ProxySubRequest, ...]}``, ``{"acks": [ProxySubReply, ...]}`` -- already
-addressed to the frame's receiver.  ``make_*`` puts them in that final form
-once, ``unpack_*`` is a kind check plus a field access, and in between an
+[ProxySubRequest, ...]}``, ``{"acks": [ProxySubReply, ...]}``, the batch
+kinds with their lease traffic when they carry some (``"releases": [key,
+...]``, ``"grants": [(key, nonce), ...]``) -- already addressed to the
+frame's receiver.  ``make_*`` puts them in that final form once,
+``unpack_*`` is a kind check plus a field access, and in between an
 in-process transport moves the frame with no packing at all; only the wire
 codec turns records into positional rows, straight from (and back into)
 these objects.  Receivers must therefore treat an inbound record and its
@@ -21,7 +23,8 @@ frame** used by the sharded key-value store (:mod:`repro.kvstore`): several
 sub-requests destined for the same server are packed into one ``"batch"``
 message and answered with one ``"batch-ack"``, amortizing per-message
 overhead (framing, delivery scheduling, syscalls on the asyncio transport)
-across every operation coalesced into the round.
+across every operation coalesced into the round.  The read-lease bookkeeping
+of the proxies' cache rides the same two frames (see the lease block below).
 
 Since the placement layer decoupled shards from replica groups, one group
 server multiplexes the per-key registers of *many* shards, so every
@@ -89,12 +92,9 @@ __all__ = [
     "unpack_drain_install",
     "make_drain_complete",
     "unpack_drain_complete",
-    "LEASE_GRANT_KIND",
     "LEASE_INVALIDATE_KIND",
     "LEASE_RELEASE_KIND",
     "DEFAULT_LEASE_TTL",
-    "make_lease_grant",
-    "unpack_lease_grant",
     "make_lease_invalidate",
     "unpack_lease_invalidate",
     "make_lease_release",
@@ -174,9 +174,9 @@ class SubRequest(NamedTuple):
     ``lease`` marks a sub-request that belongs to a *cache fill* of the
     sending proxy's read cache; its value is the fill's **nonce**, a string
     unique to the cache entry being filled.  On a non-mutating sub it asks
-    the server to grant a read lease for the key (the grant rides back as a
-    separate ``"lease-grant"`` frame echoing the nonce, so the proxy can
-    tie the grant to the exact fill that requested it), and on a mutating
+    the server to grant a read lease for the key (the grant rides back in
+    the batch-ack's ``grants``, echoing the nonce, so the proxy can tie the
+    grant to the exact fill that requested it), and on a mutating
     sub (the fill's writeback round) it exempts the sub from deferral
     against the *sender's own* lease only -- a fill writeback can only
     re-write a tag the sender's lease already covers, so deferring it
@@ -205,7 +205,10 @@ def _readdressed(message: Message, receiver: str) -> Message:
 
 
 def make_batch(
-    sender: str, receiver: str, sub_messages: Sequence[SubRequestLike]
+    sender: str,
+    receiver: str,
+    sub_messages: Sequence[SubRequestLike],
+    releases: Optional[List[str]] = None,
 ) -> Message:
     """Pack sub-requests into one batch frame for ``receiver``.
 
@@ -215,6 +218,8 @@ def make_batch(
     tag names the owning shard the client resolved (see :class:`SubRequest`).
     The frame carries the :class:`SubRequest` objects themselves; only a bare
     pair, or a sub addressed to someone other than ``receiver``, is rebuilt.
+    ``releases`` names the keys whose read leases the sender hands back to
+    ``receiver``; the receiver applies them before any of the frame's subs.
     """
     if not sub_messages:
         raise ValueError("a batch frame must contain at least one sub-message")
@@ -225,7 +230,10 @@ def make_batch(
         if sub.message.receiver != receiver:
             sub = sub._replace(message=_readdressed(sub.message, receiver))
         ops.append(sub)
-    return Message(sender, receiver, BATCH_KIND, {"ops": ops})
+    payload: Dict[str, Any] = {"ops": ops}
+    if releases:
+        payload["releases"] = releases
+    return Message(sender, receiver, BATCH_KIND, payload)
 
 
 def unpack_batch(message: Message) -> List[SubRequest]:
@@ -236,7 +244,9 @@ def unpack_batch(message: Message) -> List[SubRequest]:
 
 
 def make_batch_ack(
-    request: Message, sub_replies: Sequence[Tuple[str, Optional[Message]]]
+    request: Message,
+    sub_replies: Sequence[Tuple[str, Optional[Message]]],
+    grants: Optional[List[Tuple[str, str]]] = None,
 ) -> Message:
     """Pack the per-sub-request replies of one batch into one ack frame.
 
@@ -245,6 +255,8 @@ def make_batch_ack(
     a ``None`` entry, preserved positionally so the client can account for
     it.  Replies travel addressed to the ack's receiver (behind a proxy the
     per-key logic answers the *client* whose identity the sub carried).
+    ``grants`` are the ``(key, fill nonce)`` pairs of the read leases the
+    frame's lease-marked subs registered for the ack's receiver.
     """
     receiver = request.sender
     acks: List[Optional[Tuple[str, Message]]] = []
@@ -255,8 +267,11 @@ def make_batch_ack(
             acks.append((key, reply))
         else:
             acks.append((key, _readdressed(reply, receiver)))
+    payload: Dict[str, Any] = {"acks": acks}
+    if grants:
+        payload["grants"] = grants
     return Message(
-        request.receiver, receiver, BATCH_ACK_KIND, {"acks": acks},
+        request.receiver, receiver, BATCH_ACK_KIND, payload,
         request.op_id, request.round_trip,
     )
 
@@ -501,11 +516,10 @@ def _make_drain(sender: str, receiver: str, kind: str, mig: str, token: str,
 
 
 #: What each named field of a drain or lease frame must be for the engines
-#: to index by it safely (a ``list`` is a list of strings: keys and nonces).
+#: to index by it safely (a ``list`` is a list of strings: keys).
 _FIELD_TYPES: Dict[str, Any] = {
     "mig": str, "token": str, "shard": str, "epoch": int, "evict": bool,
-    "keys": list, "drop_keys": list, "nonces": list, "states": dict,
-    "ttl": (int, float),
+    "keys": list, "drop_keys": list, "states": dict,
 }
 
 
@@ -599,33 +613,35 @@ def unpack_drain_complete(message: Message) -> Dict[str, Any]:
     )
 
 
-# -- lease frames (replica <-> proxy, server-assisted read caching) -------------
+# -- lease traffic (replica <-> proxy, server-assisted read caching) -----------
 #
 # The proxy-side hot-key read cache stays atomic because every cached entry
 # is backed by a bounded-duration read lease registered at the replicas that
 # served the fill:
 #
 #   grant      -> a replica that served a lease-marked read sub-request
-#                 confirms it registered the proxy as a lease holder for
-#                 those keys (one frame per served batch, keys coalesced),
-#                 echoing each key's fill nonce so a delayed grant crossing
-#                 an eviction's release on the wire is never credited to a
-#                 later fill of the same key;
+#                 registers the proxy as a lease holder for the key and says
+#                 so in that frame's batch-ack (``grants``: one ``[key,
+#                 nonce]`` pair per lease), echoing the fill nonce so a grant
+#                 for an evicted entry is never credited to a later fill of
+#                 the same key.  The proxy credits an ack's grants before its
+#                 replies count toward any quorum;
 #   invalidate -> a replica that received a write for a leased key tells
-#                 every holder to drop its cached entry *now*; the write's
-#                 application (and its ack) is deferred until the holders
-#                 release or their leases expire;
+#                 every holder to drop its cached entry *now* (a frame of
+#                 its own); the write's application (and its ack) is
+#                 deferred until the holders release or their leases expire;
 #   release    -> a holder gives the lease back -- its answer to an
 #                 invalidation, and also what it sends when it evicts an
 #                 entry on its own (LRU pressure, view change, self-expiry).
+#                 A release waits in the queue of the replica's group and
+#                 leaves at its flush, in the first ``batch`` frame to that
+#                 replica (``releases``: a key list the replica applies before
+#                 the frame's subs); a replica the flush sends no batch frame
+#                 gets one ``lease-release`` frame, keys coalesced.
 #
-# All three carry a plain key list; the grant adds a nonce list aligned with
-# its keys, and ``ttl`` -- the server-side lease duration in the backend's
-# time unit (the proxy self-expires earlier, which is what makes the scheme
-# safe under clock skew).
+# So a release reaches a replica no later than any sub queued after it, and
+# an evicted entry's release can never clear a later fill's lease.
 
-#: Replica -> proxy: the replica registered read leases for these keys.
-LEASE_GRANT_KIND = "lease-grant"
 #: Replica -> lease holder: a write arrived, drop the cached entries now.
 LEASE_INVALIDATE_KIND = "lease-invalidate"
 #: Holder -> replica: the holder no longer claims leases on these keys.
@@ -636,32 +652,12 @@ LEASE_RELEASE_KIND = "lease-release"
 DEFAULT_LEASE_TTL = 60.0
 
 
-def _make_lease(sender: str, receiver: str, kind: str, keys: Sequence[str],
-                extra: Optional[Dict[str, Any]] = None) -> Message:
+def _make_lease(sender: str, receiver: str, kind: str,
+                keys: Sequence[str]) -> Message:
     if not keys:
         raise ValueError(f"a {kind} frame must name at least one key")
-    payload: Dict[str, Any] = {"keys": list(keys)}
-    if extra:
-        payload.update(extra)
-    return Message(sender=sender, receiver=receiver, kind=kind, payload=payload)
-
-
-def make_lease_grant(sender: str, receiver: str, keys: Sequence[str],
-                     ttl: float, nonces: Sequence[str]) -> Message:
-    """Confirm read leases on ``keys`` for holder ``receiver``, good for
-    ``ttl`` time units from the grant.  ``nonces`` aligns with ``keys``:
-    each is the fill nonce of the lease-marked sub-request that asked for
-    that key's lease, echoed so the holder can attribute the grant."""
-    if ttl <= 0:
-        raise ValueError("lease ttl must be positive")
-    if len(nonces) != len(keys):
-        raise ValueError("a lease grant needs one nonce per key")
-    return _make_lease(sender, receiver, LEASE_GRANT_KIND, keys,
-                       {"ttl": ttl, "nonces": list(nonces)})
-
-
-def unpack_lease_grant(message: Message) -> Dict[str, Any]:
-    return _unpack(message, LEASE_GRANT_KIND, ("keys", "ttl", "nonces"))
+    return Message(sender=sender, receiver=receiver, kind=kind,
+                   payload={"keys": list(keys)})
 
 
 def make_lease_invalidate(sender: str, receiver: str,

@@ -230,6 +230,22 @@ class TestCommands:
             require_tiers=("client", "proxy", "replica"),
         )
 
+    def test_kv_cached_on_asyncio_carries_lease_releases_in_batch_frames(self, capsys):
+        import re
+
+        # One writer behind the caching proxy: every local write's releases
+        # ride the update's own frames, so none needs a frame of its own.
+        assert main(["kv", "--backend", "asyncio", "--clients", "4", "--ops", "30",
+                     "--keys", "6", "--proxies", "1", "--read-cache", "64",
+                     "--workload", "zipf:1.2", "--seed", "3"]) == 0
+        output = capsys.readouterr().out
+        (line,) = [line for line in output.splitlines() if line.startswith("read cache")]
+        carried, alone = map(int, re.search(
+            r"(\d+) releases carried in batch frames / (\d+) sent alone", line
+        ).groups())
+        assert carried > 0 and alone <= carried // 10
+        assert "ATOMIC" in output
+
     def test_kv_resilience_line_on_both_backends(self, capsys):
         # The replay/failover/bounce counters print on every run (zeroes
         # included) -- on asyncio too, where they used to be invisible.

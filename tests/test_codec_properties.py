@@ -39,7 +39,6 @@ from repro.messages import (
     make_batch_ack,
     make_drain_install,
     make_drain_transfer,
-    make_lease_grant,
     make_lease_invalidate,
     make_lease_release,
     make_proxy_ack,
@@ -49,7 +48,6 @@ from repro.messages import (
     unpack_batch_ack,
     unpack_drain_install,
     unpack_drain_transfer,
-    unpack_lease_grant,
     unpack_lease_invalidate,
     unpack_lease_release,
     unpack_proxy_ack,
@@ -559,44 +557,13 @@ class TestDrainFrames:
             )
 
 
-#: Key sets as the lease protocol carries them (grants, invalidations and
-#: releases all name at least one key).
+#: Key sets as the lease protocol carries them (invalidations and releases
+#: name at least one key), and the grants a batch-ack carries.
 _lease_keys = st.lists(_ids, min_size=1, max_size=8)
-_lease_ttls = st.floats(min_value=0.001, max_value=1e6, allow_nan=False,
-                        allow_infinity=False)
+_grants = st.lists(st.tuples(_ids, _ids), min_size=1, max_size=8)
 
 
 class TestLeaseFrames:
-    @_codec
-    @given(keys=_lease_keys, ttl=_lease_ttls)
-    def test_grant_round_trip_sim_codec(self, keys, ttl):
-        from repro.messages import (
-            LEASE_GRANT_KIND, make_lease_grant, unpack_lease_grant,
-        )
-
-        nonces = [f"op-{i}/1" for i in range(len(keys))]
-        frame = make_lease_grant("g1-s1", "p1", keys, ttl, nonces)
-        assert frame.kind == LEASE_GRANT_KIND
-        recovered = unpack_lease_grant(frame)
-        assert recovered["keys"] == list(keys)
-        assert recovered["ttl"] == ttl
-        assert recovered["nonces"] == nonces
-
-    @_codec
-    @given(keys=_lease_keys, ttl=_lease_ttls)
-    def test_grant_survives_the_wire(self, keys, ttl):
-        # The ttl must survive bit-exactly: a proxy computing its
-        # self-expiry point from a mangled ttl could serve a cached value
-        # past the deadline the replicas unblock writers at.  The nonces
-        # must survive too: a mangled nonce would make the proxy discount
-        # (or worse, miscredit) the grant.
-        nonces = [f"op-{i}/2" for i in range(len(keys))]
-        frame = make_lease_grant("g1-s1", "p1", keys, ttl, nonces)
-        decoded = unpack_lease_grant(_wire(frame))
-        assert decoded["keys"] == list(keys)
-        assert decoded["ttl"] == ttl
-        assert decoded["nonces"] == nonces
-
     @_codec
     @given(keys=_lease_keys)
     def test_invalidate_survives_the_wire(self, keys):
@@ -612,48 +579,15 @@ class TestLeaseFrames:
         assert unpack_lease_release(_wire(frame))["keys"] == list(keys)
 
     def test_empty_keys_rejected(self):
-        from repro.messages import (
-            make_lease_grant, make_lease_invalidate, make_lease_release,
-        )
-
-        with pytest.raises(ValueError, match="at least one key"):
-            make_lease_grant("s", "p", [], 1.0, [])
         with pytest.raises(ValueError, match="at least one key"):
             make_lease_invalidate("s", "p", [])
         with pytest.raises(ValueError, match="at least one key"):
             make_lease_release("p", "s", [])
 
-    def test_non_positive_ttl_rejected(self):
-        from repro.messages import make_lease_grant
-
-        with pytest.raises(ValueError, match="positive"):
-            make_lease_grant("s", "p", ["k"], 0.0, ["n"])
-        with pytest.raises(ValueError, match="positive"):
-            make_lease_grant("s", "p", ["k"], -1.0, ["n"])
-
-    def test_grant_misaligned_nonces_rejected(self):
-        from repro.messages import make_lease_grant
-
-        with pytest.raises(ValueError, match="one nonce per key"):
-            make_lease_grant("s", "p", ["k1", "k2"], 1.0, ["n1"])
-
     def test_unpack_wrong_kind_rejected(self):
-        from repro.messages import (
-            unpack_lease_grant, unpack_lease_invalidate, unpack_lease_release,
-        )
-
-        for unpack in (unpack_lease_grant, unpack_lease_invalidate,
-                       unpack_lease_release):
+        for unpack in (unpack_lease_invalidate, unpack_lease_release):
             with pytest.raises(ValueError, match="not a lease-"):
                 unpack(Message("a", "b", "query"))
-
-    def test_grant_missing_ttl_rejected(self):
-        from repro.messages import LEASE_GRANT_KIND, unpack_lease_grant
-
-        with pytest.raises(ValueError, match="missing field"):
-            unpack_lease_grant(
-                Message("a", "b", LEASE_GRANT_KIND, {"keys": ["k"]})
-            )
 
     @_codec
     @given(subs=st.lists(_sub_requests, min_size=1, max_size=5))
@@ -669,26 +603,68 @@ class TestLeaseFrames:
             [sub.lease for sub in marked]
 
 
+class TestLeaseTrafficOnBatchFrames:
+    """Releases ride ``batch`` frames and grants ride ``batch-ack`` frames."""
+
+    @_codec
+    @given(subs=st.lists(_sub_requests, min_size=1, max_size=4),
+           releases=st.one_of(st.none(), _lease_keys))
+    def test_releases_survive_the_wire(self, subs, releases):
+        batch = make_batch("proxy", "server", subs, releases)
+        assert batch.payload.get("releases") == releases
+        peer = _wire(batch)
+        assert peer.payload.get("releases") == releases
+        _assert_same_across_the_wire(batch, unpack_batch)
+
+    @_codec
+    @given(subs=st.lists(st.tuples(_ids, _messages()), min_size=1, max_size=4),
+           grants=st.one_of(st.none(), _grants))
+    def test_grants_survive_the_wire(self, subs, grants):
+        # The nonces must survive bit-exactly: a mangled nonce would make
+        # the proxy discount (or worse, miscredit) the grant.
+        request = make_batch("proxy", "server", subs)
+        ack = make_batch_ack(
+            request, [(key, sub.reply("ack")) for key, sub in subs], grants
+        )
+        assert ack.payload.get("grants") == grants
+        peer = _wire(ack)
+        assert peer.payload.get("grants") == grants
+        _assert_same_across_the_wire(ack, unpack_batch_ack)
+
+    @_codec
+    @given(subs=st.lists(st.tuples(_ids, _messages()), min_size=1, max_size=4))
+    def test_a_frame_without_lease_traffic_is_the_plain_eight_elements(self, subs):
+        batch = make_batch("proxy", "server", subs)
+        ack = make_batch_ack(batch, [(key, None) for key, _ in subs])
+        for frame in (batch, ack):
+            assert len(json.loads(encode_message(frame)[4:])) == 8
+            assert _plain(_wire(frame).payload) == _plain(frame.payload)
+
+
 # -- the format itself: golden bytes, wrong shapes, fuzz --------------------------
 
 
 def _golden_frames():
     """One frame of every kind, built by ``make_*`` with the msg_id pinned."""
     query = Message("c1", "s1", "query", {"n": 1}, "c1-op1", 1, trace="t-1")
-    batch = make_batch("c1", "s1", [
+    subs = [
         SubRequest("kéy", query, "shard-0", 3, None),
         SubRequest("k2", Message("c1", "s1", "update",
                                  {"tag": [2, "c1"], "value": {"a": [1, None]}},
                                  "c1-op2", 2), "shard-1", 1, "p1#7"),
-    ])
+    ]
+    batch = make_batch("c1", "s1", subs)
+    replies = [
+        ("kéy", query.reply("query-ack", {"tag": [0, ""], "value": None})),
+        ("k2", None),
+    ]
     frames = {
         "plain": Message("c1", "s1", "query", {"n": 1}, "c1-op1", 1, trace="t-1"),
         "plain-untraced": Message("s1", "c1", "query-ack", {}),
         BATCH_KIND: batch,
-        BATCH_ACK_KIND: make_batch_ack(batch, [
-            ("kéy", query.reply("query-ack", {"tag": [0, ""], "value": None})),
-            ("k2", None),
-        ]),
+        "batch-with-releases": make_batch("p1", "s1", subs[:1], ["k", "k2"]),
+        BATCH_ACK_KIND: make_batch_ack(batch, replies),
+        "batch-ack-with-grants": make_batch_ack(batch, replies, [("kéy", "p1#7")]),
         PROXY_KIND: make_proxy_request("c1", "p1", [
             ProxySubRequest("k", "read", "query", {}, "c1-op1@0", 1, trace="t-1"),
             ProxySubRequest("k2", "write", "update", {"value": "v"}, "c1-op2@0", 2,
@@ -718,7 +694,6 @@ def _golden_frames():
             {"k": [{"tag": [1, "c1"], "value": "v"}]}),
         messages.DRAIN_COMPLETE_KIND: messages.make_drain_complete(
             "control-plane", "s1", "mig-1", "tok-5", "shard-0", ["k"], evict=True),
-        messages.LEASE_GRANT_KIND: make_lease_grant("s1", "p1", ["k"], 0.5, ["p1#7"]),
         messages.LEASE_INVALIDATE_KIND: make_lease_invalidate("s1", "p1", ["k"]),
         messages.LEASE_RELEASE_KIND: make_lease_release("p1", "s1", ["k", "k2"]),
     }
@@ -741,9 +716,18 @@ GOLDEN_BODIES = {
         b'c1-op1",1,"t-1","shard-0",3,null],["k2","c1","update",{"tag":[2,"c1"'
         b'],"value":{"a":[1,null]}},"c1-op2",2,null,"shard-1",1,"p1#7"]]]'
     ),
+    "batch-with-releases": (
+        b'["batch","p1","s1",null,0,7,null,[["k\\u00e9y","c1","query",{"n":1},"'
+        b'c1-op1",1,"t-1","shard-0",3,null]],["k","k2"]]'
+    ),
     "batch-ack": (
         b'["batch-ack","s1","c1",null,0,7,null,[["k\\u00e9y","s1","query-ack",{'
         b'"tag":[0,""],"value":null},"c1-op1",1,"t-1"],null]]'
+    ),
+    "batch-ack-with-grants": (
+        b'["batch-ack","s1","c1",null,0,7,null,[["k\\u00e9y","s1","query-ack",{'
+        b'"tag":[0,""],"value":null},"c1-op1",1,"t-1"],null],[["k\\u00e9y","p1#7'
+        b'"]]]'
     ),
     "proxy": (
         b'["proxy","c1","p1",null,0,7,null,[["k","read","query",{},"c1-op1@0",'
@@ -781,10 +765,6 @@ GOLDEN_BODIES = {
         b'["drain-complete","control-plane","s1",null,0,7,null,{"mig":"mig-1",'
         b'"token":"tok-5","shard":"shard-0","drop_keys":["k"],"evict":true}]'
     ),
-    "lease-grant": (
-        b'["lease-grant","s1","p1",null,0,7,null,{"keys":["k"],"ttl":0.5,"nonc'
-        b'es":["p1#7"]}]'
-    ),
     "lease-invalidate": (
         b'["lease-invalidate","s1","p1",null,0,7,null,{"keys":["k"]}]'
     ),
@@ -806,7 +786,6 @@ UNPACKERS = {
     messages.DRAIN_TRANSFER_KIND: unpack_drain_transfer,
     messages.DRAIN_INSTALL_KIND: unpack_drain_install,
     messages.DRAIN_COMPLETE_KIND: messages.unpack_drain_complete,
-    messages.LEASE_GRANT_KIND: unpack_lease_grant,
     messages.LEASE_INVALIDATE_KIND: unpack_lease_invalidate,
     messages.LEASE_RELEASE_KIND: unpack_lease_release,
 }
@@ -827,6 +806,7 @@ class TestGoldenBytes:
         assert decoded.msg_id == 7
         unpack = UNPACKERS.get(frame.kind, lambda message: message.payload)
         assert _plain(unpack(decoded)) == _plain(unpack(frame))
+        assert _plain(decoded.payload) == _plain(frame.payload)
         _assert_same_message(
             dataclasses.replace(frame, payload={}),
             dataclasses.replace(decoded, payload={}),
@@ -837,8 +817,9 @@ class TestGoldenBytes:
         assert set(GOLDEN_BODIES) == set(_golden_frames())
 
 
-def _envelope(kind, payload, sender="c9", receiver="s1"):
-    return json.dumps([kind, sender, receiver, None, 0, 1, None, payload]).encode()
+def _envelope(kind, payload, sender="c9", receiver="s1", *lease):
+    """A body of ``kind``, ending in ``lease`` (a batch frame's lease traffic)."""
+    return json.dumps([kind, sender, receiver, None, 0, 1, None, payload, *lease]).encode()
 
 
 _SUB_ROW = ["k", "c9", "query", {}, "op", 1, None, "shard-0", 1, None]
@@ -891,7 +872,17 @@ WRONG_SHAPES = {
     "release-without-keys": _envelope("lease-release", {}, sender="p9"),
     "release-keys-a-number": _envelope("lease-release", {"keys": 5}, sender="p9"),
     "release-key-a-list": _envelope("lease-release", {"keys": [["k"]]}, sender="p9"),
-    "grant-without-ttl": _envelope("lease-grant", {"keys": ["k"], "nonces": ["n"]}),
+    "batch-releases-a-number": _envelope("batch", [_SUB_ROW], "c9", "s1", 5),
+    "batch-release-a-list": _envelope("batch", [_SUB_ROW], "c9", "s1", [["k"]]),
+    "batch-releases-null": _envelope("batch", [_SUB_ROW], "c9", "s1", None),
+    "batch-ack-grant-unpaired": _envelope("batch-ack", [None], "c9", "s1", [["k"]]),
+    "batch-ack-grant-a-string": _envelope("batch-ack", [None], "c9", "s1", ["kn"]),
+    "batch-ack-nonce-a-number": _envelope("batch-ack", [None], "c9", "s1", [["k", 7]]),
+    "batch-ack-grants-an-object": _envelope("batch-ack", [None], "c9", "s1", {"k": "n"}),
+    "proxy-with-releases": _envelope(
+        "proxy", [["k", "read", "query", {}, "op", 1, None, None, None, None]],
+        "c9", "s1", ["k"]),
+    "batch-ten-fields": _envelope("batch", [_SUB_ROW], "c9", "s1", ["k"], None),
     "fence-without-epoch": _envelope(
         "drain-fence", {"mig": "m", "token": "t", "shard": "s"}),
     "transfer-without-token": _envelope(
@@ -919,8 +910,8 @@ class TestWrongShapes:
 _near_envelopes = st.tuples(
     st.sampled_from(sorted(UNPACKERS) + ["query", "stale-shard"]),
     _json_values, _json_values, _json_values, _json_values, _json_values,
-    _json_values, _json_values,
-).map(list)
+    _json_values, _json_values, st.lists(_json_values, max_size=1),
+).map(lambda cells: list(cells[:-1]) + cells[-1])
 
 #: Typed-row envelopes with one cell of one valid row replaced by arbitrary
 #: JSON: the mutations closest to frames that do decode.

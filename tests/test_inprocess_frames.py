@@ -37,7 +37,11 @@ def _record_sends(monkeypatch, owner, method: str, frame_of) -> List[Tuple[Messa
 
 
 def _assert_untouched(sent: List[Tuple[Message, object]], kinds: set) -> None:
-    assert kinds <= {frame.kind for frame, _ in sent}
+    seen = {frame.kind for frame, _ in sent}
+    # Lease traffic riding the batch frames is covered too.
+    seen |= {"releases" for frame, _ in sent if frame.payload.get("releases")}
+    seen |= {"grants" for frame, _ in sent if frame.payload.get("grants")}
+    assert kinds <= seen
     for frame, frozen in sent:
         assert _plain(frame) == frozen, f"{frame!r} was written to after it was sent"
 
@@ -55,7 +59,7 @@ def test_sim_cached_resize_run_leaves_every_frame_as_sent(monkeypatch):
     assert result.completed_ops == 6 * 40 and result.check().all_atomic
     assert result.cache is not None and result.cache["hits"] > 0
     _assert_untouched(sent, {
-        "proxy", "proxy-ack", "batch", "batch-ack", "lease-grant",
+        "proxy", "proxy-ack", "batch", "batch-ack", "grants", "releases",
         "lease-invalidate", "lease-release", "view-push", "drain-fence",
         "drain-transfer", "drain-install",
     })
@@ -81,4 +85,4 @@ def test_memory_fabric_cached_script_leaves_every_frame_as_sent(monkeypatch):
     )
     outcomes = run_script(fabric, client, CACHED_SCRIPT)
     assert len(outcomes) == len(CACHED_SCRIPT) and not fabric.failures
-    _assert_untouched(sent, {"proxy", "proxy-ack", "batch", "batch-ack", "lease-grant"})
+    _assert_untouched(sent, {"proxy", "proxy-ack", "batch", "batch-ack", "grants"})

@@ -43,21 +43,24 @@ from repro.kvstore.engine import (
     GroupServerEngine,
     ProxyEngine,
     SendFrame,
+    StartTimer,
 )
 from repro.core.timestamps import Tag
 from repro.messages import (
     BATCH_ACK_KIND,
-    LEASE_GRANT_KIND,
+    BATCH_KIND,
     LEASE_INVALIDATE_KIND,
     LEASE_RELEASE_KIND,
     Message,
+    ProxySubRequest,
     SubRequest,
     make_batch,
-    make_lease_grant,
+    make_batch_ack,
     make_lease_release,
+    make_proxy_request,
     unpack_batch,
     unpack_batch_ack,
-    unpack_lease_grant,
+    unpack_lease_release,
 )
 from repro.protocols.codec import encode_tagged
 
@@ -317,9 +320,10 @@ class TestCacheUnit:
 
     def test_entry_serves_through_a_local_writes_query_round(self):
         # A write's query round changes nothing, so the proxy's own entry
-        # keeps serving hits through it; the entry goes -- lease releases
-        # first, per-destination ordering -- when the *update* round arrives,
-        # so the write never defers against this proxy's own lease.
+        # keeps serving hits through it; the entry goes when the *update*
+        # round arrives, its lease releases riding the update's own frames
+        # ahead of the update, so the write never defers against this
+        # proxy's own lease.
         shard_map, fabric, client, proxy, recorder = build_memory_stack(
             use_proxy=True, read_cache=8, num_clients=2
         )
@@ -348,12 +352,35 @@ class TestCacheUnit:
         run_until(fabric, start + 5.5)
         assert proxy._cache.peek("k") is None and proxy.cache_invalidations == 1
         sends = [kind for what, _dest, kind in proxy_trace[mark:] if what == "send"]
-        # Released where the fill asked (a quorum), then the update to everyone.
-        assert sends == [LEASE_RELEASE_KIND] * 2 + ["batch"] * 3
+        # The update goes to everyone, and the two frames to where the fill
+        # asked (a quorum) carry the releases: no frame of their own.
+        assert sends == [BATCH_KIND] * 3
+        assert (proxy.releases_carried, proxy.releases_alone) == (2, 0)
         fabric.run()
         assert wrote == {"c2": "v2"}
         assert sum(s.write_deferrals for s in servers) == 0
         assert check_per_key_atomicity(recorder.histories()).all_atomic
+
+    def test_a_round_the_fill_will_never_send_is_not_parked_behind_it(self):
+        # The fill ended after a unanimous first round without a grant quorum
+        # (its replicas had writes queued behind another proxy's lease), so a
+        # concurrent read went to the replicas for round 1, saw a split
+        # quorum, and asks for round 2: it must get it from the replicas, not
+        # wait for a write-back this fill will never send.
+        _, fabric, client, proxy, _ = build_memory_stack(use_proxy=True, read_cache=8)
+        issue(fabric, client, OpKind.WRITE, "k", "v1", {})
+        run_until(fabric, 50.0)
+        issue(fabric, client, OpKind.READ, "k", None, {})
+        run_until(fabric, 100.0)
+        entry = proxy._cache.peek("k")
+        assert entry.rounds.keys() == {1} and not entry.inflight
+        entry.grants.clear()
+        write_back = ProxySubRequest(
+            "k", "read", "update", encode_tagged(Tag(1, "c9"), "v1"), "c9-read-1", 2,
+        )
+        effects = proxy.on_frame(make_proxy_request("c9", "p1", [write_back]))
+        assert entry.followers == {}
+        assert ("flush", "g1") in [e.timer_id for e in effects if isinstance(e, StartTimer)]
 
     def test_lru_bound_holds_under_more_keys_than_slots(self):
         _, fabric, client, proxy, _ = build_memory_stack(
@@ -399,17 +426,47 @@ def sent(effects, kind):
 class TestLeaseProtocolServer:
     """Direct frame-level pins on the server half of the lease protocol."""
 
-    def test_grant_echoes_the_fill_nonce(self):
+    def test_grant_rides_the_batch_ack_and_echoes_the_fill_nonce(self):
         engine, sid, shard, epoch = lease_server()
         effects = engine.on_frame(make_batch("p1", sid, [
+            lease_sub("c1", sid, shard, epoch, "query", "j", {}, "r0", 1),
             lease_sub("c1", sid, shard, epoch, "query", "k", {}, "r1", 1,
                       nonce="r1/7"),
         ]))
-        grants = sent(effects, LEASE_GRANT_KIND)
-        assert len(grants) == 1 and grants[0].destination == "p1"
-        payload = unpack_lease_grant(grants[0].frame)
-        assert payload["keys"] == ["k"]
-        assert payload["nonces"] == ["r1/7"]
+        (ack,) = [e for e in effects if isinstance(e, SendFrame)]
+        assert ack.destination == "p1" and ack.frame.kind == BATCH_ACK_KIND
+        assert ack.frame.payload["grants"] == [("k", "r1/7")]
+        # No lease-marked sub, no grants.
+        effects = engine.on_frame(make_batch("p1", sid, [
+            lease_sub("c1", sid, shard, epoch, "query", "j", {}, "r2", 1),
+        ]))
+        assert "grants" not in sent(effects, BATCH_ACK_KIND)[0].frame.payload
+
+    def test_a_frames_releases_apply_before_its_subs(self):
+        engine, sid, shard, epoch = lease_server()
+        engine.on_frame(make_batch("p1", sid, [
+            lease_sub("c1", sid, shard, epoch, "query", "k", {}, "r1", 1,
+                      nonce="r1/1"),
+        ]))
+        assert engine.lease_holders("k") == {"p1"}
+        # A release and a later fill of the same key in one frame: the
+        # fill's fresh lease stands.
+        effects = engine.on_frame(make_batch("p1", sid, [
+            lease_sub("c1", sid, shard, epoch, "query", "k", {}, "r2", 1,
+                      nonce="r2/2"),
+        ], releases=["k"]))
+        assert engine.lease_holders("k") == {"p1"}
+        assert sent(effects, BATCH_ACK_KIND)[0].frame.payload["grants"] == [
+            ("k", "r2/2")
+        ]
+        # A release and a write from another client behind this proxy: the
+        # write applies at once, it never defers against the released lease.
+        effects = engine.on_frame(make_batch("p1", sid, [
+            lease_sub("c2", sid, shard, epoch, "update", "k",
+                      encode_tagged(Tag(1, "c2"), "v1"), "w1", 2),
+        ], releases=["k"]))
+        assert engine.write_deferrals == 0 and not engine.lease_holders("k")
+        assert [key for key, _ in unpack_batch_ack(sent(effects, BATCH_ACK_KIND)[0].frame)] == ["k"]
 
     def test_fill_writeback_exempt_from_own_lease_only(self):
         engine, sid, shard, epoch = lease_server()
@@ -477,6 +534,11 @@ class TestLeaseProtocolServer:
         assert [key for key, _ in unpack_batch_ack(acks[0].frame)] == ["k"]
 
 
+def grant_ack(server, proxy_id, key, nonce):
+    """A reply-less batch-ack from ``server`` carrying one grant."""
+    return make_batch_ack(Message(proxy_id, server, BATCH_KIND), [], [(key, nonce)])
+
+
 class TestGrantAttribution:
     def test_stale_nonce_grant_is_dropped_not_credited(self):
         _, fabric, client, proxy, _ = build_memory_stack(
@@ -496,27 +558,25 @@ class TestGrantAttribution:
         # credited nor answered with a release -- the predecessor entry's
         # own eviction release retires that lease, and releasing again here
         # could clear the live fill's fresh lease at the replica.
-        effects = proxy.on_frame(
-            make_lease_grant(server, "p1", ["k"], 100.0, ["ghost/0"])
-        )
+        effects = proxy.on_frame(grant_ack(server, "p1", "k", "ghost/0"))
         assert server not in entry.grants
-        assert not [e for e in effects if isinstance(e, SendFrame)]
+        assert effects == [] and proxy._releases == {}
         # The same grant with the live entry's nonce is credited.
-        effects = proxy.on_frame(
-            make_lease_grant(server, "p1", ["k"], 100.0, [entry.nonce])
-        )
+        effects = proxy.on_frame(grant_ack(server, "p1", "k", entry.nonce))
         assert server in entry.grants
         # Not so from a replica the fill never asked: no lease can stand there.
-        proxy.on_frame(
-            make_lease_grant(unasked, "p1", ["k"], 100.0, [entry.nonce])
-        )
+        proxy.on_frame(grant_ack(unasked, "p1", "k", entry.nonce))
         assert unasked not in entry.grants
-        # A grant for a key with no entry at all hands the lease back.
-        effects = proxy.on_frame(
-            make_lease_grant(server, "p1", ["zzz"], 100.0, ["ghost/1"])
-        )
-        releases = sent(effects, LEASE_RELEASE_KIND)
-        assert len(releases) == 1 and releases[0].destination == server
+        # A grant for a key with no entry at all hands the lease back: it
+        # joins the queue of the replica's group, and that flush -- with no
+        # batch frame for the replica -- sends it in a frame of its own.
+        effects = proxy.on_frame(grant_ack(server, "p1", "zzz", "ghost/1"))
+        assert not sent(effects, LEASE_RELEASE_KIND)
+        group_id = entry.route.group_id
+        (release,) = proxy.on_timer(("flush", group_id))
+        assert release.destination == server
+        assert unpack_lease_release(release.frame)["keys"] == ["zzz"]
+        assert (proxy.releases_carried, proxy.releases_alone) == (0, 1)
 
     def test_two_proxies_filling_one_key_stay_atomic(self):
         shard_map, fabric, client, proxy, recorder = build_memory_stack(

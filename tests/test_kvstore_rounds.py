@@ -929,24 +929,56 @@ def bounced_cache_fill_evicts_its_entry_and_completes_leaseless(make_rig):
     rig.fence()
     rig.run_until(lambda: rig.owner.drain_backoffs)
     bounce = rig.last("on_frame")
-    assert bounce[0] == CancelTimer(("lease", "k"))
-    # The lease is handed back where the fill asked for it, and only there.
-    assert [(e.destination, e.frame.kind) for e in bounce[1:3]] == [
-        (server_id, LEASE_RELEASE_KIND) for server_id in rig.servers[:2]
-    ]
-    assert bounce[3:] == [
-        StartTimer(rig.retry_timer(frames[0]), POLICY.drain_backoff_interval)
+    # The lease goes back to the group's queue, and the round backs off.
+    assert bounce == [
+        CancelTimer(("lease", "k")),
+        StartTimer(("flush", rig.spec.group.group_id), 0.0),
+        StartTimer(rig.retry_timer(frames[0]), POLICY.drain_backoff_interval),
     ]
     assert rig.owner.cache_invalidations == 1
+    # Nothing else is queued, so at the flush the releases leave on their
+    # own -- where the fill asked for the lease, and only there.
+    released = rig.await_timer()
+    assert [(e.destination, e.frame.kind) for e in released] == [
+        (server_id, LEASE_RELEASE_KIND) for server_id in rig.servers[:2]
+    ]
+    assert (rig.owner.releases_carried, rig.owner.releases_alone) == (0, 2)
     rig.fence(ahead=0)
     replay = rig.flush()
     assert {unpack_batch(f.frame)[0].lease for f in replay} == {None}
+    assert not any("releases" in f.frame.payload for f in replay)
     rig.run()
     assert rig.outcome() == "ok"
     # Nothing was cached: the next read of the key is a miss again.
     rig.start()
     assert (rig.owner.cache_hits, rig.owner.cache_misses) == (0, 2)
     rig.run()
+
+
+def lease_releases_ride_the_next_frame_to_their_replica(make_rig):
+    rig = make_rig(read_cache=8)
+    s1, s2, s3 = rig.servers
+    for done, key in enumerate(("k1", "k2"), start=1):
+        rig.start(key)
+        rig.run_until(lambda: len(rig.outcomes()) == done)
+    # The two fills asked {s1, s2} and {s2, s3}, and were granted there.
+    assert [sorted(rig.replicas[s].lease_holders(k) for k in ("k1", "k2"))
+            for s in (s1, s2, s3)] == [[set(), {"p1"}], [{"p1"}, {"p1"}], [set(), {"p1"}]]
+    # Two local writes in one window: each drops its key's entry, and the
+    # releases wait in the group's queue with the updates.
+    assert timer_kinds(rig.start("k1", write=True)) == ["flush"]
+    assert timer_kinds(rig.start("k2", write=True)) == []
+    frames = rig.flush()
+    # Every replica's frame carries what it held, applied ahead of the
+    # updates: no release frame of its own, and no write defers.
+    assert [(f.destination, f.frame.payload.get("releases")) for f in frames] == [
+        (s1, ["k1"]), (s2, ["k1", "k2"]), (s3, ["k2"]),
+    ]
+    assert (rig.owner.releases_carried, rig.owner.releases_alone) == (3, 0)
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["ok"] * 4
+    assert not any(r.lease_holders(k) for r in rig.replicas.values() for k in ("k1", "k2"))
+    assert sum(r.write_deferrals for r in rig.replicas.values()) == 0
 
 
 def sever_drops_every_round(make_rig):
@@ -977,6 +1009,7 @@ PROXY_ONLY = [
     restrictive_read_policy_targets_only_a_quorum,
     broadcast_read_policy_opts_out_of_quorum_first,
     bounced_cache_fill_evicts_its_entry_and_completes_leaseless,
+    lease_releases_ride_the_next_frame_to_their_replica,
     sever_drops_every_round,
 ]
 

@@ -51,13 +51,15 @@ TRUNCATED = encode_message(Message("c9", "s1", "query"))[:-4]
 
 #: Well-framed, valid JSON, wrong shape: the four object-form bodies that
 #: used to decode and then raise inside the engine (under asyncio's "Fatal
-#: error: protocol.buffer_updated() call failed"), and the same mistakes in
-#: the array form.
+#: error: protocol.buffer_updated() call failed"), the same mistakes in the
+#: array form, and a mistyped lease field on each batch kind -- the releases
+#: a replica reads off a ``batch``, the grants its dialler reads off a
+#: ``batch-ack``.
 WRONG_SHAPE_IDS = [
     "v1-ops-not-a-list", "v1-sub-without-sender", "v1-payload-a-list",
     "v1-release-without-keys", "ops-not-a-list", "short-sub-row",
     "proxy-row-short", "proxy-client-a-number", "payload-a-list",
-    "release-without-keys",
+    "release-without-keys", "batch-releases-a-number", "batch-ack-grant-unpaired",
 ]
 WRONG_SHAPE_FRAMES = [
     len(WRONG_SHAPES[name]).to_bytes(4, "big") + WRONG_SHAPES[name]
