@@ -52,7 +52,6 @@ from _bench_utils import (
 FAST_RETRY = RetryPolicy(
     reconnect_interval=0.02,
     max_transient_retries=50,
-    round_timeout=1.0,
     max_round_timeouts=3,
 )
 

@@ -53,7 +53,6 @@ from .effects import (
     MAX_ROUND_TIMEOUTS,
     MAX_TRANSIENT_RETRIES,
     PROXY_FAILOVER_TIMEOUT,
-    PROXY_ROUND_TIMEOUT,
     RECONNECT_INTERVAL,
     SIM_RETRY_POLICY,
     CancelTimer,
@@ -121,7 +120,6 @@ __all__ = [
     "SIM_RETRY_POLICY",
     "RECONNECT_INTERVAL",
     "MAX_TRANSIENT_RETRIES",
-    "PROXY_ROUND_TIMEOUT",
     "MAX_ROUND_TIMEOUTS",
     "PROXY_FAILOVER_TIMEOUT",
     "CONTROL_PLANE",

@@ -149,6 +149,7 @@ class ClusterAssembly:
             recorder,
             policy=self.retry_policy,
             observer=self.hub.scoped("client", client_id),
+            lease_ttl=self.lease_ttl,
             **settings,
         )
 

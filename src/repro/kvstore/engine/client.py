@@ -52,7 +52,7 @@ from ...observe.events import (
     ROUND_OPENED,
     EngineObserver,
 )
-from ...messages import Message
+from ...messages import DEFAULT_LEASE_TTL, Message
 from ...protocols.base import Broadcast, ClientLogic, OperationOutcome
 from ..perkey import KVHistoryRecorder
 from ..sharding import ShardMap, ShardSpec
@@ -90,7 +90,7 @@ class ClientSessionEngine:
 
     ``link`` is the link to share with other sessions of the process;
     without one the session builds its own, with its own ``max_batch``,
-    observer and ``stats``.
+    observer and ``stats`` and the deployment's ``lease_ttl``.
     """
 
     def __init__(
@@ -103,6 +103,7 @@ class ClientSessionEngine:
         proxy_candidates: Optional[Sequence[str]] = None,
         observer: Optional[EngineObserver] = None,
         link: Optional[ClientLink] = None,
+        lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
@@ -122,7 +123,7 @@ class ClientSessionEngine:
         if link is None:
             link = ClientLink(
                 client_id, self.policy, max_batch, self.observer,
-                stats=self.stats, proxy_stats=self.stats,
+                stats=self.stats, proxy_stats=self.stats, lease_ttl=lease_ttl,
             )
         self.link = link
         link.attach(self)

@@ -45,7 +45,6 @@ __all__ = [
     "SIM_RETRY_POLICY",
     "RECONNECT_INTERVAL",
     "MAX_TRANSIENT_RETRIES",
-    "PROXY_ROUND_TIMEOUT",
     "MAX_ROUND_TIMEOUTS",
     "PROXY_FAILOVER_TIMEOUT",
     "SILENCE_WINDOW",
@@ -131,7 +130,6 @@ Effect = Union[SendFrame, StartTimer, CancelTimer, Connect, OpCompleted, OpFaile
 #: Asyncio-backend defaults (seconds); see :class:`RetryPolicy`.
 RECONNECT_INTERVAL = 0.05
 MAX_TRANSIENT_RETRIES = 100
-PROXY_ROUND_TIMEOUT = 2.0
 MAX_ROUND_TIMEOUTS = 5
 #: How long a quorum-first round may sit short of its quorum before the rest
 #: of the group is asked too: three orders of magnitude above a loopback round
@@ -159,16 +157,14 @@ class RetryPolicy:
     * ``reconnect_interval * max_transient_retries`` bounds how long a
       caller keeps replaying over a transient outage (the kill/restart
       window);
-    * ``round_timeout * max_round_timeouts`` bounds how long a proxy waits
-      on a silently-lost replica round before erroring the ack
-      (``round_timeout=None`` disables round timers -- the simulator's
-      choice, and every direct client's);
-    * ``silence_window`` is how long a quorum-first round -- one that was
-      sent to only ``S - t`` replicas -- may stay short of its quorum before
-      the remaining replicas are asked too (one timer per engine, armed only
-      while such rounds are out); an owner without round timers fails a
-      round that the whole group leaves unanswered for another
-      ``max_round_timeouts`` windows;
+    * ``silence_window`` is the tick of the one per-engine watchdog, the
+      only timer that bounds an attempt (armed only while attempts are out):
+      a quorum-first attempt -- one sent to only ``S - t`` replicas -- that
+      sits short of its quorum for a whole window has the remaining replicas
+      asked too, and an attempt sent to every replica it may ask fails after
+      ``max_round_timeouts`` windows short of its quorum -- a mutating one
+      after no fewer than ``ceil(lease_ttl / silence_window) + 1``, since a
+      replica may withhold its ack behind a read lease for a whole TTL;
     * ``failover_timeout`` arms the client's proxy-death watchdog
       (``None`` disables it -- the asyncio backend's choice, where a dead
       proxy is observed as a severed TCP connection instead).
@@ -179,7 +175,6 @@ class RetryPolicy:
 
     reconnect_interval: float = RECONNECT_INTERVAL
     max_transient_retries: int = MAX_TRANSIENT_RETRIES
-    round_timeout: Optional[float] = PROXY_ROUND_TIMEOUT
     max_round_timeouts: int = MAX_ROUND_TIMEOUTS
     failover_timeout: Optional[float] = None
     silence_window: float = SILENCE_WINDOW
@@ -211,12 +206,10 @@ class RetryPolicy:
 #: What the asyncio backend runs with unless told otherwise.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
-#: What the simulator runs with: no round timers (the virtual network loses
-#: frames silently only at a crash, and the silence timer widens the
-#: quorum-first rounds a crashed replica leaves short), and the watchdog and
-#: the silence window in virtual time.
+#: What the simulator runs with: the failover watchdog (the virtual network
+#: drops a crashed process's traffic without a word) and the silence window
+#: in virtual time.
 SIM_RETRY_POLICY = RetryPolicy(
-    round_timeout=None,
     failover_timeout=PROXY_FAILOVER_TIMEOUT,
     silence_window=SIM_SILENCE_WINDOW,
     # At the default 0.05 a long drain would be polled hundreds of times

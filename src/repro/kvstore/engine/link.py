@@ -59,6 +59,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ...core.errors import ProtocolError
 from ...messages import (
     BATCH_ACK_KIND,
+    DEFAULT_LEASE_TTL,
     PROXY_ACK_KIND,
     PROXY_KIND,
     Message,
@@ -113,7 +114,8 @@ class ClientLink(ReplicaRounds):
     :meth:`~.rounds.ReplicaRounds.enqueue`, :meth:`forward`,
     :meth:`withdraw` and :meth:`release`; the adapter feeds it ``batch-ack``
     and ``proxy-ack`` frames, timer fires, connection outcomes and transport
-    notifications.
+    notifications.  ``lease_ttl`` is the deployment's read-lease TTL: how
+    long a replica may withhold a write's ack behind a proxy's lease.
     """
 
     def __init__(
@@ -124,6 +126,7 @@ class ClientLink(ReplicaRounds):
         observer: Optional[EngineObserver] = None,
         stats: Optional[BatchStats] = None,
         proxy_stats: Optional[BatchStats] = None,
+        lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
         self.link_id = link_id
         self.policy = policy or DEFAULT_RETRY_POLICY
@@ -133,10 +136,7 @@ class ClientLink(ReplicaRounds):
         self.proxy_stats = proxy_stats if proxy_stats is not None else BatchStats()
         self.sessions: List["ClientSessionEngine"] = []
         self._legs: Dict[str, _ProxyLeg] = {}
-        # No per-round timers on the direct ingress: the multiplexer's silence
-        # timer widens a quorum-first round a replica leaves short, and fails
-        # one the whole group leaves short.
-        super().__init__(link_id, round_timeout=None)
+        super().__init__(link_id, lease_ttl)
 
     # -- the sessions' side -------------------------------------------------------
 

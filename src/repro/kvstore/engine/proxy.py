@@ -168,7 +168,7 @@ class ProxyEngine(ReplicaRounds):
         self.stale_replays = 0
         self.drain_backoffs = 0
         self._attempts = 0
-        super().__init__(proxy_id, round_timeout=self.policy.round_timeout)
+        super().__init__(proxy_id, lease_ttl)
         #: Monotonic fill counter: combined with the fill op id it makes
         #: each cache entry's lease nonce unique across this proxy's life.
         self._fill_seq = 0
@@ -584,7 +584,6 @@ class ProxyEngine(ReplicaRounds):
     def _finish(
         self, pending: _ProxyPending, out: List[Effect], error: Optional[str] = None
     ) -> None:
-        self._forget(pending, out)
         entry = pending.fill_entry
         if entry is not None:
             pending.fill_entry = None

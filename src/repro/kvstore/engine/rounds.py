@@ -6,7 +6,7 @@ everything between "here is a round for key *k*" and "here are ``wait_for``
 replies / here is why not": the pending table, the queues that coalesce
 concurrent rounds into one frame per destination, the ``batch-ack``
 demultiplexer, the stale-bounce rule, lost-replica accounting and the flush /
-retry / round-timeout / silence timers.
+retry / silence timers.
 
 **One queue rule.**  A queue is named after its destination -- a group, or a
 proxy of a :class:`~.link.ClientLink` -- and is created with one ``("flush",
@@ -36,6 +36,17 @@ Mutating rounds still ask the whole group (a write has to land wherever it can
 for the next narrow read to find a unanimous quorum), and so do replays and
 every round of an owner with an explicit ``read_policy``.
 
+**One watchdog.**  The silence timer is the only timer that bounds an
+attempt; no attempt has a timer of its own.  At the flush that sends it,
+every attempt is given the tick it is due at (``due``): a narrow one is
+widened after one whole window, and one sent to every replica it may ask --
+widened, mutating, replayed, or a read policy's pick -- fails with
+:class:`~repro.core.errors.ProtocolError` after ``max_round_timeouts``
+windows short of its quorum.  A mutating attempt waits at least
+``ceil(lease_ttl / silence_window) + 1`` windows, because a replica may
+legitimately withhold its ack behind a read lease for up to one TTL.  Both
+owners and both backends run this one rule.
+
 The two engines that talk to replicas are its subclasses --
 :class:`~.link.ClientLink` (the direct ingress of every
 :class:`~.client.ClientSessionEngine` that holds it) and
@@ -54,7 +65,7 @@ differs between them as hooks:
   wire to ``servers`` (at the flush, and again if it is widened), for their
   lease-nonce column (``None``: no such column);
 * ``_retry_timer(round)`` -- the round's retry-timer id, in the owner's timer
-  namespace; ``round_timeout`` -- bound every attempt by a timer, or not;
+  namespace;
 * ``_on_quorum(round, out)`` / ``_on_failed(round, error, out)`` -- the outcome;
 * ``_counted(round)`` -- whose ``stale_replays`` / ``drain_backoffs`` counters
   a bounce of the round bumps (the owner's own, unless it says otherwise).
@@ -70,6 +81,7 @@ notifications; outputs are effects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -93,7 +105,7 @@ from ...observe.events import (
     ROUND_WIDENED,
 )
 from ...protocols.base import RegisterProtocol
-from .effects import CancelTimer, Effect, SendFrame, StartTimer, TimerId
+from .effects import Effect, SendFrame, StartTimer, TimerId
 from .server import MAX_STALE_RETRIES, is_stale_reply
 
 __all__ = ["ReplicaRound", "ReplicaRounds"]
@@ -137,14 +149,13 @@ class ReplicaRound:
     asked: Sequence[str] = field(default=(), init=False)
     narrow: bool = field(default=False, init=False)
     #: The silence-timer tick at which the attempt is widened (narrow) or
-    #: given up on (widened, owner without round timers); 0: not watched.
+    #: given up on (anything else); 0: not sent yet.
     due: int = field(default=0, init=False)
     replies: List[Message] = field(default_factory=list, init=False)
     lost_targets: Set[str] = field(default_factory=set, init=False)
     stale_retries: int = field(default=0, init=False)
     drain_backoffs: int = field(default=0, init=False)
     transient_retries: int = field(default=0, init=False)
-    timeouts: int = field(default=0, init=False)
     queued: bool = field(default=False, init=False)
     awaiting_retry: bool = field(default=False, init=False)
 
@@ -162,9 +173,15 @@ class ReplicaRounds:
     #: How long a queue waits for company before its flush (0 on the link).
     flush_delay = 0.0
 
-    def __init__(self, node_id: str, round_timeout: Optional[float]) -> None:
+    def __init__(self, node_id: str, lease_ttl: float) -> None:
         self._node_id = node_id
-        self._round_timeout = round_timeout
+        # The silence windows a mutating attempt waits for its quorum: long
+        # enough to outwait a read lease it is deferred behind.
+        policy = self.policy
+        self._write_patience = max(
+            policy.max_round_timeouts,
+            math.ceil(lease_ttl / policy.silence_window) + 1,
+        )
         self._pending: Dict[Tuple[str, int], ReplicaRound] = {}
         #: Destination (a group, or a proxy of the link's) -> the rounds
         #: waiting for its ``("flush", destination)`` timer.
@@ -220,11 +237,6 @@ class ReplicaRounds:
             and round.wait_for < len(round.targets)
         )
         self._pending[round.ident] = round
-        if self._round_timeout is not None:
-            # Bound the attempt: a replica can die after the frame left the
-            # socket, and on transports with silent loss the timer turns that
-            # into a replay (a quorum-first round is widened before that).
-            out.append(StartTimer(("round", *round.ident), self._round_timeout))
         round.queued = True
         self._queue(round.group_id, round, out)
 
@@ -253,12 +265,6 @@ class ReplicaRounds:
             self._releasing.setdefault(group_id, []).append(server_id)
         else:
             pending.extend(keys)
-
-    def _forget(self, round: ReplicaRound, out: List[Effect]) -> None:
-        """Drop the current attempt from the table (and its round timer)."""
-        forgotten = self._pending.pop(round.ident, None)
-        if forgotten is not None and self._round_timeout is not None:
-            out.append(CancelTimer(("round", *round.ident)))
 
     def _counted(self, round: ReplicaRound):
         return self
@@ -295,10 +301,15 @@ class ReplicaRounds:
         """Frame one chunk of a group's queue: one ``batch`` frame per replica
         asked by at least one of its rounds.  The narrow rounds all ask the
         head of one order of the group (they have no read policy, so their
-        targets are the group), and a chunk of them costs S - t frames."""
+        targets are the group), and a chunk of them costs S - t frames.
+
+        Every round is due a whole number of windows from now: the next tick
+        of the silence timer ends the first if this chunk arms it, the one
+        after if the chunk joins a window in progress."""
         self.stats.record(len(batch))
         order: Sequence[str] = ()
-        due = 0
+        now = self._silence_ticks + (1 if self._silence_armed else 0)
+        mutating = RegisterProtocol.mutating_kinds
         frames: _Frames = {}
         for round in batch:
             round.queued = False
@@ -306,18 +317,17 @@ class ReplicaRounds:
             if round.narrow:
                 if not order:
                     order = self._quorum_order(group_id, servers)
-                    # Widened at the next tick of the silence timer if this
-                    # chunk arms it, at the one after if it joins a window in
-                    # progress: after a whole window of silence either way.
-                    due = self._silence_ticks + (2 if self._silence_armed else 1)
-                round.due = due
+                round.due = now + 1
                 self.stats.rounds_narrow += 1
                 servers = order[: round.wait_for]
+            elif round.request.kind in mutating:
+                round.due = now + self._write_patience
+            else:
+                round.due = now + self.policy.max_round_timeouts
             round.asked = servers
             self._frame(round, servers, frames)
         self._send_frames(frames, out)
-        if order:
-            self._watch(out)
+        self._watch(out)
 
     def _frame(
         self, round: ReplicaRound, servers: Sequence[str], frames: _Frames
@@ -383,15 +393,14 @@ class ReplicaRounds:
         """Ask the rest of the group too: same sub-request, same identity.
 
         Every replica is asked once per attempt, so a late reply from the
-        first quorum and one from the rest never count a replica twice.
-        Owners that bound attempts by round timers leave a widened attempt
-        to those; the others give it until tick ``due``.
+        first quorum and one from the rest never count a replica twice.  The
+        attempt is given until tick ``due``.
         """
         asked = round.asked
         rest = [server_id for server_id in round.targets if server_id not in asked]
         round.narrow = False
         round.asked = round.targets
-        round.due = due if self._round_timeout is None else 0
+        round.due = due
         self.stats.rounds_widened += 1
         self.observer.emit(
             ROUND_WIDENED, op_id=round.op_id, key=round.key, trace=round.trace,
@@ -423,14 +432,12 @@ class ReplicaRounds:
                     if server_id not in answered
                 )
                 self._widen(round, "silent", patience, frames)
-                if round.due:
-                    watching = True
+                watching = True
             else:
                 self._fail_round(round, ProtocolError(
-                    f"operation {round.op_id} got no quorum from the whole "
-                    f"group within {self.policy.max_round_timeouts} silence "
-                    "windows of being widened; more replicas are down than "
-                    "the fault budget covers"
+                    f"operation {round.op_id} got no quorum from every "
+                    "replica it asked within its silence windows; more "
+                    "replicas are down than the fault budget covers"
                 ), out)
         self._send_frames(frames, out)
         if watching:
@@ -461,7 +468,7 @@ class ReplicaRounds:
                 continue
             round.replies.append(reply)
             if len(round.replies) == round.wait_for:
-                self._forget(round, out)
+                del pending[round.ident]
                 self._on_quorum(round, out)
 
     def _bounce(self, round: ReplicaRound, out: List[Effect]) -> None:
@@ -504,13 +511,13 @@ class ReplicaRounds:
             self._replay(round, out)
 
     def _replay(self, round: ReplicaRound, out: List[Effect]) -> None:
-        self._forget(round, out)
+        self._pending.pop(round.ident, None)
         self._open(round, out, replay=True)
 
     def _fail_round(
         self, round: ReplicaRound, error: BaseException, out: List[Effect]
     ) -> None:
-        self._forget(round, out)
+        self._pending.pop(round.ident, None)
         self._on_failed(round, error, out)
 
     # -- transport notifications ------------------------------------------------
@@ -602,29 +609,6 @@ class ReplicaRounds:
             self._flush(timer_id[1], out)
         elif kind == "silence":
             self._on_silence(out)
-        elif kind == "round":
-            round = self._pending.get(timer_id[1:])
-            if round is None or round.queued or round.awaiting_retry:
-                return out
-            # The attempt went silent: a targeted replica died after the
-            # frame left the socket.  Replay -- the redial may have landed by
-            # now -- or fail the round after max_round_timeouts so the owner
-            # is never left hanging.
-            round.timeouts += 1
-            if round.timeouts > self.policy.max_round_timeouts:
-                self._fail_round(round, ProtocolError(
-                    "round got no quorum within "
-                    f"{round.timeouts * self._round_timeout:.0f}s; "
-                    "with a restrictive read policy, give it spare >= the "
-                    "fault budget to ride out crashed replicas"
-                ), out)
-            else:
-                self.observer.emit(
-                    ROUND_REPLAYED, op_id=round.op_id, key=round.key,
-                    trace=round.trace, retries=round.timeouts,
-                    reason="round-timeout",
-                )
-                self._replay(round, out)
         else:
             round = self._retrying.pop(timer_id, None)
             if round is not None:

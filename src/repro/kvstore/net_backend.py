@@ -149,8 +149,8 @@ class _Owner:
             # rounds with the real error, but keep the connection usable.
             return exc, False
         # Nothing waits for the write to reach the peer: a connection that
-        # dies after it reports through its lost path, and round timeouts
-        # cover what that misses.
+        # dies after it reports through its lost path, and the engine's
+        # silence timer covers what that misses.
         connection.send(data)
         return None
 
@@ -171,10 +171,11 @@ STOP_WAIT = 5.0
 
 #: Default read-lease duration on the asyncio backend (wall-clock seconds).
 #: The engine default (:data:`~repro.messages.DEFAULT_LEASE_TTL`) is sized
-#: for the simulator's virtual clock; on real TCP a lease must be short
-#: enough that a crashed proxy's leases expire well inside the client
-#: round-timeout budget (``PROXY_ROUND_TIMEOUT`` is 2 s), or a deferred
-#: write would look like a dead replica to the writer.
+#: for the simulator's virtual clock; on real TCP a write deferred behind a
+#: crashed proxy's lease should not wait seconds.  Every owner gives a
+#: mutating attempt ``ceil(lease_ttl / silence_window) + 1`` silence windows
+#: at least (5 x 0.25 s here), so a write deferred for a whole TTL still
+#: completes rather than looking like a dead replica to the writer.
 NET_LEASE_TTL = 1.0
 
 
@@ -525,7 +526,7 @@ class ProxyServer(_Owner):
     replicas' ``"batch-ack"`` replies) into a shared
     :class:`~repro.kvstore.engine.proxy.ProxyEngine`, which owns shard
     resolution, read routing, cross-client merging, stale-epoch replay and
-    round timeouts.  Its endpoint holds both sides: the connection it dialled
+    the silence watchdog over its rounds.  Its endpoint holds both sides: the connection it dialled
     to every replica (redialled when lost) and the ones its clients opened --
     one per client process and loop -- over which their acks go back, one
     frame per connection for every round an input completes.
@@ -614,6 +615,7 @@ class _ClientLink(_Owner):
                 link_id,
                 policy=cluster.retry_policy,
                 observer=cluster.hub.scoped("client", link_id),
+                lease_ttl=cluster.lease_ttl,
             ),
             connect=self._connect,
             complete=self.complete,

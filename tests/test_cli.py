@@ -246,6 +246,23 @@ class TestCommands:
         assert carried > 0 and alone <= carried // 10
         assert "ATOMIC" in output
 
+    def test_kv_proxied_on_asyncio_arms_no_timer_per_round(self, tmp_path, capsys):
+        import json
+
+        # The proxy's one silence timer bounds every round it sends, so a
+        # round that reaches its quorum leaves no timer to cancel: what the
+        # proxy tier cancels per op is next to nothing (it was 1.1).
+        metrics_path = tmp_path / "metrics.json"
+        assert main(["kv", "--backend", "asyncio", "--proxies", "1", "--clients", "8",
+                     "--pipeline", "4", "--ops", "600", "--keys", "64",
+                     "--workload", "zipf:1.2", "--read-fraction", "0.9", "--seed", "11",
+                     "--metrics-dump", str(metrics_path)]) == 0
+        output = capsys.readouterr().out
+        assert "4800 completed (4800 scheduled)" in output
+        assert "ATOMIC" in output
+        counters = json.loads(metrics_path.read_text(encoding="utf-8"))["proxy"]["counters"]
+        assert counters["timers_cancelled"] / 4800 <= 0.01
+
     def test_kv_resilience_line_on_both_backends(self, capsys):
         # The replay/failover/bounce counters print on every run (zeroes
         # included) -- on asyncio too, where they used to be invisible.

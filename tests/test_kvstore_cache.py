@@ -12,9 +12,10 @@ Three layers of scrutiny:
   atomicity survives the cache under writes, proxy kills, and concurrent
   shard drains; bounded-staleness runs are checked against the staleness
   meter's time-lag bound.
-* **Asyncio** -- a proxy crash while it holds leases must not wedge
+* **Crash** -- a proxy crash while it holds leases must not wedge
   writers: server-side lease timers expire the dead holder and release
-  the deferred write acks within the lease TTL.
+  the deferred write acks within the lease TTL, and the writer's watchdog
+  waits that long (simulator and asyncio).
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from repro.kvstore import (
     AsyncKVCluster,
     KVStore,
     ShardMap,
+    SimKVCluster,
     check_per_key_atomicity,
     generate_workload,
     run_sim_kv_workload,
 )
 from repro.kvstore.engine.cache import CacheEntry
+from repro.kvstore.sim_backend import KVClientProcess
 from repro.kvstore.engine import (
     SIM_RETRY_POLICY,
     CachedShardView,
@@ -736,6 +739,44 @@ class TestCacheSim:
         # Stale serving ends at the lease TTL; no read may return a value
         # older than that, whatever the interleaving.
         assert all(lag <= lease_ttl for lag in lags)
+
+
+class TestLeaseCrashSim:
+    def test_a_direct_write_outwaits_a_crashed_proxys_lease(self):
+        # A lease longer than max_round_timeouts silence windows: the write's
+        # update is deferred behind it for longer than that, and completes
+        # once the replicas expire the dead holder.  The writer's patience
+        # for a mutating round covers a whole TTL and a window more.
+        lease_ttl = 400.0
+        shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
+        cluster = SimKVCluster(
+            shard_map, ["c1"], num_proxies=1, read_cache=8, lease_ttl=lease_ttl
+        )
+        policy = cluster.retry_policy
+        assert lease_ttl > policy.max_round_timeouts * policy.silence_window
+        writer = KVClientProcess("d1", cluster.events, cluster.client_engine(
+            "d1", cluster.recorder, proxy_candidates=[],
+        ))
+        writer.attach(cluster.network)
+        now = lambda: cluster.events.clock.now
+        done = {}
+
+        def write(_outcome):
+            # The fill is granted; its proxy dies holding the leases.
+            cluster.crash_proxy("p1")
+            done["write-invoked"] = now()
+            writer.put("k", "v2", on_complete=lambda _: done.setdefault("write", now()))
+
+        reader = cluster.clients["c1"]
+        reader.put("k", "v1", on_complete=lambda _: reader.get("k", on_complete=write))
+        cluster.run(until=10 * lease_ttl)
+        logics = list(cluster.server_logics.values())
+        assert sum(logic.write_deferrals for logic in logics) >= 1
+        assert sum(logic.leases_expired for logic in logics) >= 1
+        waited = done["write"] - done["write-invoked"]
+        assert policy.max_round_timeouts * policy.silence_window < waited < lease_ttl
+        verdict = check_per_key_atomicity(cluster.recorder.histories())
+        assert verdict.all_atomic, verdict.summary()
 
 
 class TestLeaseCrashAsyncio:

@@ -312,7 +312,7 @@ def normalize(effect):
 
     Timer effects are dropped: their *ids* are shared, but which timers a
     deployment arms is timing configuration (the simulator runs a failover
-    watchdog, asyncio runs round timeouts), not protocol behaviour.
+    watchdog, asyncio does not), not protocol behaviour.
     """
     if isinstance(effect, SendFrame):
         return ("send", effect.destination, effect.frame.kind)

@@ -39,6 +39,7 @@ from repro.kvstore import (
     run_sim_kv_workload,
 )
 from repro.core.errors import ProtocolError
+from repro.messages import BATCH_KIND, unpack_batch
 from repro.observe import TIMER_ARMED
 
 #: Shrinks every reconnect/failover window so kill/restart scenarios settle
@@ -46,7 +47,6 @@ from repro.observe import TIMER_ARMED
 FAST_RETRY = RetryPolicy(
     reconnect_interval=0.02,
     max_transient_retries=50,
-    round_timeout=1.0,
     max_round_timeouts=3,
     silence_window=0.1,
 )
@@ -191,6 +191,38 @@ class TestSimProxyFailover:
         assert result.proxy_failovers >= 1
         verdict = check_per_key_atomicity(result.histories)
         assert verdict.all_atomic, verdict.summary()
+
+
+class TestSimReplicaLoss:
+    def test_a_direct_write_with_too_many_replicas_down_fails_in_its_windows(self):
+        # More than t replicas of the group crash silently just after the
+        # write's update leaves: nothing reports the loss and no quorum can
+        # form, so the silence timer gives the update up once its windows
+        # are spent instead of leaving the write waiting forever.
+        shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
+        cluster = SimKVCluster(shard_map, ["c1"])
+        policy = cluster.retry_policy
+        victims = shard_map.groups["g1"].servers[1:]
+        send = cluster.network.send
+        sent_at = []
+
+        def send_then_crash(message):
+            send(message)
+            if (message.kind == BATCH_KIND and not sent_at and any(
+                    sub.message.kind == "update" for sub in unpack_batch(message))):
+                sent_at.append(cluster.events.clock.now)
+                for victim in victims:
+                    cluster.network.crash(victim)
+
+        cluster.network.send = send_then_crash
+        cluster.clients["c1"].put("k", "v")
+        window = policy.silence_window
+        with pytest.raises(ProtocolError, match="no quorum"):
+            # A cap on virtual time: a write nothing watches would wait forever.
+            cluster.run(until=100 * window)
+        waited = cluster.events.clock.now - sent_at[0]
+        assert policy.max_round_timeouts * window <= waited
+        assert waited <= (policy.max_round_timeouts + 1) * window
 
 
 class TestSimViewPush:

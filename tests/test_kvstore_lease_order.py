@@ -42,11 +42,11 @@ from repro.kvstore.engine import (
 )
 from repro.kvstore.perkey import KVHistoryRecorder
 
-#: No round timers and no watchdog (the adversary would only fail ops with
-#: them), and a silence window the fabric never reaches on its own: the
-#: adversary fires the silence timer -- a widening -- whenever it likes.
+#: No watchdog (the adversary would only fail ops with it), and a silence
+#: window the fabric never reaches on its own: the adversary fires the
+#: silence timer -- a widening -- whenever it likes.
 POLICY = RetryPolicy(
-    round_timeout=None, failover_timeout=None, silence_window=1e6,
+    failover_timeout=None, silence_window=1e6,
     max_round_timeouts=1000,
 )
 LEASE_TTL = 1e9
@@ -73,6 +73,8 @@ class ScriptedFabric:
                     effect.frame
                 )
             elif isinstance(effect, StartTimer):
+                # Re-armed, a timer goes to the back: oldest armed first.
+                self.timers.pop((owner, effect.timer_id), None)
                 self.timers[(owner, effect.timer_id)] = effect.delay
             elif isinstance(effect, CancelTimer):
                 self.timers.pop((owner, effect.timer_id), None)
@@ -86,10 +88,12 @@ class ScriptedFabric:
                 raise TypeError(f"unknown effect {effect!r}")
 
     def actions(self):
-        """What a step may do now, in a stable order."""
+        """What a step may do now, in a stable order: frames by connection,
+        then timers in the order they were armed (so a quiet schedule cannot
+        starve one timer behind another that keeps being re-armed)."""
         found = [("deliver", key) for key, queue in sorted(self.channels.items()) if queue]
         found += [
-            ("fire", key) for key in sorted(self.timers, key=repr)
+            ("fire", key) for key in self.timers
             if key[1][0] not in ("lease", "stale")
         ]
         return found

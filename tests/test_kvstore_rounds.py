@@ -22,11 +22,12 @@ What legitimately differs between the owners is spelled out by :class:`Rig`:
 how a round enters (an invocation vs a forwarded ``proxy`` frame), the retry
 timer's id (``("retry", op_id)`` vs ``("pretry", scoped_id, round_trip)``),
 and the outcome (``OpCompleted`` / ``OpFailed`` vs a ``proxy-ack`` with
-replies or an error string).  The proxy-only rows cover what only a proxy has:
-round timeouts, explicit read policies, cache fills and ``sever()``; the
-link-only rows (mode ``"link"``: one :class:`ClientLink` fed by the sessions
-``c1`` and ``c2``) cover what only a shared link has: frames merged across
-sessions, and one of them going away.
+replies or an error string).  No owner arms a timer of its own per round: the
+one silence timer bounds every attempt on both, and the rows say so.  The
+proxy-only rows cover what only a proxy has: explicit read policies, cache
+fills and ``sever()``; the link-only rows (mode ``"link"``: one
+:class:`ClientLink` fed by the sessions ``c1`` and ``c2``) cover what only a
+shared link has: frames merged across sessions, and one of them going away.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ from test_kvstore_engine import SCRIPT, MemoryFabric, build_memory_stack, run_sc
 POLICY = RetryPolicy(
     reconnect_interval=5.0,
     max_transient_retries=2,
-    round_timeout=None,
     drain_backoff=7.0,
     silence_window=40.0,
 )
@@ -118,7 +118,7 @@ class Rig:
     """
 
     def __init__(self, mode, policy=POLICY, num_groups=1, max_batch=8,
-                 shard_map=None, hub=None, **proxy_kwargs):
+                 shard_map=None, hub=None, lease_ttl=1000.0, **proxy_kwargs):
         self.mode = mode
         clients = 2 if mode == "link" else 1
         self.shard_map = shard_map or ShardMap(
@@ -134,7 +134,7 @@ class Rig:
             }
             for server_id in group.servers:
                 self.replicas[server_id] = GroupServerEngine(
-                    server_id, group.protocol, dict(hosted), lease_ttl=1000.0
+                    server_id, group.protocol, dict(hosted), lease_ttl=lease_ttl
                 )
                 self.fabric.register(server_id, self.replicas[server_id])
         self.owner_id = {"direct": "c1", "proxy": "p1", "link": "L"}[mode]
@@ -152,10 +152,13 @@ class Rig:
             self.owner = ClientSessionEngine(
                 "c1", self.shard_map, recorder,
                 policy=policy, max_batch=max_batch, observer=observer,
+                lease_ttl=lease_ttl,
             )
         elif mode == "link":
             assert not proxy_kwargs
-            self.owner = ClientLink("L", policy=policy, observer=observer)
+            self.owner = ClientLink(
+                "L", policy=policy, observer=observer, lease_ttl=lease_ttl
+            )
             for client_id in ("c1", "c2"):
                 self.sessions[client_id] = ClientSessionEngine(
                     client_id, self.shard_map, recorder, policy=policy,
@@ -166,7 +169,7 @@ class Rig:
             self.view = CachedShardView(self.shard_map)
             self.owner = ProxyEngine(
                 "p1", self.view, policy=policy, max_batch=max_batch,
-                lease_ttl=1000.0, observer=observer, **proxy_kwargs,
+                lease_ttl=lease_ttl, observer=observer, **proxy_kwargs,
             )
             self.fabric.register("c1", _ProxyAckSink())
         self.fabric.register(self.owner_id, self.owner, observer=observer)
@@ -560,8 +563,8 @@ def mutating_and_per_server_rounds_ask_the_whole_group(make_rig):
 
 
 def a_widened_round_the_whole_group_leaves_short_fails(make_rig):
-    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=None,
-                         max_round_timeouts=2, silence_window=40.0)
+    policy = RetryPolicy(reconnect_interval=5.0, max_round_timeouts=2,
+                         silence_window=40.0)
     rig = make_rig(policy=policy)
     rig.kill(*rig.servers[1:])  # silently, and one more than the fault budget
     rig.start()
@@ -577,8 +580,8 @@ def a_widened_round_the_whole_group_leaves_short_fails(make_rig):
 
 
 def silence_timer_ignores_a_round_in_drain_backoff(make_rig):
-    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=None,
-                         drain_backoff=7.0, silence_window=3.0)
+    policy = RetryPolicy(reconnect_interval=5.0, drain_backoff=7.0,
+                         silence_window=3.0)
     rig = make_rig(policy=policy)
     rig.start()
     rig.flush()
@@ -681,7 +684,7 @@ def non_retryable_loss_fails_the_round_at_once(make_rig):
 
 def transient_retries_run_out(make_rig):
     policy = RetryPolicy(reconnect_interval=5.0, max_transient_retries=1,
-                         round_timeout=None, silence_window=40.0)
+                         silence_window=40.0)
     rig = make_rig(policy=policy)
     rig.start()
     frames = rig.flush()
@@ -720,8 +723,7 @@ def same_route_bounce_backs_off_on_the_drain_window(make_rig):
 
 def drain_backoffs_run_out(make_rig):
     policy = RetryPolicy(reconnect_interval=5.0, max_transient_retries=1,
-                         round_timeout=None, drain_backoff=7.0,
-                         silence_window=40.0)
+                         drain_backoff=7.0, silence_window=40.0)
     rig = make_rig(policy=policy)
     rig.start()
     rig.flush()
@@ -794,14 +796,81 @@ def a_full_queue_waits_for_its_flush_and_is_cut_at_the_cap(make_rig):
     assert (stats.frames_sent, stats.frames_received) == (4, 4)
 
 
-def round_timers_exist_only_behind_the_proxy(make_rig):
-    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0,
+def _updates_out(rig):
+    """Whether a round that mutates has been sent."""
+    return any(
+        unpack_batch(sent.frame)[0].message.kind == "update" for sent in rig.batches()
+    )
+
+
+def no_owner_arms_a_timer_of_its_own_for_a_round(make_rig):
+    # The one silence timer bounds every attempt: a read, a write and a
+    # replay arm nothing per round, and a quorum cancels nothing.
+    rig = make_rig()
+    assert timer_kinds(rig.start("k1")) == ["flush"]
+    assert rig.start("k2", write=True) == []
+    rig.run()
+    rig.start("k3")
+    frames = rig.flush()
+    rig.kill()
+    for sent in frames:
+        rig.feed("on_peer_lost", sent.destination)
+    rig.revive()
+    rig.run()
+    assert [kind for kind, _ in rig.outcomes()] == ["ok"] * 3
+    timers = [
+        effect for _name, effects in rig.log for effect in effects
+        if isinstance(effect, (StartTimer, CancelTimer))
+    ]
+    assert {type(e).__name__ for e in timers} == {"StartTimer"}
+    assert {e.timer_id[0] for e in timers} == {
+        "flush", "silence", rig.retry_timer(frames[0])[0]
+    }
+
+
+def an_attempt_sent_to_all_it_may_ask_fails_after_its_windows(make_rig):
+    # An update asks the whole group, so nothing widens it: with more
+    # replicas gone than the fault budget it fails at its due tick, after
+    # max_round_timeouts windows or -- mutating, it may be deferred behind a
+    # read lease -- ceil(lease_ttl / silence_window) + 1 = 4 if that is more.
+    policy = RetryPolicy(reconnect_interval=5.0, max_round_timeouts=2,
                          silence_window=40.0)
-    rig = make_rig(policy=policy)
-    kinds = timer_kinds(rig.start())
-    assert kinds == (["flush"] if rig.mode == "direct" else ["round", "flush"])
+    rig = make_rig(policy=policy, lease_ttl=100.0)
+    rig.start(write=True)
+    rig.run_until(lambda: _updates_out(rig))
+    sent_at = rig.fabric.now
+    rig.kill(*rig.servers[1:])  # silently, just after the update left
+    rig.run_until(rig.outcome)
+    assert 4 * 40.0 <= rig.fabric.now - sent_at <= 5 * 40.0
+    rig.failure_effects(rig.last("on_timer"))  # and the timer lapses
+    assert "no quorum" in rig.outcomes()[0][1]
+    assert rig.owner.stats.rounds_widened == 0
+    rig.run()
+    assert rig.outcome() == "failed"
+
+
+def a_tick_ignores_an_update_in_drain_backoff(make_rig):
+    # Due two windows after it leaves (ceil(1 / 3) + 1), bounced after one
+    # round trip, and backing off for more than two windows: the ticks in the
+    # backoff neither fail it nor keep watching it, and its replay is due
+    # afresh.
+    policy = RetryPolicy(reconnect_interval=5.0, drain_backoff=7.0,
+                         max_round_timeouts=1, silence_window=3.0)
+    rig = make_rig(policy=policy, lease_ttl=1.0)
+    rig.start(write=True)
+    rig.run_until(lambda: _updates_out(rig))
+    rig.fence()
+    rig.run_until(lambda: rig.owner.drain_backoffs)
+    rig.fence(ahead=0)
+    log_mark = len(rig.log)
+    replay = rig.flush()
+    timers = [e for name, e in rig.log[log_mark:] if name == "on_timer"]
+    assert timers[0] == []
+    assert [f.destination for f in replay] == rig.servers
+    assert unpack_batch(replay[0].frame)[0].message.kind == "update"
     rig.run()
     assert rig.outcome() == "ok"
+    assert rig.owner.drain_backoffs == 1
 
 
 COMMON = [
@@ -821,62 +890,13 @@ COMMON = [
     changed_route_bounce_replays_to_the_new_group,
     stale_replays_run_out,
     a_full_queue_waits_for_its_flush_and_is_cut_at_the_cap,
-    round_timers_exist_only_behind_the_proxy,
+    no_owner_arms_a_timer_of_its_own_for_a_round,
+    an_attempt_sent_to_all_it_may_ask_fails_after_its_windows,
+    a_tick_ignores_an_update_in_drain_backoff,
 ]
 
 
 # -- rows only a proxy has --------------------------------------------------------
-
-
-def silent_round_times_out_replays_then_errors(make_rig):
-    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0,
-                         max_round_timeouts=1, silence_window=20.0)
-    rig = make_rig(policy=policy)
-    rig.kill()
-    rig.start()
-    (first,) = {rig.ident(f) for f in rig.flush()}
-    # The silence window widens the attempt and then leaves it to its round
-    # timer: nothing is re-armed.
-    assert rig.widened(rig.await_timer(), to=rig.servers[2:]) == []
-    (second,) = {rig.ident(f) for f in rig.flush()}
-    assert second != first
-    timeouts = [
-        effects for name, effects in rig.log
-        if name == "on_timer" and any(isinstance(e, CancelTimer) for e in effects)
-    ]
-    assert timeouts[0] == [
-        CancelTimer(("round", *first)),
-        StartTimer(("round", *second), 50.0),
-        StartTimer(("flush", rig.spec.group.group_id), 0.0),
-    ]
-    rig.run()
-    assert rig.last("on_timer")[0] == CancelTimer(("round", *second))
-    rig.failure_effects(rig.last("on_timer")[1:])
-    assert "no quorum within 100s" in rig.outcomes()[0][1]
-    assert rig.owner.stats.frames_sent == 6
-
-
-def round_timer_is_ignored_while_a_drain_retry_is_pending(make_rig):
-    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=3.5,
-                         drain_backoff=7.0, silence_window=40.0)
-    rig = make_rig(policy=policy)
-    rig.start()
-    rig.flush()
-    rig.fence()
-    rig.run_until(lambda: rig.owner.drain_backoffs)
-    rig.fence(ahead=0)
-    log_mark = len(rig.log)
-    rig.flush()
-    timers = [e for name, e in rig.log[log_mark:] if name == "on_timer"]
-    # The attempt's round timer fired into the backoff and did nothing; the
-    # retry then dropped that attempt and opened a fresh, freshly-bounded one.
-    assert timers[0] == []
-    assert [type(e).__name__ for e in timers[1]] == [
-        "CancelTimer", "StartTimer", "StartTimer"
-    ]
-    assert timer_kinds(timers[1]) == ["round", "flush"]
-    rig.run()
-    assert rig.outcome() == "ok"
 
 
 def restrictive_read_policy_targets_only_a_quorum(make_rig):
@@ -909,13 +929,10 @@ def broadcast_read_policy_opts_out_of_quorum_first(make_rig):
         assert [f.destination for f in frames] == rig.servers
     rig.start("k3", write=True)
     rig.run()
-    # Every frame went to every replica and no silence timer was ever armed.
+    # Every frame went to every replica, and nothing was ever widened.
     assert sent_to(rig.batches()) == rig.servers * 3
-    assert not any(
-        SILENCE in [e.timer_id for e in effects if isinstance(e, StartTimer)]
-        for _name, effects in rig.log
-    )
-    assert (rig.owner.stats.rounds_narrow, rig.owner.read_subs_sent) == (0, 6)
+    stats = rig.owner.stats
+    assert (stats.rounds_narrow, stats.rounds_widened, rig.owner.read_subs_sent) == (0, 0, 6)
 
 
 def bounced_cache_fill_evicts_its_entry_and_completes_leaseless(make_rig):
@@ -1004,8 +1021,6 @@ def sever_drops_every_round(make_rig):
 
 
 PROXY_ONLY = [
-    silent_round_times_out_replays_then_errors,
-    round_timer_is_ignored_while_a_drain_retry_is_pending,
     restrictive_read_policy_targets_only_a_quorum,
     broadcast_read_policy_opts_out_of_quorum_first,
     bounced_cache_fill_evicts_its_entry_and_completes_leaseless,
@@ -1234,19 +1249,22 @@ def test_widenings_and_loss_replays_show_in_the_event_stream(mode):
     assert len(arms) <= rig.fabric.now / POLICY.silence_window
 
 
-def test_a_round_timeout_replay_shows_in_the_event_stream():
+@pytest.mark.parametrize("mode", ["direct", "proxy"])
+def test_a_silent_group_shows_one_widening_and_no_replay_in_the_event_stream(mode):
     hub = ObserverHub()
     recorded = hub.add_sink(_Recorded())
-    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=50.0,
-                         max_round_timeouts=1, silence_window=20.0)
-    rig = Rig("proxy", policy=policy, hub=hub)
+    policy = RetryPolicy(reconnect_interval=5.0, max_round_timeouts=1,
+                         silence_window=20.0)
+    rig = Rig(mode, policy=policy, hub=hub)
     rig.kill()
     rig.start()
-    rig.run()
+    rig.run_until(rig.outcome)
     assert rig.outcome() == "failed"
-    assert [(a["reason"], a["retries"]) for a in recorded.attrs(ROUND_REPLAYED)] == [
-        ("round-timeout", 1)
-    ]
+    # The attempt is widened after its window and given up on one later:
+    # nothing is replayed in between.
+    assert rig.fabric.now == 2 * policy.silence_window
+    rig.run()
+    assert recorded.attrs(ROUND_REPLAYED) == []
     assert [a["reason"] for a in recorded.attrs(ROUND_WIDENED)] == ["silent"]
 
 

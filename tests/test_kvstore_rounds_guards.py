@@ -113,8 +113,8 @@ def test_a_round_queued_from_inside_a_silence_tick_starts_its_own_window():
     # The tick that fails an op starts its key's backlogged successor, whose
     # round is queued while the tick is being handled and goes out at its
     # flush.  It must not be left watched by a timer nobody armed.
-    policy = RetryPolicy(reconnect_interval=5.0, round_timeout=None,
-                         max_round_timeouts=1, silence_window=40.0)
+    policy = RetryPolicy(reconnect_interval=5.0, max_round_timeouts=1,
+                         silence_window=40.0)
     rig = Rig("direct", policy=policy)
     rig.kill(*rig.servers[1:])
     rig.start("k")
