@@ -33,11 +33,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.bench.report import format_rows
 from repro.kvstore import (
     KVOp,
+    KVRunConfig,
     KVWorkload,
     ShardMap,
     generate_workload,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.sim.delays import ConstantDelay
 
@@ -130,15 +130,14 @@ def run_stall_sweep(
         shard_map, workload, victim, target_group = _hot_shard_setup(
             clients, ops, keys
         )
-        result = run_sim_kv_workload(
-            workload,
+        result = run(KVRunConfig(
             shard_map=shard_map,
             move_to=(victim, target_group),
             drain_range_size=range_size,
             delay_model=ConstantDelay(1.0),
-            server_overhead=0.3,
-            server_per_op=0.3,
-        )
+            service_overhead=0.3,
+            service_per_op=0.3,
+        ), workload)
         control = (result.metrics or {}).get("control", {}).get("counters", {})
         rows.append(
             {
@@ -199,22 +198,22 @@ def run_autoscale_chase(
         num_shards=8,
         num_groups=2,
         delay_model=ConstantDelay(1.0),
-        server_overhead=0.3,
-        server_per_op=0.3,
+        service_overhead=0.3,
+        service_per_op=0.3,
     )
-    baseline = run_sim_kv_workload(workload, **common)
-    scaled = run_sim_kv_workload(
-        workload, autoscale=True, autoscale_interval=autoscale_interval,
+    baseline = run(KVRunConfig(**common), workload)
+    scaled = run(KVRunConfig(
+        autoscale=True, autoscale_interval=autoscale_interval,
         drain_range_size=8, **common,
-    )
+    ), workload)
     return baseline, scaled
 
 
 def run_net_autoscale(clients=3, ops=24, keys=24):
     """The hotspot workload with the autoscaler armed, on loopback TCP."""
     workload = moving_hotspot_workload(clients, ops, keys)
-    return run_asyncio_kv_workload(
-        workload,
+    return run(KVRunConfig(
+        backend="asyncio",
         num_shards=8,
         num_groups=2,
         autoscale=True,
@@ -222,7 +221,7 @@ def run_net_autoscale(clients=3, ops=24, keys=24):
         drain_range_size=8,
         service_overhead=0.0005,
         service_per_op=0.0005,
-    )
+    ), workload)
 
 
 def _print_stall_sweep(rows):

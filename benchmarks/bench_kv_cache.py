@@ -30,9 +30,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.bench.report import format_rows
 from repro.kvstore import (
+    KVRunConfig,
     generate_workload,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 
 from _bench_utils import (
@@ -58,12 +58,9 @@ def run_zipf_sweep(skews=SKEWS, num_clients=8, ops_per_client=150,
             num_clients=num_clients, ops_per_client=ops_per_client,
             num_keys=num_keys, read_fraction=0.9, key_skew=skew, seed=11,
         )
-        common = dict(num_shards=4, num_groups=2, use_proxy=True,
-                      num_proxies=1)
-        cold = run_sim_kv_workload(workload, **common)
-        warm = run_sim_kv_workload(
-            workload, read_cache=128, lease_ttl=LEASE_TTL, **common
-        )
+        common = dict(num_shards=4, num_groups=2, proxies=1)
+        cold = run(KVRunConfig(**common), workload)
+        warm = run(KVRunConfig(read_cache=128, lease_ttl=LEASE_TTL, **common), workload)
         rows.append((skew, cold, warm))
     return rows
 
@@ -96,10 +93,10 @@ def run_invalidation_storm(num_clients=6, ops_per_client=80, num_keys=6):
         num_clients=num_clients, ops_per_client=ops_per_client,
         num_keys=num_keys, read_fraction=0.4, key_skew=1.2, seed=13,
     )
-    return run_sim_kv_workload(
-        workload, num_shards=2, num_groups=1, use_proxy=True, num_proxies=1,
+    return run(KVRunConfig(
+        num_shards=2, num_groups=1, proxies=1,
         read_cache=64, lease_ttl=LEASE_TTL,
-    )
+    ), workload)
 
 
 def _storm_table(result):
@@ -121,9 +118,9 @@ def run_asyncio_cached(num_clients=4, ops_per_client=25, num_keys=12):
         num_clients=num_clients, ops_per_client=ops_per_client,
         num_keys=num_keys, read_fraction=0.9, key_skew=1.2, seed=5,
     )
-    common = dict(num_shards=2, num_groups=1, use_proxy=True, num_proxies=1)
-    cold = run_asyncio_kv_workload(workload, **common)
-    warm = run_asyncio_kv_workload(workload, read_cache=64, **common)
+    common = dict(backend="asyncio", num_shards=2, num_groups=1, proxies=1)
+    cold = run(KVRunConfig(**common), workload)
+    warm = run(KVRunConfig(read_cache=64, **common), workload)
     return cold, warm
 
 

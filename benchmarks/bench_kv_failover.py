@@ -31,13 +31,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.bench.report import format_rows
 from repro.kvstore import (
+    KVRunConfig,
     RetryPolicy,
     ShardMap,
     SimKVCluster,
     check_per_key_atomicity,
     generate_workload,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 
 from _bench_utils import (
@@ -68,18 +68,17 @@ def run_failover_comparison(num_clients=4, ops_per_client=24):
         pipeline_depth=4,
     )
     common = dict(
+        backend="asyncio",
         num_shards=4,
         num_groups=2,
-        use_proxy=True,
-        num_proxies=2,
+        proxies=2,
         retry_policy=FAST_RETRY,
     )
-    baseline = run_asyncio_kv_workload(workload, **common)
-    killed = run_asyncio_kv_workload(
-        workload,
+    baseline = run(KVRunConfig(**common), workload)
+    killed = run(KVRunConfig(
         kill_proxy_after_ops=max(1, workload.total_operations() // 3),
         **common,
-    )
+    ), workload)
     return workload, baseline, killed
 
 
@@ -158,11 +157,11 @@ def run_view_push_comparison(num_clients=4, ops_per_client=15):
         pipeline_depth=4,
     )
     loaded = {
-        push: run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=2, proxy_flush_delay=0.25,
+        push: run(KVRunConfig(
+            num_shards=4, num_groups=2,
+            proxies=2, proxy_flush_delay=0.25,
             resize_to=8, push_views=push,
-        )
+        ), workload)
         for push in (True, False)
     }
     return steady, loaded

@@ -44,11 +44,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.bench.report import format_rows
 from repro.kvstore import (
     BroadcastReads,
+    KVRunConfig,
     NearestQuorum,
     ShardMap,
     generate_workload,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.sim.delays import ConstantDelay, GeoDelay
 
@@ -83,14 +83,11 @@ def run_fanin_sweep(client_counts=FANIN_CLIENTS, total_ops=TOTAL_OPS):
             num_shards=4,
             num_groups=2,
             delay_model=ConstantDelay(1.0),
-            server_overhead=0.05,
-            server_per_op=0.02,
+            service_overhead=0.05,
+            service_per_op=0.02,
         )
-        proxied = run_sim_kv_workload(
-            workload, use_proxy=True, num_proxies=1, proxy_flush_delay=0.25,
-            **common,
-        )
-        direct = run_sim_kv_workload(workload, **common)
+        proxied = run(KVRunConfig(proxies=1, proxy_flush_delay=0.25, **common), workload)
+        direct = run(KVRunConfig(**common), workload)
         rows.append((num_clients, proxied, direct))
     return rows
 
@@ -149,20 +146,18 @@ def run_geo_comparison(num_clients=9, ops_per_client=16, pipeline_depth=6):
             "default": None,
             "nearest": NearestQuorum.from_sites(sites),
         }[policy_name]
-        results[policy_name] = run_sim_kv_workload(
-            workload,
+        results[policy_name] = run(KVRunConfig(
             shard_map=shard_map,
             delay_model=GeoDelay(
                 sites, local_delay=0.5, wan_delay=20.0,
                 jitter_fraction=0.05, seed=2,
             ),
-            use_proxy=True,
-            num_proxies=3,
+            proxies=3,
             proxy_flush_delay=0.25,
             read_policy=policy,
-            server_overhead=0.5,
-            server_per_op=3.0,
-        )
+            service_overhead=0.5,
+            service_per_op=3.0,
+        ), workload)
     return results
 
 
@@ -193,10 +188,10 @@ def run_asyncio_proxied(num_clients=3, ops_per_client=12):
         num_clients=num_clients, ops_per_client=ops_per_client,
         num_keys=16, seed=5, pipeline_depth=4,
     )
-    proxied = run_asyncio_kv_workload(
-        workload, num_shards=4, num_groups=2, use_proxy=True, num_proxies=1,
-    )
-    direct = run_asyncio_kv_workload(workload, num_shards=4, num_groups=2)
+    proxied = run(KVRunConfig(
+        backend="asyncio", num_shards=4, num_groups=2, proxies=1,
+    ), workload)
+    direct = run(KVRunConfig(backend="asyncio", num_shards=4, num_groups=2), workload)
     return proxied, direct
 
 

@@ -29,10 +29,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.bench.report import format_rows
 from repro.kvstore import (
+    KVRunConfig,
     ShardMap,
     generate_workload,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.sim.delays import ConstantDelay
 
@@ -86,11 +86,11 @@ def run_sim_resize_comparison(clients=SIM_CLIENTS, ops=SIM_OPS, keys=SIM_KEYS):
         num_shards=4,
         num_groups=2,
         delay_model=ConstantDelay(1.0),
-        server_overhead=0.3,
-        server_per_op=0.3,
+        service_overhead=0.3,
+        service_per_op=0.3,
     )
-    steady = run_sim_kv_workload(workload, **common)
-    resized = run_sim_kv_workload(workload, resize_to=8, **common)
+    steady = run(KVRunConfig(**common), workload)
+    resized = run(KVRunConfig(resize_to=8, **common), workload)
     return steady, resized
 
 
@@ -100,10 +100,10 @@ def run_net_resize_comparison(clients=NET_CLIENTS, ops=NET_OPS, keys=NET_KEYS):
         num_clients=clients, ops_per_client=ops, num_keys=keys, seed=11,
         pipeline_depth=4,
     )
-    common = dict(num_shards=4, num_groups=2, service_overhead=0.0005,
-                  service_per_op=0.0005)
-    steady = run_asyncio_kv_workload(workload, **common)
-    resized = run_asyncio_kv_workload(workload, resize_to=8, **common)
+    common = dict(backend="asyncio", num_shards=4, num_groups=2,
+                  service_overhead=0.0005, service_per_op=0.0005)
+    steady = run(KVRunConfig(**common), workload)
+    resized = run(KVRunConfig(resize_to=8, **common), workload)
     return steady, resized
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.bench.report import format_rows
-from repro.kvstore import generate_workload, run_asyncio_kv_workload, run_sim_kv_workload
+from repro.kvstore import KVRunConfig, generate_workload, run
 from repro.sim.delays import ConstantDelay
 
 from _bench_utils import (
@@ -63,14 +63,13 @@ def run_sim_sweep(shard_counts=SIM_SHARDS, batches=SIM_BATCHES, workload=None):
     rows = []
     for batch in batches:
         for shards in shard_counts:
-            result = run_sim_kv_workload(
-                workload,
+            result = run(KVRunConfig(
                 num_shards=shards,
                 max_batch=batch,
                 delay_model=ConstantDelay(1.0),
-                server_overhead=0.3,
-                server_per_op=0.3,
-            )
+                service_overhead=0.3,
+                service_per_op=0.3,
+            ), workload)
             rows.append(result)
     return rows
 
@@ -79,13 +78,13 @@ def run_net_sweep(shard_counts=NET_SHARDS, workload=None):
     workload = workload or _net_workload()
     rows = []
     for shards in shard_counts:
-        result = run_asyncio_kv_workload(
-            workload,
+        result = run(KVRunConfig(
+            backend="asyncio",
             num_shards=shards,
             max_batch=6,
             service_overhead=0.001,
             service_per_op=0.001,
-        )
+        ), workload)
         rows.append(result)
     return rows
 

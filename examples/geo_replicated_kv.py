@@ -30,10 +30,11 @@ import sys
 from typing import Dict
 
 from repro.kvstore import (
+    KVRunConfig,
     NearestQuorum,
     ShardMap,
     generate_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.sim import GeoDelay
 
@@ -83,18 +84,16 @@ def run_store(protocol_key: str, keys: int, ops_per_client: int, seed: int) -> N
     )
     sites = _site_map(shard_map, workload.clients)
     delay = GeoDelay(sites, local_delay=0.5, wan_delay=40.0, seed=seed)
-    result = run_sim_kv_workload(
-        workload,
+    result = run(KVRunConfig(
         shard_map=shard_map,
         max_batch=8,
         delay_model=delay,
-        server_overhead=0.05,
-        server_per_op=0.02,
-        use_proxy=True,
-        num_proxies=NUM_PROXIES,
+        service_overhead=0.05,
+        service_per_op=0.02,
+        proxies=NUM_PROXIES,
         proxy_flush_delay=0.25,
         read_policy=NearestQuorum.from_sites(sites),
-    )
+    ), workload)
     verdict = result.check()
     reads = result.read_stats()
     writes = result.write_stats()

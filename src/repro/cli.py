@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -28,7 +29,7 @@ from .bench.harness import BenchConfig, run_simulated_benchmark
 from .bench.report import format_metrics_table, format_rows
 from .consistency import check_atomicity, measure_staleness
 from .core.conditions import SystemParameters, fast_read_bound
-from .kvstore import generate_workload, run_asyncio_kv_workload, run_sim_kv_workload
+from .kvstore import KVRunConfig, generate_workload, run as run_kv
 from .kvstore.engine import DRAIN_RANGE_SIZE
 from .observe import TraceCollector
 from .protocols.registry import PROTOCOLS, build_protocol
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "plane folds per-group served-op counts and moves "
                          "the hottest group's hottest shard to the coldest "
                          "group via incremental drains")
-    kv.add_argument("--drain-range-size", type=int, default=None, metavar="K",
+    kv.add_argument("--drain-range-size", type=int, default=DRAIN_RANGE_SIZE, metavar="K",
                     help="keys per drained range during live rebalances; "
                          "bounds the per-range cutover pause (default: "
                          f"{DRAIN_RANGE_SIZE})")
@@ -300,18 +301,45 @@ def _parse_workload_shape(shape: str) -> float:
     raise SystemExit(f"--workload must be 'uniform' or 'zipf:<s>', got {shape!r}")
 
 
+#: The ``repro kv`` flag of each :class:`KVRunConfig` field its checks name.
+_KV_FLAGS = {
+    "resize_after_ops": "--resize-after", "resize_to": "--resize-to",
+    "kill_proxy_after_ops": "--kill-proxy-after", "proxies": "--proxies",
+    "read_cache": "--read-cache", "lease_ttl": "--lease-ttl",
+    "bounded_staleness": "--bounded-staleness",
+}
+
+
 def _command_kv(args: argparse.Namespace) -> int:
-    if args.resize_after is not None and args.resize_to is None:
-        raise SystemExit("--resize-after requires --resize-to")
-    if args.kill_proxy_after is not None and args.proxies <= 0:
-        raise SystemExit("--kill-proxy-after requires --proxies")
-    if args.read_cache > 0 and args.proxies <= 0:
-        raise SystemExit("--read-cache requires --proxies")
-    if (args.lease_ttl is not None or args.bounded_staleness) and args.read_cache <= 0:
-        raise SystemExit("--lease-ttl/--bounded-staleness require --read-cache")
+    trace_collector = TraceCollector() if args.trace_dump else None
+    try:
+        config = KVRunConfig(
+            backend=args.backend,
+            num_shards=args.shards,
+            num_groups=args.groups,
+            protocol_key=args.protocol,
+            servers_per_shard=args.servers_per_shard,
+            max_faults=args.faults,
+            max_batch=args.batch,
+            trace_collector=trace_collector,
+            proxies=args.proxies,
+            push_views=not args.no_view_push,
+            read_cache=args.read_cache,
+            lease_ttl=args.lease_ttl,
+            bounded_staleness=args.bounded_staleness,
+            resize_to=args.resize_to,
+            resize_after_ops=args.resize_after,
+            kill_proxy_after_ops=args.kill_proxy_after,
+            crashes_per_group=args.crashes,
+            crash_seed=args.seed,
+            autoscale=args.autoscale,
+            drain_range_size=args.drain_range_size,
+        )
+    except ValueError as exc:  # say it in flags
+        raise SystemExit(re.sub(r"\w+", lambda m: _KV_FLAGS.get(m[0], m[0]), str(exc)))
     # One seed drives every RNG of the run -- the workload shape here and
-    # the crash-victim draw below -- so a CLI run is reproduced exactly by
-    # repeating its --seed.
+    # the crash-victim draw -- so a CLI run is reproduced exactly by
+    # repeating its --seed, on either backend.
     workload = generate_workload(
         num_clients=args.clients,
         ops_per_client=args.ops,
@@ -321,40 +349,8 @@ def _command_kv(args: argparse.Namespace) -> int:
         pipeline_depth=args.pipeline,
         seed=args.seed,
     )
-    common = dict(
-        num_shards=args.shards,
-        protocol_key=args.protocol,
-        servers_per_shard=args.servers_per_shard,
-        max_faults=args.faults,
-        max_batch=args.batch,
-        num_groups=args.groups,
-        resize_to=args.resize_to,
-        resize_after_ops=args.resize_after,
-        use_proxy=args.proxies > 0,
-        num_proxies=max(args.proxies, 1),
-        push_views=not args.no_view_push,
-        kill_proxy_after_ops=args.kill_proxy_after,
-        autoscale=args.autoscale,
-        read_cache=args.read_cache,
-        bounded_staleness=args.bounded_staleness,
-        crashes_per_group=args.crashes,
-        crash_seed=args.seed,
-    )
-    if args.lease_ttl is not None:
-        # Only forwarded when given: the backends' defaults differ (the
-        # sim's virtual clock vs. wall-clock seconds on asyncio).
-        common["lease_ttl"] = args.lease_ttl
-    if args.drain_range_size is not None:
-        common["drain_range_size"] = args.drain_range_size
-    trace_collector = TraceCollector() if args.trace_dump else None
-    if trace_collector is not None:
-        common["trace_collector"] = trace_collector
-    if args.backend == "sim":
-        result = run_sim_kv_workload(workload, **common)
-        time_unit = "virtual time units"
-    else:
-        result = run_asyncio_kv_workload(workload, **common)
-        time_unit = "seconds"
+    result = run_kv(config, workload)
+    time_unit = "virtual time units" if args.backend == "sim" else "seconds"
     verdict = result.check()
 
     groups = result.num_groups or args.shards

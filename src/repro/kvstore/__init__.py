@@ -39,9 +39,10 @@ to a multi-key store:
   quorum from site metadata, :class:`BroadcastReads` asks everyone) -- and
   hides live rebalancing behind a
   :class:`CachedShardView` fed by view pushes and stale-epoch bounces.
-* **Two backends**: the discrete-event simulator
-  (:func:`run_sim_kv_workload`) and real asyncio TCP
-  (:class:`KVStore` / :class:`SyncKVStore`, :func:`run_asyncio_kv_workload`).
+* **Two backends**: the discrete-event simulator and real asyncio TCP
+  (:class:`KVStore` / :class:`SyncKVStore`).  ``run(KVRunConfig(...),
+  workload)`` runs a whole workload on either: the config's ``backend`` field
+  picks one, and its other fields are the run's settings, one field each.
 * **Per-key checking** (:mod:`~repro.kvstore.perkey`): every run's history is
   split per key and each sub-history is verified with the library's
   atomicity checker.
@@ -82,7 +83,6 @@ _EXPORTS = {
     "ProxyServer": ".net_backend",
     "RetryPolicy": ".net_backend",
     "SyncKVStore": ".net_backend",
-    "run_asyncio_kv_workload": ".net_backend",
     # per-key checking
     "KVHistoryRecorder": ".perkey",
     "PerKeyAtomicity": ".perkey",
@@ -106,9 +106,11 @@ _EXPORTS = {
     "run_sim_kv_workload": ".sim_backend",
     # workloads
     "KVOp": ".workload",
+    "KVRunConfig": ".workload",
     "KVRunResult": ".workload",
     "KVWorkload": ".workload",
     "generate_workload": ".workload",
+    "run": ".workload",
 }
 
 __all__ = list(_EXPORTS)
@@ -162,7 +164,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         ProxyServer,
         RetryPolicy,
         SyncKVStore,
-        run_asyncio_kv_workload,
     )
     from .perkey import (  # noqa: F401
         KVHistoryRecorder,
@@ -191,7 +192,9 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     )
     from .workload import (  # noqa: F401
         KVOp,
+        KVRunConfig,
         KVRunResult,
         KVWorkload,
         generate_workload,
+        run,
     )

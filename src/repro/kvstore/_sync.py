@@ -5,7 +5,7 @@ Two bridges are provided:
 * :func:`run_sync` -- run one coroutine to completion from synchronous code
   (refusing to be called from inside a running event loop, where it would
   deadlock).  Used for one-shot helpers like
-  :func:`~repro.kvstore.net_backend.run_asyncio_kv_workload`.
+  ``repro.kvstore.run(KVRunConfig(backend="asyncio"), workload)``.
 
 * :class:`LoopThread` -- a private event loop running on a daemon thread,
   used by :class:`~repro.kvstore.net_backend.SyncKVStore` so that one store

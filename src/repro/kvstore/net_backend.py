@@ -74,16 +74,18 @@ from .migration import MigrationReport
 from .perkey import KVHistoryRecorder, PerKeyAtomicity, check_per_key_atomicity
 from .sharding import ShardMap
 from .workload import (
+    NET_AUTOSCALE_INTERVAL,
+    NET_LEASE_TTL,
+    KVRunConfig,
     KVRunResult,
     KVWorkload,
     arm_triggers,
-    default_shard_map,
+    crash_victims,
     fold_run_result,
 )
 from ._sync import LoopThread, run_sync
 
-__all__ = ["AsyncKVCluster", "ProxyServer", "KVStore", "SyncKVStore",
-           "RetryPolicy", "run_asyncio_kv_workload"]
+__all__ = ["AsyncKVCluster", "ProxyServer", "KVStore", "SyncKVStore", "RetryPolicy"]
 
 logger = logging.getLogger(__name__)
 
@@ -160,23 +162,9 @@ class _Owner:
         await self.endpoint.close()
 
 
-#: Default autoscale window on the asyncio backend (wall-clock seconds;
-#: loopback rounds are sub-millisecond, so a quarter second is many
-#: thousands of ops of signal).
-NET_AUTOSCALE_INTERVAL = 0.25
-
 #: How long :meth:`AsyncKVCluster.stop` waits for another thread's event loop
 #: to close the stores connected on it (seconds).
 STOP_WAIT = 5.0
-
-#: Default read-lease duration on the asyncio backend (wall-clock seconds).
-#: The engine default (:data:`~repro.messages.DEFAULT_LEASE_TTL`) is sized
-#: for the simulator's virtual clock; on real TCP a write deferred behind a
-#: crashed proxy's lease should not wait seconds.  Every owner gives a
-#: mutating attempt ``ceil(lease_ttl / silence_window) + 1`` silence windows
-#: at least (5 x 0.25 s here), so a write deferred for a whole TTL still
-#: completes rather than looking like a dead replica to the writer.
-NET_LEASE_TTL = 1.0
 
 
 class _ControlPlane(_Owner):
@@ -868,8 +856,9 @@ class SyncKVStore:
     ) -> None:
         self._loop_thread = LoopThread()
         if shard_map is None:
-            shard_map = default_shard_map(
-                num_shards, protocol_key, servers_per_shard, max_faults, num_groups
+            shard_map = ShardMap(
+                num_shards, protocol_key=protocol_key, servers_per_shard=servers_per_shard,
+                max_faults=max_faults, num_groups=num_groups,
             )
         self._cluster = AsyncKVCluster(shard_map)
         self._store = KVStore(self._cluster, client_id=client_id, max_batch=max_batch)
@@ -956,89 +945,36 @@ class SyncKVStore:
         self.close()
 
 
-def run_asyncio_kv_workload(
-    workload: KVWorkload,
-    num_shards: int = 2,
-    protocol_key: str = "abd-mwmr",
-    servers_per_shard: int = 3,
-    max_faults: int = 1,
-    max_batch: int = 8,
-    service_overhead: float = 0.0,
-    service_per_op: float = 0.0,
-    num_groups: Optional[int] = None,
-    resize_to: Optional[int] = None,
-    resize_after_ops: Optional[int] = None,
-    use_proxy: bool = False,
-    num_proxies: int = 1,
-    push_views: bool = True,
-    kill_proxy_after_ops: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    trace_collector: Optional[TraceCollector] = None,
-    autoscale: bool = False,
-    drain_range_size: int = DRAIN_RANGE_SIZE,
-    autoscale_interval: float = NET_AUTOSCALE_INTERVAL,
-    read_cache: int = 0,
-    lease_ttl: float = NET_LEASE_TTL,
-    bounded_staleness: bool = False,
-    crashes_per_group: int = 0,
-    crash_seed: int = 0,
-) -> KVRunResult:
-    """Run a closed-loop kv workload over loopback TCP and collect results.
+def _run_asyncio(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
+    """:func:`~repro.kvstore.workload.run` over loopback TCP.
 
     Every workload client becomes one :class:`KVStore` (its own identity and
     per-key order), all sharing one replica cluster, one history recorder and
     one link, so their rounds ride the same batch frames -- or, behind a
-    proxy, the same proxy frames.
-    ``resize_to`` triggers a *live* resize once ``resize_after_ops``
-    operations completed (default: half the workload), with the remaining
-    operations still in flight.  ``use_proxy`` starts ``num_proxies``
-    ingress proxies and routes every store through one (round-robin).
-    ``push_views`` has the control plane push the shard-map view delta to
-    every proxy at each rebalance (off: the proxies rely purely on
-    stale-epoch bounces).  ``kill_proxy_after_ops`` kills one proxy per
-    site once that many operations completed -- the stores behind it fail
-    over (next proxy of the site, else direct replica connections) with no
-    client-visible errors.  ``retry_policy`` tunes the reconnect/failover
-    windows of every component in the run.  ``trace_collector`` subscribes a
-    :class:`~repro.observe.trace.TraceCollector` to the run's observer hub
-    so cross-tier span trees can be reconstructed afterwards.
-
-    ``read_cache`` (requires ``use_proxy``) gives every proxy an LRU read
-    cache of that many entries, backed by server-granted leases of
-    ``lease_ttl`` wall-clock seconds; ``bounded_staleness`` lets expired
-    (but not invalidated) entries serve reads for another half-``lease_ttl``
-    instead of guaranteeing atomicity.
-
-    ``crashes_per_group`` kills that many replicas of every group (capped at
-    the group's fault budget, victims drawn from ``crash_seed``) once a
-    quarter of the workload's operations completed: rounds that were asking
-    a victim widen to the rest of their group and every operation still
-    completes.
+    proxy, the same proxy frames.  Time is wall-clock seconds.
     """
     clients = workload.clients
-    shard_map = default_shard_map(
-        num_shards, protocol_key, servers_per_shard, max_faults, num_groups,
-        clients=len(clients),
-    )
+    shard_map = config.cluster_map(len(clients))
 
     async def _run() -> KVRunResult:
         cluster = AsyncKVCluster(
             shard_map,
-            service_overhead=service_overhead,
-            service_per_op=service_per_op,
-            retry_policy=retry_policy,
-            push_views=push_views,
-            trace_collector=trace_collector,
-            drain_range_size=drain_range_size,
-            autoscale_interval=autoscale_interval,
-            lease_ttl=lease_ttl,
+            service_overhead=config.setting("service_overhead"),
+            service_per_op=config.setting("service_per_op"),
+            retry_policy=config.retry_policy,
+            push_views=config.push_views,
+            trace_collector=config.trace_collector,
+            drain_range_size=config.drain_range_size,
+            autoscale_interval=config.setting("autoscale_interval"),
+            lease_ttl=config.setting("lease_ttl"),
         )
         await cluster.start()
-        if use_proxy:
+        if config.proxies:
             await cluster.start_proxies(
-                num_proxies, read_cache=read_cache, bounded_staleness=bounded_staleness
+                config.proxies, read_policy=config.read_policy,
+                read_cache=config.read_cache, bounded_staleness=config.bounded_staleness,
             )
-        if autoscale:
+        if config.autoscale:
             cluster.start_autoscaler()
         base = time.monotonic()
         recorder = KVHistoryRecorder(lambda: time.monotonic() - base)
@@ -1052,32 +988,24 @@ def run_asyncio_kv_workload(
             kill_tasks.add(task)
             task.add_done_callback(kill_tasks.discard)
 
-        def kill(victim: str) -> None:
-            start_kill(cluster.kill_proxy(victim))
-
         hooks, resize_info, kill_record = arm_triggers(
+            config,
             workload,
             lambda: recorder.completed_operations,
             None,
             cluster.resize,
-            resize_to,
-            resize_after_ops,
             proxies=lambda: [
                 (pid, cluster.sites.get(pid), proxy.running) for pid, proxy in cluster.proxies.items()
             ],
-            kill=kill,
-            kill_proxy_after_ops=kill_proxy_after_ops if use_proxy else None,
+            kill=lambda victim: start_kill(cluster.kill_proxy(victim)),
         )
 
-        if crashes_per_group > 0:
-            rng = SeededRng(crash_seed)
-            victims = [
-                victim
-                for group in shard_map.groups.values()
-                for victim in rng.sample(
-                    list(group.servers), min(crashes_per_group, group.max_faults)
-                )
-            ]
+        if config.crashes_per_group > 0:
+            # The simulator's victims, killed once a quarter of the ops completed.
+            victims = [victim for victim, _ in crash_victims(
+                ((list(group.servers), group.max_faults) for group in shard_map.groups.values()),
+                config.crashes_per_group, SeededRng(config.crash_seed),
+            )]
             threshold = max(1, workload.total_operations() // 4)
 
             def crash_replicas() -> None:
@@ -1096,9 +1024,9 @@ def run_asyncio_kv_workload(
                 store = KVStore(
                     cluster,
                     client_id=client_id,
-                    max_batch=max_batch,
+                    max_batch=config.max_batch,
                     recorder=recorder,
-                    use_proxy=True if use_proxy else None,
+                    use_proxy=True if config.proxies else None,
                 )
                 store.completion_hook = run_hooks if hooks else None
                 await store.connect()
@@ -1122,7 +1050,7 @@ def run_asyncio_kv_workload(
             started = time.monotonic()
             await asyncio.gather(*(client_loop(client_id) for client_id in clients))
             duration = time.monotonic() - started
-            if autoscale:
+            if config.autoscale:
                 cluster.stop_autoscaler()
             # A resize trigger (or a late autoscale move) may still be
             # draining in the background; finish it before teardown so the
@@ -1137,21 +1065,14 @@ def run_asyncio_kv_workload(
             await cluster.stop()
 
         return fold_run_result(
-            "asyncio",
-            shard_map,
-            max_batch,
+            config,
+            cluster,
             duration=duration,
             client_engines=(store.engine for store in stores.values()),
             links=links,
-            proxy_engines=cluster.proxy_engines.values(),
-            server_logics=cluster.server_logics.values(),
-            control=cluster.control,
-            registry=cluster.metrics,
             recorder=recorder,
             resize=resize_info,
             proxy_kill=kill_record,
-            read_cache=read_cache,
-            autoscale=autoscale,
         )
 
     return run_sync(_run())

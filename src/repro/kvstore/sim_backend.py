@@ -22,9 +22,10 @@ gives each runtime the simulator's transport:
 
 * :class:`BatchReplicaProcess` wraps a
   :class:`~repro.kvstore.engine.server.GroupServerEngine` with a simple
-  queueing model of server capacity: handling a batch costs ``overhead``
-  plus ``per_op`` per sub-operation of *service time*, and a busy server
-  queues work.  This is what makes group count matter in virtual time.
+  queueing model of server capacity: handling a batch costs
+  ``service_overhead`` plus ``service_per_op`` per sub-operation of *service
+  time*, and a busy server queues work.  This is what makes group count
+  matter in virtual time.
 
 * :class:`SimKVCluster` is a
   :class:`~repro.kvstore.engine.assembly.ClusterAssembly` -- the recipe both
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Set
 
 from ..core.operations import OpKind
 from ..messages import DEFAULT_LEASE_TTL, Message
@@ -71,10 +72,12 @@ from .migration import MigrationReport
 from .perkey import KVHistoryRecorder
 from .sharding import ShardMap
 from .workload import (
+    SIM_AUTOSCALE_INTERVAL,
+    KVRunConfig,
     KVRunResult,
     KVWorkload,
     arm_triggers,
-    default_shard_map,
+    crash_victims,
     fold_run_result,
 )
 
@@ -90,11 +93,9 @@ __all__ = [
     "SIM_AUTOSCALE_INTERVAL",
 ]
 
-#: Control-plane timing on the virtual clock: how long the drain waits for
-#: a replica's ack before resending (hops are ~1 unit, service tenths), and
-#: how often the autoscaler folds its served-op window.
+#: How long the drain waits for a replica's ack before resending, on the
+#: virtual clock (hops are ~1 unit, service tenths).
 SIM_DRAIN_RETRY_DELAY = 40.0
-SIM_AUTOSCALE_INTERVAL = 150.0
 
 
 class BatchReplicaProcess(Process):
@@ -114,14 +115,14 @@ class BatchReplicaProcess(Process):
         server_id: str,
         logic: GroupServerEngine,
         events: EventQueue,
-        overhead: float = 0.2,
-        per_op: float = 0.1,
+        service_overhead: float = 0.2,
+        service_per_op: float = 0.1,
     ) -> None:
         super().__init__(server_id)
         self.logic = logic
         self.events = events
-        self.overhead = overhead
-        self.per_op = per_op
+        self.service_overhead = service_overhead
+        self.service_per_op = service_per_op
         self.busy_until = 0.0
         self._send_delay = 0.0
         self.runtime = EffectRuntime(logic, events.schedule, self._send_after_service)
@@ -135,7 +136,7 @@ class BatchReplicaProcess(Process):
         payload = message.payload
         batch_size = len(payload.get("ops", ()) or payload.get("keys", ())) or 1
         effects = self.logic.on_frame(message)
-        service = self.overhead + self.per_op * batch_size
+        service = self.service_overhead + self.service_per_op * batch_size
         now = self.events.clock.now
         finish = max(now, self.busy_until) + service
         self.busy_until = finish
@@ -322,20 +323,21 @@ class KVFailureInjector:
     ) -> List[CrashPlan]:
         """Crash up to ``per_group`` random replicas of every group within
         ``horizon``, never exceeding what remains of a group's budget."""
-        plans: List[CrashPlan] = []
+        groups = []
         for injector in self._by_group.values():
             doomed = {
                 plan.process_id
                 for plan in injector.plans
                 if plan.process_id in injector.server_ids
             } | injector.crashed_servers
-            count = min(per_group, injector.max_server_faults - len(doomed))
-            candidates = [s for s in injector.server_ids if s not in doomed]
-            if count <= 0 or not candidates:
-                continue
-            for victim in rng.sample(candidates, min(count, len(candidates))):
-                plans.append(injector.schedule_crash(victim, rng.uniform(0, horizon)))
-        return plans
+            groups.append((
+                [s for s in injector.server_ids if s not in doomed],
+                injector.max_server_faults - len(doomed),
+            ))
+        return [
+            self.schedule_crash(victim, at)
+            for victim, at in crash_victims(groups, per_group, rng, horizon)
+        ]
 
     @property
     def crashed_servers(self) -> Set[str]:
@@ -374,8 +376,8 @@ class SimKVCluster(ClusterAssembly):
         client_ids: List[str],
         delay_model: Optional[DelayModel] = None,
         max_batch: int = 8,
-        server_overhead: float = 0.2,
-        server_per_op: float = 0.1,
+        service_overhead: float = 0.2,
+        service_per_op: float = 0.1,
         num_proxies: int = 0,
         read_policy: Optional[ReadRoutingPolicy] = None,
         proxy_flush_delay: float = 0.0,
@@ -411,7 +413,7 @@ class SimKVCluster(ClusterAssembly):
         for server_id in shard_map.all_servers:
             self.replicas[server_id] = self._attached(BatchReplicaProcess(
                 server_id, self.server_engine(server_id), self.events,
-                overhead=server_overhead, per_op=server_per_op,
+                service_overhead=service_overhead, service_per_op=service_per_op,
             ))
         self.proxies: Dict[str, ProxyProcess] = {}
         for proxy_id in (f"p{index}" for index in range(1, num_proxies + 1)):
@@ -540,92 +542,36 @@ class SimKVCluster(ClusterAssembly):
 
 
 def run_sim_kv_workload(
-    workload: KVWorkload,
-    num_shards: int = 4,
-    protocol_key: str = "abd-mwmr",
-    servers_per_shard: int = 3,
-    max_faults: int = 1,
-    max_batch: int = 8,
-    delay_model: Optional[DelayModel] = None,
-    server_overhead: float = 0.2,
-    server_per_op: float = 0.1,
-    shard_map: Optional[ShardMap] = None,
-    num_groups: Optional[int] = None,
-    resize_to: Optional[int] = None,
-    resize_after_ops: Optional[int] = None,
-    move_to: Optional[Tuple[str, str]] = None,
-    crashes_per_group: int = 0,
-    crash_horizon: float = 20.0,
-    crash_seed: int = 0,
-    use_proxy: bool = False,
-    num_proxies: int = 1,
-    read_policy: Optional[ReadRoutingPolicy] = None,
-    proxy_flush_delay: float = 0.0,
-    push_views: bool = True,
-    kill_proxy_after_ops: Optional[int] = None,
-    trace_collector: Optional[TraceCollector] = None,
-    autoscale: bool = False,
-    drain_range_size: int = DRAIN_RANGE_SIZE,
-    autoscale_interval: float = SIM_AUTOSCALE_INTERVAL,
-    read_cache: int = 0,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    bounded_staleness: bool = False,
+    workload: KVWorkload, use_proxy: bool = False, num_proxies: int = 1, **settings
 ) -> KVRunResult:
-    """Run a closed-loop kv workload on the simulator and collect results.
+    """``run(KVRunConfig(**settings), workload)`` in keywords, with
+    ``use_proxy`` / ``num_proxies`` for ``proxies``: kept only until its last
+    caller moves to :class:`~repro.kvstore.workload.KVRunConfig`."""
+    config = KVRunConfig(proxies=num_proxies if use_proxy else 0, **settings)
+    return _run_sim(config, workload)
 
-    ``resize_to`` triggers a *live* :meth:`SimKVCluster.resize` once
-    ``resize_after_ops`` operations have completed (default: half the
-    workload), while the remaining operations are still in flight.
-    ``move_to=(shard_id, group_id)`` instead triggers a live
-    :meth:`SimKVCluster.move_shard` of one shard under the same trigger.
-    ``crashes_per_group`` crashes that many random replicas of every group
-    (capped at each group's fault budget) within ``crash_horizon``.
-    ``use_proxy`` routes every client through one of ``num_proxies``
-    site-local ingress proxies (assigned round-robin) which merge rounds
-    across clients and route reads per ``read_policy`` (default: none --
-    rounds go quorum-first and widen when a replica stays silent); with
-    crash injection, keep the default or ``BroadcastReads()``, or give the
-    policy a ``spare`` >= the fault budget, so read rounds stay live.  ``push_views`` pushes the
-    shard-map view delta to every proxy at each live rebalance (off:
-    bounce-only refresh); ``kill_proxy_after_ops`` crashes one proxy per
-    site once that many operations completed, exercising the clients'
-    failover path -- operations keep completing with no client-visible
-    errors.
-    ``autoscale`` arms the control plane's metrics-driven autoscaler for
-    the duration of the run: every ``autoscale_interval`` virtual time
-    units it folds the served-op counts per group and moves the hottest
-    group's hottest shard to the coldest group when the imbalance exceeds
-    the ratio threshold; ``drain_range_size`` bounds the per-range cutover
-    pause of every migration (autoscaler-launched or explicit).
-    ``read_cache`` (with ``use_proxy``) gives every proxy a lease-backed
-    hot-key read cache of that many entries; ``lease_ttl`` is the
-    server-side lease duration in virtual time units, and
-    ``bounded_staleness`` opts into serving expired-but-recent entries
-    (staleness bounded by ``lease_ttl``).
-    """
+
+def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
+    """:func:`~repro.kvstore.workload.run` on the simulator, in virtual time."""
     clients = workload.clients
-    if shard_map is None:
-        shard_map = default_shard_map(
-            num_shards, protocol_key, servers_per_shard, max_faults, num_groups,
-            clients=len(clients),
-        )
+    shard_map = config.cluster_map(len(clients))
     cluster = SimKVCluster(
         shard_map,
         clients,
-        delay_model=delay_model,
-        max_batch=max_batch,
-        server_overhead=server_overhead,
-        server_per_op=server_per_op,
-        num_proxies=num_proxies if use_proxy else 0,
-        read_policy=read_policy,
-        proxy_flush_delay=proxy_flush_delay,
-        push_views=push_views,
-        trace_collector=trace_collector,
-        drain_range_size=drain_range_size,
-        autoscale_interval=autoscale_interval,
-        read_cache=read_cache,
-        lease_ttl=lease_ttl,
-        bounded_staleness=bounded_staleness,
+        delay_model=config.delay_model,
+        max_batch=config.max_batch,
+        service_overhead=config.setting("service_overhead"),
+        service_per_op=config.setting("service_per_op"),
+        num_proxies=config.proxies,
+        read_policy=config.read_policy,
+        proxy_flush_delay=config.setting("proxy_flush_delay"),
+        push_views=config.push_views,
+        trace_collector=config.trace_collector,
+        drain_range_size=config.drain_range_size,
+        autoscale_interval=config.setting("autoscale_interval"),
+        read_cache=config.read_cache,
+        lease_ttl=config.setting("lease_ttl"),
+        bounded_staleness=config.bounded_staleness,
     )
 
     def completed_ops() -> int:
@@ -645,7 +591,7 @@ def run_sim_kv_workload(
 
     cluster.add_completion_watcher(note_completion)
 
-    if autoscale:
+    if config.autoscale:
         cluster.start_autoscaler()
         # The tick rearms itself forever; disarm it once the workload is
         # done so the event queue can drain to quiescence (any migration
@@ -659,32 +605,28 @@ def run_sim_kv_workload(
 
         cluster.add_completion_watcher(stop_when_done)
 
-    rebalance, rebalance_to = cluster.resize, resize_to
-    if move_to is not None:
-        # A single-shard move rides the same trigger; the record's ``to``
-        # field carries the moved shard instead of a shard count.
-        rebalance, rebalance_to = (lambda _shard: cluster.move_shard(*move_to)), move_to[0]
+    # A single-shard move rides the same trigger; the record's ``to`` field
+    # carries the moved shard instead of a shard count.
+    move = config.move_to
     hooks, resize_info, kill_record = arm_triggers(
+        config,
         workload,
         completed_ops,
         now,
-        rebalance,
-        rebalance_to,
-        resize_after_ops,
+        cluster.resize if move is None else (lambda _shard: cluster.move_shard(*move)),
         proxies=lambda: [
             (pid, cluster.sites.get(pid), pid not in cluster.crashed_proxies)
             for pid in cluster.proxies
         ],
         kill=cluster.crash_proxy,
-        kill_proxy_after_ops=kill_proxy_after_ops if use_proxy else None,
     )
     for hook in hooks:
         cluster.add_completion_watcher(hook)
 
-    if crashes_per_group > 0:
-        injector = cluster.failure_injector()
-        injector.schedule_random_crashes(
-            crashes_per_group, crash_horizon, SeededRng(crash_seed)
+    if config.crashes_per_group > 0:
+        cluster.failure_injector().schedule_random_crashes(
+            config.crashes_per_group, config.setting("crash_horizon"),
+            SeededRng(config.crash_seed),
         )
 
     def make_issuer(client: KVClientProcess, remaining: Deque) -> Callable:
@@ -711,20 +653,13 @@ def run_sim_kv_workload(
 
     cluster.run()
     return fold_run_result(
-        "sim",
-        shard_map,
-        max_batch,
+        config,
+        cluster,
         duration=now(),
         elapsed=finished,
         client_engines=(client.engine for client in cluster.clients.values()),
-        proxy_engines=cluster.proxy_engines.values(),
-        server_logics=cluster.server_logics.values(),
-        control=cluster.control.engine,
-        registry=cluster.metrics,
         recorder=cluster.recorder,
         resize=resize_info,
         proxy_kill=kill_record,
-        read_cache=read_cache,
-        autoscale=autoscale,
         messages_sent=cluster.network.sent_count,
     )

@@ -10,37 +10,48 @@ Key popularity follows a Zipf-like distribution (via
 :meth:`~repro.util.rng.SeededRng.zipf_index`), the shape seen by real
 key-value front ends; ``key_skew=0`` gives uniform keys.
 
-:func:`~repro.kvstore.sim_backend.run_sim_kv_workload` and
-:func:`~repro.kvstore.net_backend.run_asyncio_kv_workload` differ in how a
-cluster is built and how operations are issued; what a run *is* lives here
-once: the shard map a run defaults to (:func:`default_shard_map`), the
-mid-run resize/kill triggers (:func:`arm_triggers`) and the fold of every
+A run is ``run(KVRunConfig(...), workload)``: the :class:`KVRunConfig` holds
+every setting, one field each, and its ``backend`` picks the body --
+``_run_sim`` in :mod:`~repro.kvstore.sim_backend` or ``_run_asyncio`` in
+:mod:`~repro.kvstore.net_backend`.  The bodies differ in how a cluster is
+built and how operations are issued; what a run *is* lives here once: the
+settings' per-backend defaults (:data:`BACKEND_DEFAULTS`), the checks that
+refuse a setting a run would ignore, the shard map a run defaults to
+(:meth:`KVRunConfig.cluster_map`), the crash-victim draw (:func:`crash_victims`),
+the mid-run resize/kill triggers (:func:`arm_triggers`) and the fold of every
 engine's counters into a :class:`KVRunResult` (:func:`fold_run_result`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..consistency.history import History
-from ..observe.metrics import MetricsRegistry
+from ..messages import DEFAULT_LEASE_TTL
 from ..util.rng import SeededRng
 from ..util.stats import LatencyStats, summarize
 from .engine import (
+    DRAIN_RANGE_SIZE,
     BatchStats,
     ClientLink,
     ClientSessionEngine,
-    ControlPlaneEngine,
-    GroupServerEngine,
-    ProxyEngine,
+    ReadRoutingPolicy,
+    RetryPolicy,
     pick_one_proxy_per_site,
 )
 from .migration import MigrationReport
 from .perkey import KVHistoryRecorder, PerKeyAtomicity, check_per_key_atomicity
 from .sharding import ShardMap
 
-__all__ = ["KVOp", "KVWorkload", "generate_workload", "KVRunResult"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..observe.trace import TraceCollector
+    from ..sim.delays import DelayModel
+    from .engine.assembly import ClusterAssembly
+
+__all__ = ["KVOp", "KVWorkload", "generate_workload", "KVRunConfig", "KVRunResult", "run"]
 
 
 @dataclass(frozen=True)
@@ -174,8 +185,8 @@ class KVRunResult:
     replica_read_subs: int = 0
     #: Read-cache / lease counters ({"hits", "misses", "invalidations",
     #: "proxy_lease_expiries", "leases_granted", "lease_expiries",
-    #: "write_deferrals", "releases_carried", "releases_alone"}) when the run
-    #: enabled the proxy read cache.  The last two count the proxies' lease
+    #: "write_deferrals", "releases_carried", "releases_alone"}) when the
+    #: run's proxies had a read cache.  The last two count the proxies' lease
     #: releases that rode a batch frame and the ``lease-release`` frames sent.
     cache: Optional[Dict[str, int]] = None
     #: Per-tier metrics snapshot (``MetricsRegistry.snapshot()``): counters,
@@ -261,54 +272,187 @@ class KVRunResult:
         }
 
 
+# -- one run's configuration -----------------------------------------------------
+
+#: Defaults on each backend's clock (the simulator's virtual time units, or
+#: seconds).  Loopback rounds are sub-millisecond, so a 0.25 s autoscale window
+#: is thousands of ops of signal; a 1 s lease keeps a write deferred behind a
+#: crashed proxy's lease from waiting seconds (a mutating attempt outwaits it:
+#: it gets ``ceil(lease_ttl / silence_window) + 1`` silence windows at least).
+SIM_AUTOSCALE_INTERVAL, NET_AUTOSCALE_INTERVAL, NET_LEASE_TTL = 150.0, 0.25, 1.0
+
+#: What a :class:`KVRunConfig` setting left ``None`` is, per backend.
+BACKEND_DEFAULTS: Dict[str, Dict[str, float]] = {
+    "sim": dict(service_overhead=0.2, service_per_op=0.1, lease_ttl=DEFAULT_LEASE_TTL,
+                autoscale_interval=SIM_AUTOSCALE_INTERVAL, crash_horizon=20.0,
+                proxy_flush_delay=0.0),
+    "asyncio": dict(service_overhead=0.0, service_per_op=0.0, lease_ttl=NET_LEASE_TTL,
+                    autoscale_interval=NET_AUTOSCALE_INTERVAL),
+}
+
+#: The settings only one backend has.
+BACKEND_ONLY = dict(delay_model="sim", move_to="sim", crash_horizon="sim",
+                    proxy_flush_delay="sim", retry_policy="asyncio")
+
+
+@dataclass(frozen=True)
+class KVRunConfig:
+    """Everything one :func:`run` is apart from its workload, on either backend.
+
+    A setting in time is on the backend's clock, and ``None`` takes its
+    :data:`BACKEND_DEFAULTS` entry.  Construction raises ``ValueError`` for
+    a setting the run would ignore: one only the other backend has
+    (:data:`BACKEND_ONLY`), or one that needs another.
+    """
+
+    #: ``"sim"`` (the discrete-event simulator) or ``"asyncio"`` (loopback TCP).
+    backend: str = "sim"
+    #: The cluster, unless ``shard_map`` is given: every group runs the
+    #: protocol with the workload's clients as its readers and writers.
+    num_shards: int = 4
+    num_groups: Optional[int] = None  # default: one per shard
+    protocol_key: str = "abd-mwmr"
+    servers_per_shard: int = 3
+    max_faults: int = 1
+    shard_map: Optional[ShardMap] = None
+    max_batch: int = 8  # sub-operations per client batch frame
+    #: A replica's service time per frame: the overhead plus the per-op cost
+    #: of each sub-operation.
+    service_overhead: Optional[float] = None
+    service_per_op: Optional[float] = None
+    delay_model: Optional["DelayModel"] = None  # default: a constant one unit
+    #: The reconnect and failover windows of every component.
+    retry_policy: Optional[RetryPolicy] = None
+    trace_collector: Optional["TraceCollector"] = None
+    #: Ingress proxies the clients are routed through, round-robin (0: direct),
+    #: and how they route reads (default: a quorum first, widened on silence;
+    #: with crashes keep it, or give a policy a ``spare`` >= the fault budget).
+    proxies: int = 0
+    read_policy: Optional[ReadRoutingPolicy] = None
+    proxy_flush_delay: Optional[float] = None
+    push_views: bool = True  # off: proxies learn rebalances from bounces
+    #: Entries of each proxy's lease-backed read cache (0: off);
+    #: ``bounded_staleness`` serves expired, uninvalidated entries for another
+    #: half TTL instead of guaranteeing atomicity.
+    read_cache: int = 0
+    lease_ttl: Optional[float] = None
+    bounded_staleness: bool = False
+    #: A live resize (or shard move) once ``resize_after_ops`` operations
+    #: completed (default: half the workload).
+    resize_to: Optional[int] = None
+    resize_after_ops: Optional[int] = None
+    move_to: Optional[Tuple[str, str]] = None  # (shard_id, group_id)
+    #: Kill one proxy per site once this many operations completed.
+    kill_proxy_after_ops: Optional[int] = None
+    #: Crash this many replicas per group (within its budget), drawn from
+    #: ``crash_seed`` alike on both backends: within ``crash_horizon`` on the
+    #: simulator, once a quarter of the operations completed on asyncio.
+    crashes_per_group: int = 0
+    crash_horizon: Optional[float] = None
+    crash_seed: int = 0
+    autoscale: bool = False
+    autoscale_interval: Optional[float] = None
+    drain_range_size: int = DRAIN_RANGE_SIZE  # keys per drained range
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKEND_DEFAULTS:
+            raise ValueError(f"backend must be 'sim' or 'asyncio', not {self.backend!r}")
+        for name, backend in BACKEND_ONLY.items():
+            if getattr(self, name) is not None and self.backend != backend:
+                raise ValueError(f"{name} is a {backend}-only setting")
+        direct = self.proxies <= 0
+        for refused, why in (
+            (self.proxies < 0, "proxies cannot be negative"),
+            (self.resize_to is not None and self.move_to is not None,
+             "resize_to and move_to are two rebalances; give one"),
+            (self.resize_after_ops is not None and self.resize_to is None
+             and self.move_to is None, "resize_after_ops requires resize_to or move_to"),
+            (self.kill_proxy_after_ops is not None and direct,
+             "kill_proxy_after_ops requires proxies"),
+            (self.read_cache > 0 and direct, "read_cache requires proxies"),
+            ((self.read_policy, self.proxy_flush_delay) != (None, None) and direct,
+             "read_policy/proxy_flush_delay require proxies"),
+            ((self.lease_ttl is not None or self.bounded_staleness) and self.read_cache <= 0,
+             "lease_ttl/bounded_staleness require read_cache"),
+            (self.crash_horizon is not None and self.crashes_per_group <= 0,
+             "crash_horizon requires crashes_per_group"),
+            (self.autoscale_interval is not None and not self.autoscale,
+             "autoscale_interval requires autoscale"),
+        ):
+            if refused:
+                raise ValueError(why)
+
+    def setting(self, name: str) -> Any:
+        """Setting ``name``, or the backend's default where it is ``None``."""
+        value = getattr(self, name)
+        return BACKEND_DEFAULTS[self.backend][name] if value is None else value
+
+    def cluster_map(self, clients: int) -> ShardMap:
+        """``shard_map``, or the one the cluster settings build for ``clients``."""
+        if self.shard_map is not None:
+            return self.shard_map
+        return ShardMap(
+            self.num_shards, protocol_key=self.protocol_key,
+            servers_per_shard=self.servers_per_shard, max_faults=self.max_faults,
+            readers=clients, writers=clients, num_groups=self.num_groups,
+        )
+
+
+def run(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
+    """Run ``workload`` closed-loop on the cluster ``config`` describes."""
+    if config.backend == "sim":
+        from .sim_backend import _run_sim as body
+    else:
+        from .net_backend import _run_asyncio as body
+    return body(config, workload)
+
+
 # -- the run skeleton shared by both backends ------------------------------------
 
 
-def default_shard_map(
-    num_shards: int,
-    protocol_key: str,
-    servers_per_shard: int,
-    max_faults: int,
-    num_groups: Optional[int],
-    clients: int = 2,
-) -> ShardMap:
-    """The map a run builds when not handed one: every group's protocol is
-    sized for ``clients`` readers and as many writers."""
-    return ShardMap(
-        num_shards,
-        protocol_key=protocol_key,
-        servers_per_shard=servers_per_shard,
-        max_faults=max_faults,
-        readers=clients,
-        writers=clients,
-        num_groups=num_groups,
-    )
+def crash_victims(
+    groups: Iterable[Tuple[Sequence[str], int]],
+    per_group: int,
+    rng: SeededRng,
+    horizon: float = 1.0,
+) -> List[Tuple[str, float]]:
+    """Up to ``per_group`` victims of each ``(candidates, budget)`` group, with
+    a crash time within ``horizon`` each: drawn in one order (a sample, then a
+    time per victim) whether or not the caller uses the times, so one seed
+    names the same victims on either backend."""
+    drawn: List[Tuple[str, float]] = []
+    for candidates, budget in groups:
+        count = min(per_group, budget, len(candidates))
+        if count > 0:
+            drawn.extend((victim, rng.uniform(0, horizon))
+                         for victim in rng.sample(candidates, count))
+    return drawn
 
 
 def arm_triggers(
+    config: KVRunConfig,
     workload: KVWorkload,
     completed_ops: Callable[[], int],
     now: Optional[Callable[[], float]],
     rebalance: Callable[[Any], MigrationReport],
-    rebalance_to: Any,
-    rebalance_after_ops: Optional[int],
     proxies: Callable[[], Sequence[Tuple[str, Optional[str], bool]]],
     kill: Callable[[str], None],
-    kill_proxy_after_ops: Optional[int],
 ) -> Tuple[List[Callable[[], None]], Optional[Dict[str, object]], Dict[str, object]]:
     """The fire-once hooks of a run's mid-workload events.
 
     Returns ``(hooks, rebalance record, kill record)``; the backend calls
     every hook after each completed operation, and each acts at the first
-    completion past its threshold.  With ``rebalance_to`` set,
-    ``rebalance(rebalance_to)`` runs at ``rebalance_after_ops`` (default:
-    half the workload) and its record -- ``to``, ``at_ops``, ``at_time``
-    where the backend has a clock to read, ``keys_moved``, ``report`` -- is
-    refreshed when the drain completes, so it is final once the run is.
-    With ``kill_proxy_after_ops`` set, one live proxy per site of
-    ``proxies()`` (``(proxy_id, site, alive)`` triples) is killed and the
-    record says which.  A completion that trips both kills first.
+    completion past its threshold.  With ``config.resize_to`` (or
+    ``move_to``) set, ``rebalance(resize_to)`` (or ``rebalance(shard_id)``)
+    runs at ``resize_after_ops`` (default: half the workload) and its record
+    -- ``to``, ``at_ops``, ``at_time`` where the backend has a clock to read,
+    ``keys_moved``, ``report`` -- is refreshed when the drain completes, so it
+    is final once the run is.  With ``kill_proxy_after_ops`` set, one live
+    proxy per site of ``proxies()`` (``(proxy_id, site, alive)`` triples) is
+    killed and the record says which.  A completion that trips both kills
+    first.
     """
+    rebalance_to = config.move_to[0] if config.move_to else config.resize_to
 
     def once_past(threshold: int, action: Callable[[], None]) -> Callable[[], None]:
         fired = False
@@ -323,7 +467,7 @@ def arm_triggers(
 
     hooks: List[Callable[[], None]] = []
     kill_record: Dict[str, object] = {}
-    if kill_proxy_after_ops is not None:
+    if config.kill_proxy_after_ops is not None:
 
         def kill_one_per_site() -> None:
             victims = pick_one_proxy_per_site(proxies())
@@ -331,7 +475,7 @@ def arm_triggers(
             for victim in victims:
                 kill(victim)
 
-        hooks.append(once_past(kill_proxy_after_ops, kill_one_per_site))
+        hooks.append(once_past(config.kill_proxy_after_ops, kill_one_per_site))
     if rebalance_to is None:
         return hooks, None, kill_record
     record: Dict[str, object] = {}
@@ -348,6 +492,7 @@ def arm_triggers(
             record["at_time"] = now()
         report.on_done(refresh)
 
+    rebalance_after_ops = config.resize_after_ops
     if rebalance_after_ops is None:
         rebalance_after_ops = max(1, workload.total_operations() // 2)
     hooks.append(once_past(rebalance_after_ops, rebalance_now))
@@ -363,25 +508,18 @@ def _merged(stats: Iterable[BatchStats]) -> BatchStats:
 
 
 def fold_run_result(
-    backend: str,
-    shard_map: ShardMap,
-    max_batch: int,
+    config: KVRunConfig,
+    cluster: ClusterAssembly,
     duration: float,
     client_engines: Iterable[ClientSessionEngine],
-    proxy_engines: Iterable[ProxyEngine],
-    server_logics: Iterable[GroupServerEngine],
-    control: ControlPlaneEngine,
-    registry: MetricsRegistry,
     recorder: KVHistoryRecorder,
     resize: Optional[Dict[str, object]],
     proxy_kill: Dict[str, object],
-    read_cache: int,
-    autoscale: bool,
     messages_sent: Optional[int] = None,
     elapsed: Optional[float] = None,
     links: Iterable[ClientLink] = (),
 ) -> KVRunResult:
-    """Fold a finished run's engines, registry and recorder into its result.
+    """Fold a finished run's cluster, clients and recorder into its result.
 
     Every counter is read off the sans-I/O engines, so both backends count
     the same things the same way.  ``links`` are the links the clients
@@ -393,7 +531,9 @@ def fold_run_result(
     the client and proxy tiers' ``frames_total``; ``elapsed`` is when the
     last operation completed, where that is earlier than ``duration``.
     """
-    clients, proxies, logics = list(client_engines), list(proxy_engines), list(server_logics)
+    clients, proxies = list(client_engines), list(cluster.proxy_engines.values())
+    logics, shard_map = cluster.server_logics.values(), cluster.shard_map
+    control = cluster.control_engine
     links = list(links)
     shared = [e for e in clients if e.link in links]
     direct = sum(1 for e in shared if e.proxy_id is None)
@@ -402,9 +542,9 @@ def fold_run_result(
 
     histories = recorder.histories()
     result = KVRunResult(
-        backend=backend,
+        backend=config.backend,
         num_shards=len(shard_map),
-        max_batch=max_batch,
+        max_batch=config.max_batch,
         histories=histories,
         duration=duration,
         elapsed=duration if elapsed is None else elapsed,
@@ -435,10 +575,10 @@ def fold_run_result(
                 "releases_carried": sum(e.releases_carried for e in proxies),
                 "releases_alone": sum(e.releases_alone for e in proxies),
             }
-            if read_cache
+            if config.read_cache and proxies
             else None
         ),
-        metrics=registry.snapshot(),
+        metrics=cluster.metrics.snapshot(),
         direct_link=(
             {"stores": direct, **direct_side.as_dict()} if direct else None
         ),
@@ -455,7 +595,7 @@ def fold_run_result(
                 "drains_completed": control.drains_completed,
                 "ranges_drained": control.ranges_drained,
             }
-            if autoscale
+            if config.autoscale
             else None
         ),
     )

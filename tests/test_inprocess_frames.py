@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.kvstore import run_sim_kv_workload
+from repro.kvstore import KVRunConfig, run
 from repro.kvstore.workload import generate_workload
 from repro.messages import Message
 from repro.sim.network import Network
@@ -52,10 +52,10 @@ def test_sim_cached_resize_run_leaves_every_frame_as_sent(monkeypatch):
         num_clients=6, ops_per_client=40, num_keys=16,
         read_fraction=0.7, key_skew=1.1, seed=15,
     )
-    result = run_sim_kv_workload(
-        workload, num_shards=4, num_groups=2, use_proxy=True, num_proxies=1,
+    result = run(KVRunConfig(
+        num_shards=4, num_groups=2, proxies=1,
         read_cache=64, lease_ttl=480.0, resize_to=6,
-    )
+    ), workload)
     assert result.completed_ops == 6 * 40 and result.check().all_atomic
     assert result.cache is not None and result.cache["hits"] > 0
     _assert_untouched(sent, {
@@ -70,7 +70,7 @@ def test_sim_direct_resize_run_leaves_every_frame_as_sent(monkeypatch):
     workload = generate_workload(
         num_clients=4, ops_per_client=40, num_keys=16, read_fraction=0.5, seed=15,
     )
-    result = run_sim_kv_workload(workload, num_shards=4, num_groups=2, resize_to=6)
+    result = run(KVRunConfig(num_shards=4, num_groups=2, resize_to=6), workload)
     assert result.completed_ops == 4 * 40 and result.check().all_atomic
     assert result.stale_bounces > 0  # bounced subs are replayed from the same op
     _assert_untouched(sent, {"batch", "batch-ack", "drain-fence"})

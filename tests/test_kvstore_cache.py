@@ -30,12 +30,13 @@ from repro.consistency import measure_staleness
 from repro.core.operations import OpKind
 from repro.kvstore import (
     AsyncKVCluster,
+    KVRunConfig,
     KVStore,
     ShardMap,
     SimKVCluster,
     check_per_key_atomicity,
     generate_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.kvstore.engine.cache import CacheEntry
 from repro.kvstore.sim_backend import KVClientProcess
@@ -690,12 +691,10 @@ class TestCacheSim:
             read_fraction=0.9, key_skew=1.2, seed=11,
         )
         shape = dict(
-            num_shards=4, num_groups=2, use_proxy=True, num_proxies=1,
+            num_shards=4, num_groups=2, proxies=1,
         )
-        cold = run_sim_kv_workload(workload, **shape)
-        warm = run_sim_kv_workload(
-            workload, read_cache=128, lease_ttl=480.0, **shape
-        )
+        cold = run(KVRunConfig(**shape), workload)
+        warm = run(KVRunConfig(read_cache=128, lease_ttl=480.0, **shape), workload)
         assert cold.check().all_atomic and warm.check().all_atomic
         assert warm.cache is not None and warm.cache["hits"] > 0
         ratio = cold.read_subs_per_op() / warm.read_subs_per_op()
@@ -709,11 +708,11 @@ class TestCacheSim:
             num_clients=6, ops_per_client=60, num_keys=24,
             read_fraction=0.7, key_skew=1.1, seed=7,
         )
-        result = run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2, use_proxy=True,
-            num_proxies=2, read_cache=64, lease_ttl=480.0,
+        result = run(KVRunConfig(
+            num_shards=4, num_groups=2, proxies=2,
+            read_cache=64, lease_ttl=480.0,
             kill_proxy_after_ops=80, resize_to=6,
-        )
+        ), workload)
         assert result.check().all_atomic
         assert result.completed_ops == 6 * 60
         assert result.cache is not None
@@ -725,11 +724,11 @@ class TestCacheSim:
             num_clients=6, ops_per_client=80, num_keys=8,
             read_fraction=0.8, key_skew=1.0, seed=3,
         )
-        result = run_sim_kv_workload(
-            workload, num_shards=2, num_groups=1, use_proxy=True,
-            num_proxies=1, read_cache=64, lease_ttl=lease_ttl,
+        result = run(KVRunConfig(
+            num_shards=2, num_groups=1, proxies=1,
+            read_cache=64, lease_ttl=lease_ttl,
             bounded_staleness=True,
-        )
+        ), workload)
         assert result.completed_ops == 6 * 80
         lags = []
         for history in result.histories.values():

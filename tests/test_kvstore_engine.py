@@ -32,13 +32,13 @@ from pathlib import Path
 
 from repro.kvstore import (
     KVOp,
+    KVRunConfig,
     KVWorkload,
     ShardMap,
     SimKVCluster,
     check_per_key_atomicity,
     generate_workload,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.kvstore.engine import (
     CONTROL_PLANE,
@@ -469,16 +469,14 @@ def memory_round_trips(script=SCRIPT):
 
 
 def sim_round_trips(script=SCRIPT):
-    result = run_sim_kv_workload(
-        script_workload(script), num_shards=1, num_groups=1
-    )
+    result = run(KVRunConfig(num_shards=1, num_groups=1), script_workload(script))
     assert result.check().all_atomic
     return round_trips_by_kind(result.histories)
 
 
 def asyncio_round_trips(script=SCRIPT):
-    result = run_asyncio_kv_workload(
-        script_workload(script), num_shards=1, num_groups=1
+    result = run(
+        KVRunConfig(backend="asyncio", num_shards=1, num_groups=1), script_workload(script)
     )
     assert result.check().all_atomic
     return round_trips_by_kind(result.histories)
@@ -695,22 +693,18 @@ class TestObserverSeam:
     def test_sim_timer_lifecycle_proxied_resize(self):
         workload = generate_workload(num_clients=2, ops_per_client=12,
                                      num_keys=12, seed=3)
-        result = run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2, use_proxy=True,
-            num_proxies=2, resize_to=6,
-        )
+        result = run(KVRunConfig(
+            num_shards=4, num_groups=2, proxies=2,
+            resize_to=6,
+        ), workload)
         assert result.check().all_atomic
         assert result.metrics is not None
         _assert_timer_lifecycle(result.metrics)
 
     def test_asyncio_timer_lifecycle_proxied(self):
-        from repro.kvstore import run_asyncio_kv_workload
-
         workload = generate_workload(num_clients=2, ops_per_client=8,
                                      num_keys=8, seed=3)
-        result = run_asyncio_kv_workload(
-            workload, num_shards=2, use_proxy=True, num_proxies=1
-        )
+        result = run(KVRunConfig(backend="asyncio", num_shards=2, proxies=1), workload)
         assert result.check().all_atomic
         assert result.metrics is not None
         # Round timeouts armed by the asyncio policy resolve through the
@@ -720,22 +714,20 @@ class TestObserverSeam:
     def test_sim_timer_lifecycle_on_all_four_tiers(self):
         workload = generate_workload(num_clients=2, ops_per_client=12,
                                      num_keys=12, seed=3)
-        _assert_every_tier_arms_and_balances(run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2, use_proxy=True,
+        _assert_every_tier_arms_and_balances(run(KVRunConfig(
+            num_shards=4, num_groups=2, proxies=1,
             read_cache=8, resize_to=6,
-        ))
+        ), workload))
 
     def test_asyncio_timer_lifecycle_on_all_four_tiers(self):
-        from repro.kvstore import run_asyncio_kv_workload
-
         # Lease timers and drain retries still armed at teardown resolve
         # through ReplicaServer.stop() / the control driver's shutdown().
         workload = generate_workload(num_clients=2, ops_per_client=12,
                                      num_keys=12, seed=3)
-        _assert_every_tier_arms_and_balances(run_asyncio_kv_workload(
-            workload, num_shards=4, num_groups=2, use_proxy=True,
+        _assert_every_tier_arms_and_balances(run(KVRunConfig(
+            backend="asyncio", num_shards=4, num_groups=2, proxies=1,
             read_cache=8, resize_to=6,
-        ))
+        ), workload))
 
 
 # -- delta view pushes ----------------------------------------------------------
@@ -836,19 +828,17 @@ class TestDeltaViewPush:
     def test_full_workload_with_delta_pushes_stays_atomic_on_both_backends(self):
         workload = generate_workload(num_clients=3, ops_per_client=12,
                                      num_keys=16, seed=17, pipeline_depth=4)
-        result = run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=2, resize_to=8,
-        )
+        result = run(KVRunConfig(
+            num_shards=4, num_groups=2,
+            proxies=2, resize_to=8,
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.view_pushes == 2
         assert result.check().all_atomic
-        from repro.kvstore import run_asyncio_kv_workload
-
-        net = run_asyncio_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=2, resize_to=8,
-        )
+        net = run(KVRunConfig(
+            backend="asyncio", num_shards=4, num_groups=2,
+            proxies=2, resize_to=8,
+        ), workload)
         assert net.completed_ops == workload.total_operations()
         assert net.check().all_atomic
 

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kvstore import (
     AsyncKVCluster,
+    KVRunConfig,
     KVStore,
     RetryPolicy,
     ShardMap,
@@ -35,8 +36,7 @@ from repro.kvstore import (
     check_per_key_atomicity,
     generate_workload,
     parse_attempt_scoped_id,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.core.errors import ProtocolError
 from repro.messages import BATCH_KIND, unpack_batch
@@ -123,10 +123,10 @@ class TestSimProxyFailover:
     def test_workload_survives_proxy_kill_mid_run(self):
         workload = generate_workload(num_clients=4, ops_per_client=12,
                                      num_keys=16, seed=3, pipeline_depth=4)
-        result = run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=2, kill_proxy_after_ops=10,
-        )
+        result = run(KVRunConfig(
+            num_shards=4, num_groups=2,
+            proxies=2, kill_proxy_after_ops=10,
+        ), workload)
         # Zero client-visible errors: every scheduled op completed.
         assert result.completed_ops == workload.total_operations()
         assert result.proxy_kill is not None
@@ -180,12 +180,12 @@ class TestSimProxyFailover:
     def test_failover_concurrent_with_resize_and_replica_crashes(self):
         workload = generate_workload(num_clients=4, ops_per_client=15,
                                      num_keys=16, seed=8, pipeline_depth=4)
-        result = run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=2,
+        result = run(KVRunConfig(
+            num_shards=4, num_groups=2,
+            proxies=2,
             resize_to=8, crashes_per_group=1,
             kill_proxy_after_ops=20,
-        )
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.resize is not None and result.resize["to"] == 8
         assert result.proxy_failovers >= 1
@@ -392,11 +392,11 @@ class TestAsyncioProxyFailover:
     def test_workload_runner_survives_a_proxy_kill(self):
         workload = generate_workload(num_clients=3, ops_per_client=10,
                                      num_keys=12, seed=6, pipeline_depth=4)
-        result = run_asyncio_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=2,
+        result = run(KVRunConfig(
+            backend="asyncio", num_shards=4, num_groups=2,
+            proxies=2,
             kill_proxy_after_ops=10, retry_policy=FAST_RETRY,
-        )
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.proxy_kill is not None and result.proxy_kill["killed"]
         assert result.proxy_failovers >= 1

@@ -8,11 +8,12 @@ import pytest
 
 from repro.kvstore import (
     AsyncKVCluster,
+    KVRunConfig,
     KVStore,
     ShardMap,
     SyncKVStore,
     generate_workload,
-    run_asyncio_kv_workload,
+    run,
 )
 from repro.kvstore._sync import LoopThread, run_sync
 
@@ -286,7 +287,7 @@ class TestWorkloadRunner:
     def test_closed_loop_run_is_atomic_and_batched(self):
         workload = generate_workload(num_clients=2, ops_per_client=10, num_keys=8,
                                      seed=4, pipeline_depth=4)
-        result = run_asyncio_kv_workload(workload, num_shards=2, max_batch=8)
+        result = run(KVRunConfig(backend="asyncio", num_shards=2, max_batch=8), workload)
         assert result.backend == "asyncio"
         assert result.completed_ops == workload.total_operations()
         assert result.check().all_atomic

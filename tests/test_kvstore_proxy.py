@@ -12,12 +12,12 @@ from repro.kvstore import (
     CachedShardView,
     KVStore,
     BroadcastReads,
+    KVRunConfig,
     NearestQuorum,
     ShardMap,
     check_per_key_atomicity,
     generate_workload,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.sim.delays import GeoDelay
 
@@ -148,11 +148,11 @@ class TestSimProxiedWorkloads:
     def test_proxied_workload_is_atomic_and_cheaper_replica_side(self):
         workload = generate_workload(num_clients=4, ops_per_client=12,
                                      num_keys=16, seed=11, pipeline_depth=4)
-        direct = run_sim_kv_workload(workload, num_shards=4, num_groups=2)
-        proxied = run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=1, proxy_flush_delay=0.25,
-        )
+        direct = run(KVRunConfig(num_shards=4, num_groups=2), workload)
+        proxied = run(KVRunConfig(
+            num_shards=4, num_groups=2,
+            proxies=1, proxy_flush_delay=0.25,
+        ), workload)
         for result in (direct, proxied):
             assert result.completed_ops == workload.total_operations()
             verdict = check_per_key_atomicity(result.histories)
@@ -171,11 +171,11 @@ class TestSimProxiedWorkloads:
                                      num_keys=16, seed=5, pipeline_depth=4)
         # push_views off: this test exercises the *bounce* path (the safety
         # net), so the proxies must discover the cutover the hard way.
-        result = run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=2, proxy_flush_delay=0.25,
+        result = run(KVRunConfig(
+            num_shards=4, num_groups=2,
+            proxies=2, proxy_flush_delay=0.25,
             resize_to=8, crashes_per_group=1, push_views=False,
-        )
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.resize is not None and result.resize["to"] == 8
         # The proxies' cached views went stale at the cutover and recovered.
@@ -194,23 +194,23 @@ class TestSimProxiedWorkloads:
             sites[client] = ("us", "eu", "ap")[i % 3]
         for i in range(1, 4):
             sites[f"p{i}"] = ("us", "eu", "ap")[i - 1]
-        result = run_sim_kv_workload(
-            workload, shard_map=shard_map,
+        result = run(KVRunConfig(
+            shard_map=shard_map,
             delay_model=GeoDelay(sites, local_delay=0.5, wan_delay=40.0, seed=1),
-            use_proxy=True, num_proxies=3,
+            proxies=3,
             read_policy=NearestQuorum.from_sites(sites),
-        )
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.check().all_atomic
         # Reads were restricted: the replicas served fewer sub-requests than
         # a broadcast's.  (Frame counts are no measure here: the geo delays
         # are drawn per frame, so the two runs batch on different schedules.)
-        broadcast = run_sim_kv_workload(
-            workload, shard_map=ShardMap(4, num_groups=1, servers_per_shard=6,
+        broadcast = run(KVRunConfig(
+            shard_map=ShardMap(4, num_groups=1, servers_per_shard=6,
                                          max_faults=2, readers=3, writers=3),
             delay_model=GeoDelay(sites, local_delay=0.5, wan_delay=40.0, seed=1),
-            use_proxy=True, num_proxies=3, read_policy=BroadcastReads(),
-        )
+            proxies=3, read_policy=BroadcastReads(),
+        ), workload)
         assert result.replica_sub_ops < broadcast.replica_sub_ops
 
 
@@ -222,19 +222,19 @@ class TestSimProxiedWorkloads:
         # sub-request by sub-request when this test was written.  The message
         # totals have since lost 47 and 51 frames: the proxy answers all the
         # rounds an input completes for one client in one proxy-ack.
-        def run(seed, **extra):
+        def run_seed(seed, **extra):
             workload = generate_workload(
                 num_clients=8, ops_per_client=25, num_keys=64, read_fraction=0.9,
                 key_skew=1.2, pipeline_depth=4, seed=seed,
             )
-            return run_sim_kv_workload(
-                workload, num_shards=4, num_groups=2, use_proxy=True,
+            return run(KVRunConfig(
+                num_shards=4, num_groups=2,
                 read_policy=BroadcastReads(), **extra,
-            )
+            ), workload)
 
-        plain = run(7, num_proxies=1)
-        rough = run(5, num_proxies=2, resize_to=8, crashes_per_group=1,
-                    push_views=False)
+        plain = run_seed(7, proxies=1)
+        rough = run_seed(5, proxies=2, resize_to=8, crashes_per_group=1,
+                         push_views=False)
         for result, frames, sub_ops, messages in [
             (plain, 297, 699, 932), (rough, 842, 1318, 2600),
         ]:
@@ -247,9 +247,9 @@ class TestSimProxiedWorkloads:
             num_clients=8, ops_per_client=25, num_keys=64, read_fraction=0.9,
             key_skew=1.2, pipeline_depth=4, seed=7,
         )
-        default = run_sim_kv_workload(
-            workload, num_shards=4, num_groups=2, use_proxy=True, num_proxies=1,
-        )
+        default = run(KVRunConfig(
+            num_shards=4, num_groups=2, proxies=1,
+        ), workload)
         assert default.check().all_atomic
         assert default.proxy_stats.rounds_narrow > 0
         assert default.proxy_stats.rounds_widened == 0
@@ -260,9 +260,9 @@ class TestAsyncioProxiedWorkloads:
     def test_proxied_workload_is_atomic(self):
         workload = generate_workload(num_clients=3, ops_per_client=10,
                                      num_keys=12, seed=3, pipeline_depth=4)
-        result = run_asyncio_kv_workload(
-            workload, num_shards=4, num_groups=2, use_proxy=True, num_proxies=2,
-        )
+        result = run(KVRunConfig(
+            backend="asyncio", num_shards=4, num_groups=2, proxies=2,
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         verdict = check_per_key_atomicity(result.histories)
         assert verdict.all_atomic, verdict.summary()
@@ -273,10 +273,10 @@ class TestAsyncioProxiedWorkloads:
     def test_proxied_live_resize_replays_transparently(self):
         workload = generate_workload(num_clients=2, ops_per_client=12,
                                      num_keys=10, seed=9, pipeline_depth=4)
-        result = run_asyncio_kv_workload(
-            workload, num_shards=4, num_groups=2,
-            use_proxy=True, num_proxies=1, resize_to=8,
-        )
+        result = run(KVRunConfig(
+            backend="asyncio", num_shards=4, num_groups=2,
+            proxies=1, resize_to=8,
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.resize is not None and result.resize["to"] == 8
         assert result.check().all_atomic

@@ -17,6 +17,7 @@ from repro.kvstore import (
     AsyncKVCluster,
     KVHistoryRecorder,
     KVOp,
+    KVRunConfig,
     KVStore,
     KVWorkload,
     ShardMap,
@@ -24,8 +25,7 @@ from repro.kvstore import (
     SyncKVStore,
     check_per_key_atomicity,
     generate_workload,
-    run_asyncio_kv_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.sim.delays import ConstantDelay, UniformDelay
 from repro.util.rng import SeededRng
@@ -37,13 +37,12 @@ class TestSimLiveResize:
         # 8 shards mid-run while 4 clients keep a pipeline of ops in flight.
         workload = generate_workload(num_clients=4, ops_per_client=25,
                                      num_keys=40, seed=13, pipeline_depth=5)
-        result = run_sim_kv_workload(
-            workload,
+        result = run(KVRunConfig(
             num_shards=4,
             num_groups=2,
             resize_to=8,
             delay_model=UniformDelay(0.5, 1.5, seed=13),
-        )
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.resize is not None and result.resize["to"] == 8
         assert result.num_shards == 8 and result.num_groups == 2
@@ -53,13 +52,12 @@ class TestSimLiveResize:
     def test_shrink_under_load_stays_atomic_and_keeps_data(self):
         workload = generate_workload(num_clients=3, ops_per_client=20,
                                      num_keys=24, seed=5, pipeline_depth=4)
-        result = run_sim_kv_workload(
-            workload,
+        result = run(KVRunConfig(
             num_shards=6,
             num_groups=2,
             resize_to=2,
             delay_model=UniformDelay(0.5, 1.5, seed=5),
-        )
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.check().all_atomic
         assert result.num_shards == 2
@@ -138,8 +136,7 @@ class TestSimLiveResize:
         # key readable and migration carries the surviving state over.
         workload = generate_workload(num_clients=3, ops_per_client=20,
                                      num_keys=24, seed=8, pipeline_depth=4)
-        result = run_sim_kv_workload(
-            workload,
+        result = run(KVRunConfig(
             num_shards=4,
             num_groups=2,
             resize_to=6,
@@ -147,7 +144,7 @@ class TestSimLiveResize:
             crashes_per_group=1,
             crash_horizon=10.0,
             crash_seed=8,
-        )
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.check().all_atomic
         assert result.resize is not None
@@ -174,12 +171,12 @@ class TestAsyncioLiveResize:
     def test_grow_under_concurrent_load_stays_atomic(self):
         workload = generate_workload(num_clients=3, ops_per_client=14,
                                      num_keys=18, seed=17, pipeline_depth=4)
-        result = run_asyncio_kv_workload(
-            workload,
+        result = run(KVRunConfig(
+            backend="asyncio",
             num_shards=4,
             num_groups=2,
             resize_to=8,
-        )
+        ), workload)
         assert result.completed_ops == workload.total_operations()
         assert result.resize is not None and result.resize["to"] == 8
         assert result.num_shards == 8 and result.num_groups == 2

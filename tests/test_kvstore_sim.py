@@ -6,11 +6,12 @@ import pytest
 
 from repro.kvstore import (
     KVOp,
+    KVRunConfig,
     KVWorkload,
     ShardMap,
     SimKVCluster,
     generate_workload,
-    run_sim_kv_workload,
+    run,
 )
 from repro.sim.delays import ConstantDelay, UniformDelay
 
@@ -45,7 +46,7 @@ class TestSimBackend:
     def test_run_completes_and_is_atomic_per_key(self):
         workload = generate_workload(num_clients=3, ops_per_client=12, num_keys=10,
                                      seed=2, pipeline_depth=4)
-        result = run_sim_kv_workload(workload, num_shards=2, max_batch=8)
+        result = run(KVRunConfig(num_shards=2, max_batch=8), workload)
         assert result.backend == "sim"
         assert result.completed_ops == workload.total_operations()
         verdict = result.check()
@@ -59,7 +60,7 @@ class TestSimBackend:
                               KVOp("get", "k1")]},
             pipeline_depth=1,
         )
-        result = run_sim_kv_workload(workload, num_shards=2)
+        result = run(KVRunConfig(num_shards=2), workload)
         history = result.histories["k1"]
         read = history.reads[-1]
         assert read.value == "v1"
@@ -69,7 +70,7 @@ class TestSimBackend:
         # giving a well-formed per-key history.
         ops = [KVOp("put", "hot", f"v{i}") for i in range(5)] + [KVOp("get", "hot")]
         workload = KVWorkload(sequences={"c1": ops}, pipeline_depth=6)
-        result = run_sim_kv_workload(workload, num_shards=1)
+        result = run(KVRunConfig(num_shards=1), workload)
         history = result.histories["hot"]
         assert history.is_well_formed()
         assert result.check().all_atomic
@@ -77,8 +78,8 @@ class TestSimBackend:
     def test_batching_reduces_messages(self):
         workload = generate_workload(num_clients=4, ops_per_client=15, num_keys=12,
                                      seed=5, pipeline_depth=6)
-        unbatched = run_sim_kv_workload(workload, num_shards=1, max_batch=1)
-        batched = run_sim_kv_workload(workload, num_shards=1, max_batch=8)
+        unbatched = run(KVRunConfig(num_shards=1, max_batch=1), workload)
+        batched = run(KVRunConfig(num_shards=1, max_batch=8), workload)
         assert batched.messages_sent < unbatched.messages_sent
         assert batched.batch_stats.mean_batch_size > 1.0
         assert batched.check().all_atomic and unbatched.check().all_atomic
@@ -86,27 +87,26 @@ class TestSimBackend:
     def test_throughput_rises_with_shards_under_load(self):
         workload = generate_workload(num_clients=5, ops_per_client=20, num_keys=32,
                                      seed=7, pipeline_depth=5)
-        few = run_sim_kv_workload(
-            workload, num_shards=1, delay_model=ConstantDelay(1.0),
-            server_overhead=0.3, server_per_op=0.3,
-        )
-        many = run_sim_kv_workload(
-            workload, num_shards=4, delay_model=ConstantDelay(1.0),
-            server_overhead=0.3, server_per_op=0.3,
-        )
+        few = run(KVRunConfig(
+            num_shards=1, delay_model=ConstantDelay(1.0),
+            service_overhead=0.3, service_per_op=0.3,
+        ), workload)
+        many = run(KVRunConfig(
+            num_shards=4, delay_model=ConstantDelay(1.0),
+            service_overhead=0.3, service_per_op=0.3,
+        ), workload)
         assert many.throughput() > few.throughput()
         assert many.check().all_atomic and few.check().all_atomic
 
     def test_fast_read_protocol_on_shards(self):
         workload = generate_workload(num_clients=2, ops_per_client=10, num_keys=6,
                                      seed=11, pipeline_depth=3)
-        result = run_sim_kv_workload(
-            workload,
+        result = run(KVRunConfig(
             num_shards=2,
             protocol_key="fast-read-mwmr",
             servers_per_shard=5,
             delay_model=UniformDelay(0.5, 1.5, seed=11),
-        )
+        ), workload)
         assert result.check().all_atomic
         # Fast reads: every read finishes in one round-trip.
         for history in result.histories.values():
@@ -115,7 +115,7 @@ class TestSimBackend:
 
     def test_run_result_row_and_stats(self):
         workload = generate_workload(num_clients=2, ops_per_client=6, num_keys=4, seed=3)
-        result = run_sim_kv_workload(workload, num_shards=2)
+        result = run(KVRunConfig(num_shards=2), workload)
         row = result.as_row()
         assert row["backend"] == "sim" and row["shards"] == 2
         assert row["atomic"] is True

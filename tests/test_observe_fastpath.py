@@ -44,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import operations
-from repro.kvstore import generate_workload, run_sim_kv_workload
+from repro.kvstore import KVRunConfig, generate_workload, run
 from repro.observe import (
     MetricsObserver,
     MetricsRegistry,
@@ -74,11 +74,11 @@ def seeded_sim_cached_run(collector: Optional[TraceCollector] = None):
     saved = operations._op_counter
     operations._op_counter = itertools.count(1)
     try:
-        return run_sim_kv_workload(
-            ops, num_shards=4, num_groups=2, protocol_key="abd-mwmr", max_batch=8,
-            use_proxy=True, read_cache=64, lease_ttl=480.0,
+        return run(KVRunConfig(
+            num_shards=4, num_groups=2, protocol_key="abd-mwmr", max_batch=8,
+            proxies=1, read_cache=64, lease_ttl=480.0,
             trace_collector=collector,
-        )
+        ), ops)
     finally:
         operations._op_counter = saved
 
