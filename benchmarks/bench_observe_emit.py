@@ -69,7 +69,7 @@ SAMPLES: Tuple[Tuple[str, str, bool, Dict[str, Any]], ...] = (
     ("client", FRAME_RECEIVED, False, {"kind": "batch-ack", "source": "s1"}),
     ("client", OP_COMPLETED, True, {"round_trips": 2}),
     ("proxy", FRAME_RECEIVED, False, {"kind": "proxy", "source": "c1"}),
-    ("proxy", CACHE_HIT, True, {"stale": False}),
+    ("proxy", CACHE_HIT, True, {}),
     ("proxy", CACHE_MISS, True, {}),
     ("proxy", ROUND_OPENED, True, {"round_trip": 1, "targets": 3}),
     ("proxy", ROUND_CLOSED, True, {"error": None}),

@@ -130,11 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "default 60; asyncio: wall-clock seconds, default "
                          "1.0); longer leases raise the hit rate but extend "
                          "how long a crashed proxy can defer writers")
-    kv.add_argument("--bounded-staleness", action="store_true",
-                    help="serve expired-but-uninvalidated cache entries for "
-                         "another half lease TTL: reads trade atomicity for "
-                         "a staleness bound (checked by the staleness "
-                         "checker instead of the atomicity checker)")
     kv.add_argument("--autoscale", action="store_true",
                     help="arm the metrics-driven autoscaler: the control "
                          "plane folds per-group served-op counts and moves "
@@ -306,7 +301,6 @@ _KV_FLAGS = {
     "resize_after_ops": "--resize-after", "resize_to": "--resize-to",
     "kill_proxy_after_ops": "--kill-proxy-after", "proxies": "--proxies",
     "read_cache": "--read-cache", "lease_ttl": "--lease-ttl",
-    "bounded_staleness": "--bounded-staleness",
 }
 
 
@@ -326,7 +320,6 @@ def _command_kv(args: argparse.Namespace) -> int:
             push_views=not args.no_view_push,
             read_cache=args.read_cache,
             lease_ttl=args.lease_ttl,
-            bounded_staleness=args.bounded_staleness,
             resize_to=args.resize_to,
             resize_after_ops=args.resize_after,
             kill_proxy_after_ops=args.kill_proxy_after,

@@ -115,8 +115,8 @@ class ClusterAssembly:
         of its ``site`` and (with ``push_views``) a target of view pushes.
 
         ``settings`` are the proxy's own -- :class:`ProxyEngine`'s
-        ``read_policy``, ``max_batch``, ``flush_delay``, ``read_cache`` and
-        ``bounded_staleness``; what the deployment decides is supplied here.
+        ``read_policy``, ``max_batch``, ``flush_delay`` and ``read_cache``;
+        what the deployment decides is supplied here.
         """
         if site is not None:
             self.sites[proxy_id] = site
@@ -126,12 +126,6 @@ class ClusterAssembly:
             policy=self.retry_policy,
             observer=self.hub.scoped("proxy", proxy_id),
             lease_ttl=self.lease_ttl,
-            # A worst case: a cached entry may serve up to this many rounds.
-            read_round_trips=max(
-                (group.protocol.read_round_trips
-                 for group in self.shard_map.groups.values()),
-                default=2,
-            ),
             **settings,
         )
         self._retarget_pushes()

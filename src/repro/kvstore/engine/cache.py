@@ -61,10 +61,8 @@ class CacheEntry:
     unique fill identity: it rides in the lease mark of every fill
     sub-request and is echoed by the grants of the replicas' batch-acks, so
     a delayed grant meant for an evicted predecessor entry of the same key
-    is never credited to this one.  ``stale`` flips when the
-    proxy-side lease deadline passes in bounded-staleness mode: the lease
-    is handed back (writers stop blocking on us) but the entry keeps
-    serving until the staleness budget runs out.
+    is never credited to this one.  An entry serves only while it is
+    ``granted``; at the proxy-side lease deadline it is evicted.
     """
 
     key: str
@@ -84,22 +82,11 @@ class CacheEntry:
     followers: Dict[int, List[Tuple[str, ProxySubRequest]]] = field(
         default_factory=dict
     )
-    stale: bool = False
 
     @property
     def granted(self) -> bool:
         """Whether a write-blocking set of replicas holds our lease."""
         return self.wait_for > 0 and len(self.grants) >= self.wait_for
-
-    def complete(self) -> bool:
-        """Whether the fill read has run its course as far as recorded.
-
-        A read takes *at most* the protocol's ``read_round_trips``: a fill
-        whose first quorum was unanimous ends after round 1, and the proxy
-        never sees that decision -- only that a round was recorded and no
-        further fill round is in the air.
-        """
-        return bool(self.rounds) and not self.inflight
 
     def matches(self, round_trip: int, sub: ProxySubRequest) -> bool:
         """Whether ``sub`` is the same protocol round the fill recorded."""

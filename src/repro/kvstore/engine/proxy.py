@@ -32,17 +32,17 @@ each serving replica registers this proxy as a lease holder (confirmed in
 the ``grants`` of its batch-ack, credited before the ack's replies count
 toward any quorum), and the recorded
 quorum replies of every round-trip are replayed verbatim to later reads of
-the same key -- zero replica sub-ops per hit.  ``read_round_trips`` is the
-most rounds a read may take, not how many every read takes: a fill whose
-first quorum is unanimous ends there, and so does every read served from it.
+the same key -- zero replica sub-ops per hit.  A read served from an entry
+takes the rounds its fill took: a fill whose first quorum is unanimous ends
+there, and so does every read served from it.
 Atomicity rides the quorum intersection: replicas defer (and withhold acks
 for) any write against a leased key, so while grants from a write-blocking
 set of replicas stand, no superseding write can complete, and a cached read
 linearizes before it.
 ``"lease-invalidate"`` frames evict the entry and release its lease,
 unblocking the writer; the proxy self-expires entries at half the lease TTL
-(clock-skew margin against the server-side expiry), optionally serving
-expired-but-recent entries when ``bounded_staleness`` is on.  Every release
+(clock-skew margin against the server-side expiry), so an entry serves only
+while a write-blocking quorum holds its lease.  Every release
 -- eviction, expiry, answer to an invalidation, orphaned grant -- joins the
 queue of the replica's group and rides the next ``batch`` frame to it (see
 :mod:`~.rounds`): ``releases_carried`` counts those, ``releases_alone`` the
@@ -132,7 +132,11 @@ def _forwarded(reply_to: str, sub: ProxySubRequest) -> _ProxyPending:
 
 
 class ProxyEngine(ReplicaRounds):
-    """One ingress proxy's protocol state machine (transport-agnostic)."""
+    """One ingress proxy's protocol state machine (transport-agnostic).
+
+    ``read_round_trips`` is accepted and ignored: the steady benchmark's
+    fabric (``benchmarks/steady/fabric.py``) still passes it.
+    """
 
     def __init__(
         self,
@@ -145,7 +149,6 @@ class ProxyEngine(ReplicaRounds):
         observer: Optional[EngineObserver] = None,
         read_cache: int = 0,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        bounded_staleness: bool = False,
         read_round_trips: int = 2,
     ) -> None:
         if max_batch < 1:
@@ -154,8 +157,6 @@ class ProxyEngine(ReplicaRounds):
             raise ValueError("read_cache capacity cannot be negative")
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
-        if read_round_trips < 1:
-            raise ValueError("read_round_trips must be positive")
         self.proxy_id = proxy_id
         self.view = view
         #: ``None``: rounds go quorum-first (see :mod:`~.rounds`).
@@ -177,8 +178,6 @@ class ProxyEngine(ReplicaRounds):
             ReadCache(read_cache) if read_cache else None
         )
         self.lease_ttl = lease_ttl
-        self.bounded_staleness = bounded_staleness
-        self.read_round_trips = read_round_trips
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
@@ -281,12 +280,9 @@ class ProxyEngine(ReplicaRounds):
         rt = sub.round_trip
         if entry is not None:
             if rt in entry.rounds:
-                serves = (
-                    self.bounded_staleness if entry.stale else entry.granted
-                )
                 replies = (
                     entry.replies_for(rt, sub.wait_for)
-                    if serves and entry.matches(rt, sub)
+                    if entry.granted and entry.matches(rt, sub)
                     else None
                 )
                 if replies is not None:
@@ -294,14 +290,13 @@ class ProxyEngine(ReplicaRounds):
                         self.cache_hits += 1
                         self.observer.emit(
                             CACHE_HIT, op_id=sub.op_id, key=sub.key,
-                            trace=sub.trace, stale=entry.stale,
+                            trace=sub.trace,
                         )
                     self._serve_cached(reply_to, sub, replies, out)
                     return
                 self._dispatch_safe(pending, out)
                 return
-            if (entry.fill_client == pending.sender and entry.fill_op_id == sub.op_id
-                    and not entry.stale):
+            if entry.fill_client == pending.sender and entry.fill_op_id == sub.op_id:
                 # The fill read's next round-trip: drive it with the lease
                 # mark (replicas exempt it from deferral -- it can only
                 # re-write the tag the lease already covers).
@@ -313,7 +308,7 @@ class ProxyEngine(ReplicaRounds):
                 entry.fill_pending = pending
                 self._dispatch_safe(pending, out)
                 return
-            if not entry.stale and rt in entry.inflight:
+            if rt in entry.inflight:
                 # Single-flight: ride the fill's round while it is in the air
                 # instead of opening a second identical quorum round.  Only
                 # then: a read whose first round was not served from this
@@ -425,10 +420,9 @@ class ProxyEngine(ReplicaRounds):
         entry.inflight.discard(rt)
         entry.rounds[rt] = list(pending.replies)
         for reply_to, fsub in entry.followers.pop(rt, []):
-            serves = self.bounded_staleness if entry.stale else entry.granted
             replies = (
                 entry.replies_for(rt, fsub.wait_for)
-                if serves and entry.matches(rt, fsub)
+                if entry.granted and entry.matches(rt, fsub)
                 else None
             )
             if replies is not None:
@@ -453,15 +447,11 @@ class ProxyEngine(ReplicaRounds):
         if current is entry:
             self._cache.pop(entry.key)
         out.append(CancelTimer(("lease", entry.key)))
-        if entry.stale:
-            out.append(CancelTimer(("stale", entry.key)))
         pending = entry.fill_pending
         if pending is not None:
             entry.fill_pending = None
             pending.fill_entry = None
-        if not entry.stale:
-            # A stale entry already handed its lease back when it expired.
-            self._release_lease(entry, out)
+        self._release_lease(entry, out)
         self.cache_invalidations += 1
         self.observer.emit(CACHE_INVALIDATE, key=entry.key, reason=reason)
         followers = entry.followers
@@ -489,11 +479,10 @@ class ProxyEngine(ReplicaRounds):
         orphaned: List[str] = []
         for key, nonce in grants:
             entry = self._cache.peek(key) if self._cache is not None else None
-            if (entry is not None and not entry.stale
-                    and entry.nonce == nonce
+            if (entry is not None and entry.nonce == nonce
                     and server_id in entry.asked):
                 entry.grants.add(server_id)
-            elif entry is None or entry.stale:
+            elif entry is None:
                 # The entry died before the grant landed (eviction raced the
                 # fill): hand the lease back so the replica does not defer
                 # writers against a ghost holder for a full TTL.
@@ -619,32 +608,15 @@ class ProxyEngine(ReplicaRounds):
     # -- timer fires ------------------------------------------------------------
 
     def on_timer(self, timer_id: TimerId) -> List[Effect]:
+        if timer_id[0] != "lease":
+            return super().on_timer(timer_id)
         out: List[Effect] = []
-        kind = timer_id[0]
-        if kind == "lease":
-            key = timer_id[1]
-            entry = self._cache.peek(key) if self._cache is not None else None
-            if entry is None or entry.stale:
-                return out
+        key = timer_id[1]
+        entry = self._cache.peek(key) if self._cache is not None else None
+        if entry is not None:
             self.leases_expired += 1
             self.observer.emit(LEASE_EXPIRED, key=key)
-            if self.bounded_staleness and entry.granted and entry.complete():
-                # Bounded-staleness mode: hand the lease back (writers stop
-                # blocking on us) but keep serving the expired entry for
-                # one more half-TTL -- its age then stays under lease_ttl,
-                # the bound the staleness checker verifies.
-                entry.stale = True
-                entry.grants.clear()
-                self._release_lease(entry, out)
-                out.append(StartTimer(("stale", key), self.lease_ttl * 0.5))
-            else:
-                self._evict(entry, out, reason="expired")
-        elif kind == "stale":
-            entry = self._cache.pop(timer_id[1]) if self._cache is not None else None
-            if entry is not None:
-                self._evict(entry, out, reason="staleness-budget")
-        else:
-            return super().on_timer(timer_id)
+            self._evict(entry, out, reason="expired")
         return out
 
     # -- lifecycle --------------------------------------------------------------

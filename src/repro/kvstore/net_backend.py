@@ -373,7 +373,6 @@ class AsyncKVCluster(ClusterAssembly):
         max_batch: int = 64,
         site: Optional[str] = None,
         read_cache: int = 0,
-        bounded_staleness: bool = False,
     ) -> List[str]:
         """Start ``num_proxies`` site-local ingress proxies; returns their ids.
 
@@ -390,7 +389,7 @@ class AsyncKVCluster(ClusterAssembly):
             proxy_id = f"p{len(self.proxies) + 1}"
             engine = self.proxy_engine(
                 proxy_id, read_policy=read_policy, max_batch=max_batch,
-                read_cache=read_cache, bounded_staleness=bounded_staleness, site=site,
+                read_cache=read_cache, site=site,
             )
             proxy = ProxyServer(engine, self, host=self.host)
             await proxy.start()
@@ -972,7 +971,7 @@ def _run_asyncio(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
         if config.proxies:
             await cluster.start_proxies(
                 config.proxies, read_policy=config.read_policy,
-                read_cache=config.read_cache, bounded_staleness=config.bounded_staleness,
+                read_cache=config.read_cache,
             )
         if config.autoscale:
             cluster.start_autoscaler()

@@ -34,7 +34,7 @@ class KVHistoryRecorder:
         self._time_fn = time_fn
         self._operations: Dict[str, Operation] = {}
         self._per_key: Dict[str, List[str]] = {}
-        self._key_of: Dict[str, str] = {}
+        self._completed = 0
 
     def record_invocation(
         self,
@@ -49,7 +49,6 @@ class KVHistoryRecorder:
         )
         self._operations[op_id] = operation
         self._per_key.setdefault(key, []).append(op_id)
-        self._key_of[op_id] = key
         return operation
 
     def record_response(
@@ -60,6 +59,8 @@ class KVHistoryRecorder:
         round_trips: int = 0,
     ) -> Operation:
         operation = self._operations[op_id]
+        if not operation.is_complete:
+            self._completed += 1
         operation.finish = self._time_fn()
         operation.round_trips = round_trips
         if operation.is_read:
@@ -69,16 +70,14 @@ class KVHistoryRecorder:
             operation.tag = tag
         return operation
 
-    def key_of(self, op_id: str) -> str:
-        return self._key_of[op_id]
-
     @property
     def total_operations(self) -> int:
         return len(self._operations)
 
     @property
     def completed_operations(self) -> int:
-        return sum(1 for op in self._operations.values() if op.is_complete)
+        """Operations with a response, each counted at its first one."""
+        return self._completed
 
     def histories(self) -> Dict[str, History]:
         """One history per key, operations in invocation order."""

@@ -389,7 +389,6 @@ class SimKVCluster(ClusterAssembly):
         autoscale_interval: float = SIM_AUTOSCALE_INTERVAL,
         read_cache: int = 0,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        bounded_staleness: bool = False,
     ) -> None:
         if proxy_timeout <= 0:
             raise ValueError("proxy_timeout must be positive")
@@ -420,7 +419,7 @@ class SimKVCluster(ClusterAssembly):
             self.proxies[proxy_id] = self._attached(ProxyProcess(
                 proxy_id, self.events, self.proxy_engine(
                     proxy_id, read_policy=read_policy, flush_delay=proxy_flush_delay,
-                    read_cache=read_cache, bounded_staleness=bounded_staleness,
+                    read_cache=read_cache,
                 ),
             ))
         # Control-plane timing on the virtual clock (the engine's default
@@ -571,7 +570,6 @@ def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
         autoscale_interval=config.setting("autoscale_interval"),
         read_cache=config.read_cache,
         lease_ttl=config.setting("lease_ttl"),
-        bounded_staleness=config.bounded_staleness,
     )
 
     def completed_ops() -> int:

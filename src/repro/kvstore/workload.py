@@ -331,12 +331,9 @@ class KVRunConfig:
     read_policy: Optional[ReadRoutingPolicy] = None
     proxy_flush_delay: Optional[float] = None
     push_views: bool = True  # off: proxies learn rebalances from bounces
-    #: Entries of each proxy's lease-backed read cache (0: off);
-    #: ``bounded_staleness`` serves expired, uninvalidated entries for another
-    #: half TTL instead of guaranteeing atomicity.
+    #: Entries of each proxy's lease-backed read cache (0: off).
     read_cache: int = 0
     lease_ttl: Optional[float] = None
-    bounded_staleness: bool = False
     #: A live resize (or shard move) once ``resize_after_ops`` operations
     #: completed (default: half the workload).
     resize_to: Optional[int] = None
@@ -372,8 +369,8 @@ class KVRunConfig:
             (self.read_cache > 0 and direct, "read_cache requires proxies"),
             ((self.read_policy, self.proxy_flush_delay) != (None, None) and direct,
              "read_policy/proxy_flush_delay require proxies"),
-            ((self.lease_ttl is not None or self.bounded_staleness) and self.read_cache <= 0,
-             "lease_ttl/bounded_staleness require read_cache"),
+            (self.lease_ttl is not None and self.read_cache <= 0,
+             "lease_ttl requires read_cache"),
             (self.crash_horizon is not None and self.crashes_per_group <= 0,
              "crash_horizon requires crashes_per_group"),
             (self.autoscale_interval is not None and not self.autoscale,

@@ -41,17 +41,14 @@ class TestParser:
         args = build_parser().parse_args(["kv"])
         assert args.read_cache == 0
         assert args.lease_ttl is None
-        assert args.bounded_staleness is False
 
     def test_kv_read_cache_requires_proxies(self):
         with pytest.raises(SystemExit, match="read-cache requires --proxies"):
             main(["kv", "--read-cache", "32"])
 
     def test_kv_lease_flags_require_read_cache(self):
-        with pytest.raises(SystemExit, match="require --read-cache"):
+        with pytest.raises(SystemExit, match="--lease-ttl requires --read-cache"):
             main(["kv", "--proxies", "1", "--lease-ttl", "5"])
-        with pytest.raises(SystemExit, match="require --read-cache"):
-            main(["kv", "--proxies", "1", "--bounded-staleness"])
 
 
 class TestCommands:

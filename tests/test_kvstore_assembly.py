@@ -29,15 +29,15 @@ CLIENTS = ["c1", "c2", "c3", "c4"]
 #: Settings both constructors spell the same way, set away from every default.
 SHARED = dict(drain_range_size=5, autoscale_interval=3.0, lease_ttl=7.0)
 
-#: name -> (push_views, read_cache, bounded_staleness, proxies per site).
+#: name -> (push_views, read_cache, proxies per site).
 #: A site of ``None`` is a deployment that names none; clients are spread
 #: over the sites in order, two per site.
 CONFIGS = {
-    "cache-off": (True, 0, False, [(None, 3)]),
-    "cache-on": (True, 16, True, [(None, 2)]),
-    "no-push": (False, 0, False, [(None, 2)]),
-    "two-sites": (True, 8, False, [("us", 2), ("eu", 1)]),
-    "no-proxies": (True, 0, False, []),
+    "cache-off": (True, 0, [(None, 3)]),
+    "cache-on": (True, 16, [(None, 2)]),
+    "no-push": (False, 0, [(None, 2)]),
+    "two-sites": (True, 8, [("us", 2), ("eu", 1)]),
+    "no-proxies": (True, 0, []),
 }
 
 
@@ -94,9 +94,7 @@ def _facts(hub, servers, proxies, control, clients) -> Dict[str, Any]:
         },
         "proxies": {
             proxy_id: (
-                engine.read_round_trips,
                 engine._cache.capacity if engine._cache is not None else 0,
-                engine.bounded_staleness,
                 engine.max_batch,
                 engine.view.ring_epoch,
                 _scope_of(hub, engine),
@@ -118,11 +116,11 @@ def _facts(hub, servers, proxies, control, clients) -> Dict[str, Any]:
 
 
 def _sim_facts(config: str) -> Dict[str, Any]:
-    push_views, read_cache, bounded, layout = CONFIGS[config]
+    push_views, read_cache, layout = CONFIGS[config]
     cluster = SimKVCluster(
         _shard_map(), CLIENTS, num_proxies=sum(count for _, count in layout),
         sites=_sites(layout), push_views=push_views, read_cache=read_cache,
-        bounded_staleness=bounded, **SHARED,
+        **SHARED,
     )
     return _facts(
         cluster.hub, cluster.server_logics,
@@ -135,7 +133,7 @@ def _sim_facts(config: str) -> Dict[str, Any]:
 def _asyncio_facts(config: str, heads: Dict[str, str]) -> Dict[str, Any]:
     """``heads`` names the proxy each store asks for (a sited client's own
     site's, as a deployment would); a client it leaves out takes its turn."""
-    push_views, read_cache, bounded, layout = CONFIGS[config]
+    push_views, read_cache, layout = CONFIGS[config]
 
     async def scenario():
         cluster = AsyncKVCluster(_shard_map(), push_views=push_views, **SHARED)
@@ -143,9 +141,7 @@ def _asyncio_facts(config: str, heads: Dict[str, str]) -> Dict[str, Any]:
         stores = []
         try:
             for site, count in layout:
-                await cluster.start_proxies(
-                    count, site=site, read_cache=read_cache, bounded_staleness=bounded
-                )
+                await cluster.start_proxies(count, site=site, read_cache=read_cache)
             for client_id in CLIENTS:
                 store = KVStore(
                     cluster, client_id=client_id,
@@ -173,7 +169,7 @@ class TestBothBackendsAssembleTheSameCluster:
         sim = _sim_facts(config)
         # A store says which proxy it wants; the simulator works it out from
         # the client's site and index.  Ask for what the simulator picked.
-        sited = _sites(CONFIGS[config][3])
+        sited = _sites(CONFIGS[config][2])
         heads = {
             client_id: facts[1]
             for client_id, facts in sim["clients"].items() if client_id in sited
@@ -186,7 +182,7 @@ class TestBothBackendsAssembleTheSameCluster:
         hosted, lease_ttl, scope = facts["servers"]["g1-s1"]
         assert hosted == {"sh1": 1, "sh3": 1, "sh5": 1}
         assert (lease_ttl, scope) == (7.0, ("replica", "g1-s1"))
-        assert facts["proxies"]["p3"] == (2, 8, False, 64, 1, ("proxy", "p3"))
+        assert facts["proxies"]["p3"] == (8, 64, 1, ("proxy", "p3"))
         assert facts["control"] == (
             ["p1", "p2", "p3"], 5, 3.0, ("control", "control-plane")
         )

@@ -5,13 +5,11 @@ Three layers of scrutiny:
 * **Unit** -- scripted runs on the pure in-memory fabric pin the cache
   state machine: hits serve locally, concurrent readers share one fill,
   writes behind held leases defer until every holder acks the
-  invalidation, lease expiry evicts on both sides, bounded-staleness mode
-  serves (and then drops) expired entries, and the LRU bound holds.
+  invalidation, lease expiry evicts on both sides, and the LRU bound holds.
 * **Simulation** -- full zipf workloads check the headline perf claim
   (hot-key reads cut replica read sub-ops several-fold) and that
   atomicity survives the cache under writes, proxy kills, and concurrent
-  shard drains; bounded-staleness runs are checked against the staleness
-  meter's time-lag bound.
+  shard drains.
 * **Crash** -- a proxy crash while it holds leases must not wedge
   writers: server-side lease timers expire the dead holder and release
   the deferred write acks within the lease TTL, and the writer's watchdog
@@ -26,7 +24,6 @@ import time
 
 from test_kvstore_engine import MemoryFabric, build_memory_stack, run_script, tap
 
-from repro.consistency import measure_staleness
 from repro.core.operations import OpKind
 from repro.kvstore import (
     AsyncKVCluster,
@@ -38,7 +35,6 @@ from repro.kvstore import (
     generate_workload,
     run,
 )
-from repro.kvstore.engine.cache import CacheEntry
 from repro.kvstore.sim_backend import KVClientProcess
 from repro.kvstore.engine import (
     SIM_RETRY_POLICY,
@@ -72,7 +68,7 @@ from repro.protocols.codec import encode_tagged
 def run_until(fabric: MemoryFabric, deadline: float) -> None:
     """Drain the fabric's event heap up to ``deadline`` (exclusive).
 
-    Lease and stale-entry timers fire hundreds of fabric units after a
+    Lease timers fire hundreds of fabric units after a
     short script finishes; stepping the clock part-way lets a test observe
     the cache *while* leases are live, which ``MemoryFabric.run`` (run to
     quiescence) cannot.
@@ -240,87 +236,6 @@ class TestCacheUnit:
             fabric._engines[sid] for sid in shard_map.groups["g1"].servers
         ]
         assert not any(s.lease_holders("k") for s in servers)
-
-    def test_bounded_staleness_serves_then_drops_expired_entry(self):
-        shard_map, fabric, client, proxy, recorder = build_memory_stack(
-            use_proxy=True, read_cache=8, lease_ttl=100.0,
-            bounded_staleness=True,
-        )
-        direct = ClientSessionEngine(
-            "d1", shard_map, recorder, policy=SIM_RETRY_POLICY
-        )
-        fabric.register("d1", direct)
-        seen = {}
-        issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
-        run_until(fabric, 10.0)
-        issue(fabric, client, OpKind.READ, "k", None, seen)
-        run_until(fabric, 20.0)
-        fill_hits = proxy.cache_hits
-        # Step past the proxy-side expiry (ttl/2 after the fill): in
-        # bounded mode the entry goes stale instead of being evicted, and
-        # the leases are released -- so a direct write sails through...
-        run_until(fabric, 80.0)
-        issue(fabric, direct, OpKind.WRITE, "k", "v2", seen)
-        run_until(fabric, 90.0)
-        assert seen["d1"] == "v2"
-        # ...and a proxied read in the stale window still answers from the
-        # (now old) entry: bounded staleness trades freshness for latency.
-        stale_seen = {}
-        issue(fabric, client, OpKind.READ, "k", None, stale_seen)
-        run_until(fabric, 95.0)
-        assert stale_seen["c1"] == "v1"
-        assert proxy.cache_hits == fill_hits + 1
-        # At the full TTL the stale grace ends and the entry is dropped.
-        fabric.run()
-        assert proxy._cache.peek("k") is None
-        # The stale read is exactly what the staleness meter must flag --
-        # one version behind, but never older than the lease TTL.
-        report = measure_staleness(recorder.histories()["k"])
-        assert report.max_version_lag >= 1
-        assert report.max_time_lag is not None
-
-    def test_one_round_fill_goes_stale_and_keeps_serving_in_one_round(self):
-        # The fill's quorum agreed, so round 1 is all it ever recorded.  That
-        # is a complete read: at ttl/2 the entry must go stale (and keep
-        # serving) rather than be evicted for want of a second round.
-        _, fabric, client, proxy, recorder = build_memory_stack(
-            use_proxy=True, read_cache=8, lease_ttl=100.0,
-            bounded_staleness=True,
-        )
-        seen = {}
-        issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
-        run_until(fabric, 10.0)
-        issue(fabric, client, OpKind.READ, "k", None, seen)
-        run_until(fabric, 20.0)
-        entry = proxy._cache.peek("k")
-        assert entry.rounds.keys() == {1} and entry.complete()
-        run_until(fabric, 80.0)  # past the proxy-side expiry
-        assert proxy._cache.peek("k") is entry and entry.stale
-        assert proxy.leases_expired == 1 and proxy.cache_invalidations == 0
-        subs_before = proxy.read_subs_sent
-        stale_seen = {}
-        issue(fabric, client, OpKind.READ, "k", None, stale_seen)
-        run_until(fabric, 90.0)
-        assert stale_seen == {"c1": "v1"}
-        assert proxy.read_subs_sent == subs_before  # served, not re-fetched
-        _, reads = recorder.histories()["k"].round_trip_counts()
-        assert reads == [1, 1]
-        fabric.run()
-        assert proxy._cache.peek("k") is None  # dropped at the full ttl
-
-    def test_a_fill_still_in_the_air_is_not_complete(self):
-        entry = CacheEntry(key="k", wait_for=2)
-        assert not entry.complete()  # nothing recorded yet
-        entry.inflight.add(1)
-        assert not entry.complete()
-        entry.inflight.discard(1)
-        entry.rounds[1] = []
-        assert entry.complete()  # a unanimous fill ends here
-        entry.inflight.add(2)  # a split one has its write-back out
-        assert not entry.complete()
-        entry.inflight.discard(2)
-        entry.rounds[2] = []
-        assert entry.complete()
 
     def test_entry_serves_through_a_local_writes_query_round(self):
         # A write's query round changes nothing, so the proxy's own entry
@@ -717,28 +632,6 @@ class TestCacheSim:
         assert result.completed_ops == 6 * 60
         assert result.cache is not None
         assert result.cache["invalidations"] >= 0
-
-    def test_bounded_staleness_time_lag_stays_under_ttl(self):
-        lease_ttl = 60.0
-        workload = generate_workload(
-            num_clients=6, ops_per_client=80, num_keys=8,
-            read_fraction=0.8, key_skew=1.0, seed=3,
-        )
-        result = run(KVRunConfig(
-            num_shards=2, num_groups=1, proxies=1,
-            read_cache=64, lease_ttl=lease_ttl,
-            bounded_staleness=True,
-        ), workload)
-        assert result.completed_ops == 6 * 80
-        lags = []
-        for history in result.histories.values():
-            report = measure_staleness(history)
-            if report.max_time_lag is not None:
-                lags.append(report.max_time_lag)
-        # Stale serving ends at the lease TTL; no read may return a value
-        # older than that, whatever the interleaving.
-        assert all(lag <= lease_ttl for lag in lags)
-
 
 class TestLeaseCrashSim:
     def test_a_direct_write_outwaits_a_crashed_proxys_lease(self):

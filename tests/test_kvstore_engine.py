@@ -167,8 +167,7 @@ class MemoryFabric:
 
 
 def build_memory_stack(num_shards=1, num_groups=1, use_proxy=False, hub=None,
-                       read_cache=0, lease_ttl=1000.0, bounded_staleness=False,
-                       num_clients=1):
+                       read_cache=0, lease_ttl=1000.0, num_clients=1):
     """A full client/proxy/servers stack wired through a MemoryFabric.
 
     ``hub`` optionally attaches an :class:`~repro.observe.ObserverHub`: every
@@ -204,17 +203,10 @@ def build_memory_stack(num_shards=1, num_groups=1, use_proxy=False, hub=None,
     proxy = None
     if use_proxy:
         proxy_observer = scoped("proxy", "p1")
-        read_round_trips = max(
-            (group.protocol.read_round_trips
-             for group in shard_map.groups.values()),
-            default=2,
-        )
         proxy = ProxyEngine(
             "p1", CachedShardView(shard_map), policy=SIM_RETRY_POLICY,
             observer=proxy_observer,
             read_cache=read_cache, lease_ttl=lease_ttl,
-            bounded_staleness=bounded_staleness,
-            read_round_trips=read_round_trips,
         )
         fabric.register("p1", proxy, observer=proxy_observer)
     for extra in range(2, num_clients + 1):

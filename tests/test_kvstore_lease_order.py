@@ -94,7 +94,7 @@ class ScriptedFabric:
         found = [("deliver", key) for key, queue in sorted(self.channels.items()) if queue]
         found += [
             ("fire", key) for key in self.timers
-            if key[1][0] not in ("lease", "stale")
+            if key[1][0] != "lease"
         ]
         return found
 
@@ -147,7 +147,7 @@ def build(read_cache, flush_delay):
 def assert_servable_entries_hold_their_leases(shard_map, replicas, proxies) -> None:
     for proxy in proxies.values():
         for entry in proxy._cache.entries():
-            if entry.stale or not entry.granted:
+            if not entry.granted:
                 continue  # not servable: the proxy would go to the replicas
             servers = shard_map.shard_for(entry.key).group.servers
             holding = [s for s in servers if proxy.proxy_id in replicas[s].lease_holders(entry.key)]

@@ -50,7 +50,6 @@ FIELDS = {
     "push_views": BOTH,
     "read_cache": BOTH,
     "lease_ttl": BOTH,
-    "bounded_staleness": BOTH,
     "resize_to": BOTH,
     "resize_after_ops": BOTH,
     "move_to": ("sim", dict(move_to=("s1", "g2"))),
@@ -79,7 +78,7 @@ SHARED = [
 class TestFieldCoverage:
     def test_every_field_has_a_row(self):
         assert set(FIELDS) == {field.name for field in fields(KVRunConfig)}
-        assert len(FIELDS) <= 30
+        assert len(FIELDS) <= 29
 
     def test_backend_only_rows_match_the_config(self):
         assert BACKEND_ONLY == {
@@ -125,8 +124,7 @@ REFUSED = [
     (dict(kill_proxy_after_ops=5), "kill_proxy_after_ops requires proxies"),
     (dict(read_policy=BroadcastReads()), "require proxies"),
     (dict(proxy_flush_delay=0.25), "require proxies"),
-    (dict(proxies=1, lease_ttl=5.0), "require read_cache"),
-    (dict(proxies=1, bounded_staleness=True), "require read_cache"),
+    (dict(proxies=1, lease_ttl=5.0), "lease_ttl requires read_cache"),
     (dict(crash_horizon=5.0), "crash_horizon requires crashes_per_group"),
     (dict(autoscale_interval=5.0), "autoscale_interval requires autoscale"),
 ]

@@ -28,6 +28,10 @@ when lease traffic began riding the data frames (grants in the batch-ack,
 releases in the next batch frame, a release's queue flushed on its own timer):
 the replicas send 198 -> 118 frames and receive 232 -> 178, the proxy sends
 424 -> 369 and arms 109 -> 136 timers, and the run's 1357 events became 1363.
+When the cache mode that served expired entries was removed, ``cache.hit``
+lost its ``stale`` attribute (always ``False`` here): only the two event
+digests moved, to those of the previous capture's rows with that attribute
+stripped.
 """
 
 from __future__ import annotations
