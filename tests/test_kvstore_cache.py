@@ -24,6 +24,7 @@ import time
 
 from test_kvstore_engine import MemoryFabric, build_memory_stack, run_script, tap
 
+from repro.consistency import measure_staleness
 from repro.core.operations import OpKind
 from repro.kvstore import (
     AsyncKVCluster,
@@ -68,8 +69,8 @@ from repro.protocols.codec import encode_tagged
 def run_until(fabric: MemoryFabric, deadline: float) -> None:
     """Drain the fabric's event heap up to ``deadline`` (exclusive).
 
-    Lease timers fire hundreds of fabric units after a
-    short script finishes; stepping the clock part-way lets a test observe
+    Lease timers fire hundreds of fabric units after a short script
+    finishes; stepping the clock part-way lets a test observe
     the cache *while* leases are live, which ``MemoryFabric.run`` (run to
     quiescence) cannot.
     """
@@ -236,6 +237,69 @@ class TestCacheUnit:
             fabric._engines[sid] for sid in shard_map.groups["g1"].servers
         ]
         assert not any(s.lease_holders("k") for s in servers)
+
+    def test_a_direct_write_after_expiry_is_what_the_next_proxied_read_sees(self):
+        # Past the proxy-side expiry the entry is gone and its leases are
+        # released, so a direct write goes through without deferring, and
+        # the next proxied read must fetch it: an expired entry never serves.
+        shard_map, fabric, client, proxy, recorder = build_memory_stack(
+            use_proxy=True, read_cache=8, lease_ttl=100.0,
+        )
+        direct = ClientSessionEngine(
+            "d1", shard_map, recorder, policy=SIM_RETRY_POLICY
+        )
+        fabric.register("d1", direct)
+        servers = group_servers(fabric, shard_map)
+        seen = {}
+        issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
+        run_until(fabric, 10.0)
+        issue(fabric, client, OpKind.READ, "k", None, seen)
+        run_until(fabric, 20.0)
+        hits = proxy.cache_hits
+        run_until(fabric, 80.0)  # past the proxy-side expiry (ttl/2)
+        assert proxy._cache.peek("k") is None
+        issue(fabric, direct, OpKind.WRITE, "k", "v2", seen)
+        run_until(fabric, 90.0)
+        assert seen["d1"] == "v2"
+        assert sum(s.write_deferrals for s in servers) == 0
+        after = {}
+        issue(fabric, client, OpKind.READ, "k", None, after)
+        fabric.run()
+        assert after == {"c1": "v2"}
+        assert proxy.cache_hits == hits
+        report = measure_staleness(recorder.histories()["k"])
+        assert report.max_version_lag == 0
+        assert check_per_key_atomicity(recorder.histories()).all_atomic
+
+    def test_an_expired_one_round_fill_is_refetched_and_leased_again(self):
+        # A unanimous fill records round 1 only.  At ttl/2 it is evicted like
+        # any other entry, and the next read is a miss that pays a fresh
+        # query round and takes a fresh grant quorum.
+        _, fabric, client, proxy, recorder = build_memory_stack(
+            use_proxy=True, read_cache=8, lease_ttl=100.0,
+        )
+        seen = {}
+        issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
+        run_until(fabric, 10.0)
+        issue(fabric, client, OpKind.READ, "k", None, seen)
+        run_until(fabric, 20.0)
+        first = proxy._cache.peek("k")
+        assert first.rounds.keys() == {1} and first.granted
+        run_until(fabric, 80.0)
+        assert proxy._cache.peek("k") is None
+        # The expiry is the entry's one eviction, counted as an invalidation.
+        assert proxy.leases_expired == 1 and proxy.cache_invalidations == 1
+        subs_before = proxy.read_subs_sent
+        again = {}
+        issue(fabric, client, OpKind.READ, "k", None, again)
+        run_until(fabric, 90.0)
+        assert again == {"c1": "v1"}
+        assert proxy.cache_misses == 2
+        assert proxy.read_subs_sent - subs_before == 2  # one quorum's round
+        second = proxy._cache.peek("k")
+        assert second is not None and second is not first and second.granted
+        _, reads = recorder.histories()["k"].round_trip_counts()
+        assert reads == [1, 1]
 
     def test_entry_serves_through_a_local_writes_query_round(self):
         # A write's query round changes nothing, so the proxy's own entry
@@ -632,6 +696,28 @@ class TestCacheSim:
         assert result.completed_ops == 6 * 60
         assert result.cache is not None
         assert result.cache["invalidations"] >= 0
+
+    def test_cached_reads_never_miss_a_completed_write(self):
+        # A short lease makes entries expire and refill throughout the run,
+        # and with two proxies a write through one must reach the other's
+        # entry through the replicas' leases.  Whichever way a read was
+        # served, it may not return a value older than a write that
+        # completed before the read began.
+        workload = generate_workload(
+            num_clients=6, ops_per_client=80, num_keys=8,
+            read_fraction=0.8, key_skew=1.0, seed=3,
+        )
+        result = run(KVRunConfig(
+            num_shards=2, num_groups=1, proxies=2,
+            read_cache=64, lease_ttl=60.0,
+        ), workload)
+        assert result.completed_ops == 6 * 80
+        assert result.cache["hits"] > 0
+        for key, history in result.histories.items():
+            report = measure_staleness(history)
+            assert report.max_version_lag == 0, (key, report.summary())
+        assert result.check().all_atomic
+
 
 class TestLeaseCrashSim:
     def test_a_direct_write_outwaits_a_crashed_proxys_lease(self):
