@@ -116,8 +116,8 @@ def check_failover(workload, baseline, killed):
 def _steady_state_resize(push_views: bool):
     """Ops, quiesce, resize, ops -- the steady-state replay count."""
     shard_map = ShardMap(4, num_groups=2, readers=2, writers=2)
-    cluster = SimKVCluster(shard_map, ["c1", "c2"], num_proxies=2,
-                           push_views=push_views)
+    cluster = SimKVCluster(shard_map, ["c1", "c2"],
+                           KVRunConfig(proxies=2, push_views=push_views))
 
     def issue(client_id, ops):
         client = cluster.clients[client_id]

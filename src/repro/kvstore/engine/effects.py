@@ -184,6 +184,10 @@ class RetryPolicy:
     #: installs).  ``None`` falls back to ``reconnect_interval``.
     drain_backoff: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.failover_timeout is not None and self.failover_timeout <= 0:
+            raise ValueError("failover_timeout must be positive (or None: off)")
+
     @property
     def transient_window(self) -> float:
         """Upper bound on the reconnect-and-replay window."""

@@ -49,13 +49,10 @@ from ..asyncio_net.endpoint import Endpoint
 from ..asyncio_net.server import ReplicaServer
 from ..core.operations import OpKind
 from ..messages import VIEW_PUSH_ACK_KIND, VIEW_PUSH_KIND, Message
-from ..observe.trace import TraceCollector
 from ..protocols.base import OperationOutcome
 from ..util.rng import SeededRng
 from .engine import (
-    DEFAULT_RETRY_POLICY,
     DIRECT_INGRESS,
-    DRAIN_RANGE_SIZE,
     BatchStats,
     ClientLink,
     ClientSessionEngine,
@@ -65,7 +62,6 @@ from .engine import (
     OpCompleted,
     OpFailed,
     ProxyEngine,
-    ReadRoutingPolicy,
     RetryPolicy,
     SendFrame,
 )
@@ -74,12 +70,11 @@ from .migration import MigrationReport
 from .perkey import KVHistoryRecorder, PerKeyAtomicity, check_per_key_atomicity
 from .sharding import ShardMap
 from .workload import (
-    NET_AUTOSCALE_INTERVAL,
-    NET_LEASE_TTL,
     KVRunConfig,
     KVRunResult,
     KVWorkload,
     arm_triggers,
+    backend_config,
     crash_victims,
     fold_run_result,
 )
@@ -248,39 +243,34 @@ class _ControlPlane(_Owner):
 
 
 class AsyncKVCluster(ClusterAssembly):
-    """All group replicas of a :class:`ShardMap` listening on loopback TCP.
+    """All group replicas of a :class:`ShardMap` listening on ``host``.
 
     The engines, their observers and the control plane are the
     :class:`~repro.kvstore.engine.assembly.ClusterAssembly`'s; this class
-    puts each behind a listening owner.
+    puts each behind a listening owner.  Every setting is ``config``'s
+    (``None``: ``KVRunConfig(backend="asyncio")``), read where the engine it
+    configures is built; how many proxies to start, and the run-level
+    settings, are the caller's.
     """
 
     def __init__(
         self,
         shard_map: ShardMap,
+        config: Optional[KVRunConfig] = None,
         host: str = "127.0.0.1",
-        service_overhead: float = 0.0,
-        service_per_op: float = 0.0,
-        retry_policy: Optional[RetryPolicy] = None,
-        push_views: bool = True,
-        trace_collector: Optional[TraceCollector] = None,
-        drain_range_size: int = DRAIN_RANGE_SIZE,
-        autoscale_interval: float = NET_AUTOSCALE_INTERVAL,
-        lease_ttl: float = NET_LEASE_TTL,
     ) -> None:
+        config = self.config = backend_config(config, "asyncio", "AsyncKVCluster")
         super().__init__(
             shard_map,
             time.monotonic,
-            retry_policy or DEFAULT_RETRY_POLICY,
-            lease_ttl=lease_ttl,
-            drain_range_size=drain_range_size,
-            autoscale_interval=autoscale_interval,
-            push_views=push_views,
-            trace_collector=trace_collector,
+            config.setting("retry_policy"),
+            lease_ttl=config.setting("lease_ttl"),
+            drain_range_size=config.drain_range_size,
+            autoscale_interval=config.setting("autoscale_interval"),
+            push_views=config.push_views,
+            trace_collector=config.trace_collector,
         )
         self.host = host
-        self.service_overhead = service_overhead
-        self.service_per_op = service_per_op
         self.replicas: Dict[str, ReplicaServer] = {}
         self.proxies: Dict[str, "ProxyServer"] = {}
         #: Where every replica and proxy listens (stable across kill/restart).
@@ -299,8 +289,8 @@ class AsyncKVCluster(ClusterAssembly):
             replica = ReplicaServer(
                 self.server_engine(server_id),
                 host=self.host,
-                service_overhead=self.service_overhead,
-                service_per_op=self.service_per_op,
+                service_overhead=self.config.setting("service_overhead"),
+                service_per_op=self.config.setting("service_per_op"),
             )
             await replica.start()
             self.replicas[server_id] = replica
@@ -369,26 +359,28 @@ class AsyncKVCluster(ClusterAssembly):
     async def start_proxies(
         self,
         num_proxies: int = 1,
-        read_policy: Optional[ReadRoutingPolicy] = None,
-        max_batch: int = 64,
         site: Optional[str] = None,
-        read_cache: int = 0,
+        read_cache: Optional[int] = None,
     ) -> List[str]:
         """Start ``num_proxies`` site-local ingress proxies; returns their ids.
 
         Proxies are stateless, so they can be started (and pointed at) any
         time after :meth:`start`; each owns its own connections to every
         replica group and merges forwarded rounds across the client
-        connections it accepts.  ``site`` tags the started proxies with a
-        deployment site: failover (:meth:`proxy_candidates`) only re-dials
-        proxies of the *same* site, so call once per site to model a
-        multi-site ingress tier.  With no sites, all proxies form one.
+        connections it accepts, routing reads by the config's
+        ``read_policy`` and caching ``read_cache`` entries (``None``: the
+        config's).  ``site`` tags the started proxies with a deployment
+        site: failover (:meth:`proxy_candidates`) only re-dials proxies of
+        the *same* site, so call once per site to model a multi-site ingress
+        tier.  With no sites, all proxies form one.
         """
+        if read_cache is None:
+            read_cache = self.config.read_cache
         started: List[str] = []
         for _ in range(num_proxies):
             proxy_id = f"p{len(self.proxies) + 1}"
             engine = self.proxy_engine(
-                proxy_id, read_policy=read_policy, max_batch=max_batch,
+                proxy_id, read_policy=self.config.read_policy,
                 read_cache=read_cache, site=site,
             )
             proxy = ProxyServer(engine, self, host=self.host)
@@ -680,28 +672,29 @@ class KVStore:
     fresh failover generation, falling back to the replicas when the site is
     exhausted.
 
-    A store behind a proxy started with ``read_cache`` (see
+    A store behind a proxy with a read cache (see
     :meth:`AsyncKVCluster.start_proxies`) gets lease-backed cached reads
     transparently: hot-key gets are acked straight from the proxy's cache
     with no replica round, and its puts invalidate the proxy's own entry
     before they dispatch, so the store observes the same atomic register it
     would without the cache.
 
-    :meth:`close` fails whatever the store still has in flight with
-    ``ConnectionError`` and leaves the link to the other stores.
+    ``max_batch`` defaults to the cluster config's.  :meth:`close` fails
+    whatever the store still has in flight with ``ConnectionError`` and
+    leaves the link to the other stores.
     """
 
     def __init__(
         self,
         cluster: AsyncKVCluster,
         client_id: str = "kv1",
-        max_batch: int = 8,
+        max_batch: Optional[int] = None,
         recorder: Optional[KVHistoryRecorder] = None,
         use_proxy: Union[bool, str, None] = None,
     ) -> None:
         self.cluster = cluster
         self.client_id = client_id
-        self.max_batch = max_batch
+        self.max_batch = cluster.config.max_batch if max_batch is None else max_batch
         base = time.monotonic()
         self.recorder = recorder or KVHistoryRecorder(lambda: time.monotonic() - base)
         self.use_proxy = use_proxy
@@ -834,33 +827,22 @@ class SyncKVStore:
 
     Starts its own :class:`AsyncKVCluster` and :class:`KVStore` on a daemon
     event-loop thread, so plain synchronous code can use the sharded store
-    without touching asyncio::
+    without touching asyncio.  ``config`` (``None``: the default asyncio
+    one) is the cluster's, shaped for its one client::
 
-        with SyncKVStore(num_shards=4, num_groups=2) as store:
+        with SyncKVStore(KVRunConfig(backend="asyncio", num_groups=2)) as store:
             store.put("user:7", "ada")
             store.resize(8)                      # live rebalance
             assert store.get("user:7") == "ada"
     """
 
     def __init__(
-        self,
-        num_shards: int = 2,
-        protocol_key: str = "abd-mwmr",
-        servers_per_shard: int = 3,
-        max_faults: int = 1,
-        max_batch: int = 8,
-        client_id: str = "kv-sync",
-        shard_map: Optional[ShardMap] = None,
-        num_groups: Optional[int] = None,
+        self, config: Optional[KVRunConfig] = None, client_id: str = "kv-sync"
     ) -> None:
+        config = backend_config(config, "asyncio", "SyncKVStore")
+        self._cluster = AsyncKVCluster(config.cluster_map(1), config)
+        self._store = KVStore(self._cluster, client_id=client_id)
         self._loop_thread = LoopThread()
-        if shard_map is None:
-            shard_map = ShardMap(
-                num_shards, protocol_key=protocol_key, servers_per_shard=servers_per_shard,
-                max_faults=max_faults, num_groups=num_groups,
-            )
-        self._cluster = AsyncKVCluster(shard_map)
-        self._store = KVStore(self._cluster, client_id=client_id, max_batch=max_batch)
         self._closed = False
         try:
             self._loop_thread.call(self._setup())
@@ -956,23 +938,10 @@ def _run_asyncio(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
     shard_map = config.cluster_map(len(clients))
 
     async def _run() -> KVRunResult:
-        cluster = AsyncKVCluster(
-            shard_map,
-            service_overhead=config.setting("service_overhead"),
-            service_per_op=config.setting("service_per_op"),
-            retry_policy=config.retry_policy,
-            push_views=config.push_views,
-            trace_collector=config.trace_collector,
-            drain_range_size=config.drain_range_size,
-            autoscale_interval=config.setting("autoscale_interval"),
-            lease_ttl=config.setting("lease_ttl"),
-        )
+        cluster = AsyncKVCluster(shard_map, config)
         await cluster.start()
         if config.proxies:
-            await cluster.start_proxies(
-                config.proxies, read_policy=config.read_policy,
-                read_cache=config.read_cache,
-            )
+            await cluster.start_proxies(config.proxies)
         if config.autoscale:
             cluster.start_autoscaler()
         base = time.monotonic()
@@ -1023,7 +992,6 @@ def _run_asyncio(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
                 store = KVStore(
                     cluster,
                     client_id=client_id,
-                    max_batch=config.max_batch,
                     recorder=recorder,
                     use_proxy=True if config.proxies else None,
                 )

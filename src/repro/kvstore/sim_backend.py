@@ -44,19 +44,15 @@ from functools import partial
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Set
 
 from ..core.operations import OpKind
-from ..messages import DEFAULT_LEASE_TTL, Message
-from ..observe.trace import TraceCollector
+from ..messages import Message
 from ..protocols.base import OperationOutcome
 from ..sim.clock import EventQueue
-from ..sim.delays import ConstantDelay, DelayModel
+from ..sim.delays import ConstantDelay
 from ..sim.failures import CrashPlan, FailureInjector
 from ..sim.network import Network
 from ..sim.process import Process
 from ..util.rng import SeededRng
 from .engine import (
-    DRAIN_RANGE_SIZE,
-    PROXY_FAILOVER_TIMEOUT,
-    SIM_RETRY_POLICY,
     BatchStats,
     ClientSessionEngine,
     ControlPlaneEngine,
@@ -64,7 +60,6 @@ from .engine import (
     EffectRuntime,
     GroupServerEngine,
     OpFailed,
-    ReadRoutingPolicy,
     SendFrame,
 )
 from .engine.assembly import ClusterAssembly
@@ -72,11 +67,11 @@ from .migration import MigrationReport
 from .perkey import KVHistoryRecorder
 from .sharding import ShardMap
 from .workload import (
-    SIM_AUTOSCALE_INTERVAL,
     KVRunConfig,
     KVRunResult,
     KVWorkload,
     arm_triggers,
+    backend_config,
     crash_victims,
     fold_run_result,
 )
@@ -90,7 +85,6 @@ __all__ = [
     "SimKVCluster",
     "run_sim_kv_workload",
     "SIM_DRAIN_RETRY_DELAY",
-    "SIM_AUTOSCALE_INTERVAL",
 ]
 
 #: How long the drain waits for a replica's ack before resending, on the
@@ -115,8 +109,8 @@ class BatchReplicaProcess(Process):
         server_id: str,
         logic: GroupServerEngine,
         events: EventQueue,
-        service_overhead: float = 0.2,
-        service_per_op: float = 0.1,
+        service_overhead: float,
+        service_per_op: float,
     ) -> None:
         super().__init__(server_id)
         self.logic = logic
@@ -360,6 +354,11 @@ class SimKVCluster(ClusterAssembly):
     that site's proxies -- exhausting them drops the client to direct
     replica connections.  Without sites, all proxies form one site.
 
+    Every setting is ``config``'s (``None``: ``KVRunConfig()``), read here
+    once -- ``config.proxies`` proxies ``p1..pN`` included; the shard map is
+    the caller's (:meth:`KVRunConfig.cluster_map`), and the run-level
+    settings (triggers, crashes, ``autoscale``) are :func:`run`'s.
+
     ``push_views`` has the control plane push the fresh shard-map view to
     every live proxy at each :meth:`resize`/:meth:`move_shard` (one
     ``view-push`` frame per proxy through the simulated network), so in the
@@ -374,37 +373,24 @@ class SimKVCluster(ClusterAssembly):
         self,
         shard_map: ShardMap,
         client_ids: List[str],
-        delay_model: Optional[DelayModel] = None,
-        max_batch: int = 8,
-        service_overhead: float = 0.2,
-        service_per_op: float = 0.1,
-        num_proxies: int = 0,
-        read_policy: Optional[ReadRoutingPolicy] = None,
-        proxy_flush_delay: float = 0.0,
+        config: Optional[KVRunConfig] = None,
+        *,
         sites: Optional[Mapping[str, str]] = None,
-        push_views: bool = True,
-        proxy_timeout: float = PROXY_FAILOVER_TIMEOUT,
-        trace_collector: Optional[TraceCollector] = None,
-        drain_range_size: int = DRAIN_RANGE_SIZE,
-        autoscale_interval: float = SIM_AUTOSCALE_INTERVAL,
-        read_cache: int = 0,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
-        if proxy_timeout <= 0:
-            raise ValueError("proxy_timeout must be positive")
+        config = backend_config(config, "sim", "SimKVCluster")
         self.events = EventQueue()
         super().__init__(
             shard_map,
             lambda: self.events.clock.now,
-            SIM_RETRY_POLICY.with_failover_timeout(proxy_timeout),
-            lease_ttl=lease_ttl,
-            drain_range_size=drain_range_size,
-            autoscale_interval=autoscale_interval,
-            push_views=push_views,
+            config.setting("retry_policy"),
+            lease_ttl=config.setting("lease_ttl"),
+            drain_range_size=config.drain_range_size,
+            autoscale_interval=config.setting("autoscale_interval"),
+            push_views=config.push_views,
             sites=sites,
-            trace_collector=trace_collector,
+            trace_collector=config.trace_collector,
         )
-        self.network = Network(self.events, delay_model or ConstantDelay())
+        self.network = Network(self.events, config.delay_model or ConstantDelay())
         self.recorder = KVHistoryRecorder(lambda: self.events.clock.now)
         self.crashed_proxies: Set[str] = set()
         self._completion_watchers: List[Callable[[], None]] = []
@@ -412,14 +398,15 @@ class SimKVCluster(ClusterAssembly):
         for server_id in shard_map.all_servers:
             self.replicas[server_id] = self._attached(BatchReplicaProcess(
                 server_id, self.server_engine(server_id), self.events,
-                service_overhead=service_overhead, service_per_op=service_per_op,
+                config.setting("service_overhead"), config.setting("service_per_op"),
             ))
         self.proxies: Dict[str, ProxyProcess] = {}
-        for proxy_id in (f"p{index}" for index in range(1, num_proxies + 1)):
+        for proxy_id in (f"p{index}" for index in range(1, config.proxies + 1)):
             self.proxies[proxy_id] = self._attached(ProxyProcess(
                 proxy_id, self.events, self.proxy_engine(
-                    proxy_id, read_policy=read_policy, flush_delay=proxy_flush_delay,
-                    read_cache=read_cache,
+                    proxy_id, read_policy=config.read_policy,
+                    flush_delay=config.setting("proxy_flush_delay"),
+                    read_cache=config.read_cache,
                 ),
             ))
         # Control-plane timing on the virtual clock (the engine's default
@@ -429,7 +416,7 @@ class SimKVCluster(ClusterAssembly):
         self.clients: Dict[str, KVClientProcess] = {}
         for client_id in client_ids:
             engine = self.client_engine(
-                client_id, self.recorder, max_batch=max_batch,
+                client_id, self.recorder, max_batch=config.max_batch,
                 proxy_candidates=self.proxy_candidates(client_id),
             )
             self.clients[client_id] = self._attached(KVClientProcess(
@@ -554,23 +541,7 @@ def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
     """:func:`~repro.kvstore.workload.run` on the simulator, in virtual time."""
     clients = workload.clients
     shard_map = config.cluster_map(len(clients))
-    cluster = SimKVCluster(
-        shard_map,
-        clients,
-        delay_model=config.delay_model,
-        max_batch=config.max_batch,
-        service_overhead=config.setting("service_overhead"),
-        service_per_op=config.setting("service_per_op"),
-        num_proxies=config.proxies,
-        read_policy=config.read_policy,
-        proxy_flush_delay=config.setting("proxy_flush_delay"),
-        push_views=config.push_views,
-        trace_collector=config.trace_collector,
-        drain_range_size=config.drain_range_size,
-        autoscale_interval=config.setting("autoscale_interval"),
-        read_cache=config.read_cache,
-        lease_ttl=config.setting("lease_ttl"),
-    )
+    cluster = SimKVCluster(shard_map, clients, config)
 
     def completed_ops() -> int:
         return cluster.recorder.completed_operations

@@ -34,7 +34,9 @@ from ..messages import DEFAULT_LEASE_TTL
 from ..util.rng import SeededRng
 from ..util.stats import LatencyStats, summarize
 from .engine import (
+    DEFAULT_RETRY_POLICY,
     DRAIN_RANGE_SIZE,
+    SIM_RETRY_POLICY,
     BatchStats,
     ClientLink,
     ClientSessionEngine,
@@ -274,33 +276,33 @@ class KVRunResult:
 
 # -- one run's configuration -----------------------------------------------------
 
-#: Defaults on each backend's clock (the simulator's virtual time units, or
-#: seconds).  Loopback rounds are sub-millisecond, so a 0.25 s autoscale window
-#: is thousands of ops of signal; a 1 s lease keeps a write deferred behind a
-#: crashed proxy's lease from waiting seconds (a mutating attempt outwaits it:
-#: it gets ``ceil(lease_ttl / silence_window) + 1`` silence windows at least).
-SIM_AUTOSCALE_INTERVAL, NET_AUTOSCALE_INTERVAL, NET_LEASE_TTL = 150.0, 0.25, 1.0
-
-#: What a :class:`KVRunConfig` setting left ``None`` is, per backend.
-BACKEND_DEFAULTS: Dict[str, Dict[str, float]] = {
+#: What a :class:`KVRunConfig` setting left ``None`` is, per backend, on its
+#: clock (the simulator's virtual time units, or seconds).  Loopback rounds
+#: are sub-millisecond, so a 0.25 s autoscale window is thousands of ops of
+#: signal; a 1 s lease keeps a write deferred behind a crashed proxy's lease
+#: from waiting seconds (a mutating attempt outwaits it: it gets
+#: ``ceil(lease_ttl / silence_window) + 1`` silence windows at least).
+BACKEND_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "sim": dict(service_overhead=0.2, service_per_op=0.1, lease_ttl=DEFAULT_LEASE_TTL,
-                autoscale_interval=SIM_AUTOSCALE_INTERVAL, crash_horizon=20.0,
-                proxy_flush_delay=0.0),
-    "asyncio": dict(service_overhead=0.0, service_per_op=0.0, lease_ttl=NET_LEASE_TTL,
-                    autoscale_interval=NET_AUTOSCALE_INTERVAL),
+                autoscale_interval=150.0, crash_horizon=20.0,
+                proxy_flush_delay=0.0, retry_policy=SIM_RETRY_POLICY),
+    "asyncio": dict(service_overhead=0.0, service_per_op=0.0, lease_ttl=1.0,
+                    autoscale_interval=0.25, retry_policy=DEFAULT_RETRY_POLICY),
 }
 
 #: The settings only one backend has.
 BACKEND_ONLY = dict(delay_model="sim", move_to="sim", crash_horizon="sim",
-                    proxy_flush_delay="sim", retry_policy="asyncio")
+                    proxy_flush_delay="sim")
 
 
 @dataclass(frozen=True)
 class KVRunConfig:
     """Everything one :func:`run` is apart from its workload, on either backend.
 
-    A setting in time is on the backend's clock, and ``None`` takes its
-    :data:`BACKEND_DEFAULTS` entry.  Construction raises ``ValueError`` for
+    It is also all a cluster is built from: ``SimKVCluster``,
+    ``AsyncKVCluster`` and ``SyncKVStore`` take one and read their settings
+    off it.  A setting in time is on the backend's clock, and ``None`` takes
+    its :data:`BACKEND_DEFAULTS` entry.  Construction raises ``ValueError`` for
     a setting the run would ignore: one only the other backend has
     (:data:`BACKEND_ONLY`), or one that needs another.
     """
@@ -321,7 +323,8 @@ class KVRunConfig:
     service_overhead: Optional[float] = None
     service_per_op: Optional[float] = None
     delay_model: Optional["DelayModel"] = None  # default: a constant one unit
-    #: The reconnect and failover windows of every component.
+    #: The reconnect and failover windows of every component, on the
+    #: backend's clock.
     retry_policy: Optional[RetryPolicy] = None
     trace_collector: Optional["TraceCollector"] = None
     #: Ingress proxies the clients are routed through, round-robin (0: direct),
@@ -393,6 +396,19 @@ class KVRunConfig:
             servers_per_shard=self.servers_per_shard, max_faults=self.max_faults,
             readers=clients, writers=clients, num_groups=self.num_groups,
         )
+
+
+def backend_config(config: Optional[KVRunConfig], backend: str, owner: str) -> KVRunConfig:
+    """``config`` (``None``: ``backend``'s default one) for class ``owner``,
+    which refuses another backend's: its times are on the other clock."""
+    if config is None:
+        return KVRunConfig(backend=backend)
+    if config.backend != backend:
+        raise ValueError(
+            f"{owner} builds from a backend={backend!r} config, "
+            f"not backend={config.backend!r}"
+        )
+    return config
 
 
 def run(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:

@@ -1,43 +1,55 @@
 """Both backends assemble the same cluster, and the control plane over sockets.
 
-A configuration is a shard map plus a dozen settings; what it *becomes* --
+A configuration is a shard map plus a ``KVRunConfig``; what it *becomes* --
 which engine each node runs, hosting what, scoped how -- must not depend on
-the backend that built it.  The first half builds the same configuration as a
-``SimKVCluster`` and as a started ``AsyncKVCluster`` and compares every fact
-an engine's constructor fixed.  The second half drives the asyncio control
-plane over real loopback TCP: it is an owner like the others -- it dials its
-peers, lazily, and keeps the connections -- and a migration meets a dead
-donor replica, a dead proxy, a cluster stopped mid-drain.
+the backend that built it.  The first half builds each configuration as a
+``SimKVCluster`` and, with ``backend="asyncio"``, as a started
+``AsyncKVCluster`` and compares every fact an engine's constructor fixed.
+The second half drives the asyncio control plane over real loopback TCP: it
+is an owner like the others -- it dials its peers, lazily, and keeps the
+connections -- and a migration meets a dead donor replica, a dead proxy, a
+cluster stopped mid-drain.
 """
 
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.kvstore import AsyncKVCluster, KVStore, ShardMap, SimKVCluster
+from repro.kvstore import AsyncKVCluster, KVRunConfig, KVStore, ShardMap, SimKVCluster
 from repro.kvstore.engine import CONTROL_PLANE
 from repro.messages import VIEW_PUSH_KIND
 
-from test_kvstore_failover import FAST_RETRY
+from test_kvstore_failover import fast
 from test_transport_endpoints import _other_tasks, _wait_until
 
 CLIENTS = ["c1", "c2", "c3", "c4"]
 
-#: Settings both constructors spell the same way, set away from every default.
-SHARED = dict(drain_range_size=5, autoscale_interval=3.0, lease_ttl=7.0)
 
-#: name -> (push_views, read_cache, proxies per site).
-#: A site of ``None`` is a deployment that names none; clients are spread
-#: over the sites in order, two per site.
+def _row(push_views: bool, read_cache: int, layout) -> Tuple[KVRunConfig, list]:
+    """A simulator config, with every setting away from its default -- a
+    lease TTL only with a cache, which the config refuses without one --
+    and its proxies per site.
+
+    A site of ``None`` is a deployment that names none; clients are spread
+    over the sites in order, two per site.
+    """
+    return KVRunConfig(
+        proxies=sum(count for _, count in layout), push_views=push_views,
+        read_cache=read_cache, lease_ttl=7.0 if read_cache else None,
+        drain_range_size=5, autoscale=True, autoscale_interval=3.0,
+    ), layout
+
+
 CONFIGS = {
-    "cache-off": (True, 0, [(None, 3)]),
-    "cache-on": (True, 16, [(None, 2)]),
-    "no-push": (False, 0, [(None, 2)]),
-    "two-sites": (True, 8, [("us", 2), ("eu", 1)]),
-    "no-proxies": (True, 0, []),
+    "cache-off": _row(True, 0, [(None, 3)]),
+    "cache-on": _row(True, 16, [(None, 2)]),
+    "no-push": _row(False, 0, [(None, 2)]),
+    "two-sites": _row(True, 8, [("us", 2), ("eu", 1)]),
+    "no-proxies": _row(True, 0, []),
 }
 
 
@@ -77,17 +89,19 @@ def _scope_of(hub, engine) -> Tuple[str, str]:
     return sink.seen[0]  # the sink's first event: later probes reach it too
 
 
-def _facts(hub, servers, proxies, control, clients) -> Dict[str, Any]:
+def _facts(hub, config, servers, proxies, control, clients) -> Dict[str, Any]:
     """Every constructor-visible fact of a cluster's engines.
 
     Read through public attributes, with two exceptions that have none: a
-    proxy's cache capacity and a session's candidate list.
+    proxy's cache capacity and a session's candidate list.  A replica's
+    lease TTL is a setting in time, whose default differs per backend: the
+    fact is that it is ``config``'s.
     """
     return {
         "servers": {
             server_id: (
                 {shard: engine.hosted_epoch(shard) for shard in engine.hosted_shards()},
-                engine.lease_ttl,
+                engine.lease_ttl == config.setting("lease_ttl"),
                 _scope_of(hub, engine),
             )
             for server_id, engine in servers.items()
@@ -115,33 +129,30 @@ def _facts(hub, servers, proxies, control, clients) -> Dict[str, Any]:
     }
 
 
-def _sim_facts(config: str) -> Dict[str, Any]:
-    push_views, read_cache, layout = CONFIGS[config]
-    cluster = SimKVCluster(
-        _shard_map(), CLIENTS, num_proxies=sum(count for _, count in layout),
-        sites=_sites(layout), push_views=push_views, read_cache=read_cache,
-        **SHARED,
-    )
+def _sim_facts(name: str) -> Dict[str, Any]:
+    config, layout = CONFIGS[name]
+    cluster = SimKVCluster(_shard_map(), CLIENTS, config, sites=_sites(layout))
     return _facts(
-        cluster.hub, cluster.server_logics,
+        cluster.hub, config, cluster.server_logics,
         {pid: proxy.engine for pid, proxy in cluster.proxies.items()},
         cluster.control.engine,
         {cid: client.engine for cid, client in cluster.clients.items()},
     )
 
 
-def _asyncio_facts(config: str, heads: Dict[str, str]) -> Dict[str, Any]:
+def _asyncio_facts(name: str, heads: Dict[str, str]) -> Dict[str, Any]:
     """``heads`` names the proxy each store asks for (a sited client's own
     site's, as a deployment would); a client it leaves out takes its turn."""
-    push_views, read_cache, layout = CONFIGS[config]
+    sim_config, layout = CONFIGS[name]
+    config = replace(sim_config, backend="asyncio")
 
     async def scenario():
-        cluster = AsyncKVCluster(_shard_map(), push_views=push_views, **SHARED)
+        cluster = AsyncKVCluster(_shard_map(), config)
         await cluster.start()
         stores = []
         try:
             for site, count in layout:
-                await cluster.start_proxies(count, site=site, read_cache=read_cache)
+                await cluster.start_proxies(count, site=site)
             for client_id in CLIENTS:
                 store = KVStore(
                     cluster, client_id=client_id,
@@ -150,7 +161,7 @@ def _asyncio_facts(config: str, heads: Dict[str, str]) -> Dict[str, Any]:
                 await store.connect()
                 stores.append(store)
             return _facts(
-                cluster.hub, cluster.server_logics,
+                cluster.hub, config, cluster.server_logics,
                 {pid: proxy.engine for pid, proxy in cluster.proxies.items()},
                 cluster.control,
                 {store.client_id: store.engine for store in stores},
@@ -164,24 +175,25 @@ def _asyncio_facts(config: str, heads: Dict[str, str]) -> Dict[str, Any]:
 
 
 class TestBothBackendsAssembleTheSameCluster:
-    @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_engines_agree_on_every_constructor_visible_fact(self, config):
-        sim = _sim_facts(config)
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_engines_agree_on_every_constructor_visible_fact(self, name):
+        sim = _sim_facts(name)
         # A store says which proxy it wants; the simulator works it out from
         # the client's site and index.  Ask for what the simulator picked.
-        sited = _sites(CONFIGS[config][2])
+        sited = _sites(CONFIGS[name][1])
         heads = {
             client_id: facts[1]
             for client_id, facts in sim["clients"].items() if client_id in sited
         }
-        net = _asyncio_facts(config, heads)
+        net = _asyncio_facts(name, heads)
         assert net == sim
 
     def test_the_facts_are_the_configured_ones(self):
         facts = _sim_facts("two-sites")
-        hosted, lease_ttl, scope = facts["servers"]["g1-s1"]
+        hosted, configured_ttl, scope = facts["servers"]["g1-s1"]
         assert hosted == {"sh1": 1, "sh3": 1, "sh5": 1}
-        assert (lease_ttl, scope) == (7.0, ("replica", "g1-s1"))
+        assert CONFIGS["two-sites"][0].setting("lease_ttl") == 7.0
+        assert (configured_ttl, scope) == (True, ("replica", "g1-s1"))
         assert facts["proxies"]["p3"] == (8, 64, 1, ("proxy", "p3"))
         assert facts["control"] == (
             ["p1", "p2", "p3"], 5, 3.0, ("control", "control-plane")
@@ -208,7 +220,7 @@ class _DrainEvents:
 
 async def _loaded(shard_map, proxies: int = 0, keys: int = 12):
     """A started cluster, one connected store and ``keys`` written keys."""
-    cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY, drain_range_size=4)
+    cluster = AsyncKVCluster(shard_map, fast(drain_range_size=4))
     await cluster.start()
     if proxies:
         await cluster.start_proxies(proxies)
@@ -280,7 +292,7 @@ class TestControlPlaneOverSockets:
     def test_the_control_plane_dials_at_its_first_use_and_keeps_the_connections(self):
         async def scenario():
             shard_map = ShardMap(4, num_groups=2, readers=8, writers=8)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(shard_map, fast())
             await cluster.start()
             await cluster.start_proxies(1)
             stores = [

@@ -728,7 +728,7 @@ class TestLeaseCrashSim:
         lease_ttl = 400.0
         shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
         cluster = SimKVCluster(
-            shard_map, ["c1"], num_proxies=1, read_cache=8, lease_ttl=lease_ttl
+            shard_map, ["c1"], KVRunConfig(proxies=1, read_cache=8, lease_ttl=lease_ttl)
         )
         policy = cluster.retry_policy
         assert lease_ttl > policy.max_round_timeouts * policy.silence_window
@@ -763,9 +763,11 @@ class TestLeaseCrashAsyncio:
 
         async def scenario():
             shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
-            cluster = AsyncKVCluster(shard_map, lease_ttl=lease_ttl)
+            cluster = AsyncKVCluster(shard_map, KVRunConfig(
+                backend="asyncio", proxies=1, read_cache=8, lease_ttl=lease_ttl,
+            ))
             await cluster.start()
-            await cluster.start_proxies(1, read_cache=8)
+            await cluster.start_proxies(1)
             proxy_id = next(iter(cluster.proxies))
             reader = KVStore(cluster, client_id="c1", use_proxy=proxy_id)
             await reader.connect()

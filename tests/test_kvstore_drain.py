@@ -32,6 +32,7 @@ from test_kvstore_engine import (
 from repro.core.operations import OpKind
 from repro.kvstore import (
     AsyncKVCluster,
+    KVRunConfig,
     KVStore,
     ShardMap,
     SimKVCluster,
@@ -217,7 +218,7 @@ class TestCrossBackendDrainEquivalence:
 
     def _sim_trace(self):
         shard_map = ShardMap(4, num_groups=2, readers=1, writers=1)
-        cluster = SimKVCluster(shard_map, ["c1"], drain_range_size=2)
+        cluster = SimKVCluster(shard_map, ["c1"], KVRunConfig(drain_range_size=2))
         for key in self.KEYS:
             cluster.clients["c1"].put(key, f"v-{key}")
         cluster.run()
@@ -232,7 +233,7 @@ class TestCrossBackendDrainEquivalence:
 
         async def scenario():
             shard_map = ShardMap(4, num_groups=2, readers=1, writers=1)
-            cluster = AsyncKVCluster(shard_map, drain_range_size=2)
+            cluster = AsyncKVCluster(shard_map, KVRunConfig(backend="asyncio", drain_range_size=2))
             # Loopback acks land in milliseconds; a generous retry delay
             # keeps slow-CI runs from resending frames the sim never resends.
             cluster.control.retry_delay = 5.0

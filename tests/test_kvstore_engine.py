@@ -356,12 +356,19 @@ def memory_trace(use_proxy=False, hub=None, script=SCRIPT, read_cache=0):
             proxy_trace[: cut.get("proxy")])
 
 
+def _trace_config(backend, use_proxy, read_cache):
+    """The trace clusters' config: a lease of 1000 units/seconds where there
+    is a cache, as in the memory stack; with none, nothing holds a lease and
+    each backend keeps its default."""
+    return KVRunConfig(
+        backend=backend, proxies=1 if use_proxy else 0, read_cache=read_cache,
+        lease_ttl=1000.0 if read_cache else None,
+    )
+
+
 def sim_trace(use_proxy=False, script=SCRIPT, read_cache=0):
     shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
-    cluster = SimKVCluster(
-        shard_map, ["c1"], num_proxies=1 if use_proxy else 0,
-        read_cache=read_cache, lease_ttl=1000.0,
-    )
+    cluster = SimKVCluster(shard_map, ["c1"], _trace_config("sim", use_proxy, read_cache))
     client_trace, proxy_trace = [], []
     tap(cluster.clients["c1"].engine, client_trace)
     if use_proxy:
@@ -397,10 +404,12 @@ def asyncio_trace(use_proxy=False, script=SCRIPT, read_cache=0):
 
     async def scenario():
         shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
-        cluster = AsyncKVCluster(shard_map, lease_ttl=1000.0)
+        cluster = AsyncKVCluster(
+            shard_map, _trace_config("asyncio", use_proxy, read_cache)
+        )
         await cluster.start()
         if use_proxy:
-            await cluster.start_proxies(1, read_cache=read_cache)
+            await cluster.start_proxies(1)
         store = KVStore(cluster, client_id="c1", use_proxy="p1" if use_proxy else None)
         await store.connect()
         client_trace, proxy_trace = [], []
@@ -793,7 +802,7 @@ class TestDeltaViewPush:
         # is unknown to the proxies, so they skip it and discover both
         # rebalances the hard way -- stale bounces, replay, still atomic.
         shard_map = ShardMap(4, num_groups=2, readers=2, writers=2)
-        cluster = SimKVCluster(shard_map, ["c1", "c2"], num_proxies=2)
+        cluster = SimKVCluster(shard_map, ["c1", "c2"], KVRunConfig(proxies=2))
         client = cluster.clients["c1"]
         for i in range(8):
             client.put(f"k{i}", f"v{i}")

@@ -21,6 +21,7 @@ Covers the two halves of the fault-tolerant proxy tier on both backends:
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,7 @@ from repro.kvstore import (
     run,
 )
 from repro.core.errors import ProtocolError
+from repro.kvstore.engine import SIM_RETRY_POLICY
 from repro.messages import BATCH_KIND, unpack_batch
 from repro.observe import TIMER_ARMED
 
@@ -50,6 +52,16 @@ FAST_RETRY = RetryPolicy(
     max_round_timeouts=3,
     silence_window=0.1,
 )
+
+
+def fast(**settings) -> KVRunConfig:
+    """An asyncio cluster's config with the :data:`FAST_RETRY` windows."""
+    return KVRunConfig(backend="asyncio", retry_policy=FAST_RETRY, **settings)
+
+
+#: The simulator's retry policy with a failover watchdog short enough for
+#: the proxy-crash scenarios below.
+QUICK_FAILOVER = KVRunConfig(retry_policy=SIM_RETRY_POLICY.with_failover_timeout(30.0))
 
 
 class TestAttemptScopedIds:
@@ -137,8 +149,8 @@ class TestSimProxyFailover:
 
     def test_exhausted_proxy_list_falls_back_to_direct(self):
         shard_map = ShardMap(2, num_groups=2, readers=2, writers=2)
-        cluster = SimKVCluster(shard_map, ["c1", "c2"], num_proxies=1,
-                               proxy_timeout=30.0)
+        cluster = SimKVCluster(shard_map, ["c1", "c2"],
+                               replace(QUICK_FAILOVER, proxies=1))
         plan = []
         for i in range(8):
             plan.append(("c1", "put", f"k{i % 3}", f"a{i}"))
@@ -158,8 +170,8 @@ class TestSimProxyFailover:
     def test_failover_stays_within_the_site(self):
         shard_map = ShardMap(2, num_groups=2, readers=2, writers=2)
         sites = {"c1": "us", "c2": "eu", "p1": "us", "p2": "us", "p3": "eu"}
-        cluster = SimKVCluster(shard_map, ["c1", "c2"], num_proxies=3,
-                               sites=sites, proxy_timeout=30.0)
+        cluster = SimKVCluster(shard_map, ["c1", "c2"],
+                               replace(QUICK_FAILOVER, proxies=3), sites=sites)
         assert cluster.clients["c1"].proxy_id in ("p1", "p2")
         assert cluster.clients["c2"].proxy_id == "p3"
         plan = [("c1", "put", f"u{i}", f"v{i}") for i in range(10)]
@@ -229,8 +241,8 @@ class TestSimViewPush:
     def _two_phase(self, push_views: bool):
         """Ops, quiesce, live resize, more ops -- steady-state staleness."""
         shard_map = ShardMap(4, num_groups=2, readers=2, writers=2)
-        cluster = SimKVCluster(shard_map, ["c1", "c2"], num_proxies=2,
-                               push_views=push_views)
+        cluster = SimKVCluster(shard_map, ["c1", "c2"],
+                               KVRunConfig(proxies=2, push_views=push_views))
         phase1 = [("c1", "put", f"k{i}", f"v{i}") for i in range(6)]
         phase1 += [("c2", "put", f"q{i}", f"w{i}") for i in range(6)]
         _manual_sim_ops(cluster, phase1)
@@ -258,8 +270,7 @@ class TestSimViewPush:
 
     def test_crashed_proxy_misses_the_push_harmlessly(self):
         shard_map = ShardMap(2, num_groups=2, readers=2, writers=2)
-        cluster = SimKVCluster(shard_map, ["c1"], num_proxies=2,
-                               proxy_timeout=30.0)
+        cluster = SimKVCluster(shard_map, ["c1"], replace(QUICK_FAILOVER, proxies=2))
         cluster.crash_proxy("p2")
         cluster.resize(4)
         cluster.run()
@@ -271,7 +282,7 @@ class TestAsyncioProxyFailover:
     def test_store_fails_over_to_site_sibling_mid_round(self):
         async def scenario():
             shard_map = ShardMap(4, num_groups=2, readers=2, writers=2)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(shard_map, fast())
             await cluster.start()
             await cluster.start_proxies(2)
             store = KVStore(cluster, client_id="c1", use_proxy="p1")
@@ -300,8 +311,7 @@ class TestAsyncioProxyFailover:
 
     def test_exhausted_site_falls_back_to_direct_connections(self):
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2, num_groups=2),
-                                     retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=2), fast())
             await cluster.start()
             await cluster.start_proxies(1)
             store = KVStore(cluster, client_id="c1", use_proxy=True)
@@ -329,7 +339,7 @@ class TestAsyncioProxyFailover:
         # of erroring the client or wedging the store half-connected.
         async def scenario():
             shard_map = ShardMap(2, num_groups=2, readers=2, writers=2)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(shard_map, fast())
             await cluster.start()
             await cluster.start_proxies(1)
             store = KVStore(cluster, client_id="c1", use_proxy=True)
@@ -355,7 +365,7 @@ class TestAsyncioProxyFailover:
 
     def test_kill_and_restart_proxy_rebinds_the_same_endpoint(self):
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2), retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2), fast())
             await cluster.start()
             await cluster.start_proxies(1)
             endpoint = cluster.proxy_endpoint("p1")
@@ -423,7 +433,7 @@ class TestAsyncioReplicaLoss:
         # inside the window, and no client ever sees an error.
         async def scenario():
             shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(shard_map, fast())
             timers = cluster.hub.add_sink(_ArmedTimers())
             await cluster.start()
             if use_proxy:
@@ -482,8 +492,7 @@ class TestAsyncioReplicaLoss:
         # third replica.
         async def scenario():
             shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY,
-                                     service_overhead=0.05)
+            cluster = AsyncKVCluster(shard_map, fast(service_overhead=0.05))
             await cluster.start()
             if use_proxy:
                 await cluster.start_proxies(1)
@@ -516,8 +525,7 @@ class TestAsyncioReplicaLoss:
     def test_more_dead_replicas_than_the_fault_budget_fail_reads_not_hang_them(self):
         async def scenario():
             shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY,
-                                     service_overhead=0.05)
+            cluster = AsyncKVCluster(shard_map, fast(service_overhead=0.05))
             await cluster.start()
             store = KVStore(cluster, client_id="c1")
             await store.connect()
@@ -556,8 +564,7 @@ class TestAsyncioViewPush:
     def _two_phase(self, push_views: bool):
         async def scenario():
             shard_map = ShardMap(4, num_groups=2, readers=2, writers=2)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY,
-                                     push_views=push_views)
+            cluster = AsyncKVCluster(shard_map, fast(push_views=push_views))
             await cluster.start()
             await cluster.start_proxies(2)
             stores = []

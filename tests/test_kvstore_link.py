@@ -48,14 +48,14 @@ from repro.messages import (
 from repro.observe import TraceCollector, validate_metrics_snapshot
 
 from test_kvstore_engine import MemoryFabric
-from test_kvstore_failover import FAST_RETRY
+from test_kvstore_failover import FAST_RETRY, fast
 from test_transport_endpoints import _other_tasks, _spy_on_loop_errors, _wait_until
 
 
-async def _started(shard_map, stores=4, proxied=(), **cluster_kwargs):
+async def _started(shard_map, stores=4, proxied=(), **settings):
     """A started cluster with ``stores`` connected stores ``c1..cN`` sharing a
     recorder; the ids in ``proxied`` connect through proxy ``p1``."""
-    cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY, **cluster_kwargs)
+    cluster = AsyncKVCluster(shard_map, fast(**settings))
     await cluster.start()
     if proxied:
         await cluster.start_proxies(1)
@@ -554,10 +554,10 @@ class TestWhatAnOperatorSees:
 # -- the proxy leg ----------------------------------------------------------------
 
 
-async def _proxied(shard_map, stores=8, proxies=1, **cluster_kwargs):
+async def _proxied(shard_map, stores=8, proxies=1, **settings):
     """A started cluster with ``proxies`` proxies and ``stores`` stores
     ``c1..cN``, each assigned a proxy round-robin, sharing a recorder."""
-    cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY, **cluster_kwargs)
+    cluster = AsyncKVCluster(shard_map, fast(**settings))
     await cluster.start()
     await cluster.start_proxies(proxies)
     recorder = KVHistoryRecorder(asyncio.get_running_loop().time)
@@ -711,7 +711,7 @@ class TestOneProxyLegPerProcess:
         # conftest fixture fails under ``python -X dev`` -- stay on the dead
         # proxy, and fail over a second time at its first operation.)
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), fast())
             await cluster.start()
             await cluster.start_proxies(2)
             store = KVStore(cluster, client_id="c1", use_proxy="p1")
@@ -808,7 +808,7 @@ class TestOneProxyLegPerProcess:
         # the conftest fixture fails a test on a task exception nobody
         # retrieved.)
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), fast())
             await cluster.start()
             await cluster.start_proxies(1)
             proxy = cluster.proxies["p1"]

@@ -197,7 +197,7 @@ class TestKVStoreFacade:
 
 class TestSyncKVStore:
     def test_sync_wrapper_round_trip(self):
-        with SyncKVStore(num_shards=2) as store:
+        with SyncKVStore(KVRunConfig(backend="asyncio", num_shards=2)) as store:
             store.put("k1", "hello")
             assert store.get("k1") == "hello"
             store.multi_put({"x": "1", "y": "2"})

@@ -69,7 +69,7 @@ class TestSimLiveResize:
         ops = [KVOp("put", key, f"v-{key}") for key in keys]
         workload = KVWorkload(sequences={"c1": ops}, pipeline_depth=6)
         shard_map = ShardMap(8, num_groups=2, readers=1, writers=1)
-        cluster = SimKVCluster(shard_map, ["c1"], delay_model=ConstantDelay(1.0))
+        cluster = SimKVCluster(shard_map, ["c1"], KVRunConfig(delay_model=ConstantDelay(1.0)))
         client = cluster.clients["c1"]
         for op in ops:
             client.put(op.key, op.value)
@@ -93,7 +93,7 @@ class TestSimLiveResize:
                                      num_keys=20, seed=21, pipeline_depth=4)
         shard_map = ShardMap(4, num_groups=2, readers=3, writers=3)
         cluster = SimKVCluster(
-            shard_map, workload.clients, delay_model=ConstantDelay(1.0)
+            shard_map, workload.clients, KVRunConfig(delay_model=ConstantDelay(1.0))
         )
         moved = {"done": False}
 
@@ -282,7 +282,7 @@ class TestAsyncioLiveResize:
 
 class TestSyncStoreResize:
     def test_sync_facade_resizes_live(self):
-        with SyncKVStore(num_shards=4, num_groups=2) as store:
+        with SyncKVStore(KVRunConfig(backend="asyncio", num_shards=4, num_groups=2)) as store:
             store.multi_put({f"k{i}": str(i) for i in range(12)})
             report = store.resize(8)
             assert report.shards_added

@@ -2,13 +2,15 @@
 
 Every field is honoured by the backends its row below names and refused by
 the other, and a setting the run would ignore is refused at construction --
-so no backend can silently drop a setting.
+so no backend can silently drop a setting.  The clusters take the same
+config, and refuse the other backend's.
 """
 
 from __future__ import annotations
 
 import inspect
 import re
+import threading
 from dataclasses import fields
 
 import pytest
@@ -19,9 +21,13 @@ from repro.kvstore import (
     KVFailureInjector,
     KVRunConfig,
     RetryPolicy,
+    ShardMap,
+    SimKVCluster,
+    SyncKVStore,
     generate_workload,
     run,
 )
+from repro.kvstore.engine import SIM_RETRY_POLICY, StartTimer
 from repro.kvstore import net_backend, sim_backend, workload as workload_module
 from repro.kvstore.workload import BACKEND_DEFAULTS, BACKEND_ONLY
 from repro.sim.delays import ConstantDelay
@@ -42,7 +48,7 @@ FIELDS = {
     "service_overhead": BOTH,
     "service_per_op": BOTH,
     "delay_model": ("sim", dict(delay_model=ConstantDelay(1.0))),
-    "retry_policy": ("asyncio", dict(retry_policy=RetryPolicy())),
+    "retry_policy": BOTH,
     "trace_collector": BOTH,
     "proxies": BOTH,
     "read_policy": BOTH,
@@ -62,11 +68,16 @@ FIELDS = {
     "drain_range_size": BOTH,
 }
 
-#: What each backend's run reads the config through: its body plus the
-#: skeleton both share.
+#: What each backend's run reads the config through: its body and the
+#: cluster it builds, plus the skeleton both share.
 READERS = {
-    "sim": [sim_backend._run_sim],
-    "asyncio": [net_backend._run_asyncio],
+    "sim": [sim_backend._run_sim, sim_backend.SimKVCluster.__init__],
+    "asyncio": [
+        net_backend._run_asyncio,
+        net_backend.AsyncKVCluster.__init__,
+        net_backend.AsyncKVCluster.start,
+        net_backend.AsyncKVCluster.start_proxies,
+    ],
 }
 SHARED = [
     workload_module.KVRunConfig.cluster_map,
@@ -136,6 +147,66 @@ REFUSED = [
 def test_a_setting_the_run_would_ignore_is_refused(settings, why):
     with pytest.raises(ValueError, match=why):
         KVRunConfig(**settings)
+
+
+def test_a_failover_timeout_must_be_positive():
+    RetryPolicy(failover_timeout=None)
+    RetryPolicy(failover_timeout=0.5)
+    for timeout in (0.0, -1.0):
+        with pytest.raises(ValueError, match="failover_timeout must be positive"):
+            RetryPolicy(failover_timeout=timeout)
+        with pytest.raises(ValueError, match="failover_timeout must be positive"):
+            SIM_RETRY_POLICY.with_failover_timeout(timeout)
+
+
+class TestClustersTakeTheConfig:
+    def test_the_simulator_refuses_an_asyncio_config(self):
+        with pytest.raises(ValueError, match="SimKVCluster .* not backend='asyncio'"):
+            SimKVCluster(ShardMap(1), ["c1"], KVRunConfig(backend="asyncio"))
+
+    def test_the_asyncio_cluster_refuses_a_sim_config(self):
+        # Its service_overhead of 0.2 would be taken as seconds per frame.
+        with pytest.raises(ValueError, match="AsyncKVCluster .* not backend='sim'"):
+            AsyncKVCluster(ShardMap(1), KVRunConfig())
+
+    def test_the_sync_store_refuses_a_sim_config_before_starting_anything(self):
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="SyncKVStore .* not backend='sim'"):
+            SyncKVStore(KVRunConfig())
+        assert threading.active_count() == threads  # no loop thread left
+
+    def test_no_config_is_the_backends_default_one(self):
+        sim = SimKVCluster(ShardMap(1), ["c1"])
+        net = AsyncKVCluster(ShardMap(1))
+        assert sim.retry_policy is SIM_RETRY_POLICY
+        assert net.config == KVRunConfig(backend="asyncio")
+        for cluster, backend in ((sim, "sim"), (net, "asyncio")):
+            defaults = BACKEND_DEFAULTS[backend]
+            assert cluster.retry_policy is defaults["retry_policy"]
+            assert cluster.lease_ttl == defaults["lease_ttl"]
+            assert cluster.autoscale_interval == defaults["autoscale_interval"]
+
+    def test_the_simulator_arms_the_proxy_watchdog_at_the_configs_timeout(self):
+        policy = SIM_RETRY_POLICY.with_failover_timeout(37.0)
+        cluster = SimKVCluster(
+            ShardMap(1, readers=1, writers=1), ["c1"],
+            KVRunConfig(proxies=1, retry_policy=policy),
+        )
+        engine = cluster.clients["c1"].engine
+        armed = []
+        on_timer = engine.on_timer
+
+        def recording(timer_id):
+            effects = on_timer(timer_id)
+            armed.extend(e for e in effects if isinstance(e, StartTimer))
+            return effects
+
+        engine.on_timer = recording  # the runtime looks it up per fire
+        cluster.clients["c1"].put("k", "v")
+        cluster.run()
+        assert cluster.recorder.completed_operations == 1
+        watchdogs = {(e.timer_id, e.delay) for e in armed if e.timer_id[0] == "watchdog"}
+        assert watchdogs == {(("watchdog", "p1"), 37.0)}
 
 
 def test_cache_is_reported_only_when_a_proxy_had_one():

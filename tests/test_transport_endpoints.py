@@ -26,7 +26,7 @@ from repro.asyncio_net.codec import (
 from repro.asyncio_net.codec import decode_message
 from repro.asyncio_net.server import ReplicaServer
 from repro.core.timestamps import Tag
-from repro.kvstore import AsyncKVCluster, KVStore, RetryPolicy, ShardMap
+from repro.kvstore import AsyncKVCluster, KVRunConfig, KVStore, RetryPolicy, ShardMap
 from repro.kvstore.engine import GroupServerEngine
 from repro.kvstore.engine.effects import SendFrame, StartTimer
 from repro.protocols.codec import encode_tag
@@ -43,7 +43,7 @@ from repro.messages import (
 
 from test_codec_properties import WRONG_SHAPES
 from test_framed_connection import FakeTransport
-from test_kvstore_failover import FAST_RETRY
+from test_kvstore_failover import FAST_RETRY, fast
 
 GARBAGE = b"\x00\x00\x00\x05{{{{{"
 OVERSIZE = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x" * 16
@@ -167,7 +167,9 @@ async def _replica_dialler(owner: str, retry=None):
     """A one-group cluster whose replicas ``owner`` has dialled: the replica
     link of a direct store, or proxy ``p1`` with a store behind it."""
     shard_map = ShardMap(2, num_groups=1)
-    cluster = AsyncKVCluster(shard_map, retry_policy=retry or FAST_RETRY)
+    cluster = AsyncKVCluster(
+        shard_map, KVRunConfig(backend="asyncio", retry_policy=retry or FAST_RETRY)
+    )
     await cluster.start()
     if owner == "proxy":
         await cluster.start_proxies(1)
@@ -408,7 +410,7 @@ class TestReplicaDiallers:
     def test_a_dial_cancelled_midway_leaves_no_connection_behind(self, owner):
         async def scenario():
             shard_map = ShardMap(2, num_groups=1)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(shard_map, fast())
             await cluster.start()
             loop = asyncio.get_running_loop()
             real_dial = loop.create_connection
@@ -469,7 +471,7 @@ class TestProxyEndpoints:
     @BAD_FRAMES
     def test_bad_frame_into_a_proxy_closes_only_that_connection(self, bad):
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), fast())
             await cluster.start()
             await cluster.start_proxies(1)
             store = KVStore(cluster, client_id="c1", use_proxy="p1")
@@ -494,7 +496,7 @@ class TestProxyEndpoints:
     @WRONG_SHAPED
     def test_wrong_shape_into_a_proxy_never_reaches_the_engine(self, bad):
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), fast())
             await cluster.start()
             await cluster.start_proxies(1)
             proxy = cluster.proxies["p1"]
@@ -530,7 +532,7 @@ class TestProxyEndpoints:
         # over the connection the round came in on, never to that name.
         async def scenario():
             shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
-            cluster = AsyncKVCluster(shard_map, retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(shard_map, fast())
             await cluster.start()
             await cluster.start_proxies(1)
             store = KVStore(cluster, client_id="c1", use_proxy="p1")
@@ -572,7 +574,7 @@ class TestProxyEndpoints:
         # The proxy's twin of test_reconnect_keeps_peer_routing_to_new_connection:
         # the old connection's loss lands after the new one delivered a frame.
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), fast())
             await cluster.start()
             await cluster.start_proxies(1)
             proxy = cluster.proxies["p1"]
@@ -626,7 +628,7 @@ class TestProxyEndpoints:
         # collision or hostile input -- is dropped: the proxy's batches keep
         # going to the replica, connected or being redialled.
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), fast())
             await cluster.start()
             await cluster.start_proxies(1)
             proxy = cluster.proxies["p1"]
@@ -666,7 +668,7 @@ class TestProxyEndpoints:
     @BAD_FRAMES
     def test_bad_frame_from_a_proxy_fails_the_store_over(self, bad):
         async def scenario():
-            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), retry_policy=FAST_RETRY)
+            cluster = AsyncKVCluster(ShardMap(2, num_groups=1), fast())
             await cluster.start()
             await cluster.start_proxies(2)
             store = KVStore(cluster, client_id="c1", use_proxy="p1")
