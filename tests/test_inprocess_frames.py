@@ -1,7 +1,8 @@
 """In process a frame is the sender's own objects: nobody may write to it.
 
-The simulator and the engine-level ``MemoryFabric`` hand ``SendFrame.frame``
-to the destination engine as it stands -- the ``SubRequest`` / ``Message`` /
+The simulator and the engine-level ``Fabric``
+(:mod:`repro.kvstore.engine.fabric`) hand ``SendFrame.frame`` to the
+destination engine as it stands -- the ``SubRequest`` / ``Message`` /
 ``ProxySubReply`` records the sender built, and the payload dicts inside
 them, shared by reference.  That is only sound while every engine and every
 per-key ``ServerLogic.handle`` treats what it receives as read-only, so these
@@ -14,12 +15,13 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.kvstore import KVRunConfig, run
+from repro.kvstore.engine.fabric import Fabric
 from repro.kvstore.workload import generate_workload
 from repro.messages import Message
 from repro.sim.network import Network
 
 from test_codec_properties import _plain
-from test_kvstore_engine import CACHED_SCRIPT, MemoryFabric, build_memory_stack, run_script
+from test_kvstore_engine import CACHED_SCRIPT, build_memory_stack, run_script
 
 
 def _record_sends(monkeypatch, owner, method: str, frame_of) -> List[Tuple[Message, object]]:
@@ -78,7 +80,7 @@ def test_sim_direct_resize_run_leaves_every_frame_as_sent(monkeypatch):
 
 def test_memory_fabric_cached_script_leaves_every_frame_as_sent(monkeypatch):
     sent = _record_sends(
-        monkeypatch, MemoryFabric, "_deliver", lambda effect: effect.frame
+        monkeypatch, Fabric, "deliver", lambda effect: effect.frame
     )
     _, fabric, client, _, _ = build_memory_stack(
         num_shards=2, use_proxy=True, read_cache=8

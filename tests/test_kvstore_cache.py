@@ -2,7 +2,7 @@
 
 Three layers of scrutiny:
 
-* **Unit** -- scripted runs on the pure in-memory fabric pin the cache
+* **Unit** -- scripted runs on the in-memory engine fabric pin the cache
   state machine: hits serve locally, concurrent readers share one fill,
   writes behind held leases defer until every holder acks the
   invalidation, lease expiry evicts on both sides, and the LRU bound holds.
@@ -19,10 +19,9 @@ Three layers of scrutiny:
 from __future__ import annotations
 
 import asyncio
-import heapq
 import time
 
-from test_kvstore_engine import MemoryFabric, build_memory_stack, run_script, tap
+from test_kvstore_engine import build_memory_stack, run_script, tap
 
 from repro.consistency import measure_staleness
 from repro.core.operations import OpKind
@@ -66,44 +65,6 @@ from repro.messages import (
 from repro.protocols.codec import encode_tagged
 
 
-def run_until(fabric: MemoryFabric, deadline: float) -> None:
-    """Drain the fabric's event heap up to ``deadline`` (exclusive).
-
-    Lease timers fire hundreds of fabric units after a short script
-    finishes; stepping the clock part-way lets a test observe
-    the cache *while* leases are live, which ``MemoryFabric.run`` (run to
-    quiescence) cannot.
-    """
-    while fabric._heap and fabric._heap[0][0] < deadline:
-        fabric.now, _, action = heapq.heappop(fabric._heap)
-        action()
-
-
-def hold_frames(fabric, match):
-    """Park every frame ``match(effect)`` accepts; returns ``release()``.
-
-    The fabric's constant delay and the engines' rotation fix which two
-    replicas every quorum is; holding chosen frames back is how a test
-    stages a write that sits on a minority.
-    """
-    held = []
-    deliver = fabric._deliver
-
-    def gate(effect):
-        if match(effect):
-            held.append(effect)
-        else:
-            deliver(effect)
-
-    def release():
-        fabric._deliver = deliver
-        for effect in held:
-            deliver(effect)
-
-    fabric._deliver = gate
-    return release
-
-
 def add_proxy_stack(fabric, shard_map, recorder, proxy_id, client_id):
     """A second proxy with its own client on an existing memory stack."""
     proxy = ProxyEngine(
@@ -121,7 +82,7 @@ def add_proxy_stack(fabric, shard_map, recorder, proxy_id, client_id):
 
 
 def group_servers(fabric, shard_map, group_id="g1"):
-    return [fabric._engines[sid] for sid in shard_map.groups[group_id].servers]
+    return [fabric.engines[sid] for sid in shard_map.groups[group_id].servers]
 
 
 def issue(fabric, client, kind, key, value, sink):
@@ -159,7 +120,7 @@ class TestCacheUnit:
             use_proxy=True, read_cache=8, num_clients=2
         )
         run_script(fabric, client, [(OpKind.WRITE, "k", "v0")])
-        other = fabric._engines["c2"]
+        other = fabric.engines["c2"]
         seen = {}
         issue(fabric, client, OpKind.READ, "k", None, seen)
         issue(fabric, other, OpKind.READ, "k", None, seen)
@@ -199,16 +160,16 @@ class TestCacheUnit:
         fabric.register("d1", direct)
         seen = {}
         issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
-        run_until(fabric, 50.0)
+        fabric.run(until=50.0)
         issue(fabric, client, OpKind.READ, "k", None, seen)
-        run_until(fabric, 100.0)
+        fabric.run(until=100.0)
         servers = [
-            fabric._engines[sid]
+            fabric.engines[sid]
             for sid in shard_map.groups["g1"].servers
         ]
         assert any(s.lease_holders("k") for s in servers)
         issue(fabric, direct, OpKind.WRITE, "k", "v2", seen)
-        run_until(fabric, 200.0)
+        fabric.run(until=200.0)
         # The write completed -- but only after the replicas chased the
         # proxy's lease with invalidations and the proxy dropped its entry.
         assert seen["d1"] == "v2"
@@ -224,17 +185,17 @@ class TestCacheUnit:
         )
         seen = {}
         issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
-        run_until(fabric, 10.0)
+        fabric.run(until=10.0)
         issue(fabric, client, OpKind.READ, "k", None, seen)
-        run_until(fabric, 20.0)
+        fabric.run(until=20.0)
         assert proxy._cache is not None and proxy._cache.peek("k") is not None
         # The proxy self-expires at ttl/2 past the fill; give the release
         # frames a hop to reach the replicas.
-        run_until(fabric, 100.0)
+        fabric.run(until=100.0)
         assert proxy.leases_expired >= 1
         assert proxy._cache.peek("k") is None
         servers = [
-            fabric._engines[sid] for sid in shard_map.groups["g1"].servers
+            fabric.engines[sid] for sid in shard_map.groups["g1"].servers
         ]
         assert not any(s.lease_holders("k") for s in servers)
 
@@ -252,14 +213,14 @@ class TestCacheUnit:
         servers = group_servers(fabric, shard_map)
         seen = {}
         issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
-        run_until(fabric, 10.0)
+        fabric.run(until=10.0)
         issue(fabric, client, OpKind.READ, "k", None, seen)
-        run_until(fabric, 20.0)
+        fabric.run(until=20.0)
         hits = proxy.cache_hits
-        run_until(fabric, 80.0)  # past the proxy-side expiry (ttl/2)
+        fabric.run(until=80.0)  # past the proxy-side expiry (ttl/2)
         assert proxy._cache.peek("k") is None
         issue(fabric, direct, OpKind.WRITE, "k", "v2", seen)
-        run_until(fabric, 90.0)
+        fabric.run(until=90.0)
         assert seen["d1"] == "v2"
         assert sum(s.write_deferrals for s in servers) == 0
         after = {}
@@ -280,19 +241,19 @@ class TestCacheUnit:
         )
         seen = {}
         issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
-        run_until(fabric, 10.0)
+        fabric.run(until=10.0)
         issue(fabric, client, OpKind.READ, "k", None, seen)
-        run_until(fabric, 20.0)
+        fabric.run(until=20.0)
         first = proxy._cache.peek("k")
         assert first.rounds.keys() == {1} and first.granted
-        run_until(fabric, 80.0)
+        fabric.run(until=80.0)
         assert proxy._cache.peek("k") is None
         # The expiry is the entry's one eviction, counted as an invalidation.
         assert proxy.leases_expired == 1 and proxy.cache_invalidations == 1
         subs_before = proxy.read_subs_sent
         again = {}
         issue(fabric, client, OpKind.READ, "k", None, again)
-        run_until(fabric, 90.0)
+        fabric.run(until=90.0)
         assert again == {"c1": "v1"}
         assert proxy.cache_misses == 2
         assert proxy.read_subs_sent - subs_before == 2  # one quorum's round
@@ -310,12 +271,12 @@ class TestCacheUnit:
         shard_map, fabric, client, proxy, recorder = build_memory_stack(
             use_proxy=True, read_cache=8, num_clients=2
         )
-        writer = fabric._engines["c2"]
+        writer = fabric.engines["c2"]
         servers = group_servers(fabric, shard_map)
         issue(fabric, client, OpKind.WRITE, "k", "v1", {})
-        run_until(fabric, 10.0)
+        fabric.run(until=10.0)
         issue(fabric, client, OpKind.READ, "k", None, {})
-        run_until(fabric, 20.0)
+        fabric.run(until=20.0)
         entry = proxy._cache.peek("k")
         assert entry is not None and entry.granted
         proxy_trace = []
@@ -325,14 +286,14 @@ class TestCacheUnit:
         issue(fabric, writer, OpKind.WRITE, "k", "v2", wrote)
         # +1: the query round reaches the proxy; +3: its quorum is back;
         # +5: the update round reaches the proxy.
-        run_until(fabric, start + 1.5)
+        fabric.run(until=start + 1.5)
         assert proxy._cache.peek("k") is entry  # the query did not evict
         issue(fabric, client, OpKind.READ, "k", None, hit)
-        run_until(fabric, start + 4.5)
+        fabric.run(until=start + 4.5)
         assert hit == {"c1": "v1"} and proxy.cache_hits == 1
         assert proxy._cache.peek("k") is entry and proxy.cache_invalidations == 0
         mark = len(proxy_trace)
-        run_until(fabric, start + 5.5)
+        fabric.run(until=start + 5.5)
         assert proxy._cache.peek("k") is None and proxy.cache_invalidations == 1
         sends = [kind for what, _dest, kind in proxy_trace[mark:] if what == "send"]
         # The update goes to everyone, and the two frames to where the fill
@@ -352,9 +313,9 @@ class TestCacheUnit:
         # wait for a write-back this fill will never send.
         _, fabric, client, proxy, _ = build_memory_stack(use_proxy=True, read_cache=8)
         issue(fabric, client, OpKind.WRITE, "k", "v1", {})
-        run_until(fabric, 50.0)
+        fabric.run(until=50.0)
         issue(fabric, client, OpKind.READ, "k", None, {})
-        run_until(fabric, 100.0)
+        fabric.run(until=100.0)
         entry = proxy._cache.peek("k")
         assert entry.rounds.keys() == {1} and not entry.inflight
         entry.grants.clear()
@@ -372,9 +333,9 @@ class TestCacheUnit:
         seen = {}
         for index, key in enumerate(["a", "b", "c"]):
             issue(fabric, client, OpKind.WRITE, key, f"v{index}", seen)
-            run_until(fabric, fabric.now + 30.0)
+            fabric.run(until=fabric.now + 30.0)
             issue(fabric, client, OpKind.READ, key, None, seen)
-            run_until(fabric, fabric.now + 30.0)
+            fabric.run(until=fabric.now + 30.0)
         assert len(proxy._cache) <= 2
         assert proxy._cache.peek("a") is None  # least recently used, evicted
 
@@ -529,9 +490,9 @@ class TestGrantAttribution:
         )
         seen = {}
         issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
-        run_until(fabric, 50.0)
+        fabric.run(until=50.0)
         issue(fabric, client, OpKind.READ, "k", None, seen)
-        run_until(fabric, 100.0)
+        fabric.run(until=100.0)
         entry = proxy._cache.peek("k")
         assert entry is not None and entry.nonce
         server, _ = sorted(entry.asked)
@@ -574,25 +535,24 @@ class TestGrantAttribution:
         servers = group_servers(fabric, shard_map)
         seen = {}
         issue(fabric, client, OpKind.WRITE, "k", "v1", seen)
-        run_until(fabric, 50.0)
+        fabric.run(until=50.0)
         # A direct write caught mid-flight: its update reaches s1 alone.
         def carries_update(frame):
             return any(sub.message.kind == "update" for sub in unpack_batch(frame))
 
-        release = hold_frames(
-            fabric,
+        release = fabric.hold(
             lambda eff: (
                 eff.frame.sender == "d1" and eff.destination in (s2, s3)
                 and carries_update(eff.frame)
             ),
         )
         issue(fabric, direct, OpKind.WRITE, "k", "v2", seen)
-        run_until(fabric, 60.0)
+        fabric.run(until=60.0)
         assert "d1" not in seen  # one update-ack short of a quorum
         # p1's second quorum-first flush asks {s2, s3}: unanimous on v1, so its
         # fill ends after round 1 holding leases on the two replicas it asked.
         issue(fabric, client, OpKind.READ, "k", None, seen)
-        run_until(fabric, 100.0)
+        fabric.run(until=100.0)
         assert seen["c1"] == "v1"
         assert proxy._cache.peek("k").granted
         assert proxy._cache.peek("k").asked == {s2, s3}
@@ -603,7 +563,7 @@ class TestGrantAttribution:
         # write -- completing it now would let p1 keep serving v1 *after*
         # c2's read returned v2.
         issue(fabric, client2, OpKind.READ, "k", None, seen)
-        run_until(fabric, 200.0)
+        fabric.run(until=200.0)
         assert seen["c2"] == "v2"
         assert sum(s.write_deferrals for s in servers) >= 1
         # The invalidation chase tore both cached entries down.
@@ -631,7 +591,7 @@ class TestGrantAttribution:
             (client2, OpKind.READ, None),
         ]:
             issue(fabric, sink_client, kind, "k", value, {})
-            run_until(fabric, fabric.now + 50.0)
+            fabric.run(until=fabric.now + 50.0)
         # Each lease stands on the quorum its fill asked (p1's second
         # quorum-first flush, p2's first), and any two quorums share a replica.
         assert [s.lease_holders("k") for s in servers] == [
@@ -642,7 +602,7 @@ class TestGrantAttribution:
         hits = {}
         for sink_client in (client, client2):
             issue(fabric, sink_client, OpKind.READ, "k", None, hits)
-            run_until(fabric, fabric.now + 50.0)
+            fabric.run(until=fabric.now + 50.0)
         assert hits == {"c1": "v1", "c2": "v1"}
         assert (proxy.cache_hits, proxy2.cache_hits) == (1, 1)
         # One write through p2: p2 drops its own entry ahead of the update
@@ -650,7 +610,7 @@ class TestGrantAttribution:
         # p1, whose eviction releases it.
         wrote = {}
         issue(fabric, client2, OpKind.WRITE, "k", "v2", wrote)
-        run_until(fabric, fabric.now + 100.0)
+        fabric.run(until=fabric.now + 100.0)
         assert wrote == {"c2": "v2"}
         assert (proxy.cache_invalidations, proxy2.cache_invalidations) == (1, 1)
         assert sum(s.write_deferrals for s in servers) >= 1

@@ -13,9 +13,9 @@ range -> complete) must survive the failure modes a real migration sees:
   the fence, back off (they are not *stale*, the view is fresh), and
   complete after the range installs, with per-key atomicity intact.
 
-A final cross-backend check scripts one identical drain through the pure
-memory fabric, the simulator adapter, and the asyncio adapter and asserts
-the control engines emitted the same drain-frame multiset -- the
+A final cross-backend check scripts one identical drain through the
+in-memory engine fabric, the simulator adapter, and the asyncio adapter and
+asserts the control engines emitted the same drain-frame multiset -- the
 no-drift-by-construction property extended to the control plane.
 """
 
@@ -23,11 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from test_kvstore_engine import (
-    MemoryFabric,
-    build_memory_stack,
-    run_script,
-)
+from test_kvstore_engine import build_memory_stack, run_script
 
 from repro.core.operations import OpKind
 from repro.kvstore import (
@@ -111,7 +107,7 @@ class TestDrainAdversity:
         victim = sorted(donors)[0]
         # Crash the donor replica right after the fence round lands (fence
         # acks return at t=2.0) but before any transfer frame reaches it.
-        fabric._push(3.0, lambda: fabric._engines.pop(victim, None))
+        fabric.schedule(3.0, lambda: fabric.engines.pop(victim, None))
         fabric.execute(CONTROL_PLANE, effects)
         fabric.run()
         assert report.done
@@ -135,21 +131,18 @@ class TestDrainAdversity:
         # A hostile transport: every drain frame is delivered twice, the
         # duplicate arriving 5 units late -- after later-stage frames, so
         # dupes are also *reordered* against the protocol's stage sequence.
-        original_execute = fabric.execute
+        deliver = fabric.deliver
 
-        def duplicating_execute(owner_id, effects):
-            original_execute(owner_id, effects)
-            for effect in effects:
-                if isinstance(effect, SendFrame) and \
-                        effect.frame.kind.startswith("drain-"):
-                    fabric._push(
-                        5.0, lambda eff=effect: fabric._deliver(eff))
+        def duplicating_deliver(effect):
+            deliver(effect)
+            if effect.frame.kind.startswith("drain-"):
+                fabric.schedule(4.0, lambda: deliver(effect))
 
-        fabric.execute = duplicating_execute
+        fabric.deliver = duplicating_deliver
         report, effects = control.start_resize(8)
         fabric.execute(CONTROL_PLANE, effects)
         fabric.run()
-        fabric.execute = original_execute
+        fabric.deliver = deliver
         assert report.done
         assert control.drains_completed == 1
         run_script(fabric, client,
@@ -177,7 +170,7 @@ class TestDrainAdversity:
             fabric.execute("c1", client_effects)
 
         for i in range(48):
-            fabric._push(0.5 + i * 1.0, lambda i=i: issue(i))
+            fabric.schedule(0.5 + i * 1.0, lambda i=i: issue(i))
         fabric.run()
         assert report.done
         assert control.drains_completed == 1

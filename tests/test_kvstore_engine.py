@@ -3,8 +3,9 @@
 Four concerns, each guarding the engine extraction a different way:
 
 * **Cross-backend equivalence** -- the same scripted operation sequence is
-  driven through a pure in-memory harness, the simulator adapter, and the
-  asyncio adapter, and the *engines'* emitted effect sequences (normalized
+  driven through the in-memory engine fabric
+  (:class:`repro.kvstore.engine.fabric.Fabric`), the simulator adapter, and
+  the asyncio adapter, and the *engines'* emitted effect sequences (normalized
   to sends and completions) must be identical.  Any future drift between
   the backends' protocol behaviour fails here by construction, because the
   trace is recorded at the engine boundary both adapters share.
@@ -22,7 +23,6 @@ Four concerns, each guarding the engine extraction a different way:
 from __future__ import annotations
 
 import ast
-import heapq
 import itertools
 import os
 import subprocess
@@ -42,9 +42,7 @@ from repro.kvstore import (
 )
 from repro.kvstore.engine import (
     CONTROL_PLANE,
-    CancelTimer,
     ClientSessionEngine,
-    Connect,
     ControlPlaneEngine,
     GroupServerEngine,
     OpCompleted,
@@ -52,134 +50,34 @@ from repro.kvstore.engine import (
     ProxyEngine,
     SIM_RETRY_POLICY,
     SendFrame,
-    StartTimer,
     CachedShardView,
     view_push_frames,
 )
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.core.operations import OpKind
-from repro.observe import (
-    NULL_OBSERVER,
-    TIMER_ARMED,
-    TIMER_CANCELLED,
-    TIMER_FIRED,
-    MetricsObserver,
-    ObserverHub,
-)
+from repro.kvstore.engine.fabric import Fabric
+from repro.observe import MetricsObserver, ObserverHub
 
 import repro.kvstore.engine as engine_package
 
 
-# -- the pure in-memory harness -------------------------------------------------
-
-
-class MemoryFabric:
-    """A deterministic in-memory 'transport' for the sans-I/O engines.
-
-    Delivers ``SendFrame`` effects to the destination engine after a
-    constant delay, fires ``StartTimer`` effects off the same virtual
-    queue, and acknowledges ``Connect`` immediately -- i.e. exactly what a
-    backend adapter does, with no sockets and no simulator runtime.  Events
-    at equal timestamps fire in scheduling order, so runs are bit-for-bit
-    deterministic.
-    """
-
-    def __init__(self) -> None:
-        self._heap = []
-        self._seq = itertools.count()
-        self.now = 0.0
-        self._engines = {}
-        self._timers = {}
-        self.callbacks = {}
-        self.failures = []
-        self.observers = {}
-        #: Processes whose inbound frames vanish (a crash the sender is not
-        #: told about, as on the simulated network).
-        self.down = set()
-
-    def register(self, process_id, engine, observer=None) -> None:
-        self._engines[process_id] = engine
-        self.observers[process_id] = observer if observer is not None else NULL_OBSERVER
-
-    def _push(self, delay, action) -> None:
-        heapq.heappush(self._heap, (self.now + delay, next(self._seq), action))
-
-    def execute(self, owner_id, effects) -> None:
-        engine = self._engines[owner_id]
-        for effect in effects:
-            if isinstance(effect, SendFrame):
-                self._push(1.0, lambda eff=effect: self._deliver(eff))
-            elif isinstance(effect, StartTimer):
-                key = (owner_id, effect.timer_id)
-                observer = self.observers[owner_id]
-                old = self._timers.get(key)
-                if old is not None:
-                    old["cancelled"] = True
-                    observer.emit(TIMER_CANCELLED, timer=effect.timer_id[0],
-                                  reason="rearm")
-                entry = {"cancelled": False}
-                self._timers[key] = entry
-                observer.emit(TIMER_ARMED, timer=effect.timer_id[0])
-
-                def fire(key=key, entry=entry, owner=owner_id):
-                    if entry["cancelled"]:
-                        return
-                    self._timers.pop(key, None)
-                    self.observers[owner].emit(TIMER_FIRED, timer=key[1][0])
-                    self.execute(owner, self._engines[owner].on_timer(key[1]))
-
-                self._push(effect.delay, fire)
-            elif isinstance(effect, CancelTimer):
-                entry = self._timers.pop((owner_id, effect.timer_id), None)
-                if entry is not None:
-                    entry["cancelled"] = True
-                    self.observers[owner_id].emit(
-                        TIMER_CANCELLED, timer=effect.timer_id[0], reason="cancel"
-                    )
-            elif isinstance(effect, Connect):
-                self.execute(owner_id, engine.on_connected(effect.target))
-            elif isinstance(effect, OpCompleted):
-                callback = self.callbacks.pop(effect.op_id, None)
-                if callback is not None:
-                    callback(effect.outcome)
-            elif isinstance(effect, OpFailed):
-                self.failures.append(effect)
-            else:  # pragma: no cover - future effect kinds
-                raise TypeError(f"unknown effect {effect!r}")
-
-    def _deliver(self, effect: SendFrame) -> None:
-        engine = self._engines.get(effect.destination)
-        if engine is None or effect.destination in self.down:
-            return  # e.g. acks to the control plane, or a crashed process
-        self.execute(effect.destination, engine.on_frame(effect.frame))
-
-    def step(self) -> bool:
-        """Run the next scheduled event; ``False`` once nothing is scheduled."""
-        if not self._heap:
-            return False
-        self.now, _, action = heapq.heappop(self._heap)
-        action()
-        return True
-
-    def run(self) -> None:
-        while self.step():
-            pass
+# -- the in-memory stack ----------------------------------------------------------
 
 
 def build_memory_stack(num_shards=1, num_groups=1, use_proxy=False, hub=None,
                        read_cache=0, lease_ttl=1000.0, num_clients=1):
-    """A full client/proxy/servers stack wired through a MemoryFabric.
+    """A full client/proxy/servers stack wired through a :class:`Fabric`.
 
     ``hub`` optionally attaches an :class:`~repro.observe.ObserverHub`: every
-    engine gets a scoped observer and the fabric emits timer lifecycle events
-    the way the real adapters do.  ``read_cache`` arms the proxy's
+    engine gets a scoped observer, on which its runtime emits the timer
+    lifecycle events, as on the real adapters.  ``read_cache`` arms the proxy's
     lease-backed read cache (the default ``lease_ttl`` of 1000 fabric units
     keeps expiry out of short scripts; shrink it to exercise the timers).
     ``num_clients`` > 1 registers extra clients ``c2..cN`` sharing the proxy.
     """
     shard_map = ShardMap(num_shards, num_groups=num_groups,
                          readers=num_clients, writers=num_clients)
-    fabric = MemoryFabric()
+    fabric = Fabric()
     if hub is not None:
         hub.clock = lambda: fabric.now
 
@@ -193,22 +91,20 @@ def build_memory_stack(num_shards=1, num_groups=1, use_proxy=False, hub=None,
             spec.shard_id: spec.epoch for spec in shard_map.shards_on(group.group_id)
         }
         for server_id in group.servers:
-            observer = scoped("replica", server_id)
             fabric.register(
                 server_id,
                 GroupServerEngine(server_id, group.protocol, dict(hosted),
-                                  observer=observer, lease_ttl=lease_ttl),
-                observer=observer,
+                                  observer=scoped("replica", server_id),
+                                  lease_ttl=lease_ttl),
             )
     proxy = None
     if use_proxy:
-        proxy_observer = scoped("proxy", "p1")
         proxy = ProxyEngine(
             "p1", CachedShardView(shard_map), policy=SIM_RETRY_POLICY,
-            observer=proxy_observer,
+            observer=scoped("proxy", "p1"),
             read_cache=read_cache, lease_ttl=lease_ttl,
         )
-        fabric.register("p1", proxy, observer=proxy_observer)
+        fabric.register("p1", proxy)
     for extra in range(2, num_clients + 1):
         extra_id = f"c{extra}"
         extra_client = ClientSessionEngine(
@@ -216,19 +112,18 @@ def build_memory_stack(num_shards=1, num_groups=1, use_proxy=False, hub=None,
             proxy_candidates=["p1"] if use_proxy else [],
             observer=scoped("client", extra_id),
         )
-        fabric.register(extra_id, extra_client, observer=scoped("client", extra_id))
+        fabric.register(extra_id, extra_client)
         if use_proxy:
             fabric.execute(extra_id, extra_client.on_connected("p1"))
-    client_observer = scoped("client", "c1")
     client = ClientSessionEngine(
         "c1",
         shard_map,
         recorder,
         policy=SIM_RETRY_POLICY,
         proxy_candidates=["p1"] if use_proxy else [],
-        observer=client_observer,
+        observer=scoped("client", "c1"),
     )
-    fabric.register("c1", client, observer=client_observer)
+    fabric.register("c1", client)
     if use_proxy:
         fabric.execute("c1", client.on_connected("p1"))
     return shard_map, fabric, client, proxy, recorder
@@ -887,6 +782,7 @@ class TestEngineImportBan:
         code = (
             "import sys\n"
             "import repro.kvstore.engine\n"
+            "import repro.kvstore.engine.fabric\n"
             "bad = [m for m in sys.modules\n"
             "       if m == 'asyncio' or m.startswith('asyncio.')\n"
             "       or m == 'repro.sim' or m.startswith('repro.sim.')]\n"

@@ -7,22 +7,24 @@ replica -- alone, in the same input.  The safety argument is one invariant: a
 release reaches its replica no later than any sub framed after it, so an
 evicted entry's release can never clear the lease a later fill registered.
 
-This file checks that on a scripted fabric where the *schedule* is the
-adversary: every step delivers the oldest frame of any connection (each
-connection stays FIFO, as TCP and the simulated network are), fires any armed
-timer early, or invokes a client's next operation.  Two proxies with a one- or
-two-entry cache (so capacity evictions are constant), clients behind each and
-a direct writer hammer a write-heavy hot key; after every step, every entry a
-proxy would serve from must be backed by its lease at ``wait_for`` replicas of
-the key's group, and the finished history must be atomic per key.  Lease
-timers never fire: expiry is the clock assumption the protocol rests on, not
-an ordering the adversary controls.
+This file checks that on the engine fabric
+(:class:`repro.kvstore.engine.fabric.Fabric`), driven through its adversary
+surface (``actions()`` / ``take()``) so the *schedule* is the adversary: every
+step delivers the oldest frame of any connection (each connection stays FIFO,
+as TCP and the simulated network are), fires any armed timer early, or invokes
+a client's next operation.  Two proxies with a one- or two-entry cache (so
+capacity evictions are constant), clients behind each and a direct writer
+hammer a write-heavy hot key; after every step, every entry a proxy would
+serve from must be backed by its lease at ``wait_for`` replicas of the key's
+group, and the finished history must be atomic per key.  Lease timers never
+fire: expiry is the clock assumption the protocol rests on, not an ordering
+the adversary controls.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -30,16 +32,11 @@ from repro.core.operations import OpKind
 from repro.kvstore import RetryPolicy, ShardMap, check_per_key_atomicity
 from repro.kvstore.engine import (
     CachedShardView,
-    CancelTimer,
     ClientSessionEngine,
-    Connect,
     GroupServerEngine,
-    OpCompleted,
-    OpFailed,
     ProxyEngine,
-    SendFrame,
-    StartTimer,
 )
+from repro.kvstore.engine.fabric import Fabric
 from repro.kvstore.perkey import KVHistoryRecorder
 
 #: No watchdog (the adversary would only fail ops with it), and a silence
@@ -53,68 +50,17 @@ LEASE_TTL = 1e9
 KEYS = ("a", "a", "a", "b", "c")
 
 
-class ScriptedFabric:
-    """Frames wait per connection, timers wait armed, until a step runs one."""
-
-    def __init__(self) -> None:
-        self.engines = {}
-        self.channels = {}
-        self.timers = {}
-        self.failures = []
-        self.completed = []
-
-    def register(self, process_id, engine) -> None:
-        self.engines[process_id] = engine
-
-    def execute(self, owner, effects) -> None:
-        for effect in effects:
-            if isinstance(effect, SendFrame):
-                self.channels.setdefault((owner, effect.destination), deque()).append(
-                    effect.frame
-                )
-            elif isinstance(effect, StartTimer):
-                # Re-armed, a timer goes to the back: oldest armed first.
-                self.timers.pop((owner, effect.timer_id), None)
-                self.timers[(owner, effect.timer_id)] = effect.delay
-            elif isinstance(effect, CancelTimer):
-                self.timers.pop((owner, effect.timer_id), None)
-            elif isinstance(effect, Connect):
-                self.execute(owner, self.engines[owner].on_connected(effect.target))
-            elif isinstance(effect, OpCompleted):
-                self.completed.append(effect.op_id)
-            elif isinstance(effect, OpFailed):
-                self.failures.append(effect)
-            else:  # pragma: no cover - future effect kinds
-                raise TypeError(f"unknown effect {effect!r}")
-
-    def actions(self):
-        """What a step may do now, in a stable order: frames by connection,
-        then timers in the order they were armed (so a quiet schedule cannot
-        starve one timer behind another that keeps being re-armed)."""
-        found = [("deliver", key) for key, queue in sorted(self.channels.items()) if queue]
-        found += [
-            ("fire", key) for key in self.timers
-            if key[1][0] != "lease"
-        ]
-        return found
-
-    def run(self, action) -> None:
-        what, key = action
-        if what == "deliver":
-            source, destination = key
-            frame = self.channels[key].popleft()
-            engine = self.engines.get(destination)
-            if engine is not None:
-                self.execute(destination, engine.on_frame(frame))
-        else:
-            owner, timer_id = key
-            del self.timers[key]
-            self.execute(owner, self.engines[owner].on_timer(timer_id))
+def runnable(fabric):
+    """What a step may do on the fabric: every action but a lease timer's."""
+    return [
+        action for action in fabric.actions()
+        if action[0] == "deliver" or action[1][1][0] != "lease"
+    ]
 
 
 def build(read_cache, flush_delay):
     shard_map = ShardMap(1, num_groups=1, readers=5, writers=5)
-    fabric = ScriptedFabric()
+    fabric = Fabric()
     ticks = itertools.count()
     recorder = KVHistoryRecorder(lambda: float(next(ticks)))
     replicas = {}
@@ -179,10 +125,7 @@ def test_no_schedule_serves_a_cached_read_without_its_lease_quorum(
     shard_map, fabric, recorder, replicas, proxies, clients = build(read_cache, flush_delay)
     pending = {client_id: deque(script) for client_id, script in scripts.items()}
     owner = {}
-
-    def in_flight(client_id):
-        done = set(fabric.completed)
-        return sum(1 for op_id, c in owner.items() if c == client_id and op_id not in done)
+    in_flight = Counter()
 
     def invoke(client_id):
         write, key = pending[client_id].popleft()
@@ -190,12 +133,14 @@ def test_no_schedule_serves_a_cached_read_without_its_lease_quorum(
         value = f"{client_id}-{len(owner)}" if write else None
         op_id, effects = clients[client_id].invoke(kind, key, value)
         owner[op_id] = client_id
+        in_flight[client_id] += 1
+        fabric.callbacks[op_id] = lambda _outcome: in_flight.subtract([client_id])
         fabric.execute(client_id, effects)
 
     for _ in range(160):
-        actions = fabric.actions() + [
+        actions = runnable(fabric) + [
             ("invoke", client_id) for client_id in sorted(pending)
-            if pending[client_id] and in_flight(client_id) < 2
+            if pending[client_id] and in_flight[client_id] < 2
         ]
         if not actions:
             break
@@ -203,18 +148,18 @@ def test_no_schedule_serves_a_cached_read_without_its_lease_quorum(
         if action[0] == "invoke":
             invoke(action[1])
         else:
-            fabric.run(action)
+            fabric.take(action)
         assert_servable_entries_hold_their_leases(shard_map, replicas, proxies)
     # The adversary goes quiet: the rest of the scripts run, oldest first.
     for _ in range(20_000):
-        actions = fabric.actions()
+        actions = runnable(fabric)
         if not actions:
             waiting = [c for c in sorted(pending) if pending[c]]
             if not waiting:
                 break
             invoke(waiting[0])
             continue
-        fabric.run(actions[0])
+        fabric.take(actions[0])
         assert_servable_entries_hold_their_leases(shard_map, replicas, proxies)
     assert not fabric.failures
     assert sorted(fabric.completed) == sorted(owner)

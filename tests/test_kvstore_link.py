@@ -35,6 +35,7 @@ from repro.kvstore.engine import (
     SendFrame,
     parse_attempt_scoped_id,
 )
+from repro.kvstore.engine.fabric import Fabric
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.messages import (
     BATCH_ACK_KIND,
@@ -47,7 +48,6 @@ from repro.messages import (
 )
 from repro.observe import TraceCollector, validate_metrics_snapshot
 
-from test_kvstore_engine import MemoryFabric
 from test_kvstore_failover import FAST_RETRY, fast
 from test_transport_endpoints import _other_tasks, _spy_on_loop_errors, _wait_until
 
@@ -831,7 +831,7 @@ class TestOneProxyLegPerProcess:
 class TestOneAckPerInput:
     def test_a_batch_ack_completing_two_sessions_rounds_is_one_proxy_ack(self):
         shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
-        fabric = MemoryFabric()
+        fabric = Fabric()
         for group in shard_map.groups.values():
             hosted = {spec.shard_id: spec.epoch for spec in shard_map.shards_on(group.group_id)}
             for server_id in group.servers:

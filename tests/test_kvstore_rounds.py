@@ -8,7 +8,8 @@ round).  This file pins what that
 machinery does from the outside, with one scenario table run against *both*
 owners through nothing but their public inputs (``invoke`` / ``on_frame`` /
 ``on_timer`` / ``on_peer_lost`` / ``on_frame_undeliverable``) on the
-``MemoryFabric`` of ``test_kvstore_engine``: the emitted effects, the
+default, earliest-due-first schedule of the engine fabric
+(:class:`repro.kvstore.engine.fabric.Fabric`): the emitted effects, the
 counters and the ``BatchStats`` frame totals.  The loss and give-up paths in
 particular had never run under test.
 
@@ -61,6 +62,7 @@ from repro.kvstore.engine import (
     parse_attempt_scoped_id,
 )
 from repro.kvstore import check_per_key_atomicity
+from repro.kvstore.engine.fabric import Fabric
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.observe import MetricsObserver, MetricsRegistry, ObserverHub
 from repro.observe.events import ROUND_REPLAYED, ROUND_WIDENED, TIMER_ARMED
@@ -81,7 +83,7 @@ from repro.messages import (
     unpack_proxy_request,
 )
 
-from test_kvstore_engine import SCRIPT, MemoryFabric, build_memory_stack, run_script
+from test_kvstore_engine import SCRIPT, build_memory_stack, run_script
 
 #: Distinct windows, so a test can tell a reconnect retry from a drain backoff
 #: from a silence window (the longest: a round trip on the fabric takes 2).
@@ -106,7 +108,7 @@ class _ProxyAckSink:
 
 
 class Rig:
-    """One owner of replica rounds over real replicas on a ``MemoryFabric``.
+    """One owner of replica rounds over real replicas on a :class:`Fabric`.
 
     ``mode`` is ``"direct"`` (a :class:`ClientSessionEngine` with no proxy),
     ``"proxy"`` (a :class:`ProxyEngine` fed forwarded rounds by hand) or
@@ -125,7 +127,7 @@ class Rig:
             1, num_groups=num_groups, readers=clients, writers=clients
         )
         self.shard_id = next(iter(self.shard_map.shards))
-        self.fabric = MemoryFabric()
+        self.fabric = Fabric()
         self.replicas = {}
         for group in self.shard_map.groups.values():
             hosted = {
@@ -172,7 +174,7 @@ class Rig:
                 lease_ttl=lease_ttl, observer=observer, **proxy_kwargs,
             )
             self.fabric.register("c1", _ProxyAckSink())
-        self.fabric.register(self.owner_id, self.owner, observer=observer)
+        self.fabric.register(self.owner_id, self.owner)
         self.log = []
         for engine in (self.owner, *self.sessions.values()):
             for name in _INPUTS:
@@ -271,7 +273,7 @@ class Rig:
     def idle(self, delay):
         """Let ``delay`` pass on the fabric, running whatever is due before."""
         passed = []
-        self.fabric._push(delay, lambda: passed.append(True))
+        self.fabric.schedule(delay, lambda: passed.append(True))
         self.run_until(lambda: passed)
 
     def await_timer(self):
@@ -1369,7 +1371,7 @@ def _chunks(sent, group_of):
 )
 def test_every_queue_leaves_once_at_its_flush_cut_at_the_cap(cap, ingresses, window):
     shard_map = ShardMap(4, num_groups=2, readers=4, writers=4)
-    fabric = MemoryFabric()
+    fabric = Fabric()
     group_of = {}
     for group in shard_map.groups.values():
         hosted = {spec.shard_id: spec.epoch for spec in shard_map.shards_on(group.group_id)}
@@ -1458,7 +1460,7 @@ def _sub_requests_by_replica(use_proxy):
     """What each replica is asked, in order, over the shared script."""
     _, fabric, client, _, _ = build_memory_stack(use_proxy=use_proxy)
     seen = {}
-    for server_id, engine in fabric._engines.items():
+    for server_id, engine in fabric.engines.items():
         if not isinstance(engine, GroupServerEngine):
             continue
         original = engine.on_frame
