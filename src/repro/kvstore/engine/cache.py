@@ -44,8 +44,11 @@ def payload_fingerprint(payload: Dict[str, Any]) -> str:
     payload derives deterministically from the round-1 replies, so a
     follower served the cached round 1 produces byte-for-byte the same
     round-2 payload as the fill did -- which is what makes serving the
-    cached round 2 sound.
+    cached round 2 sound.  Round 1 of a read is an empty ``query``, so the
+    empty payload skips building a JSON encoder.
     """
+    if not payload:
+        return "{}"
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -11,6 +11,10 @@ executing effects is the adapter's job:
 * the asyncio backend maps :class:`SendFrame` onto transport writes and
   :class:`StartTimer` onto ``loop.call_later``.
 
+Effects are immutable records (named tuples) compared by type and value: an
+effect equals only an effect of the same type with equal fields, never
+another effect type or a bare tuple, and hashes when its fields do.
+
 Because both backends execute the *same* effect stream emitted by the *same*
 engine classes, a feature implemented in the engine (stale-epoch replay,
 proxy failover, delta view-push adoption, ...) works identically on both
@@ -25,7 +29,7 @@ that make sense for its transport while the state machines stay shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Tuple, Union
+from typing import Any, NamedTuple, Optional, Tuple, Union
 
 from ...messages import Message
 from ...protocols.base import OperationOutcome
@@ -62,8 +66,7 @@ DIRECT_INGRESS = "@direct"
 TimerId = Tuple[Any, ...]
 
 
-@dataclass(frozen=True)
-class SendFrame:
+class SendFrame(NamedTuple):
     """Put one frame on the wire toward ``destination``.
 
     ``frame.receiver`` always equals ``destination``; the field is explicit
@@ -77,23 +80,20 @@ class SendFrame:
     frame: Message
 
 
-@dataclass(frozen=True)
-class StartTimer:
+class StartTimer(NamedTuple):
     """Arm (or re-arm) the timer ``timer_id`` to fire after ``delay``."""
 
     timer_id: TimerId
     delay: float
 
 
-@dataclass(frozen=True)
-class CancelTimer:
+class CancelTimer(NamedTuple):
     """Disarm ``timer_id`` (a no-op if it already fired or never existed)."""
 
     timer_id: TimerId
 
 
-@dataclass(frozen=True)
-class Connect:
+class Connect(NamedTuple):
     """(Re)establish the ingress path ``target``.
 
     ``target`` is a proxy id, or :data:`DIRECT_INGRESS` for direct replica
@@ -105,8 +105,7 @@ class Connect:
     target: str
 
 
-@dataclass(frozen=True)
-class OpCompleted:
+class OpCompleted(NamedTuple):
     """One client operation finished with ``outcome``."""
 
     op_id: str
@@ -115,8 +114,7 @@ class OpCompleted:
     round_trips: int
 
 
-@dataclass(frozen=True)
-class OpFailed:
+class OpFailed(NamedTuple):
     """One client operation failed terminally with ``error``."""
 
     op_id: str
@@ -125,6 +123,31 @@ class OpFailed:
 
 
 Effect = Union[SendFrame, StartTimer, CancelTimer, Connect, OpCompleted, OpFailed]
+
+
+def _effect_eq(self: tuple, other: object) -> Any:
+    if not isinstance(other, tuple):
+        return NotImplemented
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _effect_ne(self: tuple, other: object) -> Any:
+    equal = _effect_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def _effect_hash(self: tuple) -> int:
+    return hash((type(self), tuple.__hash__(self)))
+
+
+# A tuple compares by its items alone, so ``Connect("p2")`` would equal
+# ``CancelTimer("p2")`` and the bare ``("p2",)``: an effect is equal only to
+# an effect of its own type with equal fields.
+for _effect in (SendFrame, StartTimer, CancelTimer, Connect, OpCompleted, OpFailed):
+    _effect.__eq__ = _effect_eq  # type: ignore[assignment]
+    _effect.__ne__ = _effect_ne  # type: ignore[assignment]
+    _effect.__hash__ = _effect_hash  # type: ignore[assignment]
+del _effect
 
 
 #: Asyncio-backend defaults (seconds); see :class:`RetryPolicy`.

@@ -22,7 +22,7 @@ from .delays import (
 )
 from .failures import CrashPlan, FailureInjector
 from ..messages import Message
-from .network import DeliveryRecord, Network, SkipRule
+from .network import Network, SkipRule
 from .process import Process, ServerProcess
 from .runtime import Simulation, SimulationResult
 from .tracing import HistoryRecorder
@@ -49,7 +49,6 @@ __all__ = [
     "CrashPlan",
     "FailureInjector",
     "Message",
-    "DeliveryRecord",
     "Network",
     "SkipRule",
     "Process",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..core.errors import SimulationError
@@ -19,19 +18,29 @@ from ..core.errors import SimulationError
 __all__ = ["ScheduledEvent", "EventQueue", "SimClock"]
 
 
-@dataclass(eq=False)
 class ScheduledEvent:
     """An event scheduled on the virtual clock, and the handle to cancel it.
 
     Events fire in ``(time, sequence)`` order, so simultaneous events fire
     in the order they were scheduled -- this keeps executions deterministic.
+    Events compare by identity.
     """
 
-    time: float
-    sequence: int
-    action: Callable[[], None]
-    label: str = ""
-    cancelled: bool = False
+    __slots__ = ("time", "sequence", "action", "label", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        sequence: int,
+        action: Callable[[], None],
+        label: str = "",
+        cancelled: bool = False,
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.action = action
+        self.label = label
+        self.cancelled = cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing when its time comes."""

@@ -3,7 +3,9 @@
 Processes communicate over bidirectional reliable channels (Fig. 1 of the
 paper).  There is no communication among servers and none among clients; the
 network itself does not enforce that topology (the protocols simply never use
-such links), but the tracer records every message so tests can assert it.
+such links).  The network keeps counters, not a log of messages: a test that
+must see the traffic installs an interceptor (:meth:`Network.set_interceptor`),
+which is shown every message before it is scheduled.
 
 The network supports the scheduling controls the proofs and the fault
 injector need:
@@ -20,6 +22,7 @@ injector need:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
 from ..core.errors import SimulationError
@@ -27,7 +30,7 @@ from .clock import EventQueue
 from .delays import ConstantDelay, DelayModel
 from ..messages import Message
 
-__all__ = ["SkipRule", "Network", "DeliveryRecord"]
+__all__ = ["SkipRule", "Network"]
 
 #: Value used to "skip" a message: it is scheduled this far in the future,
 #: long after every workload in this library has completed.
@@ -71,17 +74,6 @@ class SkipRule:
         return False
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """A record of one message transit, kept by the network for tracing."""
-
-    message: Message
-    sent_at: float
-    delivered_at: Optional[float]
-    dropped: bool = False
-    skipped: bool = False
-
-
 class Network:
     """Routes messages between registered processes through the event queue."""
 
@@ -96,8 +88,9 @@ class Network:
         self._crashed: Set[str] = set()
         self._skip_rules: List[SkipRule] = []
         self._intercept: Optional[Callable[[Message], Optional[float]]] = None
-        self.deliveries: List[DeliveryRecord] = []
         self.sent_count = 0
+        #: Sent while its sender or receiver was crashed: never scheduled.
+        self.dropped_count = 0
         self.delivered_count = 0
 
     # -- topology -----------------------------------------------------------
@@ -152,15 +145,13 @@ class Network:
     def send(self, message: Message) -> None:
         """Send a message; delivery is scheduled according to delays/rules."""
         self.sent_count += 1
-        now = self.events.clock.now
-
         if message.sender in self._crashed or message.receiver in self._crashed:
-            self.deliveries.append(
-                DeliveryRecord(message, now, None, dropped=True)
-            )
+            self.dropped_count += 1
             return
 
-        skipped = any(rule.matches(message) for rule in self._skip_rules)
+        skipped = bool(self._skip_rules) and any(
+            rule.matches(message) for rule in self._skip_rules
+        )
         delay: Optional[float] = None
         if self._intercept is not None:
             override = self._intercept(message)
@@ -173,32 +164,23 @@ class Network:
             delay = self.delay_model.delay(message.sender, message.receiver)
         if skipped:
             delay = SKIP_DELAY
+        self.events.schedule(delay, partial(self._deliver, message))
 
-        record_index = len(self.deliveries)
-        self.deliveries.append(
-            DeliveryRecord(message, now, None, skipped=skipped)
-        )
-
-        def deliver() -> None:
-            self._deliver(message, record_index)
-
-        self.events.schedule(delay, deliver, label=f"deliver:{message.kind}")
-
-    def _deliver(self, message: Message, record_index: int) -> None:
+    def _deliver(self, message: Message) -> None:
         if message.receiver in self._crashed:
             return
         handler = self._handlers.get(message.receiver)
         if handler is None:
             raise SimulationError(f"no process registered as {message.receiver}")
         self.delivered_count += 1
-        old = self.deliveries[record_index]
-        self.deliveries[record_index] = DeliveryRecord(
-            old.message, old.sent_at, self.events.clock.now, skipped=old.skipped
-        )
         handler(message)
 
     # -- introspection --------------------------------------------------------
 
     def pending_messages(self) -> int:
-        """Messages sent but not yet delivered (including skipped ones)."""
-        return sum(1 for rec in self.deliveries if rec.delivered_at is None and not rec.dropped)
+        """Messages sent but not yet delivered (including skipped ones).
+
+        A message dropped at send never counts; one whose receiver crashed
+        while it was in flight stays pending.
+        """
+        return self.sent_count - self.dropped_count - self.delivered_count

@@ -4,8 +4,9 @@ The runtime is driven with a scripted ``schedule`` that records the handles
 it gives out, a ``send`` that records frames, and a stub engine -- no
 transport, no clock.  What is pinned here is what every adapter relies on:
 the timer table's re-arm / cancel / fire / shutdown rules and their
-``timer.*`` events, per-call lookup of the engine's methods, and the order
-in which nested and handed-back effects execute.
+``timer.*`` events, per-call lookup of the engine's methods, the order
+in which nested and handed-back effects execute, and the effect records
+themselves: immutable, compared by type and value.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from repro.kvstore.engine import (
     Connect,
     EffectRuntime,
     OpCompleted,
+    OpFailed,
     SendFrame,
     StartTimer,
 )
+from repro.core.operations import OpKind
 from repro.messages import Message
+from repro.protocols.base import OperationOutcome
 from repro.observe import (
     TIMER_ARMED,
     TIMER_CANCELLED,
@@ -226,3 +230,66 @@ class TestOrdering:
         h.runtime.run([frame("a"), OpCompleted("op1", "k", None, 1), frame("b"),
                        OpCompleted("op2", "k", None, 1)])
         assert h.sent == ["a", "done-op1", "op2-first", "op2-second", "b", "done-op2"]
+
+
+#: One of each effect, and the repr the frozen dataclasses they replaced gave.
+EFFECTS = [
+    (SendFrame("s1", Message("c1", "s1", "ping")),
+     "SendFrame(destination='s1', frame=Message(#{} c1->s1 ping op=None rt=0))"),
+    (StartTimer(("flush", "r1"), 0.5), "StartTimer(timer_id=('flush', 'r1'), delay=0.5)"),
+    (CancelTimer(("flush", "r1")), "CancelTimer(timer_id=('flush', 'r1'))"),
+    (Connect("p2"), "Connect(target='p2')"),
+    (OpCompleted("op1", "k", OperationOutcome(OpKind.WRITE), 2),
+     "OpCompleted(op_id='op1', key='k', outcome=OperationOutcome(kind=<OpKind.WRITE: "
+     "'write'>, value=None, tag=None, metadata={}), round_trips=2)"),
+    (OpFailed("op1", "k", TimeoutError("late")),
+     "OpFailed(op_id='op1', key='k', error=TimeoutError('late'))"),
+]
+
+
+class TestEffectRecords:
+    @pytest.mark.parametrize("effect", [e for e, _ in EFFECTS], ids=lambda e: type(e).__name__)
+    def test_an_effect_is_immutable(self, effect):
+        with pytest.raises(AttributeError):
+            setattr(effect, effect._fields[0], "other")
+        with pytest.raises(AttributeError):
+            effect.extra = 1
+
+    @pytest.mark.parametrize("effect", [e for e, _ in EFFECTS], ids=lambda e: type(e).__name__)
+    def test_equal_only_to_the_same_type_with_equal_fields(self, effect):
+        same = type(effect)(*effect)
+        assert effect == same and not effect != same
+        bare = tuple(effect)
+        assert effect != bare and bare != effect
+        assert not effect == bare and not bare == effect
+        for other, _ in EFFECTS:
+            if type(other) is not type(effect) and len(other) == len(effect):
+                twin = type(other)(*effect)  # another type, the same items
+                assert effect != twin and not effect == twin
+        changed = effect._replace(**{effect._fields[0]: "other"})
+        assert effect != changed and not effect == changed
+
+    def test_same_fields_under_another_type_are_not_equal(self):
+        assert Connect("p2") != CancelTimer("p2")
+        assert not Connect("p2") == CancelTimer("p2")
+        assert Connect("p2") != ("p2",) and ("p2",) != Connect("p2")
+        assert len({Connect("p2"), CancelTimer("p2"), ("p2",)}) == 3
+        assert [Connect("p2"), StartTimer(("t",), 1.0)] == [Connect("p2"), StartTimer(("t",), 1.0)]
+
+    def test_hashable_when_its_fields_are(self):
+        assert hash(Connect("p2")) == hash(Connect("p2"))
+        assert hash(StartTimer(("t", 1), 1.0)) == hash(StartTimer(("t", 1), 1.0))
+        error = TimeoutError("late")
+        assert {OpFailed("op1", "k", error), OpFailed("op1", "k", error)} == {
+            OpFailed("op1", "k", error)
+        }
+        with pytest.raises(TypeError):  # a Message carries a payload dict
+            hash(SendFrame("s1", Message("c1", "s1", "ping")))
+        with pytest.raises(TypeError):  # an OperationOutcome is a mutable dataclass
+            hash(OpCompleted("op1", "k", OperationOutcome(OpKind.WRITE), 1))
+
+    @pytest.mark.parametrize("effect,expected", EFFECTS, ids=lambda e: type(e).__name__)
+    def test_the_repr_is_the_dataclass_one(self, effect, expected):
+        if isinstance(effect, SendFrame):
+            expected = expected.format(effect.frame.msg_id)
+        assert repr(effect) == expected

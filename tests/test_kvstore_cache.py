@@ -19,8 +19,10 @@ Three layers of scrutiny:
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
+from hypothesis import example, given, strategies as st
 from test_kvstore_engine import build_memory_stack, run_script, tap
 
 from repro.consistency import measure_staleness
@@ -44,6 +46,7 @@ from repro.kvstore.engine import (
     ProxyEngine,
     SendFrame,
     StartTimer,
+    payload_fingerprint,
 )
 from repro.core.timestamps import Tag
 from repro.messages import (
@@ -92,6 +95,27 @@ def issue(fabric, client, kind, key, value, sink):
         client.client_id, outcome.value
     )
     fabric.execute(client.client_id, effects)
+
+
+#: JSON objects as frames carry them: string keys, nested lists and objects.
+JSON_DICTS = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+
+
+@given(JSON_DICTS)
+@example({})
+def test_payload_fingerprint_is_canonical_json_empty_payloads_included(payload):
+    assert payload_fingerprint(payload) == json.dumps(
+        payload, sort_keys=True, separators=(",", ":")
+    )
 
 
 class TestCacheUnit:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sized
+
 import pytest
 
 from repro.kvstore import (
@@ -137,3 +139,46 @@ class TestSimKVClusterDirect:
         assert outcomes[-1].value == "x"
         assert cluster.recorder.completed_operations == 3
         assert cluster.batch_stats().rounds > 0
+
+
+class TestNetworkFootprint:
+    """The simulated network keeps counters, not a per-message log."""
+
+    @staticmethod
+    def run_cluster(ops_per_client):
+        workload = generate_workload(num_clients=2, ops_per_client=ops_per_client,
+                                     num_keys=8, seed=5)
+        config = KVRunConfig(proxies=1, read_cache=16)
+        cluster = SimKVCluster(
+            config.cluster_map(len(workload.clients)), workload.clients, config
+        )
+
+        def chain(client, remaining):
+            def issue_next(_outcome=None):
+                if remaining:
+                    op = remaining.pop()
+                    if op.kind == "put":
+                        client.put(op.key, op.value, on_complete=issue_next)
+                    else:
+                        client.get(op.key, on_complete=issue_next)
+
+            return issue_next
+
+        for client_id, ops in workload.sequences.items():
+            chain(cluster.clients[client_id], list(reversed(ops)))()
+        cluster.run()
+        assert cluster.recorder.completed_operations == workload.total_operations()
+        return cluster.network
+
+    def test_ten_times_the_ops_leave_every_container_the_same_length(self):
+        def lengths(network):
+            return {
+                name: len(value)
+                for name, value in vars(network).items()
+                if isinstance(value, Sized) and not isinstance(value, str)
+            }
+
+        small, large = self.run_cluster(10), self.run_cluster(100)
+        assert large.sent_count > 5 * small.sent_count
+        assert lengths(small) == lengths(large)
+        assert small.pending_messages() == large.pending_messages() == 0

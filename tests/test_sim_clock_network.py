@@ -232,6 +232,24 @@ class TestNetwork:
         assert inbox["b"] == []
         assert network.pending_messages() == 1
 
+    @pytest.mark.parametrize(
+        "case, pending",
+        [("dropped at send", 0), ("receiver crashed in flight", 1), ("skipped", 1),
+         ("delivered", 0)],
+    )
+    def test_pending_messages(self, case, pending):
+        queue, network, inbox = _make_network()
+        if case == "dropped at send":
+            network.crash("b")
+        if case == "skipped":
+            network.add_skip_rule(SkipRule(receiver="b"))
+        network.send(Message("a", "b", "ping"))
+        if case == "receiver crashed in flight":
+            network.crash("b")
+        queue.run(until=100.0)
+        assert network.pending_messages() == pending
+        assert len(inbox["b"]) == (case == "delivered")
+
     def test_message_reply_addressing(self):
         msg = Message("r1", "s1", "read", op_id="op-9", round_trip=2)
         reply = msg.reply("READACK", {"x": 1})
