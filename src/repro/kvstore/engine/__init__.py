@@ -75,11 +75,9 @@ from .routing import (
     NearestQuorum,
     ProxyRoute,
     ReadRoutingPolicy,
-    RoundPlan,
     attempt_scoped_id,
     parse_attempt_scoped_id,
     pick_one_proxy_per_site,
-    plan_round,
     view_push_frames,
 )
 from .server import (
@@ -128,10 +126,8 @@ __all__ = [
     "NearestQuorum",
     "ProxyRoute",
     "ReadRoutingPolicy",
-    "RoundPlan",
     "attempt_scoped_id",
     "parse_attempt_scoped_id",
-    "plan_round",
     "pick_one_proxy_per_site",
     "view_push_frames",
     "STALE_SHARD_KIND",

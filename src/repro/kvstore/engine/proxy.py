@@ -22,7 +22,7 @@ a replica that completes ten rounds is one ack frame, not ten.
 
 Routing is through a :class:`~.routing.CachedShardView`: a stale-epoch
 bounce refreshes it and the round replays without the client noticing, and
-control-plane ``"view-push"`` frames (full or delta) are adopted through the
+control-plane ``"view-push"`` frames (one delta each) are adopted through the
 same view, so live rebalancing is handled *once* here for both backends.
 
 With ``read_cache`` enabled the proxy also keeps a bounded (key -> quorum
@@ -99,7 +99,6 @@ from .routing import (
     ProxyRoute,
     ReadRoutingPolicy,
     attempt_scoped_id,
-    plan_round,
 )
 from .stats import BatchStats
 
@@ -210,10 +209,10 @@ class ProxyEngine(ReplicaRounds):
         elif message.kind == LEASE_INVALIDATE_KIND:
             self._on_lease_invalidate(message, out)
         elif message.kind == VIEW_PUSH_KIND:
-            # Control-plane push at a live rebalance: adopt the fresh view
-            # (snapshot or delta) so subsequent rounds route correctly on
-            # the first attempt instead of paying a stale-epoch bounce
-            # each, then ack so the pusher knows routing is current.
+            # Control-plane push at a live rebalance: adopt the routing
+            # delta so subsequent rounds route correctly on the first
+            # attempt instead of paying a stale-epoch bounce each, then ack
+            # so the pusher knows routing is current.
             self.view.apply_push(unpack_view_push(message))
             if self._cache is not None:
                 # Entries whose key no longer routes to the group that
@@ -518,22 +517,32 @@ class ProxyEngine(ReplicaRounds):
     def _plan(self, pending: _ProxyPending) -> None:
         """Route one attempt (fresh or replayed) through the current view.
 
-        The attempt-scoped op id is what keeps a replayed round from mixing
+        A round waits for ``sub.wait_for`` replies, else the owner group's
+        quorum, and targets the whole group unless a read policy picks at
+        least that many (the multiplexer then asks a quorum first).  The
+        attempt-scoped op id is what keeps a replayed round from mixing
         replies of the pre- and post-rebalance owner groups.
         """
         sub = pending.request
-        plan = plan_round(self.view, self.read_policy, self.proxy_id, sub)
+        route = pending.route = self.view.resolve(sub.key)
+        wait_for = sub.wait_for if sub.wait_for is not None else route.quorum_size
+        targets = route.servers
+        if self.read_policy is not None and sub.op_kind == "read":
+            picked = tuple(self.read_policy.read_targets(
+                self.proxy_id, route.servers, wait_for, key=sub.key
+            ))
+            if len(picked) >= wait_for:
+                targets = picked
         self._attempts += 1
-        route = pending.route = plan.route
         pending.ident = (attempt_scoped_id(sub.op_id, self._attempts), sub.round_trip)
         pending.group_id = route.group_id
         pending.shard_id = route.shard_id
         pending.epoch = route.epoch
-        pending.targets = plan.targets
-        pending.wait_for = plan.wait_for
+        pending.targets = targets
+        pending.wait_for = wait_for
         self.observer.emit(
             ROUND_OPENED, op_id=sub.op_id, key=sub.key, trace=sub.trace,
-            round_trip=sub.round_trip, targets=len(plan.targets),
+            round_trip=sub.round_trip, targets=len(targets),
         )
 
     def _reroute(self, pending: _ProxyPending, out: List[Effect]) -> Tuple[str, int]:

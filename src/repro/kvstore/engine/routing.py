@@ -1,4 +1,4 @@
-"""Shared routing state of the ingress tier: views, policies, round plans.
+"""Shared routing state of the ingress tier: views and read policies.
 
 The register emulations charge their message cost per client round: every
 operation pays one frame per replica, so K clients hammering the same shard
@@ -9,13 +9,12 @@ brain its engines (and the client engine's failover machinery) share:
 * :class:`CachedShardView` -- a possibly-stale snapshot of the shard map
   whose staleness is *detected* by the replicas' epoch fence and *repaired*
   either by a refresh (after a ``stale-shard`` bounce) or proactively by a
-  control-plane **view push**.  Pushes come in two shapes: a full
-  :meth:`~repro.kvstore.sharding.ShardMap.view_snapshot`, or a **delta**
-  (:meth:`~repro.kvstore.sharding.ShardMap.view_delta`) carrying only the
-  fenced/added/removed entries of one rebalance -- O(moved) instead of
-  O(shards).  Both are adopted monotonically: reordered or duplicated
-  pushes can never roll routing back, and a delta whose base the view has
-  not reached is skipped (the epoch-fence bounce remains the safety net).
+  control-plane **view push**.  A push is the **delta** of one rebalance
+  (:meth:`~repro.kvstore.sharding.ShardMap.view_delta`): only the
+  fenced/added/removed entries -- O(moved) instead of O(shards).  Pushes are
+  adopted monotonically: reordered or duplicated pushes can never roll
+  routing back, and a delta whose base the view has not reached is skipped
+  (the epoch-fence bounce remains the safety net).
 * :class:`ReadRoutingPolicy` -- which replicas of the owner group a read
   round targets, when the deployment wants to say.  Three choices: **no
   policy** (the default) leaves it to the round multiplexer, which goes
@@ -26,8 +25,6 @@ brain its engines (and the client engine's failover machinery) share:
   the WAN every other read); :class:`BroadcastReads` opts out -- every round
   asks every replica, the classic emulation.  Under an explicit policy
   nothing is narrowed or widened: the policy's targets are the targets.
-* :func:`plan_round` -- the single routing decision both backends' proxies
-  make per forwarded round.
 * :func:`attempt_scoped_id` -- the replay-isolation scheme: replayed rounds
   get fresh scoped op ids so a quorum can never mix replies from the pre-
   and post-rebalance owner groups (or from two different proxies).
@@ -50,18 +47,15 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ...core.operations import OpKind
-from ...messages import Message, ProxySubRequest, make_view_push
+from ...messages import Message, make_view_push
 from ..sharding import HashRing, MovePlan, ResizePlan, ShardMap, stable_hash
 
 __all__ = [
     "ProxyRoute",
-    "RoundPlan",
     "CachedShardView",
     "ReadRoutingPolicy",
     "BroadcastReads",
     "NearestQuorum",
-    "plan_round",
     "attempt_scoped_id",
     "parse_attempt_scoped_id",
     "pick_one_proxy_per_site",
@@ -100,8 +94,8 @@ class CachedShardView:
     The authoritative map lives with the cluster control plane; a proxy
     routes against a *copy* of the ring and the per-shard (epoch, group)
     assignments taken at the last refresh.  Between refreshes the view can
-    also adopt control-plane pushes -- full snapshots or per-rebalance
-    deltas -- with :meth:`apply_push`, which needs *no* access to the
+    also adopt control-plane pushes -- one delta per rebalance -- with
+    :meth:`apply_push`, which needs *no* access to the
     authoritative map (the push carries everything the view routes on,
     which is what makes it a real state transfer in a multi-process
     deployment).  (In such a deployment ``refresh`` would be an RPC to the
@@ -113,7 +107,6 @@ class CachedShardView:
         self._map = shard_map
         self.refreshes = 0
         self.pushes_applied = 0
-        self.deltas_applied = 0
         self.deltas_skipped = 0
         self._ring = shard_map.ring
         self._routes: Dict[str, ProxyRoute] = {}
@@ -136,11 +129,6 @@ class CachedShardView:
     def ring_epoch(self) -> int:
         """The snapshot's ring epoch (lags the map's after a live resize)."""
         return self._ring.epoch
-
-    @property
-    def group_ids(self) -> List[str]:
-        """Every replica group id (groups are fixed; only shards move)."""
-        return list(self._map.groups)
 
     def resolve(self, key: str) -> ProxyRoute:
         """Route ``key`` through the snapshot (possibly stale -- by design)."""
@@ -165,48 +153,18 @@ class CachedShardView:
         """Adopt a control-plane view push; returns ``False`` for pushes that
         cannot (or must not) be applied.
 
-        ``view`` is either a full
-        :meth:`~repro.kvstore.sharding.ShardMap.view_snapshot` payload or a
-        :meth:`~repro.kvstore.sharding.ShardMap.view_delta` payload, both
-        carried by a :data:`~repro.messages.VIEW_PUSH_KIND` frame.  Pushes
-        may be reordered against refreshes and against each other, so the
-        view only moves forward: a push whose ring epoch is behind the
+        ``view`` is a :meth:`~repro.kvstore.sharding.ShardMap.view_delta`
+        payload, carried by a :data:`~repro.messages.VIEW_PUSH_KIND` frame
+        and checked by :func:`~repro.messages.unpack_view_push`.  Pushes may
+        be reordered against refreshes and against each other, so the view
+        only moves forward: a push whose ring epoch is behind the
         snapshot's is dropped, and per shard the fresher of the pushed and
-        cached fencing epochs wins.  A *delta* additionally names the ring
-        epoch it was computed against (``base_ring_epoch``); a delta whose
-        base the view has not reached is skipped -- the stale routes keep
-        bouncing off the epoch fence until a refresh repairs them, which is
-        the clean degradation a dropped delta costs.
+        cached fencing epochs wins.  A delta also names the ring epoch it
+        was computed against (``base_ring_epoch``); a delta whose base the
+        view has not reached is skipped -- the stale routes keep bouncing
+        off the epoch fence until a refresh repairs them, which is the clean
+        degradation a dropped delta costs.
         """
-        if view.get("delta"):
-            return self._apply_delta(view)
-        return self._apply_full(view)
-
-    def _apply_full(self, view: Mapping[str, Any]) -> bool:
-        pushed_ring_epoch = int(view["ring_epoch"])
-        if pushed_ring_epoch < self._ring.epoch:
-            return False
-        shard_ids = list(view["shard_ids"])
-        if pushed_ring_epoch > self._ring.epoch or set(shard_ids) != set(self._routes):
-            # Ring construction is deterministic in (shard ids, virtual
-            # nodes), so the rebuilt ring is identical to the control plane's.
-            self._ring = HashRing(
-                shard_ids,
-                virtual_nodes=int(view.get("virtual_nodes", self._ring.virtual_nodes)),
-                epoch=pushed_ring_epoch,
-            )
-        routes: Dict[str, ProxyRoute] = {}
-        for shard_id in shard_ids:
-            pushed = _route_from_entry(shard_id, view["routes"][shard_id])
-            cached = self._routes.get(shard_id)
-            routes[shard_id] = (
-                cached if cached is not None and cached.epoch > pushed.epoch else pushed
-            )
-        self._routes = routes
-        self.pushes_applied += 1
-        return True
-
-    def _apply_delta(self, view: Mapping[str, Any]) -> bool:
         pushed_ring_epoch = int(view["ring_epoch"])
         base_ring_epoch = int(view["base_ring_epoch"])
         if pushed_ring_epoch < self._ring.epoch:
@@ -218,26 +176,25 @@ class CachedShardView:
             # about, so skip it; the epoch fence keeps the staleness safe.
             self.deltas_skipped += 1
             return False
-        added = [str(shard_id) for shard_id in view.get("added", ())]
-        removed = {str(shard_id) for shard_id in view.get("removed", ())}
+        added = view["added"]
+        removed = set(view["removed"])
         if added or removed:
             shard_ids = [s for s in self._routes if s not in removed] + [
                 s for s in added if s not in self._routes
             ]
             self._ring = HashRing(
                 shard_ids,
-                virtual_nodes=int(view.get("virtual_nodes", self._ring.virtual_nodes)),
+                virtual_nodes=int(view["virtual_nodes"]),
                 epoch=pushed_ring_epoch,
             )
         for shard_id in removed:
             self._routes.pop(shard_id, None)
         for shard_id, entry in view["routes"].items():
-            pushed = _route_from_entry(str(shard_id), entry)
+            pushed = _route_from_entry(shard_id, entry)
             cached = self._routes.get(pushed.shard_id)
             if cached is None or pushed.epoch > cached.epoch:
                 self._routes[pushed.shard_id] = pushed
         self.pushes_applied += 1
-        self.deltas_applied += 1
         return True
 
 
@@ -348,43 +305,6 @@ class NearestQuorum(ReadRoutingPolicy):
         return ranked[:need]
 
 
-@dataclass(frozen=True)
-class RoundPlan:
-    """One attempt's routing decision for a forwarded round."""
-
-    route: ProxyRoute
-    targets: Tuple[str, ...]
-    wait_for: int
-
-
-def plan_round(
-    view: CachedShardView,
-    policy: Optional[ReadRoutingPolicy],
-    origin: str,
-    sub: ProxySubRequest,
-) -> RoundPlan:
-    """Route one forwarded round through ``view`` and ``policy``.
-
-    The single decision sequence both backends' proxies share: resolve the
-    key, settle the ack threshold (``None`` means the owner group's quorum),
-    and pick the targets -- the whole group for writes and when there is no
-    policy (the multiplexer then asks a quorum of it first); reads go through
-    a policy but fall back to the whole group if it ever under-targets (a
-    round with fewer targets than ``wait_for`` could never complete).
-    """
-    route = view.resolve(sub.key)
-    wait_for = sub.wait_for if sub.wait_for is not None else route.quorum_size
-    if policy is not None and sub.op_kind == OpKind.READ.value:
-        targets = tuple(
-            policy.read_targets(origin, route.servers, wait_for, key=sub.key)
-        )
-        if len(targets) < wait_for:
-            targets = route.servers
-    else:
-        targets = route.servers
-    return RoundPlan(route=route, targets=targets, wait_for=wait_for)
-
-
 def attempt_scoped_id(op_id: str, attempt: int) -> str:
     """The downstream operation id for one attempt of one forwarded round.
 
@@ -440,7 +360,7 @@ def pick_one_proxy_per_site(
 def view_push_frames(
     shard_map: ShardMap,
     proxy_ids: Sequence[str],
-    plan: Optional[Union[ResizePlan, MovePlan]] = None,
+    plan: Union[ResizePlan, MovePlan],
     sender: str = CONTROL_PLANE,
 ) -> List[Message]:
     """The control-plane push frames for one live rebalance, one per proxy.
@@ -448,18 +368,13 @@ def view_push_frames(
     This is the *sending* half of the view-push feature, shared by both
     cluster backends (the adopting half is :meth:`CachedShardView.apply_push`
     -- together they make delta pushes a single engine feature with no
-    backend-specific code).  With a rebalance ``plan``, each frame carries
-    only the entries the rebalance touched
-    (:meth:`~repro.kvstore.sharding.ShardMap.view_delta` -- O(moved) per
-    push); without one, the full snapshot.  A rebalance that changed nothing
-    produces no frames at all.
+    backend-specific code).  Each frame carries only the entries ``plan``
+    touched (:meth:`~repro.kvstore.sharding.ShardMap.view_delta` -- O(moved)
+    per push).  A rebalance that changed nothing produces no frames at all.
     """
     if not proxy_ids:
         return []
-    if plan is not None:
-        view = shard_map.view_delta(plan)
-        if view is None:
-            return []
-    else:
-        view = shard_map.view_snapshot()
+    view = shard_map.view_delta(plan)
+    if view is None:
+        return []
     return [make_view_push(sender, proxy_id, view) for proxy_id in proxy_ids]

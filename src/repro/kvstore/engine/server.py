@@ -36,10 +36,10 @@ the lease, no write can *complete* while any proxy serves the key from
 cache -- which is exactly the intersection argument that keeps cached
 reads atomic.
 
-This is the server third of the sans-I/O core: ``on_frame`` consumes one
-decoded frame and returns effects (sends and lease timers), with no
-transport, runtime, or clock anywhere in sight.  ``handle`` remains as the
-strict request-reply wrapper for lease-free deployments.  The simulator
+This is the server third of the sans-I/O core: ``on_frame`` -- its one
+entry point for frames -- consumes one decoded frame and returns effects
+(sends and lease timers), with no transport, runtime, or clock anywhere in
+sight.  The simulator
 wraps the engine in a process that models service time; the asyncio
 backend serves it behind a TCP listener; the tests drive it directly.
 """
@@ -153,7 +153,7 @@ class _HostedShard:
     installed: Set[str] = field(default_factory=set)
 
 
-class GroupServerEngine(ServerLogic):
+class GroupServerEngine:
     """One replica of a replica group, serving many shards' keys.
 
     The only message kind it accepts is ``"batch"``; the kv-store client
@@ -170,9 +170,9 @@ class GroupServerEngine(ServerLogic):
         observer: Optional[EngineObserver] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
-        super().__init__(server_id)
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
+        self.server_id = server_id
         self.protocol = protocol
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.lease_ttl = lease_ttl
@@ -264,26 +264,6 @@ class GroupServerEngine(ServerLogic):
     @property
     def keys_hosted(self) -> int:
         return sum(len(hosted.registers) for hosted in self._shards.values())
-
-    def handle(self, message: Message) -> Optional[Message]:
-        """Strict request-reply wrapper over :meth:`on_frame`.
-
-        The legacy entry point of lease-free deployments: exactly one reply
-        frame (or none, for a deferred drain transfer).  Lease traffic needs
-        timers and out-of-band sends, so a caller that mixes leases with
-        this wrapper gets a loud error instead of silently dropped effects.
-        """
-        reply: Optional[Message] = None
-        for effect in self.on_frame(message):
-            if (isinstance(effect, SendFrame) and reply is None
-                    and effect.destination == message.sender):
-                reply = effect.frame
-            else:
-                raise RuntimeError(
-                    "lease traffic requires the effect-driven adapter; "
-                    f"handle() cannot execute {effect!r}"
-                )
-        return reply
 
     def on_frame(self, frame: Message) -> List[Effect]:
         """Consume one decoded frame, return the effects it causes."""

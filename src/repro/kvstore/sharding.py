@@ -330,26 +330,6 @@ class ShardMap:
             "ring_epoch": self.ring_epoch,
         }
 
-    def view_snapshot(self) -> Dict[str, Any]:
-        """The routing state a remote view cache needs, as a JSON-safe dict.
-
-        This is the payload of a control-plane *view push*
-        (:func:`repro.messages.make_view_push`): the ring's shard ids and
-        epoch (enough to rebuild an identical :class:`HashRing` -- ring
-        construction is deterministic) plus each shard's fencing epoch,
-        hosting group and quorum size.  A
-        :class:`~repro.kvstore.engine.routing.CachedShardView` applies it with
-        :meth:`~repro.kvstore.engine.routing.CachedShardView.apply_push`.
-        """
-        return {
-            "ring_epoch": self.ring.epoch,
-            "virtual_nodes": self.virtual_nodes,
-            "shard_ids": list(self.shards),
-            "routes": {
-                shard_id: self._route_entry(shard_id) for shard_id in self.shards
-            },
-        }
-
     def _route_entry(self, shard_id: str) -> Dict[str, Any]:
         spec = self.shards[shard_id]
         return {
@@ -362,13 +342,12 @@ class ShardMap:
     def view_delta(self, plan: "ResizePlan | MovePlan") -> Optional[Dict[str, Any]]:
         """The routing delta of one rebalance, as a JSON-safe push payload.
 
-        Where :meth:`view_snapshot` carries every shard's route (O(shards)
-        per push), the delta carries only what ``plan`` changed: the shards
-        the rebalance *fenced* (epoch bumped), *added*, *removed*, or
-        *moved* -- O(moved) entries, which is what keeps the control-plane
-        frame small when thousands of shards resize by a handful.  The
-        payload names the ring epoch it was computed against
-        (``base_ring_epoch``), so a
+        The payload of a view push (:func:`repro.messages.make_view_push`)
+        carries only what ``plan`` changed: the shards the rebalance
+        *fenced* (epoch bumped), *added*, *removed*, or *moved* -- O(moved)
+        entries, which is what keeps the control-plane frame small when
+        thousands of shards resize by a handful.  The payload names the ring
+        epoch it was computed against (``base_ring_epoch``), so a
         :class:`~repro.kvstore.engine.routing.CachedShardView` can refuse a
         delta whose base it never adopted (a predecessor push was dropped)
         and fall back to the epoch-fence bounce.  Returns ``None`` when the
@@ -376,7 +355,6 @@ class ShardMap:
         """
         if isinstance(plan, MovePlan):
             return {
-                "delta": True,
                 "ring_epoch": self.ring.epoch,
                 "base_ring_epoch": self.ring.epoch,
                 "virtual_nodes": self.virtual_nodes,
@@ -390,7 +368,6 @@ class ShardMap:
         if not added and not removed and not changed:
             return None
         return {
-            "delta": True,
             "ring_epoch": plan.new_ring.epoch,
             "base_ring_epoch": plan.old_ring.epoch,
             "virtual_nodes": self.virtual_nodes,

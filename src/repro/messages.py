@@ -418,40 +418,45 @@ VIEW_PUSH_KIND = "view-push"
 #: Kind of the proxy's acknowledgement that the pushed view was applied.
 VIEW_PUSH_ACK_KIND = "view-push-ack"
 
-#: The fields a pushed view must carry: a full snapshot
-#: (``ShardMap.view_snapshot``) or a per-rebalance delta
-#: (``ShardMap.view_delta``, marked by ``"delta": True``).
-_VIEW_FIELDS = ("ring_epoch", "virtual_nodes", "shard_ids", "routes")
-_DELTA_FIELDS = (
-    "ring_epoch",
-    "base_ring_epoch",
-    "virtual_nodes",
-    "added",
-    "removed",
-    "routes",
+#: The fields of a pushed view -- a per-rebalance routing delta
+#: (``ShardMap.view_delta``) -- and of each of its routes; their types are
+#: in ``_FIELD_TYPES``.
+_VIEW_FIELDS = (
+    "ring_epoch", "base_ring_epoch", "virtual_nodes", "added", "removed", "routes",
 )
+_ROUTE_FIELDS = ("epoch", "group", "servers", "quorum")
 
 
 def _checked_view(view: Any) -> Dict[str, Any]:
+    """``view`` if it is a well-formed routing delta, else ``ValueError``: a
+    malformed push is refused before it touches any routing state."""
     if not isinstance(view, dict):
         raise ValueError("a view push must carry a view mapping")
-    fields = _DELTA_FIELDS if view.get("delta") else _VIEW_FIELDS
-    missing = [field_name for field_name in fields if field_name not in view]
-    if missing:
-        raise ValueError(f"view push is missing fields: {missing}")
+    name = _mistyped(view, _VIEW_FIELDS)
+    if name is not None:
+        raise ValueError(f"view push is missing field {name!r} (or it is mistyped)")
+    routes = view["routes"]
+    for shard_id, route in routes.items():
+        if not (type(shard_id) is str and isinstance(route, dict)
+                and _mistyped(route, _ROUTE_FIELDS) is None):
+            raise ValueError(f"view push route {shard_id!r} is mistyped")
+    if view["virtual_nodes"] < 1 or not set(view["added"]) <= set(routes):
+        raise ValueError(
+            "a view push needs positive virtual_nodes and a route per added shard"
+        )
     return view
 
 
 def make_view_push(sender: str, receiver: str, view: Dict[str, Any]) -> Message:
-    """Pack one shard-map view (snapshot or delta) into a push frame.
+    """Pack one rebalance's routing delta into a push frame.
 
     The control plane sends one push per proxy on every live
     ``resize()``/``move_shard()`` so proxies re-route *proactively* -- one
     message per proxy per rebalance instead of one stale-epoch bounce (and
     replayed round) per proxy; the bounce fence stays in place as the safety
-    net for pushes that race in-flight frames or get lost.  A delta push
-    carries only the entries the rebalance touched (O(moved), not
-    O(shards)) plus the ring epoch it was computed against.
+    net for pushes that race in-flight frames or get lost.  A push carries
+    only the entries the rebalance touched (O(moved), not O(shards)) plus
+    the ring epoch it was computed against.
     """
     return Message(
         sender=sender,
@@ -462,7 +467,7 @@ def make_view_push(sender: str, receiver: str, view: Dict[str, Any]) -> Message:
 
 
 def unpack_view_push(message: Message) -> Dict[str, Any]:
-    """Inverse of :func:`make_view_push`: the pushed view snapshot."""
+    """Inverse of :func:`make_view_push`: the pushed routing delta."""
     if message.kind != VIEW_PUSH_KIND:
         raise ValueError(f"not a view push frame: kind={message.kind!r}")
     return _checked_view(message.payload.get("view"))
@@ -515,12 +520,27 @@ def _make_drain(sender: str, receiver: str, kind: str, mig: str, token: str,
     return Message(sender=sender, receiver=receiver, kind=kind, payload=payload)
 
 
-#: What each named field of a drain or lease frame must be for the engines
-#: to index by it safely (a ``list`` is a list of strings: keys).
+#: What each named field of a drain, lease or view-push frame (or of a
+#: pushed route) must be for the engines to index by it safely (a ``list``
+#: is a list of strings: keys, shard ids or servers).
 _FIELD_TYPES: Dict[str, Any] = {
     "mig": str, "token": str, "shard": str, "epoch": int, "evict": bool,
     "keys": list, "drop_keys": list, "states": dict,
+    "ring_epoch": int, "base_ring_epoch": int, "virtual_nodes": int,
+    "added": list, "removed": list, "routes": dict,
+    "group": str, "servers": list, "quorum": int,
 }
+
+
+def _mistyped(record: Dict[str, Any], fields: Tuple[str, ...]) -> Optional[str]:
+    """The first of ``fields`` that ``record`` lacks or holds mistyped."""
+    for name in fields:
+        value, expected = record.get(name), _FIELD_TYPES[name]
+        if not isinstance(value, expected) or (
+            expected is list and not all(type(item) is str for item in value)
+        ):
+            return name
+    return None
 
 
 def _unpack(message: Message, kind: str, fields: Tuple[str, ...]) -> Dict[str, Any]:
@@ -532,16 +552,10 @@ def _unpack(message: Message, kind: str, fields: Tuple[str, ...]) -> Dict[str, A
     """
     if message.kind != kind:
         raise ValueError(f"not a {kind} frame: kind={message.kind!r}")
-    payload = message.payload
-    for name in fields:
-        value, expected = payload.get(name), _FIELD_TYPES[name]
-        if not isinstance(value, expected) or (
-            expected is list and not all(type(item) is str for item in value)
-        ):
-            raise ValueError(
-                f"{kind} frame is missing field {name!r} (or it is mistyped)"
-            )
-    return payload
+    name = _mistyped(message.payload, fields)
+    if name is not None:
+        raise ValueError(f"{kind} frame is missing field {name!r} (or it is mistyped)")
+    return message.payload
 
 
 _DRAIN_FIELDS = ("mig", "token", "shard")

@@ -452,31 +452,37 @@ class TestProxyFrames:
             unpack_proxy_ack(Message("a", "b", "query"))
 
 
-#: Shard-map views as the control plane snapshots them for a push
-#: (``ShardMap.view_snapshot``): routes keyed by exactly the ring's shards.
+_route_entries = st.fixed_dictionaries({
+    "epoch": st.integers(min_value=1, max_value=2**31),
+    "group": _ids,
+    "servers": st.lists(_ids, min_size=1, max_size=4),
+    "quorum": st.integers(min_value=1, max_value=4),
+})
+
+
+#: Routing deltas as the control plane pushes them (``ShardMap.view_delta``):
+#: routes for the fenced, moved and added shards, ids for the removed ones.
 @st.composite
-def _view_snapshots(draw):
-    shard_ids = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
-    routes = {
-        shard_id: {
-            "epoch": draw(st.integers(min_value=1, max_value=2**31)),
-            "group": draw(_ids),
-            "servers": draw(st.lists(_ids, min_size=1, max_size=4)),
-            "quorum": draw(st.integers(min_value=1, max_value=4)),
-        }
-        for shard_id in shard_ids
-    }
+def _view_deltas(draw):
+    routes = draw(st.dictionaries(_ids, _route_entries, max_size=5))
+    added = draw(st.lists(st.sampled_from(sorted(routes)), unique=True)
+                 if routes else st.just([]))
+    removed = draw(st.lists(_ids.filter(lambda shard_id: shard_id not in routes),
+                            max_size=3, unique=True))
+    base_ring_epoch = draw(st.integers(min_value=1, max_value=2**31))
     return {
-        "ring_epoch": draw(st.integers(min_value=1, max_value=2**31)),
+        "ring_epoch": base_ring_epoch + draw(st.integers(min_value=0, max_value=1)),
+        "base_ring_epoch": base_ring_epoch,
         "virtual_nodes": draw(st.integers(min_value=1, max_value=128)),
-        "shard_ids": shard_ids,
+        "added": added,
+        "removed": removed,
         "routes": routes,
     }
 
 
 class TestViewPushFrames:
     @_codec
-    @given(view=_view_snapshots())
+    @given(view=_view_deltas())
     def test_view_push_round_trip_sim_codec(self, view):
         frame = make_view_push("control-plane", "p1", view)
         assert frame.kind == VIEW_PUSH_KIND
@@ -485,7 +491,7 @@ class TestViewPushFrames:
         assert unpack_view_push(frame) == view
 
     @_codec
-    @given(view=_view_snapshots())
+    @given(view=_view_deltas())
     def test_view_push_survives_the_wire(self, view):
         frame = make_view_push("control-plane", "p1", view)
         assert unpack_view_push(_wire(frame)) == view
@@ -679,8 +685,11 @@ def _golden_frames():
             ProxySubReply("c1-op2@0", 2, (), "shard map never converged"),
         ]),
         VIEW_PUSH_KIND: make_view_push("control-plane", "p1", {
-            "ring_epoch": 2, "virtual_nodes": 8, "shard_ids": ["shard-0"],
-            "routes": {"shard-0": {"epoch": 2, "group": "g1",
+            "ring_epoch": 2, "base_ring_epoch": 1, "virtual_nodes": 8,
+            "added": ["shard-1"], "removed": ["shard-9"],
+            "routes": {"shard-0": {"epoch": 3, "group": "g2",
+                                   "servers": ["s4"], "quorum": 1},
+                       "shard-1": {"epoch": 1, "group": "g1",
                                    "servers": ["s1"], "quorum": 1}},
         }),
         messages.DRAIN_FENCE_KIND: messages.make_drain_fence(
@@ -740,9 +749,11 @@ GOLDEN_BODIES = {
         b'[],"shard map never converged"]]]'
     ),
     "view-push": (
-        b'["view-push","control-plane","p1",null,0,7,null,{"view":{"ring_epoch'
-        b'":2,"virtual_nodes":8,"shard_ids":["shard-0"],"routes":{"shard-0":{"'
-        b'epoch":2,"group":"g1","servers":["s1"],"quorum":1}}}}]'
+        b'["view-push","control-plane","p1",null,0,7,null,{"view":{"ring_epoch":'
+        b'2,"base_ring_epoch":1,"virtual_nodes":8,"added":["shard-1"],"removed":'
+        b'["shard-9"],"routes":{"shard-0":{"epoch":3,"group":"g2","servers":["s4'
+        b'"],"quorum":1},"shard-1":{"epoch":1,"group":"g1","servers":["s1"],"quo'
+        b'rum":1}}}}]'
     ),
     "drain-fence": (
         b'["drain-fence","control-plane","s1",null,0,7,null,{"mig":"mig-1","to'
@@ -889,6 +900,15 @@ WRONG_SHAPES = {
         "drain-transfer", {"mig": "m", "shard": "s", "keys": []}),
     "push-without-view": _envelope("view-push", {}),
     "push-view-incomplete": _envelope("view-push", {"view": {"ring_epoch": 2}}),
+    "push-route-a-number": _envelope("view-push", {"view": {
+        "ring_epoch": 2, "base_ring_epoch": 1, "virtual_nodes": 64,
+        "added": ["sh9"], "removed": [], "routes": {"sh9": 5}}}),
+    "push-epoch-a-string": _envelope("view-push", {"view": {
+        "ring_epoch": "2", "base_ring_epoch": 1, "virtual_nodes": 64,
+        "added": [7], "removed": [], "routes": {}}}),
+    "push-added-without-route": _envelope("view-push", {"view": {
+        "ring_epoch": 2, "base_ring_epoch": 1, "virtual_nodes": 64,
+        "added": ["sh9"], "removed": [], "routes": {}}}),
     "seven-fields": json.dumps(["query", "c9", "s1", None, 0, 1, None]).encode(),
     "nine-fields": json.dumps(["query", "c9", "s1", None, 0, 1, None, {}, 0]).encode(),
     "sender-a-number": json.dumps(["query", 9, "s1", None, 0, 1, None, {}]).encode(),

@@ -29,6 +29,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kvstore import (
     KVOp,
@@ -55,6 +57,7 @@ from repro.kvstore.engine import (
 )
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.core.operations import OpKind
+from repro.messages import VIEW_PUSH_KIND, Message, unpack_view_push
 from repro.kvstore.engine.fabric import Fabric
 from repro.observe import MetricsObserver, ObserverHub
 
@@ -476,7 +479,7 @@ class TestCrossBackendEquivalence:
         run_script(fabric, client, [(OpKind.READ, f"k{i}", None) for i in range(8)])
         verdict = check_per_key_atomicity(recorder.histories())
         assert verdict.all_atomic, verdict.summary()
-        assert proxy.view.deltas_applied == 1
+        assert proxy.view.pushes_applied == 1
         assert proxy.stale_replays == 0  # the push made the resize bounce-free
 
 
@@ -633,19 +636,18 @@ class TestDeltaViewPush:
     def test_resize_delta_is_o_moved_not_o_shards(self):
         # 1024 shards on 4 groups; adding 2 shards must push only the added
         # shards plus the donors their ring arcs fence -- a handful of
-        # entries, where the full snapshot carries all 1026.
+        # entries, where the map holds all 1026.
         shard_map = ShardMap(1024, num_groups=4, virtual_nodes=8,
                              readers=1, writers=1)
         plan = shard_map.resize(1026)
         delta = shard_map.view_delta(plan)
-        assert delta is not None and delta["delta"] is True
-        full = shard_map.view_snapshot()
-        assert len(full["routes"]) == 1026
+        assert delta is not None
+        assert len(shard_map.shards) == 1026
         assert set(delta["added"]) == {spec.shard_id for spec in plan.added}
         # Each added shard has 8 virtual nodes, each fencing at most one
         # donor: the delta is bounded by moved work, not by shard count.
         assert len(delta["routes"]) <= 2 + 2 * 8
-        assert len(delta["routes"]) < len(full["routes"]) / 50
+        assert len(delta["routes"]) < len(shard_map.shards) / 50
 
     def test_delta_applies_like_the_full_snapshot(self):
         shard_map = ShardMap(4, num_groups=2)
@@ -657,7 +659,7 @@ class TestDeltaViewPush:
         for key in ("a", "b", "user:7", "zz", "hot"):
             assert by_delta.resolve(key) == by_refresh.resolve(key)
         assert by_delta.ring_epoch == shard_map.ring_epoch
-        assert by_delta.deltas_applied == 1
+        assert by_delta.pushes_applied == 1
 
     def test_move_delta_carries_one_route(self):
         shard_map = ShardMap(4, num_groups=2)
@@ -685,6 +687,52 @@ class TestDeltaViewPush:
         assert view.apply_push(delta1) is False
         assert view._routes["sh1"].epoch == shard_map.shards["sh1"].epoch
 
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(st.one_of(
+        st.tuples(st.just("resize"), st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("move"), st.integers(min_value=0, max_value=7),
+                  st.sampled_from(["g1", "g2", "g3"])),
+    ), max_size=8))
+    def test_deltas_adopted_in_order_track_the_map(self, steps):
+        shard_map = ShardMap(4, num_groups=3, virtual_nodes=8)
+        view = CachedShardView(shard_map)
+        keys = [f"k{i}" for i in range(64)]
+        for step in steps:
+            if step[0] == "resize":
+                plan = shard_map.resize(step[1])
+            else:
+                shard_ids = list(shard_map.shards)
+                plan = shard_map.move_shard(shard_ids[step[1] % len(shard_ids)],
+                                            step[2])
+            delta = shard_map.view_delta(plan)
+            if delta is not None:
+                assert view.apply_push(delta) is True
+            fresh = CachedShardView(shard_map)
+            assert view.ring_epoch == fresh.ring_epoch
+            for key in keys:
+                assert view.resolve(key) == fresh.resolve(key)
+        assert view.refreshes == 0
+
+    @pytest.mark.parametrize("bad", [
+        # A route that is not a route object, for a shard the delta adds.
+        {"routes": {"sh9": 5}, "added": ["sh9"]},
+        # A ring epoch as a string, and an added shard id that is a number.
+        {"ring_epoch": "2", "added": [7], "routes": {}},
+    ])
+    def test_malformed_delta_is_refused_before_the_view_moves(self, bad):
+        shard_map = ShardMap(2, num_groups=2)
+        view = CachedShardView(shard_map)
+        delta = {"ring_epoch": 2, "base_ring_epoch": 1, "virtual_nodes": 64,
+                 "added": [], "removed": [], "routes": {}, **bad}
+        routes = dict(view._routes)
+        frame = Message(CONTROL_PLANE, "p1", VIEW_PUSH_KIND, {"view": delta})
+        with pytest.raises(ValueError):
+            view.apply_push(unpack_view_push(frame))
+        assert view.ring_epoch == 1
+        assert view._routes == routes
+        for i in range(200):
+            view.resolve(f"k{i}")
+
     def test_resize_noop_produces_no_push_frames(self):
         shard_map = ShardMap(4, num_groups=2)
         plan = shard_map.resize(4)
@@ -709,7 +757,7 @@ class TestDeltaViewPush:
         cluster.run()
         for proxy in cluster.proxies.values():
             assert proxy.view.deltas_skipped >= 1
-            assert proxy.view.deltas_applied == 0
+            assert proxy.view.pushes_applied == 0
         seen = {}
         for i in range(8):
             client.get(f"k{i}",

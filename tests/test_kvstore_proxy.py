@@ -57,11 +57,12 @@ class TestCachedShardView:
         shard_map = ShardMap(2, num_groups=2)
         view = CachedShardView(shard_map)
         stale_epoch = view.ring_epoch
-        shard_map.resize(6)
+        plan = shard_map.resize(6)
         # The push alone (no refresh -- no access to the map) must bring the
         # view fully current: same routes as the authoritative map.
-        assert view.apply_push(shard_map.view_snapshot()) is True
+        assert view.apply_push(shard_map.view_delta(plan)) is True
         assert view.pushes_applied == 1
+        assert view.refreshes == 0
         assert view.ring_epoch == shard_map.ring_epoch > stale_epoch
         for key in ("a", "b", "user:7", "zz"):
             spec = shard_map.shard_for(key)
@@ -72,26 +73,33 @@ class TestCachedShardView:
 
     def test_apply_push_drops_reordered_stale_pushes(self):
         shard_map = ShardMap(2, num_groups=2)
-        old_view = shard_map.view_snapshot()
         view = CachedShardView(shard_map)
-        shard_map.resize(4)
-        fresh_view = shard_map.view_snapshot()
-        assert view.apply_push(fresh_view) is True
-        # A delayed pre-resize push arriving late must not roll routing back.
-        assert view.apply_push(old_view) is False
+        old_delta = shard_map.view_delta(shard_map.resize(4))
+        fresh_delta = shard_map.view_delta(shard_map.resize(6))
+        assert view.apply_push(old_delta) is True
+        assert view.apply_push(fresh_delta) is True
+        # A delayed duplicate of the first push arriving late must not roll
+        # routing back: its ring epoch is behind the view's.
+        assert view.apply_push(old_delta) is False
         assert view.ring_epoch == shard_map.ring_epoch
-        assert view.pushes_applied == 1
+        assert view.pushes_applied == 2
+        assert view.deltas_skipped == 0
+        for key in ("a", "b", "user:7", "zz"):
+            assert view.resolve(key).shard_id == shard_map.shard_for(key).shard_id
 
     def test_apply_push_keeps_fresher_cached_shard_epochs(self):
         shard_map = ShardMap(2, num_groups=2)
         view = CachedShardView(shard_map)
-        snapshot = shard_map.view_snapshot()  # ring epoch unchanged by a move
-        shard_map.move_shard("sh1", "g2")
-        view.refresh()
-        # Same ring epoch, but the view already knows sh1's bumped epoch; the
-        # older per-shard route in the push must not win.
-        assert view.apply_push(snapshot) is True
+        # sh1 leaves g1 and comes back.  A move leaves the ring epoch alone,
+        # so both deltas apply even when they arrive out of order.
+        moved_away = shard_map.view_delta(shard_map.move_shard("sh1", "g2"))
+        moved_back = shard_map.view_delta(shard_map.move_shard("sh1", "g1"))
+        assert view.apply_push(moved_back) is True
+        # The view already knows sh1's later epoch; the older per-shard
+        # route in the late push must not win.
+        assert view.apply_push(moved_away) is True
         assert view._routes["sh1"].epoch == shard_map.shards["sh1"].epoch
+        assert view._routes["sh1"].group_id == "g1"
 
 
 class TestReadRoutingPolicies:

@@ -55,6 +55,7 @@ from repro.kvstore.engine import (
     OpCompleted,
     OpFailed,
     ProxyEngine,
+    ReadRoutingPolicy,
     SIM_RETRY_POLICY,
     SendFrame,
     StartTimer,
@@ -937,6 +938,23 @@ def broadcast_read_policy_opts_out_of_quorum_first(make_rig):
     assert (stats.rounds_narrow, stats.rounds_widened, rig.owner.read_subs_sent) == (0, 0, 6)
 
 
+class _OneReplicaReads(ReadRoutingPolicy):
+    """A policy that under-targets: one replica, whatever the quorum."""
+
+    def read_targets(self, origin, servers, wait_for, key=None):
+        return list(servers[:1])
+
+
+def an_under_targeting_read_policy_falls_back_to_the_whole_group(make_rig):
+    rig = make_rig(read_policy=_OneReplicaReads())
+    rig.start()
+    # One target could never collect a quorum of two: the round asks everyone.
+    assert [f.destination for f in rig.flush()] == rig.servers
+    rig.run()
+    assert rig.outcome() == "ok"
+    assert rig.owner.read_subs_sent == 3
+
+
 def bounced_cache_fill_evicts_its_entry_and_completes_leaseless(make_rig):
     rig = make_rig(read_cache=8)
     assert ("lease", "k") in [
@@ -1025,6 +1043,7 @@ def sever_drops_every_round(make_rig):
 PROXY_ONLY = [
     restrictive_read_policy_targets_only_a_quorum,
     broadcast_read_policy_opts_out_of_quorum_first,
+    an_under_targeting_read_policy_falls_back_to_the_whole_group,
     bounced_cache_fill_evicts_its_entry_and_completes_leaseless,
     lease_releases_ride_the_next_frame_to_their_replica,
     sever_drops_every_round,

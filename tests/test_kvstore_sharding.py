@@ -6,7 +6,12 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.timestamps import Tag
-from repro.kvstore.engine import STALE_SHARD_KIND, BatchStats, GroupServerEngine
+from repro.kvstore.engine import (
+    STALE_SHARD_KIND,
+    BatchStats,
+    GroupServerEngine,
+    SendFrame,
+)
 from repro.kvstore.sharding import HashRing, ShardMap, stable_hash
 from repro.protocols.codec import encode_tag
 from repro.protocols.registry import build_protocol
@@ -148,6 +153,13 @@ def _tagged(server: GroupServerEngine, shard: str, key: str, message: Message,
     return SubRequest(key=key, message=message, shard=shard, epoch=resolved)
 
 
+def _serve(server: GroupServerEngine, frame: Message) -> Message:
+    """Run ``frame`` through ``on_frame``: its one effect, a reply frame."""
+    (effect,) = server.on_frame(frame)
+    assert isinstance(effect, SendFrame) and effect.destination == frame.sender
+    return effect.frame
+
+
 class TestGroupServerEngine:
     def _server(self, shards=("sha", "shb")):
         protocol = build_protocol("abd-mwmr", ["s1", "s2", "s3"], 1)
@@ -165,14 +177,14 @@ class TestGroupServerEngine:
             _tagged(server, "sha", "ka", update_a),
             _tagged(server, "shb", "kb", update_b),
         ])
-        ack = server.handle(batch)
+        ack = _serve(server, batch)
         assert ack.kind == BATCH_ACK_KIND
         assert server.keys_hosted == 2
         assert server.keys_for("sha") == ["ka"]
 
         query_a = Message("r1", "s1", "query", op_id="op-3", round_trip=1)
-        ack = server.handle(
-            make_batch("r1", "s1", [_tagged(server, "sha", "ka", query_a)])
+        ack = _serve(
+            server, make_batch("r1", "s1", [_tagged(server, "sha", "ka", query_a)])
         )
         (key, reply), = unpack_batch_ack(ack)
         assert key == "ka"
@@ -183,9 +195,9 @@ class TestGroupServerEngine:
         server = self._server()
         update = Message("w1", "s1", "update",
                          {"tag": encode_tag(Tag(5, "w1")), "value": "only-sha"})
-        server.handle(make_batch("w1", "s1", [_tagged(server, "sha", "ka", update)]))
+        _serve(server, make_batch("w1", "s1", [_tagged(server, "sha", "ka", update)]))
         query = Message("r1", "s1", "query")
-        ack = server.handle(make_batch("r1", "s1", [_tagged(server, "shb", "ka", query)]))
+        ack = _serve(server, make_batch("r1", "s1", [_tagged(server, "shb", "ka", query)]))
         (_, reply), = unpack_batch_ack(ack)
         assert reply.payload["value"] is None  # shb's "ka" never written
 
@@ -195,9 +207,9 @@ class TestGroupServerEngine:
         update = Message("w1", "s1", "update",
                          {"tag": encode_tag(Tag(1, "w1")), "value": "A"},
                          op_id="op-1", round_trip=2)
-        ack = server.handle(
-            make_batch("w1", "s1", [_tagged(server, "sha", "ka", update, epoch=2)])
-        )
+        ack = _serve(server, make_batch(
+            "w1", "s1", [_tagged(server, "sha", "ka", update, epoch=2)]
+        ))
         (_, reply), = unpack_batch_ack(ack)
         assert reply.kind == STALE_SHARD_KIND
         assert reply.payload["epoch"] == 3 and reply.payload["sent_epoch"] == 2
@@ -208,7 +220,7 @@ class TestGroupServerEngine:
     def test_unhosted_and_untagged_shards_bounce(self):
         server = self._server(shards=("sha",))
         query = Message("r1", "s1", "query")
-        ack = server.handle(make_batch("r1", "s1", [
+        ack = _serve(server, make_batch("r1", "s1", [
             SubRequest("k", query, shard="nope", epoch=1),
             SubRequest("k", query),  # legacy untagged form
         ]))
@@ -221,12 +233,12 @@ class TestGroupServerEngine:
         dest = self._server(shards=())
         update = Message("w1", "s1", "update",
                          {"tag": encode_tag(Tag(7, "w1")), "value": "moved"})
-        source.handle(make_batch("w1", "s1", [_tagged(source, "sha", "ka", update)]))
+        _serve(source, make_batch("w1", "s1", [_tagged(source, "sha", "ka", update)]))
         registers = source.evict_shard("sha")
         assert source.hosted_epoch("sha") is None
         dest.host_shard("sha", 2, registers)
         query = Message("r1", "s1", "query")
-        ack = dest.handle(make_batch("r1", "s1", [_tagged(dest, "sha", "ka", query)]))
+        ack = _serve(dest, make_batch("r1", "s1", [_tagged(dest, "sha", "ka", query)]))
         (_, reply), = unpack_batch_ack(ack)
         assert reply.payload["value"] == "moved"
         assert reply.sender == "s1"
@@ -234,12 +246,12 @@ class TestGroupServerEngine:
     def test_rejects_non_batch_messages(self):
         server = self._server()
         with pytest.raises(ValueError):
-            server.handle(Message("r1", "s1", "query"))
+            _serve(server, Message("r1", "s1", "query"))
 
     def test_counts_batches(self):
         server = self._server()
         query = Message("r1", "s1", "query")
-        server.handle(make_batch("r1", "s1", [
+        _serve(server, make_batch("r1", "s1", [
             _tagged(server, "sha", "ka", query),
             _tagged(server, "sha", "kb", query),
         ]))
