@@ -1,16 +1,27 @@
 """Benchmark -- what one ``observer.emit`` costs with the default sinks attached.
 
 Every backend run attaches a ``MetricsObserver`` and an ``AutoscaleFeed`` to
-its ``ObserverHub``, so each of the ~24 events an op emits goes through
-``hub.scoped(...).emit``.  This bench times that call per event kind, with
-the argument shapes the engines use, against the same call on
-``NULL_OBSERVER``:
+its ``ObserverHub``.  The engines count the counter-only kinds
+(``events.QUIET_KINDS``: frames, timers, cache, leases, the client's
+``round.opened``) inline while no other sink wants them, so with these sinks
+only the op lifecycle, the proxy's rounds, batch sizes, ``sub.served`` and
+the first event of each quiet kind on a scope still go through
+``hub.scoped(...).emit`` -- 6.3 of the simulator's 19.4 events per op on the
+seeded run of ``tests/test_observe_fastpath.py``.  This
+bench times that call per event kind, with the argument shapes the engines
+use, against the same call on ``NULL_OBSERVER``, and the inline count:
 
 * ``on`` / ``off`` ns per emit and emits/s per kind (best of the repeats);
+  every kind is still timed through ``emit``, so the rows compare across
+  versions;
 * ``observer_on_off_ratio`` -- summed ``on`` time over summed ``off`` time.
   Both sides run back to back in one process, so the ratio moves with the
   code and not with the runner's speed; ``check_perf_gate.py`` holds it
   under a ceiling;
+* ``quiet`` -- one row per quiet kind: ns per event of the engines' inline
+  site (read the kind's slots, add one) on a default-sink scope, once an
+  emit of the kind made it quiet there, next to that kind's ``emit`` on the
+  same scope;
 * ``trace_events_built`` -- how many ``TraceEvent`` objects the ``on`` side
   constructed.  Deterministic, and zero: neither default sink takes whole
   events.  The gate requires it to equal the baseline.
@@ -51,7 +62,15 @@ from repro.observe import (
     ObserverHub,
     events,
 )
-from repro.observe.events import CACHE_HIT, CACHE_MISS, LEASE_GRANTED
+from repro.observe.events import (
+    CACHE_HIT,
+    CACHE_INVALIDATE,
+    CACHE_MISS,
+    LEASE_EXPIRED,
+    LEASE_GRANTED,
+    QUIET_KINDS,
+)
+from repro.observe.metrics import KIND_METRICS
 
 from _bench_utils import bench_json_path, print_section, write_bench_json
 
@@ -95,6 +114,54 @@ def default_sink_hub() -> ObserverHub:
     return hub
 
 
+#: (tier, kind) for every quiet kind, on a tier where the default sinks leave
+#: it quiet: the proxy tier times its rounds from ``round.opened``.
+QUIET_SAMPLES: Tuple[Tuple[str, str], ...] = (
+    ("client", FRAME_SENT),
+    ("client", FRAME_RECEIVED),
+    ("client", TIMER_ARMED),
+    ("client", TIMER_FIRED),
+    ("client", TIMER_CANCELLED),
+    ("client", ROUND_OPENED),
+    ("proxy", CACHE_HIT),
+    ("proxy", CACHE_MISS),
+    ("proxy", CACHE_INVALIDATE),
+    ("proxy", LEASE_EXPIRED),
+    ("replica", LEASE_GRANTED),
+)
+
+#: The engines' inline site, verbatim but for the names: an attribute read
+#: and an int add while the kind is quiet.
+_QUIET_SITE = """
+def site(observer, op_ids):
+    for _ in op_ids:
+        counts = observer.{attribute}
+        if counts is None:
+            observer.emit({kind!r})
+        else:
+            counts[{counter!r}] += 1
+"""
+
+
+def quiet_site(kind: str) -> Any:
+    """The inline site of ``kind``, compiled with its attribute and counter."""
+    namespace: Dict[str, Any] = {}
+    exec(_QUIET_SITE.format(  # a fixed template, no outside input
+        attribute=QUIET_KINDS[kind], kind=kind, counter=KIND_METRICS[kind][0],
+    ), namespace)
+    return namespace["site"]
+
+
+def time_quiet(observer: EngineObserver, kind: str, op_ids: List[str]) -> float:
+    site = quiet_site(kind)
+    observer.emit(kind)  # the first emit of a kind decides whether it is quiet
+    if getattr(observer, QUIET_KINDS[kind]) is None:
+        raise AssertionError(f"{kind} is not quiet on this scope")
+    started = perf_counter()
+    site(observer, op_ids)
+    return perf_counter() - started
+
+
 def time_emits(
     observer: EngineObserver, kind: str, with_ids: bool, attrs: Dict[str, Any],
     op_ids: List[str],
@@ -125,6 +192,19 @@ def one_pass(op_ids: List[str], observed: bool) -> List[float]:
     return seconds
 
 
+def quiet_pass(op_ids: List[str]) -> List[Tuple[float, float]]:
+    """(inline, emit) seconds per quiet sample, on a fresh default-sink hub."""
+    hub = default_sink_hub()
+    seconds = []
+    for tier, kind in QUIET_SAMPLES:
+        observer = hub.scoped(tier, f"{tier}-1")
+        seconds.append((
+            time_quiet(observer, kind, op_ids),
+            time_emits(observer, kind, False, {}, op_ids),
+        ))
+    return seconds
+
+
 def run(emits: int, repeats: int) -> Dict[str, Any]:
     op_ids = [f"c1-read-{i}" for i in range(emits)]
     built = 0
@@ -137,13 +217,19 @@ def run(emits: int, repeats: int) -> Dict[str, Any]:
 
     one_pass(op_ids[:100], True)  # warm both sides' code paths
     one_pass(op_ids[:100], False)
+    quiet_pass(op_ids[:100])
     on = [float("inf")] * len(SAMPLES)
     off = list(on)
+    quiet = [(float("inf"), float("inf"))] * len(QUIET_SAMPLES)
     events.TraceEvent = counting
     try:
         for _ in range(repeats):
             on = [min(a, b) for a, b in zip(on, one_pass(op_ids, True))]
             off = [min(a, b) for a, b in zip(off, one_pass(op_ids, False))]
+            quiet = [
+                (min(a[0], b[0]), min(a[1], b[1]))
+                for a, b in zip(quiet, quiet_pass(op_ids))
+            ]
     finally:
         events.TraceEvent = real
     kinds = [
@@ -164,6 +250,16 @@ def run(emits: int, repeats: int) -> Dict[str, Any]:
         "on_ns_per_emit": round(sum(on) / (emits * len(SAMPLES)) * 1e9, 1),
         "off_ns_per_emit": round(sum(off) / (emits * len(SAMPLES)) * 1e9, 1),
         "kinds": kinds,
+        "quiet_ns_per_event": round(
+            sum(inline for inline, _ in quiet) / (emits * len(QUIET_SAMPLES)) * 1e9, 1),
+        "quiet": [
+            {
+                "tier": tier, "kind": kind,
+                "quiet_ns": round(inline / emits * 1e9, 1),
+                "emit_ns": round(emitted / emits * 1e9, 1),
+            }
+            for (tier, kind), (inline, emitted) in zip(QUIET_SAMPLES, quiet)
+        ],
     }
 
 
@@ -179,6 +275,9 @@ if __name__ == "__main__":
           f"off {report['off_ns_per_emit']} ns, "
           f"on/off {report['observer_on_off_ratio']}; "
           f"TraceEvents built: {report['trace_events_built']}")
+    print_section("quiet kinds -- the engines' inline count vs emit, default sinks (ns per event)")
+    print(format_rows(report["quiet"], ["tier", "kind", "quiet_ns", "emit_ns"]))
+    print(f"\nquiet kinds: {report['quiet_ns_per_event']} ns per event inline")
     json_path = bench_json_path(sys.argv[1:])
     if json_path:
         write_bench_json(json_path, "observe_emit", report)

@@ -268,10 +268,14 @@ class ClientSessionEngine:
         pending.wait_for = (
             request.wait_for if request.wait_for is not None else spec.quorum_size
         )
-        self.observer.emit(
-            ROUND_OPENED, op_id=pending.op_id, key=pending.key,
-            trace=pending.trace, round_trip=pending.round_trip,
-        )
+        counts = self.observer.round_opened
+        if counts is None:
+            self.observer.emit(
+                ROUND_OPENED, op_id=pending.op_id, key=pending.key,
+                trace=pending.trace, round_trip=pending.round_trip,
+            )
+        else:
+            counts["rounds_opened"] += 1
 
     def _reroute(self, pending: _PendingKVOp, out: List[Effect]) -> Tuple[str, int]:
         """Where the live shard map routes a bounced round's key now."""

@@ -381,7 +381,11 @@ class ControlPlaneEngine:
         pending = self._outstanding.pop(token, None)
         if pending is None:
             return []  # duplicate or given-up ack
-        self.observer.emit(FRAME_RECEIVED, kind=frame.kind, source=frame.sender)
+        counts = self.observer.frame_received
+        if counts is None:
+            self.observer.emit(FRAME_RECEIVED, kind=frame.kind, source=frame.sender)
+        else:
+            counts["frames_received"] += 1
         mig = pending.mig
         effects: List[Effect] = [CancelTimer(("drain", token))]
         if frame.kind == DRAIN_FENCE_ACK_KIND:
@@ -419,10 +423,14 @@ class ControlPlaneEngine:
             if not mig.waiting and self._queue and self._queue[0] is mig:
                 return self._advance(mig)
             return []
-        self.observer.emit(
-            FRAME_SENT, kind=pending.frame.kind, dest=pending.destination,
-            retry=pending.retries,
-        )
+        counts = self.observer.frame_sent
+        if counts is None:
+            self.observer.emit(
+                FRAME_SENT, kind=pending.frame.kind, dest=pending.destination,
+                retry=pending.retries,
+            )
+        else:
+            counts["frames_sent"] += 1
         return [
             SendFrame(pending.destination, pending.frame),
             StartTimer(("drain", pending.token), self.retry_delay),
@@ -440,7 +448,11 @@ class ControlPlaneEngine:
             token=token, mig=mig, destination=destination, frame=frame
         )
         mig.waiting.add(token)
-        self.observer.emit(FRAME_SENT, kind=frame.kind, dest=destination)
+        counts = self.observer.frame_sent
+        if counts is None:
+            self.observer.emit(FRAME_SENT, kind=frame.kind, dest=destination)
+        else:
+            counts["frames_sent"] += 1
         return [
             SendFrame(destination, frame),
             StartTimer(("drain", token), self.retry_delay),

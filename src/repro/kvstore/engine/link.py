@@ -243,7 +243,11 @@ class ClientLink(ReplicaRounds):
                 client=None if session.client_id == self.link_id else session.client_id,
             ))
         self.proxy_stats.record_frames(sent=1)
-        self.observer.emit(FRAME_SENT, kind=PROXY_KIND, dest=leg.proxy_id)
+        counts = self.observer.frame_sent
+        if counts is None:
+            self.observer.emit(FRAME_SENT, kind=PROXY_KIND, dest=leg.proxy_id)
+        else:
+            counts["frames_sent"] += 1
         out.append(
             SendFrame(leg.proxy_id, make_proxy_request(self.link_id, leg.proxy_id, subs))
         )
@@ -312,7 +316,11 @@ class ClientLink(ReplicaRounds):
 
     def _on_proxy_ack(self, message: Message, out: List[Effect]) -> None:
         self.proxy_stats.record_frames(received=1)
-        self.observer.emit(FRAME_RECEIVED, kind=PROXY_ACK_KIND, source=message.sender)
+        counts = self.observer.frame_received
+        if counts is None:
+            self.observer.emit(FRAME_RECEIVED, kind=PROXY_ACK_KIND, source=message.sender)
+        else:
+            counts["frames_received"] += 1
         leg = self._legs.get(message.sender)
         if leg is None:
             return  # nothing was ever forwarded there

@@ -194,9 +194,13 @@ class ProxyEngine(ReplicaRounds):
     def on_frame(self, message: Message) -> List[Effect]:
         out: List[Effect] = []
         if message.kind == PROXY_KIND:
-            self.observer.emit(
-                FRAME_RECEIVED, kind=PROXY_KIND, source=message.sender
-            )
+            counts = self.observer.frame_received
+            if counts is None:
+                self.observer.emit(
+                    FRAME_RECEIVED, kind=PROXY_KIND, source=message.sender
+                )
+            else:
+                counts["frames_received"] += 1
             for sub in unpack_proxy_request(message):
                 self._admit(message.sender, sub, out)
         elif message.kind == BATCH_ACK_KIND:
@@ -287,10 +291,14 @@ class ProxyEngine(ReplicaRounds):
                 if replies is not None:
                     if rt == 1:
                         self.cache_hits += 1
-                        self.observer.emit(
-                            CACHE_HIT, op_id=sub.op_id, key=sub.key,
-                            trace=sub.trace,
-                        )
+                        counts = self.observer.cache_hit
+                        if counts is None:
+                            self.observer.emit(
+                                CACHE_HIT, op_id=sub.op_id, key=sub.key,
+                                trace=sub.trace,
+                            )
+                        else:
+                            counts["cache_hits"] += 1
                     self._serve_cached(reply_to, sub, replies, out)
                     return
                 self._dispatch_safe(pending, out)
@@ -316,10 +324,14 @@ class ProxyEngine(ReplicaRounds):
                 entry.followers.setdefault(rt, []).append((reply_to, sub))
                 if rt == 1:
                     self.cache_misses += 1
-                    self.observer.emit(
-                        CACHE_MISS, op_id=sub.op_id, key=sub.key,
-                        trace=sub.trace, shared=True,
-                    )
+                    counts = self.observer.cache_miss
+                    if counts is None:
+                        self.observer.emit(
+                            CACHE_MISS, op_id=sub.op_id, key=sub.key,
+                            trace=sub.trace, shared=True,
+                        )
+                    else:
+                        counts["cache_misses"] += 1
                 return
             self._dispatch_safe(pending, out)
             return
@@ -330,9 +342,13 @@ class ProxyEngine(ReplicaRounds):
             return
         # Miss: this read becomes the fill.
         self.cache_misses += 1
-        self.observer.emit(
-            CACHE_MISS, op_id=sub.op_id, key=sub.key, trace=sub.trace
-        )
+        counts = self.observer.cache_miss
+        if counts is None:
+            self.observer.emit(
+                CACHE_MISS, op_id=sub.op_id, key=sub.key, trace=sub.trace
+            )
+        else:
+            counts["cache_misses"] += 1
         self._fill_seq += 1
         entry = CacheEntry(
             key=sub.key, fill_client=pending.sender, fill_op_id=sub.op_id,
@@ -405,7 +421,11 @@ class ProxyEngine(ReplicaRounds):
             # Not counted in stats: proxy acks are tallied once, at the client
             # receiver (the counted-exactly-once invariant); the observer
             # event still records the frame leaving this component.
-            self.observer.emit(FRAME_SENT, kind=PROXY_ACK_KIND, dest=reply_to)
+            counts = self.observer.frame_sent
+            if counts is None:
+                self.observer.emit(FRAME_SENT, kind=PROXY_ACK_KIND, dest=reply_to)
+            else:
+                counts["frames_sent"] += 1
             out.append(SendFrame(reply_to, Message(
                 self.proxy_id, reply_to, PROXY_ACK_KIND, {"acks": acks}
             )))
@@ -452,7 +472,11 @@ class ProxyEngine(ReplicaRounds):
             pending.fill_entry = None
         self._release_lease(entry, out)
         self.cache_invalidations += 1
-        self.observer.emit(CACHE_INVALIDATE, key=entry.key, reason=reason)
+        counts = self.observer.cache_invalidate
+        if counts is None:
+            self.observer.emit(CACHE_INVALIDATE, key=entry.key, reason=reason)
+        else:
+            counts["cache_invalidations"] += 1
         followers = entry.followers
         entry.followers = {}
         for subs in followers.values():
@@ -496,9 +520,13 @@ class ProxyEngine(ReplicaRounds):
             self._release_unheld(server_id, orphaned, out)
 
     def _on_lease_invalidate(self, message: Message, out: List[Effect]) -> None:
-        self.observer.emit(
-            FRAME_RECEIVED, kind=message.kind, source=message.sender
-        )
+        counts = self.observer.frame_received
+        if counts is None:
+            self.observer.emit(
+                FRAME_RECEIVED, kind=message.kind, source=message.sender
+            )
+        else:
+            counts["frames_received"] += 1
         payload = unpack_lease_invalidate(message)
         unheld: List[str] = []
         for key in payload["keys"]:
@@ -624,7 +652,11 @@ class ProxyEngine(ReplicaRounds):
         entry = self._cache.peek(key) if self._cache is not None else None
         if entry is not None:
             self.leases_expired += 1
-            self.observer.emit(LEASE_EXPIRED, key=key)
+            counts = self.observer.lease_expired
+            if counts is None:
+                self.observer.emit(LEASE_EXPIRED, key=key)
+            else:
+                counts["leases_expired"] += 1
             self._evict(entry, out, reason="expired")
         return out
 

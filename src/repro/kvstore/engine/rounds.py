@@ -292,7 +292,11 @@ class ReplicaRounds:
             keys = self._releases.pop(server_id, None)
             if keys is not None:
                 self.releases_alone += 1
-                self.observer.emit(FRAME_SENT, kind=LEASE_RELEASE_KIND, dest=server_id)
+                counts = self.observer.frame_sent
+                if counts is None:
+                    self.observer.emit(FRAME_SENT, kind=LEASE_RELEASE_KIND, dest=server_id)
+                else:
+                    counts["frames_sent"] += 1
                 out.append(SendFrame(
                     server_id, make_lease_release(self._node_id, server_id, keys)
                 ))
@@ -354,7 +358,11 @@ class ReplicaRounds:
             if carried is not None:
                 self.releases_carried += 1
             self.stats.record_frames(sent=1)
-            self.observer.emit(FRAME_SENT, kind=BATCH_KIND, dest=server_id)
+            counts = self.observer.frame_sent
+            if counts is None:
+                self.observer.emit(FRAME_SENT, kind=BATCH_KIND, dest=server_id)
+            else:
+                counts["frames_sent"] += 1
             out.append(SendFrame(
                 server_id, make_batch(self._node_id, server_id, subs, carried)
             ))
@@ -448,9 +456,13 @@ class ReplicaRounds:
     def _on_batch_ack(self, message: Message, out: List[Effect]) -> None:
         """Demultiplex one ``batch-ack`` frame into the rounds it answers."""
         self.stats.record_frames(received=1)
-        self.observer.emit(
-            FRAME_RECEIVED, kind=BATCH_ACK_KIND, source=message.sender
-        )
+        counts = self.observer.frame_received
+        if counts is None:
+            self.observer.emit(
+                FRAME_RECEIVED, kind=BATCH_ACK_KIND, source=message.sender
+            )
+        else:
+            counts["frames_received"] += 1
         if self._suspects:
             self._suspects.discard(message.sender)
         pending = self._pending

@@ -5,7 +5,9 @@ An engine returns :mod:`~repro.kvstore.engine.effects`; an adapter owns an
 The runtime holds the only dispatch on effect type and the only timer
 table, so timer semantics -- and the ``timer.*`` lifecycle events that make
 "armed == fired + cancelled" checkable on every tier -- exist once, for the
-simulator and asyncio alike.  What differs between transports is passed in:
+simulator and asyncio alike.  (Those events are counted inline while no
+sink but the metrics wants them: ``observe.events.QUIET_KINDS``.)  What
+differs between transports is passed in:
 
 * ``schedule(delay, callback) -> handle`` with ``handle.cancel()``
   (``loop.call_later``, ``EventQueue.schedule``);
@@ -83,7 +85,11 @@ class EffectRuntime:
                 self.timers[timer_id] = self._schedule(
                     effect.delay, partial(self._fire, timer_id)
                 )
-                self._observer.emit(TIMER_ARMED, timer=timer_id[0])
+                counts = self._observer.timer_armed
+                if counts is None:
+                    self._observer.emit(TIMER_ARMED, timer=timer_id[0])
+                else:
+                    counts["timers_armed"] += 1
                 continue
             elif kind is CancelTimer:
                 self._cancel(effect.timer_id, "cancel")
@@ -109,11 +115,19 @@ class EffectRuntime:
         handle = self.timers.pop(timer_id, None)
         if handle is not None:
             handle.cancel()
-            self._observer.emit(TIMER_CANCELLED, timer=timer_id[0], reason=reason)
+            counts = self._observer.timer_cancelled
+            if counts is None:
+                self._observer.emit(TIMER_CANCELLED, timer=timer_id[0], reason=reason)
+            else:
+                counts["timers_cancelled"] += 1
 
     def _fire(self, timer_id: TimerId) -> None:
         # Gone from the table before the engine hears of it, so on_timer may
         # re-arm the same id.
         self.timers.pop(timer_id, None)
-        self._observer.emit(TIMER_FIRED, timer=timer_id[0])
+        counts = self._observer.timer_fired
+        if counts is None:
+            self._observer.emit(TIMER_FIRED, timer=timer_id[0])
+        else:
+            counts["timers_fired"] += 1
         self.run(self.engine.on_timer(timer_id))

@@ -270,9 +270,13 @@ class GroupServerEngine:
         out: List[Effect] = []
         drain_handler = self._DRAIN_HANDLERS.get(frame.kind)
         if drain_handler is not None:
-            self.observer.emit(
-                FRAME_RECEIVED, kind=frame.kind, source=frame.sender
-            )
+            counts = self.observer.frame_received
+            if counts is None:
+                self.observer.emit(
+                    FRAME_RECEIVED, kind=frame.kind, source=frame.sender
+                )
+            else:
+                counts["frames_received"] += 1
             if (frame.kind == DRAIN_TRANSFER_KIND
                     and self._defer_transfer(frame, out)):
                 # Deferral by silence: the control plane retries unacked
@@ -284,9 +288,13 @@ class GroupServerEngine:
                 out.append(SendFrame(reply.receiver, reply))
             return out
         if frame.kind == LEASE_RELEASE_KIND:
-            self.observer.emit(
-                FRAME_RECEIVED, kind=frame.kind, source=frame.sender
-            )
+            counts = self.observer.frame_received
+            if counts is None:
+                self.observer.emit(
+                    FRAME_RECEIVED, kind=frame.kind, source=frame.sender
+                )
+            else:
+                counts["frames_received"] += 1
             self._release(frame.sender, unpack_lease_release(frame)["keys"], out)
             return out
         if frame.kind != BATCH_KIND:
@@ -323,9 +331,13 @@ class GroupServerEngine:
         self.batches_served += 1
         self.sub_ops_served += len(subs)
         self.largest_batch = max(self.largest_batch, len(subs))
-        self.observer.emit(
-            FRAME_RECEIVED, kind=BATCH_KIND, source=message.sender, size=len(subs)
-        )
+        counts = self.observer.frame_received
+        if counts is None:
+            self.observer.emit(
+                FRAME_RECEIVED, kind=BATCH_KIND, source=message.sender, size=len(subs)
+            )
+        else:
+            counts["frames_received"] += 1
         holder = message.sender
         releases = message.payload.get("releases")
         if releases:
@@ -382,20 +394,18 @@ class GroupServerEngine:
                     StartTimer(("lease", sub.key, holder), self.lease_ttl)
                 )
                 self.leases_granted += 1
-                self.observer.emit(
-                    LEASE_GRANTED, key=sub.key, holder=holder,
-                    ttl=self.lease_ttl,
-                )
+                counts = self.observer.lease_granted
+                if counts is None:
+                    self.observer.emit(
+                        LEASE_GRANTED, key=sub.key, holder=holder,
+                        ttl=self.lease_ttl,
+                    )
+                else:
+                    counts["leases_granted"] += 1
                 if grants is None:
                     grants = []
                 grants.append((sub.key, sub.lease))
-        for target, keys in invalidations.items():
-            self.observer.emit(FRAME_SENT, kind="lease-invalidate", dest=target)
-            out.append(
-                SendFrame(
-                    target, make_lease_invalidate(self.server_id, target, keys)
-                )
-            )
+        self._chase(invalidations, out)
         if entries:
             # A *partial* ack when some subs deferred: the served replies
             # must not wait out another key's lease TTL, and the proxy
@@ -412,7 +422,11 @@ class GroupServerEngine:
         out: List[Effect],
         grants: Optional[List[Tuple[str, str]]] = None,
     ) -> None:
-        self.observer.emit(FRAME_SENT, kind="batch-ack", dest=request.sender)
+        counts = self.observer.frame_sent
+        if counts is None:
+            self.observer.emit(FRAME_SENT, kind="batch-ack", dest=request.sender)
+        else:
+            counts["frames_sent"] += 1
         ack = make_batch_ack(request, entries, grants)
         out.append(SendFrame(ack.receiver, ack))
 
@@ -480,7 +494,11 @@ class GroupServerEngine:
             _, key, holder = timer_id
             if holder in self._leases.get(key, ()):
                 self.leases_expired += 1
-                self.observer.emit(LEASE_EXPIRED, key=key, holder=holder)
+                counts = self.observer.lease_expired
+                if counts is None:
+                    self.observer.emit(LEASE_EXPIRED, key=key, holder=holder)
+                else:
+                    counts["leases_expired"] += 1
                 self._drop_holder(key, holder, out, cancel_timer=False)
         return out
 
@@ -505,16 +523,24 @@ class GroupServerEngine:
             for holder in holders - chased:
                 chased.add(holder)
                 invalidations.setdefault(holder, []).append(key)
+        self._chase(invalidations, out)
+        return bool(invalidations) or any(
+            self._leases.get(key) for key in payload["keys"]
+        )
+
+    def _chase(self, invalidations: Dict[str, List[str]], out: List[Effect]) -> None:
+        """One ``lease-invalidate`` frame per holder, naming its keys."""
         for target, keys in invalidations.items():
-            self.observer.emit(FRAME_SENT, kind="lease-invalidate", dest=target)
+            counts = self.observer.frame_sent
+            if counts is None:
+                self.observer.emit(FRAME_SENT, kind="lease-invalidate", dest=target)
+            else:
+                counts["frames_sent"] += 1
             out.append(
                 SendFrame(
                     target, make_lease_invalidate(self.server_id, target, keys)
                 )
             )
-        return bool(invalidations) or any(
-            self._leases.get(key) for key in payload["keys"]
-        )
 
     # -- the incremental drain protocol (control plane -> this replica) ----------
     #
@@ -531,7 +557,11 @@ class GroupServerEngine:
         }
         if extra:
             payload.update(extra)
-        self.observer.emit(FRAME_SENT, kind=kind, dest=message.sender)
+        counts = self.observer.frame_sent
+        if counts is None:
+            self.observer.emit(FRAME_SENT, kind=kind, dest=message.sender)
+        else:
+            counts["frames_sent"] += 1
         return message.reply(kind, payload)
 
     def _handle_drain_fence(self, message: Message) -> Message:

@@ -47,7 +47,7 @@ from ..core.operations import OpKind
 from ..messages import Message
 from ..protocols.base import OperationOutcome
 from ..sim.clock import EventQueue
-from ..sim.delays import ConstantDelay
+from ..sim.delays import ConstantDelay, fifo
 from ..sim.failures import CrashPlan, FailureInjector
 from ..sim.network import Network
 from ..sim.process import Process
@@ -390,7 +390,9 @@ class SimKVCluster(ClusterAssembly):
             sites=sites,
             trace_collector=config.trace_collector,
         )
-        self.network = Network(self.events, config.delay_model or ConstantDelay())
+        # Per connection FIFO, as over TCP: the lease protocol relies on it.
+        self.network = Network(self.events, fifo(
+            config.delay_model or ConstantDelay(), lambda: self.events.clock.now))
         self.recorder = KVHistoryRecorder(lambda: self.events.clock.now)
         self.crashed_proxies: Set[str] = set()
         self._completion_watchers: List[Callable[[], None]] = []

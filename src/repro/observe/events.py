@@ -18,6 +18,7 @@ enforce this.
 from __future__ import annotations
 
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -49,6 +50,7 @@ __all__ = [
     "DRAIN_RANGE_CLOSED",
     "AUTOSCALE_ACTION",
     "EVENT_KINDS",
+    "QUIET_KINDS",
     "TraceEvent",
     "EngineObserver",
     "NULL_OBSERVER",
@@ -112,6 +114,27 @@ EVENT_KINDS = (
     DRAIN_RANGE_OPENED, DRAIN_RANGE_CLOSED, AUTOSCALE_ACTION,
 )
 
+#: The kinds an engine may count inline instead of emitting, each with the
+#: observer attribute its emit sites read.  While a kind is *quiet* on an
+#: observer -- no sink but the metrics wants it -- that attribute holds the
+#: scope's count slots and a site adds one to its counter there; while the
+#: attribute is ``None`` the kind is loud and the site calls ``emit``.
+#: ``round.opened`` is quiet on the client tier only: on the proxy tier the
+#: metrics time the round from it.
+QUIET_KINDS: Dict[str, str] = {
+    FRAME_SENT: "frame_sent",
+    FRAME_RECEIVED: "frame_received",
+    TIMER_ARMED: "timer_armed",
+    TIMER_FIRED: "timer_fired",
+    TIMER_CANCELLED: "timer_cancelled",
+    CACHE_HIT: "cache_hit",
+    CACHE_MISS: "cache_miss",
+    CACHE_INVALIDATE: "cache_invalidate",
+    LEASE_GRANTED: "lease_granted",
+    LEASE_EXPIRED: "lease_expired",
+    ROUND_OPENED: "round_opened",
+}
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -156,9 +179,23 @@ class EngineObserver:
 
     Engines hold exactly one of these and call :meth:`emit` with an event
     kind plus optional op/key/trace correlation ids and kind-specific
-    attributes.  The default instance is a no-op so un-instrumented engines
-    pay one cheap method call per event and nothing else.
+    attributes.  For the :data:`QUIET_KINDS` they first read the kind's
+    count slots (below): ``None`` -- the class default, so every subclass
+    hears every event through :meth:`emit` -- means emit; a dict means add
+    one to the kind's counter in it and call nothing.
     """
+
+    frame_sent: Optional[Dict[str, int]] = None
+    frame_received: Optional[Dict[str, int]] = None
+    timer_armed: Optional[Dict[str, int]] = None
+    timer_fired: Optional[Dict[str, int]] = None
+    timer_cancelled: Optional[Dict[str, int]] = None
+    cache_hit: Optional[Dict[str, int]] = None
+    cache_miss: Optional[Dict[str, int]] = None
+    cache_invalidate: Optional[Dict[str, int]] = None
+    lease_granted: Optional[Dict[str, int]] = None
+    lease_expired: Optional[Dict[str, int]] = None
+    round_opened: Optional[Dict[str, int]] = None
 
     def emit(
         self,
@@ -177,8 +214,12 @@ class EngineObserver:
         """
 
 
-#: Shared no-op observer used as the default for every engine.
+#: Shared no-op observer used as the default for every engine: quiet for
+#: every kind, its counts go to one throwaway dict nobody reads.
 NULL_OBSERVER = EngineObserver()
+_DISCARDED: Dict[str, int] = defaultdict(int)
+for _attribute in QUIET_KINDS.values():
+    setattr(NULL_OBSERVER, _attribute, _DISCARDED)
 
 
 #: What a sink's ``bind`` hook returns: called with ``(op_id, key, trace,
@@ -191,18 +232,26 @@ class _ScopedObserver(EngineObserver):
 
     ``_routes`` maps an event kind to the one callable that serves it
     (:meth:`ObserverHub._route`).  It is filled on the first emit of each
-    kind and emptied by the hub when the sink set changes, so the steady
-    state of ``emit`` is one dict lookup and one call -- no event object and
-    no clock read unless a sink needs them.
+    kind -- which for a quiet kind also sets its count slots -- and reset by
+    the hub when the sink set changes, so the steady state of ``emit`` is
+    one dict lookup and one call -- no event object and no clock read
+    unless a sink needs them -- and a quiet kind costs no call at all.
     """
 
-    __slots__ = ("_hub", "_tier", "_component", "_routes")
+    __slots__ = ("_hub", "_tier", "_component", "_routes", *QUIET_KINDS.values())
 
     def __init__(self, hub: "ObserverHub", tier: str, component: str) -> None:
         self._hub = hub
         self._tier = tier
         self._component = component
         self._routes: Dict[str, BoundHandler] = {}
+        self._reset()
+
+    def _reset(self) -> None:
+        """Forget every route: each kind is loud until its next emit."""
+        self._routes.clear()
+        for attribute in QUIET_KINDS.values():
+            setattr(self, attribute, None)
 
     def emit(
         self,
@@ -216,8 +265,7 @@ class _ScopedObserver(EngineObserver):
         try:
             route = self._routes[event]
         except KeyError:
-            route = self._routes[event] = self._hub._route(
-                self._tier, self._component, event)
+            route = self._hub._resolve(self, event)
         route(op_id, key, trace, attrs)
 
 
@@ -237,6 +285,14 @@ class ObserverHub:
     kind.  ``now()`` reads :attr:`clock` at the time of the call, so a
     handler that needs a timestamp pays for one and the others do not.  Only
     sinks without ``bind`` cause a ``TraceEvent`` to be built.
+
+    A bound handler that does nothing but add one to ``counts[name]`` says
+    so by carrying that dict as its ``counts`` attribute.  When such a
+    handler is the only route of one of the :data:`QUIET_KINDS` on a scope,
+    the kind is quiet there from its first emit on: the hub hands ``counts``
+    to the scoped observer and the engine adds to it itself.  Any other sink
+    that wants the kind -- a whole-event sink wants every kind -- keeps it
+    loud.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
@@ -252,11 +308,12 @@ class ObserverHub:
         return self.clock()
 
     def add_sink(self, sink: Any) -> Any:
-        """Register a sink; returns it.  Resolved routes are dropped."""
+        """Register a sink; returns it.  Resolved routes are dropped, and
+        with them which kinds are quiet."""
         if sink is not None and sink not in self._sinks:
             self._sinks.append(sink)
             for observer in self._scoped:
-                observer._routes.clear()
+                observer._reset()
         return sink
 
     def scoped(self, tier: str, component: str) -> EngineObserver:
@@ -264,6 +321,16 @@ class ObserverHub:
         observer = _ScopedObserver(self, tier, component)
         self._scoped.add(observer)
         return observer
+
+    def _resolve(self, observer: _ScopedObserver, kind: str) -> BoundHandler:
+        """Route ``observer``'s events of ``kind``; a quiet kind's count
+        slots are its route's, if counting is all that route does."""
+        route = observer._routes[kind] = self._route(
+            observer._tier, observer._component, kind)
+        attribute = QUIET_KINDS.get(kind)
+        if attribute is not None:
+            setattr(observer, attribute, getattr(route, "counts", None))
+        return route
 
     def _route(self, tier: str, component: str, kind: str) -> BoundHandler:
         """What one scoped observer calls for its events of ``kind``."""

@@ -143,12 +143,19 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges, and histograms keyed by ``(tier, component, name)``."""
+    """Counters, gauges, and histograms keyed by ``(tier, component, name)``.
+
+    The counters :data:`KIND_METRICS` names live in per-scope *slots*
+    (:meth:`slots`): one dict per ``(tier, component)``, so an engine can
+    add to a quiet kind's counter without a call.  Every reader folds the
+    slots in; a slot shows once it is non-zero.
+    """
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, str, str], float] = {}
         self._gauges: Dict[Tuple[str, str, str], float] = {}
         self._histograms: Dict[Tuple[str, str, str], Histogram] = {}
+        self._slots: Dict[Tuple[str, str], Dict[str, int]] = {}
 
     # -- writers --------------------------------------------------------------
 
@@ -159,6 +166,14 @@ class MetricsRegistry:
     def declare_counter(self, tier: str, component: str, name: str) -> None:
         """Ensure a counter exists (at zero) so snapshots have stable keys."""
         self._counters.setdefault((tier, component, name), 0)
+
+    def slots(self, tier: str, component: str) -> Dict[str, int]:
+        """The scope's count slots: every event-kind counter, from zero."""
+        scope = (tier, component)
+        slots = self._slots.get(scope)
+        if slots is None:
+            slots = self._slots[scope] = dict.fromkeys(_SLOT_COUNTERS, 0)
+        return slots
 
     def gauge(self, tier: str, component: str, name: str, value: float) -> None:
         self._gauges[(tier, component, name)] = value
@@ -175,15 +190,29 @@ class MetricsRegistry:
 
     # -- readers --------------------------------------------------------------
 
-    def counter_value(self, tier: str, name: str) -> float:
-        """Sum of one counter across every component of a tier."""
-        return sum(v for (t, _c, n), v in self._counters.items()
-                   if t == tier and n == name)
+    def counts(self) -> Dict[Tuple[str, str, str], float]:
+        """Every counter by ``(tier, component, name)``, slots folded in."""
+        counts = dict(self._counters)
+        for (tier, component), slots in self._slots.items():
+            for name, value in slots.items():
+                if value:
+                    key = (tier, component, name)
+                    counts[key] = counts.get(key, 0) + value
+        return counts
+
+    def counter_value(self, tier: str, name: str, component: Optional[str] = None) -> float:
+        """Sum of one counter across every component of a tier (or one)."""
+        return sum(v for (t, c, n), v in self.counts().items()
+                   if t == tier and n == name and (component is None or c == component))
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's series into this one (same keys add)."""
         for key, value in other._counters.items():
             self._counters[key] = self._counters.get(key, 0) + value
+        for (tier, component), slots in other._slots.items():
+            mine = self.slots(tier, component)
+            for name, value in slots.items():
+                mine[name] += value
         self._gauges.update(other._gauges)
         for key, hist in other._histograms.items():
             tier, component, name = key
@@ -198,7 +227,7 @@ class MetricsRegistry:
                 tier, {"counters": {}, "gauges": {}, "histograms": {}}
             )
 
-        for (tier, _component, name), value in sorted(self._counters.items()):
+        for (tier, _component, name), value in sorted(self.counts().items()):
             counters = tier_entry(tier)["counters"]
             counters[name] = counters.get(name, 0) + value
         for (tier, component, name), value in sorted(self._gauges.items()):
@@ -298,13 +327,13 @@ def _starts_proxy_op(observer: "MetricsObserver", tier: str, component: str,
 def _finishes_op(observer: "MetricsObserver", tier: str, component: str,
                  now: Callable[[], float]) -> BoundHandler:
     starts = observer._op_starts
-    registry = observer.registry
+    latency = observer.registry.histogram(tier, component, "op_latency")
 
     def finish(op_id, key, trace, attrs):
         if op_id is not None:
             start = starts.pop((tier, component, op_id), None)
             if start is not None:
-                registry.observe(tier, component, "op_latency", now() - start)
+                latency.observe(now() - start)
 
     return finish
 
@@ -330,12 +359,12 @@ def _finishes_client_op(observer: "MetricsObserver", tier: str, component: str,
 
 def _sizes_batch(observer: "MetricsObserver", tier: str, component: str,
                  now: Callable[[], float]) -> BoundHandler:
-    registry = observer.registry
+    sizes = observer.registry.histogram(tier, component, "batch_size")
 
     def size_batch(op_id, key, trace, attrs):
         size = attrs.get("size")
         if size is not None:
-            registry.observe(tier, component, "batch_size", size)
+            sizes.observe(size)
 
     return size_batch
 
@@ -356,20 +385,23 @@ def _closes_range(observer: "MetricsObserver", tier: str, component: str,
     # range imposed on its keys: the drain holds them fenced from transfer
     # start until install completes.
     starts = observer._range_starts
-    registry = observer.registry
+    pauses = observer.registry.histogram(tier, component, "cutover_pause")
 
     def close_range(op_id, key, trace, attrs):
         start = starts.pop(
             (tier, component, attrs.get("mig"), attrs.get("range")), None)
         if start is not None:
-            registry.observe(tier, component, "cutover_pause", now() - start)
+            pauses.observe(now() - start)
 
     return close_range
 
 
 #: The one event -> metric table: kind -> (counter it bumps, action it runs).
 #: To add a metric, add or edit a row here (and, if every component of a tier
-#: should report it even at zero, name it in the baseline tables above).
+#: should report it even at zero, name it in the baseline tables above).  A
+#: row with a counter and no action is one engines can count inline: listing
+#: its kind in ``events.QUIET_KINDS`` and branching on the kind's slots at
+#: every emit site is what takes it off ``emit`` (docs/architecture.md).
 KIND_METRICS: Dict[str, Tuple[Optional[str], Optional[_ActionFactory]]] = {
     OP_INVOKED: ("ops_invoked", _starts_op),
     OP_COMPLETED: ("ops_completed", _finishes_client_op),
@@ -399,6 +431,10 @@ KIND_METRICS: Dict[str, Tuple[Optional[str], Optional[_ActionFactory]]] = {
     AUTOSCALE_ACTION: ("autoscale_actions", None),
 }
 
+#: Every counter a row names: the slots of each scope (MetricsRegistry.slots).
+_SLOT_COUNTERS: Tuple[str, ...] = tuple(
+    counter for counter, _action in KIND_METRICS.values() if counter is not None)
+
 
 class MetricsObserver:
     """A hub sink that folds engine events into a registry.
@@ -426,7 +462,9 @@ class MetricsObserver:
 
         Called on the first such event, so this is also where a scope's
         baseline series are seeded.  ``None`` for a kind that maps to no
-        metric.
+        metric.  A counter is an add to the scope's slot for it, and a
+        handler that does nothing else carries the slots as ``counts``: the
+        hub may then let the engine add to them itself.
         """
         registry = self.registry
         scope = (tier, component)
@@ -443,17 +481,15 @@ class MetricsObserver:
         if counter is None:
             return action
 
-        # Pre-keyed: the handler adds to the registry's own cell.
-        registry.declare_counter(tier, component, counter)
-        counters = registry._counters
-        cell = (tier, component, counter)
+        slots = registry.slots(tier, component)
         if action is None:
             def count(op_id, key, trace, attrs):
-                counters[cell] += 1
+                slots[counter] += 1
+            count.counts = slots  # type: ignore[attr-defined]
             return count
 
         def count_and_act(op_id, key, trace, attrs):
-            counters[cell] += 1
+            slots[counter] += 1
             action(op_id, key, trace, attrs)
         return count_and_act
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..util.rng import SeededRng
 
@@ -23,6 +23,8 @@ __all__ = [
     "ExponentialDelay",
     "PerLinkDelay",
     "GeoDelay",
+    "FifoDelay",
+    "fifo",
 ]
 
 
@@ -123,3 +125,36 @@ class GeoDelay(DelayModel):
         if self.jitter_fraction <= 0:
             return base
         return base * self._rng.uniform(1.0, 1.0 + self.jitter_fraction)
+
+
+class FifoDelay(DelayModel):
+    """Keeps every ``(src, dst)`` pair first-in first-out, as a TCP
+    connection does, over any other model's draws.
+
+    A message is due at the later of ``now + draw`` and the due time of the
+    pair's previous message; the delay returned is what puts it there when
+    added to ``clock()`` (the caller schedules at ``now + delay``).  The
+    register-level simulator models the paper's non-FIFO channels and does
+    not use it; the key-value store's simulated connections do.
+    """
+
+    def __init__(self, model: DelayModel, clock: Callable[[], float]) -> None:
+        self.model = model
+        self.clock = clock
+        self._due: Dict[Tuple[str, str], float] = {}
+
+    def delay(self, src: str, dst: str) -> float:
+        now = self.clock()
+        delay = self.model.delay(src, dst)
+        pair = (src, dst)
+        last = self._due.get(pair)
+        if last is not None and now + delay < last:
+            delay = last - now
+        self._due[pair] = now + delay
+        return delay
+
+
+def fifo(model: DelayModel, clock: Callable[[], float]) -> DelayModel:
+    """``model`` with every pair kept FIFO: a :class:`ConstantDelay` already
+    is (``now`` never decreases), so it is returned as it is."""
+    return model if isinstance(model, ConstantDelay) else FifoDelay(model, clock)

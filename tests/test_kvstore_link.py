@@ -310,10 +310,10 @@ class TestLifecycleAndIsolation:
                 await stores[1].close()
                 assert not cluster._links and all(c.closing for c in connections)
                 assert not runtime.timers and not link.endpoint.tasks
-                scope = cluster.metrics._counters
+                metrics = cluster.metrics
                 link_id = link.engine.link_id
                 armed, fired, cancelled = (
-                    scope[("client", link_id, name)]
+                    metrics.counter_value("client", name, component=link_id)
                     for name in ("timers_armed", "timers_fired", "timers_cancelled")
                 )
                 assert armed > 0 and armed == fired + cancelled
@@ -540,14 +540,14 @@ class TestWhatAnOperatorSees:
 
         registry, link_id = asyncio.run(scenario())
         validate_metrics_snapshot(registry.snapshot())
-        counters = registry._counters
+        counts = registry.counts()
         # Frames and batches are the link's; ops and rounds each session's.
-        assert counters[("client", link_id, "frames_sent")] > 0
-        assert counters[("client", link_id, "ops_invoked")] == 0
+        assert counts[("client", link_id, "frames_sent")] > 0
+        assert counts[("client", link_id, "ops_invoked")] == 0
         for client_id in ("c1", "c2"):
-            assert counters[("client", client_id, "ops_completed")] == 2
-            assert counters[("client", client_id, "rounds_opened")] >= 2
-            assert counters[("client", client_id, "frames_sent")] == 0
+            assert counts[("client", client_id, "ops_completed")] == 2
+            assert counts[("client", client_id, "rounds_opened")] >= 2
+            assert counts[("client", client_id, "frames_sent")] == 0
         assert registry.histogram("client", link_id, "batch_size").count > 0
 
 
@@ -788,10 +788,10 @@ class TestOneProxyLegPerProcess:
                 assert not cluster._links and connection.closing
                 assert not runtime.timers and not link.endpoint.tasks
                 await _wait_until(lambda: not proxy.endpoint.accepted)
-                counters = cluster.metrics._counters
+                metrics = cluster.metrics
                 link_id = link.engine.link_id
                 armed, fired, cancelled = (
-                    counters[("client", link_id, name)]
+                    metrics.counter_value("client", name, component=link_id)
                     for name in ("timers_armed", "timers_fired", "timers_cancelled")
                 )
                 assert armed > 0 and armed == fired + cancelled

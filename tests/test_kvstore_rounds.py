@@ -66,7 +66,13 @@ from repro.kvstore import check_per_key_atomicity
 from repro.kvstore.engine.fabric import Fabric
 from repro.kvstore.perkey import KVHistoryRecorder
 from repro.observe import MetricsObserver, MetricsRegistry, ObserverHub
-from repro.observe.events import ROUND_REPLAYED, ROUND_WIDENED, TIMER_ARMED
+from repro.observe.events import (
+    FRAME_RECEIVED,
+    FRAME_SENT,
+    ROUND_REPLAYED,
+    ROUND_WIDENED,
+    TIMER_ARMED,
+)
 from repro.protocols.base import Broadcast
 from repro.protocols.codec import encode_tag
 from repro.messages import (
@@ -876,6 +882,45 @@ def a_tick_ignores_an_update_in_drain_backoff(make_rig):
     assert rig.owner.drain_backoffs == 1
 
 
+class _Recorded:
+    """A plain hub sink: ``(timestamp, kind, attrs)`` of every event."""
+
+    def __init__(self):
+        self.events = []
+
+    def handle(self, event):
+        self.events.append((event.ts, event.kind, event.attrs))
+
+    def attrs(self, kind):
+        return [attrs for _ts, seen, attrs in self.events if seen == kind]
+
+
+def _quiet_or_loud(scenario):
+    """The row ``scenario`` run twice: under a hub whose only sink is the
+    metrics, so frames, timers, cache and lease events are counted inline,
+    and under one a whole-event sink makes loud.  Both registries agree, and
+    the loud run's event stream holds every frame the metrics counted."""
+
+    def row(make_rig):
+        snapshots = []
+        for loud in (False, True):
+            hub = ObserverHub()
+            registry = MetricsRegistry()
+            hub.add_sink(MetricsObserver(registry))
+            recorded = hub.add_sink(_Recorded()) if loud else None
+            scenario(lambda **kwargs: make_rig(hub=hub, **kwargs))
+            snapshots.append(registry.snapshot())
+        (tier,) = snapshots[1]
+        counters = snapshots[1][tier]["counters"]
+        kinds = [kind for _ts, kind, _attrs in recorded.events]
+        assert counters["frames_sent"] == kinds.count(FRAME_SENT) > 0
+        assert counters["frames_received"] == kinds.count(FRAME_RECEIVED) > 0
+        assert snapshots[0] == snapshots[1]
+
+    row.__name__ = f"{scenario.__name__}__quiet_or_loud"
+    return row
+
+
 COMMON = [
     first_attempts_ask_one_quorum_and_the_pick_rotates,
     a_lost_target_widens_the_round_at_once_under_the_same_identity,
@@ -896,6 +941,7 @@ COMMON = [
     no_owner_arms_a_timer_of_its_own_for_a_round,
     an_attempt_sent_to_all_it_may_ask_fails_after_its_windows,
     a_tick_ignores_an_update_in_drain_backoff,
+    _quiet_or_loud(lost_quorum_retries_once_then_replays_under_a_fresh_identity),
 ]
 
 
@@ -1047,6 +1093,7 @@ PROXY_ONLY = [
     bounced_cache_fill_evicts_its_entry_and_completes_leaseless,
     lease_releases_ride_the_next_frame_to_their_replica,
     sever_drops_every_round,
+    _quiet_or_loud(bounced_cache_fill_evicts_its_entry_and_completes_leaseless),
 ]
 
 
@@ -1209,19 +1256,6 @@ def test_replica_round_scenario(mode, row):
 
 
 # -- what an operator sees of it ---------------------------------------------------
-
-
-class _Recorded:
-    """A plain hub sink: ``(timestamp, kind, attrs)`` of every event."""
-
-    def __init__(self):
-        self.events = []
-
-    def handle(self, event):
-        self.events.append((event.ts, event.kind, event.attrs))
-
-    def attrs(self, kind):
-        return [attrs for _ts, seen, attrs in self.events if seen == kind]
 
 
 @pytest.mark.parametrize("mode", ["direct", "proxy"])

@@ -32,6 +32,13 @@ When the cache mode that served expired entries was removed, ``cache.hit``
 lost its ``stale`` attribute (always ``False`` here): only the two event
 digests moved, to those of the previous capture's rows with that attribute
 stripped.
+
+Counter-only kinds (``events.QUIET_KINDS``) are counted inline by the engines
+while no sink but the metrics wants them, so with the default sinks only
+1,250 of the run's 3,880 events reach a hub route (1,163 that need a call,
+and the first of each quiet kind on each scope); a whole-event sink, from the
+start or attached mid-run, and any ``EngineObserver`` subclass still hear all
+of them, and the golden did not move.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import hashlib
 import itertools
 import json
 import weakref
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -49,7 +57,10 @@ from hypothesis import strategies as st
 
 from repro.core import operations
 from repro.kvstore import KVRunConfig, generate_workload, run
+from repro.kvstore import sim_backend
 from repro.observe import (
+    NULL_OBSERVER,
+    EngineObserver,
     MetricsObserver,
     MetricsRegistry,
     ObserverHub,
@@ -57,7 +68,16 @@ from repro.observe import (
     TraceEvent,
     events,
 )
-from repro.observe.events import EVENT_KINDS, OP_COMPLETED, OP_INVOKED, SUB_SERVED
+from repro.observe.events import (
+    CACHE_HIT,
+    EVENT_KINDS,
+    FRAME_SENT,
+    OP_COMPLETED,
+    OP_INVOKED,
+    QUIET_KINDS,
+    SUB_SERVED,
+    TIMER_ARMED,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "observe_fastpath.json"
 
@@ -279,6 +299,221 @@ def test_sink_without_hooks_gets_plain_trace_events():
         7.0, "proxy", "p1", "custom.kind")
     assert (event.op_id, event.key, event.trace) == ("o", "k", None)
     assert event.attrs == {"answer": 42}
+
+
+# -- (f) counter-only kinds are counted inline --------------------------------------
+
+#: Every event of the seeded run, per (tier, kind): what a whole-event sink or
+#: an ``EngineObserver`` subclass hears (3,880 in all).
+ALL_EVENTS = {
+    ("client", "batch.cut"): 149, ("client", "frame.received"): 191,
+    ("client", "frame.sent"): 149, ("client", "op.completed"): 200,
+    ("client", "op.invoked"): 200, ("client", "round.opened"): 224,
+    ("client", "timer.armed"): 181, ("client", "timer.cancelled"): 32,
+    ("client", "timer.fired"): 149,
+    ("proxy", "batch.cut"): 51, ("proxy", "cache.hit"): 99,
+    ("proxy", "cache.invalidate"): 54, ("proxy", "cache.miss"): 77,
+    ("proxy", "frame.received"): 267, ("proxy", "frame.sent"): 369,
+    ("proxy", "lease.expired"): 39, ("proxy", "round.closed"): 224,
+    ("proxy", "round.opened"): 105, ("proxy", "timer.armed"): 136,
+    ("proxy", "timer.cancelled"): 15, ("proxy", "timer.fired"): 121,
+    ("replica", "frame.received"): 178, ("replica", "frame.sent"): 118,
+    ("replica", "lease.granted"): 106, ("replica", "sub.served"): 234,
+    ("replica", "timer.armed"): 106, ("replica", "timer.cancelled"): 106,
+}
+
+#: The calls that reach a hub route with the default sinks: the op lifecycle,
+#: the proxy's rounds (timed), batch sizes and ``sub.served`` (the autoscaler
+#: binds it) every time; a quiet kind once per scope -- its first emit there
+#: resolves its route and makes it quiet (8 clients, 1 proxy, 6 replicas).
+#: A new counter kind left on ``emit`` shows up here.
+ROUTED_EVENTS = {
+    ("client", "batch.cut"): 149, ("client", "op.completed"): 200,
+    ("client", "op.invoked"): 200,
+    ("proxy", "batch.cut"): 51, ("proxy", "round.closed"): 224,
+    ("proxy", "round.opened"): 105,
+    ("replica", "sub.served"): 234,
+    ("client", "frame.received"): 8, ("client", "frame.sent"): 8,
+    ("client", "round.opened"): 8, ("client", "timer.armed"): 8,
+    ("client", "timer.cancelled"): 8, ("client", "timer.fired"): 8,
+    ("proxy", "cache.hit"): 1, ("proxy", "cache.invalidate"): 1,
+    ("proxy", "cache.miss"): 1, ("proxy", "frame.received"): 1,
+    ("proxy", "frame.sent"): 1, ("proxy", "lease.expired"): 1,
+    ("proxy", "timer.armed"): 1, ("proxy", "timer.cancelled"): 1,
+    ("proxy", "timer.fired"): 1,
+    ("replica", "frame.received"): 6, ("replica", "frame.sent"): 6,
+    ("replica", "lease.granted"): 6, ("replica", "timer.armed"): 6,
+    ("replica", "timer.cancelled"): 6,
+}
+
+
+class _Whole(TraceCollector):
+    """A trace collector that also keeps every event, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.events: List[TraceEvent] = []
+
+    def handle(self, event):
+        super().handle(event)
+        self.events.append(event)
+
+
+def test_default_sinks_route_only_the_kinds_that_need_a_call(monkeypatch):
+    routed: Counter = Counter()
+    real = events._ScopedObserver.emit
+
+    def counting(self, event, **fields):
+        routed[(self._tier, event)] += 1
+        real(self, event, **fields)
+
+    monkeypatch.setattr(events._ScopedObserver, "emit", counting)
+    result = seeded_sim_cached_run()
+    assert dict(routed) == ROUTED_EVENTS
+    assert sum(routed.values()) == 1250 and sum(ALL_EVENTS.values()) == 3880
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert metrics_json(result) == golden["metrics_json"]
+
+
+def test_a_collector_from_the_start_hears_every_event():
+    whole = _Whole()
+    result = seeded_sim_cached_run(whole)
+    heard = Counter((event.tier, event.kind) for event in whole.events)
+    assert dict(heard) == ALL_EVENTS
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert metrics_json(result) == golden["metrics_json"]
+
+
+_SIM_CLUSTER = sim_backend.SimKVCluster
+
+
+def _attaching(sink, after_ops):
+    """A ``SimKVCluster`` that adds ``sink`` to its hub once ``after_ops``
+    operations completed (at set-up for 0) -- no event of its own, so the
+    schedule is the seeded run's."""
+
+    class Attaching(_SIM_CLUSTER):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if after_ops == 0:
+                self.hub.add_sink(sink)
+                return
+
+            def attach():
+                if self.recorder.completed_operations == after_ops:
+                    self.hub.add_sink(sink)
+
+            self.add_completion_watcher(attach)
+
+    return Attaching
+
+
+def test_a_sink_attached_mid_run_hears_every_later_event(monkeypatch):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    # The same sink attached at the 100th completion of a run that was quiet
+    # until then, and of one a collector kept loud from the start ...
+    late, marked, first = _Whole(), _Whole(), _Whole()
+    monkeypatch.setattr(sim_backend, "SimKVCluster", _attaching(late, after_ops=100))
+    assert metrics_json(seeded_sim_cached_run()) == golden["metrics_json"]
+    monkeypatch.setattr(sim_backend, "SimKVCluster", _attaching(marked, after_ops=100))
+    assert metrics_json(seeded_sim_cached_run(TraceCollector())) == golden["metrics_json"]
+    # ... hears the same events: the tail of what a sink there from set-up
+    # hears, the kinds counted inline before it came included.
+    monkeypatch.setattr(sim_backend, "SimKVCluster", _attaching(first, after_ops=0))
+    seeded_sim_cached_run()
+    assert len(first.events) == 3880
+    assert 0 < len(late.events) < len(first.events)
+    assert late.events == marked.events == first.events[-len(late.events):]
+    assert {event.kind for event in late.events} >= {FRAME_SENT, TIMER_ARMED, CACHE_HIT}
+
+
+def test_an_emit_only_subclass_hears_every_event_and_each_is_counted_once(monkeypatch):
+    # Shaped like the steady harness's EmitTimer: it overrides emit alone and
+    # forwards to the hub's observer, so it is loud for every kind.
+    heard: Counter = Counter()
+
+    class Timed(EngineObserver):
+        def __init__(self, tier, inner):
+            self.tier, self.inner = tier, inner
+
+        def emit(self, event, **fields):
+            heard[(self.tier, event)] += 1
+            self.inner.emit(event, **fields)
+
+    real = ObserverHub.scoped
+    monkeypatch.setattr(
+        ObserverHub, "scoped",
+        lambda hub, tier, component: Timed(tier, real(hub, tier, component)),
+    )
+    result = seeded_sim_cached_run()
+    assert dict(heard) == ALL_EVENTS
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert metrics_json(result) == golden["metrics_json"]
+
+
+def test_quietness_follows_the_sinks():
+    hub = ObserverHub()
+    registry = MetricsRegistry()
+
+    def emit_each_quiet_kind(*observers):
+        for observer in observers:
+            for kind in QUIET_KINDS:
+                observer.emit(kind)
+
+    client = hub.scoped("client", "c1")
+    emit_each_quiet_kind(client)  # no sink: nothing to count into
+    assert all(getattr(client, name) is None for name in QUIET_KINDS.values())
+    hub.add_sink(MetricsObserver(registry))
+    proxy = hub.scoped("proxy", "p1")
+    assert client.frame_sent is None  # loud until its first emit decides
+    emit_each_quiet_kind(client, proxy)
+    slots = client.frame_sent
+    assert slots is registry.slots("client", "c1")
+    assert all(getattr(client, name) is slots for name in QUIET_KINDS.values())
+    # The proxy tier times its rounds from round.opened: never quiet there.
+    assert proxy.round_opened is None and proxy.frame_sent is not None
+
+    class FrameWatcher:
+        def bind(self, tier, component, kind, now):
+            return (lambda *args: None) if kind == FRAME_SENT else None
+
+    hub.add_sink(FrameWatcher())
+    emit_each_quiet_kind(client)
+    assert client.frame_sent is None and client.timer_armed is slots
+    hub.add_sink(_Whole())
+    emit_each_quiet_kind(client)
+    assert all(getattr(client, name) is None for name in QUIET_KINDS.values())
+    # Every emit after the metrics came was counted once, quiet or loud.
+    assert registry.counter_value("client", "frames_sent") == 3
+
+
+def test_the_null_observer_is_quiet_and_the_base_class_is_loud():
+    for name in QUIET_KINDS.values():
+        assert getattr(NULL_OBSERVER, name) is not None
+        assert getattr(EngineObserver(), name) is None
+    NULL_OBSERVER.frame_sent["frames_sent"] += 1  # an engine's quiet site: no error
+
+
+def test_counts_in_slots_fold_into_every_reader():
+    registry = MetricsRegistry()
+    hub = ObserverHub()
+    hub.add_sink(MetricsObserver(registry))
+    observer = hub.scoped("replica", "s1")
+    assert registry.snapshot() == {}  # scoped, but no event yet
+    registry.slots("replica", "s1")["frames_sent"] += 2  # an engine's quiet site
+    observer.emit(FRAME_SENT, kind="batch-ack", dest="c1")
+    snapshot = registry.snapshot()
+    # The emit seeded the scope, and the slot folds into every reader.
+    assert snapshot["replica"]["counters"]["frames_sent"] == 3
+    assert snapshot["replica"]["counters"]["stale_bounces"] == 0
+    assert "batch_size" in snapshot["replica"]["histograms"]
+    assert registry.counter_value("replica", "frames_sent") == 3
+    assert registry.counter_value("replica", "frames_sent", component="s2") == 0
+    merged = MetricsRegistry()
+    merged.merge(registry)
+    merged.merge(registry)
+    assert merged.counter_value("replica", "frames_sent") == 6
+    assert json.loads(merged.to_json())["replica"]["counters"]["frames_sent"] == 6
 
 
 if __name__ == "__main__":
