@@ -24,6 +24,13 @@ straight from those objects and read straight back into them:
                per :class:`~repro.messages.ProxySubReply`
 =============  ==============================================================
 
+No row carries a receiver: the frame is addressed, its records are not (see
+:mod:`repro.messages`).  The decoder addresses every record it rebuilds to
+the frame's receiver, and a ``proxy-ack`` reply under its sub-reply's
+``(op_id, round_trip)``; the records the sender packed may name a group or a
+proxy's attempt-scoped ids instead, which no engine reads, so the bytes are
+the same either way.
+
 For every other kind ``payload`` is the message's payload dict unchanged.
 There is no intermediate dict-of-dicts form and no second format: every
 process of the store runs the same checkout.

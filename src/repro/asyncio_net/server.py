@@ -1,7 +1,9 @@
 """Asyncio TCP server hosting one register replica.
 
-The server wraps the *same* :class:`~repro.protocols.base.ServerLogic` object
-that the simulator uses; the only difference is the transport.  Each client
+The server hosts the *same* replica object the simulator runs -- a
+single-register :class:`~repro.protocols.base.ServerLogic` or a kv-store
+:class:`~repro.kvstore.engine.server.GroupServerEngine` (see
+:class:`ReplicaServer`); the only difference is the transport.  Each client
 connection is a :class:`~repro.asyncio_net.framed.FramedConnection`: frames
 are decoded inside ``data_received`` and served in the same event-loop turn,
 and every request gets exactly one reply frame (or none when the logic
@@ -25,11 +27,12 @@ here creates a task.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 from weakref import WeakKeyDictionary
 
 from ..kvstore.engine.effects import SendFrame
 from ..kvstore.engine.runtime import EffectRuntime
+from ..kvstore.engine.server import GroupServerEngine
 from ..messages import Message
 from ..protocols.base import ServerLogic
 from .codec import encode_message
@@ -41,6 +44,14 @@ __all__ = ["ReplicaServer"]
 
 class ReplicaServer:
     """One register replica listening on a TCP port.
+
+    ``logic`` is what the replica runs: a single-register
+    :class:`~repro.protocols.base.ServerLogic`, served through ``handle``
+    (the register experiments), or a kv-store
+    :class:`~repro.kvstore.engine.server.GroupServerEngine` -- one replica
+    of a group, many shards' keys, and no ``ServerLogic`` -- served through
+    ``on_frame`` / ``on_timer``.  Whichever has ``on_frame`` is driven as an
+    engine.  ``server_id`` is the hosted object's.
 
     ``service_overhead``/``service_per_op`` model server capacity for the
     kv-store benchmarks: each request on a connection costs
@@ -56,7 +67,7 @@ class ReplicaServer:
 
     def __init__(
         self,
-        logic: ServerLogic,
+        logic: Union[ServerLogic, GroupServerEngine],
         host: str = "127.0.0.1",
         port: int = 0,
         service_overhead: float = 0.0,

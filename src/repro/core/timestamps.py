@@ -38,8 +38,6 @@ __all__ = [
 BOTTOM_WRITER: str = ""
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
 class Tag:
     """A totally ordered ``(ts, wid)`` version tag.
 
@@ -47,24 +45,64 @@ class Tag:
     string).  The ordering is lexicographic, matching the definition in
     Appendix A of the paper: ``(ts1, wi) < (ts2, wj)`` iff ``ts1 < ts2`` or
     ``ts1 == ts2 and wi < wj``.
+
+    An immutable value type: every quorum round decodes and compares tags,
+    so the class keeps two slots, sets them through their descriptors once
+    in ``__init__`` and compares ``(ts, wid)`` field by field in each
+    operator.  A non-``Tag`` operand is ``NotImplemented``, so a tag never
+    equals the tuple it spells.
     """
 
+    __slots__ = ("ts", "wid")
+
     ts: int
-    wid: str = BOTTOM_WRITER
+    wid: str
 
-    def __post_init__(self) -> None:
-        if self.ts < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.ts}")
+    def __init__(self, ts: int, wid: str = BOTTOM_WRITER) -> None:
+        if ts < 0:
+            raise ValueError(f"timestamp must be non-negative, got {ts}")
+        _set_ts(self, ts)
+        _set_wid(self, wid)
 
-    def __lt__(self, other: "Tag") -> bool:
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Tag")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Tag")
+
+    def __reduce__(self):
+        # Rebuilt through ``__init__``: the default slot-state restore would
+        # go through the ``__setattr__`` above.  Serves pickle and copy.
+        return Tag, (self.ts, self.wid)
+
+    def __lt__(self, other: object) -> bool:
         if not isinstance(other, Tag):
             return NotImplemented
-        return (self.ts, self.wid) < (other.ts, other.wid)
+        ts = other.ts
+        return self.ts < ts or (self.ts == ts and self.wid < other.wid)
+
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Tag):
+            return NotImplemented
+        ts = other.ts
+        return self.ts < ts or (self.ts == ts and self.wid <= other.wid)
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Tag):
+            return NotImplemented
+        ts = other.ts
+        return self.ts > ts or (self.ts == ts and self.wid > other.wid)
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Tag):
+            return NotImplemented
+        ts = other.ts
+        return self.ts > ts or (self.ts == ts and self.wid >= other.wid)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tag):
             return NotImplemented
-        return (self.ts, self.wid) == (other.ts, other.wid)
+        return self.ts == other.ts and self.wid == other.wid
 
     def __hash__(self) -> int:
         return hash((self.ts, self.wid))
@@ -85,6 +123,10 @@ class Tag:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         wid = self.wid if self.wid else "⊥"
         return f"Tag({self.ts},{wid})"
+
+
+_set_ts = Tag.ts.__set__
+_set_wid = Tag.wid.__set__
 
 
 #: The initial tag ``(0, \bot)`` held by every server before any write.

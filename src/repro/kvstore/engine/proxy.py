@@ -18,7 +18,11 @@ rounds it completes for one destination in one ``proxy-ack``, its sub-replies
 in completion order, whether a round was served from the cache, rode a fill
 or collected its quorum from the replicas.  Behind a process's shared link
 every round of the process answers to one destination, so one batch-ack from
-a replica that completes ten rounds is one ack frame, not ten.
+a replica that completes ten rounds is one ack frame, not ten.  A sub-reply
+is relayed as it stands: its replica replies keep the attempt-scoped ids they
+came back under, and the client never reads them -- it routes by the
+sub-reply's own ``(op_id, round_trip)`` and reads ``(sender, kind,
+payload)`` of each reply, all the wire carries of one.
 
 Routing is through a :class:`~.routing.CachedShardView`: a stale-epoch
 bounce refreshes it and the round replays without the client noticing, and
@@ -77,7 +81,6 @@ from ...messages import (
     Message,
     ProxySubReply,
     ProxySubRequest,
-    addressed_proxy_reply,
     unpack_lease_invalidate,
     unpack_proxy_request,
     unpack_view_push,
@@ -411,7 +414,8 @@ class ProxyEngine(ReplicaRounds):
 
         An input's effects are one list, executed after the input returns:
         the first round answered to a destination appends the frame to it,
-        and the input's later ones join that frame's payload.
+        and the input's later ones join that frame's payload.  The sub-reply
+        goes in as it stands (see the module notes).
         """
         if self._acks_out is not out:
             self._acks_out, self._acks = out, {}
@@ -429,7 +433,7 @@ class ProxyEngine(ReplicaRounds):
             out.append(SendFrame(reply_to, Message(
                 self.proxy_id, reply_to, PROXY_ACK_KIND, {"acks": acks}
             )))
-        acks.append(addressed_proxy_reply(reply_to, sub_reply))
+        acks.append(sub_reply)
 
     def _record_fill(
         self, entry: CacheEntry, pending: _ProxyPending, out: List[Effect]

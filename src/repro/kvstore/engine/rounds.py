@@ -336,20 +336,30 @@ class ReplicaRounds:
     def _frame(
         self, round: ReplicaRound, servers: Sequence[str], frames: _Frames
     ) -> None:
-        """Add the attempt's sub-request for each of ``servers`` to ``frames``."""
+        """Add the attempt's sub-request for each of ``servers`` to ``frames``.
+
+        The frame is addressed, the sub-request is not: one object, addressed
+        to the round's group, joins the frame to every replica asked (each
+        answers as itself).  Only a per-server payload needs one per replica.
+        """
         framed = self._framed
         lease = framed(round, servers) if framed is not None else None
         request = round.request
+        per_server = request.per_server_payload
         op_id, round_trip = round.ident
+        sub = None
         for server_id in servers:
-            message = Message(
-                round.sender, server_id, request.kind,
-                request.payload_for(server_id), op_id, round_trip,
-                trace=round.trace,
-            )
-            frames.setdefault(server_id, []).append(
-                SubRequest(round.key, message, round.shard_id, round.epoch, lease)
-            )
+            if sub is None or per_server:
+                sub = SubRequest(
+                    round.key,
+                    Message(
+                        round.sender, round.group_id, request.kind,
+                        request.payload_for(server_id), op_id, round_trip,
+                        trace=round.trace,
+                    ),
+                    round.shard_id, round.epoch, lease,
+                )
+            frames.setdefault(server_id, []).append(sub)
 
     def _send_frames(self, frames: _Frames, out: List[Effect]) -> None:
         releases = self._releases

@@ -123,10 +123,13 @@ class StaleShardError(ProtocolError):
         self.current_epoch = current_epoch
 
 
-def make_stale_reply(sub: SubRequest, current_epoch: Optional[int]) -> Message:
-    """The bounce for one stale sub-request, echoing its routing tag."""
-    return sub.message.reply(
-        STALE_SHARD_KIND,
+def make_stale_reply(
+    server: "GroupServerEngine", sub: SubRequest, current_epoch: Optional[int]
+) -> Message:
+    """The bounce ``server`` sends for one stale sub-request, echoing its
+    routing tag (sent as ``server.server_id``, like every reply)."""
+    return server.reply(
+        sub.message, STALE_SHARD_KIND,
         {"shard": sub.shard, "sent_epoch": sub.epoch, "epoch": current_epoch},
     )
 
@@ -161,6 +164,9 @@ class GroupServerEngine:
     protocol stays uniform.  Sub-requests of different shards hosted by the
     same group coalesce into the same frame.
     """
+
+    #: Every reply leaves as this replica: the per-key logics' one helper.
+    reply = ServerLogic.reply
 
     def __init__(
         self,
@@ -316,7 +322,7 @@ class GroupServerEngine:
                 trace=sub.message.trace, shard=sub.shard,
                 sent_epoch=sub.epoch, epoch=current,
             )
-            return make_stale_reply(sub, current)
+            return make_stale_reply(self, sub, current)
         return None
 
     def _serve_sub(self, sub: SubRequest) -> Optional[Message]:
@@ -562,7 +568,7 @@ class GroupServerEngine:
             self.observer.emit(FRAME_SENT, kind=kind, dest=message.sender)
         else:
             counts["frames_sent"] += 1
-        return message.reply(kind, payload)
+        return self.reply(message, kind, payload)
 
     def _handle_drain_fence(self, message: Message) -> Message:
         """Fence a donor shard and answer with this replica's key census.

@@ -10,13 +10,25 @@ A frame's payload holds its **typed records themselves** -- ``{"ops":
 [SubRequest, ...]}``, ``{"acks": [(key, reply) | None, ...]}``, ``{"ops":
 [ProxySubRequest, ...]}``, ``{"acks": [ProxySubReply, ...]}``, the batch
 kinds with their lease traffic when they carry some (``"releases": [key,
-...]``, ``"grants": [(key, nonce), ...]``) -- already addressed to the
-frame's receiver.  ``make_*`` puts them in that final form once,
-``unpack_*`` is a kind check plus a field access, and in between an
-in-process transport moves the frame with no packing at all; only the wire
-codec turns records into positional rows, straight from (and back into)
-these objects.  Receivers must therefore treat an inbound record and its
-payload dict as read-only: in-process it *is* the sender's object.
+...]``, ``"grants": [(key, nonce), ...]``).  ``make_*`` puts them in the
+payload as they stand, ``unpack_*`` is a kind check plus a field access, and
+in between an in-process transport moves the frame with no packing at all;
+only the wire codec turns records into positional rows, straight from (and
+back into) these objects.  Receivers must therefore treat an inbound record
+and its payload dict as read-only: in-process it *is* the sender's object --
+one sub-request object may even sit in the frames to every replica a round
+asks.
+
+**The frame is addressed; its records are not.**  A sub-record's
+``receiver`` (and, inside a ``proxy-ack``, a reply's ``op_id`` /
+``round_trip``) is whatever its builder set -- a round's group id, a proxy's
+attempt-scoped id -- and nothing routes by it: the wire does not carry it,
+and the decoder stamps the frame's receiver (and the sub-reply's identity)
+on every record it rebuilds.  Replicas answer as themselves
+(:meth:`~repro.protocols.base.ServerLogic.reply` sends as ``server_id``),
+batch-acks are demultiplexed by each reply's ``(op_id, round_trip)``, and a
+``proxy-ack`` by its :class:`ProxySubReply`'s own pair, of whose replies the
+client reads only ``(sender, kind, payload)``.
 
 Besides the plain :class:`Message` envelope this module defines the **batch
 frame** used by the sharded key-value store (:mod:`repro.kvstore`): several
@@ -68,7 +80,6 @@ __all__ = [
     "make_proxy_request",
     "unpack_proxy_request",
     "make_proxy_ack",
-    "addressed_proxy_reply",
     "unpack_proxy_ack",
     "VIEW_PUSH_KIND",
     "VIEW_PUSH_ACK_KIND",
@@ -196,14 +207,6 @@ class SubRequest(NamedTuple):
 SubRequestLike = Union[SubRequest, Tuple[str, Message]]
 
 
-def _readdressed(message: Message, receiver: str) -> Message:
-    """A copy of ``message`` addressed to ``receiver`` (same routing tags)."""
-    return Message(
-        message.sender, receiver, message.kind, message.payload,
-        message.op_id, message.round_trip, trace=message.trace,
-    )
-
-
 def make_batch(
     sender: str,
     receiver: str,
@@ -216,20 +219,18 @@ def make_batch(
     routed back to the operation that issued it; the ``key`` names the
     register the sub-message addresses and the optional ``shard``/``epoch``
     tag names the owning shard the client resolved (see :class:`SubRequest`).
-    The frame carries the :class:`SubRequest` objects themselves; only a bare
-    pair, or a sub addressed to someone other than ``receiver``, is rebuilt.
-    ``releases`` names the keys whose read leases the sender hands back to
-    ``receiver``; the receiver applies them before any of the frame's subs.
+    The frame carries the :class:`SubRequest` objects themselves, however
+    their messages are addressed (the frame is; see the module notes); only a
+    bare pair is rebuilt.  ``releases`` names the keys whose read leases the
+    sender hands back to ``receiver``; the receiver applies them before any
+    of the frame's subs.
     """
     if not sub_messages:
         raise ValueError("a batch frame must contain at least one sub-message")
-    ops: List[SubRequest] = []
-    for sub in sub_messages:
-        if type(sub) is not SubRequest:
-            sub = SubRequest(*sub)
-        if sub.message.receiver != receiver:
-            sub = sub._replace(message=_readdressed(sub.message, receiver))
-        ops.append(sub)
+    ops = [
+        sub if type(sub) is SubRequest else SubRequest(*sub)
+        for sub in sub_messages
+    ]
     payload: Dict[str, Any] = {"ops": ops}
     if releases:
         payload["releases"] = releases
@@ -253,25 +254,19 @@ def make_batch_ack(
     ``sub_replies`` pairs each key with the reply the per-key server logic
     produced; a ``None`` reply -- a logic that chose not to reply -- becomes
     a ``None`` entry, preserved positionally so the client can account for
-    it.  Replies travel addressed to the ack's receiver (behind a proxy the
-    per-key logic answers the *client* whose identity the sub carried).
-    ``grants`` are the ``(key, fill nonce)`` pairs of the read leases the
-    frame's lease-marked subs registered for the ack's receiver.
+    it.  Replies travel as the logic built them: the ack frame is addressed
+    to the batch's sender, and behind a proxy a reply names the *client*
+    whose identity the sub carried, which nothing reads.  ``grants`` are the
+    ``(key, fill nonce)`` pairs of the read leases the frame's lease-marked
+    subs registered for the ack's receiver.
     """
-    receiver = request.sender
-    acks: List[Optional[Tuple[str, Message]]] = []
-    for key, reply in sub_replies:
-        if reply is None:
-            acks.append(None)
-        elif reply.receiver == receiver:
-            acks.append((key, reply))
-        else:
-            acks.append((key, _readdressed(reply, receiver)))
-    payload: Dict[str, Any] = {"acks": acks}
+    payload: Dict[str, Any] = {"acks": [
+        None if reply is None else (key, reply) for key, reply in sub_replies
+    ]}
     if grants:
         payload["grants"] = grants
     return Message(
-        request.receiver, receiver, BATCH_ACK_KIND, payload,
+        request.receiver, request.sender, BATCH_ACK_KIND, payload,
         request.op_id, request.round_trip,
     )
 
@@ -376,36 +371,36 @@ def unpack_proxy_request(message: Message) -> List[ProxySubRequest]:
 def make_proxy_ack(
     sender: str, receiver: str, sub_replies: Sequence[ProxySubReply]
 ) -> Message:
-    """Pack completed rounds into one proxy ack frame (proxy -> client).
+    """Pack completed rounds into one proxy ack frame (proxy -> client), each
+    reply rebuilt as the wire decoder rebuilds it: (sender, kind, payload)
+    addressed to ``receiver`` under its sub-reply's ``(op_id, round_trip)``.
 
-    Only (sender, kind, payload) of each replica reply survive: every reply
-    is rebuilt addressed to ``receiver`` and tagged with the round's identity
-    as it stands on the :class:`ProxySubReply`, so proxy-internal
-    attempt-scoped ids never enter the frame, let alone reach the client.
+    The proxy engine does not rebuild: it relays each :class:`ProxySubReply`
+    as it stands, the proxy's attempt-scoped ids on its replies, because the
+    client never reads them (see the module notes).
     """
     if not sub_replies:
         raise ValueError("a proxy ack frame must contain at least one reply")
-    acks = [addressed_proxy_reply(receiver, sub) for sub in sub_replies]
+    acks = [
+        ProxySubReply(
+            sub.op_id,
+            sub.round_trip,
+            tuple(
+                Message(r.sender, receiver, r.kind, r.payload,
+                        sub.op_id, sub.round_trip)
+                for r in sub.replies
+            ),
+            sub.error,
+        )
+        for sub in sub_replies
+    ]
     return Message(sender, receiver, PROXY_ACK_KIND, {"acks": acks})
 
 
-def addressed_proxy_reply(receiver: str, sub: ProxySubReply) -> ProxySubReply:
-    """``sub`` as a proxy ack frame to ``receiver`` carries it (see
-    :func:`make_proxy_ack`)."""
-    return ProxySubReply(
-        sub.op_id,
-        sub.round_trip,
-        tuple(
-            Message(r.sender, receiver, r.kind, r.payload, sub.op_id, sub.round_trip)
-            for r in sub.replies
-        ),
-        sub.error,
-    )
-
-
 def unpack_proxy_ack(message: Message) -> List[ProxySubReply]:
-    """Inverse of :func:`make_proxy_ack`: replies tagged with the round's
-    (op_id, round_trip) and addressed to the receiving client."""
+    """Inverse of :func:`make_proxy_ack`: the completed rounds.  (Off the
+    wire, each reply carries the round's (op_id, round_trip) and is addressed
+    to the receiving client; in process it is the replica's own.)"""
     if message.kind != PROXY_ACK_KIND:
         raise ValueError(f"not a proxy ack frame: kind={message.kind!r}")
     return message.payload["acks"]

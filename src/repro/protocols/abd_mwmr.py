@@ -110,9 +110,15 @@ class OpportunisticReader(AbdMwmrReader):
 
     def read_protocol(self):
         acks = yield Broadcast("query")
-        tag, value = _best_from_query_acks(acks)
         fast = quorum_agrees(acks, self.quorum_size)
-        if not fast:
+        if fast:
+            # One tag, spelled alike by the whole quorum: decode it once.  As
+            # in the scan, the bottom tag reads as no value.
+            first = acks[0]
+            tag = decode_tag(first.payload["tag"])
+            value = None if tag.is_bottom else first.payload.get("value")
+        else:
+            tag, value = _best_from_query_acks(acks)
             yield Broadcast("update", {"tag": encode_tag(tag), "value": value})
         return OperationOutcome(
             OpKind.READ, value=value, tag=tag, metadata={"fast_path": fast}

@@ -122,6 +122,22 @@ class ServerLogic(abc.ABC):
     def handle(self, message: Message) -> Optional[Message]:
         """Process one request and return the reply (or None)."""
 
+    def reply(
+        self, message: Message, kind: str, payload: Dict[str, Any]
+    ) -> Message:
+        """The reply to ``message``, sent as this replica.
+
+        A replica answers as itself, never as whatever ``message.receiver``
+        says: a batch frame's sub-requests are addressed to the round's
+        group, not to each replica (see :mod:`repro.messages`).  The reply
+        goes back to the request's sender under its op id, round trip and
+        trace.
+        """
+        return Message(
+            self.server_id, message.sender, kind, payload,
+            message.op_id, message.round_trip, trace=message.trace,
+        )
+
     # -- state migration (live rebalancing) ------------------------------------
     #
     # The kv-store's incremental drain moves per-key register state between

@@ -54,8 +54,8 @@ class TagValueServer(ServerLogic):
     def handle(self, message: Message) -> Optional[Message]:
         if message.kind == "query":
             self.queries_served += 1
-            return message.reply(
-                "query-ack",
+            return self.reply(
+                message, "query-ack",
                 {"tag": encode_tag(self.tag), "value": self.value},
             )
         if message.kind == "update":
@@ -64,9 +64,8 @@ class TagValueServer(ServerLogic):
             if incoming > self.tag:
                 self.tag = incoming
                 self.value = message.payload.get("value")
-            return message.reply(
-                "update-ack",
-                {"tag": encode_tag(self.tag)},
+            return self.reply(
+                message, "update-ack", {"tag": encode_tag(self.tag)}
             )
         raise ValueError(f"TagValueServer cannot handle message kind {message.kind!r}")
 
@@ -152,7 +151,7 @@ class ValueVectorServer(ServerLogic):
             self.writes_served += 1
             tag = decode_tag(message.payload["tag"])
             self.update(tag, message.payload.get("value"), message.sender)
-            return message.reply("WRITEACK", {"tag": encode_tag(self.current)})
+            return self.reply(message, "WRITEACK", {"tag": encode_tag(self.current)})
         if message.kind == "read":
             self.reads_served += 1
             queue = message.payload.get("val_queue", {})
@@ -161,7 +160,7 @@ class ValueVectorServer(ServerLogic):
             # Record the requesting client in the updated set of the current
             # value before replying -- the step Lemma 8's proof relies on.
             self.update(self.current, self.vector[self.current].value, message.sender)
-            return message.reply("READACK", {"vector": self._encode_vector()})
+            return self.reply(message, "READACK", {"vector": self._encode_vector()})
         raise ValueError(
             f"ValueVectorServer cannot handle message kind {message.kind!r}"
         )

@@ -142,14 +142,44 @@ def _plain(value):
     return value
 
 
+def _as_addressed(frame: Message) -> Message:
+    """``frame`` with every sub-record's message addressed to the frame's
+    receiver: the form the decoder rebuilds.
+
+    The frame is addressed, its records are not: ``make_batch`` and
+    ``make_batch_ack`` pack records as their builders addressed them (a
+    round's group, a client behind a proxy), and no row of the wire carries
+    a record's receiver.  Proxy frames come out of their builders in this
+    form already.
+    """
+    def addressed(message: Message) -> Message:
+        return dataclasses.replace(message, receiver=frame.receiver)
+
+    payload = dict(frame.payload)
+    if frame.kind == BATCH_KIND:
+        payload["ops"] = [
+            sub._replace(message=addressed(sub.message)) for sub in payload["ops"]
+        ]
+    elif frame.kind == BATCH_ACK_KIND:
+        payload["acks"] = [
+            None if ack is None else (ack[0], addressed(ack[1]))
+            for ack in payload["acks"]
+        ]
+    return dataclasses.replace(frame, payload=payload)
+
+
 def _assert_same_across_the_wire(frame: Message, unpack) -> None:
-    """Envelope and unpacked records are the same objects on both sides."""
+    """The frame encodes to the bytes of its addressed form, and the peer
+    unpacks the same records in every field but the receiver, which is the
+    frame's on every record it decodes."""
+    addressed = _as_addressed(frame)
+    assert encode_message(frame) == encode_message(addressed)
     peer = _wire(frame)
     _assert_same_message(
         dataclasses.replace(frame, payload={}), dataclasses.replace(peer, payload={})
     )
     assert peer.msg_id == frame.msg_id
-    assert _plain(unpack(peer)) == _plain(unpack(frame))
+    assert _plain(unpack(peer)) == _plain(unpack(addressed))
 
 
 class TestMessageFrames:
@@ -239,13 +269,12 @@ class TestBatchFrames:
             assert key == sub.key
             # Bare (key, message) pairs coerce to untagged sub-requests.
             assert sub.shard is None and sub.epoch == 0
-            restored = sub.message
-            assert restored.receiver == "server"
-            assert restored.sender == original.sender
-            assert restored.kind == original.kind
-            assert restored.payload == original.payload
-            assert restored.op_id == original.op_id
-            assert restored.round_trip == original.round_trip
+            # In process the record is the sender's own message, however it
+            # is addressed: every field is the original's.
+            assert sub.message is original
+        # Off the wire, every record carries the frame's receiver.
+        assert [sub.message.receiver for sub in unpack_batch(_wire(batch))] == \
+            ["server"] * len(subs)
 
     @_codec
     @given(subs=st.lists(_sub_requests, min_size=1, max_size=5))
@@ -267,7 +296,7 @@ class TestBatchFrames:
         assert [sub.key for sub in recovered] == [key for key, _ in subs]
         for (_, original), sub in zip(subs, recovered):
             assert sub.message.payload == original.payload
-            # Bare pairs are re-addressed to the frame's receiver.
+            # The decoder addresses every record to the frame's receiver.
             assert sub.message.receiver == "server"
         _assert_same_across_the_wire(batch, unpack_batch)
 
@@ -324,7 +353,7 @@ class TestBatchFrames:
             else:
                 assert restored is not None
                 assert restored.payload == {"i": index}
-                # Whoever the per-key logic answered, the reply travels
+                # Whoever the per-key logic answered, the decoded reply is
                 # addressed to the ack's receiver.
                 assert restored.receiver == "client"
         # Gaps are None on both sides, keys and replies the same objects.
@@ -644,7 +673,9 @@ class TestLeaseTrafficOnBatchFrames:
         ack = make_batch_ack(batch, [(key, None) for key, _ in subs])
         for frame in (batch, ack):
             assert len(json.loads(encode_message(frame)[4:])) == 8
-            assert _plain(_wire(frame).payload) == _plain(frame.payload)
+            assert encode_message(frame) == encode_message(_as_addressed(frame))
+            assert _plain(_wire(frame).payload) == \
+                _plain(_as_addressed(frame).payload)
 
 
 # -- the format itself: golden bytes, wrong shapes, fuzz --------------------------

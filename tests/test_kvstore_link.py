@@ -14,6 +14,7 @@ fails, what an operator sees, and that sharing a socket never merges two
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 from types import SimpleNamespace
 
@@ -42,6 +43,7 @@ from repro.messages import (
     BATCH_KIND,
     PROXY_ACK_KIND,
     PROXY_KIND,
+    ProxySubReply,
     unpack_batch,
     unpack_proxy_ack,
     unpack_proxy_request,
@@ -828,29 +830,36 @@ class TestOneProxyLegPerProcess:
         assert same_engine
 
 
+def _one_proxy_on_the_fabric():
+    """One group of replicas, proxy ``p1`` and a link ``L`` connected to it,
+    carrying the sessions ``c1`` and ``c2``, on an engine fabric."""
+    shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
+    fabric = Fabric()
+    for group in shard_map.groups.values():
+        hosted = {spec.shard_id: spec.epoch for spec in shard_map.shards_on(group.group_id)}
+        for server_id in group.servers:
+            fabric.register(
+                server_id, GroupServerEngine(server_id, group.protocol, dict(hosted))
+            )
+    proxy = ProxyEngine("p1", CachedShardView(shard_map), policy=SIM_RETRY_POLICY)
+    fabric.register("p1", proxy)
+    link = ClientLink("L", policy=SIM_RETRY_POLICY)
+    fabric.register("L", link)
+    recorder = KVHistoryRecorder(lambda: fabric.now)
+    sessions = [
+        ClientSessionEngine(
+            client_id, shard_map, recorder, policy=SIM_RETRY_POLICY,
+            proxy_candidates=["p1"], link=link,
+        )
+        for client_id in ("c1", "c2")
+    ]
+    fabric.execute("L", link.on_connected("p1"))
+    return fabric, proxy, link, recorder, sessions
+
+
 class TestOneAckPerInput:
     def test_a_batch_ack_completing_two_sessions_rounds_is_one_proxy_ack(self):
-        shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
-        fabric = Fabric()
-        for group in shard_map.groups.values():
-            hosted = {spec.shard_id: spec.epoch for spec in shard_map.shards_on(group.group_id)}
-            for server_id in group.servers:
-                fabric.register(
-                    server_id, GroupServerEngine(server_id, group.protocol, dict(hosted))
-                )
-        proxy = ProxyEngine("p1", CachedShardView(shard_map), policy=SIM_RETRY_POLICY)
-        fabric.register("p1", proxy)
-        link = ClientLink("L", policy=SIM_RETRY_POLICY)
-        fabric.register("L", link)
-        recorder = KVHistoryRecorder(lambda: fabric.now)
-        sessions = [
-            ClientSessionEngine(
-                client_id, shard_map, recorder, policy=SIM_RETRY_POLICY,
-                proxy_candidates=["p1"], link=link,
-            )
-            for client_id in ("c1", "c2")
-        ]
-        fabric.execute("L", link.on_connected("p1"))
+        fabric, proxy, link, recorder, sessions = _one_proxy_on_the_fabric()
         acks_per_batch_ack = []
         original = proxy.on_frame
 
@@ -881,3 +890,61 @@ class TestOneAckPerInput:
         assert sorted(answered) == sorted(op_ids)
         assert link.proxy_stats.frames_received == 1
         assert link.proxy_stats.sub_operations == 2
+
+
+class TestProxyAckRouting:
+    def test_rounds_complete_by_their_sub_reply_whatever_the_inner_ids_say(self):
+        # The link routes a proxy-ack by each ProxySubReply's own (op_id,
+        # round_trip) and reads only (sender, kind, payload) of its replies:
+        # here every inner reply names another round of the same frame (or a
+        # foreign op), and each read still gets its own key's value.
+        fabric, proxy, link, recorder, sessions = _one_proxy_on_the_fabric()
+        shared = []
+        original = proxy.on_frame
+
+        def crossed(sub_replies):
+            ids = [sub.op_id for sub in sub_replies]
+            for index, sub in enumerate(sub_replies):
+                other = ids[(index + 1) % len(ids)] if len(ids) > 1 else "foreign-op"
+                yield ProxySubReply(sub.op_id, sub.round_trip, tuple(
+                    dataclasses.replace(
+                        reply, receiver="nobody", op_id=other,
+                        round_trip=reply.round_trip + 7,
+                    )
+                    for reply in sub.replies
+                ), sub.error)
+
+        def on_frame(frame):
+            effects = original(frame)
+            for effect in effects:
+                if isinstance(effect, SendFrame) and effect.frame.kind == PROXY_ACK_KIND:
+                    acks = effect.frame.payload["acks"]
+                    if len(acks) > 1:
+                        shared.append(len(acks))
+                    acks[:] = crossed(list(acks))
+            return effects
+
+        proxy.on_frame = on_frame
+        outcomes = {}
+
+        def invoke(session, kind, key, value=None):
+            op_id, effects = session.invoke(kind, key, value)
+            fabric.callbacks[op_id] = lambda outcome: outcomes.update(
+                {(kind, key): outcome.value})
+            fabric.execute("L", effects)
+
+        invoke(sessions[0], OpKind.WRITE, "a", "va")
+        invoke(sessions[1], OpKind.WRITE, "b", "vb")
+        fabric.run()
+        invoke(sessions[0], OpKind.READ, "a")
+        invoke(sessions[1], OpKind.READ, "b")
+        fabric.run()
+        assert not fabric.failures
+        assert recorder.completed_operations == 4
+        # Every round completed through the proxy, none by failing over to
+        # the replicas, and some proxy-ack carried both sessions' rounds.
+        assert all(session.proxy_failovers == 0 for session in sessions)
+        assert link.stats.frames_total == 0
+        assert shared
+        assert outcomes[OpKind.READ, "a"] == "va"
+        assert outcomes[OpKind.READ, "b"] == "vb"

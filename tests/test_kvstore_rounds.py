@@ -376,8 +376,9 @@ class Rig:
         """The ``batch-ack`` a replica would send for ``sent`` (or a crafted
         stale / reply-less one), without going through the fabric."""
         if stale or empty:
+            replica = self.replicas[sent.destination]
             return make_batch_ack(sent.frame, [
-                (sub.key, None if empty else make_stale_reply(sub, None))
+                (sub.key, None if empty else make_stale_reply(replica, sub, None))
                 for sub in unpack_batch(sent.frame)
             ])
         effects = self.replicas[sent.destination].on_frame(sent.frame)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError, QuorumUnavailableError
 from repro.core.operations import OpKind
@@ -156,6 +157,56 @@ class TestOpportunisticReader:
         ]
         assert quorum_agrees(acks + acks, quorum_size=2)
         assert not quorum_agrees(acks, quorum_size=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_outcome_matches_a_full_scan_over_unanimous_and_split_quorums(
+        self, data
+    ):
+        # The reader decodes one tag when the quorum agrees and scans every
+        # reply otherwise; either way its (value, tag, fast_path) is the
+        # textbook scan's: the first reply holding the largest tag wins, and
+        # the bottom tag reads as no value.
+        tags = st.builds(
+            Tag, ts=st.integers(min_value=0, max_value=2),
+            wid=st.sampled_from(["", "w1", "w2"]),
+        )
+        values = st.one_of(st.none(), st.sampled_from(["a", "b"]))
+        size = data.draw(st.integers(min_value=2, max_value=3), label="replies")
+        if data.draw(st.booleans(), label="unanimous"):
+            tag = data.draw(tags, label="tag")
+            pairs = [(tag, data.draw(values)) for _ in range(size)]
+        else:
+            pairs = data.draw(
+                st.lists(st.tuples(tags, values), min_size=size, max_size=size),
+                label="pairs",
+            )
+        acks = [
+            Message(f"s{index}", "r1", "query-ack",
+                    {"tag": encode_tag(tag), "value": value})
+            for index, (tag, value) in enumerate(pairs, 1)
+        ]
+        best_tag, best_value = BOTTOM_TAG, None
+        for tag, value in pairs:
+            if tag > best_tag:
+                best_tag, best_value = tag, value
+        unanimous = len({tag for tag, _ in pairs}) == 1
+        reader = self.protocol.make_opportunistic_reader("r1")
+        generator = reader.read_protocol()
+        assert next(generator).kind == "query"
+        try:
+            update = generator.send(acks)
+        except StopIteration as stop:
+            outcome = stop.value
+        else:
+            assert update.payload == {
+                "tag": encode_tag(best_tag), "value": best_value,
+            }
+            with pytest.raises(StopIteration) as stop:
+                generator.send(acks)
+            outcome = stop.value.value
+        assert (outcome.value, outcome.tag, outcome.metadata["fast_path"]) == \
+            (best_value, best_tag, unanimous)
 
     def test_registry_reader_is_still_the_textbook_one(self):
         assert type(self.protocol.make_reader("r1")) is AbdMwmrReader

@@ -5,9 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.timestamps import BOTTOM_TAG, Tag
+from repro.kvstore.engine.server import GroupServerEngine, make_stale_reply
 from repro.protocols.codec import decode_tag, encode_tag
+from repro.protocols.registry import PROTOCOLS, build_protocol
 from repro.protocols.server_state import TagValueServer, ValueVectorServer
-from repro.messages import Message
+from repro.messages import (
+    Message,
+    SubRequest,
+    make_batch,
+    unpack_batch_ack,
+)
 
 
 def query(sender="r1"):
@@ -138,3 +145,66 @@ class TestCodec:
     def test_tag_round_trip(self):
         for tag in (BOTTOM_TAG, Tag(1, "w1"), Tag(42, "writer-x")):
             assert decode_tag(encode_tag(tag)) == tag
+
+
+# -- every replica answers as itself -------------------------------------------
+
+SERVERS = ["s1", "s2", "s3", "s4", "s5"]
+
+
+def _answer_as_themselves(protocol, client_logic, generator):
+    """Run one operation against every server of ``protocol``, each request
+    addressed to a group id rather than to the server, and check every reply
+    leaves as its server, back to the client, under the request's identity;
+    returns the round trips taken."""
+    logics = {server_id: protocol.make_server(server_id) for server_id in SERVERS}
+    request = next(generator)
+    round_trip = 0
+    try:
+        while True:
+            round_trip += 1
+            replies = []
+            for server_id, logic in logics.items():
+                message = Message(
+                    client_logic.client_id, "g-elsewhere", request.kind,
+                    request.payload_for(server_id), "op-1", round_trip,
+                    trace="t-1",
+                )
+                reply = logic.handle(message)
+                assert reply is not None
+                assert reply.sender == server_id
+                assert reply.receiver == client_logic.client_id
+                assert (reply.op_id, reply.round_trip, reply.trace) == \
+                    ("op-1", round_trip, "t-1")
+                replies.append(reply)
+            request = generator.send(replies[: client_logic.quorum_size])
+    except StopIteration:
+        pass
+    return round_trip
+
+
+@pytest.mark.parametrize("key", sorted(PROTOCOLS))
+def test_every_protocols_server_answers_as_itself(key):
+    protocol = build_protocol(key, SERVERS, max_faults=1)
+    writer = protocol.make_writer("w1")
+    reader = protocol.make_reader("r1")
+    assert _answer_as_themselves(protocol, writer, writer.write_protocol("v")) >= 1
+    assert _answer_as_themselves(protocol, reader, reader.read_protocol()) >= 1
+
+
+def test_a_stale_bounce_and_a_batch_ack_leave_as_the_replica():
+    protocol = build_protocol("abd-mwmr", ["s1", "s2", "s3"], max_faults=1)
+    engine = GroupServerEngine("s2", protocol, {"shard-0": 3})
+    # One sub-request object, addressed to the group, as every replica of the
+    # round gets it.
+    query = Message("c1", "g1", "query", {}, "op-1", 1, trace="t-1")
+    fresh = SubRequest("k", query, "shard-0", 3)
+    stale = SubRequest("k2", query, "shard-0", 2)
+    bounce = make_stale_reply(engine, stale, 3)
+    assert (bounce.sender, bounce.receiver) == ("s2", "c1")
+    assert (bounce.op_id, bounce.round_trip, bounce.trace) == ("op-1", 1, "t-1")
+    assert bounce.payload == {"shard": "shard-0", "sent_epoch": 2, "epoch": 3}
+    (send,) = engine.on_frame(make_batch("c1", "s2", [fresh, stale]))
+    assert send.destination == "c1" and send.frame.sender == "s2"
+    assert [reply.sender for _key, reply in unpack_batch_ack(send.frame)] == \
+        ["s2", "s2"]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,3 +132,74 @@ class TestTagProperties:
     def test_next_tag_strictly_dominates_observed(self, tags, wid):
         new = next_tag(tags, wid)
         assert all(new > t for t in tags)
+
+
+#: Few timestamps and short writer ids, so ties on ``ts`` are common.
+close_tags = st.builds(
+    Tag, ts=st.integers(min_value=0, max_value=3), wid=st.text(max_size=3)
+)
+non_tags = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=5),
+    st.tuples(st.integers(min_value=0, max_value=3), st.text(max_size=3)),
+)
+
+
+class TestTagValueType:
+    """``Tag`` is an immutable value ordered exactly as its ``(ts, wid)``."""
+
+    @given(close_tags, close_tags)
+    def test_operators_and_hash_agree_with_the_tuple_order(self, a, b):
+        ta, tb = (a.ts, a.wid), (b.ts, b.wid)
+        assert (a < b) == (ta < tb)
+        assert (a <= b) == (ta <= tb)
+        assert (a > b) == (ta > tb)
+        assert (a >= b) == (ta >= tb)
+        assert (a == b) == (ta == tb)
+        assert (a != b) == (ta != tb)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(close_tags)
+    def test_bottom_is_the_least_tag(self, tag):
+        assert BOTTOM_TAG <= tag
+        assert not tag < BOTTOM_TAG
+        assert (BOTTOM_TAG == tag) == tag.is_bottom
+
+    @given(close_tags, non_tags)
+    def test_never_equal_to_a_non_tag(self, tag, other):
+        assert not tag == other
+        assert tag != other
+        assert tag != (tag.ts, tag.wid)
+        with pytest.raises(TypeError):
+            tag < (tag.ts, tag.wid)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        tag = Tag(1, "w1")
+        with pytest.raises(AttributeError):
+            tag.ts = 2
+        with pytest.raises(AttributeError):
+            tag.wid = "w2"
+        with pytest.raises(AttributeError):
+            tag.note = "x"
+        with pytest.raises(AttributeError):
+            del tag.ts
+        assert tag == Tag(1, "w1")
+
+    def test_keyword_construction_and_the_timestamp_check(self):
+        assert Tag(ts=2, wid="w1") == Tag(2, "w1")
+        assert Tag(0) == BOTTOM_TAG
+        with pytest.raises(ValueError):
+            Tag(ts=-1)
+
+    @given(close_tags)
+    def test_copies_and_pickles_are_equal_tags(self, tag):
+        clones = [copy.copy(tag), copy.deepcopy(tag)] + [
+            pickle.loads(pickle.dumps(tag, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert type(clone) is Tag
+            assert clone == tag and hash(clone) == hash(tag)
+            assert (clone.ts, clone.wid) == (tag.ts, tag.wid)
