@@ -120,19 +120,14 @@ def _steady_state_resize(push_views: bool):
                            KVRunConfig(proxies=2, push_views=push_views))
 
     def issue(client_id, ops):
-        client = cluster.clients[client_id]
         remaining = list(ops)
 
         def issue_next(_outcome=None):
-            if not remaining:
-                return
-            kind, key, value = remaining.pop(0)
-            if kind == "put":
-                client.put(key, value, on_complete=issue_next)
-            else:
-                client.get(key, on_complete=issue_next)
+            if remaining:
+                kind, key, value = remaining.pop(0)
+                cluster.invoke(client_id, kind, key, value, issue_next)
 
-        cluster.events.schedule(0.0, issue_next, label=f"start:{client_id}")
+        cluster.fabric.schedule(0.0, issue_next)
 
     for client_id in ("c1", "c2"):
         issue(client_id, [("put", f"{client_id}-k{i}", f"v{i}") for i in range(8)])

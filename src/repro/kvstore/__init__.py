@@ -99,9 +99,7 @@ _EXPORTS = {
     "ShardSpec": ".sharding",
     "stable_hash": ".sharding",
     # simulator backend
-    "KVClientProcess": ".sim_backend",
     "KVFailureInjector": ".sim_backend",
-    "ProxyProcess": ".sim_backend",
     "SimKVCluster": ".sim_backend",
     "run_sim_kv_workload": ".sim_backend",
     # workloads
@@ -184,9 +182,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         stable_hash,
     )
     from .sim_backend import (  # noqa: F401
-        KVClientProcess,
         KVFailureInjector,
-        ProxyProcess,
         SimKVCluster,
         run_sim_kv_workload,
     )

@@ -26,8 +26,9 @@ and transport notifications, and emit :mod:`~repro.kvstore.engine.effects`
 operation completions.  They import neither :mod:`asyncio` nor
 :mod:`repro.sim` (enforced by a unit test): the transports are *adapters*
 that feed the engines and execute their effects --
-:mod:`repro.kvstore.sim_backend` on the virtual clock and simulated
-network, :mod:`repro.kvstore.net_backend` on asyncio TCP.  A feature
+:mod:`repro.kvstore.sim_backend` on the package's own
+:class:`~repro.kvstore.engine.fabric.Fabric` (a virtual clock and simulated
+connections), :mod:`repro.kvstore.net_backend` on asyncio TCP.  A feature
 implemented here (delta view pushes, say) works on both backends with no
 backend-specific code, and the two backends cannot drift apart on protocol
 behaviour by construction.

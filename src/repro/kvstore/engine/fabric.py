@@ -1,15 +1,34 @@
-"""An in-memory fabric: engines wired together with no transport at all.
+"""The engine fabric: a simulated world of engines on one virtual clock.
 
 Each registered engine gets its own :class:`~.runtime.EffectRuntime`; the
-fabric only supplies the hooks.  A sent frame joins the FIFO queue of its
-connection ``(source, destination)``, due one time unit later; a timer or a
-:meth:`Fabric.schedule` callback is due after its delay.  Two schedules run
-them: :meth:`Fabric.step` / :meth:`Fabric.run` always run the earliest due
-(ties in scheduling order, so runs repeat bit for bit), and the adversary's
-:meth:`Fabric.actions` / :meth:`Fabric.take` run any head frame or armed
-timer it picks, whatever its due time.  ``Connect`` succeeds at once, and a
-completed operation calls ``callbacks[op_id]``.  No run path of the store
-imports this module: it drives engines through schedules no transport makes.
+fabric only supplies the hooks.  A sent frame joins the queue of its
+connection ``(source, destination)``, due ``delay(source, destination)``
+later (one time unit unless the fabric was built with a delay) but never
+before the frame ahead of it: ``due = max(now + draw, due of the
+connection's tail)``, so every connection is first-in first-out, as a TCP
+connection is.  A timer or a :meth:`Fabric.schedule` callback is due after
+its delay.
+
+Two schedules run them.  :meth:`Fabric.step` / :meth:`Fabric.run` always run
+the earliest due, ties in scheduling order, so runs repeat bit for bit; a
+cancelled action is skipped without moving ``now``, ``run(until=t)`` runs
+what is due at ``t`` too, and ``max_events`` caps a livelocked run.  The
+adversary's :meth:`Fabric.actions` / :meth:`Fabric.take` run any head frame
+or armed timer it picks, whatever its due time.
+
+A process in :attr:`Fabric.down` has crashed without telling anyone: a frame
+from or to it is dropped when it is sent, and one already on its way to it
+is dropped on arrival.  A process registered with a ``service`` of
+``(overhead, per_op)`` is a replica with finite capacity: a frame costs it
+``overhead`` plus ``per_op`` per sub-operation (per key for a drain frame), a
+busy replica queues the work, and the frames its handling sends leave when
+the service is done.  Those hold-backs are not engine timers: nothing observes
+them and they never reach ``on_timer``.  Its timers, and what they send, go
+out at once.  ``Connect`` succeeds at once, and a completed operation calls
+``callbacks[op_id]`` and then every watcher.
+
+:class:`~repro.kvstore.sim_backend.SimKVCluster` runs the simulated store on
+one fabric; the engine tests drive it through schedules no transport makes.
 """
 
 from __future__ import annotations
@@ -20,6 +39,7 @@ from collections import deque
 from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
+from ...core.errors import SimulationError
 from .effects import OpCompleted, OpFailed, SendFrame
 from .runtime import EffectRuntime
 
@@ -32,9 +52,10 @@ Action = Tuple[str, Tuple[Any, Any]]
 class _Pending:
     """One action on the clock; it runs at most once, and not once cancelled."""
 
-    __slots__ = ("seq", "action", "done")
+    __slots__ = ("due", "seq", "action", "done")
 
-    def __init__(self, seq: int, action: Callable[[], None]) -> None:
+    def __init__(self, due: float, seq: int, action: Callable[[], None]) -> None:
+        self.due = due
         self.seq = seq
         self.action = action
         self.done = False
@@ -48,29 +69,73 @@ class _Pending:
             self.action()
 
 
-class Fabric:
-    """Frames wait per connection and timers wait armed, on one virtual clock."""
+class _Service:
+    """A replica's capacity: when it is next free, and how long the frames
+    of the request it is handling are held back."""
 
-    def __init__(self) -> None:
+    __slots__ = ("overhead", "per_op", "busy_until", "hold")
+
+    def __init__(self, overhead: float, per_op: float) -> None:
+        self.overhead = overhead
+        self.per_op = per_op
+        self.busy_until = 0.0
+        self.hold = 0.0
+
+
+def _one_unit(source: str, destination: str) -> float:
+    return 1.0
+
+
+class Fabric:
+    """Frames wait per connection and timers wait armed, on one virtual clock.
+
+    ``delay(source, destination)`` draws a frame's transit time.  With
+    ``raise_failures`` an operation's terminal failure raises its error out
+    of the run, as a failed call would; otherwise it joins :attr:`failures`.
+    """
+
+    def __init__(
+        self,
+        delay: Optional[Callable[[str, str], float]] = None,
+        *,
+        raise_failures: bool = False,
+    ) -> None:
         self.now = 0.0
         self.engines: Dict[str, Any] = {}
         self.runtimes: Dict[str, EffectRuntime] = {}
+        #: The frames in flight on each connection, oldest first.
         self.connections: Dict[Tuple[str, str], Deque[_Pending]] = {}
         #: Operation id -> called with the outcome when the operation completes.
         self.callbacks: Dict[str, Callable[[Any], None]] = {}
-        self.completed: List[str] = []
+        #: Called after every completed operation, after its callback.
+        self.watchers: List[Callable[[], None]] = []
         self.failures: List[OpFailed] = []
-        #: Processes whose inbound frames vanish (a crash the sender is not
-        #: told about, as on the simulated network).
+        #: Crashed processes: their traffic vanishes, and no one is told.
         self.down: Set[str] = set()
+        #: Frames sent, those dropped at send included.
+        self.sent = 0
+        #: True while :meth:`run` is on the stack, so code that may be called
+        #: from quiescence or from inside an action knows whether to pump.
+        self.running = False
+        self._delay = delay or _one_unit
+        self._raise_failures = raise_failures
+        self._services: Dict[str, _Service] = {}
         self._clock: List[Tuple[float, int, _Pending]] = []
         self._seq = itertools.count()
         self._holds: List[Tuple[Callable[[SendFrame], bool], List[SendFrame]]] = []
 
-    def register(self, process_id: str, engine: Any) -> None:
+    def register(
+        self, process_id: str, engine: Any, service: Optional[Tuple[float, float]] = None
+    ) -> None:
+        """Run ``engine`` as ``process_id``; ``service`` is a replica's
+        ``(overhead, per_op)`` service time."""
+        send = partial(self._send, process_id)
+        if service is not None:
+            capacity = self._services[process_id] = _Service(*service)
+            send = partial(self._send_after_service, process_id, capacity)
         self.engines[process_id] = engine
         self.runtimes[process_id] = EffectRuntime(
-            engine, self.schedule, partial(self._send, process_id),
+            engine, self.schedule, send,
             connect=lambda target: engine.on_connected(target),
             complete=self._complete,
         )
@@ -81,9 +146,7 @@ class Fabric:
 
     def schedule(self, delay: float, action: Callable[[], None]) -> _Pending:
         """Run ``action`` ``delay`` units from now; ``cancel()`` the handle to drop it."""
-        pending = _Pending(next(self._seq), action)
-        heapq.heappush(self._clock, (self.now + delay, pending.seq, pending))
-        return pending
+        return self._at(self.now + delay, action)
 
     def deliver(self, effect: SendFrame) -> None:
         """Hand one frame to its destination now, unless a hold parks it."""
@@ -91,9 +154,29 @@ class Fabric:
             if match(effect):
                 held.append(effect)
                 return
-        engine = self.engines.get(effect.destination)
-        if engine is not None and effect.destination not in self.down:
-            self.runtimes[effect.destination].run(engine.on_frame(effect.frame))
+        destination = effect.destination
+        engine = self.engines.get(destination)
+        if engine is None or destination in self.down:
+            return
+        service = self._services.get(destination)
+        if service is None:
+            self.runtimes[destination].run(engine.on_frame(effect.frame))
+            return
+        # State transitions apply at delivery, in arrival order; only the
+        # replies wait for the service.  A drain frame costs per key as a
+        # batch costs per sub-op, so a migration's pause grows with its range.
+        frame = effect.frame
+        payload = frame.payload
+        batch = len(payload.get("ops", ()) or payload.get("keys", ())) or 1
+        effects = engine.on_frame(frame)
+        now = self.now
+        finish = max(now, service.busy_until) + (service.overhead + service.per_op * batch)
+        service.busy_until = finish
+        service.hold = finish - now
+        try:
+            self.runtimes[destination].run(effects)
+        finally:
+            service.hold = 0.0
 
     def hold(self, match: Callable[[SendFrame], bool]) -> Callable[[], None]:
         """Park every frame ``match`` accepts as it arrives; returns ``release()``,
@@ -111,18 +194,32 @@ class Fabric:
     # -- the default schedule: earliest due first ------------------------------
 
     def step(self, until: Optional[float] = None) -> bool:
-        """Run the earliest-due action (due before ``until``, if given);
-        ``False`` once there is none."""
-        if not self._clock or (until is not None and self._clock[0][0] >= until):
+        """Run the earliest-due action (due at or before ``until``, if given);
+        ``False`` once there is none.  Cancelled actions are dropped on the
+        way without moving ``now``."""
+        clock = self._clock
+        while clock and clock[0][2].done:
+            heapq.heappop(clock)
+        if not clock or (until is not None and clock[0][0] > until):
             return False
-        self.now, _, pending = heapq.heappop(self._clock)
+        self.now, _, pending = heapq.heappop(clock)
         pending.run()
         return True
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Step to quiescence, or until nothing is due before ``until``."""
-        while self.step(until):
-            pass
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+        """Step to quiescence, or until nothing is due at or before ``until``;
+        more than ``max_events`` actions is a livelock and raises
+        :class:`~repro.core.errors.SimulationError`."""
+        executed = 0
+        was_running, self.running = self.running, True
+        try:
+            while max_events is None or executed < max_events:
+                if not self.step(until):
+                    return
+                executed += 1
+            raise SimulationError(f"event cap of {max_events} exceeded; likely livelock")
+        finally:
+            self.running = was_running
 
     # -- the adversary's schedule: any runnable action, in any order ------------
 
@@ -130,9 +227,7 @@ class Fabric:
         """Every head frame, connections sorted, then every armed timer,
         oldest armed first (a re-armed one goes last, so a quiet schedule
         cannot starve one timer behind another that keeps being re-armed)."""
-        found: List[Action] = [
-            ("deliver", key) for key, queue in self.connections.items() if queue
-        ]
+        found: List[Action] = [("deliver", key) for key in sorted(self.connections)]
         armed = [
             (pending.seq, owner, timer_id)
             for owner, runtime in self.runtimes.items()
@@ -151,23 +246,46 @@ class Fabric:
 
     # -- the runtime's hooks -----------------------------------------------------
 
-    def _send(self, source: str, effect: SendFrame) -> None:
-        key = (source, effect.destination)
-        queue = self.connections.get(key)
-        if queue is None:  # kept sorted, the order actions() lists them in
-            queue = self.connections[key] = deque()
-            self.connections = dict(sorted(self.connections.items()))
-        queue.append(self.schedule(1.0, partial(self._arrive, queue, effect)))
+    def _at(self, due: float, action: Callable[[], None]) -> _Pending:
+        pending = _Pending(due, next(self._seq), action)
+        heapq.heappush(self._clock, (due, pending.seq, pending))
+        return pending
 
-    def _arrive(self, queue: Deque[_Pending], effect: SendFrame) -> None:
+    def _send(self, source: str, effect: SendFrame) -> None:
+        self.sent += 1
+        destination = effect.destination
+        if source in self.down or destination in self.down:
+            return
+        key = (source, destination)
+        due = self.now + self._delay(source, destination)
+        queue = self.connections.get(key)
+        if queue is None:
+            queue = self.connections[key] = deque()
+        elif due < queue[-1].due:
+            due = queue[-1].due
+        queue.append(self._at(due, partial(self._arrive, key, effect)))
+
+    def _send_after_service(self, source: str, service: _Service, effect: SendFrame) -> None:
+        if service.hold <= 0:
+            self._send(source, effect)
+        else:
+            self.schedule(service.hold, partial(self._send, source, effect))
+
+    def _arrive(self, key: Tuple[str, str], effect: SendFrame) -> None:
+        queue = self.connections[key]
         queue.popleft()  # a connection is FIFO: the frame arriving is its head
+        if not queue:
+            del self.connections[key]
         self.deliver(effect)
 
     def _complete(self, effect: Union[OpCompleted, OpFailed]) -> None:
-        if isinstance(effect, OpFailed):
+        callback = self.callbacks.pop(effect.op_id, None)
+        if type(effect) is OpFailed:
+            if self._raise_failures:
+                raise effect.error
             self.failures.append(effect)
             return
-        self.completed.append(effect.op_id)
-        callback = self.callbacks.pop(effect.op_id, None)
         if callback is not None:
             callback(effect.outcome)
+        for watcher in self.watchers:
+            watcher()

@@ -2,67 +2,45 @@
 
 All protocol behaviour -- round lifecycle, batching, stale-epoch replay,
 proxy merging, failover, view-push adoption -- lives in the shared sans-I/O
-engines of :mod:`repro.kvstore.engine`, and their effects are interpreted by
-its :class:`~repro.kvstore.engine.runtime.EffectRuntime`.  This module only
-gives each runtime the simulator's transport:
-
-* :class:`KVClientProcess` / :class:`ProxyProcess` /
-  :class:`ControlPlaneProcess` wrap a *built*
-  :class:`~repro.kvstore.engine.client.ClientSessionEngine` /
-  :class:`~repro.kvstore.engine.proxy.ProxyEngine` /
-  :class:`~repro.kvstore.engine.control.ControlPlaneEngine` in a network
-  :class:`~repro.sim.process.Process`: ``send`` goes through the simulated
-  network and ``schedule`` is the virtual-clock event queue's.
-  ``Connect`` effects succeed immediately (the
-  simulated network needs no dialing), and the network reports no delivery
-  failures -- a crashed process's traffic is dropped *silently*, which is
-  exactly why the client engine's watchdog timer
-  (:data:`~repro.kvstore.engine.effects.SIM_RETRY_POLICY`) carries proxy
-  failover here.
-
-* :class:`BatchReplicaProcess` wraps a
-  :class:`~repro.kvstore.engine.server.GroupServerEngine` with a simple
-  queueing model of server capacity: handling a batch costs
-  ``service_overhead`` plus ``service_per_op`` per sub-operation of *service
-  time*, and a busy server queues work.  This is what makes group count
-  matter in virtual time.
+engines of :mod:`repro.kvstore.engine`, and the simulated world they run in
+is its :class:`~repro.kvstore.engine.fabric.Fabric`: per-connection FIFO
+delays drawn from the run's delay model, each replica's service queue,
+silent crashes and the virtual clock.  This module only assembles that
+world:
 
 * :class:`SimKVCluster` is a
   :class:`~repro.kvstore.engine.assembly.ClusterAssembly` -- the recipe both
-  backends get their engines, observers and control plane from -- on one
-  virtual clock: it puts a process around every engine the assembly builds,
-  and :meth:`SimKVCluster.resize` / :meth:`SimKVCluster.move_shard` run the
-  effects of a live rebalance (pumping the queue when called from
-  quiescence); :class:`KVFailureInjector` crashes replicas within each
-  group's fault budget.
+  backends get their engines, observers and control plane from -- that
+  registers every engine the assembly builds on one fabric.  Clients invoke
+  through :meth:`SimKVCluster.invoke`; ``Connect`` succeeds at once (the
+  simulated network needs no dialing), and a crashed process's traffic is
+  dropped *silently*, which is exactly why the client engine's watchdog
+  timer (:data:`~repro.kvstore.engine.effects.SIM_RETRY_POLICY`) carries
+  proxy failover here.  :meth:`SimKVCluster.resize` /
+  :meth:`SimKVCluster.move_shard` run the effects of a live rebalance
+  (pumping the clock when called from quiescence).
+
+* :class:`KVFailureInjector` crashes replicas within each group's fault
+  budget.
+
+The register-level simulator (:mod:`repro.sim`) keeps the paper's own
+model -- non-FIFO channels with skip rules and an interceptor -- and this
+module imports none of its network, process or clock.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Set
 
 from ..core.operations import OpKind
-from ..messages import Message
 from ..protocols.base import OperationOutcome
-from ..sim.clock import EventQueue
-from ..sim.delays import ConstantDelay, fifo
+from ..sim.delays import ConstantDelay
 from ..sim.failures import CrashPlan, FailureInjector
-from ..sim.network import Network
-from ..sim.process import Process
 from ..util.rng import SeededRng
-from .engine import (
-    BatchStats,
-    ClientSessionEngine,
-    ControlPlaneEngine,
-    Effect,
-    EffectRuntime,
-    GroupServerEngine,
-    OpFailed,
-    SendFrame,
-)
+from .engine import BatchStats, ClientSessionEngine, Effect
 from .engine.assembly import ClusterAssembly
+from .engine.fabric import Fabric
 from .migration import MigrationReport
 from .perkey import KVHistoryRecorder
 from .sharding import ShardMap
@@ -77,10 +55,6 @@ from .workload import (
 )
 
 __all__ = [
-    "BatchReplicaProcess",
-    "KVClientProcess",
-    "ProxyProcess",
-    "ControlPlaneProcess",
     "KVFailureInjector",
     "SimKVCluster",
     "run_sim_kv_workload",
@@ -90,190 +64,6 @@ __all__ = [
 #: How long the drain waits for a replica's ack before resending, on the
 #: virtual clock (hops are ~1 unit, service tenths).
 SIM_DRAIN_RETRY_DELAY = 40.0
-
-
-class BatchReplicaProcess(Process):
-    """A group replica with service-time queueing on the virtual clock.
-
-    The engine's sends (batch-acks with the lease grants they carry, lease
-    invalidations, drain acks) are what the modeled service time delays: a request's frames are
-    released ``service`` after the replica is free, and are not engine
-    timers -- nothing observes them and they never reach ``on_timer``.  Its
-    lease timers go straight onto the virtual-clock event queue -- a
-    lease's deadline is wall time from the grant, not from whenever the
-    replica's queue drains -- and what a fired timer sends leaves at once.
-    """
-
-    def __init__(
-        self,
-        server_id: str,
-        logic: GroupServerEngine,
-        events: EventQueue,
-        service_overhead: float,
-        service_per_op: float,
-    ) -> None:
-        super().__init__(server_id)
-        self.logic = logic
-        self.events = events
-        self.service_overhead = service_overhead
-        self.service_per_op = service_per_op
-        self.busy_until = 0.0
-        self._send_delay = 0.0
-        self.runtime = EffectRuntime(logic, events.schedule, self._send_after_service)
-
-    def on_message(self, message: Message) -> None:
-        # State transitions apply at delivery (preserving arrival order);
-        # only the *replies* are held back by the modeled service time.
-        # Drain frames charge per key exactly like batches charge per
-        # sub-op, so the pause a migration imposes on a replica grows with
-        # the range size -- the knob the incremental drain exists to bound.
-        payload = message.payload
-        batch_size = len(payload.get("ops", ()) or payload.get("keys", ())) or 1
-        effects = self.logic.on_frame(message)
-        service = self.service_overhead + self.service_per_op * batch_size
-        now = self.events.clock.now
-        finish = max(now, self.busy_until) + service
-        self.busy_until = finish
-        self._send_delay = finish - now
-        try:
-            self.runtime.run(effects)
-        finally:
-            self._send_delay = 0.0
-
-    def _send_after_service(self, effect: SendFrame) -> None:
-        if self._send_delay <= 0:
-            self.send(effect.frame)
-        else:
-            self.events.schedule(self._send_delay, partial(self.send, effect.frame))
-
-
-class _EngineProcess(Process):
-    """A process that feeds a built sans-I/O engine and executes its effects.
-
-    ``SendFrame`` goes through the simulated network and timers onto the
-    virtual-clock event queue.
-    """
-
-    #: The runtime's ``connect`` / ``complete`` hooks: only a client has them.
-    _connect = _complete = None
-
-    def __init__(self, process_id: str, events: EventQueue, engine) -> None:
-        super().__init__(process_id)
-        self.engine = engine
-        self.runtime = EffectRuntime(
-            engine, events.schedule, lambda effect: self.send(effect.frame),
-            connect=self._connect, complete=self._complete,
-        )
-
-    def on_message(self, message: Message) -> None:
-        self.runtime.run(self.engine.on_frame(message))
-
-
-class KVClientProcess(_EngineProcess):
-    """A store client on the virtual clock: one client-session engine.
-
-    The engine multiplexes per-key operations into group batches (or one
-    ``"proxy"`` frame per flush through the client's ingress proxy) and owns
-    proxy failover over the candidate list it was built with: its watchdog
-    timer detects a proxy that stops answering -- a crashed sim process drops
-    traffic silently, so there is no connection reset to observe.
-    ``Connect`` effects succeed immediately: the simulated network routes by
-    process id, there is nothing to dial.
-    """
-
-    def __init__(
-        self,
-        client_id: str,
-        events: EventQueue,
-        engine: ClientSessionEngine,
-        completion_hook: Optional[Callable[[], None]] = None,
-    ) -> None:
-        super().__init__(client_id, events, engine)
-        self.completion_hook = completion_hook
-        self._callbacks: Dict[str, Callable[[OperationOutcome], None]] = {}
-        if engine.proxy_id is not None:
-            # The simulated network needs no dialing: confirm the ingress.
-            self.runtime.run(engine.on_connected(engine.proxy_id))
-
-    # -- invoking operations ----------------------------------------------------
-
-    def put(
-        self,
-        key: str,
-        value,
-        on_complete: Optional[Callable[[OperationOutcome], None]] = None,
-    ) -> str:
-        """Invoke ``put(key, value)``; returns the operation id."""
-        return self._invoke(OpKind.WRITE, key, value, on_complete)
-
-    def get(
-        self, key: str, on_complete: Optional[Callable[[OperationOutcome], None]] = None
-    ) -> str:
-        """Invoke ``get(key)``; returns the operation id."""
-        return self._invoke(OpKind.READ, key, None, on_complete)
-
-    def _invoke(self, kind: OpKind, key: str, value, on_complete) -> str:
-        op_id, effects = self.engine.invoke(kind, key, value)
-        if on_complete is not None:
-            self._callbacks[op_id] = on_complete
-        self.runtime.run(effects)
-        return op_id
-
-    def _connect(self, target: str) -> List[Effect]:
-        return self.engine.on_connected(target)  # nothing to dial
-
-    def _complete(self, effect) -> None:
-        if isinstance(effect, OpFailed):
-            self._callbacks.pop(effect.op_id, None)
-            raise effect.error
-        callback = self._callbacks.pop(effect.op_id, None)
-        if callback is not None:
-            callback(effect.outcome)
-        if self.completion_hook is not None:
-            self.completion_hook()
-
-    # -- introspection (the engine owns the state) ------------------------------
-
-    @property
-    def proxy_id(self) -> Optional[str]:
-        return self.engine.proxy_id
-
-    @property
-    def proxy_failovers(self) -> int:
-        return self.engine.proxy_failovers
-
-    @property
-    def stale_replays(self) -> int:
-        return self.engine.stale_replays
-
-    @property
-    def batch_stats(self) -> BatchStats:
-        return self.engine.stats
-
-
-class ProxyProcess(_EngineProcess):
-    """A site-local ingress proxy on the virtual clock: one proxy engine."""
-
-    @property
-    def view(self):
-        return self.engine.view
-
-    @property
-    def stale_replays(self) -> int:
-        return self.engine.stale_replays
-
-
-class ControlPlaneProcess(_EngineProcess):
-    """The cluster control plane on the virtual clock: one control engine.
-
-    Registered on the network as ``"control-plane"``, it receives the
-    replicas' drain acks and the proxies' view-push acks, and executes the
-    engine's effects -- drain frames through the simulated network, retry
-    and autoscale timers on the virtual-clock event queue.
-    """
-
-    def __init__(self, engine: ControlPlaneEngine, events: EventQueue) -> None:
-        super().__init__(engine.control_id, events, engine)
 
 
 class KVFailureInjector:
@@ -290,8 +80,10 @@ class KVFailureInjector:
         self._by_group: Dict[str, FailureInjector] = {}
         self._group_of: Dict[str, str] = {}
         for group_id, group in cluster.shard_map.groups.items():
+            # The cluster is the injector's clock and network alike: it
+            # has ``schedule_at`` and ``crash``.
             self._by_group[group_id] = FailureInjector(
-                cluster.events, cluster.network, group.servers, group.max_faults
+                cluster, cluster, group.servers, group.max_faults
             )
             for server_id in group.servers:
                 self._group_of[server_id] = group_id
@@ -341,12 +133,20 @@ class KVFailureInjector:
         return crashed
 
 
+#: A workload op's kind -> the register operation it invokes.
+_KINDS = {"put": OpKind.WRITE, "get": OpKind.READ}
+
+
 class SimKVCluster(ClusterAssembly):
     """All replica groups of a :class:`ShardMap` plus clients on one clock.
 
     The engines, their observers and the control plane are the
     :class:`~repro.kvstore.engine.assembly.ClusterAssembly`'s; this class
-    puts each in a process of the simulated network.
+    registers each on :attr:`fabric`, the simulated world: frames take the
+    config's ``delay_model`` draws, first-in first-out per connection as
+    over TCP (the lease protocol relies on it), and replicas queue their
+    replies behind ``service_overhead + service_per_op`` per sub-operation.
+    :attr:`clients` maps each client id to its session engine.
 
     ``sites`` (optional, the process->site shape ``GeoDelay`` takes) makes
     the ingress tier site-aware: each client is assigned a proxy of its own
@@ -361,7 +161,7 @@ class SimKVCluster(ClusterAssembly):
 
     ``push_views`` has the control plane push the fresh shard-map view to
     every live proxy at each :meth:`resize`/:meth:`move_shard` (one
-    ``view-push`` frame per proxy through the simulated network), so in the
+    ``view-push`` frame per proxy through the fabric), so in the
     steady state a rebalance costs the proxies zero stale-epoch replays;
     the epoch-fence bounce remains as the safety net for rounds already in
     flight and for pushes racing them.  Each push is a per-rebalance
@@ -378,10 +178,12 @@ class SimKVCluster(ClusterAssembly):
         sites: Optional[Mapping[str, str]] = None,
     ) -> None:
         config = backend_config(config, "sim", "SimKVCluster")
-        self.events = EventQueue()
+        self.fabric = Fabric(
+            (config.delay_model or ConstantDelay()).delay, raise_failures=True
+        )
         super().__init__(
             shard_map,
-            lambda: self.events.clock.now,
+            lambda: self.fabric.now,
             config.setting("retry_policy"),
             lease_ttl=config.setting("lease_ttl"),
             drain_range_size=config.drain_range_size,
@@ -390,44 +192,51 @@ class SimKVCluster(ClusterAssembly):
             sites=sites,
             trace_collector=config.trace_collector,
         )
-        # Per connection FIFO, as over TCP: the lease protocol relies on it.
-        self.network = Network(self.events, fifo(
-            config.delay_model or ConstantDelay(), lambda: self.events.clock.now))
-        self.recorder = KVHistoryRecorder(lambda: self.events.clock.now)
+        self.recorder = KVHistoryRecorder(lambda: self.fabric.now)
         self.crashed_proxies: Set[str] = set()
-        self._completion_watchers: List[Callable[[], None]] = []
-        self.replicas: Dict[str, BatchReplicaProcess] = {}
+        service = (config.setting("service_overhead"), config.setting("service_per_op"))
         for server_id in shard_map.all_servers:
-            self.replicas[server_id] = self._attached(BatchReplicaProcess(
-                server_id, self.server_engine(server_id), self.events,
-                config.setting("service_overhead"), config.setting("service_per_op"),
-            ))
-        self.proxies: Dict[str, ProxyProcess] = {}
+            self.fabric.register(server_id, self.server_engine(server_id), service)
         for proxy_id in (f"p{index}" for index in range(1, config.proxies + 1)):
-            self.proxies[proxy_id] = self._attached(ProxyProcess(
-                proxy_id, self.events, self.proxy_engine(
-                    proxy_id, read_policy=config.read_policy,
-                    flush_delay=config.setting("proxy_flush_delay"),
-                    read_cache=config.read_cache,
-                ),
+            self.fabric.register(proxy_id, self.proxy_engine(
+                proxy_id, read_policy=config.read_policy,
+                flush_delay=config.setting("proxy_flush_delay"),
+                read_cache=config.read_cache,
             ))
         # Control-plane timing on the virtual clock (the engine's default
         # resend delay is in seconds).
         self.control_engine.retry_delay = SIM_DRAIN_RETRY_DELAY
-        self.control = self._attached(ControlPlaneProcess(self.control_engine, self.events))
-        self.clients: Dict[str, KVClientProcess] = {}
+        self.fabric.register(self.control_engine.control_id, self.control_engine)
+        self.clients: Dict[str, ClientSessionEngine] = {}
         for client_id in client_ids:
-            engine = self.client_engine(
+            engine = self.clients[client_id] = self.client_engine(
                 client_id, self.recorder, max_batch=config.max_batch,
                 proxy_candidates=self.proxy_candidates(client_id),
             )
-            self.clients[client_id] = self._attached(KVClientProcess(
-                client_id, self.events, engine, self._notify_completion
-            ))
+            self.fabric.register(client_id, engine)
+            if engine.proxy_id is not None:
+                # The simulated network needs no dialing: confirm the ingress.
+                self.fabric.execute(client_id, engine.on_connected(engine.proxy_id))
 
-    def _attached(self, process):
-        process.attach(self.network)
-        return process
+    def invoke(
+        self,
+        client_id: str,
+        kind: str,
+        key: str,
+        value=None,
+        on_complete: Optional[Callable[[OperationOutcome], None]] = None,
+    ) -> str:
+        """Invoke ``kind`` (``"put"`` or ``"get"``) of ``key`` at the client
+        registered as ``client_id``; returns the operation id.
+
+        ``on_complete`` gets the outcome; an operation that fails for good
+        raises its error out of :meth:`run`.
+        """
+        op_id, effects = self.fabric.engines[client_id].invoke(_KINDS[kind], key, value)
+        if on_complete is not None:
+            self.fabric.callbacks[op_id] = on_complete
+        self.fabric.execute(client_id, effects)
+        return op_id
 
     # -- live control plane -----------------------------------------------------
 
@@ -436,8 +245,8 @@ class SimKVCluster(ClusterAssembly):
 
         The shard map and view pushes update synchronously; the register
         drain proceeds over ``drain-*`` frames on the virtual clock.  Called
-        from quiescence (no :meth:`run` on the stack) this pumps the event
-        queue until the drain completes, so the returned report's counters
+        from quiescence (no :meth:`run` on the stack) this pumps the clock
+        until the drain completes, so the returned report's counters
         are final -- the old synchronous contract.  Called mid-run (e.g.
         from a workload trigger) it returns immediately and the drain
         interleaves with client traffic; ``report.on_done`` fires when the
@@ -450,50 +259,60 @@ class SimKVCluster(ClusterAssembly):
         return self._settle(*self.start_move(shard_id, group_id))
 
     def _settle(self, report: MigrationReport, effects: List[Effect]) -> MigrationReport:
-        """Run a rebalance's effects, and pump the queue to drain completion
+        """Run a rebalance's effects, and pump the clock to drain completion
         -- only from quiescence.
 
         Inside :meth:`run` the already-running loop delivers the drain
-        frames; pumping here too would double-execute events.
+        frames; pumping here too would double-execute actions.
         """
-        self.control.runtime.run(effects)
-        if not self.events.running:
-            while not report.done:
-                event = self.events.pop()
-                if event is None:
-                    break
-                event.action()
+        self.fabric.execute(self.control_engine.control_id, effects)
+        if not self.fabric.running:
+            while not report.done and self.fabric.step():
+                pass
         return report
 
     # -- the autoscaler ---------------------------------------------------------
 
     def start_autoscaler(self) -> None:
         """Arm the control plane's recurring autoscale tick."""
-        self.control.runtime.run(self.control_engine.start_autoscaler())
+        self.fabric.execute(
+            self.control_engine.control_id, self.control_engine.start_autoscaler()
+        )
 
     def stop_autoscaler(self) -> None:
-        """Disarm the tick so the event queue can drain to quiescence."""
-        self.control.runtime.run(self.control_engine.stop_autoscaler())
+        """Disarm the tick so the clock can run to quiescence."""
+        self.fabric.execute(
+            self.control_engine.control_id, self.control_engine.stop_autoscaler()
+        )
+
+    # -- crashes ----------------------------------------------------------------
+
+    def crash(self, process_id: str) -> None:
+        """Crash ``process_id`` *now*: the fabric drops its traffic silently."""
+        self.fabric.down.add(process_id)
+
+    def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> None:
+        """Run ``action`` at virtual time ``time`` (``label`` names it for
+        :class:`~repro.sim.failures.FailureInjector`; the fabric keeps none)."""
+        self.fabric.schedule(time - self.fabric.now, action)
 
     def crash_proxy(self, proxy_id: str) -> None:
-        """Crash an ingress proxy *now*: the network drops its traffic.
+        """Crash an ingress proxy *now*: the fabric drops its traffic.
 
         Proxies hold no register state, so no drain is needed; clients
         behind it detect the silence via their failover watchdog, re-dial a
         sibling of the site (or go direct), and replay in-flight rounds.
         """
-        if proxy_id not in self.proxies:
+        if proxy_id not in self.proxy_engines:
             raise KeyError(f"unknown proxy {proxy_id!r}")
-        self.network.crash(proxy_id)
+        self.crash(proxy_id)
         self.crashed_proxies.add(proxy_id)
 
     def schedule_proxy_crash(self, proxy_id: str, at: float) -> None:
         """Crash ``proxy_id`` at virtual time ``at`` (mid-run, under load)."""
-        if proxy_id not in self.proxies:
+        if proxy_id not in self.proxy_engines:
             raise KeyError(f"unknown proxy {proxy_id!r}")
-        self.events.schedule_at(
-            at, lambda: self.crash_proxy(proxy_id), label=f"crash:{proxy_id}"
-        )
+        self.schedule_at(at, lambda: self.crash_proxy(proxy_id))
 
     def failure_injector(self) -> KVFailureInjector:
         """A crash injector enforcing each group's fault budget."""
@@ -502,31 +321,27 @@ class SimKVCluster(ClusterAssembly):
     def add_completion_watcher(self, watcher: Callable[[], None]) -> None:
         """Call ``watcher`` after every completed operation (e.g. to trigger
         a resize once a threshold of the workload has run)."""
-        self._completion_watchers.append(watcher)
-
-    def _notify_completion(self) -> None:
-        for watcher in self._completion_watchers:
-            watcher()
+        self.fabric.watchers.append(watcher)
 
     # -- running ----------------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: int = 5_000_000) -> None:
-        """Run the virtual clock to quiescence (or a deadline)."""
-        self.events.run(until=until, max_events=max_events)
+        """Run the virtual clock to quiescence (or through ``until``)."""
+        self.fabric.run(until=until, max_events=max_events)
 
     def batch_stats(self) -> BatchStats:
         merged = BatchStats()
         for client in self.clients.values():
-            merged.merge(client.batch_stats)
+            merged.merge(client.stats)
         return merged
 
     def stale_replays(self) -> int:
         return sum(client.stale_replays for client in self.clients.values()) + sum(
-            proxy.stale_replays for proxy in self.proxies.values()
+            proxy.stale_replays for proxy in self.proxy_engines.values()
         )
 
     def view_pushes_applied(self) -> int:
-        return sum(proxy.view.pushes_applied for proxy in self.proxies.values())
+        return sum(proxy.view.pushes_applied for proxy in self.proxy_engines.values())
 
 
 def run_sim_kv_workload(
@@ -549,7 +364,7 @@ def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
         return cluster.recorder.completed_operations
 
     def now() -> float:
-        return cluster.events.clock.now
+        return cluster.fabric.now
 
     # Throughput is over the time the operations took: after the last one
     # the queue still drains timers nobody cancels (a lapsing silence window,
@@ -571,7 +386,7 @@ def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
         total_ops = workload.total_operations()
 
         def stop_when_done() -> None:
-            if cluster.control.engine.autoscaling and completed_ops() >= total_ops:
+            if cluster.control_engine.autoscaling and completed_ops() >= total_ops:
                 cluster.stop_autoscaler()
 
         cluster.add_completion_watcher(stop_when_done)
@@ -587,7 +402,7 @@ def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
         cluster.resize if move is None else (lambda _shard: cluster.move_shard(*move)),
         proxies=lambda: [
             (pid, cluster.sites.get(pid), pid not in cluster.crashed_proxies)
-            for pid in cluster.proxies
+            for pid in cluster.proxy_engines
         ],
         kill=cluster.crash_proxy,
     )
@@ -600,27 +415,21 @@ def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
             SeededRng(config.crash_seed),
         )
 
-    def make_issuer(client: KVClientProcess, remaining: Deque) -> Callable:
+    def make_issuer(client_id: str, remaining: Deque) -> Callable:
         # A factory so each client's chain closes over its own issuer; a
         # loop-local closure would resolve to the last client's at call time.
         def issue_next(_outcome=None) -> None:
-            if not remaining:
-                return
-            op = remaining.popleft()
-            if op.kind == "put":
-                client.put(op.key, op.value, on_complete=issue_next)
-            else:
-                client.get(op.key, on_complete=issue_next)
+            if remaining:
+                op = remaining.popleft()
+                cluster.invoke(client_id, op.kind, op.key, op.value, issue_next)
 
         return issue_next
 
     depth = max(1, workload.pipeline_depth)
     for client_id in clients:
-        issue_next = make_issuer(
-            cluster.clients[client_id], deque(workload.sequences[client_id])
-        )
+        issue_next = make_issuer(client_id, deque(workload.sequences[client_id]))
         for _ in range(depth):
-            cluster.events.schedule(0.0, issue_next, label=f"kv-start:{client_id}")
+            cluster.fabric.schedule(0.0, issue_next)
 
     cluster.run()
     return fold_run_result(
@@ -628,9 +437,9 @@ def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
         cluster,
         duration=now(),
         elapsed=finished,
-        client_engines=(client.engine for client in cluster.clients.values()),
+        client_engines=cluster.clients.values(),
         recorder=cluster.recorder,
         resize=resize_info,
         proxy_kill=kill_record,
-        messages_sent=cluster.network.sent_count,
+        messages_sent=cluster.fabric.sent,
     )

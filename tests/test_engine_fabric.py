@@ -15,8 +15,12 @@ dispatch and timer table); the fabric reproduces it exactly.
 ``python tests/test_engine_fabric.py`` prints the golden for the checkout on
 ``PYTHONPATH``.
 
-The rest pins the surface the tests drive: the adversary's ``actions()`` /
-``take()``, ``schedule``, ``run(until=)``, ``hold`` and the ``Connect`` hook.
+The rest pins the surface the tests drive -- the adversary's ``actions()`` /
+``take()``, ``schedule``, ``hold`` and the ``Connect`` hook -- and the rules
+the simulated store relies on: ``run(until=t)`` runs what is due at ``t``, a
+cancelled action moves no clock, ``max_events`` caps a livelock, ``running``
+is set only inside ``run``, a ``down`` process's frames vanish, and a serving
+replica holds its replies and queues its requests.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.core.errors import SimulationError
 from repro.kvstore.engine import CancelTimer, Connect, SendFrame, StartTimer
 from repro.kvstore.engine.fabric import Fabric
 from repro.messages import Message
@@ -125,14 +132,88 @@ def test_frames_take_one_unit_and_ties_run_in_scheduling_order():
     assert a.log == [("timer", ("t",))] and fabric.now == 1.0
 
 
-def test_run_until_stops_before_the_deadline_and_keeps_the_clock_there():
+def test_run_until_runs_what_is_due_at_the_deadline_and_keeps_the_clock_there():
     fabric = Fabric()
     (a,) = stubs(fabric, "a")
-    fabric.execute("a", [StartTimer(("early",), 2.0), StartTimer(("late",), 5.0)])
+    fabric.execute("a", [StartTimer(("early",), 2.0), StartTimer(("on time",), 5.0),
+                         StartTimer(("late",), 6.0)])
     fabric.run(until=5.0)
-    assert a.log == [("timer", ("early",))] and fabric.now == 2.0
+    assert a.log == [("timer", ("early",)), ("timer", ("on time",))]
+    assert fabric.now == 5.0
+    fabric.run(until=5.5)  # nothing due: the clock stays at the last action
+    assert fabric.now == 5.0
     fabric.run(until=fabric.now + 10.0)
-    assert a.log[-1] == ("timer", ("late",)) and fabric.now == 5.0
+    assert a.log[-1] == ("timer", ("late",)) and fabric.now == 6.0
+
+
+def test_a_cancelled_action_due_last_does_not_move_the_clock():
+    # A run's duration is the clock at quiescence: an armed timer cancelled
+    # before it fell due (a lease released early, a silence window closed)
+    # must not stretch it, or every rate over the run shrinks.
+    fabric = Fabric()
+    (a,) = stubs(fabric, "a")
+    fabric.execute("a", [StartTimer(("fires",), 2.0), StartTimer(("cancelled",), 9.0)])
+    dropped = fabric.schedule(12.0, lambda: None)
+    fabric.execute("a", [CancelTimer(("cancelled",))])
+    dropped.cancel()
+    fabric.run()
+    assert a.log == [("timer", ("fires",))] and fabric.now == 2.0
+    assert not fabric.step() and fabric.now == 2.0
+
+
+def test_the_event_cap_raises_and_running_is_true_only_inside_run():
+    fabric = Fabric()
+    seen = []
+
+    def tick():
+        seen.append(fabric.running)
+        fabric.schedule(1.0, tick)  # rearms forever: a livelock
+
+    fabric.schedule(0.0, tick)
+    assert not fabric.running
+    with pytest.raises(SimulationError, match="event cap of 5"):
+        fabric.run(max_events=5)
+    assert seen == [True] * 5 and not fabric.running
+    fabric.schedule(0.0, lambda: None)
+    fabric.run(until=7.0, max_events=10)  # within the cap: no error
+    assert fabric.now == 7.0
+
+
+def test_a_down_process_loses_its_frames_without_a_trace_on_the_clock():
+    fabric = Fabric()
+    a, b = stubs(fabric, "a", "b")
+    fabric.down.add("b")
+    fabric.execute("a", [send("a", "b", "lost")])  # dropped at send
+    fabric.execute("b", [send("b", "a", "lost too")])
+    assert fabric.sent == 2 and fabric.connections == {} and not fabric.step()
+    fabric.down.clear()
+    fabric.execute("a", [send("a", "b", "in flight")])
+    fabric.down.add("b")
+    fabric.run()  # dropped on arrival: the receiver went down meanwhile
+    assert a.log == [] and b.log == [] and fabric.now == 1.0
+    fabric.down.clear()
+    fabric.execute("a", [send("a", "b", "x")])
+    fabric.run()
+    assert b.log == [("frame", "x")] and fabric.sent == 4
+
+
+def test_a_serving_process_holds_its_replies_and_queues_its_requests():
+    fabric = Fabric()
+    (a,) = stubs(fabric, "a")
+    replica = Stub()
+    fabric.register("r", replica, service=(0.5, 0.25))
+    replica.script[("frame", "batch")] = [send("r", "a", "ack")]
+    replica.script[("timer", ("lease",))] = [send("r", "a", "expired")]
+    ops = {"ops": [1, 2, 3]}  # three sub-operations: 0.5 + 3 * 0.25
+    fabric.execute("a", [SendFrame("r", Message("a", "r", "batch", ops)),
+                         SendFrame("r", Message("a", "r", "batch", ops))])
+    fabric.execute("r", [StartTimer(("lease",), 1.5)])
+    arrivals = []
+    a.on_frame = lambda frame: arrivals.append((frame.kind, fabric.now)) or []
+    fabric.run()
+    # Both requests land at 1: the first is served by 2.25, the second
+    # queues behind it until 3.5; the timer's frame leaves at once.
+    assert arrivals == [("expired", 2.5), ("ack", 3.25), ("ack", 4.5)]
 
 
 def test_actions_list_connections_sorted_then_timers_oldest_armed_first():

@@ -1,8 +1,8 @@
 """In process a frame is the sender's own objects: nobody may write to it.
 
-The simulator and the engine-level ``Fabric``
-(:mod:`repro.kvstore.engine.fabric`) hand ``SendFrame.frame`` to the
-destination engine as it stands -- the ``SubRequest`` / ``Message`` /
+The engine-level ``Fabric`` (:mod:`repro.kvstore.engine.fabric`), which the
+simulator runs on, hands ``SendFrame.frame`` to the destination engine as it
+stands -- the ``SubRequest`` / ``Message`` /
 ``ProxySubReply`` records the sender built, and the payload dicts inside
 them, shared by reference.  That is only sound while every engine and every
 per-key ``ServerLogic.handle`` treats what it receives as read-only, so these
@@ -18,7 +18,6 @@ from repro.kvstore import KVRunConfig, run
 from repro.kvstore.engine.fabric import Fabric
 from repro.kvstore.workload import generate_workload
 from repro.messages import Message
-from repro.sim.network import Network
 
 from test_codec_properties import _plain
 from test_kvstore_engine import CACHED_SCRIPT, build_memory_stack, run_script
@@ -29,10 +28,10 @@ def _record_sends(monkeypatch, owner, method: str, frame_of) -> List[Tuple[Messa
     sent: List[Tuple[Message, object]] = []
     real = getattr(owner, method)
 
-    def recording(self, item, *args):
-        frame = frame_of(item)
+    def recording(self, *args):
+        frame = frame_of(*args)
         sent.append((frame, _plain(frame)))
-        return real(self, item, *args)
+        return real(self, *args)
 
     monkeypatch.setattr(owner, method, recording)
     return sent
@@ -49,7 +48,7 @@ def _assert_untouched(sent: List[Tuple[Message, object]], kinds: set) -> None:
 
 
 def test_sim_cached_resize_run_leaves_every_frame_as_sent(monkeypatch):
-    sent = _record_sends(monkeypatch, Network, "send", lambda message: message)
+    sent = _record_sends(monkeypatch, Fabric, "_send", lambda _source, effect: effect.frame)
     workload = generate_workload(
         num_clients=6, ops_per_client=40, num_keys=16,
         read_fraction=0.7, key_skew=1.1, seed=15,
@@ -68,7 +67,7 @@ def test_sim_cached_resize_run_leaves_every_frame_as_sent(monkeypatch):
 
 
 def test_sim_direct_resize_run_leaves_every_frame_as_sent(monkeypatch):
-    sent = _record_sends(monkeypatch, Network, "send", lambda message: message)
+    sent = _record_sends(monkeypatch, Fabric, "_send", lambda _source, effect: effect.frame)
     workload = generate_workload(
         num_clients=4, ops_per_client=40, num_keys=16, read_fraction=0.5, seed=15,
     )

@@ -134,9 +134,9 @@ def _sim_facts(name: str) -> Dict[str, Any]:
     cluster = SimKVCluster(_shard_map(), CLIENTS, config, sites=_sites(layout))
     return _facts(
         cluster.hub, config, cluster.server_logics,
-        {pid: proxy.engine for pid, proxy in cluster.proxies.items()},
-        cluster.control.engine,
-        {cid: client.engine for cid, client in cluster.clients.items()},
+        cluster.proxy_engines,
+        cluster.control_engine,
+        cluster.clients,
     )
 
 

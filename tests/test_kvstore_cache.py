@@ -37,7 +37,6 @@ from repro.kvstore import (
     generate_workload,
     run,
 )
-from repro.kvstore.sim_backend import KVClientProcess
 from repro.kvstore.engine import (
     SIM_RETRY_POLICY,
     CachedShardView,
@@ -716,21 +715,23 @@ class TestLeaseCrashSim:
         )
         policy = cluster.retry_policy
         assert lease_ttl > policy.max_round_timeouts * policy.silence_window
-        writer = KVClientProcess("d1", cluster.events, cluster.client_engine(
+        cluster.fabric.register("d1", cluster.client_engine(
             "d1", cluster.recorder, proxy_candidates=[],
         ))
-        writer.attach(cluster.network)
-        now = lambda: cluster.events.clock.now
+        now = lambda: cluster.fabric.now
         done = {}
 
         def write(_outcome):
             # The fill is granted; its proxy dies holding the leases.
             cluster.crash_proxy("p1")
             done["write-invoked"] = now()
-            writer.put("k", "v2", on_complete=lambda _: done.setdefault("write", now()))
+            cluster.invoke(
+                "d1", "put", "k", "v2", lambda _: done.setdefault("write", now())
+            )
 
-        reader = cluster.clients["c1"]
-        reader.put("k", "v1", on_complete=lambda _: reader.get("k", on_complete=write))
+        cluster.invoke(
+            "c1", "put", "k", "v1", lambda _: cluster.invoke("c1", "get", "k", None, write)
+        )
         cluster.run(until=10 * lease_ttl)
         logics = list(cluster.server_logics.values())
         assert sum(logic.write_deferrals for logic in logics) >= 1

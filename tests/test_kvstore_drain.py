@@ -213,10 +213,10 @@ class TestCrossBackendDrainEquivalence:
         shard_map = ShardMap(4, num_groups=2, readers=1, writers=1)
         cluster = SimKVCluster(shard_map, ["c1"], KVRunConfig(drain_range_size=2))
         for key in self.KEYS:
-            cluster.clients["c1"].put(key, f"v-{key}")
+            cluster.invoke("c1", "put", key, f"v-{key}")
         cluster.run()
         trace: list = []
-        _tap_drain_sends(cluster.control.engine, trace)
+        _tap_drain_sends(cluster.control_engine, trace)
         report = cluster.resize(8)
         assert report.done
         return sorted(trace)

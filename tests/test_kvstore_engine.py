@@ -62,6 +62,7 @@ from repro.kvstore.engine.fabric import Fabric
 from repro.observe import MetricsObserver, ObserverHub
 
 import repro.kvstore.engine as engine_package
+from repro.kvstore import sim_backend
 
 
 # -- the in-memory stack ----------------------------------------------------------
@@ -268,9 +269,9 @@ def sim_trace(use_proxy=False, script=SCRIPT, read_cache=0):
     shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
     cluster = SimKVCluster(shard_map, ["c1"], _trace_config("sim", use_proxy, read_cache))
     client_trace, proxy_trace = [], []
-    tap(cluster.clients["c1"].engine, client_trace)
+    tap(cluster.clients["c1"], client_trace)
     if use_proxy:
-        tap(cluster.proxies["p1"].engine, proxy_trace)
+        tap(cluster.proxy_engines["p1"], proxy_trace)
     remaining = list(script)
     cut = {}
 
@@ -282,12 +283,10 @@ def sim_trace(use_proxy=False, script=SCRIPT, read_cache=0):
             cut.setdefault("proxy", len(proxy_trace))
             return
         kind, key, value = remaining.pop(0)
-        if kind is OpKind.WRITE:
-            cluster.clients["c1"].put(key, value, on_complete=issue_next)
-        else:
-            cluster.clients["c1"].get(key, on_complete=issue_next)
+        put_or_get = "put" if kind is OpKind.WRITE else "get"
+        cluster.invoke("c1", put_or_get, key, value, on_complete=issue_next)
 
-    cluster.events.schedule(0.0, issue_next, label="script")
+    cluster.fabric.schedule(0.0, issue_next)
     cluster.run()
     verdict = check_per_key_atomicity(cluster.recorder.histories())
     assert verdict.all_atomic, verdict.summary()
@@ -746,22 +745,21 @@ class TestDeltaViewPush:
         # rebalances the hard way -- stale bounces, replay, still atomic.
         shard_map = ShardMap(4, num_groups=2, readers=2, writers=2)
         cluster = SimKVCluster(shard_map, ["c1", "c2"], KVRunConfig(proxies=2))
-        client = cluster.clients["c1"]
         for i in range(8):
-            client.put(f"k{i}", f"v{i}")
+            cluster.invoke("c1", "put", f"k{i}", f"v{i}")
         cluster.run()
         cluster.push_views = False
         cluster.resize(6)          # this delta is never pushed
         cluster.push_views = True
         cluster.resize(9)          # pushed, but its base is missing
         cluster.run()
-        for proxy in cluster.proxies.values():
+        for proxy in cluster.proxy_engines.values():
             assert proxy.view.deltas_skipped >= 1
             assert proxy.view.pushes_applied == 0
         seen = {}
         for i in range(8):
-            client.get(f"k{i}",
-                       on_complete=lambda o, i=i: seen.__setitem__(i, o.value))
+            cluster.invoke("c1", "get", f"k{i}",
+                           on_complete=lambda o, i=i: seen.__setitem__(i, o.value))
         cluster.run()
         assert seen == {i: f"v{i}" for i in range(8)}
         # The fence caught the staleness: at least one bounce-and-replay.
@@ -787,7 +785,26 @@ class TestDeltaViewPush:
         assert net.check().all_atomic
 
 
-# -- the import ban -------------------------------------------------------------
+# -- the import bans ------------------------------------------------------------
+
+
+def _imports_of(path: Path, package_parts=("repro", "kvstore", "engine")):
+    """Every module ``path`` imports, relative imports resolved against the
+    package it is in; ``from m import n`` yields ``m`` and ``m.n``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                module = node.module or ""
+            else:
+                base = package_parts[: len(package_parts) - (node.level - 1)]
+                module = ".".join(filter(None, [".".join(base), node.module or ""]))
+            yield module
+            for alias in node.names:
+                yield f"{module}.{alias.name}"
 
 
 class TestEngineImportBan:
@@ -795,26 +812,10 @@ class TestEngineImportBan:
 
     ENGINE_DIR = Path(engine_package.__file__).resolve().parent
 
-    def _imports_of(self, path: Path):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        package_parts = ("repro", "kvstore", "engine")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    yield alias.name
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0:
-                    yield node.module or ""
-                else:
-                    # Resolve the relative import against the engine package.
-                    base = package_parts[: len(package_parts) - (node.level - 1)]
-                    module = node.module or ""
-                    yield ".".join(filter(None, [".".join(base), module]))
-
     def test_static_no_asyncio_or_sim_imports(self):
         checked = set()
         for path in sorted(self.ENGINE_DIR.glob("*.py")):
-            for module in self._imports_of(path):
+            for module in _imports_of(path):
                 assert module != "asyncio" and not module.startswith("asyncio."), (
                     f"{path.name} imports asyncio"
                 )
@@ -840,6 +841,42 @@ class TestEngineImportBan:
         subprocess.run(
             [sys.executable, "-c", code], check=True, env=env, timeout=60
         )
+
+
+class TestSimBackendImportBan:
+    """The simulated store runs on the engine fabric, one simulated world:
+    ``repro.kvstore.sim_backend`` must not import the register-level
+    simulator's network, processes or clock, nor their classes through the
+    ``repro.sim`` package."""
+
+    BANNED = ("repro.sim.network", "repro.sim.process", "repro.sim.clock")
+    BANNED_NAMES = {
+        f"repro.sim.{name}" for name in (
+            "Network", "SkipRule", "Process", "ServerProcess",
+            "EventQueue", "ScheduledEvent", "SimClock",
+        )
+    }
+
+    def test_static_no_second_simulated_world(self):
+        path = Path(sim_backend.__file__).resolve()
+        modules = set(_imports_of(path, ("repro", "kvstore")))
+        assert "repro.kvstore.engine.fabric.Fabric" in modules  # resolved right
+        for module in modules:
+            assert not module.startswith(self.BANNED), f"sim_backend imports {module}"
+            assert module not in self.BANNED_NAMES, f"sim_backend imports {module}"
+
+    def test_the_ban_sees_each_way_in(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            "from ..sim.network import Network\n"
+            "from ..sim import clock\n"
+            "from ..sim import Process\n"
+            "import repro.sim.process\n",
+            encoding="utf-8",
+        )
+        found = set(_imports_of(probe, ("repro", "kvstore")))
+        assert {"repro.sim.network", "repro.sim.clock", "repro.sim.Process",
+                "repro.sim.process"} <= found
 
 
 # -- one interpreter ------------------------------------------------------------

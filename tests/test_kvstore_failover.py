@@ -40,7 +40,7 @@ from repro.kvstore import (
     run,
 )
 from repro.core.errors import ProtocolError
-from repro.kvstore.engine import SIM_RETRY_POLICY
+from repro.kvstore.engine import SIM_RETRY_POLICY, SendFrame
 from repro.messages import BATCH_KIND, unpack_batch
 from repro.observe import TIMER_ARMED
 
@@ -114,21 +114,16 @@ def _manual_sim_ops(cluster: SimKVCluster, plan):
     for client_id, kind, key, value in plan:
         by_client.setdefault(client_id, []).append((kind, key, value))
 
-    def make_issuer(client, remaining):
+    def make_issuer(client_id, remaining):
         def issue_next(_outcome=None):
-            if not remaining:
-                return
-            kind, key, value = remaining.pop(0)
-            if kind == "put":
-                client.put(key, value, on_complete=issue_next)
-            else:
-                client.get(key, on_complete=issue_next)
+            if remaining:
+                kind, key, value = remaining.pop(0)
+                cluster.invoke(client_id, kind, key, value, issue_next)
 
         return issue_next
 
     for client_id, remaining in by_client.items():
-        issuer = make_issuer(cluster.clients[client_id], remaining)
-        cluster.events.schedule(0.0, issuer, label=f"start:{client_id}")
+        cluster.fabric.schedule(0.0, make_issuer(client_id, remaining))
 
 
 class TestSimProxyFailover:
@@ -215,24 +210,34 @@ class TestSimReplicaLoss:
         cluster = SimKVCluster(shard_map, ["c1"])
         policy = cluster.retry_policy
         victims = shard_map.groups["g1"].servers[1:]
-        send = cluster.network.send
+        engine = cluster.clients["c1"]
         sent_at = []
 
-        def send_then_crash(message):
-            send(message)
-            if (message.kind == BATCH_KIND and not sent_at and any(
-                    sub.message.kind == "update" for sub in unpack_batch(message))):
-                sent_at.append(cluster.events.clock.now)
-                for victim in victims:
-                    cluster.network.crash(victim)
+        def crashing_once_the_update_leaves(method):
+            def tapped(*args):
+                effects = method(*args)
+                if not sent_at and any(
+                    isinstance(effect, SendFrame) and effect.frame.kind == BATCH_KIND
+                    and any(sub.message.kind == "update"
+                            for sub in unpack_batch(effect.frame))
+                    for effect in effects
+                ):
+                    sent_at.append(cluster.fabric.now)
+                    for victim in victims:
+                        cluster.crash(victim)
+                return effects
 
-        cluster.network.send = send_then_crash
-        cluster.clients["c1"].put("k", "v")
+            return tapped
+
+        # The runtime looks both up per call.
+        engine.on_frame = crashing_once_the_update_leaves(engine.on_frame)
+        engine.on_timer = crashing_once_the_update_leaves(engine.on_timer)
+        cluster.invoke("c1", "put", "k", "v")
         window = policy.silence_window
         with pytest.raises(ProtocolError, match="no quorum"):
             # A cap on virtual time: a write nothing watches would wait forever.
             cluster.run(until=100 * window)
-        waited = cluster.events.clock.now - sent_at[0]
+        waited = cluster.fabric.now - sent_at[0]
         assert policy.max_round_timeouts * window <= waited
         assert waited <= (policy.max_round_timeouts + 1) * window
 
@@ -274,8 +279,8 @@ class TestSimViewPush:
         cluster.crash_proxy("p2")
         cluster.resize(4)
         cluster.run()
-        assert cluster.proxies["p1"].view.pushes_applied == 1
-        assert cluster.proxies["p2"].view.pushes_applied == 0
+        assert cluster.proxy_engines["p1"].view.pushes_applied == 1
+        assert cluster.proxy_engines["p2"].view.pushes_applied == 0
 
 
 class TestAsyncioProxyFailover:

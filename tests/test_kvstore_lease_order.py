@@ -126,6 +126,7 @@ def test_no_schedule_serves_a_cached_read_without_its_lease_quorum(
     pending = {client_id: deque(script) for client_id, script in scripts.items()}
     owner = {}
     in_flight = Counter()
+    completed = []
 
     def invoke(client_id):
         write, key = pending[client_id].popleft()
@@ -134,7 +135,11 @@ def test_no_schedule_serves_a_cached_read_without_its_lease_quorum(
         op_id, effects = clients[client_id].invoke(kind, key, value)
         owner[op_id] = client_id
         in_flight[client_id] += 1
-        fabric.callbacks[op_id] = lambda _outcome: in_flight.subtract([client_id])
+        def done(_outcome):
+            completed.append(op_id)
+            in_flight.subtract([client_id])
+
+        fabric.callbacks[op_id] = done
         fabric.execute(client_id, effects)
 
     for _ in range(160):
@@ -162,6 +167,6 @@ def test_no_schedule_serves_a_cached_read_without_its_lease_quorum(
         fabric.take(actions[0])
         assert_servable_entries_hold_their_leases(shard_map, replicas, proxies)
     assert not fabric.failures
-    assert sorted(fabric.completed) == sorted(owner)
+    assert sorted(completed) == sorted(owner)
     assert len(owner) == sum(len(script) for script in scripts.values())
     assert check_per_key_atomicity(recorder.histories()).all_atomic

@@ -70,9 +70,8 @@ class TestSimLiveResize:
         workload = KVWorkload(sequences={"c1": ops}, pipeline_depth=6)
         shard_map = ShardMap(8, num_groups=2, readers=1, writers=1)
         cluster = SimKVCluster(shard_map, ["c1"], KVRunConfig(delay_model=ConstantDelay(1.0)))
-        client = cluster.clients["c1"]
         for op in ops:
-            client.put(op.key, op.value)
+            cluster.invoke("c1", "put", op.key, op.value)
         cluster.run()
         report = cluster.resize(9)
         expected = len(keys) / 9
@@ -80,8 +79,8 @@ class TestSimLiveResize:
         # The moved keys are still readable at their new owners.
         seen = {}
         for key in keys[:20]:
-            client.get(
-                key,
+            cluster.invoke(
+                "c1", "get", key,
                 on_complete=lambda o, key=key: seen.__setitem__(key, o.value),
             )
         cluster.run()
@@ -108,23 +107,18 @@ class TestSimLiveResize:
         cluster.add_completion_watcher(move_midway)
         from collections import deque
 
-        def make_issuer(client, remaining):
+        def make_issuer(client_id, remaining):
             def issue(_o=None):
                 if remaining:
                     op = remaining.popleft()
-                    if op.kind == "put":
-                        client.put(op.key, op.value, on_complete=issue)
-                    else:
-                        client.get(op.key, on_complete=issue)
+                    cluster.invoke(client_id, op.kind, op.key, op.value, issue)
 
             return issue
 
         for client_id in workload.clients:
-            issue = make_issuer(
-                cluster.clients[client_id], deque(workload.sequences[client_id])
-            )
+            issue = make_issuer(client_id, deque(workload.sequences[client_id]))
             for _ in range(workload.pipeline_depth):
-                cluster.events.schedule(0.0, issue, label=f"start:{client_id}")
+                cluster.fabric.schedule(0.0, issue)
         cluster.run()
         assert moved["done"]
         assert cluster.recorder.completed_operations == workload.total_operations()

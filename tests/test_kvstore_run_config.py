@@ -192,7 +192,7 @@ class TestClustersTakeTheConfig:
             ShardMap(1, readers=1, writers=1), ["c1"],
             KVRunConfig(proxies=1, retry_policy=policy),
         )
-        engine = cluster.clients["c1"].engine
+        engine = cluster.clients["c1"]
         armed = []
         on_timer = engine.on_timer
 
@@ -202,7 +202,7 @@ class TestClustersTakeTheConfig:
             return effects
 
         engine.on_timer = recording  # the runtime looks it up per fire
-        cluster.clients["c1"].put("k", "v")
+        cluster.invoke("c1", "put", "k", "v")
         cluster.run()
         assert cluster.recorder.completed_operations == 1
         watchdogs = {(e.timer_id, e.delay) for e in armed if e.timer_id[0] == "watchdog"}

@@ -6,6 +6,7 @@ from collections.abc import Sized
 
 import pytest
 
+from repro.core.errors import SimulationError
 from repro.kvstore import (
     KVOp,
     KVRunConfig,
@@ -129,20 +130,26 @@ class TestSimKVClusterDirect:
     def test_interactive_puts_and_gets(self):
         shard_map = ShardMap(2, readers=1, writers=1)
         cluster = SimKVCluster(shard_map, ["c1"])
-        client = cluster.clients["c1"]
         outcomes = []
-        client.put("a", "x", on_complete=outcomes.append)
-        client.put("b", "y", on_complete=outcomes.append)
+        cluster.invoke("c1", "put", "a", "x", on_complete=outcomes.append)
+        cluster.invoke("c1", "put", "b", "y", on_complete=outcomes.append)
         cluster.run()
-        client.get("a", on_complete=outcomes.append)
+        cluster.invoke("c1", "get", "a", on_complete=outcomes.append)
         cluster.run()
         assert outcomes[-1].value == "x"
         assert cluster.recorder.completed_operations == 3
         assert cluster.batch_stats().rounds > 0
 
+    def test_run_raises_at_its_event_cap(self):
+        cluster = SimKVCluster(ShardMap(1, readers=1, writers=1), ["c1"])
+        cluster.start_autoscaler()  # the tick rearms itself forever
+        with pytest.raises(SimulationError, match="event cap of 50"):
+            cluster.run(max_events=50)
+        assert not cluster.fabric.running
 
-class TestNetworkFootprint:
-    """The simulated network keeps counters, not a per-message log."""
+
+class TestFabricFootprint:
+    """The simulated world keeps counters, not a per-message or per-op log."""
 
     @staticmethod
     def run_cluster(ops_per_client):
@@ -153,32 +160,30 @@ class TestNetworkFootprint:
             config.cluster_map(len(workload.clients)), workload.clients, config
         )
 
-        def chain(client, remaining):
+        def chain(client_id, remaining):
             def issue_next(_outcome=None):
                 if remaining:
                     op = remaining.pop()
-                    if op.kind == "put":
-                        client.put(op.key, op.value, on_complete=issue_next)
-                    else:
-                        client.get(op.key, on_complete=issue_next)
+                    cluster.invoke(client_id, op.kind, op.key, op.value, issue_next)
 
             return issue_next
 
         for client_id, ops in workload.sequences.items():
-            chain(cluster.clients[client_id], list(reversed(ops)))()
+            chain(client_id, list(reversed(ops)))()
         cluster.run()
         assert cluster.recorder.completed_operations == workload.total_operations()
-        return cluster.network
+        return cluster.fabric
 
     def test_ten_times_the_ops_leave_every_container_the_same_length(self):
-        def lengths(network):
-            return {
-                name: len(value)
-                for name, value in vars(network).items()
-                if isinstance(value, Sized) and not isinstance(value, str)
-            }
+        def lengths(fabric):
+            found = {}
+            for owner, holder in [("fabric", fabric), *fabric.runtimes.items()]:
+                for name, value in vars(holder).items():
+                    if isinstance(value, Sized) and not isinstance(value, str):
+                        found[owner, name] = len(value)
+            return found
 
         small, large = self.run_cluster(10), self.run_cluster(100)
-        assert large.sent_count > 5 * small.sent_count
+        assert large.sent > 5 * small.sent
         assert lengths(small) == lengths(large)
-        assert small.pending_messages() == large.pending_messages() == 0
+        assert small.connections == large.connections == {}  # nothing in flight

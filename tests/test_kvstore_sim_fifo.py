@@ -6,8 +6,10 @@ on asyncio, and its lease protocol relies on that order: a replica's
 ``batch-ack`` carrying a lease grant for a key, overtaken by the same
 replica's ``lease-invalidate`` for that key, reaches the proxy after the
 invalidation was dropped as "not held" -- and the proxy then serves the key
-from a lease the replica already chased.  ``SimKVCluster`` therefore wraps
-its delay model in :class:`~repro.sim.delays.FifoDelay`.
+from a lease the replica already chased.  ``SimKVCluster`` therefore runs
+on the engine :class:`~repro.kvstore.engine.fabric.Fabric`, whose
+connections keep the rule ``due = max(now + draw, due of the connection's
+tail)`` over the delay model's draws.
 
 The nightly workflow runs the property below on hypothesis seeds 1-10.
 """
@@ -19,9 +21,19 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore import KVRunConfig, ShardMap, generate_workload, run
+from repro.kvstore import (
+    KVRunConfig,
+    ShardMap,
+    SimKVCluster,
+    check_per_key_atomicity,
+    generate_workload,
+    run,
+)
+from repro.kvstore.engine import SendFrame
+from repro.kvstore.engine.fabric import Fabric
+from repro.messages import Message, unpack_batch_ack
 from repro.sim import Simulation
-from repro.sim.delays import ConstantDelay, DelayModel, FifoDelay, GeoDelay, UniformDelay, fifo
+from repro.sim.delays import ConstantDelay, DelayModel, GeoDelay, UniformDelay
 
 
 def cached_run(delay_model, seed, shard_map=None):
@@ -81,32 +93,143 @@ class _Draws(DelayModel):
         return next(self._delays)
 
 
-class TestFifoDelay:
-    def test_a_later_message_is_never_due_before_an_earlier_one_on_its_pair(self):
-        now = [0.0]
-        model = FifoDelay(_Draws(5.0, 1.0, 0.5, 1.0), lambda: now[0])
-        assert model.delay("a", "b") == 5.0           # due 5
-        now[0] = 1.0
-        assert model.delay("a", "b") == 4.0           # drew 1: due 2 < 5, so 5
-        assert model.delay("b", "a") == 0.5           # another pair: its own draw
-        now[0] = 7.0
-        assert model.delay("a", "b") == 1.0           # due 8 > 5: the draw stands
+class _Receiver:
+    """Logs each frame it is handed, with the fabric's clock."""
 
-    def test_rounding_never_lands_a_message_before_its_predecessor(self):
-        for now, last in itertools.product((0.1, 0.3, 7.7, 1e6 / 3), (3.3, 9.9, 2e6 / 7)):
-            clock = [0.0]
-            model = FifoDelay(_Draws(last, 0.0), lambda: clock[0])
-            model.delay("a", "b")
-            clock[0] = now
-            assert now + model.delay("a", "b") >= last
+    def __init__(self, fabric):
+        self.fabric = fabric
+        self.log = []
 
-    def test_a_constant_model_is_already_fifo_and_is_left_alone(self):
-        constant = ConstantDelay(2.0)
-        assert fifo(constant, lambda: 0.0) is constant
-        jittered = UniformDelay(seed=1)
-        assert isinstance(fifo(jittered, lambda: 0.0), FifoDelay)
+    def on_frame(self, frame):
+        self.log.append((frame.kind, self.fabric.now))
+        return []
+
+
+def _wired(model):
+    """A fabric with processes ``a`` and ``b`` over ``model``'s draws."""
+    fabric = Fabric(model.delay)
+    for process_id in ("a", "b"):
+        fabric.register(process_id, _Receiver(fabric))
+    return fabric, fabric.engines["b"], fabric.engines["a"]
+
+
+def _send_at(fabric, at, source, destination, kind):
+    frame = SendFrame(destination, Message(source, destination, kind))
+    fabric.schedule(at - fabric.now, lambda: fabric.execute(source, [frame]))
+
+
+class TestFifoConnections:
+    def test_a_later_frame_is_never_due_before_an_earlier_one_on_its_connection(self):
+        fabric, b, a = _wired(_Draws(5.0, 1.0, 0.5, 1.0))
+        _send_at(fabric, 0.0, "a", "b", "first")   # due 5
+        _send_at(fabric, 1.0, "a", "b", "second")  # drew 1: due 2 < 5, so 5
+        _send_at(fabric, 1.0, "b", "a", "other")   # another connection: its own draw
+        _send_at(fabric, 7.0, "a", "b", "third")   # due 8 > 5: the draw stands
+        fabric.run()
+        assert b.log == [("first", 5.0), ("second", 5.0), ("third", 8.0)]
+        assert a.log == [("other", 1.5)]
+
+    def test_rounding_never_lands_a_frame_before_its_predecessor(self):
+        # The first pair once came out one ulp early: 1.2358744663346217 +
+        # (3.411214385727384 - 1.2358744663346217) < 3.411214385727384.
+        cases = [(1.2358744663346217, 3.411214385727384)]
+        cases += itertools.product((0.1, 0.3, 7.7, 1e6 / 3), (3.3, 9.9, 2e6 / 7))
+        for now, last in cases:
+            fabric, b, _ = _wired(_Draws(last, 0.0))
+            _send_at(fabric, 0.0, "a", "b", "first")
+            _send_at(fabric, now, "a", "b", "second")
+            fabric.run()
+            assert [kind for kind, _ in b.log] == ["first", "second"]
+            assert b.log[1][1] >= b.log[0][1] == last
+
+    def test_a_constant_delay_schedules_every_frame_its_draw_later(self):
+        fabric, b, a = _wired(ConstantDelay(2.0))
+        for at, source, destination in ((0.0, "a", "b"), (0.5, "a", "b"),
+                                        (0.5, "b", "a"), (3.0, "a", "b")):
+            _send_at(fabric, at, source, destination, f"{source}@{at}")
+        fabric.run()
+        assert b.log == [("a@0.0", 2.0), ("a@0.5", 2.5), ("a@3.0", 5.0)]
+        assert a.log == [("b@0.5", 2.5)]
 
     def test_the_register_level_simulator_keeps_its_non_fifo_channels(self, make_simulation):
         simulation = make_simulation("abd-mwmr")
         assert isinstance(simulation, Simulation)
         assert isinstance(simulation.network.delay_model, UniformDelay)
+
+
+class TestTimerFramesAndTheServiceQueue:
+    """A replica's connection is FIFO by the time a frame *leaves its service
+    queue*: what a lease-expiry timer sends leaves at once, so it can pass a
+    reply the replica produced earlier and still holds in service.  This pins
+    the order as it stands; reordering it would move tie order, and with it
+    the goldens."""
+
+    TTL = 100.0
+
+    def test_a_lease_expiry_ack_overtakes_a_reply_held_in_service(self):
+        shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
+        cluster = SimKVCluster(shard_map, ["c1"], KVRunConfig(
+            proxies=1, read_cache=8, lease_ttl=self.TTL,
+            delay_model=ConstantDelay(1.0), service_overhead=5.0, service_per_op=0.0,
+        ))
+        fabric = cluster.fabric
+        fabric.register("d1", cluster.client_engine(
+            "d1", cluster.recorder, proxy_candidates=[],
+        ))
+        emitted, arrived = [], []
+        replica = "g1-s2"
+        engine = cluster.server_logics[replica]
+        for name in ("on_frame", "on_timer"):
+            def tapped(arg, method=getattr(engine, name), name=name):
+                effects = method(arg)
+                emitted.extend(
+                    (fabric.now, name, _acked_keys(effect.frame))
+                    for effect in effects
+                    if isinstance(effect, SendFrame) and effect.destination == "d1"
+                )
+                return effects
+
+            setattr(engine, name, tapped)  # the runtime looks both up per call
+        writer = fabric.engines["d1"]
+        on_frame = writer.on_frame
+
+        def heard(frame):
+            if frame.sender == replica:
+                arrived.append((fabric.now, _acked_keys(frame)))
+            return on_frame(frame)
+
+        writer.on_frame = heard
+
+        def after_the_fill(_outcome):
+            # p1 holds read leases on k and dies without releasing them; a
+            # direct write of k is deferred until the replicas expire them.
+            cluster.crash_proxy("p1")
+            cluster.invoke("d1", "put", "k", "v2")
+
+        cluster.invoke("c1", "put", "k", "v1", lambda _: cluster.invoke(
+            "c1", "get", "k", None, after_the_fill))
+        cluster.run(until=self.TTL / 2)
+        assert engine.deferred_subs == 1 and engine.lease_holders("k") == {"p1"}
+        expiry = fabric.runtimes[replica].timers[("lease", "k", "p1")].due
+        # A read of another key lands 2 units before the expiry and is held
+        # 5 units in service, past it.
+        fabric.schedule(expiry - 3.0 - fabric.now,
+                        lambda: cluster.invoke("d1", "get", "k2"))
+        cluster.run()
+        k2_served, k_released = expiry - 2.0, expiry
+        assert emitted[-2:] == [
+            (k2_served, "on_frame", [("k2", "query-ack")]),
+            (k_released, "on_timer", [("k", "update-ack")]),
+        ]
+        # The timer's ack leaves at the expiry, the read's reply only when
+        # its service ends: the later frame arrives first.
+        assert arrived[-2:] == [
+            (k_released + 1.0, [("k", "update-ack")]),
+            (k2_served + 5.0 + 1.0, [("k2", "query-ack")]),
+        ]
+        assert check_per_key_atomicity(cluster.recorder.histories()).all_atomic
+
+
+def _acked_keys(frame):
+    return [(key, reply.kind) for key, reply in unpack_batch_ack(frame)]
+
