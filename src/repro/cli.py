@@ -385,7 +385,9 @@ def _command_kv(args: argparse.Namespace) -> int:
     print(f"replica rounds     : "
           f"{sum(stats.rounds_narrow for stats in to_replicas)} asked a quorum "
           f"first / {sum(stats.rounds_widened for stats in to_replicas)} of "
-          f"them widened to the group")
+          f"them widened to the group / "
+          f"{sum(stats.rounds_coalesced for stats in to_replicas)} rode "
+          f"another's query")
     if result.cache is not None:
         print(f"read cache         : {result.cache_hit_rate():.1%} hit rate "
               f"({result.cache['hits']} hits / {result.cache['misses']} "

@@ -268,6 +268,12 @@ class ClientSessionEngine:
         pending.wait_for = (
             request.wait_for if request.wait_for is not None else spec.quorum_size
         )
+        # Only another session's round can share a query with this one.
+        pending.shares = (
+            self.link._sharing
+            and request.kind in spec.group.protocol.shareable_kinds
+            and not request.per_server_payload
+        )
         counts = self.observer.round_opened
         if counts is None:
             self.observer.emit(

@@ -137,6 +137,7 @@ class ClientLink(ReplicaRounds):
         self.sessions: List["ClientSessionEngine"] = []
         self._legs: Dict[str, _ProxyLeg] = {}
         super().__init__(link_id, lease_ttl)
+        self._sharing = False
 
     # -- the sessions' side -------------------------------------------------------
 
@@ -144,20 +145,25 @@ class ClientLink(ReplicaRounds):
         """``session`` will send its rounds through this link."""
         self.sessions.append(session)
         self.max_batch = max(self.max_batch, session.max_batch)
+        self._sharing = len(self.sessions) > 1
 
     def release(self, session: "ClientSessionEngine", out: List[Effect]) -> None:
         """Forget ``session`` and every round of it (it is closing), and only
         those.
 
         Its queued rounds leave the queues, stragglers answering its sent
-        ones find nothing, and the shared timers keep running for everybody
-        else's.
+        ones find nothing, rounds of others riding its queries go back to
+        the queues, and the shared timers keep running for everybody else's.
         """
         if session in self.sessions:  # closing twice is harmless
             self.sessions.remove(session)
+        self._sharing = len(self.sessions) > 1
         for ident, round in list(self._pending.items()):
             if round.session is session:
                 del self._pending[ident]
+                round.leader = None
+                if round.riders:
+                    self._unride(round, out)
         for timer_id, round in list(self._retrying.items()):
             if round.session is session:
                 del self._retrying[timer_id]
@@ -201,15 +207,36 @@ class ClientLink(ReplicaRounds):
     def _take_sent(
         self, leg: _ProxyLeg, session: "ClientSessionEngine", out: List[Effect]
     ) -> List[ReplicaRound]:
+        """Take ``session``'s rounds out on ``leg``'s proxy -- those riding
+        another session's query too -- and send the rounds of others riding
+        one of its queries back to the queue."""
         sent = [round for round in leg.rounds.values() if round.session is session]
         if sent:
             leg.rounds = {
                 key: round for key, round in leg.rounds.items()
                 if round.session is not session
             }
+            for round in sent:
+                if round.riders:
+                    self._reforward(round, out)
+        for leader in leg.rounds.values():
+            for rider in leader.riders:
+                if rider.session is session and rider.leader is leader:
+                    rider.leader = None
+                    sent.append(rider)
         if not leg.rounds:
             self._disarm_watchdog(leg, out)
         return sent
+
+    def _reforward(self, leader: ReplicaRound, out: List[Effect]) -> None:
+        """``leader`` left its proxy's table short of an answer: its riders
+        go back to their sessions' ingress as ordinary rounds."""
+        for rider in self._detach(leader):
+            rider.shares = False
+            rider.session._send(rider, out)
+
+    def _stats_for(self, destination: str) -> BatchStats:
+        return self.proxy_stats if destination in self._legs else self.stats
 
     def _cut(self, destination: str, batch: List[ReplicaRound], out: List[Effect]) -> None:
         """Frame one chunk of a queue.  A destination the link holds a leg
@@ -330,6 +357,8 @@ class ClientLink(ReplicaRounds):
             if round is None:
                 continue  # straggler from a completed or replayed attempt
             if sub_reply.error is not None:
+                if round.riders:
+                    self._reforward(round, out)
                 round.session._fail(
                     round,
                     ProtocolError(
@@ -341,9 +370,17 @@ class ClientLink(ReplicaRounds):
             # The proxy delivers the whole quorum at once (it already waited
             # for wait_for distinct replicas and absorbed any stale-epoch
             # replays).
-            round.replies = list(sub_reply.replies)
-            round.wait_for = len(round.replies)
+            replies = round.replies = list(sub_reply.replies)
+            round.wait_for = len(replies)
+            if not round.riders:
+                round.session._advance(round, out)
+                continue
+            riders = self._detach(round)
             round.session._advance(round, out)
+            for rider in riders:
+                rider.replies = replies
+                rider.wait_for = len(replies)
+                rider.session._advance(rider, out)
         if not leg.rounds:
             self._disarm_watchdog(leg, out)
 
@@ -378,6 +415,8 @@ class ClientLink(ReplicaRounds):
         for sub in unpack_proxy_request(frame):
             round = leg.rounds.pop((sub.op_id, sub.round_trip), None)
             if round is not None:
+                if round.riders:
+                    self._reforward(round, out)
                 round.session._fail(round, error, out)
         return out
 

@@ -572,6 +572,12 @@ class ProxyEngine(ReplicaRounds):
         pending.epoch = route.epoch
         pending.targets = targets
         pending.wait_for = wait_for
+        # A fill's rounds carry the lease mark: they are single-flight already.
+        pending.shares = (
+            sub.kind in self.view.shareable_kinds
+            and not sub.per_server
+            and pending.fill_entry is None
+        )
         self.observer.emit(
             ROUND_OPENED, op_id=sub.op_id, key=sub.key, trace=sub.trace,
             round_trip=sub.round_trip, targets=len(targets),

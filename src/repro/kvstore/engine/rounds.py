@@ -22,6 +22,27 @@ the frame's subs; one that no frame carried by the end of the flush leaves
 in one ``lease-release`` frame per replica, in the same input.  So a release
 reaches its replica no later than any sub framed after it.
 
+**One query per key per flush.**  At a flush, before the queue is cut, a
+first attempt whose kind its protocol lists in ``shareable_kinds`` (a server
+answers it from register state alone), with no per-server payload and no
+lease mark, *rides* the first such round of its key ahead of it in the queue
+when the two ask alike -- same kind, payload, ``wait_for``, targets, shard
+and epoch.  A rider leaves the queue: only its leader is framed, and at the
+leader's quorum each rider completes from the same replies, in queue order.
+This is the paper's own tool, indistinguishability.  Every rider was invoked
+before the flush that sends its leader, so the shared run is
+indistinguishable, to every client and every replica, from an admissible
+run in which each rider sent its own query at that same instant and each
+replica served the queries back to back: the same register state answers
+them all, and a server that answers from state alone keeps no trace of who
+asked.  Two rules keep it so.  A round never joins a query already sent --
+that one may have been served before the rider was invoked.  And a leader
+whose attempt leaves the normal path (bounced, replayed, failed, put off to
+a retry timer, or dropped with its session) takes no rider with it: its
+riders go back to the queue as ordinary rounds.  A queue of one round, and
+a link with one session (which has one operation per key at a time), skip
+the pass.
+
 **Quorum first.**  The model lets any ``t`` of a round's ``S`` messages be
 delayed forever, so a round sent to only ``S - t`` replicas is an execution
 every protocol here already survives.  A first attempt that mutates nothing
@@ -68,7 +89,10 @@ differs between them as hooks:
   namespace;
 * ``_on_quorum(round, out)`` / ``_on_failed(round, error, out)`` -- the outcome;
 * ``_counted(round)`` -- whose ``stale_replays`` / ``drain_backoffs`` counters
-  a bounce of the round bumps (the owner's own, unless it says otherwise).
+  a bounce of the round bumps (the owner's own, unless it says otherwise);
+* ``_stats_for(destination)`` -- whose ``BatchStats`` count the rounds that
+  rode another's query in that queue (the owner's ``stats``, unless it says
+  otherwise).
 
 The subclass also carries ``policy``, ``stats``, ``observer``, ``max_batch``
 and, if it sets them, ``flush_delay`` and ``read_policy``.
@@ -158,6 +182,18 @@ class ReplicaRound:
     transient_retries: int = field(default=0, init=False)
     queued: bool = field(default=False, init=False)
     awaiting_retry: bool = field(default=False, init=False)
+    #: Whether the attempt may share one query with others of its key: set
+    #: by the owner's ``plan`` hook, cleared for a replay.
+    shares: bool = field(default=False, init=False)
+    #: The round whose query this one rides, while it does.
+    leader: Optional["ReplicaRound"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The rounds riding this one's query, in queue order (see ``leader``:
+    #: one that left since no longer points here).
+    riders: Sequence["ReplicaRound"] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
 
 class ReplicaRounds:
@@ -172,6 +208,9 @@ class ReplicaRounds:
     read_policy = None
     #: How long a queue waits for company before its flush (0 on the link).
     flush_delay = 0.0
+    #: Whether rounds of one key can meet in a queue at all (not on a link
+    #: with one session).
+    _sharing = True
 
     def __init__(self, node_id: str, lease_ttl: float) -> None:
         self._node_id = node_id
@@ -227,6 +266,8 @@ class ReplicaRounds:
         round.awaiting_retry = False
         round.asked = ()
         round.due = 0
+        if replay:
+            round.shares = False
         request = round.request
         # A replay follows a loss, a bounce or a timeout: it asks everyone.
         round.narrow = (
@@ -269,6 +310,10 @@ class ReplicaRounds:
     def _counted(self, round: ReplicaRound):
         return self
 
+    def _stats_for(self, destination: str):
+        """The ``BatchStats`` that count ``destination``'s queue."""
+        return self.stats
+
     def _clear_rounds(self) -> None:
         """Forget every round and queue (the owner was killed)."""
         self._pending.clear()
@@ -283,6 +328,8 @@ class ReplicaRounds:
         chunk, and then the releases no frame of it carried.  (Owners that
         drop a queued round take it out of the queue.)"""
         queue = self._queues.pop(destination, ())
+        if self._sharing and len(queue) > 1:
+            self._coalesce(destination, queue)
         cap = self.max_batch
         for start in range(0, len(queue), cap):
             batch = queue[start : start + cap]
@@ -300,6 +347,52 @@ class ReplicaRounds:
                 out.append(SendFrame(
                     server_id, make_lease_release(self._node_id, server_id, keys)
                 ))
+
+    def _coalesce(self, destination: str, queue: List[ReplicaRound]) -> None:
+        """One query per key per flush (see the module notes): each sharing
+        round that asks what a sharing round of its key ahead of it asks
+        rides that one and leaves the queue; the rest keep their order."""
+        leaders: Dict[str, ReplicaRound] = {}
+        kept = 0
+        for round in queue:
+            if round.shares:
+                leader = leaders.get(round.key)
+                if leader is None:
+                    leaders[round.key] = round
+                elif (
+                    round.request.kind == leader.request.kind
+                    and round.request.payload == leader.request.payload
+                    and round.wait_for == leader.wait_for
+                    and round.epoch == leader.epoch
+                    and round.shard_id == leader.shard_id
+                    and round.targets == leader.targets
+                ):
+                    round.queued = False
+                    round.leader = leader
+                    if leader.riders:
+                        leader.riders.append(round)
+                    else:
+                        leader.riders = [round]
+                    continue
+            queue[kept] = round
+            kept += 1
+        if kept < len(queue):
+            self._stats_for(destination).rounds_coalesced += len(queue) - kept
+            del queue[kept:]
+
+    def _detach(self, leader: ReplicaRound) -> List[ReplicaRound]:
+        """Take ``leader``'s riders off it: those still riding, in order."""
+        riders, leader.riders = leader.riders, ()
+        live = [rider for rider in riders if rider.leader is leader]
+        for rider in live:
+            rider.leader = None
+        return live
+
+    def _unride(self, leader: ReplicaRound, out: List[Effect]) -> None:
+        """``leader`` left the normal path: its riders go back to the queue
+        as ordinary rounds, each a replay of its own."""
+        for rider in self._detach(leader):
+            self._replay(rider, out)
 
     def _cut(self, group_id: str, batch: List[ReplicaRound], out: List[Effect]) -> None:
         """Frame one chunk of a group's queue: one ``batch`` frame per replica
@@ -491,7 +584,18 @@ class ReplicaRounds:
             round.replies.append(reply)
             if len(round.replies) == round.wait_for:
                 del pending[round.ident]
+                if not round.riders:
+                    self._on_quorum(round, out)
+                    continue
+                # Taken before the leader completes: an op's round object
+                # carries its next round too, which starts a fresh list.
+                replies = round.replies
+                riders = self._detach(round)
                 self._on_quorum(round, out)
+                for rider in riders:
+                    pending.pop(rider.ident, None)
+                    rider.replies = replies
+                    self._on_quorum(rider, out)
 
     def _bounce(self, round: ReplicaRound, out: List[Effect]) -> None:
         """A replica fenced this attempt's (shard, epoch): back off or re-route."""
@@ -534,12 +638,16 @@ class ReplicaRounds:
 
     def _replay(self, round: ReplicaRound, out: List[Effect]) -> None:
         self._pending.pop(round.ident, None)
+        if round.riders:
+            self._unride(round, out)
         self._open(round, out, replay=True)
 
     def _fail_round(
         self, round: ReplicaRound, error: BaseException, out: List[Effect]
     ) -> None:
         self._pending.pop(round.ident, None)
+        if round.riders:
+            self._unride(round, out)
         self._on_failed(round, error, out)
 
     # -- transport notifications ------------------------------------------------
@@ -618,6 +726,8 @@ class ReplicaRounds:
         self, round: ReplicaRound, delay: float, out: List[Effect]
     ) -> None:
         round.awaiting_retry = True
+        if round.riders:
+            self._unride(round, out)
         timer_id = self._retry_timer(round)
         self._retrying[timer_id] = round
         out.append(StartTimer(timer_id, delay))

@@ -114,6 +114,11 @@ class CachedShardView:
 
     def _take_snapshot(self) -> None:
         self._ring = self._map.ring
+        #: The request kinds whose rounds may share one query (see
+        #: :mod:`~.rounds`): those the protocol of every group allows.
+        self.shareable_kinds = frozenset.intersection(*(
+            group.protocol.shareable_kinds for group in self._map.groups.values()
+        ))
         self._routes = {
             shard_id: ProxyRoute(
                 shard_id=shard_id,

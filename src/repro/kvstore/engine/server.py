@@ -378,7 +378,9 @@ class GroupServerEngine:
                     # drain (its invalidate detaches the fill proxy-side).
                     self.write_deferrals += 1
                     chased = self._invalidated.setdefault(sub.key, set())
-                    for lease_holder in holders - chased:
+                    # Sorted: a set of strings iterates in the process's
+                    # hash order, and the frames' order reaches the run.
+                    for lease_holder in sorted(holders - chased):
                         chased.add(lease_holder)
                         invalidations.setdefault(lease_holder, []).append(
                             sub.key
@@ -526,7 +528,7 @@ class GroupServerEngine:
             if not holders:
                 continue
             chased = self._invalidated.setdefault(key, set())
-            for holder in holders - chased:
+            for holder in sorted(holders - chased):
                 chased.add(holder)
                 invalidations.setdefault(holder, []).append(key)
         self._chase(invalidations, out)

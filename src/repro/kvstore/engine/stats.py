@@ -37,6 +37,9 @@ class BatchStats:
     #: many of those had to ask the rest of the group after all.
     rounds_narrow: int = 0
     rounds_widened: int = 0
+    #: Rounds that rode another round's query of their key instead of being
+    #: framed (see :mod:`~.rounds`, "One query per key per flush").
+    rounds_coalesced: int = 0
 
     def record(self, batch_size: int) -> None:
         self.rounds += 1
@@ -64,6 +67,7 @@ class BatchStats:
         self.frames_received += other.frames_received
         self.rounds_narrow += other.rounds_narrow
         self.rounds_widened += other.rounds_widened
+        self.rounds_coalesced += other.rounds_coalesced
 
     def copy(self) -> "BatchStats":
         """A detached snapshot (for merge-without-mutation reporting)."""
@@ -84,6 +88,7 @@ class BatchStats:
             "frames_total": self.frames_total,
             "rounds_narrow": self.rounds_narrow,
             "rounds_widened": self.rounds_widened,
+            "rounds_coalesced": self.rounds_coalesced,
         }
 
     def summary(self) -> str:

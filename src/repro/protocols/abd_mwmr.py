@@ -132,6 +132,7 @@ class AbdMwmrProtocol(RegisterProtocol):
     write_round_trips = 2
     read_round_trips = 2
     multi_writer = True
+    shareable_kinds = frozenset({"query"})  # TagValueServer's query
 
     def validate_configuration(self) -> None:
         if 2 * self.max_faults >= len(self.servers):

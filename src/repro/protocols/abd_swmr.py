@@ -49,6 +49,7 @@ class AbdSwmrProtocol(RegisterProtocol):
     write_round_trips = 1
     read_round_trips = 2
     multi_writer = False
+    shareable_kinds = frozenset({"query"})  # TagValueServer's query
 
     def validate_configuration(self) -> None:
         if self.writers != 1:

@@ -183,6 +183,13 @@ class RegisterProtocol(abc.ABC):
     #: queries are served immediately.  Covers the tag/value protocols
     #: ("update") and the value-vector family ("write").
     mutating_kinds: frozenset = frozenset({"update", "write"})
+    #: Server-message kinds a server answers from register state alone,
+    #: recording nothing about who asked.  Rounds of one such kind, key and
+    #: payload queued in the same flush may share one query (see
+    #: :mod:`repro.kvstore.engine.rounds`): ``{"query"}`` for the tag/value
+    #: protocols; none for the value-vector family, whose ``"read"`` records
+    #: the reader in the server's ``updated`` set.
+    shareable_kinds: frozenset = frozenset()
 
     def __init__(self, servers: Sequence[str], max_faults: int, readers: int = 2,
                  writers: int = 2) -> None:

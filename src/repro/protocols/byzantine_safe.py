@@ -133,6 +133,7 @@ class ByzantineSafeMwmrProtocol(RegisterProtocol):
     write_round_trips = 2
     read_round_trips = 2
     multi_writer = True
+    shareable_kinds = frozenset({"query"})  # TagValueServer's query
 
     def validate_configuration(self) -> None:
         if len(self.servers) <= 4 * self.max_faults:

@@ -54,6 +54,7 @@ class FastReadWriteAttemptProtocol(RegisterProtocol):
     write_round_trips = 1
     read_round_trips = 1
     multi_writer = True
+    shareable_kinds = frozenset({"query"})  # TagValueServer's query
     expected_atomic = False
 
     def validate_configuration(self) -> None:

@@ -61,6 +61,7 @@ class FastWriteAttemptProtocol(RegisterProtocol):
     write_round_trips = 1
     read_round_trips = 2
     multi_writer = True
+    shareable_kinds = frozenset({"query"})  # TagValueServer's query
     #: Documented expectation used by tests and the Table 1 benchmark.
     expected_atomic = False
 

@@ -42,6 +42,7 @@ class SemifastSwmrProtocol(RegisterProtocol):
     write_round_trips = 1
     read_round_trips = 2  # worst case; most reads take 1
     multi_writer = False
+    shareable_kinds = frozenset({"query"})  # TagValueServer's query
 
     def validate_configuration(self) -> None:
         if self.writers != 1:

@@ -229,7 +229,10 @@ class TestSimProxiedWorkloads:
         # was the default), and the proxy -> replica batch frames were compared
         # sub-request by sub-request when this test was written.  The message
         # totals have since lost 47 and 51 frames: the proxy answers all the
-        # rounds an input completes for one client in one proxy-ack.
+        # rounds an input completes for one client in one proxy-ack.  Since
+        # then a proxy also sends one query per key per flush: the riders
+        # cut the sub-ops (699 -> 537 and 1318 -> 1298), and the replicas,
+        # served sooner, shift the ties the merges of the rough run rode.
         def run_seed(seed, **extra):
             workload = generate_workload(
                 num_clients=8, ops_per_client=25, num_keys=64, read_fraction=0.9,
@@ -244,10 +247,11 @@ class TestSimProxiedWorkloads:
         rough = run_seed(5, proxies=2, resize_to=8, crashes_per_group=1,
                          push_views=False)
         for result, frames, sub_ops, messages in [
-            (plain, 297, 699, 932), (rough, 842, 1318, 2600),
+            (plain, 303, 537, 942), (rough, 960, 1298, 2881),
         ]:
             assert result.check().all_atomic
             assert result.proxy_stats.rounds_narrow == 0
+            assert result.proxy_stats.rounds_coalesced > 0
             assert (result.replica_frames, result.replica_sub_ops,
                     result.messages_sent) == (frames, sub_ops, messages)
         # The default asks for less of the replicas on the same workload.

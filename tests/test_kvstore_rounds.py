@@ -85,7 +85,6 @@ from repro.messages import (
     make_lease_release,
     make_proxy_request,
     unpack_batch,
-    unpack_batch_ack,
     unpack_proxy_ack,
     unpack_proxy_request,
 )
@@ -1138,21 +1137,24 @@ def a_straggler_for_one_session_is_never_counted_into_anothers_quorum(make_rig):
     s1, s2, s3 = rig.servers
     rig.kill(s2)  # silently: both rounds sit one reply short
     rig.start("k", client="c1")
-    rig.start("k", client="c2")  # the same key: nothing but the identity differs
-    frames = rig.flush()
-    rig.run_until(lambda: rig.owner.stats.frames_received == 1)
+    first = rig.flush()
+    # The same key: nothing but the identity differs.  c1's query is on the
+    # wire, so c2's never joins it and goes in a frame of its own.
+    rig.start("k", client="c2")
+    second = rig.flush()
+    assert [frame.destination for frame in first + second] == [s1, s2, s2, s3]
+    rig.run_until(lambda: rig.owner.stats.frames_received == 2)
     assert rig.outcomes() == []
+    assert rig.owner.stats.rounds_coalesced == 0
     rig.revive()
-    ack = rig.replica_ack(frames[1])
-    (for_c1, _for_c2) = unpack_batch_ack(ack)
-    only_c1 = make_batch_ack(frames[1].frame, [for_c1])
+    only_c1 = rig.replica_ack(first[1])
     assert [type(e).__name__ for e in rig.feed("on_frame", only_c1)] == ["OpCompleted"]
     # Delivered again, c1's answer is a straggler of a finished attempt, and
-    # c2's round -- same key, same replicas asked -- still waits for its own.
+    # c2's round -- same key, asking the same replica -- still waits for its own.
     assert rig.feed("on_frame", only_c1) == []
     assert [kind for kind, _ in rig.outcomes()] == ["ok"]
     assert rig.sessions["c2"].completed_operations == 0
-    rig.feed("on_frame", ack)
+    rig.feed("on_frame", rig.replica_ack(second[0]))
     assert [kind for kind, _ in rig.outcomes()] == ["ok", "ok"]
     rig.run()
 
@@ -1232,17 +1234,155 @@ def max_batch_cuts_across_sessions(make_rig):
     assert rig.owner.max_batch == 5
 
 
+# -- one query per key per flush: rows of a link's sessions or a proxy's clients --
+
+
+def _one_query_for_two(rig):
+    """Two reads of ``k`` in one flush -- two sessions of a link, or two
+    forwarded rounds at a proxy: one query goes out, the second riding it."""
+    rig.start("k", client="c1")
+    rig.start("k", client="c2")
+    frames = rig.flush()
+    assert [len(unpack_batch(frame.frame)) for frame in frames] == [1, 1]
+    assert rig.owner.stats.rounds_coalesced == 1
+    return frames
+
+
+def _kinds(rig):
+    return [kind for kind, _ in rig.outcomes()]
+
+
+def two_reads_of_a_key_in_one_flush_complete_from_one_query(make_rig):
+    rig = make_rig()
+    _one_query_for_two(rig)
+    rig.run()
+    assert _kinds(rig) == ["ok", "ok"]
+    stats = rig.owner.stats
+    assert (stats.sub_operations, stats.frames_sent, stats.frames_received) == (1, 2, 2)
+
+
+def a_stale_bounced_leaders_riders_replay_on_their_own(make_rig):
+    rig = make_rig(num_groups=2)
+    _one_query_for_two(rig)
+    before = len(rig.batches())
+    rig.move_shard()  # the replicas asked answer stale
+    rig.run()
+    assert _kinds(rig) == ["ok", "ok"]
+    # Each went on in a sub of its own: a replay never rides.
+    replayed = [sub for frame in rig.batches()[before:] for sub in unpack_batch(frame.frame)]
+    assert len({sub.message.op_id for sub in replayed}) == 2
+    assert rig.owner.stats.rounds_coalesced == 1
+
+
+def widening_a_silent_leader_keeps_its_riders(make_rig):
+    rig = make_rig()
+    _, s2, _ = rig.servers
+    rig.kill(s2)  # silently: the narrow quorum sits one reply short
+    _one_query_for_two(rig)
+    rig.run()
+    assert _kinds(rig) == ["ok", "ok"]
+    stats = rig.owner.stats
+    assert (stats.rounds_narrow, stats.rounds_widened, stats.sub_operations) == (1, 1, 1)
+
+
+def a_leader_put_off_to_a_retry_sends_its_riders_on_alone(make_rig):
+    rig = make_rig()
+    s1, s2, _ = rig.servers
+    _one_query_for_two(rig)
+    rig.kill(s1, s2)  # the query to both is lost
+    rig.feed("on_peer_lost", s1)  # widened to s3
+    rig.revive()
+    rig.feed("on_peer_lost", s2)  # no quorum left: the leader waits to retry
+    rig.run()
+    assert _kinds(rig) == ["ok", "ok"]
+
+
+def a_failed_leaders_riders_go_on_alone(make_rig):
+    rig = make_rig()
+    frames = _one_query_for_two(rig)
+    error = ValueError("frame too large")
+    for sent in frames:
+        rig.feed("on_frame_undeliverable", sent.frame, error, retryable=False)
+    rig.run()
+    assert _kinds(rig) == ["failed", "ok"]
+
+
+def riders_complete_in_queue_order(make_rig):
+    rig = make_rig()
+    for key in ("k", "k", "k", "k2"):
+        rig.start(key)
+    frames = rig.flush()
+    assert [len(unpack_batch(frame.frame)) for frame in frames] == [2, 2]
+    rig.run()
+    acked = [
+        reply.op_id for _, effects in rig.log for effect in effects
+        if isinstance(effect, SendFrame) and effect.frame.kind == PROXY_ACK_KIND
+        for reply in unpack_proxy_ack(effect.frame)
+    ]
+    assert acked == [f"c1-read-{n}" for n in (1, 2, 3, 4)]
+    assert rig.owner.stats.rounds_coalesced == 2
+
+
+def a_lease_fill_neither_leads_nor_rides(make_rig):
+    rig = make_rig(read_cache=8)
+    query = ProxySubRequest(
+        key="k", op_kind="write", kind="query", payload={},
+        op_id="c1-write-9", round_trip=1, trace="c1-write-9",
+    )
+    rig.start("k")  # a miss: the fill, lease-marked
+    rig.feed("on_frame", make_proxy_request("c1", "p1", [query]))  # a write's query
+    frames = rig.flush()
+    assert [(sub.message.kind, sub.lease is not None) for sub in unpack_batch(frames[0].frame)] == [
+        ("query", True), ("query", False),
+    ]
+    rig.run()
+    assert _kinds(rig) == ["ok", "ok"]
+    assert rig.owner.stats.rounds_coalesced == 0
+
+
+def closing_the_leaders_session_sends_its_riders_on_alone(make_rig):
+    rig = make_rig()
+    _one_query_for_two(rig)
+    rig.feed("close", to=rig.sessions["c1"])
+    rig.run()
+    assert _kinds(rig) == ["failed", "ok"]
+    assert [s.completed_operations for s in rig.sessions.values()] == [0, 1]
+
+
+def closing_a_riders_session_leaves_its_leader_to_finish_alone(make_rig):
+    rig = make_rig()
+    _one_query_for_two(rig)
+    rig.feed("close", to=rig.sessions["c2"])
+    rig.run()
+    assert _kinds(rig) == ["failed", "ok"]
+    assert [s.completed_operations for s in rig.sessions.values()] == [1, 0]
+
+
+COALESCING = [
+    two_reads_of_a_key_in_one_flush_complete_from_one_query,
+    a_stale_bounced_leaders_riders_replay_on_their_own,
+    widening_a_silent_leader_keeps_its_riders,
+    a_leader_put_off_to_a_retry_sends_its_riders_on_alone,
+    a_failed_leaders_riders_go_on_alone,
+]
+
+PROXY_ONLY += [riders_complete_in_queue_order, a_lease_fill_neither_leads_nor_rides]
+
 LINK_ONLY = [
     a_merged_frame_keeps_each_subs_own_sender_and_identity,
     a_straggler_for_one_session_is_never_counted_into_anothers_quorum,
     one_lost_replica_widens_every_sessions_round_in_one_frame,
     dropping_a_session_leaves_the_others_rounds_and_timers_alone,
     max_batch_cuts_across_sessions,
+    closing_the_leaders_session_sends_its_riders_on_alone,
+    closing_a_riders_session_leaves_its_leader_to_finish_alone,
 ]
 
 TABLE = [(mode, row) for row in COMMON for mode in ("direct", "proxy")] + [
     ("proxy", row) for row in PROXY_ONLY
-] + [("link", row) for row in LINK_ONLY]
+] + [("link", row) for row in LINK_ONLY] + [
+    (mode, row) for row in COALESCING for mode in ("link", "proxy")
+]
 
 
 def run_row(mode, row):
@@ -1439,12 +1579,15 @@ def test_every_queue_leaves_once_at_its_flush_cut_at_the_cap(cap, ingresses, win
     link = ClientLink("L", policy=SIM_RETRY_POLICY)
     fabric.register("L", link)
     flushed = []
+    coalesced = [0]
     on_timer = link.on_timer
 
     def recording(timer_id):
         effects = on_timer(timer_id)
         if timer_id[0] == "flush" and fabric.now == 0:  # the window's flushes
             flushed.extend(e for e in effects if isinstance(e, SendFrame))
+            # ... and the rounds that rode another's query at them.
+            coalesced[0] = link.stats.rounds_coalesced + link.proxy_stats.rounds_coalesced
         return effects
 
     link.on_timer = recording
@@ -1494,10 +1637,12 @@ def test_every_queue_leaves_once_at_its_flush_cut_at_the_cap(cap, ingresses, win
         rounds = sum(len(ops) for ops in cut)
         assert len(cut) == math.ceil(rounds / cap)
         assert max(len(ops) for ops in cut) <= cap
-    # Every round queued in the window left exactly once; one released
-    # before the flush never did, nor one withdrawn from the lost proxy there.
+    # Every round queued in the window left exactly once or rode one that
+    # did; one released before the flush never did, nor one withdrawn from
+    # the lost proxy there.
     left = Counter(op_id for cut in chunks.values() for ops in cut for op_id in ops)
-    assert set(left.values()) <= {1} and set(left) == queued
+    assert set(left.values()) <= {1} and set(left) <= queued
+    assert len(queued) - len(left) == coalesced[0]
     if lost:
         assert "p1" not in chunks
     assert recorder.completed_operations == sum(

@@ -31,11 +31,14 @@ the replicas send 198 -> 118 frames and receive 232 -> 178, the proxy sends
 When the cache mode that served expired entries was removed, ``cache.hit``
 lost its ``stale`` attribute (always ``False`` here): only the two event
 digests moved, to those of the previous capture's rows with that attribute
-stripped.
+stripped.  It was recaptured again when a proxy began sending one query per
+key per flush: two rounds rode another's query, the replicas serve 234 -> 226
+sub-requests, receive 178 -> 170 frames and send 118 -> 112, the proxy sends
+369 -> 357 frames, and the run's 1363 events became 1353.
 
 Counter-only kinds (``events.QUIET_KINDS``) are counted inline by the engines
 while no sink but the metrics wants them, so with the default sinks only
-1,250 of the run's 3,880 events reach a hub route (1,163 that need a call,
+1,234 of the run's 3,805 events reach a hub route (1,147 that need a call,
 and the first of each quiet kind on each scope); a whole-event sink, from the
 start or attached mid-run, and any ``EngineObserver`` subclass still hear all
 of them, and the golden did not move.
@@ -304,21 +307,21 @@ def test_sink_without_hooks_gets_plain_trace_events():
 # -- (f) counter-only kinds are counted inline --------------------------------------
 
 #: Every event of the seeded run, per (tier, kind): what a whole-event sink or
-#: an ``EngineObserver`` subclass hears (3,880 in all).
+#: an ``EngineObserver`` subclass hears (3,805 in all).
 ALL_EVENTS = {
-    ("client", "batch.cut"): 149, ("client", "frame.received"): 191,
-    ("client", "frame.sent"): 149, ("client", "op.completed"): 200,
+    ("client", "batch.cut"): 146, ("client", "frame.received"): 187,
+    ("client", "frame.sent"): 146, ("client", "op.completed"): 200,
     ("client", "op.invoked"): 200, ("client", "round.opened"): 224,
-    ("client", "timer.armed"): 181, ("client", "timer.cancelled"): 32,
-    ("client", "timer.fired"): 149,
-    ("proxy", "batch.cut"): 51, ("proxy", "cache.hit"): 99,
-    ("proxy", "cache.invalidate"): 54, ("proxy", "cache.miss"): 77,
-    ("proxy", "frame.received"): 267, ("proxy", "frame.sent"): 369,
+    ("client", "timer.armed"): 178, ("client", "timer.cancelled"): 32,
+    ("client", "timer.fired"): 146,
+    ("proxy", "batch.cut"): 48, ("proxy", "cache.hit"): 101,
+    ("proxy", "cache.invalidate"): 53, ("proxy", "cache.miss"): 75,
+    ("proxy", "frame.received"): 258, ("proxy", "frame.sent"): 357,
     ("proxy", "lease.expired"): 39, ("proxy", "round.closed"): 224,
-    ("proxy", "round.opened"): 105, ("proxy", "timer.armed"): 136,
-    ("proxy", "timer.cancelled"): 15, ("proxy", "timer.fired"): 121,
-    ("replica", "frame.received"): 178, ("replica", "frame.sent"): 118,
-    ("replica", "lease.granted"): 106, ("replica", "sub.served"): 234,
+    ("proxy", "round.opened"): 103, ("proxy", "timer.armed"): 131,
+    ("proxy", "timer.cancelled"): 14, ("proxy", "timer.fired"): 117,
+    ("replica", "frame.received"): 170, ("replica", "frame.sent"): 112,
+    ("replica", "lease.granted"): 106, ("replica", "sub.served"): 226,
     ("replica", "timer.armed"): 106, ("replica", "timer.cancelled"): 106,
 }
 
@@ -328,11 +331,11 @@ ALL_EVENTS = {
 #: resolves its route and makes it quiet (8 clients, 1 proxy, 6 replicas).
 #: A new counter kind left on ``emit`` shows up here.
 ROUTED_EVENTS = {
-    ("client", "batch.cut"): 149, ("client", "op.completed"): 200,
+    ("client", "batch.cut"): 146, ("client", "op.completed"): 200,
     ("client", "op.invoked"): 200,
-    ("proxy", "batch.cut"): 51, ("proxy", "round.closed"): 224,
-    ("proxy", "round.opened"): 105,
-    ("replica", "sub.served"): 234,
+    ("proxy", "batch.cut"): 48, ("proxy", "round.closed"): 224,
+    ("proxy", "round.opened"): 103,
+    ("replica", "sub.served"): 226,
     ("client", "frame.received"): 8, ("client", "frame.sent"): 8,
     ("client", "round.opened"): 8, ("client", "timer.armed"): 8,
     ("client", "timer.cancelled"): 8, ("client", "timer.fired"): 8,
@@ -370,7 +373,7 @@ def test_default_sinks_route_only_the_kinds_that_need_a_call(monkeypatch):
     monkeypatch.setattr(events._ScopedObserver, "emit", counting)
     result = seeded_sim_cached_run()
     assert dict(routed) == ROUTED_EVENTS
-    assert sum(routed.values()) == 1250 and sum(ALL_EVENTS.values()) == 3880
+    assert sum(routed.values()) == 1234 and sum(ALL_EVENTS.values()) == 3805
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert metrics_json(result) == golden["metrics_json"]
 
@@ -421,7 +424,7 @@ def test_a_sink_attached_mid_run_hears_every_later_event(monkeypatch):
     # hears, the kinds counted inline before it came included.
     monkeypatch.setattr(sim_backend, "SimKVCluster", _attaching(first, after_ops=0))
     seeded_sim_cached_run()
-    assert len(first.events) == 3880
+    assert len(first.events) == 3805
     assert 0 < len(late.events) < len(first.events)
     assert late.events == marked.events == first.events[-len(late.events):]
     assert {event.kind for event in late.events} >= {FRAME_SENT, TIMER_ARMED, CACHE_HIT}
