@@ -1,4 +1,4 @@
-"""Byte-identity guard for the simulated store: the CI ``repro kv`` lines.
+"""Byte-identity guard for both simulators: the CI ``repro`` smoke lines.
 
 Every ``repro kv`` line of ``.github/workflows/ci.yml`` that runs on the
 simulator (no ``--backend asyncio``) runs here in-process, and three of its
@@ -9,6 +9,12 @@ outputs are pinned by sha256 digest in ``tests/golden/sim_kv_digests.json``:
 * the ``--metrics-dump`` file.  A line without the flag gets it added: the
   dump only serializes the run's metrics registry, so the run and the rest
   of its stdout are the ones CI sees.
+
+So do CI's register-level lines (``repro run``, ``prove``, ``boundary``,
+``table1``, ``latency``), which replay the paper's executions on the
+register simulator; they take no dump flags, so only their exit code and
+``stdout`` are pinned.  A CI line that expects a non-zero exit carries a
+``|| [ $? -eq N ]`` tail, which is not part of the command.
 
 A simulated run is deterministic, so a change that is meant to leave the
 simulator's behaviour alone -- a faster record, a leaner path -- must leave
@@ -40,12 +46,21 @@ CI = ROOT / ".github" / "workflows" / "ci.yml"
 GOLDEN = Path(__file__).parent / "golden" / "sim_kv_digests.json"
 
 
+#: The register-level commands, which run only on the register simulator.
+REGISTER_COMMANDS = ("run", "prove", "boundary", "table1", "latency")
+
+
 def sim_lines():
-    """The simulator ``repro kv`` lines of the CI workflow, in file order."""
+    """The simulator ``repro`` lines of the CI workflow, in file order."""
     lines = []
     for raw in CI.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if line.startswith("repro kv ") and "--backend asyncio" not in line:
+        line = raw.split(" || ")[0].strip()
+        words = line.split()
+        if words[:1] != ["repro"] or len(words) < 2:
+            continue
+        if words[1] in REGISTER_COMMANDS or (
+            words[1] == "kv" and "--backend asyncio" not in line
+        ):
             lines.append(line)
     return lines
 
@@ -58,7 +73,7 @@ def run_line(line: str, workdir: Path) -> dict:
     """Run one CI line in-process with its dumps under ``workdir``."""
     argv = shlex.split(line)[1:]
     dumps = {}
-    for flag in ("--trace-dump", "--metrics-dump"):
+    for flag in ("--trace-dump", "--metrics-dump") if argv[0] == "kv" else ():
         path = workdir / (flag.strip("-") + ".json")
         if flag in argv:
             argv[argv.index(flag) + 1] = str(path)
@@ -82,7 +97,10 @@ def run_line(line: str, workdir: Path) -> dict:
         "exit": code,
         "stdout": _digest(stdout.encode("utf-8")),
         "trace": _digest(trace.read_bytes()) if trace is not None else None,
-        "metrics": _digest(dumps["--metrics-dump"].read_bytes()),
+        "metrics": (
+            _digest(dumps["--metrics-dump"].read_bytes())
+            if "--metrics-dump" in dumps else None
+        ),
     }
 
 
@@ -92,8 +110,9 @@ def capture() -> dict:
         return {line: run_line(line, Path(workdir)) for line in sim_lines()}
 
 
-def test_the_ci_workflow_has_ten_simulator_lines():
-    assert len(sim_lines()) == 10
+def test_the_ci_workflow_has_seventeen_simulator_lines():
+    assert len(sim_lines()) == 17
+    assert sum(line.startswith("repro kv ") for line in sim_lines()) == 10
     assert sorted(sim_lines()) == sorted(json.loads(GOLDEN.read_text("utf-8")))
 
 
