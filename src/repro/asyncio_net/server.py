@@ -33,7 +33,7 @@ from weakref import WeakKeyDictionary
 from ..kvstore.engine.effects import SendFrame
 from ..kvstore.engine.runtime import EffectRuntime
 from ..kvstore.engine.server import GroupServerEngine
-from ..messages import Message
+from ..messages import Message, service_units
 from ..protocols.base import ServerLogic
 from .codec import encode_message
 from .endpoint import Endpoint
@@ -142,15 +142,10 @@ class ReplicaServer:
             self._apply(request)
         finally:
             self._held = None
-        # Batch frames charge per sub-op, drain frames per key: the pause a
-        # migration imposes on a replica grows with the range size, matching
-        # the simulator's cost model.
-        payload = request.payload
-        sub_ops = len(payload.get("ops", ()) or payload.get("keys", ())) or 1
         connection = self.endpoint.peers[request.sender]
         ready = (
             max(self._loop.time(), self._busy_until.get(connection, 0.0))
-            + self.service_overhead + self.service_per_op * sub_ops
+            + self.service_overhead + self.service_per_op * service_units(request)
         )
         self._busy_until[connection] = ready
         if sends:

@@ -3,18 +3,19 @@
 A *history* (the paper calls it an execution of the clients, Section 2.1) is
 the sequence of invocation and response events observed at the global clock.
 The atomicity checker, the anomaly classifier and the benchmark reporters all
-consume this type.
+consume this type; :class:`HistoryRecorder` produces it, one history per key,
+for both simulators and the asyncio store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.operations import Event, EventKind, Operation, OpKind
 from ..core.timestamps import Tag
 
-__all__ = ["History"]
+__all__ = ["History", "HistoryRecorder"]
 
 
 @dataclass
@@ -160,3 +161,73 @@ class History:
         writes = [op.round_trips for op in self.writes if op.is_complete]
         reads = [op.round_trips for op in self.reads if op.is_complete]
         return writes, reads
+
+
+class HistoryRecorder:
+    """Collects one operation history per key as clients invoke and complete
+    operations.
+
+    ``time_fn`` abstracts the clock: the simulators pass their virtual
+    clock, the asyncio store a monotonic wall clock, so the same recorder
+    (and the same checker) serves all three.  It is the only reader of that
+    clock; protocol code never reads it, as in the paper's model.  Atomicity
+    decomposes by key (locality of linearizability), so each key's history
+    is checked on its own; the single-register simulator records under one.
+    """
+
+    def __init__(self, time_fn: Callable[[], float]) -> None:
+        self._time_fn = time_fn
+        self._operations: Dict[str, Operation] = {}
+        self._per_key: Dict[str, List[str]] = {}
+        self._completed = 0
+
+    def record_invocation(
+        self,
+        key: str,
+        op_id: str,
+        client: str,
+        kind: OpKind,
+        value: Any = None,
+    ) -> Operation:
+        operation = Operation(
+            op_id=op_id, client=client, kind=kind, start=self._time_fn(), value=value
+        )
+        self._operations[op_id] = operation
+        self._per_key.setdefault(key, []).append(op_id)
+        return operation
+
+    def record_response(
+        self,
+        op_id: str,
+        value: Any = None,
+        tag: Optional[Tag] = None,
+        round_trips: int = 0,
+    ) -> Operation:
+        operation = self._operations[op_id]
+        if not operation.is_complete:
+            self._completed += 1
+        operation.finish = self._time_fn()
+        operation.round_trips = round_trips
+        if operation.is_read:
+            operation.value = value
+            operation.tag = tag
+        elif tag is not None:
+            operation.tag = tag
+        return operation
+
+    @property
+    def total_operations(self) -> int:
+        return len(self._operations)
+
+    @property
+    def completed_operations(self) -> int:
+        """Operations with a response, each counted at its first one."""
+        return self._completed
+
+    def history(self, key: str) -> History:
+        """``key``'s history, operations in invocation order."""
+        return History([self._operations[op_id] for op_id in self._per_key.get(key, ())])
+
+    def histories(self) -> Dict[str, History]:
+        """One history per key, operations in invocation order."""
+        return {key: self.history(key) for key in self._per_key}

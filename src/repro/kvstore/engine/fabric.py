@@ -1,5 +1,8 @@
 """The engine fabric: a simulated world of engines on one virtual clock.
 
+The fabric *is* a :class:`~repro.core.clock.Clock` -- the one the
+register-level simulator runs on too -- with frames and timers on top.
+
 Each registered engine gets its own :class:`~.runtime.EffectRuntime`; the
 fabric only supplies the hooks.  A sent frame joins the queue of its
 connection ``(source, destination)``, due ``delay(source, destination)``
@@ -9,12 +12,13 @@ connection's tail)``, so every connection is first-in first-out, as a TCP
 connection is.  A timer or a :meth:`Fabric.schedule` callback is due after
 its delay.
 
-Two schedules run them.  :meth:`Fabric.step` / :meth:`Fabric.run` always run
-the earliest due, ties in scheduling order, so runs repeat bit for bit; a
-cancelled action is skipped without moving ``now``, ``run(until=t)`` runs
-what is due at ``t`` too, and ``max_events`` caps a livelocked run.  The
-adversary's :meth:`Fabric.actions` / :meth:`Fabric.take` run any head frame
-or armed timer it picks, whatever its due time.
+Two schedules run them.  The clock's :meth:`~repro.core.clock.Clock.step` /
+:meth:`~repro.core.clock.Clock.run` always run the earliest due, ties in
+scheduling order, so runs repeat bit for bit; a cancelled action is skipped
+without moving ``now``, ``run(until=t)`` runs what is due at ``t`` too, and
+``max_events`` caps a livelocked run.  The adversary's
+:meth:`Fabric.actions` / :meth:`Fabric.take` run any head frame or armed
+timer it picks, whatever its due time.
 
 A process in :attr:`Fabric.down` has crashed without telling anyone: a frame
 from or to it is dropped when it is sent, and one already on its way to it
@@ -33,13 +37,12 @@ one fabric; the engine tests drive it through schedules no transport makes.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
-from ...core.errors import SimulationError
+from ...core.clock import Clock, _Pending
+from ...messages import service_units
 from .effects import OpCompleted, OpFailed, SendFrame
 from .runtime import EffectRuntime
 
@@ -47,26 +50,6 @@ __all__ = ["Fabric"]
 
 #: ``("deliver", (source, destination))`` or ``("fire", (owner, timer_id))``.
 Action = Tuple[str, Tuple[Any, Any]]
-
-
-class _Pending:
-    """One action on the clock; it runs at most once, and not once cancelled."""
-
-    __slots__ = ("due", "seq", "action", "done")
-
-    def __init__(self, due: float, seq: int, action: Callable[[], None]) -> None:
-        self.due = due
-        self.seq = seq
-        self.action = action
-        self.done = False
-
-    def cancel(self) -> None:
-        self.done = True
-
-    def run(self) -> None:
-        if not self.done:
-            self.done = True
-            self.action()
 
 
 class _Service:
@@ -86,7 +69,7 @@ def _one_unit(source: str, destination: str) -> float:
     return 1.0
 
 
-class Fabric:
+class Fabric(Clock):
     """Frames wait per connection and timers wait armed, on one virtual clock.
 
     ``delay(source, destination)`` draws a frame's transit time.  With
@@ -100,7 +83,7 @@ class Fabric:
         *,
         raise_failures: bool = False,
     ) -> None:
-        self.now = 0.0
+        super().__init__()
         self.engines: Dict[str, Any] = {}
         self.runtimes: Dict[str, EffectRuntime] = {}
         #: The frames in flight on each connection, oldest first.
@@ -114,14 +97,9 @@ class Fabric:
         self.down: Set[str] = set()
         #: Frames sent, those dropped at send included.
         self.sent = 0
-        #: True while :meth:`run` is on the stack, so code that may be called
-        #: from quiescence or from inside an action knows whether to pump.
-        self.running = False
         self._delay = delay or _one_unit
         self._raise_failures = raise_failures
         self._services: Dict[str, _Service] = {}
-        self._clock: List[Tuple[float, int, _Pending]] = []
-        self._seq = itertools.count()
         self._holds: List[Tuple[Callable[[SendFrame], bool], List[SendFrame]]] = []
 
     def register(
@@ -144,10 +122,6 @@ class Fabric:
         """Run ``effects`` as ``owner``'s, through its runtime."""
         self.runtimes[owner].run(effects)
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> _Pending:
-        """Run ``action`` ``delay`` units from now; ``cancel()`` the handle to drop it."""
-        return self._at(self.now + delay, action)
-
     def deliver(self, effect: SendFrame) -> None:
         """Hand one frame to its destination now, unless a hold parks it."""
         for match, held in self._holds:
@@ -163,14 +137,12 @@ class Fabric:
             self.runtimes[destination].run(engine.on_frame(effect.frame))
             return
         # State transitions apply at delivery, in arrival order; only the
-        # replies wait for the service.  A drain frame costs per key as a
-        # batch costs per sub-op, so a migration's pause grows with its range.
+        # replies wait for the service.
         frame = effect.frame
-        payload = frame.payload
-        batch = len(payload.get("ops", ()) or payload.get("keys", ())) or 1
+        units = service_units(frame)
         effects = engine.on_frame(frame)
         now = self.now
-        finish = max(now, service.busy_until) + (service.overhead + service.per_op * batch)
+        finish = max(now, service.busy_until) + (service.overhead + service.per_op * units)
         service.busy_until = finish
         service.hold = finish - now
         try:
@@ -190,36 +162,6 @@ class Fabric:
                 self.deliver(effect)
 
         return release
-
-    # -- the default schedule: earliest due first ------------------------------
-
-    def step(self, until: Optional[float] = None) -> bool:
-        """Run the earliest-due action (due at or before ``until``, if given);
-        ``False`` once there is none.  Cancelled actions are dropped on the
-        way without moving ``now``."""
-        clock = self._clock
-        while clock and clock[0][2].done:
-            heapq.heappop(clock)
-        if not clock or (until is not None and clock[0][0] > until):
-            return False
-        self.now, _, pending = heapq.heappop(clock)
-        pending.run()
-        return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Step to quiescence, or until nothing is due at or before ``until``;
-        more than ``max_events`` actions is a livelock and raises
-        :class:`~repro.core.errors.SimulationError`."""
-        executed = 0
-        was_running, self.running = self.running, True
-        try:
-            while max_events is None or executed < max_events:
-                if not self.step(until):
-                    return
-                executed += 1
-            raise SimulationError(f"event cap of {max_events} exceeded; likely livelock")
-        finally:
-            self.running = was_running
 
     # -- the adversary's schedule: any runnable action, in any order ------------
 
@@ -245,11 +187,6 @@ class Fabric:
             self.runtimes[first].timers[second].run()
 
     # -- the runtime's hooks -----------------------------------------------------
-
-    def _at(self, due: float, action: Callable[[], None]) -> _Pending:
-        pending = _Pending(due, next(self._seq), action)
-        heapq.heappush(self._clock, (due, pending.seq, pending))
-        return pending
 
     def _send(self, source: str, effect: SendFrame) -> None:
         self.sent += 1

@@ -10,7 +10,7 @@ sink but the metrics wants them: ``observe.events.QUIET_KINDS``.)  What
 differs between transports is passed in:
 
 * ``schedule(delay, callback) -> handle`` with ``handle.cancel()``
-  (``loop.call_later``, ``EventQueue.schedule``);
+  (``loop.call_later``, ``Clock.schedule`` on the fabric);
 * ``send(SendFrame)`` puts one frame on the adapter's wire;
 * ``connect(target)`` and ``complete(OpCompleted | OpFailed)``, which only
   a client's adapter supplies.

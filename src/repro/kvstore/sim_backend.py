@@ -80,10 +80,8 @@ class KVFailureInjector:
         self._by_group: Dict[str, FailureInjector] = {}
         self._group_of: Dict[str, str] = {}
         for group_id, group in cluster.shard_map.groups.items():
-            # The cluster is the injector's clock and network alike: it
-            # has ``schedule_at`` and ``crash``.
             self._by_group[group_id] = FailureInjector(
-                cluster, cluster, group.servers, group.max_faults
+                cluster.fabric, cluster.crash, group.servers, group.max_faults
             )
             for server_id in group.servers:
                 self._group_of[server_id] = group_id
@@ -291,11 +289,6 @@ class SimKVCluster(ClusterAssembly):
         """Crash ``process_id`` *now*: the fabric drops its traffic silently."""
         self.fabric.down.add(process_id)
 
-    def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> None:
-        """Run ``action`` at virtual time ``time`` (``label`` names it for
-        :class:`~repro.sim.failures.FailureInjector`; the fabric keeps none)."""
-        self.fabric.schedule(time - self.fabric.now, action)
-
     def crash_proxy(self, proxy_id: str) -> None:
         """Crash an ingress proxy *now*: the fabric drops its traffic.
 
@@ -312,7 +305,7 @@ class SimKVCluster(ClusterAssembly):
         """Crash ``proxy_id`` at virtual time ``at`` (mid-run, under load)."""
         if proxy_id not in self.proxy_engines:
             raise KeyError(f"unknown proxy {proxy_id!r}")
-        self.schedule_at(at, lambda: self.crash_proxy(proxy_id))
+        self.fabric.schedule_at(at, lambda: self.crash_proxy(proxy_id))
 
     def failure_injector(self) -> KVFailureInjector:
         """A crash injector enforcing each group's fault budget."""

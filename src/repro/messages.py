@@ -66,6 +66,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Message",
+    "service_units",
     "SubRequest",
     "BATCH_KIND",
     "BATCH_ACK_KIND",
@@ -162,6 +163,14 @@ class Message:
             f"Message(#{self.msg_id} {self.sender}->{self.receiver} {self.kind} "
             f"op={self.op_id} rt={self.round_trip})"
         )
+
+
+def service_units(message: Message) -> int:
+    """How many sub-operations a replica's service time charges ``message``:
+    a batch one per sub-request and a drain frame one per key, so the pause
+    a migration imposes grows with its range; any other frame one."""
+    payload = message.payload
+    return len(payload.get("ops", ()) or payload.get("keys", ())) or 1
 
 
 # -- batch frames (repro.kvstore) ----------------------------------------------

@@ -1,4 +1,10 @@
-"""Discrete-event simulation substrate for register emulations."""
+"""Discrete-event simulation substrate for register emulations.
+
+The network, processes, clients and crash injector here run on
+:class:`~repro.core.clock.Clock`, the one virtual clock the engine fabric
+(:mod:`repro.kvstore.engine.fabric`) runs the simulated store on; operations
+are recorded by :class:`~repro.consistency.history.HistoryRecorder`.
+"""
 
 from .byzantine import (
     ByzantineBehavior,
@@ -10,7 +16,6 @@ from .byzantine import (
     ValueCorruption,
     make_byzantine,
 )
-from .clock import EventQueue, ScheduledEvent, SimClock
 from .client import ClientProcess
 from .delays import (
     ConstantDelay,
@@ -25,7 +30,6 @@ from ..messages import Message
 from .network import Network, SkipRule
 from .process import Process, ServerProcess
 from .runtime import Simulation, SimulationResult
-from .tracing import HistoryRecorder
 
 __all__ = [
     "ByzantineBehavior",
@@ -36,9 +40,6 @@ __all__ = [
     "TagInflation",
     "ValueCorruption",
     "make_byzantine",
-    "EventQueue",
-    "ScheduledEvent",
-    "SimClock",
     "ClientProcess",
     "ConstantDelay",
     "DelayModel",
@@ -55,5 +56,4 @@ __all__ = [
     "ServerProcess",
     "Simulation",
     "SimulationResult",
-    "HistoryRecorder",
 ]

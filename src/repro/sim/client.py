@@ -14,14 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
+from ..consistency.history import HistoryRecorder
 from ..core.errors import ProtocolError
 from ..core.operations import OpKind, new_op_id
 from ..protocols.base import Broadcast, ClientLogic, OperationOutcome
 from ..messages import Message
 from .process import Process
-from .tracing import HistoryRecorder
 
-__all__ = ["ClientProcess", "PendingOperation"]
+__all__ = ["ClientProcess", "PendingOperation", "REGISTER_KEY"]
+
+#: The one key every operation on the simulated register is recorded under.
+REGISTER_KEY = "register"
 
 
 @dataclass
@@ -85,7 +88,9 @@ class ClientProcess(Process):
             self._backlog.append((op_id, kind, generator, value, on_complete))
             return op_id
         op_id = new_op_id(f"{self.process_id}-{kind.value}")
-        self.recorder.record_invocation(op_id, self.process_id, kind, value=value)
+        self.recorder.record_invocation(
+            REGISTER_KEY, op_id, self.process_id, kind, value=value
+        )
         pending = PendingOperation(
             op_id=op_id, kind=kind, generator=generator, on_complete=on_complete
         )
@@ -133,7 +138,6 @@ class ClientProcess(Process):
             value=outcome.value,
             tag=outcome.tag,
             round_trips=pending.round_trip,
-            metadata=outcome.metadata,
         )
         self.current = None
         self.completed_operations += 1
@@ -141,7 +145,9 @@ class ClientProcess(Process):
             pending.on_complete(outcome)
         if self.current is None and self._backlog:
             op_id, kind, generator, value, on_complete = self._backlog.pop(0)
-            self.recorder.record_invocation(op_id, self.process_id, kind, value=value)
+            self.recorder.record_invocation(
+                REGISTER_KEY, op_id, self.process_id, kind, value=value
+            )
             queued = PendingOperation(
                 op_id=op_id, kind=kind, generator=generator, on_complete=on_complete
             )

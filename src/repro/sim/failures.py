@@ -3,18 +3,19 @@
 The model allows any number of clients and up to ``t`` servers to crash in an
 execution.  The injector schedules crash events on the virtual clock and
 enforces the ``t`` budget for servers so that an experiment cannot
-accidentally exceed the failure model it claims to run under.
+accidentally exceed the failure model it claims to run under.  It crashes a
+process through the ``crash`` callable it is given: the register network's
+(:meth:`~repro.sim.network.Network.crash`) or the simulated store's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set
+from typing import Callable, List, Sequence, Set
 
+from ..core.clock import Clock
 from ..core.errors import ConfigurationError
 from ..util.rng import SeededRng
-from .clock import EventQueue
-from .network import Network
 
 __all__ = ["CrashPlan", "FailureInjector"]
 
@@ -28,12 +29,12 @@ class CrashPlan:
 
 
 class FailureInjector:
-    """Schedules and tracks crash failures on a network."""
+    """Schedules crash failures on ``clock`` and tracks them."""
 
     def __init__(
         self,
-        events: EventQueue,
-        network: Network,
+        clock: Clock,
+        crash: Callable[[str], None],
         server_ids: Sequence[str],
         max_server_faults: int,
     ) -> None:
@@ -41,8 +42,8 @@ class FailureInjector:
             raise ConfigurationError(
                 f"t={max_server_faults} invalid for S={len(server_ids)}"
             )
-        self.events = events
-        self.network = network
+        self.clock = clock
+        self.crash = crash
         self.server_ids = list(server_ids)
         self.max_server_faults = max_server_faults
         self.crashed_servers: Set[str] = set()
@@ -63,8 +64,7 @@ class FailureInjector:
                 )
         plan = CrashPlan(process_id, time)
         self.plans.append(plan)
-        self.events.schedule_at(time, lambda: self._crash_now(process_id),
-                                label=f"crash:{process_id}")
+        self.clock.schedule_at(time, lambda: self._crash_now(process_id))
         return plan
 
     def schedule_random_server_crashes(
@@ -81,7 +81,7 @@ class FailureInjector:
         ]
 
     def _crash_now(self, process_id: str) -> None:
-        self.network.crash(process_id)
+        self.crash(process_id)
         if process_id in self.server_ids:
             self.crashed_servers.add(process_id)
         else:

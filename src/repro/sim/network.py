@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
+from ..core.clock import Clock
 from ..core.errors import SimulationError
-from .clock import EventQueue
 from .delays import ConstantDelay, DelayModel
 from ..messages import Message
 
@@ -75,14 +75,14 @@ class SkipRule:
 
 
 class Network:
-    """Routes messages between registered processes through the event queue."""
+    """Routes messages between registered processes on the virtual clock."""
 
     def __init__(
         self,
-        events: EventQueue,
+        clock: Clock,
         delay_model: Optional[DelayModel] = None,
     ) -> None:
-        self.events = events
+        self.clock = clock
         self.delay_model = delay_model if delay_model is not None else ConstantDelay()
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         self._crashed: Set[str] = set()
@@ -164,7 +164,7 @@ class Network:
             delay = self.delay_model.delay(message.sender, message.receiver)
         if skipped:
             delay = SKIP_DELAY
-        self.events.schedule(delay, partial(self._deliver, message))
+        self.clock.schedule(delay, partial(self._deliver, message))
 
     def _deliver(self, message: Message) -> None:
         if message.receiver in self._crashed:

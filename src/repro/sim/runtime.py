@@ -1,4 +1,4 @@
-"""Simulation runtime: binds clock, network, servers, clients and tracing.
+"""Simulation runtime: binds clock, network, servers, clients and history.
 
 :class:`Simulation` builds a full emulation of the paper's system model
 (Fig. 1) for any :class:`~repro.protocols.base.RegisterProtocol`:
@@ -9,7 +9,10 @@
 * an asynchronous network with a configurable delay model, skip rules and an
   optional adversarial interceptor,
 * a crash-failure injector bounded by ``t``,
-* a history recorder whose output feeds the atomicity checker.
+* a history recorder whose output feeds the atomicity checker,
+
+all on one :class:`~repro.core.clock.Clock`, the one the engine fabric runs
+the simulated store on.
 
 Operations can be scheduled at explicit virtual times (open-loop) or issued
 back-to-back per client (closed-loop); both modes are used by the workload
@@ -21,19 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..consistency.history import History
+from ..consistency.history import History, HistoryRecorder
+from ..core.clock import Clock
 from ..core.conditions import SystemParameters
 from ..core.errors import ConfigurationError, SimulationError
 from ..protocols.base import OperationOutcome, RegisterProtocol
 from ..util.ids import client_ids
 from .byzantine import ByzantineBehavior, ByzantineInjector
-from .clock import EventQueue
-from .client import ClientProcess
+from .client import REGISTER_KEY, ClientProcess
 from .delays import ConstantDelay, DelayModel
 from .failures import FailureInjector
 from .network import Network, SkipRule
 from .process import ServerProcess
-from .tracing import HistoryRecorder
 
 __all__ = ["Simulation", "SimulationResult"]
 
@@ -71,9 +73,9 @@ class Simulation:
             raise ConfigurationError(
                 "protocol server list does not match system parameters"
             )
-        self.events = EventQueue()
-        self.network = Network(self.events, delay_model or ConstantDelay())
-        self.recorder = HistoryRecorder(self.events.clock)
+        self.clock = Clock()
+        self.network = Network(self.clock, delay_model or ConstantDelay())
+        self.recorder = HistoryRecorder(lambda: self.clock.now)
 
         # Optional Byzantine fault injection: wrap the chosen servers' logic,
         # enforcing the same t budget as crash failures.
@@ -104,15 +106,11 @@ class Simulation:
             self.readers[reader_id] = process
 
         self.failures = FailureInjector(
-            self.events, self.network, protocol.servers, self.params.max_faults
+            self.clock, self.network.crash, protocol.servers, self.params.max_faults
         )
         self.outcomes: Dict[str, OperationOutcome] = {}
 
     # -- convenience accessors ---------------------------------------------------
-
-    @property
-    def clock(self):
-        return self.events.clock
 
     def client(self, client_id: str) -> ClientProcess:
         if client_id in self.writers:
@@ -139,10 +137,8 @@ class Simulation:
     ) -> None:
         """Invoke ``write(value)`` on the given writer at virtual time ``at``."""
         client = self.writers[writer_id]
-        self.events.schedule_at(
-            at,
-            lambda: client.invoke_write(value, self._capture(writer_id, on_complete)),
-            label=f"invoke-write:{writer_id}",
+        self.clock.schedule_at(
+            at, lambda: client.invoke_write(value, self._capture(writer_id, on_complete))
         )
 
     def schedule_read(
@@ -153,10 +149,8 @@ class Simulation:
     ) -> None:
         """Invoke ``read()`` on the given reader at virtual time ``at``."""
         client = self.readers[reader_id]
-        self.events.schedule_at(
-            at,
-            lambda: client.invoke_read(self._capture(reader_id, on_complete)),
-            label=f"invoke-read:{reader_id}",
+        self.clock.schedule_at(
+            at, lambda: client.invoke_read(self._capture(reader_id, on_complete))
         )
 
     def _capture(self, client_id: str, inner):
@@ -191,7 +185,7 @@ class Simulation:
             def next_one(_outcome: OperationOutcome) -> None:
                 self.outcomes[f"{client_id}#{len(self.outcomes)}"] = _outcome
                 if think_time > 0:
-                    self.events.schedule(think_time, lambda: issue(index + 1))
+                    self.clock.schedule(think_time, lambda: issue(index + 1))
                 else:
                     issue(index + 1)
 
@@ -202,7 +196,7 @@ class Simulation:
             else:
                 raise SimulationError(f"unknown operation spec {spec!r}")
 
-        self.events.schedule_at(start_at, lambda: issue(0), label=f"closed-loop:{client_id}")
+        self.clock.schedule_at(start_at, lambda: issue(0))
 
     # -- adversary / failure controls ------------------------------------------------
 
@@ -219,8 +213,8 @@ class Simulation:
 
     def run(self, until: Optional[float] = None, max_events: int = 2_000_000) -> SimulationResult:
         """Run the simulation to quiescence (or a deadline) and return results."""
-        self.events.run(until=until, max_events=max_events)
-        history = self.recorder.history()
+        self.clock.run(until=until, max_events=max_events)
+        history = self.recorder.history(REGISTER_KEY)
         return SimulationResult(
             history=history,
             messages_sent=self.network.sent_count,

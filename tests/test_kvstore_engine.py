@@ -930,6 +930,59 @@ class TestOneEffectInterpreter:
         )
 
 
+class TestOneClock:
+    """Only ``core/clock.py`` may keep a heap of actions: the register
+    simulator and the engine fabric once carried a copy each of the same
+    heap, tie-break and ``run(until=)`` rules.  And ``repro.sim`` imports
+    nothing from ``repro.kvstore``: the register simulator shares the clock
+    with the store, not the store itself."""
+
+    PACKAGE_DIR = TestOneEffectInterpreter.PACKAGE_DIR
+
+    def _imports(self, path, root=PACKAGE_DIR):
+        package = ("repro",) + path.parent.relative_to(root).parts
+        return set(_imports_of(path, package))
+
+    def _imports_heapq(self, path, root=PACKAGE_DIR) -> bool:
+        return any(
+            m == "heapq" or m.startswith("heapq.") for m in self._imports(path, root)
+        )
+
+    def test_only_the_clock_imports_heapq(self):
+        importers = sorted(
+            str(path.relative_to(self.PACKAGE_DIR))
+            for path in self.PACKAGE_DIR.rglob("*.py")
+            if self._imports_heapq(path)
+        )
+        assert importers == [os.path.join("core", "clock.py")]
+
+    def test_the_register_simulator_imports_no_store(self):
+        sim_dir = self.PACKAGE_DIR / "sim"
+        checked = set()
+        for path in sorted(sim_dir.glob("*.py")):
+            for module in self._imports(path):
+                assert not module.startswith("repro.kvstore"), (
+                    f"sim/{path.name} imports {module}"
+                )
+            checked.add(path.name)
+        assert {"network.py", "runtime.py", "failures.py"} <= checked
+
+    def test_the_scans_see_each_way_in(self, tmp_path):
+        probe_dir = tmp_path / "sim"
+        probe_dir.mkdir()
+        sources = {
+            "plain.py": "import heapq\n",
+            "from_.py": "from heapq import heappush\n",
+            "other.py": "import heapqueue\nfrom ..kvstore.engine.fabric import Fabric\n",
+        }
+        for name, source in sources.items():
+            (probe_dir / name).write_text(source, encoding="utf-8")
+        assert self._imports_heapq(probe_dir / "plain.py", tmp_path)
+        assert self._imports_heapq(probe_dir / "from_.py", tmp_path)
+        assert not self._imports_heapq(probe_dir / "other.py", tmp_path)
+        assert "repro.kvstore.engine.fabric" in self._imports(probe_dir / "other.py", tmp_path)
+
+
 class TestOneReplicaRoundMultiplexer:
     """Only ``engine/rounds.py`` may build ``batch`` frames, take ``batch-ack``
     frames apart or apply the stale-bounce rule: the client and the proxy once

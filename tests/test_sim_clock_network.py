@@ -1,11 +1,11 @@
-"""Tests for the discrete-event clock, event queue and simulated network."""
+"""Tests for the virtual clock and the simulated network."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.clock import Clock
 from repro.core.errors import SimulationError
-from repro.sim.clock import EventQueue, SimClock
 from repro.sim.delays import (
     ConstantDelay,
     ExponentialDelay,
@@ -17,97 +17,67 @@ from repro.messages import Message
 from repro.sim.network import Network, SkipRule
 
 
-class TestEventQueue:
+class TestClock:
     def test_events_fire_in_time_order(self):
-        queue = EventQueue()
+        clock = Clock()
         fired = []
-        queue.schedule(3.0, lambda: fired.append("c"))
-        queue.schedule(1.0, lambda: fired.append("a"))
-        queue.schedule(2.0, lambda: fired.append("b"))
-        queue.run()
-        assert fired == ["a", "b", "c"]
+        for name, delay in (("c", 3.0), ("a", 1.0), ("b", 2.5)):
+            clock.schedule(delay, lambda n=name: fired.append((n, clock.now)))
+        assert clock.run() == 3
+        assert fired == [("a", 1.0), ("b", 2.5), ("c", 3.0)]
 
     def test_simultaneous_events_fifo(self):
-        queue = EventQueue()
+        clock = Clock()
         fired = []
         for name in "abc":
-            queue.schedule(1.0, lambda n=name: fired.append(n))
-        queue.run()
+            clock.schedule(1.0, lambda n=name: fired.append(n))
+        clock.run()
         assert fired == ["a", "b", "c"]
 
-    def test_clock_advances(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(2.5, lambda: seen.append(queue.clock.now))
-        queue.run()
-        assert seen == [2.5]
-
     def test_cancelled_events_do_not_fire(self):
-        queue = EventQueue()
+        clock = Clock()
         fired = []
-        event = queue.schedule(1.0, lambda: fired.append("x"))
-        event.cancel()
-        queue.run()
-        assert fired == []
-        assert len(queue) == 0
-
-    def test_len_counts_live_events_only(self):
-        queue = EventQueue()
-        first = queue.schedule(1.0, lambda: None)
-        queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        assert len(queue) == 3 and not queue.empty
-        first.cancel()
-        assert len(queue) == 2
-        queue.run()
-        assert len(queue) == 0 and queue.empty
+        clock.schedule(1.0, lambda: fired.append("x")).cancel()
+        assert clock.run() == 0
+        assert fired == [] and clock.now == 0.0
 
     def test_run_until_looks_past_a_cancelled_head(self):
-        queue = EventQueue()
+        clock = Clock()
         fired = []
-        queue.schedule(1.0, lambda: fired.append(1)).cancel()
-        queue.schedule(2.0, lambda: fired.append(2))
-        queue.schedule(9.0, lambda: fired.append(9))
-        assert queue.run(until=5.0) == 1
-        assert fired == [2] and queue.clock.now == 2.0
+        clock.schedule(1.0, lambda: fired.append(1)).cancel()
+        clock.schedule(2.0, lambda: fired.append(2))
+        clock.schedule(9.0, lambda: fired.append(9))
+        assert clock.run(until=5.0) == 1
+        assert fired == [2] and clock.now == 2.0
 
-    def test_negative_delay_rejected(self):
-        queue = EventQueue()
+    def test_scheduling_in_the_past_rejected(self):
+        clock = Clock()
+        clock.schedule(2.0, lambda: None)
+        clock.run()
         with pytest.raises(SimulationError):
-            queue.schedule(-1.0, lambda: None)
+            clock.schedule(-1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            clock.schedule_at(1.0, lambda: None)
 
-    def test_schedule_at_absolute_time(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
-        queue.run()
+    def test_schedule_at_fires_at_the_time_itself(self):
+        # now + (at - now) is 3.4112143857273836 here, an ulp early.
+        now, at = 1.2358744663346217, 3.411214385727384
+        clock = Clock()
         seen = []
-        queue.schedule_at(5.0, lambda: seen.append(queue.clock.now))
-        queue.run()
-        assert seen == [5.0]
-
-    def test_run_until_deadline(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1.0, lambda: fired.append(1))
-        queue.schedule(10.0, lambda: fired.append(10))
-        queue.run(until=5.0)
-        assert fired == [1]
+        clock.schedule_at(now, lambda: clock.schedule_at(at, lambda: seen.append(clock.now)))
+        clock.run()
+        assert seen == [at]
 
     def test_event_cap_detects_livelock(self):
-        queue = EventQueue()
+        clock = Clock()
 
         def reschedule():
-            queue.schedule(0.1, reschedule)
+            clock.schedule(0.1, reschedule)
 
-        queue.schedule(0.1, reschedule)
+        clock.schedule(0.1, reschedule)
         with pytest.raises(SimulationError):
-            queue.run(max_events=100)
-
-    def test_clock_cannot_go_backwards(self):
-        clock = SimClock()
-        clock._advance(5.0)
-        with pytest.raises(SimulationError):
-            clock._advance(1.0)
+            clock.run(max_events=100)
+        assert not clock.running
 
 
 class TestDelayModels:
@@ -142,7 +112,7 @@ class TestDelayModels:
 
 
 def _make_network():
-    queue = EventQueue()
+    queue = Clock()
     network = Network(queue, ConstantDelay(1.0))
     inbox = {"a": [], "b": []}
     network.register("a", lambda m: inbox["a"].append(m))
@@ -217,7 +187,7 @@ class TestNetwork:
     def test_interceptor_overrides_delay(self):
         queue, network, inbox = _make_network()
         times = []
-        network.register("c", lambda m: times.append(queue.clock.now))
+        network.register("c", lambda m: times.append(queue.now))
         network.set_interceptor(lambda m: 7.0 if m.kind == "slow" else None)
         network.send(Message("a", "c", "slow"))
         network.send(Message("a", "c", "fast"))

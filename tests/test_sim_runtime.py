@@ -134,7 +134,7 @@ class TestFaultInjection:
     def test_injector_validates_parameters(self):
         sim = make_sim(servers=5, max_faults=1)
         with pytest.raises(ConfigurationError):
-            FailureInjector(sim.events, sim.network, server_ids(5), 5)
+            FailureInjector(sim.clock, sim.network.crash, server_ids(5), 5)
 
     def test_remaining_budget(self):
         sim = make_sim(servers=5, max_faults=1)
