@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .timestamps import Tag
@@ -96,7 +96,6 @@ class Operation:
     value: Any = None
     tag: Optional[Tag] = None
     round_trips: int = 0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def is_read(self) -> bool:
