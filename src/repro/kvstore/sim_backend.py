@@ -11,10 +11,19 @@ world:
 * :class:`SimKVCluster` is a
   :class:`~repro.kvstore.engine.assembly.ClusterAssembly` -- the recipe both
   backends get their engines, observers and control plane from -- that
-  registers every engine the assembly builds on one fabric.  Clients invoke
+  registers every engine the assembly builds on one fabric.  A client is not
+  a process of the fabric: the clients of one site (the delay model's
+  :meth:`~repro.sim.delays.DelayModel.site_of`; a model without sites is one
+  site) are sessions on one
+  :class:`~repro.kvstore.engine.link.ClientLink`, and the link is the
+  process -- ``link-1``, ``link-2``, ... in the order the sites first appear
+  -- as every store of one event loop rides one link on asyncio.  So their
+  rounds share one frame per replica or proxy and one query per key, in
+  virtual time as over loopback.  The delay model sees a link's frames as
+  those of one of its clients.  Clients invoke
   through :meth:`SimKVCluster.invoke`; ``Connect`` succeeds at once (the
   simulated network needs no dialing), and a crashed process's traffic is
-  dropped *silently*, which is exactly why the client engine's watchdog
+  dropped *silently*, which is exactly why the link's watchdog
   timer (:data:`~repro.kvstore.engine.effects.SIM_RETRY_POLICY`) carries
   proxy failover here.  :meth:`SimKVCluster.resize` /
   :meth:`SimKVCluster.move_shard` run the effects of a live rebalance
@@ -35,10 +44,10 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Set
 
 from ..core.operations import OpKind
 from ..protocols.base import OperationOutcome
-from ..sim.delays import ConstantDelay
+from ..sim.delays import ConstantDelay, DelayModel
 from ..sim.failures import CrashPlan, FailureInjector
 from ..util.rng import SeededRng
-from .engine import BatchStats, ClientSessionEngine, Effect
+from .engine import BatchStats, ClientLink, ClientSessionEngine, Effect
 from .engine.assembly import ClusterAssembly
 from .engine.fabric import Fabric
 from .migration import MigrationReport
@@ -135,6 +144,17 @@ class KVFailureInjector:
 _KINDS = {"put": OpKind.WRITE, "get": OpKind.READ}
 
 
+def _link_delay(model: DelayModel, stand_ins: Mapping[str, str]) -> Callable[[str, str], float]:
+    """``model.delay`` with each link id read as its stand-in client, so a
+    link's frames take the delays its clients' would."""
+    draw = model.delay
+
+    def delay(source: str, destination: str) -> float:
+        return draw(stand_ins.get(source, source), stand_ins.get(destination, destination))
+
+    return delay
+
+
 class SimKVCluster(ClusterAssembly):
     """All replica groups of a :class:`ShardMap` plus clients on one clock.
 
@@ -144,7 +164,9 @@ class SimKVCluster(ClusterAssembly):
     config's ``delay_model`` draws, first-in first-out per connection as
     over TCP (the lease protocol relies on it), and replicas queue their
     replies behind ``service_overhead + service_per_op`` per sub-operation.
-    :attr:`clients` maps each client id to its session engine.
+    :attr:`clients` maps each client id to its session engine, and
+    :attr:`links` each link id to the link its site's sessions share (the
+    fabric process their frames and timers reach).
 
     ``sites`` (optional, the process->site shape ``GeoDelay`` takes) makes
     the ingress tier site-aware: each client is assigned a proxy of its own
@@ -176,9 +198,10 @@ class SimKVCluster(ClusterAssembly):
         sites: Optional[Mapping[str, str]] = None,
     ) -> None:
         config = backend_config(config, "sim", "SimKVCluster")
-        self.fabric = Fabric(
-            (config.delay_model or ConstantDelay()).delay, raise_failures=True
-        )
+        model = config.delay_model or ConstantDelay()
+        #: Link id -> one of its clients, whom the delay model is asked about.
+        self._stand_ins: Dict[str, str] = {}
+        self.fabric = Fabric(_link_delay(model, self._stand_ins), raise_failures=True)
         super().__init__(
             shard_map,
             lambda: self.fabric.now,
@@ -205,16 +228,35 @@ class SimKVCluster(ClusterAssembly):
         # resend delay is in seconds).
         self.control_engine.retry_delay = SIM_DRAIN_RETRY_DELAY
         self.fabric.register(self.control_engine.control_id, self.control_engine)
+        #: Link id -> the link of one client site, in the order the sites
+        #: first appear among ``client_ids``.
+        self.links: Dict[str, ClientLink] = {}
         self.clients: Dict[str, ClientSessionEngine] = {}
+        by_site: Dict[Optional[str], ClientLink] = {}
         for client_id in client_ids:
-            engine = self.clients[client_id] = self.client_engine(
+            site = model.site_of(client_id)
+            link = by_site.get(site)
+            if link is None:
+                link = by_site[site] = self._add_link(client_id)
+            session = self.clients[client_id] = self.client_engine(
                 client_id, self.recorder, max_batch=config.max_batch,
-                proxy_candidates=self.proxy_candidates(client_id),
+                proxy_candidates=self.proxy_candidates(client_id), link=link,
             )
-            self.fabric.register(client_id, engine)
-            if engine.proxy_id is not None:
+            if session.proxy_id is not None:
                 # The simulated network needs no dialing: confirm the ingress.
-                self.fabric.execute(client_id, engine.on_connected(engine.proxy_id))
+                self.fabric.execute(link.link_id, link.on_connected(session.proxy_id))
+
+    def _add_link(self, client_id: str) -> ClientLink:
+        """A new site's link, registered on the fabric as one process; the
+        delay model sees its frames as ``client_id``'s."""
+        link_id = f"link-{len(self.links) + 1}"
+        link = self.links[link_id] = ClientLink(
+            link_id, policy=self.retry_policy,
+            observer=self.hub.scoped("client", link_id), lease_ttl=self.lease_ttl,
+        )
+        self._stand_ins[link_id] = client_id
+        self.fabric.register(link_id, link)
+        return link
 
     def invoke(
         self,
@@ -230,10 +272,11 @@ class SimKVCluster(ClusterAssembly):
         ``on_complete`` gets the outcome; an operation that fails for good
         raises its error out of :meth:`run`.
         """
-        op_id, effects = self.fabric.engines[client_id].invoke(_KINDS[kind], key, value)
+        session = self.clients[client_id]
+        op_id, effects = session.invoke(_KINDS[kind], key, value)
         if on_complete is not None:
             self.fabric.callbacks[op_id] = on_complete
-        self.fabric.execute(client_id, effects)
+        self.fabric.execute(session.link.link_id, effects)
         return op_id
 
     # -- live control plane -----------------------------------------------------
@@ -323,9 +366,11 @@ class SimKVCluster(ClusterAssembly):
         self.fabric.run(until=until, max_events=max_events)
 
     def batch_stats(self) -> BatchStats:
+        """Every link's frames, its replica side and its proxy legs."""
         merged = BatchStats()
-        for client in self.clients.values():
-            merged.merge(client.stats)
+        for link in self.links.values():
+            merged.merge(link.stats)
+            merged.merge(link.proxy_stats)
         return merged
 
     def stale_replays(self) -> int:
@@ -431,6 +476,7 @@ def _run_sim(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
         duration=now(),
         elapsed=finished,
         client_engines=cluster.clients.values(),
+        links=cluster.links.values(),
         recorder=cluster.recorder,
         resize=resize_info,
         proxy_kill=kill_record,

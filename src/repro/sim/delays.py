@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..util.rng import SeededRng
 
@@ -32,6 +32,11 @@ class DelayModel(abc.ABC):
     @abc.abstractmethod
     def delay(self, src: str, dst: str) -> float:
         """One-way latency for the next message on this link."""
+
+    def site_of(self, process_id: str) -> Optional[str]:
+        """The site ``process_id`` runs at, or ``None`` in a model without
+        sites (every process at one place)."""
+        return None
 
 
 @dataclass
@@ -116,6 +121,9 @@ class GeoDelay(DelayModel):
         self.wan_delay = wan_delay
         self.jitter_fraction = jitter_fraction
         self._rng = SeededRng(seed)
+
+    def site_of(self, process_id: str) -> Optional[str]:
+        return self.sites.get(process_id)
 
     def delay(self, src: str, dst: str) -> float:
         same_site = self.sites.get(src) == self.sites.get(dst)

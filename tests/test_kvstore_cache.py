@@ -715,9 +715,9 @@ class TestLeaseCrashSim:
         )
         policy = cluster.retry_policy
         assert lease_ttl > policy.max_round_timeouts * policy.silence_window
-        cluster.fabric.register("d1", cluster.client_engine(
-            "d1", cluster.recorder, proxy_candidates=[],
-        ))
+        # A direct writer on a link of its own (c1's link is on the proxy).
+        writer = cluster.client_engine("d1", cluster.recorder, proxy_candidates=[])
+        cluster.fabric.register("d1", writer)
         now = lambda: cluster.fabric.now
         done = {}
 
@@ -725,9 +725,9 @@ class TestLeaseCrashSim:
             # The fill is granted; its proxy dies holding the leases.
             cluster.crash_proxy("p1")
             done["write-invoked"] = now()
-            cluster.invoke(
-                "d1", "put", "k", "v2", lambda _: done.setdefault("write", now())
-            )
+            op_id, effects = writer.invoke(OpKind.WRITE, "k", "v2")
+            cluster.fabric.callbacks[op_id] = lambda _: done.setdefault("write", now())
+            cluster.fabric.execute("d1", effects)
 
         cluster.invoke(
             "c1", "put", "k", "v1", lambda _: cluster.invoke("c1", "get", "k", None, write)

@@ -269,7 +269,11 @@ def sim_trace(use_proxy=False, script=SCRIPT, read_cache=0):
     shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
     cluster = SimKVCluster(shard_map, ["c1"], _trace_config("sim", use_proxy, read_cache))
     client_trace, proxy_trace = [], []
-    tap(cluster.clients["c1"], client_trace)
+    session = cluster.clients["c1"]
+    tap(session, client_trace)
+    # The fabric runs the client's site link, not the session: its frames and
+    # timers reach the link, as on asyncio.
+    tap(session.link, client_trace)
     if use_proxy:
         tap(cluster.proxy_engines["p1"], proxy_trace)
     remaining = list(script)
@@ -290,8 +294,14 @@ def sim_trace(use_proxy=False, script=SCRIPT, read_cache=0):
     cluster.run()
     verdict = check_per_key_atomicity(cluster.recorder.histories())
     assert verdict.all_atomic, verdict.summary()
-    return (client_trace[: cut.get("client")],
-            proxy_trace[: cut.get("proxy")])
+    # The proxy answers the link that carries c1's rounds.
+    link_id = session.link.link_id
+    proxy_trace = [
+        (kind, "c1", frame) if kind == "send" and dest == link_id
+        else (kind, dest, frame)
+        for kind, dest, frame in proxy_trace[: cut.get("proxy")]
+    ]
+    return client_trace[: cut.get("client")], proxy_trace
 
 
 def asyncio_trace(use_proxy=False, script=SCRIPT, read_cache=0):

@@ -210,7 +210,7 @@ class TestSimReplicaLoss:
         cluster = SimKVCluster(shard_map, ["c1"])
         policy = cluster.retry_policy
         victims = shard_map.groups["g1"].servers[1:]
-        engine = cluster.clients["c1"]
+        engine = cluster.clients["c1"].link  # the fabric feeds the site's link
         sent_at = []
 
         def crashing_once_the_update_leaves(method):

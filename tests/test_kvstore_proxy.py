@@ -233,6 +233,11 @@ class TestSimProxiedWorkloads:
         # then a proxy also sends one query per key per flush: the riders
         # cut the sub-ops (699 -> 537 and 1318 -> 1298), and the replicas,
         # served sooner, shift the ties the merges of the rough run rode.
+        # Since the simulator's clients share one link, as a process's stores
+        # do on asyncio, the link's proxy leg sends those queries once: the
+        # riders are the link's now, not the proxy's, and the client -> proxy
+        # frames and proxy-acks they merged went (942 -> 783, 2881 -> 2618;
+        # the rough run's replica frames 960 -> 906, sub-ops 1298 -> 1212).
         def run_seed(seed, **extra):
             workload = generate_workload(
                 num_clients=8, ops_per_client=25, num_keys=64, read_fraction=0.9,
@@ -247,11 +252,11 @@ class TestSimProxiedWorkloads:
         rough = run_seed(5, proxies=2, resize_to=8, crashes_per_group=1,
                          push_views=False)
         for result, frames, sub_ops, messages in [
-            (plain, 303, 537, 942), (rough, 960, 1298, 2881),
+            (plain, 303, 537, 783), (rough, 906, 1212, 2618),
         ]:
             assert result.check().all_atomic
             assert result.proxy_stats.rounds_narrow == 0
-            assert result.proxy_stats.rounds_coalesced > 0
+            assert result.batch_stats.rounds_coalesced > 0
             assert (result.replica_frames, result.replica_sub_ops,
                     result.messages_sent) == (frames, sub_ops, messages)
         # The default asks for less of the replicas on the same workload.

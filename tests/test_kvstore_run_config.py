@@ -192,7 +192,7 @@ class TestClustersTakeTheConfig:
             ShardMap(1, readers=1, writers=1), ["c1"],
             KVRunConfig(proxies=1, retry_policy=policy),
         )
-        engine = cluster.clients["c1"]
+        engine = cluster.clients["c1"].link  # the fabric feeds the site's link
         armed = []
         on_timer = engine.on_timer
 

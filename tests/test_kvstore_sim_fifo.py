@@ -21,6 +21,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.operations import OpKind
 from repro.kvstore import (
     KVRunConfig,
     ShardMap,
@@ -173,9 +174,13 @@ class TestTimerFramesAndTheServiceQueue:
             delay_model=ConstantDelay(1.0), service_overhead=5.0, service_per_op=0.0,
         ))
         fabric = cluster.fabric
-        fabric.register("d1", cluster.client_engine(
-            "d1", cluster.recorder, proxy_candidates=[],
-        ))
+        # A direct client on a link of its own (c1's link is on the proxy).
+        writer = cluster.client_engine("d1", cluster.recorder, proxy_candidates=[])
+        fabric.register("d1", writer)
+
+        def invoke_d1(kind, key, value=None):
+            fabric.execute("d1", writer.invoke(kind, key, value)[1])
+
         emitted, arrived = [], []
         replica = "g1-s2"
         engine = cluster.server_logics[replica]
@@ -190,7 +195,6 @@ class TestTimerFramesAndTheServiceQueue:
                 return effects
 
             setattr(engine, name, tapped)  # the runtime looks both up per call
-        writer = fabric.engines["d1"]
         on_frame = writer.on_frame
 
         def heard(frame):
@@ -204,7 +208,7 @@ class TestTimerFramesAndTheServiceQueue:
             # p1 holds read leases on k and dies without releasing them; a
             # direct write of k is deferred until the replicas expire them.
             cluster.crash_proxy("p1")
-            cluster.invoke("d1", "put", "k", "v2")
+            invoke_d1(OpKind.WRITE, "k", "v2")
 
         cluster.invoke("c1", "put", "k", "v1", lambda _: cluster.invoke(
             "c1", "get", "k", None, after_the_fill))
@@ -214,7 +218,7 @@ class TestTimerFramesAndTheServiceQueue:
         # A read of another key lands 2 units before the expiry and is held
         # 5 units in service, past it.
         fabric.schedule(expiry - 3.0 - fabric.now,
-                        lambda: cluster.invoke("d1", "get", "k2"))
+                        lambda: invoke_d1(OpKind.READ, "k2"))
         cluster.run()
         k2_served, k_released = expiry - 2.0, expiry
         assert emitted[-2:] == [
