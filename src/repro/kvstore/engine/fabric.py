@@ -25,11 +25,13 @@ from or to it is dropped when it is sent, and one already on its way to it
 is dropped on arrival.  A process registered with a ``service`` of
 ``(overhead, per_op)`` is a replica with finite capacity: a frame costs it
 ``overhead`` plus ``per_op`` per sub-operation (per key for a drain frame), a
-busy replica queues the work, and the frames its handling sends leave when
-the service is done.  Those hold-backs are not engine timers: nothing observes
-them and they never reach ``on_timer``.  Its timers, and what they send, go
-out at once.  ``Connect`` succeeds at once, and a completed operation calls
-``callbacks[op_id]`` and then every watcher.
+busy replica queues the work, and every frame it sends leaves when the work
+queued so far is done -- a frame its timer sends too, so it never overtakes a
+reply still held in service and the replica's connections stay FIFO.  Those
+hold-backs are not engine timers: nothing observes them and they never reach
+``on_timer``.  Its timers themselves fire on time.  ``Connect`` succeeds at
+once, and a completed operation calls ``callbacks[op_id]`` and then every
+watcher.
 
 :class:`~repro.kvstore.sim_backend.SimKVCluster` runs the simulated store on
 one fabric; the engine tests drive it through schedules no transport makes.
@@ -53,16 +55,15 @@ Action = Tuple[str, Tuple[Any, Any]]
 
 
 class _Service:
-    """A replica's capacity: when it is next free, and how long the frames
-    of the request it is handling are held back."""
+    """A replica's capacity: when it is next free, which is when the frames
+    it sends leave."""
 
-    __slots__ = ("overhead", "per_op", "busy_until", "hold")
+    __slots__ = ("overhead", "per_op", "busy_until")
 
     def __init__(self, overhead: float, per_op: float) -> None:
         self.overhead = overhead
         self.per_op = per_op
         self.busy_until = 0.0
-        self.hold = 0.0
 
 
 def _one_unit(source: str, destination: str) -> float:
@@ -141,14 +142,10 @@ class Fabric(Clock):
         frame = effect.frame
         units = service_units(frame)
         effects = engine.on_frame(frame)
-        now = self.now
-        finish = max(now, service.busy_until) + (service.overhead + service.per_op * units)
-        service.busy_until = finish
-        service.hold = finish - now
-        try:
-            self.runtimes[destination].run(effects)
-        finally:
-            service.hold = 0.0
+        service.busy_until = max(self.now, service.busy_until) + (
+            service.overhead + service.per_op * units
+        )
+        self.runtimes[destination].run(effects)
 
     def hold(self, match: Callable[[SendFrame], bool]) -> Callable[[], None]:
         """Park every frame ``match`` accepts as it arrives; returns ``release()``,
@@ -203,10 +200,11 @@ class Fabric(Clock):
         queue.append(self._at(due, partial(self._arrive, key, effect)))
 
     def _send_after_service(self, source: str, service: _Service, effect: SendFrame) -> None:
-        if service.hold <= 0:
+        hold = service.busy_until - self.now
+        if hold <= 0:
             self._send(source, effect)
         else:
-            self.schedule(service.hold, partial(self._send, source, effect))
+            self.schedule(hold, partial(self._send, source, effect))
 
     def _arrive(self, key: Tuple[str, str], effect: SendFrame) -> None:
         queue = self.connections[key]

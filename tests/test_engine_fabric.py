@@ -212,8 +212,10 @@ def test_a_serving_process_holds_its_replies_and_queues_its_requests():
     a.on_frame = lambda frame: arrivals.append((frame.kind, fabric.now)) or []
     fabric.run()
     # Both requests land at 1: the first is served by 2.25, the second
-    # queues behind it until 3.5; the timer's frame leaves at once.
-    assert arrivals == [("expired", 2.5), ("ack", 3.25), ("ack", 4.5)]
+    # queues behind it until 3.5.  The timer fires at 1.5, but its frame
+    # waits for the service queue too: it leaves at 3.5, behind the second
+    # reply, so the connection stays first-in first-out.
+    assert arrivals == [("ack", 3.25), ("ack", 4.5), ("expired", 4.5)]
 
 
 def test_actions_list_connections_sorted_then_timers_oldest_armed_first():

@@ -159,15 +159,14 @@ class TestFifoConnections:
 
 
 class TestTimerFramesAndTheServiceQueue:
-    """A replica's connection is FIFO by the time a frame *leaves its service
-    queue*: what a lease-expiry timer sends leaves at once, so it can pass a
-    reply the replica produced earlier and still holds in service.  This pins
-    the order as it stands; reordering it would move tie order, and with it
-    the goldens."""
+    """A replica's connection is FIFO from the moment a frame is *produced*:
+    what a lease-expiry timer sends while the replica is still serving waits
+    for the service queue, so it cannot pass a reply the replica produced
+    earlier and still holds."""
 
     TTL = 100.0
 
-    def test_a_lease_expiry_ack_overtakes_a_reply_held_in_service(self):
+    def test_a_lease_expiry_ack_waits_behind_a_reply_held_in_service(self):
         shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
         cluster = SimKVCluster(shard_map, ["c1"], KVRunConfig(
             proxies=1, read_cache=8, lease_ttl=self.TTL,
@@ -225,11 +224,12 @@ class TestTimerFramesAndTheServiceQueue:
             (k2_served, "on_frame", [("k2", "query-ack")]),
             (k_released, "on_timer", [("k", "update-ack")]),
         ]
-        # The timer's ack leaves at the expiry, the read's reply only when
-        # its service ends: the later frame arrives first.
+        # The read's reply leaves when its service ends, 3 units after the
+        # expiry, and the timer's ack, produced later, leaves behind it.
+        left = k2_served + 5.0
         assert arrived[-2:] == [
-            (k_released + 1.0, [("k", "update-ack")]),
-            (k2_served + 5.0 + 1.0, [("k2", "query-ack")]),
+            (left + 1.0, [("k2", "query-ack")]),
+            (left + 1.0, [("k", "update-ack")]),
         ]
         assert check_per_key_atomicity(cluster.recorder.histories()).all_atomic
 
