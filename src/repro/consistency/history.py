@@ -10,9 +10,9 @@ for both simulators and the asyncio store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.operations import Event, EventKind, Operation, OpKind
+from ..core.operations import Operation, OpKind
 from ..core.timestamps import Tag
 
 __all__ = ["History", "HistoryRecorder"]
@@ -32,33 +32,6 @@ class History:
     @classmethod
     def from_operations(cls, operations: Iterable[Operation]) -> "History":
         return cls(list(operations))
-
-    @classmethod
-    def from_events(cls, events: Sequence[Event]) -> "History":
-        """Reconstruct operations from a flat event stream."""
-        pending: Dict[str, Operation] = {}
-        history = cls()
-        for event in sorted(events, key=lambda e: e.time):
-            if event.kind is EventKind.INVOCATION:
-                op = Operation(
-                    op_id=event.op_id,
-                    client=event.client,
-                    kind=event.op_kind,
-                    start=event.time,
-                    value=event.value,
-                    tag=event.tag,
-                )
-                pending[event.op_id] = op
-                history.add(op)
-            else:
-                op = pending.get(event.op_id)
-                if op is None:
-                    raise ValueError(f"response without invocation: {event.op_id}")
-                op.finish = event.time
-                if event.op_kind is OpKind.READ:
-                    op.value = event.value
-                    op.tag = event.tag
-        return history
 
     # -- basic queries --------------------------------------------------------
 

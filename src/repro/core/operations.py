@@ -2,9 +2,9 @@
 
 The atomicity definition (Definition 2.1 of the paper) is stated over
 *executions*: sequences of invocation and response events, each tagged with a
-timestamp of the discrete global clock.  This module defines the event and
-operation record types shared by the simulator, the asyncio runtime, the
-history checker and the proof engine.
+timestamp of the discrete global clock.  This module defines the operation
+record -- an invocation and its response, as one interval -- shared by the
+simulator, the asyncio runtime, the history checker and the proof engine.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .timestamps import Tag
 
 __all__ = [
     "OpKind",
-    "EventKind",
-    "Event",
     "Operation",
     "new_op_id",
 ]
@@ -37,45 +35,6 @@ class OpKind(enum.Enum):
 
     READ = "read"
     WRITE = "write"
-
-
-class EventKind(enum.Enum):
-    """Kinds of history events."""
-
-    INVOCATION = "inv"
-    RESPONSE = "resp"
-
-
-@dataclass(frozen=True)
-class Event:
-    """A single invocation or response event in an execution.
-
-    Attributes:
-        kind: invocation or response.
-        op_kind: read or write.
-        op_id: identifier linking invocation to response.
-        client: the invoking client's id.
-        time: global-clock timestamp of the event.
-        value: for a write invocation, the value written; for a read
-            response, the value returned.
-        tag: the ``(ts, wid)`` tag associated with the value, when known.
-    """
-
-    kind: EventKind
-    op_kind: OpKind
-    op_id: str
-    client: str
-    time: float
-    value: Any = None
-    tag: Optional[Tag] = None
-
-    @property
-    def is_invocation(self) -> bool:
-        return self.kind is EventKind.INVOCATION
-
-    @property
-    def is_response(self) -> bool:
-        return self.kind is EventKind.RESPONSE
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consistency.history import History
-from repro.core.operations import Event, EventKind, Operation, OpKind
+from repro.core.operations import Operation, OpKind
 from repro.core.timestamps import Tag
 
 
@@ -137,21 +137,3 @@ class TestCompletion:
         writes, reads = history.round_trip_counts()
         assert writes == [2] and reads == [1]
 
-
-class TestFromEvents:
-    def test_round_trip_through_events(self):
-        events = [
-            Event(EventKind.INVOCATION, OpKind.WRITE, "a", "w1", 0.0, value="x"),
-            Event(EventKind.RESPONSE, OpKind.WRITE, "a", "w1", 1.0, value="x", tag=Tag(1, "w1")),
-            Event(EventKind.INVOCATION, OpKind.READ, "b", "r1", 2.0),
-            Event(EventKind.RESPONSE, OpKind.READ, "b", "r1", 3.0, value="x", tag=Tag(1, "w1")),
-        ]
-        history = History.from_events(events)
-        assert len(history) == 2
-        read = history.operation("b")
-        assert read.value == "x" and read.finish == 3.0
-
-    def test_response_without_invocation_rejected(self):
-        events = [Event(EventKind.RESPONSE, OpKind.READ, "x", "r1", 1.0)]
-        with pytest.raises(ValueError):
-            History.from_events(events)

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.operations import Event, EventKind, Operation, OpKind, new_op_id
-from repro.core.timestamps import Tag
+from repro.core.operations import Operation, OpKind, new_op_id
 from repro.util.ids import IdGenerator, client_ids, server_ids
 from repro.util.rng import SeededRng
 from repro.util.stats import percentile, summarize
@@ -45,12 +44,6 @@ class TestOperations:
         write = Operation("b", "w1", OpKind.WRITE, start=0.0)
         assert read.is_read and not read.is_write
         assert write.is_write and not write.is_read
-
-    def test_event_predicates(self):
-        inv = Event(EventKind.INVOCATION, OpKind.READ, "op", "r1", 0.0)
-        resp = Event(EventKind.RESPONSE, OpKind.READ, "op", "r1", 1.0, tag=Tag(1, "w1"))
-        assert inv.is_invocation and not inv.is_response
-        assert resp.is_response and resp.tag == Tag(1, "w1")
 
 
 class TestIds:
