@@ -856,37 +856,62 @@ class TestEngineImportBan:
 class TestSimBackendImportBan:
     """The simulated store runs on the engine fabric, one simulated world:
     ``repro.kvstore.sim_backend`` must not import the register-level
-    simulator's network, processes or clock, nor their classes through the
-    ``repro.sim`` package."""
+    simulator's network, processes or runtime, nor their classes through the
+    ``repro.sim`` package -- and its clients are sessions on site links, not
+    processes of the fabric."""
 
-    BANNED = ("repro.sim.network", "repro.sim.process", "repro.sim.clock")
+    BANNED = ("repro.sim.network", "repro.sim.process", "repro.sim.runtime")
     BANNED_NAMES = {
         f"repro.sim.{name}" for name in (
-            "Network", "SkipRule", "Process", "ServerProcess",
-            "EventQueue", "ScheduledEvent", "SimClock",
+            "Network", "SkipRule", "Process", "ServerProcess", "Simulation",
         )
     }
+
+    def _banned(self, module):
+        return module.startswith(self.BANNED) or module in self.BANNED_NAMES
+
+    def test_every_banned_name_exists(self):
+        # A ban on a name that is gone guards nothing.
+        import importlib
+
+        import repro.sim
+
+        for module in self.BANNED:
+            importlib.import_module(module)
+        for name in self.BANNED_NAMES:
+            assert hasattr(repro.sim, name.rsplit(".", 1)[1]), name
 
     def test_static_no_second_simulated_world(self):
         path = Path(sim_backend.__file__).resolve()
         modules = set(_imports_of(path, ("repro", "kvstore")))
         assert "repro.kvstore.engine.fabric.Fabric" in modules  # resolved right
         for module in modules:
-            assert not module.startswith(self.BANNED), f"sim_backend imports {module}"
-            assert module not in self.BANNED_NAMES, f"sim_backend imports {module}"
+            assert not self._banned(module), f"sim_backend imports {module}"
 
     def test_the_ban_sees_each_way_in(self, tmp_path):
         probe = tmp_path / "probe.py"
         probe.write_text(
-            "from ..sim.network import Network\n"
-            "from ..sim import clock\n"
+            "from ..sim.runtime import Simulation\n"
+            "from ..sim import network\n"
             "from ..sim import Process\n"
             "import repro.sim.process\n",
             encoding="utf-8",
         )
         found = set(_imports_of(probe, ("repro", "kvstore")))
-        assert {"repro.sim.network", "repro.sim.clock", "repro.sim.Process",
-                "repro.sim.process"} <= found
+        ways_in = {"repro.sim.runtime.Simulation", "repro.sim.network",
+                   "repro.sim.Process", "repro.sim.process"}
+        assert ways_in <= found
+        assert all(self._banned(module) for module in ways_in)
+
+    def test_no_client_is_a_fabric_process(self):
+        cluster = SimKVCluster(
+            ShardMap(2, num_groups=1, readers=3, writers=3), ["c1", "c2", "c3"],
+            KVRunConfig(proxies=1),
+        )
+        assert cluster.clients and not set(cluster.clients) & set(cluster.fabric.engines)
+        assert list(cluster.links) == ["link-1"]
+        assert all(cluster.fabric.engines[link_id] is link
+                   for link_id, link in cluster.links.items())
 
 
 # -- one interpreter ------------------------------------------------------------
