@@ -7,6 +7,7 @@ from collections.abc import Sized
 import pytest
 
 from repro.core.errors import SimulationError
+from repro.kvstore.engine import SendFrame
 from repro.kvstore import (
     KVOp,
     KVRunConfig,
@@ -16,7 +17,7 @@ from repro.kvstore import (
     generate_workload,
     run,
 )
-from repro.sim.delays import ConstantDelay, UniformDelay
+from repro.sim.delays import ConstantDelay, GeoDelay, UniformDelay
 
 
 class TestWorkloadGeneration:
@@ -146,6 +147,78 @@ class TestSimKVClusterDirect:
         with pytest.raises(SimulationError, match="event cap of 50"):
             cluster.run(max_events=50)
         assert not cluster.fabric.running
+
+
+class TestOneLinkPerSite:
+    """The clients of one site are sessions on one ``ClientLink``, the link a
+    process of the fabric, as a process's stores share one link on asyncio."""
+
+    def test_clients_on_a_hot_key_share_proxy_frames_and_queries(self):
+        # Per-key order keeps each client to one op on the key at a time, so
+        # a private link would send one round per proxy frame and coalesce
+        # nothing; the shared link merges the clients' rounds into frames
+        # and lets concurrent reads ride one query.
+        workload = generate_workload(
+            num_clients=4, ops_per_client=24, num_keys=1, read_fraction=0.9,
+            pipeline_depth=4, seed=3,
+        )
+        result = run(KVRunConfig(backend="sim", proxies=1, read_cache=0), workload)
+        assert result.completed_ops == 96 and result.check().all_atomic
+        leg = result.proxy_leg
+        assert leg["stores"] == 4 and result.direct_link is None
+        assert leg["frames_sent"] < leg["sub_ops"]
+        assert leg["rounds_coalesced"] > 0
+
+    def _geo_cluster(self):
+        shard_map = ShardMap(1, num_groups=1, readers=3, writers=3)
+        servers = shard_map.all_servers
+        sites = {servers[0]: "east", servers[1]: "west", servers[2]: "east",
+                 "c1": "east", "c2": "west", "c3": "east"}
+        model = GeoDelay(sites, local_delay=0.5, wan_delay=8.0, jitter_fraction=0.0)
+        config = KVRunConfig(delay_model=model)
+        return SimKVCluster(shard_map, ["c1", "c2", "c3"], config), sites, model
+
+    def test_a_geo_run_has_one_link_per_site_in_order_of_first_appearance(self):
+        cluster, _, _ = self._geo_cluster()
+        assert {
+            link_id: [session.client_id for session in link.sessions]
+            for link_id, link in cluster.links.items()
+        } == {"link-1": ["c1", "c3"], "link-2": ["c2"]}
+        assert all(cluster.clients[c].link is cluster.links["link-1"] for c in ("c1", "c3"))
+
+    def test_a_links_frames_take_its_sites_delays(self):
+        cluster, sites, model = self._geo_cluster()
+        fabric = cluster.fabric
+        sent_at, transit = {}, {}
+        for link in cluster.links.values():
+            def flushing(timer_id, method=link.on_timer):
+                effects = method(timer_id)
+                for effect in effects:
+                    if isinstance(effect, SendFrame):
+                        sent_at[id(effect.frame)] = fabric.now
+                return effects
+
+            link.on_timer = flushing  # the runtime looks it up per fire
+        deliver = fabric.deliver
+
+        def tapped(effect):
+            key = (effect.frame.sender, effect.destination)
+            if key[0] in cluster.links:
+                transit.setdefault(key, fabric.now - sent_at[id(effect.frame)])
+            deliver(effect)
+
+        fabric.deliver = tapped
+        for client_id in ("c1", "c2"):
+            cluster.invoke(client_id, "put", f"k-{client_id}", "v")
+        cluster.run()
+        assert cluster.recorder.completed_operations == 2
+        site_of = {"link-1": "east", "link-2": "west"}
+        assert len(transit) == 6  # each link's update asks every replica
+        for (link, server), took in transit.items():
+            expected = (
+                model.local_delay if sites[server] == site_of[link] else model.wan_delay
+            )
+            assert took == expected, (link, server, took)
 
 
 class TestFabricFootprint:
