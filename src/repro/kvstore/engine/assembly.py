@@ -12,7 +12,9 @@ engines its nodes run, all observed through one hub:
   :class:`~repro.kvstore.engine.routing.CachedShardView`, the worst-case read
   round trips of the groups, its cache and lease settings;
 * :meth:`~ClusterAssembly.client_engine` -- a store client, with
-  :meth:`~ClusterAssembly.proxy_candidates` the failover list of its site;
+  :meth:`~ClusterAssembly.proxy_candidates` the failover list of its site,
+  and :meth:`~ClusterAssembly.client_link` the link the clients of one
+  process share;
 * :attr:`~ClusterAssembly.control_engine` -- the control plane, fed served-op
   counts by the hub and pushing views to the live proxies;
 * :meth:`~ClusterAssembly.start_resize` / :meth:`~ClusterAssembly.start_move`
@@ -39,6 +41,7 @@ from ..sharding import ShardMap
 from .client import ClientSessionEngine
 from .control import AutoscaleFeed, ControlPlaneEngine
 from .effects import Effect, RetryPolicy
+from .link import ClientLink
 from .proxy import ProxyEngine
 from .routing import CachedShardView
 from .server import GroupServerEngine
@@ -145,6 +148,16 @@ class ClusterAssembly:
             observer=self.hub.scoped("client", client_id),
             lease_ttl=self.lease_ttl,
             **settings,
+        )
+
+    def client_link(self, link_id: str) -> ClientLink:
+        """A new link ``link_id``, for the sessions of one process to share
+        (:meth:`client_engine`'s ``link``)."""
+        return ClientLink(
+            link_id,
+            policy=self.retry_policy,
+            observer=self.hub.scoped("client", link_id),
+            lease_ttl=self.lease_ttl,
         )
 
     def proxy_candidates(self, member: Optional[str] = None) -> List[str]:

@@ -54,7 +54,6 @@ from ..util.rng import SeededRng
 from .engine import (
     DIRECT_INGRESS,
     BatchStats,
-    ClientLink,
     ClientSessionEngine,
     ControlPlaneEngine,
     Effect,
@@ -590,14 +589,7 @@ class _ClientLink(_Owner):
         # them.
         link_id = f"link-{os.getpid()}-{next(_LINK_IDS)}"
         super().__init__(
-            ClientLink(
-                link_id,
-                policy=cluster.retry_policy,
-                observer=cluster.hub.scoped("client", link_id),
-                lease_ttl=cluster.lease_ttl,
-            ),
-            connect=self._connect,
-            complete=self.complete,
+            cluster.client_link(link_id), connect=self._connect, complete=self.complete
         )
         #: Every connected store of the loop.
         self.stores: "set[KVStore]" = set()

@@ -12,9 +12,10 @@ world:
   :class:`~repro.kvstore.engine.assembly.ClusterAssembly` -- the recipe both
   backends get their engines, observers and control plane from -- that
   registers every engine the assembly builds on one fabric.  A client is not
-  a process of the fabric: the clients of one site (the delay model's
-  :meth:`~repro.sim.delays.DelayModel.site_of`; a model without sites is one
-  site) are sessions on one
+  a process of the fabric: the clients of one site (the assembly's
+  ``sites``, by default the delay model's
+  :meth:`~repro.sim.delays.DelayModel.site_of`; a client without a site is
+  at one place with the others) are sessions on one
   :class:`~repro.kvstore.engine.link.ClientLink`, and the link is the
   process -- ``link-1``, ``link-2``, ... in the order the sites first appear
   -- as every store of one event loop rides one link on asyncio.  So their
@@ -168,11 +169,14 @@ class SimKVCluster(ClusterAssembly):
     :attr:`links` each link id to the link its site's sessions share (the
     fabric process their frames and timers reach).
 
-    ``sites`` (optional, the process->site shape ``GeoDelay`` takes) makes
-    the ingress tier site-aware: each client is assigned a proxy of its own
-    site when one exists, and its failover candidate list is restricted to
-    that site's proxies -- exhausting them drops the client to direct
-    replica connections.  Without sites, all proxies form one site.
+    ``sites`` (optional, the process->site shape ``GeoDelay`` takes) places
+    the clients and makes the ingress tier site-aware: the clients of one
+    site share a link, each client is assigned a proxy of its own site when
+    one exists, and its failover candidate list is restricted to that
+    site's proxies -- exhausting them drops the client to direct replica
+    connections.  Without ``sites`` the clients' sites are the delay
+    model's (:meth:`~repro.sim.delays.DelayModel.site_of`) and the proxies
+    have none, so all proxies form one site.
 
     Every setting is ``config``'s (``None``: ``KVRunConfig()``), read here
     once -- ``config.proxies`` proxies ``p1..pN`` included; the shard map is
@@ -199,6 +203,9 @@ class SimKVCluster(ClusterAssembly):
     ) -> None:
         config = backend_config(config, "sim", "SimKVCluster")
         model = config.delay_model or ConstantDelay()
+        if sites is None:
+            placed = ((client_id, model.site_of(client_id)) for client_id in client_ids)
+            sites = {client_id: site for client_id, site in placed if site is not None}
         #: Link id -> one of its clients, whom the delay model is asked about.
         self._stand_ins: Dict[str, str] = {}
         self.fabric = Fabric(_link_delay(model, self._stand_ins), raise_failures=True)
@@ -234,7 +241,7 @@ class SimKVCluster(ClusterAssembly):
         self.clients: Dict[str, ClientSessionEngine] = {}
         by_site: Dict[Optional[str], ClientLink] = {}
         for client_id in client_ids:
-            site = model.site_of(client_id)
+            site = self.sites.get(client_id)
             link = by_site.get(site)
             if link is None:
                 link = by_site[site] = self._add_link(client_id)
@@ -250,10 +257,7 @@ class SimKVCluster(ClusterAssembly):
         """A new site's link, registered on the fabric as one process; the
         delay model sees its frames as ``client_id``'s."""
         link_id = f"link-{len(self.links) + 1}"
-        link = self.links[link_id] = ClientLink(
-            link_id, policy=self.retry_policy,
-            observer=self.hub.scoped("client", link_id), lease_ttl=self.lease_ttl,
-        )
+        link = self.links[link_id] = self.client_link(link_id)
         self._stand_ins[link_id] = client_id
         self.fabric.register(link_id, link)
         return link

@@ -186,6 +186,20 @@ class TestOneLinkPerSite:
         } == {"link-1": ["c1", "c3"], "link-2": ["c2"]}
         assert all(cluster.clients[c].link is cluster.links["link-1"] for c in ("c1", "c3"))
 
+    def test_the_callers_sites_place_links_and_proxies_alike(self):
+        # One mapping decides both, whatever the delay model: a site's
+        # clients share a link and dial that site's proxy.
+        shard_map = ShardMap(1, num_groups=1, readers=3, writers=3)
+        sites = {"c1": "us", "c2": "eu", "c3": "us", "p1": "us", "p2": "eu"}
+        cluster = SimKVCluster(
+            shard_map, ["c1", "c2", "c3"], KVRunConfig(proxies=2), sites=sites
+        )
+        assert {
+            link_id: [session.client_id for session in link.sessions]
+            for link_id, link in cluster.links.items()
+        } == {"link-1": ["c1", "c3"], "link-2": ["c2"]}
+        assert [cluster.clients[c].proxy_id for c in ("c1", "c2", "c3")] == ["p1", "p2", "p1"]
+
     def test_a_links_frames_take_its_sites_delays(self):
         cluster, sites, model = self._geo_cluster()
         fabric = cluster.fabric
