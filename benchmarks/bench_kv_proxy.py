@@ -50,7 +50,7 @@ from repro.kvstore import (
     generate_workload,
     run,
 )
-from repro.sim.delays import GeoDelay
+from repro.sim.delays import ConstantDelay, GeoDelay
 
 from _bench_utils import (
     bench_json_path,
@@ -67,18 +67,6 @@ SITES = ("us", "eu", "ap")
 
 # -- (a) cross-client batching under fan-in ------------------------------------
 
-def separate_processes(clients):
-    """Every hop 1.0, each client at a site of its own: the simulator runs
-    one client link per site, so each client is a process of its own here
-    -- the deployment a proxy's cross-client merge is for.  (Clients of one
-    site share a link, which merges across them as a proxy does, without
-    the hop, as a process's stores do over loopback TCP.)"""
-    return GeoDelay(
-        {client: client for client in clients},
-        local_delay=1.0, wan_delay=1.0, jitter_fraction=0.0,
-    )
-
-
 def run_fanin_sweep(client_counts=FANIN_CLIENTS, total_ops=TOTAL_OPS):
     """Fixed total load spread over K clients, all behind one proxy; plus a
     direct run per K as the baseline."""
@@ -94,7 +82,7 @@ def run_fanin_sweep(client_counts=FANIN_CLIENTS, total_ops=TOTAL_OPS):
         common = dict(
             num_shards=4,
             num_groups=2,
-            delay_model=separate_processes(workload.clients),
+            delay_model=ConstantDelay(1.0),
             service_overhead=0.05,
             service_per_op=0.02,
         )
