@@ -1,13 +1,12 @@
 """Benchmark -- what one ``observer.emit`` costs with the default sinks attached.
 
-Every backend run attaches a ``MetricsObserver`` and an ``AutoscaleFeed`` to
-its ``ObserverHub``.  The engines count the counter-only kinds
-(``events.QUIET_KINDS``: frames, timers, cache, leases, the client's
-``round.opened``) inline while no other sink wants them, so with these sinks
-only the op lifecycle, the proxy's rounds, batch sizes, ``sub.served`` and
-the first event of each quiet kind on a scope still go through
-``hub.scoped(...).emit`` -- 6.3 of the simulator's 19.4 events per op on the
-seeded run of ``tests/test_observe_fastpath.py``.  This
+Every backend run attaches a ``MetricsObserver`` to its ``ObserverHub``.  The
+engines count the counter-only kinds (``events.QUIET_KINDS``: frames, timers,
+cache, leases, served subs, the client's ``round.opened``) inline while no
+other sink wants them, so with this sink only the op lifecycle, the proxy's
+rounds, batch sizes and the first event of each quiet kind on a scope still
+go through ``hub.scoped(...).emit`` (the seeded run of
+``tests/test_observe_fastpath.py`` pins how many).  This
 bench times that call per event kind, with the argument shapes the engines
 use, against the same call on ``NULL_OBSERVER``, and the inline count:
 
@@ -41,8 +40,6 @@ from typing import Any, Dict, List, Tuple
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.bench.report import format_rows
-from repro.kvstore import ShardMap
-from repro.kvstore.engine import AutoscaleFeed, ControlPlaneEngine
 from repro.observe import (
     BATCH_CUT,
     FRAME_RECEIVED,
@@ -110,7 +107,6 @@ def default_sink_hub() -> ObserverHub:
 
     hub = ObserverHub(clock=clock)
     hub.add_sink(MetricsObserver(MetricsRegistry()))
-    hub.add_sink(AutoscaleFeed(ControlPlaneEngine(ShardMap(4, num_groups=2))))
     return hub
 
 
@@ -128,6 +124,7 @@ QUIET_SAMPLES: Tuple[Tuple[str, str], ...] = (
     ("proxy", CACHE_INVALIDATE),
     ("proxy", LEASE_EXPIRED),
     ("replica", LEASE_GRANTED),
+    ("replica", SUB_SERVED),
 )
 
 #: The engines' inline site, verbatim but for the names: an attribute read

@@ -3,12 +3,14 @@
 One frame is a 4-byte big-endian length header followed by a JSON body, and
 every body is **one array**::
 
-    [kind, sender, receiver, op_id, round_trip, msg_id, trace, payload]
+    [kind, sender, receiver, op_id, round_trip, trace, payload]
 
 A ``batch`` or ``batch-ack`` that carries lease traffic has one element
 more: the keys whose leases the sender releases (``["k", ...]``) on a
 ``batch``, the leases the replica granted (``[["k", nonce], ...]``) on a
-``batch-ack``.  Without lease traffic the body is the plain eight elements.
+``batch-ack``.  Without lease traffic the body is the plain seven elements.
+A message has no id to carry: replies are matched by ``(op_id,
+round_trip)``.
 
 For the four frame kinds whose payload holds typed records
 (:mod:`repro.messages`), ``payload`` is a list of positional rows written
@@ -17,8 +19,8 @@ straight from those objects and read straight back into them:
 =============  ==============================================================
 ``batch``      ``[key, sender, kind, payload, op_id, round_trip, trace,
                shard, epoch, lease]`` per :class:`~repro.messages.SubRequest`
-``batch-ack``  ``[key, sender, kind, payload, op_id, round_trip, trace]`` per
-               served sub, ``null`` for a sub that got no reply
+``batch-ack``  ``[kind, payload, op_id, round_trip]`` per served sub, ``null``
+               for a sub that got no reply
 ``proxy``      a :class:`~repro.messages.ProxySubRequest`, field for field
 ``proxy-ack``  ``[op_id, round_trip, [[sender, kind, payload], ...], error]``
                per :class:`~repro.messages.ProxySubReply`
@@ -29,7 +31,10 @@ No row carries a receiver: the frame is addressed, its records are not (see
 the frame's receiver, and a ``proxy-ack`` reply under its sub-reply's
 ``(op_id, round_trip)``; the records the sender packed may name a group or a
 proxy's attempt-scoped ids instead, which no engine reads, so the bytes are
-the same either way.
+the same either way.  A ``batch-ack`` row carries no sender, key or trace
+either: a replica answers as itself, so the decoder takes each reply's
+sender from the frame (and the encoder refuses a reply from anyone else),
+and its receiver matches a reply by ``(op_id, round_trip)`` alone.
 
 For every other kind ``payload`` is the message's payload dict unchanged.
 There is no intermediate dict-of-dicts form and no second format: every
@@ -113,17 +118,17 @@ def _no_field(kind: str, field: Any) -> None:
 
 # -- per-kind rows: (to_rows, from_rows, lease field) ---------------------------
 #
-# ``to_rows(payload)`` reads the typed records of an outbound frame;
-# ``from_rows(receiver, rows, field)`` checks and rebuilds them, addressed to
-# the frame's receiver, with the body's ninth element, its lease traffic
-# (``None`` for an eight-element body).  Unpacking a row into names checks
-# its arity (a number or ``null`` does not unpack at all; a string or an
-# object of the right length unpacks into strings, which the ``int``/``dict``
-# checks then refuse), and every failure surfaces as ValueError/TypeError for
-# ``decode_message`` to wrap.
+# ``to_rows(sender, payload)`` reads the typed records of an outbound frame
+# from ``sender``; ``from_rows(sender, receiver, rows, field)`` checks and
+# rebuilds them, addressed to the frame's receiver, with the body's eighth
+# element, its lease traffic (``None`` for a seven-element body).  Unpacking
+# a row into names checks its arity (a number or ``null`` does not unpack at
+# all; a string or an object of the right length unpacks into strings, which
+# the ``int``/``dict`` checks then refuse), and every failure surfaces as
+# ValueError/TypeError for ``decode_message`` to wrap.
 
 
-def _batch_rows(payload: Dict[str, Any]) -> List[Any]:
+def _batch_rows(sender: str, payload: Dict[str, Any]) -> List[Any]:
     return [
         [key, sub.sender, sub.kind, sub.payload, sub.op_id, sub.round_trip,
          sub.trace, shard, epoch, lease]
@@ -131,7 +136,9 @@ def _batch_rows(payload: Dict[str, Any]) -> List[Any]:
     ]
 
 
-def _batch_from_rows(receiver: str, rows: Any, releases: Any) -> Dict[str, Any]:
+def _batch_from_rows(
+    frame_sender: str, receiver: str, rows: Any, releases: Any
+) -> Dict[str, Any]:
     ops = []
     for row in _rows(rows):
         (key, sender, kind, payload, op_id, round_trip, trace,
@@ -156,45 +163,47 @@ def _batch_from_rows(receiver: str, rows: Any, releases: Any) -> Dict[str, Any]:
     return {"ops": ops, "releases": releases}
 
 
-def _batch_ack_rows(payload: Dict[str, Any]) -> List[Any]:
+def _batch_ack_rows(sender: str, payload: Dict[str, Any]) -> List[Any]:
     rows: List[Any] = []
-    for ack in payload["acks"]:
-        if ack is None:
+    for reply in payload["acks"]:
+        if reply is None:
             rows.append(None)
+        elif reply.sender != sender:
+            raise ValueError(
+                f"a reply from {reply.sender!r} in a batch-ack from {sender!r}"
+            )
         else:
-            key, reply = ack
-            rows.append([key, reply.sender, reply.kind, reply.payload,
-                         reply.op_id, reply.round_trip, reply.trace])
+            rows.append([reply.kind, reply.payload, reply.op_id, reply.round_trip])
     return rows
 
 
-def _batch_ack_from_rows(receiver: str, rows: Any, grants: Any) -> Dict[str, Any]:
+def _batch_ack_from_rows(
+    sender: str, receiver: str, rows: Any, grants: Any
+) -> Dict[str, Any]:
     acks: List[Any] = []
     for row in _rows(rows):
         if row is None:
             acks.append(None)
             continue
-        key, sender, kind, payload, op_id, round_trip, trace = row
+        kind, payload, op_id, round_trip = row
         if not (
-            type(key) is str and type(sender) is str and type(kind) is str
-            and type(payload) is dict and type(round_trip) is int
-            and type(op_id) in _OPT_STR and type(trace) in _OPT_STR
+            type(kind) is str and type(payload) is dict
+            and type(round_trip) is int and type(op_id) in _OPT_STR
         ):
             raise ValueError(f"mistyped batch-ack row {row!r}")
-        acks.append((
-            key,
-            Message(sender, receiver, kind, payload, op_id, round_trip, trace=trace),
-        ))
+        acks.append(Message(sender, receiver, kind, payload, op_id, round_trip))
     if grants is None:
         return {"acks": acks}
     return {"acks": acks, "grants": _grants(grants)}
 
 
-def _proxy_rows(payload: Dict[str, Any]) -> List[Any]:
+def _proxy_rows(sender: str, payload: Dict[str, Any]) -> List[Any]:
     return payload["ops"]  # NamedTuples of JSON values: arrays as they stand
 
 
-def _proxy_from_rows(receiver: str, rows: Any, field: Any) -> Dict[str, Any]:
+def _proxy_from_rows(
+    sender: str, receiver: str, rows: Any, field: Any
+) -> Dict[str, Any]:
     _no_field(messages.PROXY_KIND, field)
     ops = []
     for row in _rows(rows):
@@ -216,7 +225,7 @@ def _proxy_from_rows(receiver: str, rows: Any, field: Any) -> Dict[str, Any]:
     return {"ops": ops}
 
 
-def _proxy_ack_rows(payload: Dict[str, Any]) -> List[Any]:
+def _proxy_ack_rows(sender: str, payload: Dict[str, Any]) -> List[Any]:
     return [
         [op_id, round_trip,
          [[r.sender, r.kind, r.payload] for r in replies], error]
@@ -224,7 +233,9 @@ def _proxy_ack_rows(payload: Dict[str, Any]) -> List[Any]:
     ]
 
 
-def _proxy_ack_from_rows(receiver: str, rows: Any, field: Any) -> Dict[str, Any]:
+def _proxy_ack_from_rows(
+    frame_sender: str, receiver: str, rows: Any, field: Any
+) -> Dict[str, Any]:
     _no_field(messages.PROXY_ACK_KIND, field)
     acks = []
     for row in _rows(rows):
@@ -245,8 +256,8 @@ def _proxy_ack_from_rows(receiver: str, rows: Any, field: Any) -> Dict[str, Any]
     return {"acks": acks}
 
 
-_ROWS: Dict[str, Tuple[Callable[[Dict[str, Any]], List[Any]],
-                       Callable[[str, Any, Any], Dict[str, Any]],
+_ROWS: Dict[str, Tuple[Callable[[str, Dict[str, Any]], List[Any]],
+                       Callable[[str, str, Any, Any], Dict[str, Any]],
                        Optional[str]]] = {
     messages.BATCH_KIND: (_batch_rows, _batch_from_rows, "releases"),
     messages.BATCH_ACK_KIND: (_batch_ack_rows, _batch_ack_from_rows, "grants"),
@@ -272,19 +283,20 @@ def encode_message(message: Message) -> bytes:
     """Serialize a message to a length-prefixed JSON frame.
 
     Raises :class:`FrameError` for a frame that must not go out: a body over
-    ``MAX_FRAME_BYTES``, or one of the four typed kinds carrying a payload of
-    the wrong shape.
+    ``MAX_FRAME_BYTES``, one of the four typed kinds carrying a payload of
+    the wrong shape, or a ``batch-ack`` carrying a reply its sender did not
+    send.
     """
-    kind, payload = message.kind, message.payload
+    kind, sender, payload = message.kind, message.sender, message.payload
     envelope = [
-        kind, message.sender, message.receiver, message.op_id,
-        message.round_trip, message.msg_id, message.trace, payload,
+        kind, sender, message.receiver, message.op_id,
+        message.round_trip, message.trace, payload,
     ]
     rows = _ROWS.get(kind)
     if rows is not None:
         to_rows, _, field = rows
         try:
-            envelope[7] = to_rows(payload)
+            envelope[6] = to_rows(sender, payload)
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             # The decode side's contract: a typed kind whose payload is not
             # its typed records is a FrameError naming the kind, never a
@@ -308,7 +320,7 @@ def decode_message(body: bytes) -> Message:
     """Deserialize the JSON body of a frame back into a Message.
 
     Every undecodable body -- bad UTF-8, bad JSON (or JSON nested past the
-    recursion limit), not the eight-element array (or nine, for a batch
+    recursion limit), not the seven-element array (or eight, for a batch
     frame's lease traffic), a mistyped routing field, a malformed row or
     lease field -- raises :class:`FrameError`, so a receiver has one
     exception to treat as "this connection is garbage".
@@ -318,33 +330,30 @@ def decode_message(body: bytes) -> Message:
         envelope, end = _loads(text)
         if end != len(text):
             raise ValueError("trailing bytes after the frame's array")
-        if len(envelope) == 8:
-            (kind, sender, receiver, op_id, round_trip, msg_id, trace,
-             payload) = envelope
+        if len(envelope) == 7:
+            kind, sender, receiver, op_id, round_trip, trace, payload = envelope
             field = None
         else:
-            (kind, sender, receiver, op_id, round_trip, msg_id, trace,
-             payload, field) = envelope
+            (kind, sender, receiver, op_id, round_trip, trace, payload,
+             field) = envelope
             if field is None:
-                raise ValueError("a ninth element is lease traffic, never null")
+                raise ValueError("an eighth element is lease traffic, never null")
         if not (
             type(kind) is str and type(sender) is str and type(receiver) is str
-            and type(round_trip) is int and type(msg_id) is int
-            and type(op_id) in _OPT_STR and type(trace) in _OPT_STR
+            and type(round_trip) is int and type(op_id) in _OPT_STR
+            and type(trace) in _OPT_STR
         ):
             raise ValueError("mistyped frame header")
         rows = _ROWS.get(kind)
         if rows is not None:
-            payload = rows[1](receiver, payload, field)
+            payload = rows[1](sender, receiver, payload, field)
         else:
             _no_field(kind, field)
             if type(payload) is not dict:
                 raise ValueError(
                     f"expected a payload object, got {type(payload).__name__}"
                 )
-        message = Message(
-            sender, receiver, kind, payload, op_id, round_trip, msg_id, trace
-        )
+        message = Message(sender, receiver, kind, payload, op_id, round_trip, trace)
         check = _CHECKS.get(kind)
         if check is not None:
             check(message)

@@ -27,7 +27,8 @@ here creates a task.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Sequence, Union
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple, Union
 from weakref import WeakKeyDictionary
 
 from ..kvstore.engine.effects import SendFrame
@@ -61,8 +62,11 @@ class ReplicaServer:
     request itself is applied on arrival -- there is one read path -- and
     only the frames it produced wait: each connection remembers until when
     it is busy, and a request's sends are released when its own service time
-    has passed on top of that.  The defaults keep the replica infinitely
-    fast, the behaviour of the single-register experiments.
+    has passed on top of that.  Frames to one peer leave in the order they
+    were produced: each waits in the peer's outbox until the frames ahead of
+    it are out, and a frame a timer sends joins the tail of a non-empty
+    outbox instead of overtaking it.  The defaults keep the replica
+    infinitely fast, the behaviour of the single-register experiments.
     """
 
     def __init__(
@@ -78,6 +82,7 @@ class ReplicaServer:
         self.port = port
         self.service_overhead = service_overhead
         self.service_per_op = service_per_op
+        self._modelled = service_overhead > 0 or service_per_op > 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.endpoint = Endpoint(self._serve)
         # The loop time until which the modelled service of a connection's
@@ -88,8 +93,11 @@ class ReplicaServer:
             logic, lambda delay, fire: self._loop.call_later(delay, fire), self._send
         )
         # While a request with a modelled service time is being applied, the
-        # frames it produces collect here; released as a group, by number.
+        # frames it produces collect here, then join their peers' outboxes.
         self._held: Optional[List[SendFrame]] = None
+        # Peer id -> the frames still held for it, oldest first, each with
+        # the loop time it may leave at (never before the one ahead of it).
+        self._outboxes: Dict[str, Deque[Tuple[float, SendFrame]]] = {}
         self._deferred: Dict[int, asyncio.TimerHandle] = {}
         self._deferrals = 0
 
@@ -127,6 +135,7 @@ class ReplicaServer:
         for handle in self._deferred.values():
             handle.cancel()
         self._deferred.clear()
+        self._outboxes.clear()
         await self.endpoint.close()
 
     def _serve(self, request: Message) -> None:
@@ -134,7 +143,7 @@ class ReplicaServer:
         # request arrived on: replies -- and later out-of-band frames (lease
         # invalidations, deferred batch-acks) -- go back over it.
         self.requests_served += 1
-        if self.service_overhead <= 0 and self.service_per_op <= 0:
+        if not self._modelled:
             self._apply(request)
             return
         self._held = sends = []
@@ -148,11 +157,8 @@ class ReplicaServer:
             + self.service_overhead + self.service_per_op * service_units(request)
         )
         self._busy_until[connection] = ready
-        if sends:
-            self._deferrals += 1
-            self._deferred[self._deferrals] = self._loop.call_at(
-                ready, self._release, self._deferrals, sends
-            )
+        for send in sends:
+            self._hold(send, ready)
 
     def _apply(self, request: Message) -> None:
         """One read path: the request takes effect on arrival, always."""
@@ -163,21 +169,52 @@ class ReplicaServer:
             if reply is not None:
                 self._send(SendFrame(reply.receiver, reply))
 
-    def _release(self, number: int, sends: Sequence[SendFrame]) -> None:
+    def _hold(self, send: SendFrame, ready: float) -> None:
+        """Queue ``send`` for its peer, to leave at ``ready`` or behind the
+        frames already held for that peer, whichever is later."""
+        outbox = self._outboxes.get(send.destination)
+        if outbox is None:
+            outbox = self._outboxes[send.destination] = deque()
+        elif outbox[-1][0] >= ready:
+            # The tail's release takes this frame along.
+            outbox.append((outbox[-1][0], send))
+            return
+        outbox.append((ready, send))
+        self._deferrals += 1
+        self._deferred[self._deferrals] = self._loop.call_at(
+            ready, self._release, self._deferrals, send.destination, ready
+        )
+
+    def _release(self, number: int, destination: str, due: float) -> None:
+        """Send the head of ``destination``'s outbox up to the frames due at
+        ``due``.  The times are compared as stored, never against the loop's
+        clock, and a release takes only from the head, so the peer's frames
+        leave in order whatever order equal ``call_at`` times run in."""
         # Not an engine timer: nothing observes it and on_timer never hears.
         del self._deferred[number]
-        for send in sends:
-            self._send(send)
+        outbox = self._outboxes[destination]
+        while outbox and outbox[0][0] <= due:
+            self._write(outbox.popleft()[1])
+        if not outbox:
+            del self._outboxes[destination]
 
     def _send(self, send: SendFrame) -> None:
         """A frame goes out over the destination peer's inbound connection,
         in emission order (the batch-acks of writes a frame's releases let
-        through stay before that frame's own ack on the wire).  A frame for a peer with no live connection
-        is dropped, the same fate the simulator gives sends to a severed
-        process."""
+        through stay before that frame's own ack on the wire).  While a
+        service time is modelled, a frame produced outside a request -- by a
+        timer -- still queues behind the frames held for its peer."""
         if self._held is not None:
             self._held.append(send)
-            return
+        elif send.destination in self._outboxes:
+            self._hold(send, self._loop.time())
+        else:
+            self._write(send)
+
+    def _write(self, send: SendFrame) -> None:
+        """Write one frame now.  A frame for a peer with no live connection
+        is dropped, the same fate the simulator gives sends to a severed
+        process."""
         peer = self.endpoint.peers.get(send.destination)
         if peer is not None and not peer.closing:
             peer.send(encode_message(send.frame))

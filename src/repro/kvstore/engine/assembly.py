@@ -16,7 +16,7 @@ engines its nodes run, all observed through one hub:
   and :meth:`~ClusterAssembly.client_link` the link the clients of one
   process share;
 * :attr:`~ClusterAssembly.control_engine` -- the control plane, fed served-op
-  counts by the hub and pushing views to the live proxies;
+  counts by the replicas' tallies and pushing views to the live proxies;
 * :meth:`~ClusterAssembly.start_resize` / :meth:`~ClusterAssembly.start_move`
   -- a live rebalance, handed back as a report and the effects that drain it.
 
@@ -192,16 +192,16 @@ class ClusterAssembly:
     @property
     def control_engine(self) -> ControlPlaneEngine:
         """The control-plane engine, built on first use: its autoscaler's
-        signal is the existing metrics stream -- every ``sub.served`` event
-        feeds a per-shard counter the engine folds at each tick."""
+        signal is what the replicas built here served, per shard, harvested
+        from their tallies at each tick (:class:`AutoscaleFeed`)."""
         if self._control is None:
             self._control = ControlPlaneEngine(
                 self.shard_map,
                 drain_range_size=self.drain_range_size,
                 autoscale_interval=self.autoscale_interval,
                 observer=self.hub.scoped("control", "control-plane"),
+                feed=AutoscaleFeed(self.server_logics),
             )
-            self.hub.add_sink(AutoscaleFeed(self._control))
             self._retarget_pushes()
         return self._control
 

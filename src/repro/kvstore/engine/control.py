@@ -45,10 +45,10 @@ requested while another is draining queues behind it.  Serialization is
 what lets each drain trust its own census -- the next migration's fences
 see everything the previous one installed.
 
-The engine also embeds the metrics-driven **autoscaler**: the adapter feeds
-per-shard served-op counts into :meth:`record_op` (e.g. from ``sub.served``
-trace events) and arms the ``("autoscale",)`` timer; each tick folds the
-counts per group and, when the hottest group's load exceeds
+The engine also embeds the load-driven **autoscaler**: once the adapter arms
+the ``("autoscale",)`` timer, each tick has its :class:`AutoscaleFeed` hand
+the replicas' per-shard tallies of served subs to :meth:`record_op`, folds
+the counts per group and, when the hottest group's load exceeds
 ``autoscale_ratio`` times the mean, moves that group's hottest shard to the
 coldest group -- chasing a moving hotspot with ordinary ``start_move``
 migrations.
@@ -61,7 +61,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from ...messages import (
     DRAIN_ACK_KIND,
@@ -84,8 +86,6 @@ from ...observe.events import (
     FRAME_RECEIVED,
     FRAME_SENT,
     NULL_OBSERVER,
-    SUB_SERVED,
-    BoundHandler,
     EngineObserver,
 )
 from ..migration import MigrationReport
@@ -126,31 +126,27 @@ AUTOSCALE_MIN_OPS = 50
 
 
 class AutoscaleFeed:
-    """An observer sink piping served-op counts into the autoscaler.
+    """Pipes the replicas' served-sub tallies into the autoscaler.
 
-    Every ``sub.served`` event carries the shard that served it; the
-    control engine folds them per group at each autoscale tick.  Both
-    backends subscribe one of these to their observer hub -- the PR-6
-    metrics stream feeding the control plane, with no new plumbing.
+    Every :class:`~repro.kvstore.engine.server.GroupServerEngine` counts the
+    subs it serves per shard in its ``served`` tally, so serving a sub costs
+    the replica an integer add, not an event.  At each autoscale tick the
+    control engine has its feed :meth:`harvest` them.  ``servers`` maps
+    replica ids to their engines and is read at every harvest, so replicas
+    added to it later are harvested too.
     """
 
-    def __init__(self, engine: "ControlPlaneEngine") -> None:
-        self.engine = engine
+    def __init__(self, servers: Mapping[str, Any]) -> None:
+        self.servers = servers
 
-    def bind(
-        self, tier: str, component: str, kind: str, now: Callable[[], float],
-    ) -> Optional[BoundHandler]:
-        """Hub sink hook: a handler for ``sub.served``, no other kind."""
-        if kind != SUB_SERVED:
-            return None
-        record_op = self.engine.record_op
-
-        def served(op_id, key, trace, attrs):
-            shard = attrs.get("shard")
-            if shard is not None:
-                record_op(shard)
-
-        return served
+    def harvest(self, record_op: Callable[[str, int], None]) -> None:
+        """Hand every tally to ``record_op`` -- one ``(shard, count)`` call
+        per shard and replica -- and reset it."""
+        for server in self.servers.values():
+            served = server.served
+            for shard, count in served.items():
+                record_op(shard, count)
+            served.clear()
 
 
 @dataclass
@@ -216,7 +212,9 @@ class ControlPlaneEngine:
     delivers every frame addressed there to :meth:`on_frame`, executes the
     returned effects, and routes timer fires to :meth:`on_timer`.
     ``proxy_ids`` is the live proxy set view pushes go to; backends update
-    it in place as proxies come and go.
+    it in place as proxies come and go.  ``feed`` is where each autoscale
+    tick collects the served-op counts it has not been handed through
+    :meth:`record_op` yet.
     """
 
     def __init__(
@@ -232,6 +230,7 @@ class ControlPlaneEngine:
         autoscale_ratio: float = AUTOSCALE_RATIO,
         autoscale_min_ops: int = AUTOSCALE_MIN_OPS,
         observer: Optional[EngineObserver] = None,
+        feed: Optional[AutoscaleFeed] = None,
     ) -> None:
         if drain_range_size < 1:
             raise ValueError("drain_range_size must be positive")
@@ -257,6 +256,7 @@ class ControlPlaneEngine:
         self.drains_completed = 0
         self.ranges_drained = 0
 
+        self.feed = feed
         self._autoscaling = False
         self._op_counts: Dict[str, int] = {}
         self.autoscale_actions: List[Dict[str, Any]] = []
@@ -645,12 +645,11 @@ class ControlPlaneEngine:
 
     # -- the autoscaler ---------------------------------------------------------
 
-    def record_op(self, shard_id: str, count: int = 1) -> None:
+    def record_op(self, shard_id: str, count: int) -> None:
         """Fold ``count`` served ops on ``shard_id`` into the current window.
 
-        The adapter calls this from its metrics stream (one call per
-        ``sub.served`` event, or batched); the autoscale tick consumes and
-        resets the window.
+        The :attr:`feed` calls this at each tick with the replicas' tallies;
+        the autoscale tick then consumes and resets the window.
         """
         self._op_counts[shard_id] = self._op_counts.get(shard_id, 0) + count
 
@@ -674,6 +673,8 @@ class ControlPlaneEngine:
         effects: List[Effect] = [
             StartTimer(("autoscale",), self.autoscale_interval)
         ]
+        if self.feed is not None:
+            self.feed.harvest(self.record_op)
         window, self._op_counts = self._op_counts, {}
         if self.busy:
             return effects  # never stack migrations on top of a live drain

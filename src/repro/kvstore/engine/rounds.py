@@ -569,7 +569,7 @@ class ReplicaRounds:
         if self._suspects:
             self._suspects.discard(message.sender)
         pending = self._pending
-        for _key, reply in unpack_batch_ack(message):
+        for reply in unpack_batch_ack(message):
             if reply is None or reply.op_id is None:
                 continue
             round = pending.get((reply.op_id, reply.round_trip))

@@ -46,8 +46,9 @@ backend serves it behind a TCP listener; the tests drive it directly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
 
 from ...core.errors import ProtocolError
 from ...messages import (
@@ -187,6 +188,9 @@ class GroupServerEngine:
             self.host_shard(shard_id, epoch)
         self.batches_served = 0
         self.sub_ops_served = 0
+        #: shard -> subs served since the autoscaler last harvested the
+        #: tally (:class:`~repro.kvstore.engine.control.AutoscaleFeed`).
+        self.served: DefaultDict[str, int] = defaultdict(int)
         self.largest_batch = 0
         self.stale_bounces = 0
         # -- read-lease state ---------------------------------------------------
@@ -326,10 +330,15 @@ class GroupServerEngine:
         return None
 
     def _serve_sub(self, sub: SubRequest) -> Optional[Message]:
-        self.observer.emit(
-            SUB_SERVED, op_id=sub.message.op_id, key=sub.key,
-            trace=sub.message.trace, shard=sub.shard,
-        )
+        self.served[sub.shard] += 1
+        counts = self.observer.sub_served
+        if counts is None:
+            self.observer.emit(
+                SUB_SERVED, op_id=sub.message.op_id, key=sub.key,
+                trace=sub.message.trace, shard=sub.shard,
+            )
+        else:
+            counts["subs_served"] += 1
         return self.register_for(sub.shard, sub.key).handle(sub.message)
 
     def _serve_batch(self, message: Message, out: List[Effect]) -> None:
@@ -351,13 +360,13 @@ class GroupServerEngine:
             # clear the lease that sub registers.
             self._release(holder, releases, out)
         mutating_kinds = self.protocol.mutating_kinds
-        entries: List[Tuple[str, Optional[Message]]] = []
+        entries: List[Optional[Message]] = []
         grants: Optional[List[Tuple[str, str]]] = None
         invalidations: Dict[str, List[str]] = {}
         for index, sub in enumerate(subs):
             stale = self._stale_reply_for(sub)
             if stale is not None:
-                entries.append((sub.key, stale))
+                entries.append(stale)
                 continue
             holders = self._leases.get(sub.key)
             if holders and sub.message.kind in mutating_kinds:
@@ -389,7 +398,7 @@ class GroupServerEngine:
                         (message, index)
                     )
                     continue
-            entries.append((sub.key, self._serve_sub(sub)))
+            entries.append(self._serve_sub(sub))
             if (sub.lease is not None
                     and sub.message.kind not in mutating_kinds
                     and sub.key not in self._deferred):
@@ -426,7 +435,7 @@ class GroupServerEngine:
     def _ack_batch(
         self,
         request: Message,
-        entries: List[Tuple[str, Optional[Message]]],
+        entries: List[Optional[Message]],
         out: List[Effect],
         grants: Optional[List[Tuple[str, str]]] = None,
     ) -> None:
@@ -483,15 +492,12 @@ class GroupServerEngine:
         queue = self._deferred.pop(key, None)
         if not queue:
             return
-        acks: Dict[int, Tuple[Message, List[Tuple[str, Optional[Message]]]]]
-        acks = {}
+        acks: Dict[int, Tuple[Message, List[Optional[Message]]]] = {}
         for request, index in queue:
             sub = unpack_batch(request)[index]
             stale = self._stale_reply_for(sub)
             reply = stale if stale is not None else self._serve_sub(sub)
-            acks.setdefault(id(request), (request, []))[1].append(
-                (sub.key, reply)
-            )
+            acks.setdefault(id(request), (request, []))[1].append(reply)
         for request, entries in acks.values():
             self._ack_batch(request, entries, out)
 

@@ -7,7 +7,7 @@ engines (:mod:`repro.kvstore.engine`) consume and emit them without knowing
 which transport is underneath.
 
 A frame's payload holds its **typed records themselves** -- ``{"ops":
-[SubRequest, ...]}``, ``{"acks": [(key, reply) | None, ...]}``, ``{"ops":
+[SubRequest, ...]}``, ``{"acks": [reply | None, ...]}``, ``{"ops":
 [ProxySubRequest, ...]}``, ``{"acks": [ProxySubReply, ...]}``, the batch
 kinds with their lease traffic when they carry some (``"releases": [key,
 ...]``, ``"grants": [(key, nonce), ...]``).  ``make_*`` puts them in the
@@ -60,7 +60,6 @@ comes from.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -113,9 +112,6 @@ __all__ = [
     "unpack_lease_release",
 ]
 
-_message_counter = itertools.count(1)
-
-
 @dataclass
 class Message:
     """A network message.
@@ -128,12 +124,14 @@ class Message:
         payload: protocol-specific dictionary.
         op_id: the client operation this message belongs to, if any.
         round_trip: 1-based index of the round-trip within the operation.
-        msg_id: globally unique message id (assigned automatically).
         trace: cross-tier trace-context id.  Unlike ``op_id`` -- which both
             the client and the proxy rewrite to attempt-scoped ids on retry
             and failover -- the trace id is stamped once when the application
             op enters the system and carried verbatim through every tier, so
             observability tooling can stitch one op's full journey.
+
+    A message has no id of its own: replies are matched by ``(op_id,
+    round_trip)``, and nothing else needs to tell two messages apart.
     """
 
     sender: str
@@ -142,7 +140,6 @@ class Message:
     payload: Dict[str, Any] = field(default_factory=dict)
     op_id: Optional[str] = None
     round_trip: int = 0
-    msg_id: int = field(default_factory=_message_counter.__next__)
     trace: Optional[str] = None
 
     def reply(self, kind: str, payload: Optional[Dict[str, Any]] = None) -> "Message":
@@ -160,7 +157,7 @@ class Message:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Message(#{self.msg_id} {self.sender}->{self.receiver} {self.kind} "
+            f"Message({self.sender}->{self.receiver} {self.kind} "
             f"op={self.op_id} rt={self.round_trip})"
         )
 
@@ -255,23 +252,23 @@ def unpack_batch(message: Message) -> List[SubRequest]:
 
 def make_batch_ack(
     request: Message,
-    sub_replies: Sequence[Tuple[str, Optional[Message]]],
+    sub_replies: List[Optional[Message]],
     grants: Optional[List[Tuple[str, str]]] = None,
 ) -> Message:
     """Pack the per-sub-request replies of one batch into one ack frame.
 
-    ``sub_replies`` pairs each key with the reply the per-key server logic
-    produced; a ``None`` reply -- a logic that chose not to reply -- becomes
-    a ``None`` entry, preserved positionally so the client can account for
-    it.  Replies travel as the logic built them: the ack frame is addressed
-    to the batch's sender, and behind a proxy a reply names the *client*
-    whose identity the sub carried, which nothing reads.  ``grants`` are the
+    ``sub_replies`` are the replies the per-key server logics produced, the
+    list itself put in the frame; a ``None`` -- a logic that chose not to
+    reply -- stays a ``None`` entry.  Each reply is the replica's own
+    (:meth:`~repro.protocols.base.ServerLogic.reply` sends as the replica,
+    which is the ack's sender) and names its round by ``(op_id,
+    round_trip)``, which is all its receiver matches it by; the key is not
+    carried.  Behind a proxy a reply names the *client* whose identity the
+    sub carried as its receiver, which nothing reads.  ``grants`` are the
     ``(key, fill nonce)`` pairs of the read leases the frame's lease-marked
     subs registered for the ack's receiver.
     """
-    payload: Dict[str, Any] = {"acks": [
-        None if reply is None else (key, reply) for key, reply in sub_replies
-    ]}
+    payload: Dict[str, Any] = {"acks": sub_replies}
     if grants:
         payload["grants"] = grants
     return Message(
@@ -280,11 +277,12 @@ def make_batch_ack(
     )
 
 
-def unpack_batch_ack(message: Message) -> List[Tuple[str, Optional[Message]]]:
-    """Inverse of :func:`make_batch_ack`: ``(key, sub-reply | None)`` pairs."""
+def unpack_batch_ack(message: Message) -> List[Optional[Message]]:
+    """Inverse of :func:`make_batch_ack`: the sub-replies, ``None`` for a
+    sub that got no reply -- the frame's own list, not a copy."""
     if message.kind != BATCH_ACK_KIND:
         raise ValueError(f"not a batch ack frame: kind={message.kind!r}")
-    return [("", None) if ack is None else ack for ack in message.payload["acks"]]
+    return message.payload["acks"]
 
 
 # -- proxy frames (repro.kvstore.engine.proxy) ---------------------------------

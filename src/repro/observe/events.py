@@ -133,6 +133,7 @@ QUIET_KINDS: Dict[str, str] = {
     LEASE_GRANTED: "lease_granted",
     LEASE_EXPIRED: "lease_expired",
     ROUND_OPENED: "round_opened",
+    SUB_SERVED: "sub_served",
 }
 
 
@@ -196,6 +197,7 @@ class EngineObserver:
     lease_granted: Optional[Dict[str, int]] = None
     lease_expired: Optional[Dict[str, int]] = None
     round_opened: Optional[Dict[str, int]] = None
+    sub_served: Optional[Dict[str, int]] = None
 
     def emit(
         self,

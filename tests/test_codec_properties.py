@@ -123,13 +123,10 @@ def _wire(message: Message) -> Message:
 
 
 def _plain(value):
-    """``value`` with every Message reduced to its fields minus ``msg_id``.
-
-    ``msg_id`` is a process-local debugging tag: only the envelope's travels,
-    sub-messages get a fresh one wherever they are (re)built.  Everything
-    else -- NamedTuple records, tuples, lists, dicts -- compares as it is, so
-    two results are equal here exactly when they are the same objects.
-    """
+    """``value`` with every Message reduced to its fields and every tuple
+    tagged with its type, so a NamedTuple record never equals a plain tuple
+    or another record type of the same fields: two results are equal here
+    exactly when they are the same objects."""
     if isinstance(value, Message):
         return ("Message", value.sender, value.receiver, value.kind,
                 _plain(value.payload), value.op_id, value.round_trip, value.trace)
@@ -142,6 +139,13 @@ def _plain(value):
     return value
 
 
+def _replica_reply(server: str, request: Message, kind: str, payload=None) -> Message:
+    """The reply replica ``server`` sends to ``request`` -- as itself, under
+    the request's op id, round trip and trace (``ServerLogic.reply``)."""
+    return Message(server, request.sender, kind, payload or {},
+                   request.op_id, request.round_trip, trace=request.trace)
+
+
 def _as_addressed(frame: Message) -> Message:
     """``frame`` with every sub-record's message addressed to the frame's
     receiver: the form the decoder rebuilds.
@@ -149,8 +153,8 @@ def _as_addressed(frame: Message) -> Message:
     The frame is addressed, its records are not: ``make_batch`` and
     ``make_batch_ack`` pack records as their builders addressed them (a
     round's group, a client behind a proxy), and no row of the wire carries
-    a record's receiver.  Proxy frames come out of their builders in this
-    form already.
+    a record's receiver.  A ``batch-ack`` row carries no trace either.
+    Proxy frames come out of their builders in this form already.
     """
     def addressed(message: Message) -> Message:
         return dataclasses.replace(message, receiver=frame.receiver)
@@ -162,8 +166,9 @@ def _as_addressed(frame: Message) -> Message:
         ]
     elif frame.kind == BATCH_ACK_KIND:
         payload["acks"] = [
-            None if ack is None else (ack[0], addressed(ack[1]))
-            for ack in payload["acks"]
+            None if reply is None
+            else dataclasses.replace(addressed(reply), trace=None)
+            for reply in payload["acks"]
         ]
     return dataclasses.replace(frame, payload=payload)
 
@@ -178,7 +183,6 @@ def _assert_same_across_the_wire(frame: Message, unpack) -> None:
     _assert_same_message(
         dataclasses.replace(frame, payload={}), dataclasses.replace(peer, payload={})
     )
-    assert peer.msg_id == frame.msg_id
     assert _plain(unpack(peer)) == _plain(unpack(addressed))
 
 
@@ -225,7 +229,7 @@ class TestMessageFrames:
         body = json.loads(encode_message(message)[4:])
         assert body == [
             message.kind, message.sender, message.receiver, message.op_id,
-            message.round_trip, message.msg_id, message.trace, message.payload,
+            message.round_trip, message.trace, message.payload,
         ]
 
     @_codec
@@ -237,7 +241,7 @@ class TestMessageFrames:
             "sender": message.sender, "receiver": message.receiver,
             "kind": message.kind, "payload": message.payload,
             "op_id": message.op_id, "round_trip": message.round_trip,
-            "msg_id": message.msg_id,
+            "msg_id": 7,
         }
         if message.trace is not None:
             v1["trace"] = message.trace
@@ -339,25 +343,43 @@ class TestBatchFrames:
     def test_batch_ack_round_trip_preserves_gaps(self, subs, missing):
         request = make_batch("client", "server", subs)
         replies = [
-            (key, None if index in missing else sub.reply("ack", {"i": index}))
-            for index, (key, sub) in enumerate(subs)
+            None if index in missing
+            else _replica_reply("server", sub, "ack", {"i": index})
+            for index, (_key, sub) in enumerate(subs)
         ]
         ack = make_batch_ack(request, replies)
         assert ack.kind == BATCH_ACK_KIND
+        # In process the frame carries the replica's own list.
+        assert unpack_batch_ack(ack) is replies
         # The ack also survives the wire codec.
         recovered = unpack_batch_ack(_wire(ack))
         assert len(recovered) == len(subs)
-        for index, (_, restored) in enumerate(recovered):
+        for index, restored in enumerate(recovered):
             if index in missing and index < len(subs):
                 assert restored is None
             else:
                 assert restored is not None
                 assert restored.payload == {"i": index}
+                assert restored.sender == "server"
                 # Whoever the per-key logic answered, the decoded reply is
                 # addressed to the ack's receiver.
                 assert restored.receiver == "client"
-        # Gaps are None on both sides, keys and replies the same objects.
+        # Gaps are None on both sides, replies the same objects.
         _assert_same_across_the_wire(ack, unpack_batch_ack)
+
+    @_codec
+    @given(subs=st.lists(st.tuples(_ids, _messages()), min_size=1, max_size=4),
+           stranger=_ids.filter(lambda sender: sender != "server"))
+    def test_batch_ack_with_a_reply_from_another_sender_is_a_frame_error(
+        self, subs, stranger
+    ):
+        # The row carries no sender: the decoder names the frame's sender on
+        # every reply, so the encoder refuses a reply it would misattribute.
+        request = make_batch("client", "server", subs)
+        replies = [_replica_reply("server", sub, "ack") for _key, sub in subs]
+        replies[-1] = _replica_reply(stranger, subs[-1][1], "ack")
+        with pytest.raises(FrameError, match="batch-ack"):
+            encode_message(make_batch_ack(request, replies))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -659,7 +681,8 @@ class TestLeaseTrafficOnBatchFrames:
         # the proxy discount (or worse, miscredit) the grant.
         request = make_batch("proxy", "server", subs)
         ack = make_batch_ack(
-            request, [(key, sub.reply("ack")) for key, sub in subs], grants
+            request, [_replica_reply("server", sub, "ack") for _key, sub in subs],
+            grants,
         )
         assert ack.payload.get("grants") == grants
         peer = _wire(ack)
@@ -668,11 +691,11 @@ class TestLeaseTrafficOnBatchFrames:
 
     @_codec
     @given(subs=st.lists(st.tuples(_ids, _messages()), min_size=1, max_size=4))
-    def test_a_frame_without_lease_traffic_is_the_plain_eight_elements(self, subs):
+    def test_a_frame_without_lease_traffic_is_the_plain_seven_elements(self, subs):
         batch = make_batch("proxy", "server", subs)
-        ack = make_batch_ack(batch, [(key, None) for key, _ in subs])
+        ack = make_batch_ack(batch, [None for _ in subs])
         for frame in (batch, ack):
-            assert len(json.loads(encode_message(frame)[4:])) == 8
+            assert len(json.loads(encode_message(frame)[4:])) == 7
             assert encode_message(frame) == encode_message(_as_addressed(frame))
             assert _plain(_wire(frame).payload) == \
                 _plain(_as_addressed(frame).payload)
@@ -682,7 +705,7 @@ class TestLeaseTrafficOnBatchFrames:
 
 
 def _golden_frames():
-    """One frame of every kind, built by ``make_*`` with the msg_id pinned."""
+    """One frame of every kind, built by ``make_*``."""
     query = Message("c1", "s1", "query", {"n": 1}, "c1-op1", 1, trace="t-1")
     subs = [
         SubRequest("kéy", query, "shard-0", 3, None),
@@ -691,10 +714,7 @@ def _golden_frames():
                                  "c1-op2", 2), "shard-1", 1, "p1#7"),
     ]
     batch = make_batch("c1", "s1", subs)
-    replies = [
-        ("kéy", query.reply("query-ack", {"tag": [0, ""], "value": None})),
-        ("k2", None),
-    ]
+    replies = [query.reply("query-ack", {"tag": [0, ""], "value": None}), None]
     frames = {
         "plain": Message("c1", "s1", "query", {"n": 1}, "c1-op1", 1, trace="t-1"),
         "plain-untraced": Message("s1", "c1", "query-ack", {}),
@@ -737,8 +757,6 @@ def _golden_frames():
         messages.LEASE_INVALIDATE_KIND: make_lease_invalidate("s1", "p1", ["k"]),
         messages.LEASE_RELEASE_KIND: make_lease_release("p1", "s1", ["k", "k2"]),
     }
-    for frame in frames.values():
-        frame.msg_id = 7
     return frames
 
 
@@ -746,72 +764,71 @@ def _golden_frames():
 #: these bytes on purpose; nothing else may.
 GOLDEN_BODIES = {
     "plain": (
-        b'["query","c1","s1","c1-op1",1,7,"t-1",{"n":1}]'
+        b'["query","c1","s1","c1-op1",1,"t-1",{"n":1}]'
     ),
     "plain-untraced": (
-        b'["query-ack","s1","c1",null,0,7,null,{}]'
+        b'["query-ack","s1","c1",null,0,null,{}]'
     ),
     "batch": (
-        b'["batch","c1","s1",null,0,7,null,[["k\\u00e9y","c1","query",{"n":1},"'
-        b'c1-op1",1,"t-1","shard-0",3,null],["k2","c1","update",{"tag":[2,"c1"'
-        b'],"value":{"a":[1,null]}},"c1-op2",2,null,"shard-1",1,"p1#7"]]]'
+        b'["batch","c1","s1",null,0,null,[["k\\u00e9y","c1","query",{"n":1},"c1-'
+        b'op1",1,"t-1","shard-0",3,null],["k2","c1","update",{"tag":[2,"c1"],"va'
+        b'lue":{"a":[1,null]}},"c1-op2",2,null,"shard-1",1,"p1#7"]]]'
     ),
     "batch-with-releases": (
-        b'["batch","p1","s1",null,0,7,null,[["k\\u00e9y","c1","query",{"n":1},"'
-        b'c1-op1",1,"t-1","shard-0",3,null]],["k","k2"]]'
+        b'["batch","p1","s1",null,0,null,[["k\\u00e9y","c1","query",{"n":1},"c1-'
+        b'op1",1,"t-1","shard-0",3,null]],["k","k2"]]'
     ),
     "batch-ack": (
-        b'["batch-ack","s1","c1",null,0,7,null,[["k\\u00e9y","s1","query-ack",{'
-        b'"tag":[0,""],"value":null},"c1-op1",1,"t-1"],null]]'
+        b'["batch-ack","s1","c1",null,0,null,[["query-ack",{"tag":[0,""],"value"'
+        b':null},"c1-op1",1],null]]'
     ),
     "batch-ack-with-grants": (
-        b'["batch-ack","s1","c1",null,0,7,null,[["k\\u00e9y","s1","query-ack",{'
-        b'"tag":[0,""],"value":null},"c1-op1",1,"t-1"],null],[["k\\u00e9y","p1#7'
-        b'"]]]'
+        b'["batch-ack","s1","c1",null,0,null,[["query-ack",{"tag":[0,""],"value"'
+        b':null},"c1-op1",1],null],[["k\\u00e9y","p1#7"]]]'
     ),
     "proxy": (
-        b'["proxy","c1","p1",null,0,7,null,[["k","read","query",{},"c1-op1@0",'
-        b'1,null,null,"t-1",null],["k2","write","update",{"value":"v"},"c1-op2'
-        b'@0",2,2,{"s1":{"value":"w"}},null,"c2"]]]'
+        b'["proxy","c1","p1",null,0,null,[["k","read","query",{},"c1-op1@0",1,nu'
+        b'll,null,"t-1",null],["k2","write","update",{"value":"v"},"c1-op2@0",2,'
+        b'2,{"s1":{"value":"w"}},null,"c2"]]]'
     ),
     "proxy-ack": (
-        b'["proxy-ack","p1","c1",null,0,7,null,[["c1-op1@0",1,[["s1","query-ac'
-        b'k",{"value":1}],["s2","query-ack",{"value":1}]],null],["c1-op2@0",2,'
-        b'[],"shard map never converged"]]]'
+        b'["proxy-ack","p1","c1",null,0,null,[["c1-op1@0",1,[["s1","query-ack",{'
+        b'"value":1}],["s2","query-ack",{"value":1}]],null],["c1-op2@0",2,[],"sh'
+        b'ard map never converged"]]]'
     ),
     "view-push": (
-        b'["view-push","control-plane","p1",null,0,7,null,{"view":{"ring_epoch":'
-        b'2,"base_ring_epoch":1,"virtual_nodes":8,"added":["shard-1"],"removed":'
-        b'["shard-9"],"routes":{"shard-0":{"epoch":3,"group":"g2","servers":["s4'
-        b'"],"quorum":1},"shard-1":{"epoch":1,"group":"g1","servers":["s1"],"quo'
-        b'rum":1}}}}]'
+        b'["view-push","control-plane","p1",null,0,null,{"view":{"ring_epoch":2,'
+        b'"base_ring_epoch":1,"virtual_nodes":8,"added":["shard-1"],"removed":["'
+        b'shard-9"],"routes":{"shard-0":{"epoch":3,"group":"g2","servers":["s4"]'
+        b',"quorum":1},"shard-1":{"epoch":1,"group":"g1","servers":["s1"],"quoru'
+        b'm":1}}}}]'
     ),
     "drain-fence": (
-        b'["drain-fence","control-plane","s1",null,0,7,null,{"mig":"mig-1","to'
-        b'ken":"tok-1","shard":"shard-0","epoch":4}]'
+        b'["drain-fence","control-plane","s1",null,0,null,{"mig":"mig-1","token"'
+        b':"tok-1","shard":"shard-0","epoch":4}]'
     ),
     "drain-host": (
-        b'["drain-host","control-plane","s4",null,0,7,null,{"mig":"mig-1","tok'
-        b'en":"tok-2","shard":"shard-0","epoch":4,"keys":["k"]}]'
+        b'["drain-host","control-plane","s4",null,0,null,{"mig":"mig-1","token":'
+        b'"tok-2","shard":"shard-0","epoch":4,"keys":["k"]}]'
     ),
     "drain-transfer": (
-        b'["drain-transfer","control-plane","s1",null,0,7,null,{"mig":"mig-1",'
-        b'"token":"tok-3","shard":"shard-0","keys":["k"]}]'
+        b'["drain-transfer","control-plane","s1",null,0,null,{"mig":"mig-1","tok'
+        b'en":"tok-3","shard":"shard-0","keys":["k"]}]'
     ),
     "drain-install": (
-        b'["drain-install","control-plane","s4",null,0,7,null,{"mig":"mig-1","'
-        b'token":"tok-4","shard":"shard-0","epoch":4,"keys":["k"],"states":{"k'
-        b'":[{"tag":[1,"c1"],"value":"v"}]}}]'
+        b'["drain-install","control-plane","s4",null,0,null,{"mig":"mig-1","toke'
+        b'n":"tok-4","shard":"shard-0","epoch":4,"keys":["k"],"states":{"k":[{"t'
+        b'ag":[1,"c1"],"value":"v"}]}}]'
     ),
     "drain-complete": (
-        b'["drain-complete","control-plane","s1",null,0,7,null,{"mig":"mig-1",'
-        b'"token":"tok-5","shard":"shard-0","drop_keys":["k"],"evict":true}]'
+        b'["drain-complete","control-plane","s1",null,0,null,{"mig":"mig-1","tok'
+        b'en":"tok-5","shard":"shard-0","drop_keys":["k"],"evict":true}]'
     ),
     "lease-invalidate": (
-        b'["lease-invalidate","s1","p1",null,0,7,null,{"keys":["k"]}]'
+        b'["lease-invalidate","s1","p1",null,0,null,{"keys":["k"]}]'
     ),
     "lease-release": (
-        b'["lease-release","p1","s1",null,0,7,null,{"keys":["k","k2"]}]'
+        b'["lease-release","p1","s1",null,0,null,{"keys":["k","k2"]}]'
     ),
 }
 
@@ -845,10 +862,10 @@ class TestGoldenBytes:
     def test_golden_bytes_decode_to_the_frame(self, name):
         frame = _golden_frames()[name]
         decoded = decode_message(GOLDEN_BODIES[name])
-        assert decoded.msg_id == 7
+        addressed = _as_addressed(frame)
         unpack = UNPACKERS.get(frame.kind, lambda message: message.payload)
-        assert _plain(unpack(decoded)) == _plain(unpack(frame))
-        assert _plain(decoded.payload) == _plain(frame.payload)
+        assert _plain(unpack(decoded)) == _plain(unpack(addressed))
+        assert _plain(decoded.payload) == _plain(addressed.payload)
         _assert_same_message(
             dataclasses.replace(frame, payload={}),
             dataclasses.replace(decoded, payload={}),
@@ -861,7 +878,7 @@ class TestGoldenBytes:
 
 def _envelope(kind, payload, sender="c9", receiver="s1", *lease):
     """A body of ``kind``, ending in ``lease`` (a batch frame's lease traffic)."""
-    return json.dumps([kind, sender, receiver, None, 0, 1, None, payload, *lease]).encode()
+    return json.dumps([kind, sender, receiver, None, 0, None, payload, *lease]).encode()
 
 
 _SUB_ROW = ["k", "c9", "query", {}, "op", 1, None, "shard-0", 1, None]
@@ -894,7 +911,10 @@ WRONG_SHAPES = {
     "sub-epoch-a-string": _envelope("batch", [_SUB_ROW[:8] + ["1", None]]),
     "sub-round-trip-a-bool": _envelope("batch", [_SUB_ROW[:5] + [True] + _SUB_ROW[6:]]),
     "sub-payload-a-list": _envelope("batch", [_SUB_ROW[:3] + [[]] + _SUB_ROW[4:]]),
-    "ack-row-short": _envelope("batch-ack", [["k", "s1", "ack"]]),
+    "ack-row-short": _envelope("batch-ack", [["ack", {}, "op"]]),
+    "ack-row-with-key-sender-and-trace": _envelope(
+        "batch-ack", [["k", "s1", "ack", {}, "op", 1, None]]),
+    "ack-row-payload-a-list": _envelope("batch-ack", [["ack", [], "op", 1]]),
     "acks-an-object": _envelope("batch-ack", {"acks": []}),
     "proxy-row-short": _envelope("proxy", [["k", "read", "query", {}, "op", 1]]),
     "proxy-row-without-client": _envelope(
@@ -940,12 +960,16 @@ WRONG_SHAPES = {
     "push-added-without-route": _envelope("view-push", {"view": {
         "ring_epoch": 2, "base_ring_epoch": 1, "virtual_nodes": 64,
         "added": ["sh9"], "removed": [], "routes": {}}}),
-    "seven-fields": json.dumps(["query", "c9", "s1", None, 0, 1, None]).encode(),
+    "six-fields": json.dumps(["query", "c9", "s1", None, 0, None]).encode(),
     "nine-fields": json.dumps(["query", "c9", "s1", None, 0, 1, None, {}, 0]).encode(),
-    "sender-a-number": json.dumps(["query", 9, "s1", None, 0, 1, None, {}]).encode(),
+    "envelope-with-a-msg-id": json.dumps(
+        ["query", "c9", "s1", None, 0, 1, None, {}]).encode(),
+    "batch-ack-envelope-with-a-msg-id": json.dumps(
+        ["batch-ack", "s1", "c9", None, 0, 1, None, [None]]).encode(),
+    "sender-a-number": json.dumps(["query", 9, "s1", None, 0, None, {}]).encode(),
     "round-trip-a-string": json.dumps(
-        ["query", "c9", "s1", None, "0", 1, None, {}]).encode(),
-    "trace-an-object": json.dumps(["query", "c9", "s1", None, 0, 1, {}, {}]).encode(),
+        ["query", "c9", "s1", None, "0", None, {}]).encode(),
+    "trace-an-object": json.dumps(["query", "c9", "s1", None, 0, {}, {}]).encode(),
 }
 
 
@@ -961,7 +985,7 @@ class TestWrongShapes:
 _near_envelopes = st.tuples(
     st.sampled_from(sorted(UNPACKERS) + ["query", "stale-shard"]),
     _json_values, _json_values, _json_values, _json_values, _json_values,
-    _json_values, _json_values, st.lists(_json_values, max_size=1),
+    _json_values, st.lists(_json_values, max_size=1),
 ).map(lambda cells: list(cells[:-1]) + cells[-1])
 
 #: Typed-row envelopes with one cell of one valid row replaced by arbitrary

@@ -235,7 +235,7 @@ class TestOrdering:
 #: One of each effect, and the repr the frozen dataclasses they replaced gave.
 EFFECTS = [
     (SendFrame("s1", Message("c1", "s1", "ping")),
-     "SendFrame(destination='s1', frame=Message(#{} c1->s1 ping op=None rt=0))"),
+     "SendFrame(destination='s1', frame=Message(c1->s1 ping op=None rt=0))"),
     (StartTimer(("flush", "r1"), 0.5), "StartTimer(timer_id=('flush', 'r1'), delay=0.5)"),
     (CancelTimer(("flush", "r1")), "CancelTimer(timer_id=('flush', 'r1'))"),
     (Connect("p2"), "Connect(target='p2')"),
@@ -290,6 +290,4 @@ class TestEffectRecords:
 
     @pytest.mark.parametrize("effect,expected", EFFECTS, ids=lambda e: type(e).__name__)
     def test_the_repr_is_the_dataclass_one(self, effect, expected):
-        if isinstance(effect, SendFrame):
-            expected = expected.format(effect.frame.msg_id)
         assert repr(effect) == expected

@@ -433,7 +433,8 @@ class TestLeaseProtocolServer:
                       encode_tagged(Tag(1, "c2"), "v1"), "w1", 2),
         ], releases=["k"]))
         assert engine.write_deferrals == 0 and not engine.lease_holders("k")
-        assert [key for key, _ in unpack_batch_ack(sent(effects, BATCH_ACK_KIND)[0].frame)] == ["k"]
+        assert [reply.op_id for reply in unpack_batch_ack(
+            sent(effects, BATCH_ACK_KIND)[0].frame)] == ["w1"]
 
     def test_fill_writeback_exempt_from_own_lease_only(self):
         engine, sid, shard, epoch = lease_server()
@@ -493,12 +494,12 @@ class TestLeaseProtocolServer:
         ]))
         acks = sent(effects, BATCH_ACK_KIND)
         assert len(acks) == 1
-        assert [key for key, _ in unpack_batch_ack(acks[0].frame)] == ["j"]
+        assert [reply.op_id for reply in unpack_batch_ack(acks[0].frame)] == ["r3"]
         # The deferred slot follows in its own ack once the holder clears.
         effects = engine.on_frame(make_lease_release("p2", sid, ["k"]))
         acks = sent(effects, BATCH_ACK_KIND)
         assert len(acks) == 1
-        assert [key for key, _ in unpack_batch_ack(acks[0].frame)] == ["k"]
+        assert [reply.op_id for reply in unpack_batch_ack(acks[0].frame)] == ["w2"]
 
 
 def grant_ack(server, proxy_id, key, nonce):

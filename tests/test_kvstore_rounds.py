@@ -377,7 +377,7 @@ class Rig:
         if stale or empty:
             replica = self.replicas[sent.destination]
             return make_batch_ack(sent.frame, [
-                (sub.key, None if empty else make_stale_reply(replica, sub, None))
+                None if empty else make_stale_reply(replica, sub, None)
                 for sub in unpack_batch(sent.frame)
             ])
         effects = self.replicas[sent.destination].on_frame(sent.frame)

@@ -186,8 +186,7 @@ class TestGroupServerEngine:
         ack = _serve(
             server, make_batch("r1", "s1", [_tagged(server, "sha", "ka", query_a)])
         )
-        (key, reply), = unpack_batch_ack(ack)
-        assert key == "ka"
+        reply, = unpack_batch_ack(ack)
         assert reply.payload["value"] == "A"
         assert reply.op_id == "op-3" and reply.round_trip == 1
 
@@ -198,7 +197,7 @@ class TestGroupServerEngine:
         _serve(server, make_batch("w1", "s1", [_tagged(server, "sha", "ka", update)]))
         query = Message("r1", "s1", "query")
         ack = _serve(server, make_batch("r1", "s1", [_tagged(server, "shb", "ka", query)]))
-        (_, reply), = unpack_batch_ack(ack)
+        reply, = unpack_batch_ack(ack)
         assert reply.payload["value"] is None  # shb's "ka" never written
 
     def test_stale_epoch_bounces_without_touching_registers(self):
@@ -210,7 +209,7 @@ class TestGroupServerEngine:
         ack = _serve(server, make_batch(
             "w1", "s1", [_tagged(server, "sha", "ka", update, epoch=2)]
         ))
-        (_, reply), = unpack_batch_ack(ack)
+        reply, = unpack_batch_ack(ack)
         assert reply.kind == STALE_SHARD_KIND
         assert reply.payload["epoch"] == 3 and reply.payload["sent_epoch"] == 2
         assert reply.op_id == "op-1" and reply.round_trip == 2
@@ -224,7 +223,7 @@ class TestGroupServerEngine:
             SubRequest("k", query, shard="nope", epoch=1),
             SubRequest("k", query),  # legacy untagged form
         ]))
-        for _, reply in unpack_batch_ack(ack):
+        for reply in unpack_batch_ack(ack):
             assert reply.kind == STALE_SHARD_KIND
             assert reply.payload["epoch"] is None
 
@@ -239,7 +238,7 @@ class TestGroupServerEngine:
         dest.host_shard("sha", 2, registers)
         query = Message("r1", "s1", "query")
         ack = _serve(dest, make_batch("r1", "s1", [_tagged(dest, "sha", "ka", query)]))
-        (_, reply), = unpack_batch_ack(ack)
+        reply, = unpack_batch_ack(ack)
         assert reply.payload["value"] == "moved"
         assert reply.sender == "s1"
 

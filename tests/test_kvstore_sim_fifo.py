@@ -32,7 +32,7 @@ from repro.kvstore import (
 )
 from repro.kvstore.engine import SendFrame
 from repro.kvstore.engine.fabric import Fabric
-from repro.messages import Message, unpack_batch_ack
+from repro.messages import BATCH_KIND, Message, unpack_batch, unpack_batch_ack
 from repro.sim import Simulation
 from repro.sim.delays import ConstantDelay, DelayModel, GeoDelay, UniformDelay
 
@@ -181,13 +181,21 @@ class TestTimerFramesAndTheServiceQueue:
             fabric.execute("d1", writer.invoke(kind, key, value)[1])
 
         emitted, arrived = [], []
+        #: (op id, round trip) -> key of every sub the replica was sent: a
+        #: batch-ack's replies name their round, not their key.
+        keys = {}
         replica = "g1-s2"
         engine = cluster.server_logics[replica]
         for name in ("on_frame", "on_timer"):
             def tapped(arg, method=getattr(engine, name), name=name):
+                if name == "on_frame" and arg.kind == BATCH_KIND:
+                    keys.update(
+                        ((sub.message.op_id, sub.message.round_trip), sub.key)
+                        for sub in unpack_batch(arg)
+                    )
                 effects = method(arg)
                 emitted.extend(
-                    (fabric.now, name, _acked_keys(effect.frame))
+                    (fabric.now, name, _acked_keys(effect.frame, keys))
                     for effect in effects
                     if isinstance(effect, SendFrame) and effect.destination == "d1"
                 )
@@ -198,7 +206,7 @@ class TestTimerFramesAndTheServiceQueue:
 
         def heard(frame):
             if frame.sender == replica:
-                arrived.append((fabric.now, _acked_keys(frame)))
+                arrived.append((fabric.now, _acked_keys(frame, keys)))
             return on_frame(frame)
 
         writer.on_frame = heard
@@ -234,6 +242,7 @@ class TestTimerFramesAndTheServiceQueue:
         assert check_per_key_atomicity(cluster.recorder.histories()).all_atomic
 
 
-def _acked_keys(frame):
-    return [(key, reply.kind) for key, reply in unpack_batch_ack(frame)]
+def _acked_keys(frame, keys):
+    return [(keys[reply.op_id, reply.round_trip], reply.kind)
+            for reply in unpack_batch_ack(frame)]
 

@@ -44,7 +44,7 @@ proxy (cache hits 101 -> 59, rounds closed 224 -> 169), the proxy sends 357
 
 Counter-only kinds (``events.QUIET_KINDS``) are counted inline by the engines
 while no sink but the metrics wants them, so with the default sinks only
-1,049 of the run's 2,993 events reach a hub route (997 that need a call,
+837 of the run's 2,993 events reach a hub route (779 that need a call,
 and the first of each quiet kind on each scope); a whole-event sink, from the
 start or attached mid-run, and any ``EngineObserver`` subclass still hear all
 of them, and the golden did not move.
@@ -332,8 +332,9 @@ ALL_EVENTS = {
 }
 
 #: The calls that reach a hub route with the default sinks: the op lifecycle,
-#: the proxy's rounds (timed), batch sizes and ``sub.served`` (the autoscaler
-#: binds it) every time; a quiet kind once per scope -- its first emit there
+#: the proxy's rounds (timed) and batch sizes every time; a quiet kind --
+#: ``sub.served`` among them, the autoscaler reads the replicas' tallies --
+#: once per scope -- its first emit there
 #: resolves its route and makes it quiet (8 sessions, which open the rounds,
 #: and the one link they share, which sends the frames and arms the timers;
 #: 1 proxy; 6 replicas).  A new counter kind left on ``emit`` shows up here.
@@ -342,7 +343,6 @@ ROUTED_EVENTS = {
     ("client", "op.invoked"): 200,
     ("proxy", "batch.cut"): 46, ("proxy", "round.closed"): 169,
     ("proxy", "round.opened"): 97,
-    ("replica", "sub.served"): 218,
     ("client", "frame.received"): 1, ("client", "frame.sent"): 1,
     ("client", "round.opened"): 8, ("client", "timer.armed"): 1,
     ("client", "timer.cancelled"): 1, ("client", "timer.fired"): 1,
@@ -352,8 +352,8 @@ ROUTED_EVENTS = {
     ("proxy", "timer.armed"): 1, ("proxy", "timer.cancelled"): 1,
     ("proxy", "timer.fired"): 1,
     ("replica", "frame.received"): 6, ("replica", "frame.sent"): 6,
-    ("replica", "lease.granted"): 6, ("replica", "timer.armed"): 6,
-    ("replica", "timer.cancelled"): 6,
+    ("replica", "lease.granted"): 6, ("replica", "sub.served"): 6,
+    ("replica", "timer.armed"): 6, ("replica", "timer.cancelled"): 6,
 }
 
 
@@ -380,7 +380,7 @@ def test_default_sinks_route_only_the_kinds_that_need_a_call(monkeypatch):
     monkeypatch.setattr(events._ScopedObserver, "emit", counting)
     result = seeded_sim_cached_run()
     assert dict(routed) == ROUTED_EVENTS
-    assert sum(routed.values()) == 1049 and sum(ALL_EVENTS.values()) == 2993
+    assert sum(routed.values()) == 837 and sum(ALL_EVENTS.values()) == 2993
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert metrics_json(result) == golden["metrics_json"]
 

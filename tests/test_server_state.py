@@ -206,5 +206,5 @@ def test_a_stale_bounce_and_a_batch_ack_leave_as_the_replica():
     assert bounce.payload == {"shard": "shard-0", "sent_epoch": 2, "epoch": 3}
     (send,) = engine.on_frame(make_batch("c1", "s2", [fresh, stale]))
     assert send.destination == "c1" and send.frame.sender == "s2"
-    assert [reply.sender for _key, reply in unpack_batch_ack(send.frame)] == \
+    assert [reply.sender for reply in unpack_batch_ack(send.frame)] == \
         ["s2", "s2"]

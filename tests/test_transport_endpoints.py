@@ -336,6 +336,42 @@ class TestReplicaServerEndpoint:
 
         asyncio.run(scenario())
 
+    def test_a_timer_frame_waits_behind_a_reply_held_in_service(self):
+        class Expiring:
+            """Answers a ping and arms a timer whose fire sends ``expired``
+            to the same peer -- while the pong is still held in service."""
+
+            server_id = "s1"
+
+            def on_frame(self, frame):
+                return [
+                    SendFrame(frame.sender, frame.reply("pong", {})),
+                    StartTimer(("expiry", frame.sender), 0.1),
+                ]
+
+            def on_timer(self, timer_id):
+                peer = timer_id[1]
+                return [SendFrame(peer, Message("s1", peer, "expired"))]
+
+        async def scenario():
+            replica = ReplicaServer(Expiring(), service_overhead=0.3)
+            await replica.start()
+            try:
+                reader, writer = await asyncio.open_connection(replica.host, replica.port)
+                await write_frame(writer, Message("p1", "s1", "ping"))
+                kinds = [
+                    (await asyncio.wait_for(read_frame(reader), 2.0)).kind
+                    for _ in range(2)
+                ]
+                assert kinds == ["pong", "expired"]
+                assert not replica._timers
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await replica.stop()
+
+        asyncio.run(scenario())
+
 
 class TestReplicaDiallers:
     """The dial side towards the replicas: a store's link, and a proxy."""
