@@ -89,8 +89,10 @@ class ReplicaServer:
         # earlier requests keeps it busy.
         self._busy_until: "WeakKeyDictionary[FramedConnection, float]" = WeakKeyDictionary()
         self.requests_served = 0
+        # With no service time nothing is ever held: frames go straight out.
         self._runtime = EffectRuntime(
-            logic, lambda delay, fire: self._loop.call_later(delay, fire), self._send
+            logic, lambda delay, fire: self._loop.call_later(delay, fire),
+            self._send if self._modelled else self._write,
         )
         # While a request with a modelled service time is being applied, the
         # frames it produces collect here, then join their peers' outboxes.
