@@ -142,8 +142,9 @@ class HistoryRecorder:
 
     ``time_fn`` abstracts the clock: the simulators pass their virtual
     clock, the asyncio store a monotonic wall clock, so the same recorder
-    (and the same checker) serves all three.  It is the only reader of that
-    clock; protocol code never reads it, as in the paper's model.  Atomicity
+    (and the same checker) serves all three.  Protocol code never reads
+    that clock, as in the paper's model; a client's private link times its
+    proxy watchdog by it (:meth:`now`).  Atomicity
     decomposes by key (locality of linearizability), so each key's history
     is checked on its own; the single-register simulator records under one.
     """
@@ -153,6 +154,10 @@ class HistoryRecorder:
         self._operations: Dict[str, Operation] = {}
         self._per_key: Dict[str, List[str]] = {}
         self._completed = 0
+
+    def now(self) -> float:
+        """The recorder's clock."""
+        return self._time_fn()
 
     def record_invocation(
         self,

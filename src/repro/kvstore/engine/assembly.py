@@ -74,6 +74,7 @@ class ClusterAssembly:
         trace_collector: Optional[TraceCollector] = None,
     ) -> None:
         self.shard_map = shard_map
+        self.clock = clock
         self.retry_policy = retry_policy
         self.lease_ttl = lease_ttl
         self.drain_range_size = drain_range_size
@@ -158,6 +159,7 @@ class ClusterAssembly:
             policy=self.retry_policy,
             observer=self.hub.scoped("client", link_id),
             lease_ttl=self.lease_ttl,
+            clock=self.clock,
         )
 
     def proxy_candidates(self, member: Optional[str] = None) -> List[str]:

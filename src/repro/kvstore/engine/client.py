@@ -124,6 +124,7 @@ class ClientSessionEngine:
             link = ClientLink(
                 client_id, self.policy, max_batch, self.observer,
                 stats=self.stats, proxy_stats=self.stats, lease_ttl=lease_ttl,
+                clock=recorder.now,
             )
         self.link = link
         link.attach(self)

@@ -54,7 +54,7 @@ that was connected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ...core.errors import ProtocolError
 from ...messages import (
@@ -100,9 +100,11 @@ class _ProxyLeg:
     proxy_id: str
     #: (forwarded op id, round trip) -> the round out on this proxy.
     rounds: Dict[Tuple[str, int], ReplicaRound] = field(default_factory=dict)
-    acks_seen: int = 0
     watching: bool = False
-    acks_at_arm: int = 0
+    #: When the watchdog was last armed, and when the proxy last acked
+    #: while it was (the link's clock).
+    armed_at: float = 0.0
+    last_ack: float = float("-inf")
 
 
 class ClientLink(ReplicaRounds):
@@ -116,6 +118,8 @@ class ClientLink(ReplicaRounds):
     and ``proxy-ack`` frames, timer fires, connection outcomes and transport
     notifications.  ``lease_ttl`` is the deployment's read-lease TTL: how
     long a replica may withhold a write's ack behind a proxy's lease.
+    ``clock`` tells the time in the policy's units; only the proxy watchdog
+    reads it, so a link whose policy arms none needs none.
     """
 
     def __init__(
@@ -127,9 +131,13 @@ class ClientLink(ReplicaRounds):
         stats: Optional[BatchStats] = None,
         proxy_stats: Optional[BatchStats] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
+        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.link_id = link_id
         self.policy = policy or DEFAULT_RETRY_POLICY
+        if clock is None and self.policy.failover_timeout is not None:
+            raise ValueError("a link with a failover watchdog needs a clock")
+        self._clock = clock
         self.max_batch = max_batch
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.stats = stats if stats is not None else BatchStats()
@@ -287,8 +295,11 @@ class ClientLink(ReplicaRounds):
 
         Where the transport drops a crashed process's traffic *silently*
         (the simulator), proxy death has no connection-reset edge to
-        observe; instead one timer per leg fires ``failover_timeout`` after
-        the last arm.  Progress (any proxy ack) re-arms it; the leg's rounds
+        observe; instead one timer per leg watches for ``failover_timeout``
+        of silence, measured from the later of its arming and the proxy's
+        last ack: a fire that finds an ack since the arm re-arms for what is
+        left of the window that ack opened, so a proxy that dies right
+        after acking is lost one window later, not two.  The leg's rounds
         all completing cancels it (so an idle link schedules nothing and
         quiescence-driven runs terminate at the workload's natural end).
         Only a proxy that is silent for the whole window -- with rounds
@@ -300,9 +311,12 @@ class ClientLink(ReplicaRounds):
         """
         if self.policy.failover_timeout is None or leg.watching or not leg.rounds:
             return
+        self._watch_leg(leg, self.policy.failover_timeout, out)
+
+    def _watch_leg(self, leg: _ProxyLeg, delay: float, out: List[Effect]) -> None:
         leg.watching = True
-        leg.acks_at_arm = leg.acks_seen
-        out.append(StartTimer(("watchdog", leg.proxy_id), self.policy.failover_timeout))
+        leg.armed_at = self._clock()
+        out.append(StartTimer(("watchdog", leg.proxy_id), delay))
 
     def _disarm_watchdog(self, leg: _ProxyLeg, out: List[Effect]) -> None:
         if leg.watching:
@@ -351,7 +365,8 @@ class ClientLink(ReplicaRounds):
         leg = self._legs.get(message.sender)
         if leg is None:
             return  # nothing was ever forwarded there
-        leg.acks_seen += 1
+        if leg.watching:
+            leg.last_ack = self._clock()
         for sub_reply in unpack_proxy_ack(message):
             round = leg.rounds.pop((sub_reply.op_id, sub_reply.round_trip), None)
             if round is None:
@@ -428,8 +443,12 @@ class ClientLink(ReplicaRounds):
             leg.watching = False
             if not leg.rounds:
                 return out
-            if leg.acks_seen > leg.acks_at_arm:
-                self._arm_watchdog(leg, out)  # alive, just slow: watch another window
+            if leg.last_ack > leg.armed_at:
+                # Alive, just slow: silence is measured from the last ack.
+                now = self._clock()
+                self._watch_leg(
+                    leg, leg.last_ack + self.policy.failover_timeout - now, out
+                )
             else:
                 self._lose_proxy(leg.proxy_id, out)
             return out

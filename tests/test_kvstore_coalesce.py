@@ -57,6 +57,7 @@ class World:
             link = self.links[link_id] = ClientLink(
                 link_id, policy=config.setting("retry_policy"),
                 observer=self.cluster.hub.scoped("client", link_id),
+                clock=self.cluster.clock,
             )
             self.fabric.register(link_id, link)
         self.sessions = {}

@@ -843,7 +843,7 @@ def _one_proxy_on_the_fabric():
             )
     proxy = ProxyEngine("p1", CachedShardView(shard_map), policy=SIM_RETRY_POLICY)
     fabric.register("p1", proxy)
-    link = ClientLink("L", policy=SIM_RETRY_POLICY)
+    link = ClientLink("L", policy=SIM_RETRY_POLICY, clock=lambda: fabric.now)
     fabric.register("L", link)
     recorder = KVHistoryRecorder(lambda: fabric.now)
     sessions = [
@@ -890,6 +890,36 @@ class TestOneAckPerInput:
         assert sorted(answered) == sorted(op_ids)
         assert link.proxy_stats.frames_received == 1
         assert link.proxy_stats.sub_operations == 2
+
+
+class TestProxyWatchdog:
+    def test_a_proxy_that_acks_mid_window_and_dies_is_lost_one_window_after_the_ack(self):
+        fabric, proxy, link, recorder, sessions = _one_proxy_on_the_fabric()
+        timeout = SIM_RETRY_POLICY.failover_timeout
+        # The proxy's queries for "a" never reach a replica: that read stays
+        # out on the proxy for the whole run, so the watchdog stays armed.
+        fabric.hold(lambda effect: effect.frame.sender == "p1"
+                    and effect.frame.kind == BATCH_KIND
+                    and any(sub.key == "a" for sub in unpack_batch(effect.frame)))
+        acked_at = []
+        original = link.on_frame
+
+        def on_frame(frame):
+            if frame.kind == PROXY_ACK_KIND:
+                acked_at.append(fabric.now)
+            return original(frame)
+
+        link.on_frame = on_frame
+        fabric.execute("L", sessions[0].invoke(OpKind.READ, "a")[1])
+        fabric.run(until=timeout / 2)
+        fabric.execute("L", sessions[1].invoke(OpKind.READ, "b")[1])
+        fabric.run(until=timeout / 2 + 10)
+        assert recorder.completed_operations == 1 and len(acked_at) == 1
+        fabric.down.add("p1")  # dies silently, mid-window, right after acking
+        fabric.run(until=acked_at[0] + timeout - 1)
+        assert sessions[0].proxy_failovers == 0
+        fabric.run(until=acked_at[0] + timeout + 1)
+        assert sessions[0].proxy_failovers == 1
 
 
 class TestProxyAckRouting:

@@ -238,6 +238,11 @@ class TestSimProxiedWorkloads:
         # riders are the link's now, not the proxy's, and the client -> proxy
         # frames and proxy-acks they merged went (942 -> 783, 2881 -> 2618;
         # the rough run's replica frames 960 -> 906, sub-ops 1298 -> 1212).
+        # Since the proxy watchdog measures silence from the last ack, the
+        # rough run's links give up on proxies that retry rounds behind its
+        # stalled drain for a whole window: 12 failovers, whose replays cost
+        # replica frames 906 -> 991, sub-ops 1212 -> 1410, messages
+        # 2618 -> 2820.
         def run_seed(seed, **extra):
             workload = generate_workload(
                 num_clients=8, ops_per_client=25, num_keys=64, read_fraction=0.9,
@@ -252,7 +257,7 @@ class TestSimProxiedWorkloads:
         rough = run_seed(5, proxies=2, resize_to=8, crashes_per_group=1,
                          push_views=False)
         for result, frames, sub_ops, messages in [
-            (plain, 303, 537, 783), (rough, 906, 1212, 2618),
+            (plain, 303, 537, 783), (rough, 991, 1410, 2820),
         ]:
             assert result.check().all_atomic
             assert result.proxy_stats.rounds_narrow == 0

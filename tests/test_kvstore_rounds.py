@@ -165,7 +165,8 @@ class Rig:
         elif mode == "link":
             assert not proxy_kwargs
             self.owner = ClientLink(
-                "L", policy=policy, observer=observer, lease_ttl=lease_ttl
+                "L", policy=policy, observer=observer, lease_ttl=lease_ttl,
+                clock=lambda: self.fabric.now,
             )
             for client_id in ("c1", "c2"):
                 self.sessions[client_id] = ClientSessionEngine(
@@ -1576,7 +1577,7 @@ def test_every_queue_leaves_once_at_its_flush_cut_at_the_cap(cap, ingresses, win
         fabric.register(
             proxy_id, ProxyEngine(proxy_id, CachedShardView(shard_map), policy=SIM_RETRY_POLICY)
         )
-    link = ClientLink("L", policy=SIM_RETRY_POLICY)
+    link = ClientLink("L", policy=SIM_RETRY_POLICY, clock=lambda: fabric.now)
     fabric.register("L", link)
     flushed = []
     coalesced = [0]
