@@ -12,13 +12,20 @@ unset (the protocols' crucial-info bookkeeping is per client) -- while the
 round's ack goes back over the connection the round arrived on: to the
 frame's sender, never to a name read from a sub.
 
-**One ack frame per destination per input.**  Every input -- ``on_frame``,
-``on_timer``, ``on_peer_lost``, ``on_frame_undeliverable`` -- answers all the
-rounds it completes for one destination in one ``proxy-ack``, its sub-replies
-in completion order, whether a round was served from the cache, rode a fill
-or collected its quorum from the replicas.  Behind a process's shared link
-every round of the process answers to one destination, so one batch-ack from
-a replica that completes ten rounds is one ack frame, not ten.  A sub-reply
+**One ack frame per destination per turn.**  A turn answers all the rounds
+it completes for one destination in one ``proxy-ack``, its sub-replies in
+completion order, whether a round was served from the cache, rode a fill or
+collected its quorum from the replicas.  Behind a process's shared link every
+round of the process answers to one destination, so one batch-ack from a
+replica that completes ten rounds is one ack frame, not ten.  A turn is one
+input -- ``on_frame``, ``on_timer``, ``on_peer_lost``,
+``on_frame_undeliverable`` -- unless the adapter holds the proxy's acks
+(:attr:`ProxyEngine.holds_acks`): then it lasts until the adapter writes them
+and calls :meth:`ProxyEngine.end_turn`, so the asyncio proxy answers the
+cache hits, every replica's batch-ack and the timer fires of one event-loop
+turn in one frame per link.  The simulator keeps one turn per input: there
+the replicas' acks arrive at different instants, and merging them would mean
+waiting.  A sub-reply
 is relayed as it stands: its replica replies keep the attempt-scoped ids they
 came back under, and the client never reads them -- it routes by the
 sub-reply's own ``(op_id, round_trip)`` and reads ``(sender, kind,
@@ -187,10 +194,14 @@ class ProxyEngine(ReplicaRounds):
         #: Replica-bound sub-requests belonging to *read* ops -- the traffic
         #: the cache exists to remove (the benchmark's sub-ops/op metric).
         self.read_subs_sent = 0
-        #: The sub-replies of the input being handled, per destination, and
-        #: the effect list they are being sent in (see :meth:`_ack`).
+        #: The sub-replies of the open turn, per destination, and the effect
+        #: list of the input that opened it (see :meth:`_ack`).
         self._acks: Dict[str, List[ProxySubReply]] = {}
         self._acks_out: Optional[List[Effect]] = None
+        #: Set by an adapter that holds this proxy's ``proxy-ack`` frames
+        #: until its turn ends and then calls :meth:`end_turn`; while unset,
+        #: every input is a turn.
+        self.holds_acks = False
 
     # -- admission and routing --------------------------------------------------
 
@@ -410,21 +421,23 @@ class ProxyEngine(ReplicaRounds):
         )
 
     def _ack(self, reply_to: str, sub_reply: ProxySubReply, out: List[Effect]) -> None:
-        """Answer one round in this input's one ``proxy-ack`` for ``reply_to``.
+        """Answer one round in this turn's one ``proxy-ack`` for ``reply_to``.
 
         An input's effects are one list, executed after the input returns:
-        the first round answered to a destination appends the frame to it,
-        and the input's later ones join that frame's payload.  The sub-reply
-        goes in as it stands (see the module notes).
+        the first round of a turn answered to a destination appends the
+        frame to it, and the turn's later ones join that frame's payload --
+        before the input returns, or while the adapter holds the frame.  The
+        sub-reply goes in as it stands (see the module notes).
         """
-        if self._acks_out is not out:
+        if not self.holds_acks and self._acks_out is not out:
             self._acks_out, self._acks = out, {}
         acks = self._acks.get(reply_to)
         if acks is None:
             acks = self._acks[reply_to] = []
             # Not counted in stats: proxy acks are tallied once, at the client
             # receiver (the counted-exactly-once invariant); the observer
-            # event still records the frame leaving this component.
+            # event still records the frame leaving this component, once per
+            # frame however many inputs fill it.
             counts = self.observer.frame_sent
             if counts is None:
                 self.observer.emit(FRAME_SENT, kind=PROXY_ACK_KIND, dest=reply_to)
@@ -434,6 +447,11 @@ class ProxyEngine(ReplicaRounds):
                 self.proxy_id, reply_to, PROXY_ACK_KIND, {"acks": acks}
             )))
         acks.append(sub_reply)
+
+    def end_turn(self) -> None:
+        """The adapter wrote the turn's ``proxy-ack`` frames: the next round
+        answered to a destination opens a new one."""
+        self._acks = {}
 
     def _record_fill(
         self, entry: CacheEntry, pending: _ProxyPending, out: List[Effect]
@@ -681,6 +699,7 @@ class ProxyEngine(ReplicaRounds):
         adapter cancels its own outstanding timers alongside.
         """
         self._clear_rounds()
+        self.end_turn()  # the adapter dropped the frames it held
         if self._cache is not None:
             # No releases are possible from a dead proxy (the queued ones
             # went with the rounds): the server-side lease timers expire the

@@ -48,7 +48,7 @@ from ..asyncio_net.codec import FrameError, encode_message
 from ..asyncio_net.endpoint import Endpoint
 from ..asyncio_net.server import ReplicaServer
 from ..core.operations import OpKind
-from ..messages import VIEW_PUSH_ACK_KIND, VIEW_PUSH_KIND, Message
+from ..messages import PROXY_ACK_KIND, VIEW_PUSH_ACK_KIND, VIEW_PUSH_KIND, Message
 from ..protocols.base import OperationOutcome
 from ..util.rng import SeededRng
 from .engine import (
@@ -506,8 +506,15 @@ class ProxyServer(_Owner):
     resolution, read routing, cross-client merging, stale-epoch replay and
     the silence watchdog over its rounds.  Its endpoint holds both sides: the connection it dialled
     to every replica (redialled when lost) and the ones its clients opened --
-    one per client process and loop -- over which their acks go back, one
-    frame per connection for every round an input completes.
+    one per client process and loop -- over which their acks go back.
+
+    Acks go back once per connection per event-loop turn.  The proxy holds
+    its ``proxy-ack`` frames, and the first one held arms a zero-delay loop
+    callback -- the rule the engines' flush timers follow -- which runs after
+    the next turn's I/O: the cache hits, every replica's batch-ack and the
+    timer fires of that turn fill the frames the engine keeps open until the
+    callback writes them and ends the turn (:meth:`ProxyEngine.end_turn`).
+    :meth:`stop` drops what is held.
     """
 
     def __init__(
@@ -518,9 +525,30 @@ class ProxyServer(_Owner):
         port: int = 0,
     ) -> None:
         super().__init__(engine)
+        engine.holds_acks = True
         self.cluster = cluster
         self.host = host
         self.port = port
+        #: The turn's ``proxy-ack`` frames, and the callback that writes them.
+        self._held: List[SendFrame] = []
+        self._writing: Optional[asyncio.TimerHandle] = None
+
+    def _send(self, effect: SendFrame) -> Optional[List[Effect]]:
+        if effect.frame.kind != PROXY_ACK_KIND:
+            return super()._send(effect)
+        if not self._held:
+            self._writing = _call_later(0, self._end_turn)
+        self._held.append(effect)
+        return None
+
+    def _end_turn(self) -> None:
+        self._writing = None
+        held, self._held = self._held, []
+        self.engine.end_turn()
+        for effect in held:
+            handed_back = super()._send(effect)
+            if handed_back:
+                self.runtime.run(handed_back)
 
     @property
     def view(self):
@@ -552,6 +580,14 @@ class ProxyServer(_Owner):
             # must not outlive a proxy that never came up.
             await self.close()
             raise
+
+    async def close(self) -> None:
+        await super().close()
+        # No frame arrives any more: the held acks go with their connections.
+        if self._writing is not None:
+            self._writing.cancel()
+            self._writing = None
+        self._held.clear()
 
     async def stop(self) -> None:
         await self.close()

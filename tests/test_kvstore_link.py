@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import threading
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -44,11 +45,12 @@ from repro.messages import (
     PROXY_ACK_KIND,
     PROXY_KIND,
     ProxySubReply,
+    make_proxy_ack,
     unpack_batch,
     unpack_proxy_ack,
     unpack_proxy_request,
 )
-from repro.observe import TraceCollector, validate_metrics_snapshot
+from repro.observe import FRAME_SENT, TraceCollector, validate_metrics_snapshot
 
 from test_kvstore_failover import FAST_RETRY, fast
 from test_transport_endpoints import _other_tasks, _spy_on_loop_errors, _wait_until
@@ -830,9 +832,10 @@ class TestOneProxyLegPerProcess:
         assert same_engine
 
 
-def _one_proxy_on_the_fabric():
+def _one_proxy_on_the_fabric(**proxy_settings):
     """One group of replicas, proxy ``p1`` and a link ``L`` connected to it,
-    carrying the sessions ``c1`` and ``c2``, on an engine fabric."""
+    carrying the sessions ``c1`` and ``c2``, on an engine fabric.
+    ``proxy_settings`` are the proxy's own (e.g. ``read_cache``)."""
     shard_map = ShardMap(1, num_groups=1, readers=2, writers=2)
     fabric = Fabric()
     for group in shard_map.groups.values():
@@ -841,7 +844,9 @@ def _one_proxy_on_the_fabric():
             fabric.register(
                 server_id, GroupServerEngine(server_id, group.protocol, dict(hosted))
             )
-    proxy = ProxyEngine("p1", CachedShardView(shard_map), policy=SIM_RETRY_POLICY)
+    proxy = ProxyEngine(
+        "p1", CachedShardView(shard_map), policy=SIM_RETRY_POLICY, **proxy_settings
+    )
     fabric.register("p1", proxy)
     link = ClientLink("L", policy=SIM_RETRY_POLICY, clock=lambda: fabric.now)
     fabric.register("L", link)
@@ -890,6 +895,184 @@ class TestOneAckPerInput:
         assert sorted(answered) == sorted(op_ids)
         assert link.proxy_stats.frames_received == 1
         assert link.proxy_stats.sub_operations == 2
+
+
+class TestOneAckPerTurn:
+    """A proxy whose adapter holds its acks (``holds_acks``) answers a link
+    once per turn: the test parks the replicas' batch-acks and delivers them
+    at one instant, as one event-loop turn would, and ends the turn itself.
+    It steps the fabric a few hops at a time, inside the silence window, so
+    no retry timer answers a parked round."""
+
+    @staticmethod
+    def _hops(fabric):
+        fabric.run(until=fabric.now + 5)
+
+    @staticmethod
+    def _turns(proxy):
+        """Every ``proxy-ack`` the proxy opens from here on."""
+        proxy.holds_acks = True
+        proxy.end_turn()  # every input so far was a turn of its own
+        acks = []
+        original = proxy.on_frame
+
+        def on_frame(frame):
+            effects = original(frame)
+            acks.extend(effect for effect in effects
+                        if isinstance(effect, SendFrame)
+                        and effect.frame.kind == PROXY_ACK_KIND)
+            return effects
+
+        proxy.on_frame = on_frame
+        return acks
+
+    @staticmethod
+    def _park_batch_acks(fabric):
+        return fabric.hold(lambda effect: effect.destination == "p1"
+                           and effect.frame.kind == BATCH_ACK_KIND)
+
+    @staticmethod
+    def _answered(ack):
+        return [parse_attempt_scoped_id(reply.op_id)[0]
+                for reply in unpack_proxy_ack(ack.frame)]
+
+    def test_two_replicas_batch_acks_completing_rounds_in_one_turn_are_one_proxy_ack(self):
+        fabric, proxy, link, recorder, sessions = _one_proxy_on_the_fabric()
+        acks = self._turns(proxy)
+        release = self._park_batch_acks(fabric)
+        op_ids = []
+        for session, key in zip(sessions, ("a", "b")):
+            op_id, effects = session.invoke(OpKind.READ, key)
+            op_ids.append(op_id)
+            fabric.execute("L", effects)
+            self._hops(fabric)  # each read in its own frame, to its own quorum
+        completed_by = []
+        original = proxy.on_frame
+
+        def on_frame(frame):
+            before = sum(len(unpack_proxy_ack(ack.frame)) for ack in acks)
+            effects = original(frame)
+            if sum(len(unpack_proxy_ack(ack.frame)) for ack in acks) > before:
+                completed_by.append(frame.sender)
+            return effects
+
+        proxy.on_frame = on_frame
+        release()  # every replica's batch-ack, in one turn
+        proxy.end_turn()
+        assert len(completed_by) == 2 and len(set(completed_by)) == 2
+        assert len(acks) == 1 and self._answered(acks[0]) == op_ids
+        fabric.run()
+        assert recorder.completed_operations == 2 and not fabric.failures
+        assert link.proxy_stats.frames_received == 1
+
+    def test_a_hit_and_a_miss_completed_in_one_turn_share_one_proxy_ack(self):
+        fabric, proxy, link, recorder, sessions = _one_proxy_on_the_fabric(
+            read_cache=8
+        )
+        fabric.execute("L", sessions[0].invoke(OpKind.WRITE, "a", "x")[1])
+        fabric.run()
+        fabric.execute("L", sessions[0].invoke(OpKind.READ, "a")[1])
+        fabric.run(until=fabric.now + 10)  # the fill: "a" is cached from here on
+        acks = self._turns(proxy)
+        release = self._park_batch_acks(fabric)
+        miss, effects = sessions[1].invoke(OpKind.READ, "b")
+        fabric.execute("L", effects)
+        self._hops(fabric)
+        hit, effects = sessions[0].invoke(OpKind.READ, "a")
+        fabric.execute("L", effects)
+        self._hops(fabric)  # the hit is answered, and held
+        assert proxy.cache_hits == 1 and len(acks) == 1
+        release()  # the miss completes in the same turn
+        proxy.end_turn()
+        assert len(acks) == 1 and self._answered(acks[0]) == [hit, miss]
+
+    def test_a_round_completed_in_a_later_turn_opens_a_frame_of_its_own(self):
+        fabric, proxy, link, recorder, sessions = _one_proxy_on_the_fabric()
+        acks = self._turns(proxy)
+        release = self._park_batch_acks(fabric)
+        first, effects = sessions[0].invoke(OpKind.READ, "a")
+        fabric.execute("L", effects)
+        self._hops(fabric)
+        release()
+        proxy.end_turn()
+        release = self._park_batch_acks(fabric)
+        second, effects = sessions[1].invoke(OpKind.READ, "b")
+        fabric.execute("L", effects)
+        self._hops(fabric)
+        release()
+        proxy.end_turn()
+        assert [self._answered(ack) for ack in acks] == [[first], [second]]
+
+
+class _FramesSent:
+    """A hub sink counting ``(tier, frame kind)`` of every frame sent."""
+
+    def __init__(self) -> None:
+        self.sent = Counter()
+
+    def handle(self, event) -> None:
+        if event.kind == FRAME_SENT:
+            self.sent[(event.tier, event.attrs["kind"])] += 1
+
+
+class TestAsyncioProxyAcksPerTurn:
+    def test_every_proxy_ack_the_proxy_counts_is_one_the_link_receives(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=4, writers=4)
+            cluster = AsyncKVCluster(shard_map, fast())
+            frames = cluster.hub.add_sink(_FramesSent())
+            await cluster.start()
+            await cluster.start_proxies(1, read_cache=8)
+            stores = [
+                KVStore(cluster, client_id=f"c{index}", use_proxy="p1")
+                for index in range(1, 5)
+            ]
+            for store in stores:
+                await store.connect()
+            try:
+                keys = [f"k{index}" for index in range(4)]
+                await asyncio.gather(*(
+                    store.put(key, store.client_id) for store, key in zip(stores, keys)
+                ))
+                for _ in range(3):
+                    await asyncio.gather(*(
+                        store.get(key) for store in stores for key in keys
+                    ))
+                proxy = cluster.proxies["p1"]
+                link = _link_of(stores[0])
+                return (frames.sent[("proxy", PROXY_ACK_KIND)],
+                        link.proxy_stats.frames_received,
+                        link.proxy_stats.rounds, proxy.engine.cache_hits)
+            finally:
+                await _stopped(cluster, stores)
+
+        sent, received, rounds, hits = asyncio.run(scenario())
+        assert hits > 0
+        assert sent == received
+        assert received <= rounds  # a frame answers a proxy frame's rounds together
+
+    def test_stop_drops_the_held_acks_and_leaves_nothing_armed(self):
+        async def scenario():
+            shard_map = ShardMap(1, num_groups=1, readers=1, writers=1)
+            cluster = AsyncKVCluster(shard_map, fast())
+            await cluster.start()
+            await cluster.start_proxies(1)
+            proxy = cluster.proxies["p1"]
+            written = []
+            proxy._write = written.append
+            try:
+                ack = make_proxy_ack("p1", "L", [ProxySubReply("op", 1, ())])
+                proxy.runtime.run([SendFrame("L", ack)])
+                assert proxy._held and proxy._writing is not None
+                await proxy.stop()
+                assert not proxy._held and proxy._writing is None
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                return written
+            finally:
+                await cluster.stop()
+
+        assert asyncio.run(scenario()) == []
 
 
 class TestProxyWatchdog:
