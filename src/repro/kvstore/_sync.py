@@ -26,12 +26,20 @@ def run_sync(coro: Coroutine) -> Any:
     """Run ``coro`` to completion and return its result.
 
     Must be called from synchronous code; inside a running event loop it
-    raises instead of deadlocking.
+    raises instead of deadlocking.  The result comes back through a local,
+    not as the main task's result: :func:`asyncio.run` builds the repr of
+    that task (and so of a whole run's result) as it shuts down.
     """
     try:
         asyncio.get_running_loop()
     except RuntimeError:
-        return asyncio.run(coro)
+        result = []
+
+        async def main() -> None:
+            result.append(await coro)
+
+        asyncio.run(main())
+        return result[0]
     coro.close()
     raise RuntimeError(
         "run_sync cannot be called from a running event loop; await the "

@@ -33,6 +33,22 @@ class TestRunSync:
         with pytest.raises(ValueError, match="boom"):
             run_sync(fail())
 
+    def test_never_builds_the_results_repr(self):
+        # A run's result is large: asyncio.run shutting down builds the repr
+        # of its main task, result included, unless the result goes around it.
+        class Counted:
+            reprs = 0
+
+            def __repr__(self):
+                Counted.reprs += 1
+                return "Counted()"
+
+        async def compute():
+            return Counted()
+
+        assert isinstance(run_sync(compute()), Counted)
+        assert Counted.reprs == 0
+
     def test_refuses_inside_running_loop(self):
         async def outer():
             async def inner():
