@@ -480,12 +480,21 @@ class TestAsyncioReplicaLoss:
     @staticmethod
     async def _reads_in_flight(cluster, store, keys):
         """One read per key, each in its own flush (so the quorums they ask
-        rotate over the group), all of them held inside the replicas."""
+        rotate over the group), all of them held inside the replicas.
+
+        Each read is issued once the one before it has left for the
+        replicas -- from the link, or behind a proxy from the proxy -- which
+        takes a few turns of the loop, not a guess at how long they last."""
+        if store.use_proxy:
+            stats = cluster.proxies[store.use_proxy].engine.stats
+        else:
+            stats = store.engine.link.stats
         reads = []
         for key in keys:
+            sent = stats.frames_sent
             reads.append(asyncio.create_task(store.get(key)))
-            await asyncio.sleep(0.002)
-        await asyncio.sleep(0.01)
+            while stats.frames_sent == sent:
+                await asyncio.sleep(0)
         assert not any(task.done() for task in reads)
         return reads
 
