@@ -15,7 +15,7 @@ session is on:
   the link's frame cap (:meth:`ClientLink._cut` is the only proxy-specific
   part).  Per proxy id the link also holds one *leg*: the table of the
   rounds out on that proxy, and the failover watchdog.  The proxy answers
-  each of its inputs with one ``proxy-ack`` for the link, and the table
+  each of its turns with one ``proxy-ack`` for the link, and the table
   hands every sub-reply back to the session that owns the round.
 
 A session built on its own gets a private link and is, effect for effect, the

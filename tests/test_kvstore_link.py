@@ -4,8 +4,8 @@ Every :class:`KVStore` rides the link of its cluster and event loop -- one
 :class:`ClientLink`, one effect runtime, one connection per peer.  Talking to
 the replicas directly, rounds of different stores leave in one batch frame
 per replica; behind a proxy, in one ``proxy`` frame per flush, answered by one
-``proxy-ack`` per proxy input.  The sans-I/O half is pinned by the link rows
-of ``test_kvstore_rounds`` and the one-ack row below; this file pins what only
+``proxy-ack`` per proxy turn.  The sans-I/O half is pinned by the link rows
+of ``test_kvstore_rounds`` and the one-ack rows below; this file pins what only
 sockets show: who dials whom, what survives a kill, whose futures a close
 fails, what an operator sees, and that sharing a socket never merges two
 *clients*.
