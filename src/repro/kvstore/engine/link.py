@@ -101,10 +101,9 @@ class _ProxyLeg:
     #: (forwarded op id, round trip) -> the round out on this proxy.
     rounds: Dict[Tuple[str, int], ReplicaRound] = field(default_factory=dict)
     watching: bool = False
-    #: When the watchdog was last armed, and when the proxy last acked
-    #: while it was (the link's clock).
-    armed_at: float = 0.0
-    last_ack: float = float("-inf")
+    #: When the proxy last acked since the watchdog was armed (the link's
+    #: clock), or None.
+    last_ack: Optional[float] = None
 
 
 class ClientLink(ReplicaRounds):
@@ -290,7 +289,9 @@ class ClientLink(ReplicaRounds):
 
     # -- proxy failover -------------------------------------------------------------
 
-    def _arm_watchdog(self, leg: _ProxyLeg, out: List[Effect]) -> None:
+    def _arm_watchdog(
+        self, leg: _ProxyLeg, out: List[Effect], delay: Optional[float] = None
+    ) -> None:
         """Watch for a proxy that stops answering while rounds are out.
 
         Where the transport drops a crashed process's traffic *silently*
@@ -311,11 +312,10 @@ class ClientLink(ReplicaRounds):
         """
         if self.policy.failover_timeout is None or leg.watching or not leg.rounds:
             return
-        self._watch_leg(leg, self.policy.failover_timeout, out)
-
-    def _watch_leg(self, leg: _ProxyLeg, delay: float, out: List[Effect]) -> None:
         leg.watching = True
-        leg.armed_at = self._clock()
+        leg.last_ack = None
+        if delay is None:
+            delay = self.policy.failover_timeout
         out.append(StartTimer(("watchdog", leg.proxy_id), delay))
 
     def _disarm_watchdog(self, leg: _ProxyLeg, out: List[Effect]) -> None:
@@ -443,12 +443,10 @@ class ClientLink(ReplicaRounds):
             leg.watching = False
             if not leg.rounds:
                 return out
-            if leg.last_ack > leg.armed_at:
+            if leg.last_ack is not None:
                 # Alive, just slow: silence is measured from the last ack.
-                now = self._clock()
-                self._watch_leg(
-                    leg, leg.last_ack + self.policy.failover_timeout - now, out
-                )
+                left = leg.last_ack + self.policy.failover_timeout - self._clock()
+                self._arm_watchdog(leg, out, left)
             else:
                 self._lose_proxy(leg.proxy_id, out)
             return out

@@ -25,11 +25,10 @@ and calls :meth:`ProxyEngine.end_turn`, so the asyncio proxy answers the
 cache hits, every replica's batch-ack and the timer fires of one event-loop
 turn in one frame per link.  The simulator keeps one turn per input: there
 the replicas' acks arrive at different instants, and merging them would mean
-waiting.  A sub-reply
-is relayed as it stands: its replica replies keep the attempt-scoped ids they
-came back under, and the client never reads them -- it routes by the
-sub-reply's own ``(op_id, round_trip)`` and reads ``(sender, kind,
-payload)`` of each reply, all the wire carries of one.
+waiting.  A sub-reply is relayed as it stands: its replica replies keep the
+attempt-scoped ids they came back under, and the client never reads them --
+it routes by the sub-reply's own ``(op_id, round_trip)`` and reads
+``(sender, kind, payload)`` of each reply, all the wire carries of one.
 
 Routing is through a :class:`~.routing.CachedShardView`: a stale-epoch
 bounce refreshes it and the round replays without the client noticing, and
