@@ -16,7 +16,7 @@ and recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 
-from repro.asyncio_net import run_closed_loop_workload
+from repro.asyncio_net.cluster import run_closed_loop_workload
 from repro.bench.report import format_rows
 from repro.consistency import check_atomicity
 from repro.protocols.registry import build_protocol

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.asyncio_net import run_closed_loop_workload
+from repro.asyncio_net.cluster import run_closed_loop_workload
 from repro.consistency import check_atomicity
 from repro.protocols import build_protocol
 from repro.util.ids import server_ids

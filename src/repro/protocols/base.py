@@ -15,10 +15,13 @@ the client contacts all servers (query or update) and waits for replies from
   (the driver counts the yields), so the design-space classifier never has to
   trust the protocol's own claim.
 
-The same generator-based client logic is executed by three different drivers:
-the discrete-event simulator (:mod:`repro.sim.client`), the asyncio transport
-(:mod:`repro.asyncio_net.client`), and the synchronous in-process harness used
-by unit tests and the proof engine (:class:`DirectDriver` below).
+The same generator-based client logic is executed by the client automaton
+(:class:`repro.sim.client.ClientProcess`), which runs on the discrete-event
+simulator's network and, attached to a
+:class:`repro.asyncio_net.client.TcpNetwork`, over real TCP; by the
+synchronous in-process harness used by unit tests and the proof engine
+(:class:`DirectDriver` below); and, one generator per key, by the kv store's
+client session engine.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
-"""Simulated client processes that drive protocol operation generators.
+"""The client automaton: a process that drives protocol operation generators.
 
 A :class:`ClientProcess` owns one :class:`~repro.protocols.base.ClientLogic`
-instance and executes its read/write generators over the simulated network:
-each yielded :class:`~repro.protocols.base.Broadcast` becomes one round-trip
-(a message to every server, resumed once ``S - t`` replies -- or the
-broadcast's own threshold -- have arrived).  Replies for past round-trips and
-replies beyond the threshold are ignored, exactly as in the quorum protocols
-the paper describes.
+instance and executes its read/write generators over a network: each yielded
+:class:`~repro.protocols.base.Broadcast` becomes one round-trip (a message to
+every server, resumed once ``S - t`` replies -- or the broadcast's own
+threshold -- have arrived).  Replies for past round-trips and replies beyond
+the threshold are ignored, exactly as in the quorum protocols the paper
+describes.  It is the one client of the register experiments: the same
+object runs on the simulated network (:class:`~repro.sim.runtime.Simulation`)
+and on TCP (:class:`~repro.asyncio_net.cluster.LocalCluster`, whose
+:class:`~repro.asyncio_net.client.TcpNetwork` has the network's ``register``
+/ ``send``), and records into a
+:class:`~repro.consistency.history.HistoryRecorder` on either clock.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ class PendingOperation:
 
 
 class ClientProcess(Process):
-    """A reader or writer client attached to the simulated network."""
+    """A reader or writer client attached to a network."""
 
     def __init__(
         self,
@@ -83,20 +88,21 @@ class ClientProcess(Process):
         return self._invoke(OpKind.READ, self.logic.read_protocol(), None, on_complete)
 
     def _invoke(self, kind, generator, value, on_complete) -> str:
-        if self.current is not None:
-            op_id = new_op_id(f"{self.process_id}-{kind.value}")
-            self._backlog.append((op_id, kind, generator, value, on_complete))
-            return op_id
         op_id = new_op_id(f"{self.process_id}-{kind.value}")
+        if self.current is not None:
+            self._backlog.append((op_id, kind, generator, value, on_complete))
+        else:
+            self._start(op_id, kind, generator, value, on_complete)
+        return op_id
+
+    def _start(self, op_id, kind, generator, value, on_complete) -> None:
         self.recorder.record_invocation(
             REGISTER_KEY, op_id, self.process_id, kind, value=value
         )
-        pending = PendingOperation(
+        self.current = PendingOperation(
             op_id=op_id, kind=kind, generator=generator, on_complete=on_complete
         )
-        self.current = pending
-        self._advance(pending, first=True)
-        return op_id
+        self._advance(self.current, first=True)
 
     # -- driving the generator --------------------------------------------------
 
@@ -144,15 +150,7 @@ class ClientProcess(Process):
         if pending.on_complete is not None:
             pending.on_complete(outcome)
         if self.current is None and self._backlog:
-            op_id, kind, generator, value, on_complete = self._backlog.pop(0)
-            self.recorder.record_invocation(
-                REGISTER_KEY, op_id, self.process_id, kind, value=value
-            )
-            queued = PendingOperation(
-                op_id=op_id, kind=kind, generator=generator, on_complete=on_complete
-            )
-            self.current = queued
-            self._advance(queued, first=True)
+            self._start(*self._backlog.pop(0))
 
     # -- network events ----------------------------------------------------------
 

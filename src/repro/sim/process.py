@@ -25,7 +25,10 @@ class Process(abc.ABC):
         self._network: Optional[Network] = None
 
     def attach(self, network: Network) -> None:
-        """Register this process with a network."""
+        """Register this process with a network: anything with
+        ``register(process_id, handler)`` and ``send(message)`` -- the
+        simulated :class:`~repro.sim.network.Network`, or
+        :class:`~repro.asyncio_net.client.TcpNetwork` for a client on TCP."""
         self._network = network
         network.register(self.process_id, self.on_message)
 

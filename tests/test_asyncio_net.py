@@ -10,9 +10,11 @@ from repro.asyncio_net.cluster import LocalCluster, run_closed_loop_workload
 from repro.asyncio_net.codec import decode_message, encode_message
 from repro.asyncio_net.server import ReplicaServer
 from repro.consistency import check_atomicity
+from repro.core.errors import ConfigurationError, ProtocolError
 from repro.core.timestamps import Tag
+from repro.protocols.base import Broadcast
 from repro.protocols.codec import encode_tag
-from repro.protocols.registry import build_protocol
+from repro.protocols.registry import PROTOCOLS, build_protocol
 from repro.protocols.server_state import TagValueServer
 from repro.messages import Message
 from repro.util.ids import server_ids
@@ -122,7 +124,42 @@ class TestReplicaServer:
         asyncio.run(scenario())
 
 
+def _tcp_protocols():
+    """Every registry protocol that takes S = 5, t = 1, R = W = 2, except the
+    deliberately non-atomic candidates."""
+    keys = []
+    for key in PROTOCOLS:
+        try:
+            build_protocol(key, server_ids(5), 1, readers=2, writers=2)
+        except ConfigurationError:
+            continue
+        if not key.endswith("-attempt"):
+            keys.append(key)
+    return keys
+
+
+TCP_PROTOCOLS = _tcp_protocols()
+
+
 class TestClusterIntegration:
+    def test_every_atomic_protocol_runs_over_tcp(self):
+        assert sorted(TCP_PROTOCOLS) == [
+            "abd-mwmr", "abd-swmr", "byzantine-safe-mwmr", "fast-read-mwmr",
+            "fast-swmr", "semifast-swmr",
+        ]
+
+    @pytest.mark.parametrize("key", TCP_PROTOCOLS)
+    def test_registry_protocol_keeps_its_round_trips_over_tcp(self, key):
+        protocol = build_protocol(key, server_ids(5), 1, readers=2, writers=2)
+        result = run_closed_loop_workload(protocol, writes_per_writer=3, reads_per_reader=4)
+        verdict = check_atomicity(result.history)
+        assert verdict.atomic, verdict.report.summary()
+        assert max(result.write_round_trips) == protocol.write_round_trips
+        # Declared counts are worst cases: a semifast read takes 1 of its 2.
+        assert max(result.read_round_trips) <= protocol.read_round_trips
+        assert len(result.write_round_trips) == 3 * protocol.writers
+        assert len(result.read_round_trips) == 8
+
     @pytest.mark.parametrize("key,expected_read_rtts", [
         ("abd-mwmr", 2),
         ("fast-read-mwmr", 1),
@@ -161,13 +198,52 @@ class TestClusterIntegration:
             cluster = LocalCluster(protocol)
             await cluster.start()
             try:
-                writer = next(iter(cluster.writers.values()))
-                reader = next(iter(cluster.readers.values()))
+                writer_id = next(iter(cluster.writers))
+                reader_id = next(iter(cluster.readers))
                 for i in range(3):
-                    await writer.write(f"v{i}")
-                outcome = await reader.read()
-                assert outcome.outcome.value == "v2"
-                assert outcome.round_trips == 2
+                    await cluster.write(writer_id, f"v{i}")
+                outcome = await cluster.read(reader_id)
+                assert outcome.value == "v2"
+                last = cluster.history().operations[-1]
+                assert last.is_read and last.round_trips == 2
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_one_op_id_per_operation_in_one_history(self):
+        async def scenario():
+            cluster = LocalCluster(build_protocol("abd-mwmr", server_ids(3), 1))
+            await cluster.start()
+            try:
+                await cluster.write("w1", "x")
+                await cluster.read("r1")
+            finally:
+                await cluster.stop()
+            write, read = cluster.history().operations
+            # The id the client sent its round-trips under, and the only
+            # one drawn: the read's is the next after the write's.
+            assert write.op_id.startswith("w1-write-") and read.op_id.startswith("r1-read-")
+            assert int(read.op_id.rsplit("-", 1)[1]) == int(write.op_id.rsplit("-", 1)[1]) + 1
+            assert read.value == "x" and write.precedes(read)
+
+        asyncio.run(scenario())
+
+    def test_a_client_that_raises_fails_its_waiting_operation(self):
+        def broken_read():
+            yield Broadcast("query")
+            raise ProtocolError("malformed reply")
+
+        async def scenario():
+            cluster = LocalCluster(build_protocol("abd-mwmr", server_ids(3), 1))
+            await cluster.start()
+            try:
+                cluster.readers["r1"].logic.read_protocol = broken_read
+                with pytest.raises(ProtocolError, match="malformed reply"):
+                    await asyncio.wait_for(cluster.read("r1"), timeout=5)
+                # The other clients' connections were not torn down by it.
+                await cluster.write("w1", "after")
+                assert (await cluster.read("r2")).value == "after"
             finally:
                 await cluster.stop()
 

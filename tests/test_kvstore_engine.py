@@ -853,6 +853,27 @@ class TestEngineImportBan:
         )
 
 
+class TestNetBackendImportBan:
+    """The store's asyncio adapter shares the TCP transport package with the
+    single-register cluster, whose clients are the register simulator's
+    client automaton; importing the adapter must not load that simulator."""
+
+    def test_runtime_import_loads_no_register_simulator(self):
+        src = Path(engine_package.__file__).resolve().parents[3]
+        code = (
+            "import sys\n"
+            "import repro.kvstore.net_backend\n"
+            "assert 'repro.asyncio_net.endpoint' in sys.modules\n"
+            "bad = [m for m in sys.modules\n"
+            "       if m == 'repro.sim' or m.startswith('repro.sim.')]\n"
+            "assert not bad, bad\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, env=env, timeout=60
+        )
+
+
 class TestSimBackendImportBan:
     """The simulated store runs on the engine fabric, one simulated world:
     ``repro.kvstore.sim_backend`` must not import the register-level
