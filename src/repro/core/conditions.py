@@ -30,7 +30,9 @@ __all__ = [
     "SystemParameters",
     "validate_parameters",
     "majority_quorum_possible",
+    "require_majority_quorums",
     "fast_read_bound",
+    "require_fast_reads",
     "fast_read_possible",
     "fast_write_possible",
     "fast_read_write_possible",
@@ -105,6 +107,14 @@ def majority_quorum_possible(servers: int, max_faults: int) -> bool:
     return 2 * max_faults < servers
 
 
+def require_majority_quorums(servers: int, max_faults: int, what: str) -> None:
+    """Refuse ``what`` unless :func:`majority_quorum_possible` (``t < S/2``)."""
+    if not majority_quorum_possible(servers, max_faults):
+        raise ConfigurationError(
+            f"{what} requires t < S/2 (got t={max_faults}, S={servers})"
+        )
+
+
 def w2r2_possible(params: SystemParameters) -> bool:
     """Feasibility of slow (two-round-trip) read/write implementations.
 
@@ -123,6 +133,16 @@ def fast_read_bound(servers: int, max_faults: int) -> float:
     if max_faults == 0:
         return float("inf")
     return servers / max_faults - 2
+
+
+def require_fast_reads(readers: int, servers: int, max_faults: int, hint: str = "") -> None:
+    """Refuse fast reads unless ``R <`` :func:`fast_read_bound` (``S/t - 2``);
+    ``hint`` is appended to the refusal."""
+    if readers >= fast_read_bound(servers, max_faults):
+        raise ConfigurationError(
+            "fast reads require R < S/t - 2 "
+            f"(got R={readers}, S={servers}, t={max_faults}){hint}"
+        )
 
 
 def fast_read_possible(params: SystemParameters) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from ..core.errors import ConfigurationError
+from ..core.conditions import require_majority_quorums
 from ..core.operations import OpKind
 from ..core.timestamps import BOTTOM_TAG, max_tag
 from ..messages import Message
@@ -135,11 +135,7 @@ class AbdMwmrProtocol(RegisterProtocol):
     shareable_kinds = frozenset({"query"})  # TagValueServer's query
 
     def validate_configuration(self) -> None:
-        if 2 * self.max_faults >= len(self.servers):
-            raise ConfigurationError(
-                "MW-ABD requires t < S/2 "
-                f"(got t={self.max_faults}, S={len(self.servers)})"
-            )
+        require_majority_quorums(len(self.servers), self.max_faults, self.name)
 
     def make_server(self, server_id: str) -> ServerLogic:
         return TagValueServer(server_id)

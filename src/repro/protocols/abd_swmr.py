@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..core.conditions import require_majority_quorums
 from ..core.errors import ConfigurationError
 from ..core.operations import OpKind
 from ..core.timestamps import Tag
@@ -57,11 +58,7 @@ class AbdSwmrProtocol(RegisterProtocol):
                 "single-writer ABD supports exactly one writer; "
                 "the paper proves fast writes impossible with W >= 2"
             )
-        if 2 * self.max_faults >= len(self.servers):
-            raise ConfigurationError(
-                "ABD requires t < S/2 "
-                f"(got t={self.max_faults}, S={len(self.servers)})"
-            )
+        require_majority_quorums(len(self.servers), self.max_faults, self.name)
 
     def make_server(self, server_id: str) -> ServerLogic:
         return TagValueServer(server_id)

@@ -26,10 +26,10 @@ benchmark exercises exactly that regime by instantiating this protocol with
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..core.admissible import ReadAck, ValueReport, select_return_value
-from ..core.errors import ConfigurationError
+from ..core.conditions import require_fast_reads, require_majority_quorums
 from ..core.operations import OpKind
 from ..core.timestamps import BOTTOM_TAG, Tag, max_tag
 from ..messages import Message
@@ -163,30 +163,21 @@ class FastReadMwmrProtocol(RegisterProtocol):
         writers: int = 2,
         enforce_condition: bool = True,
         naive_reads: bool = False,
-        prune_vector_to: Optional[int] = None,
     ) -> None:
         self.enforce_condition = enforce_condition
         self.naive_reads = naive_reads
-        self.prune_vector_to = prune_vector_to
         super().__init__(servers, max_faults, readers=readers, writers=writers)
 
     def validate_configuration(self) -> None:
-        if 2 * self.max_faults >= len(self.servers):
-            raise ConfigurationError(
-                "fast-read protocol still needs t < S/2 "
-                f"(got t={self.max_faults}, S={len(self.servers)})"
-            )
-        if not self.enforce_condition:
-            return
-        if self.max_faults > 0 and self.readers >= len(self.servers) / self.max_faults - 2:
-            raise ConfigurationError(
-                "fast reads require R < S/t - 2 "
-                f"(got R={self.readers}, S={len(self.servers)}, t={self.max_faults}); "
-                "pass enforce_condition=False to study the infeasible regime"
+        require_majority_quorums(len(self.servers), self.max_faults, self.name)
+        if self.enforce_condition:
+            require_fast_reads(
+                self.readers, len(self.servers), self.max_faults,
+                "; pass enforce_condition=False to study the infeasible regime",
             )
 
     def make_server(self, server_id: str) -> ServerLogic:
-        return ValueVectorServer(server_id, prune_to=self.prune_vector_to)
+        return ValueVectorServer(server_id)
 
     def make_writer(self, writer_id: str) -> ClientLogic:
         return FastReadWriter(writer_id, self.servers, self.max_faults)

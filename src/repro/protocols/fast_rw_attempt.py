@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.errors import ConfigurationError
+from ..core.conditions import require_majority_quorums
 from ..core.operations import OpKind
 from ..core.timestamps import BOTTOM_TAG
 from .base import Broadcast, ClientLogic, OperationOutcome, RegisterProtocol, ServerLogic
@@ -58,10 +58,7 @@ class FastReadWriteAttemptProtocol(RegisterProtocol):
     expected_atomic = False
 
     def validate_configuration(self) -> None:
-        if 2 * self.max_faults >= len(self.servers):
-            raise ConfigurationError(
-                f"need t < S/2 (got t={self.max_faults}, S={len(self.servers)})"
-            )
+        require_majority_quorums(len(self.servers), self.max_faults, self.name)
 
     def make_server(self, server_id: str) -> ServerLogic:
         return TagValueServer(server_id)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..core.conditions import require_fast_reads, require_majority_quorums
 from ..core.errors import ConfigurationError
 from ..core.operations import OpKind
 from ..core.timestamps import Tag
@@ -71,17 +72,9 @@ class FastSwmrProtocol(RegisterProtocol):
                 "the DGLV fast register is single-writer; the paper proves the "
                 "multi-writer W1R1 point impossible"
             )
-        if 2 * self.max_faults >= len(self.servers):
-            raise ConfigurationError(
-                f"need t < S/2 (got t={self.max_faults}, S={len(self.servers)})"
-            )
-        if not self.enforce_condition:
-            return
-        if self.max_faults > 0 and self.readers >= len(self.servers) / self.max_faults - 2:
-            raise ConfigurationError(
-                "fast reads require R < S/t - 2 "
-                f"(got R={self.readers}, S={len(self.servers)}, t={self.max_faults})"
-            )
+        require_majority_quorums(len(self.servers), self.max_faults, self.name)
+        if self.enforce_condition:
+            require_fast_reads(self.readers, len(self.servers), self.max_faults)
 
     def make_server(self, server_id: str) -> ServerLogic:
         return ValueVectorServer(server_id)

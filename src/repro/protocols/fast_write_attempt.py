@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.errors import ConfigurationError
+from ..core.conditions import require_majority_quorums
 from ..core.operations import OpKind
 from ..core.timestamps import Tag
 from .abd_mwmr import AbdMwmrReader
@@ -66,10 +66,7 @@ class FastWriteAttemptProtocol(RegisterProtocol):
     expected_atomic = False
 
     def validate_configuration(self) -> None:
-        if 2 * self.max_faults >= len(self.servers):
-            raise ConfigurationError(
-                f"need t < S/2 (got t={self.max_faults}, S={len(self.servers)})"
-            )
+        require_majority_quorums(len(self.servers), self.max_faults, self.name)
 
     def make_server(self, server_id: str) -> ServerLogic:
         return TagValueServer(server_id)

@@ -21,6 +21,7 @@ by the test suite against the atomicity checker):
 
 from __future__ import annotations
 
+from ..core.conditions import require_majority_quorums
 from ..core.errors import ConfigurationError
 from .abd_mwmr import OpportunisticReader
 from .abd_swmr import AbdSwmrWriter
@@ -49,10 +50,7 @@ class SemifastSwmrProtocol(RegisterProtocol):
             raise ConfigurationError(
                 "semifast implementations exist only for a single writer [14]"
             )
-        if 2 * self.max_faults >= len(self.servers):
-            raise ConfigurationError(
-                f"need t < S/2 (got t={self.max_faults}, S={len(self.servers)})"
-            )
+        require_majority_quorums(len(self.servers), self.max_faults, self.name)
 
     def make_server(self, server_id: str) -> ServerLogic:
         return TagValueServer(server_id)

@@ -109,15 +109,12 @@ class ValueVectorServer(ServerLogic):
     empty queue, exactly as in Algorithm 1 line 6.
     """
 
-    def __init__(self, server_id: str, prune_to: Optional[int] = None) -> None:
+    def __init__(self, server_id: str) -> None:
         super().__init__(server_id)
         self.current: Tag = BOTTOM_TAG
         self.vector: Dict[Tag, ValueVectorEntry] = {
             BOTTOM_TAG: ValueVectorEntry(value=None, updated=set())
         }
-        #: Optional bound on the number of entries kept (largest tags win).
-        #: ``None`` keeps everything, which is what the proofs assume.
-        self.prune_to = prune_to
         self.reads_served = 0
         self.writes_served = 0
 
@@ -133,16 +130,6 @@ class ValueVectorServer(ServerLogic):
         entry.updated.add(client)
         if tag > self.current:
             self.current = tag
-        self._prune()
-
-    def _prune(self) -> None:
-        if self.prune_to is None or len(self.vector) <= self.prune_to:
-            return
-        keep = sorted(self.vector, reverse=True)[: self.prune_to]
-        keep_set = set(keep)
-        keep_set.add(self.current)
-        keep_set.add(BOTTOM_TAG)
-        self.vector = {tag: self.vector[tag] for tag in self.vector if tag in keep_set}
 
     # -- message handling -----------------------------------------------------------
 
@@ -195,4 +182,3 @@ class ValueVectorServer(ServerLogic):
         incoming = decode_tag(blob["current"])
         if incoming > self.current:
             self.current = incoming
-        self._prune()

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
 
+from ..core.conditions import require_fast_reads, require_majority_quorums
 from ..core.errors import ConfigurationError
 
 __all__ = [
@@ -115,11 +116,7 @@ class MajorityQuorumSystem(QuorumSystem):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if 2 * self.max_faults >= len(self.servers):
-            raise ConfigurationError(
-                "majority quorums require t < S/2 "
-                f"(got t={self.max_faults}, S={len(self.servers)})"
-            )
+        require_majority_quorums(self.size, self.max_faults, "majority quorums")
 
     def regular(self) -> bool:
         """Any two quorums intersect -- the defining property."""
@@ -141,11 +138,7 @@ class FastQuorumSystem(QuorumSystem):
         super().__post_init__()
         if self.readers < 1:
             raise ConfigurationError("need at least one reader")
-        if self.max_faults > 0 and self.readers >= self.size / self.max_faults - 2:
-            raise ConfigurationError(
-                "fast reads require R < S/t - 2 "
-                f"(got R={self.readers}, S={self.size}, t={self.max_faults})"
-            )
+        require_fast_reads(self.readers, self.size, self.max_faults)
 
     def admissible_set_size(self, degree: int) -> int:
         """Size ``S - a*t`` of a witnessing set for admissibility degree a."""

@@ -101,18 +101,11 @@ class Network:
             raise SimulationError(f"process {process_id} already registered")
         self._handlers[process_id] = handler
 
-    def is_registered(self, process_id: str) -> bool:
-        return process_id in self._handlers
-
     # -- failure / adversary controls ----------------------------------------
 
     def crash(self, process_id: str) -> None:
         """Crash a process: all its future traffic is dropped."""
         self._crashed.add(process_id)
-
-    def recover(self, process_id: str) -> None:
-        """Undo a crash (used only by availability experiments)."""
-        self._crashed.discard(process_id)
 
     @property
     def crashed(self) -> Set[str]:
@@ -125,9 +118,6 @@ class Network:
 
     def remove_skip_rule(self, rule: SkipRule) -> None:
         self._skip_rules.remove(rule)
-
-    def clear_skip_rules(self) -> None:
-        self._skip_rules.clear()
 
     def set_interceptor(
         self, interceptor: Optional[Callable[[Message], Optional[float]]]

@@ -119,13 +119,6 @@ class Simulation:
             return self.readers[client_id]
         raise KeyError(client_id)
 
-    @property
-    def all_clients(self) -> Dict[str, ClientProcess]:
-        merged: Dict[str, ClientProcess] = {}
-        merged.update(self.writers)
-        merged.update(self.readers)
-        return merged
-
     # -- scheduling operations -----------------------------------------------------
 
     def schedule_write(

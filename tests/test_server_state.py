@@ -120,15 +120,6 @@ class TestValueVectorServer:
         ack = server.handle(write_msg("w1", Tag(1, "w1"), "late"))
         assert decode_tag(ack.payload["tag"]) == Tag(3, "w2")
 
-    def test_pruning_keeps_recent_and_current(self):
-        server = ValueVectorServer("s1", prune_to=2)
-        for i in range(1, 6):
-            server.handle(write_msg("w1", Tag(i, "w1"), f"v{i}"))
-        assert server.current == Tag(5, "w1")
-        assert Tag(5, "w1") in server.vector
-        assert BOTTOM_TAG in server.vector
-        assert len(server.vector) <= 4
-
     def test_counts(self):
         server = ValueVectorServer("s1")
         server.handle(write_msg("w1", Tag(1, "w1"), "x"))
