@@ -12,22 +12,23 @@ of the rest carries the round-trips.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from ..messages import Message
 from .codec import encode_message
-from .endpoint import Endpoint
+from .endpoint import Address, Endpoint
 
 __all__ = ["TcpNetwork"]
 
 
 class TcpNetwork:
     """``register`` / ``send`` over TCP to ``replicas`` (server id ->
-    ``(host, port)``).  A handler that raises is reported to ``on_error``
-    instead of ending the connection its frame came on."""
+    ``(host, port)``; a Unix socket path works the same).  A handler that
+    raises is reported to ``on_error`` instead of ending the connection its
+    frame came on."""
 
     def __init__(
-        self, replicas: Dict[str, Tuple[str, int]], on_error: Callable[[Exception], None]
+        self, replicas: Dict[str, Address], on_error: Callable[[Exception], None]
     ) -> None:
         self.replicas = dict(replicas)
         self.endpoints: Dict[str, Endpoint] = {}
@@ -46,8 +47,8 @@ class TcpNetwork:
     async def connect(self) -> None:
         """Dial every replica from every registered process."""
         for endpoint in self.endpoints.values():
-            for server_id, (host, port) in self.replicas.items():
-                await endpoint.dial(server_id, host, port)
+            for server_id, address in self.replicas.items():
+                await endpoint.dial(server_id, address)
 
     def send(self, message: Message) -> None:
         """Send from the sender's endpoint; dropped if the receiver is down."""

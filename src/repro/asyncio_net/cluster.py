@@ -68,7 +68,7 @@ class LocalCluster:
             replica = ReplicaServer(self.protocol.make_server(server_id))
             await replica.start()
             self.replicas[server_id] = replica
-        addresses = {sid: (replica.host, replica.port) for sid, replica in self.replicas.items()}
+        addresses = {sid: replica.address for sid, replica in self.replicas.items()}
         self._network = TcpNetwork(addresses, self._fail)
         for writer_id in client_ids("w", self.protocol.writers):
             self.writers[writer_id] = self._attach(writer_id, self.protocol.make_writer(writer_id))

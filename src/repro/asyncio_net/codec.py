@@ -36,6 +36,10 @@ either: a replica answers as itself, so the decoder takes each reply's
 sender from the frame (and the encoder refuses a reply from anyone else),
 and its receiver matches a reply by ``(op_id, round_trip)`` alone.
 
+A ``batch-ack`` or ``proxy-ack`` over ``MAX_FRAME_BYTES`` is encoded as
+several frames (its receiver matches each row on its own); a row too large
+for a frame of its own goes as an error row.
+
 For every other kind ``payload`` is the message's payload dict unchanged.
 There is no intermediate dict-of-dicts form and no second format: every
 process of the store runs the same checkout.
@@ -52,6 +56,7 @@ kind; a format change edits those.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -280,13 +285,64 @@ _CHECKS: Dict[str, Callable[[Message], Any]] = {
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialize a message to a length-prefixed JSON frame.
+    """Serialize a message to a length-prefixed JSON frame -- or, for a
+    ``batch-ack`` or ``proxy-ack`` over ``MAX_FRAME_BYTES``, to several
+    frames back to back.
 
-    Raises :class:`FrameError` for a frame that must not go out: a body over
-    ``MAX_FRAME_BYTES``, one of the four typed kinds carrying a payload of
-    the wrong shape, or a ``batch-ack`` carrying a reply its sender did not
-    send.
+    Each row of an ack is matched on its own ``(op_id, round_trip)``, so such
+    an ack is cut into several frames, its rows in order and a
+    ``batch-ack``'s grants on the first.  A single row too large for a frame
+    goes as an error row instead -- a ``reply-too-large`` sub-reply, or a
+    ``proxy-ack`` row's ``error`` -- which fails its round at the receiver.
+
+    Raises :class:`FrameError` for a frame that must not go out: any other
+    body over ``MAX_FRAME_BYTES``, one of the four typed kinds carrying a
+    payload of the wrong shape, or a ``batch-ack`` carrying a reply its
+    sender did not send.
     """
+    body = _body(message)
+    if len(body) > MAX_FRAME_BYTES:
+        return _cut(message, len(body))
+    return _HEADER.pack(len(body)) + body
+
+
+def _too_large_batch_row(reply: Message, size: int) -> Message:
+    return Message(reply.sender, reply.receiver, messages.REPLY_TOO_LARGE_KIND,
+                   {"bytes": size}, reply.op_id, reply.round_trip)
+
+
+def _too_large_proxy_row(sub: ProxySubReply, size: int) -> ProxySubReply:
+    return ProxySubReply(sub.op_id, sub.round_trip, (),
+                         f"its reply of {size} bytes exceeds MAX_FRAME_BYTES")
+
+
+#: The ack kinds :func:`encode_message` may cut, and each one's error row.
+_CUTTABLE: Dict[str, Callable[[Any, int], Any]] = {
+    messages.BATCH_ACK_KIND: _too_large_batch_row,
+    messages.PROXY_ACK_KIND: _too_large_proxy_row,
+}
+
+
+def _cut(message: Message, size: int) -> bytes:
+    """The frames of ``message``, whose body of ``size`` bytes is over the
+    limit: its halves', or its one row's error row's."""
+    error_row = _CUTTABLE.get(message.kind)
+    acks = message.payload["acks"] if error_row is not None else ()
+    if len(acks) > 1:
+        half = len(acks) // 2
+        first = {**message.payload, "acks": acks[:half]}
+        return (encode_message(dataclasses.replace(message, payload=first))
+                + encode_message(dataclasses.replace(message, payload={"acks": acks[half:]})))
+    if len(acks) == 1:
+        payload = {**message.payload, "acks": [error_row(acks[0], size)]}
+        body = _body(dataclasses.replace(message, payload=payload))
+        if len(body) <= MAX_FRAME_BYTES:
+            return _HEADER.pack(len(body)) + body
+    raise FrameError(f"frame body of {size} bytes exceeds MAX_FRAME_BYTES")
+
+
+def _body(message: Message) -> bytes:
+    """The JSON body of ``message``'s frame, of whatever size."""
     kind, sender, payload = message.kind, message.sender, message.payload
     envelope = [
         kind, sender, message.receiver, message.op_id,
@@ -308,12 +364,7 @@ def encode_message(message: Message) -> bytes:
             lease = payload.get(field)
             if lease is not None:
                 envelope.append(lease)
-    body = _dumps(envelope).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame body of {len(body)} bytes exceeds MAX_FRAME_BYTES"
-        )
-    return _HEADER.pack(len(body)) + body
+    return _dumps(envelope).encode("utf-8")
 
 
 def decode_message(body: bytes) -> Message:

@@ -4,9 +4,10 @@ An :class:`Endpoint` is what a process of the paper has of its "reliable
 asynchronous channels": the :class:`~repro.asyncio_net.framed.FramedConnection`
 to each peer it can currently reach, *however that connection came to be*.
 
-* **Accepted.**  :meth:`Endpoint.listen` binds a port (the same one again
+* **Accepted.**  :meth:`Endpoint.listen` binds an address -- a Unix-domain
+  socket path, or a TCP ``(host, port)`` -- and binds the same one again
   after a :meth:`~Endpoint.close`, which is how a killed replica or proxy
-  comes back where its peers expect it).  Peers dial in, and every frame an
+  comes back where its peers expect it.  Peers dial in, and every frame an
   accepted connection delivers teaches the endpoint ``frame.sender ->
   connection``: replies and out-of-band frames travel back over the inbound
   connection of their destination.  A frame naming a peer the endpoint dials
@@ -44,17 +45,21 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Callable, Coroutine, Dict, Optional, Set, Tuple
+from typing import Callable, Coroutine, Dict, Optional, Set, Tuple, Union
 
 from ..messages import Message
 from .framed import FramedConnection
 
-__all__ = ["Endpoint"]
+__all__ = ["Address", "Endpoint"]
 
 logger = logging.getLogger(__name__)
 
-#: A dialled peer: ``(peer id, host, port, redial interval or None)``.
-_Dialled = Tuple[str, str, int, Optional[float]]
+#: Where a peer listens: a Unix-domain socket path (peers on one host), or a
+#: TCP ``(host, port)``.
+Address = Union[str, Tuple[str, int]]
+
+#: A dialled peer: ``(peer id, address, redial interval or None)``.
+_Dialled = Tuple[str, Address, Optional[float]]
 
 
 class Endpoint:
@@ -77,6 +82,7 @@ class Endpoint:
         self.accepted: Set[FramedConnection] = set()
         self.tasks: Set[asyncio.Task] = set()
         self._server: Optional[asyncio.AbstractServer] = None
+        self._closed = False  # by close(), until the next listen()
         self._redialling: Set[str] = set()
         self._dialling: Optional[asyncio.Lock] = None  # made on the loop that dials
 
@@ -86,23 +92,34 @@ class Endpoint:
     def listening(self) -> bool:
         return self._server is not None
 
-    async def listen(self, host: str, port: int) -> int:
-        """Accept connections on ``host:port`` (0: any free port); returns the
-        bound port, for the owner to advertise and to bind again later."""
-        self._server = await asyncio.get_running_loop().create_server(
-            self._accept, host, port
-        )
-        return self._server.sockets[0].getsockname()[1]
+    async def listen(self, address: Address) -> Address:
+        """Accept connections at ``address`` (a TCP port 0: any free port);
+        returns the bound address, for the owner to advertise and to bind
+        again later.  A socket file left by an earlier bind is replaced."""
+        loop = asyncio.get_running_loop()
+        self._closed = False
+        if isinstance(address, str):
+            self._server = await loop.create_unix_server(self._accept, address)
+            return address
+        host, port = address
+        self._server = await loop.create_server(self._accept, host, port)
+        return host, self._server.sockets[0].getsockname()[1]
 
     def _accept(self) -> FramedConnection:
         connection = self._connection(None)
-        self.accepted.add(connection)
+        if self._closed:
+            # Taken off the listening socket before close() and handed over
+            # after it (a Unix-socket dial returns before its accept has
+            # run): a closed endpoint keeps no connection.
+            connection.close()
+        else:
+            self.accepted.add(connection)
         return connection
 
     # -- the dial side -----------------------------------------------------------
 
     async def dial(
-        self, peer_id: str, host: str, port: int, redial: Optional[float] = None
+        self, peer_id: str, address: Address, redial: Optional[float] = None
     ) -> None:
         """Make sure a connection to ``peer_id`` exists or is being redialled;
         ``redial`` is the seconds between redials once it is lost, or
@@ -113,7 +130,7 @@ class Endpoint:
             live = self.peers.get(peer_id)
             if peer_id in self._redialling or (live is not None and not live.closing):
                 return
-            dialled = (peer_id, host, port, redial)
+            dialled = (peer_id, address, redial)
             try:
                 await self._open(dialled)
             except OSError:
@@ -126,12 +143,21 @@ class Endpoint:
                 self._start_redial(dialled)
 
     async def _open(self, dialled: _Dialled) -> None:
-        peer_id, host, port, _redial = dialled
+        peer_id, address, _redial = dialled
         connection = self._connection(dialled)
-        await asyncio.get_running_loop().create_connection(
-            lambda: connection, host, port
-        )
-        self.peers[peer_id] = connection
+        loop = asyncio.get_running_loop()
+        if isinstance(address, str):
+            await loop.create_unix_connection(lambda: connection, address)
+            self.peers[peer_id] = connection
+            # A Unix connect completes before the listener has accepted.  A
+            # listener on this loop accepts in the turn this yields: a peer
+            # killed once the dial returns then severs the connection, where
+            # asyncio would drop an accept its closed server had not handed
+            # over yet without closing it.
+            await asyncio.sleep(0)
+        else:
+            await loop.create_connection(lambda: connection, *address)
+            self.peers[peer_id] = connection
 
     def _start_redial(self, dialled: _Dialled) -> None:
         peer_id = dialled[0]
@@ -142,7 +168,7 @@ class Endpoint:
 
     async def _redial(self, dialled: _Dialled) -> None:
         """Redial a dead peer until it is back (or this endpoint closes)."""
-        peer_id, _host, _port, interval = dialled
+        peer_id, _address, interval = dialled
         try:
             while True:
                 await asyncio.sleep(interval)
@@ -158,7 +184,7 @@ class Endpoint:
 
     def _connection(self, dialled: Optional[_Dialled]) -> FramedConnection:
         """The one place a connection is built: ``dialled`` is ``(peer id,
-        host, port, redial)``, or ``None`` for a connection a peer opened."""
+        address, redial)``, or ``None`` for a connection a peer opened."""
         if dialled is not None:
             on_frame = self._on_frame
         else:
@@ -203,7 +229,7 @@ class Endpoint:
             del self.peers[peer]
         if dialled is None or dialled[0] not in routed:
             return  # accepted; or a dial abandoned before its peer was mapped
-        if dialled[3] is None:
+        if dialled[2] is None:
             self._on_peer_lost(dialled[0], exc)
         else:
             self._start_redial(dialled)
@@ -220,6 +246,7 @@ class Endpoint:
     async def close(self) -> None:
         """Nothing this endpoint started outlives the call."""
         server, self._server = self._server, None
+        self._closed = True
         if server is not None:
             server.close()
         # Quietly: a connection the owner closes reports nothing.

@@ -25,7 +25,8 @@ no reader task between the socket and the owner:
   decoded to the wrong shape (one ``FrameError`` either way) --
   ``on_lost`` is called exactly once, from ``connection_lost``, with the
   reason.  A connection ended by the owner's own :meth:`close` is not "lost"
-  and reports nothing.
+  and reports nothing; one closed before its transport arrived closes that
+  transport on arrival.
 
 A malformed frame condemns only its own connection: frames queued behind it
 in the same chunk are not delivered, the transport is aborted, and the owner
@@ -49,7 +50,7 @@ RECV_BYTES = 16 * 1024
 
 
 class FramedConnection(asyncio.BufferedProtocol):
-    """Length-prefixed frames over one TCP connection, dispatched in-turn."""
+    """Length-prefixed frames over one stream connection, dispatched in-turn."""
 
     def __init__(
         self,
@@ -91,6 +92,8 @@ class FramedConnection(asyncio.BufferedProtocol):
     def connection_made(self, transport) -> None:
         self._transport = transport
         self._recv = memoryview(bytearray(RECV_BYTES))
+        if self._done:
+            transport.close()  # its owner closed it before it was made
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self._recv

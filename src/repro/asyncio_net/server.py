@@ -1,4 +1,4 @@
-"""Asyncio TCP server hosting one register replica.
+"""Asyncio server hosting one register replica, on TCP or a Unix-domain socket.
 
 The server hosts the *same* replica object the simulator runs -- a
 single-register :class:`~repro.protocols.base.ServerLogic` or a kv-store
@@ -37,14 +37,15 @@ from ..kvstore.engine.server import GroupServerEngine
 from ..messages import Message, service_units
 from ..protocols.base import ServerLogic
 from .codec import encode_message
-from .endpoint import Endpoint
+from .endpoint import Address, Endpoint
 from .framed import FramedConnection
 
 __all__ = ["ReplicaServer"]
 
 
 class ReplicaServer:
-    """One register replica listening on a TCP port.
+    """One register replica listening at ``address``: a TCP ``(host, port)``
+    (the default, any free loopback port) or a Unix-domain socket path.
 
     ``logic`` is what the replica runs: a single-register
     :class:`~repro.protocols.base.ServerLogic`, served through ``handle``
@@ -72,14 +73,12 @@ class ReplicaServer:
     def __init__(
         self,
         logic: Union[ServerLogic, GroupServerEngine],
-        host: str = "127.0.0.1",
-        port: int = 0,
+        address: Address = ("127.0.0.1", 0),
         service_overhead: float = 0.0,
         service_per_op: float = 0.0,
     ) -> None:
         self.logic = logic
-        self.host = host
-        self.port = port
+        self.address = address
         self.service_overhead = service_overhead
         self.service_per_op = service_per_op
         self._modelled = service_overhead > 0 or service_per_op > 0
@@ -117,15 +116,15 @@ class ReplicaServer:
         return {**self._runtime.timers, **self._deferred}
 
     async def start(self) -> None:
-        """(Re)start listening; ``self.port`` is updated with the bound port.
+        """(Re)start listening; ``self.address`` is updated with the bound one.
 
         After a :meth:`stop`, calling ``start`` again rebinds the *same*
-        port with the *same* logic object -- the crash-recovery model of a
+        address with the *same* logic object -- the crash-recovery model of a
         replica whose state survives on stable storage, which is what lets
         clients reconnect to a known endpoint after a kill.
         """
         self._loop = asyncio.get_running_loop()
-        self.port = await self.endpoint.listen(self.host, self.port)
+        self.address = await self.endpoint.listen(self.address)
 
     async def stop(self) -> None:
         """Stop listening and sever every live connection (a process kill:
@@ -214,9 +213,9 @@ class ReplicaServer:
             self._write(send)
 
     def _write(self, send: SendFrame) -> None:
-        """Write one frame now.  A frame for a peer with no live connection
-        is dropped, the same fate the simulator gives sends to a severed
-        process."""
+        """Write one frame now -- an ack too large for one frame goes as
+        several.  A frame for a peer with no live connection is dropped, the
+        same fate the simulator gives sends to a severed process."""
         peer = self.endpoint.peers.get(send.destination)
         if peer is not None and not peer.closing:
             peer.send(encode_message(send.frame))

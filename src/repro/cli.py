@@ -13,7 +13,7 @@ Exposes the most common workflows without writing any Python:
 * ``python -m repro latency`` — compare protocol latencies under a LAN or geo
   delay model.
 * ``python -m repro kv`` — run the sharded, batched key-value store
-  (:mod:`repro.kvstore`) on the simulator or over loopback TCP and verify
+  (:mod:`repro.kvstore`) on the simulator or over Unix-domain sockets and verify
   per-key atomicity.
 """
 

@@ -39,7 +39,7 @@ to a multi-key store:
   quorum from site metadata, :class:`BroadcastReads` asks everyone) -- and
   hides live rebalancing behind a
   :class:`CachedShardView` fed by view pushes and stale-epoch bounces.
-* **Two backends**: the discrete-event simulator and real asyncio TCP
+* **Two backends**: the discrete-event simulator and real asyncio sockets
   (:class:`KVStore` / :class:`SyncKVStore`).  ``run(KVRunConfig(...),
   workload)`` runs a whole workload on either: the config's ``backend`` field
   picks one, and its other fields are the run's settings, one field each.

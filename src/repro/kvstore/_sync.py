@@ -9,7 +9,7 @@ Two bridges are provided:
 
 * :class:`LoopThread` -- a private event loop running on a daemon thread,
   used by :class:`~repro.kvstore.net_backend.SyncKVStore` so that one store
-  (with its live TCP connections) can serve many synchronous calls; a fresh
+  (with its live connections) can serve many synchronous calls; a fresh
   ``asyncio.run`` per call would tear the connections down each time.
 """
 

@@ -28,7 +28,7 @@ operation completions.  They import neither :mod:`asyncio` nor
 that feed the engines and execute their effects --
 :mod:`repro.kvstore.sim_backend` on the package's own
 :class:`~repro.kvstore.engine.fabric.Fabric` (a virtual clock and simulated
-connections), :mod:`repro.kvstore.net_backend` on asyncio TCP.  A feature
+connections), :mod:`repro.kvstore.net_backend` on asyncio sockets.  A feature
 implemented here (delta view pushes, say) works on both backends with no
 backend-specific code, and the two backends cannot drift apart on protocol
 behaviour by construction.

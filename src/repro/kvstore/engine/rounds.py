@@ -114,6 +114,7 @@ from ...messages import (
     BATCH_ACK_KIND,
     BATCH_KIND,
     LEASE_RELEASE_KIND,
+    REPLY_TOO_LARGE_KIND,
     Message,
     SubRequest,
     make_batch,
@@ -580,6 +581,13 @@ class ReplicaRounds:
                 # flight.  Either branch below takes the attempt out of play,
                 # so the group's other (equally stale) replies are ignored.
                 self._bounce(round, out)
+                continue
+            if reply.kind == REPLY_TOO_LARGE_KIND:
+                # No frame can carry the reply: no replay would do better.
+                self._fail_round(round, ProtocolError(
+                    f"operation {round.op_id}: the reply of {reply.sender} "
+                    f"({reply.payload.get('bytes')} bytes) exceeds the frame limit"
+                ), out)
                 continue
             round.replies.append(reply)
             if len(round.replies) == round.wait_for:

@@ -41,7 +41,7 @@ entry point for frames -- consumes one decoded frame and returns effects
 (sends and lease timers), with no transport, runtime, or clock anywhere in
 sight.  The simulator
 wraps the engine in a process that models service time; the asyncio
-backend serves it behind a TCP listener; the tests drive it directly.
+backend serves it behind a socket listener; the tests drive it directly.
 """
 
 from __future__ import annotations

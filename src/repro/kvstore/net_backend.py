@@ -1,4 +1,4 @@
-"""The key-value store on the real asyncio TCP transport: the net adapter.
+"""The key-value store on real asyncio sockets: the net adapter.
 
 All protocol behaviour -- round lifecycle, batching, stale-epoch replay,
 proxy merging, failover, view-push adoption -- lives in the shared sans-I/O
@@ -14,10 +14,11 @@ connection.  Frames are decoded inside ``data_received`` and fed to the
 owning engine in the same event-loop turn, and its effects -- sends included
 -- execute synchronously, so no task exists per frame or per send:
 
-* :class:`AsyncKVCluster` is the assembly on loopback TCP: it starts one
+* :class:`AsyncKVCluster` is the assembly on one host: it starts one
   :class:`~repro.asyncio_net.server.ReplicaServer` per replica-group server
   (each hosting a :class:`~repro.kvstore.engine.server.GroupServerEngine`),
-  plus optional :class:`ProxyServer` ingress proxies, and binds the control
+  plus optional :class:`ProxyServer` ingress proxies, each listening on a
+  Unix-domain socket in a directory of its own, and binds the control
   plane to an owner of its own (:class:`_ControlPlane`), which dials the
   replicas and proxies at the first :meth:`AsyncKVCluster.resize` /
   ``move_shard`` / ``start_autoscaler`` -- not before.
@@ -41,11 +42,13 @@ import asyncio
 import itertools
 import logging
 import os
+import shutil
+import tempfile
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..asyncio_net.codec import FrameError, encode_message
-from ..asyncio_net.endpoint import Endpoint
+from ..asyncio_net.endpoint import Address, Endpoint
 from ..asyncio_net.server import ReplicaServer
 from ..core.operations import OpKind
 from ..messages import PROXY_ACK_KIND, VIEW_PUSH_ACK_KIND, VIEW_PUSH_KIND, Message
@@ -185,7 +188,7 @@ class _ControlPlane(_Owner):
         self,
         engine: ControlPlaneEngine,
         reconnect_interval: float,
-        addresses: Mapping[str, Tuple[str, int]],
+        addresses: Mapping[str, Address],
     ) -> None:
         super().__init__(engine)
         self.reconnect_interval = reconnect_interval
@@ -207,7 +210,7 @@ class _ControlPlane(_Owner):
 
     async def _dial_then_run(self) -> None:
         for peer_id, address in list(self.addresses.items()):
-            await self.endpoint.dial(peer_id, *address, redial=self.reconnect_interval)
+            await self.endpoint.dial(peer_id, address, redial=self.reconnect_interval)
         self.dialled = True
         backlog, self._backlog = self._backlog, []
         for effects in backlog:
@@ -242,11 +245,15 @@ class _ControlPlane(_Owner):
 
 
 class AsyncKVCluster(ClusterAssembly):
-    """All group replicas of a :class:`ShardMap` listening on ``host``.
+    """All group replicas of a :class:`ShardMap`, on this host.
 
     The engines, their observers and the control plane are the
     :class:`~repro.kvstore.engine.assembly.ClusterAssembly`'s; this class
-    puts each behind a listening owner.  Every setting is ``config``'s
+    puts each behind a listening owner.  Every node runs in this process, so
+    each replica and proxy listens on a Unix-domain socket named after it in
+    a temporary directory that :meth:`start` creates and :meth:`stop`
+    removes with its socket files; a killed node comes back on the same
+    path.  Every setting is ``config``'s
     (``None``: ``KVRunConfig(backend="asyncio")``), read where the engine it
     configures is built; how many proxies to start, and the run-level
     settings, are the caller's.
@@ -256,7 +263,6 @@ class AsyncKVCluster(ClusterAssembly):
         self,
         shard_map: ShardMap,
         config: Optional[KVRunConfig] = None,
-        host: str = "127.0.0.1",
     ) -> None:
         config = self.config = backend_config(config, "asyncio", "AsyncKVCluster")
         super().__init__(
@@ -269,11 +275,12 @@ class AsyncKVCluster(ClusterAssembly):
             push_views=config.push_views,
             trace_collector=config.trace_collector,
         )
-        self.host = host
         self.replicas: Dict[str, ReplicaServer] = {}
         self.proxies: Dict[str, "ProxyServer"] = {}
+        #: The directory of the nodes' sockets, while started.
+        self._socket_dir: Optional[str] = None
         #: Where every replica and proxy listens (stable across kill/restart).
-        self._addresses: Dict[str, Tuple[str, int]] = {}
+        self._addresses: Dict[str, Address] = {}
         #: The link of every event loop that has a connected store.
         self._links: Dict[asyncio.AbstractEventLoop, _ClientLink] = {}
         self._control_plane = _ControlPlane(
@@ -284,16 +291,27 @@ class AsyncKVCluster(ClusterAssembly):
     control = ClusterAssembly.control_engine
 
     async def start(self) -> None:
-        for server_id in self.shard_map.all_servers:
-            replica = ReplicaServer(
-                self.server_engine(server_id),
-                host=self.host,
-                service_overhead=self.config.setting("service_overhead"),
-                service_per_op=self.config.setting("service_per_op"),
-            )
-            await replica.start()
-            self.replicas[server_id] = replica
-            self._addresses[server_id] = (replica.host, replica.port)
+        """Start every replica; a start that fails leaves nothing behind."""
+        self._socket_dir = tempfile.mkdtemp(prefix="repro-kv-")
+        try:
+            for server_id in self.shard_map.all_servers:
+                replica = ReplicaServer(
+                    self.server_engine(server_id),
+                    self._socket_path(server_id),
+                    service_overhead=self.config.setting("service_overhead"),
+                    service_per_op=self.config.setting("service_per_op"),
+                )
+                self.replicas[server_id] = replica
+                await replica.start()
+                self._addresses[server_id] = replica.address
+        except BaseException:
+            await self.stop()
+            raise
+
+    def _socket_path(self, node_id: str) -> str:
+        # The node ids are the cluster's own (``g1-s2``, ``p1``): short
+        # enough for any platform's limit on a socket path.
+        return os.path.join(self._socket_dir, node_id)
 
     async def stop(self) -> None:
         """Stop everything the cluster started -- and close every store still
@@ -323,6 +341,10 @@ class AsyncKVCluster(ClusterAssembly):
             await replica.stop()
         self.replicas.clear()
         self._addresses.clear()
+        if self._socket_dir is not None:
+            # Closing a listener leaves its socket file behind.
+            shutil.rmtree(self._socket_dir, ignore_errors=True)
+            self._socket_dir = None
 
     async def dial_replicas(self, endpoint: Endpoint) -> None:
         """Connect ``endpoint`` to every replica of every group.
@@ -333,7 +355,7 @@ class AsyncKVCluster(ClusterAssembly):
         """
         for server_id in self.replicas:
             await endpoint.dial(
-                server_id, *self._addresses[server_id],
+                server_id, self._addresses[server_id],
                 redial=self.retry_policy.reconnect_interval,
             )
 
@@ -382,16 +404,17 @@ class AsyncKVCluster(ClusterAssembly):
                 proxy_id, read_policy=self.config.read_policy,
                 read_cache=read_cache, site=site,
             )
-            proxy = ProxyServer(engine, self, host=self.host)
+            proxy = ProxyServer(engine, self, self._socket_path(proxy_id))
             await proxy.start()
             self.proxies[proxy_id] = proxy
-            self._addresses[proxy_id] = (proxy.host, proxy.port)
+            self._addresses[proxy_id] = proxy.address
             started.append(proxy_id)
         if self._control_plane.dialled:
             self._control_plane.submit(())  # dials the newcomers
         return started
 
-    def proxy_endpoint(self, proxy_id: str) -> Tuple[str, int]:
+    def proxy_endpoint(self, proxy_id: str) -> Address:
+        """The socket path proxy ``proxy_id`` listens on."""
         return self._addresses[proxy_id]
 
     async def kill_proxy(self, proxy_id: str) -> None:
@@ -405,7 +428,7 @@ class AsyncKVCluster(ClusterAssembly):
         await self.proxies[proxy_id].stop()
 
     async def restart_proxy(self, proxy_id: str) -> None:
-        """Restart a killed proxy on its original port.
+        """Restart a killed proxy on its original socket path.
 
         Proxies are stateless, so a restart is just a rebind -- plus a view
         refresh, because rebalances during the outage are invisible to a
@@ -428,9 +451,9 @@ class AsyncKVCluster(ClusterAssembly):
         await self.replicas[server_id].stop()
 
     async def restart_server(self, server_id: str) -> None:
-        """Restart a killed replica on its original port with its surviving
-        state (the crash-recovery model: register state is stable storage).
-        Reconnecting clients resume using it transparently."""
+        """Restart a killed replica on its original socket path with its
+        surviving state (the crash-recovery model: register state is stable
+        storage).  Reconnecting clients resume using it transparently."""
         replica = self.replicas[server_id]
         if not replica.running:
             await replica.start()
@@ -497,7 +520,8 @@ class AsyncKVCluster(ClusterAssembly):
 
 
 class ProxyServer(_Owner):
-    """One site-local ingress proxy over TCP: one proxy engine.
+    """One site-local ingress proxy listening at ``address`` (its cluster
+    gives it a Unix-domain socket path): one proxy engine.
 
     Accepts client connections speaking ``"proxy"``/``"proxy-ack"`` frames
     and feeds them (plus control-plane ``"view-push"`` frames and the
@@ -521,14 +545,12 @@ class ProxyServer(_Owner):
         self,
         engine: ProxyEngine,
         cluster: AsyncKVCluster,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        address: Address,
     ) -> None:
         super().__init__(engine)
         engine.holds_acks = True
         self.cluster = cluster
-        self.host = host
-        self.port = port
+        self.address = address
         #: The turn's ``proxy-ack`` frames, and the callback that writes them.
         self._held: List[SendFrame] = []
         self._writing: Optional[asyncio.TimerHandle] = None
@@ -568,15 +590,15 @@ class ProxyServer(_Owner):
         return self.engine.stats.copy()
 
     async def start(self) -> None:
-        """(Re)start the proxy; after a kill, the same port is rebound so
+        """(Re)start the proxy; after a kill, the same address is rebound so
         the cluster's advertised proxy endpoint stays stable."""
         if self.running:
             return
         try:
             await self.cluster.dial_replicas(self.endpoint)
-            self.port = await self.endpoint.listen(self.host, self.port)
+            self.address = await self.endpoint.listen(self.address)
         except BaseException:
-            # Cancelled mid-dial, or the port is taken: what did connect
+            # Cancelled mid-dial, or the address is taken: what did connect
             # must not outlive a proxy that never came up.
             await self.close()
             raise
@@ -640,7 +662,7 @@ class _ClientLink(_Owner):
         (the replicas' redialled, a proxy's loss reported), and the other
         stores find them there."""
         if target != DIRECT_INGRESS:
-            await self.endpoint.dial(target, *self.cluster.proxy_endpoint(target))
+            await self.endpoint.dial(target, self.cluster.proxy_endpoint(target))
         elif not self._dialled:
             await self.cluster.dial_replicas(self.endpoint)
             self._dialled = True
@@ -955,7 +977,8 @@ class SyncKVStore:
 
 
 def _run_asyncio(config: KVRunConfig, workload: KVWorkload) -> KVRunResult:
-    """:func:`~repro.kvstore.workload.run` over loopback TCP.
+    """:func:`~repro.kvstore.workload.run` over the sockets of an
+    :class:`AsyncKVCluster`.
 
     Every workload client becomes one :class:`KVStore` (its own identity and
     per-key order), all sharing one replica cluster, one history recorder and

@@ -307,7 +307,7 @@ class KVRunConfig:
     (:data:`BACKEND_ONLY`), or one that needs another.
     """
 
-    #: ``"sim"`` (the discrete-event simulator) or ``"asyncio"`` (loopback TCP).
+    #: ``"sim"`` (the discrete-event simulator) or ``"asyncio"`` (Unix-domain sockets).
     backend: str = "sim"
     #: The cluster, unless ``shard_map`` is given: every group runs the
     #: protocol with the workload's clients as its readers and writers.

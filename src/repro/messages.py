@@ -69,6 +69,7 @@ __all__ = [
     "SubRequest",
     "BATCH_KIND",
     "BATCH_ACK_KIND",
+    "REPLY_TOO_LARGE_KIND",
     "make_batch",
     "unpack_batch",
     "make_batch_ack",
@@ -176,6 +177,9 @@ def service_units(message: Message) -> int:
 BATCH_KIND = "batch"
 #: Kind of the reply frame carrying the sub-replies of one batch.
 BATCH_ACK_KIND = "batch-ack"
+#: Kind of the sub-reply a replica sends in place of one too large for any
+#: frame (its payload: ``{"bytes": the reply's size}``); it fails its round.
+REPLY_TOO_LARGE_KIND = "reply-too-large"
 
 
 class SubRequest(NamedTuple):

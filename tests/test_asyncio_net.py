@@ -45,7 +45,7 @@ class TestReplicaServer:
             replica = ReplicaServer(TagValueServer("s1"))
             await replica.start()
             try:
-                reader, writer = await asyncio.open_connection(replica.host, replica.port)
+                reader, writer = await asyncio.open_connection(*replica.address)
                 from repro.asyncio_net.codec import read_frame, write_frame
 
                 await write_frame(
@@ -98,12 +98,12 @@ class TestReplicaServer:
             replica = ReplicaServer(EffectStub())
             await replica.start()
             try:
-                r1, w1 = await asyncio.open_connection(replica.host, replica.port)
+                r1, w1 = await asyncio.open_connection(*replica.address)
                 await write_frame(w1, Message("p1", "s1", "hello"))
                 assert (await read_frame(r1)).kind == "pong"
                 # The peer redials: the same sender id now maps to the new
                 # connection, while the old one is still open.
-                r2, w2 = await asyncio.open_connection(replica.host, replica.port)
+                r2, w2 = await asyncio.open_connection(*replica.address)
                 await write_frame(w2, Message("p1", "s1", "hello"))
                 assert (await read_frame(r2)).kind == "pong"
                 # Tear the OLD connection down; its cleanup must leave the
@@ -111,7 +111,7 @@ class TestReplicaServer:
                 w1.close()
                 await w1.wait_closed()
                 await asyncio.sleep(0.05)
-                r3, w3 = await asyncio.open_connection(replica.host, replica.port)
+                r3, w3 = await asyncio.open_connection(*replica.address)
                 await write_frame(w3, Message("q1", "s1", "push", {"to": "p1"}))
                 oob = await asyncio.wait_for(read_frame(r2), timeout=2.0)
                 assert oob.kind == "oob" and oob.receiver == "p1"

@@ -31,8 +31,12 @@ ASSEMBLED = {
     "CachedShardView", "ObserverHub", "MetricsObserver",
 }
 
-#: The asyncio calls that open a socket, listening or connected.
-SOCKET_OPENERS = {"create_server", "create_connection", "open_connection", "start_server"}
+#: The asyncio calls that open a socket, listening or connected, TCP or Unix.
+SOCKET_OPENERS = {
+    "create_server", "create_connection", "open_connection", "start_server",
+    "create_unix_server", "create_unix_connection", "open_unix_connection",
+    "start_unix_server",
+}
 
 
 def _trees(root: Path) -> Iterator[Tuple[Path, ast.Module]]:

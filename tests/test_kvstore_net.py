@@ -289,9 +289,9 @@ class TestKillRestart:
             await cluster.start()
             try:
                 server_id = next(iter(cluster.replicas))
-                port = cluster.replicas[server_id].port
+                address = cluster.replicas[server_id].address
                 await cluster.restart_server(server_id)
-                assert cluster.replicas[server_id].port == port
+                assert cluster.replicas[server_id].address == address
                 assert cluster.replicas[server_id].running
             finally:
                 await cluster.stop()

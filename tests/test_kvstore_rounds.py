@@ -80,6 +80,7 @@ from repro.messages import (
     LEASE_RELEASE_KIND,
     PROXY_ACK_KIND,
     PROXY_KIND,
+    REPLY_TOO_LARGE_KIND,
     ProxySubRequest,
     make_batch_ack,
     make_lease_release,
@@ -692,6 +693,25 @@ def non_retryable_loss_fails_the_round_at_once(make_rig):
     assert timer_kinds(rig.last("on_frame_undeliverable")) == []
 
 
+def a_reply_too_large_for_any_frame_fails_the_round_at_once(make_rig):
+    rig = make_rig()
+    rig.start()
+    frames = rig.flush()
+    # What a replica's codec sends in place of a reply no frame can carry.
+    replica = rig.replicas[frames[0].destination]
+    too_large = make_batch_ack(frames[0].frame, [
+        replica.reply(sub.message, REPLY_TOO_LARGE_KIND, {"bytes": 17_000_000})
+        for sub in unpack_batch(frames[0].frame)
+    ])
+    rig.failure_effects(rig.feed("on_frame", too_large))
+    assert rig.outcome() == "failed"
+    assert "17000000 bytes) exceeds the frame limit" in rig.outcomes()[0][1]
+    # The other replica's reply falls on a round that is gone.
+    assert rig.feed("on_frame", rig.replica_ack(frames[1])) == []
+    rig.run()
+    assert rig.outcome() == "failed"
+
+
 def transient_retries_run_out(make_rig):
     policy = RetryPolicy(reconnect_interval=5.0, max_transient_retries=1,
                          silence_window=40.0)
@@ -933,6 +953,7 @@ COMMON = [
     lost_quorum_retries_once_then_replays_under_a_fresh_identity,
     undelivered_frames_are_uncounted_across_the_replay,
     non_retryable_loss_fails_the_round_at_once,
+    a_reply_too_large_for_any_frame_fails_the_round_at_once,
     transient_retries_run_out,
     same_route_bounce_backs_off_on_the_drain_window,
     drain_backoffs_run_out,

@@ -1,4 +1,8 @@
-"""The hot endpoints over loopback TCP: bad frames, lost connections, no tasks.
+"""The hot endpoints over real sockets: bad frames, lost connections, no tasks.
+
+A standalone ``ReplicaServer`` listens on loopback TCP; the nodes of an
+``AsyncKVCluster`` listen on Unix-domain sockets, and the scenarios dial the
+address the cluster gives out.
 
 Every endpoint is a ``FramedConnection`` owner.  A frame that does not parse
 must cost exactly one connection and take that endpoint's normal lost path
@@ -111,8 +115,15 @@ async def _closed_by_peer(reader: asyncio.StreamReader) -> bool:
         return True
 
 
-async def _send_raw(host: str, port: int, data: bytes, then_eof: bool):
-    reader, writer = await asyncio.open_connection(host, port)
+async def _open(address):
+    """A raw stream to ``address``: a socket path, or ``(host, port)``."""
+    if isinstance(address, str):
+        return await asyncio.open_unix_connection(address)
+    return await asyncio.open_connection(*address)
+
+
+async def _send_raw(address, data: bytes, then_eof: bool):
+    reader, writer = await _open(address)
     writer.write(data)
     await writer.drain()
     if then_eof:
@@ -131,19 +142,19 @@ async def _wait_until(condition, timeout: float = 2.0) -> None:
         await asyncio.sleep(0.005)
 
 
-def _intercept_dials(port: int, behaviour) -> None:
-    """Every dial of ``port`` on the running loop awaits ``behaviour()``
-    instead of connecting; other dials go through.  The loop dies with the
-    scenario, so nothing is restored."""
+def _intercept_dials(path: str, behaviour) -> None:
+    """Every dial of the socket at ``path`` on the running loop awaits
+    ``behaviour()`` instead of connecting; other dials go through.  The loop
+    dies with the scenario, so nothing is restored."""
     loop = asyncio.get_running_loop()
-    real = loop.create_connection
+    real = loop.create_unix_connection
 
-    async def create_connection(factory, host=None, to_port=None, **kwargs):
-        if to_port == port:
+    async def create_unix_connection(factory, to_path=None, **kwargs):
+        if to_path == path:
             return await behaviour()
-        return await real(factory, host, to_port, **kwargs)
+        return await real(factory, to_path, **kwargs)
 
-    loop.create_connection = create_connection
+    loop.create_unix_connection = create_unix_connection
 
 
 def _spy_on_peer_lost(engine) -> List[str]:
@@ -188,14 +199,12 @@ class TestReplicaServerEndpoint:
             replica = ReplicaServer(TagValueServer("s1"))
             await replica.start()
             try:
-                good_reader, good_writer = await asyncio.open_connection(
-                    replica.host, replica.port
-                )
+                good_reader, good_writer = await _open(replica.address)
                 await write_frame(good_writer, Message("r1", "s1", "query"))
                 assert (await read_frame(good_reader)).kind == "query-ack"
 
                 bad_reader, bad_writer = await _send_raw(
-                    replica.host, replica.port, bad, then_eof=bad is TRUNCATED
+                    replica.address, bad, then_eof=bad is TRUNCATED
                 )
                 assert await _closed_by_peer(bad_reader)
                 bad_writer.close()
@@ -238,14 +247,12 @@ class TestReplicaServerEndpoint:
                 )])
 
             try:
-                good_reader, good_writer = await asyncio.open_connection(
-                    replica.host, replica.port
-                )
+                good_reader, good_writer = await _open(replica.address)
                 await write_frame(good_writer, query("op1"))
                 assert (await read_frame(good_reader)).kind == "batch-ack"
 
                 bad_reader, bad_writer = await _send_raw(
-                    replica.host, replica.port, bad, then_eof=False
+                    replica.address, bad, then_eof=False
                 )
                 assert await _closed_by_peer(bad_reader)
                 bad_writer.close()
@@ -289,7 +296,7 @@ class TestReplicaServerEndpoint:
             # Modelled service time: the second reply is still deferred at stop().
             replica = ReplicaServer(logic, service_overhead=0.03)
             await replica.start()
-            reader, writer = await asyncio.open_connection(replica.host, replica.port)
+            reader, writer = await _open(replica.address)
             await write_frame(writer, Message("p1", "s1", "ping"))
             await write_frame(writer, Message("p1", "s1", "ping"))
             assert (await read_frame(reader)).kind == "pong"
@@ -311,7 +318,7 @@ class TestReplicaServerEndpoint:
             replica = ReplicaServer(TagValueServer("s1"), service_overhead=0.04)
             await replica.start()
             try:
-                reader, writer = await asyncio.open_connection(replica.host, replica.port)
+                reader, writer = await _open(replica.address)
                 loop = asyncio.get_running_loop()
                 started = loop.time()
                 for n in range(1, 4):
@@ -357,7 +364,7 @@ class TestReplicaServerEndpoint:
             replica = ReplicaServer(Expiring(), service_overhead=0.3)
             await replica.start()
             try:
-                reader, writer = await asyncio.open_connection(replica.host, replica.port)
+                reader, writer = await _open(replica.address)
                 await write_frame(writer, Message("p1", "s1", "ping"))
                 kinds = [
                     (await asyncio.wait_for(read_frame(reader), 2.0)).kind
@@ -422,7 +429,7 @@ class TestReplicaDiallers:
                 async def explode():
                     raise RuntimeError("the resolver exploded")
 
-                _intercept_dials(cluster.replicas[victim].port, explode)
+                _intercept_dials(cluster.replicas[victim].address, explode)
                 writes = [
                     asyncio.create_task(store.put(f"k{i}", f"v{i}")) for i in range(4)
                 ]
@@ -449,9 +456,9 @@ class TestReplicaDiallers:
             cluster = AsyncKVCluster(shard_map, fast())
             await cluster.start()
             loop = asyncio.get_running_loop()
-            real_dial = loop.create_connection
+            real_dial = loop.create_unix_connection
             second = shard_map.groups["g1"].servers[1]
-            _intercept_dials(cluster.replicas[second].port, asyncio.Event().wait)
+            _intercept_dials(cluster.replicas[second].address, asyncio.Event().wait)
             store = KVStore(cluster, client_id="c1")
             try:
                 dialling = asyncio.create_task(
@@ -468,7 +475,7 @@ class TestReplicaDiallers:
                     assert not replica.endpoint.accepted
                 assert not _other_tasks()
                 # Nothing is wedged: the same dials go through afterwards.
-                loop.create_connection = real_dial
+                loop.create_unix_connection = real_dial
                 if owner == "proxy":
                     await cluster.start_proxies(1)
                 store = KVStore(cluster, client_id="c2", use_proxy=owner == "proxy")
@@ -514,8 +521,9 @@ class TestProxyEndpoints:
             await store.connect()
             try:
                 await store.put("k", "v1")
-                host, port = cluster.proxy_endpoint("p1")
-                reader, writer = await _send_raw(host, port, bad, then_eof=bad is TRUNCATED)
+                reader, writer = await _send_raw(
+                    cluster.proxy_endpoint("p1"), bad, then_eof=bad is TRUNCATED
+                )
                 assert await _closed_by_peer(reader)
                 writer.close()
                 await store.put("k", "v2")
@@ -544,8 +552,9 @@ class TestProxyEndpoints:
             await store.connect()
             try:
                 await store.put("k", "v1")
-                host, port = cluster.proxy_endpoint("p1")
-                reader, writer = await _send_raw(host, port, bad, then_eof=False)
+                reader, writer = await _send_raw(
+                    cluster.proxy_endpoint("p1"), bad, then_eof=False
+                )
                 assert await _closed_by_peer(reader)
                 writer.close()
                 # Refused at decode, as a typed error, on that connection only.
@@ -583,9 +592,7 @@ class TestProxyEndpoints:
                     "k", "read", query.kind, query.payload, "x9-read-1", 1,
                     wait_for=query.wait_for, client=link.link_id,
                 )
-                reader, writer = await asyncio.open_connection(
-                    *cluster.proxy_endpoint("p1")
-                )
+                reader, writer = await _open(cluster.proxy_endpoint("p1"))
                 await write_frame(writer, make_proxy_request("x9", "p1", [sub]))
                 ack = await asyncio.wait_for(read_frame(reader), timeout=2.0)
                 assert ack.kind == PROXY_ACK_KIND and ack.receiver == "x9"
@@ -626,18 +633,18 @@ class TestProxyEndpoints:
             proxy.engine.on_frame_undeliverable = (
                 lambda frame, exc, retryable: undeliverable.append(frame.receiver) or []
             )
-            host, port = cluster.proxy_endpoint("p1")
+            address = cluster.proxy_endpoint("p1")
             try:
-                r1, w1 = await asyncio.open_connection(host, port)
+                r1, w1 = await _open(address)
                 await write_frame(w1, Message("c9", "p1", "hello"))
                 assert (await read_frame(r1)).kind == "pong"
-                r2, w2 = await asyncio.open_connection(host, port)
+                r2, w2 = await _open(address)
                 await write_frame(w2, Message("c9", "p1", "hello"))
                 assert (await read_frame(r2)).kind == "pong"
                 w1.close()
                 await w1.wait_closed()
                 await asyncio.sleep(0.05)
-                r3, w3 = await asyncio.open_connection(host, port)
+                r3, w3 = await _open(address)
                 await write_frame(w3, Message("q1", "p1", "push", {"to": "c9"}))
                 oob = await asyncio.wait_for(read_frame(r2), timeout=2.0)
                 assert oob.kind == "oob" and oob.receiver == "c9"
@@ -676,7 +683,7 @@ class TestProxyEndpoints:
             await store.connect()
             try:
                 dialled = proxy.endpoint.peers[victim]
-                reader, writer = await asyncio.open_connection(*cluster.proxy_endpoint("p1"))
+                reader, writer = await _open(cluster.proxy_endpoint("p1"))
                 await write_frame(writer, Message(victim, "p1", "hello"))
                 await store.put("k", "v1")  # the impostor's frame has been read
                 assert proxy.endpoint.peers[victim] is dialled
