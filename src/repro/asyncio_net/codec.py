@@ -80,14 +80,39 @@ _HEADER = struct.Struct("!I")
 #: peer sends garbage that parses as an absurd length header.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-# One encoder and one decoder for every frame.  ``json.dumps`` with compact
-# separators builds a fresh ``JSONEncoder`` per call (payloads are JSON trees,
-# so the cycle bookkeeping is off: a cycle is a RecursionError), and
-# ``json.loads`` spends as long again on argument checks and whitespace scans
-# as a small frame's parse takes; ``raw_decode`` is the parse alone (and
-# reports where it ended, so trailing bytes are caught below).
-_dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-_loads = json.JSONDecoder().raw_decode
+# One encoder and one decoder for every frame, each built once per process.
+# ``JSONEncoder.encode`` builds a fresh C encoder per call before it encodes
+# anything; ``c_make_encoder``, called with the nine arguments
+# ``JSONEncoder.iterencode`` passes it, is that C encoder for compact
+# separators, ASCII escapes, NaN and infinity allowed and no cycle
+# bookkeeping (payloads are JSON trees: a cycle is a RecursionError).  A
+# Python without it encodes through ``JSONEncoder.encode``, to the same
+# bytes.  The decoder's ``scan_once`` is the C scanner -- the parse alone:
+# ``json.loads`` adds argument checks and whitespace scans, ``raw_decode``
+# an exception rewrap -- and reports where the value ended, so trailing
+# bytes are caught below; no value at all raises ``StopIteration``.
+
+
+def _json_dumps() -> Callable[[Any], str]:
+    """The compact encoder, over ``json.encoder.c_make_encoder`` if this
+    Python has it."""
+    make_encoder = getattr(json.encoder, "c_make_encoder", None)
+    python = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+    if make_encoder is None:
+        return python.encode
+    encode = make_encoder(
+        None, python.default, json.encoder.encode_basestring_ascii, None,
+        ":", ",", False, False, True,
+    )
+
+    def dumps(value: Any) -> str:
+        return "".join(encode(value, 0))
+
+    return dumps
+
+
+_dumps = _json_dumps()
+_scan = json.JSONDecoder().scan_once
 
 
 class FrameError(ValueError):
@@ -367,8 +392,9 @@ def _body(message: Message) -> bytes:
     return _dumps(envelope).encode("utf-8")
 
 
-def decode_message(body: bytes) -> Message:
-    """Deserialize the JSON body of a frame back into a Message.
+def decode_message(body) -> Message:
+    """Deserialize the JSON body of a frame -- any bytes-like object, a
+    ``memoryview`` of a receive buffer included -- back into a Message.
 
     Every undecodable body -- bad UTF-8, bad JSON (or JSON nested past the
     recursion limit), not the seven-element array (or eight, for a batch
@@ -377,8 +403,8 @@ def decode_message(body: bytes) -> Message:
     exception to treat as "this connection is garbage".
     """
     try:
-        text = body.decode("utf-8")
-        envelope, end = _loads(text)
+        text = str(body, "utf-8")
+        envelope, end = _scan(text, 0)
         if end != len(text):
             raise ValueError("trailing bytes after the frame's array")
         if len(envelope) == 7:
@@ -409,7 +435,7 @@ def decode_message(body: bytes) -> Message:
         if check is not None:
             check(message)
         return message
-    except (ValueError, TypeError, RecursionError) as exc:
+    except (ValueError, TypeError, RecursionError, StopIteration) as exc:
         raise FrameError(f"undecodable frame body: {exc!r}") from exc
 
 

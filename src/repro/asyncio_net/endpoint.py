@@ -204,8 +204,12 @@ class Endpoint:
                     peers[frame.sender] = connection
                 deliver(frame)
 
+        # An accepted connection stops reading a peer that does not read its
+        # replies; a dialled one keeps reading, so a replica and the link or
+        # proxy that dialled it never wait on each other.
         connection = FramedConnection(
-            on_frame, lambda exc: self._lost(connection, dialled, exc)
+            on_frame, lambda exc: self._lost(connection, dialled, exc),
+            throttled=dialled is None,
         )
         return connection
 

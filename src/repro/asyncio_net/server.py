@@ -217,5 +217,6 @@ class ReplicaServer:
         several.  A frame for a peer with no live connection is dropped, the
         same fate the simulator gives sends to a severed process."""
         peer = self.endpoint.peers.get(send.destination)
-        if peer is not None and not peer.closing:
-            peer.send(encode_message(send.frame))
+        transport = None if peer is None else peer.transport
+        if transport is not None and not transport.is_closing():
+            transport.write(encode_message(send.frame))

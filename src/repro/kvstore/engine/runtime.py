@@ -10,7 +10,13 @@ sink but the metrics wants them: ``observe.events.QUIET_KINDS``.)  What
 differs between transports is passed in:
 
 * ``schedule(delay, callback) -> handle`` with ``handle.cancel()``
-  (``loop.call_later``, ``Clock.schedule`` on the fabric);
+  (``loop.call_later``, ``Clock.schedule`` on the fabric), or ``None`` for
+  a timer that is *due at once*: the runtime fires it itself, after the
+  batch that armed it (and the tail that batch handed back) has run.  It is
+  armed, fired and cancelled like any other -- a ``CancelTimer`` later in
+  the same batch still cancels it -- so "armed == fired + cancelled" holds
+  for it too.  The asyncio client link answers ``None`` for its zero-delay
+  flush while it has one operation in flight: nothing can join that round;
 * ``send(SendFrame)`` puts one frame on the adapter's wire;
 * ``connect(target)`` and ``complete(OpCompleted | OpFailed)``, which only
   a client's adapter supplies.
@@ -48,12 +54,17 @@ __all__ = ["EffectRuntime"]
 #: What a hook may hand back to join the current batch.
 _HandedBack = Optional[Iterable[Effect]]
 
+#: ``timers.get``'s answer for an id that is not armed (``None`` is a timer
+#: due at once).
+_ABSENT = object()
+
 
 class EffectRuntime:
     """Executes one engine's effects and owns its armed timers.
 
-    ``timers`` maps each armed timer id to the handle ``schedule`` returned;
-    an id leaves the table when it fires, is cancelled or is re-armed.
+    ``timers`` maps each armed timer id to the handle ``schedule`` returned
+    (``None`` for a timer due at once); an id leaves the table when it
+    fires, is cancelled or is re-armed.
     """
 
     def __init__(
@@ -75,6 +86,7 @@ class EffectRuntime:
     def run(self, effects: Iterable[Effect]) -> None:
         """Execute ``effects`` in order, then whatever the hooks handed back."""
         tail: List[Effect] = []
+        due: Optional[List[TimerId]] = None  # the timers due at once, if any
         for effect in effects:
             kind = type(effect)
             if kind is SendFrame:
@@ -82,9 +94,13 @@ class EffectRuntime:
             elif kind is StartTimer:
                 timer_id = effect.timer_id
                 self._cancel(timer_id, "rearm")
-                self.timers[timer_id] = self._schedule(
+                handle = self.timers[timer_id] = self._schedule(
                     effect.delay, partial(self._fire, timer_id)
                 )
+                if handle is None:
+                    if due is None:
+                        due = []
+                    due.append(timer_id)
                 counts = self._observer.timer_armed
                 if counts is None:
                     self._observer.emit(TIMER_ARMED, timer=timer_id[0])
@@ -105,6 +121,12 @@ class EffectRuntime:
                 tail.extend(handed_back)
         if tail:
             self.run(tail)
+        if due is not None:
+            for timer_id in due:
+                # Still armed and still due at once: neither cancelled nor
+                # re-armed with a handle since.
+                if self.timers.get(timer_id, _ABSENT) is None:
+                    self._fire(timer_id)
 
     def shutdown(self) -> None:
         """Cancel every armed timer: nothing fires after the owner stops."""
@@ -112,9 +134,10 @@ class EffectRuntime:
             self._cancel(timer_id, "shutdown")
 
     def _cancel(self, timer_id: TimerId, reason: str) -> None:
-        handle = self.timers.pop(timer_id, None)
-        if handle is not None:
-            handle.cancel()
+        handle = self.timers.pop(timer_id, _ABSENT)
+        if handle is not _ABSENT:
+            if handle is not None:  # None: due at once, never scheduled
+                handle.cancel()
             counts = self._observer.timer_cancelled
             if counts is None:
                 self._observer.emit(TIMER_CANCELLED, timer=timer_id[0], reason=reason)

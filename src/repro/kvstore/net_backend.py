@@ -105,9 +105,12 @@ class _Owner:
     says for its peer (:meth:`~repro.asyncio_net.endpoint.Endpoint.dial`).
     """
 
+    #: The runtime's ``schedule`` (the client link decides per timer).
+    _schedule = staticmethod(_call_later)
+
     def __init__(self, engine, **client_hooks) -> None:
         self.engine = engine
-        self.runtime = EffectRuntime(engine, _call_later, self._send, **client_hooks)
+        self.runtime = EffectRuntime(engine, self._schedule, self._send, **client_hooks)
         self.endpoint = Endpoint(self._on_frame, self._on_peer_lost)
 
     # ``on_frame`` / ``on_peer_lost`` are looked up on the engine per call:
@@ -134,7 +137,8 @@ class _Owner:
         """One lookup, encode, write -- or why not, and whether trying again
         later could help."""
         connection = self.endpoint.peers.get(effect.destination)
-        if connection is None or connection.closing:
+        transport = None if connection is None else connection.transport
+        if transport is None or transport.is_closing():
             # The peer is down and its redial has not landed yet; report the
             # loss instead of writing into a dead socket -- the engine's
             # replay (or failover) logic takes over.
@@ -150,7 +154,7 @@ class _Owner:
         # Nothing waits for the write to reach the peer: a connection that
         # dies after it reports through its lost path, and the engine's
         # silence timer covers what that misses.
-        connection.send(data)
+        transport.write(data)
         return None
 
     async def close(self) -> None:
@@ -654,6 +658,19 @@ class _ClientLink(_Owner):
         #: op id -> (the future its caller awaits, the store it belongs to).
         self.waiting: Dict[str, Tuple[asyncio.Future, KVStore]] = {}
         self._dialled = False
+
+    def _schedule(
+        self, delay: float, callback: Callable[[], None]
+    ) -> Optional[asyncio.TimerHandle]:
+        """The runtime's ``schedule``: a zero-delay timer -- the link's only
+        one is a queue's ``("flush", destination)`` -- armed while exactly
+        one operation is in flight is due at once, and the runtime fires it
+        after the batch that armed it.  No other operation can join that
+        round, so the loop turn it would wait for buys nothing; with two or
+        more in flight the flush waits for the turn as always."""
+        if delay == 0 and len(self.waiting) == 1:
+            return None
+        return _call_later(delay, callback)
 
     async def connect(self, target: str) -> None:
         """Establish ``target`` -- a proxy, or the replicas -- and hand it to

@@ -11,8 +11,10 @@ fuzz at the bottom feeds the decoder bytes no encoder produced.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -874,6 +876,150 @@ class TestGoldenBytes:
     def test_every_kind_has_a_golden(self):
         assert set(UNPACKERS) <= set(_golden_frames())
         assert set(GOLDEN_BODIES) == set(_golden_frames())
+
+
+# -- the encoder: the bytes json.dumps would write ----------------------------------
+
+#: Values the encoder must write exactly as ``json.dumps`` does: any text
+#: (non-ASCII escaped), any float -- NaN and both infinities included.
+_wide_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=20),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), "ключ", "é\u2028\x00", "\U0001f642"]),
+)
+_wide_values = st.recursive(
+    _wide_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=10), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+_wide_payloads = st.dictionaries(st.text(max_size=12), _wide_values, max_size=5)
+_texts = st.text(max_size=12)
+_wide_messages = st.builds(
+    Message,
+    sender=_texts,
+    receiver=_texts,
+    kind=_texts.filter(lambda kind: kind not in _SHAPED_KINDS),
+    payload=_wide_payloads,
+    op_id=st.one_of(st.none(), _texts),
+    round_trip=st.integers(min_value=0, max_value=9),
+    trace=st.one_of(st.none(), _texts),
+)
+
+
+@st.composite
+def _frames_of_every_kind(draw):
+    """A frame of a drawn kind -- free-form, the four typed kinds with and
+    without lease traffic, lease and drain frames, or any golden frame --
+    carrying wide payloads wherever the kind has free-form values."""
+    kind = draw(st.sampled_from(
+        ["free", BATCH_KIND, BATCH_ACK_KIND, PROXY_KIND, PROXY_ACK_KIND,
+         "lease", "drain", "golden"]
+    ))
+    if kind == "free":
+        return draw(_wide_messages)
+    if kind in (BATCH_KIND, BATCH_ACK_KIND):
+        subs = draw(st.lists(st.builds(
+            SubRequest, key=_texts, message=_wide_messages,
+            shard=st.one_of(st.none(), _texts),
+            epoch=st.integers(min_value=0, max_value=2**31),
+            lease=st.one_of(st.none(), _texts),
+        ), min_size=1, max_size=4))
+        releases = draw(st.one_of(st.none(), st.lists(_texts, min_size=1, max_size=3)))
+        batch = make_batch("c1", "s1", subs, releases)
+        if kind == BATCH_KIND:
+            return batch
+        replies = [
+            draw(st.one_of(st.none(), st.builds(
+                _replica_reply, st.just("s1"), st.just(sub.message), _texts,
+                _wide_payloads,
+            )))
+            for sub in subs
+        ]
+        grants = draw(st.one_of(
+            st.none(), st.lists(st.tuples(_texts, _texts), min_size=1, max_size=3)
+        ))
+        return make_batch_ack(batch, replies, grants)
+    if kind == PROXY_KIND:
+        return make_proxy_request("c1", "p1", draw(st.lists(st.builds(
+            ProxySubRequest, key=_texts, op_kind=st.sampled_from(["read", "write"]),
+            kind=_texts, payload=_wide_payloads, op_id=_texts,
+            round_trip=st.integers(min_value=0, max_value=9),
+            wait_for=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+            per_server=st.one_of(
+                st.none(), st.dictionaries(_texts, _wide_payloads, min_size=1, max_size=2)
+            ),
+            trace=st.one_of(st.none(), _texts), client=st.one_of(st.none(), _texts),
+        ), min_size=1, max_size=4)))
+    if kind == PROXY_ACK_KIND:
+        return make_proxy_ack("p1", "c1", draw(st.lists(st.builds(
+            ProxySubReply, op_id=_texts, round_trip=st.integers(min_value=0, max_value=9),
+            replies=st.lists(_wide_messages, max_size=2).map(tuple),
+            error=st.one_of(st.none(), _texts),
+        ), min_size=1, max_size=3)))
+    if kind == "lease":
+        make = draw(st.sampled_from([make_lease_invalidate, make_lease_release]))
+        return make("s1", "p1", draw(st.lists(_texts, min_size=1, max_size=4)))
+    if kind == "drain":
+        keys = draw(st.lists(_texts, min_size=1, max_size=3, unique=True))
+        return make_drain_install("control-plane", "s4", "mig-1", "tok-4", "shard-0", 4, keys, {
+            key: [{"tag": [1, "c1"], "value": draw(_wide_values)}] for key in keys
+        })
+    return draw(st.sampled_from(sorted(_golden_frames().items())))[1]
+
+
+def _json_dumps_body(frame: Message) -> bytes:
+    """The body of ``frame`` as ``json.dumps(..., separators=(",", ":"))``
+    writes it: the envelope of the module notes, typed payloads as rows."""
+    envelope = [frame.kind, frame.sender, frame.receiver, frame.op_id,
+                frame.round_trip, frame.trace, frame.payload]
+    rows = codec._ROWS.get(frame.kind)
+    if rows is not None:
+        to_rows, _, field = rows
+        envelope[6] = to_rows(frame.sender, frame.payload)
+        if field is not None and frame.payload.get(field) is not None:
+            envelope.append(frame.payload[field])
+    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+
+
+@contextlib.contextmanager
+def _json_encoder(c_encoder: bool):
+    """The codec over json's C encoder, or built as on a Python without one
+    (which makes ``json.dumps`` itself the pure-Python encoder too)."""
+    if c_encoder:
+        assert json.encoder.c_make_encoder is not None
+        yield
+        return
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        with mock.patch.object(codec, "_dumps", codec._json_dumps()):
+            assert codec._dumps.__func__ is json.JSONEncoder.encode
+            yield
+
+
+class TestEncoderBytes:
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+    def test_every_kind_encodes_to_the_bytes_of_json_dumps(self, c_encoder):
+        @_codec
+        @given(frame=_frames_of_every_kind())
+        def encodes_as_json_dumps(frame):
+            encoded = encode_message(frame)
+            assert encoded[4:] == _json_dumps_body(frame)
+            assert int.from_bytes(encoded[:4], "big") == len(encoded) - 4
+
+        with _json_encoder(c_encoder):
+            encodes_as_json_dumps()
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+    def test_the_golden_bytes_stand_on_either_encoder(self, c_encoder):
+        with _json_encoder(c_encoder):
+            for name, frame in _golden_frames().items():
+                assert encode_message(frame)[4:] == GOLDEN_BODIES[name], name
+
+    def test_an_unencodable_value_is_a_type_error_as_from_json_dumps(self):
+        frame = Message("c1", "s1", "query", {"value": object()})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode_message(frame)
 
 
 def _envelope(kind, payload, sender="c9", receiver="s1", *lease):

@@ -171,6 +171,56 @@ class TestTimerTable:
         assert len(sent) == 1 and runtime.timers == {}
 
 
+class TestTimersDueAtOnce:
+    """A ``schedule`` that answers ``None``: the timer is due at once, and
+    the runtime fires it after the batch that armed it."""
+
+    @staticmethod
+    def harness(**hooks):
+        h = Harness(**hooks)
+        h.runtime._schedule = lambda delay, callback: None
+        return h
+
+    def test_it_fires_after_the_batch_and_its_tail(self):
+        h = self.harness(connect=lambda target: h.engine.on_connected(target))
+        h.engine.timer_script[("flush", "g1")] = [frame("batch")]
+        h.runtime.run([StartTimer(("flush", "g1"), 0.0), frame("a"), Connect("p1")])
+        assert h.sent == ["a", "hello-p1", "batch"]
+        assert h.runtime.timers == {}
+        assert h.timer_events() == [(TIMER_ARMED, "flush", None),
+                                    (TIMER_FIRED, "flush", None)]
+        assert h.counters() == (1, 1, 0)
+
+    def test_a_cancel_in_the_same_batch_still_cancels_it(self):
+        h = self.harness()
+        h.engine.timer_script[("flush", "g1")] = [frame("batch")]
+        h.runtime.run([StartTimer(("flush", "g1"), 0.0), CancelTimer(("flush", "g1"))])
+        assert h.sent == [] and h.runtime.timers == {}
+        assert h.counters() == (1, 0, 1)
+
+    def test_rearmed_in_the_same_batch_it_fires_once(self):
+        h = self.harness()
+        h.engine.timer_script[("flush", "g1")] = [frame("batch")]
+        h.runtime.run([StartTimer(("flush", "g1"), 0.0), StartTimer(("flush", "g1"), 0.0)])
+        assert h.sent == ["batch"]
+        assert h.counters() == (2, 1, 1)
+
+    def test_one_rearmed_inside_its_own_fire_fires_in_that_nested_batch(self):
+        h = self.harness()
+        h.engine.timer_script[("flush", "g1")] = [frame("first"), StartTimer(("tick",), 0.0)]
+        h.engine.timer_script[("tick",)] = [frame("second")]
+        h.runtime.run([StartTimer(("flush", "g1"), 0.0), frame("a")])
+        assert h.sent == ["a", "first", "second"]
+        assert h.runtime.timers == {} and h.counters() == (2, 2, 0)
+
+    def test_shutdown_cancels_one_that_has_not_fired(self):
+        h = self.harness()
+        h.runtime.timers[("flush", "g1")] = None  # armed due at once, mid-batch
+        h.runtime.shutdown()
+        assert h.runtime.timers == {}
+        assert h.timer_events() == [(TIMER_CANCELLED, "flush", "shutdown")]
+
+
 class TestDispatch:
     def test_an_unknown_effect_raises_type_error(self):
         h = Harness()

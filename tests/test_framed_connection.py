@@ -29,8 +29,16 @@ class FakeTransport:
         self.closed: Optional[str] = None
         protocol.connection_made(self)
 
+        self.reading = True
+
     def write(self, data: bytes) -> None:
         self.written.append(bytes(data))
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
 
     def is_closing(self) -> bool:
         return self.closed is not None
@@ -53,10 +61,12 @@ class FakeTransport:
 
 
 class Harness:
-    def __init__(self) -> None:
+    def __init__(self, throttled: bool = False) -> None:
         self.frames: List[Message] = []
         self.lost: List[BaseException] = []
-        self.connection = FramedConnection(self.frames.append, self.lost.append)
+        self.connection = FramedConnection(
+            self.frames.append, self.lost.append, throttled=throttled
+        )
         self.transport = FakeTransport(self.connection)
 
     def feed(self, *chunks: bytes) -> None:
@@ -150,6 +160,23 @@ class TestReceiveBuffer:
         assert [m.kind for m in harness.frames] == ["blob", "ping"]
         assert harness.frames[0].payload == big.payload
 
+    def test_frames_are_decoded_in_place_and_only_a_straddling_one_is_kept(self):
+        # Three frames over two reads: the first whole, the second cut by the
+        # read, the third whole in the next read.  After the first read only
+        # the cut frame's bytes are kept -- copied, since the next read
+        # overwrites the buffer -- and the next read completes it.
+        one, two, three = (encode_message(Message("c1", "s1", kind, {"n": n}))
+                           for n, kind in enumerate(("a", "b", "c")))
+        harness = Harness()
+        cut = len(one) + 7
+        stream = one + two + three
+        harness.feed_socket(stream[:cut])
+        assert [m.kind for m in harness.frames] == ["a"]
+        assert bytes(harness.connection._pending) == two[:7]
+        harness.feed_socket(stream[cut:])
+        assert [m.kind for m in harness.frames] == ["a", "b", "c"]
+        assert not harness.connection._pending
+
     def test_the_buffer_is_reused_across_reads_and_released_with_the_connection(self):
         harness = Harness()
         first = harness.connection.get_buffer(-1)
@@ -175,6 +202,51 @@ class TestSending:
         assert not connection.closing
         connection.close()
         assert connection.closing
+
+
+class TestReadsPauseWhileWritesBackUp:
+    """An accepted connection stops reading a peer that does not read its
+    replies: ``pause_writing`` (its write buffer went over the high-water
+    mark) pauses reading, and even the frames of the read in hand wait."""
+
+    def _paused_after_first(self, harness: Harness) -> None:
+        def on_frame(frame: Message) -> None:
+            harness.frames.append(frame)
+            if len(harness.frames) == 1:
+                harness.connection.pause_writing()  # the reply backed up
+
+        harness.connection._on_frame = on_frame
+
+    def test_frames_behind_a_backed_up_reply_wait_for_resume_writing(self):
+        harness = Harness(throttled=True)
+        self._paused_after_first(harness)
+        stream = b"".join(encode_message(Message("c1", "s1", f"q{n}", {}))
+                          for n in range(4))
+        harness.feed_socket(stream[:-5])
+        assert [m.kind for m in harness.frames] == ["q0"]
+        assert not harness.transport.reading
+        harness.connection.resume_writing()
+        assert harness.transport.reading
+        assert [m.kind for m in harness.frames] == ["q0", "q1", "q2"]
+        harness.feed_socket(stream[-5:])
+        assert [m.kind for m in harness.frames] == ["q0", "q1", "q2", "q3"]
+        assert harness.lost == [] and harness.transport.closed is None
+
+    def test_a_dialled_connection_keeps_reading(self):
+        harness = Harness()
+        self._paused_after_first(harness)
+        harness.feed(encode_message(PING) + encode_message(PONG))
+        assert [m.kind for m in harness.frames] == ["ping", "pong"]
+        assert harness.transport.reading
+
+    def test_a_peer_gone_while_paused_is_lost_not_cut_mid_frame(self):
+        harness = Harness(throttled=True)
+        self._paused_after_first(harness)
+        harness.feed(encode_message(PING) + encode_message(PONG))
+        harness.transport.peer_closes()
+        assert [m.kind for m in harness.frames] == ["ping"]
+        assert len(harness.lost) == 1
+        assert type(harness.lost[0]) is ConnectionResetError
 
 
 class TestDeath:

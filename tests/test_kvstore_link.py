@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import threading
 from collections import Counter
 from types import SimpleNamespace
@@ -555,6 +556,152 @@ class TestWhatAnOperatorSees:
             assert counts[("client", client_id, "rounds_opened")] >= 2
             assert counts[("client", client_id, "frames_sent")] == 0
         assert registry.histogram("client", link_id, "batch_size").count > 0
+
+
+def _loop_flushes(link):
+    """The ids of the ``("flush", ...)`` timers ``link`` puts on its event
+    loop from now on (a flush due at once never reaches the loop)."""
+    armed = []
+    loop = link.loop
+    call_later = loop.call_later
+
+    def spy(delay, callback, *args, **kwargs):
+        if (isinstance(callback, functools.partial)
+                and callback.func == link.runtime._fire
+                and callback.args[0][0] == "flush"):
+            armed.append(callback.args[0])
+        return call_later(delay, callback, *args, **kwargs)
+
+    loop.call_later = spy
+    return armed
+
+
+def _flushes_fired(link):
+    """The ids of the flush timers ``link``'s engine hears fire from now on."""
+    fired = []
+    on_timer = link.engine.on_timer
+
+    def spy(timer_id):
+        if timer_id[0] == "flush":
+            fired.append(timer_id)
+        return on_timer(timer_id)
+
+    link.engine.on_timer = spy
+    return fired
+
+
+def _queries_served(cluster):
+    """``(replica, sorted sessions)`` of every ``batch`` frame of queries
+    the replicas take in from now on."""
+    seen = []
+    for server_id, logic in cluster.server_logics.items():
+        original = logic.on_frame
+
+        def on_frame(frame, _original=original, _server_id=server_id):
+            if frame.kind == BATCH_KIND:
+                subs = unpack_batch(frame)
+                if all(sub.message.kind == "query" for sub in subs):
+                    seen.append((_server_id, sorted(sub.message.sender for sub in subs)))
+            return _original(frame)
+
+        logic.on_frame = on_frame
+    return seen
+
+
+class TestAnIdleLinkFlushesAtOnce:
+    """With exactly one operation in flight on the link, a round's flush is
+    due at once: it fires at the end of the effect batch that opened the
+    round, without a loop turn.  With more in flight, the flush waits for
+    the turn as always and rounds opened in it share frames."""
+
+    def test_a_lone_operation_leaves_before_its_caller_awaits(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=1, writers=1)
+            cluster, stores, _ = await _started(shard_map, stores=1)
+            try:
+                store = stores[0]
+                link = store._link
+                loop_flushes = _loop_flushes(link)
+                fired = _flushes_fired(link)
+                written = []
+                write = link._write
+
+                def spy(effect):
+                    written.append(effect.frame.kind)
+                    return write(effect)
+
+                link._write = spy
+                put = asyncio.ensure_future(store.put("k", "v"))
+                await asyncio.sleep(0)  # the put runs up to its await, no further
+                assert not put.done()
+                # Its first round's frames are on the wire, no flush is armed.
+                assert written and set(written) == {BATCH_KIND}
+                assert not [t for t in link.runtime.timers if t[0] == "flush"]
+                await put
+                assert await store.get("k") == "v"
+                # Both of the put's rounds and the get's left the same way.
+                assert len(fired) >= 3 and loop_flushes == []
+                assert link.engine.stats.frames_sent == len(written)
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_gets_issued_behind_it_in_one_turn_share_a_frame_per_asked_replica(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=3, writers=3)
+            cluster, stores, _ = await _started(shard_map, stores=3)
+            try:
+                for index, store in enumerate(stores):
+                    await store.put(f"k{index}", index)
+                seen = _queries_served(cluster)
+                loop_flushes = _loop_flushes(stores[0]._link)
+                got = await asyncio.gather(*(
+                    store.get(f"k{index}") for index, store in enumerate(stores)
+                ))
+                assert got == [0, 1, 2]
+                # c1's get found the link idle and left alone, at once; c2's
+                # and c3's, opened behind it in the same turn, waited for
+                # the turn's flush and left together: one frame per replica
+                # their chunk asked (a quorum of 2 of 3).
+                assert sorted(senders for _, senders in seen) == [
+                    ["c1"], ["c1"], ["c2", "c3"], ["c2", "c3"]
+                ]
+                assert len(loop_flushes) == 1
+            finally:
+                await _stopped(cluster, stores)
+
+        asyncio.run(scenario())
+
+    def test_the_link_timer_table_balances_over_both_kinds_of_flush(self):
+        async def scenario():
+            shard_map = ShardMap(2, num_groups=1, readers=3, writers=3)
+            cluster, stores, _ = await _started(shard_map, stores=3)
+            link = stores[0]._link
+            loop_flushes = _loop_flushes(link)
+            fired = _flushes_fired(link)
+            try:
+                for round_ in range(3):
+                    for index, store in enumerate(stores):  # one in flight
+                        await store.put(f"k{index}", round_)
+                    await asyncio.gather(*(  # several in flight
+                        store.get(f"k{index}") for index, store in enumerate(stores)
+                    ))
+                    await asyncio.gather(*(
+                        store.put(f"k{index}", -round_) for index, store in enumerate(stores)
+                    ))
+            finally:
+                await _stopped(cluster, stores)
+            # Flushes of both kinds ran: due at once, and on the loop.
+            assert loop_flushes and len(fired) > len(loop_flushes)
+            metrics = cluster.metrics
+            armed, fired_, cancelled = (
+                metrics.counter_value("client", name, component=link.engine.link_id)
+                for name in ("timers_armed", "timers_fired", "timers_cancelled")
+            )
+            assert armed == fired_ + cancelled and armed >= len(fired)
+
+        asyncio.run(scenario())
 
 
 # -- the proxy leg ----------------------------------------------------------------
