@@ -1,7 +1,7 @@
 """Benchmark — the proxy read cache: hot-key hit rates vs replica read cost.
 
 Three claims, the first two on the discrete-event simulator (deterministic),
-the third on the asyncio backend over loopback TCP:
+the third on the asyncio backend over Unix-domain sockets:
 
 * **Zipf sweep**: at 8 clients behind one proxy, turning the lease-backed
   read cache on cuts *replica read sub-ops per operation* -- at skew 1.2
@@ -13,7 +13,8 @@ the third on the asyncio backend over loopback TCP:
   servers to chase leases with invalidations on nearly every write; the
   cache degrades gracefully (low hit rate, no wedge) and atomicity holds.
 * **Asyncio**: the same cache on the real transport -- cached reads cut
-  replica read sub-ops per op and the per-key checker stays green.
+  replica read sub-ops per op, the replicas serve no more frames per op
+  than with the cache off, and the per-key checker stays green.
 
 Run as a pytest-benchmark test or directly::
 
@@ -111,7 +112,7 @@ def _storm_table(result):
     }]
 
 
-# -- (c) cached reads over loopback TCP ----------------------------------------
+# -- (c) cached reads over Unix-domain sockets ---------------------------------
 
 def run_asyncio_cached(num_clients=4, ops_per_client=25, num_keys=12):
     workload = generate_workload(
@@ -133,6 +134,7 @@ def _asyncio_table(cold, warm):
                 f"{result.cache_hit_rate():.1%}"
                 if result.cache is not None else "-"
             ),
+            "rep frames/op": f"{result.replica_frames_per_op():.3f}",
             "read p50": f"{result.read_stats().p50 * 1000:.1f}ms",
             "atomic": result.check().all_atomic,
         }
@@ -177,6 +179,13 @@ def check_asyncio(cold, warm):
     assert warm.check().all_atomic
     assert warm.cache is not None and warm.cache["hits"] > 0
     assert warm.read_subs_per_op() < cold.read_subs_per_op()
+    # The hits come back in the turn of the misses beside them, so the
+    # cache takes rounds out of the replicas' frames instead of splitting
+    # one wave of frames into two.
+    assert warm.replica_frames_per_op() <= cold.replica_frames_per_op(), (
+        f"cache on: {warm.replica_frames_per_op():.3f} replica frames/op, "
+        f"off: {cold.replica_frames_per_op():.3f}"
+    )
 
 
 # -- pytest entry points --------------------------------------------------------
@@ -202,10 +211,10 @@ def test_kv_cache_invalidation_storm(benchmark):
 
 def test_kv_cache_asyncio(benchmark):
     cold, warm = benchmark.pedantic(run_asyncio_cached, rounds=1, iterations=1)
-    print_section("KV cache — cached reads over loopback TCP")
+    print_section("KV cache — cached reads over Unix-domain sockets")
     print(format_rows(_asyncio_table(cold, warm),
-                      ["cache", "read subs/op", "hit rate", "read p50",
-                       "atomic"]))
+                      ["cache", "read subs/op", "hit rate", "rep frames/op",
+                       "read p50", "atomic"]))
     check_asyncio(cold, warm)
 
 
@@ -228,10 +237,10 @@ if __name__ == "__main__":
     print(format_rows(_storm_table(storm),
                       ["ops", "hit rate", "invalidations", "write deferrals",
                        "leases granted", "atomic"]))
-    print_section("KV cache — cached reads over loopback TCP")
+    print_section("KV cache — cached reads over Unix-domain sockets")
     print(format_rows(_asyncio_table(*net),
-                      ["cache", "read subs/op", "hit rate", "read p50",
-                       "atomic"]))
+                      ["cache", "read subs/op", "hit rate", "rep frames/op",
+                       "read p50", "atomic"]))
     check_sweep(sweep, min_hot_ratio=3.0 if not quick else 2.0)
     check_storm(storm)
     check_asyncio(*net)

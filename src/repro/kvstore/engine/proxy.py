@@ -22,10 +22,11 @@ input -- ``on_frame``, ``on_timer``, ``on_peer_lost``,
 ``on_frame_undeliverable`` -- unless the adapter holds the proxy's acks
 (:attr:`ProxyEngine.holds_acks`): then it lasts until the adapter writes them
 and calls :meth:`ProxyEngine.end_turn`, so the asyncio proxy answers the
-cache hits, every replica's batch-ack and the timer fires of one event-loop
-turn in one frame per link.  The simulator keeps one turn per input: there
-the replicas' acks arrive at different instants, and merging them would mean
-waiting.  A sub-reply is relayed as it stands: its replica replies keep the
+cache hits, every replica's batch-ack and the timer fires of the event-loop
+turns it holds them for in one frame per link (while
+:attr:`ProxyEngine.rounds_out` is not 0, until a replica answers it).  The
+simulator keeps one turn per input: there the replicas' acks arrive at
+different instants, and merging them would mean waiting.  A sub-reply is relayed as it stands: its replica replies keep the
 attempt-scoped ids they came back under, and the client never reads them --
 it routes by the sub-reply's own ``(op_id, round_trip)`` and reads
 ``(sender, kind, payload)`` of each reply, all the wire carries of one.
@@ -451,6 +452,12 @@ class ProxyEngine(ReplicaRounds):
         """The adapter wrote the turn's ``proxy-ack`` frames: the next round
         answered to a destination opens a new one."""
         self._acks = {}
+
+    @property
+    def rounds_out(self) -> int:
+        """The replica rounds this proxy has open, queued or sent: a replica
+        may still answer one (what an adapter that holds acks waits for)."""
+        return len(self._pending)
 
     def _record_fill(
         self, entry: CacheEntry, pending: _ProxyPending, out: List[Effect]

@@ -523,6 +523,14 @@ class AsyncKVCluster(ClusterAssembly):
         self._on_the_loop("stop_autoscaler").submit(self.control.stop_autoscaler())
 
 
+#: How many loop turns past the first a proxy holds its ``proxy-ack`` frames
+#: for a replica to answer it.  A miss admitted in a hit's turn is flushed in
+#: the next one, read by its replicas in the one after and answered to the
+#: proxy in the third: two turns past the first callback.  One more covers a
+#: miss whose link frame landed a turn behind the hit's.
+HOLD_TURNS = 3
+
+
 class ProxyServer(_Owner):
     """One site-local ingress proxy listening at ``address`` (its cluster
     gives it a Unix-domain socket path): one proxy engine.
@@ -536,13 +544,21 @@ class ProxyServer(_Owner):
     to every replica (redialled when lost) and the ones its clients opened --
     one per client process and loop -- over which their acks go back.
 
-    Acks go back once per connection per event-loop turn.  The proxy holds
-    its ``proxy-ack`` frames, and the first one held arms a zero-delay loop
-    callback -- the rule the engines' flush timers follow -- which runs after
-    the next turn's I/O: the cache hits, every replica's batch-ack and the
-    timer fires of that turn fill the frames the engine keeps open until the
-    callback writes them and ends the turn (:meth:`ProxyEngine.end_turn`).
-    :meth:`stop` drops what is held.
+    Acks go back once per connection per event-loop turn, in the turn a
+    replica answers the proxy.  The proxy holds its ``proxy-ack`` frames, and
+    the first one held arms a zero-delay loop callback -- the rule the
+    engines' flush timers follow -- which runs after the next turn's I/O: the
+    cache hits, every replica's batch-ack and the timer fires of that turn
+    fill the frames the engine keeps open until the callback writes them and
+    ends the turn (:meth:`ProxyEngine.end_turn`).  It writes them only once a
+    replica's ``batch-ack`` has arrived since the last write, no round of the
+    proxy is out (:attr:`ProxyEngine.rounds_out`), or they have waited
+    :data:`HOLD_TURNS` turns past the first; else it re-arms.  So cache hits
+    leave with the replies of the misses admitted beside them, and a wave of
+    ops comes back to its link whole instead of as a wave of hits and one of
+    misses, each flushing every tier at half size.  The hold costs loop
+    turns, not time; it lives here because on the simulator a wait for a
+    replica costs virtual time.  :meth:`stop` drops what is held.
     """
 
     def __init__(
@@ -558,6 +574,10 @@ class ProxyServer(_Owner):
         #: The turn's ``proxy-ack`` frames, and the callback that writes them.
         self._held: List[SendFrame] = []
         self._writing: Optional[asyncio.TimerHandle] = None
+        #: The replicas' ``batch-ack`` frames counted at the last write, and
+        #: the turns the held frames have waited past their first one.
+        self._answered = engine.stats.frames_received
+        self._waited = 0
 
     def _send(self, effect: SendFrame) -> Optional[List[Effect]]:
         if effect.frame.kind != PROXY_ACK_KIND:
@@ -568,9 +588,21 @@ class ProxyServer(_Owner):
         return None
 
     def _end_turn(self) -> None:
+        engine = self.engine
+        answered = engine.stats.frames_received
+        if (
+            answered == self._answered
+            and engine.rounds_out
+            and self._waited < HOLD_TURNS
+        ):
+            self._waited += 1
+            self._writing = _call_later(0, self._end_turn)
+            return
+        self._answered = answered
+        self._waited = 0
         self._writing = None
         held, self._held = self._held, []
-        self.engine.end_turn()
+        engine.end_turn()
         for effect in held:
             handed_back = super()._send(effect)
             if handed_back:
@@ -614,6 +646,8 @@ class ProxyServer(_Owner):
             self._writing.cancel()
             self._writing = None
         self._held.clear()
+        self._answered = self.engine.stats.frames_received
+        self._waited = 0
 
     async def stop(self) -> None:
         await self.close()
